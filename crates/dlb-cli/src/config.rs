@@ -55,17 +55,6 @@ pub enum StrategyConfig {
         /// Borrow limit.
         c: usize,
     },
-    /// The full algorithm on the retired flat-arena engine
-    /// (`DenseCluster`) — bit-identical to `full`; exists so the dense
-    /// oracle stays reachable end to end from scenarios.
-    FullDense {
-        /// Partners per balancing operation.
-        delta: usize,
-        /// Trigger factor.
-        f: f64,
-        /// Borrow limit.
-        c: usize,
-    },
     /// The practical raw-load variant.
     Simple {
         /// Partners per balancing operation.
@@ -346,12 +335,6 @@ impl ToJson for StrategyConfig {
                 fields.push(("c".into(), c.to_json()));
                 "full"
             }
-            StrategyConfig::FullDense { delta, f, c } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                fields.push(("c".into(), c.to_json()));
-                "full-dense"
-            }
             StrategyConfig::Simple { delta, f } => {
                 fields.push(("delta".into(), delta.to_json()));
                 fields.push(("f".into(), f.to_json()));
@@ -427,7 +410,7 @@ impl FromJson for StrategyConfig {
     fn from_json(value: &Json) -> Result<Self, String> {
         let kind = kind_of(value, "strategy")?;
         let allowed: &[&str] = match kind {
-            "full" | "full-dense" => &["kind", "delta", "f", "c"],
+            "full" => &["kind", "delta", "f", "c"],
             "simple" => &["kind", "delta", "f"],
             "async" => &["kind", "delta", "f", "latency"],
             "weighted" => &["kind", "delta", "f", "speeds"],
@@ -442,11 +425,6 @@ impl FromJson for StrategyConfig {
         dlb_json::reject_unknown(value, allowed)?;
         match kind {
             "full" => Ok(StrategyConfig::Full {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-                c: dlb_json::field_or(value, "c", default_c())?,
-            }),
-            "full-dense" => Ok(StrategyConfig::FullDense {
                 delta: dlb_json::req(value, "delta")?,
                 f: dlb_json::req(value, "f")?,
                 c: dlb_json::field_or(value, "c", default_c())?,
@@ -843,7 +821,6 @@ mod tests {
     fn all_strategy_kinds_parse() {
         for kind in [
             r#"{"kind": "full", "delta": 2, "f": 1.3}"#,
-            r#"{"kind": "full-dense", "delta": 2, "f": 1.3, "c": 4}"#,
             r#"{"kind": "simple", "delta": 1, "f": 1.1}"#,
             r#"{"kind": "async", "delta": 2, "f": 1.3, "latency": 8}"#,
             r#"{"kind": "async", "delta": 2, "f": 1.3}"#,
@@ -906,6 +883,15 @@ mod tests {
         assert!(err.contains("field 'strategy'"), "{err}");
         assert!(err.contains("field 'topology'"), "{err}");
         assert!(err.contains("\"w\""), "{err}");
+
+        // A retired strategy kind is an error like any unknown one.
+        let text = r#"{
+            "n": 8, "steps": 100,
+            "strategy": {"kind": "full-dense"},
+            "workload": {"kind": "one-producer"}
+        }"#;
+        let err = Scenario::from_json(text).unwrap_err();
+        assert!(err.contains("unknown strategy kind"), "{err}");
 
         // Fault plans are strict too.
         let text = r#"{

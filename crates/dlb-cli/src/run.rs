@@ -13,8 +13,7 @@ use dlb_baselines::{
     Quasirandom, RandomScatter, Rsu91, WorkStealing,
 };
 use dlb_core::{
-    Cluster, DenseCluster, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster,
-    WeightedCluster,
+    Cluster, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
     league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
@@ -155,9 +154,6 @@ fn build_strategy_config(
         StrategyConfig::Full { delta, f, c } => {
             Box::new(Cluster::new(params(*delta, *f, *c)?, seed))
         }
-        StrategyConfig::FullDense { delta, f, c } => {
-            Box::new(DenseCluster::new(params(*delta, *f, *c)?, seed))
-        }
         StrategyConfig::Simple { delta, f } => {
             Box::new(SimpleCluster::new(params(*delta, *f, 4)?, seed))
         }
@@ -229,7 +225,6 @@ fn build_strategy_config(
 fn kind_label(config: &StrategyConfig) -> &'static str {
     match config {
         StrategyConfig::Full { .. } => "full",
-        StrategyConfig::FullDense { .. } => "full-dense",
         StrategyConfig::Simple { .. } => "simple",
         StrategyConfig::Async { .. } => "async",
         StrategyConfig::Weighted { .. } => "weighted",
@@ -361,9 +356,7 @@ fn plan_for_run(scenario: &Scenario, r: usize) -> Option<dlb_faults::FaultPlan> 
 /// have no such parameters — `trace_analyze` then skips the bounds).
 fn strategy_triple(strategy: &StrategyConfig) -> (u64, f64, u64) {
     match strategy {
-        StrategyConfig::Full { delta, f, c } | StrategyConfig::FullDense { delta, f, c } => {
-            (*delta as u64, *f, *c as u64)
-        }
+        StrategyConfig::Full { delta, f, c } => (*delta as u64, *f, *c as u64),
         StrategyConfig::Simple { delta, f }
         | StrategyConfig::Async { delta, f, .. }
         | StrategyConfig::Weighted { delta, f, .. }
@@ -802,11 +795,6 @@ mod tests {
     fn every_strategy_kind_executes() {
         let strategies = vec![
             StrategyConfig::Full {
-                delta: 1,
-                f: 1.1,
-                c: 4,
-            },
-            StrategyConfig::FullDense {
                 delta: 1,
                 f: 1.1,
                 c: 4,

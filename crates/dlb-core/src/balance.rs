@@ -13,6 +13,54 @@
 //! member totals lie in `{v, v+1}` with `k` members at `v` and the class
 //! has `r ≤ m` leftovers, the leftovers go to the `k` members at `v`
 //! first; the result again lies in a window of width one.
+//!
+//! The partner draw that selects the group ([`sample_into`],
+//! [`sample_others_into`]) lives here too.
+
+use rand::Rng;
+
+/// Draws `amount` distinct indices uniformly from `0..length` and
+/// *appends* them to `out` (which is not cleared: the engines draw a
+/// balance group's δ partners straight into the member list that
+/// already holds the initiator).  This is the vendored
+/// `rand::seq::index::sample` Floyd loop without its allocation — same
+/// RNG consumption, same picks, asserted by a unit test below — and the
+/// one partner-subset draw every engine shares.
+///
+/// # Panics
+///
+/// Panics when `amount > length`.
+pub fn sample_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    length: usize,
+    amount: usize,
+    out: &mut Vec<usize>,
+) {
+    assert!(amount <= length, "cannot sample {amount} from {length}");
+    let start = out.len();
+    for j in (length - amount)..length {
+        let t = rng.gen_range(0..=j);
+        let pick = if out[start..].contains(&t) { j } else { t };
+        out.push(pick);
+    }
+}
+
+/// Appends a uniform `amount`-subset of the processors `0..n` other
+/// than `who` to `out`: the paper's partner draw.  One [`sample_into`]
+/// over `n − 1` slots, with the slots at and above `who` shifted up.
+pub fn sample_others_into<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    who: usize,
+    amount: usize,
+    out: &mut Vec<usize>,
+) {
+    let start = out.len();
+    sample_into(rng, n - 1, amount, out);
+    for x in &mut out[start..] {
+        *x += usize::from(*x >= who);
+    }
+}
 
 /// Evenly splits `total` into `m` shares differing by at most one,
 /// listing the `total mod m` larger shares first.
@@ -168,6 +216,34 @@ pub fn moved(before: &[u64], after: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn sample_into_matches_vendored_sample() {
+        // sample_into re-implements rand::seq::index::sample to avoid
+        // its allocation; the two must stay in lockstep (same RNG draws,
+        // same picks) or determinism silently breaks.  The prefix
+        // already in `out` must not take part in the membership test.
+        for seed in 0..20u64 {
+            let mut out = vec![3, 14];
+            sample_into(&mut ChaCha8Rng::seed_from_u64(seed), 15, 4, &mut out);
+            let expect = rand::seq::index::sample(&mut ChaCha8Rng::seed_from_u64(seed), 15, 4);
+            assert_eq!(out[..2], [3, 14], "seed {seed}");
+            assert_eq!(out[2..], expect.clone().into_vec(), "seed {seed}");
+            // The partner draw skips `who` by shifting the upper slots.
+            let mut partners = vec![5];
+            sample_others_into(
+                &mut ChaCha8Rng::seed_from_u64(seed),
+                16,
+                5,
+                4,
+                &mut partners,
+            );
+            let shifted: Vec<usize> = expect.iter().map(|x| x + usize::from(x >= 5)).collect();
+            assert_eq!(partners[1..], shifted, "seed {seed}");
+        }
+    }
 
     #[test]
     fn even_shares_exact_and_remainder() {

@@ -17,9 +17,10 @@
 //!
 //! [`cluster::Cluster`] stores the `d`/`b` matrices sparsely
 //! ([`sparse::SparseRow`] per processor), which is what lets it scale to
-//! n ≥ 2¹⁸; the retired flat-arena engine survives as
-//! [`dense::DenseCluster`] and the naive oracle as
-//! [`reference`] — all three are bit-identical, enforced by proptests.
+//! n ≥ 2¹⁸; the naive dense implementation survives as the test oracle
+//! [`mod@reference`], and the two are bit-identical, enforced by proptests.
+//! Both engines run their balance operations through the one
+//! conflict-free wave executor in [`wave`] when `step_jobs > 1`.
 //!
 //! [`one_proc`] contains the one-processor-generator(-consumer) models of
 //! §3 (the paper's Figure 1), used to validate Theorems 1–3 and the cost
@@ -52,7 +53,6 @@
 pub mod balance;
 pub mod batch;
 pub mod cluster;
-pub mod dense;
 pub mod metrics;
 pub mod one_proc;
 pub mod params;
@@ -64,11 +64,11 @@ pub mod snapshot;
 pub mod sparse;
 pub mod strategy;
 mod summary;
+pub mod wave;
 pub mod weighted;
 
 pub use batch::{step_batch, BatchEvent};
 pub use cluster::Cluster;
-pub use dense::DenseCluster;
 pub use metrics::Metrics;
 pub use params::{ExchangePolicy, Params};
 pub use recorder::LoadRecorder;

@@ -16,12 +16,12 @@
 //! nothing.  Behaviour is bit-identical to the dense reference
 //! implementation in [`crate::reference`] (see `tests/opt_equivalence.rs`).
 
-use crate::balance::even_shares_into;
+use crate::balance::{even_shares_into, sample_into, sample_others_into};
 use crate::metrics::Metrics;
 use crate::params::Params;
 use crate::strategy::{check_sparse_events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::SummaryTracker;
-use dlb_pool::par_map;
+use crate::wave::WaveQueue;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -30,8 +30,9 @@ use rand_chacha::ChaCha8Rng;
 /// full model's [`crate::strategy::DEFAULT_WAVE_THRESHOLD`]: a raw-load
 /// balance op only moves δ + 1 integers (tens of nanoseconds), so pool
 /// dispatch — microseconds per wave — cannot pay for itself until a
-/// flush carries thousands of ops.  Below this the engine neither
-/// defers nor wave-plans, which is what fixed the `step_jobs=4`
+/// step carries thousands of ops.  Below this the engine neither
+/// defers nor wave-plans (the [`crate::wave`] defer policy), which is
+/// what fixed the `step_jobs=4`
 /// regression recorded in BENCH_core.json (n=4096: 123 ms → parity
 /// with sequential).  Override with
 /// [`LoadBalancer::set_wave_threshold`]; 0 forces the wave executor
@@ -54,9 +55,9 @@ struct OpOutcome {
 }
 
 /// Raw view of the two per-processor vectors a balance operation writes.
-/// Operations in one wave have disjoint member sets (enforced by the
-/// planner in [`SimpleCluster::flush_pending`]), so concurrent
-/// executors touch disjoint entries.
+/// Operations in one wave have disjoint member sets (the
+/// [`crate::wave`] planner's invariant), so concurrent executors touch
+/// disjoint entries.
 struct LoadsView {
     loads: *mut u64,
     l_old: *mut u64,
@@ -71,7 +72,9 @@ unsafe impl Sync for LoadsView {}
 ///
 /// # Safety
 ///
-/// No other thread may concurrently touch the loads of `members`.
+/// `view` must point into live vectors covering every index in
+/// `members`, and no other thread may concurrently touch the loads of
+/// `members` (the [`crate::wave`] disjointness invariant).
 unsafe fn execute_balance(
     view: &LoadsView,
     members: &[usize],
@@ -117,40 +120,12 @@ pub struct SimpleCluster {
     any_down: bool,
     scratch_members: Vec<usize>,
     scratch_shares: Vec<u64>,
-    scratch_sample: Vec<usize>,
     sink: Option<SharedSink>,
     step_no: u64,
-    /// Intra-step parallelism (1 = execute at the trigger, as before).
-    step_jobs: usize,
-    /// Flushes with fewer queued operations than this run sequentially
-    /// (see [`LoadBalancer::set_wave_threshold`]; default
-    /// [`SIMPLE_WAVE_THRESHOLD`]).
-    wave_threshold: usize,
-    /// Whether operations drawn this step are queued for wave execution.
-    /// Decided once per step from the previous step's op count: a step
-    /// expected to stay under the wave threshold would pay the deferral
-    /// bookkeeping only to run sequentially at the flush anyway, so it
-    /// executes eagerly at the trigger instead.  Either path is
-    /// bit-identical (execution consumes no RNG and folds in trigger
-    /// order), so the heuristic can only affect speed, never results.
-    defer_waves: bool,
-    /// Balance operations drawn during the previous step (the
-    /// `defer_waves` predictor).
-    prev_step_ops: u64,
-    /// Flat member lists of queued operations, in trigger order
-    /// (variable length under a crash mask — see `pending_lens`).
-    pending_members: Vec<usize>,
-    /// Member count of each queued operation.
-    pending_lens: Vec<u32>,
-    /// Per-processor flag: member of some queued operation.
-    pending_member: Vec<bool>,
-    /// Wave-planning scratch: 1 + index of the last wave touching a
-    /// processor (zeroed outside `flush_pending`).
-    wave_mark: Vec<u32>,
-    scratch_wave_of: Vec<u32>,
-    scratch_wave_ops: Vec<usize>,
-    scratch_offsets: Vec<usize>,
-    scratch_outcomes: Vec<OpOutcome>,
+    /// Intra-step parallelism (`step_jobs`; threshold default
+    /// [`SIMPLE_WAVE_THRESHOLD`]): operations the queue accepts run in
+    /// conflict-free waves, the rest execute at the trigger.
+    wave: WaveQueue<OpOutcome>,
     /// Lazy min/max heaps backing [`LoadBalancer::load_summary`];
     /// observer state, built on the first query (`None` until then, so
     /// unobserved runs pay one branch per load change).
@@ -178,21 +153,9 @@ impl SimpleCluster {
             any_down: false,
             scratch_members: Vec::new(),
             scratch_shares: Vec::new(),
-            scratch_sample: Vec::new(),
             sink: None,
             step_no: 0,
-            step_jobs: 1,
-            wave_threshold: SIMPLE_WAVE_THRESHOLD,
-            defer_waves: false,
-            prev_step_ops: 0,
-            pending_members: Vec::new(),
-            pending_lens: Vec::new(),
-            pending_member: vec![false; n],
-            wave_mark: vec![0; n],
-            scratch_wave_of: Vec::new(),
-            scratch_wave_ops: Vec::new(),
-            scratch_offsets: Vec::new(),
-            scratch_outcomes: Vec::new(),
+            wave: WaveQueue::new(n, SIMPLE_WAVE_THRESHOLD),
             summary: None,
         }
     }
@@ -253,29 +216,14 @@ impl SimpleCluster {
         }
     }
 
-    /// The vendored `rand::seq::index::sample` Floyd loop, inlined into a
-    /// scratch buffer so partner draws are allocation-free while consuming
-    /// the RNG identically.
-    fn draw_sample(&mut self, length: usize, amount: usize, raw: &mut Vec<usize>) {
-        raw.clear();
-        for j in (length - amount)..length {
-            let t = self.rng.gen_range(0..=j);
-            if raw.contains(&t) {
-                raw.push(j);
-            } else {
-                raw.push(t);
-            }
-        }
-    }
-
     /// Balances the initiator with `δ` random alive partners.  Down
     /// processors (per the mask cached by the current step) are never
-    /// picked.
+    /// picked.  The draw happens here; execution is deferred to the next
+    /// flush when the wave queue accepts the operation.
     fn full_balance(&mut self, initiator: usize) {
         let n = self.params.n();
         let delta = self.params.delta();
         let mut members = std::mem::take(&mut self.scratch_members);
-        let mut raw = std::mem::take(&mut self.scratch_sample);
         members.clear();
         members.push(initiator);
         if self.any_down {
@@ -285,47 +233,39 @@ impl SimpleCluster {
             let cand_len = self.alive.len() - 1;
             if cand_len == 0 {
                 self.scratch_members = members;
-                self.scratch_sample = raw;
                 return; // nobody alive to balance with
             }
             let pos = self
                 .alive
                 .binary_search(&initiator)
                 .expect("initiator is alive");
-            let k = delta.min(cand_len);
-            self.draw_sample(cand_len, k, &mut raw);
-            members.extend(raw.iter().map(|&x| self.alive[x + usize::from(x >= pos)]));
-        } else {
-            self.draw_sample(n - 1, delta, &mut raw);
-            members.extend(raw.iter().map(|&x| if x >= initiator { x + 1 } else { x }));
-        }
-        self.scratch_sample = raw;
-        if self.defer_waves {
-            // Defer: everything below the draw touches only the members'
-            // loads, so member-disjoint operations commute bit-exactly
-            // (see `flush_pending`).
-            self.pending_lens.push(members.len() as u32);
-            for &mm in &members {
-                self.pending_members.push(mm);
-                self.pending_member[mm] = true;
+            sample_into(&mut self.rng, cand_len, delta.min(cand_len), &mut members);
+            for x in &mut members[1..] {
+                *x = self.alive[*x + usize::from(*x >= pos)];
             }
-            members.clear();
-            self.scratch_members = members;
-            return;
+        } else {
+            sample_others_into(&mut self.rng, n, initiator, delta, &mut members);
         }
-        let tracing = self.trace_on();
-        let mut shares = std::mem::take(&mut self.scratch_shares);
-        let out = {
-            let view = LoadsView {
-                loads: self.loads.as_mut_ptr(),
-                l_old: self.l_old.as_mut_ptr(),
-            };
-            unsafe { execute_balance(&view, &members, tracing, &mut shares) }
-        };
-        self.scratch_shares = shares;
-        self.fold_outcome(&members, out, tracing);
-        members.clear();
+        if !self.wave.push(&members) {
+            let tracing = self.trace_on();
+            let mut shares = std::mem::take(&mut self.scratch_shares);
+            let view = self.loads_view();
+            // SAFETY: the view was just taken from `&mut self` and this
+            // thread is the only executor.
+            let out = unsafe { execute_balance(&view, &members, tracing, &mut shares) };
+            self.scratch_shares = shares;
+            self.fold_outcome(&members, out, tracing);
+        }
         self.scratch_members = members;
+    }
+
+    /// Raw pointers into the two vectors balance operations write; valid
+    /// until the next access through `&mut self`.
+    fn loads_view(&mut self) -> LoadsView {
+        LoadsView {
+            loads: self.loads.as_mut_ptr(),
+            l_old: self.l_old.as_mut_ptr(),
+        }
     }
 
     /// Folds one executed operation into metrics and trace, in trigger
@@ -360,122 +300,29 @@ impl SimpleCluster {
         }
     }
 
-    /// Executes every queued operation in conflict-free waves (greedy by
-    /// trigger index over the member sets, exactly as in
-    /// [`crate::cluster::Cluster`]) and folds outcomes in trigger order.
-    /// The wave schedule depends only on the member sets, never on
-    /// `step_jobs`, so every worker count produces identical state.
+    /// Executes every queued operation through the wave queue and folds
+    /// the outcomes in trigger order.
     fn flush_pending(&mut self) {
-        if self.pending_lens.is_empty() {
+        if self.wave.is_empty() {
             return;
-        }
-        let pending = std::mem::take(&mut self.pending_members);
-        let lens = std::mem::take(&mut self.pending_lens);
-        let count = lens.len();
-        for &p in &pending {
-            self.pending_member[p] = false;
         }
         let tracing = self.trace_on();
-        let step_jobs = self.step_jobs;
-        if count < self.wave_threshold {
-            // Tiny flush: wave planning and pool dispatch cost more than
-            // they save, and sequential execution in trigger order is
-            // exactly the per-processor order the waves reproduce — so
-            // skip the machinery entirely and fold each outcome as it
-            // executes (execution consumes no RNG and emits nothing, so
-            // interleaving execute/fold keeps the trigger-order counter
-            // sums and event stream bit-identical).
-            let mut shares = std::mem::take(&mut self.scratch_shares);
-            let mut pos = 0usize;
-            for &len in &lens {
-                let members = &pending[pos..pos + len as usize];
-                pos += len as usize;
-                let out = {
-                    let view = LoadsView {
-                        loads: self.loads.as_mut_ptr(),
-                        l_old: self.l_old.as_mut_ptr(),
-                    };
-                    unsafe { execute_balance(&view, members, tracing, &mut shares) }
-                };
-                self.fold_outcome(members, out, tracing);
-            }
-            self.scratch_shares = shares;
-            let (mut pending, mut lens) = (pending, lens);
-            pending.clear();
-            lens.clear();
-            self.pending_members = pending;
-            self.pending_lens = lens;
-            return;
-        }
-        let mut offsets = std::mem::take(&mut self.scratch_offsets);
-        offsets.clear();
-        let mut acc = 0usize;
-        for &len in &lens {
-            offsets.push(acc);
-            acc += len as usize;
-        }
-        let mut outcomes = std::mem::take(&mut self.scratch_outcomes);
-        outcomes.clear();
-        let mut wave_of = std::mem::take(&mut self.scratch_wave_of);
-        let mut wave_ops = std::mem::take(&mut self.scratch_wave_ops);
-        {
-            wave_of.clear();
-            let mut waves = 0u32;
-            for k in 0..count {
-                let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-                let w = members
-                    .iter()
-                    .map(|&mm| self.wave_mark[mm])
-                    .max()
-                    .unwrap_or(0);
-                for &mm in members {
-                    self.wave_mark[mm] = w + 1;
-                }
-                wave_of.push(w);
-                waves = waves.max(w + 1);
-            }
-            for &p in &pending {
-                self.wave_mark[p] = 0;
-            }
-            outcomes.resize(count, OpOutcome::default());
-            let view = LoadsView {
-                loads: self.loads.as_mut_ptr(),
-                l_old: self.l_old.as_mut_ptr(),
-            };
-            for w in 0..waves {
-                wave_ops.clear();
-                wave_ops.extend((0..count).filter(|&k| wave_of[k] == w));
-                let view = &view;
-                let pending = &pending;
-                let wave_ops = &wave_ops;
-                let offsets = &offsets;
-                let lens = &lens;
-                let results = par_map(step_jobs.min(wave_ops.len()), wave_ops.len(), |i| {
-                    let k = wave_ops[i];
-                    let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-                    WAVE_SHARES.with(|s| unsafe {
-                        execute_balance(view, members, tracing, &mut s.borrow_mut())
-                    })
-                });
-                for (i, out) in results.into_iter().enumerate() {
-                    outcomes[wave_ops[i]] = out;
-                }
-            }
-        }
-        for (k, out) in outcomes.iter().enumerate() {
-            let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-            self.fold_outcome(members, *out, tracing);
-        }
-        outcomes.clear();
-        self.scratch_outcomes = outcomes;
-        self.scratch_wave_of = wave_of;
-        self.scratch_wave_ops = wave_ops;
-        self.scratch_offsets = offsets;
-        let (mut pending, mut lens) = (pending, lens);
-        pending.clear();
-        lens.clear();
-        self.pending_members = pending;
-        self.pending_lens = lens;
+        let mut wave = std::mem::take(&mut self.wave);
+        let view = self.loads_view();
+        wave.flush(
+            |members| {
+                // SAFETY: the view outlives the flush, during which the
+                // loads are touched through it alone (the fold runs
+                // after every execution), and `WaveQueue::flush` runs
+                // concurrently only operations whose member sets are
+                // pairwise disjoint.
+                WAVE_SHARES.with(|s| unsafe {
+                    execute_balance(&view, members, tracing, &mut s.borrow_mut())
+                })
+            },
+            |members, out| self.fold_outcome(members, out, tracing),
+        );
+        self.wave = wave;
     }
 
     fn step_impl(&mut self, events: &[LoadEvent], down: &[bool]) {
@@ -494,14 +341,6 @@ impl SimpleCluster {
         events: I,
         down: &[bool],
     ) {
-        // Queue-or-eager decision, once per step: defer only when the
-        // previous step's op count suggests the flush would actually
-        // engage the wave executor (threshold 0 = always defer, used by
-        // tests to force the wave path).  Bit-identical either way —
-        // see `defer_waves`.
-        let ops_before = self.metrics.balance_ops;
-        self.defer_waves = self.step_jobs > 1
-            && (self.wave_threshold == 0 || self.prev_step_ops >= self.wave_threshold as u64);
         // The mask is fixed for the whole step: refresh the alive cache
         // once here (only when the mask actually changed), not per
         // balancing operation.
@@ -530,7 +369,7 @@ impl SimpleCluster {
             // event and the trigger check read loads[i] / l_old[i],
             // which the queued operation rewrites.  (Flag only ever set
             // when step_jobs > 1; Idle reads nothing.)
-            if self.pending_member[i] && !matches!(ev, LoadEvent::Idle) {
+            if self.wave.involves(i) && !matches!(ev, LoadEvent::Idle) {
                 self.flush_pending();
             }
             match ev {
@@ -556,7 +395,7 @@ impl SimpleCluster {
         // Operations never outlive their step: the StepDelta below (and
         // any observer between steps) must see fully-settled state.
         self.flush_pending();
-        self.prev_step_ops = self.metrics.balance_ops - ops_before;
+        self.wave.end_step();
         if tracing {
             let delta = self.metrics.delta_from(&before);
             let counters: Vec<(String, u64)> = delta
@@ -643,11 +482,11 @@ impl LoadBalancer for SimpleCluster {
     }
 
     fn set_step_jobs(&mut self, jobs: usize) {
-        self.step_jobs = jobs.max(1);
+        self.wave.set_jobs(jobs);
     }
 
     fn set_wave_threshold(&mut self, threshold: usize) {
-        self.wave_threshold = threshold;
+        self.wave.set_threshold(threshold);
     }
 }
 

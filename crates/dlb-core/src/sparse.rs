@@ -8,9 +8,8 @@
 //! cluster costs O(Σ active classes) memory instead of O(n²) and every
 //! row operation costs O(active) or O(log active) instead of O(n).  This
 //! is what lets [`crate::Cluster`] simulate n ≥ 2¹⁸ processors (see
-//! `BENCH_core.json`'s `large` rows); the flat-arena engine it replaced
-//! is retained as [`crate::dense::DenseCluster`] for bit-identity
-//! proptests at overlapping sizes.
+//! `BENCH_core.json`'s `large` rows); the naive dense original in
+//! [`crate::reference`] is the bit-identity oracle at small sizes.
 //!
 //! Invariants (checked by [`crate::Cluster::check_invariants`] and the
 //! debug assertions here):

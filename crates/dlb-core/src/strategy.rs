@@ -143,13 +143,14 @@ pub trait LoadBalancer {
     /// a no-op so strategies without a wave executor stay sequential.
     fn set_step_jobs(&mut self, _jobs: usize) {}
 
-    /// Sets the minimum queued-operation count at which a flush uses the
-    /// wave executor; smaller flushes run sequentially in trigger order
-    /// (bit-identical — the waves reproduce exactly that order per
-    /// processor), skipping wave planning and pool dispatch so
-    /// `step_jobs > 1` never regresses tiny steps.  `0` forces waves for
-    /// every flush.  The default is a no-op for strategies without a
-    /// wave executor.
+    /// Sets the minimum operation count at which the wave executor
+    /// engages (see [`crate::wave`]): a step defers its operations only
+    /// if the previous step drew at least this many, and a flush of
+    /// fewer runs sequentially in trigger order (bit-identical — the
+    /// waves reproduce exactly that order per processor), skipping wave
+    /// planning and pool dispatch so `step_jobs > 1` never regresses
+    /// tiny steps.  `0` forces waves for every flush.  The default is a
+    /// no-op for strategies without a wave executor.
     fn set_wave_threshold(&mut self, _threshold: usize) {}
 }
 

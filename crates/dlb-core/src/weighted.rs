@@ -10,6 +10,7 @@
 //! corrections, so the *normalised* loads `l_i / s_i` are equalised as
 //! tightly as indivisibility allows.
 
+use crate::balance::sample_others_into;
 use crate::metrics::Metrics;
 use crate::params::Params;
 use crate::strategy::{LoadBalancer, LoadEvent};
@@ -69,7 +70,6 @@ pub struct WeightedCluster {
     scratch_weights: Vec<u64>,
     scratch_shares: Vec<u64>,
     scratch_rem: Vec<(u64, usize)>,
-    scratch_sample: Vec<usize>,
 }
 
 impl WeightedCluster {
@@ -93,7 +93,6 @@ impl WeightedCluster {
             scratch_weights: Vec::new(),
             scratch_shares: Vec::new(),
             scratch_rem: Vec::new(),
-            scratch_sample: Vec::new(),
         }
     }
 
@@ -133,22 +132,9 @@ impl WeightedCluster {
         let n = self.params.n();
         let delta = self.params.delta();
         let mut members = std::mem::take(&mut self.scratch_members);
-        let mut raw = std::mem::take(&mut self.scratch_sample);
         members.clear();
         members.push(initiator);
-        // The vendored Floyd sampling loop, inlined into scratch so the
-        // draw is allocation-free with identical RNG consumption.
-        raw.clear();
-        for j in (n - 1 - delta)..(n - 1) {
-            let t = self.rng.gen_range(0..=j);
-            if raw.contains(&t) {
-                raw.push(j);
-            } else {
-                raw.push(t);
-            }
-        }
-        members.extend(raw.iter().map(|&x| if x >= initiator { x + 1 } else { x }));
-        self.scratch_sample = raw;
+        sample_others_into(&mut self.rng, n, initiator, delta, &mut members);
         self.metrics.messages += members.len() as u64;
         let total: u64 = members.iter().map(|&m| self.loads[m]).sum();
         let mut weights = std::mem::take(&mut self.scratch_weights);

@@ -17,9 +17,11 @@ use rand_chacha::ChaCha8Rng;
 
 const STEP_JOBS: [usize; 4] = [1, 2, 4, 8];
 
-/// Both flush paths: 0 forces the wave executor for every flush; the
-/// default makes these small instances take the sequential fallback.
-const THRESHOLDS: [usize; 2] = [0, DEFAULT_WAVE_THRESHOLD];
+/// Every path: 0 forces the wave executor for every flush; 2 mixes
+/// eager steps, deferred wave flushes and deferred sequential flushes;
+/// under the default these small instances never defer and execute at
+/// the trigger.
+const THRESHOLDS: [usize; 3] = [0, 2, DEFAULT_WAVE_THRESHOLD];
 
 /// Same mixed workload shape as `opt_equivalence.rs`: build-up first,
 /// drain-down after the halfway point.

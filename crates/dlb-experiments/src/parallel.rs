@@ -25,6 +25,7 @@
 //! most `J` threads — the two levels share one budget instead of
 //! multiplying into `J × S` threads.
 
+use dlb_net::rng::splitmix64;
 pub use dlb_pool::{default_jobs, par_map};
 
 /// A component of one run that needs its own random stream.
@@ -46,22 +47,13 @@ pub enum StreamId {
 
 /// Derives an independent seed for `(run, component)` from `base`.
 ///
-/// Three chained SplitMix64 finalisation steps: adjacent runs, adjacent
+/// Three chained [`splitmix64`] finalisation steps: adjacent runs, adjacent
 /// components and adjacent base seeds all land on unrelated 64-bit
 /// values (full avalanche), unlike the old `base.wrapping_add(run)`
 /// scheme which seeded adjacent runs with adjacent integers and reused
 /// one seed for several components.
 pub fn stream_seed(base: u64, run: u64, component: StreamId) -> u64 {
-    splitmix(splitmix(splitmix(base).wrapping_add(run)).wrapping_add(component as u64))
-}
-
-/// SplitMix64 finalisation step (Steele, Lea & Flood; the γ-increment is
-/// folded in so `splitmix(0) != 0`).
-fn splitmix(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(splitmix64(splitmix64(base).wrapping_add(run)).wrapping_add(component as u64))
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! hop distance it travels.
 
 use crate::topology::Topology;
-use dlb_core::balance::even_shares_into;
+use dlb_core::balance::{even_shares_into, sample_into, sample_others_into};
+use dlb_core::wave::WaveQueue;
 use dlb_core::{LoadBalancer, LoadEvent, Metrics, Params};
-use dlb_pool::par_map;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -46,9 +46,8 @@ struct OpOutcome {
 }
 
 /// Raw view of the per-processor load vectors.  Operations in one wave
-/// have disjoint member sets (enforced by the planner in
-/// [`TopoCluster::flush_pending`]), so concurrent executors touch
-/// disjoint entries.
+/// have disjoint member sets (the [`dlb_core::wave`] planner's
+/// invariant), so concurrent executors touch disjoint entries.
 struct LoadsView {
     loads: *mut u64,
     l_old: *mut u64,
@@ -63,7 +62,9 @@ unsafe impl Sync for LoadsView {}
 ///
 /// # Safety
 ///
-/// No other thread may concurrently touch the loads of `members`.
+/// `view` must point into live vectors covering every index in
+/// `members`, and no other thread may concurrently touch the loads of
+/// `members` (the [`dlb_core::wave`] disjointness invariant).
 unsafe fn execute_topo_balance(
     view: &LoadsView,
     members: &[usize],
@@ -148,27 +149,10 @@ pub struct TopoCluster {
     /// All-pairs hop distances, precomputed once.
     dist: Vec<Vec<u32>>,
     scratch_members: Vec<usize>,
-    scratch_sample: Vec<usize>,
     scratch_exec: TopoScratch,
-    /// Wave-executor parallelism; 1 executes every operation inline.
-    step_jobs: usize,
-    /// Flushes with fewer queued operations than this run sequentially
-    /// (see [`LoadBalancer::set_wave_threshold`]).
-    wave_threshold: usize,
-    /// Member lists of deferred operations, flat, initiator first.
-    pending_members: Vec<usize>,
-    /// Member-list length per deferred operation (variable in
-    /// [`PartnerMode::Neighbors`]).
-    pending_lens: Vec<u32>,
-    /// `pending_member[i]` — processor `i` belongs to a deferred
-    /// operation, so its load is stale until the next flush.
-    pending_member: Vec<bool>,
-    /// Planner state: one past the last wave touching each processor.
-    wave_mark: Vec<u32>,
-    scratch_offsets: Vec<usize>,
-    scratch_wave_of: Vec<u32>,
-    scratch_wave_ops: Vec<usize>,
-    scratch_outcomes: Vec<OpOutcome>,
+    /// Intra-step parallelism (`step_jobs`): operations the queue
+    /// accepts run in conflict-free waves, the rest execute inline.
+    wave: WaveQueue<OpOutcome>,
 }
 
 impl TopoCluster {
@@ -193,18 +177,8 @@ impl TopoCluster {
             comm: CommStats::default(),
             dist,
             scratch_members: Vec::new(),
-            scratch_sample: Vec::new(),
             scratch_exec: TopoScratch::default(),
-            step_jobs: 1,
-            wave_threshold: dlb_core::DEFAULT_WAVE_THRESHOLD,
-            pending_members: Vec::new(),
-            pending_lens: Vec::new(),
-            pending_member: vec![false; n],
-            wave_mark: vec![0; n],
-            scratch_offsets: Vec::new(),
-            scratch_wave_of: Vec::new(),
-            scratch_wave_ops: Vec::new(),
-            scratch_outcomes: Vec::new(),
+            wave: WaveQueue::new(n, dlb_core::DEFAULT_WAVE_THRESHOLD),
         }
     }
 
@@ -223,29 +197,12 @@ impl TopoCluster {
         self.dist[a][b]
     }
 
-    /// The vendored `rand::seq::index::sample` Floyd loop, inlined into a
-    /// scratch buffer (identical RNG consumption, no allocation).
-    fn draw_sample(&mut self, length: usize, amount: usize, raw: &mut Vec<usize>) {
-        raw.clear();
-        for j in (length - amount)..length {
-            let t = self.rng.gen_range(0..=j);
-            if raw.contains(&t) {
-                raw.push(j);
-            } else {
-                raw.push(t);
-            }
-        }
-    }
-
     /// Appends the initiator's balance partners to `out`.
     fn partners_into(&mut self, initiator: usize, out: &mut Vec<usize>) {
         let delta = self.params.delta();
-        let mut raw = std::mem::take(&mut self.scratch_sample);
         match self.mode {
             PartnerMode::GlobalRandom => {
-                let n = self.params.n();
-                self.draw_sample(n - 1, delta, &mut raw);
-                out.extend(raw.iter().map(|&x| if x >= initiator { x + 1 } else { x }));
+                sample_others_into(&mut self.rng, self.params.n(), initiator, delta, out);
             }
             PartnerMode::Neighbors => {
                 // `neighbors` allocates its adjacency list — acceptable,
@@ -255,12 +212,14 @@ impl TopoCluster {
                 if nbrs.len() <= delta {
                     out.extend_from_slice(&nbrs);
                 } else {
-                    self.draw_sample(nbrs.len(), delta, &mut raw);
-                    out.extend(raw.iter().map(|&i| nbrs[i]));
+                    let start = out.len();
+                    sample_into(&mut self.rng, nbrs.len(), delta, out);
+                    for x in &mut out[start..] {
+                        *x = nbrs[*x];
+                    }
                 }
             }
         }
-        self.scratch_sample = raw;
     }
 
     fn trigger_check(&mut self, i: usize) {
@@ -271,148 +230,76 @@ impl TopoCluster {
     }
 
     /// Draw phase of one balance operation: consumes RNG for partner
-    /// selection, then either executes inline (`step_jobs == 1`) or
-    /// defers the operation for the next conflict-free wave flush.
-    /// Either way the observable results are identical — execution
-    /// consumes no RNG and waves preserve trigger order per processor.
+    /// selection, then either defers the operation to the next wave
+    /// flush or, when the queue declines it, executes inline.  Either
+    /// way the observable results are identical — execution consumes no
+    /// RNG and waves preserve trigger order per processor.
     fn full_balance(&mut self, initiator: usize) {
         let mut members = std::mem::take(&mut self.scratch_members);
         members.clear();
         members.push(initiator);
         self.partners_into(initiator, &mut members);
-        if self.step_jobs > 1 {
-            self.pending_lens.push(members.len() as u32);
-            for &m in &members {
-                self.pending_members.push(m);
-                self.pending_member[m] = true;
-            }
-            self.scratch_members = members;
-            return;
+        if !self.wave.push(&members) {
+            let mut scratch = std::mem::take(&mut self.scratch_exec);
+            let view = self.loads_view();
+            // SAFETY: the view was just taken from `&mut self` and this
+            // thread is the only executor.
+            let out = unsafe { execute_topo_balance(&view, &members, &self.dist, &mut scratch) };
+            self.scratch_exec = scratch;
+            Self::fold_outcome(&mut self.metrics, &mut self.comm, &members, out);
         }
-        let mut scratch = std::mem::take(&mut self.scratch_exec);
-        let view = LoadsView {
-            loads: self.loads.as_mut_ptr(),
-            l_old: self.l_old.as_mut_ptr(),
-        };
-        let out = unsafe { execute_topo_balance(&view, &members, &self.dist, &mut scratch) };
-        self.scratch_exec = scratch;
-        self.fold_outcome(&members, out);
         self.scratch_members = members;
     }
 
-    /// Accounts one executed operation; called in trigger order so the
-    /// counters accumulate exactly as in sequential execution.
-    fn fold_outcome(&mut self, members: &[usize], out: OpOutcome) {
-        self.metrics.balance_ops += 1;
-        self.comm.ops += 1;
-        self.metrics.messages += members.len() as u64;
-        self.comm.control_hops += out.control_hops;
-        self.comm.packets += out.packets;
-        self.comm.packet_hops += out.packet_hops;
-        self.metrics.packets_migrated += out.packets;
+    /// Raw pointers into the two vectors balance operations write; valid
+    /// until the next access through `&mut self`.
+    fn loads_view(&mut self) -> LoadsView {
+        LoadsView {
+            loads: self.loads.as_mut_ptr(),
+            l_old: self.l_old.as_mut_ptr(),
+        }
     }
 
-    /// Executes every deferred operation: plans conflict-free waves
-    /// greedily in trigger order, runs each wave on the shared worker
-    /// pool, then folds the outcomes back in trigger order.
+    /// Accounts one executed operation; called in trigger order so the
+    /// counters accumulate exactly as in sequential execution.  (An
+    /// associated function over the two counter sets, so a flush can
+    /// fold while the executor still borrows `dist`.)
+    fn fold_outcome(
+        metrics: &mut Metrics,
+        comm: &mut CommStats,
+        members: &[usize],
+        out: OpOutcome,
+    ) {
+        metrics.balance_ops += 1;
+        comm.ops += 1;
+        metrics.messages += members.len() as u64;
+        comm.control_hops += out.control_hops;
+        comm.packets += out.packets;
+        comm.packet_hops += out.packet_hops;
+        metrics.packets_migrated += out.packets;
+    }
+
+    /// Executes every deferred operation through the wave queue and
+    /// folds the outcomes back in trigger order.
     fn flush_pending(&mut self) {
-        if self.pending_lens.is_empty() {
+        if self.wave.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.pending_members);
-        let lens = std::mem::take(&mut self.pending_lens);
-        let count = lens.len();
-        for &p in &pending {
-            self.pending_member[p] = false;
-        }
-        let step_jobs = self.step_jobs;
-        let mut offsets = std::mem::take(&mut self.scratch_offsets);
-        offsets.clear();
-        let mut acc = 0usize;
-        for &len in &lens {
-            offsets.push(acc);
-            acc += len as usize;
-        }
-        let mut outcomes = std::mem::take(&mut self.scratch_outcomes);
-        outcomes.clear();
-        let mut wave_of = std::mem::take(&mut self.scratch_wave_of);
-        let mut wave_ops = std::mem::take(&mut self.scratch_wave_ops);
-        if count < self.wave_threshold {
-            // Tiny flush: wave planning and pool dispatch cost more than
-            // they save, and sequential execution in trigger order is
-            // exactly the per-processor order the waves reproduce — so
-            // skip the machinery (bit-identical results either way).
-            let mut scratch = std::mem::take(&mut self.scratch_exec);
-            let view = LoadsView {
-                loads: self.loads.as_mut_ptr(),
-                l_old: self.l_old.as_mut_ptr(),
-            };
-            for k in 0..count {
-                let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-                outcomes.push(unsafe {
-                    execute_topo_balance(&view, members, &self.dist, &mut scratch)
-                });
-            }
-            self.scratch_exec = scratch;
-        } else {
-            wave_of.clear();
-            let mut waves = 0u32;
-            for k in 0..count {
-                let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-                let w = members
-                    .iter()
-                    .map(|&mm| self.wave_mark[mm])
-                    .max()
-                    .unwrap_or(0);
-                for &mm in members {
-                    self.wave_mark[mm] = w + 1;
-                }
-                wave_of.push(w);
-                waves = waves.max(w + 1);
-            }
-            for &p in &pending {
-                self.wave_mark[p] = 0;
-            }
-            outcomes.resize(count, OpOutcome::default());
-            let view = LoadsView {
-                loads: self.loads.as_mut_ptr(),
-                l_old: self.l_old.as_mut_ptr(),
-            };
-            let dist = &self.dist;
-            for w in 0..waves {
-                wave_ops.clear();
-                wave_ops.extend((0..count).filter(|&k| wave_of[k] == w));
-                let view = &view;
-                let pending = &pending;
-                let wave_ops = &wave_ops;
-                let offsets = &offsets;
-                let lens = &lens;
-                let results = par_map(step_jobs.min(wave_ops.len()), wave_ops.len(), |i| {
-                    let k = wave_ops[i];
-                    let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-                    WAVE_SCRATCH.with(|s| unsafe {
-                        execute_topo_balance(view, members, dist, &mut s.borrow_mut())
-                    })
-                });
-                for (i, out) in results.into_iter().enumerate() {
-                    outcomes[wave_ops[i]] = out;
-                }
-            }
-        }
-        for (k, out) in outcomes.iter().enumerate() {
-            let members = &pending[offsets[k]..offsets[k] + lens[k] as usize];
-            self.fold_outcome(members, *out);
-        }
-        outcomes.clear();
-        self.scratch_outcomes = outcomes;
-        self.scratch_wave_of = wave_of;
-        self.scratch_wave_ops = wave_ops;
-        self.scratch_offsets = offsets;
-        let (mut pending, mut lens) = (pending, lens);
-        pending.clear();
-        lens.clear();
-        self.pending_members = pending;
-        self.pending_lens = lens;
+        let view = self.loads_view();
+        let (dist, metrics, comm) = (&self.dist, &mut self.metrics, &mut self.comm);
+        self.wave.flush(
+            |members| {
+                // SAFETY: the view outlives the flush, during which the
+                // loads are touched through it alone (the fold runs
+                // after every execution), and `WaveQueue::flush` runs
+                // concurrently only operations whose member sets are
+                // pairwise disjoint.
+                WAVE_SCRATCH.with(|s| unsafe {
+                    execute_topo_balance(&view, members, dist, &mut s.borrow_mut())
+                })
+            },
+            |members, out| Self::fold_outcome(metrics, comm, members, out),
+        );
     }
 }
 
@@ -436,7 +323,7 @@ impl LoadBalancer for TopoCluster {
             // A non-idle event reads this processor's load; if a
             // deferred operation touches it, settle the backlog first so
             // the read matches sequential execution.
-            if self.pending_member[i] && !matches!(ev, LoadEvent::Idle) {
+            if self.wave.involves(i) && !matches!(ev, LoadEvent::Idle) {
                 self.flush_pending();
             }
             match ev {
@@ -460,6 +347,7 @@ impl LoadBalancer for TopoCluster {
         // Deferred operations never cross a step boundary: observers
         // read loads and counters between steps.
         self.flush_pending();
+        self.wave.end_step();
     }
 
     fn metrics(&self) -> &Metrics {
@@ -467,11 +355,11 @@ impl LoadBalancer for TopoCluster {
     }
 
     fn set_step_jobs(&mut self, jobs: usize) {
-        self.step_jobs = jobs.max(1);
+        self.wave.set_jobs(jobs);
     }
 
     fn set_wave_threshold(&mut self, threshold: usize) {
-        self.wave_threshold = threshold;
+        self.wave.set_threshold(threshold);
     }
 
     fn name(&self) -> &'static str {

@@ -14,11 +14,16 @@ pub fn stream(seed: u64, id: u64) -> ChaCha8Rng {
 }
 
 fn mix(seed: u64, id: u64) -> u64 {
-    // SplitMix64 step on seed + id·φ (the added constant keeps the
-    // all-zero input away from the zero fixed point).
-    let mut z = seed
-        .wrapping_add(id.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
+    splitmix64(seed.wrapping_add(id.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// SplitMix64 finalisation step (Steele, Lea & Flood; the γ-increment is
+/// folded in so `splitmix64(0) != 0`).  The one seed-mixing primitive
+/// every derived stream in the workspace goes through: [`stream`] here,
+/// `dlb-experiments`' `stream_seed` and `dlb-serve`'s per-acceptor
+/// seeds.
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use dlb_core::balance::even_shares;
 use dlb_core::Params;
+use dlb_net::rng::splitmix64;
 use dlb_trace::{SharedSink, TraceEvent};
 use dlb_workload::service::Request;
 use rand::prelude::*;
@@ -98,20 +99,12 @@ pub(crate) struct AcceptorOut {
     pub handoffs: u64,
 }
 
-/// One SplitMix64 finalisation step.
-fn splitmix(state: u64) -> u64 {
-    let mut x = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Per-acceptor ChaCha stream seed: chained SplitMix64 finalisers (the
 /// `stream_seed` discipline from `dlb-experiments::parallel`), so
 /// adjacent acceptor ids land on uncorrelated 64-bit seeds and no
 /// acceptor shares the partner-draw stream of another.
 fn acceptor_stream_seed(base: u64, acceptor: u64) -> u64 {
-    splitmix(splitmix(base ^ 0x5e_55_1d_b5).wrapping_add(acceptor))
+    splitmix64(splitmix64(base ^ 0x5e_55_1d_b5).wrapping_add(acceptor))
 }
 
 pub(crate) struct Acceptor<'a> {
