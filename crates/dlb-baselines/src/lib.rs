@@ -54,10 +54,12 @@ use dlb_net::Topology;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Shared event-application phase for the fault-aware balancers: applies
-/// generate/consume/idle to `loads`, skipping processors marked `down`
-/// (a crashed processor neither generates nor consumes — its queue is
-/// frozen, matching the engines' `crash_mode: frozen` semantics).
+/// Shared event-application phase of every balancer that migrates only
+/// after the step's events (all but [`Rsu91`], which checks its trigger
+/// per event): applies generate/consume/idle to `loads`, skipping
+/// processors marked `down` (a crashed processor neither generates nor
+/// consumes — its queue is frozen, matching the engines'
+/// `crash_mode: frozen` semantics).
 pub(crate) fn apply_events(
     loads: &mut [u64],
     metrics: &mut Metrics,
@@ -121,24 +123,7 @@ impl LoadBalancer for NoBalance {
     }
 
     fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
+        apply_events(&mut self.loads, &mut self.metrics, events, None);
     }
 
     fn metrics(&self) -> &Metrics {
@@ -182,24 +167,7 @@ impl LoadBalancer for RandomScatter {
     }
 
     fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
+        apply_events(&mut self.loads, &mut self.metrics, events, None);
         // Scatter phase: ship whole queues to random targets.  Moves are
         // computed against the pre-scatter snapshot so a queue moves once.
         let n = self.loads.len();
@@ -393,24 +361,7 @@ impl LoadBalancer for Gradient {
     }
 
     fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
+        apply_events(&mut self.loads, &mut self.metrics, events, None);
         // Migration phase: every overloaded node forwards one packet one
         // hop down the demand gradient.
         self.gradient_field();
@@ -542,24 +493,7 @@ impl LoadBalancer for Diffusion {
     }
 
     fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
+        apply_events(&mut self.loads, &mut self.metrics, events, None);
         self.diffuse();
     }
 
@@ -612,24 +546,7 @@ impl LoadBalancer for WorkStealing {
     // Audit note: the steal phase below mutates `loads` in place and
     // allocates nothing per step — already scratch-buffer clean.
     fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
+        apply_events(&mut self.loads, &mut self.metrics, events, None);
         // Steal phase: every empty processor robs half a random victim.
         let n = self.loads.len();
         for thief in 0..n {

@@ -20,7 +20,9 @@ use dlb_experiments::arena::{
 };
 use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
 use dlb_faults::FaultInjector;
-use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, Topology};
+use dlb_net::{
+    AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
+};
 use dlb_trace::{BufferSink, FileSink, TraceEvent, TraceSink};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
@@ -177,7 +179,8 @@ fn build_strategy_config(
             } else {
                 PartnerMode::GlobalRandom
             };
-            Box::new(TopoCluster::new(params(*delta, *f, 4)?, topo, mode, seed))
+            let rule = TopoRule::new(topo, mode);
+            Box::new(TopoCluster::with_rule(params(*delta, *f, 4)?, rule, seed))
         }
         StrategyConfig::Rsu91 => Box::new(Rsu91::new(n, seed)),
         StrategyConfig::WorkStealing => Box::new(WorkStealing::new(n, seed)),

@@ -13,7 +13,12 @@
 //!   paper's introduction describes: identical trigger, but balancing raw
 //!   load counts without the virtual-class bookkeeping.  This is what the
 //!   branch-and-bound / Prolog / graphics applications cited by the paper
-//!   actually ran.
+//!   actually ran.  It is one engine, [`simple::RawCluster`], generic
+//!   over a [`simple::BalanceRule`] that decides who may be a partner
+//!   and how the group total is split: `SimpleCluster` is the engine
+//!   under the paper's even rule, [`weighted::WeightedCluster`] under
+//!   shares proportional to processor speed, and `dlb-net`'s
+//!   `TopoCluster` under topology neighbours with hop accounting.
 //!
 //! [`cluster::Cluster`] stores the `d`/`b` matrices sparsely
 //! ([`sparse::SparseRow`] per processor), which is what lets it scale to
@@ -72,11 +77,11 @@ pub use cluster::Cluster;
 pub use metrics::Metrics;
 pub use params::{ExchangePolicy, Params};
 pub use recorder::LoadRecorder;
-pub use simple::{SimpleCluster, SIMPLE_WAVE_THRESHOLD};
+pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster, SIMPLE_WAVE_THRESHOLD};
 pub use snapshot::ClusterSnapshot;
 pub use sparse::SparseRow;
 pub use strategy::{
     check_sparse_events, imbalance_stats, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary,
     DEFAULT_WAVE_THRESHOLD,
 };
-pub use weighted::WeightedCluster;
+pub use weighted::{ProportionalRule, WeightedCluster};

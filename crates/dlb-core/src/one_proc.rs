@@ -8,10 +8,9 @@
 //! §6 cost analysis (Lemmas 5 and 6), cross-checked against the exact
 //! operators in `dlb-theory`.
 
-use crate::balance::even_shares;
+use crate::balance::{even_shares, sample_others_into};
 use crate::params::Params;
 use rand::prelude::*;
-use rand::seq::index::sample;
 use rand_chacha::ChaCha8Rng;
 
 /// Integer-packet simulator of the Figure 1 algorithm.
@@ -100,7 +99,7 @@ impl OneProcModel {
         let n = self.params.n();
         let delta = self.params.delta();
         let mut members: Vec<usize> = vec![0];
-        members.extend(sample(&mut self.rng, n - 1, delta).iter().map(|x| x + 1));
+        sample_others_into(&mut self.rng, n, 0, delta, &mut members);
         let total: u64 = members.iter().map(|&m| self.loads[m]).sum();
         // Rotate the snake so the ±1 leftovers don't systematically favour
         // the generator.

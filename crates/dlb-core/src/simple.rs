@@ -9,6 +9,17 @@
 //! of [`crate::cluster`] exists to make the analysis of Theorem 4 go
 //! through.  Comparing the two is the `ablation` experiment.
 //!
+//! One engine, [`RawCluster`], runs every flavour of the practical
+//! variant.  The flavours differ in two decisions only, the two policy
+//! points of a [`BalanceRule`]: *who may be a partner*
+//! ([`BalanceRule::draw_partners`]) and *how the group total is split
+//! and what moving it costs* ([`BalanceRule::split`]).  [`SimpleCluster`]
+//! is the engine under the [`EvenRule`]; [`crate::WeightedCluster`]
+//! (shares ∝ speed) and `dlb-net`'s `TopoCluster` (topology neighbours,
+//! hop accounting) are the same engine under their own rules.  Rules are
+//! safe code: the engine alone owns the raw load view the wave executor
+//! writes through.
+//!
 //! Hot-path note: the alive-candidate list used under a crash mask is
 //! cached and rebuilt only when the mask changes (checked once per step,
 //! not per balancing operation), and partner draws / share splits write
@@ -39,19 +50,145 @@ use rand_chacha::ChaCha8Rng;
 /// for every flush (used by the equivalence tests).
 pub const SIMPLE_WAVE_THRESHOLD: usize = 4096;
 
+/// Who is up during the current step, as [`BalanceRule::draw_partners`]
+/// sees it.
+pub struct Alive<'a> {
+    n: usize,
+    /// Sorted processors that are up (current only while `down` is
+    /// non-empty).
+    up: &'a [usize],
+    /// The step's crash mask; empty when every processor is up.
+    down: &'a [bool],
+}
+
+impl Alive<'_> {
+    /// Whether processor `p` is crashed for this step.
+    #[inline]
+    pub fn is_down(&self, p: usize) -> bool {
+        !self.down.is_empty() && self.down[p]
+    }
+
+    /// Whether no processor is down (so nothing needs filtering).
+    #[inline]
+    pub fn all_up(&self) -> bool {
+        self.down.is_empty()
+    }
+
+    /// The paper's partner draw: appends a uniform `amount`-subset
+    /// (fewer if fewer are up) of the up processors other than `who`,
+    /// which must itself be up.
+    #[inline]
+    pub fn draw_others(
+        &self,
+        rng: &mut ChaCha8Rng,
+        who: usize,
+        amount: usize,
+        out: &mut Vec<usize>,
+    ) {
+        if self.all_up() {
+            sample_others_into(rng, self.n, who, amount, out);
+            return;
+        }
+        // Candidates = up processors minus `who`, in sorted order: the
+        // cached list with one index skipped.
+        let candidates = self.up.len() - 1;
+        let pos = self.up.binary_search(&who).expect("initiator is alive");
+        let start = out.len();
+        sample_into(rng, candidates, amount.min(candidates), out);
+        for x in &mut out[start..] {
+            *x = self.up[*x + usize::from(*x >= pos)];
+        }
+    }
+}
+
+/// The two decisions in which the practical variants differ.  Trigger,
+/// event loop, crash masks, wave execution, metrics and tracing are the
+/// engine's and identical under every rule.
+pub trait BalanceRule: Sync {
+    /// What one split reports besides the shares (hop counts, say);
+    /// handed to [`BalanceRule::fold`] in trigger order.
+    type Outcome: Copy + Default + Send;
+
+    /// Default [`LoadBalancer::set_wave_threshold`] under this rule:
+    /// the costlier one split, the fewer operations repay a dispatch.
+    const WAVE_THRESHOLD: usize;
+
+    /// Strategy name for reports.
+    fn name(&self) -> &'static str;
+
+    /// Panics unless the rule's per-processor data covers exactly `n`
+    /// processors.
+    fn check_size(&self, _n: usize) {}
+
+    /// Appends the initiator's balance partners (up, distinct, not the
+    /// initiator) to `out`.  Runs on the stepping thread, at the
+    /// trigger, and is the only place a balance consumes randomness.
+    /// The default is the paper's: `delta` processors uniformly from
+    /// everyone who is up.
+    fn draw_partners(
+        &mut self,
+        rng: &mut ChaCha8Rng,
+        initiator: usize,
+        delta: usize,
+        alive: &Alive<'_>,
+        out: &mut Vec<usize>,
+    ) {
+        alive.draw_others(rng, initiator, delta, out);
+    }
+
+    /// Splits what the group holds — `held[k]` packets on `members[k]`,
+    /// initiator first — into one share per member (`shares` cleared
+    /// first, same order, same total).  May run on a pool worker,
+    /// concurrently with splits of disjoint groups.
+    fn split(&self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) -> Self::Outcome;
+
+    /// Accounts one executed operation that moved `packets` packets.
+    fn fold(&mut self, _packets: u64, _outcome: Self::Outcome) {}
+}
+
+/// The paper's rule: partners uniform over everyone alive, total split
+/// evenly (±1), moving a packet costs nothing worth counting.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EvenRule;
+
+impl BalanceRule for EvenRule {
+    type Outcome = ();
+    const WAVE_THRESHOLD: usize = SIMPLE_WAVE_THRESHOLD;
+
+    fn name(&self) -> &'static str {
+        "spaa93-simple"
+    }
+
+    #[inline]
+    fn split(&self, _members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
+        even_shares_into(held.iter().sum(), held.len(), shares);
+    }
+}
+
+/// Scratch of one executing thread: the members' loads before the split
+/// and their shares after it.
+#[derive(Default)]
+struct SplitScratch {
+    held: Vec<u64>,
+    shares: Vec<u64>,
+}
+
 thread_local! {
-    /// Per-thread share scratch for wave execution.
-    static WAVE_SHARES: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-thread scratch for wave execution.
+    static WAVE_SCRATCH: std::cell::RefCell<SplitScratch> =
+        const { std::cell::RefCell::new(SplitScratch { held: Vec::new(), shares: Vec::new() }) };
 }
 
 /// What executing one raw-load balance produced; folded into metrics and
 /// trace in trigger order.
 #[derive(Clone, Copy, Default)]
-struct OpOutcome {
+struct OpOutcome<X> {
     /// The f-factor ratio that fired the trigger (0.0 unless tracing).
     trigger: f64,
     /// Packets that physically moved between members.
     op_packets: u64,
+    /// The rule's own report on the split.
+    rule: X,
 }
 
 /// Raw view of the two per-processor vectors a balance operation writes.
@@ -61,52 +198,71 @@ struct OpOutcome {
 struct LoadsView {
     loads: *mut u64,
     l_old: *mut u64,
+    /// Length of both vectors.
+    len: usize,
 }
 
+// SAFETY: both fields point into `Vec<u64>` buffers — plain data with
+// no thread affinity — and whoever dereferences them owes
+// `execute_balance`'s contract: no two threads touch the same entry.
 unsafe impl Send for LoadsView {}
 unsafe impl Sync for LoadsView {}
 
-/// Executes one raw-load equalisation over `members` (initiator first):
-/// the body of [`SimpleCluster::full_balance`], shared by the sequential
-/// path and the wave executor.  Consumes no RNG.
+/// Executes one raw-load balance over `members` (initiator first): the
+/// body of [`RawCluster::full_balance`], shared by the sequential path
+/// and the wave executor.  Consumes no RNG.
 ///
 /// # Safety
 ///
-/// `view` must point into live vectors covering every index in
-/// `members`, and no other thread may concurrently touch the loads of
-/// `members` (the [`crate::wave`] disjointness invariant).
-unsafe fn execute_balance(
+/// `view` must describe live vectors, and no other thread may
+/// concurrently touch the loads of `members` (the [`crate::wave`]
+/// disjointness invariant).  Member indices need no vetting — they come
+/// from a rule's safe code and are range-checked here.
+unsafe fn execute_balance<R: BalanceRule>(
     view: &LoadsView,
+    rule: &R,
     members: &[usize],
     tracing: bool,
-    shares: &mut Vec<u64>,
-) -> OpOutcome {
-    let initiator = members[0];
+    scratch: &mut SplitScratch,
+) -> OpOutcome<R::Outcome> {
+    let SplitScratch { held, shares } = scratch;
+    held.clear();
+    held.extend(members.iter().map(|&mm| {
+        assert!(mm < view.len, "partner {mm} out of range");
+        *view.loads.add(mm)
+    }));
     // Untouched between draw and execution (queued operations touching
     // the initiator were flushed before its event), so this equals the
     // draw-time ratio.
     let trigger = if tracing {
-        *view.loads.add(initiator) as f64 / (*view.l_old.add(initiator)).max(1) as f64
+        held[0] as f64 / (*view.l_old.add(members[0])).max(1) as f64
     } else {
         0.0
     };
-    let total: u64 = members.iter().map(|&mm| *view.loads.add(mm)).sum();
-    even_shares_into(total, members.len(), shares);
+    let rule_out = rule.split(members, held, shares);
+    debug_assert_eq!(shares.len(), members.len(), "one share per member");
+    debug_assert_eq!(
+        shares.iter().sum::<u64>(),
+        held.iter().sum::<u64>(),
+        "a split conserves the group total"
+    );
     let mut op_packets = 0u64;
-    for (&mm, &share) in members.iter().zip(shares.iter()) {
-        op_packets += (*view.loads.add(mm)).saturating_sub(share);
+    for ((&mm, &had), &share) in members.iter().zip(held.iter()).zip(shares.iter()) {
+        op_packets += had.saturating_sub(share);
         *view.loads.add(mm) = share;
         *view.l_old.add(mm) = share;
     }
     OpOutcome {
         trigger,
         op_packets,
+        rule: rule_out,
     }
 }
 
-/// The practical raw-load balancer.
-pub struct SimpleCluster {
+/// The practical raw-load balancer, generic over its [`BalanceRule`].
+pub struct RawCluster<R: BalanceRule> {
     params: Params,
+    rule: R,
     loads: Vec<u64>,
     l_old: Vec<u64>,
     rng: ChaCha8Rng,
@@ -119,18 +275,22 @@ pub struct SimpleCluster {
     /// Whether the current step's mask has any down processor.
     any_down: bool,
     scratch_members: Vec<usize>,
-    scratch_shares: Vec<u64>,
+    scratch_split: SplitScratch,
     sink: Option<SharedSink>,
     step_no: u64,
     /// Intra-step parallelism (`step_jobs`; threshold default
-    /// [`SIMPLE_WAVE_THRESHOLD`]): operations the queue accepts run in
-    /// conflict-free waves, the rest execute at the trigger.
-    wave: WaveQueue<OpOutcome>,
+    /// [`BalanceRule::WAVE_THRESHOLD`]): operations the queue accepts
+    /// run in conflict-free waves, the rest execute at the trigger.
+    wave: WaveQueue<OpOutcome<R::Outcome>>,
     /// Lazy min/max heaps backing [`LoadBalancer::load_summary`];
     /// observer state, built on the first query (`None` until then, so
     /// unobserved runs pay one branch per load change).
     summary: Option<SummaryTracker>,
 }
+
+/// The practical balancer exactly as the paper describes it: the
+/// engine under the [`EvenRule`].
+pub type SimpleCluster = RawCluster<EvenRule>;
 
 impl SimpleCluster {
     /// An empty cluster.
@@ -140,30 +300,53 @@ impl SimpleCluster {
 
     /// A cluster where every processor starts with `initial` packets.
     pub fn with_initial_load(params: Params, seed: u64, initial: u64) -> Self {
+        let mut cluster = Self::with_rule(params, EvenRule, seed);
+        cluster.loads.fill(initial);
+        cluster.l_old.fill(initial);
+        cluster.initial_total = initial * params.n() as u64;
+        cluster
+    }
+}
+
+impl<R: BalanceRule> RawCluster<R> {
+    /// An empty cluster balancing by `rule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rule does not fit `params.n()` processors
+    /// ([`BalanceRule::check_size`]).
+    pub fn with_rule(params: Params, rule: R, seed: u64) -> Self {
         let n = params.n();
-        SimpleCluster {
+        rule.check_size(n);
+        RawCluster {
             params,
-            loads: vec![initial; n],
-            l_old: vec![initial; n],
+            rule,
+            loads: vec![0; n],
+            l_old: vec![0; n],
             rng: ChaCha8Rng::seed_from_u64(seed),
             metrics: Metrics::new(),
-            initial_total: initial * n as u64,
+            initial_total: 0,
             mask_cache: vec![false; n],
             alive: (0..n).collect(),
             any_down: false,
             scratch_members: Vec::new(),
-            scratch_shares: Vec::new(),
+            scratch_split: SplitScratch::default(),
             sink: None,
             step_no: 0,
-            wave: WaveQueue::new(n, SIMPLE_WAVE_THRESHOLD),
+            wave: WaveQueue::new(n, R::WAVE_THRESHOLD),
             summary: None,
         }
+    }
+
+    /// The rule this cluster balances by (and whatever it has tallied).
+    pub fn rule(&self) -> &R {
+        &self.rule
     }
 
     /// Feeds processor `i`'s (already updated) load to the summary
     /// tracker.  Must follow every `self.loads` mutation on a
     /// sequential path; the balance executor's writes are covered
-    /// per-member in [`SimpleCluster::fold_outcome`] instead.
+    /// per-member in [`RawCluster::fold_outcome`] instead.
     #[inline]
     fn note_load(&mut self, i: usize) {
         if let Some(tracker) = self.summary.as_mut() {
@@ -216,44 +399,39 @@ impl SimpleCluster {
         }
     }
 
-    /// Balances the initiator with `δ` random alive partners.  Down
-    /// processors (per the mask cached by the current step) are never
-    /// picked.  The draw happens here; execution is deferred to the next
-    /// flush when the wave queue accepts the operation.
+    /// Balances the initiator with the partners the rule draws; down
+    /// processors (per the mask cached by the current step) are not
+    /// offered to it.  The draw happens here; execution is deferred to
+    /// the next flush when the wave queue accepts the operation.
     fn full_balance(&mut self, initiator: usize) {
-        let n = self.params.n();
-        let delta = self.params.delta();
         let mut members = std::mem::take(&mut self.scratch_members);
         members.clear();
         members.push(initiator);
-        if self.any_down {
-            // Candidates = alive processors minus the initiator (who is
-            // alive, or it could not have acted), in sorted order — the
-            // cached `alive` list with one index skipped.
-            let cand_len = self.alive.len() - 1;
-            if cand_len == 0 {
-                self.scratch_members = members;
-                return; // nobody alive to balance with
-            }
-            let pos = self
-                .alive
-                .binary_search(&initiator)
-                .expect("initiator is alive");
-            sample_into(&mut self.rng, cand_len, delta.min(cand_len), &mut members);
-            for x in &mut members[1..] {
-                *x = self.alive[*x + usize::from(*x >= pos)];
-            }
-        } else {
-            sample_others_into(&mut self.rng, n, initiator, delta, &mut members);
+        let alive = Alive {
+            n: self.params.n(),
+            up: &self.alive,
+            down: if self.any_down { &self.mask_cache } else { &[] },
+        };
+        self.rule.draw_partners(
+            &mut self.rng,
+            initiator,
+            self.params.delta(),
+            &alive,
+            &mut members,
+        );
+        if members.len() == 1 {
+            self.scratch_members = members;
+            return; // nobody alive to balance with
         }
         if !self.wave.push(&members) {
             let tracing = self.trace_on();
-            let mut shares = std::mem::take(&mut self.scratch_shares);
+            let mut scratch = std::mem::take(&mut self.scratch_split);
             let view = self.loads_view();
             // SAFETY: the view was just taken from `&mut self` and this
             // thread is the only executor.
-            let out = unsafe { execute_balance(&view, &members, tracing, &mut shares) };
-            self.scratch_shares = shares;
+            let out =
+                unsafe { execute_balance(&view, &self.rule, &members, tracing, &mut scratch) };
+            self.scratch_split = scratch;
             self.fold_outcome(&members, out, tracing);
         }
         self.scratch_members = members;
@@ -265,13 +443,15 @@ impl SimpleCluster {
         LoadsView {
             loads: self.loads.as_mut_ptr(),
             l_old: self.l_old.as_mut_ptr(),
+            len: self.loads.len(),
         }
     }
 
-    /// Folds one executed operation into metrics and trace, in trigger
-    /// order — reconstructing the exact sequential counter sums and
-    /// event stream (BalanceInitiated, then PacketsMigrated if any).
-    fn fold_outcome(&mut self, members: &[usize], out: OpOutcome, tracing: bool) {
+    /// Folds one executed operation into metrics, trace and the rule's
+    /// tally, in trigger order — reconstructing the exact sequential
+    /// counter sums and event stream (BalanceInitiated, then
+    /// PacketsMigrated if any).
+    fn fold_outcome(&mut self, members: &[usize], out: OpOutcome<R::Outcome>, tracing: bool) {
         // The executor wrote the members' loads through raw pointers
         // (possibly on pool workers); the summary tracker catches up
         // here, on the sequential fold.
@@ -298,6 +478,7 @@ impl SimpleCluster {
                 count: out.op_packets,
             });
         }
+        self.rule.fold(out.op_packets, out.rule);
     }
 
     /// Executes every queued operation through the wave queue and folds
@@ -309,19 +490,17 @@ impl SimpleCluster {
         let tracing = self.trace_on();
         let mut wave = std::mem::take(&mut self.wave);
         let view = self.loads_view();
-        wave.flush(
-            |members| {
-                // SAFETY: the view outlives the flush, during which the
-                // loads are touched through it alone (the fold runs
-                // after every execution), and `WaveQueue::flush` runs
-                // concurrently only operations whose member sets are
-                // pairwise disjoint.
-                WAVE_SHARES.with(|s| unsafe {
-                    execute_balance(&view, members, tracing, &mut s.borrow_mut())
-                })
-            },
-            |members, out| self.fold_outcome(members, out, tracing),
-        );
+        let rule = &self.rule;
+        wave.execute(|members| {
+            // SAFETY: the view outlives the execution, during which the
+            // loads are touched through it alone (the fold runs after
+            // it), and `WaveQueue::execute` runs concurrently only
+            // operations whose member sets are pairwise disjoint.
+            WAVE_SCRATCH.with(|s| unsafe {
+                execute_balance(&view, rule, members, tracing, &mut s.borrow_mut())
+            })
+        });
+        wave.fold(|members, out| self.fold_outcome(members, out, tracing));
         self.wave = wave;
     }
 
@@ -414,7 +593,7 @@ impl SimpleCluster {
     }
 }
 
-impl LoadBalancer for SimpleCluster {
+impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
     fn n(&self) -> usize {
         self.params.n()
     }
@@ -474,7 +653,7 @@ impl LoadBalancer for SimpleCluster {
     }
 
     fn name(&self) -> &'static str {
-        "spaa93-simple"
+        self.rule.name()
     }
 
     fn set_trace_sink(&mut self, sink: SharedSink) {
@@ -637,49 +816,6 @@ mod tests {
                 _ => cluster.step(&events),
             }
             cluster.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn step_jobs_matches_sequential_including_masked() {
-        let params = Params::paper_section7(16);
-        // threshold 0 forces defer + wave executor for every flush;
-        // threshold 8 mixes eager steps, deferred wave flushes and
-        // deferred sequential flushes; the default never defers at this
-        // size — all must match plain sequential stepping bit-exactly.
-        let run = |jobs: usize, threshold: usize| {
-            let mut c = SimpleCluster::with_initial_load(params, 21, 40);
-            c.set_step_jobs(jobs);
-            c.set_wave_threshold(threshold);
-            let mut rng = ChaCha8Rng::seed_from_u64(77);
-            let mut down = vec![false; 16];
-            for round in 0..300 {
-                if round % 50 == 0 {
-                    down[round / 50 % 16] ^= true;
-                }
-                let events: Vec<LoadEvent> = (0..16)
-                    .map(|_| {
-                        if rng.gen_bool(0.5) {
-                            LoadEvent::Generate
-                        } else {
-                            LoadEvent::Consume
-                        }
-                    })
-                    .collect();
-                c.step_masked(&events, &down);
-            }
-            c.check_invariants().unwrap();
-            (c.loads(), *c.metrics())
-        };
-        let seq = run(1, SIMPLE_WAVE_THRESHOLD);
-        for jobs in [2, 4, 8] {
-            for threshold in [0, 8, SIMPLE_WAVE_THRESHOLD] {
-                assert_eq!(
-                    run(jobs, threshold),
-                    seq,
-                    "jobs={jobs} threshold={threshold}"
-                );
-            }
         }
     }
 

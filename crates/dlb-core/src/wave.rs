@@ -7,8 +7,8 @@
 //! engine may defer drawn operations into a [`WaveQueue`] and execute
 //! them later, in parallel, as long as every processor still sees its
 //! operations in trigger order.  This module owns the three decisions
-//! that make that safe, so [`crate::Cluster`], [`crate::SimpleCluster`]
-//! and `dlb-net`'s `TopoCluster` keep only their `execute_*` body and
+//! that make that safe, so the two engines ([`crate::Cluster`] and the
+//! raw-load [`crate::RawCluster`]) keep only their `execute_*` body and
 //! their `fold_outcome`:
 //!
 //! * **Defer policy.**  Operations are queued only when `jobs > 1` and
@@ -32,8 +32,9 @@
 //!   invariant (checked per wave in debug builds) is what their
 //!   `// SAFETY:` comments cite.
 //!
-//! The engine's side of the contract: call [`WaveQueue::flush`] before
-//! any non-idle event of a processor for which [`WaveQueue::involves`]
+//! The engine's side of the contract: flush the queue
+//! ([`WaveQueue::execute`], then [`WaveQueue::fold`]) before any
+//! non-idle event of a processor for which [`WaveQueue::involves`]
 //! holds (the event reads state a queued operation rewrites), and once
 //! more at the end of every step, followed by [`WaveQueue::end_step`].
 
@@ -58,7 +59,7 @@ pub struct WaveQueue<O> {
     /// Per-processor flag: member of some queued operation.
     queued: Vec<bool>,
     /// Planner scratch: 1 + index of the last wave touching a
-    /// processor (zeroed outside [`WaveQueue::flush`]).
+    /// processor (zeroed outside [`WaveQueue::execute`]).
     wave_mark: Vec<u32>,
     wave_of: Vec<u32>,
     wave_ops: Vec<usize>,
@@ -142,19 +143,17 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
         self.ends.is_empty()
     }
 
-    /// Executes every queued operation — `exec(members)`, concurrently
-    /// only for operations with pairwise-disjoint member sets — then
-    /// hands each outcome to `fold(members, outcome)` in trigger order
-    /// on the calling thread, leaving the queue empty.
-    pub fn flush<X, F>(&mut self, exec: X, mut fold: F)
+    /// First half of a flush: executes every queued operation —
+    /// `exec(members)`, concurrently only for operations with
+    /// pairwise-disjoint member sets — and keeps the outcomes for
+    /// [`WaveQueue::fold`], which must follow.  Two calls rather than
+    /// one taking both closures, so whatever `exec` borrows shared is
+    /// free again for the fold to mutate.
+    pub fn execute<X>(&mut self, exec: X)
     where
         X: Fn(&[usize]) -> O + Sync,
-        F: FnMut(&[usize], O),
     {
         let count = self.ends.len();
-        if count == 0 {
-            return;
-        }
         let (members, ends) = (self.members.as_slice(), self.ends.as_slice());
         let op = |k: usize| &members[if k == 0 { 0 } else { ends[k - 1] }..ends[k]];
         for &p in members {
@@ -163,7 +162,7 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
         self.outcomes.clear();
         if count < self.threshold {
             self.outcomes.extend((0..count).map(|k| exec(op(k))));
-        } else {
+        } else if count > 0 {
             let waves = plan_waves((0..count).map(op), &mut self.wave_mark, &mut self.wave_of);
             self.outcomes.resize(count, O::default());
             for w in 0..waves {
@@ -183,11 +182,24 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
                 }
             }
         }
-        for (k, &out) in self.outcomes.iter().enumerate() {
-            fold(op(k), out);
+    }
+
+    /// Second half of a flush: hands each executed operation's outcome
+    /// to `fold(members, outcome)` in trigger order on the calling
+    /// thread, leaving the queue empty.
+    pub fn fold<F>(&mut self, mut fold: F)
+    where
+        F: FnMut(&[usize], O),
+    {
+        debug_assert_eq!(self.outcomes.len(), self.ends.len(), "fold follows execute");
+        let mut start = 0;
+        for (&end, &out) in self.ends.iter().zip(&self.outcomes) {
+            fold(&self.members[start..end], out);
+            start = end;
         }
         self.members.clear();
         self.ends.clear();
+        self.outcomes.clear();
     }
 
     /// Closes the current step (after its final flush): the number of
@@ -260,7 +272,8 @@ mod tests {
         q.set_jobs(4);
         assert!(q.push(&[0, 1]));
         assert!(q.involves(1) && !q.involves(2));
-        q.flush(|m| m[0] as u64, |_, _| {});
+        q.execute(|m| m[0] as u64);
+        q.fold(|_, _| {});
         assert!(q.is_empty() && !q.involves(1));
         q.end_step();
         // One operation last step is under the threshold.
@@ -338,16 +351,12 @@ mod tests {
                 folded.push((members.clone(), exec_on(&state, members)));
             }
             if (k + 1) % flush_every == 0 {
-                q.flush(
-                    |m| exec_on(&state, m),
-                    |m, out| folded.push((m.to_vec(), out)),
-                );
+                q.execute(|m| exec_on(&state, m));
+                q.fold(|m, out| folded.push((m.to_vec(), out)));
             }
         }
-        q.flush(
-            |m| exec_on(&state, m),
-            |m, out| folded.push((m.to_vec(), out)),
-        );
+        q.execute(|m| exec_on(&state, m));
+        q.fold(|m, out| folded.push((m.to_vec(), out)));
         q.end_step();
         let state = state.iter().map(|s| s.load(Ordering::Relaxed)).collect();
         (state, folded)

@@ -8,14 +8,14 @@
 //! untouched and changes only the redistribution: a balance operation
 //! gives member `i` the share `⌊total · s_i / Σs⌋` plus largest-remainder
 //! corrections, so the *normalised* loads `l_i / s_i` are equalised as
-//! tightly as indivisibility allows.
+//! tightly as indivisibility allows.  That redistribution is the whole
+//! module: [`proportional_shares`] and a [`BalanceRule`] calling it;
+//! everything else is the one raw-load engine of [`crate::simple`].
 
-use crate::balance::sample_others_into;
-use crate::metrics::Metrics;
 use crate::params::Params;
-use crate::strategy::{LoadBalancer, LoadEvent};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use crate::simple::{BalanceRule, RawCluster, SIMPLE_WAVE_THRESHOLD};
+use crate::strategy::LoadBalancer;
+use std::cell::RefCell;
 
 /// Splits `total` proportionally to `weights` (largest-remainder method;
 /// exact conservation, shares within one packet of the real proportion).
@@ -32,7 +32,7 @@ pub fn proportional_shares_into(
     total: u64,
     weights: &[u64],
     shares: &mut Vec<u64>,
-    remainders: &mut Vec<(u64, usize)>,
+    remainders: &mut Remainders,
 ) {
     assert!(!weights.is_empty(), "need at least one member");
     let weight_sum: u64 = weights.iter().sum();
@@ -57,20 +57,62 @@ pub fn proportional_shares_into(
     }
 }
 
-/// The practical balancer for heterogeneous processor speeds.
-pub struct WeightedCluster {
-    params: Params,
+/// `(remainder, member slot)` pairs of one largest-remainder split.
+type Remainders = Vec<(u64, usize)>;
+
+thread_local! {
+    /// Per-thread weight and largest-remainder scratch of
+    /// [`ProportionalRule::split`].
+    static SPLIT_SCRATCH: RefCell<(Vec<u64>, Remainders)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Shares proportional to processor speed; partners as in the paper
+/// (uniform over everyone alive).
+#[derive(Debug, Clone)]
+pub struct ProportionalRule {
     /// Relative speed of each processor (packets retired per step).
     speeds: Vec<u64>,
-    loads: Vec<u64>,
-    l_old: Vec<u64>,
-    rng: ChaCha8Rng,
-    metrics: Metrics,
-    scratch_members: Vec<usize>,
-    scratch_weights: Vec<u64>,
-    scratch_shares: Vec<u64>,
-    scratch_rem: Vec<(u64, usize)>,
 }
+
+impl ProportionalRule {
+    /// A rule over per-processor speeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any speed is zero.
+    pub fn new(speeds: Vec<u64>) -> Self {
+        assert!(speeds.iter().all(|&s| s > 0), "speeds must be positive");
+        ProportionalRule { speeds }
+    }
+}
+
+impl BalanceRule for ProportionalRule {
+    type Outcome = ();
+    /// A largest-remainder split is as cheap as the even one.
+    const WAVE_THRESHOLD: usize = SIMPLE_WAVE_THRESHOLD;
+
+    fn name(&self) -> &'static str {
+        "spaa93-weighted"
+    }
+
+    fn check_size(&self, n: usize) {
+        assert_eq!(self.speeds.len(), n, "one speed per processor");
+    }
+
+    fn split(&self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
+        SPLIT_SCRATCH.with(|scratch| {
+            let (weights, remainders) = &mut *scratch.borrow_mut();
+            weights.clear();
+            weights.extend(members.iter().map(|&m| self.speeds[m]));
+            proportional_shares_into(held.iter().sum(), weights, shares, remainders);
+        });
+    }
+}
+
+/// The practical balancer for heterogeneous processor speeds: the
+/// raw-load engine under the [`ProportionalRule`].
+pub type WeightedCluster = RawCluster<ProportionalRule>;
 
 impl WeightedCluster {
     /// A cluster with per-processor speeds (all positive).
@@ -79,33 +121,19 @@ impl WeightedCluster {
     ///
     /// Panics if `speeds.len() != params.n()` or any speed is zero.
     pub fn new(params: Params, speeds: Vec<u64>, seed: u64) -> Self {
-        assert_eq!(speeds.len(), params.n(), "one speed per processor");
-        assert!(speeds.iter().all(|&s| s > 0), "speeds must be positive");
-        let n = params.n();
-        WeightedCluster {
-            params,
-            speeds,
-            loads: vec![0; n],
-            l_old: vec![0; n],
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            metrics: Metrics::new(),
-            scratch_members: Vec::new(),
-            scratch_weights: Vec::new(),
-            scratch_shares: Vec::new(),
-            scratch_rem: Vec::new(),
-        }
+        Self::with_rule(params, ProportionalRule::new(speeds), seed)
     }
 
     /// The processor speeds.
     pub fn speeds(&self) -> &[u64] {
-        &self.speeds
+        &self.rule().speeds
     }
 
     /// Normalised loads `l_i / s_i` (the quantity the balancer equalises).
     pub fn normalized_loads(&self) -> Vec<f64> {
-        self.loads
+        self.loads()
             .iter()
-            .zip(self.speeds.iter())
+            .zip(self.speeds())
             .map(|(&l, &s)| l as f64 / s as f64)
             .collect()
     }
@@ -119,91 +147,14 @@ impl WeightedCluster {
         }
         norm.iter().copied().fold(0.0, f64::max) / mean
     }
-
-    fn trigger_check(&mut self, i: usize) {
-        let (cur, last) = (self.loads[i], self.l_old[i]);
-        if self.params.grow_triggered(cur, last) || self.params.shrink_triggered(cur, last) {
-            self.full_balance(i);
-        }
-    }
-
-    fn full_balance(&mut self, initiator: usize) {
-        self.metrics.balance_ops += 1;
-        let n = self.params.n();
-        let delta = self.params.delta();
-        let mut members = std::mem::take(&mut self.scratch_members);
-        members.clear();
-        members.push(initiator);
-        sample_others_into(&mut self.rng, n, initiator, delta, &mut members);
-        self.metrics.messages += members.len() as u64;
-        let total: u64 = members.iter().map(|&m| self.loads[m]).sum();
-        let mut weights = std::mem::take(&mut self.scratch_weights);
-        weights.clear();
-        weights.extend(members.iter().map(|&m| self.speeds[m]));
-        let mut shares = std::mem::take(&mut self.scratch_shares);
-        let mut rem = std::mem::take(&mut self.scratch_rem);
-        proportional_shares_into(total, &weights, &mut shares, &mut rem);
-        for (&m, &share) in members.iter().zip(shares.iter()) {
-            self.metrics.packets_migrated += self.loads[m].saturating_sub(share);
-            self.loads[m] = share;
-            self.l_old[m] = share;
-        }
-        self.scratch_weights = weights;
-        self.scratch_shares = shares;
-        self.scratch_rem = rem;
-        self.scratch_members = members;
-    }
-}
-
-impl LoadBalancer for WeightedCluster {
-    fn n(&self) -> usize {
-        self.params.n()
-    }
-
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
-    fn loads_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.loads);
-    }
-
-    fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.params.n(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                    self.trigger_check(i);
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                        self.trigger_check(i);
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
-            }
-        }
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn name(&self) -> &'static str {
-        "spaa93-weighted"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::LoadEvent;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn proportional_shares_conserve_and_track_weights() {
@@ -251,23 +202,6 @@ mod tests {
             cluster.normalized_imbalance() < 1.5,
             "normalised loads equalised: {:?}",
             cluster.normalized_loads()
-        );
-    }
-
-    #[test]
-    fn uniform_speeds_match_simple_cluster_quality() {
-        let params = Params::paper_section7(8);
-        let mut weighted = WeightedCluster::new(params, vec![3; 8], 5);
-        let events = vec![LoadEvent::Generate; 8];
-        for _ in 0..400 {
-            weighted.step(&events);
-        }
-        let loads = weighted.loads();
-        assert_eq!(loads.iter().sum::<u64>(), 8 * 400);
-        let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-        assert!(
-            spread <= 8,
-            "uniform speeds behave like the unweighted balancer: {loads:?}"
         );
     }
 

@@ -6,11 +6,18 @@
 //! random small instances three ways — parallel optimized, sequential
 //! optimized, and `dlb_core::reference` — and compare loads, metrics,
 //! the full `d`/`b` marker matrices, and the merged trace byte stream
-//! for every `step_jobs` in {1, 2, 4, 8}.
+//! for every `step_jobs` in {1, 2, 4, 8}.  The raw-load engine is
+//! replayed under each of its rules (even, proportional, topology in
+//! both partner modes); the reference leg covers the even one.
 
 use dlb_core::reference::{RefCluster, RefSimpleCluster};
-use dlb_core::{Cluster, LoadBalancer, LoadEvent, Params, SimpleCluster, DEFAULT_WAVE_THRESHOLD};
+use dlb_core::{
+    BalanceRule, Cluster, LoadBalancer, LoadEvent, Metrics, Params, RawCluster, SimpleCluster,
+    WeightedCluster, DEFAULT_WAVE_THRESHOLD,
+};
+use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_trace::BufferSink;
+use proptest::prelude::TestCaseError;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -51,6 +58,62 @@ fn trace_bytes(buffer: &BufferSink) -> Vec<u8> {
         out.push(b'\n');
     }
     out
+}
+
+/// Replays `trace` (events and down-mask per step) through a fresh
+/// engine sequentially, then under every `step_jobs` × threshold, and
+/// requires loads, metrics, trace bytes and the rule's own `tally` to
+/// agree; returns the sequential loads and metrics.
+fn across_step_jobs<R: BalanceRule, T: PartialEq + std::fmt::Debug>(
+    make: impl Fn() -> RawCluster<R>,
+    tally: impl Fn(&R) -> T,
+    trace: &[(Vec<LoadEvent>, Vec<bool>)],
+) -> Result<(Vec<u64>, Metrics), TestCaseError> {
+    let run = |jobs: usize, threshold: Option<usize>| {
+        let mut cluster = make();
+        cluster.set_step_jobs(jobs);
+        if let Some(threshold) = threshold {
+            cluster.set_wave_threshold(threshold);
+        }
+        let buffer = BufferSink::new();
+        cluster.set_trace_sink(buffer.handle());
+        for (events, down) in trace {
+            cluster.step_masked(events, down);
+        }
+        (cluster, trace_bytes(&buffer))
+    };
+    let (seq, seq_trace) = run(1, None);
+    for jobs in STEP_JOBS {
+        for threshold in THRESHOLDS {
+            let (par, par_trace) = run(jobs, Some(threshold));
+            prop_assert_eq!(
+                par.loads(),
+                seq.loads(),
+                "loads diverged at step_jobs={}",
+                jobs
+            );
+            prop_assert_eq!(
+                par.metrics(),
+                seq.metrics(),
+                "metrics diverged at step_jobs={}",
+                jobs
+            );
+            prop_assert_eq!(
+                &par_trace,
+                &seq_trace,
+                "trace bytes diverged at step_jobs={}",
+                jobs
+            );
+            prop_assert_eq!(
+                tally(par.rule()),
+                tally(seq.rule()),
+                "rule tally diverged at step_jobs={}",
+                jobs
+            );
+            prop_assert!(par.check_invariants().is_ok());
+        }
+    }
+    Ok((seq.loads(), *seq.metrics()))
 }
 
 proptest! {
@@ -118,12 +181,14 @@ proptest! {
         }
     }
 
-    /// Practical variant under a changing down-mask: parallel ==
-    /// sequential == reference on loads, metrics, and trace bytes.
+    /// Practical variant, every rule, under a changing down-mask:
+    /// parallel == sequential on loads, metrics, and trace bytes — and,
+    /// for the even rule, == reference.
     #[test]
-    fn simple_cluster_is_bit_identical_across_step_jobs(
+    fn raw_cluster_is_bit_identical_across_step_jobs(
         n_idx in 0usize..3,
         delta_idx in 0usize..2,
+        rule in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
         let n = [3usize, 6, 10][n_idx];
@@ -131,10 +196,6 @@ proptest! {
         let params = Params::new(n, delta, 1.3, 4).unwrap();
         let steps = 60;
 
-        let mut seq = SimpleCluster::new(params, seed);
-        let seq_buf = BufferSink::new();
-        seq.set_trace_sink(seq_buf.handle());
-        let mut reference = RefSimpleCluster::new(params, seed);
         let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let mut mask_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xdead);
         let mut trace = Vec::new();
@@ -145,34 +206,32 @@ proptest! {
                     *f = mask_rng.gen_bool(0.25);
                 }
             }
-            let events = events_at(&mut ev_rng, n, t, steps);
-            seq.step_masked(&events, &down);
-            reference.step_masked(&events, &down);
-            trace.push((events, down.clone()));
+            trace.push((events_at(&mut ev_rng, n, t, steps), down.clone()));
         }
-        prop_assert_eq!(seq.loads(), reference.loads());
-        prop_assert_eq!(seq.metrics(), reference.metrics());
-        let seq_trace = trace_bytes(&seq_buf);
 
-        for jobs in STEP_JOBS {
-          for threshold in THRESHOLDS {
-            let mut par = SimpleCluster::new(params, seed);
-            par.set_step_jobs(jobs);
-            par.set_wave_threshold(threshold);
-            let par_buf = BufferSink::new();
-            par.set_trace_sink(par_buf.handle());
-            for (events, down) in &trace {
-                par.step_masked(events, down);
+        let topo = |mode| {
+            TopoCluster::with_rule(params, TopoRule::new(Topology::Ring { n }, mode), seed)
+        };
+        match rule {
+            0 => {
+                let (loads, metrics) = across_step_jobs(|| SimpleCluster::new(params, seed), |_| (), &trace)?;
+                let mut reference = RefSimpleCluster::new(params, seed);
+                for (events, down) in &trace {
+                    reference.step_masked(events, down);
+                }
+                prop_assert_eq!(loads, reference.loads());
+                prop_assert_eq!(&metrics, reference.metrics());
             }
-            prop_assert_eq!(
-                par.loads(), seq.loads(), "loads diverged at step_jobs={}", jobs);
-            prop_assert_eq!(
-                par.metrics(), seq.metrics(), "metrics diverged at step_jobs={}", jobs);
-            prop_assert_eq!(
-                trace_bytes(&par_buf), seq_trace.clone(),
-                "trace bytes diverged at step_jobs={}", jobs);
-            prop_assert!(par.check_invariants().is_ok());
-          }
+            1 => {
+                let speeds: Vec<u64> = (0..n as u64).map(|i| 1 + (i * 7 + seed) % 5).collect();
+                across_step_jobs(|| WeightedCluster::new(params, speeds.clone(), seed), |_| (), &trace)?;
+            }
+            2 => {
+                across_step_jobs(|| topo(PartnerMode::GlobalRandom), |r| *r.comm(), &trace)?;
+            }
+            _ => {
+                across_step_jobs(|| topo(PartnerMode::Neighbors), |r| *r.comm(), &trace)?;
+            }
         }
     }
 }

@@ -13,7 +13,7 @@ use dlb_core::{imbalance_stats, Cluster, ExchangePolicy, LoadBalancer, Params, S
 use dlb_experiments::args::Args;
 use dlb_experiments::quality::paper_trace;
 use dlb_experiments::report::{f3, render_table, write_csv};
-use dlb_net::{PartnerMode, TopoCluster, Topology};
+use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_workload::drive;
 
 fn quality<B: LoadBalancer>(
@@ -84,23 +84,15 @@ fn main() {
 
     let w = (n as f64).sqrt() as usize;
     let torus = Topology::Torus2D { w, h: n / w };
+    let topo =
+        |mode, seed| TopoCluster::with_rule(params, TopoRule::new(torus.clone(), mode), seed);
     push(
         "topo: global partners",
-        quality(
-            |s| TopoCluster::new(params, torus.clone(), PartnerMode::GlobalRandom, s),
-            n,
-            steps,
-            runs,
-        ),
+        quality(|s| topo(PartnerMode::GlobalRandom, s), n, steps, runs),
     );
     push(
         "topo: neighbours only",
-        quality(
-            |s| TopoCluster::new(params, torus.clone(), PartnerMode::Neighbors, s),
-            n,
-            steps,
-            runs,
-        ),
+        quality(|s| topo(PartnerMode::Neighbors, s), n, steps, runs),
     );
 
     let headers = vec!["variant", "max/mean", "migrated/run", "ops/run"];
@@ -113,10 +105,10 @@ fn main() {
         ("neighbours", PartnerMode::Neighbors),
     ] {
         let trace = paper_trace(n, steps, 7000);
-        let mut c = TopoCluster::new(params, torus.clone(), mode, 1);
+        let mut c = topo(mode, 1);
         let mut replay = trace.replay();
         drive(&mut c, &mut replay, steps, |_, _| {});
-        let comm = c.comm();
+        let comm = c.rule().comm();
         hop_rows.push(vec![
             label.to_string(),
             comm.packets.to_string(),

@@ -58,10 +58,10 @@
 
 use crate::equeue::CalendarQueue;
 use crate::rng::stream;
+use dlb_core::balance::sample_others_into;
 use dlb_core::{Metrics, Params};
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan, MessageClass, MessageFate};
 use rand::prelude::*;
-use rand::seq::index::sample;
 use rand_chacha::ChaCha8Rng;
 
 /// How often an initiator re-requests silent partners before writing
@@ -581,10 +581,8 @@ impl AsyncNetwork {
         // Start an operation: lock, pick δ partners, request loads.
         let n = params.n();
         let delta = params.delta();
-        let partners: Vec<usize> = sample(&mut self.rng, n - 1, delta)
-            .iter()
-            .map(|x| if x >= i { x + 1 } else { x })
-            .collect();
+        let mut partners = Vec::with_capacity(delta);
+        sample_others_into(&mut self.rng, n, i, delta, &mut partners);
         if self.trace_on() {
             let p = &self.procs[i];
             self.emit(dlb_trace::TraceEvent::BalanceInitiated {

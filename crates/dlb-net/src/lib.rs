@@ -9,10 +9,10 @@
 //! * [`topology`] — interconnect graphs (complete, ring, 2-D torus,
 //!   hypercube, de Bruijn, star, circulant) with hop-distance queries, so
 //!   the communication the paper argues away can actually be *measured*;
-//! * [`engine`] — a topology-aware balancer and synchronous simulation
-//!   engine with hop-weighted communication accounting, including the
-//!   "balance with topology neighbours only" mode the paper lists as
-//!   future work (locality);
+//! * [`engine`] — the topology rule for `dlb-core`'s raw-load engine:
+//!   hop-weighted communication accounting and the "balance with
+//!   topology neighbours only" partner draw the paper lists as future
+//!   work (locality); [`TopoCluster`] is that engine under this rule;
 //! * [`desim`] — an asynchronous discrete-event simulator of the §5
 //!   message protocol with latency, fault injection (`dlb-faults`) and a
 //!   hardened timeout/retry state machine;
@@ -30,7 +30,7 @@ pub mod runtime;
 pub mod topology;
 
 pub use desim::{AsyncConfig, AsyncNetwork, AsyncStats};
-pub use engine::{CommStats, PartnerMode, TopoCluster};
+pub use engine::{CommStats, PartnerMode, TopoCluster, TopoRule};
 pub use equeue::CalendarQueue;
 pub use runtime::{RuntimeConfig, RuntimeStats, ThreadedRuntime};
 pub use topology::Topology;

@@ -43,10 +43,11 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::rng::stream;
+use dlb_core::balance::sample_others_into;
+use dlb_core::Params;
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan};
 use dlb_trace::{merge_by_clock, SharedSink, TraceEvent};
 use rand::prelude::*;
-use rand::seq::index::sample;
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +56,7 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Balancing neighbourhood size `δ`.
     pub delta: usize,
-    /// Trigger factor `f` (`1 < f < δ + 1` recommended).
+    /// Trigger factor `f` (`1 ≤ f < δ + 1`).
     pub f: f64,
     /// Master seed for the per-worker random streams.
     pub seed: u64,
@@ -64,19 +65,13 @@ pub struct RuntimeConfig {
 impl RuntimeConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("need at least one worker".into());
-        }
-        if self.delta == 0 || self.delta >= self.workers.max(2) {
-            return Err(format!(
-                "delta = {} must satisfy 1 <= delta < workers = {}",
-                self.delta, self.workers
-            ));
-        }
-        if !(self.f >= 1.0 && self.f.is_finite()) {
-            return Err(format!("f = {} must be finite and >= 1", self.f));
-        }
-        Ok(())
+        self.params().map(drop)
+    }
+
+    /// The algorithm parameters this configuration describes — the one
+    /// validated form of `(n, δ, f)`, carrying the trigger predicates.
+    fn params(&self) -> Result<Params, String> {
+        Params::new(self.workers, self.delta, self.f, 4).map_err(|e| e.to_string())
     }
 }
 
@@ -127,6 +122,9 @@ struct WorkerState<T> {
 /// Everything the worker threads share; bundling it keeps the
 /// balancing-path signatures sane.
 struct Shared<'a, T> {
+    params: Params,
+    /// Master seed of the per-worker random streams.
+    seed: u64,
     workers: &'a [Mutex<WorkerState<T>>],
     injector: &'a FaultInjector,
     /// Logical clock for the crash schedule: total packets processed.
@@ -259,7 +257,7 @@ impl ThreadedRuntime {
         T: Send,
         F: Fn(usize, T, &mut Vec<T>) + Sync,
     {
-        config.validate().expect("valid runtime configuration");
+        let params = config.params().expect("valid runtime configuration");
         let injector = FaultInjector::new(plan, config.workers).expect("valid fault plan");
         let n = config.workers;
         let outstanding = AtomicI64::new(initial.len() as i64);
@@ -293,6 +291,8 @@ impl ThreadedRuntime {
             .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect());
 
         let shared = Shared {
+            params,
+            seed: config.seed,
             workers: &workers,
             injector: &injector,
             clock: &clock,
@@ -312,7 +312,7 @@ impl ThreadedRuntime {
             for id in 0..n {
                 let shared = &shared;
                 let handler = &handler;
-                scope.spawn(move || Self::worker_loop(config, id, shared, handler));
+                scope.spawn(move || Self::worker_loop(id, shared, handler));
             }
         });
 
@@ -339,12 +339,12 @@ impl ThreadedRuntime {
         }
     }
 
-    fn worker_loop<T, F>(config: RuntimeConfig, id: usize, shared: &Shared<'_, T>, handler: &F)
+    fn worker_loop<T, F>(id: usize, shared: &Shared<'_, T>, handler: &F)
     where
         T: Send,
         F: Fn(usize, T, &mut Vec<T>) + Sync,
     {
-        let mut rng = stream(config.seed, id as u64);
+        let mut rng = stream(shared.seed, id as u64);
         let mut spawn_buf: Vec<T> = Vec::new();
         let mut was_down = false;
         loop {
@@ -434,12 +434,12 @@ impl ThreadedRuntime {
                         // run is over and everyone should notice.
                         shared.wake_all();
                     }
-                    Self::maybe_balance(config, id, shared, &mut rng, false);
+                    Self::maybe_balance(id, shared, &mut rng, false);
                 }
                 None => {
                     // Idle: force a balancing attempt to pull work, then
                     // park until queues change (or briefly, to re-check).
-                    if !Self::maybe_balance(config, id, shared, &mut rng, true) {
+                    if !Self::maybe_balance(id, shared, &mut rng, true) {
                         shared.park(Duration::from_millis(1));
                     }
                 }
@@ -451,7 +451,6 @@ impl ThreadedRuntime {
     /// locked balance over the member group.  Returns whether any
     /// packets moved — an idle caller that pulled nothing can park.
     fn maybe_balance<T: Send>(
-        config: RuntimeConfig,
         id: usize,
         shared: &Shared<'_, T>,
         rng: &mut impl Rng,
@@ -464,20 +463,13 @@ impl ThreadedRuntime {
             let st = shared.workers[id].lock();
             (st.queue.len() as u64, st.l_old)
         };
-        let grow = len > l_old && len as f64 >= config.f * l_old as f64 * (1.0 - 1e-9);
-        let shrink = len < l_old && len as f64 <= l_old as f64 / config.f * (1.0 + 1e-9);
-        if !(force || grow || shrink) {
+        let params = &shared.params;
+        if !(force || params.grow_triggered(len, l_old) || params.shrink_triggered(len, l_old)) {
             return false;
         }
 
         let mut members: Vec<usize> = vec![id];
-        members.extend(sample(rng, n - 1, config.delta).iter().map(|x| {
-            if x >= id {
-                x + 1
-            } else {
-                x
-            }
-        }));
+        sample_others_into(rng, n, id, params.delta(), &mut members);
         members.sort_unstable(); // lock order prevents deadlock
         if shared.tracing() {
             shared.emit(
@@ -672,7 +664,7 @@ mod tests {
         let cfg = RuntimeConfig {
             workers: 2,
             delta: 1,
-            f: 2.0,
+            f: 1.9,
             seed: 1,
         };
         let stats = ThreadedRuntime::run(cfg, vec![5u32], |_, depth, spawn| {

@@ -49,6 +49,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use crate::home_shard;
+use crate::router::draw_members;
 use crate::wall::{ticks_to_duration, Shared};
 
 /// A scheduled crash or recovery, replayed against the wall clock.
@@ -261,19 +262,19 @@ impl<'a> Acceptor<'a> {
         {
             return;
         }
-        let mut peers: Vec<usize> = (0..self.n()).filter(|&p| p != s && self.alive(p)).collect();
-        let want = self.params.delta().min(peers.len());
-        if want == 0 {
+        let (n, down) = (self.n(), &self.shared.down);
+        let drawn = draw_members(
+            &mut self.rng,
+            n,
+            s,
+            self.params.delta(),
+            |p| !down[p].load(Ordering::Acquire),
+            &mut Vec::new(),
+        );
+        let Some(members) = drawn else {
             self.l_old[s - self.lo] = depth;
             return;
-        }
-        for k in 0..want {
-            let j = self.rng.gen_range(k..peers.len());
-            peers.swap(k, j);
-        }
-        let mut members = Vec::with_capacity(want + 1);
-        members.push(s);
-        members.extend_from_slice(&peers[..want]);
+        };
         self.rebalance(&members, now);
     }
 

@@ -145,24 +145,18 @@ impl TriggerRouter {
     /// depths and `l_old`, and returns the plan for the engine to act
     /// on.  With no alive partner the trigger only resets its baseline.
     fn fire(&mut self, s: usize) -> Option<RebalancePlan> {
-        self.scratch.clear();
-        self.scratch
-            .extend((0..self.depths.len()).filter(|&p| p != s && self.alive[p]));
-        let want = self.params.delta().min(self.scratch.len());
-        if want == 0 {
+        let drawn = draw_members(
+            &mut self.rng,
+            self.depths.len(),
+            s,
+            self.params.delta(),
+            |p| self.alive[p],
+            &mut self.scratch,
+        );
+        let Some(members) = drawn else {
             self.l_old[s] = self.depths[s];
             return None;
-        }
-        // Partial Fisher–Yates over the alive peers: draw order is the
-        // partner order, so the plan is a pure function of the RNG
-        // stream and the depth history.
-        for k in 0..want {
-            let j = self.rng.gen_range(k..self.scratch.len());
-            self.scratch.swap(k, j);
-        }
-        let mut members = Vec::with_capacity(want + 1);
-        members.push(s);
-        members.extend_from_slice(&self.scratch[..want]);
+        };
         let total: u64 = members.iter().map(|&m| self.depths[m]).sum();
         let mut targets = Vec::with_capacity(members.len());
         even_shares_into(total, members.len(), &mut targets);
@@ -173,6 +167,36 @@ impl TriggerRouter {
         self.rebalances += 1;
         Some(RebalancePlan { members, targets })
     }
+}
+
+/// The partner draw of both serving engines: `[s, partners…]` with up
+/// to `delta` distinct partners uniform over the alive shards other
+/// than `s`, or `None` when no other shard is alive.  A partial
+/// Fisher–Yates over the alive peers (collected into the scratch
+/// `peers`): draw order is the partner order, so the group is a pure
+/// function of the RNG stream and the alive set.
+pub(crate) fn draw_members(
+    rng: &mut ChaCha8Rng,
+    n: usize,
+    s: usize,
+    delta: usize,
+    alive: impl Fn(usize) -> bool,
+    peers: &mut Vec<usize>,
+) -> Option<Vec<usize>> {
+    peers.clear();
+    peers.extend((0..n).filter(|&p| p != s && alive(p)));
+    let want = delta.min(peers.len());
+    if want == 0 {
+        return None;
+    }
+    for k in 0..want {
+        let j = rng.gen_range(k..peers.len());
+        peers.swap(k, j);
+    }
+    let mut members = Vec::with_capacity(want + 1);
+    members.push(s);
+    members.extend_from_slice(&peers[..want]);
+    Some(members)
 }
 
 #[cfg(test)]

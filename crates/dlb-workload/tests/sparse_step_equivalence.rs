@@ -1,8 +1,9 @@
 //! Property tests: the event-driven sparse path is *bit-identical* to
 //! the dense one.
 //!
-//! For both engines (`Cluster`, `SimpleCluster`), every
-//! sparse pattern, `step_jobs ∈ {1, 4}` and randomly drawn fault plans
+//! For both engines — `Cluster`, and the raw-load engine under each of
+//! its rules (`SimpleCluster`, `WeightedCluster`, `TopoCluster` in both
+//! partner modes) — every sparse pattern, `step_jobs ∈ {1, 4}` and randomly drawn fault plans
 //! with crashes/rejoins, a run through `step_sparse`/`step_sparse_masked`
 //! must reproduce the dense `step`/`step_masked` run exactly: final
 //! loads, metrics, serialized trace bytes — and for the full engine the
@@ -11,9 +12,10 @@
 //! so the sparse stream is also checked against an independently
 //! serialized record.
 
-use dlb_core::{Cluster, LoadBalancer, Metrics, Params, SimpleCluster};
+use dlb_core::{Cluster, LoadBalancer, Metrics, Params, SimpleCluster, WeightedCluster};
 use dlb_faults::{CrashEvent, FaultInjector, FaultPlan};
-use dlb_trace::BufferSink;
+use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
+use dlb_trace::{BufferSink, TraceEvent};
 use dlb_workload::sparse::{SparseActivity, SparsePattern, SparseWorkload};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
@@ -68,9 +70,17 @@ fn build_plan(raw: &[(usize, u64, u64)], n: usize) -> Option<FaultPlan> {
 
 fn make_engine(kind: u8, n: usize, seed: u64, step_jobs: usize) -> Box<dyn LoadBalancer> {
     let params = Params::paper_section7(n);
-    let mut b: Box<dyn LoadBalancer> = match kind % 2 {
+    let topo =
+        |mode| TopoCluster::with_rule(params, TopoRule::new(Topology::Ring { n }, mode), seed);
+    let mut b: Box<dyn LoadBalancer> = match kind % 5 {
         0 => Box::new(Cluster::new(params, seed)),
-        _ => Box::new(SimpleCluster::new(params, seed)),
+        1 => Box::new(SimpleCluster::new(params, seed)),
+        2 => {
+            let speeds = (0..n as u64).map(|i| 1 + (i + seed) % 4).collect();
+            Box::new(WeightedCluster::new(params, speeds, seed))
+        }
+        3 => Box::new(topo(PartnerMode::GlobalRandom)),
+        _ => Box::new(topo(PartnerMode::Neighbors)),
     };
     b.set_step_jobs(step_jobs);
     b
@@ -172,7 +182,7 @@ proptest! {
         c in 0u32..1_000,
         n in 8usize..40,
         raw_crashes in prop::collection::vec((0usize..4096, 0u64..120, 0u64..80), 0..3),
-        engine in 0u8..2,
+        engine in 0u8..5,
         wide in any::<bool>(),
         eseed in 0u64..1_000,
         wseed in 0u64..1_000,
@@ -228,4 +238,54 @@ proptest! {
         }
         prop_assert_eq!(x.snapshot(), y.snapshot());
     }
+}
+
+/// The crash-mask contract under the neighbour rule: a down processor's
+/// load is frozen and it never serves as a balance partner, even while
+/// both of its ring neighbours keep triggering.
+#[test]
+fn neighbour_rule_never_draws_a_down_partner() {
+    let n = 12;
+    let params = Params::new(n, 2, 1.3, 4).expect("valid");
+    let ring = TopoRule::new(Topology::Ring { n }, PartnerMode::Neighbors);
+    let mut cluster = TopoCluster::with_rule(params, ring, 9);
+    let buf = BufferSink::new();
+    cluster.set_trace_sink(buf.handle());
+    let mut workload = SparseActivity::new(
+        n,
+        SparsePattern::Hotspot {
+            period: 5,
+            consumer_gap: 3,
+        },
+        4,
+    );
+    let mut down = vec![false; n];
+    let mut active = Vec::new();
+    for t in 0..100 {
+        workload.active_at(t, &mut active);
+        cluster.step_sparse_masked(&active, &down);
+    }
+    down[4] = true;
+    let frozen = cluster.load(4);
+    buf.take();
+    for t in 100..400 {
+        workload.active_at(t, &mut active);
+        cluster.step_sparse_masked(&active, &down);
+        assert_eq!(cluster.load(4), frozen, "step {t}");
+    }
+    let mut ops = 0;
+    for event in buf.take() {
+        if let TraceEvent::BalanceInitiated {
+            initiator,
+            partners,
+            ..
+        } = event
+        {
+            ops += usize::from(initiator == 3 || initiator == 5);
+            assert_ne!(initiator, 4);
+            assert!(!partners.contains(&4), "{initiator} drew {partners:?}");
+        }
+    }
+    assert!(ops > 0, "the down processor's neighbours balanced");
+    cluster.check_invariants().expect("conserved");
 }

@@ -6,7 +6,7 @@
 //!     cargo run --release --example topology_costs
 
 use dlb::core::{imbalance_stats, LoadBalancer, Params};
-use dlb::net::{PartnerMode, TopoCluster, Topology};
+use dlb::net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb::workload::drive;
 use dlb::workload::phase::{PhaseConfig, PhaseWorkload};
 
@@ -14,7 +14,7 @@ fn run(topology: Topology, mode: PartnerMode) -> (f64, f64, u32) {
     let n = topology.n();
     let params = Params::paper_section7(n);
     let diameter = topology.diameter();
-    let mut cluster = TopoCluster::new(params, topology, mode, 11);
+    let mut cluster = TopoCluster::with_rule(params, TopoRule::new(topology, mode), 11);
     let mut workload = PhaseWorkload::new(n, 500, PhaseConfig::paper_section7(), 77);
     let mut ratio = 0.0;
     let mut samples = 0;
@@ -27,7 +27,7 @@ fn run(topology: Topology, mode: PartnerMode) -> (f64, f64, u32) {
             }
         }
     });
-    let comm = cluster.comm();
+    let comm = cluster.rule().comm();
     let hops_per_packet = comm.packet_hops as f64 / comm.packets.max(1) as f64;
     (ratio / samples.max(1) as f64, hops_per_packet, diameter)
 }

@@ -2,10 +2,13 @@
 //! baselines and theory bounds working together end to end.
 
 use dlb::baselines::{NoBalance, RandomScatter, Rsu91};
-use dlb::core::{imbalance_stats, Cluster, ExchangePolicy, LoadBalancer, Params, SimpleCluster};
-use dlb::net::{PartnerMode, TopoCluster, Topology};
+use dlb::core::{
+    imbalance_stats, Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params, SimpleCluster,
+    WeightedCluster,
+};
+use dlb::net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb::theory::TheoremBounds;
-use dlb::workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit};
+use dlb::workload::patterns::{MovingHotspot, ProducerConsumerSplit};
 use dlb::workload::phase::PhaseWorkload;
 use dlb::workload::trace::EventTrace;
 use dlb::workload::{drive, Workload};
@@ -175,37 +178,94 @@ fn aggressive_policy_end_to_end() {
         .expect("aggressive policy keeps ledger");
 }
 
-/// The topology engine and the plain simple cluster implement the same
-/// algorithm when the topology is complete: same trigger rule, so
-/// balance-op counts should be in the same ballpark on the same trace.
+/// Degenerate collapse: on a complete topology with global partners, or
+/// with uniform speeds, the topology and proportional rules are the even
+/// rule — the three aliases are one engine, equal step for step on loads
+/// and every metric (which extends `RefSimpleCluster`, the oracle for
+/// the engine, to the other two rules).
 #[test]
 fn topo_complete_matches_simple_shape() {
-    let n = 16;
-    let params = Params::paper_section7(n);
-    let mut wl = OneProducer::new(n, 0);
-    let trace = EventTrace::record(&mut wl, 2000);
-
-    let mut simple = SimpleCluster::new(params, 3);
-    let mut topo = TopoCluster::new(
-        params,
-        Topology::Complete { n },
-        PartnerMode::GlobalRandom,
-        3,
-    );
-    let mut events = Vec::new();
-    let mut replay = trace.replay();
-    for t in 0..2000 {
-        replay.events_at(t, &mut events);
-        simple.step(&events);
-        topo.step(&events);
+    use rand::prelude::*;
+    for (n, delta, f) in [(16, 1, 1.1), (9, 2, 1.3), (32, 4, 1.8)] {
+        let params = Params::new(n, delta, f, 4).expect("valid");
+        let mut simple = SimpleCluster::new(params, 3);
+        let complete = TopoRule::new(Topology::Complete { n }, PartnerMode::GlobalRandom);
+        let mut topo = TopoCluster::with_rule(params, complete, 3);
+        let mut weighted = WeightedCluster::new(params, vec![3; n], 3);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for t in 0..2000 {
+            let events: Vec<LoadEvent> = (0..n)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => LoadEvent::Generate,
+                    1 => LoadEvent::Consume,
+                    _ => LoadEvent::Idle,
+                })
+                .collect();
+            simple.step(&events);
+            topo.step(&events);
+            weighted.step(&events);
+            assert_eq!(simple.loads(), topo.loads(), "n={n} step {t}");
+            assert_eq!(simple.loads(), weighted.loads(), "n={n} step {t}");
+            assert_eq!(simple.metrics(), topo.metrics(), "n={n} step {t}");
+            assert_eq!(simple.metrics(), weighted.metrics(), "n={n} step {t}");
+        }
+        let comm = topo.rule().comm();
+        assert_eq!(comm.packet_hops, comm.packets, "all distances are 1");
+        assert_eq!(comm.ops, simple.metrics().balance_ops);
     }
-    let (a, b) = (simple.metrics().balance_ops, topo.metrics().balance_ops);
-    let rel = (a as f64 - b as f64).abs() / a as f64;
-    assert!(rel < 0.35, "balance ops comparable: {a} vs {b}");
+}
+
+/// The non-degenerate rules, pinned to the values the three separate
+/// engines produced before they became one.
+#[test]
+fn practical_rules_pinned() {
+    let events = |n: usize| -> Vec<LoadEvent> {
+        (0..n)
+            .map(|i| match i % 3 {
+                0 => LoadEvent::Generate,
+                1 => LoadEvent::Consume,
+                _ => LoadEvent::Idle,
+            })
+            .collect()
+    };
+    let run_torus = |mode| {
+        let params = Params::new(16, 2, 1.3, 4).expect("valid");
+        let rule = TopoRule::new(Topology::Torus2D { w: 4, h: 4 }, mode);
+        let mut cluster = TopoCluster::with_rule(params, rule, 7);
+        let events = events(16);
+        for _ in 0..400 {
+            cluster.step(&events);
+        }
+        let c = *cluster.rule().comm();
+        (
+            [c.ops, c.packets, c.packet_hops, c.control_hops],
+            cluster.loads(),
+        )
+    };
     assert_eq!(
-        simple.loads().iter().sum::<u64>(),
-        topo.loads().iter().sum::<u64>()
+        run_torus(PartnerMode::GlobalRandom),
+        (
+            [1231, 3117, 6613, 10532],
+            vec![33, 21, 27, 26, 21, 25, 31, 26, 21, 23, 21, 21, 33, 24, 27, 35]
+        )
     );
+    assert_eq!(
+        run_torus(PartnerMode::Neighbors),
+        (
+            [1216, 3119, 3581, 4864],
+            vec![26, 19, 28, 28, 24, 22, 29, 24, 24, 29, 26, 28, 27, 25, 21, 35]
+        )
+    );
+
+    let params = Params::new(8, 2, 1.3, 4).expect("valid");
+    let mut weighted = WeightedCluster::new(params, (1..=8).collect(), 11);
+    let events = events(8);
+    for _ in 0..400 {
+        weighted.step(&events);
+    }
+    let m = weighted.metrics();
+    assert_eq!((m.balance_ops, m.packets_migrated), (2204, 1815));
+    assert_eq!(weighted.loads(), vec![1, 1, 1, 2, 2, 3, 5, 3]);
 }
 
 /// The branch & bound application layer finds verified optima while the
@@ -271,9 +331,9 @@ fn async_low_latency_matches_sync_quality() {
         let events: Vec<dlb::core::LoadEvent> = (0..n)
             .map(|_| {
                 if rng.gen_bool(0.6) {
-                    dlb::core::LoadEvent::Generate
+                    LoadEvent::Generate
                 } else {
-                    dlb::core::LoadEvent::Consume
+                    LoadEvent::Consume
                 }
             })
             .collect();
@@ -297,13 +357,12 @@ fn async_low_latency_matches_sync_quality() {
 /// that processing finishes together, unlike the uniform balancer.
 #[test]
 fn weighted_balancer_tracks_speeds() {
-    use dlb::core::WeightedCluster;
     let n = 6;
     let params = Params::new(n, 2, 1.2, 4).expect("valid");
     let speeds = vec![1u64, 1, 2, 2, 6, 6];
     let mut cluster = WeightedCluster::new(params, speeds.clone(), 11);
-    let mut events = vec![dlb::core::LoadEvent::Idle; n];
-    events[0] = dlb::core::LoadEvent::Generate;
+    let mut events = vec![LoadEvent::Idle; n];
+    events[0] = LoadEvent::Generate;
     for _ in 0..4_000 {
         cluster.step(&events);
     }
