@@ -660,8 +660,9 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
             }
         }
     }
-    if let Some(sink) = &mut sink {
-        sink.flush();
+    if let (Some(sink), Some(path)) = (sink, &trace_path) {
+        sink.into_inner()
+            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
     }
     Ok(Report {
         strategy: strategy_name,
@@ -738,7 +739,8 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
         for ev in &result.events {
             sink.record(ev);
         }
-        sink.flush();
+        sink.into_inner()
+            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
     }
 
     // The Lemma 6 cost yardstick applies only when the primary strategy
@@ -1043,6 +1045,28 @@ mod tests {
         assert_eq!(plain.mean_ratio, traced.mean_ratio, "tracing is inert");
         assert_eq!(plain.ops_per_run, traced.ops_per_run);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `FileSink::record` used to `expect` its write, so a full disk
+    /// unwound out of `dlb run` with a backtrace.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn unwritable_trace_is_an_error_not_a_panic() {
+        let opts = RunOptions {
+            trace: Some("/dev/full".into()),
+            ..RunOptions::default()
+        };
+        let scenario = small_scenario(
+            StrategyConfig::Simple { delta: 1, f: 1.2 },
+            WorkloadConfig::Uniform {
+                p_gen: 0.5,
+                p_con: 0.3,
+            },
+        );
+        let err = execute_with(&scenario, &opts).unwrap_err();
+        assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
+        let err = execute_league(&league_scenario(), &opts).unwrap_err();
+        assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
     }
 
     /// A scenario with a three-way league: the full algorithm vs two

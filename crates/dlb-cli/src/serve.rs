@@ -107,12 +107,16 @@ pub fn serve_main(rest: &[String]) -> Result<(), String> {
         None => None,
     };
     let stats = match opts.mode {
-        Mode::Sim => dlb_serve::run_sim(&scenario, sink)?,
+        Mode::Sim => dlb_serve::run_sim(&scenario, sink.clone())?,
         Mode::Wall => {
             let acceptors = opts.acceptors.unwrap_or(scenario.acceptors);
-            dlb_serve::run_wall(&scenario, opts.workers, acceptors, sink)?
+            dlb_serve::run_wall(&scenario, opts.workers, acceptors, sink.clone())?
         }
     };
+    // Both engines flush the sink before they return.
+    if let (Some(e), Some(trace_path)) = (sink.and_then(|s| s.take_error()), &opts.trace) {
+        return Err(format!("cannot write trace {trace_path}: {e}"));
+    }
     // Both engines verify the ledger internally (and error out on a
     // violation), so reaching this point means conservation held.
     assert!(stats.conservation_holds(), "engines enforce the ledger");
@@ -197,5 +201,20 @@ mod tests {
             a, b,
             "sim stats must be byte-identical across --workers values"
         );
+
+        // The trace sink sits behind a `SharedSink` here; a write
+        // failure must come back as an error, not unwind.
+        #[cfg(target_os = "linux")]
+        {
+            let err = serve_main(&strings(&[
+                scen_path.to_str().unwrap(),
+                "--out",
+                out_a.to_str().unwrap(),
+                "--trace",
+                "/dev/full",
+            ]))
+            .unwrap_err();
+            assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
+        }
     }
 }

@@ -36,11 +36,17 @@ fn events_at(rng: &mut ChaCha8Rng, n: usize, t: usize, steps: usize) -> Vec<Load
         .collect()
 }
 
-/// Renders a trace event stream to its serialized line form — the byte
-/// representation persisted by `FileSink` — so stream comparisons catch
-/// divergence in any field, not just the fields a struct `==` sees.
-fn trace_lines(events: &[TraceEvent]) -> Vec<String> {
-    events.iter().map(|e| e.to_line()).collect()
+/// Renders a trace event stream to its serialized form — the bytes
+/// persisted by `FileSink` — so stream comparisons catch divergence in
+/// any field, not just the fields a struct `==` sees.  One `String`, so
+/// a failing comparison still prints readable lines.
+fn trace_text(events: &[TraceEvent]) -> String {
+    let mut out = Vec::new();
+    for ev in events {
+        ev.write_line(&mut out);
+        out.push(b'\n');
+    }
+    String::from_utf8(out).expect("trace lines are UTF-8")
 }
 
 proptest! {
@@ -173,8 +179,8 @@ proptest! {
             "workload must actually trigger balancing for the check to bite"
         );
         prop_assert_eq!(
-            trace_lines(&events),
-            trace_lines(&traced_run(4)),
+            trace_text(&events),
+            trace_text(&traced_run(4)),
             "step_jobs changed the trace stream"
         );
 

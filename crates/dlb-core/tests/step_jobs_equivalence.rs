@@ -54,7 +54,7 @@ fn events_at(rng: &mut ChaCha8Rng, n: usize, t: usize, steps: usize) -> Vec<Load
 fn trace_bytes(buffer: &BufferSink) -> Vec<u8> {
     let mut out = Vec::new();
     for ev in buffer.take() {
-        out.extend_from_slice(ev.to_line().as_bytes());
+        ev.write_line(&mut out);
         out.push(b'\n');
     }
     out

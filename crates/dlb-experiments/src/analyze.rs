@@ -133,17 +133,20 @@ pub fn parse_lines<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
 /// (the CI trace-schema gate).  Returns the number of validated lines.
 pub fn check_lines<R: BufRead>(reader: R) -> Result<usize, String> {
     let mut count = 0usize;
+    let mut back = Vec::new();
     for (no, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| format!("line {}: read error: {e}", no + 1))?;
         if line.trim().is_empty() {
             continue;
         }
         let ev = TraceEvent::from_line(&line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let back = ev.to_line();
-        if back != line {
+        back.clear();
+        ev.write_line(&mut back);
+        if back != line.as_bytes() {
             return Err(format!(
-                "line {}: not byte-stable\n  input:  {line}\n  output: {back}",
-                no + 1
+                "line {}: not byte-stable\n  input:  {line}\n  output: {}",
+                no + 1,
+                String::from_utf8_lossy(&back)
             ));
         }
         count += 1;

@@ -177,7 +177,10 @@ fn main() {
         for ev in &result.events {
             sink.record(ev);
         }
-        sink.flush();
+        if let Err(e) = sink.into_inner() {
+            eprintln!("error: cannot write trace {path}: {e}");
+            std::process::exit(1);
+        }
         println!("wrote {path} ({} events)", result.events.len());
     }
 }

@@ -9,9 +9,9 @@
 //! * [`NullSink`] — reports itself disabled so emitters skip event
 //!   construction entirely; attaching it costs one branch per site.
 //! * [`RingSink`] — keeps the last `cap` events in memory.
-//! * [`FileSink`] — byte-stable JSONL via `dlb-json`'s insertion-ordered
-//!   object rendering: the same run always produces the same bytes,
-//!   which is what lets CI diff traces across `--jobs` values.
+//! * [`FileSink`] — byte-stable JSONL from the one encoder,
+//!   [`TraceEvent::write_line`]: the same run always produces the same
+//!   bytes, which is what lets CI diff traces across `--jobs` values.
 //!
 //! Events carry a logical step/time so multi-threaded producers can
 //! buffer locally and merge deterministically ([`merge_by_clock`]).
@@ -19,7 +19,7 @@
 //! The line format is versioned ([`SCHEMA_VERSION`]); parsers reject
 //! lines they cannot round-trip, so the schema cannot drift silently.
 
-use dlb_json::{req, FromJson, Json, ToJson};
+use dlb_json::{req, FromJson, Json};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
@@ -174,7 +174,11 @@ impl TraceEvent {
 
     /// Renders the event as one compact JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        self.to_json().render()
+        // Lines run 40–90 bytes; growing from empty would reallocate
+        // four times on the way there.
+        let mut out = Vec::with_capacity(128);
+        self.write_line(&mut out);
+        String::from_utf8(out).expect("write_line emits UTF-8")
     }
 
     /// Parses one JSONL line back into an event.
@@ -184,262 +188,189 @@ impl TraceEvent {
     }
 }
 
-fn u(v: u64) -> Json {
-    Json::Int(v as i128)
+/// Expands the wire schema — variant, tag, then `field "key"` in line
+/// order — into the encoder and the decoder, so the two cannot disagree
+/// on a tag, a key or the field order.
+macro_rules! wire_schema {
+    ($($variant:ident $tag:literal { $($field:ident $key:literal),* })*) => {
+        impl TraceEvent {
+            /// Appends the event's JSONL line (no trailing newline) to
+            /// `out`, which is never cleared — the one encoder: a `match`
+            /// whose arms append literal `{"t":"tag"` / `,"key":` prefixes
+            /// and each field's bytes.  The result is `dlb-json`'s compact
+            /// canonical form, pinned by the literal lines in this crate's
+            /// tests and by `results/trace_checksums.txt`.
+            pub fn write_line(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        out.extend_from_slice(concat!("{\"t\":\"", $tag, "\"").as_bytes());
+                        $(
+                            out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
+                            $field.put(out);
+                        )*
+                    })*
+                }
+                out.push(b'}');
+            }
+        }
+
+        impl FromJson for TraceEvent {
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let tag: String = req(v, "t")?;
+                match tag.as_str() {
+                    $($tag => Ok(TraceEvent::$variant { $($field: Wire::get(v, $key)?),* }),)*
+                    other => Err(format!("unknown event tag '{other}'")),
+                }
+            }
+        }
+    };
 }
 
-impl ToJson for TraceEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            TraceEvent::RunStarted {
-                run,
-                seed,
-                n,
-                strategy,
-                delta,
-                f,
-                c,
-            } => Json::Obj(vec![
-                ("t".into(), "run_start".to_json()),
-                ("run".into(), u(*run)),
-                ("seed".into(), u(*seed)),
-                ("n".into(), u(*n)),
-                ("strategy".into(), strategy.to_json()),
-                ("delta".into(), u(*delta)),
-                ("f".into(), Json::Float(*f)),
-                ("c".into(), u(*c)),
-            ]),
-            TraceEvent::BalanceInitiated {
-                step,
-                initiator,
-                partners,
-                trigger,
-            } => Json::Obj(vec![
-                ("t".into(), "balance".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                (
-                    "partners".into(),
-                    Json::Arr(partners.iter().map(|&p| u(p)).collect()),
-                ),
-                ("trigger".into(), Json::Float(*trigger)),
-            ]),
-            TraceEvent::PacketsMigrated {
-                step,
-                initiator,
-                count,
-            } => Json::Obj(vec![
-                ("t".into(), "packets".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                ("count".into(), u(*count)),
-            ]),
-            TraceEvent::MarkerMoved {
-                step,
-                initiator,
-                count,
-            } => Json::Obj(vec![
-                ("t".into(), "marker".to_json()),
-                ("step".into(), u(*step)),
-                ("init".into(), u(*initiator)),
-                ("count".into(), u(*count)),
-            ]),
-            TraceEvent::FaultInjected { step, proc, kind } => Json::Obj(vec![
-                ("t".into(), "fault".to_json()),
-                ("step".into(), u(*step)),
-                ("proc".into(), u(*proc)),
-                ("kind".into(), kind.to_json()),
-            ]),
-            TraceEvent::CrashRecovered { step, proc } => Json::Obj(vec![
-                ("t".into(), "recover".to_json()),
-                ("step".into(), u(*step)),
-                ("proc".into(), u(*proc)),
-            ]),
-            TraceEvent::StepProfile { step, wall_ns, ops } => Json::Obj(vec![
-                ("t".into(), "profile".to_json()),
-                ("step".into(), u(*step)),
-                ("wall_ns".into(), u(*wall_ns)),
-                ("ops".into(), u(*ops)),
-            ]),
-            TraceEvent::StepDelta { step, counters } => Json::Obj(vec![
-                ("t".into(), "delta".to_json()),
-                ("step".into(), u(*step)),
-                (
-                    "counters".into(),
-                    Json::Obj(counters.iter().map(|(k, v)| (k.clone(), u(*v))).collect()),
-                ),
-            ]),
-            TraceEvent::LoadSample {
-                step,
-                min,
-                max,
-                total,
-            } => Json::Obj(vec![
-                ("t".into(), "load".to_json()),
-                ("step".into(), u(*step)),
-                ("min".into(), u(*min)),
-                ("max".into(), u(*max)),
-                ("total".into(), u(*total)),
-            ]),
-            TraceEvent::RequestRouted { step, req, shard } => Json::Obj(vec![
-                ("t".into(), "req".to_json()),
-                ("step".into(), u(*step)),
-                ("req".into(), u(*req)),
-                ("shard".into(), u(*shard)),
-            ]),
-            TraceEvent::RequestCompleted {
-                step,
-                req,
-                shard,
-                latency_ticks,
-            } => Json::Obj(vec![
-                ("t".into(), "req_done".to_json()),
-                ("step".into(), u(*step)),
-                ("req".into(), u(*req)),
-                ("shard".into(), u(*shard)),
-                ("latency_ticks".into(), u(*latency_ticks)),
-            ]),
-            TraceEvent::RequestsRedirected {
-                step,
-                from,
-                to,
-                count,
-            } => Json::Obj(vec![
-                ("t".into(), "redirect".to_json()),
-                ("step".into(), u(*step)),
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("count".into(), u(*count)),
-            ]),
-            TraceEvent::AcceptorHandoff {
-                step,
-                from,
-                to,
-                count,
-            } => Json::Obj(vec![
-                ("t".into(), "handoff".to_json()),
-                ("step".into(), u(*step)),
-                ("from".into(), u(*from)),
-                ("to".into(), u(*to)),
-                ("count".into(), u(*count)),
-            ]),
-            TraceEvent::ArenaContender {
-                run,
-                label,
-                strategy,
-                seed,
-            } => Json::Obj(vec![
-                ("t".into(), "arena".to_json()),
-                ("run".into(), u(*run)),
-                ("label".into(), label.to_json()),
-                ("strategy".into(), strategy.to_json()),
-                ("seed".into(), u(*seed)),
-            ]),
-            TraceEvent::RunFinished { run } => Json::Obj(vec![
-                ("t".into(), "run_end".to_json()),
-                ("run".into(), u(*run)),
-            ]),
+wire_schema! {
+    RunStarted "run_start" {
+        run "run", seed "seed", n "n", strategy "strategy", delta "delta", f "f", c "c"
+    }
+    BalanceInitiated "balance" {
+        step "step", initiator "init", partners "partners", trigger "trigger"
+    }
+    PacketsMigrated "packets" { step "step", initiator "init", count "count" }
+    MarkerMoved "marker" { step "step", initiator "init", count "count" }
+    FaultInjected "fault" { step "step", proc "proc", kind "kind" }
+    CrashRecovered "recover" { step "step", proc "proc" }
+    StepProfile "profile" { step "step", wall_ns "wall_ns", ops "ops" }
+    StepDelta "delta" { step "step", counters "counters" }
+    LoadSample "load" { step "step", min "min", max "max", total "total" }
+    RequestRouted "req" { step "step", req "req", shard "shard" }
+    RequestCompleted "req_done" {
+        step "step", req "req", shard "shard", latency_ticks "latency_ticks"
+    }
+    RequestsRedirected "redirect" { step "step", from "from", to "to", count "count" }
+    AcceptorHandoff "handoff" { step "step", from "from", to "to", count "count" }
+    ArenaContender "arena" { run "run", label "label", strategy "strategy", seed "seed" }
+    RunFinished "run_end" { run "run" }
+}
+
+/// One field's value on the wire.
+trait Wire: Sized {
+    /// Appends the value's JSON bytes, exactly as `dlb-json` renders them.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads field `key` of the line's object.
+    fn get(obj: &Json, key: &str) -> Result<Self, String>;
+}
+
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut v = *self;
+        let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
         }
+        out.extend_from_slice(&digits[at..]);
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
     }
 }
 
-impl FromJson for TraceEvent {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let tag: String = req(v, "t")?;
-        match tag.as_str() {
-            "run_start" => Ok(TraceEvent::RunStarted {
-                run: req(v, "run")?,
-                seed: req(v, "seed")?,
-                n: req(v, "n")?,
-                strategy: req(v, "strategy")?,
-                delta: req(v, "delta")?,
-                f: req(v, "f")?,
-                c: req(v, "c")?,
-            }),
-            "balance" => Ok(TraceEvent::BalanceInitiated {
-                step: req(v, "step")?,
-                initiator: req(v, "init")?,
-                partners: req(v, "partners")?,
-                trigger: req(v, "trigger")?,
-            }),
-            "packets" => Ok(TraceEvent::PacketsMigrated {
-                step: req(v, "step")?,
-                initiator: req(v, "init")?,
-                count: req(v, "count")?,
-            }),
-            "marker" => Ok(TraceEvent::MarkerMoved {
-                step: req(v, "step")?,
-                initiator: req(v, "init")?,
-                count: req(v, "count")?,
-            }),
-            "fault" => Ok(TraceEvent::FaultInjected {
-                step: req(v, "step")?,
-                proc: req(v, "proc")?,
-                kind: req(v, "kind")?,
-            }),
-            "recover" => Ok(TraceEvent::CrashRecovered {
-                step: req(v, "step")?,
-                proc: req(v, "proc")?,
-            }),
-            "profile" => Ok(TraceEvent::StepProfile {
-                step: req(v, "step")?,
-                wall_ns: req(v, "wall_ns")?,
-                ops: req(v, "ops")?,
-            }),
-            "delta" => {
-                let obj = dlb_json::field(v, "counters")?;
-                let fields = match obj {
-                    Json::Obj(fields) => fields,
-                    _ => return Err("'counters' is not an object".into()),
-                };
-                let mut counters = Vec::with_capacity(fields.len());
-                for (k, val) in fields {
-                    counters.push((k.clone(), u64::from_json(val)?));
+impl Wire for f64 {
+    /// `{}` is the shortest round-trippable decimal; JSON has no
+    /// non-finite numbers, so those render as `null`.
+    fn put(&self, out: &mut Vec<u8>) {
+        if self.is_finite() {
+            write!(out, "{self}").expect("writing to a Vec cannot fail");
+        } else {
+            out.extend_from_slice(b"null");
+        }
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
+    }
+}
+
+impl Wire for String {
+    /// Every escaped byte is ASCII, so scanning bytes never splits a
+    /// UTF-8 sequence and the runs between escapes are copied whole.
+    fn put(&self, out: &mut Vec<u8>) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.push(b'"');
+        let bytes = self.as_bytes();
+        let mut copied = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let mut unicode = *b"\\u0000";
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => {
+                    unicode[4] = HEX[usize::from(b >> 4)];
+                    unicode[5] = HEX[usize::from(b & 0xf)];
+                    &unicode
                 }
-                Ok(TraceEvent::StepDelta {
-                    step: req(v, "step")?,
-                    counters,
-                })
+                _ => continue,
+            };
+            out.extend_from_slice(&bytes[copied..i]);
+            out.extend_from_slice(escape);
+            copied = i + 1;
+        }
+        out.extend_from_slice(&bytes[copied..]);
+        out.push(b'"');
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
+    }
+}
+
+impl Wire for Vec<u64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
             }
-            "load" => Ok(TraceEvent::LoadSample {
-                step: req(v, "step")?,
-                min: req(v, "min")?,
-                max: req(v, "max")?,
-                total: req(v, "total")?,
-            }),
-            "req" => Ok(TraceEvent::RequestRouted {
-                step: req(v, "step")?,
-                req: req(v, "req")?,
-                shard: req(v, "shard")?,
-            }),
-            "req_done" => Ok(TraceEvent::RequestCompleted {
-                step: req(v, "step")?,
-                req: req(v, "req")?,
-                shard: req(v, "shard")?,
-                latency_ticks: req(v, "latency_ticks")?,
-            }),
-            "redirect" => Ok(TraceEvent::RequestsRedirected {
-                step: req(v, "step")?,
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                count: req(v, "count")?,
-            }),
-            "handoff" => Ok(TraceEvent::AcceptorHandoff {
-                step: req(v, "step")?,
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                count: req(v, "count")?,
-            }),
-            "arena" => Ok(TraceEvent::ArenaContender {
-                run: req(v, "run")?,
-                label: req(v, "label")?,
-                strategy: req(v, "strategy")?,
-                seed: req(v, "seed")?,
-            }),
-            "run_end" => Ok(TraceEvent::RunFinished {
-                run: req(v, "run")?,
-            }),
-            other => Err(format!("unknown event tag '{other}'")),
+            v.put(out);
+        }
+        out.push(b']');
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
+    }
+}
+
+/// `StepDelta`'s counters: an object in insertion order.
+impl Wire for Vec<(String, u64)> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(b'{');
+        for (i, (key, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            key.put(out);
+            out.push(b':');
+            v.put(out);
+        }
+        out.push(b'}');
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        match dlb_json::field(obj, key)? {
+            Json::Obj(fields) => fields
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), u64::from_json(v)?)))
+                .collect(),
+            _ => Err(format!("'{key}' is not an object")),
         }
     }
 }
@@ -454,6 +385,13 @@ pub trait TraceSink {
 
     /// Flushes any buffered output (no-op by default).
     fn flush(&mut self) {}
+
+    /// Takes the first I/O error the sink hit, if any.  `record` and
+    /// `flush` cannot fail, so a sink that writes somewhere reports
+    /// here; ask once, after the final `flush`.
+    fn take_error(&mut self) -> Option<std::io::Error> {
+        None
+    }
 
     /// Whether emitters should bother constructing events. Stock sinks
     /// return `true`; [`NullSink`] returns `false`, which is what makes
@@ -526,8 +464,14 @@ impl TraceSink for RingSink {
 
 /// Streams events as JSONL to a buffered writer; one event per line,
 /// byte-stable for identical event sequences.
+///
+/// `record` cannot return an error, so the sink keeps the first
+/// `io::Error`, drops every later event, and hands the error back from
+/// [`FileSink::into_inner`] or [`TraceSink::take_error`].
 pub struct FileSink<W: std::io::Write> {
     out: std::io::BufWriter<W>,
+    line: Vec<u8>,
+    error: Option<std::io::Error>,
 }
 
 impl FileSink<std::fs::File> {
@@ -546,27 +490,40 @@ impl<W: std::io::Write> FileSink<W> {
     /// Streams JSONL into an arbitrary writer (tests use `Vec<u8>`).
     pub fn from_writer(w: W) -> Self {
         FileSink {
-            out: std::io::BufWriter::new(w),
+            out: std::io::BufWriter::with_capacity(64 * 1024, w),
+            line: Vec::new(),
+            error: None,
         }
     }
 
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> std::io::Result<W> {
-        self.out.into_inner().map_err(|e| e.into_error())
+    /// Flushes and returns the inner writer, or the first write error.
+    pub fn into_inner(mut self) -> std::io::Result<W> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.out.into_inner().map_err(|e| e.into_error()),
+        }
     }
 }
 
 impl<W: std::io::Write> TraceSink for FileSink<W> {
     fn record(&mut self, event: &TraceEvent) {
-        let mut line = event.to_line();
-        line.push('\n');
-        self.out
-            .write_all(line.as_bytes())
-            .expect("trace write failed");
+        if self.error.is_some() {
+            return;
+        }
+        self.line.clear();
+        event.write_line(&mut self.line);
+        self.line.push(b'\n');
+        self.error = self.out.write_all(&self.line).err();
     }
 
     fn flush(&mut self) {
-        self.out.flush().expect("trace flush failed");
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+    }
+
+    fn take_error(&mut self) -> Option<std::io::Error> {
+        self.error.take()
     }
 }
 
@@ -607,6 +564,11 @@ impl SharedSink {
     pub fn flush(&self) {
         self.inner.lock().expect("sink lock").flush();
     }
+
+    /// Takes the underlying sink's first I/O error, if any.
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        self.inner.lock().expect("sink lock").take_error()
+    }
 }
 
 impl std::fmt::Debug for SharedSink {
@@ -624,6 +586,10 @@ impl TraceSink for SharedSink {
 
     fn flush(&mut self) {
         SharedSink::flush(self);
+    }
+
+    fn take_error(&mut self) -> Option<std::io::Error> {
+        SharedSink::take_error(self)
     }
 
     fn enabled(&self) -> bool {
@@ -765,6 +731,103 @@ mod tests {
         ]
     }
 
+    /// Inputs built to reach every escape, the `null` float rule, the
+    /// 20-digit integer and `{}`'s widest and narrowest float forms.
+    fn hostile_events() -> Vec<TraceEvent> {
+        let nasty = "q\"b\\s\nl\u{1}\r\t\u{1f}\u{7f}é😀";
+        vec![
+            TraceEvent::RunStarted {
+                run: u64::MAX,
+                seed: u64::MAX,
+                n: u64::MAX,
+                strategy: nasty.into(),
+                delta: u64::MAX,
+                f: 1e21,
+                c: u64::MAX,
+            },
+            TraceEvent::BalanceInitiated {
+                step: u64::MAX,
+                initiator: 0,
+                partners: vec![u64::MAX, 0],
+                trigger: f64::INFINITY,
+            },
+            TraceEvent::BalanceInitiated {
+                step: 0,
+                initiator: u64::MAX,
+                partners: vec![],
+                trigger: 1e-7,
+            },
+            TraceEvent::BalanceInitiated {
+                step: 1,
+                initiator: 2,
+                partners: vec![3],
+                trigger: f64::NAN,
+            },
+            TraceEvent::FaultInjected {
+                step: 10,
+                proc: u64::MAX,
+                kind: nasty.into(),
+            },
+            TraceEvent::StepDelta {
+                step: u64::MAX,
+                counters: vec![(nasty.into(), u64::MAX), (String::new(), 0)],
+            },
+            TraceEvent::StepDelta {
+                step: 0,
+                counters: vec![],
+            },
+            TraceEvent::ArenaContender {
+                run: 0,
+                label: nasty.into(),
+                strategy: String::new(),
+                seed: u64::MAX,
+            },
+        ]
+    }
+
+    /// `to_line()` of `sample_events()` then `hostile_events()`, captured
+    /// at commit 6a52c9e from the `Json::render` encoder this one
+    /// replaced.  Every other byte-stability gate is self-consistent
+    /// (encode → parse → encode); these literals are what notices a
+    /// format drift.  Edit them only with a `SCHEMA_VERSION` bump.
+    const GOLDEN_LINES: [&str; 23] = [
+        "{\"t\":\"run_start\",\"run\":3,\"seed\":42,\"n\":64,\"strategy\":\"spaa93-full\",\"delta\":1,\"f\":1.1,\"c\":4}",
+        "{\"t\":\"balance\",\"step\":17,\"init\":5,\"partners\":[9,2,61],\"trigger\":1.25}",
+        "{\"t\":\"packets\",\"step\":17,\"init\":5,\"count\":12}",
+        "{\"t\":\"marker\",\"step\":17,\"init\":5,\"count\":2}",
+        "{\"t\":\"fault\",\"step\":30,\"proc\":7,\"kind\":\"loss\"}",
+        "{\"t\":\"recover\",\"step\":44,\"proc\":7}",
+        "{\"t\":\"profile\",\"step\":17,\"wall_ns\":12345,\"ops\":3}",
+        "{\"t\":\"delta\",\"step\":17,\"counters\":{\"balance_ops\":1,\"packets_migrated\":12}}",
+        "{\"t\":\"load\",\"step\":17,\"min\":0,\"max\":31,\"total\":512}",
+        "{\"t\":\"req\",\"step\":90,\"req\":1001,\"shard\":6}",
+        "{\"t\":\"req_done\",\"step\":95,\"req\":1001,\"shard\":6,\"latency_ticks\":5}",
+        "{\"t\":\"redirect\",\"step\":96,\"from\":6,\"to\":2,\"count\":14}",
+        "{\"t\":\"handoff\",\"step\":97,\"from\":0,\"to\":1,\"count\":9}",
+        "{\"t\":\"arena\",\"run\":3,\"label\":\"quasirandom\",\"strategy\":\"quasirandom\",\"seed\":99}",
+        "{\"t\":\"run_end\",\"run\":3}",
+        "{\"t\":\"run_start\",\"run\":18446744073709551615,\"seed\":18446744073709551615,\"n\":18446744073709551615,\"strategy\":\"q\\\"b\\\\s\\nl\\u0001\\r\\t\\u001f\u{7f}é😀\",\"delta\":18446744073709551615,\"f\":1000000000000000000000,\"c\":18446744073709551615}",
+        "{\"t\":\"balance\",\"step\":18446744073709551615,\"init\":0,\"partners\":[18446744073709551615,0],\"trigger\":null}",
+        "{\"t\":\"balance\",\"step\":0,\"init\":18446744073709551615,\"partners\":[],\"trigger\":0.0000001}",
+        "{\"t\":\"balance\",\"step\":1,\"init\":2,\"partners\":[3],\"trigger\":null}",
+        "{\"t\":\"fault\",\"step\":10,\"proc\":18446744073709551615,\"kind\":\"q\\\"b\\\\s\\nl\\u0001\\r\\t\\u001f\u{7f}é😀\"}",
+        "{\"t\":\"delta\",\"step\":18446744073709551615,\"counters\":{\"q\\\"b\\\\s\\nl\\u0001\\r\\t\\u001f\u{7f}é😀\":18446744073709551615,\"\":0}}",
+        "{\"t\":\"delta\",\"step\":0,\"counters\":{}}",
+        "{\"t\":\"arena\",\"run\":0,\"label\":\"q\\\"b\\\\s\\nl\\u0001\\r\\t\\u001f\u{7f}é😀\",\"strategy\":\"\",\"seed\":18446744073709551615}",
+    ];
+
+    #[test]
+    fn lines_match_the_bytes_of_the_encoder_this_replaced() {
+        let events: Vec<TraceEvent> = sample_events()
+            .into_iter()
+            .chain(hostile_events())
+            .collect();
+        assert_eq!(events.len(), GOLDEN_LINES.len());
+        for (ev, golden) in events.iter().zip(GOLDEN_LINES) {
+            assert_eq!(ev.to_line(), golden, "{ev:?}");
+        }
+    }
+
     #[test]
     fn every_variant_round_trips_through_jsonl() {
         for ev in sample_events() {
@@ -795,6 +858,16 @@ mod tests {
     fn unknown_tag_is_rejected() {
         assert!(TraceEvent::from_line("{\"t\":\"nope\"}").is_err());
         assert!(TraceEvent::from_line("not json").is_err());
+    }
+
+    #[test]
+    fn malformed_fields_are_rejected_by_name() {
+        let missing = TraceEvent::from_line(r#"{"t":"packets","step":1,"init":2}"#);
+        assert!(missing.unwrap_err().contains("count"));
+        let mistyped = TraceEvent::from_line(r#"{"t":"delta","step":1,"counters":[]}"#);
+        assert_eq!(mistyped.unwrap_err(), "'counters' is not an object");
+        let negative = TraceEvent::from_line(r#"{"t":"delta","step":1,"counters":{"a":-1}}"#);
+        assert!(negative.is_err());
     }
 
     #[test]
@@ -829,6 +902,53 @@ mod tests {
         for (line, ev) in lines.iter().zip(sample_events()) {
             assert_eq!(TraceEvent::from_line(line).expect("parse"), ev);
         }
+    }
+
+    /// Accepts `room` bytes, then fails every write like a full disk.
+    struct FullAfter {
+        room: usize,
+    }
+
+    impl std::io::Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn file_sink_keeps_the_first_io_error_instead_of_panicking() {
+        // Enough events to overflow the sink's 64 KiB buffer, so the
+        // failure surfaces inside `record`, not only at the flush.
+        let mut sink = FileSink::from_writer(FullAfter { room: 100 });
+        for _ in 0..200 {
+            for ev in sample_events() {
+                sink.record(&ev);
+            }
+        }
+        let err = sink.take_error().expect("the write error is kept");
+        assert_eq!(err.to_string(), "disk full");
+        assert!(sink.take_error().is_none(), "taken once");
+
+        // A failure that only shows at the final flush is reported too,
+        // through `into_inner` and through a `SharedSink`.
+        let mut small = FileSink::from_writer(FullAfter { room: 0 });
+        small.record(&TraceEvent::RunFinished { run: 0 });
+        assert!(small.into_inner().is_err());
+        let shared = SharedSink::new(FileSink::from_writer(FullAfter { room: 0 }));
+        shared.record(&TraceEvent::RunFinished { run: 0 });
+        assert!(shared.take_error().is_none(), "still buffered");
+        shared.flush();
+        assert_eq!(shared.take_error().expect("kept").to_string(), "disk full");
+        assert!(SharedSink::new(BufferSink::new()).take_error().is_none());
     }
 
     #[test]

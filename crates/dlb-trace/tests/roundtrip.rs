@@ -1,20 +1,24 @@
 //! Property tests: every `TraceEvent` survives event → JSONL → event,
-//! and the re-rendered line is byte-identical to the first rendering
-//! (the invariant the CI trace-schema gate relies on).
+//! the re-rendered line is byte-identical to the first rendering (the
+//! invariant the CI trace-schema gate relies on), and the line is
+//! exactly `dlb-json`'s compact canonical form.
 
+use dlb_json::Json;
 use dlb_trace::TraceEvent;
 use proptest::prelude::*;
 
-const STRATEGY_NAMES: [&str; 4] = ["spaa93-full", "spaa93-simple", "random", "async"];
-const FAULT_KINDS: [&str; 4] = ["loss", "transfer_loss", "duplicate", "crash"];
-const COUNTER_NAMES: [&str; 6] = [
-    "balance_ops",
-    "packets_migrated",
-    "markers_migrated",
-    "messages",
-    "generated",
-    "consumed",
-];
+/// Arbitrary text from raw draws (the vendored proptest has no `char`
+/// strategy): every other character comes from the first 128 code
+/// points — controls, quotes, backslash — the rest from all of Unicode.
+fn text(draws: &[u32]) -> String {
+    draws
+        .iter()
+        .map(|&d| {
+            let code = (d >> 1) % if d & 1 == 0 { 0x80 } else { 0x11_0000 };
+            char::from_u32(code).unwrap_or('\u{fffd}') // a surrogate
+        })
+        .collect()
+}
 
 fn check(ev: TraceEvent) -> Result<(), TestCaseError> {
     let line = ev.to_line();
@@ -22,6 +26,11 @@ fn check(ev: TraceEvent) -> Result<(), TestCaseError> {
         .map_err(|e| TestCaseError::fail(format!("parse failed: {e} on {line}")))?;
     prop_assert_eq!(&ev, &back, "value round-trip, line: {}", line);
     prop_assert_eq!(&line, &back.to_line(), "byte round-trip");
+    let canonical = Json::parse(&line).map_err(TestCaseError::fail)?.render();
+    prop_assert_eq!(&line, &canonical, "dlb-json's compact form");
+    let mut appended = b"kept".to_vec();
+    ev.write_line(&mut appended);
+    prop_assert_eq!(appended, format!("kept{line}").into_bytes(), "append");
     Ok(())
 }
 
@@ -31,7 +40,7 @@ proptest! {
         run in any::<u64>(),
         seed in any::<u64>(),
         n in any::<u64>(),
-        name_idx in 0usize..STRATEGY_NAMES.len(),
+        strategy in prop::collection::vec(any::<u32>(), 0..12),
         delta in any::<u64>(),
         // Mix fractional and whole-valued f (whole f64s render as bare
         // integers and must decode back losslessly).
@@ -43,7 +52,7 @@ proptest! {
         let f = f_int as f64 + if whole { 0.0 } else { f_frac };
         check(TraceEvent::RunStarted {
             run, seed, n,
-            strategy: STRATEGY_NAMES[name_idx].to_string(),
+            strategy: text(&strategy),
             delta, f, c,
         })?;
     }
@@ -83,12 +92,9 @@ proptest! {
     fn fault_injected_round_trips(
         step in any::<u64>(),
         proc in any::<u64>(),
-        kind_idx in 0usize..FAULT_KINDS.len(),
+        kind in prop::collection::vec(any::<u32>(), 0..12),
     ) {
-        check(TraceEvent::FaultInjected {
-            step, proc,
-            kind: FAULT_KINDS[kind_idx].to_string(),
-        })?;
+        check(TraceEvent::FaultInjected { step, proc, kind: text(&kind) })?;
     }
 
     #[test]
@@ -108,15 +114,18 @@ proptest! {
     #[test]
     fn step_delta_round_trips(
         step in any::<u64>(),
-        picks in prop::collection::vec((0usize..COUNTER_NAMES.len(), any::<u64>()), 0..6),
+        picks in prop::collection::vec(
+            (prop::collection::vec(any::<u32>(), 0..4), any::<u64>()),
+            0..6,
+        ),
     ) {
         // One entry per distinct counter, like the emitter produces
         // (duplicate object keys would not survive a round-trip).
         let mut seen = std::collections::HashSet::new();
         let counters: Vec<(String, u64)> = picks
             .into_iter()
-            .filter(|(i, _)| seen.insert(*i))
-            .map(|(i, v)| (COUNTER_NAMES[i].to_string(), v))
+            .map(|(name, v)| (text(&name), v))
+            .filter(|(name, _)| seen.insert(name.clone()))
             .collect();
         check(TraceEvent::StepDelta { step, counters })?;
     }
@@ -168,6 +177,21 @@ proptest! {
         count in any::<u64>(),
     ) {
         check(TraceEvent::AcceptorHandoff { step, from, to, count })?;
+    }
+
+    #[test]
+    fn arena_contender_round_trips(
+        run in any::<u64>(),
+        label in prop::collection::vec(any::<u32>(), 0..12),
+        strategy in prop::collection::vec(any::<u32>(), 0..12),
+        seed in any::<u64>(),
+    ) {
+        check(TraceEvent::ArenaContender {
+            run,
+            label: text(&label),
+            strategy: text(&strategy),
+            seed,
+        })?;
     }
 
     #[test]
