@@ -282,8 +282,8 @@ pub struct RawCluster<R: BalanceRule> {
     /// [`BalanceRule::WAVE_THRESHOLD`]): operations the queue accepts
     /// run in conflict-free waves, the rest execute at the trigger.
     wave: WaveQueue<OpOutcome<R::Outcome>>,
-    /// Lazy min/max heaps backing [`LoadBalancer::load_summary`];
-    /// observer state, built on the first query (`None` until then, so
+    /// Load counts backing [`LoadBalancer::load_summary`]; observer
+    /// state, built on the first query (`None` until then, so
     /// unobserved runs pay one branch per load change).
     summary: Option<SummaryTracker>,
 }
@@ -350,7 +350,7 @@ impl<R: BalanceRule> RawCluster<R> {
     #[inline]
     fn note_load(&mut self, i: usize) {
         if let Some(tracker) = self.summary.as_mut() {
-            tracker.note(i, &self.loads);
+            tracker.note(i, self.loads[i]);
         }
     }
 
@@ -631,21 +631,21 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
     }
 
     fn load_summary(&mut self) -> LoadSummary {
-        if self.summary.is_none() {
-            self.summary = Some(SummaryTracker::new(&self.loads));
-        }
         let (min, max) = self
             .summary
-            .as_mut()
-            .expect("just installed")
-            .min_max(&self.loads);
+            .get_or_insert_with(|| SummaryTracker::new(&self.loads))
+            .min_max();
         // Packet conservation (checked by `check_invariants`): total
         // load is initial + generated − consumed.
-        LoadSummary {
+        let summary = LoadSummary {
             min,
             max,
             total: self.initial_total + self.metrics.generated - self.metrics.consumed,
-        }
+        };
+        // A load write that skipped `note_load` skews every later
+        // report; debug builds pay the O(n) scan to fail at once.
+        debug_assert_eq!(summary, LoadSummary::from_loads(&self.loads));
+        summary
     }
 
     fn metrics(&self) -> &Metrics {

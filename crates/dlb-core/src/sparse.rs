@@ -4,12 +4,32 @@
 //! a processor holds packets (and markers) of few classes — its own plus
 //! whatever balancing brought in — while the dense `d`/`b` matrices are
 //! `n × n`.  A [`SparseRow`] stores one processor's row as a sorted list
-//! of active class ids with a parallel value arena, so a full-model
+//! of active class ids with parallel values, so a full-model
 //! cluster costs O(Σ active classes) memory instead of O(n²) and every
 //! row operation costs O(active) or O(log active) instead of O(n).  This
 //! is what lets [`crate::Cluster`] simulate n ≥ 2¹⁸ processors (see
 //! `BENCH_core.json`'s `large` rows); the naive dense original in
 //! [`crate::reference`] is the bit-identity oracle at small sizes.
+//!
+//! # Representation
+//!
+//! A row of at most [`INLINE`] entries lives *in place*: the 32-byte
+//! `SparseRow` itself holds the keys and values, so a processor whose
+//! rows are that short — the common case at large n, where a processor
+//! holds its own class plus at most one visitor — owns no heap block
+//! and reading its row is reading its record.  The first insert past
+//! `INLINE` *spills* the row into one heap block holding both arrays —
+//! `cap` value slots followed by `cap` key slots — which doubles when
+//! full.  One block, not a vector per array: a spilled row is one
+//! pointer away from its record and its keys sit next to its values,
+//! which at n ≥ 2¹⁶, where every hop is a cache miss, is worth ~20 % of
+//! a §7-workload step over a boxed pair of vectors.  A spilled row
+//! stays spilled when it shrinks, keeping its capacity the way
+//! `Vec::clear` does — a balance operation clears and rebuilds every
+//! member row, and a wide row that bounced between the two forms would
+//! allocate on every rebuild.  Which form a row is in is invisible from
+//! outside: [`SparseRow::keys`]/[`SparseRow::vals`] hand out slices
+//! either way and `==` compares entries.
 //!
 //! Invariants (checked by [`crate::Cluster::check_invariants`] and the
 //! debug assertions here):
@@ -19,14 +39,110 @@
 //!   key, so `keys` *is* the active-class set;
 //! * `keys.len() == vals.len()`.
 
-/// One processor's sparse class row: sorted active class ids plus a
-/// parallel growable value arena.  Absent keys read as zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SparseRow {
-    /// Strictly ascending active class ids.
-    keys: Vec<u32>,
-    /// `vals[k]` is the value of class `keys[k]`; always positive.
-    vals: Vec<u64>,
+/// Entries a row keeps in place before it spills to the heap.  Two is
+/// what fits beside the tag in 32 bytes, and with it both rows of a
+/// processor fit its 128-byte record (see `cluster.rs`).
+pub const INLINE: usize = 2;
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots are the row; the rest are stale.
+    Inline {
+        len: u8,
+        keys: [u32; INLINE],
+        vals: [u64; INLINE],
+    },
+    /// A spilled row: `block` is `cap` value slots followed by `cap`
+    /// key slots packed two to a word (see [`split`]), of which the
+    /// first `len` of each are the row.  `cap` is even.
+    Heap {
+        len: u32,
+        cap: u32,
+        block: Box<[u64]>,
+    },
+}
+
+/// Splits a spilled row's block into its `cap` value slots and `cap`
+/// key slots.
+#[inline]
+fn split(block: &[u64], cap: usize) -> (&[u64], &[u32]) {
+    debug_assert_eq!(block.len(), cap + cap / 2);
+    let (vals, packed) = block.split_at(cap);
+    // SAFETY: `packed` is `packed.len()` initialised, 8-aligned words
+    // borrowed for the returned lifetime, so the same bytes are
+    // `2 · packed.len()` u32s: u32 needs only 4-byte alignment and
+    // every bit pattern is a valid u32.
+    let keys = unsafe { std::slice::from_raw_parts(packed.as_ptr().cast(), 2 * packed.len()) };
+    (vals, keys)
+}
+
+/// [`split`] for writing.
+#[inline]
+fn split_mut(block: &mut [u64], cap: usize) -> (&mut [u64], &mut [u32]) {
+    debug_assert_eq!(block.len(), cap + cap / 2);
+    let (vals, packed) = block.split_at_mut(cap);
+    // SAFETY: as in `split`; `packed` is borrowed mutably and not used
+    // again, so the returned slice is the only path to these bytes, and
+    // any u32 written leaves the words initialised.
+    let keys =
+        unsafe { std::slice::from_raw_parts_mut(packed.as_mut_ptr().cast(), 2 * packed.len()) };
+    (vals, keys)
+}
+
+/// Opens slot `pos` among the first `n` entries and writes `(c, v)`.
+#[inline]
+fn shift_in(keys: &mut [u32], vals: &mut [u64], n: usize, pos: usize, c: u32, v: u64) {
+    // An append — every entry of a balance write-back — moves nothing;
+    // skipping the two zero-length `memmove` calls is worth having.
+    if pos < n {
+        keys.copy_within(pos..n, pos + 1);
+        vals.copy_within(pos..n, pos + 1);
+    }
+    keys[pos] = c;
+    vals[pos] = v;
+}
+
+/// Closes slot `pos` among the first `n` entries, returning its value.
+#[inline]
+fn shift_out(keys: &mut [u32], vals: &mut [u64], n: usize, pos: usize) -> u64 {
+    let v = vals[pos];
+    keys.copy_within(pos + 1..n, pos);
+    vals.copy_within(pos + 1..n, pos);
+    v
+}
+
+/// One processor's sparse class row: sorted active class ids with
+/// parallel values, in place up to [`INLINE`] entries and on the heap
+/// beyond (see the module docs).  Absent keys read as zero.
+#[derive(Clone)]
+pub struct SparseRow(Repr);
+
+const _: () = assert!(std::mem::size_of::<SparseRow>() <= 32 && INLINE & 1 == 0);
+
+impl Default for SparseRow {
+    fn default() -> Self {
+        SparseRow(Repr::Inline {
+            len: 0,
+            keys: [0; INLINE],
+            vals: [0; INLINE],
+        })
+    }
+}
+
+/// Rows are equal when they hold the same entries, whichever form each
+/// is in.
+impl PartialEq for SparseRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.keys() == other.keys() && self.vals() == other.vals()
+    }
+}
+
+impl Eq for SparseRow {}
+
+impl std::fmt::Debug for SparseRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl SparseRow {
@@ -37,51 +153,126 @@ impl SparseRow {
 
     /// A row holding `v` units of class `c` (empty when `v == 0`).
     pub fn with_entry(c: u32, v: u64) -> Self {
-        if v == 0 {
-            SparseRow::default()
-        } else {
-            SparseRow {
-                keys: vec![c],
-                vals: vec![v],
-            }
+        let mut row = SparseRow::default();
+        if v > 0 {
+            row.push(c, v);
         }
+        row
     }
 
     /// Number of active (nonzero) classes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.keys.len()
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Heap { len, .. } => *len as usize,
+        }
     }
 
     /// Whether every class is zero.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
     /// The sorted active class ids.
     #[inline]
     pub fn keys(&self) -> &[u32] {
-        &self.keys
+        match &self.0 {
+            Repr::Inline { len, keys, .. } => &keys[..*len as usize],
+            Repr::Heap { len, cap, block } => &split(block, *cap as usize).1[..*len as usize],
+        }
     }
 
     /// The values parallel to [`SparseRow::keys`].
     #[inline]
     pub fn vals(&self) -> &[u64] {
-        &self.vals
+        match &self.0 {
+            Repr::Inline { len, vals, .. } => &vals[..*len as usize],
+            Repr::Heap { len, block, .. } => &block[..*len as usize],
+        }
+    }
+
+    #[inline]
+    fn vals_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Repr::Inline { len, vals, .. } => &mut vals[..*len as usize],
+            Repr::Heap { len, block, .. } => &mut block[..*len as usize],
+        }
     }
 
     /// Entries in ascending class order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.keys.iter().copied().zip(self.vals.iter().copied())
+        self.keys().iter().copied().zip(self.vals().iter().copied())
+    }
+
+    /// Entries the row holds before its next insert must grow it.
+    #[inline]
+    fn capacity(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => INLINE,
+            Repr::Heap { cap, .. } => *cap as usize,
+        }
+    }
+
+    /// Moves a full row into a fresh block of twice the capacity
+    /// (which stays even: `INLINE` is, and blocks only double).
+    #[cold]
+    fn grow(&mut self) {
+        let n = self.len();
+        let cap = u32::try_from(2 * n).expect("keys are distinct u32s");
+        let mut block = vec![0u64; 3 * n].into_boxed_slice();
+        let (vals, keys) = split_mut(&mut block, 2 * n);
+        keys[..n].copy_from_slice(self.keys());
+        vals[..n].copy_from_slice(self.vals());
+        self.0 = Repr::Heap {
+            len: cap / 2,
+            cap,
+            block,
+        };
+    }
+
+    /// Inserts the entry `(c, v)` at position `pos` of the sorted order.
+    #[inline]
+    fn insert_at(&mut self, pos: usize, c: u32, v: u64) {
+        if self.len() == self.capacity() {
+            self.grow();
+        }
+        match &mut self.0 {
+            Repr::Inline { len, keys, vals } => {
+                shift_in(keys, vals, *len as usize, pos, c, v);
+                *len += 1;
+            }
+            Repr::Heap { len, cap, block } => {
+                let (vals, keys) = split_mut(block, *cap as usize);
+                shift_in(keys, vals, *len as usize, pos, c, v);
+                *len += 1;
+            }
+        }
+    }
+
+    /// Removes the entry at position `pos`, returning its value.
+    #[inline]
+    fn remove_at(&mut self, pos: usize) -> u64 {
+        match &mut self.0 {
+            Repr::Inline { len, keys, vals } => {
+                *len -= 1;
+                shift_out(keys, vals, *len as usize + 1, pos)
+            }
+            Repr::Heap { len, cap, block } => {
+                let (vals, keys) = split_mut(block, *cap as usize);
+                *len -= 1;
+                shift_out(keys, vals, *len as usize + 1, pos)
+            }
+        }
     }
 
     /// The value of class `c` (zero when inactive).  O(log active).
     #[inline]
     pub fn get(&self, c: u32) -> u64 {
-        match self.keys.binary_search(&c) {
-            Ok(pos) => self.vals[pos],
+        match self.keys().binary_search(&c) {
+            Ok(pos) => self.vals()[pos],
             Err(_) => 0,
         }
     }
@@ -90,12 +281,9 @@ impl SparseRow {
     #[inline]
     pub fn add(&mut self, c: u32, x: u64) {
         debug_assert!(x > 0);
-        match self.keys.binary_search(&c) {
-            Ok(pos) => self.vals[pos] += x,
-            Err(pos) => {
-                self.keys.insert(pos, c);
-                self.vals.insert(pos, x);
-            }
+        match self.keys().binary_search(&c) {
+            Ok(pos) => self.vals_mut()[pos] += x,
+            Err(pos) => self.insert_at(pos, c, x),
         }
     }
 
@@ -108,33 +296,31 @@ impl SparseRow {
     pub fn sub(&mut self, c: u32, x: u64) {
         debug_assert!(x > 0);
         let pos = self
-            .keys
+            .keys()
             .binary_search(&c)
             .expect("sub from an inactive class");
-        debug_assert!(self.vals[pos] >= x);
-        self.vals[pos] -= x;
-        if self.vals[pos] == 0 {
-            self.keys.remove(pos);
-            self.vals.remove(pos);
+        let v = &mut self.vals_mut()[pos];
+        debug_assert!(*v >= x);
+        *v -= x;
+        if *v == 0 {
+            self.remove_at(pos);
         }
     }
 
     /// Sets class `c` to `v`, activating or deactivating as needed.
     #[inline]
     pub fn set(&mut self, c: u32, v: u64) {
-        match self.keys.binary_search(&c) {
+        match self.keys().binary_search(&c) {
             Ok(pos) => {
                 if v == 0 {
-                    self.keys.remove(pos);
-                    self.vals.remove(pos);
+                    self.remove_at(pos);
                 } else {
-                    self.vals[pos] = v;
+                    self.vals_mut()[pos] = v;
                 }
             }
             Err(pos) => {
                 if v > 0 {
-                    self.keys.insert(pos, c);
-                    self.vals.insert(pos, v);
+                    self.insert_at(pos, c, v);
                 }
             }
         }
@@ -143,20 +329,20 @@ impl SparseRow {
     /// Removes class `c` entirely, returning the units it held.
     #[inline]
     pub fn take(&mut self, c: u32) -> u64 {
-        match self.keys.binary_search(&c) {
-            Ok(pos) => {
-                self.keys.remove(pos);
-                self.vals.remove(pos)
-            }
+        match self.keys().binary_search(&c) {
+            Ok(pos) => self.remove_at(pos),
             Err(_) => 0,
         }
     }
 
-    /// Deactivates every class (capacity retained for reuse).
+    /// Deactivates every class (a spilled row keeps its capacity for
+    /// reuse).
     #[inline]
     pub fn clear(&mut self) {
-        self.keys.clear();
-        self.vals.clear();
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Heap { len, .. } => *len = 0,
+        }
     }
 
     /// Appends an entry with `v > 0`; `c` must exceed every present key.
@@ -165,36 +351,38 @@ impl SparseRow {
     #[inline]
     pub fn push(&mut self, c: u32, v: u64) {
         debug_assert!(v > 0);
-        debug_assert!(self.keys.last().is_none_or(|&last| last < c));
-        self.keys.push(c);
-        self.vals.push(v);
+        debug_assert!(self.keys().last().is_none_or(|&last| last < c));
+        self.insert_at(self.len(), c, v);
     }
 
     /// Sum of all values.  O(active).
     pub fn sum(&self) -> u64 {
-        self.vals.iter().sum()
+        self.vals().iter().sum()
     }
 
     /// Heap bytes currently reserved by this row (capacity, not length —
-    /// what the process actually pays).
+    /// what the process actually pays); zero while the row is in place.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<u32>()
-            + self.vals.capacity() * std::mem::size_of::<u64>()
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Heap { block, .. } => std::mem::size_of_val(&**block),
+        }
     }
 
     /// Verifies the structural invariants, returning the first violation.
     pub fn check(&self) -> Result<(), String> {
-        if self.keys.len() != self.vals.len() {
+        let (keys, vals) = (self.keys(), self.vals());
+        if keys.len() != vals.len() {
             return Err(format!(
                 "key/value length mismatch: {} != {}",
-                self.keys.len(),
-                self.vals.len()
+                keys.len(),
+                vals.len()
             ));
         }
-        if !self.keys.windows(2).all(|w| w[0] < w[1]) {
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
             return Err("keys not strictly sorted".into());
         }
-        if self.vals.contains(&0) {
+        if vals.contains(&0) {
             return Err("row holds a zero entry".into());
         }
         Ok(())
@@ -281,6 +469,8 @@ pub fn nth_diff(a: &[u32], b: &[u32], pick: usize) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn add_sub_set_roundtrip() {
@@ -340,6 +530,91 @@ mod tests {
         let mut empty = Vec::new();
         merge_sorted_into(&mut empty, &[3, 5], &mut buf);
         assert_eq!(empty, vec![3, 5]);
+    }
+
+    /// The row `model` describes, built the way a balance write-back
+    /// builds one — in place when it fits.
+    fn row_of(model: &BTreeMap<u32, u64>) -> SparseRow {
+        let mut row = SparseRow::new();
+        for (&c, &v) in model {
+            row.push(c, v);
+        }
+        row
+    }
+
+    proptest! {
+        /// Model-based: any sequence of the public operations leaves the
+        /// row holding exactly what a `BTreeMap` holds.  Eight keys keep
+        /// the length wandering through `INLINE − 1 ..= INLINE + 2` in
+        /// both directions, so rows spill, shrink while spilled, empty
+        /// and refill.  Equality is by content: the row equals a fresh
+        /// one with the same entries and one that was forced to spill.
+        #[test]
+        fn any_operation_sequence_matches_a_btreemap(
+            ops in prop::collection::vec((0u8..8, 0u32..8, 0u64..4), 0..120),
+        ) {
+            let mut row = SparseRow::new();
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            for (op, c, x) in ops {
+                let held = model.get(&c).copied().unwrap_or(0);
+                let top = model.keys().next_back().copied();
+                match op {
+                    0 | 1 => {
+                        row.add(c, x + 1);
+                        *model.entry(c).or_insert(0) += x + 1;
+                    }
+                    2 if held > 0 => {
+                        let x = 1 + x % held;
+                        row.sub(c, x);
+                        if held == x {
+                            model.remove(&c);
+                        } else {
+                            model.insert(c, held - x);
+                        }
+                    }
+                    3 => {
+                        row.set(c, x);
+                        if x == 0 {
+                            model.remove(&c);
+                        } else {
+                            model.insert(c, x);
+                        }
+                    }
+                    4 => prop_assert_eq!(row.take(c), model.remove(&c).unwrap_or(0)),
+                    5 if top.is_none_or(|t| t < c) => {
+                        row.push(c, x + 1);
+                        model.insert(c, x + 1);
+                    }
+                    6 if x == 0 => {
+                        row.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(row.check(), Ok(()));
+                prop_assert_eq!(row.keys(), model.keys().copied().collect::<Vec<_>>());
+                prop_assert_eq!(row.vals(), model.values().copied().collect::<Vec<_>>());
+                prop_assert_eq!(row.len(), model.len());
+                prop_assert_eq!(row.is_empty(), model.is_empty());
+                prop_assert_eq!(row.sum(), model.values().sum::<u64>());
+                for k in 0..9 {
+                    prop_assert_eq!(row.get(k), model.get(&k).copied().unwrap_or(0));
+                }
+                let fresh = row_of(&model);
+                prop_assert_eq!(fresh.heap_bytes() == 0, model.len() <= INLINE);
+                let mut spilled = fresh.clone();
+                for k in 0..=INLINE as u32 {
+                    spilled.push(100 + k, 1);
+                }
+                for k in 0..=INLINE as u32 {
+                    spilled.take(100 + k);
+                }
+                prop_assert!(spilled.heap_bytes() > 0);
+                prop_assert_eq!(&row, &fresh);
+                prop_assert_eq!(&row, &spilled);
+                prop_assert_eq!(&fresh, &spilled);
+            }
+        }
     }
 
     #[test]

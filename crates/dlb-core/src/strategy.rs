@@ -118,9 +118,10 @@ pub trait LoadBalancer {
     /// total.  Per-step observers that only need these (the CLI recorder,
     /// `LoadSample` trace rows) call this instead of cloning the full
     /// O(n) load vector.  Takes `&mut self` so engines can maintain the
-    /// answer incrementally (lazy heaps built on first call); the default
-    /// scans [`LoadBalancer::loads`], which is correct for every balancer
-    /// but O(n).
+    /// answer incrementally (a count per load value, two counter updates
+    /// per load change; the query advances a min and a max cursor); the
+    /// default scans [`LoadBalancer::loads`], which is correct for every
+    /// balancer but O(n).
     fn load_summary(&mut self) -> LoadSummary {
         LoadSummary::from_loads(&self.loads())
     }

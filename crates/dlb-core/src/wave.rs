@@ -43,6 +43,8 @@ use dlb_pool::par_map;
 /// Deferred balancing operations of one engine (see the module docs).
 /// `O` is the engine's per-operation outcome, folded in trigger order.
 pub struct WaveQueue<O> {
+    /// Processors the queue spans.
+    n: usize,
     /// Workers a wave is dispatched on; 1 never defers.
     jobs: usize,
     /// Minimum operation count for deferring a step and for
@@ -56,7 +58,10 @@ pub struct WaveQueue<O> {
     members: Vec<usize>,
     /// End offset into `members` of each queued operation.
     ends: Vec<usize>,
-    /// Per-processor flag: member of some queued operation.
+    /// Per-processor flag: member of some queued operation.  Like
+    /// `wave_mark`, empty until [`WaveQueue::set_jobs`] asks for more
+    /// than one job: a sequential queue never defers, so it never reads
+    /// either.
     queued: Vec<bool>,
     /// Planner scratch: 1 + index of the last wave touching a
     /// processor (zeroed outside [`WaveQueue::execute`]).
@@ -71,6 +76,7 @@ pub struct WaveQueue<O> {
 impl<O> Default for WaveQueue<O> {
     fn default() -> Self {
         WaveQueue {
+            n: 0,
             jobs: 1,
             threshold: 0,
             prev_step_ops: 0,
@@ -90,9 +96,8 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
     /// An empty, sequential (`jobs = 1`) queue over `n` processors.
     pub fn new(n: usize, threshold: usize) -> Self {
         WaveQueue {
+            n,
             threshold,
-            queued: vec![false; n],
-            wave_mark: vec![0; n],
             ..Self::default()
         }
     }
@@ -100,6 +105,10 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
     /// See [`crate::LoadBalancer::set_step_jobs`].
     pub fn set_jobs(&mut self, jobs: usize) {
         self.jobs = jobs.max(1);
+        if self.jobs > 1 && self.queued.len() < self.n {
+            self.queued = vec![false; self.n];
+            self.wave_mark = vec![0; self.n];
+        }
     }
 
     /// See [`crate::LoadBalancer::set_wave_threshold`].
@@ -107,7 +116,8 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
         self.threshold = threshold;
     }
 
-    /// Heap bytes of the per-processor planner state.
+    /// Heap bytes of the per-processor planner state (none while the
+    /// queue has only ever been sequential).
     pub fn heap_bytes(&self) -> usize {
         self.queued.capacity() + 4 * self.wave_mark.capacity()
     }
@@ -131,10 +141,11 @@ impl<O: Copy + Default + Send> WaveQueue<O> {
     }
 
     /// Whether processor `i` is a member of a queued operation, i.e.
-    /// its state is stale until the next flush.
+    /// its state is stale until the next flush.  With nothing queued —
+    /// always, for a sequential queue — no per-processor state is read.
     #[inline]
     pub fn involves(&self, i: usize) -> bool {
-        self.queued[i]
+        !self.is_empty() && self.queued[i]
     }
 
     /// Whether nothing is queued.
@@ -261,15 +272,18 @@ mod tests {
     #[test]
     fn defer_gate_follows_previous_step_op_count() {
         let mut q: WaveQueue<u64> = WaveQueue::new(8, 2);
-        // One job never defers.
+        // One job never defers, and owns no per-processor state.
         assert!(!q.push(&[0, 1]));
         assert!(!q.push(&[2, 3]));
+        assert!(!q.involves(1));
+        assert_eq!(q.heap_bytes(), 0);
         q.end_step();
         assert!(!q.push(&[0, 1]));
         assert!(!q.push(&[2, 3]));
         q.end_step();
         // Several jobs do once the previous step reached the threshold.
         q.set_jobs(4);
+        assert_eq!(q.heap_bytes(), 8 * 5);
         assert!(q.push(&[0, 1]));
         assert!(q.involves(1) && !q.involves(2));
         q.execute(|m| m[0] as u64);

@@ -42,7 +42,8 @@
 //! writing JSON — the CI gate that the sparse engine actually reaches
 //! 10⁵-processor scale.  `--sparse-smoke` runs one time-bounded
 //! event-driven cell (n = 2²⁰, 1 % activity) with its dense equivalence
-//! witness and exits without writing JSON.  `--check <baseline>`
+//! witness, asserts the state stays within 192 B per processor, and
+//! exits without writing JSON.  `--check <baseline>`
 //! re-runs the baseline's matrix (including its `large` and
 //! `sparse_step` rows, if present) and exits non-zero if any checksum
 //! differs from the committed file (timings are machine-dependent;
@@ -251,6 +252,8 @@ struct SparseCell {
     sparse_ms: f64,
     dense_ms: f64,
     fp: String,
+    /// `Cluster::state_bytes` after the sparse run.
+    state_bytes: usize,
 }
 
 /// Times the full engine through `step_sparse` at `n` with the given
@@ -271,6 +274,7 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
     let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
     cluster.check_invariants().expect("sparse-step invariants");
     let fp = fingerprint(&cluster);
+    let state_bytes = cluster.state_bytes();
 
     let mut workload = SparseActivity::new(n, pattern, 9);
     let mut dense = Cluster::new(params, 1);
@@ -295,6 +299,7 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
         sparse_ms,
         dense_ms,
         fp,
+        state_bytes,
     }
 }
 
@@ -305,14 +310,21 @@ fn sparse_smoke() -> ! {
     let (n, (_, gap), steps) = (SPARSE_N, SPARSE_LEVELS[0], 100usize);
     println!("bench_core --sparse-smoke: full engine, n={n}, {steps} steps, 1% activity\n");
     let cell = run_sparse_cell(n, gap, steps);
+    let per_proc = cell.state_bytes / cell.n;
     println!(
-        "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step",
+        "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step  {per_proc} B/proc",
         cell.n, cell.sparse_ms, cell.dense_ms, cell.fp, cell.active_per_step
     );
     assert!(
         cell.sparse_ms < 60_000.0,
         "sparse smoke must finish {steps} steps at n={n} in < 60 s, took {:.0} ms",
         cell.sparse_ms
+    );
+    // One 128-byte record per processor plus the few rows that spilled:
+    // at this activity the layout has fattened if that passes 192.
+    assert!(
+        per_proc <= 192,
+        "full-model state at n={n} must stay within 192 B/proc, uses {per_proc}"
     );
     std::process::exit(0);
 }

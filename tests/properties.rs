@@ -4,11 +4,63 @@
 
 use dlb::core::balance::{distribute_capped, distribute_classes, even_shares, spread};
 use dlb::core::batch::{step_batch, BatchEvent};
-use dlb::core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params};
+use dlb::core::{
+    Cluster, ExchangePolicy, LoadBalancer, LoadEvent, LoadSummary, Params, SimpleCluster,
+};
 use dlb::faults::{CrashEvent, CrashMode, FaultPlan, PartitionEvent};
-use dlb::net::{AsyncConfig, AsyncNetwork};
+use dlb::net::{AsyncConfig, AsyncNetwork, PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb::theory::operators::{fix, fix_limit, g_op};
 use proptest::prelude::*;
+
+/// Steps `balancer` through `rows` under the crash mask `down` (lifted
+/// every third step, so the crashed rejoin), alternating dense and
+/// sparse masked stepping, and after every step holds the incremental
+/// [`LoadBalancer::load_summary`] against a scan of the loads.
+fn summary_tracks_scan<B: LoadBalancer>(
+    mut balancer: B,
+    jobs: usize,
+    down: &[bool],
+    rows: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
+    let n = balancer.n();
+    balancer.set_step_jobs(jobs);
+    // Threshold 0: with several jobs every operation is deferred and
+    // its loads reach the observer through the wave fold.
+    balancer.set_wave_threshold(0);
+    for (t, row) in rows.iter().enumerate() {
+        let events: Vec<LoadEvent> = (0..n)
+            .map(|i| match row[i % row.len()] {
+                0 => LoadEvent::Generate,
+                1 => LoadEvent::Consume,
+                _ => LoadEvent::Idle,
+            })
+            .collect();
+        let mask = if t % 3 == 2 {
+            vec![false; n]
+        } else {
+            down.to_vec()
+        };
+        if t % 2 == 0 {
+            balancer.step_masked(&events, &mask);
+        } else {
+            let active: Vec<(usize, LoadEvent)> = events
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, e)| e != LoadEvent::Idle)
+                .collect();
+            balancer.step_sparse_masked(&active, &mask);
+        }
+        prop_assert_eq!(
+            balancer.load_summary(),
+            LoadSummary::from_loads(&balancer.loads()),
+            "{} after step {}",
+            balancer.name(),
+            t
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     /// `even_shares` conserves the total, spreads ≤ 1 and is sorted
@@ -162,7 +214,7 @@ proptest! {
     ) {
         let n = 6;
         let params = Params::paper_section7(n);
-        let mut cluster = dlb::core::SimpleCluster::new(params, seed);
+        let mut cluster = SimpleCluster::new(params, seed);
         for chunk in events_code.chunks(n) {
             if chunk.len() < n { break; }
             let events: Vec<LoadEvent> = chunk.iter().map(|&c| match c {
@@ -269,7 +321,7 @@ proptest! {
     ) {
         let n = 6;
         let params = Params::paper_section7(n);
-        let mut cluster = dlb::core::SimpleCluster::with_initial_load(params, seed, 20);
+        let mut cluster = SimpleCluster::with_initial_load(params, seed, 20);
         let down: Vec<bool> = (0..n).map(|p| mask_bits >> p & 1 == 1).collect();
         let frozen_loads: Vec<(usize, u64)> =
             (0..n).filter(|&p| down[p]).map(|p| (p, cluster.load(p))).collect();
@@ -288,6 +340,37 @@ proptest! {
         for (p, load) in frozen_loads {
             prop_assert_eq!(cluster.load(p), load, "down processor {} drifted", p);
         }
+    }
+
+    /// The engines' incremental load observer agrees with a scan after
+    /// every step: full model, practical variant and topology variant,
+    /// sequential and through the wave fold, under a crash mask, dense
+    /// and sparse.  Initial loads sit well inside the observer's flat
+    /// counting range (0, 3), astride its upper end at 2¹⁶ (so single
+    /// packets carry the extrema across it in both directions) and
+    /// beyond it (70 000); `f` barely above 1 makes every event balance
+    /// even at those loads.
+    #[test]
+    fn load_summary_matches_a_scan_after_every_step(
+        seed in 0u64..500,
+        pick in 0usize..5,
+        near_one in any::<bool>(),
+        jobs_four in any::<bool>(),
+        mask_bits in 0u32..64,
+        rows in prop::collection::vec(prop::collection::vec(0u8..3, 3..7), 1..40),
+    ) {
+        let n = 6;
+        let initial = [0, 3, 65_533, 65_538, 70_000][pick];
+        let f = if near_one { 1.000_01 } else { 1.1 };
+        let params = Params::new(n, 2, f, 4).unwrap();
+        let jobs = if jobs_four { 4 } else { 1 };
+        let down: Vec<bool> = (0..n).map(|p| mask_bits >> p & 1 == 1).collect();
+        summary_tracks_scan(Cluster::with_initial_load(params, seed, initial), jobs, &down, &rows)?;
+        summary_tracks_scan(
+            SimpleCluster::with_initial_load(params, seed, initial), jobs, &down, &rows,
+        )?;
+        let ring = TopoRule::new(Topology::Ring { n }, PartnerMode::Neighbors);
+        summary_tracks_scan(TopoCluster::with_rule(params, ring, seed), jobs, &down, &rows)?;
     }
 
     /// §2's batch decomposition: total generation equals the batch sum,
