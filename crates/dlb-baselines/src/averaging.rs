@@ -13,7 +13,7 @@
 
 use crate::adjacency::Adjacency;
 use crate::apply_events;
-use dlb_core::{LoadBalancer, LoadEvent, Metrics};
+use dlb_core::{Events, LoadBalancer, Metrics};
 use dlb_net::Topology;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
@@ -44,8 +44,19 @@ impl DynamicAveraging {
             step: 0,
         }
     }
+}
 
-    fn step_impl(&mut self, events: &[LoadEvent], down: Option<&[bool]>) {
+impl LoadBalancer for DynamicAveraging {
+    fn n(&self) -> usize {
+        self.loads.len()
+    }
+
+    fn loads_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.loads);
+    }
+
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
         apply_events(&mut self.loads, &mut self.metrics, events, down);
         let DynamicAveraging {
             adj,
@@ -111,30 +122,6 @@ impl DynamicAveraging {
         }
         *step += 1;
     }
-}
-
-impl LoadBalancer for DynamicAveraging {
-    fn n(&self) -> usize {
-        self.loads.len()
-    }
-
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
-    fn loads_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.loads);
-    }
-
-    fn step(&mut self, events: &[LoadEvent]) {
-        self.step_impl(events, None);
-    }
-
-    fn step_masked(&mut self, events: &[LoadEvent], down: &[bool]) {
-        assert_eq!(events.len(), down.len(), "event/mask length mismatch");
-        self.step_impl(events, Some(down));
-    }
 
     fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -152,7 +139,7 @@ impl LoadBalancer for DynamicAveraging {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::imbalance_stats;
+    use dlb_core::{imbalance_stats, LoadEvent};
 
     fn spike_events(n: usize) -> Vec<LoadEvent> {
         let mut ev = vec![LoadEvent::Idle; n];

@@ -12,7 +12,7 @@
 //! 2-D tori the four row/column matchings.  Fully deterministic.
 
 use crate::apply_events;
-use dlb_core::{LoadBalancer, LoadEvent, Metrics};
+use dlb_core::{Events, LoadBalancer, Metrics};
 use dlb_net::Topology;
 use dlb_trace::{SharedSink, TraceEvent};
 
@@ -104,8 +104,19 @@ impl DimensionExchange {
             step: 0,
         }
     }
+}
 
-    fn step_impl(&mut self, events: &[LoadEvent], down: Option<&[bool]>) {
+impl LoadBalancer for DimensionExchange {
+    fn n(&self) -> usize {
+        self.loads.len()
+    }
+
+    fn loads_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.loads);
+    }
+
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
         apply_events(&mut self.loads, &mut self.metrics, events, down);
         let DimensionExchange {
             phases,
@@ -146,30 +157,6 @@ impl DimensionExchange {
         }
         *step += 1;
     }
-}
-
-impl LoadBalancer for DimensionExchange {
-    fn n(&self) -> usize {
-        self.loads.len()
-    }
-
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
-    fn loads_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.loads);
-    }
-
-    fn step(&mut self, events: &[LoadEvent]) {
-        self.step_impl(events, None);
-    }
-
-    fn step_masked(&mut self, events: &[LoadEvent], down: &[bool]) {
-        assert_eq!(events.len(), down.len(), "event/mask length mismatch");
-        self.step_impl(events, Some(down));
-    }
 
     fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -187,7 +174,7 @@ impl LoadBalancer for DimensionExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_core::imbalance_stats;
+    use dlb_core::{imbalance_stats, LoadEvent};
 
     fn spike_events(n: usize) -> Vec<LoadEvent> {
         let mut ev = vec![LoadEvent::Idle; n];

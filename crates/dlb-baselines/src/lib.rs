@@ -49,7 +49,7 @@ pub use dimension_exchange::DimensionExchange;
 pub use local_opt::LocallyOptimal;
 pub use quasirandom::Quasirandom;
 
-use dlb_core::{LoadBalancer, LoadEvent, Metrics};
+use dlb_core::{Events, LoadBalancer, LoadEvent, Metrics};
 use dlb_net::Topology;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -63,33 +63,24 @@ use rand_chacha::ChaCha8Rng;
 pub(crate) fn apply_events(
     loads: &mut [u64],
     metrics: &mut Metrics,
-    events: &[LoadEvent],
+    events: Events<'_>,
     down: Option<&[bool]>,
 ) {
-    assert_eq!(events.len(), loads.len(), "one event per processor");
-    if let Some(d) = down {
-        assert_eq!(d.len(), loads.len(), "one mask entry per processor");
-    }
-    for (i, &ev) in events.iter().enumerate() {
-        if down.is_some_and(|d| d[i]) {
-            continue;
+    events.for_each_up(loads.len(), down, |i, ev| match ev {
+        LoadEvent::Generate => {
+            loads[i] += 1;
+            metrics.generated += 1;
         }
-        match ev {
-            LoadEvent::Generate => {
-                loads[i] += 1;
-                metrics.generated += 1;
+        LoadEvent::Consume => {
+            if loads[i] > 0 {
+                loads[i] -= 1;
+                metrics.consumed += 1;
+            } else {
+                metrics.consume_blocked += 1;
             }
-            LoadEvent::Consume => {
-                if loads[i] > 0 {
-                    loads[i] -= 1;
-                    metrics.consumed += 1;
-                } else {
-                    metrics.consume_blocked += 1;
-                }
-            }
-            LoadEvent::Idle => {}
         }
-    }
+        LoadEvent::Idle => {}
+    });
 }
 
 /// Null strategy: no migration at all.
@@ -113,17 +104,13 @@ impl LoadBalancer for NoBalance {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
     fn loads_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.loads);
     }
 
-    fn step(&mut self, events: &[LoadEvent]) {
-        apply_events(&mut self.loads, &mut self.metrics, events, None);
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        apply_events(&mut self.loads, &mut self.metrics, events, down);
     }
 
     fn metrics(&self) -> &Metrics {
@@ -162,12 +149,8 @@ impl LoadBalancer for RandomScatter {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
-    fn step(&mut self, events: &[LoadEvent]) {
-        apply_events(&mut self.loads, &mut self.metrics, events, None);
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        apply_events(&mut self.loads, &mut self.metrics, events, down);
         // Scatter phase: ship whole queues to random targets.  Moves are
         // computed against the pre-scatter snapshot so a queue moves once.
         let n = self.loads.len();
@@ -247,36 +230,29 @@ impl LoadBalancer for Rsu91 {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
     fn loads_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.loads);
     }
 
-    fn step(&mut self, events: &[LoadEvent]) {
-        assert_eq!(events.len(), self.loads.len(), "one event per processor");
-        for (i, &ev) in events.iter().enumerate() {
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
-                    self.metrics.generated += 1;
-                    self.maybe_balance(i);
-                }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.metrics.consumed += 1;
-                        self.maybe_balance(i);
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        events.for_each_up(self.loads.len(), down, |i, ev| match ev {
+            LoadEvent::Generate => {
+                self.loads[i] += 1;
+                self.metrics.generated += 1;
+                self.maybe_balance(i);
             }
-        }
+            LoadEvent::Consume => {
+                if self.loads[i] > 0 {
+                    self.loads[i] -= 1;
+                    self.metrics.consumed += 1;
+                    self.maybe_balance(i);
+                } else {
+                    self.metrics.consume_blocked += 1;
+                }
+            }
+            LoadEvent::Idle => {}
+        });
     }
 
     fn metrics(&self) -> &Metrics {
@@ -351,17 +327,13 @@ impl LoadBalancer for Gradient {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
     fn loads_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.loads);
     }
 
-    fn step(&mut self, events: &[LoadEvent]) {
-        apply_events(&mut self.loads, &mut self.metrics, events, None);
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        apply_events(&mut self.loads, &mut self.metrics, events, down);
         // Migration phase: every overloaded node forwards one packet one
         // hop down the demand gradient.
         self.gradient_field();
@@ -483,17 +455,13 @@ impl LoadBalancer for Diffusion {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
     fn loads_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.loads);
     }
 
-    fn step(&mut self, events: &[LoadEvent]) {
-        apply_events(&mut self.loads, &mut self.metrics, events, None);
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        apply_events(&mut self.loads, &mut self.metrics, events, down);
         self.diffuse();
     }
 
@@ -534,10 +502,6 @@ impl LoadBalancer for WorkStealing {
         self.loads.len()
     }
 
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
     fn loads_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.loads);
@@ -545,8 +509,8 @@ impl LoadBalancer for WorkStealing {
 
     // Audit note: the steal phase below mutates `loads` in place and
     // allocates nothing per step — already scratch-buffer clean.
-    fn step(&mut self, events: &[LoadEvent]) {
-        apply_events(&mut self.loads, &mut self.metrics, events, None);
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+        apply_events(&mut self.loads, &mut self.metrics, events, down);
         // Steal phase: every empty processor robs half a random victim.
         let n = self.loads.len();
         for thief in 0..n {

@@ -270,347 +270,114 @@ fn pair_json<T: ToJson>(pair: &(T, T)) -> Json {
     Json::Arr(vec![pair.0.to_json(), pair.1.to_json()])
 }
 
-impl ToJson for TopologyConfig {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        let kind = match self {
-            TopologyConfig::Complete => "complete",
-            TopologyConfig::Ring => "ring",
-            TopologyConfig::Torus { w, h } => {
-                fields.push(("w".into(), w.to_json()));
-                fields.push(("h".into(), h.to_json()));
-                "torus"
+/// Generates the whole JSON surface of a `kind`-tagged config enum from
+/// one row per kind — `"tag" => Variant { field: codec, … }`, fields in
+/// document order, the JSON key being the field's name: `ToJson`,
+/// `FromJson` (strict: the row's fields are the only keys accepted beside
+/// `kind`) and `kind()`.  Codecs: `req` (required), `or(default)`
+/// (optional), `pair(default)` (optional `[lo, hi]`).  A row may wrap its
+/// variant in a slot of an outer one: `[Outer.slot] Inner::Variant { … }`.
+macro_rules! kind_table {
+    ($ty:ident, $what:literal:
+        $( $tag:literal => $([$outer:ident . $slot:ident])? $($variant:ident)::+ {
+            $( $field:ident : $codec:ident $(($default:expr))? ),*
+        } ),* $(,)?
+    ) => {
+        impl $ty {
+            /// The JSON `kind` tag of this value.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ { .. }) => $tag, )*
+                }
             }
-            TopologyConfig::Hypercube { dim } => {
-                fields.push(("dim".into(), dim.to_json()));
-                "hypercube"
-            }
-            TopologyConfig::DeBruijn { dim } => {
-                fields.push(("dim".into(), dim.to_json()));
-                "de-bruijn"
-            }
-            TopologyConfig::Star => "star",
-        };
-        let mut obj = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        obj.extend(fields);
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for TopologyConfig {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let kind = kind_of(value, "topology")?;
-        let allowed: &[&str] = match kind {
-            "torus" => &["kind", "w", "h"],
-            "hypercube" | "de-bruijn" => &["kind", "dim"],
-            _ => &["kind"],
-        };
-        dlb_json::reject_unknown(value, allowed)?;
-        match kind {
-            "complete" => Ok(TopologyConfig::Complete),
-            "ring" => Ok(TopologyConfig::Ring),
-            "torus" => Ok(TopologyConfig::Torus {
-                w: dlb_json::req(value, "w")?,
-                h: dlb_json::req(value, "h")?,
-            }),
-            "hypercube" => Ok(TopologyConfig::Hypercube {
-                dim: dlb_json::req(value, "dim")?,
-            }),
-            "de-bruijn" => Ok(TopologyConfig::DeBruijn {
-                dim: dlb_json::req(value, "dim")?,
-            }),
-            "star" => Ok(TopologyConfig::Star),
-            other => Err(format!("unknown topology kind {other:?}")),
         }
-    }
-}
 
-impl ToJson for StrategyConfig {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        let kind = match self {
-            StrategyConfig::Full { delta, f, c } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                fields.push(("c".into(), c.to_json()));
-                "full"
+        impl ToJson for $ty {
+            fn to_json(&self) -> Json {
+                let mut obj = vec![("kind".to_string(), Json::Str(self.kind().to_string()))];
+                match self {
+                    $( kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ { $($field),* }) => {
+                        $( obj.push((
+                            stringify!($field).to_string(),
+                            kind_table!(@encode $codec $field),
+                        )); )*
+                    } )*
+                }
+                Json::Obj(obj)
             }
-            StrategyConfig::Simple { delta, f } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                "simple"
-            }
-            StrategyConfig::Async { delta, f, latency } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                fields.push(("latency".into(), latency.to_json()));
-                "async"
-            }
-            StrategyConfig::Weighted { delta, f, speeds } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                fields.push(("speeds".into(), speeds.to_json()));
-                "weighted"
-            }
-            StrategyConfig::Topo {
-                delta,
-                f,
-                topology,
-                neighbors_only,
-            } => {
-                fields.push(("delta".into(), delta.to_json()));
-                fields.push(("f".into(), f.to_json()));
-                fields.push(("topology".into(), topology.to_json()));
-                fields.push(("neighbors_only".into(), neighbors_only.to_json()));
-                "topo"
-            }
-            StrategyConfig::Rsu91 => "rsu91",
-            StrategyConfig::WorkStealing => "work-stealing",
-            StrategyConfig::RandomScatter => "random-scatter",
-            StrategyConfig::Diffusion { topology, alpha } => {
-                fields.push(("topology".into(), topology.to_json()));
-                fields.push(("alpha".into(), alpha.to_json()));
-                "diffusion"
-            }
-            StrategyConfig::Gradient {
-                topology,
-                low,
-                high,
-            } => {
-                fields.push(("topology".into(), topology.to_json()));
-                fields.push(("low".into(), low.to_json()));
-                fields.push(("high".into(), high.to_json()));
-                "gradient"
-            }
-            StrategyConfig::Quasirandom { topology } => {
-                fields.push(("topology".into(), topology.to_json()));
-                "quasirandom"
-            }
-            StrategyConfig::DynamicAveraging { topology } => {
-                fields.push(("topology".into(), topology.to_json()));
-                "dynamic-averaging"
-            }
-            StrategyConfig::LocallyOptimal { topology } => {
-                fields.push(("topology".into(), topology.to_json()));
-                "locally-optimal"
-            }
-            StrategyConfig::DimensionExchange { topology } => {
-                fields.push(("topology".into(), topology.to_json()));
-                "dimension-exchange"
-            }
-            StrategyConfig::None => "none",
-        };
-        let mut obj = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        obj.extend(fields);
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for StrategyConfig {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let kind = kind_of(value, "strategy")?;
-        let allowed: &[&str] = match kind {
-            "full" => &["kind", "delta", "f", "c"],
-            "simple" => &["kind", "delta", "f"],
-            "async" => &["kind", "delta", "f", "latency"],
-            "weighted" => &["kind", "delta", "f", "speeds"],
-            "topo" => &["kind", "delta", "f", "topology", "neighbors_only"],
-            "diffusion" => &["kind", "topology", "alpha"],
-            "gradient" => &["kind", "topology", "low", "high"],
-            "quasirandom" | "dynamic-averaging" | "locally-optimal" | "dimension-exchange" => {
-                &["kind", "topology"]
-            }
-            _ => &["kind"],
-        };
-        dlb_json::reject_unknown(value, allowed)?;
-        match kind {
-            "full" => Ok(StrategyConfig::Full {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-                c: dlb_json::field_or(value, "c", default_c())?,
-            }),
-            "simple" => Ok(StrategyConfig::Simple {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-            }),
-            "async" => Ok(StrategyConfig::Async {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-                latency: dlb_json::field_or(value, "latency", default_latency())?,
-            }),
-            "weighted" => Ok(StrategyConfig::Weighted {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-                speeds: dlb_json::req(value, "speeds")?,
-            }),
-            "topo" => Ok(StrategyConfig::Topo {
-                delta: dlb_json::req(value, "delta")?,
-                f: dlb_json::req(value, "f")?,
-                topology: dlb_json::req(value, "topology")?,
-                neighbors_only: dlb_json::field_or(value, "neighbors_only", false)?,
-            }),
-            "rsu91" => Ok(StrategyConfig::Rsu91),
-            "work-stealing" => Ok(StrategyConfig::WorkStealing),
-            "random-scatter" => Ok(StrategyConfig::RandomScatter),
-            "diffusion" => Ok(StrategyConfig::Diffusion {
-                topology: dlb_json::req(value, "topology")?,
-                alpha: dlb_json::req(value, "alpha")?,
-            }),
-            "gradient" => Ok(StrategyConfig::Gradient {
-                topology: dlb_json::req(value, "topology")?,
-                low: dlb_json::req(value, "low")?,
-                high: dlb_json::req(value, "high")?,
-            }),
-            "quasirandom" => Ok(StrategyConfig::Quasirandom {
-                topology: dlb_json::req(value, "topology")?,
-            }),
-            "dynamic-averaging" => Ok(StrategyConfig::DynamicAveraging {
-                topology: dlb_json::req(value, "topology")?,
-            }),
-            "locally-optimal" => Ok(StrategyConfig::LocallyOptimal {
-                topology: dlb_json::req(value, "topology")?,
-            }),
-            "dimension-exchange" => Ok(StrategyConfig::DimensionExchange {
-                topology: dlb_json::req(value, "topology")?,
-            }),
-            "none" => Ok(StrategyConfig::None),
-            other => Err(format!("unknown strategy kind {other:?}")),
         }
-    }
-}
 
-impl ToJson for WorkloadConfig {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        let kind = match self {
-            WorkloadConfig::Phase { g, c, len } => {
-                fields.push(("g".into(), pair_json(g)));
-                fields.push(("c".into(), pair_json(c)));
-                fields.push(("len".into(), pair_json(len)));
-                "phase"
-            }
-            WorkloadConfig::OneProducer { producer } => {
-                fields.push(("producer".into(), producer.to_json()));
-                "one-producer"
-            }
-            WorkloadConfig::Uniform { p_gen, p_con } => {
-                fields.push(("p_gen".into(), p_gen.to_json()));
-                fields.push(("p_con".into(), p_con.to_json()));
-                "uniform"
-            }
-            WorkloadConfig::MovingHotspot { period, p_con } => {
-                fields.push(("period".into(), period.to_json()));
-                fields.push(("p_con".into(), p_con.to_json()));
-                "moving-hotspot"
-            }
-            WorkloadConfig::Split { swap_every } => {
-                fields.push(("swap_every".into(), swap_every.to_json()));
-                "split"
-            }
-            WorkloadConfig::Sparse { pattern } => match pattern {
-                SparsePattern::Phase { work, gap } => {
-                    fields.push(("work".into(), work.to_json()));
-                    fields.push(("gap".into(), pair_json(gap)));
-                    "sparse-phase"
+        impl FromJson for $ty {
+            fn from_json(value: &Json) -> Result<Self, String> {
+                match kind_of(value, $what)? {
+                    $( $tag => {
+                        dlb_json::reject_unknown(value, &["kind", $(stringify!($field)),*])?;
+                        Ok(kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ {
+                            $( $field: kind_table!(
+                                @decode $codec $(($default))? value stringify!($field)
+                            ) ),*
+                        }))
+                    } )*
+                    other => {
+                        dlb_json::reject_unknown(value, &["kind"])?;
+                        Err(format!("unknown {} kind {other:?}", $what))
+                    }
                 }
-                SparsePattern::Hotspot {
-                    period,
-                    consumer_gap,
-                } => {
-                    fields.push(("period".into(), period.to_json()));
-                    fields.push(("consumer_gap".into(), consumer_gap.to_json()));
-                    "sparse-hotspot"
-                }
-                SparsePattern::Bursty {
-                    burst,
-                    quiet,
-                    quiet_gap,
-                } => {
-                    fields.push(("burst".into(), burst.to_json()));
-                    fields.push(("quiet".into(), quiet.to_json()));
-                    fields.push(("quiet_gap".into(), quiet_gap.to_json()));
-                    "sparse-bursty"
-                }
-                SparsePattern::Arrivals {
-                    arrival_gap,
-                    service_gap,
-                } => {
-                    fields.push(("arrival_gap".into(), arrival_gap.to_json()));
-                    fields.push(("service_gap".into(), service_gap.to_json()));
-                    "sparse-arrivals"
-                }
-            },
-        };
-        let mut obj = vec![("kind".to_string(), Json::Str(kind.to_string()))];
-        obj.extend(fields);
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for WorkloadConfig {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let kind = kind_of(value, "workload")?;
-        let allowed: &[&str] = match kind {
-            "phase" => &["kind", "g", "c", "len"],
-            "one-producer" => &["kind", "producer"],
-            "uniform" => &["kind", "p_gen", "p_con"],
-            "moving-hotspot" => &["kind", "period", "p_con"],
-            "split" => &["kind", "swap_every"],
-            "sparse-phase" => &["kind", "work", "gap"],
-            "sparse-hotspot" => &["kind", "period", "consumer_gap"],
-            "sparse-bursty" => &["kind", "burst", "quiet", "quiet_gap"],
-            "sparse-arrivals" => &["kind", "arrival_gap", "service_gap"],
-            _ => &["kind"],
-        };
-        dlb_json::reject_unknown(value, allowed)?;
-        match kind {
-            "phase" => Ok(WorkloadConfig::Phase {
-                g: pair(value, "g", default_g())?,
-                c: pair(value, "c", default_cc())?,
-                len: pair(value, "len", default_len())?,
-            }),
-            "one-producer" => Ok(WorkloadConfig::OneProducer {
-                producer: dlb_json::field_or(value, "producer", 0)?,
-            }),
-            "uniform" => Ok(WorkloadConfig::Uniform {
-                p_gen: dlb_json::req(value, "p_gen")?,
-                p_con: dlb_json::req(value, "p_con")?,
-            }),
-            "moving-hotspot" => Ok(WorkloadConfig::MovingHotspot {
-                period: dlb_json::req(value, "period")?,
-                p_con: dlb_json::req(value, "p_con")?,
-            }),
-            "split" => Ok(WorkloadConfig::Split {
-                swap_every: dlb_json::req(value, "swap_every")?,
-            }),
-            "sparse-phase" => Ok(WorkloadConfig::Sparse {
-                pattern: SparsePattern::Phase {
-                    work: dlb_json::field_or(value, "work", 1)?,
-                    gap: pair(value, "gap", (50, 150))?,
-                },
-            }),
-            "sparse-hotspot" => Ok(WorkloadConfig::Sparse {
-                pattern: SparsePattern::Hotspot {
-                    period: dlb_json::req(value, "period")?,
-                    consumer_gap: dlb_json::req(value, "consumer_gap")?,
-                },
-            }),
-            "sparse-bursty" => Ok(WorkloadConfig::Sparse {
-                pattern: SparsePattern::Bursty {
-                    burst: dlb_json::req(value, "burst")?,
-                    quiet: dlb_json::req(value, "quiet")?,
-                    quiet_gap: dlb_json::req(value, "quiet_gap")?,
-                },
-            }),
-            "sparse-arrivals" => Ok(WorkloadConfig::Sparse {
-                pattern: SparsePattern::Arrivals {
-                    arrival_gap: dlb_json::req(value, "arrival_gap")?,
-                    service_gap: dlb_json::req(value, "service_gap")?,
-                },
-            }),
-            other => Err(format!("unknown workload kind {other:?}")),
+            }
         }
-    }
+    };
+    (@wrap [] $($inner:tt)*) => { $($inner)* };
+    (@wrap [$outer:ident . $slot:ident] $($inner:tt)*) => { Self::$outer { $slot: $($inner)* } };
+    (@encode pair $x:ident) => { pair_json($x) };
+    (@encode $codec:ident $x:ident) => { $x.to_json() };
+    (@decode req $v:ident $key:expr) => { dlb_json::req($v, $key)? };
+    (@decode or($d:expr) $v:ident $key:expr) => { dlb_json::field_or($v, $key, $d)? };
+    (@decode pair($d:expr) $v:ident $key:expr) => { pair($v, $key, $d)? };
+}
+
+kind_table! { TopologyConfig, "topology":
+    "complete" => Self::Complete {},
+    "ring" => Self::Ring {},
+    "torus" => Self::Torus { w: req, h: req },
+    "hypercube" => Self::Hypercube { dim: req },
+    "de-bruijn" => Self::DeBruijn { dim: req },
+    "star" => Self::Star {},
+}
+
+kind_table! { StrategyConfig, "strategy":
+    "full" => Self::Full { delta: req, f: req, c: or(default_c()) },
+    "simple" => Self::Simple { delta: req, f: req },
+    "async" => Self::Async { delta: req, f: req, latency: or(default_latency()) },
+    "weighted" => Self::Weighted { delta: req, f: req, speeds: req },
+    "topo" => Self::Topo { delta: req, f: req, topology: req, neighbors_only: or(false) },
+    "rsu91" => Self::Rsu91 {},
+    "work-stealing" => Self::WorkStealing {},
+    "random-scatter" => Self::RandomScatter {},
+    "diffusion" => Self::Diffusion { topology: req, alpha: req },
+    "gradient" => Self::Gradient { topology: req, low: req, high: req },
+    "quasirandom" => Self::Quasirandom { topology: req },
+    "dynamic-averaging" => Self::DynamicAveraging { topology: req },
+    "locally-optimal" => Self::LocallyOptimal { topology: req },
+    "dimension-exchange" => Self::DimensionExchange { topology: req },
+    "none" => Self::None {},
+}
+
+kind_table! { WorkloadConfig, "workload":
+    "phase" => Self::Phase {
+        g: pair(default_g()), c: pair(default_cc()), len: pair(default_len())
+    },
+    "one-producer" => Self::OneProducer { producer: or(0) },
+    "uniform" => Self::Uniform { p_gen: req, p_con: req },
+    "moving-hotspot" => Self::MovingHotspot { period: req, p_con: req },
+    "split" => Self::Split { swap_every: req },
+    "sparse-phase" => [Sparse.pattern] SparsePattern::Phase { work: or(1), gap: pair((50, 150)) },
+    "sparse-hotspot" => [Sparse.pattern] SparsePattern::Hotspot { period: req, consumer_gap: req },
+    "sparse-bursty" => [Sparse.pattern] SparsePattern::Bursty {
+        burst: req, quiet: req, quiet_gap: req
+    },
+    "sparse-arrivals" => [Sparse.pattern] SparsePattern::Arrivals {
+        arrival_gap: req, service_gap: req
+    },
 }
 
 impl ToJson for Scenario {
@@ -1008,5 +775,80 @@ mod tests {
             }
         }
         assert!(seen >= 6, "expected the committed scenario set, saw {seen}");
+    }
+
+    /// The `kind_table!` rows against literal documents: every kind
+    /// emits `kind` first and then its fields in row order, parses back
+    /// to the same value, and the strict decoder keeps the error strings
+    /// users (and the CLI tests) see.
+    #[test]
+    fn kind_tables_emit_parse_and_refuse_exactly() {
+        for (doc, kind) in [
+            (r#"{"kind":"full","delta":2,"f":1.3,"c":4}"#, "full"),
+            (
+                r#"{"kind":"topo","delta":1,"f":1.1,"topology":{"kind":"torus","w":2,"h":4},"neighbors_only":false}"#,
+                "topo",
+            ),
+            (
+                r#"{"kind":"gradient","topology":{"kind":"de-bruijn","dim":3},"low":2,"high":8}"#,
+                "gradient",
+            ),
+            (r#"{"kind":"work-stealing"}"#, "work-stealing"),
+        ] {
+            let parsed = StrategyConfig::from_json(&Json::parse(doc).unwrap()).unwrap();
+            assert_eq!(parsed.kind(), kind);
+            assert_eq!(parsed.to_json().render(), doc);
+        }
+        for doc in [
+            r#"{"kind":"phase","g":[0.1,0.9],"c":[0.1,0.7],"len":[150,400]}"#,
+            r#"{"kind":"sparse-phase","work":1,"gap":[50,150]}"#,
+            r#"{"kind":"sparse-bursty","burst":3,"quiet":40,"quiet_gap":9}"#,
+        ] {
+            let parsed = WorkloadConfig::from_json(&Json::parse(doc).unwrap()).unwrap();
+            assert_eq!(parsed.to_json().render(), doc);
+        }
+        // Defaults fill in exactly where they did.
+        let sparse = WorkloadConfig::from_json(&Json::parse(r#"{"kind":"sparse-phase"}"#).unwrap());
+        assert_eq!(
+            sparse.unwrap(),
+            WorkloadConfig::Sparse {
+                pattern: SparsePattern::Phase {
+                    work: 1,
+                    gap: (50, 150)
+                }
+            }
+        );
+        let err = |doc: &str| StrategyConfig::from_json(&Json::parse(doc).unwrap()).unwrap_err();
+        assert_eq!(
+            err(r#"{"kind":"full","delta":1,"f":1.1,"c":4,"q":1}"#),
+            r#"unknown key "q" (allowed: kind, delta, f, c)"#
+        );
+        assert_eq!(
+            err(r#"{"kind":"rsu91","delta":1}"#),
+            r#"unknown key "delta" (allowed: kind)"#
+        );
+        // An unknown kind with a stray key reports the key first, as before.
+        assert_eq!(
+            err(r#"{"kind":"bogus","x":1}"#),
+            r#"unknown key "x" (allowed: kind)"#
+        );
+        assert_eq!(
+            err(r#"{"kind":"bogus"}"#),
+            r#"unknown strategy kind "bogus""#
+        );
+        assert_eq!(
+            err(r#"{"delta":1}"#),
+            r#"strategy needs a string "kind" field"#
+        );
+        assert_eq!(err(r#"{"kind":"full","delta":1}"#), "missing field 'f'");
+        let werr = |doc: &str| WorkloadConfig::from_json(&Json::parse(doc).unwrap()).unwrap_err();
+        assert_eq!(
+            werr(r#"{"kind":"phase","g":[0.1]}"#),
+            "g must hold exactly [lo, hi], got 1 items"
+        );
+        assert_eq!(
+            werr(r#"{"kind":"sparse-bursty","burst":1}"#),
+            "missing field 'quiet'"
+        );
     }
 }

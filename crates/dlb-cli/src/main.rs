@@ -26,6 +26,8 @@
 //! ```
 
 mod config;
+#[cfg(test)]
+mod contract;
 mod run;
 mod serve;
 

@@ -13,13 +13,13 @@ use dlb_baselines::{
     Quasirandom, RandomScatter, Rsu91, WorkStealing,
 };
 use dlb_core::{
-    Cluster, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster, WeightedCluster,
+    Cluster, Events, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
     league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
 };
 use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
-use dlb_faults::FaultInjector;
+use dlb_faults::{FaultInjector, MaskCursor};
 use dlb_net::{
     AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
 };
@@ -145,7 +145,7 @@ fn build_strategy(scenario: &Scenario, seed: u64) -> Result<Box<dyn LoadBalancer
     build_strategy_config(&scenario.strategy, scenario.n, seed)
 }
 
-fn build_strategy_config(
+pub(crate) fn build_strategy_config(
     config: &StrategyConfig,
     n: usize,
     seed: u64,
@@ -224,27 +224,6 @@ fn build_strategy_config(
     })
 }
 
-/// The JSON `kind` of a strategy (league-table contender labels).
-fn kind_label(config: &StrategyConfig) -> &'static str {
-    match config {
-        StrategyConfig::Full { .. } => "full",
-        StrategyConfig::Simple { .. } => "simple",
-        StrategyConfig::Async { .. } => "async",
-        StrategyConfig::Weighted { .. } => "weighted",
-        StrategyConfig::Topo { .. } => "topo",
-        StrategyConfig::Rsu91 => "rsu91",
-        StrategyConfig::WorkStealing => "work-stealing",
-        StrategyConfig::RandomScatter => "random-scatter",
-        StrategyConfig::Diffusion { .. } => "diffusion",
-        StrategyConfig::Gradient { .. } => "gradient",
-        StrategyConfig::Quasirandom { .. } => "quasirandom",
-        StrategyConfig::DynamicAveraging { .. } => "dynamic-averaging",
-        StrategyConfig::LocallyOptimal { .. } => "locally-optimal",
-        StrategyConfig::DimensionExchange { .. } => "dimension-exchange",
-        StrategyConfig::None => "none",
-    }
-}
-
 fn build_workload(scenario: &Scenario, seed: u64) -> Result<Box<dyn Workload>, String> {
     let n = scenario.n;
     Ok(match &scenario.workload {
@@ -304,47 +283,6 @@ fn build_sparse_workload(
     })
 }
 
-/// Per-step crash masks recomputed only when a crash or rejoin actually
-/// fires: [`FaultInjector::mask_at`] is O(n + crashes), which would
-/// swamp the O(active) sparse step if called every step.
-struct MaskCache {
-    /// Sorted, deduplicated times at which the mask changes.
-    boundaries: Vec<u64>,
-    next: usize,
-    mask: Vec<bool>,
-}
-
-impl MaskCache {
-    fn new(injector: &FaultInjector) -> Self {
-        let mut boundaries: Vec<u64> = injector
-            .crashes()
-            .iter()
-            .flat_map(|c| [Some(c.at), c.recover_at])
-            .flatten()
-            .collect();
-        boundaries.sort_unstable();
-        boundaries.dedup();
-        MaskCache {
-            boundaries,
-            next: 0,
-            mask: Vec::new(),
-        }
-    }
-
-    /// The mask at time `t`; must be queried with non-decreasing `t`.
-    fn at(&mut self, injector: &FaultInjector, t: u64) -> &[bool] {
-        let mut crossed = false;
-        while self.next < self.boundaries.len() && self.boundaries[self.next] <= t {
-            self.next += 1;
-            crossed = true;
-        }
-        if crossed || self.mask.is_empty() {
-            self.mask = injector.mask_at(t);
-        }
-        &self.mask
-    }
-}
-
 /// The fault plan for run `r`: the plan's own seed is re-derived per
 /// run so runs see independent fault streams.
 fn plan_for_run(scenario: &Scenario, r: usize) -> Option<dlb_faults::FaultPlan> {
@@ -402,10 +340,10 @@ fn emit_summary_sample(driver: &dlb_trace::SharedSink, step: u64, summary: dlb_c
 
 /// One run of a synchronous (LoadBalancer) strategy.
 ///
-/// Sparse-capable workloads step through
-/// [`LoadBalancer::step_sparse`] unless `force_dense` is set; both
-/// paths observe the engine through the incremental
-/// [`LoadBalancer::load_summary`] and produce byte-identical output.
+/// Sparse-capable workloads hand [`LoadBalancer::step_events`] their
+/// active list unless `force_dense` is set; both forms observe the
+/// engine through the incremental [`LoadBalancer::load_summary`] and
+/// produce byte-identical output.
 fn run_one_sync(
     scenario: &Scenario,
     r: usize,
@@ -456,41 +394,24 @@ fn run_one_sync(
         Some(plan) => Some(FaultInjector::new(plan, scenario.n)?),
         None => None,
     };
-    let mut masks = injector.as_ref().map(MaskCache::new);
+    let mut masks = injector.as_ref().map(MaskCursor::new);
     let mut events = Vec::new();
     let mut active = Vec::new();
     for t in 0..scenario.steps {
         let started = std::time::Instant::now();
         let ops_before = balancer.metrics().balance_ops;
-        match (&mut sparse_workload, &mut workload) {
+        let step = match (&mut sparse_workload, &mut workload) {
             (Some(w), _) => {
                 w.active_at(t, &mut active);
-                match &injector {
-                    Some(inj) => {
-                        let mask = masks
-                            .as_mut()
-                            .expect("built with injector")
-                            .at(inj, t as u64);
-                        balancer.step_sparse_masked(&active, mask);
-                    }
-                    None => balancer.step_sparse(&active),
-                }
+                Events::Active(&active)
             }
             (None, Some(w)) => {
                 w.events_at(t, &mut events);
-                match &injector {
-                    Some(inj) => {
-                        let mask = masks
-                            .as_mut()
-                            .expect("built with injector")
-                            .at(inj, t as u64);
-                        balancer.step_masked(&events, mask);
-                    }
-                    None => balancer.step(&events),
-                }
+                Events::Dense(&events)
             }
             (None, None) => unreachable!("one workload form is always built"),
-        }
+        };
+        balancer.step_events(step, masks.as_mut().map(|m| m.at(t as u64)));
         let summary = balancer.load_summary();
         recorder.record_summary(summary, scenario.n);
         if tracing {
@@ -699,7 +620,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     let mut labels: Vec<String> = Vec::new();
     for config in std::iter::once(&scenario.strategy).chain(&scenario.balancer) {
         build_strategy_config(config, n, 0)?; // eager validation
-        let base = kind_label(config);
+        let base = config.kind();
         let dups = labels.iter().filter(|l| l.as_str() == base).count();
         let label = if dups == 0 {
             base.to_string()

@@ -81,7 +81,7 @@ pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster, SIMPLE
 pub use snapshot::ClusterSnapshot;
 pub use sparse::SparseRow;
 pub use strategy::{
-    check_sparse_events, imbalance_stats, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary,
+    emit_step_delta, imbalance_stats, Events, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary,
     DEFAULT_WAVE_THRESHOLD,
 };
 pub use weighted::{ProportionalRule, WeightedCluster};

@@ -30,7 +30,7 @@
 use crate::balance::{even_shares_into, sample_into, sample_others_into};
 use crate::metrics::Metrics;
 use crate::params::Params;
-use crate::strategy::{check_sparse_events, LoadBalancer, LoadEvent, LoadSummary};
+use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::SummaryTracker;
 use crate::wave::WaveQueue;
 use dlb_trace::{SharedSink, TraceEvent};
@@ -503,47 +503,40 @@ impl<R: BalanceRule> RawCluster<R> {
         wave.fold(|members, out| self.fold_outcome(members, out, tracing));
         self.wave = wave;
     }
+}
 
-    fn step_impl(&mut self, events: &[LoadEvent], down: &[bool]) {
-        assert_eq!(events.len(), self.params.n(), "one event per processor");
-        self.step_impl_events(events.iter().copied().enumerate(), down);
+impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
+    fn n(&self) -> usize {
+        self.params.n()
     }
 
-    /// Shared body of dense and sparse stepping: processes `(processor,
-    /// event)` pairs in ascending order under an optional crash mask,
-    /// then settles the step.  An idle (or down) processor reads
-    /// nothing, writes nothing and consumes no randomness in the dense
-    /// loop, so a sparse caller that yields only active pairs is
-    /// bit-identical by construction.
-    fn step_impl_events<I: Iterator<Item = (usize, LoadEvent)>>(
-        &mut self,
-        events: I,
-        down: &[bool],
-    ) {
+    fn loads_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.loads);
+    }
+
+    /// Under a crash mask, down processors take no events, never
+    /// initiate, are never picked as partners, and their load is frozen
+    /// in place until they rejoin.
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
         // The mask is fixed for the whole step: refresh the alive cache
         // once here (only when the mask actually changed), not per
         // balancing operation.
-        if down.is_empty() {
-            self.any_down = false;
-        } else {
-            if down != self.mask_cache.as_slice() {
-                self.mask_cache.clear();
-                self.mask_cache.extend_from_slice(down);
-                self.alive.clear();
-                self.alive.extend((0..down.len()).filter(|&p| !down[p]));
+        match down {
+            None => self.any_down = false,
+            Some(down) => {
+                if down != self.mask_cache.as_slice() {
+                    self.mask_cache.clear();
+                    self.mask_cache.extend_from_slice(down);
+                    self.alive.clear();
+                    self.alive.extend((0..down.len()).filter(|&p| !down[p]));
+                }
+                self.any_down = down.iter().any(|&d| d);
             }
-            self.any_down = down.iter().any(|&d| d);
         }
-        let tracing = self.trace_on();
-        let before = if tracing {
-            self.metrics
-        } else {
-            Metrics::new()
-        };
-        for (i, ev) in events {
-            if !down.is_empty() && down[i] {
-                continue; // crashed: no event, no trigger, load frozen
-            }
+        // The counters before the step, kept only if a sink wants the delta.
+        let before = self.trace_on().then_some(self.metrics);
+        events.for_each_up(self.params.n(), down, |i, ev| {
             // A queued balance involving i must land before i acts: the
             // event and the trigger check read loads[i] / l_old[i],
             // which the queued operation rewrites.  (Flag only ever set
@@ -570,64 +563,15 @@ impl<R: BalanceRule> RawCluster<R> {
                 }
                 LoadEvent::Idle => {}
             }
-        }
+        });
         // Operations never outlive their step: the StepDelta below (and
         // any observer between steps) must see fully-settled state.
         self.flush_pending();
         self.wave.end_step();
-        if tracing {
-            let delta = self.metrics.delta_from(&before);
-            let counters: Vec<(String, u64)> = delta
-                .nonzero_fields()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            if !counters.is_empty() {
-                self.emit(TraceEvent::StepDelta {
-                    step: self.step_no,
-                    counters,
-                });
-            }
+        if let (Some(before), Some(sink)) = (&before, &self.sink) {
+            emit_step_delta(sink, self.step_no, before, &self.metrics);
         }
         self.step_no += 1;
-    }
-}
-
-impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
-    fn n(&self) -> usize {
-        self.params.n()
-    }
-
-    fn loads(&self) -> Vec<u64> {
-        self.loads.clone()
-    }
-
-    fn loads_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.loads);
-    }
-
-    fn step(&mut self, events: &[LoadEvent]) {
-        self.step_impl(events, &[]);
-    }
-
-    /// Crash-mask stepping: down processors take no events, never
-    /// initiate, are never picked as partners, and their load is frozen
-    /// in place until they rejoin.
-    fn step_masked(&mut self, events: &[LoadEvent], down: &[bool]) {
-        assert_eq!(events.len(), down.len(), "event/mask length mismatch");
-        self.step_impl(events, down);
-    }
-
-    fn step_sparse(&mut self, active: &[(usize, LoadEvent)]) {
-        check_sparse_events(active, self.params.n());
-        self.step_impl_events(active.iter().copied(), &[]);
-    }
-
-    fn step_sparse_masked(&mut self, active: &[(usize, LoadEvent)], down: &[bool]) {
-        assert_eq!(down.len(), self.params.n(), "mask length mismatch");
-        check_sparse_events(active, self.params.n());
-        self.step_impl_events(active.iter().copied(), down);
     }
 
     fn load_summary(&mut self) -> LoadSummary {
@@ -816,47 +760,6 @@ mod tests {
                 _ => cluster.step(&events),
             }
             cluster.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn step_sparse_is_bit_identical_including_masked() {
-        let params = Params::paper_section7(16);
-        for jobs in [1, 4] {
-            let mut dense = SimpleCluster::with_initial_load(params, 8, 20);
-            dense.set_step_jobs(jobs);
-            let mut sparse = SimpleCluster::with_initial_load(params, 8, 20);
-            sparse.set_step_jobs(jobs);
-            let mut rng = ChaCha8Rng::seed_from_u64(41);
-            let mut down = vec![false; 16];
-            for round in 0..300usize {
-                if round % 60 == 0 {
-                    down[round / 60 % 16] ^= true;
-                }
-                let events: Vec<LoadEvent> = (0..16)
-                    .map(|_| {
-                        let x: f64 = rng.gen();
-                        if x < 0.35 {
-                            LoadEvent::Generate
-                        } else if x < 0.7 {
-                            LoadEvent::Consume
-                        } else {
-                            LoadEvent::Idle
-                        }
-                    })
-                    .collect();
-                let active: Vec<(usize, LoadEvent)> = events
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, e)| e != LoadEvent::Idle)
-                    .collect();
-                dense.step_masked(&events, &down);
-                sparse.step_sparse_masked(&active, &down);
-                assert_eq!(dense.loads(), sparse.loads(), "round {round} jobs={jobs}");
-            }
-            assert_eq!(dense.metrics(), sparse.metrics(), "jobs={jobs}");
-            sparse.check_invariants().unwrap();
         }
     }
 

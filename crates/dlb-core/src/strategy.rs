@@ -42,76 +42,138 @@ impl FromJson for LoadEvent {
     }
 }
 
+/// One global time step's per-processor events, in the form the workload
+/// produced them.  The arm is chosen by the workload, never by a flag: a
+/// pattern that acts everywhere hands over its dense vector (1 byte per
+/// processor, no indices), an event-driven one its active list (O(active)
+/// however large `n` is).  Both mean the same step — an absent pair is
+/// [`LoadEvent::Idle`], and idle reads nothing, writes nothing and
+/// consumes no randomness — so every balancer answers both bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub enum Events<'a> {
+    /// `events[i]` is processor `i`'s action; the length must be `n`.
+    Dense(&'a [LoadEvent]),
+    /// The `(processor, event)` pairs of the processors that act, sorted
+    /// by ascending processor index with no duplicates.
+    Active(&'a [(usize, LoadEvent)]),
+}
+
+impl Events<'_> {
+    /// Validates the step against an `n`-processor balancer — the one
+    /// place the length, sortedness, range and mask-length rules are
+    /// written — then calls `act(i, event)` in ascending order for every
+    /// listed processor that is up.  A crashed processor performs no
+    /// event, so it is simply not yielded.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dense vector or mask of the wrong length and on an
+    /// active list that is unsorted, repeats or leaves `0..n`.
+    #[inline]
+    pub fn for_each_up(
+        self,
+        n: usize,
+        down: Option<&[bool]>,
+        mut act: impl FnMut(usize, LoadEvent),
+    ) {
+        match self {
+            Events::Dense(events) => {
+                assert_eq!(events.len(), n, "one event per processor");
+                match down {
+                    None => events.iter().enumerate().for_each(|(i, &ev)| act(i, ev)),
+                    Some(down) => {
+                        assert_eq!(events.len(), down.len(), "event/mask length mismatch");
+                        for (i, (&ev, &d)) in events.iter().zip(down).enumerate() {
+                            if !d {
+                                act(i, ev);
+                            }
+                        }
+                    }
+                }
+            }
+            Events::Active(active) => {
+                if let Some(down) = down {
+                    assert_eq!(down.len(), n, "mask length mismatch");
+                }
+                let mut prev = None;
+                for &(i, _) in active {
+                    assert!(i < n, "sparse event index {i} out of range (n = {n})");
+                    if let Some(p) = prev {
+                        assert!(p < i, "sparse events must be sorted by ascending processor");
+                    }
+                    prev = Some(i);
+                }
+                match down {
+                    None => active.iter().for_each(|&(i, ev)| act(i, ev)),
+                    Some(down) => active
+                        .iter()
+                        .filter(|&&(i, _)| !down[i])
+                        .for_each(|&(i, ev)| act(i, ev)),
+                }
+            }
+        }
+    }
+}
+
 /// A distributed load balancing strategy driven by per-processor events.
+///
+/// An implementor writes two things: how it advances one step
+/// ([`LoadBalancer::step_events`]) and how it reports its loads
+/// ([`LoadBalancer::loads_into`]).  `step`, `step_masked`, `step_sparse`,
+/// `step_sparse_masked` and `loads` are one-line spellings of those two
+/// for callers that hold a concrete event form; no implementor overrides
+/// them.
 pub trait LoadBalancer {
     /// Number of processors.
     fn n(&self) -> usize;
 
-    /// Current number of packets on each processor.
-    fn loads(&self) -> Vec<u64>;
+    /// Writes the current number of packets on each processor into a
+    /// caller-owned buffer (cleared first).  Per-step observers (quality
+    /// curves, distribution snapshots) call this with one reusable buffer
+    /// per run.
+    fn loads_into(&self, out: &mut Vec<u64>);
 
-    /// Writes the current loads into a caller-owned buffer (cleared
-    /// first).  The default delegates to [`LoadBalancer::loads`]; engines
-    /// on the hot path override it to avoid the per-call allocation —
-    /// per-step observers (quality curves, distribution snapshots) call
-    /// this with one reusable buffer per run.
-    fn loads_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.loads());
+    /// Current number of packets on each processor, freshly allocated.
+    fn loads(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.loads_into(&mut out);
+        out
     }
 
-    /// Advances one global time step; `events[i]` is processor `i`'s
-    /// action.  `events.len()` must equal [`LoadBalancer::n`].
-    fn step(&mut self, events: &[LoadEvent]);
+    /// Advances one global time step (§2): every processor listed in
+    /// `events` generates one packet, consumes one locally available
+    /// packet or idles, and a processor whose load moved by the factor
+    /// `f` balances with `δ` partners.
+    ///
+    /// `down`, when given, is the full-length crash mask of this step:
+    /// `down[i]` marks processor `i` as crashed.  A crashed processor
+    /// performs no event and — in the engines and the topology rivals —
+    /// neither initiates balancing nor serves as a partner, so its load
+    /// is frozen; the strawman baselines only suppress its event.
+    ///
+    /// Implementations walk the step through [`Events::for_each_up`],
+    /// which validates it and makes an idle or crashed processor cost
+    /// nothing, so dense and active input agree bit for bit.
+    fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>);
 
-    /// Advances one global time step given only the *active* processors:
-    /// `active` lists the `(processor, event)` pairs whose event is not
-    /// [`LoadEvent::Idle`], sorted by ascending processor index with no
-    /// duplicates.  Semantically identical to [`LoadBalancer::step`] on
-    /// the densified vector (idle everywhere else) — the engines override
-    /// it to walk only the active pairs, making an idle processor cost
-    /// nothing.  The default densifies, which is correct for every
-    /// balancer but O(n).
+    /// [`LoadBalancer::step_events`] on a dense vector, nobody crashed.
+    fn step(&mut self, events: &[LoadEvent]) {
+        self.step_events(Events::Dense(events), None);
+    }
+
+    /// [`LoadBalancer::step_events`] on an active list, nobody crashed.
     fn step_sparse(&mut self, active: &[(usize, LoadEvent)]) {
-        check_sparse_events(active, self.n());
-        let mut events = vec![LoadEvent::Idle; self.n()];
-        for &(i, ev) in active {
-            events[i] = ev;
-        }
-        self.step(&events);
+        self.step_events(Events::Active(active), None);
     }
 
-    /// Sparse counterpart of [`LoadBalancer::step_masked`]: advances one
-    /// step with only the active `(processor, event)` pairs under a crash
-    /// mask.  `down` is full-length (`n`); `active` is sorted-unique as in
-    /// [`LoadBalancer::step_sparse`].  The default densifies and
-    /// delegates, so sparse and dense masked stepping agree byte for byte
-    /// on any balancer.
+    /// [`LoadBalancer::step_events`] on an active list under a crash mask.
     fn step_sparse_masked(&mut self, active: &[(usize, LoadEvent)], down: &[bool]) {
-        assert_eq!(down.len(), self.n(), "mask length mismatch");
-        check_sparse_events(active, self.n());
-        let mut events = vec![LoadEvent::Idle; self.n()];
-        for &(i, ev) in active {
-            events[i] = ev;
-        }
-        self.step_masked(&events, down);
+        self.step_events(Events::Active(active), Some(down));
     }
 
-    /// Advances one step under a crash mask: `down[i]` marks processor `i`
-    /// as crashed for this step.  A crashed processor performs no event
-    /// (its generate/consume is suppressed) and — for engines that
-    /// override this — neither initiates balancing nor serves as a
-    /// partner, so its load is frozen.  The default implementation only
-    /// masks the events; it is correct for any balancer but does not stop
-    /// down processors from being picked as partners.
+    /// [`LoadBalancer::step_events`] on a dense vector under a crash mask.
     fn step_masked(&mut self, events: &[LoadEvent], down: &[bool]) {
-        assert_eq!(events.len(), down.len(), "event/mask length mismatch");
-        let masked: Vec<LoadEvent> = events
-            .iter()
-            .zip(down.iter())
-            .map(|(&e, &d)| if d { LoadEvent::Idle } else { e })
-            .collect();
-        self.step(&masked);
+        self.step_events(Events::Dense(events), Some(down));
     }
 
     /// Cheap summary of the current load distribution: exact min, max and
@@ -159,18 +221,19 @@ pub trait LoadBalancer {
 /// queued operations per flush, pool dispatch costs more than it saves.
 pub const DEFAULT_WAVE_THRESHOLD: usize = 32;
 
-/// Validates the [`LoadBalancer::step_sparse`] contract: indices
-/// strictly ascending (hence unique) and in range.  O(active), called
-/// by every engine implementation so a malformed list fails loudly
-/// instead of silently diverging from the dense semantics.
-pub fn check_sparse_events(active: &[(usize, LoadEvent)], n: usize) {
-    let mut prev = None;
-    for &(i, _) in active {
-        assert!(i < n, "sparse event index {i} out of range (n = {n})");
-        if let Some(p) = prev {
-            assert!(p < i, "sparse events must be sorted by ascending processor");
-        }
-        prev = Some(i);
+/// Emits the counters `after` accrued since `before` as the step's
+/// `StepDelta` trace event (nothing when no counter moved).  Shared by
+/// both engines and the event simulator, so a trace replays to the exact
+/// final [`Metrics`] whichever substrate wrote it.
+pub fn emit_step_delta(sink: &dlb_trace::SharedSink, step: u64, before: &Metrics, after: &Metrics) {
+    let counters: Vec<(String, u64)> = after
+        .delta_from(before)
+        .nonzero_fields()
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    if !counters.is_empty() {
+        sink.record(&dlb_trace::TraceEvent::StepDelta { step, counters });
     }
 }
 

@@ -15,8 +15,8 @@
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use crate::report::f3;
-use dlb_core::{LoadBalancer, LoadRecorder};
-use dlb_faults::{FaultInjector, FaultPlan};
+use dlb_core::{Events, LoadBalancer, LoadRecorder};
+use dlb_faults::{FaultInjector, FaultPlan, MaskCursor};
 use dlb_trace::{BufferSink, TraceEvent};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
@@ -238,6 +238,7 @@ where
         run_plan.seed = stream_seed(plan.seed, r, StreamId::Faults);
         FaultInjector::new(run_plan, cfg.n).expect("valid fault plan")
     });
+    let mut masks = injector.as_ref().map(MaskCursor::new);
     let mut replay = trace.replay();
     let mut events = Vec::new();
     let mut loads = Vec::with_capacity(cfg.n);
@@ -245,10 +246,8 @@ where
     let mut ratios = vec![0.0f64; cfg.steps];
     for (t, ratio) in ratios.iter_mut().enumerate() {
         replay.events_at(t, &mut events);
-        match &injector {
-            Some(inj) => balancer.step_masked(&events, &inj.mask_at(t as u64)),
-            None => balancer.step(&events),
-        }
+        let down = masks.as_mut().map(|m| m.at(t as u64));
+        balancer.step_events(Events::Dense(&events), down);
         balancer.loads_into(&mut loads);
         recorder.record(&loads);
         let total: u64 = loads.iter().sum();

@@ -6,51 +6,28 @@
 //! 3. global-random partners vs topology-neighbour partners (locality)
 //!    with hop-weighted communication cost on a 2-D torus.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin ablation
+//! Usage: `dlb-exp ablation
 //!         [--n 64] [--steps 500] [--runs 20]`
 
-use dlb_core::{imbalance_stats, Cluster, ExchangePolicy, LoadBalancer, Params, SimpleCluster};
-use dlb_experiments::args::Args;
-use dlb_experiments::quality::paper_trace;
-use dlb_experiments::report::{f3, render_table, write_csv};
+use crate::args::Args;
+use crate::quality::{paper_trace, sampled_quality};
+use crate::report::{f3, render_table, write_csv};
+use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, Params, SimpleCluster};
 use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_workload::drive;
 
+/// `(max/mean, migrated per run, ops per run)` of one variant.
 fn quality<B: LoadBalancer>(
     make: impl Fn(u64) -> B,
     n: usize,
     steps: usize,
     runs: usize,
 ) -> (f64, f64, f64) {
-    let mut ratio = 0.0;
-    let mut samples = 0usize;
-    let mut migrated = 0.0;
-    let mut ops = 0.0;
-    for r in 0..runs {
-        let trace = paper_trace(n, steps, 7000 + r as u64);
-        let mut balancer = make(r as u64);
-        let mut replay = trace.replay();
-        drive(&mut balancer, &mut replay, steps, |t, b| {
-            if t >= 100 && t % 25 == 0 {
-                let stats = imbalance_stats(&b.loads());
-                if stats.mean >= 5.0 {
-                    ratio += stats.max_over_mean;
-                    samples += 1;
-                }
-            }
-        });
-        migrated += balancer.metrics().packets_migrated as f64;
-        ops += balancer.metrics().balance_ops as f64;
-    }
-    (
-        ratio / samples.max(1) as f64,
-        migrated / runs as f64,
-        ops / runs as f64,
-    )
+    let q = sampled_quality(make, n, steps, runs, 7000, 100, 25);
+    (q.max_over_mean, q.migrated, q.ops)
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let steps: usize = args.get("steps", 500);
     let runs: usize = args.get("runs", 20);

@@ -7,7 +7,7 @@
 //! cost is additionally compared against its Lemma 6 budget
 //! (`cost_vs_l6`; 0.000 for contenders without decrease simulations).
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin arena
+//! Usage: `dlb-exp arena
 //!         [--n 64] [--steps 500] [--runs 20] [--seed 61] [--jobs N]
 //!         [--out results/arena.csv] [--svg results/arena.svg]
 //!         [--trace results/arena.jsonl] [--smoke]`
@@ -17,19 +17,19 @@
 //! drift-gate it in seconds.  Output is byte-identical for every
 //! `--jobs` value.
 
+use crate::arena::{
+    league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
+};
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::quality::paper_trace;
+use crate::report::{render_table, write_csv};
+use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_baselines::{
     Diffusion, DimensionExchange, DynamicAveraging, LocallyOptimal, NoBalance, Quasirandom,
     WorkStealing,
 };
 use dlb_core::{Cluster, Params, SimpleCluster};
-use dlb_experiments::arena::{
-    league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
-};
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::quality::paper_trace;
-use dlb_experiments::report::{render_table, write_csv};
-use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_net::Topology;
 use dlb_theory::CostBounds;
@@ -90,8 +90,7 @@ fn fault_plan(n: usize, steps: usize) -> FaultPlan {
     }
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
     let (def_n, def_steps, def_runs, def_out, def_svg) = if smoke {
         (

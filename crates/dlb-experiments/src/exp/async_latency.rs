@@ -5,18 +5,47 @@
 //! the load dynamics (§2 argues the degradation is negligible for
 //! wormhole-routed machines, i.e. the low-latency end).
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin async_latency
+//! Usage: `dlb-exp async_latency
 //!         [--n 64] [--steps 4000]`
 
+use crate::args::Args;
+use crate::report::{f3, render_table, write_csv};
 use dlb_core::{imbalance_stats, Params};
-use dlb_experiments::args::Args;
-use dlb_experiments::report::{f3, render_table, write_csv};
-use dlb_net::{AsyncConfig, AsyncNetwork};
+use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-fn main() {
-    let args = Args::from_env();
+/// Drives one network through the mixed workload (50% generate, 30%
+/// consume, 20% idle per processor and tick) and returns the mean
+/// sampled max/mean ratio with the protocol counters.
+fn drive(config: AsyncConfig, n: usize, steps: u64) -> (f64, AsyncStats) {
+    let mut net = AsyncNetwork::new(config);
+    let mut wl_rng = ChaCha8Rng::seed_from_u64(5);
+    let mut ratio = 0.0;
+    let mut samples = 0usize;
+    for t in 0..steps {
+        let actions: Vec<i8> = (0..n)
+            .map(|_| match wl_rng.gen_range(0..10) {
+                0..=4 => 1,
+                5..=7 => -1,
+                _ => 0,
+            })
+            .collect();
+        net.tick(t, &actions);
+        if t >= steps / 4 && t % 50 == 0 {
+            let stats = imbalance_stats(&net.loads());
+            if stats.mean >= 5.0 {
+                ratio += stats.max_over_mean;
+                samples += 1;
+            }
+        }
+    }
+    net.quiesce();
+    net.check_conservation().expect("conservation");
+    (ratio / samples.max(1) as f64, *net.stats())
+}
+
+pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let steps: u64 = args.get("steps", 4000);
     let out: String = args.get("out", "results/async_latency.csv".to_string());
@@ -28,33 +57,10 @@ fn main() {
     let mut rows = Vec::new();
     for latency in [1u64, 4, 16, 64] {
         let params = Params::new(n, 2, 1.3, 4).expect("valid");
-        let mut net = AsyncNetwork::new(AsyncConfig::reliable(params, latency, 11));
-        let mut wl_rng = ChaCha8Rng::seed_from_u64(5);
-        let mut ratio = 0.0;
-        let mut samples = 0usize;
-        for t in 0..steps {
-            let actions: Vec<i8> = (0..n)
-                .map(|_| match wl_rng.gen_range(0..10) {
-                    0..=4 => 1,
-                    5..=7 => -1,
-                    _ => 0,
-                })
-                .collect();
-            net.tick(t, &actions);
-            if t >= steps / 4 && t % 50 == 0 {
-                let stats = imbalance_stats(&net.loads());
-                if stats.mean >= 5.0 {
-                    ratio += stats.max_over_mean;
-                    samples += 1;
-                }
-            }
-        }
-        net.quiesce();
-        net.check_conservation().expect("conservation");
-        let s = net.stats();
+        let (ratio, s) = drive(AsyncConfig::reliable(params, latency, 11), n, steps);
         rows.push(vec![
             latency.to_string(),
-            f3(ratio / samples.max(1) as f64),
+            f3(ratio),
             s.completed_ops.to_string(),
             s.aborted_ops.to_string(),
             f3(s.aborted_ops as f64 / (s.completed_ops + s.aborted_ops).max(1) as f64),
@@ -77,33 +83,10 @@ fn main() {
         let params = Params::new(n, 2, 1.3, 4).expect("valid");
         let mut cfg = AsyncConfig::reliable(params, 4, 13);
         cfg.control_loss = loss;
-        let mut net = AsyncNetwork::new(cfg);
-        let mut wl_rng = ChaCha8Rng::seed_from_u64(5);
-        let mut ratio = 0.0;
-        let mut samples = 0usize;
-        for t in 0..steps {
-            let actions: Vec<i8> = (0..n)
-                .map(|_| match wl_rng.gen_range(0..10) {
-                    0..=4 => 1,
-                    5..=7 => -1,
-                    _ => 0,
-                })
-                .collect();
-            net.tick(t, &actions);
-            if t >= steps / 4 && t % 50 == 0 {
-                let stats = imbalance_stats(&net.loads());
-                if stats.mean >= 5.0 {
-                    ratio += stats.max_over_mean;
-                    samples += 1;
-                }
-            }
-        }
-        net.quiesce();
-        net.check_conservation().expect("conservation under loss");
-        let s = net.stats();
+        let (ratio, s) = drive(cfg, n, steps);
         loss_rows.push(vec![
             format!("{loss:.2}"),
-            f3(ratio / samples.max(1) as f64),
+            f3(ratio),
             s.completed_ops.to_string(),
             s.lost_messages.to_string(),
             s.timeout_recoveries.to_string(),

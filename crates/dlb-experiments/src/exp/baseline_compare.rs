@@ -2,62 +2,26 @@
 //! (no balancing, random scatter, RSU'91, gradient model), all driven by
 //! the identical recorded §7 workload trace per run.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin baseline_compare
+//! Usage: `dlb-exp baseline_compare
 //!         [--n 64] [--steps 500] [--runs 30]`
 
+use crate::args::Args;
+use crate::quality::{sampled_quality, SampledQuality};
+use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{Diffusion, Gradient, NoBalance, RandomScatter, Rsu91, WorkStealing};
-use dlb_core::{imbalance_stats, Cluster, LoadBalancer, Params, SimpleCluster};
-use dlb_experiments::args::Args;
-use dlb_experiments::quality::paper_trace;
-use dlb_experiments::report::{f3, render_table, write_csv};
+use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_net::Topology;
-use dlb_workload::drive;
 
-struct Row {
-    name: &'static str,
-    max_over_mean: f64,
-    std_over_mean: f64,
-    migrated: f64,
-    ops: f64,
+fn measure<B: LoadBalancer>(
+    make: impl Fn(u64) -> B,
+    n: usize,
+    steps: usize,
+    runs: usize,
+) -> SampledQuality {
+    sampled_quality(make, n, steps, runs, 9000, 100, 25)
 }
 
-fn measure<B: LoadBalancer>(make: impl Fn(u64) -> B, n: usize, steps: usize, runs: usize) -> Row {
-    let mut max_over_mean = 0.0;
-    let mut std_over_mean = 0.0;
-    let mut migrated = 0.0;
-    let mut ops = 0.0;
-    let mut name = "";
-    let mut samples = 0usize;
-    for r in 0..runs {
-        let trace = paper_trace(n, steps, 9000 + r as u64);
-        let mut balancer = make(r as u64);
-        name = balancer.name();
-        let mut replay = trace.replay();
-        drive(&mut balancer, &mut replay, steps, |t, b| {
-            // Sample the distribution every 25 steps past warmup.
-            if t >= 100 && t % 25 == 0 {
-                let stats = imbalance_stats(&b.loads());
-                if stats.mean >= 5.0 {
-                    max_over_mean += stats.max_over_mean;
-                    std_over_mean += stats.std_dev / stats.mean;
-                    samples += 1;
-                }
-            }
-        });
-        migrated += balancer.metrics().packets_migrated as f64;
-        ops += balancer.metrics().balance_ops as f64;
-    }
-    Row {
-        name,
-        max_over_mean: max_over_mean / samples.max(1) as f64,
-        std_over_mean: std_over_mean / samples.max(1) as f64,
-        migrated: migrated / runs as f64,
-        ops: ops / runs as f64,
-    }
-}
-
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let steps: usize = args.get("steps", 500);
     let runs: usize = args.get("runs", 30);

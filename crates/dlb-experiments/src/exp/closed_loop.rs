@@ -5,13 +5,13 @@
 //! SPAA'93 balancer versus without balancing shows how much wall time the
 //! algorithm buys.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin closed_loop
+//! Usage: `dlb-exp closed_loop
 //!         [--roots 400] [--runs 10]`
 
+use crate::args::Args;
+use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{NoBalance, Rsu91, WorkStealing};
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
-use dlb_experiments::args::Args;
-use dlb_experiments::report::{f3, render_table, write_csv};
 use dlb_workload::branching::{run_branching, Offspring};
 
 fn mean_makespan<B: LoadBalancer>(
@@ -32,8 +32,7 @@ fn mean_makespan<B: LoadBalancer>(
     (makespan / runs as f64, processed / runs as f64)
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let roots: u32 = args.get("roots", 400);
     let runs: usize = args.get("runs", 10);
     let out: String = args.get("out", "results/closed_loop.csv".to_string());

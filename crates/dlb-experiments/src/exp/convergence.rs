@@ -3,20 +3,19 @@
 //! reach its steady imbalance, cross-checked against the iterated
 //! operator and the integer-packet simulator.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin convergence
+//! Usage: `dlb-exp convergence
 //!         [--eps 1e-4]`
 
+use crate::args::Args;
+use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_ratio_after_ops;
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::report::{f3, render_table, write_csv};
 use dlb_theory::operators::fix;
 use dlb_theory::schedule::{
     contraction_rate, measured_convergence_steps, predicted_convergence_steps,
 };
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let eps: f64 = args.get("eps", 1e-4);
     let out: String = args.get("out", "results/convergence.csv".to_string());
 

@@ -6,7 +6,7 @@
 //! Output is a byte-stable JSON report (all randomness is seeded, no
 //! timestamps) plus an SVG chart of both sweeps.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin faults_sweep
+//! Usage: `dlb-exp faults_sweep
 //!         [--scenario scenarios/lossy_network.json] [--n 32]
 //!         [--steps 3000] [--runs 3] [--jobs N]
 //!         [--out results/faults_sweep.json]
@@ -16,15 +16,14 @@
 //! section seed the sweep (the swept knob overrides the plan's own value
 //! per point).
 
-use dlb_experiments::args::Args;
-use dlb_experiments::faultsweep::{sweep, SweepConfig};
-use dlb_experiments::report::{f3, render_table};
-use dlb_experiments::svg::write_chart;
+use crate::args::Args;
+use crate::faultsweep::{sweep, SweepConfig};
+use crate::report::{f3, render_table};
+use crate::svg::write_chart;
 use dlb_faults::FaultPlan;
 use dlb_json::{FromJson, Json, ToJson};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let mut cfg = SweepConfig::default();
 
     if args.has("scenario") {
@@ -51,7 +50,7 @@ fn main() {
     cfg.n = args.get("n", cfg.n);
     cfg.steps = args.get("steps", cfg.steps);
     cfg.runs = args.get("runs", cfg.runs);
-    cfg.jobs = args.get("jobs", dlb_experiments::parallel::default_jobs());
+    cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
     let out: String = args.get("out", "results/faults_sweep.json".to_string());
     let svg: String = args.get("svg", "results/faults_sweep.svg".to_string());
 
@@ -71,7 +70,7 @@ fn main() {
         "lost msgs",
         "lost load",
     ];
-    let rows = |points: &[dlb_experiments::faultsweep::SweepPoint]| {
+    let rows = |points: &[crate::faultsweep::SweepPoint]| {
         points
             .iter()
             .map(|p| {

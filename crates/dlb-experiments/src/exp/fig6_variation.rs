@@ -3,17 +3,16 @@
 //! balancing steps, via the exact moment recursion (plus a Monte-Carlo
 //! cross-check column).
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin fig6_variation
+//! Usage: `dlb-exp fig6_variation
 //!         [--steps 150] [--out results/fig6.csv] [--jobs N]`
 
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::report::{ascii_plot, f3, render_table, write_csv};
-use dlb_experiments::svg::{write_chart, ChartConfig, Series};
-use dlb_experiments::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::report::{ascii_plot, f3, render_table, write_csv};
+use crate::svg::{write_chart, ChartConfig, Series};
+use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let steps: usize = args.get("steps", 150);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", "results/fig6.csv".to_string());

@@ -2,20 +2,19 @@
 //! mean load plus the min/max ever observed across 100 runs, for
 //! `f ∈ {1.1, 1.8}` at a given `δ` (Figure 7: `δ = 1`; Figure 8: `δ = 4`).
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin fig7_quality
+//! Usage: `dlb-exp fig7_quality
 //!         [--delta 1] [--n 64] [--steps 500] [--runs 100] [--c 4]
 //!         [--jobs N]`  (jobs defaults to the available cores; any value
 //! produces byte-identical output)
 
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::quality::balancing_quality;
+use crate::report::{ascii_plot, f3, render_table, write_csv};
+use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::quality::balancing_quality;
-use dlb_experiments::report::{ascii_plot, f3, render_table, write_csv};
-use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);
     let n: usize = args.get("n", 64);
     let steps: usize = args.get("steps", 500);

@@ -2,18 +2,17 @@
 //! min/max ever observed) at time steps 50, 200 and 400, for
 //! `f ∈ {1.1, 1.8}` at a given `δ` (Figure 9: `δ = 1`; Figure 10: `δ = 4`).
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin fig9_distribution
+//! Usage: `dlb-exp fig9_distribution
 //!         [--delta 1] [--n 64] [--runs 100] [--c 4] [--jobs N]`
 
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::quality::distribution_at;
+use crate::report::{ascii_plot, f3, render_table, write_csv};
+use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::quality::distribution_at;
-use dlb_experiments::report::{ascii_plot, f3, render_table, write_csv};
-use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);
     let n: usize = args.get("n", 64);
     let steps: usize = args.get("steps", 500);

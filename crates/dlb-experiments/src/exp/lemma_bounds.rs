@@ -2,17 +2,16 @@
 //! simulation versus the Lemma 5 lower/upper bounds and the improved
 //! Lemma 6 bound, across `f`, `δ` and the decrease ratio `c/x`.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin lemma_bounds
+//! Usage: `dlb-exp lemma_bounds
 //!         [--n 64] [--runs 50] [--x 1000]`
 
+use crate::args::Args;
+use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_decrease_ops;
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::report::{f3, render_table, write_csv};
 use dlb_theory::CostBounds;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let runs: usize = args.get("runs", 50);
     let x: u64 = args.get("x", 1000);

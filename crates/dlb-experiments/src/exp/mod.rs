@@ -1,0 +1,58 @@
+//! The experiment table behind `dlb-exp <name> [--key value …]`: one row
+//! per table or figure of the evaluation, each a `run(&Args)` in the
+//! module of the same name that prints its tables and writes its
+//! CSV/SVG/JSON (defaults under `results/`, `--out`/`--svg` override).
+
+use crate::args::Args;
+
+/// One runnable experiment.
+pub struct Experiment {
+    /// The name `dlb-exp` dispatches on (also its module's name).
+    pub name: &'static str,
+    /// The paper artefact it regenerates.
+    pub about: &'static str,
+    /// Runs it with the parsed `--key value` arguments.
+    pub run: fn(&Args),
+}
+
+mod ablation;
+mod arena;
+mod async_latency;
+mod baseline_compare;
+mod closed_loop;
+mod convergence;
+mod faults_sweep;
+mod fig6_variation;
+mod fig7_quality;
+mod fig9_distribution;
+mod lemma_bounds;
+mod scaling;
+mod table1_borrow;
+mod thm4_check;
+mod thm_bounds;
+
+/// One [`Experiment`] per `module: "about"` row, named after its module.
+macro_rules! table {
+    ($($name:ident: $about:literal,)*) => {
+        &[$(Experiment { name: stringify!($name), about: $about, run: $name::run },)*]
+    };
+}
+
+/// Every experiment, in the order of the paper's evaluation.
+pub const EXPERIMENTS: &[Experiment] = table! {
+    thm_bounds: "Theorems 1-3 (FIX tables, convergence)",
+    thm4_check: "Theorem 4 bound vs. the full algorithm",
+    fig6_variation: "Figure 6 (variation density curves)",
+    fig7_quality: "Figures 7/8 (balancing quality over time; --delta 4 for Figure 8)",
+    fig9_distribution: "Figures 9/10 (per-processor distributions; --delta 4 for Figure 10)",
+    table1_borrow: "Table 1 (borrow statistics vs C)",
+    lemma_bounds: "section 6 (Lemma 5/6 bounds vs simulation)",
+    baseline_compare: "sections 1/5 qualitative claims vs baselines",
+    scaling: "the \"up to 1024 processors\" scaling claim",
+    ablation: "full vs simple variant, exchange policy, locality",
+    closed_loop: "section 1 motivation: task-tree makespan and speedup",
+    convergence: "contraction rate vs measured convergence of G^t(1)",
+    async_latency: "the message protocol under latency and control loss",
+    faults_sweep: "balance quality vs injected loss / crash rates",
+    arena: "league table: trigger rule vs literature rivals",
+};

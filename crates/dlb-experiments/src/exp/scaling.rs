@@ -3,51 +3,33 @@
 //! practical variant as the network grows, plus the full variant at
 //! moderate sizes.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin scaling
+//! Usage: `dlb-exp scaling
 //!         [--steps 500] [--runs 5]`
 
-use dlb_core::{imbalance_stats, Cluster, LoadBalancer, Params, SimpleCluster};
-use dlb_experiments::args::Args;
-use dlb_experiments::quality::paper_trace;
-use dlb_experiments::report::{f3, render_table, write_csv};
-use dlb_workload::drive;
+use crate::args::Args;
+use crate::quality::sampled_quality;
+use crate::report::{f3, render_table, write_csv};
+use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use std::time::Instant;
 
-fn run<B: LoadBalancer>(
+/// `(max/mean, ops per run, wall µs per step)` of one configuration.
+fn measure<B: LoadBalancer>(
     make: impl Fn(u64) -> B,
     n: usize,
     steps: usize,
     runs: usize,
 ) -> (f64, f64, f64) {
-    let mut ratio = 0.0;
-    let mut samples = 0usize;
-    let mut ops = 0.0;
     let start = Instant::now();
-    for r in 0..runs {
-        let trace = paper_trace(n, steps, 100 + r as u64);
-        let mut balancer = make(r as u64);
-        let mut replay = trace.replay();
-        drive(&mut balancer, &mut replay, steps, |t, b| {
-            if t >= steps / 2 && t % 50 == 0 {
-                let stats = imbalance_stats(&b.loads());
-                if stats.mean >= 5.0 {
-                    ratio += stats.max_over_mean;
-                    samples += 1;
-                }
-            }
-        });
-        ops += balancer.metrics().balance_ops as f64;
-    }
+    let q = sampled_quality(make, n, steps, runs, 100, steps / 2, 50);
     let elapsed = start.elapsed().as_secs_f64();
     (
-        ratio / samples.max(1) as f64,
-        ops / runs as f64,
+        q.max_over_mean,
+        q.ops,
         elapsed / (runs * steps) as f64 * 1e6,
     )
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let steps: usize = args.get("steps", 500);
     let runs: usize = args.get("runs", 5);
     let out: String = args.get("out", "results/scaling.csv".to_string());
@@ -57,12 +39,12 @@ fn main() {
     for n in [16usize, 64, 256, 1024] {
         let params = Params::paper_section7(n);
         let (simple_ratio, simple_ops, simple_us) =
-            run(|s| SimpleCluster::new(params, s), n, steps, runs);
+            measure(|s| SimpleCluster::new(params, s), n, steps, runs);
         // The full variant keeps O(n) state per processor (the virtual
         // load classes); at n = 1024 we use fewer runs.
         let full_runs = if n >= 1024 { runs.min(2) } else { runs };
         let full = {
-            let (r, o, us) = run(|s| Cluster::new(params, s), n, steps, full_runs);
+            let (r, o, us) = measure(|s| Cluster::new(params, s), n, steps, full_runs);
             Some((r, o, us))
         };
         rows.push(vec![

@@ -2,21 +2,20 @@
 //! decrease sim) for `C ∈ {4, 8, 16, 32}` on the §7 workload with
 //! `f = 1.1`, `δ = 1`, under both exchange policies.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin table1_borrow
+//! Usage: `dlb-exp table1_borrow
 //!         [--n 64] [--steps 500] [--runs 100] [--jobs N] [--smoke]`
 //!
 //! `--smoke` shrinks the matrix (n=16, 80 steps, 8 runs) and writes to
 //! `results/table1_smoke.csv` so CI can golden-gate it in seconds
 //! without touching the paper-scale `results/table1.csv`.
 
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::report::{f3, render_table, write_csv};
+use crate::table1::table1_row;
 use dlb_core::ExchangePolicy;
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::report::{f3, render_table, write_csv};
-use dlb_experiments::table1::table1_row;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
     let (def_n, def_steps, def_runs, def_out) = if smoke {
         (16, 80, 8, "results/table1_smoke.csv")

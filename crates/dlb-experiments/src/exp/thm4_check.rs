@@ -1,19 +1,18 @@
 //! Theorem 4: verifies `E(l_i) ≤ f²·δ/(δ+1−f)·(E(l_j) + C)` for all
 //! processor pairs on the §7 workload, for several `C` and `(δ, f)`.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin thm4_check
+//! Usage: `dlb-exp thm4_check
 //!         [--n 64] [--steps 500] [--runs 30] [--out results/thm4.csv]
 //!         [--jobs N]`
 
+use crate::args::Args;
+use crate::parallel::default_jobs;
+use crate::quality::theorem4_check;
+use crate::report::{f3, render_table, write_csv};
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::quality::theorem4_check;
-use dlb_experiments::report::{f3, render_table, write_csv};
 use dlb_theory::TheoremBounds;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let steps: usize = args.get("steps", 500);
     let runs: usize = args.get("runs", 30);

@@ -1,17 +1,16 @@
 //! Theorems 1–3: FIX tables, network-size-independent limits and the
 //! convergence of `G^t(1)`, compared against the integer-packet simulator.
 //!
-//! Usage: `cargo run --release -p dlb-experiments --bin thm_bounds
+//! Usage: `dlb-exp thm_bounds
 //!         [--runs 40] [--ops 300] [--out results/thm_bounds.csv]`
 
+use crate::args::Args;
+use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_ratio_after_ops;
 use dlb_core::Params;
-use dlb_experiments::args::Args;
-use dlb_experiments::report::{f3, render_table, write_csv};
 use dlb_theory::{AlgoParams, TheoremBounds};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let runs: usize = args.get("runs", 40);
     let ops: u64 = args.get("ops", 300);
     let out: String = args.get("out", "results/thm_bounds.csv".to_string());

@@ -2,31 +2,24 @@
 //! evaluation, plus the theory-validation tables and the ablations listed
 //! in DESIGN.md.
 //!
-//! Each binary under `src/bin/` is one experiment; the shared logic lives
-//! here so it is unit-testable at reduced sizes:
+//! Each module under [`exp`] is one experiment — a `run(&Args)` that
+//! prints its tables and writes its CSV/SVG — and the one driver binary
+//! dispatches on [`exp::EXPERIMENTS`]: `dlb-exp <name> [--key value …]`
+//! (`dlb-exp list` prints that table: name and paper artefact, one row
+//! per experiment).  The shared logic lives in the other modules so it
+//! is unit-testable at reduced sizes.
 //!
-//! | binary              | paper artefact                                   |
-//! |---------------------|--------------------------------------------------|
-//! | `thm_bounds`        | Theorems 1–3 (FIX tables, convergence)           |
-//! | `thm4_check`        | Theorem 4 bound vs. the full algorithm           |
-//! | `fig6_variation`    | Figure 6 (variation density curves)              |
-//! | `fig7_quality`      | Figures 7/8 (balancing quality over time)        |
-//! | `fig9_distribution` | Figures 9/10 (per-processor distributions)       |
-//! | `table1_borrow`     | Table 1 (borrow statistics vs C)                 |
-//! | `lemma_bounds`      | §6 (Lemma 5/6 bounds vs simulation)              |
-//! | `baseline_compare`  | §1/§5 qualitative claims vs baselines            |
-//! | `scaling`           | "up to 1024 processors" scaling claim            |
-//! | `ablation`          | full vs simple variant, exchange policy, locality|
-//! | `faults_sweep`      | balance quality vs injected loss / crash rates   |
-//! | `arena`             | league table: trigger rule vs literature rivals  |
-//! | `bench_experiments` | sequential vs `--jobs N` timings + checksums     |
+//! Three tools stay binaries of their own: `trace_analyze` (replay a
+//! JSONL trace into derived series), `bench_core` and
+//! `bench_experiments` (timings + checksum gates).
 //!
-//! Monte Carlo binaries take `--jobs N` (default: available cores); the
-//! [`parallel`] harness guarantees byte-identical output for every `N`.
+//! Monte Carlo experiments take `--jobs N` (default: available cores);
+//! the [`parallel`] harness guarantees byte-identical output for every `N`.
 
 pub mod analyze;
 pub mod arena;
 pub mod args;
+pub mod exp;
 pub mod faultsweep;
 pub mod parallel;
 pub mod quality;

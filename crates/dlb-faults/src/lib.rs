@@ -504,6 +504,51 @@ impl FaultInjector {
     }
 }
 
+/// Per-step crash masks for a synchronous run, recomputed only when a
+/// crash or rejoin actually fires: [`FaultInjector::mask_at`] scans
+/// every crash for every processor and allocates, which would swamp an
+/// O(active) sparse step if called every step.
+pub struct MaskCursor<'a> {
+    injector: &'a FaultInjector,
+    /// Sorted, deduplicated times at which the mask changes.
+    boundaries: Vec<u64>,
+    next: usize,
+    mask: Vec<bool>,
+}
+
+impl<'a> MaskCursor<'a> {
+    /// A cursor over `injector`'s crash schedule, positioned before time 0.
+    pub fn new(injector: &'a FaultInjector) -> Self {
+        let mut boundaries: Vec<u64> = injector
+            .crashes()
+            .iter()
+            .flat_map(|c| [Some(c.at), c.recover_at])
+            .flatten()
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        MaskCursor {
+            injector,
+            boundaries,
+            next: 0,
+            mask: Vec::new(),
+        }
+    }
+
+    /// The mask at time `t`; must be queried with non-decreasing `t`.
+    pub fn at(&mut self, t: u64) -> &[bool] {
+        let mut crossed = false;
+        while self.next < self.boundaries.len() && self.boundaries[self.next] <= t {
+            self.next += 1;
+            crossed = true;
+        }
+        if crossed || self.mask.is_empty() {
+            self.mask = self.injector.mask_at(t);
+        }
+        &self.mask
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -289,17 +289,11 @@ impl AsyncNetwork {
         }
     }
 
-    /// Emits the metrics counters accrued since `before` as a
-    /// `StepDelta` stamped `step`.
-    fn emit_step_delta(&self, before: &Metrics, step: u64) {
-        let delta = self.metrics.delta_from(before);
-        let counters: Vec<(String, u64)> = delta
-            .nonzero_fields()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        if !counters.is_empty() {
-            self.emit(dlb_trace::TraceEvent::StepDelta { step, counters });
+    /// Emits the metrics counters accrued since `before` (`None` when
+    /// tracing was off) as a `StepDelta` stamped `step`.
+    fn emit_step_delta(&self, before: Option<Metrics>, step: u64) {
+        if let (Some(before), Some(sink)) = (&before, &self.sink) {
+            dlb_core::emit_step_delta(sink, step, before, &self.metrics);
         }
     }
 
@@ -419,12 +413,7 @@ impl AsyncNetwork {
     pub fn tick(&mut self, t: u64, actions: &[i8]) {
         assert!(t >= self.now, "time must not run backwards");
         assert_eq!(actions.len(), self.procs.len(), "one action per processor");
-        let tracing = self.trace_on();
-        let before = if tracing {
-            self.metrics
-        } else {
-            Metrics::new()
-        };
+        let before = self.trace_on().then_some(self.metrics);
         self.drain_until(t);
         self.now = t;
         for (i, &a) in actions.iter().enumerate() {
@@ -450,24 +439,15 @@ impl AsyncNetwork {
                 other => panic!("invalid action {other}; use -1, 0, 1"),
             }
         }
-        if tracing {
-            self.emit_step_delta(&before, t);
-        }
+        self.emit_step_delta(before, t);
     }
 
     /// Delivers every outstanding message (call at the end of a run).
     pub fn quiesce(&mut self) {
-        let tracing = self.trace_on();
-        let before = if tracing {
-            self.metrics
-        } else {
-            Metrics::new()
-        };
+        let before = self.trace_on().then_some(self.metrics);
         self.drain_until(u64::MAX);
-        if tracing {
-            // Settle-phase activity after the last tick still counts.
-            self.emit_step_delta(&before, self.now);
-        }
+        // Settle-phase activity after the last tick still counts.
+        self.emit_step_delta(before, self.now);
     }
 
     /// Whether any recovery machinery (timeouts, leases) is needed.

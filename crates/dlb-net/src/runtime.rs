@@ -348,11 +348,16 @@ impl ThreadedRuntime {
         let mut spawn_buf: Vec<T> = Vec::new();
         let mut was_down = false;
         loop {
-            if shared.outstanding.load(Ordering::SeqCst) == 0 {
+            let done = shared.outstanding.load(Ordering::SeqCst) == 0;
+            let now = shared.clock.load(Ordering::SeqCst);
+            // A worker the scheduler starts late may find the run already
+            // over; it still books a crash the clock has reached before
+            // it leaves, so the ledger does not depend on thread timing.
+            let down = shared.injector.is_down(now, id);
+            if done && (was_down || !down) {
                 return;
             }
-            let now = shared.clock.load(Ordering::SeqCst);
-            if shared.injector.is_down(now, id) {
+            if down {
                 if !was_down {
                     was_down = true;
                     shared.crashes.fetch_add(1, Ordering::Relaxed);
@@ -423,12 +428,18 @@ impl ThreadedRuntime {
                     shared.processed[id].fetch_add(1, Ordering::Relaxed);
                     shared.clock.fetch_add(1, Ordering::SeqCst);
                     let spawned = spawn_buf.len() as i64;
+                    // Count before publishing: once a child sits in the
+                    // queue a thief may steal and finish it at once, and
+                    // its `-1` must never meet a counter that does not
+                    // hold it yet — a transient 0 sends every other
+                    // worker home with packets still queued.  This
+                    // packet's own `-1` comes last for the same reason.
+                    shared.outstanding.fetch_add(spawned, Ordering::SeqCst);
                     {
                         let mut st = shared.workers[id].lock();
                         st.queue.extend(spawn_buf.drain(..));
                     }
-                    let left =
-                        shared.outstanding.fetch_add(spawned - 1, Ordering::SeqCst) + (spawned - 1);
+                    let left = shared.outstanding.fetch_add(-1, Ordering::SeqCst) - 1;
                     if spawned > 0 || left == 0 {
                         // New packets for idle workers to pull — or the
                         // run is over and everyone should notice.
@@ -472,11 +483,14 @@ impl ThreadedRuntime {
         sample_others_into(rng, n, id, params.delta(), &mut members);
         members.sort_unstable(); // lock order prevents deadlock
         if shared.tracing() {
+            // One read: the stamp the merge sorts by and the event's own
+            // `step` must agree.
+            let now = shared.clock.load(Ordering::SeqCst);
             shared.emit(
                 id,
-                shared.clock.load(Ordering::SeqCst),
+                now,
                 TraceEvent::BalanceInitiated {
-                    step: shared.clock.load(Ordering::SeqCst),
+                    step: now,
                     initiator: id as u64,
                     partners: members
                         .iter()
@@ -828,5 +842,49 @@ mod tests {
             stats.crashes >= 1 || stats.redistributed_packets > 0,
             "{stats:?}"
         );
+    }
+
+    /// Regression for the count-after-publish race: a chain of packets,
+    /// each spawning one leaf and its successor, keeps `outstanding` at
+    /// 1 whenever children are published, so a thief that finished the
+    /// leaf before the parent had counted it drove the counter to 0,
+    /// every other worker returned, and the run hung on packets stranded
+    /// with them (or ended short).  Before the fix the release build of
+    /// this test failed in 14 of 20 invocations on 2 vCPUs.
+    #[test]
+    fn termination_survives_children_finished_before_their_parent() {
+        const DEPTH: u32 = 200;
+        // ~3 s optimised; an unoptimised run is 4x slower per round.
+        const ROUNDS: u64 = if cfg!(debug_assertions) { 1000 } else { 4000 };
+        let (tx, rx) = std::sync::mpsc::channel();
+        // The runs happen on a helper thread so a hang fails the test
+        // instead of hanging it.
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let stats = ThreadedRuntime::run(
+                    RuntimeConfig {
+                        seed: round,
+                        delta: 3, // every balance locks every queue
+                        ..config(4)
+                    },
+                    vec![DEPTH],
+                    |_, depth, spawn| {
+                        if depth > 0 {
+                            spawn.push(0);
+                            spawn.push(depth - 1);
+                        }
+                    },
+                );
+                if tx.send(stats.total_processed()).is_err() {
+                    return;
+                }
+            }
+        });
+        for round in 0..ROUNDS {
+            let total = rx
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("run {round} did not terminate"));
+            assert_eq!(total, 1 + 2 * u64::from(DEPTH), "run {round}");
+        }
     }
 }

@@ -208,7 +208,7 @@ mod tests {
     /// Local no-op balancer so this crate's tests don't depend on
     /// dlb-baselines (which depends on dlb-net).
     mod dlb_baselines_stub {
-        use dlb_core::{LoadBalancer, LoadEvent, Metrics};
+        use dlb_core::{Events, LoadBalancer, LoadEvent, Metrics};
 
         pub struct NoBalanceLocal {
             loads: Vec<u64>,
@@ -228,25 +228,23 @@ mod tests {
             fn n(&self) -> usize {
                 self.loads.len()
             }
-            fn loads(&self) -> Vec<u64> {
-                self.loads.clone()
+            fn loads_into(&self, out: &mut Vec<u64>) {
+                out.clone_from(&self.loads);
             }
-            fn step(&mut self, events: &[LoadEvent]) {
-                for (i, &ev) in events.iter().enumerate() {
-                    match ev {
-                        LoadEvent::Generate => {
-                            self.loads[i] += 1;
-                            self.metrics.generated += 1;
-                        }
-                        LoadEvent::Consume => {
-                            if self.loads[i] > 0 {
-                                self.loads[i] -= 1;
-                                self.metrics.consumed += 1;
-                            }
-                        }
-                        LoadEvent::Idle => {}
+            fn step_events(&mut self, events: Events<'_>, down: Option<&[bool]>) {
+                events.for_each_up(self.loads.len(), down, |i, ev| match ev {
+                    LoadEvent::Generate => {
+                        self.loads[i] += 1;
+                        self.metrics.generated += 1;
                     }
-                }
+                    LoadEvent::Consume => {
+                        if self.loads[i] > 0 {
+                            self.loads[i] -= 1;
+                            self.metrics.consumed += 1;
+                        }
+                    }
+                    LoadEvent::Idle => {}
+                });
             }
             fn metrics(&self) -> &Metrics {
                 &self.metrics
