@@ -76,16 +76,34 @@ impl Events<'_> {
         down: Option<&[bool]>,
         mut act: impl FnMut(usize, LoadEvent),
     ) {
+        self.for_each_up_ahead(n, down, |i, ev, _| act(i, ev));
+    }
+
+    /// [`Events::for_each_up`] that also hands `act` the listed pairs
+    /// still to come after the current one — validated already, crashed
+    /// processors included — so an engine can hint the memory of an
+    /// upcoming event.  A dense vector passes an empty slice: its next
+    /// processor is the next index, which the hardware guesses unaided.
+    #[inline]
+    pub(crate) fn for_each_up_ahead(
+        self,
+        n: usize,
+        down: Option<&[bool]>,
+        mut act: impl FnMut(usize, LoadEvent, &[(usize, LoadEvent)]),
+    ) {
         match self {
             Events::Dense(events) => {
                 assert_eq!(events.len(), n, "one event per processor");
                 match down {
-                    None => events.iter().enumerate().for_each(|(i, &ev)| act(i, ev)),
+                    None => events
+                        .iter()
+                        .enumerate()
+                        .for_each(|(i, &ev)| act(i, ev, &[])),
                     Some(down) => {
                         assert_eq!(events.len(), down.len(), "event/mask length mismatch");
                         for (i, (&ev, &d)) in events.iter().zip(down).enumerate() {
                             if !d {
-                                act(i, ev);
+                                act(i, ev, &[]);
                             }
                         }
                     }
@@ -103,12 +121,10 @@ impl Events<'_> {
                     }
                     prev = Some(i);
                 }
-                match down {
-                    None => active.iter().for_each(|&(i, ev)| act(i, ev)),
-                    Some(down) => active
-                        .iter()
-                        .filter(|&&(i, _)| !down[i])
-                        .for_each(|&(i, ev)| act(i, ev)),
+                for (k, &(i, ev)) in active.iter().enumerate() {
+                    if down.is_none_or(|down| !down[i]) {
+                        act(i, ev, &active[k + 1..]);
+                    }
                 }
             }
         }
@@ -147,9 +163,13 @@ pub trait LoadBalancer {
     ///
     /// `down`, when given, is the full-length crash mask of this step:
     /// `down[i]` marks processor `i` as crashed.  A crashed processor
-    /// performs no event and — in the engines and the topology rivals —
-    /// neither initiates balancing nor serves as a partner, so its load
-    /// is frozen; the strawman baselines only suppress its event.
+    /// performs no event, hence initiates no balancing, in every
+    /// balancer.  Whether it can still be *drawn* differs: the raw-load
+    /// engine ([`crate::RawCluster`] under every rule) and the topology
+    /// rivals never pick it as a partner, so its load is frozen; the
+    /// full model ([`crate::Cluster`]) draws partners from all `n` and
+    /// balances a crashed processor like any other; the strawman
+    /// baselines only suppress its event.
     ///
     /// Implementations walk the step through [`Events::for_each_up`],
     /// which validates it and makes an idle or crashed processor cost

@@ -30,7 +30,12 @@
 //! workload at 1 % and 0.1 % activity.  Each row's checksum is asserted
 //! equal to a dense `step` run over the identical event stream (the
 //! equivalence witness), and per-step cost must drop with the active
-//! fraction — the proof that stepping costs O(active), not O(n).
+//! fraction — the proof that stepping costs O(active), not O(n).  The
+//! same section carries the *stall ladder*: the 1 % stream at an equal
+//! event count from n = 2¹⁴ (the state fits in cache) to n = 2²⁰ (every
+//! touched processor is a miss).  The instructions per event are the
+//! same on every rung, so `stall_ratio` — a rung's `ns_per_event` over
+//! the first rung's — is what memory costs (DESIGN.md §11).
 //!
 //! Usage: `cargo run --release -p dlb-experiments --bin bench_core
 //!         [--smoke] [--large-smoke] [--sparse-smoke]
@@ -242,13 +247,29 @@ const SPARSE_STEPS: usize = 200;
 /// Two-step work phases (generate, then consume — load-neutral) with
 /// the sleep gap setting the activity: 2/(2 + mean gap).
 const SPARSE_LEVELS: [(&str, (u32, u32)); 2] = [("1%", (100, 300)), ("0.1%", (1000, 3000))];
+/// The stall ladder's `(n, steps)` rungs at the 1 % level: n · steps is
+/// constant, so every rung processes about the same number of events
+/// (0.7–1.0 M: the shorter runs end inside the initial stagger) and
+/// only the distance between two touched records grows.
+const STALL_LADDER: [(usize, usize); 4] = [
+    (1 << 14, 6400),
+    (1 << 16, 1600),
+    (1 << 18, 400),
+    (1 << 20, 100),
+];
+/// `--smoke` rungs: the schema and the witness, in milliseconds.
+const STALL_LADDER_SMOKE: [(usize, usize); 2] = [(1 << 10, 64), (1 << 12, 16)];
+/// Timed runs per rung (fastest kept): a ratio of two single timings
+/// would mostly report which speed state the box was in.
+const STALL_REPS: usize = 3;
 
 /// One row of the `sparse_step` section.
 struct SparseCell {
     n: usize,
     steps: usize,
     gap: (u32, u32),
-    active_per_step: f64,
+    /// Events stepped, all steps together.
+    events: u64,
     sparse_ms: f64,
     dense_ms: f64,
     fp: String,
@@ -256,25 +277,67 @@ struct SparseCell {
     state_bytes: usize,
 }
 
+impl SparseCell {
+    fn active_per_step(&self) -> f64 {
+        self.events as f64 / self.steps as f64
+    }
+
+    fn ns_per_event(&self) -> f64 {
+        self.sparse_ms * 1e6 / self.events as f64
+    }
+
+    /// This cell's `sparse_step` row; a ladder rung also says how its
+    /// `ns_per_event` compares with the first rung's.
+    fn to_row(&self, activity: &str, stall_ratio: Option<f64>) -> Json {
+        let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
+        let mut row = vec![
+            ("activity".into(), activity.to_json()),
+            ("n".into(), (self.n as u64).to_json()),
+            ("steps".into(), (self.steps as u64).to_json()),
+            ("gap_lo".into(), u64::from(self.gap.0).to_json()),
+            ("gap_hi".into(), u64::from(self.gap.1).to_json()),
+            ("active_per_step".into(), ms3(self.active_per_step())),
+            ("sparse_ms".into(), ms3(self.sparse_ms)),
+            ("dense_ms".into(), ms3(self.dense_ms)),
+            ("ns_per_event".into(), ms3(self.ns_per_event())),
+        ];
+        if let Some(ratio) = stall_ratio {
+            row.push(("stall_ratio".into(), ms3(ratio)));
+        }
+        row.push(("checksum".into(), self.fp.to_json()));
+        Json::Obj(row)
+    }
+}
+
 /// Times the full engine through `step_sparse` at `n` with the given
-/// activity gap, then re-runs the identical event stream through the
-/// dense `step` path and asserts the final states are bit-identical —
-/// every sparse timing in the JSON carries its own equivalence witness.
-fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
+/// activity gap — the fastest of `reps` runs — then re-runs the
+/// identical event stream through the dense `step` path and asserts the
+/// final states are bit-identical: every sparse timing in the JSON
+/// carries its own equivalence witness.
+fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> SparseCell {
     let pattern = SparsePattern::Phase { work: 2, gap };
     let params = Params::paper_section7(n);
 
-    let mut workload = SparseActivity::new(n, pattern, 9);
-    let mut cluster = Cluster::new(params, 1);
-    let mut total_active = 0u64;
-    let t0 = Instant::now();
-    drive_sparse(&mut cluster, &mut workload, steps, |_, active, _| {
-        total_active += active.len() as u64;
-    });
-    let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
-    cluster.check_invariants().expect("sparse-step invariants");
-    let fp = fingerprint(&cluster);
-    let state_bytes = cluster.state_bytes();
+    let mut sparse_ms = f64::INFINITY;
+    let mut timed: Option<(u64, String, usize)> = None;
+    for _ in 0..reps {
+        let mut workload = SparseActivity::new(n, pattern, 9);
+        let mut cluster = Cluster::new(params, 1);
+        let mut events = 0u64;
+        let t0 = Instant::now();
+        drive_sparse(&mut cluster, &mut workload, steps, |_, active, _| {
+            events += active.len() as u64;
+        });
+        sparse_ms = sparse_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        cluster.check_invariants().expect("sparse-step invariants");
+        let run = (events, fingerprint(&cluster), cluster.state_bytes());
+        assert!(
+            timed.as_ref().is_none_or(|first| *first == run),
+            "nondeterministic sparse run at n={n}"
+        );
+        timed = Some(run);
+    }
+    let (stepped, fp, state_bytes) = timed.expect("at least one timed run");
 
     let mut workload = SparseActivity::new(n, pattern, 9);
     let mut dense = Cluster::new(params, 1);
@@ -295,7 +358,7 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
         n,
         steps,
         gap,
-        active_per_step: total_active as f64 / steps as f64,
+        events: stepped,
         sparse_ms,
         dense_ms,
         fp,
@@ -309,11 +372,15 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize) -> SparseCell {
 fn sparse_smoke() -> ! {
     let (n, (_, gap), steps) = (SPARSE_N, SPARSE_LEVELS[0], 100usize);
     println!("bench_core --sparse-smoke: full engine, n={n}, {steps} steps, 1% activity\n");
-    let cell = run_sparse_cell(n, gap, steps);
+    let cell = run_sparse_cell(n, gap, steps, 1);
     let per_proc = cell.state_bytes / cell.n;
     println!(
         "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step  {per_proc} B/proc",
-        cell.n, cell.sparse_ms, cell.dense_ms, cell.fp, cell.active_per_step
+        cell.n,
+        cell.sparse_ms,
+        cell.dense_ms,
+        cell.fp,
+        cell.active_per_step()
     );
     assert!(
         cell.sparse_ms < 60_000.0,
@@ -455,7 +522,7 @@ fn check_against(baseline_path: &str) -> ! {
             let gap_lo = row.get("gap_lo").and_then(Json::as_f64).expect("gap_lo") as u32;
             let gap_hi = row.get("gap_hi").and_then(Json::as_f64).expect("gap_hi") as u32;
             let want = field(row, "checksum");
-            let cell = run_sparse_cell(n, (gap_lo, gap_hi), steps);
+            let cell = run_sparse_cell(n, (gap_lo, gap_hi), steps, 1);
             if want == cell.fp {
                 println!("  n={n:<8} sparse gap={gap_lo}..{gap_hi} ok    {}", cell.fp);
             } else {
@@ -603,23 +670,16 @@ fn main() {
         println!();
         let mut sparse_cells = Vec::new();
         for (label, gap) in SPARSE_LEVELS {
-            let cell = run_sparse_cell(SPARSE_N, gap, SPARSE_STEPS);
+            let cell = run_sparse_cell(SPARSE_N, gap, SPARSE_STEPS, 1);
             println!(
                 "  n={:<8} sparse {label:<5} {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step",
-                cell.n, cell.sparse_ms, cell.dense_ms, cell.fp, cell.active_per_step
+                cell.n,
+                cell.sparse_ms,
+                cell.dense_ms,
+                cell.fp,
+                cell.active_per_step()
             );
-            let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
-            sparse_rows.push(Json::Obj(vec![
-                ("activity".into(), label.to_json()),
-                ("n".into(), (cell.n as u64).to_json()),
-                ("steps".into(), (cell.steps as u64).to_json()),
-                ("gap_lo".into(), u64::from(cell.gap.0).to_json()),
-                ("gap_hi".into(), u64::from(cell.gap.1).to_json()),
-                ("active_per_step".into(), ms3(cell.active_per_step)),
-                ("sparse_ms".into(), ms3(cell.sparse_ms)),
-                ("dense_ms".into(), ms3(cell.dense_ms)),
-                ("checksum".into(), cell.fp.to_json()),
-            ]));
+            sparse_rows.push(cell.to_row(label, None));
             sparse_cells.push(cell);
         }
         let busy = &sparse_cells[0];
@@ -631,6 +691,30 @@ fn main() {
             busy.sparse_ms,
             quiet.sparse_ms
         );
+    }
+
+    // The stall ladder: the 1 % stream at an equal event count, from a
+    // cluster that fits in cache to one where every record is a miss.
+    println!();
+    let (label, gap) = SPARSE_LEVELS[0];
+    let ladder: &[(usize, usize)] = if smoke {
+        &STALL_LADDER_SMOKE
+    } else {
+        &STALL_LADDER
+    };
+    let mut in_cache_ns = None;
+    for &(n, steps) in ladder {
+        let cell = run_sparse_cell(n, gap, steps, STALL_REPS);
+        let ratio = cell.ns_per_event() / *in_cache_ns.get_or_insert(cell.ns_per_event());
+        println!(
+            "  n={:<8} ladder {:>9.2} ms  ({})  {} events  {:>6.1} ns/event  x{ratio:.2}",
+            cell.n,
+            cell.sparse_ms,
+            cell.fp,
+            cell.events,
+            cell.ns_per_event()
+        );
+        sparse_rows.push(cell.to_row(label, Some(ratio)));
     }
 
     let mut fields = vec![
