@@ -5,26 +5,32 @@
 //! the same machinery to a serving front-end balancing *requests*
 //! between shard queues:
 //!
-//! - [`router::TriggerRouter`] — sticky key placement plus the paper's
-//!   grow/shrink `f`-trigger over live queue depths; a fired trigger
-//!   equalises the initiator with `δ` random alive partners using the
-//!   even-share primitive from [`dlb_core::balance`].
+//! - [`router::TriggerRouter`] — the paper's grow/shrink `f`-trigger
+//!   over live queue depths; a fired trigger equalises the initiator
+//!   with `δ` random alive partners using the even-share primitive from
+//!   [`dlb_core::balance`].
+//! - `group::ShardGroup` (crate-private) — the shard state machine,
+//!   written once: sticky key placement, the queues, both triggers,
+//!   plan application, crash redistribution.  Its clock is a `now`
+//!   argument and its transport an outbox, so both engines below run
+//!   the same code.
 //! - [`dlb_workload::service::RequestSource`] — the open-loop load
 //!   generator (diurnal rate phases, Zipf hot-key skew, seeded service
 //!   demands).
 //! - [`hist::LatencyHistogram`] — log-bucketed latency recording with
 //!   an order-independent merge and a ≤ 1/32 relative quantile error.
-//! - [`sim::run_sim`] — the simulated-clock engine on
-//!   [`dlb_net::CalendarQueue`]: single-threaded, bit-reproducible for
-//!   a fixed seed (and trivially independent of `--workers`), with the
-//!   conservation ledger `issued == completed + dropped + in_flight`
-//!   checked every tick.
-//! - [`wall::run_wall`] — the wall-clock engine (`A` sharded acceptors
+//! - [`sim::run_sim`] — the simulated-clock driver: one group over
+//!   every shard on [`dlb_net::CalendarQueue`], single-threaded,
+//!   bit-reproducible for a fixed seed (and trivially independent of
+//!   `--workers`), with the conservation ledger `issued == completed +
+//!   dropped + in_flight` checked every tick.
+//! - [`wall::run_wall`] — the wall-clock driver (`A` sharded acceptors
 //!   plus `W` shard workers on `dlb-pool`, wired with the lock-free
 //!   [`ring`] primitives) producing the throughput and latency figures
-//!   committed as `BENCH_service.json`; each acceptor owns a contiguous
-//!   shard group with its own trigger state, the paper's distributed
-//!   triggers partitioned (see the `acceptor` module).
+//!   committed as `BENCH_service.json`; each acceptor drives the group
+//!   of a contiguous shard range with its own trigger state, the
+//!   paper's distributed triggers partitioned (see the `acceptor`
+//!   module).
 //! - [`stats::ServiceStats`] — the byte-stable report both engines
 //!   emit, rendered through `dlb-json`.
 //!
@@ -34,6 +40,7 @@
 //! cached-enabled-flag [`dlb_trace::SharedSink`].
 
 mod acceptor;
+mod group;
 pub mod hist;
 pub mod ring;
 pub mod router;
@@ -53,10 +60,9 @@ pub use wall::run_wall;
 /// Sticky key → home shard placement: one SplitMix64 finalisation
 /// round, reduced mod `shards`.
 ///
-/// This is *the* placement hash for both engines — the simulated
-/// router and the wall acceptors call it, so a key's home can never
-/// drift between sim and wall mode (PR 6 kept two private copies,
-/// `router::mix` and `wall::mix_home`, which this function replaces).
+/// This is *the* placement hash: `ShardGroup::arrive` places with it
+/// under either clock, and the wall engine partitions the arrival
+/// schedule among its acceptors with it.
 pub fn home_shard(key: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
     let mut x = key.wrapping_add(0x9e37_79b9_7f4a_7c15);

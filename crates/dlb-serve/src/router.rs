@@ -1,19 +1,19 @@
-//! Trigger-rule request placement over live shard queue depths.
+//! Trigger-rule bookkeeping over live shard queue depths.
 //!
 //! The paper's processors watch their *own* load and fire a balancing
 //! operation with `δ` random partners when it grows or shrinks by the
 //! factor `f` since the last balance.  [`TriggerRouter`] transplants
 //! that rule onto a request-routing front-end: the "load" of a shard is
-//! its queue depth, a new request lands on its key's home shard
-//! (sticky placement preserves hot-key skew, which is precisely what
-//! the trigger rule then has to fix), and every enqueue/dequeue runs
-//! the grow/shrink trigger check.  A fired trigger produces a
-//! [`RebalancePlan`]: the member set and the equal-share target depths
-//! from the paper's balancing primitive ([`dlb_core::balance`]).
+//! its queue depth — requests queued and not yet handed to service —
+//! and every enqueue/dequeue runs the grow/shrink trigger check.  A
+//! fired trigger produces a [`RebalancePlan`]: the member set, the
+//! equal-share target depths from the paper's balancing primitive
+//! ([`dlb_core::balance`]), and the moves that reach them.
 //!
-//! The router only does bookkeeping — the engine owns the actual queues
-//! and moves requests to match the plan (newest requests migrate, so
-//! FIFO service order of the old requests is preserved).
+//! The router only does bookkeeping — `group::ShardGroup` owns the
+//! actual queues, places arrivals and moves requests to match the plan
+//! (newest requests migrate, so FIFO service order of the old requests
+//! is preserved).
 
 use dlb_core::{balance::even_shares_into, Params};
 use rand::prelude::*;
@@ -27,9 +27,46 @@ pub struct RebalancePlan {
     pub members: Vec<usize>,
     /// Target queue depth per member (paper's even split, ±1).
     pub targets: Vec<u64>,
+    /// Who gives how many to whom to get there: `(donor, receiver,
+    /// count)` by member index.  Surpluses meet deficits with donors
+    /// taken in *reverse* member order against receivers in member
+    /// order, so one donor's moves are consecutive.
+    pub(crate) moves: Vec<(usize, usize, u64)>,
 }
 
-/// Deterministic trigger-rule placement state (simulated-clock engine).
+impl RebalancePlan {
+    /// The plan that equalises `members`, shard `s` holding `depth(s)`.
+    pub(crate) fn new(members: Vec<usize>, depth: impl Fn(usize) -> u64) -> Self {
+        let mut targets = Vec::with_capacity(members.len());
+        let total = members.iter().map(|&m| depth(m)).sum();
+        even_shares_into(total, members.len(), &mut targets);
+        let deficit = |i: usize| targets[i].saturating_sub(depth(members[i]));
+        let mut moves = Vec::new();
+        let (mut to, mut need) = (0, deficit(0));
+        for (from, &m) in members.iter().enumerate().rev() {
+            let mut surplus = depth(m).saturating_sub(targets[from]);
+            while surplus > 0 {
+                // Even shares conserve the total: a surplus always
+                // finds a deficit further on.
+                while need == 0 {
+                    to += 1;
+                    need = deficit(to);
+                }
+                let take = surplus.min(need);
+                moves.push((from, to, take));
+                surplus -= take;
+                need -= take;
+            }
+        }
+        RebalancePlan {
+            members,
+            targets,
+            moves,
+        }
+    }
+}
+
+/// Deterministic trigger-rule bookkeeping over `n` shard depths.
 pub struct TriggerRouter {
     params: Params,
     /// Queued (not in-service) requests per shard.
@@ -78,22 +115,6 @@ impl TriggerRouter {
         self.rebalances
     }
 
-    /// The key's home shard, ignoring liveness.  Delegates to the
-    /// crate-level [`crate::home_shard`] so sim and wall placement can
-    /// never drift.
-    pub fn home_shard(&self, key: u64) -> usize {
-        crate::home_shard(key, self.depths.len())
-    }
-
-    /// Placement shard for `key`: the home shard, or the next alive
-    /// shard after it (wrapping) when the home is down.  `None` when
-    /// every shard is down.
-    pub fn place(&self, key: u64) -> Option<usize> {
-        let n = self.depths.len();
-        let home = self.home_shard(key);
-        (0..n).map(|k| (home + k) % n).find(|&s| self.alive[s])
-    }
-
     /// Records one request enqueued on `s` and runs the grow trigger.
     pub fn note_enqueue(&mut self, s: usize) -> Option<RebalancePlan> {
         self.depths[s] += 1;
@@ -128,8 +149,16 @@ impl TriggerRouter {
     /// Zeroes the depth of a crashed shard whose queue the engine just
     /// confiscated for redistribution.
     pub fn clear(&mut self, s: usize) {
-        self.depths[s] = 0;
-        self.l_old[s] = 0;
+        self.rebase(s, 0, 0);
+    }
+
+    /// Overwrites shard `s`'s depth and trigger baseline without
+    /// running the trigger: how a `ShardGroup` settles a member after
+    /// a plan moved its requests, and how it refreshes its mirror of a
+    /// shard another group owns.
+    pub(crate) fn rebase(&mut self, s: usize, depth: u64, l_old: u64) {
+        self.depths[s] = depth;
+        self.l_old[s] = l_old;
     }
 
     /// Reflects a crash-redistributed request landing on `s` *without*
@@ -145,58 +174,40 @@ impl TriggerRouter {
     /// depths and `l_old`, and returns the plan for the engine to act
     /// on.  With no alive partner the trigger only resets its baseline.
     fn fire(&mut self, s: usize) -> Option<RebalancePlan> {
-        let drawn = draw_members(
-            &mut self.rng,
-            self.depths.len(),
-            s,
-            self.params.delta(),
-            |p| self.alive[p],
-            &mut self.scratch,
-        );
-        let Some(members) = drawn else {
+        let Some(members) = self.draw_members(s) else {
             self.l_old[s] = self.depths[s];
             return None;
         };
-        let total: u64 = members.iter().map(|&m| self.depths[m]).sum();
-        let mut targets = Vec::with_capacity(members.len());
-        even_shares_into(total, members.len(), &mut targets);
-        for (&m, &t) in members.iter().zip(&targets) {
-            self.depths[m] = t;
-            self.l_old[m] = t;
+        let plan = RebalancePlan::new(members, |m| self.depths[m]);
+        for (&m, &t) in plan.members.iter().zip(&plan.targets) {
+            self.rebase(m, t, t);
         }
         self.rebalances += 1;
-        Some(RebalancePlan { members, targets })
+        Some(plan)
     }
-}
 
-/// The partner draw of both serving engines: `[s, partners…]` with up
-/// to `delta` distinct partners uniform over the alive shards other
-/// than `s`, or `None` when no other shard is alive.  A partial
-/// Fisher–Yates over the alive peers (collected into the scratch
-/// `peers`): draw order is the partner order, so the group is a pure
-/// function of the RNG stream and the alive set.
-pub(crate) fn draw_members(
-    rng: &mut ChaCha8Rng,
-    n: usize,
-    s: usize,
-    delta: usize,
-    alive: impl Fn(usize) -> bool,
-    peers: &mut Vec<usize>,
-) -> Option<Vec<usize>> {
-    peers.clear();
-    peers.extend((0..n).filter(|&p| p != s && alive(p)));
-    let want = delta.min(peers.len());
-    if want == 0 {
-        return None;
+    /// The partner draw: `[s, partners…]` with up to `δ` distinct
+    /// partners uniform over the alive shards other than `s`, or `None`
+    /// when no other shard is alive.  A partial Fisher–Yates over the
+    /// alive peers: draw order is the partner order, so the group is a
+    /// pure function of the RNG stream and the alive set.
+    fn draw_members(&mut self, s: usize) -> Option<Vec<usize>> {
+        let (peers, alive) = (&mut self.scratch, &self.alive);
+        peers.clear();
+        peers.extend((0..alive.len()).filter(|&p| p != s && alive[p]));
+        let want = self.params.delta().min(peers.len());
+        if want == 0 {
+            return None;
+        }
+        for k in 0..want {
+            let j = self.rng.gen_range(k..peers.len());
+            peers.swap(k, j);
+        }
+        let mut members = Vec::with_capacity(want + 1);
+        members.push(s);
+        members.extend_from_slice(&peers[..want]);
+        Some(members)
     }
-    for k in 0..want {
-        let j = rng.gen_range(k..peers.len());
-        peers.swap(k, j);
-    }
-    let mut members = Vec::with_capacity(want + 1);
-    members.push(s);
-    members.extend_from_slice(&peers[..want]);
-    Some(members)
 }
 
 #[cfg(test)]
@@ -205,22 +216,6 @@ mod tests {
 
     fn router(n: usize) -> TriggerRouter {
         TriggerRouter::new(n, 2, 2.0, 7).expect("valid params")
-    }
-
-    #[test]
-    fn placement_is_sticky_and_skips_dead_shards() {
-        let mut r = router(8);
-        let home = r.home_shard(42);
-        assert_eq!(r.place(42), Some(home));
-        r.set_alive(home, false);
-        let moved = r.place(42).expect("others alive");
-        assert_ne!(moved, home);
-        r.set_alive(home, true);
-        assert_eq!(r.place(42), Some(home));
-        for s in 0..8 {
-            r.set_alive(s, false);
-        }
-        assert_eq!(r.place(42), None);
     }
 
     #[test]

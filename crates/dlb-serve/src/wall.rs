@@ -11,12 +11,13 @@
 //!
 //! Division of labour is lock-free end to end (see [`crate::ring`]):
 //!
-//! - each **acceptor** (pool indices `0..A`) owns a contiguous shard
-//!   group — private backlogs, private `l_old` trigger baselines, a
-//!   private ChaCha partner stream — and replays its slice of the
-//!   precomputed arrival schedule and fault timeline against the wall
-//!   clock; cross-group moves ride MPSC inbox messages (see
-//!   [`crate::acceptor`]);
+//! - each **acceptor** (pool indices `0..A`) drives the
+//!   `ShardGroup` (`crate::group`) of a contiguous shard range — private
+//!   queues, private `l_old` trigger baselines, a private ChaCha
+//!   partner stream; the same state machine the simulated engine runs —
+//!   and replays its slice of the precomputed arrival schedule and
+//!   fault timeline against the wall clock; cross-group moves ride MPSC
+//!   inbox messages (see `crate::acceptor`);
 //! - each **worker** (pool indices `A..A+W`) drains the SPSC work
 //!   rings of its shards (`shard % W == worker`), sleeps out the
 //!   service demand, and records latency into its own histogram; the
@@ -26,28 +27,31 @@
 //! Crash composition differs from the simulated engine in one honest
 //! way: a request already handed to a worker (in its shard's work ring
 //! or in service) when the shard crashes cannot be yanked out of an OS
-//! thread, so wall mode lets it complete regardless of the crash mode;
-//! the owner's backlog is redistributed exactly as in sim mode.
+//! thread, so wall mode lets it complete regardless of the crash mode:
+//! `Lost`/`Frozen` act on the queued backlog only, which is
+//! redistributed by the very code sim mode runs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use dlb_core::Params;
+use dlb_faults::CrashEvent;
 use dlb_trace::{SharedSink, TraceEvent};
 use dlb_workload::service::{Request, RequestSource};
 
-use crate::acceptor::{Acceptor, AcceptorOut, Msg, Transition};
+use crate::acceptor::Acceptor;
+use crate::group::{Msg, ShardGroup};
 use crate::hist::LatencyHistogram;
 use crate::home_shard;
 use crate::ring::{MpscRing, SpscRing};
 use crate::scenario::ServiceScenario;
 use crate::stats::{ServiceStats, WallTiming};
 
-/// Per-shard SPSC work-ring capacity.  Small on purpose: the backlog
-/// behind it is unbounded and owner-private, so the ring only needs to
-/// keep a worker fed between acceptor passes, and a small ring bounds
-/// how much work a crashed shard's worker can still complete.
-const WORK_RING_CAP: usize = 128;
+/// Per-shard SPSC work-ring capacity.  A request in the ring has left
+/// its shard's queue — it no longer counts as depth and no plan or
+/// crash can move it — so the ring holds only what keeps a worker fed
+/// between two acceptor passes (a busy acceptor polls every few tens of
+/// microseconds; a service demand is at least one tick).
+const WORK_RING_CAP: usize = 4;
 
 /// Per-acceptor MPSC inbox capacity.  Senders never block on a full
 /// inbox — they park the message locally and retry — so this only
@@ -63,12 +67,11 @@ pub(crate) struct Shared {
     pub(crate) work: Vec<SpscRing<Request>>,
     /// One MPSC inbox per acceptor for cross-group handoffs.
     pub(crate) inboxes: Vec<MpscRing<Msg>>,
-    /// `owner[s]` = the acceptor owning shard `s`.
+    /// `owner[s]` = the acceptor owning shard `s` (shard groups are
+    /// contiguous, see [`Shared::group`]).
     pub(crate) owner: Vec<usize>,
-    /// Acceptor count (shard groups are contiguous, see [`Shared::group`]).
-    pub(crate) acceptors: usize,
-    /// Queue depths (backlog + work ring) mirrored outside the queues
-    /// so any acceptor can run trigger checks over any shard.
+    /// Queue depths and liveness, published by the owning acceptor
+    /// once per pass so any acceptor can cut a plan over any shard.
     pub(crate) depths: Vec<AtomicU64>,
     pub(crate) down: Vec<AtomicBool>,
     /// Acceptors still replaying arrivals/faults (termination protocol).
@@ -79,15 +82,64 @@ pub(crate) struct Shared {
     /// each send and down only *after* processing (cascades included).
     pub(crate) msgs_in_flight: AtomicU64,
     pub(crate) completed: AtomicU64,
-    pub(crate) dropped: AtomicU64,
 }
 
 impl Shared {
+    /// The shared state of `n` shards under `acceptors` acceptors, with
+    /// the given per-shard work-ring and per-acceptor inbox capacities.
+    pub(crate) fn new(n: usize, acceptors: usize, work_cap: usize, inbox_cap: usize) -> Self {
+        let mut owner = vec![0; n];
+        for a in 0..acceptors {
+            owner[a * n / acceptors..(a + 1) * n / acceptors].fill(a);
+        }
+        Shared {
+            work: (0..n).map(|_| SpscRing::with_capacity(work_cap)).collect(),
+            inboxes: (0..acceptors)
+                .map(|_| MpscRing::with_capacity(inbox_cap))
+                .collect(),
+            owner,
+            depths: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            down: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            producing: AtomicUsize::new(acceptors),
+            accepting: AtomicUsize::new(acceptors),
+            msgs_in_flight: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+        }
+    }
+
     /// Acceptor `a`'s contiguous shard group `[a·n/A, (a+1)·n/A)`.
     pub(crate) fn group(&self, a: usize) -> (usize, usize) {
-        let n = self.owner.len();
-        (a * n / self.acceptors, (a + 1) * n / self.acceptors)
+        let (n, acceptors) = (self.owner.len(), self.inboxes.len());
+        (a * n / acceptors, (a + 1) * n / acceptors)
     }
+
+    /// Splits the schedule by owner: each acceptor replays the requests
+    /// whose *home* shard it owns and its owned shards' transitions.
+    pub(crate) fn feeds(&self, requests: &[Request], crashes: &[CrashEvent]) -> Vec<Feed> {
+        let n = self.owner.len();
+        let mut feeds = vec![Feed::default(); self.inboxes.len()];
+        for &r in requests {
+            feeds[self.owner[home_shard(r.key, n)]].arrivals.push(r);
+        }
+        for c in crashes {
+            let timeline = &mut feeds[self.owner[c.proc]].timeline;
+            timeline.push((c.at, c.proc, false));
+            timeline.extend(c.recover_at.map(|at| (at, c.proc, true)));
+        }
+        // Downs before Ups on ties, like the sim engine.
+        for feed in &mut feeds {
+            feed.timeline.sort_by_key(|&(at, _, up)| (at, up));
+        }
+        feeds
+    }
+}
+
+/// One acceptor's share of the schedule, both in tick order.
+#[derive(Clone, Default)]
+pub(crate) struct Feed {
+    pub(crate) arrivals: Vec<Request>,
+    /// `(tick, shard, up)` crash/recovery transitions.
+    pub(crate) timeline: Vec<(u64, usize, bool)>,
 }
 
 /// Wall-clock duration of `ticks` ticks of `tick_us` microseconds
@@ -108,7 +160,7 @@ struct WorkerOut {
 }
 
 enum Out {
-    Acceptor(AcceptorOut),
+    Acceptor(Box<ShardGroup>, u64),
     Worker(WorkerOut),
 }
 
@@ -130,7 +182,6 @@ fn worker_run(
             let Some(r) = shared.work[s].pop() else {
                 continue;
             };
-            shared.depths[s].fetch_sub(1, Ordering::Release);
             served = true;
             std::thread::sleep(ticks_to_duration(tick_us, r.service));
             let elapsed_ticks = (start.elapsed().as_micros() / tick_us as u128) as u64;
@@ -180,79 +231,25 @@ pub fn run_wall(
     let n = scenario.shards;
     let workers = workers.clamp(1, n);
     let acceptors = acceptors.clamp(1, n);
-    let params = Params::new(n, scenario.delta, scenario.f, 1).map_err(|e| e.to_string())?;
-
-    let mut owner = vec![0usize; n];
-    for a in 0..acceptors {
-        for o in owner
-            .iter_mut()
-            .take((a + 1) * n / acceptors)
-            .skip(a * n / acceptors)
-        {
-            *o = a;
-        }
-    }
+    let shared = Shared::new(n, acceptors, WORK_RING_CAP, INBOX_CAP);
 
     // The whole request stream is precomputed so both engines replay
-    // the same arrivals and the acceptors' hot loops do no generation;
-    // each acceptor gets the requests whose *home* shard it owns.
+    // the same arrivals and the acceptors' hot loops do no generation.
     let mut source = RequestSource::new(scenario.load.clone(), scenario.seed);
     let mut all = Vec::new();
     for t in 0..scenario.ticks {
         source.arrivals_at(t, &mut all);
     }
     let issued = source.issued();
-    let mut arrivals: Vec<Vec<Request>> = vec![Vec::new(); acceptors];
-    for &r in &all {
-        arrivals[owner[home_shard(r.key, n)]].push(r);
-    }
+    let feeds = shared.feeds(&all, &scenario.faults.crashes);
 
-    // Fault timelines, partitioned by the crashed shard's owner; the
-    // stable sort keeps Downs before Ups on ties, like the sim engine.
-    let mut timelines: Vec<Vec<(u64, usize, Transition)>> = vec![Vec::new(); acceptors];
-    for c in &scenario.faults.crashes {
-        timelines[owner[c.proc]].push((c.at, c.proc, Transition::Down));
-    }
-    for c in &scenario.faults.crashes {
-        if let Some(r) = c.recover_at {
-            timelines[owner[c.proc]].push((r, c.proc, Transition::Up));
-        }
-    }
-    for tl in &mut timelines {
-        tl.sort_by_key(|&(at, _, _)| at);
-    }
-
-    let shared = Shared {
-        work: (0..n)
-            .map(|_| SpscRing::with_capacity(WORK_RING_CAP))
-            .collect(),
-        inboxes: (0..acceptors)
-            .map(|_| MpscRing::with_capacity(INBOX_CAP))
-            .collect(),
-        owner,
-        acceptors,
-        depths: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        producing: AtomicUsize::new(acceptors),
-        accepting: AtomicUsize::new(acceptors),
-        msgs_in_flight: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-    };
     let start = Instant::now();
     let jobs = acceptors + workers;
     let results: Vec<Out> = dlb_pool::par_map(jobs, jobs, |i| {
         if i < acceptors {
-            let acceptor = Acceptor::new(
-                i,
-                &shared,
-                params,
-                scenario.seed,
-                sink.as_ref(),
-                start,
-                scenario.tick_us,
-            );
-            Out::Acceptor(acceptor.run(&arrivals[i], &timelines[i]))
+            let acceptor = Acceptor::new(i, &shared, scenario, sink.clone(), &feeds[i]);
+            let (group, handoffs) = acceptor.run(start, scenario.tick_us);
+            Out::Acceptor(Box::new(group), handoffs)
         } else {
             Out::Worker(worker_run(
                 i - acceptors,
@@ -269,16 +266,16 @@ pub fn run_wall(
     let mut latency = LatencyHistogram::new();
     let mut per_shard_completed = vec![0u64; n];
     let mut per_acceptor_rebalances = vec![0u64; acceptors];
-    let mut totals = AcceptorOut::default();
+    let (mut dropped, mut redirected, mut crashes, mut recoveries, mut handoffs) = (0, 0, 0, 0, 0);
     for (i, out) in results.into_iter().enumerate() {
         match out {
-            Out::Acceptor(a) => {
-                per_acceptor_rebalances[i] = a.rebalances;
-                totals.rebalances += a.rebalances;
-                totals.redirected += a.redirected;
-                totals.crashes += a.crashes;
-                totals.recoveries += a.recoveries;
-                totals.handoffs += a.handoffs;
+            Out::Acceptor(group, sent) => {
+                per_acceptor_rebalances[i] = group.router().rebalances();
+                dropped += group.dropped;
+                redirected += group.redirected;
+                crashes += group.crashes;
+                recoveries += group.recoveries;
+                handoffs += sent;
             }
             Out::Worker(w) => {
                 latency.merge(&w.hist);
@@ -289,7 +286,6 @@ pub fn run_wall(
         }
     }
     let completed = shared.completed.load(Ordering::Acquire);
-    let dropped = shared.dropped.load(Ordering::Acquire);
     if completed + dropped != issued {
         return Err(format!(
             "conservation broken: issued {issued} != completed {completed} + dropped {dropped}"
@@ -316,11 +312,11 @@ pub fn run_wall(
         completed,
         dropped,
         in_flight: 0,
-        redirected: totals.redirected,
-        rebalances: totals.rebalances,
-        crashes: totals.crashes,
-        recoveries: totals.recoveries,
-        handoffs: totals.handoffs,
+        redirected,
+        rebalances: per_acceptor_rebalances.iter().sum(),
+        crashes,
+        recoveries,
+        handoffs,
         per_acceptor_rebalances,
         latency,
         per_shard_completed,

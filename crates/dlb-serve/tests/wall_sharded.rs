@@ -1,10 +1,10 @@
 //! End-to-end tests of the sharded wall engine: the conservation
 //! ledger must close exactly for every acceptor count, the fault plan
-//! must be honoured wherever its ticks fall, and sim and wall mode
-//! must agree on every key's home shard.
+//! must be honoured wherever its ticks fall, and every key's home must
+//! be a valid shard.
 
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
-use dlb_serve::{home_shard, run_wall, ServiceScenario, TriggerRouter};
+use dlb_serve::{home_shard, run_wall, ServiceScenario};
 use dlb_trace::{BufferSink, TraceEvent};
 use dlb_workload::service::{RatePhase, ServiceLoad};
 
@@ -135,19 +135,11 @@ fn wall_trace_is_consistent_with_the_stats_under_sharding() {
 }
 
 #[test]
-fn sim_and_wall_agree_on_every_keys_home_shard() {
+fn every_keys_home_is_a_valid_shard() {
+    // Placement is one call site (`ShardGroup::arrive`), so there is no
+    // second copy to agree with; what is left to check is the range.
     for n in [1usize, 2, 3, 8, 64] {
-        let router = TriggerRouter::new(n.max(2), 1, 1.5, 0).expect("params");
         for key in (0..2_000u64).chain([u64::MAX, u64::MAX - 1, 1 << 60]) {
-            // The router (sim placement) and the crate-level hash (wall
-            // placement) must be the same function.
-            if n >= 2 {
-                assert_eq!(
-                    router.home_shard(key),
-                    home_shard(key, n.max(2)),
-                    "key {key} placed differently by sim vs wall at n={n}"
-                );
-            }
             assert!(home_shard(key, n) < n, "home must be a valid shard");
         }
     }
