@@ -37,6 +37,8 @@
 //! All implement [`LoadBalancer`], so every experiment can drive them
 //! with the identical recorded event trace.
 
+#![forbid(unsafe_code)]
+
 pub mod adjacency;
 mod averaging;
 mod dimension_exchange;

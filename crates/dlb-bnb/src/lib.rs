@@ -27,6 +27,8 @@
 //! assert_eq!(outcome.best_value, Some(problem.optimum_by_dp()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod knapsack;
 pub mod nqueens;
 pub mod solver;

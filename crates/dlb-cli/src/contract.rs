@@ -1,10 +1,9 @@
 //! The `LoadBalancer` stepping contract, checked on every balancer the
 //! CLI can build (every `StrategyConfig` kind but `async`, which is not
 //! a `LoadBalancer`): the two [`Events`] arms are the same step, with
-//! and without a crash mask, sequentially and through the wave
-//! executor; packets are conserved and `load_summary()` equals a scan
-//! after every step; malformed input is refused with the documented
-//! message before any state changes.
+//! and without a crash mask; packets are conserved and
+//! `load_summary()` equals a scan after every step; malformed input is
+//! refused with the documented message before any state changes.
 
 use crate::config::{StrategyConfig, TopologyConfig};
 use crate::run::build_strategy_config;
@@ -86,13 +85,8 @@ fn every_kind() -> Vec<StrategyConfig> {
     all
 }
 
-fn build(config: &StrategyConfig, jobs: usize) -> Box<dyn LoadBalancer> {
-    let mut balancer = build_strategy_config(config, N, 7).expect("every_kind fits N");
-    balancer.set_step_jobs(jobs);
-    // Threshold 0: with several jobs every operation goes through the
-    // wave executor, however small the step.
-    balancer.set_wave_threshold(0);
-    balancer
+fn build(config: &StrategyConfig) -> Box<dyn LoadBalancer> {
+    build_strategy_config(config, N, 7).expect("every_kind fits N")
 }
 
 fn decode(row: &[u8]) -> Vec<LoadEvent> {
@@ -116,8 +110,8 @@ fn active_of(events: &[LoadEvent]) -> Vec<(usize, LoadEvent)> {
 
 proptest! {
     /// `Events::Dense` ≡ `Events::Active` on loads and `Metrics` after
-    /// every step, under a crash mask that comes and goes, for one and
-    /// four step jobs; conservation and the summary hold throughout.
+    /// every step, under a crash mask that comes and goes;
+    /// conservation and the summary hold throughout.
     #[test]
     fn dense_and_active_are_the_same_step(
         rows in prop::collection::vec(prop::collection::vec(0u8..5, N), 1..40),
@@ -125,34 +119,32 @@ proptest! {
     ) {
         let down: Vec<bool> = down.iter().map(|&d| d == 0).collect();
         for config in every_kind() {
-            for jobs in [1, 4] {
-                let mut dense = build(&config, jobs);
-                let mut active = build(&config, jobs);
-                for (t, row) in rows.iter().enumerate() {
-                    let events = decode(row);
-                    // Thirds: no mask, the drawn mask, an all-up mask.
-                    let mask = match t % 3 {
-                        0 => None,
-                        1 => Some(down.clone()),
-                        _ => Some(vec![false; N]),
-                    };
-                    dense.step_events(Events::Dense(&events), mask.as_deref());
-                    active.step_events(Events::Active(&active_of(&events)), mask.as_deref());
-                    let loads = dense.loads();
-                    prop_assert_eq!(&loads, &active.loads(), "{} jobs={} step {}", config.kind(), jobs, t);
-                    prop_assert_eq!(dense.metrics(), active.metrics(), "{} jobs={} step {}", config.kind(), jobs, t);
-                    let m = dense.metrics();
-                    prop_assert_eq!(
-                        loads.iter().sum::<u64>(),
-                        m.generated - m.consumed,
-                        "{} loses packets at step {}", config.kind(), t
-                    );
-                    prop_assert_eq!(
-                        active.load_summary(),
-                        LoadSummary::from_loads(&loads),
-                        "{} summary at step {}", config.kind(), t
-                    );
-                }
+            let mut dense = build(&config);
+            let mut active = build(&config);
+            for (t, row) in rows.iter().enumerate() {
+                let events = decode(row);
+                // Thirds: no mask, the drawn mask, an all-up mask.
+                let mask = match t % 3 {
+                    0 => None,
+                    1 => Some(down.clone()),
+                    _ => Some(vec![false; N]),
+                };
+                dense.step_events(Events::Dense(&events), mask.as_deref());
+                active.step_events(Events::Active(&active_of(&events)), mask.as_deref());
+                let loads = dense.loads();
+                prop_assert_eq!(&loads, &active.loads(), "{} step {}", config.kind(), t);
+                prop_assert_eq!(dense.metrics(), active.metrics(), "{} step {}", config.kind(), t);
+                let m = dense.metrics();
+                prop_assert_eq!(
+                    loads.iter().sum::<u64>(),
+                    m.generated - m.consumed,
+                    "{} loses packets at step {}", config.kind(), t
+                );
+                prop_assert_eq!(
+                    active.load_summary(),
+                    LoadSummary::from_loads(&loads),
+                    "{} summary at step {}", config.kind(), t
+                );
             }
         }
     }
@@ -182,7 +174,7 @@ fn refusal(balancer: &mut dyn LoadBalancer, step: BadStep) -> String {
 fn malformed_steps_are_refused_with_the_documented_messages() {
     let gen = LoadEvent::Generate;
     for config in every_kind() {
-        let mut b = build(&config, 1);
+        let mut b = build(&config);
         let b = b.as_mut();
         b.step(&[gen; N]);
         let cases: [(&str, BadStep); 6] = [

@@ -14,16 +14,13 @@
 //! options:
 //!   --trace <path>   write a JSONL event trace (dlb-trace schema)
 //!   --jobs N         worker threads; output is identical for every N
-//!   --step-jobs N    worker threads inside each step (wave-executed
-//!                    balance operations); output is identical for every N
-//!   --wave-threshold N  minimum queued operations per flush before the
-//!                    wave executor engages (smaller flushes run
-//!                    sequentially); output is identical for every N
 //!   --profile        add per-step StepProfile events to the trace
 //!   --dense          force the dense O(n)-per-step path for
 //!                    sparse-capable workloads (output is byte-identical
 //!                    either way; the event-driven path is the default)
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod config;
 #[cfg(test)]
@@ -36,11 +33,18 @@ use run::RunOptions;
 
 const USAGE: &str = "usage: dlb <demo | run <scenario.json> | template | \
                      serve <scenario.json>> [--trace <path>] [--jobs N] \
-                     [--step-jobs N] [--wave-threshold N] [--profile] [--dense]";
+                     [--profile] [--dense]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    if let Err(message) = dispatch(&args) {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    }
+}
+
+fn dispatch(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("demo") => {
             parse_options(&args[1..]).and_then(|opts| run_scenario(Scenario::demo(), &opts))
         }
@@ -54,11 +58,7 @@ fn main() {
                 },
                 Err(e) => Err(format!("cannot read {path}: {e}")),
             },
-            None => Err(
-                "usage: dlb run <scenario.json> [--trace <path>] [--jobs N] \
-                 [--step-jobs N] [--profile]"
-                    .to_string(),
-            ),
+            None => Err(USAGE.to_string()),
         },
         Some("serve") => serve::serve_main(&args[1..]),
         Some("template") => {
@@ -66,10 +66,6 @@ fn main() {
             Ok(())
         }
         _ => Err(USAGE.to_string()),
-    };
-    if let Err(message) = result {
-        eprintln!("error: {message}");
-        std::process::exit(1);
     }
 }
 
@@ -86,19 +82,6 @@ fn parse_options(rest: &[String]) -> Result<RunOptions, String> {
                 opts.jobs = raw
                     .parse()
                     .map_err(|e| format!("invalid --jobs {raw:?}: {e}"))?;
-            }
-            "--step-jobs" => {
-                let raw = iter.next().ok_or("--step-jobs needs a thread count")?;
-                opts.step_jobs = raw
-                    .parse()
-                    .map_err(|e| format!("invalid --step-jobs {raw:?}: {e}"))?;
-            }
-            "--wave-threshold" => {
-                let raw = iter.next().ok_or("--wave-threshold needs a count")?;
-                opts.wave_threshold = Some(
-                    raw.parse()
-                        .map_err(|e| format!("invalid --wave-threshold {raw:?}: {e}"))?,
-                );
             }
             "--profile" => opts.profile = true,
             "--dense" => opts.dense = true,
@@ -134,4 +117,50 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
         println!("\ntrace written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// `dlb run` without a path used to print a second, hand-written
+    /// usage string that had lost `--dense`.
+    #[test]
+    fn run_without_a_path_prints_the_one_usage() {
+        assert_eq!(dispatch(&strings(&["run"])), Err(USAGE.to_string()));
+        assert_eq!(
+            dispatch(&strings(&["run", "--jobs", "2"])),
+            Err(USAGE.to_string())
+        );
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        let accepted = [
+            ("--trace", Some("t.jsonl")),
+            ("--jobs", Some("2")),
+            ("--profile", None),
+            ("--dense", None),
+        ];
+        for (flag, value) in accepted {
+            let args: Vec<&str> = std::iter::once(flag).chain(value).collect();
+            parse_options(&strings(&args)).unwrap_or_else(|e| panic!("{flag}: {e}"));
+        }
+        let listed: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphabetic() || c == '-'))
+            .filter(|word| word.starts_with("--"))
+            .collect();
+        assert_eq!(listed, accepted.map(|(flag, _)| flag));
+    }
+
+    #[test]
+    fn a_removed_flag_is_an_unknown_option() {
+        let err = parse_options(&strings(&["--step-jobs", "4"])).unwrap_err();
+        assert!(err.starts_with("unknown option \"--step-jobs\""), "{err}");
+        assert!(err.ends_with(USAGE), "{err}");
+    }
 }

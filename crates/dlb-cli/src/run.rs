@@ -38,15 +38,6 @@ pub struct RunOptions {
     /// Worker threads for the run loop (`0`/`1` = sequential; output is
     /// identical for every value).
     pub jobs: usize,
-    /// Worker threads *inside* each step (wave-executed balance
-    /// operations; `0`/`1` = sequential).  Shares the run-level pool, so
-    /// `--jobs` and `--step-jobs` compose without oversubscription, and
-    /// output is identical for every value.
-    pub step_jobs: usize,
-    /// Minimum queued-operation count for the wave executor; smaller
-    /// flushes run sequentially (`None` = engine default).  Output is
-    /// identical for every value.
-    pub wave_threshold: Option<usize>,
     /// Emit per-step `StepProfile` events (wall times are
     /// machine-dependent, so profiled traces are not byte-reproducible).
     pub profile: bool,
@@ -349,16 +340,10 @@ fn run_one_sync(
     r: usize,
     tracing: bool,
     profile: bool,
-    step_jobs: usize,
-    wave_threshold: Option<usize>,
     force_dense: bool,
 ) -> Result<RunOutcome, String> {
     let seed = stream_seed(scenario.seed, r as u64, StreamId::Balancer);
     let mut balancer = build_strategy(scenario, seed)?;
-    balancer.set_step_jobs(step_jobs.max(1));
-    if let Some(threshold) = wave_threshold {
-        balancer.set_wave_threshold(threshold);
-    }
     let wseed = stream_seed(scenario.seed, r as u64, StreamId::Workload);
     let mut sparse_workload = if force_dense || !scenario.workload.is_sparse() {
         None
@@ -539,15 +524,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
             Some((delta, f, latency)) => {
                 run_one_async(scenario, r, tracing, opts.profile, delta, f, latency)
             }
-            None => run_one_sync(
-                scenario,
-                r,
-                tracing,
-                opts.profile,
-                opts.step_jobs,
-                opts.wave_threshold,
-                opts.dense,
-            ),
+            None => run_one_sync(scenario, r, tracing, opts.profile, opts.dense),
         });
 
     let mut sink = match &trace_path {
@@ -900,50 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_byte_identical_across_step_jobs() {
-        // Intra-step wave execution must not change a single byte of the
-        // trace or report, alone or combined with run-level --jobs.
-        let dir = std::env::temp_dir().join("dlb_cli_step_jobs_trace_test");
-        let mut scenario = small_scenario(
-            StrategyConfig::Full {
-                delta: 2,
-                f: 1.1,
-                c: 4,
-            },
-            WorkloadConfig::Uniform {
-                p_gen: 0.5,
-                p_con: 0.3,
-            },
-        );
-        scenario.n = 16;
-        scenario.steps = 200;
-        scenario.runs = 2;
-        let run_with = |jobs: usize, step_jobs: usize, name: &str| {
-            let path = dir.join(name);
-            let opts = RunOptions {
-                trace: Some(path.to_string_lossy().into_owned()),
-                jobs,
-                step_jobs,
-                wave_threshold: Some(0),
-                profile: false,
-                dense: false,
-            };
-            let report = execute_with(&scenario, &opts).unwrap();
-            (std::fs::read(&path).unwrap(), report)
-        };
-        let (seq, report_seq) = run_with(1, 1, "s1.jsonl");
-        assert!(!seq.is_empty());
-        for (jobs, step_jobs) in [(1, 4), (2, 2), (1, 8)] {
-            let name = format!("j{jobs}s{step_jobs}.jsonl");
-            let (par, report_par) = run_with(jobs, step_jobs, &name);
-            assert_eq!(seq, par, "jobs={jobs} step-jobs={step_jobs}");
-            assert_eq!(report_seq.mean_ratio, report_par.mean_ratio);
-            assert_eq!(report_seq.ops_per_run, report_par.ops_per_run);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn untraced_report_matches_traced_report() {
         let dir = std::env::temp_dir().join("dlb_cli_trace_inert_test");
         let scenario = small_scenario(
@@ -957,8 +890,6 @@ mod tests {
         let opts = RunOptions {
             trace: Some(dir.join("t.jsonl").to_string_lossy().into_owned()),
             jobs: 2,
-            step_jobs: 2,
-            wave_threshold: None,
             profile: true,
             dense: false,
         };
@@ -1152,8 +1083,8 @@ mod tests {
     #[test]
     fn sparse_trace_is_byte_identical_to_dense() {
         // The event-driven path must not change a single byte of the
-        // trace or report relative to --dense, for sequential and
-        // wave-parallel steps, with a crash/rejoin in play.
+        // trace or report relative to --dense, with a crash/rejoin in
+        // play.
         let dir = std::env::temp_dir().join("dlb_cli_sparse_identity_test");
         for (w, workload) in sparse_workloads().into_iter().enumerate() {
             let mut scenario = small_scenario(
@@ -1175,29 +1106,23 @@ mod tests {
                 }],
                 ..FaultPlan::default()
             });
-            let run_with = |dense: bool, step_jobs: usize, name: &str| {
+            let run_with = |dense: bool, name: &str| {
                 let path = dir.join(name);
                 let opts = RunOptions {
                     trace: Some(path.to_string_lossy().into_owned()),
-                    step_jobs,
-                    wave_threshold: Some(0),
                     dense,
                     ..RunOptions::default()
                 };
                 let report = execute_with(&scenario, &opts).unwrap();
                 (std::fs::read(&path).unwrap(), report)
             };
-            for step_jobs in [1, 4] {
-                let (dense, dense_report) =
-                    run_with(true, step_jobs, &format!("w{w}s{step_jobs}_dense.jsonl"));
-                let (sparse, sparse_report) =
-                    run_with(false, step_jobs, &format!("w{w}s{step_jobs}_sparse.jsonl"));
-                assert!(!dense.is_empty());
-                assert_eq!(dense, sparse, "workload {w}, step-jobs {step_jobs}");
-                assert_eq!(dense_report.mean_ratio, sparse_report.mean_ratio);
-                assert_eq!(dense_report.ops_per_run, sparse_report.ops_per_run);
-                assert_eq!(dense_report.final_total, sparse_report.final_total);
-            }
+            let (dense, dense_report) = run_with(true, &format!("w{w}_dense.jsonl"));
+            let (sparse, sparse_report) = run_with(false, &format!("w{w}_sparse.jsonl"));
+            assert!(!dense.is_empty());
+            assert_eq!(dense, sparse, "workload {w}");
+            assert_eq!(dense_report.mean_ratio, sparse_report.mean_ratio);
+            assert_eq!(dense_report.ops_per_run, sparse_report.ops_per_run);
+            assert_eq!(dense_report.final_total, sparse_report.final_total);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -24,8 +24,6 @@
 //! ([`sparse::SparseRow`] per processor), which is what lets it scale to
 //! n ≥ 2¹⁸; the naive dense implementation survives as the test oracle
 //! [`mod@reference`], and the two are bit-identical, enforced by proptests.
-//! Both engines run their balance operations through the one
-//! conflict-free wave executor in [`wave`] when `step_jobs > 1`.
 //!
 //! [`one_proc`] contains the one-processor-generator(-consumer) models of
 //! §3 (the paper's Figure 1), used to validate Theorems 1–3 and the cost
@@ -55,6 +53,11 @@
 //! # Ok::<(), dlb_theory::ParamError>(())
 //! ```
 
+// Three audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
+// hint in `cluster` and the two `u64`-block-as-`u32`-keys views in
+// `sparse`.
+#![deny(unsafe_code)]
+
 pub mod balance;
 pub mod batch;
 pub mod cluster;
@@ -69,7 +72,6 @@ pub mod snapshot;
 pub mod sparse;
 pub mod strategy;
 mod summary;
-pub mod wave;
 pub mod weighted;
 
 pub use batch::{step_batch, BatchEvent};
@@ -77,11 +79,10 @@ pub use cluster::Cluster;
 pub use metrics::Metrics;
 pub use params::{ExchangePolicy, Params};
 pub use recorder::LoadRecorder;
-pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster, SIMPLE_WAVE_THRESHOLD};
+pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster};
 pub use snapshot::ClusterSnapshot;
 pub use sparse::SparseRow;
 pub use strategy::{
     emit_step_delta, imbalance_stats, Events, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary,
-    DEFAULT_WAVE_THRESHOLD,
 };
 pub use weighted::{ProportionalRule, WeightedCluster};

@@ -16,9 +16,9 @@
 //! and what moving it costs* ([`BalanceRule::split`]).  [`SimpleCluster`]
 //! is the engine under the [`EvenRule`]; [`crate::WeightedCluster`]
 //! (shares ∝ speed) and `dlb-net`'s `TopoCluster` (topology neighbours,
-//! hop accounting) are the same engine under their own rules.  Rules are
-//! safe code: the engine alone owns the raw load view the wave executor
-//! writes through.
+//! hop accounting) are the same engine under their own rules.  An
+//! operation executes at its trigger: moving δ + 1 integers costs tens
+//! of nanoseconds, so there is nothing to overlap or defer.
 //!
 //! Hot-path note: the alive-candidate list used under a crash mask is
 //! cached and rebuilt only when the mask changes (checked once per step,
@@ -32,23 +32,9 @@ use crate::metrics::Metrics;
 use crate::params::Params;
 use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::SummaryTracker;
-use crate::wave::WaveQueue;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-
-/// Default wave threshold for [`SimpleCluster`], much higher than the
-/// full model's [`crate::strategy::DEFAULT_WAVE_THRESHOLD`]: a raw-load
-/// balance op only moves δ + 1 integers (tens of nanoseconds), so pool
-/// dispatch — microseconds per wave — cannot pay for itself until a
-/// step carries thousands of ops.  Below this the engine neither
-/// defers nor wave-plans (the [`crate::wave`] defer policy), which is
-/// what fixed the `step_jobs=4`
-/// regression recorded in BENCH_core.json (n=4096: 123 ms → parity
-/// with sequential).  Override with
-/// [`LoadBalancer::set_wave_threshold`]; 0 forces the wave executor
-/// for every flush (used by the equivalence tests).
-pub const SIMPLE_WAVE_THRESHOLD: usize = 4096;
 
 /// Who is up during the current step, as [`BalanceRule::draw_partners`]
 /// sees it.
@@ -102,17 +88,9 @@ impl Alive<'_> {
 }
 
 /// The two decisions in which the practical variants differ.  Trigger,
-/// event loop, crash masks, wave execution, metrics and tracing are the
-/// engine's and identical under every rule.
-pub trait BalanceRule: Sync {
-    /// What one split reports besides the shares (hop counts, say);
-    /// handed to [`BalanceRule::fold`] in trigger order.
-    type Outcome: Copy + Default + Send;
-
-    /// Default [`LoadBalancer::set_wave_threshold`] under this rule:
-    /// the costlier one split, the fewer operations repay a dispatch.
-    const WAVE_THRESHOLD: usize;
-
+/// event loop, crash masks, metrics and tracing are the engine's and
+/// identical under every rule.
+pub trait BalanceRule {
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
 
@@ -121,10 +99,9 @@ pub trait BalanceRule: Sync {
     fn check_size(&self, _n: usize) {}
 
     /// Appends the initiator's balance partners (up, distinct, not the
-    /// initiator) to `out`.  Runs on the stepping thread, at the
-    /// trigger, and is the only place a balance consumes randomness.
-    /// The default is the paper's: `delta` processors uniformly from
-    /// everyone who is up.
+    /// initiator) to `out`; the only place a balance consumes
+    /// randomness.  The default is the paper's: `delta` processors
+    /// uniformly from everyone who is up.
     fn draw_partners(
         &mut self,
         rng: &mut ChaCha8Rng,
@@ -138,12 +115,10 @@ pub trait BalanceRule: Sync {
 
     /// Splits what the group holds — `held[k]` packets on `members[k]`,
     /// initiator first — into one share per member (`shares` cleared
-    /// first, same order, same total).  May run on a pool worker,
-    /// concurrently with splits of disjoint groups.
-    fn split(&self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) -> Self::Outcome;
-
-    /// Accounts one executed operation that moved `packets` packets.
-    fn fold(&mut self, _packets: u64, _outcome: Self::Outcome) {}
+    /// first, same order, same total), and tallies whatever the rule
+    /// counts about the move.  Called once per balance operation, in
+    /// trigger order.
+    fn split(&mut self, members: &[usize], held: &[u64], shares: &mut Vec<u64>);
 }
 
 /// The paper's rule: partners uniform over everyone alive, total split
@@ -152,110 +127,13 @@ pub trait BalanceRule: Sync {
 pub struct EvenRule;
 
 impl BalanceRule for EvenRule {
-    type Outcome = ();
-    const WAVE_THRESHOLD: usize = SIMPLE_WAVE_THRESHOLD;
-
     fn name(&self) -> &'static str {
         "spaa93-simple"
     }
 
     #[inline]
-    fn split(&self, _members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
+    fn split(&mut self, _members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
         even_shares_into(held.iter().sum(), held.len(), shares);
-    }
-}
-
-/// Scratch of one executing thread: the members' loads before the split
-/// and their shares after it.
-#[derive(Default)]
-struct SplitScratch {
-    held: Vec<u64>,
-    shares: Vec<u64>,
-}
-
-thread_local! {
-    /// Per-thread scratch for wave execution.
-    static WAVE_SCRATCH: std::cell::RefCell<SplitScratch> =
-        const { std::cell::RefCell::new(SplitScratch { held: Vec::new(), shares: Vec::new() }) };
-}
-
-/// What executing one raw-load balance produced; folded into metrics and
-/// trace in trigger order.
-#[derive(Clone, Copy, Default)]
-struct OpOutcome<X> {
-    /// The f-factor ratio that fired the trigger (0.0 unless tracing).
-    trigger: f64,
-    /// Packets that physically moved between members.
-    op_packets: u64,
-    /// The rule's own report on the split.
-    rule: X,
-}
-
-/// Raw view of the two per-processor vectors a balance operation writes.
-/// Operations in one wave have disjoint member sets (the
-/// [`crate::wave`] planner's invariant), so concurrent executors touch
-/// disjoint entries.
-struct LoadsView {
-    loads: *mut u64,
-    l_old: *mut u64,
-    /// Length of both vectors.
-    len: usize,
-}
-
-// SAFETY: both fields point into `Vec<u64>` buffers — plain data with
-// no thread affinity — and whoever dereferences them owes
-// `execute_balance`'s contract: no two threads touch the same entry.
-unsafe impl Send for LoadsView {}
-unsafe impl Sync for LoadsView {}
-
-/// Executes one raw-load balance over `members` (initiator first): the
-/// body of [`RawCluster::full_balance`], shared by the sequential path
-/// and the wave executor.  Consumes no RNG.
-///
-/// # Safety
-///
-/// `view` must describe live vectors, and no other thread may
-/// concurrently touch the loads of `members` (the [`crate::wave`]
-/// disjointness invariant).  Member indices need no vetting — they come
-/// from a rule's safe code and are range-checked here.
-unsafe fn execute_balance<R: BalanceRule>(
-    view: &LoadsView,
-    rule: &R,
-    members: &[usize],
-    tracing: bool,
-    scratch: &mut SplitScratch,
-) -> OpOutcome<R::Outcome> {
-    let SplitScratch { held, shares } = scratch;
-    held.clear();
-    held.extend(members.iter().map(|&mm| {
-        assert!(mm < view.len, "partner {mm} out of range");
-        *view.loads.add(mm)
-    }));
-    // Untouched between draw and execution (queued operations touching
-    // the initiator were flushed before its event), so this equals the
-    // draw-time ratio.
-    let trigger = if tracing {
-        held[0] as f64 / (*view.l_old.add(members[0])).max(1) as f64
-    } else {
-        0.0
-    };
-    let rule_out = rule.split(members, held, shares);
-    debug_assert_eq!(shares.len(), members.len(), "one share per member");
-    debug_assert_eq!(
-        shares.iter().sum::<u64>(),
-        held.iter().sum::<u64>(),
-        "a split conserves the group total"
-    );
-    let mut op_packets = 0u64;
-    for ((&mm, &had), &share) in members.iter().zip(held.iter()).zip(shares.iter()) {
-        op_packets += had.saturating_sub(share);
-        *view.loads.add(mm) = share;
-        *view.l_old.add(mm) = share;
-    }
-    OpOutcome {
-        trigger,
-        op_packets,
-        rule: rule_out,
     }
 }
 
@@ -275,13 +153,11 @@ pub struct RawCluster<R: BalanceRule> {
     /// Whether the current step's mask has any down processor.
     any_down: bool,
     scratch_members: Vec<usize>,
-    scratch_split: SplitScratch,
+    /// The members' loads before a split, and their shares after it.
+    scratch_held: Vec<u64>,
+    scratch_shares: Vec<u64>,
     sink: Option<SharedSink>,
     step_no: u64,
-    /// Intra-step parallelism (`step_jobs`; threshold default
-    /// [`BalanceRule::WAVE_THRESHOLD`]): operations the queue accepts
-    /// run in conflict-free waves, the rest execute at the trigger.
-    wave: WaveQueue<OpOutcome<R::Outcome>>,
     /// Load counts backing [`LoadBalancer::load_summary`]; observer
     /// state, built on the first query (`None` until then, so
     /// unobserved runs pay one branch per load change).
@@ -330,10 +206,10 @@ impl<R: BalanceRule> RawCluster<R> {
             alive: (0..n).collect(),
             any_down: false,
             scratch_members: Vec::new(),
-            scratch_split: SplitScratch::default(),
+            scratch_held: Vec::new(),
+            scratch_shares: Vec::new(),
             sink: None,
             step_no: 0,
-            wave: WaveQueue::new(n, R::WAVE_THRESHOLD),
             summary: None,
         }
     }
@@ -344,9 +220,7 @@ impl<R: BalanceRule> RawCluster<R> {
     }
 
     /// Feeds processor `i`'s (already updated) load to the summary
-    /// tracker.  Must follow every `self.loads` mutation on a
-    /// sequential path; the balance executor's writes are covered
-    /// per-member in [`RawCluster::fold_outcome`] instead.
+    /// tracker.  Must follow every `self.loads` mutation.
     #[inline]
     fn note_load(&mut self, i: usize) {
         if let Some(tracker) = self.summary.as_mut() {
@@ -401,8 +275,8 @@ impl<R: BalanceRule> RawCluster<R> {
 
     /// Balances the initiator with the partners the rule draws; down
     /// processors (per the mask cached by the current step) are not
-    /// offered to it.  The draw happens here; execution is deferred to
-    /// the next flush when the wave queue accepts the operation.
+    /// offered to it.  Per operation the trace reads BalanceInitiated,
+    /// then PacketsMigrated if any moved.
     fn full_balance(&mut self, initiator: usize) {
         let mut members = std::mem::take(&mut self.scratch_members);
         members.clear();
@@ -423,85 +297,47 @@ impl<R: BalanceRule> RawCluster<R> {
             self.scratch_members = members;
             return; // nobody alive to balance with
         }
-        if !self.wave.push(&members) {
-            let tracing = self.trace_on();
-            let mut scratch = std::mem::take(&mut self.scratch_split);
-            let view = self.loads_view();
-            // SAFETY: the view was just taken from `&mut self` and this
-            // thread is the only executor.
-            let out =
-                unsafe { execute_balance(&view, &self.rule, &members, tracing, &mut scratch) };
-            self.scratch_split = scratch;
-            self.fold_outcome(&members, out, tracing);
-        }
-        self.scratch_members = members;
-    }
-
-    /// Raw pointers into the two vectors balance operations write; valid
-    /// until the next access through `&mut self`.
-    fn loads_view(&mut self) -> LoadsView {
-        LoadsView {
-            loads: self.loads.as_mut_ptr(),
-            l_old: self.l_old.as_mut_ptr(),
-            len: self.loads.len(),
-        }
-    }
-
-    /// Folds one executed operation into metrics, trace and the rule's
-    /// tally, in trigger order — reconstructing the exact sequential
-    /// counter sums and event stream (BalanceInitiated, then
-    /// PacketsMigrated if any).
-    fn fold_outcome(&mut self, members: &[usize], out: OpOutcome<R::Outcome>, tracing: bool) {
-        // The executor wrote the members' loads through raw pointers
-        // (possibly on pool workers); the summary tracker catches up
-        // here, on the sequential fold.
-        if self.summary.is_some() {
-            for &mm in members {
-                self.note_load(mm);
-            }
-        }
         self.metrics.balance_ops += 1;
         self.metrics.messages += members.len() as u64;
+        let tracing = self.trace_on();
         if tracing {
             self.emit(TraceEvent::BalanceInitiated {
                 step: self.step_no,
-                initiator: members[0] as u64,
+                initiator: initiator as u64,
                 partners: members[1..].iter().map(|&p| p as u64).collect(),
-                trigger: out.trigger,
+                // The f-factor ratio that fired the trigger.
+                trigger: self.loads[initiator] as f64 / self.l_old[initiator].max(1) as f64,
             });
         }
-        self.metrics.packets_migrated += out.op_packets;
-        if out.op_packets > 0 && tracing {
+        self.scratch_held.clear();
+        self.scratch_held
+            .extend(members.iter().map(|&mm| self.loads[mm]));
+        let (held, shares) = (&self.scratch_held, &mut self.scratch_shares);
+        self.rule.split(&members, held, shares);
+        debug_assert_eq!(shares.len(), members.len(), "one share per member");
+        debug_assert_eq!(
+            shares.iter().sum::<u64>(),
+            held.iter().sum::<u64>(),
+            "a split conserves the group total"
+        );
+        let mut op_packets = 0u64;
+        for ((&mm, &had), &share) in members.iter().zip(held).zip(shares.iter()) {
+            op_packets += had.saturating_sub(share);
+            self.loads[mm] = share;
+            self.l_old[mm] = share;
+            if let Some(tracker) = self.summary.as_mut() {
+                tracker.note(mm, share);
+            }
+        }
+        self.metrics.packets_migrated += op_packets;
+        if op_packets > 0 && tracing {
             self.emit(TraceEvent::PacketsMigrated {
                 step: self.step_no,
-                initiator: members[0] as u64,
-                count: out.op_packets,
+                initiator: initiator as u64,
+                count: op_packets,
             });
         }
-        self.rule.fold(out.op_packets, out.rule);
-    }
-
-    /// Executes every queued operation through the wave queue and folds
-    /// the outcomes in trigger order.
-    fn flush_pending(&mut self) {
-        if self.wave.is_empty() {
-            return;
-        }
-        let tracing = self.trace_on();
-        let mut wave = std::mem::take(&mut self.wave);
-        let view = self.loads_view();
-        let rule = &self.rule;
-        wave.execute(|members| {
-            // SAFETY: the view outlives the execution, during which the
-            // loads are touched through it alone (the fold runs after
-            // it), and `WaveQueue::execute` runs concurrently only
-            // operations whose member sets are pairwise disjoint.
-            WAVE_SCRATCH.with(|s| unsafe {
-                execute_balance(&view, rule, members, tracing, &mut s.borrow_mut())
-            })
-        });
-        wave.fold(|members, out| self.fold_outcome(members, out, tracing));
-        self.wave = wave;
+        self.scratch_members = members;
     }
 }
 
@@ -536,38 +372,25 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
         }
         // The counters before the step, kept only if a sink wants the delta.
         let before = self.trace_on().then_some(self.metrics);
-        events.for_each_up(self.params.n(), down, |i, ev| {
-            // A queued balance involving i must land before i acts: the
-            // event and the trigger check read loads[i] / l_old[i],
-            // which the queued operation rewrites.  (Flag only ever set
-            // when step_jobs > 1; Idle reads nothing.)
-            if self.wave.involves(i) && !matches!(ev, LoadEvent::Idle) {
-                self.flush_pending();
+        events.for_each_up(self.params.n(), down, |i, ev| match ev {
+            LoadEvent::Generate => {
+                self.loads[i] += 1;
+                self.note_load(i);
+                self.metrics.generated += 1;
+                self.trigger_check(i);
             }
-            match ev {
-                LoadEvent::Generate => {
-                    self.loads[i] += 1;
+            LoadEvent::Consume => {
+                if self.loads[i] > 0 {
+                    self.loads[i] -= 1;
                     self.note_load(i);
-                    self.metrics.generated += 1;
+                    self.metrics.consumed += 1;
                     self.trigger_check(i);
+                } else {
+                    self.metrics.consume_blocked += 1;
                 }
-                LoadEvent::Consume => {
-                    if self.loads[i] > 0 {
-                        self.loads[i] -= 1;
-                        self.note_load(i);
-                        self.metrics.consumed += 1;
-                        self.trigger_check(i);
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
-                }
-                LoadEvent::Idle => {}
             }
+            LoadEvent::Idle => {}
         });
-        // Operations never outlive their step: the StepDelta below (and
-        // any observer between steps) must see fully-settled state.
-        self.flush_pending();
-        self.wave.end_step();
         if let (Some(before), Some(sink)) = (&before, &self.sink) {
             emit_step_delta(sink, self.step_no, before, &self.metrics);
         }
@@ -602,14 +425,6 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
 
     fn set_trace_sink(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
-    }
-
-    fn set_step_jobs(&mut self, jobs: usize) {
-        self.wave.set_jobs(jobs);
-    }
-
-    fn set_wave_threshold(&mut self, threshold: usize) {
-        self.wave.set_threshold(threshold);
     }
 }
 

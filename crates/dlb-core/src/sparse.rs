@@ -65,6 +65,7 @@ enum Repr {
 /// Splits a spilled row's block into its `cap` value slots and `cap`
 /// key slots.
 #[inline]
+#[allow(unsafe_code)]
 fn split(block: &[u64], cap: usize) -> (&[u64], &[u32]) {
     debug_assert_eq!(block.len(), cap + cap / 2);
     let (vals, packed) = block.split_at(cap);
@@ -78,6 +79,7 @@ fn split(block: &[u64], cap: usize) -> (&[u64], &[u32]) {
 
 /// [`split`] for writing.
 #[inline]
+#[allow(unsafe_code)]
 fn split_mut(block: &mut [u64], cap: usize) -> (&mut [u64], &mut [u32]) {
     debug_assert_eq!(block.len(), cap + cap / 2);
     let (vals, packed) = block.split_at_mut(cap);

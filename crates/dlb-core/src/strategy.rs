@@ -219,27 +219,12 @@ pub trait LoadBalancer {
     /// still satisfy the trait; the SPAA'93 engines override it.
     fn set_trace_sink(&mut self, _sink: dlb_trace::SharedSink) {}
 
-    /// Requests intra-step parallelism: balance operations drawn within
-    /// one step are executed in conflict-free waves on up to `jobs`
-    /// pooled workers.  Results, metrics and traces are bit-identical
-    /// for every value (including 1 = fully sequential); the default is
-    /// a no-op so strategies without a wave executor stay sequential.
+    /// Does nothing, and no implementor overrides it: every balancer
+    /// steps sequentially (DESIGN.md §9).  Its sole caller is
+    /// `benchmark/src/replay.rs:207`; delete the two together.
+    #[doc(hidden)]
     fn set_step_jobs(&mut self, _jobs: usize) {}
-
-    /// Sets the minimum operation count at which the wave executor
-    /// engages (see [`crate::wave`]): a step defers its operations only
-    /// if the previous step drew at least this many, and a flush of
-    /// fewer runs sequentially in trigger order (bit-identical — the
-    /// waves reproduce exactly that order per processor), skipping wave
-    /// planning and pool dispatch so `step_jobs > 1` never regresses
-    /// tiny steps.  `0` forces waves for every flush.  The default is a
-    /// no-op for strategies without a wave executor.
-    fn set_wave_threshold(&mut self, _threshold: usize) {}
 }
-
-/// Default [`LoadBalancer::set_wave_threshold`] value: below this many
-/// queued operations per flush, pool dispatch costs more than it saves.
-pub const DEFAULT_WAVE_THRESHOLD: usize = 32;
 
 /// Emits the counters `after` accrued since `before` as the step's
 /// `StepDelta` trace event (nothing when no counter moved).  Shared by

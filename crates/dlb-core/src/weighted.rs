@@ -13,9 +13,8 @@
 //! everything else is the one raw-load engine of [`crate::simple`].
 
 use crate::params::Params;
-use crate::simple::{BalanceRule, RawCluster, SIMPLE_WAVE_THRESHOLD};
+use crate::simple::{BalanceRule, RawCluster};
 use crate::strategy::LoadBalancer;
-use std::cell::RefCell;
 
 /// Splits `total` proportionally to `weights` (largest-remainder method;
 /// exact conservation, shares within one packet of the real proportion).
@@ -60,19 +59,16 @@ pub fn proportional_shares_into(
 /// `(remainder, member slot)` pairs of one largest-remainder split.
 type Remainders = Vec<(u64, usize)>;
 
-thread_local! {
-    /// Per-thread weight and largest-remainder scratch of
-    /// [`ProportionalRule::split`].
-    static SPLIT_SCRATCH: RefCell<(Vec<u64>, Remainders)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
 /// Shares proportional to processor speed; partners as in the paper
 /// (uniform over everyone alive).
 #[derive(Debug, Clone)]
 pub struct ProportionalRule {
     /// Relative speed of each processor (packets retired per step).
     speeds: Vec<u64>,
+    /// Scratch of one split: the members' speeds and the
+    /// largest-remainder pairs.
+    weights: Vec<u64>,
+    remainders: Remainders,
 }
 
 impl ProportionalRule {
@@ -83,15 +79,15 @@ impl ProportionalRule {
     /// Panics if any speed is zero.
     pub fn new(speeds: Vec<u64>) -> Self {
         assert!(speeds.iter().all(|&s| s > 0), "speeds must be positive");
-        ProportionalRule { speeds }
+        ProportionalRule {
+            speeds,
+            weights: Vec::new(),
+            remainders: Vec::new(),
+        }
     }
 }
 
 impl BalanceRule for ProportionalRule {
-    type Outcome = ();
-    /// A largest-remainder split is as cheap as the even one.
-    const WAVE_THRESHOLD: usize = SIMPLE_WAVE_THRESHOLD;
-
     fn name(&self) -> &'static str {
         "spaa93-weighted"
     }
@@ -100,13 +96,15 @@ impl BalanceRule for ProportionalRule {
         assert_eq!(self.speeds.len(), n, "one speed per processor");
     }
 
-    fn split(&self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
-        SPLIT_SCRATCH.with(|scratch| {
-            let (weights, remainders) = &mut *scratch.borrow_mut();
-            weights.clear();
-            weights.extend(members.iter().map(|&m| self.speeds[m]));
-            proportional_shares_into(held.iter().sum(), weights, shares, remainders);
-        });
+    fn split(&mut self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
+        self.weights.clear();
+        self.weights.extend(members.iter().map(|&m| self.speeds[m]));
+        proportional_shares_into(
+            held.iter().sum(),
+            &self.weights,
+            shares,
+            &mut self.remainders,
+        );
     }
 }
 
@@ -225,6 +223,58 @@ mod tests {
             cluster.loads().iter().sum::<u64>(),
             m.generated - m.consumed
         );
+    }
+
+    /// FNV-1a of final loads, every `Metrics` counter and the JSONL
+    /// trace bytes after 200 steps at mixed speeds, build-up then drain,
+    /// the crash mask redrawn every 7 steps.  Captured at c24f747, when
+    /// `split` took `&self` and a thread-local scratch.
+    #[test]
+    fn masked_mixed_speed_run_is_pinned() {
+        let (n, steps, seed) = (16, 200, 77u64);
+        let params = Params::new(n, 2, 1.3, 4).unwrap();
+        let speeds = (0..n as u64).map(|i| 1 + (i * 7 + seed) % 5).collect();
+        let mut cluster = WeightedCluster::new(params, speeds, seed);
+        let buffer = dlb_trace::BufferSink::new();
+        cluster.set_trace_sink(buffer.handle());
+        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        let mut mask_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xdead);
+        let mut down = vec![false; n];
+        for t in 0..steps {
+            if t % 7 == 0 {
+                down.iter_mut().for_each(|d| *d = mask_rng.gen_bool(0.25));
+            }
+            let (p_gen, p_con) = if t * 2 > steps {
+                (0.2, 0.6)
+            } else {
+                (0.55, 0.3)
+            };
+            let events: Vec<LoadEvent> = (0..n)
+                .map(|_| match ev_rng.gen::<f64>() {
+                    x if x < p_gen => LoadEvent::Generate,
+                    x if x < p_gen + p_con => LoadEvent::Consume,
+                    _ => LoadEvent::Idle,
+                })
+                .collect();
+            cluster.step_masked(&events, &down);
+        }
+        cluster.check_invariants().unwrap();
+        let mut bytes = Vec::new();
+        let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+        cluster.loads().into_iter().for_each(&mut push);
+        let metrics = cluster.metrics();
+        assert!(metrics.balance_ops > 100, "{metrics:?}");
+        for name in crate::Metrics::FIELD_NAMES {
+            push(metrics.get_field(name).expect("listed counter"));
+        }
+        for ev in buffer.take() {
+            ev.write_line(&mut bytes);
+            bytes.push(b'\n');
+        }
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(format!("{hash:016x}"), "b13178dca165469b");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! PR-9 sparse-engine contract: the compressed-row [`Cluster`] must be
 //! *bit-identical* to the naive [`RefCluster`] oracle — same RNG
 //! consumption, same loads, same metrics, same full `d`/`b` matrices on
-//! every reachable state, for every `step_jobs` setting and under crash
-//! masks.  These proptests drive both side by side on random small
-//! instances and compare full state after every step, mirroring the
-//! PR-4 `opt_equivalence` suite one engine generation later.  The
-//! oracle emits no trace, so the trace stream is checked the other way
-//! round: its bytes must not depend on `step_jobs`, and what it records
-//! must add up to the oracle's counters.
+//! every reachable state and under crash masks.  These proptests drive
+//! both side by side on random small instances and compare full state
+//! after every step, mirroring the PR-4 `opt_equivalence` suite one
+//! engine generation later.  The oracle emits no trace, so the trace
+//! stream is checked the other way round: what it records must add up
+//! to the oracle's counters.
 
 use dlb_core::reference::RefCluster;
 use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Metrics, Params};
@@ -36,19 +35,6 @@ fn events_at(rng: &mut ChaCha8Rng, n: usize, t: usize, steps: usize) -> Vec<Load
         .collect()
 }
 
-/// Renders a trace event stream to its serialized form — the bytes
-/// persisted by `FileSink` — so stream comparisons catch divergence in
-/// any field, not just the fields a struct `==` sees.  One `String`, so
-/// a failing comparison still prints readable lines.
-fn trace_text(events: &[TraceEvent]) -> String {
-    let mut out = Vec::new();
-    for ev in events {
-        ev.write_line(&mut out);
-        out.push(b'\n');
-    }
-    String::from_utf8(out).expect("trace lines are UTF-8")
-}
-
 proptest! {
     #[test]
     fn sparse_matches_reference_step_for_step(
@@ -56,14 +42,12 @@ proptest! {
         delta_idx in 0usize..2,
         c_idx in 0usize..3,
         aggressive in 0usize..2,
-        jobs_idx in 0usize..2,
         initial in 0u64..3,
         seed in 0u64..1_000_000,
     ) {
         let n = [2usize, 3, 5, 9][n_idx];
         let delta = [1usize, 2][delta_idx].min(n - 1);
         let c_borrow = [0usize, 2, 4][c_idx];
-        let jobs = [1usize, 4][jobs_idx];
         let mut params = Params::new(n, delta, 1.2, c_borrow).unwrap();
         if aggressive == 1 {
             params = params.with_exchange(ExchangePolicy::Aggressive);
@@ -71,10 +55,6 @@ proptest! {
         let initial = initial * 5;
         let mut sparse = Cluster::with_initial_load(params, seed, initial);
         let mut oracle = RefCluster::with_initial_load(params, seed, initial);
-        sparse.set_step_jobs(jobs);
-        // Threshold 0 forces the wave executor even for tiny flushes so
-        // the parallel path is exercised at these sizes.
-        sparse.set_wave_threshold(0);
         let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let steps = 60;
         for t in 0..steps {
@@ -111,18 +91,15 @@ proptest! {
     fn sparse_matches_reference_under_crash_masks(
         n_idx in 0usize..3,
         delta_idx in 0usize..2,
-        jobs_idx in 0usize..2,
         initial in 0u64..3,
         seed in 0u64..1_000_000,
     ) {
         let n = [3usize, 6, 10][n_idx];
         let delta = [1usize, 2][delta_idx].min(n - 1);
-        let jobs = [1usize, 4][jobs_idx];
         let params = Params::new(n, delta, 1.3, 4).unwrap();
         let initial = initial * 10;
         let mut sparse = Cluster::with_initial_load(params, seed, initial);
         let mut oracle = RefCluster::with_initial_load(params, seed, initial);
-        sparse.set_step_jobs(jobs);
         let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let mut mask_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xdead);
         let steps = 80;
@@ -154,34 +131,24 @@ proptest! {
     }
 
     #[test]
-    fn trace_bytes_are_jobs_invariant_and_reconstruct_reference_metrics(
+    fn trace_reconstructs_reference_metrics(
         n_idx in 0usize..3,
         seed in 0u64..1_000_000,
     ) {
         let n = [3usize, 5, 9][n_idx];
         let params = Params::paper_section7(n);
         let steps = 50;
-        let traced_run = |jobs: usize| {
-            let mut sparse = Cluster::new(params, seed);
-            let buf = dlb_trace::BufferSink::new();
-            sparse.set_trace_sink(buf.handle());
-            sparse.set_step_jobs(jobs);
-            sparse.set_wave_threshold(0);
-            let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-            for t in 0..steps {
-                sparse.step(&events_at(&mut ev_rng, n, t, steps));
-            }
-            buf.take()
-        };
-        let events = traced_run(1);
+        let mut sparse = Cluster::new(params, seed);
+        let buf = dlb_trace::BufferSink::new();
+        sparse.set_trace_sink(buf.handle());
+        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        for t in 0..steps {
+            sparse.step(&events_at(&mut ev_rng, n, t, steps));
+        }
+        let events = buf.take();
         prop_assert!(
             !events.is_empty(),
             "workload must actually trigger balancing for the check to bite"
-        );
-        prop_assert_eq!(
-            trace_text(&events),
-            trace_text(&traced_run(4)),
-            "step_jobs changed the trace stream"
         );
 
         let mut oracle = RefCluster::new(params, seed);

@@ -3,19 +3,14 @@
 //! single-engine counterpart of `bench_experiments` (which times the
 //! Monte Carlo harness around them).
 //!
-//! For each `(n, step_jobs)` in the matrix the full virtual-class
-//! [`Cluster`] and the practical [`SimpleCluster`] replay the same
-//! recorded 500-step paper trace; wall-clock is the minimum over `reps`
-//! runs (rejecting scheduler noise) and every run's final state is
-//! fingerprinted with FNV-1a and invariant-checked.  The `step_jobs`
-//! axis exercises the intra-step wave executor: its checksums MUST equal
-//! the sequential ones bit for bit (asserted here), so any speedup at
-//! `step_jobs > 1` is free of result drift.  On a 1-core box (like CI)
-//! the identity is the whole point; the speedup shows on real cores —
-//! `effective_cores` records what this machine had.  n = 4096 is the
-//! PR-4 headline: the flat `d`/`b` arena plus active-class lists make
-//! the full model tractable at that size, and the binary asserts it
-//! completes in under 60 s.
+//! For each `n` in the matrix the full virtual-class [`Cluster`] and
+//! the practical [`SimpleCluster`] replay the same recorded 500-step
+//! paper trace; wall-clock is the minimum over `reps` runs (rejecting
+//! scheduler noise) and every run's final state is fingerprinted with
+//! FNV-1a and invariant-checked.  `effective_cores` records what this
+//! machine had.  n = 4096 is the PR-4 headline: the flat `d`/`b` arena
+//! plus active-class lists make the full model tractable at that size,
+//! and the binary asserts it completes in under 60 s.
 //!
 //! Since PR 9 the full engine stores its class state sparsely, so the
 //! matrix gains a `large` section (full engine only, fewer steps) that
@@ -52,9 +47,11 @@
 //! re-runs the baseline's matrix (including its `large` and
 //! `sparse_step` rows, if present) and exits non-zero if any checksum
 //! differs from the committed file (timings are machine-dependent;
-//! checksums are not).  When the baseline was produced on a 1-core box
-//! (`effective_cores` = 1) the step-jobs speedup comparison is skipped —
-//! only the bit-identity of the checksums is meaningful there.
+//! checksums are not).  A baseline written while the matrix still had a
+//! `step_jobs` axis is accepted: its rows other than `step_jobs` = 1
+//! repeat the sequential checksums and are skipped.
+
+#![forbid(unsafe_code)]
 
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_experiments::args::Args;
@@ -117,48 +114,36 @@ where
     (best, fp)
 }
 
-/// One timed cell of the matrix: both engines at `(n, step_jobs)`.
+/// One timed cell of the matrix: both engines at `n`.
 struct Cell {
     n: usize,
-    step_jobs: usize,
     full_ms: f64,
     full_fp: String,
     simple_ms: f64,
     simple_fp: String,
 }
 
-/// Times both engines at `(n, step_jobs)` and — for the sequential
-/// column — invariant-checks the final state with a verification run.
-fn run_cell(n: usize, step_jobs: usize, steps: usize, reps: usize, verify: bool) -> Cell {
+/// Times both engines at `n` and, if `verify`, invariant-checks the
+/// final state with a verification run.
+fn run_cell(n: usize, steps: usize, reps: usize, verify: bool) -> Cell {
     let trace = paper_trace(n, steps, 9);
     let params = Params::paper_section7(n);
 
     let (full_ms, full_fp) = time_engine(
         || {
-            let mut c = Cluster::new(params, 1);
+            let c = Cluster::new(params, 1);
             c.check_invariants().expect("fresh cluster invariants");
-            c.set_step_jobs(step_jobs);
             c
         },
         &trace,
         reps,
     );
-    let (simple_ms, simple_fp) = time_engine(
-        || {
-            let mut c = SimpleCluster::new(params, 1);
-            c.set_step_jobs(step_jobs);
-            c
-        },
-        &trace,
-        reps,
-    );
+    let (simple_ms, simple_fp) = time_engine(|| SimpleCluster::new(params, 1), &trace, reps);
     if verify {
         // Re-run once more to invariant-check the *final* state (the
         // timed closure only sees the fresh one).
         let mut c = Cluster::new(params, 1);
-        c.set_step_jobs(step_jobs);
         let mut s = SimpleCluster::new(params, 1);
-        s.set_step_jobs(step_jobs);
         let mut replay = trace.replay();
         let mut events = Vec::new();
         for t in 0..steps {
@@ -173,15 +158,12 @@ fn run_cell(n: usize, step_jobs: usize, steps: usize, reps: usize, verify: bool)
     }
     Cell {
         n,
-        step_jobs,
         full_ms,
         full_fp,
         simple_ms,
         simple_fp,
     }
 }
-
-const STEP_JOBS: [usize; 2] = [1, 4];
 
 fn matrix(smoke: bool) -> (&'static [usize], usize, usize) {
     if smoke {
@@ -410,15 +392,15 @@ fn check_against(baseline_path: &str) -> ! {
             .unwrap_or_else(|| panic!("cell is missing {key}"))
             .to_string()
     };
-    let baseline: Vec<(u64, u64, String, String)> = doc
+    let baseline: Vec<(u64, String, String)> = doc
         .get("sizes")
         .and_then(Json::as_arr)
         .expect("baseline has a sizes array")
         .iter()
+        .filter(|cell| cell.get("step_jobs").and_then(Json::as_f64).unwrap_or(1.0) == 1.0)
         .map(|cell| {
             (
                 cell.get("n").and_then(Json::as_f64).expect("cell n") as u64,
-                cell.get("step_jobs").and_then(Json::as_f64).unwrap_or(1.0) as u64, // pre-step-jobs baselines are sequential
                 field(cell, "full_checksum"),
                 field(cell, "simple_checksum"),
             )
@@ -432,57 +414,18 @@ fn check_against(baseline_path: &str) -> ! {
         if smoke { "smoke" } else { "paper" }
     );
     let mut drifted = 0usize;
-    let mut timings: Vec<(u64, u64, f64)> = Vec::new();
-    for (n, step_jobs, want_full, want_simple) in &baseline {
+    for (n, want_full, want_simple) in &baseline {
         // One rep suffices: checksums do not depend on timing.
-        let cell = run_cell(*n as usize, *step_jobs as usize, steps, 1, false);
-        timings.push((*n, *step_jobs, cell.full_ms));
+        let cell = run_cell(*n as usize, steps, 1, false);
         for (engine, want, got) in [
             ("full", want_full, &cell.full_fp),
             ("simple", want_simple, &cell.simple_fp),
         ] {
             if want == got {
-                println!("  n={n:<5} sj={step_jobs} {engine:<7} ok    {got}");
+                println!("  n={n:<5} {engine:<7} ok    {got}");
             } else {
-                println!("  n={n:<5} sj={step_jobs} {engine:<7} DRIFT baseline {want} != {got}");
+                println!("  n={n:<5} {engine:<7} DRIFT baseline {want} != {got}");
                 drifted += 1;
-            }
-        }
-    }
-    // Step-jobs speedup sanity: only meaningful when both the baseline
-    // box and this one actually had cores to parallelise over — on a
-    // 1-core machine (CI) the wave executor can only add overhead, so
-    // the comparison is skipped and bit-identity above is the gate.
-    let baseline_cores = doc
-        .get("effective_cores")
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0) as usize;
-    if baseline_cores <= 1 || default_jobs() <= 1 {
-        println!(
-            "\nspeedup comparison skipped (baseline effective_cores = \
-             {baseline_cores}, this machine = {})",
-            default_jobs()
-        );
-    } else {
-        for &(n, sj, par_ms) in &timings {
-            if sj == 1 {
-                continue;
-            }
-            let Some(&(_, _, seq_ms)) = timings.iter().find(|&&(m, j, _)| m == n && j == 1) else {
-                continue;
-            };
-            // A loose bound: parallel steps must not be grossly slower
-            // than sequential ones (3x covers scheduler noise).
-            if par_ms > seq_ms * 3.0 {
-                println!(
-                    "  n={n:<5} sj={sj} full    SLOW  {par_ms:.2} ms vs {seq_ms:.2} ms sequential"
-                );
-                drifted += 1;
-            } else {
-                println!(
-                    "  n={n:<5} sj={sj} full    speedup ok ({:.2}x)",
-                    seq_ms / par_ms
-                );
             }
         }
     }
@@ -591,43 +534,27 @@ fn main() {
 
     let mut cells = Vec::new();
     for &n in sizes {
-        let mut seq: Option<(String, String)> = None;
-        for step_jobs in STEP_JOBS {
-            let cell = run_cell(n, step_jobs, steps, reps, step_jobs == 1);
-            match &seq {
-                None => seq = Some((cell.full_fp.clone(), cell.simple_fp.clone())),
-                Some((full, simple)) => {
-                    // The wave executor's whole contract: bit-identical
-                    // results at every step_jobs.
-                    assert_eq!(&cell.full_fp, full, "step_jobs={step_jobs} full drifted");
-                    assert_eq!(
-                        &cell.simple_fp, simple,
-                        "step_jobs={step_jobs} simple drifted"
-                    );
-                }
-            }
-            println!(
-                "  n={:<5} sj={} full {:>10.2} ms  ({})   simple {:>9.2} ms  ({})",
-                cell.n, cell.step_jobs, cell.full_ms, cell.full_fp, cell.simple_ms, cell.simple_fp
+        let cell = run_cell(n, steps, reps, true);
+        println!(
+            "  n={:<5} full {:>10.2} ms  ({})   simple {:>9.2} ms  ({})",
+            cell.n, cell.full_ms, cell.full_fp, cell.simple_ms, cell.simple_fp
+        );
+        if !smoke && n == 4096 {
+            assert!(
+                cell.full_ms < 60_000.0,
+                "full model at n=4096 must finish 500 steps in < 60 s, took {:.0} ms",
+                cell.full_ms
             );
-            if !smoke && n == 4096 && step_jobs == 1 {
-                assert!(
-                    cell.full_ms < 60_000.0,
-                    "full model at n=4096 must finish 500 steps in < 60 s, took {:.0} ms",
-                    cell.full_ms
-                );
-            }
-
-            let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
-            cells.push(Json::Obj(vec![
-                ("n".into(), (cell.n as u64).to_json()),
-                ("step_jobs".into(), (cell.step_jobs as u64).to_json()),
-                ("full_ms".into(), ms3(cell.full_ms)),
-                ("full_checksum".into(), cell.full_fp.to_json()),
-                ("simple_ms".into(), ms3(cell.simple_ms)),
-                ("simple_checksum".into(), cell.simple_fp.to_json()),
-            ]));
         }
+
+        let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
+        cells.push(Json::Obj(vec![
+            ("n".into(), (cell.n as u64).to_json()),
+            ("full_ms".into(), ms3(cell.full_ms)),
+            ("full_checksum".into(), cell.full_fp.to_json()),
+            ("simple_ms".into(), ms3(cell.simple_ms)),
+            ("simple_checksum".into(), cell.simple_fp.to_json()),
+        ]));
     }
 
     // The sparse-engine scaling ladder (full mode only): full model at
@@ -726,14 +653,6 @@ fn main() {
         ("steps".into(), (steps as u64).to_json()),
         ("reps".into(), (reps as u64).to_json()),
         ("effective_cores".into(), (default_jobs() as u64).to_json()),
-        (
-            "wave_threshold".into(),
-            (dlb_core::DEFAULT_WAVE_THRESHOLD as u64).to_json(),
-        ),
-        (
-            "simple_wave_threshold".into(),
-            (dlb_core::SIMPLE_WAVE_THRESHOLD as u64).to_json(),
-        ),
         ("sizes".into(), Json::Arr(cells)),
     ];
     if !large_rows.is_empty() {

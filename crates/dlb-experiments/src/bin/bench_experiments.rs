@@ -24,6 +24,8 @@
 //! numbers are only meaningful relative to it (a 1-core runner is
 //! expected to report ~1.0x).
 
+#![forbid(unsafe_code)]
+
 use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params};
 use dlb_experiments::args::Args;
 use dlb_experiments::faultsweep::{sweep, SweepConfig};

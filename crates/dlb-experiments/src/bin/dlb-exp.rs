@@ -1,6 +1,8 @@
 //! The experiment driver: `dlb-exp <name> [--key value …]` runs one row
 //! of [`dlb_experiments::exp::EXPERIMENTS`]; `dlb-exp list` prints them.
 
+#![forbid(unsafe_code)]
+
 use dlb_experiments::args::Args;
 use dlb_experiments::exp::EXPERIMENTS;
 

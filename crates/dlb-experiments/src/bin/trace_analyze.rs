@@ -10,6 +10,8 @@
 //! parse as a known event *and* re-render byte-identically (the CI
 //! trace-schema gate runs this).
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::io::BufReader;
 

@@ -16,6 +16,8 @@
 //! Monte Carlo experiments take `--jobs N` (default: available cores);
 //! the [`parallel`] harness guarantees byte-identical output for every `N`.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod arena;
 pub mod args;

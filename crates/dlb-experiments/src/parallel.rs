@@ -16,14 +16,12 @@
 //!    runs *and* the same seed to the trace and the balancer of one run,
 //!    which correlated the ensembles the experiments average over.
 //!
-//! The pool itself lives in the leaf crate [`dlb_pool`] (promoted there
-//! so `dlb-core`'s intra-run wave executor can share it without a
-//! dependency cycle); [`par_map`] and [`default_jobs`] are re-exported
-//! here so every experiment binary keeps its import path.  Because the
-//! process has exactly one pool and nested calls run inline, a run-level
-//! `--jobs J` composed with an engine-level `--step-jobs S` occupies at
-//! most `J` threads — the two levels share one budget instead of
-//! multiplying into `J × S` threads.
+//! The pool itself lives in the leaf crate [`dlb_pool`] (so crates
+//! below this one can share it without a dependency cycle);
+//! [`par_map`] and [`default_jobs`] are re-exported here so every
+//! experiment binary keeps its import path.  The process has exactly
+//! one pool and nested calls run inline, so `--jobs J` occupies at most
+//! `J` threads however deep the fan-out nests.
 
 use dlb_net::rng::splitmix64;
 pub use dlb_pool::{default_jobs, par_map};

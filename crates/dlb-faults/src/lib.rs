@@ -27,6 +27,8 @@
 //! must be accounted by the consumer (the desim tracks them in its
 //! `lost` ledger so conservation stays checkable).
 
+#![forbid(unsafe_code)]
+
 use dlb_json::{FromJson, Json, ToJson};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

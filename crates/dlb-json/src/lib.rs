@@ -12,6 +12,8 @@
 //! - [`ToJson`] / [`FromJson`] are implemented by hand per type; parse
 //!   errors are `String`s with context.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 /// A JSON value.

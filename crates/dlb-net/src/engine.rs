@@ -18,25 +18,11 @@
 
 use crate::topology::Topology;
 use dlb_core::balance::sample_into;
-use dlb_core::{Alive, BalanceRule, EvenRule, RawCluster, DEFAULT_WAVE_THRESHOLD};
+use dlb_core::{Alive, BalanceRule, EvenRule, RawCluster};
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
 
 /// `(member, packets over or under its share)` pairs of one split.
 type Imbalances = Vec<(usize, u64)>;
-
-thread_local! {
-    /// Per-thread surplus and deficit lists of [`TopoRule::split`].
-    static MATCH_SCRATCH: RefCell<(Imbalances, Imbalances)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// What moving one operation's packets cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HopCost {
-    packet_hops: u64,
-    control_hops: u64,
-}
 
 /// How balance partners are selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +59,9 @@ pub struct TopoRule {
     neighbors: Vec<Vec<usize>>,
     /// The initiator's neighbours that are up, under a crash mask.
     up_neighbors: Vec<usize>,
+    /// Scratch of one split: members over and under their share.
+    surplus: Imbalances,
+    deficit: Imbalances,
     comm: CommStats,
 }
 
@@ -95,6 +84,8 @@ impl TopoRule {
             mode,
             neighbors,
             up_neighbors: Vec::new(),
+            surplus: Vec::new(),
+            deficit: Vec::new(),
             comm: CommStats::default(),
         }
     }
@@ -116,9 +107,6 @@ impl TopoRule {
 }
 
 impl BalanceRule for TopoRule {
-    type Outcome = HopCost;
-    const WAVE_THRESHOLD: usize = DEFAULT_WAVE_THRESHOLD;
-
     fn name(&self) -> &'static str {
         match self.mode {
             PartnerMode::GlobalRandom => "spaa93-topo-global",
@@ -164,47 +152,37 @@ impl BalanceRule for TopoRule {
 
     /// The even split, plus surplus → deficit greedy matching for hop
     /// accounting.
-    fn split(&self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) -> HopCost {
-        let mut cost = HopCost::default();
+    fn split(&mut self, members: &[usize], held: &[u64], shares: &mut Vec<u64>) {
+        self.comm.ops += 1;
         for &m in &members[1..] {
-            cost.control_hops += 2 * self.dist[members[0]][m] as u64;
+            self.comm.control_hops += 2 * self.dist[members[0]][m] as u64;
         }
         EvenRule.split(members, held, shares);
-        MATCH_SCRATCH.with(|scratch| {
-            let (surplus, deficit) = &mut *scratch.borrow_mut();
-            surplus.clear();
-            deficit.clear();
-            for ((&m, &load), &share) in members.iter().zip(held).zip(shares.iter()) {
-                if load > share {
-                    surplus.push((m, load - share));
-                } else if share > load {
-                    deficit.push((m, share - load));
+        self.surplus.clear();
+        self.deficit.clear();
+        for ((&m, &load), &share) in members.iter().zip(held).zip(shares.iter()) {
+            if load > share {
+                self.surplus.push((m, load - share));
+                self.comm.packets += load - share;
+            } else if share > load {
+                self.deficit.push((m, share - load));
+            }
+        }
+        let mut di = 0usize;
+        for &(from, excess) in &self.surplus {
+            let mut excess = excess;
+            while excess > 0 && di < self.deficit.len() {
+                let (to, need) = self.deficit[di];
+                let x = excess.min(need);
+                self.comm.packet_hops += x * self.dist[from][to] as u64;
+                excess -= x;
+                if need == x {
+                    di += 1;
+                } else {
+                    self.deficit[di].1 = need - x;
                 }
             }
-            let mut di = 0usize;
-            for &(from, excess) in surplus.iter() {
-                let mut excess = excess;
-                while excess > 0 && di < deficit.len() {
-                    let (to, need) = deficit[di];
-                    let x = excess.min(need);
-                    cost.packet_hops += x * self.dist[from][to] as u64;
-                    excess -= x;
-                    if need == x {
-                        di += 1;
-                    } else {
-                        deficit[di].1 = need - x;
-                    }
-                }
-            }
-        });
-        cost
-    }
-
-    fn fold(&mut self, packets: u64, cost: HopCost) {
-        self.comm.ops += 1;
-        self.comm.packets += packets;
-        self.comm.packet_hops += cost.packet_hops;
-        self.comm.control_hops += cost.control_hops;
+        }
     }
 }
 
@@ -314,6 +292,70 @@ mod tests {
         let total: u64 = cluster.loads().iter().sum();
         let m = cluster.metrics();
         assert_eq!(total, m.generated - m.consumed);
+    }
+
+    /// FNV-1a of what 200 masked steps leave behind — final loads, every
+    /// `Metrics` counter, the four `CommStats` counters and the JSONL
+    /// trace bytes — on a build-up-then-drain workload whose crash mask
+    /// is redrawn every 7 steps.
+    fn ring_pin(mode: PartnerMode) -> String {
+        use rand::prelude::*;
+        let (n, steps, seed) = (16, 200, 77u64);
+        let params = Params::new(n, 2, 1.3, 4).unwrap();
+        let mut cluster = cluster(params, Topology::Ring { n }, mode, seed);
+        let buffer = dlb_trace::BufferSink::new();
+        cluster.set_trace_sink(buffer.handle());
+        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        let mut mask_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xdead);
+        let mut down = vec![false; n];
+        for t in 0..steps {
+            if t % 7 == 0 {
+                down.iter_mut().for_each(|d| *d = mask_rng.gen_bool(0.25));
+            }
+            let (p_gen, p_con) = if t * 2 > steps {
+                (0.2, 0.6)
+            } else {
+                (0.55, 0.3)
+            };
+            let events: Vec<LoadEvent> = (0..n)
+                .map(|_| match ev_rng.gen::<f64>() {
+                    x if x < p_gen => LoadEvent::Generate,
+                    x if x < p_gen + p_con => LoadEvent::Consume,
+                    _ => LoadEvent::Idle,
+                })
+                .collect();
+            cluster.step_masked(&events, &down);
+        }
+        cluster.check_invariants().unwrap();
+        let mut bytes = Vec::new();
+        let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
+        cluster.loads().into_iter().for_each(&mut push);
+        let metrics = cluster.metrics();
+        for name in dlb_core::Metrics::FIELD_NAMES {
+            push(metrics.get_field(name).expect("listed counter"));
+        }
+        let comm = cluster.rule().comm();
+        assert!(comm.ops > 0 && comm.packet_hops > 0, "{comm:?}");
+        [comm.ops, comm.packets, comm.packet_hops, comm.control_hops]
+            .into_iter()
+            .for_each(&mut push);
+        for ev in buffer.take() {
+            ev.write_line(&mut bytes);
+            bytes.push(b'\n');
+        }
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{hash:016x}")
+    }
+
+    /// Captured at c24f747, when `split` returned its hop cost for a
+    /// separate `fold` to tally: both partner modes under changing
+    /// masks, held to the byte, comm counters included.
+    #[test]
+    fn masked_ring_runs_are_pinned_in_both_partner_modes() {
+        assert_eq!(ring_pin(PartnerMode::GlobalRandom), "8f010047f914fe04");
+        assert_eq!(ring_pin(PartnerMode::Neighbors), "53a0aaf57acba377");
     }
 
     #[test]

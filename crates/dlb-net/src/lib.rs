@@ -22,6 +22,8 @@
 //!   redistribution, used by the branch-and-bound example;
 //! * [`rng`] — deterministic per-entity ChaCha streams.
 
+#![forbid(unsafe_code)]
+
 pub mod desim;
 pub mod engine;
 pub mod equeue;

@@ -2,11 +2,9 @@
 //! [`par_map`].
 //!
 //! Originally part of `dlb-experiments::parallel` (PR 4), promoted to its
-//! own leaf crate so `dlb-core` can run conflict-free balance waves on
-//! the same pool without a dependency cycle (`dlb-experiments` depends on
-//! `dlb-core`).  Both layers of parallelism — runs across the pool via
-//! the experiment harness, waves inside a run via the engines — share
-//! this single pool, so a `--jobs J` × `--step-jobs S` combination never
+//! own leaf crate so crates below the experiment harness (`dlb-serve`'s
+//! wall engine) can fan out on the same pool without a dependency
+//! cycle.  Every caller shares this single pool, so nested fan-out never
 //! oversubscribes: the pool holds one job at a time, and calls made from
 //! inside a pool worker run inline on that thread.
 //!

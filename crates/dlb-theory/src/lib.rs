@@ -36,6 +36,8 @@
 //! # Ok::<(), dlb_theory::ParamError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bounds;
 pub mod compgraph;
 pub mod moments;

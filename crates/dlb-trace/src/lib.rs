@@ -19,6 +19,8 @@
 //! The line format is versioned ([`SCHEMA_VERSION`]); parsers reject
 //! lines they cannot round-trip, so the schema cannot drift silently.
 
+#![forbid(unsafe_code)]
+
 use dlb_json::{req, FromJson, Json};
 use std::collections::VecDeque;
 use std::io::Write as _;

@@ -11,6 +11,8 @@
 //! Every pattern implements [`Workload`]: a deterministic, seeded stream
 //! of per-processor [`LoadEvent`]s.
 
+#![forbid(unsafe_code)]
+
 pub mod branching;
 pub mod patterns;
 pub mod phase;

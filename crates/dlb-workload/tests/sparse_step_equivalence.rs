@@ -3,7 +3,7 @@
 //!
 //! For both engines — `Cluster`, and the raw-load engine under each of
 //! its rules (`SimpleCluster`, `WeightedCluster`, `TopoCluster` in both
-//! partner modes) — every sparse pattern, `step_jobs ∈ {1, 4}` and randomly drawn fault plans
+//! partner modes) — every sparse pattern and randomly drawn fault plans
 //! with crashes/rejoins, a run through `step_sparse`/`step_sparse_masked`
 //! must reproduce the dense `step`/`step_masked` run exactly: final
 //! loads, metrics, serialized trace bytes — and for the full engine the
@@ -68,11 +68,11 @@ fn build_plan(raw: &[(usize, u64, u64)], n: usize) -> Option<FaultPlan> {
     })
 }
 
-fn make_engine(kind: u8, n: usize, seed: u64, step_jobs: usize) -> Box<dyn LoadBalancer> {
+fn make_engine(kind: u8, n: usize, seed: u64) -> Box<dyn LoadBalancer> {
     let params = Params::paper_section7(n);
     let topo =
         |mode| TopoCluster::with_rule(params, TopoRule::new(Topology::Ring { n }, mode), seed);
-    let mut b: Box<dyn LoadBalancer> = match kind % 5 {
+    match kind % 5 {
         0 => Box::new(Cluster::new(params, seed)),
         1 => Box::new(SimpleCluster::new(params, seed)),
         2 => {
@@ -81,9 +81,7 @@ fn make_engine(kind: u8, n: usize, seed: u64, step_jobs: usize) -> Box<dyn LoadB
         }
         3 => Box::new(topo(PartnerMode::GlobalRandom)),
         _ => Box::new(topo(PartnerMode::Neighbors)),
-    };
-    b.set_step_jobs(step_jobs);
-    b
+    }
 }
 
 /// Final loads, metrics and the serialized trace of one run.
@@ -172,8 +170,8 @@ fn finish(balancer: Box<dyn LoadBalancer>, buf: BufferSink) -> Outcome {
 }
 
 proptest! {
-    /// The core bit-identity property across engines, patterns,
-    /// parallelism and crash schedules.
+    /// The core bit-identity property across engines, patterns and
+    /// crash schedules.
     #[test]
     fn sparse_path_is_bit_identical_to_dense(
         kind in 0u8..4,
@@ -183,24 +181,22 @@ proptest! {
         n in 8usize..40,
         raw_crashes in prop::collection::vec((0usize..4096, 0u64..120, 0u64..80), 0..3),
         engine in 0u8..5,
-        wide in any::<bool>(),
         eseed in 0u64..1_000,
         wseed in 0u64..1_000,
         steps in 120usize..240,
     ) {
         let pattern = build_pattern(kind, a, b, c);
-        let step_jobs = if wide { 4 } else { 1 };
         let injector = build_plan(&raw_crashes, n)
             .map(|p| FaultInjector::new(p, n).expect("valid plan"));
         let inj = injector.as_ref();
-        let dense = run_dense(make_engine(engine, n, eseed, step_jobs), pattern, wseed, steps, inj);
-        let sparse = run_sparse(make_engine(engine, n, eseed, step_jobs), pattern, wseed, steps, inj);
+        let dense = run_dense(make_engine(engine, n, eseed), pattern, wseed, steps, inj);
+        let sparse = run_sparse(make_engine(engine, n, eseed), pattern, wseed, steps, inj);
         prop_assert_eq!(&dense.0, &sparse.0, "loads diverge");
         prop_assert_eq!(&dense.1, &sparse.1, "metrics diverge");
         prop_assert_eq!(&dense.2, &sparse.2, "trace bytes diverge");
         // Serialization oracle: an EventTrace recorded from a same-seed
         // workload, replayed densely, lands in the same state.
-        let replayed = run_replayed(make_engine(engine, n, eseed, step_jobs), pattern, wseed, steps, inj);
+        let replayed = run_replayed(make_engine(engine, n, eseed), pattern, wseed, steps, inj);
         prop_assert_eq!(&dense.0, &replayed.0, "replay loads diverge");
         prop_assert_eq!(&dense.1, &replayed.1, "replay metrics diverge");
     }
@@ -213,19 +209,15 @@ proptest! {
         a in 0u32..1_000,
         b in 0u32..1_000,
         c in 0u32..1_000,
-        wide in any::<bool>(),
         eseed in 0u64..1_000,
         wseed in 0u64..1_000,
     ) {
         let n = 24;
         let steps = 200;
         let pattern = build_pattern(kind, a, b, c);
-        let step_jobs = if wide { 4 } else { 1 };
         let params = Params::paper_section7(n);
         let mut x = Cluster::new(params, eseed);
         let mut y = Cluster::new(params, eseed);
-        x.set_step_jobs(step_jobs);
-        y.set_step_jobs(step_jobs);
         let mut dense_w = SparseActivity::new(n, pattern, wseed);
         let mut sparse_w = SparseActivity::new(n, pattern, wseed);
         let mut events = Vec::new();

@@ -33,6 +33,8 @@
 //! assert!(stats.max_over_mean < 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dlb_baselines as baselines;
 pub use dlb_bnb as bnb;
 pub use dlb_core as core;

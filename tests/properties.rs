@@ -18,15 +18,10 @@ use proptest::prelude::*;
 /// [`LoadBalancer::load_summary`] against a scan of the loads.
 fn summary_tracks_scan<B: LoadBalancer>(
     mut balancer: B,
-    jobs: usize,
     down: &[bool],
     rows: &[Vec<u8>],
 ) -> Result<(), TestCaseError> {
     let n = balancer.n();
-    balancer.set_step_jobs(jobs);
-    // Threshold 0: with several jobs every operation is deferred and
-    // its loads reach the observer through the wave fold.
-    balancer.set_wave_threshold(0);
     for (t, row) in rows.iter().enumerate() {
         let events: Vec<LoadEvent> = (0..n)
             .map(|i| match row[i % row.len()] {
@@ -344,18 +339,16 @@ proptest! {
 
     /// The engines' incremental load observer agrees with a scan after
     /// every step: full model, practical variant and topology variant,
-    /// sequential and through the wave fold, under a crash mask, dense
-    /// and sparse.  Initial loads sit well inside the observer's flat
-    /// counting range (0, 3), astride its upper end at 2¹⁶ (so single
-    /// packets carry the extrema across it in both directions) and
-    /// beyond it (70 000); `f` barely above 1 makes every event balance
-    /// even at those loads.
+    /// under a crash mask, dense and sparse.  Initial loads sit well
+    /// inside the observer's flat counting range (0, 3), astride its
+    /// upper end at 2¹⁶ (so single packets carry the extrema across it
+    /// in both directions) and beyond it (70 000); `f` barely above 1
+    /// makes every event balance even at those loads.
     #[test]
     fn load_summary_matches_a_scan_after_every_step(
         seed in 0u64..500,
         pick in 0usize..5,
         near_one in any::<bool>(),
-        jobs_four in any::<bool>(),
         mask_bits in 0u32..64,
         rows in prop::collection::vec(prop::collection::vec(0u8..3, 3..7), 1..40),
     ) {
@@ -363,14 +356,11 @@ proptest! {
         let initial = [0, 3, 65_533, 65_538, 70_000][pick];
         let f = if near_one { 1.000_01 } else { 1.1 };
         let params = Params::new(n, 2, f, 4).unwrap();
-        let jobs = if jobs_four { 4 } else { 1 };
         let down: Vec<bool> = (0..n).map(|p| mask_bits >> p & 1 == 1).collect();
-        summary_tracks_scan(Cluster::with_initial_load(params, seed, initial), jobs, &down, &rows)?;
-        summary_tracks_scan(
-            SimpleCluster::with_initial_load(params, seed, initial), jobs, &down, &rows,
-        )?;
+        summary_tracks_scan(Cluster::with_initial_load(params, seed, initial), &down, &rows)?;
+        summary_tracks_scan(SimpleCluster::with_initial_load(params, seed, initial), &down, &rows)?;
         let ring = TopoRule::new(Topology::Ring { n }, PartnerMode::Neighbors);
-        summary_tracks_scan(TopoCluster::with_rule(params, ring, seed), jobs, &down, &rows)?;
+        summary_tracks_scan(TopoCluster::with_rule(params, ring, seed), &down, &rows)?;
     }
 
     /// §2's batch decomposition: total generation equals the batch sum,
