@@ -1127,6 +1127,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `Params` accepts any δ < n; δ ≥ 64 used to exit 101 at the first
+    /// trigger, on a scratch array sized for groups of at most 64.
+    #[test]
+    fn full_model_runs_with_groups_wider_than_64() {
+        let scenario = Scenario::from_json(
+            r#"{"n":128,"steps":20,"runs":1,"seed":42,"warmup_fraction":0.2,
+                "strategy":{"kind":"full","delta":70,"f":1.1,"c":4},
+                "workload":{"kind":"phase"}}"#,
+        )
+        .unwrap();
+        let report = execute(&scenario).unwrap();
+        assert!(report.ops_per_run > 0.0, "groups of 71 were balanced");
+        // The ledger: what the step deltas say was generated and not
+        // consumed is what the processors hold at the end.
+        let run = run_one_sync(&scenario, 0, true, false, false).unwrap();
+        let (mut generated, mut consumed) = (0u64, 0u64);
+        for ev in &run.events {
+            if let TraceEvent::StepDelta { counters, .. } = ev {
+                for (name, inc) in counters {
+                    match name.as_str() {
+                        "generated" => generated += inc,
+                        "consumed" => consumed += inc,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert_eq!(generated - consumed, run.final_total);
+        assert_eq!(run.final_total, report.final_total);
+    }
+
     #[test]
     fn sync_strategy_accepts_a_crash_mask() {
         let mut scenario = small_scenario(

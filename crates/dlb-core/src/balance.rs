@@ -12,7 +12,11 @@
 //! An induction shows the grand-total spread never exceeds one: if the
 //! member totals lie in `{v, v+1}` with `k` members at `v` and the class
 //! has `r ≤ m` leftovers, the leftovers go to the `k` members at `v`
-//! first; the result again lies in a window of width one.
+//! first; the result again lies in a window of width one.  Started from
+//! zeros, "smallest running total first, ties by slot" therefore needs no
+//! sort: it is the slots at the minimum in slot order, then the others in
+//! slot order — how the engine's kernel (`cluster::equalise`) hands the
+//! leftovers out.
 //!
 //! The partner draw that selects the group ([`sample_into`],
 //! [`sample_others_into`]) lives here too.
@@ -80,33 +84,22 @@ pub fn even_shares_into(total: u64, m: usize, out: &mut Vec<u64>) {
     out.extend((0..m).map(|i| if i < extras { base + 1 } else { base }));
 }
 
-/// Allocation-free core of [`distribute_classes`]: writes the shares into
-/// a flat row-major matrix `out[class * m + slot]` (resized as needed).
+/// Core of [`distribute_classes`]: writes the shares into a flat
+/// row-major matrix `out[class * m + slot]` (resized as needed).  This is
+/// the rule as stated — sort the members by running total, hand the
+/// extras to the first ones — and the oracle the engine's sort-free
+/// kernel (`cluster::equalise`) is tested against.
 pub fn distribute_classes_flat(
     class_totals: &[u64],
     m: usize,
     running: &mut [u64],
     out: &mut Vec<u64>,
 ) {
-    let mut order = Vec::with_capacity(m);
-    distribute_classes_flat_with(class_totals, m, running, out, &mut order);
-}
-
-/// [`distribute_classes_flat`] with a caller-owned scratch buffer for the
-/// extras ordering, so repeated calls allocate nothing.
-pub fn distribute_classes_flat_with(
-    class_totals: &[u64],
-    m: usize,
-    running: &mut [u64],
-    out: &mut Vec<u64>,
-    order: &mut Vec<usize>,
-) {
     assert!(m > 0);
     assert_eq!(running.len(), m);
     out.clear();
     out.resize(class_totals.len() * m, 0);
-    order.clear();
-    order.extend(0..m);
+    let mut order: Vec<usize> = (0..m).collect();
     for (c, &total) in class_totals.iter().enumerate() {
         let base = total / m as u64;
         let extras = (total % m as u64) as usize;
@@ -121,10 +114,6 @@ pub fn distribute_classes_flat_with(
             }
         }
         if base > 0 || extras > 0 {
-            // `zip` instead of indexing: the accumulation runs once per
-            // (class, member) pair and is the hottest loop in a balance
-            // op; pairing the slices lets the compiler drop the
-            // per-element bounds checks.
             for (r, &share) in running.iter_mut().zip(row.iter()) {
                 *r += share;
             }

@@ -413,14 +413,11 @@ impl RefCluster {
             self.scratch_totals_d[c] = members.iter().map(|&mm| self.procs[mm].d[c]).sum();
             self.scratch_totals_b[c] = members.iter().map(|&mm| self.procs[mm].b[c]).sum();
         }
-        let mut run_d = [0u64; 64];
-        let mut run_b = [0u64; 64];
-        assert!(m <= 64, "group size bounded by the stack scratch");
-        let (run_d, run_b) = (&mut run_d[..m], &mut run_b[..m]);
+        let (mut run_d, mut run_b) = (vec![0u64; m], vec![0u64; m]);
         let mut shares_d = std::mem::take(&mut self.scratch_shares_d);
         let mut shares_b = std::mem::take(&mut self.scratch_shares_b);
-        distribute_classes_flat(&self.scratch_totals_d, m, run_d, &mut shares_d);
-        distribute_classes_flat(&self.scratch_totals_b, m, run_b, &mut shares_b);
+        distribute_classes_flat(&self.scratch_totals_d, m, &mut run_d, &mut shares_d);
+        distribute_classes_flat(&self.scratch_totals_b, m, &mut run_b, &mut shares_b);
 
         let mut op_packets = 0u64;
         for (s, &mm) in members.iter().enumerate() {

@@ -25,11 +25,11 @@
 //! which at n ≥ 2¹⁶, where every hop is a cache miss, is worth ~20 % of
 //! a §7-workload step over a boxed pair of vectors.  A spilled row
 //! stays spilled when it shrinks, keeping its capacity the way
-//! `Vec::clear` does — a balance operation clears and rebuilds every
-//! member row, and a wide row that bounced between the two forms would
-//! allocate on every rebuild.  Which form a row is in is invisible from
-//! outside: [`SparseRow::keys`]/[`SparseRow::vals`] hand out slices
-//! either way and `==` compares entries.
+//! `Vec::clear` does — a balance operation rewrites every member row
+//! ([`SparseRow::assign`]), and a wide row that bounced between the two
+//! forms would allocate on every rewrite.  Which form a row is in is
+//! invisible from outside: [`SparseRow::keys`]/[`SparseRow::vals`] hand
+//! out slices either way and `==` compares entries.
 //!
 //! Invariants (checked by [`crate::Cluster::check_invariants`] and the
 //! debug assertions here):
@@ -94,8 +94,7 @@ fn split_mut(block: &mut [u64], cap: usize) -> (&mut [u64], &mut [u32]) {
 /// Opens slot `pos` among the first `n` entries and writes `(c, v)`.
 #[inline]
 fn shift_in(keys: &mut [u32], vals: &mut [u64], n: usize, pos: usize, c: u32, v: u64) {
-    // An append — every entry of a balance write-back — moves nothing;
-    // skipping the two zero-length `memmove` calls is worth having.
+    // An append moves nothing: skip the two zero-length `memmove` calls.
     if pos < n {
         keys.copy_within(pos..n, pos + 1);
         vals.copy_within(pos..n, pos + 1);
@@ -218,19 +217,21 @@ impl SparseRow {
         }
     }
 
-    /// Moves a full row into a fresh block of twice the capacity
-    /// (which stays even: `INLINE` is, and blocks only double).
+    /// Moves the row into a fresh block of `cap` slots, a power of two
+    /// above `INLINE` (so `cap` is even, and a row that doubles when
+    /// full and one that is assigned its entries in bulk reserve the
+    /// same).
     #[cold]
-    fn grow(&mut self) {
+    fn grow_to(&mut self, cap: usize) {
+        debug_assert!(cap.is_power_of_two() && cap > self.capacity());
         let n = self.len();
-        let cap = u32::try_from(2 * n).expect("keys are distinct u32s");
-        let mut block = vec![0u64; 3 * n].into_boxed_slice();
-        let (vals, keys) = split_mut(&mut block, 2 * n);
+        let mut block = vec![0u64; cap + cap / 2].into_boxed_slice();
+        let (vals, keys) = split_mut(&mut block, cap);
         keys[..n].copy_from_slice(self.keys());
         vals[..n].copy_from_slice(self.vals());
         self.0 = Repr::Heap {
-            len: cap / 2,
-            cap,
+            len: n as u32,
+            cap: u32::try_from(cap).expect("keys are distinct u32s"),
             block,
         };
     }
@@ -239,7 +240,7 @@ impl SparseRow {
     #[inline]
     fn insert_at(&mut self, pos: usize, c: u32, v: u64) {
         if self.len() == self.capacity() {
-            self.grow();
+            self.grow_to(2 * self.capacity());
         }
         match &mut self.0 {
             Repr::Inline { len, keys, vals } => {
@@ -337,19 +338,40 @@ impl SparseRow {
         }
     }
 
-    /// Deactivates every class (a spilled row keeps its capacity for
-    /// reuse).
+    /// Replaces the row by the entries `keys`/`vals` — strictly
+    /// ascending keys, nonzero values — in one copy: a balance
+    /// operation's write-back.  A row that must grow gets the capacity
+    /// pushing the entries one by one would have given it (the smallest
+    /// power of two ≥ the length); a spilled row stays spilled.
     #[inline]
-    pub fn clear(&mut self) {
+    pub fn assign(&mut self, keys: &[u32], vals: &[u64]) {
+        let n = keys.len();
+        debug_assert_eq!(n, vals.len());
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]) && !vals.contains(&0));
+        if n > self.capacity() {
+            self.grow_to(n.next_power_of_two());
+        }
         match &mut self.0 {
-            Repr::Inline { len, .. } => *len = 0,
-            Repr::Heap { len, .. } => *len = 0,
+            Repr::Inline {
+                len,
+                keys: k,
+                vals: v,
+            } => {
+                k[..n].copy_from_slice(keys);
+                v[..n].copy_from_slice(vals);
+                *len = n as u8;
+            }
+            Repr::Heap { len, cap, block } => {
+                let (v, k) = split_mut(block, *cap as usize);
+                k[..n].copy_from_slice(keys);
+                v[..n].copy_from_slice(vals);
+                *len = n as u32;
+            }
         }
     }
 
-    /// Appends an entry with `v > 0`; `c` must exceed every present key.
-    /// The O(1) rebuild primitive for balance write-backs that walk a
-    /// sorted class union.
+    /// Appends an entry with `v > 0`; `c` must exceed every present key:
+    /// builds a row from an ascending sweep in O(1) per entry.
     #[inline]
     pub fn push(&mut self, c: u32, v: u64) {
         debug_assert!(v > 0);
@@ -398,40 +420,6 @@ impl SparseRow {
         }
         row
     }
-}
-
-/// Merges sorted `src` into sorted `dst` (set union) using `buf` as
-/// scratch.  Linear in `dst.len() + src.len()`.
-pub fn merge_sorted_into(dst: &mut Vec<u32>, src: &[u32], buf: &mut Vec<u32>) {
-    if src.is_empty() {
-        return;
-    }
-    if dst.is_empty() {
-        dst.extend_from_slice(src);
-        return;
-    }
-    buf.clear();
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < dst.len() && b < src.len() {
-        match dst[a].cmp(&src[b]) {
-            std::cmp::Ordering::Less => {
-                buf.push(dst[a]);
-                a += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                buf.push(src[b]);
-                b += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                buf.push(dst[a]);
-                a += 1;
-                b += 1;
-            }
-        }
-    }
-    buf.extend_from_slice(&dst[a..]);
-    buf.extend_from_slice(&src[b..]);
-    std::mem::swap(dst, buf);
 }
 
 /// Number of keys present in `a` but absent from `b` (both sorted) — the
@@ -503,7 +491,7 @@ mod tests {
         row.push(8, 1);
         assert_eq!(row.to_dense(10), vec![0, 2, 0, 0, 0, 0, 0, 0, 1, 0]);
         row.check().unwrap();
-        row.clear();
+        row.assign(&[], &[]);
         assert!(row.is_empty());
     }
 
@@ -521,21 +509,8 @@ mod tests {
         assert_eq!(count_diff(&a, &[]), a.len());
     }
 
-    #[test]
-    fn merge_union_matches_naive() {
-        let mut dst = vec![1u32, 4, 7];
-        let mut buf = Vec::new();
-        merge_sorted_into(&mut dst, &[2, 4, 9], &mut buf);
-        assert_eq!(dst, vec![1, 2, 4, 7, 9]);
-        merge_sorted_into(&mut dst, &[], &mut buf);
-        assert_eq!(dst, vec![1, 2, 4, 7, 9]);
-        let mut empty = Vec::new();
-        merge_sorted_into(&mut empty, &[3, 5], &mut buf);
-        assert_eq!(empty, vec![3, 5]);
-    }
-
-    /// The row `model` describes, built the way a balance write-back
-    /// builds one — in place when it fits.
+    /// The row `model` describes, built by appending — in place when it
+    /// fits.
     fn row_of(model: &BTreeMap<u32, u64>) -> SparseRow {
         let mut row = SparseRow::new();
         for (&c, &v) in model {
@@ -549,15 +524,20 @@ mod tests {
         /// row holding exactly what a `BTreeMap` holds.  Eight keys keep
         /// the length wandering through `INLINE − 1 ..= INLINE + 2` in
         /// both directions, so rows spill, shrink while spilled, empty
-        /// and refill.  Equality is by content: the row equals a fresh
-        /// one with the same entries and one that was forced to spill.
+        /// and refill; a bulk `assign` replaces the row by the keys of a
+        /// bit mask, none included.  Equality is by content: the row
+        /// equals a fresh one with the same entries and one that was
+        /// forced to spill — and reserves what appending would have.
         #[test]
         fn any_operation_sequence_matches_a_btreemap(
-            ops in prop::collection::vec((0u8..8, 0u32..8, 0u64..4), 0..120),
+            ops in prop::collection::vec((0u8..8, 0u32..8, 0u64..4, any::<u8>()), 0..120),
         ) {
             let mut row = SparseRow::new();
             let mut model: BTreeMap<u32, u64> = BTreeMap::new();
-            for (op, c, x) in ops {
+            // The capacity pushing every row so far entry by entry
+            // reserves: it doubles from `INLINE` and never shrinks.
+            let mut pushed_cap = INLINE;
+            for (op, c, x, mask) in ops {
                 let held = model.get(&c).copied().unwrap_or(0);
                 let top = model.keys().next_back().copied();
                 match op {
@@ -587,12 +567,19 @@ mod tests {
                         row.push(c, x + 1);
                         model.insert(c, x + 1);
                     }
-                    6 if x == 0 => {
-                        row.clear();
-                        model.clear();
+                    6 => {
+                        let keys: Vec<u32> = (0..8).filter(|k| mask >> k & 1 == 1).collect();
+                        let vals = vec![x + 1; keys.len()];
+                        row.assign(&keys, &vals);
+                        model = keys.into_iter().zip(vals).collect();
                     }
                     _ => {}
                 }
+                while pushed_cap < model.len() {
+                    pushed_cap *= 2;
+                }
+                let reserved = if pushed_cap == INLINE { 0 } else { 12 * pushed_cap };
+                prop_assert_eq!(row.heap_bytes(), reserved);
                 prop_assert_eq!(row.check(), Ok(()));
                 prop_assert_eq!(row.keys(), model.keys().copied().collect::<Vec<_>>());
                 prop_assert_eq!(row.vals(), model.values().copied().collect::<Vec<_>>());

@@ -11,7 +11,7 @@
 use dlb_core::reference::RefCluster;
 use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Metrics, Params};
 use dlb_trace::TraceEvent;
-use proptest::{prop_assert, prop_assert_eq, proptest};
+use proptest::{prop_assert, prop_assert_eq, proptest, TestCaseError};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -35,67 +35,98 @@ fn events_at(rng: &mut ChaCha8Rng, n: usize, t: usize, steps: usize) -> Vec<Load
         .collect()
 }
 
+/// Drives engine and oracle side by side for `steps` steps of
+/// [`events_at`], comparing loads, metrics and every `d`/`b` entry after
+/// each.
+fn check_step_for_step(
+    params: Params,
+    seed: u64,
+    initial: u64,
+    steps: usize,
+) -> Result<(), TestCaseError> {
+    let n = params.n();
+    let mut sparse = Cluster::with_initial_load(params, seed, initial);
+    let mut oracle = RefCluster::with_initial_load(params, seed, initial);
+    let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+    for t in 0..steps {
+        let events = events_at(&mut ev_rng, n, t, steps);
+        sparse.step(&events);
+        oracle.step(&events);
+        prop_assert_eq!(
+            sparse.loads(),
+            oracle.loads(),
+            "loads diverged at step {}",
+            t
+        );
+        prop_assert_eq!(
+            sparse.metrics(),
+            oracle.metrics(),
+            "metrics diverged at step {}",
+            t
+        );
+        for i in 0..n {
+            let (active_d, active_b) = sparse.active_classes(i);
+            let mut seen_d = 0usize;
+            let mut seen_b = 0usize;
+            for c in 0..n {
+                let d = sparse.d(i, c);
+                let b = sparse.b(i, c);
+                prop_assert_eq!(d, oracle.d(i, c), "d[{}][{}] at step {}", i, c, t);
+                prop_assert_eq!(b, oracle.b(i, c), "b[{}][{}] at step {}", i, c, t);
+                seen_d += (d > 0) as usize;
+                seen_b += (b > 0) as usize;
+            }
+            prop_assert_eq!(active_d, seen_d, "active d count of {} at step {}", i, t);
+            prop_assert_eq!(active_b, seen_b, "active b count of {} at step {}", i, t);
+        }
+    }
+    prop_assert!(sparse.check_invariants().is_ok());
+    prop_assert!(oracle.check_invariants().is_ok());
+    // The compressed representation can never exceed two dense
+    // matrices plus the fixed per-processor vectors by construction;
+    // at small n this is a smoke check, at large n the point.
+    prop_assert!(sparse.state_bytes() > 0);
+    Ok(())
+}
+
+/// `Params` accepts any δ < n, and so must both engines: groups of more
+/// than 64 used to overrun a fixed-size scratch and panic at the first
+/// trigger.
+#[test]
+fn groups_wider_than_64_match_the_reference() {
+    let params = Params::new(80, 70, 1.1, 4).unwrap();
+    check_step_for_step(params, 42, 0, 30).unwrap();
+}
+
 proptest! {
     #[test]
     fn sparse_matches_reference_step_for_step(
         n_idx in 0usize..4,
-        delta_idx in 0usize..2,
+        delta_idx in 0usize..5,
         c_idx in 0usize..3,
         aggressive in 0usize..2,
         initial in 0u64..3,
         seed in 0u64..1_000_000,
     ) {
         let n = [2usize, 3, 5, 9][n_idx];
-        let delta = [1usize, 2][delta_idx].min(n - 1);
+        let delta = [1usize, 2, 3, 5, n - 1][delta_idx].min(n - 1);
         let c_borrow = [0usize, 2, 4][c_idx];
         let mut params = Params::new(n, delta, 1.2, c_borrow).unwrap();
         if aggressive == 1 {
             params = params.with_exchange(ExchangePolicy::Aggressive);
         }
-        let initial = initial * 5;
-        let mut sparse = Cluster::with_initial_load(params, seed, initial);
-        let mut oracle = RefCluster::with_initial_load(params, seed, initial);
-        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-        let steps = 60;
-        for t in 0..steps {
-            let events = events_at(&mut ev_rng, n, t, steps);
-            sparse.step(&events);
-            oracle.step(&events);
-            prop_assert_eq!(sparse.loads(), oracle.loads(), "loads diverged at step {}", t);
-            prop_assert_eq!(sparse.metrics(), oracle.metrics(), "metrics diverged at step {}", t);
-            for i in 0..n {
-                let (active_d, active_b) = sparse.active_classes(i);
-                let mut seen_d = 0usize;
-                let mut seen_b = 0usize;
-                for c in 0..n {
-                    let d = sparse.d(i, c);
-                    let b = sparse.b(i, c);
-                    prop_assert_eq!(d, oracle.d(i, c), "d[{}][{}] at step {}", i, c, t);
-                    prop_assert_eq!(b, oracle.b(i, c), "b[{}][{}] at step {}", i, c, t);
-                    seen_d += (d > 0) as usize;
-                    seen_b += (b > 0) as usize;
-                }
-                prop_assert_eq!(active_d, seen_d, "active d count of {} at step {}", i, t);
-                prop_assert_eq!(active_b, seen_b, "active b count of {} at step {}", i, t);
-            }
-        }
-        prop_assert!(sparse.check_invariants().is_ok());
-        prop_assert!(oracle.check_invariants().is_ok());
-        // The compressed representation can never exceed two dense
-        // matrices plus the fixed per-processor vectors by construction;
-        // at small n this is a smoke check, at large n the point.
-        prop_assert!(sparse.state_bytes() > 0);
+        check_step_for_step(params, seed, initial * 5, 60)?;
     }
 
     #[test]
     fn sparse_matches_reference_under_crash_masks(
         n_idx in 0usize..3,
-        delta_idx in 0usize..2,
+        delta_idx in 0usize..5,
         initial in 0u64..3,
         seed in 0u64..1_000_000,
     ) {
         let n = [3usize, 6, 10][n_idx];
-        let delta = [1usize, 2][delta_idx].min(n - 1);
+        let delta = [1usize, 2, 3, 5, n - 1][delta_idx].min(n - 1);
         let params = Params::new(n, delta, 1.3, 4).unwrap();
         let initial = initial * 10;
         let mut sparse = Cluster::with_initial_load(params, seed, initial);

@@ -7,7 +7,10 @@
 //! the practical [`SimpleCluster`] replay the same recorded 500-step
 //! paper trace; wall-clock is the minimum over `reps` runs (rejecting
 //! scheduler noise) and every run's final state is fingerprinted with
-//! FNV-1a and invariant-checked.  `effective_cores` records what this
+//! FNV-1a and invariant-checked.  Beside each time sits the run's
+//! balance-operation count and the time per operation (`full_ops`,
+//! `full_ns_per_op`, …): the two models' per-operation gap, readable
+//! across n.  `effective_cores` records what this
 //! machine had.  n = 4096 is the PR-4 headline: the flat `d`/`b` arena
 //! plus active-class lists make the full model tractable at that size,
 //! and the binary asserts it completes in under 60 s.
@@ -85,8 +88,9 @@ fn fingerprint<B: LoadBalancer>(balancer: &B) -> String {
 }
 
 /// Replays `trace` on a fresh balancer `reps` times; returns the best
-/// wall-clock in ms and the (identical across reps) state fingerprint.
-fn time_engine<B, M>(make: M, trace: &EventTrace, reps: usize) -> (f64, String)
+/// wall-clock in ms and the (identical across reps) state fingerprint
+/// and balance-operation count.
+fn time_engine<B, M>(make: M, trace: &EventTrace, reps: usize) -> (f64, String, u64)
 where
     B: LoadBalancer,
     M: Fn() -> B,
@@ -94,6 +98,7 @@ where
     let steps = trace.steps();
     let mut best = f64::INFINITY;
     let mut fp = String::new();
+    let mut ops = 0;
     for _ in 0..reps {
         let mut balancer = make();
         let mut replay = trace.replay();
@@ -110,8 +115,15 @@ where
             "nondeterministic engine: {fp} != {run_fp}"
         );
         fp = run_fp;
+        ops = balancer.metrics().balance_ops;
     }
-    (best, fp)
+    (best, fp, ops)
+}
+
+/// Wall-clock per balance operation, the per-operation cost the
+/// O(1)-per-operation rivals are compared on (ROADMAP, open item 1).
+fn ns_per_op(ms: f64, ops: u64) -> f64 {
+    ms * 1e6 / ops.max(1) as f64
 }
 
 /// One timed cell of the matrix: both engines at `n`.
@@ -119,8 +131,10 @@ struct Cell {
     n: usize,
     full_ms: f64,
     full_fp: String,
+    full_ops: u64,
     simple_ms: f64,
     simple_fp: String,
+    simple_ops: u64,
 }
 
 /// Times both engines at `n` and, if `verify`, invariant-checks the
@@ -129,7 +143,7 @@ fn run_cell(n: usize, steps: usize, reps: usize, verify: bool) -> Cell {
     let trace = paper_trace(n, steps, 9);
     let params = Params::paper_section7(n);
 
-    let (full_ms, full_fp) = time_engine(
+    let (full_ms, full_fp, full_ops) = time_engine(
         || {
             let c = Cluster::new(params, 1);
             c.check_invariants().expect("fresh cluster invariants");
@@ -138,7 +152,8 @@ fn run_cell(n: usize, steps: usize, reps: usize, verify: bool) -> Cell {
         &trace,
         reps,
     );
-    let (simple_ms, simple_fp) = time_engine(|| SimpleCluster::new(params, 1), &trace, reps);
+    let (simple_ms, simple_fp, simple_ops) =
+        time_engine(|| SimpleCluster::new(params, 1), &trace, reps);
     if verify {
         // Re-run once more to invariant-check the *final* state (the
         // timed closure only sees the fresh one).
@@ -160,8 +175,10 @@ fn run_cell(n: usize, steps: usize, reps: usize, verify: bool) -> Cell {
         n,
         full_ms,
         full_fp,
+        full_ops,
         simple_ms,
         simple_fp,
+        simple_ops,
     }
 }
 
@@ -185,6 +202,7 @@ struct LargeCell {
     steps: usize,
     full_ms: f64,
     full_fp: String,
+    full_ops: u64,
     state_bytes: usize,
 }
 
@@ -216,6 +234,7 @@ fn run_large_cell(n: usize, steps: usize) -> LargeCell {
         steps,
         full_ms,
         full_fp: fingerprint(&cluster),
+        full_ops: cluster.metrics().balance_ops,
         state_bytes,
     }
 }
@@ -495,10 +514,11 @@ fn large_smoke() -> ! {
     println!("bench_core --large-smoke: full engine, n={n}, {steps} steps\n");
     let cell = run_large_cell(n, steps);
     println!(
-        "  n={:<6} full {:>10.2} ms  ({})  {} B/proc",
+        "  n={:<6} full {:>10.2} ms  ({})  {:.0} ns/op  {} B/proc",
         cell.n,
         cell.full_ms,
         cell.full_fp,
+        ns_per_op(cell.full_ms, cell.full_ops),
         cell.state_bytes / cell.n
     );
     assert!(
@@ -536,8 +556,14 @@ fn main() {
     for &n in sizes {
         let cell = run_cell(n, steps, reps, true);
         println!(
-            "  n={:<5} full {:>10.2} ms  ({})   simple {:>9.2} ms  ({})",
-            cell.n, cell.full_ms, cell.full_fp, cell.simple_ms, cell.simple_fp
+            "  n={:<5} full {:>10.2} ms  ({})  {:>5.0} ns/op   simple {:>9.2} ms  ({})  {:>4.0} ns/op",
+            cell.n,
+            cell.full_ms,
+            cell.full_fp,
+            ns_per_op(cell.full_ms, cell.full_ops),
+            cell.simple_ms,
+            cell.simple_fp,
+            ns_per_op(cell.simple_ms, cell.simple_ops)
         );
         if !smoke && n == 4096 {
             assert!(
@@ -551,8 +577,18 @@ fn main() {
         cells.push(Json::Obj(vec![
             ("n".into(), (cell.n as u64).to_json()),
             ("full_ms".into(), ms3(cell.full_ms)),
+            ("full_ops".into(), cell.full_ops.to_json()),
+            (
+                "full_ns_per_op".into(),
+                ms3(ns_per_op(cell.full_ms, cell.full_ops)),
+            ),
             ("full_checksum".into(), cell.full_fp.to_json()),
             ("simple_ms".into(), ms3(cell.simple_ms)),
+            ("simple_ops".into(), cell.simple_ops.to_json()),
+            (
+                "simple_ns_per_op".into(),
+                ms3(ns_per_op(cell.simple_ms, cell.simple_ops)),
+            ),
             ("simple_checksum".into(), cell.simple_fp.to_json()),
         ]));
     }
@@ -567,10 +603,11 @@ fn main() {
         for n in LARGE_SIZES {
             let cell = run_large_cell(n, LARGE_STEPS);
             println!(
-                "  n={:<6} large full {:>10.2} ms  ({})  {} B/proc",
+                "  n={:<6} large full {:>10.2} ms  ({})  {:.0} ns/op  {} B/proc",
                 cell.n,
                 cell.full_ms,
                 cell.full_fp,
+                ns_per_op(cell.full_ms, cell.full_ops),
                 cell.state_bytes / cell.n
             );
             let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
@@ -578,6 +615,11 @@ fn main() {
                 ("n".into(), (cell.n as u64).to_json()),
                 ("steps".into(), (cell.steps as u64).to_json()),
                 ("full_ms".into(), ms3(cell.full_ms)),
+                ("full_ops".into(), cell.full_ops.to_json()),
+                (
+                    "full_ns_per_op".into(),
+                    ms3(ns_per_op(cell.full_ms, cell.full_ops)),
+                ),
                 ("full_checksum".into(), cell.full_fp.to_json()),
                 ("state_bytes".into(), (cell.state_bytes as u64).to_json()),
                 (
