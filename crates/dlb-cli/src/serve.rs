@@ -217,4 +217,40 @@ mod tests {
             assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
         }
     }
+
+    /// Both documents decode; both used to take the process down in
+    /// the request source (abort on an 80 TB table, panic on a cycle
+    /// length wrapped to zero).  `main` turns an `Err` into exit 1.
+    #[test]
+    fn serve_refuses_scenarios_the_request_source_cannot_take() {
+        let dir = std::env::temp_dir().join("dlb_serve_cli_hostile_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let document = |keys: &str, phases: &str| {
+            format!(
+                r#"{{"shards": 4, "ticks": 300, "delta": 2, "keys": {keys}, "zipf_s": 1.1,
+                    "service_ticks": [1, 3], "phases": [{phases}]}}"#
+            )
+        };
+        let half = r#"{"ticks": 9223372036854775808, "rate": 1.0}"#;
+        for (name, text, needle) in [
+            (
+                "keys.json",
+                document("10000000000000", r#"{"ticks": 100, "rate": 1.5}"#),
+                "keys 10000000000000",
+            ),
+            (
+                "phases.json",
+                document("64", &format!("{half}, {half}")),
+                "phase #1",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let err = serve_main(&strings(&[path.to_str().unwrap()])).unwrap_err();
+            assert!(
+                err.starts_with("invalid scenario ") && err.contains(needle),
+                "{err}"
+            );
+        }
+    }
 }

@@ -177,8 +177,8 @@ impl ShardGroup {
             req: r.id,
             shard: s as u64,
         });
-        if let Some(plan) = self.router.note_enqueue(s) {
-            self.apply_plan(plan, now);
+        if self.router.note_enqueue(s).is_some() {
+            self.apply_fired(now);
         }
     }
 
@@ -197,10 +197,19 @@ impl ShardGroup {
     pub(crate) fn dequeue(&mut self, s: usize, now: u64) -> Option<Request> {
         let r = self.queues[s - self.lo].pop_front()?;
         debug_assert!(self.router.is_alive(s), "a crashed shard's queue is empty");
-        if let Some(plan) = self.router.note_dequeue(s) {
-            self.apply_plan(plan, now);
+        if self.router.note_dequeue(s).is_some() {
+            self.apply_fired(now);
         }
         Some(r)
+    }
+
+    /// Carries out the plan the router just fired.  Moving requests
+    /// updates the router's depths, so the plan is lifted out of it for
+    /// the duration and handed back, buffers intact, for the next fire.
+    fn apply_fired(&mut self, now: u64) {
+        let plan = std::mem::take(&mut self.router.plan);
+        self.apply_plan(&plan, now);
+        self.router.plan = plan;
     }
 
     /// Moves queued requests to match a fired trigger: a receiver's
@@ -208,7 +217,7 @@ impl ShardGroup {
     /// oldest first, the FIFO order of what stays put untouched.  Owned
     /// donors give at once; every remote member is sent its part of
     /// the plan.
-    fn apply_plan(&mut self, plan: RebalancePlan, now: u64) {
+    fn apply_plan(&mut self, plan: &RebalancePlan, now: u64) {
         let RebalancePlan {
             members,
             targets,
@@ -441,7 +450,8 @@ mod tests {
         }
         // Group `a` cuts a plan from a mirror that promises 8 on shard 3.
         a.mirror(3, 8, true);
-        a.apply_plan(RebalancePlan::new(vec![0, 3], |s| a.router.depth(s)), 5);
+        let plan = RebalancePlan::new(vec![0, 3], |s| a.router.depth(s));
+        a.apply_plan(&plan, 5);
         assert_eq!(a.router.depth(0), 0, "nothing has arrived yet");
         let (to, msg) = a.outbox.pop().expect("the remote member's part");
         assert!(a.outbox.is_empty() && to == 3);
@@ -535,7 +545,7 @@ mod tests {
             prop_assert_eq!(&plan.targets, &targets);
             let redirects = pool_reference(&mut expected, &members, &targets);
 
-            g.apply_plan(plan, 9);
+            g.apply_plan(&plan, 9);
             for (s, queue) in expected.iter().enumerate() {
                 let want: Vec<u64> = queue.iter().map(|r| r.id).collect();
                 prop_assert_eq!(ids(&g, s), want, "queue of shard {}", s);

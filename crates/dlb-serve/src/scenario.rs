@@ -111,10 +111,14 @@ impl ServiceScenario {
         if self.load.phases.is_empty() {
             return Err("phases must not be empty".into());
         }
+        let mut cycle = 0u64;
         for (i, p) in self.load.phases.iter().enumerate() {
             if p.ticks == 0 {
                 return Err(format!("phase #{i}: ticks must be positive"));
             }
+            cycle = cycle.checked_add(p.ticks).ok_or_else(|| {
+                format!("phase #{i}: ticks {} overflow the cycle length", p.ticks)
+            })?;
             if !p.rate.is_finite() || p.rate < 0.0 {
                 return Err(format!(
                     "phase #{i}: rate {} must be finite and ≥ 0",
@@ -131,6 +135,7 @@ impl ServiceScenario {
                 self.load.zipf_s
             ));
         }
+        self.load.check_keys()?;
         let (lo, hi) = self.load.service_ticks;
         if lo == 0 || lo > hi {
             return Err(format!(
@@ -226,6 +231,31 @@ mod tests {
             let err = ServiceScenario::parse(&GOOD.replace(from, to)).unwrap_err();
             assert!(err.contains(needle), "{from} -> {to}: {err}");
         }
+    }
+
+    /// Values that decode and used to pass validation, then took the
+    /// process down inside `RequestSource::new`: an 80 TB CDF (abort),
+    /// and a cycle length that wraps to zero in release (panic).
+    #[test]
+    fn values_the_request_source_cannot_take_are_refused() {
+        let huge = GOOD.replace("\"keys\": 1000", "\"keys\": 10000000000000");
+        let err = ServiceScenario::parse(&huge).unwrap_err();
+        assert!(err.contains("keys 10000000000000"), "{err}");
+        // Uniform keys build no table: any key count is fine.
+        let uniform = huge.replace("\"zipf_s\": 1.1", "\"zipf_s\": 0.0");
+        ServiceScenario::parse(&uniform).expect("no table, no bound");
+
+        let half = "{\"ticks\": 9223372036854775808, \"rate\": 1.0}";
+        let start = GOOD
+            .find("{\"ticks\": 2000, \"rate\": 1.5}")
+            .expect("first phase");
+        let end = GOOD.find("\"tick_us\"").expect("key after phases");
+        let wrapped = format!("{}{half}, {half}], {}", &GOOD[..start], &GOOD[end..]);
+        let err = ServiceScenario::parse(&wrapped).unwrap_err();
+        assert!(
+            err.contains("phase #1") && err.contains("overflow"),
+            "{err}"
+        );
     }
 
     #[test]

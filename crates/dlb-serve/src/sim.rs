@@ -1,13 +1,14 @@
 //! The simulated-clock serving engine.
 //!
 //! A single-threaded event loop over [`dlb_net::CalendarQueue`] around
-//! one `ShardGroup` that owns every shard: the open-loop source
-//! injects arrivals, completions are scheduled events, and the fault
-//! plan's crashes/recoveries are events pushed up front.  The shard
-//! state machine — placement, both triggers, plans, crash
-//! redistribution — is `crate::group`, the same code the wall
-//! acceptors run; what lives here is only what is about simulated time:
-//! who is in service until when, the latency histograms, the ledger.
+//! one `ShardGroup` that owns every shard: completions are scheduled
+//! events, the fault plan's crashes/recoveries are events pushed up
+//! front, and each tick's arrivals go from the open-loop source
+//! straight to the group once the tick's due events have popped.  The
+//! shard state machine — placement, both triggers, plans, crash
+//! redistribution — is `crate::group`, the same code the wall acceptors
+//! run; what lives here is only what is about simulated time: who is
+//! in service until when, the latency histograms, the ledger.
 //! Being single-threaded is the point — the report is a pure function
 //! of `(scenario, seed)`, bit-identical across repeated runs *and*
 //! across `--workers` values (the worker count is deliberately ignored
@@ -34,7 +35,6 @@ use crate::scenario::ServiceScenario;
 use crate::stats::ServiceStats;
 
 enum Ev {
-    Arrive(Request),
     /// `epoch` guards against completions of a since-crashed shard.
     Complete {
         shard: usize,
@@ -59,8 +59,9 @@ pub fn run_sim(
     let mut source = RequestSource::new(scenario.load.clone(), scenario.seed);
     let mut eq: CalendarQueue<Ev> = CalendarQueue::new();
     // Crash/recovery events first: construction-time pushes carry the
-    // earliest stamps, so within a tick they pop before completions and
-    // arrivals (down-then-reroute, never route-then-down).
+    // earliest stamps, so within a tick they pop before completions,
+    // and arrivals come after both (down-then-reroute, never
+    // route-then-down).
     for c in injector.crashes() {
         eq.push(c.at, Ev::Down(c.proc));
         if let Some(r) = c.recover_at {
@@ -90,16 +91,8 @@ pub fn run_sim(
     let mut batch = Vec::new();
     let mut now = 0u64;
     loop {
-        if now < horizon {
-            batch.clear();
-            source.arrivals_at(now, &mut batch);
-            for &r in &batch {
-                eq.push(now, Ev::Arrive(r));
-            }
-        }
         while let Some((_, ev)) = eq.pop_due(now) {
             match ev {
-                Ev::Arrive(r) => group.arrive(r, now),
                 Ev::Complete {
                     shard,
                     epoch: at_dispatch,
@@ -125,6 +118,13 @@ pub fn run_sim(
                     group.crash(s, now, in_service[s].take());
                 }
                 Ev::Up(s) => group.recover(s, now),
+            }
+        }
+        if now < horizon {
+            batch.clear();
+            source.arrivals_at(now, &mut batch);
+            for &r in &batch {
+                group.arrive(r, now);
             }
         }
         // Dispatch idle shards (a crashed shard's queue is empty).
@@ -457,10 +457,55 @@ mod tests {
         s
     }
 
-    /// Captured at the parent of the PR that moved the state machine
-    /// into `group.rs` (commit 8587a86, `Engine::{route, apply_plan,
-    /// crash, recover}`), on three runs the committed pins do not
-    /// reach: the machine must reproduce them to the byte.
+    /// The benchmark's `serve_sim` shape scaled down: 64 shards, δ = 2,
+    /// f = 2.0, several arrivals a tick, two `lost` crashes — what pins
+    /// the order of one tick: crashes, then completions, then arrivals.
+    fn tick_order() -> ServiceScenario {
+        let mut s = scenario();
+        s.shards = 64;
+        s.ticks = 900;
+        s.load.phases = [8.0, 14.0, 3.0]
+            .map(|rate| RatePhase { ticks: 300, rate })
+            .to_vec();
+        s.load.keys = 1000;
+        s.load.service_ticks = (2, 6);
+        s.faults.crash_mode = CrashMode::Lost;
+        s.faults.crashes = vec![
+            CrashEvent {
+                proc: 3,
+                at: 360,
+                recover_at: Some(600),
+            },
+            CrashEvent {
+                proc: 40,
+                at: 450,
+                recover_at: Some(750),
+            },
+        ];
+        s
+    }
+
+    #[test]
+    fn tick_order_crash_lands_among_completions_and_arrivals() {
+        let buffer = BufferSink::new();
+        let stats = run_sim(&tick_order(), Some(buffer.handle())).expect("run");
+        assert_eq!(stats.dropped, 2, "both crashes caught a request in service");
+        let events = buffer.take();
+        for at in [360, 450] {
+            let busy = |pick: fn(&TraceEvent) -> bool| {
+                events.iter().any(|e| e.step() == Some(at) && pick(e))
+            };
+            assert!(busy(|e| matches!(e, TraceEvent::FaultInjected { .. })));
+            assert!(busy(|e| matches!(e, TraceEvent::RequestCompleted { .. })));
+            assert!(busy(|e| matches!(e, TraceEvent::RequestRouted { .. })));
+        }
+    }
+
+    /// Runs the committed pins do not reach, captured before the
+    /// machine was rewritten under them — the first three at the parent
+    /// of the PR that moved it into `group.rs` (commit 8587a86,
+    /// `Engine::{route, apply_plan, crash, recover}`): it must
+    /// reproduce them to the byte.
     #[test]
     fn parent_captured_pins_hold() {
         // `Frozen`, with a request in service on shard 1 when it
@@ -483,6 +528,13 @@ mod tests {
                 blackout(),
                 "9358d312693c7b75",
                 "ecddab0eb4f34cf2bb1d25c049787298a784fdcbf7d4ef6db00cac0c17443641",
+            ),
+            // Captured at commit 904c278, where a tick's arrivals still
+            // went through the calendar queue as events.
+            (
+                tick_order(),
+                "b021504d00f656ec",
+                "ac9c0467a211138b55a06d01348059bd1461730fc5140f33b62f4bf2169cd1ae",
             ),
         ];
         for (scenario, stats, trace) in pins {

@@ -34,6 +34,39 @@ pub struct ServiceLoad {
     pub service_ticks: (u64, u64),
 }
 
+impl ServiceLoad {
+    /// Whether [`RequestSource::new`] can build this load's key table.
+    /// Uniform keys (`zipf_s == 0`) need none; a Zipf CDF has one entry
+    /// per key, which the guide table over it must be able to index and
+    /// the allocator must be able to give.
+    pub fn check_keys(&self) -> Result<(), String> {
+        if self.zipf_s != 0.0 {
+            reserve_cdf(self.keys)?;
+        }
+        Ok(())
+    }
+}
+
+/// An empty CDF with room for `keys` entries, or why there is none.
+fn reserve_cdf(keys: u64) -> Result<Vec<f64>, String> {
+    let entries = u32::try_from(keys)
+        .ok()
+        .and_then(|k| usize::try_from(k).ok())
+        .ok_or_else(|| format!("keys {keys}: a Zipf table holds at most {} keys", u32::MAX))?;
+    let mut cdf = Vec::new();
+    cdf.try_reserve_exact(entries)
+        .map_err(|e| format!("keys {keys}: no memory for the Zipf table ({e})"))?;
+    Ok(cdf)
+}
+
+/// Buckets of the guide table: bucket `b` covers `[b, b + 1) / 4096`.
+const GUIDE_BUCKETS: usize = 4096;
+
+/// Lower edge of guide bucket `b` (exact: a power-of-two division).
+fn guide_edge(b: usize) -> f64 {
+    b as f64 / GUIDE_BUCKETS as f64
+}
+
 /// One generated request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
@@ -57,6 +90,10 @@ pub struct RequestSource {
     config: ServiceLoad,
     /// Zipf CDF over `keys` entries (empty when `zipf_s == 0`).
     cdf: Vec<f64>,
+    /// `guide[b]` is the first key with `cdf ≥ guide_edge(b)`, for `b`
+    /// in `0..=GUIDE_BUCKETS` (empty with the CDF): a draw in bucket
+    /// `b` finds its key between `guide[b]` and `guide[b + 1]`.
+    guide: Vec<u32>,
     rng: ChaCha8Rng,
     /// Fractional arrivals carried to the next tick.
     acc: f64,
@@ -70,9 +107,10 @@ impl RequestSource {
     ///
     /// # Panics
     ///
-    /// Panics on an empty or zero-length phase list, zero keys, or an
-    /// inverted service range — configs are validated by the scenario
-    /// loader, so a bad value here is a programming error.
+    /// Panics on an empty or zero-length phase list, zero keys, a key
+    /// table [`ServiceLoad::check_keys`] refuses, or an inverted service
+    /// range — configs are validated by the scenario loader, so a bad
+    /// value here is a programming error.
     pub fn new(config: ServiceLoad, seed: u64) -> Self {
         let cycle: u64 = config.phases.iter().map(|p| p.ticks).sum();
         assert!(cycle > 0, "phase list must cover at least one tick");
@@ -81,24 +119,32 @@ impl RequestSource {
             config.service_ticks.0 <= config.service_ticks.1,
             "service range inverted"
         );
-        let cdf = if config.zipf_s == 0.0 {
-            Vec::new()
-        } else {
+        let (mut cdf, mut guide) = (Vec::new(), Vec::new());
+        if config.zipf_s != 0.0 {
             // Zipf weights k^-s, prefix-summed and normalised once;
-            // sampling is then a binary search per request.
-            let mut cdf = Vec::with_capacity(config.keys as usize);
+            // sampling is then a short binary search per request.
+            cdf = reserve_cdf(config.keys).expect("key table validated by the scenario loader");
             let mut total = 0.0;
             for k in 1..=config.keys {
                 total += (k as f64).powf(-config.zipf_s);
                 cdf.push(total);
             }
-            for w in cdf.iter_mut() {
+            guide.reserve_exact(GUIDE_BUCKETS + 1);
+            let mut edge = 0.0;
+            for (k, w) in (0u32..).zip(cdf.iter_mut()) {
                 *w /= total;
+                // Every bucket edge this key is the first to reach.  The
+                // last entry is `total / total`, exactly the last edge.
+                while edge <= *w {
+                    guide.push(k);
+                    edge = guide_edge(guide.len());
+                }
             }
-            cdf
-        };
+            debug_assert_eq!(guide.len(), GUIDE_BUCKETS + 1);
+        }
         RequestSource {
             cdf,
+            guide,
             rng: ChaCha8Rng::seed_from_u64(seed),
             acc: 0.0,
             next_id: 0,
@@ -131,7 +177,7 @@ impl RequestSource {
                 self.rng.gen_range(0..self.config.keys)
             } else {
                 let x: f64 = self.rng.gen();
-                self.cdf.partition_point(|&c| c < x) as u64
+                self.zipf_key(x)
             };
             out.push(Request {
                 id: self.next_id,
@@ -143,6 +189,20 @@ impl RequestSource {
         }
     }
 
+    /// The key a uniform draw `x ∈ [0, 1)` lands on: the first whose
+    /// CDF value is `≥ x`.  `x · 4096` is exact, so with `b` its
+    /// integer part `guide_edge(b) ≤ x < guide_edge(b + 1)`, and the
+    /// first entry `≥ x` lies no earlier than the first `≥` the lower
+    /// edge and no later than the first `≥` the upper one: the search
+    /// over `guide[b]..guide[b + 1]` returns what a search over the
+    /// whole CDF would.
+    fn zipf_key(&self, x: f64) -> u64 {
+        let b = (x * GUIDE_BUCKETS as f64) as usize;
+        // Widening: a `u32` index always fits `usize`.
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c < x)) as u64
+    }
+
     /// Requests generated so far.
     pub fn issued(&self) -> u64 {
         self.next_id
@@ -152,6 +212,8 @@ impl RequestSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn config() -> ServiceLoad {
         ServiceLoad {
@@ -244,5 +306,61 @@ mod tests {
         let hot = out.iter().filter(|r| r.key < 10).count();
         let frac = hot as f64 / out.len() as f64;
         assert!((0.05..0.2).contains(&frac), "uniform hot fraction {frac}");
+    }
+
+    /// One source per `keys × zipf_s` corner: a lone key, a pair, a
+    /// table smaller than the guide, the benchmark's 100 000; a flat,
+    /// a typical and a steep skew.
+    fn zipf_sources() -> &'static [RequestSource] {
+        static SOURCES: OnceLock<Vec<RequestSource>> = OnceLock::new();
+        SOURCES.get_or_init(|| {
+            let mut sources = Vec::new();
+            for keys in [1, 2, 100, 100_000] {
+                for zipf_s in [0.5, 1.1, 2.5] {
+                    let load = ServiceLoad {
+                        keys,
+                        zipf_s,
+                        ..config()
+                    };
+                    sources.push(RequestSource::new(load, 0));
+                }
+            }
+            sources
+        })
+    }
+
+    /// The lookup as it stood before the guide table: one binary
+    /// search over the whole CDF.
+    fn full_search(src: &RequestSource, x: f64) -> u64 {
+        src.cdf.partition_point(|&c| c < x) as u64
+    }
+
+    /// Every value where the two searches could part ways: each CDF
+    /// entry and each bucket edge, and the floats either side of them.
+    #[test]
+    fn guided_lookup_agrees_at_every_cdf_value_and_bucket_edge() {
+        for src in zipf_sources() {
+            let edges = (0..GUIDE_BUCKETS).map(guide_edge);
+            for at in src.cdf.iter().copied().chain(edges) {
+                for x in [at.next_down(), at, at.next_up()] {
+                    if (0.0..1.0).contains(&x) {
+                        assert_eq!(src.zipf_key(x), full_search(src, x), "x = {x:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The identity argument for the guide table, checked on
+        /// arbitrary draws.
+        #[test]
+        fn guided_lookup_is_the_full_search(xs in prop::collection::vec(0.0f64..1.0, 1..50)) {
+            for src in zipf_sources() {
+                for &x in &xs {
+                    prop_assert_eq!(src.zipf_key(x), full_search(src, x), "x = {:e}", x);
+                }
+            }
+        }
     }
 }
