@@ -494,6 +494,14 @@ impl Scenario {
         if let WorkloadConfig::Sparse { pattern } = &self.workload {
             pattern.validate().map_err(|e| format!("workload: {e}"))?;
         }
+        if let StrategyConfig::Async { latency, .. } = self.strategy {
+            if latency > dlb_net::MAX_LATENCY {
+                return Err(format!(
+                    "strategy.latency = {latency} must be at most {}",
+                    dlb_net::MAX_LATENCY
+                ));
+            }
+        }
         if let Some(faults) = &self.faults {
             faults
                 .validate(self.n)
@@ -572,6 +580,35 @@ mod tests {
         });
         assert!(s.validate().unwrap_err().contains("faults"));
         assert!(Scenario::from_json("{").is_err());
+    }
+
+    /// Values a `u64` holds but the protocol's timeouts cannot: `8·latency`
+    /// and `(4·latency) << attempt` would wrap (to 0 at 2⁶¹ and 2⁶²).
+    #[test]
+    fn timing_values_that_would_wrap_are_refused_by_key() {
+        let scenario = |latency, jitter| {
+            let mut s = Scenario::demo();
+            s.strategy = StrategyConfig::Async {
+                delta: 1,
+                f: 1.1,
+                latency,
+            };
+            s.faults = Some(FaultPlan {
+                jitter,
+                ..FaultPlan::default()
+            });
+            s
+        };
+        for latency in [1 << 61, 1 << 62, dlb_net::MAX_LATENCY + 1] {
+            let err = scenario(latency, 3).validate().unwrap_err();
+            assert!(err.contains("strategy.latency"), "{err}");
+        }
+        for jitter in [u64::MAX, dlb_faults::MAX_JITTER + 1] {
+            let err = scenario(4, jitter).validate().unwrap_err();
+            assert!(err.contains("faults: jitter"), "{err}");
+        }
+        let edge = scenario(dlb_net::MAX_LATENCY, dlb_faults::MAX_JITTER);
+        assert_eq!(edge.validate(), Ok(()), "the bounds are accepted");
     }
 
     #[test]

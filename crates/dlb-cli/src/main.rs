@@ -138,6 +138,37 @@ mod tests {
         );
     }
 
+    /// Each document decodes.  The two latencies used to wrap
+    /// `8·latency` and `(4·latency) << attempt` to 0 — exit 0 on a
+    /// silently wrong run — and the jitter to panic in the event queue
+    /// ("scheduled into the past").  `main` turns an `Err` into exit 1.
+    #[test]
+    fn run_refuses_timing_values_that_would_wrap() {
+        let dir = std::env::temp_dir().join("dlb_cli_hostile_async_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let document = |latency: &str, jitter: &str| {
+            format!(
+                r#"{{"n": 8, "steps": 50, "runs": 1,
+                    "strategy": {{"kind": "async", "delta": 2, "f": 1.3, "latency": {latency}}},
+                    "workload": {{"kind": "uniform", "p_gen": 0.5, "p_con": 0.3}},
+                    "faults": {{"loss": 0.1, "jitter": {jitter}}}}}"#
+            )
+        };
+        for (name, text, needle) in [
+            ("l61.json", document("2305843009213693952", "3"), "latency"),
+            ("l62.json", document("4611686018427387904", "3"), "latency"),
+            ("jmax.json", document("4", "18446744073709551615"), "jitter"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let err = dispatch(&strings(&["run", path.to_str().unwrap()])).unwrap_err();
+            assert!(
+                err.starts_with("invalid scenario ") && err.contains(needle),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn usage_lists_exactly_the_accepted_flags() {
         let accepted = [

@@ -477,10 +477,10 @@ fn run_one_async(
         let ops_before = net.stats().completed_ops;
         net.tick(t as u64, &actions);
         net.check_conservation()?;
-        let loads = net.loads();
-        recorder.record(&loads);
+        let loads = net.loads_slice();
+        recorder.record(loads);
         if tracing {
-            emit_load_sample(&driver, t as u64, &loads);
+            emit_load_sample(&driver, t as u64, loads);
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,
@@ -500,7 +500,7 @@ fn run_one_async(
         strategy: "spaa93-async".to_string(),
         ops: net.stats().completed_ops,
         migrated: net.stats().packets_moved,
-        final_total: net.loads().iter().sum(),
+        final_total: net.loads_slice().iter().sum(),
         stats: Some(*net.stats()),
         lost: net.lost(),
         events: buf.take(),

@@ -299,6 +299,13 @@ pub struct ImbalanceStats {
 }
 
 /// Computes [`ImbalanceStats`] for a load snapshot.
+///
+/// Minimum, maximum and an integer total come from one pass.  While the
+/// total stays below 2⁵³ every partial sum of the sequential `f64`
+/// summation is an exactly representable integer, so `total as f64` *is*
+/// that sum, bit for bit; at or above 2⁵³ the `f64` loop runs as
+/// before.  The variance pass keeps its order: `std_dev` feeds
+/// `mean_std_dev` and the quality reports.
 pub fn imbalance_stats(loads: &[u64]) -> ImbalanceStats {
     if loads.is_empty() {
         return ImbalanceStats {
@@ -309,10 +316,19 @@ pub fn imbalance_stats(loads: &[u64]) -> ImbalanceStats {
             max_over_mean: 1.0,
         };
     }
-    let min = *loads.iter().min().expect("non-empty");
-    let max = *loads.iter().max().expect("non-empty");
+    let (mut min, mut max, mut total) = (u64::MAX, 0u64, 0u128);
+    for &x in loads {
+        min = min.min(x);
+        max = max.max(x);
+        total += u128::from(x);
+    }
+    let sum = if total < 1 << 53 {
+        total as f64
+    } else {
+        loads.iter().map(|&x| x as f64).sum::<f64>()
+    };
     let n = loads.len() as f64;
-    let mean = loads.iter().map(|&x| x as f64).sum::<f64>() / n;
+    let mean = sum / n;
     let var = loads
         .iter()
         .map(|&x| (x as f64 - mean).powi(2))
@@ -358,5 +374,78 @@ mod tests {
         assert_eq!(empty.max, 0);
         let zeros = imbalance_stats(&[0, 0]);
         assert_eq!(zeros.max_over_mean, 1.0);
+    }
+
+    /// [`imbalance_stats`] as it was before its passes were fused: the
+    /// oracle of `fused_stats_match_the_four_pass_body`.
+    fn four_pass_stats(loads: &[u64]) -> ImbalanceStats {
+        if loads.is_empty() {
+            return ImbalanceStats {
+                min: 0,
+                max: 0,
+                mean: 0.0,
+                std_dev: 0.0,
+                max_over_mean: 1.0,
+            };
+        }
+        let min = *loads.iter().min().expect("non-empty");
+        let max = *loads.iter().max().expect("non-empty");
+        let n = loads.len() as f64;
+        let mean = loads.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let var = loads
+            .iter()
+            .map(|&x| (x as f64 - mean).powi(2))
+            .sum::<f64>()
+            / n;
+        let max_over_mean = if mean > 0.0 { max as f64 / mean } else { 1.0 };
+        ImbalanceStats {
+            min,
+            max,
+            mean,
+            std_dev: var.sqrt(),
+            max_over_mean,
+        }
+    }
+
+    proptest::proptest! {
+        /// All five fields, bit for bit — small loads, loads whose
+        /// total crosses 2⁵³ (and 2⁶⁴), a single element, the empty
+        /// slice.
+        #[test]
+        fn fused_stats_match_the_four_pass_body(
+            small in proptest::collection::vec(0u64..5_000, 0..40),
+            big in proptest::collection::vec(proptest::any::<u64>(), 0..6),
+            shift in 0u32..64,
+        ) {
+            let mixed: Vec<u64> = small.iter().copied().chain(big.iter().map(|b| b >> shift)).collect();
+            for loads in [&small[..], &mixed[..], &mixed[..mixed.len().min(1)]] {
+                let (got, want) = (imbalance_stats(loads), four_pass_stats(loads));
+                proptest::prop_assert_eq!((got.min, got.max), (want.min, want.max));
+                proptest::prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+                proptest::prop_assert_eq!(got.std_dev.to_bits(), want.std_dev.to_bits());
+                proptest::prop_assert_eq!(
+                    got.max_over_mean.to_bits(),
+                    want.max_over_mean.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_stats_at_the_exactness_boundary() {
+        let edge = 1u64 << 53;
+        for loads in [
+            vec![edge - 1],
+            vec![edge - 2, 1],
+            vec![edge - 1, 1],
+            vec![edge, 1, 1, 1],
+            vec![1, edge, 1],
+            vec![u64::MAX, u64::MAX, 3],
+        ] {
+            let (got, want) = (imbalance_stats(&loads), four_pass_stats(&loads));
+            assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "{loads:?}");
+            assert_eq!(got.std_dev.to_bits(), want.std_dev.to_bits(), "{loads:?}");
+            assert_eq!(got, want, "{loads:?}");
+        }
     }
 }

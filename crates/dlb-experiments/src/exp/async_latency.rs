@@ -33,7 +33,7 @@ fn drive(config: AsyncConfig, n: usize, steps: u64) -> (f64, AsyncStats) {
             .collect();
         net.tick(t, &actions);
         if t >= steps / 4 && t % 50 == 0 {
-            let stats = imbalance_stats(&net.loads());
+            let stats = imbalance_stats(net.loads_slice());
             if stats.mean >= 5.0 {
                 ratio += stats.max_over_mean;
                 samples += 1;

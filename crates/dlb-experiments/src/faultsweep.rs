@@ -213,7 +213,7 @@ pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
             net.check_conservation()
                 .expect("extended conservation at every tick");
             if t >= cfg.steps / 5 && t % 20 == 0 {
-                let s = imbalance_stats(&net.loads());
+                let s = imbalance_stats(net.loads_slice());
                 if s.mean >= 1.0 {
                     ratio += s.max_over_mean;
                     samples += 1;

@@ -146,6 +146,11 @@ impl FromJson for PartitionEvent {
     }
 }
 
+/// Largest accepted [`FaultPlan::jitter`].  A substrate adds the drawn
+/// jitter to its own clock and latency; under this bound (and the
+/// substrate's bound on its latency) that sum cannot wrap.
+pub const MAX_JITTER: u64 = 1 << 32;
+
 /// A complete declarative fault schedule.  [`FaultPlan::default`] is
 /// benign (injects nothing); every field can be set independently.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,7 +165,8 @@ pub struct FaultPlan {
     /// Probability that a control message is delivered twice.
     pub duplication: f64,
     /// Maximum extra latency added to any delivered message (uniform in
-    /// `0..=jitter`, in the substrate's time units).
+    /// `0..=jitter`, in the substrate's time units); at most
+    /// [`MAX_JITTER`].
     pub jitter: u64,
     /// What happens to a crashed processor's load.
     pub crash_mode: CrashMode,
@@ -213,6 +219,12 @@ impl FaultPlan {
         prob("loss", self.loss)?;
         prob("transfer_loss", self.transfer_loss)?;
         prob("duplication", self.duplication)?;
+        if self.jitter > MAX_JITTER {
+            return Err(format!(
+                "jitter = {} must be at most {MAX_JITTER}",
+                self.jitter
+            ));
+        }
         for (k, c) in self.crashes.iter().enumerate() {
             if c.proc >= n {
                 return Err(format!(
@@ -462,7 +474,9 @@ impl FaultInjector {
                     return MessageFate::Drop;
                 }
                 MessageClass::Transfer => {
-                    let extra = heal.saturating_sub(now) + self.jitter_draw();
+                    // Saturating: `until = u64::MAX` is a legitimate
+                    // "never heals".
+                    let extra = heal.saturating_sub(now).saturating_add(self.jitter_draw());
                     self.stats.delayed += 1;
                     return MessageFate::Deliver {
                         extra_delay: extra,
@@ -638,6 +652,37 @@ mod tests {
             group: vec![],
         }];
         assert!(plan.validate(4).is_err(), "empty group");
+        plan.partitions.clear();
+        plan.jitter = MAX_JITTER;
+        assert!(plan.validate(4).is_ok(), "the bound itself is accepted");
+        for jitter in [MAX_JITTER + 1, u64::MAX] {
+            plan.jitter = jitter;
+            let err = plan.validate(4).unwrap_err();
+            assert!(err.contains("jitter"), "names the key: {err}");
+            assert!(FaultInjector::new(plan.clone(), 4).is_err());
+        }
+    }
+
+    #[test]
+    fn a_partition_that_never_heals_holds_transfers_without_wrapping() {
+        let plan = FaultPlan {
+            jitter: 3,
+            partitions: vec![PartitionEvent {
+                from: 0,
+                until: u64::MAX,
+                group: vec![0],
+            }],
+            ..FaultPlan::default()
+        };
+        let mut inj = FaultInjector::new(plan, 2).unwrap();
+        for now in [0, 5, 1 << 40] {
+            let MessageFate::Deliver { extra_delay, .. } =
+                inj.on_send(now, 0, 1, MessageClass::Transfer)
+            else {
+                panic!("partitions hold transfers, never drop them");
+            };
+            assert!(extra_delay >= u64::MAX - now, "held to the end of time");
+        }
     }
 
     #[test]

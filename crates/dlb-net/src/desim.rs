@@ -55,10 +55,67 @@
 //! `Σ loads + pooled + in_flight + lost = generated − consumed`, and it
 //! holds between any two events, not just at quiescence (tested, and
 //! property-tested against arbitrary fault plans).
+//!
+//! # State layout
+//!
+//! Per-processor state is split by how often it is read.  *Hot*, one
+//! parallel array each, touched by the every-tick sweep, the per-tick
+//! conservation recount and [`AsyncNetwork::loads_slice`]: `load`,
+//! `l_old`, `pool` (packets the processor's own operation has
+//! collected), `locked_for` (the operation a *partner* lock is held
+//! for, `NO_OP` when none) and `flags` (`LOCKED | DOWN`, one byte) —
+//! 33 bytes per processor, and the sweep reads 17 of them.  *Cold*, one
+//! `OpState` per processor for the operation it initiates: an `active`
+//! bit, the counters, and four vectors (`partners`, `replied`,
+//! `granted`, `deficits`) that are cleared and refilled when an
+//! operation starts and never dropped.  The handlers mutate `ops[i]`
+//! where it sits; where a handler must walk one of the vectors while
+//! sending (sending needs the whole network), it `mem::take`s that one
+//! vector and puts it back.  With the network-owned `fired` and `shares`
+//! scratch this means that once every processor has initiated an
+//! operation, an operation allocates nothing (gated by
+//! `tests::a_warm_operation_allocates_nothing`).
+//!
+//! # Two-phase tick
+//!
+//! [`AsyncNetwork::tick`] first applies every action and tests every
+//! trigger in one pass over `actions`/`load`/`l_old`/`flags`, collecting
+//! the processors whose trigger fired, and only then starts their
+//! operations, in ascending processor order.  This is the same run as
+//! starting each operation the moment its trigger fires: an operation
+//! start touches only the initiator's own flag and `OpState`, the event
+//! queue, the two RNG streams and the counters — none of which another
+//! processor's trigger test reads; a message sent during a tick is not
+//! delivered before the next `drain_until`, even at latency 0; and the
+//! sweep itself emits no trace event and draws no random number.  So
+//! the order of RNG draws, of queue pushes and of trace lines is the
+//! order of the one-phase tick (pinned by
+//! `tests::parent_captured_pins_hold`, which fails if the second phase
+//! runs in descending order).
+//!
+//! # Invariants
+//!
+//! [`AsyncNetwork::check_invariants`] ties the arrays together.  For
+//! every processor `i`, derived from the handlers below:
+//!
+//! * `LOCKED ⇔ ops[i].active ∨ locked_for[i] ≠ NO_OP`, and never both:
+//!   a processor takes a partner lock or starts an operation only while
+//!   unlocked, and every unlock clears whichever of the two held it;
+//! * `pool[i] ≠ 0 ⇒ ops[i].active ∧ awaiting_replies = 0`: the pool
+//!   fills only after the last reply and is emptied by `finish_op`, by a
+//!   crash and by a recovery (both fold it back onto the processor);
+//! * `DOWN ⇒` not locked, `locked_for[i] = NO_OP`, not active,
+//!   `pool[i] = 0`: a crash clears all four and a down processor handles
+//!   no message and takes no action;
+//! * while active: `id < next_op`, `replied ⊆ partners` without
+//!   repeats, `awaiting_replies = |partners| − |replied|` (or 0, once
+//!   the last retry wrote the silent partners off), `|granted| ≤
+//!   |replied|`, `awaiting_transfers ≤ |granted|`, and `|deficits| ≤
+//!   |granted|`.
 
 use crate::equeue::CalendarQueue;
 use crate::rng::stream;
-use dlb_core::balance::sample_others_into;
+use dlb_core::balance::{even_shares_into, sample_others_into};
 use dlb_core::{Metrics, Params};
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan, MessageClass, MessageFate};
 use rand::prelude::*;
@@ -68,13 +125,20 @@ use rand_chacha::ChaCha8Rng;
 /// them off as refusals.
 pub const MAX_RETRIES: u32 = 2;
 
+/// Largest accepted [`AsyncConfig::latency`].  The longest delay the
+/// protocol forms is the last reply timeout, `(4·latency) <<
+/// MAX_RETRIES` — 2³⁶ at this bound, with the jitter capped at
+/// [`dlb_faults::MAX_JITTER`] — so no timeout can wrap to "now".
+pub const MAX_LATENCY: u64 = 1 << 32;
+
 /// Configuration of the asynchronous network.
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncConfig {
     /// Algorithm parameters (n, δ, f; the borrow machinery is not used —
     /// this simulates the practical variant).
     pub params: Params,
-    /// Message latency in time units (a generate/consume tick is 1).
+    /// Message latency in time units (a generate/consume tick is 1); at
+    /// most [`MAX_LATENCY`].
     pub latency: u64,
     /// Master seed.
     pub seed: u64,
@@ -127,29 +191,32 @@ enum Payload {
     Recover,
 }
 
+/// A queued message or timer.  The calendar queue keeps the delivery
+/// time and stamps FIFO order itself, so the event carries neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
-    time: u64,
-    seq: u64,
     to: usize,
     from: usize,
     payload: Payload,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+/// `flags` bit: participating in some operation (as initiator or as a
+/// granting partner).
+const LOCKED: u8 = 1;
+/// `flags` bit: crashed (fault injection) — takes no actions, handles no
+/// messages.
+const DOWN: u8 = 2;
+/// `locked_for` value of a processor holding no partner lock;
+/// `next_op` counts up from 0 and cannot reach it.
+const NO_OP: u64 = u64::MAX;
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Clone)]
+/// The operation a processor initiates.  One per processor for the life
+/// of the network: starting an operation refills the record in place.
+#[derive(Debug, Default)]
 struct OpState {
+    /// Whether an operation is running; everything below is stale
+    /// otherwise.
+    active: bool,
     /// Operation id (guards against stale messages).
     id: u64,
     /// All partners the operation requested.
@@ -162,28 +229,12 @@ struct OpState {
     awaiting_replies: usize,
     /// Surplus transfers the initiator still waits for.
     awaiting_transfers: usize,
-    /// Pool collected from surplus members (plus own surplus).
-    pool: u64,
     /// Deficit members to top up once the pool is complete.
     deficits: Vec<(usize, u64)>,
     /// The initiator's own target share.
     own_share: u64,
     /// Reply-phase retransmissions performed so far.
     attempt: u32,
-}
-
-#[derive(Debug, Clone, Default)]
-struct ProcState {
-    load: u64,
-    l_old: u64,
-    /// Locked while participating in some operation.
-    locked: bool,
-    /// Which operation holds the lock when locked as a *partner*.
-    locked_for: Option<u64>,
-    /// Active operation if this processor is an initiator.
-    op: Option<OpState>,
-    /// Crashed (fault injection): takes no actions, handles no messages.
-    down: bool,
 }
 
 /// Statistics of an asynchronous run.
@@ -229,15 +280,29 @@ impl std::ops::AddAssign for AsyncStats {
 }
 
 /// The asynchronous network simulator (practical variant, message-level).
+///
+/// Per-processor state lives in parallel arrays indexed by processor
+/// (module docs, "State layout").
 pub struct AsyncNetwork {
     config: AsyncConfig,
-    procs: Vec<ProcState>,
-    /// Delivery queue: a calendar queue keyed on the delivery tick.
-    /// `seq` is strictly monotone across every push site, so the queue's
-    /// FIFO-within-tick order equals the old heap's `(time, seq)` order.
+    load: Vec<u64>,
+    l_old: Vec<u64>,
+    /// Packets collected by the processor's own operation (from surplus
+    /// members, plus its own surplus) until redistribution.
+    pool: Vec<u64>,
+    /// Which operation holds the lock when locked as a *partner*.
+    locked_for: Vec<u64>,
+    /// `LOCKED | DOWN`.
+    flags: Vec<u8>,
+    ops: Vec<OpState>,
+    /// Scratch of [`AsyncNetwork::tick`]: processors whose trigger fired.
+    fired: Vec<usize>,
+    /// Scratch of the reply handler: the even shares of one operation.
+    shares: Vec<u64>,
+    /// Delivery queue: a calendar queue keyed on the delivery tick, FIFO
+    /// within a tick.
     queue: CalendarQueue<Event>,
     now: u64,
-    seq: u64,
     in_flight: u64,
     /// Packets destroyed by faults (dropped transfers, crashed load).
     lost: u64,
@@ -251,13 +316,29 @@ pub struct AsyncNetwork {
 
 impl AsyncNetwork {
     /// An empty asynchronous network with no fault injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.latency` exceeds [`MAX_LATENCY`].
     pub fn new(config: AsyncConfig) -> Self {
+        assert!(
+            config.latency <= MAX_LATENCY,
+            "latency {} exceeds {MAX_LATENCY}: the timeout arithmetic would wrap",
+            config.latency
+        );
+        let n = config.params.n();
         AsyncNetwork {
             config,
-            procs: vec![ProcState::default(); config.params.n()],
+            load: vec![0; n],
+            l_old: vec![0; n],
+            pool: vec![0; n],
+            locked_for: vec![NO_OP; n],
+            flags: vec![0; n],
+            ops: (0..n).map(|_| OpState::default()).collect(),
+            fired: Vec::with_capacity(n),
+            shares: Vec::with_capacity(config.params.delta() + 1),
             queue: CalendarQueue::new(),
             now: 0,
-            seq: 0,
             in_flight: 0,
             lost: 0,
             next_op: 0,
@@ -305,30 +386,11 @@ impl AsyncNetwork {
     pub fn with_faults(config: AsyncConfig, plan: FaultPlan) -> Result<Self, String> {
         let injector = FaultInjector::new(plan, config.params.n())?;
         let mut net = AsyncNetwork::new(config);
+        // `now` is 0, so each delay is the absolute time.
         for c in injector.crashes() {
-            net.seq += 1;
-            net.queue.push(
-                c.at,
-                Event {
-                    time: c.at,
-                    seq: net.seq,
-                    to: c.proc,
-                    from: c.proc,
-                    payload: Payload::Crash,
-                },
-            );
+            net.schedule_self(c.proc, c.at, Payload::Crash);
             if let Some(r) = c.recover_at {
-                net.seq += 1;
-                net.queue.push(
-                    r,
-                    Event {
-                        time: r,
-                        seq: net.seq,
-                        to: c.proc,
-                        from: c.proc,
-                        payload: Payload::Recover,
-                    },
-                );
+                net.schedule_self(c.proc, r, Payload::Recover);
             }
         }
         net.injector = Some(injector);
@@ -340,9 +402,15 @@ impl AsyncNetwork {
         self.now
     }
 
-    /// Current loads (packets in flight excluded).
+    /// Current loads (packets in flight excluded), copied out; callers
+    /// that only read should borrow [`AsyncNetwork::loads_slice`].
     pub fn loads(&self) -> Vec<u64> {
-        self.procs.iter().map(|p| p.load).collect()
+        self.load.clone()
+    }
+
+    /// Current loads (packets in flight excluded), borrowed.
+    pub fn loads_slice(&self) -> &[u64] {
+        &self.load
     }
 
     /// Packets currently inside `Transfer` messages.
@@ -352,11 +420,7 @@ impl AsyncNetwork {
 
     /// Packets currently pooled by initiators mid-operation.
     pub fn pooled(&self) -> u64 {
-        self.procs
-            .iter()
-            .filter_map(|p| p.op.as_ref())
-            .map(|st| st.pool)
-            .sum()
+        self.pool.iter().sum()
     }
 
     /// Packets destroyed by fault injection (dropped transfers, crashed
@@ -382,19 +446,21 @@ impl AsyncNetwork {
 
     /// Number of processors currently locked (diagnostics/liveness tests).
     pub fn locked_count(&self) -> usize {
-        self.procs.iter().filter(|p| p.locked).count()
+        self.flags.iter().filter(|&&f| f & LOCKED != 0).count()
     }
 
     /// Number of processors currently down.
     pub fn down_count(&self) -> usize {
-        self.procs.iter().filter(|p| p.down).count()
+        self.flags.iter().filter(|&&f| f & DOWN != 0).count()
     }
 
     /// Conservation check:
     /// `loads + pooled + in-flight + lost = generated − consumed`.
-    /// Holds between any two events, not just at quiescence.
+    /// Holds between any two events, not just at quiescence.  A recount
+    /// of the real state every time — two sums over contiguous arrays —
+    /// not a comparison of running counters with themselves.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let total: u64 = self.procs.iter().map(|p| p.load).sum();
+        let total: u64 = self.load.iter().sum();
         let pooled = self.pooled();
         let expect = self.metrics.generated - self.metrics.consumed;
         if total + pooled + self.in_flight + self.lost != expect {
@@ -407,38 +473,109 @@ impl AsyncNetwork {
         Ok(())
     }
 
+    /// Checks the relations between the per-processor arrays listed in
+    /// the module docs ("Invariants") and returns the first violation.
+    /// They hold between any two events; tests call this after every
+    /// tick.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (i, st) in self.ops.iter().enumerate() {
+            let locked = self.flags[i] & LOCKED != 0;
+            let down = self.flags[i] & DOWN != 0;
+            let partner = self.locked_for[i] != NO_OP;
+            let fail = |what: &str| Err(format!("processor {i}: {what} ({st:?})"));
+            if st.active && partner {
+                return fail("both initiator and partner");
+            }
+            if locked != (st.active || partner) {
+                return fail("LOCKED disagrees with active / locked_for");
+            }
+            if down && (locked || self.pool[i] != 0) {
+                return fail("down but locked or pooling");
+            }
+            if partner && self.locked_for[i] >= self.next_op {
+                return fail("locked for an operation that never started");
+            }
+            if !st.active {
+                if self.pool[i] != 0 {
+                    return fail("pool without an operation");
+                }
+                continue;
+            }
+            if st.id >= self.next_op {
+                return fail("operation id from the future");
+            }
+            if self.pool[i] != 0 && st.awaiting_replies != 0 {
+                return fail("pool filled before the last reply");
+            }
+            let distinct = |v: &[usize]| v.iter().enumerate().all(|(k, x)| !v[..k].contains(x));
+            if !distinct(&st.replied) || !st.replied.iter().all(|p| st.partners.contains(p)) {
+                return fail("replied is not a duplicate-free subset of partners");
+            }
+            let silent = st.partners.len() - st.replied.len();
+            if st.awaiting_replies != silent && st.awaiting_replies != 0 {
+                return fail("awaiting_replies is neither the silent partners nor 0");
+            }
+            if st.granted.len() > st.replied.len()
+                || st.awaiting_transfers > st.granted.len()
+                || st.deficits.len() > st.granted.len()
+            {
+                return fail("more granted / awaited / deficit members than replies");
+            }
+        }
+        Ok(())
+    }
+
     /// Advances time to `t`, delivering all messages due on the way, then
     /// applies one generate (`+1`) / consume (`−1`) / idle (`0`) tick to
     /// every processor.  Crashed processors take no actions.
+    ///
+    /// Two phases (module docs, "Two-phase tick"): a sweep that applies
+    /// the actions and collects the fired triggers, then the operation
+    /// starts in ascending processor order.
     pub fn tick(&mut self, t: u64, actions: &[i8]) {
         assert!(t >= self.now, "time must not run backwards");
-        assert_eq!(actions.len(), self.procs.len(), "one action per processor");
+        assert_eq!(actions.len(), self.load.len(), "one action per processor");
         let before = self.trace_on().then_some(self.metrics);
         self.drain_until(t);
         self.now = t;
-        for (i, &a) in actions.iter().enumerate() {
-            if self.procs[i].down {
+        let params = self.config.params;
+        let (mut generated, mut consumed, mut consume_blocked) = (0, 0, 0);
+        let mut fired = std::mem::take(&mut self.fired);
+        fired.clear();
+        let state = self.load.iter_mut().zip(&self.l_old).zip(&self.flags);
+        for (i, (&a, ((load, &l_old), &flags))) in actions.iter().zip(state).enumerate() {
+            if flags & DOWN != 0 {
                 continue;
             }
             match a {
                 1 => {
-                    self.procs[i].load += 1;
-                    self.metrics.generated += 1;
-                    self.maybe_trigger(i);
+                    *load += 1;
+                    generated += 1;
+                }
+                -1 if *load > 0 => {
+                    *load -= 1;
+                    consumed += 1;
                 }
                 -1 => {
-                    if self.procs[i].load > 0 {
-                        self.procs[i].load -= 1;
-                        self.metrics.consumed += 1;
-                        self.maybe_trigger(i);
-                    } else {
-                        self.metrics.consume_blocked += 1;
-                    }
+                    consume_blocked += 1;
+                    continue;
                 }
-                0 => {}
+                0 => continue,
                 other => panic!("invalid action {other}; use -1, 0, 1"),
             }
+            if flags & LOCKED == 0
+                && (params.grow_triggered(*load, l_old) || params.shrink_triggered(*load, l_old))
+            {
+                fired.push(i);
+            }
         }
+        self.metrics.generated += generated;
+        self.metrics.consumed += consumed;
+        self.metrics.consume_blocked += consume_blocked;
+        for &i in &fired {
+            self.start_op(i);
+        }
+        self.fired = fired;
         self.emit_step_delta(before, t);
     }
 
@@ -463,7 +600,6 @@ impl AsyncNetwork {
     }
 
     fn send(&mut self, from: usize, to: usize, payload: Payload) {
-        self.seq += 1;
         self.stats.messages += 1;
         self.metrics.messages += 1;
         let is_transfer = matches!(payload, Payload::Transfer { .. });
@@ -505,43 +641,25 @@ impl AsyncNetwork {
                 }
             }
         }
-        let time = self.now + self.config.latency + extra_delay;
-        self.queue.push(
-            time,
-            Event {
-                time,
-                seq: self.seq,
-                to,
-                from,
-                payload,
-            },
-        );
+        // Saturating: a transfer held by a partition that never heals
+        // (`until = u64::MAX`) is due at the end of time, i.e. at
+        // `quiesce`.
+        let time = self
+            .now
+            .saturating_add(self.config.latency)
+            .saturating_add(extra_delay);
+        let ev = Event { to, from, payload };
+        self.queue.push(time, ev);
         if duplicate {
-            self.seq += 1;
             self.stats.duplicated_messages += 1;
-            self.queue.push(
-                time + 1,
-                Event {
-                    time: time + 1,
-                    seq: self.seq,
-                    to,
-                    from,
-                    payload,
-                },
-            );
+            self.queue.push(time.saturating_add(1), ev);
         }
     }
 
     fn schedule_self(&mut self, to: usize, delay: u64, payload: Payload) {
-        self.seq += 1;
-        let ev = Event {
-            time: self.now + delay,
-            seq: self.seq,
-            to,
-            from: to,
-            payload,
-        };
-        self.queue.push(ev.time, ev);
+        let from = to;
+        self.queue
+            .push(self.now.saturating_add(delay), Event { to, from, payload });
     }
 
     fn reply_timeout_delay(&self, attempt: u32) -> u64 {
@@ -549,47 +667,39 @@ impl AsyncNetwork {
         (4 * self.config.latency.max(1)) << attempt
     }
 
-    fn maybe_trigger(&mut self, i: usize) {
-        let p = &self.procs[i];
-        if p.locked || p.down {
-            return;
-        }
+    /// Starts the operation of a processor whose trigger fired (it is
+    /// up and unlocked): lock, pick δ partners, request their loads.
+    fn start_op(&mut self, i: usize) {
         let params = &self.config.params;
-        if !(params.grow_triggered(p.load, p.l_old) || params.shrink_triggered(p.load, p.l_old)) {
-            return;
-        }
-        // Start an operation: lock, pick δ partners, request loads.
-        let n = params.n();
-        let delta = params.delta();
-        let mut partners = Vec::with_capacity(delta);
+        let (n, delta) = (params.n(), params.delta());
+        let mut partners = std::mem::take(&mut self.ops[i].partners);
+        partners.clear();
         sample_others_into(&mut self.rng, n, i, delta, &mut partners);
         if self.trace_on() {
-            let p = &self.procs[i];
             self.emit(dlb_trace::TraceEvent::BalanceInitiated {
                 step: self.now,
                 initiator: i as u64,
                 partners: partners.iter().map(|&x| x as u64).collect(),
-                trigger: p.load as f64 / p.l_old.max(1) as f64,
+                trigger: self.load[i] as f64 / self.l_old[i].max(1) as f64,
             });
         }
         let op = self.next_op;
         self.next_op += 1;
-        self.procs[i].locked = true;
-        self.procs[i].op = Some(OpState {
-            id: op,
-            partners: partners.clone(),
-            replied: Vec::new(),
-            granted: Vec::new(),
-            awaiting_replies: partners.len(),
-            awaiting_transfers: 0,
-            pool: 0,
-            deficits: Vec::new(),
-            own_share: 0,
-            attempt: 0,
-        });
-        for partner in partners {
+        self.flags[i] |= LOCKED;
+        let st = &mut self.ops[i];
+        st.active = true;
+        st.id = op;
+        st.replied.clear();
+        st.granted.clear();
+        st.awaiting_replies = partners.len();
+        st.awaiting_transfers = 0;
+        st.deficits.clear();
+        st.own_share = 0;
+        st.attempt = 0;
+        for &partner in &partners {
             self.send(i, partner, Payload::LoadRequest { op });
         }
+        self.ops[i].partners = partners;
         if self.faulty() {
             // Recovery timeout for the reply phase.
             self.schedule_self(i, self.reply_timeout_delay(0), Payload::ReplyTimeout { op });
@@ -603,29 +713,25 @@ impl AsyncNetwork {
     }
 
     fn handle(&mut self, ev: Event) {
+        let me = ev.to;
         match ev.payload {
             Payload::Crash => {
                 self.stats.crashes += 1;
                 if self.trace_on() {
                     self.emit(dlb_trace::TraceEvent::FaultInjected {
                         step: self.now,
-                        proc: ev.to as u64,
+                        proc: me as u64,
                         kind: "crash".to_string(),
                     });
                 }
-                let mode = self.crash_mode();
-                let me = &mut self.procs[ev.to];
-                me.down = true;
+                self.flags[me] = DOWN;
+                self.locked_for[me] = NO_OP;
                 // An interrupted own operation: the pooled packets fall
                 // back onto the processor before the crash mode applies.
-                if let Some(st) = me.op.take() {
-                    me.load += st.pool;
-                }
-                me.locked = false;
-                me.locked_for = None;
-                if mode == CrashMode::Lost {
-                    self.lost += me.load;
-                    me.load = 0;
+                self.ops[me].active = false;
+                self.load[me] += std::mem::take(&mut self.pool[me]);
+                if self.crash_mode() == CrashMode::Lost {
+                    self.lost += std::mem::take(&mut self.load[me]);
                 }
                 // Partners this processor had locked recover via their
                 // lock lease; initiators waiting on it recover via their
@@ -636,133 +742,105 @@ impl AsyncNetwork {
                 if self.trace_on() {
                     self.emit(dlb_trace::TraceEvent::CrashRecovered {
                         step: self.now,
-                        proc: ev.to as u64,
+                        proc: me as u64,
                     });
                 }
-                let me = &mut self.procs[ev.to];
-                me.down = false;
-                me.locked = false;
-                me.locked_for = None;
-                me.op = None;
-                me.l_old = me.load;
+                self.flags[me] = 0;
+                self.locked_for[me] = NO_OP;
+                // Overlapping crash windows can deliver a `Recover` to a
+                // processor that is already up and mid-operation: its
+                // pool falls back onto it, as in a crash.
+                self.ops[me].active = false;
+                self.load[me] += std::mem::take(&mut self.pool[me]);
+                self.l_old[me] = self.load[me];
             }
             Payload::LoadRequest { op } => {
-                if self.procs[ev.to].down {
+                if self.flags[me] & DOWN != 0 {
                     return; // dead processors answer nothing
                 }
-                let me = &mut self.procs[ev.to];
                 // A retransmission for an op we already granted is
                 // re-acknowledged without re-locking; anything else is
                 // granted iff we are free.
-                let already = me.locked_for == Some(op);
-                let granted = already || !me.locked;
+                let already = self.locked_for[me] == op;
+                let granted = already || self.flags[me] & LOCKED == 0;
                 if granted && !already {
-                    me.locked = true;
-                    me.locked_for = Some(op);
+                    self.flags[me] |= LOCKED;
+                    self.locked_for[me] = op;
                 }
-                let load = self.procs[ev.to].load;
-                self.send(ev.to, ev.from, Payload::LoadReply { op, granted, load });
+                let load = self.load[me];
+                self.send(me, ev.from, Payload::LoadReply { op, granted, load });
                 if granted && !already && self.faulty() {
                     // Lease: self-unlock if the operation dies upstream.
                     self.schedule_self(
-                        ev.to,
+                        me,
                         8 * self.config.latency.max(1),
                         Payload::LeaseExpiry { op },
                     );
                 }
             }
             Payload::SettleTimeout { op } => {
-                let initiator = ev.to;
-                let waiting = self.procs[initiator]
-                    .op
-                    .as_ref()
-                    .is_some_and(|st| st.id == op && st.awaiting_transfers > 0);
-                if waiting {
+                let st = &mut self.ops[me];
+                if st.active && st.id == op && st.awaiting_transfers > 0 {
                     // Lost TransferOrders: the members never shipped, so
                     // nothing is in flight from them — just write them off.
+                    st.awaiting_transfers = 0;
                     self.stats.timeout_recoveries += 1;
-                    if let Some(st) = self.procs[initiator].op.as_mut() {
-                        st.awaiting_transfers = 0;
-                    }
-                    self.try_settle(initiator, op);
+                    self.try_settle(me, op);
                 }
             }
             Payload::LeaseExpiry { op } => {
-                let me = &mut self.procs[ev.to];
-                if me.locked && me.locked_for == Some(op) {
-                    me.locked = false;
-                    me.locked_for = None;
-                    me.l_old = me.load;
+                if self.locked_for[me] == op {
+                    self.unlock_partner(me);
                     self.stats.timeout_recoveries += 1;
                 }
             }
             Payload::ReplyTimeout { op } => {
-                let initiator = ev.to;
-                let still_waiting = self.procs[initiator]
-                    .op
-                    .as_ref()
-                    .is_some_and(|st| st.id == op && st.awaiting_replies > 0);
-                if !still_waiting {
+                let st = &mut self.ops[me];
+                if !(st.active && st.id == op && st.awaiting_replies > 0) {
                     return;
                 }
-                let attempt = self.procs[initiator].op.as_ref().expect("checked").attempt;
-                if attempt < MAX_RETRIES {
+                if st.attempt < MAX_RETRIES {
                     // Bounded retry: re-request every silent partner and
                     // arm the next timeout with exponential backoff.
+                    st.attempt += 1;
+                    let attempt = st.attempt;
                     self.stats.retries += 1;
-                    let st = self.procs[initiator].op.as_mut().expect("checked");
-                    st.attempt = attempt + 1;
-                    let silent: Vec<usize> = st
-                        .partners
-                        .iter()
-                        .copied()
-                        .filter(|p| !st.replied.contains(p))
-                        .collect();
-                    for partner in silent {
-                        self.send(initiator, partner, Payload::LoadRequest { op });
+                    let partners = std::mem::take(&mut self.ops[me].partners);
+                    for &partner in &partners {
+                        if !self.ops[me].replied.contains(&partner) {
+                            self.send(me, partner, Payload::LoadRequest { op });
+                        }
                     }
-                    let delay = self.reply_timeout_delay(attempt + 1);
-                    self.schedule_self(initiator, delay, Payload::ReplyTimeout { op });
+                    self.ops[me].partners = partners;
+                    let delay = self.reply_timeout_delay(attempt);
+                    self.schedule_self(me, delay, Payload::ReplyTimeout { op });
                     return;
                 }
                 // Retries exhausted: write off the missing replies as
                 // refusals and move on (abort-and-unlock — the lock never
                 // outlives the bounded retry window).
-                self.stats.timeout_recoveries += 1;
-                let st = self.procs[initiator].op.as_mut().expect("checked");
                 st.awaiting_replies = 1; // the synthetic final reply below
-                self.handle(Event {
-                    time: ev.time,
-                    seq: ev.seq,
-                    to: initiator,
-                    from: initiator,
-                    payload: Payload::LoadReply {
-                        op,
-                        granted: false,
-                        load: 0,
-                    },
-                });
+                self.stats.timeout_recoveries += 1;
+                let payload = Payload::LoadReply {
+                    op,
+                    granted: false,
+                    load: 0,
+                };
+                let (to, from) = (me, me);
+                self.handle(Event { to, from, payload });
             }
             Payload::LoadReply { op, granted, load } => {
-                let initiator = ev.to;
-                if self.procs[initiator].down {
+                if self.flags[me] & DOWN != 0 {
                     return;
                 }
-                let stale = self.procs[initiator]
-                    .op
-                    .as_ref()
-                    .is_none_or(|st| st.id != op);
-                if stale {
+                let st = &mut self.ops[me];
+                if !(st.active && st.id == op) {
                     return; // reply for a finished (timed-out) operation
                 }
-                let Some(mut st) = self.procs[initiator].op.take() else {
-                    return;
-                };
                 // Duplicate suppression: count one reply per partner
                 // (injected duplicates and retry-induced re-replies).
-                if ev.from != initiator {
+                if ev.from != me {
                     if st.replied.contains(&ev.from) {
-                        self.procs[initiator].op = Some(st);
                         return;
                     }
                     st.replied.push(ev.from);
@@ -772,7 +850,6 @@ impl AsyncNetwork {
                     st.granted.push((ev.from, load));
                 }
                 if st.awaiting_replies > 0 {
-                    self.procs[initiator].op = Some(st);
                     return;
                 }
                 if st.granted.is_empty() {
@@ -781,54 +858,46 @@ impl AsyncNetwork {
                     // retrigger in lockstep and livelock forever (the
                     // thundering-herd failure mode the atomic model hides).
                     self.stats.aborted_ops += 1;
-                    self.finish_op(initiator);
+                    self.finish_op(me);
                     let jitter = self
                         .rng
                         .gen_range(0..=self.config.params.delta() as u64 + 1);
-                    self.procs[initiator].l_old += jitter;
+                    self.l_old[me] += jitter;
                     return;
                 }
                 // Compute ±1 shares over the initiator + granting members
                 // from the *reported* loads.  Every member answers with
                 // exactly one Transfer (possibly of 0 packets), so the
                 // initiator simply counts them down.
-                let own = self.procs[initiator].load;
+                let own = self.load[me];
                 let total: u64 = own + st.granted.iter().map(|&(_, l)| l).sum::<u64>();
-                let m = st.granted.len() + 1;
-                let shares = dlb_core::balance::even_shares(total, m);
-                st.own_share = shares[0];
+                even_shares_into(total, st.granted.len() + 1, &mut self.shares);
+                st.own_share = self.shares[0];
                 st.awaiting_transfers = st.granted.len();
-                for (&(member, reported), &share) in st.granted.iter().zip(shares[1..].iter()) {
-                    self.send(
-                        initiator,
-                        member,
-                        Payload::TransferOrder {
-                            op,
-                            new_share: share,
-                        },
-                    );
-                    if share > reported {
-                        st.deficits.push((member, share - reported));
+                // The initiator's own surplus goes straight into the pool.
+                let excess = own.saturating_sub(st.own_share);
+                self.load[me] -= excess;
+                self.pool[me] += excess;
+                let granted = std::mem::take(&mut self.ops[me].granted);
+                for (k, &(member, reported)) in granted.iter().enumerate() {
+                    let new_share = self.shares[k + 1];
+                    self.send(me, member, Payload::TransferOrder { op, new_share });
+                    if new_share > reported {
+                        self.ops[me].deficits.push((member, new_share - reported));
                     }
                 }
-                // The initiator's own surplus goes straight into the pool.
-                if own > st.own_share {
-                    let excess = own - st.own_share;
-                    self.procs[initiator].load -= excess;
-                    st.pool += excess;
-                }
-                self.procs[initiator].op = Some(st);
+                self.ops[me].granted = granted;
                 if self.faulty() {
                     self.schedule_self(
-                        initiator,
+                        me,
                         4 * self.config.latency.max(1),
                         Payload::SettleTimeout { op },
                     );
                 }
-                self.try_settle(initiator, op);
+                self.try_settle(me, op);
             }
             Payload::TransferOrder { op, new_share } => {
-                if self.procs[ev.to].down {
+                if self.flags[me] & DOWN != 0 {
                     return; // the initiator's settle timeout writes us off
                 }
                 // A member ships its surplus (clamped to what it actually
@@ -839,29 +908,17 @@ impl AsyncNetwork {
                 // exact operation: a duplicated or stale order (after a
                 // lease expiry, or for an op the member re-granted) must
                 // neither ship packets twice nor steal the lock.
-                let me = &mut self.procs[ev.to];
-                if me.locked_for != Some(op) {
+                if self.locked_for[me] != op {
                     return;
                 }
-                let excess = me.load.saturating_sub(new_share);
-                me.load -= excess;
-                me.locked = false;
-                me.locked_for = None;
-                me.l_old = me.load;
+                let excess = self.load[me].saturating_sub(new_share);
+                self.load[me] -= excess;
+                self.unlock_partner(me);
                 if excess > 0 {
-                    self.in_flight += excess;
-                    self.stats.packets_moved += excess;
-                    self.metrics.packets_migrated += excess;
-                    if self.trace_on() {
-                        self.emit(dlb_trace::TraceEvent::PacketsMigrated {
-                            step: self.now,
-                            initiator: ev.to as u64,
-                            count: excess,
-                        });
-                    }
+                    self.ship(me, excess);
                 }
                 self.send(
-                    ev.to,
+                    me,
                     ev.from,
                     Payload::Transfer {
                         op,
@@ -876,61 +933,61 @@ impl AsyncNetwork {
                 final_for_sender,
             } => {
                 self.in_flight -= amount.min(self.in_flight);
-                if self.procs[ev.to].down {
+                if self.flags[me] & DOWN != 0 {
                     // Packets arriving at a dead processor follow the
                     // crash mode: destroyed, or frozen onto its queue.
                     match self.crash_mode() {
                         CrashMode::Lost => self.lost += amount,
-                        CrashMode::Frozen => self.procs[ev.to].load += amount,
+                        CrashMode::Frozen => self.load[me] += amount,
                     }
                     return;
                 }
-                let collecting =
-                    final_for_sender && self.procs[ev.to].op.as_ref().is_some_and(|st| st.id == op);
-                if collecting {
+                let st = &mut self.ops[me];
+                if final_for_sender && st.active && st.id == op {
                     // The initiator pools the surplus until redistribution.
-                    let st = self.procs[ev.to].op.as_mut().expect("checked above");
-                    st.pool += amount;
                     st.awaiting_transfers = st.awaiting_transfers.saturating_sub(1);
-                    self.try_settle(ev.to, op);
+                    self.pool[me] += amount;
+                    self.try_settle(me, op);
                 } else {
                     // Plain delivery (deficit top-up, or a stale transfer
                     // for a finished op): the packets just arrive.
-                    let me = &mut self.procs[ev.to];
-                    me.load += amount;
-                    if !me.locked {
-                        me.l_old = me.load;
+                    self.load[me] += amount;
+                    if self.flags[me] & LOCKED == 0 {
+                        self.l_old[me] = self.load[me];
                     }
                 }
             }
         }
     }
 
+    /// Books `count` packets leaving `from` inside a `Transfer`.
+    fn ship(&mut self, from: usize, count: u64) {
+        self.in_flight += count;
+        self.stats.packets_moved += count;
+        self.metrics.packets_migrated += count;
+        if self.trace_on() {
+            self.emit(dlb_trace::TraceEvent::PacketsMigrated {
+                step: self.now,
+                initiator: from as u64,
+                count,
+            });
+        }
+    }
+
     /// If all surplus transfers arrived, redistribute the pool to the
     /// deficit members and finish.
     fn try_settle(&mut self, initiator: usize, op: u64) {
-        let Some(st) = self.procs[initiator].op.as_ref() else {
-            return;
-        };
-        if st.awaiting_replies > 0 || st.awaiting_transfers > 0 {
+        let st = &self.ops[initiator];
+        if !st.active || st.awaiting_replies > 0 || st.awaiting_transfers > 0 {
             return;
         }
-        let st = self.procs[initiator].op.take().expect("checked above");
-        let mut pool = st.pool;
-        for &(member, need) in &st.deficits {
+        let deficits = std::mem::take(&mut self.ops[initiator].deficits);
+        let mut pool = self.pool[initiator];
+        for &(member, need) in &deficits {
             let give = need.min(pool);
             pool -= give;
             if give > 0 {
-                self.in_flight += give;
-                self.stats.packets_moved += give;
-                self.metrics.packets_migrated += give;
-                if self.trace_on() {
-                    self.emit(dlb_trace::TraceEvent::PacketsMigrated {
-                        step: self.now,
-                        initiator: initiator as u64,
-                        count: give,
-                    });
-                }
+                self.ship(initiator, give);
                 self.send(
                     initiator,
                     member,
@@ -942,19 +999,28 @@ impl AsyncNetwork {
                 );
             }
         }
+        self.ops[initiator].deficits = deficits;
         // Anything left over (rounding, stale loads) stays local.
-        self.procs[initiator].load += pool;
+        self.load[initiator] += pool;
         self.stats.completed_ops += 1;
         self.metrics.balance_ops += 1;
         self.finish_op(initiator);
     }
 
+    /// Ends the initiator's operation: the pool has been handed out (or
+    /// never filled) and is zeroed with the lock.
     fn finish_op(&mut self, initiator: usize) {
-        let me = &mut self.procs[initiator];
-        me.op = None;
-        me.locked = false;
-        me.locked_for = None;
-        me.l_old = me.load;
+        self.ops[initiator].active = false;
+        self.pool[initiator] = 0;
+        self.flags[initiator] &= !LOCKED;
+        self.l_old[initiator] = self.load[initiator];
+    }
+
+    /// Releases the partner lock of `me` (held: `locked_for[me] ≠ NO_OP`).
+    fn unlock_partner(&mut self, me: usize) {
+        self.flags[me] &= !LOCKED;
+        self.locked_for[me] = NO_OP;
+        self.l_old[me] = self.load[me];
     }
 }
 
@@ -985,13 +1051,16 @@ mod tests {
         for t in 0..steps {
             net.tick(t, &actions);
             net.check_conservation().unwrap();
+            net.check_invariants().unwrap();
         }
         actions.fill(-1);
         for t in steps..2 * steps {
             net.tick(t, &actions);
             net.check_conservation().unwrap();
+            net.check_invariants().unwrap();
         }
         net.quiesce();
+        net.check_invariants().unwrap();
         net
     }
 
@@ -1319,5 +1388,351 @@ mod tests {
         let mut net = AsyncNetwork::new(config(4, 1));
         net.tick(5, &[0, 0, 0, 0]);
         net.tick(4, &[0, 0, 0, 0]);
+    }
+
+    /// 64-bit FNV-1a, as `benchmark/src/check.rs` computes it.
+    #[derive(Clone, Copy)]
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    const PIN_TICKS: u64 = 1_200;
+
+    /// The five fault settings of the pins: none, the legacy
+    /// `control_loss` knob, the `scenarios/lossy_network.json` plan
+    /// (times scaled to [`PIN_TICKS`], sizes to `n`) in both crash
+    /// modes, and heavy duplication across a partition.
+    fn pin_net(kind: usize, n: usize, delta: usize, latency: u64) -> AsyncNetwork {
+        let params = Params::new(n, delta, 1.3, 4).unwrap();
+        let mut cfg = AsyncConfig::reliable(params, latency, 0x51ab + kind as u64);
+        let lossy = |crash_mode| FaultPlan {
+            seed: 99,
+            loss: 0.1,
+            transfer_loss: 0.05,
+            duplication: 0.02,
+            jitter: 3,
+            crash_mode,
+            crashes: vec![CrashEvent {
+                proc: 5,
+                at: 300,
+                recover_at: Some(720),
+            }],
+            partitions: vec![dlb_faults::PartitionEvent {
+                from: 480,
+                until: 600,
+                group: (0..n / 4).collect(),
+            }],
+        };
+        let plan = match kind {
+            0 => return AsyncNetwork::new(cfg),
+            1 => {
+                cfg.control_loss = 0.2;
+                return AsyncNetwork::new(cfg);
+            }
+            2 => lossy(CrashMode::Lost),
+            3 => lossy(CrashMode::Frozen),
+            _ => FaultPlan {
+                seed: 17,
+                duplication: 0.5,
+                partitions: vec![dlb_faults::PartitionEvent {
+                    from: 200,
+                    until: 700,
+                    group: (0..n / 2).step_by(2).collect(),
+                }],
+                ..FaultPlan::default()
+            },
+        };
+        AsyncNetwork::with_faults(cfg, plan).unwrap()
+    }
+
+    /// FNV over `(loads, pooled, in_flight, lost, locked_count)` every
+    /// 50 ticks and after quiescence, then `AsyncStats` and the fault
+    /// counters.  A skewed generate phase (every fourth processor each
+    /// tick, the rest every fifth tick) fires the grow trigger, a
+    /// consume phase the shrink trigger.
+    fn pin(kind: usize, n: usize, delta: usize, latency: u64) -> u64 {
+        let mut net = pin_net(kind, n, delta, latency);
+        let mut h = Fnv::new();
+        let sample = |net: &AsyncNetwork, h: &mut Fnv| {
+            for l in net.loads() {
+                h.word(l);
+            }
+            h.word(net.pooled());
+            h.word(net.in_flight());
+            h.word(net.lost());
+            h.word(net.locked_count() as u64);
+        };
+        let mut actions = vec![0i8; n];
+        for t in 0..PIN_TICKS {
+            for (i, a) in actions.iter_mut().enumerate() {
+                *a = if t < PIN_TICKS / 2 {
+                    i8::from(i % 4 == 0 || (t + i as u64).is_multiple_of(5))
+                } else if (t + i as u64).is_multiple_of(7) {
+                    0
+                } else {
+                    -1
+                };
+            }
+            net.tick(t, &actions);
+            net.check_conservation().unwrap();
+            if t % 50 == 0 {
+                sample(&net, &mut h);
+            }
+        }
+        net.quiesce();
+        net.check_conservation().unwrap();
+        sample(&net, &mut h);
+        let s = net.stats();
+        for w in [
+            s.completed_ops,
+            s.aborted_ops,
+            s.messages,
+            s.packets_moved,
+            s.lost_messages,
+            s.timeout_recoveries,
+            s.retries,
+            s.duplicated_messages,
+            s.crashes,
+            s.recoveries,
+        ] {
+            h.word(w);
+        }
+        let f = net.fault_stats().unwrap_or_default();
+        for w in [
+            f.dropped_control,
+            f.dropped_transfers,
+            f.duplicated,
+            f.delayed,
+            f.partition_cuts,
+        ] {
+            h.word(w);
+        }
+        h.0
+    }
+
+    /// Captured at commit 631b5a9, where the state was a
+    /// `Vec<ProcState>` with an embedded `Option<OpState>` and a tick
+    /// started each operation inside the sweep: one row per fault
+    /// setting of [`pin_net`], n ∈ {8, 64} × δ ∈ {1, 2, 3} × latency ∈
+    /// {0, 1, 4} within a row.
+    #[test]
+    fn parent_captured_pins_hold() {
+        #[rustfmt::skip]
+        const PINS: [[u64; 18]; 5] = [
+        [
+            0xd10337509ca79e8d, 0xd96cade52ae41351, 0xbe16093ef885ea8a,
+            0x35d028f30827650e, 0xa133b46c7774be0b, 0x77a2153184688885,
+            0x8d894918b86abf23, 0x1cf3370790df513e, 0x77d378e91195b21c,
+            0x91894b6411501929, 0x40408dd9326e0c03, 0xc398a5be9ac0b9a9,
+            0x163824f923341ff5, 0x9c68f5f9131e318c, 0x07aafb7bf8a257b7,
+            0xbb6042248794aa71, 0x0a5bf0bc155e0ccf, 0x9970ee021f6d5dbd,
+        ],
+        [
+            0x9f2a5e56ae787f5d, 0xba5fe0128207bc6b, 0xed5fa2f11a186a35,
+            0xfba1ab8eccc8904d, 0x595ca78c0f4958a6, 0x7c8e094f376d3e9f,
+            0xab4d35760e676d3e, 0x196931fe7743de45, 0xad4021526748d254,
+            0xed8ee06db57bbe89, 0xe3ab5166fd3f969e, 0x20fac143b98be25c,
+            0x0008e0742bffce55, 0xf45912df1bcec478, 0xee873b50252be5a7,
+            0xc69a2a1e66a774e3, 0xe4f0a7159db419db, 0x53acde81bf565a28,
+        ],
+        [
+            0x73df53c3f3cea38a, 0x787b11fe594d26bb, 0xa0c79db71d12fe1d,
+            0xe4dbc81333c3d8f8, 0x48d8a8c9fda0c5db, 0x247d13133b309939,
+            0xb2991f4f163c381f, 0x1f1e086d1ef671e2, 0x052e1593bfe28576,
+            0xca052390b3705a93, 0x15ff7c11a0da071a, 0x20fcf24d77a3b2b6,
+            0xa79372dbb754726b, 0x5277a1bf0e369370, 0x73652a0b6f8a4131,
+            0xa623f870df54c958, 0xdd07581fd6e424e4, 0x452bd0a9586f8b97,
+        ],
+        [
+            0x91eb0d3535e702b6, 0x8a790837a0b00e5c, 0xd268e0f57f2447bd,
+            0xad7fa63d5e0ccd7b, 0xe11eb38ccdb4ca7f, 0x04c752776b0a83d9,
+            0x744868124028fe00, 0xeaab36f604010d94, 0x78305f1f4d553901,
+            0x357a250aab84102d, 0x967ba71ff0b0d066, 0x38032d9d70c950ee,
+            0x34c2134ab2dad450, 0xc562dbfab42434ee, 0x3217381c239d1f30,
+            0x134dfb9bb2b58d73, 0xd5654df5d973d1c6, 0x6b10aed2987c719b,
+        ],
+        [
+            0x1a153c19d9464f0a, 0x38ee0589aa2731ec, 0xcba6a50180fbbe3e,
+            0x0b9d4065c52dce74, 0xcddedb9315ddc40f, 0xf5c8521781cdd8c4,
+            0xe6b40398fe48455d, 0xe84730fb4def3ea3, 0x2e97b0b85f773d8b,
+            0xcbd37cb6ed4af07c, 0xc4395e6e3342fab9, 0x27a934f1e50d4f4d,
+            0x75b4a5fa4eef481e, 0xe79cb4e08a6ab43d, 0x2ac6aa8e693e28be,
+            0x895f1f27e620ecef, 0x0dc16cba89be6489, 0x90fa150b6c9bd9d4,
+        ],
+        ];
+        for (kind, row) in PINS.iter().enumerate() {
+            let mut want = row.iter();
+            for n in [8, 64] {
+                for delta in [1, 2, 3] {
+                    for latency in [0, 1, 4] {
+                        assert_eq!(
+                            pin(kind, n, delta, latency),
+                            *want.next().expect("18 pins a row"),
+                            "fault setting {kind}, n = {n}, δ = {delta}, latency = {latency}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    impl AsyncNetwork {
+        /// Total capacity of every buffer an operation writes to.
+        fn scratch_capacity(&self) -> usize {
+            let per_op = |st: &OpState| {
+                st.partners.capacity()
+                    + st.replied.capacity()
+                    + st.granted.capacity()
+                    + st.deficits.capacity()
+            };
+            self.ops.iter().map(per_op).sum::<usize>()
+                + self.fired.capacity()
+                + self.shares.capacity()
+        }
+    }
+
+    /// The layout's claim as a gate: once every processor has been
+    /// through an operation, operations (completed, aborted and
+    /// retried alike) reuse the buffers they find.
+    #[test]
+    fn a_warm_operation_allocates_nothing() {
+        let mut net = pin_net(3, 64, 3, 4);
+        let mut actions = vec![0i8; 64];
+        let mut run = |net: &mut AsyncNetwork, ticks: std::ops::Range<u64>| {
+            for t in ticks {
+                // A 40-tick generate burst, then a 40-tick drain, phase
+                // shifted per processor: both triggers keep firing.
+                for (i, a) in actions.iter_mut().enumerate() {
+                    *a = if (t + 3 * i as u64) % 80 < 40 { 1 } else { -1 };
+                }
+                net.tick(t, &actions);
+            }
+        };
+        run(&mut net, 0..2_000);
+        let (warm, before) = (net.scratch_capacity(), *net.stats());
+        run(&mut net, 2_000..4_000);
+        let after = net.stats();
+        assert!(
+            after.completed_ops > before.completed_ops + 1_000,
+            "{after:?}"
+        );
+        assert!(after.aborted_ops > before.aborted_ops, "{after:?}");
+        assert!(after.retries > before.retries, "{after:?}");
+        assert_eq!(net.scratch_capacity(), warm, "a warm operation allocated");
+        net.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_event_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+    }
+
+    /// Nested crash windows on one processor: the inner recovery brings
+    /// it up, so the outer one finds it running — possibly with a pool
+    /// in hand, which must fall back onto it rather than vanish.
+    #[test]
+    fn recovery_of_a_running_processor_keeps_its_pool() {
+        let mut pooled_at_recovery = 0;
+        for outer in 40..60 {
+            let plan = FaultPlan {
+                crash_mode: CrashMode::Frozen,
+                crashes: vec![
+                    CrashEvent {
+                        proc: 0,
+                        at: 10,
+                        recover_at: Some(outer),
+                    },
+                    CrashEvent {
+                        proc: 0,
+                        at: 20,
+                        recover_at: Some(30),
+                    },
+                ],
+                ..FaultPlan::default()
+            };
+            let mut net = AsyncNetwork::with_faults(config(6, 3), plan).unwrap();
+            let actions = [1i8, 0, 0, 0, 0, 0];
+            for t in 0..100 {
+                if t == outer {
+                    pooled_at_recovery += net.pooled();
+                }
+                net.tick(t, &actions);
+                net.check_conservation().unwrap();
+                net.check_invariants().unwrap();
+            }
+            assert_eq!(net.stats().recoveries, 2);
+        }
+        assert!(pooled_at_recovery > 0, "no run had a pool to lose");
+    }
+
+    #[test]
+    #[should_panic(expected = "latency 4294967297 exceeds")]
+    fn a_latency_that_would_wrap_the_timeouts_is_refused() {
+        AsyncNetwork::new(config(4, MAX_LATENCY + 1));
+    }
+
+    /// The largest accepted latency and jitter, and a partition that
+    /// never heals: every delivery time is formed without wrapping, the
+    /// held transfers arrive at `quiesce`, nothing leaks.
+    #[test]
+    fn extreme_timing_neither_wraps_nor_leaks() {
+        let held = FaultPlan {
+            seed: 4,
+            jitter: 3,
+            partitions: vec![dlb_faults::PartitionEvent {
+                from: 60,
+                until: u64::MAX,
+                group: vec![0, 1, 2],
+            }],
+            ..FaultPlan::default()
+        };
+        let net = run_with_plan(6, 2, 400, held);
+        assert_eq!(
+            net.now(),
+            u64::MAX,
+            "held transfers were due at the end of time"
+        );
+        assert_eq!((net.in_flight(), net.lost(), net.locked_count()), (0, 0, 0));
+
+        let slow = FaultPlan {
+            seed: 4,
+            loss: 0.2,
+            jitter: dlb_faults::MAX_JITTER,
+            ..FaultPlan::default()
+        };
+        let mut net = AsyncNetwork::with_faults(config(6, MAX_LATENCY), slow.clone()).unwrap();
+        for t in 0..50 {
+            net.tick(t, &[1; 6]);
+        }
+        net.quiesce();
+        net.check_conservation().unwrap();
+        net.check_invariants().unwrap();
+        assert_eq!((net.in_flight(), net.locked_count()), (0, 0));
+        assert!(
+            net.stats().retries > 0,
+            "the backed-off timeouts fired in order"
+        );
+
+        let err = AsyncNetwork::with_faults(
+            config(6, 2),
+            FaultPlan {
+                jitter: u64::MAX,
+                ..slow
+            },
+        )
+        .err()
+        .expect("jitter above the bound");
+        assert!(err.contains("jitter"), "{err}");
     }
 }

@@ -31,7 +31,7 @@ pub mod rng;
 pub mod runtime;
 pub mod topology;
 
-pub use desim::{AsyncConfig, AsyncNetwork, AsyncStats};
+pub use desim::{AsyncConfig, AsyncNetwork, AsyncStats, MAX_LATENCY};
 pub use engine::{CommStats, PartnerMode, TopoCluster, TopoRule};
 pub use equeue::CalendarQueue;
 pub use runtime::{RuntimeConfig, RuntimeStats, ThreadedRuntime};

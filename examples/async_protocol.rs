@@ -36,7 +36,7 @@ fn main() {
             .collect();
         net.tick(t, &actions);
         if (t + 1) % 1500 == 0 {
-            let stats = imbalance_stats(&net.loads());
+            let stats = imbalance_stats(net.loads_slice());
             println!(
                 "t = {:5}: mean {:8.2}  max/mean {:.3}  in flight {:4}  locked {}",
                 t + 1,

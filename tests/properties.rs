@@ -249,8 +249,9 @@ proptest! {
     /// Extended conservation — `Σ loads + pooled + in_flight + lost =
     /// generated − consumed` — holds after every tick for *arbitrary*
     /// fault plans (loss on both message classes, duplication, jitter,
-    /// crashes in both modes, partitions), and quiescence releases every
-    /// lock and drains every message.
+    /// crashes in both modes, partitions), so do the relations between
+    /// the simulator's state arrays, and quiescence releases every lock
+    /// and drains every message.
     #[test]
     fn arbitrary_fault_plans_conserve_and_unlock(
         seed in 0u64..200,
@@ -299,9 +300,12 @@ proptest! {
             net.tick(t as u64, row);
             prop_assert!(net.check_conservation().is_ok(),
                 "at tick {}: {:?}", t, net.check_conservation());
+            prop_assert!(net.check_invariants().is_ok(),
+                "at tick {}: {:?}", t, net.check_invariants());
         }
         net.quiesce();
         prop_assert!(net.check_conservation().is_ok(), "{:?}", net.check_conservation());
+        prop_assert!(net.check_invariants().is_ok(), "{:?}", net.check_invariants());
         prop_assert_eq!(net.locked_count(), 0, "leaked lock after quiescence");
         prop_assert_eq!(net.in_flight(), 0);
     }
