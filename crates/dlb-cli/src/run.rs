@@ -309,17 +309,8 @@ struct RunOutcome {
     events: Vec<TraceEvent>,
 }
 
-fn emit_load_sample(driver: &dlb_trace::SharedSink, step: u64, loads: &[u64]) {
-    driver.record(&TraceEvent::LoadSample {
-        step,
-        min: *loads.iter().min().expect("n >= 2"),
-        max: *loads.iter().max().expect("n >= 2"),
-        total: loads.iter().sum(),
-    });
-}
-
-/// Same bytes as [`emit_load_sample`], from the O(1) incremental
-/// summary instead of an O(n) scan.
+/// The per-step `LoadSample` event, from an engine's O(1) incremental
+/// summary or from a scan ([`dlb_core::LoadSummary::from_loads`]).
 fn emit_summary_sample(driver: &dlb_trace::SharedSink, step: u64, summary: dlb_core::LoadSummary) {
     driver.record(&TraceEvent::LoadSample {
         step,
@@ -480,7 +471,7 @@ fn run_one_async(
         let loads = net.loads_slice();
         recorder.record(loads);
         if tracing {
-            emit_load_sample(&driver, t as u64, loads);
+            emit_summary_sample(&driver, t as u64, dlb_core::LoadSummary::from_loads(loads));
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,

@@ -9,7 +9,7 @@
 //! the golden results already pin down.  Any difference between two
 //! league rows is therefore the algorithm, not the harness.
 //!
-//! Runs execute on the [`crate::parallel`] pool and reduce in
+//! Runs fan out through [`crate::parallel::par_map`] and reduce in
 //! (contender, run-index) order, so the league table is bit-identical
 //! for every `--jobs` value.
 

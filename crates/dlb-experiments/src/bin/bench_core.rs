@@ -50,14 +50,12 @@
 //! re-runs the baseline's matrix (including its `large` and
 //! `sparse_step` rows, if present) and exits non-zero if any checksum
 //! differs from the committed file (timings are machine-dependent;
-//! checksums are not).  A baseline written while the matrix still had a
-//! `step_jobs` axis is accepted: its rows other than `step_jobs` = 1
-//! repeat the sequential checksums and are skipped.
+//! checksums are not).
 
 #![forbid(unsafe_code)]
 
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
-use dlb_experiments::args::Args;
+use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::parallel::default_jobs;
 use dlb_experiments::quality::paper_trace;
 use dlb_json::{Json, ToJson};
@@ -416,7 +414,6 @@ fn check_against(baseline_path: &str) -> ! {
         .and_then(Json::as_arr)
         .expect("baseline has a sizes array")
         .iter()
-        .filter(|cell| cell.get("step_jobs").and_then(Json::as_f64).unwrap_or(1.0) == 1.0)
         .map(|cell| {
             (
                 cell.get("n").and_then(Json::as_f64).expect("cell n") as u64,
@@ -529,8 +526,13 @@ fn large_smoke() -> ! {
     std::process::exit(0);
 }
 
+const KEYS: &[Key] = dlb_experiments::keys![
+    "smoke": Flag, "large-smoke": Flag, "sparse-smoke": Flag, "out": String,
+    "check": String,
+];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("bench_core", KEYS);
     let smoke = args.flag("smoke");
     let out: String = args.get("out", "BENCH_core.json".to_string());
     let check: String = args.get("check", String::new());

@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 
 use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params};
-use dlb_experiments::args::Args;
+use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::faultsweep::{sweep, SweepConfig};
 use dlb_experiments::parallel::default_jobs;
 use dlb_experiments::quality::{balancing_quality, distribution_at};
@@ -237,8 +237,11 @@ fn check_against(baseline_path: &str, jobs: usize) -> ! {
     std::process::exit(0);
 }
 
+const KEYS: &[Key] =
+    dlb_experiments::keys!["smoke": Flag, "jobs": usize, "out": String, "check": String];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("bench_experiments", KEYS);
     let smoke = args.flag("smoke");
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", "BENCH_experiments.json".to_string());

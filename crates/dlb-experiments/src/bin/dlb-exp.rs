@@ -23,5 +23,6 @@ fn main() {
         );
         std::process::exit(2);
     };
-    (experiment.run)(&Args::parse_from(argv));
+    let program = format!("dlb-exp {name}");
+    (experiment.run)(&Args::parse_or_exit(&program, argv, experiment.keys));
 }

@@ -16,12 +16,15 @@ use std::fs::File;
 use std::io::BufReader;
 
 use dlb_experiments::analyze::{analyze, check_lines, csv_rows, parse_lines, CSV_HEADERS};
-use dlb_experiments::args::Args;
+use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::report::{render_table, write_csv};
 use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 
+const KEYS: &[Key] =
+    dlb_experiments::keys!["in": String, "out-csv": String, "svg": String, "check": Flag];
+
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("trace_analyze", KEYS);
     let input: String = args.get("in", String::new());
     assert!(!input.is_empty(), "required: --in <trace.jsonl>");
     let reader = || BufReader::new(File::open(&input).unwrap_or_else(|e| panic!("{input}: {e}")));

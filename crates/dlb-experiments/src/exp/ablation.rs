@@ -9,7 +9,7 @@
 //! Usage: `dlb-exp ablation
 //!         [--n 64] [--steps 500] [--runs 20]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::quality::{paper_trace, sampled_quality};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, Params, SimpleCluster};
@@ -26,6 +26,8 @@ fn quality<B: LoadBalancer>(
     let q = sampled_quality(make, n, steps, runs, 7000, 100, 25);
     (q.max_over_mean, q.migrated, q.ops)
 }
+
+pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": usize, "runs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);

@@ -20,7 +20,7 @@
 use crate::arena::{
     league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
 };
-use crate::args::Args;
+use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
 use crate::quality::paper_trace;
 use crate::report::{render_table, write_csv};
@@ -89,6 +89,11 @@ fn fault_plan(n: usize, steps: usize) -> FaultPlan {
         ..FaultPlan::default()
     }
 }
+
+pub const KEYS: &[Key] = crate::keys![
+    "smoke": Flag, "n": usize, "steps": usize, "runs": usize, "seed": u64, "jobs": usize,
+    "out": String, "svg": String, "trace": String,
+];
 
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");

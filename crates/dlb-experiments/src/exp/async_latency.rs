@@ -8,7 +8,7 @@
 //! Usage: `dlb-exp async_latency
 //!         [--n 64] [--steps 4000]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{imbalance_stats, Params};
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
@@ -44,6 +44,8 @@ fn drive(config: AsyncConfig, n: usize, steps: u64) -> (f64, AsyncStats) {
     net.check_conservation().expect("conservation");
     (ratio / samples.max(1) as f64, *net.stats())
 }
+
+pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": u64, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);

@@ -5,7 +5,7 @@
 //! Usage: `dlb-exp baseline_compare
 //!         [--n 64] [--steps 500] [--runs 30]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::quality::{sampled_quality, SampledQuality};
 use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{Diffusion, Gradient, NoBalance, RandomScatter, Rsu91, WorkStealing};
@@ -20,6 +20,8 @@ fn measure<B: LoadBalancer>(
 ) -> SampledQuality {
     sampled_quality(make, n, steps, runs, 9000, 100, 25)
 }
+
+pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": usize, "runs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);

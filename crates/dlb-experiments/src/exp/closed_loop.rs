@@ -8,7 +8,7 @@
 //! Usage: `dlb-exp closed_loop
 //!         [--roots 400] [--runs 10]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{NoBalance, Rsu91, WorkStealing};
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
@@ -31,6 +31,8 @@ fn mean_makespan<B: LoadBalancer>(
     }
     (makespan / runs as f64, processed / runs as f64)
 }
+
+pub const KEYS: &[Key] = crate::keys!["roots": u32, "runs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let roots: u32 = args.get("roots", 400);

@@ -6,7 +6,7 @@
 //! Usage: `dlb-exp convergence
 //!         [--eps 1e-4]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_ratio_after_ops;
 use dlb_core::Params;
@@ -14,6 +14,8 @@ use dlb_theory::operators::fix;
 use dlb_theory::schedule::{
     contraction_rate, measured_convergence_steps, predicted_convergence_steps,
 };
+
+pub const KEYS: &[Key] = crate::keys!["eps": f64, "out": String];
 
 pub fn run(args: &Args) {
     let eps: f64 = args.get("eps", 1e-4);

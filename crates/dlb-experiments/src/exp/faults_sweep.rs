@@ -16,12 +16,17 @@
 //! section seed the sweep (the swept knob overrides the plan's own value
 //! per point).
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::faultsweep::{sweep, SweepConfig};
 use crate::report::{f3, render_table};
 use crate::svg::write_chart;
 use dlb_faults::FaultPlan;
 use dlb_json::{FromJson, Json, ToJson};
+
+pub const KEYS: &[Key] = crate::keys![
+    "scenario": String, "n": usize, "steps": usize, "runs": usize, "jobs": usize,
+    "out": String, "svg": String,
+];
 
 pub fn run(args: &Args) {
     let mut cfg = SweepConfig::default();

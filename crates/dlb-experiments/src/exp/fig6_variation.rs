@@ -6,11 +6,13 @@
 //! Usage: `dlb-exp fig6_variation
 //!         [--steps 150] [--out results/fig6.csv] [--jobs N]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
+
+pub const KEYS: &[Key] = crate::keys!["steps": usize, "jobs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let steps: usize = args.get("steps", 150);

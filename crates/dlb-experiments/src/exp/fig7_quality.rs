@@ -7,12 +7,17 @@
 //!         [--jobs N]`  (jobs defaults to the available cores; any value
 //! produces byte-identical output)
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::quality::balancing_quality;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
+
+pub const KEYS: &[Key] = crate::keys![
+    "delta": usize, "n": usize, "steps": usize, "runs": usize, "c": usize, "jobs": usize,
+    "out": String,
+];
 
 pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);

@@ -5,12 +5,17 @@
 //! Usage: `dlb-exp fig9_distribution
 //!         [--delta 1] [--n 64] [--runs 100] [--c 4] [--jobs N]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::quality::distribution_at;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
+
+pub const KEYS: &[Key] = crate::keys![
+    "delta": usize, "n": usize, "steps": usize, "runs": usize, "c": usize, "jobs": usize,
+    "out": String,
+];
 
 pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);

@@ -5,11 +5,13 @@
 //! Usage: `dlb-exp lemma_bounds
 //!         [--n 64] [--runs 50] [--x 1000]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_decrease_ops;
 use dlb_core::Params;
 use dlb_theory::CostBounds;
+
+pub const KEYS: &[Key] = crate::keys!["n": usize, "runs": usize, "x": u64, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);

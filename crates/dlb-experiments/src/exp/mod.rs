@@ -3,7 +3,7 @@
 //! module of the same name that prints its tables and writes its
 //! CSV/SVG/JSON (defaults under `results/`, `--out`/`--svg` override).
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 
 /// One runnable experiment.
 pub struct Experiment {
@@ -11,6 +11,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// The paper artefact it regenerates.
     pub about: &'static str,
+    /// The `--key`s it reads (its module's `KEYS`); `dlb-exp` refuses
+    /// any other before calling `run`.
+    pub keys: &'static [Key],
     /// Runs it with the parsed `--key value` arguments.
     pub run: fn(&Args),
 }
@@ -34,7 +37,12 @@ mod thm_bounds;
 /// One [`Experiment`] per `module: "about"` row, named after its module.
 macro_rules! table {
     ($($name:ident: $about:literal,)*) => {
-        &[$(Experiment { name: stringify!($name), about: $about, run: $name::run },)*]
+        &[$(Experiment {
+            name: stringify!($name),
+            about: $about,
+            keys: $name::KEYS,
+            run: $name::run,
+        },)*]
     };
 }
 

@@ -6,7 +6,7 @@
 //! Usage: `dlb-exp scaling
 //!         [--steps 500] [--runs 5]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::quality::sampled_quality;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
@@ -28,6 +28,8 @@ fn measure<B: LoadBalancer>(
         elapsed / (runs * steps) as f64 * 1e6,
     )
 }
+
+pub const KEYS: &[Key] = crate::keys!["steps": usize, "runs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let steps: usize = args.get("steps", 500);

@@ -9,11 +9,15 @@
 //! `results/table1_smoke.csv` so CI can golden-gate it in seconds
 //! without touching the paper-scale `results/table1.csv`.
 
-use crate::args::Args;
+use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
 use crate::report::{f3, render_table, write_csv};
 use crate::table1::table1_row;
 use dlb_core::ExchangePolicy;
+
+pub const KEYS: &[Key] = crate::keys![
+    "smoke": Flag, "n": usize, "steps": usize, "runs": usize, "jobs": usize, "out": String,
+];
 
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");

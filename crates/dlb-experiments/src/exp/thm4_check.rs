@@ -5,12 +5,15 @@
 //!         [--n 64] [--steps 500] [--runs 30] [--out results/thm4.csv]
 //!         [--jobs N]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::quality::theorem4_check;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::Params;
 use dlb_theory::TheoremBounds;
+
+pub const KEYS: &[Key] =
+    crate::keys!["n": usize, "steps": usize, "runs": usize, "jobs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);

@@ -4,11 +4,13 @@
 //! Usage: `dlb-exp thm_bounds
 //!         [--runs 40] [--ops 300] [--out results/thm_bounds.csv]`
 
-use crate::args::Args;
+use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::one_proc::mean_ratio_after_ops;
 use dlb_core::Params;
 use dlb_theory::{AlgoParams, TheoremBounds};
+
+pub const KEYS: &[Key] = crate::keys!["runs": usize, "ops": u64, "out": String];
 
 pub fn run(args: &Args) {
     let runs: usize = args.get("runs", 40);

@@ -16,12 +16,11 @@
 //!    runs *and* the same seed to the trace and the balancer of one run,
 //!    which correlated the ensembles the experiments average over.
 //!
-//! The pool itself lives in the leaf crate [`dlb_pool`] (so crates
-//! below this one can share it without a dependency cycle);
-//! [`par_map`] and [`default_jobs`] are re-exported here so every
-//! experiment binary keeps its import path.  The process has exactly
-//! one pool and nested calls run inline, so `--jobs J` occupies at most
-//! `J` threads however deep the fan-out nests.
+//! [`par_map`] itself lives in the leaf crate [`dlb_pool`] (so crates
+//! below this one can call it without a dependency cycle) and is
+//! re-exported here with [`default_jobs`], the import path every
+//! experiment uses.  Nested calls run inline, so `--jobs J` occupies at
+//! most `J` threads however deep the fan-out nests.
 
 use dlb_net::rng::splitmix64;
 pub use dlb_pool::{default_jobs, par_map};
@@ -91,8 +90,8 @@ mod tests {
 
     #[test]
     fn par_map_reexport_is_live() {
-        // The pool moved to dlb-pool; the re-export must keep working
-        // for every experiment binary importing from here.
+        // `par_map` lives in dlb-pool; the re-export is the path every
+        // experiment imports.
         assert_eq!(par_map(4, 5, |i| i * 3), vec![0, 3, 6, 9, 12]);
         assert!(default_jobs() >= 1);
     }

@@ -8,10 +8,10 @@
 //! observed in any run* at each time step.  For comparability across
 //! parameter sets, run `r` always replays the same recorded event trace.
 //!
-//! Runs execute on the [`crate::parallel`] pool (`jobs` workers) and are
-//! reduced in run-index order, so every aggregate is bit-identical for
-//! any `jobs` value.  Each run's workload trace and balancer draw from
-//! independent [`stream_seed`] streams.
+//! Runs fan out through [`crate::parallel::par_map`] (`jobs` threads)
+//! and are reduced in run-index order, so every aggregate is
+//! bit-identical for any `jobs` value.  Each run's workload trace and
+//! balancer draw from independent [`stream_seed`] streams.
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use dlb_core::{imbalance_stats, Cluster, LoadBalancer, Params};

@@ -20,8 +20,8 @@ fn mix(seed: u64, id: u64) -> u64 {
 /// SplitMix64 finalisation step (Steele, Lea & Flood; the γ-increment is
 /// folded in so `splitmix64(0) != 0`).  The one seed-mixing primitive
 /// every derived stream in the workspace goes through: [`stream`] here,
-/// `dlb-experiments`' `stream_seed` and `dlb-serve`'s per-acceptor
-/// seeds.
+/// `dlb-experiments`' `stream_seed`, `dlb-serve`'s per-acceptor seeds
+/// and its key placement (`home_shard`).
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

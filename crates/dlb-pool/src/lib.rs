@@ -1,38 +1,33 @@
-//! Process-lifetime worker pool with a deterministic, index-ordered
-//! [`par_map`].
+//! Deterministic, index-ordered [`par_map`] over `std::thread::scope`.
 //!
-//! Originally part of `dlb-experiments::parallel` (PR 4), promoted to its
-//! own leaf crate so crates below the experiment harness (`dlb-serve`'s
-//! wall engine) can fan out on the same pool without a dependency
-//! cycle.  Every caller shares this single pool, so nested fan-out never
-//! oversubscribes: the pool holds one job at a time, and calls made from
-//! inside a pool worker run inline on that thread.
+//! A leaf crate so that the experiment harness, the CLI and
+//! `dlb-serve`'s wall engine fan out through one function without a
+//! dependency cycle.  Every caller hands it a whole simulated run (or a
+//! whole acceptor/worker thread body) per index and calls it once to a
+//! few dozen times per process, so a call simply spawns `jobs − 1`
+//! scoped threads and joins them: about 20 µs, no state between calls.
 //!
 //! Two invariants make the parallelism invisible to the results:
 //!
 //! 1. **In-order reduction** — [`par_map`] returns the per-index results
-//!    in index order regardless of which worker finished first, so a
+//!    in index order regardless of which thread finished first, so a
 //!    caller folding them (including non-associative `f64` sums) gets
 //!    bit-identical aggregates for every `jobs` value, including 1.
 //! 2. **Nesting runs inline** — a `par_map` call from a thread already
-//!    executing pool work maps sequentially on that thread, so nesting
-//!    cannot deadlock and still returns index-ordered results.
+//!    executing `par_map` work maps sequentially on that thread, so
+//!    nested fan-out never oversubscribes and still returns
+//!    index-ordered results.
 //!
-//! Worker threads are spawned once (grown lazily to the largest
-//! `jobs − 1` ever requested) and *park on a condvar* between jobs, so an
-//! idle pool costs nothing and a [`par_map`] call costs a couple of mutex
-//! operations rather than `jobs` thread spawns.  Within a job, idle
-//! workers claim indices from a shared atomic cursor, so uneven item
+//! Threads claim indices from a shared atomic cursor, so uneven item
 //! times do not serialise the tail.  The calling thread participates as
-//! one of the `jobs` workers.  Concurrent top-level calls serialise on a
-//! submission lock.
-//!
-//! No external crate is needed; the pool is ~100 lines of `std`.
+//! one of the `jobs` threads.
+
+#![forbid(unsafe_code)]
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::Mutex;
 
 /// Worker count used when `--jobs` is not given: the machine's available
 /// parallelism (1 when it cannot be determined).
@@ -43,200 +38,69 @@ pub fn default_jobs() -> usize {
 }
 
 thread_local! {
-    /// True on pool workers and on a caller while it executes its own
-    /// share of a job: nested `par_map` calls from such threads run
-    /// inline instead of re-entering the (single-job) pool.
-    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// True on a thread while it executes `par_map` work: nested calls
+    /// from such a thread run inline.
+    static IN_PAR_MAP: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The job a worker executes: a lifetime-erased borrow of the caller's
-/// work closure.  Validity is guaranteed by the submission protocol —
-/// the caller does not return from [`par_map`] until every worker that
-/// claimed this reference has dropped out of it (`running == 0`).
-#[derive(Clone, Copy)]
-struct TaskRef(&'static (dyn Fn() + Sync));
+/// A slot's lock is held for one store, never while `f` runs.
+const UNPOISONED: &str = "no panic can happen under a slot lock";
 
-struct PoolState {
-    /// Bumped once per submitted job; a worker only claims a task whose
-    /// generation differs from the last one it executed.
-    generation: u64,
-    /// The current job, or `None` between jobs / after the caller
-    /// closed submission.
-    task: Option<TaskRef>,
-    /// How many more workers may still join the current job (keeps a
-    /// large pool from exceeding a smaller `--jobs` request).
-    slots_open: usize,
-    /// Workers currently inside the current job's closure.
-    running: usize,
-    /// Worker threads spawned so far (they never exit).
-    spawned: usize,
-    /// Set when a worker's closure panicked; re-raised by the caller.
-    panicked: bool,
-}
-
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Workers park here between jobs.
-    work_cv: Condvar,
-    /// The caller parks here until `running` drains to zero.
-    done_cv: Condvar,
-    /// Serialises top-level `par_map` calls (the pool holds one job).
-    submit: Mutex<()>,
-}
-
-/// Poison-tolerant lock: a panic inside a caller-supplied closure can
-/// poison the submission lock while `par_map` unwinds; the pool's own
-/// invariants never depend on poisoning, so we keep going.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl Pool {
-    fn new() -> Arc<Pool> {
-        Arc::new(Pool {
-            state: Mutex::new(PoolState {
-                generation: 0,
-                task: None,
-                slots_open: 0,
-                running: 0,
-                spawned: 0,
-                panicked: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            submit: Mutex::new(()),
-        })
-    }
-
-    fn global() -> &'static Arc<Pool> {
-        static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
-        POOL.get_or_init(Pool::new)
-    }
-
-    /// Grows the pool to at least `needed` parked workers.
-    fn ensure_workers(self: &Arc<Self>, needed: usize) {
-        let mut st = lock(&self.state);
-        while st.spawned < needed {
-            st.spawned += 1;
-            let pool = Arc::clone(self);
-            std::thread::Builder::new()
-                .name(format!("dlb-par-{}", st.spawned))
-                .spawn(move || pool.worker_loop())
-                .expect("spawn pool worker");
-        }
-    }
-
-    fn worker_loop(&self) {
-        IN_POOL.with(|flag| flag.set(true));
-        let mut last_gen = 0u64;
-        loop {
-            let task = {
-                let mut st = lock(&self.state);
-                loop {
-                    if st.generation != last_gen && st.slots_open > 0 {
-                        if let Some(task) = st.task {
-                            last_gen = st.generation;
-                            st.slots_open -= 1;
-                            st.running += 1;
-                            break task;
-                        }
-                    }
-                    st = self
-                        .work_cv
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| (task.0)()));
-            let mut st = lock(&self.state);
-            if outcome.is_err() {
-                st.panicked = true;
-            }
-            st.running -= 1;
-            if st.running == 0 {
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// Maps `f` over `0..count` on `jobs` workers (the calling thread plus
-/// `jobs − 1` pooled threads), returning results in index order.
+/// Maps `f` over `0..count` on `jobs` threads (the calling thread plus
+/// `jobs − 1` scoped threads), returning results in index order.
 ///
 /// `jobs <= 1` runs inline on the calling thread; any higher value
 /// produces the *same* `Vec` (same values, same order), so sequential
 /// and parallel paths share one code path and cannot drift apart.
+///
+/// With `jobs == count` every index runs on a thread of its own, all of
+/// them alive at once: `f` may block on the other indices (`dlb-serve`'s
+/// `run_wall` runs its acceptor and worker loops this way).  With fewer
+/// threads than indices, or from inside another `par_map`, it may not.
+///
+/// A panic in `f` reaches the caller once every thread has been joined.
 pub fn par_map<T, F>(jobs: usize, count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let jobs = jobs.max(1).min(count.max(1));
-    if jobs == 1 || IN_POOL.with(|flag| flag.get()) {
+    if jobs == 1 || IN_PAR_MAP.with(Cell::get) {
         return (0..count).map(f).collect();
     }
 
-    let pool = Pool::global();
-    let _submit = lock(&pool.submit);
-    pool.ensure_workers(jobs - 1);
-
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= count {
-            break;
+    let work = || {
+        IN_PAR_MAP.with(|flag| flag.set(true));
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            let value = f(i);
+            *slots[i].lock().expect(UNPOISONED) = Some(value);
         }
-        let value = f(i);
-        *lock(&slots[i]) = Some(value);
     };
-
-    // Publish the job.  The reference is lifetime-erased; see `TaskRef`
-    // for why this is sound.
-    {
-        let work_ref: &(dyn Fn() + Sync) = &work;
-        let task = TaskRef(unsafe {
-            std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work_ref)
-        });
-        let mut st = lock(&pool.state);
-        st.generation += 1;
-        st.task = Some(task);
-        st.slots_open = jobs - 1;
-        pool.work_cv.notify_all();
-    }
-
-    // Participate as one of the `jobs` workers.  IN_POOL makes nested
-    // par_map calls from inside `f` run inline (re-entering the
-    // single-job pool from here would deadlock on the submission lock).
-    IN_POOL.with(|flag| flag.set(true));
-    let own = catch_unwind(AssertUnwindSafe(&work));
-    IN_POOL.with(|flag| flag.set(false));
-
-    // Close submission and wait for every worker that claimed the task
-    // to leave it; only then may the borrow of `work`/`slots` end.
-    let worker_panicked = {
-        let mut st = lock(&pool.state);
-        st.task = None;
-        st.slots_open = 0;
-        while st.running > 0 {
-            st = pool
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+    // The scope joins every spawned thread before it returns and then
+    // re-raises a panic from any of them, the caller's own included.
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(work);
         }
-        std::mem::take(&mut st.panicked)
-    };
-    if let Err(payload) = own {
-        resume_unwind(payload);
-    }
-    assert!(!worker_panicked, "a par_map worker panicked");
+        let own = catch_unwind(AssertUnwindSafe(work));
+        IN_PAR_MAP.with(|flag| flag.set(false));
+        if let Err(payload) = own {
+            resume_unwind(payload);
+        }
+    });
 
     slots
         .into_iter()
         .map(|slot| {
-            lock(&slot)
-                .take()
-                .expect("every index was claimed by exactly one worker")
+            slot.into_inner()
+                .expect(UNPOISONED)
+                .expect("every index was claimed by exactly one thread")
         })
         .collect()
 }
@@ -279,9 +143,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_calls_reuse_the_pool() {
-        // Exercises worker re-claiming across generations: the pool is
-        // spawned once and every later call must drain correctly.
+    fn repeated_calls_each_spawn_and_join_cleanly() {
+        // No state survives a call: fifty back-to-back calls each get
+        // fresh threads, a fresh cursor and complete results.
         for round in 0..50u64 {
             let out = par_map(4, 16, |i| i as u64 + round);
             assert_eq!(out, (0..16).map(|i| i + round).collect::<Vec<_>>());
@@ -299,8 +163,8 @@ mod tests {
 
     #[test]
     fn shrinking_jobs_respects_the_limit() {
-        // Grow the pool with a wide call, then check a narrow call still
-        // admits at most jobs−1 pooled workers (slots_open budget).
+        // A wide call first, then a narrow one: the narrow call runs on
+        // at most `jobs` threads whatever came before it.
         let _ = par_map(8, 32, |i| i);
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
@@ -330,8 +194,30 @@ mod tests {
             })
         }));
         assert!(result.is_err(), "panic must reach the caller");
-        // The pool must still be usable afterwards.
+        // The caller's thread must still fan out afterwards.
         assert_eq!(par_map(3, 5, |i| i * 2), vec![0, 2, 4, 6, 8]);
+    }
+
+    #[test]
+    fn jobs_equal_to_count_runs_every_index_on_its_own_thread_at_once() {
+        // The contract `dlb-serve`'s `run_wall` leans on: its acceptor
+        // and worker loops each wait for all the others.  A barrier
+        // across every index only opens if all of them run concurrently;
+        // the timeout turns a regression into a failure, not a hang.
+        const COUNT: usize = 6;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let barrier = std::sync::Barrier::new(COUNT);
+            let out = par_map(COUNT, COUNT, |i| {
+                barrier.wait();
+                i
+            });
+            let _ = tx.send(out);
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("par_map(jobs == count) did not run every index concurrently");
+        assert_eq!(out, (0..COUNT).collect::<Vec<_>>());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   `--workers`), with the conservation ledger `issued == completed +
 //!   dropped + in_flight` checked every tick.
 //! - [`wall::run_wall`] — the wall-clock driver (`A` sharded acceptors
-//!   plus `W` shard workers on `dlb-pool`, wired with the lock-free
+//!   plus `W` shard workers, a thread each, wired with the lock-free
 //!   [`ring`] primitives) producing the throughput and latency figures
 //!   committed as `BENCH_service.json`; each acceptor drives the group
 //!   of a contiguous shard range with its own trigger state, the
@@ -58,15 +58,53 @@ pub use stats::{ServiceStats, WallTiming};
 pub use wall::run_wall;
 
 /// Sticky key → home shard placement: one SplitMix64 finalisation
-/// round, reduced mod `shards`.
+/// round ([`dlb_net::rng::splitmix64`]), reduced mod `shards`.
 ///
 /// This is *the* placement hash: `ShardGroup::arrive` places with it
 /// under either clock, and the wall engine partitions the arrival
 /// schedule among its acceptors with it.
 pub fn home_shard(key: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut x = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((x ^ (x >> 31)) % shards as u64) as usize
+    (dlb_net::rng::splitmix64(key) % shards as u64) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::home_shard;
+
+    /// Literals captured from the private mixer `home_shard` carried
+    /// before it called the shared `splitmix64`: placement decides every
+    /// committed serve output, so it is pinned at the function.
+    #[test]
+    fn home_shard_placement_is_pinned() {
+        const PINS: [(u64, usize, usize); 20] = [
+            (0, 1, 0),
+            (0, 2, 1),
+            (0, 7, 2),
+            (0, 4096, 3503),
+            (1, 1, 0),
+            (1, 2, 1),
+            (1, 7, 2),
+            (1, 4096, 3265),
+            (42, 7, 5),
+            (42, 64, 21),
+            (1000, 2, 0),
+            (1000, 4096, 328),
+            (0xdead_beef, 7, 2),
+            (0xdead_beef, 4096, 2971),
+            (1 << 32, 7, 6),
+            (1 << 32, 64, 56),
+            (u64::MAX, 1, 0),
+            (u64::MAX, 2, 0),
+            (u64::MAX, 7, 0),
+            (u64::MAX, 4096, 3104),
+        ];
+        for (key, shards, shard) in PINS {
+            assert_eq!(
+                home_shard(key, shards),
+                shard,
+                "home_shard({key}, {shards})"
+            );
+        }
+    }
 }

@@ -1,5 +1,6 @@
 //! The wall-clock serving engine: `A` sharded acceptors plus `W` shard
-//! workers, all hosted on the `dlb-pool` worker pool.
+//! workers, one scoped thread each (`dlb_pool::par_map` with
+//! `jobs == count`).
 //!
 //! This mode exists to produce *bench numbers* (`BENCH_service.json`):
 //! sustained requests/sec and latency quantiles under the same request
@@ -11,14 +12,14 @@
 //!
 //! Division of labour is lock-free end to end (see [`crate::ring`]):
 //!
-//! - each **acceptor** (pool indices `0..A`) drives the
+//! - each **acceptor** (`par_map` indices `0..A`) drives the
 //!   `ShardGroup` (`crate::group`) of a contiguous shard range — private
 //!   queues, private `l_old` trigger baselines, a private ChaCha
 //!   partner stream; the same state machine the simulated engine runs —
 //!   and replays its slice of the precomputed arrival schedule and
 //!   fault timeline against the wall clock; cross-group moves ride MPSC
 //!   inbox messages (see `crate::acceptor`);
-//! - each **worker** (pool indices `A..A+W`) drains the SPSC work
+//! - each **worker** (indices `A..A+W`) drains the SPSC work
 //!   rings of its shards (`shard % W == worker`), sleeps out the
 //!   service demand, and records latency into its own histogram; the
 //!   per-worker histograms are merged in index order at the end
@@ -245,6 +246,9 @@ pub fn run_wall(
 
     let start = Instant::now();
     let jobs = acceptors + workers;
+    // Every loop below waits for all the others, so each index needs a
+    // thread of its own: `par_map` guarantees that for `jobs == count`
+    // (and pins it with a barrier test), not for a nested call.
     let results: Vec<Out> = dlb_pool::par_map(jobs, jobs, |i| {
         if i < acceptors {
             let acceptor = Acceptor::new(i, &shared, scenario, sink.clone(), &feeds[i]);

@@ -8,7 +8,8 @@
 //!
 //! * [`NullSink`] — reports itself disabled so emitters skip event
 //!   construction entirely; attaching it costs one branch per site.
-//! * [`RingSink`] — keeps the last `cap` events in memory.
+//! * [`BufferSink`] — collects events in memory for the caller to take
+//!   back out (how parallel runs are written in run-index order).
 //! * [`FileSink`] — byte-stable JSONL from the one encoder,
 //!   [`TraceEvent::write_line`]: the same run always produces the same
 //!   bytes, which is what lets CI diff traces across `--jobs` values.
@@ -22,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 use dlb_json::{req, FromJson, Json};
-use std::collections::VecDeque;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -412,55 +412,6 @@ impl TraceSink for NullSink {
 
     fn enabled(&self) -> bool {
         false
-    }
-}
-
-/// Keeps the most recent `cap` events in memory.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TraceEvent>,
-}
-
-impl RingSink {
-    /// A ring holding at most `cap` events (`cap == 0` keeps none).
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap,
-            buf: VecDeque::new(),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Consumes the ring, returning the retained events oldest first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into_iter().collect()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
     }
 }
 
@@ -876,19 +827,7 @@ mod tests {
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
         assert!(!SharedSink::new(NullSink).enabled());
-        assert!(SharedSink::new(RingSink::new(4)).enabled());
-    }
-
-    #[test]
-    fn ring_sink_keeps_last_cap_events() {
-        let mut ring = RingSink::new(2);
-        for ev in sample_events() {
-            ring.record(&ev);
-        }
-        assert_eq!(ring.len(), 2);
-        let kept = ring.into_events();
-        let all = sample_events();
-        assert_eq!(kept, all[all.len() - 2..].to_vec());
+        assert!(SharedSink::new(BufferSink::new()).enabled());
     }
 
     #[test]
