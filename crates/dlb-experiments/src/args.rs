@@ -6,9 +6,12 @@
 //! Every binary (and every `dlb-exp` row) declares the keys it reads
 //! with [`keys!`](crate::keys); [`Args::parse`] refuses an undeclared
 //! key, a value that does not parse as the declared type and a bare
-//! word — before the experiment starts, as `dlb` does.
+//! word — before the experiment starts, as `dlb` does.  A value that
+//! parses but cannot be built into what the experiment needs
+//! (`--delta 0`) goes through [`Args::build_or_exit`] to the same end.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// One declared `--name` and the type its value must parse as.
@@ -62,6 +65,8 @@ impl FromStr for Flag {
 /// Parsed and validated `--key value` pairs.
 #[derive(Debug, Clone)]
 pub struct Args {
+    /// What the usage line calls the binary (`dlb-exp fig7_quality`).
+    program: String,
     values: HashMap<String, String>,
     keys: &'static [Key],
 }
@@ -78,15 +83,46 @@ impl Args {
     where
         I: IntoIterator<Item = String>,
     {
-        Self::parse(iter, keys).unwrap_or_else(|reason| {
+        Self::parse(program, iter, keys).unwrap_or_else(|reason| {
             eprintln!("error: {reason}\n{}", usage(program, keys));
             std::process::exit(2)
         })
     }
 
+    /// Unwraps what an experiment built from the values of `names`.  A
+    /// value that parsed but cannot be built is refused as one that did
+    /// not parse is: the reason, the usage line, exit 2.
+    pub fn build_or_exit<T, E: Display>(&self, names: &[&str], built: Result<T, E>) -> T {
+        built.unwrap_or_else(|why| {
+            eprintln!(
+                "error: {}\n{}",
+                self.refusal(names, &why),
+                usage(&self.program, self.keys)
+            );
+            std::process::exit(2)
+        })
+    }
+
+    /// `--delta 0: <why>` — those of `names` that were supplied, as
+    /// supplied, then the reason.
+    fn refusal(&self, names: &[&str], why: &dyn Display) -> String {
+        let given: Vec<String> = names
+            .iter()
+            .filter_map(|name| {
+                self.assert_declared(name);
+                self.values.get(*name).map(|raw| format!("--{name} {raw}"))
+            })
+            .collect();
+        if given.is_empty() {
+            why.to_string()
+        } else {
+            format!("{}: {why}", given.join(" "))
+        }
+    }
+
     /// Parses `--key value` pairs, accepting only declared keys whose
     /// value parses as the declared type.
-    pub fn parse<I>(iter: I, keys: &'static [Key]) -> Result<Self, String>
+    pub fn parse<I>(program: &str, iter: I, keys: &'static [Key]) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
@@ -109,7 +145,11 @@ impl Args {
                 .map_err(|e| format!("invalid value {value:?} for --{name}: {e}"))?;
             values.insert(name.to_string(), value);
         }
-        Ok(Args { values, keys })
+        Ok(Args {
+            program: program.to_string(),
+            values,
+            keys,
+        })
     }
 
     /// Returns `--name` parsed as `T`, or `default` when absent.
@@ -179,7 +219,7 @@ mod tests {
     ];
 
     fn parse(parts: &[&str]) -> Result<Args, String> {
-        Args::parse(parts.iter().map(|s| s.to_string()), KEYS)
+        Args::parse("dlb-exp x", parts.iter().map(|s| s.to_string()), KEYS)
     }
 
     fn args(parts: &[&str]) -> Args {
@@ -229,6 +269,25 @@ mod tests {
         );
         // A key that needs a value but is given bare is a bad value too.
         assert!(parse(&["--runs", "--smoke"]).is_err());
+    }
+
+    #[test]
+    fn unbuildable_value_is_refused_by_name() {
+        let params = |a: &Args| dlb_core::Params::new(64, a.get("delta", 1), 1.1, 4);
+        let a = args(&["--delta", "0", "--runs", "3"]);
+        assert_eq!(
+            a.refusal(&["runs", "delta"], &params(&a).unwrap_err()),
+            "--runs 3 --delta 0: neighbourhood size delta = 0 must satisfy 1 <= delta < n = 64"
+        );
+        let a = args(&["--delta", "64"]);
+        assert_eq!(
+            a.refusal(&["runs", "delta"], &params(&a).unwrap_err()),
+            "--delta 64: neighbourhood size delta = 64 must satisfy 1 <= delta < n = 64"
+        );
+        // Nothing supplied: the reason stands alone.
+        assert_eq!(args(&[]).refusal(&["delta"], &"why"), "why");
+        let a = args(&["--delta", "63"]);
+        assert_eq!(a.build_or_exit(&["delta"], params(&a)).delta(), 63);
     }
 
     #[test]

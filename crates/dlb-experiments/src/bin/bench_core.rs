@@ -35,6 +35,12 @@
 //! same on every rung, so `stall_ratio` — a rung's `ns_per_event` over
 //! the first rung's — is what memory costs (DESIGN.md §11).
 //!
+//! Since PR 24 an `rng` row times the layer under all of them: 2²⁴
+//! `next_u64` draws from the vendored `ChaCha8Rng` (`ns_per_u64`), one
+//! four-block refill (`ns_per_refill`), and the FNV fold of the draws as
+//! the row's checksum.  A toolchain that stops vectorising the refill
+//! shows here as `ns_per_u64` doubling, with the checksum unchanged.
+//!
 //! Usage: `cargo run --release -p dlb-experiments --bin bench_core
 //!         [--smoke] [--large-smoke] [--sparse-smoke]
 //!         [--out BENCH_core.json] [--check BENCH_core.json]`
@@ -47,8 +53,8 @@
 //! event-driven cell (n = 2²⁰, 1 % activity) with its dense equivalence
 //! witness, asserts the state stays within 192 B per processor, and
 //! exits without writing JSON.  `--check <baseline>`
-//! re-runs the baseline's matrix (including its `large` and
-//! `sparse_step` rows, if present) and exits non-zero if any checksum
+//! re-runs the baseline's matrix (including its `large`, `sparse_step`
+//! and `rng` rows, if present) and exits non-zero if any checksum
 //! differs from the committed file (timings are machine-dependent;
 //! checksums are not).
 
@@ -62,6 +68,9 @@ use dlb_json::{Json, ToJson};
 use dlb_workload::sparse::{drive_sparse, SparseActivity, SparsePattern};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// FNV-1a over the final loads and headline metrics of one run.
@@ -116,6 +125,11 @@ where
         ops = balancer.metrics().balance_ops;
     }
     (best, fp, ops)
+}
+
+/// A timing as the JSON rows carry it: three decimals.
+fn ms3(x: f64) -> Json {
+    Json::Float((x * 1000.0).round() / 1000.0)
 }
 
 /// Wall-clock per balance operation, the per-operation cost the
@@ -288,7 +302,6 @@ impl SparseCell {
     /// This cell's `sparse_step` row; a ladder rung also says how its
     /// `ns_per_event` compares with the first rung's.
     fn to_row(&self, activity: &str, stall_ratio: Option<f64>) -> Json {
-        let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
         let mut row = vec![
             ("activity".into(), activity.to_json()),
             ("n".into(), (self.n as u64).to_json()),
@@ -362,6 +375,56 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> Spar
         dense_ms,
         fp,
         state_bytes,
+    }
+}
+
+/// The `rng` row: `RNG_DRAWS` `next_u64` from seed `RNG_SEED`, and
+/// `RNG_REFILLS` seeks, each of which computes one buffer of four blocks.
+const RNG_SEED: u64 = 4711;
+const RNG_DRAWS: u64 = 1 << 24;
+const RNG_REFILLS: u64 = 1 << 18;
+
+/// The `rng` row.
+struct RngCell {
+    ns_per_u64: f64,
+    ns_per_refill: f64,
+    /// FNV-1a-style fold of the draws, one `u64` per round (a byte-wise
+    /// fold would cost more than the draw it is timed with).
+    fp: String,
+}
+
+/// Times the generator under every engine and workload: the fastest of
+/// `reps` passes over the draw loop and over the refill loop.
+fn run_rng_cell(reps: usize) -> RngCell {
+    let mut draw_s = f64::INFINITY;
+    let mut refill_s = f64::INFINITY;
+    let mut fp = String::new();
+    for _ in 0..reps {
+        let mut rng = ChaCha8Rng::seed_from_u64(RNG_SEED);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let t0 = Instant::now();
+        for _ in 0..RNG_DRAWS {
+            hash = (hash ^ rng.next_u64()).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        draw_s = draw_s.min(t0.elapsed().as_secs_f64());
+        let run_fp = format!("{hash:016x}");
+        assert!(
+            fp.is_empty() || fp == run_fp,
+            "nondeterministic generator: {fp} != {run_fp}"
+        );
+        fp = run_fp;
+
+        let t0 = Instant::now();
+        for k in 0..RNG_REFILLS {
+            rng.set_word_pos(black_box(u128::from(k) * 64));
+        }
+        refill_s = refill_s.min(t0.elapsed().as_secs_f64());
+        black_box(rng.next_u32());
+    }
+    RngCell {
+        ns_per_u64: draw_s * 1e9 / RNG_DRAWS as f64,
+        ns_per_refill: refill_s * 1e9 / RNG_REFILLS as f64,
+        fp,
     }
 }
 
@@ -493,6 +556,20 @@ fn check_against(baseline_path: &str) -> ! {
             }
         }
     }
+    // The generator's `rng` row, when the baseline has it.
+    if let Some(row) = doc.get("rng") {
+        let want = field(row, "checksum");
+        let cell = run_rng_cell(1);
+        if want == cell.fp {
+            println!("\n  rng    {RNG_DRAWS} draws     ok    {}", cell.fp);
+        } else {
+            println!(
+                "\n  rng    {RNG_DRAWS} draws     DRIFT baseline {want} != {}",
+                cell.fp
+            );
+            drifted += 1;
+        }
+    }
     if drifted > 0 {
         println!(
             "\n{drifted} checksum(s) drifted from {baseline_path}: the simulation \
@@ -575,7 +652,6 @@ fn main() {
             );
         }
 
-        let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
         cells.push(Json::Obj(vec![
             ("n".into(), (cell.n as u64).to_json()),
             ("full_ms".into(), ms3(cell.full_ms)),
@@ -612,7 +688,6 @@ fn main() {
                 ns_per_op(cell.full_ms, cell.full_ops),
                 cell.state_bytes / cell.n
             );
-            let ms3 = |x: f64| Json::Float((x * 1000.0).round() / 1000.0);
             large_rows.push(Json::Obj(vec![
                 ("n".into(), (cell.n as u64).to_json()),
                 ("steps".into(), (cell.steps as u64).to_json()),
@@ -688,6 +763,20 @@ fn main() {
         sparse_rows.push(cell.to_row(label, Some(ratio)));
     }
 
+    println!();
+    let rng = run_rng_cell(reps);
+    println!(
+        "  rng    {RNG_DRAWS} draws  {:>6.2} ns/u64  {:>6.1} ns/refill  ({})",
+        rng.ns_per_u64, rng.ns_per_refill, rng.fp
+    );
+    let rng_row = Json::Obj(vec![
+        ("seed".into(), RNG_SEED.to_json()),
+        ("draws".into(), RNG_DRAWS.to_json()),
+        ("ns_per_u64".into(), ms3(rng.ns_per_u64)),
+        ("ns_per_refill".into(), ms3(rng.ns_per_refill)),
+        ("checksum".into(), rng.fp.to_json()),
+    ]);
+
     let mut fields = vec![
         ("bench".into(), "core".to_json()),
         (
@@ -705,6 +794,7 @@ fn main() {
     if !sparse_rows.is_empty() {
         fields.push(("sparse_step".into(), Json::Arr(sparse_rows)));
     }
+    fields.push(("rng".into(), rng_row));
     let doc = Json::Obj(fields);
     std::fs::write(&out, doc.render_pretty()).expect("JSON written");
     println!("\nwrote {out}");

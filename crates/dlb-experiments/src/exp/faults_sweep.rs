@@ -56,6 +56,7 @@ pub fn run(args: &Args) {
     cfg.steps = args.get("steps", cfg.steps);
     cfg.runs = args.get("runs", cfg.runs);
     cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
+    args.build_or_exit(&["n"], cfg.params());
     let out: String = args.get("out", "results/faults_sweep.json".to_string());
     let svg: String = args.get("svg", "results/faults_sweep.svg".to_string());
 

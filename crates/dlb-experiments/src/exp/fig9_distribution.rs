@@ -24,6 +24,8 @@ pub fn run(args: &Args) {
     let runs: usize = args.get("runs", 100);
     let c: usize = args.get("c", 4);
     let jobs: usize = args.get("jobs", default_jobs());
+    let params = |f| args.build_or_exit(&["n", "delta"], Params::new(n, delta, f, c));
+    let curves = [1.1f64, 1.8].map(|f| (f, params(f)));
     let figure = if delta == 1 { 9 } else { 10 };
     let out: String = args.get("out", format!("results/fig{figure}_delta{delta}.csv"));
     let checkpoints = [50usize, 200, 400];
@@ -36,8 +38,7 @@ pub fn run(args: &Args) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
-    for f in [1.1f64, 1.8] {
-        let params = Params::new(n, delta, f, c).expect("valid parameters");
+    for (f, params) in curves {
         let snaps = distribution_at(params, steps, &checkpoints, runs, 4096, jobs);
         for snap in &snaps {
             for i in 0..n {

@@ -24,6 +24,7 @@ use dlb_core::{imbalance_stats, Params};
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_json::{Json, ToJson};
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
+use dlb_theory::ParamError;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -65,6 +66,14 @@ impl Default for SweepConfig {
             crash_counts: vec![0, 1, 2, 4, 8],
             jobs: 1,
         }
+    }
+}
+
+impl SweepConfig {
+    /// The trigger parameters every cell runs with (δ = 2, f = 1.3,
+    /// C = 4); an error when `n` is too small for them.
+    pub fn params(&self) -> Result<Params, ParamError> {
+        Params::new(self.n, 2, 1.3, 4)
     }
 }
 
@@ -186,7 +195,7 @@ impl SweepResult {
 /// Panics when conservation breaks or a lock leaks — that is the point:
 /// the experiment doubles as a soundness harness.
 pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
-    let params = Params::new(cfg.n, 2, 1.3, 4).expect("valid params");
+    let params = cfg.params().expect("n admits the sweep's delta");
     let per_run = par_map(cfg.jobs, cfg.runs as usize, |run| {
         let run = run as u64;
         let mut run_plan = plan.clone();
