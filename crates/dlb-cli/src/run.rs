@@ -2,10 +2,11 @@
 //!
 //! Runs execute through the deterministic parallel harness of
 //! `dlb-experiments` (`par_map` + `stream_seed`): each run's RNG streams
-//! depend only on the scenario seed and the run index, and results —
-//! including trace events — are reduced in run-index order, so the
-//! report and any `--trace` output are byte-identical for every
-//! `--jobs N`.
+//! depend only on the scenario seed and the run index, results are
+//! reduced in run-index order, and each run streams its trace events
+//! through its own handle of one [`RunOrderedWriter`], which writes
+//! them in run-index order — so the report and any `--trace` output are
+//! byte-identical for every `--jobs N`.
 
 use crate::config::{Scenario, StrategyConfig, TopologyConfig, WorkloadConfig};
 use dlb_baselines::{
@@ -23,7 +24,7 @@ use dlb_faults::{FaultInjector, MaskCursor};
 use dlb_net::{
     AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
 };
-use dlb_trace::{BufferSink, FileSink, TraceEvent, TraceSink};
+use dlb_trace::{FileSink, RunOrderedWriter, SharedSink, TraceEvent, TraceSink};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::sparse::{SparseActivity, SparseWorkload};
@@ -306,12 +307,11 @@ struct RunOutcome {
     final_total: u64,
     stats: Option<AsyncStats>,
     lost: u64,
-    events: Vec<TraceEvent>,
 }
 
 /// The per-step `LoadSample` event, from an engine's O(1) incremental
 /// summary or from a scan ([`dlb_core::LoadSummary::from_loads`]).
-fn emit_summary_sample(driver: &dlb_trace::SharedSink, step: u64, summary: dlb_core::LoadSummary) {
+fn emit_summary_sample(driver: &SharedSink, step: u64, summary: dlb_core::LoadSummary) {
     driver.record(&TraceEvent::LoadSample {
         step,
         min: summary.min,
@@ -325,11 +325,12 @@ fn emit_summary_sample(driver: &dlb_trace::SharedSink, step: u64, summary: dlb_c
 /// Sparse-capable workloads hand [`LoadBalancer::step_events`] their
 /// active list unless `force_dense` is set; both forms observe the
 /// engine through the incremental [`LoadBalancer::load_summary`] and
-/// produce byte-identical output.
+/// produce byte-identical output.  `trace` receives the run's events
+/// and is flushed when the run ends.
 fn run_one_sync(
     scenario: &Scenario,
     r: usize,
-    tracing: bool,
+    trace: Option<SharedSink>,
     profile: bool,
     force_dense: bool,
 ) -> Result<RunOutcome, String> {
@@ -349,9 +350,7 @@ fn run_one_sync(
     };
     let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
     let mut recorder = LoadRecorder::new(warmup, 3.0);
-    let buf = BufferSink::new();
-    let driver = buf.handle();
-    if tracing {
+    if let Some(driver) = &trace {
         let (delta, f, c) = strategy_triple(&scenario.strategy);
         driver.record(&TraceEvent::RunStarted {
             run: r as u64,
@@ -362,7 +361,7 @@ fn run_one_sync(
             f,
             c,
         });
-        balancer.set_trace_sink(buf.handle());
+        balancer.set_trace_sink(driver.clone());
     }
     // Synchronous engines take the fault plan as a per-step crash mask
     // (message faults do not apply to atomic balancing operations).
@@ -390,8 +389,8 @@ fn run_one_sync(
         balancer.step_events(step, masks.as_mut().map(|m| m.at(t as u64)));
         let summary = balancer.load_summary();
         recorder.record_summary(summary, scenario.n);
-        if tracing {
-            emit_summary_sample(&driver, t as u64, summary);
+        if let Some(driver) = &trace {
+            emit_summary_sample(driver, t as u64, summary);
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,
@@ -401,8 +400,9 @@ fn run_one_sync(
             }
         }
     }
-    if tracing {
+    if let Some(driver) = &trace {
         driver.record(&TraceEvent::RunFinished { run: r as u64 });
+        driver.flush();
     }
     Ok(RunOutcome {
         recorder,
@@ -412,15 +412,15 @@ fn run_one_sync(
         final_total: balancer.loads().iter().sum(),
         stats: None,
         lost: 0,
-        events: buf.take(),
     })
 }
 
-/// One run of the async (message-level) strategy.
+/// One run of the async (message-level) strategy; `trace` as for
+/// [`run_one_sync`].
 fn run_one_async(
     scenario: &Scenario,
     r: usize,
-    tracing: bool,
+    trace: Option<SharedSink>,
     profile: bool,
     delta: usize,
     f: f64,
@@ -439,9 +439,7 @@ fn run_one_async(
     )?;
     let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
     let mut recorder = LoadRecorder::new(warmup, 3.0);
-    let buf = BufferSink::new();
-    let driver = buf.handle();
-    if tracing {
+    if let Some(driver) = &trace {
         driver.record(&TraceEvent::RunStarted {
             run: r as u64,
             seed,
@@ -451,7 +449,7 @@ fn run_one_async(
             f,
             c: 0,
         });
-        net.set_trace_sink(buf.handle());
+        net.set_trace_sink(driver.clone());
     }
     let mut events = Vec::new();
     let mut actions = vec![0i8; scenario.n];
@@ -470,8 +468,8 @@ fn run_one_async(
         net.check_conservation()?;
         let loads = net.loads_slice();
         recorder.record(loads);
-        if tracing {
-            emit_summary_sample(&driver, t as u64, dlb_core::LoadSummary::from_loads(loads));
+        if let Some(driver) = &trace {
+            emit_summary_sample(driver, t as u64, dlb_core::LoadSummary::from_loads(loads));
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,
@@ -483,8 +481,9 @@ fn run_one_async(
     }
     net.quiesce();
     net.check_conservation()?;
-    if tracing {
+    if let Some(driver) = &trace {
         driver.record(&TraceEvent::RunFinished { run: r as u64 });
+        driver.flush();
     }
     Ok(RunOutcome {
         recorder,
@@ -494,37 +493,37 @@ fn run_one_async(
         final_total: net.loads_slice().iter().sum(),
         stats: Some(*net.stats()),
         lost: net.lost(),
-        events: buf.take(),
     })
 }
 
 /// Runs a scenario under explicit [`RunOptions`]: `jobs` worker
 /// threads (identical output for every value) and an optional JSONL
-/// trace, written in run-index order.
+/// trace, created before the first run and written in run-index order.
 pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
     scenario.validate()?;
     let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
-    let tracing = trace_path.is_some();
+    let writer = match &trace_path {
+        Some(path) => Some(
+            RunOrderedWriter::create(std::path::Path::new(path))
+                .map_err(|e| format!("cannot create trace {path}: {e}"))?,
+        ),
+        None => None,
+    };
     let jobs = opts.jobs.max(1);
     let async_cfg = match scenario.strategy {
         StrategyConfig::Async { delta, f, latency } => Some((delta, f, latency)),
         _ => None,
     };
-    let outcomes: Vec<Result<RunOutcome, String>> =
-        par_map(jobs, scenario.runs, |r| match async_cfg {
+    let outcomes: Vec<Result<RunOutcome, String>> = par_map(jobs, scenario.runs, |r| {
+        let trace = writer.as_ref().map(|w| w.handle(r));
+        match async_cfg {
             Some((delta, f, latency)) => {
-                run_one_async(scenario, r, tracing, opts.profile, delta, f, latency)
+                run_one_async(scenario, r, trace, opts.profile, delta, f, latency)
             }
-            None => run_one_sync(scenario, r, tracing, opts.profile, opts.dense),
-        });
+            None => run_one_sync(scenario, r, trace, opts.profile, opts.dense),
+        }
+    });
 
-    let mut sink = match &trace_path {
-        Some(path) => Some(
-            FileSink::create(std::path::Path::new(path))
-                .map_err(|e| format!("cannot create trace {path}: {e}"))?,
-        ),
-        None => None,
-    };
     let mut recorder = LoadRecorder::new(0, 3.0); // per-run warm-up applied above
     let mut strategy_name = String::new();
     let mut ops = 0.0;
@@ -543,14 +542,10 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
             stats += s;
         }
         lost_load += o.lost;
-        if let Some(sink) = &mut sink {
-            for ev in &o.events {
-                sink.record(ev);
-            }
-        }
     }
-    if let (Some(sink), Some(path)) = (sink, &trace_path) {
-        sink.into_inner()
+    if let (Some(writer), Some(path)) = (writer, &trace_path) {
+        writer
+            .into_inner()
             .map_err(|e| format!("cannot write trace {path}: {e}"))?;
     }
     Ok(Report {
@@ -580,7 +575,6 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
 pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
     scenario.validate()?;
     let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
-    let tracing = trace_path.is_some();
     let n = scenario.n;
     build_workload(scenario, 0)?; // eager validation, once, off the hot path
 
@@ -602,6 +596,14 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
         }));
     }
 
+    // Created once the scenario is known to run, before it does.
+    let sink = match &trace_path {
+        Some(path) => Some(
+            FileSink::create(std::path::Path::new(path))
+                .map_err(|e| format!("cannot create trace {path}: {e}"))?,
+        ),
+        None => None,
+    };
     let cfg = ArenaConfig {
         n,
         steps: scenario.steps,
@@ -619,12 +621,10 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
             let mut workload = build_workload(scenario, seed).expect("workload validated above");
             dlb_workload::trace::EventTrace::record(&mut workload, scenario.steps)
         },
-        tracing,
+        sink.is_some(),
     );
 
-    if let Some(path) = &trace_path {
-        let mut sink = FileSink::create(std::path::Path::new(path))
-            .map_err(|e| format!("cannot create trace {path}: {e}"))?;
+    if let (Some(mut sink), Some(path)) = (sink, &trace_path) {
         for ev in &result.events {
             sink.record(ev);
         }
@@ -838,9 +838,12 @@ mod tests {
                 len: (20, 60),
             },
         );
-        scenario.runs = 4;
-        let run_with = |jobs: usize, name: &str| {
-            let path = dir.join(name);
+        // More runs than workers, so runs end ahead of their turn and
+        // park; each run's bytes pass the writer's 64 KiB write-through.
+        scenario.runs = 7;
+        scenario.steps = 400;
+        let run_with = |jobs: usize| {
+            let path = dir.join(format!("j{jobs}.jsonl"));
             let opts = RunOptions {
                 trace: Some(path.to_string_lossy().into_owned()),
                 jobs,
@@ -849,12 +852,18 @@ mod tests {
             let report = execute_with(&scenario, &opts).unwrap();
             (std::fs::read(&path).unwrap(), report)
         };
-        let (trace1, report1) = run_with(1, "j1.jsonl");
-        let (trace4, report4) = run_with(4, "j4.jsonl");
-        assert!(!trace1.is_empty());
-        assert_eq!(trace1, trace4, "traces must not depend on --jobs");
-        assert_eq!(report1.mean_ratio, report4.mean_ratio);
-        assert_eq!(report1.ops_per_run, report4.ops_per_run);
+        let (trace1, report1) = run_with(1);
+        assert!(
+            trace1.len() > scenario.runs * 64 * 1024,
+            "{} bytes",
+            trace1.len()
+        );
+        for jobs in [2, 3, 4] {
+            let (trace, report) = run_with(jobs);
+            assert!(trace == trace1, "traces must not depend on --jobs ({jobs})");
+            assert_eq!(report1.mean_ratio, report.mean_ratio);
+            assert_eq!(report1.ops_per_run, report.ops_per_run);
+        }
         // Every line parses and re-renders byte-identically.
         let text = String::from_utf8(trace1).unwrap();
         for line in text.lines() {
@@ -910,6 +919,36 @@ mod tests {
         assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
         let err = execute_league(&league_scenario(), &opts).unwrap_err();
         assert!(err.starts_with("cannot write trace /dev/full: "), "{err}");
+    }
+
+    /// The trace file used to be created after every run had finished,
+    /// so a path that cannot exist cost the whole simulation first.
+    #[cfg(unix)]
+    #[test]
+    fn uncreatable_trace_is_refused_before_any_run() {
+        let opts = RunOptions {
+            trace: Some("/dev/null/x.jsonl".into()),
+            ..RunOptions::default()
+        };
+        // Minutes of simulation in a debug build.
+        let mut scenario = small_scenario(
+            StrategyConfig::Simple { delta: 1, f: 1.2 },
+            WorkloadConfig::Uniform {
+                p_gen: 0.5,
+                p_con: 0.3,
+            },
+        );
+        scenario.n = 1 << 16;
+        scenario.steps = 10_000;
+        let started = std::time::Instant::now();
+        for err in [
+            execute_with(&scenario, &opts).unwrap_err(),
+            execute_league(&league_scenario(), &opts).unwrap_err(),
+        ] {
+            assert!(err.starts_with("cannot create trace /dev/null/x"), "{err}");
+        }
+        let took = started.elapsed();
+        assert!(took.as_secs() < 5, "refused only after {took:?}");
     }
 
     /// A scenario with a three-way league: the full algorithm vs two
@@ -1132,9 +1171,10 @@ mod tests {
         assert!(report.ops_per_run > 0.0, "groups of 71 were balanced");
         // The ledger: what the step deltas say was generated and not
         // consumed is what the processors hold at the end.
-        let run = run_one_sync(&scenario, 0, true, false, false).unwrap();
+        let buf = dlb_trace::BufferSink::new();
+        let run = run_one_sync(&scenario, 0, Some(buf.handle()), false, false).unwrap();
         let (mut generated, mut consumed) = (0u64, 0u64);
-        for ev in &run.events {
+        for ev in &buf.take() {
             if let TraceEvent::StepDelta { counters, .. } = ev {
                 for (name, inc) in counters {
                     match name.as_str() {

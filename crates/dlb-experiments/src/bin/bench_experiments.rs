@@ -26,7 +26,7 @@
 
 #![forbid(unsafe_code)]
 
-use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params};
+use dlb_core::{Cluster, LoadBalancer, LoadEvent, Params};
 use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::faultsweep::{sweep, SweepConfig};
 use dlb_experiments::parallel::default_jobs;
@@ -123,7 +123,8 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
             run: Box::new(move |jobs| {
                 let mut sum = Checksum::new();
                 for c in [4usize, 16] {
-                    let row = table1_row(n, steps, runs, c, ExchangePolicy::Strict, 31, jobs);
+                    let params = Params::new(n, 1, 1.1, c).expect("valid matrix");
+                    let row = table1_row(params, steps, runs, 31, jobs);
                     sum.push_u64(row.c as u64);
                     sum.push_f64(row.total_borrow);
                     sum.push_f64(row.remote_borrow);

@@ -35,7 +35,7 @@ pub fn run(args: &Args) {
     let runs: usize = args.get("runs", 20);
     let out: String = args.get("out", "results/ablation.csv".to_string());
 
-    let params = Params::paper_section7(n);
+    let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
     println!("Ablations ({n} procs, section-7 workload, {steps} steps, {runs} runs)\n");
 
     let mut rows = Vec::new();

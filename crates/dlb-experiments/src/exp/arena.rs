@@ -35,13 +35,18 @@ use dlb_net::Topology;
 use dlb_theory::CostBounds;
 use dlb_trace::{FileSink, TraceSink};
 
-fn contenders(n: usize, params: Params) -> Vec<Contender> {
-    let dim = n.trailing_zeros();
-    assert_eq!(
-        1usize << dim,
-        n,
-        "arena n must be a power of two (hypercube)"
-    );
+/// The dimension of the hypercube the topology-bound rivals run on.
+fn hypercube_dim(n: usize) -> Result<u32, String> {
+    if n.is_power_of_two() {
+        Ok(n.trailing_zeros())
+    } else {
+        Err(format!(
+            "the arena's hypercube needs a power of two, not n = {n}"
+        ))
+    }
+}
+
+fn contenders(n: usize, params: Params, dim: u32) -> Vec<Contender> {
     let cube = move || Topology::Hypercube { dim };
     vec![
         Contender::new("spaa93-full", move |seed| {
@@ -117,7 +122,8 @@ pub fn run(args: &Args) {
     let svg: String = args.get("svg", def_svg.to_string());
     let trace: Option<String> = args.has("trace").then(|| args.get("trace", String::new()));
 
-    let params = Params::new(n, 1, 1.1, 4).expect("valid trigger params");
+    let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
+    let dim = args.build_or_exit(&["n"], hypercube_dim(n));
     let cfg = ArenaConfig {
         n,
         steps,
@@ -128,7 +134,7 @@ pub fn run(args: &Args) {
         faults: Some(fault_plan(n, steps)),
         jobs,
     };
-    let entrants = contenders(n, params);
+    let entrants = contenders(n, params, dim);
 
     println!(
         "Balancer arena: {} contenders, {n} procs (hypercube), {steps} steps, {runs} runs, \

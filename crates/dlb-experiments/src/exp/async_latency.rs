@@ -51,6 +51,7 @@ pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
     let steps: u64 = args.get("steps", 4000);
     let out: String = args.get("out", "results/async_latency.csv".to_string());
+    let params = args.build_or_exit(&["n"], Params::new(n, 2, 1.3, 4));
 
     println!(
         "Asynchronous protocol: quality vs message latency \
@@ -58,7 +59,6 @@ pub fn run(args: &Args) {
     );
     let mut rows = Vec::new();
     for latency in [1u64, 4, 16, 64] {
-        let params = Params::new(n, 2, 1.3, 4).expect("valid");
         let (ratio, s) = drive(AsyncConfig::reliable(params, latency, 11), n, steps);
         rows.push(vec![
             latency.to_string(),
@@ -82,7 +82,6 @@ pub fn run(args: &Args) {
     // Failure injection: control-message loss at fixed latency 4.
     let mut loss_rows = Vec::new();
     for loss in [0.0f64, 0.05, 0.2, 0.5] {
-        let params = Params::new(n, 2, 1.3, 4).expect("valid");
         let mut cfg = AsyncConfig::reliable(params, 4, 13);
         cfg.control_loss = loss;
         let (ratio, s) = drive(cfg, n, steps);

@@ -29,8 +29,8 @@ pub fn run(args: &Args) {
     let runs: usize = args.get("runs", 30);
     let out: String = args.get("out", "results/baselines.csv".to_string());
 
-    let params = Params::paper_section7(n);
-    let params_d4 = Params::new(n, 4, 1.1, 4).expect("valid");
+    let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
+    let params_d4 = args.build_or_exit(&["n"], Params::new(n, 4, 1.1, 4));
     let torus_w = (n as f64).sqrt() as usize;
 
     println!(

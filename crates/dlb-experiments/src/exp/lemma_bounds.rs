@@ -19,7 +19,7 @@ pub fn run(args: &Args) {
     let x: u64 = args.get("x", 1000);
     let out: String = args.get("out", "results/lemma_bounds.csv".to_string());
 
-    let grid: Vec<(usize, f64, u64)> = vec![
+    let grid: Vec<(Params, u64)> = [
         (1, 1.05, x / 2),
         (1, 1.1, x / 4),
         (1, 1.1, x / 2),
@@ -29,20 +29,22 @@ pub fn run(args: &Args) {
         (2, 1.1, x / 2),
         (4, 1.1, x / 2),
         (8, 1.1, x / 2),
-    ];
+    ]
+    .into_iter()
+    .map(|(delta, f, c)| (args.build_or_exit(&["n"], Params::new(n, delta, f, 4)), c))
+    .collect();
 
     println!("Lemmas 5/6: balancing operations to simulate a decrease of c from x = {x}");
     println!("({n} processors, {runs} runs per row)\n");
 
     let mut rows = Vec::new();
-    for &(delta, f, c) in &grid {
-        let params = Params::new(n, delta, f, 4).expect("grid valid");
+    for &(params, c) in &grid {
         let cb = CostBounds::for_params(params.algo());
         let measured = mean_decrease_ops(params, x, c, runs, 5);
         let fmt = |v: Option<u64>| v.map_or("-".to_string(), |t| t.to_string());
         rows.push(vec![
-            delta.to_string(),
-            format!("{f:.2}"),
+            params.delta().to_string(),
+            format!("{:.2}", params.f()),
             c.to_string(),
             fmt(cb.lemma5_lower(x, c)),
             f3(measured),

@@ -13,7 +13,7 @@ use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
 use crate::report::{f3, render_table, write_csv};
 use crate::table1::table1_row;
-use dlb_core::ExchangePolicy;
+use dlb_core::{ExchangePolicy, Params};
 
 pub const KEYS: &[Key] = crate::keys![
     "smoke": Flag, "n": usize, "steps": usize, "runs": usize, "jobs": usize, "out": String,
@@ -31,6 +31,10 @@ pub fn run(args: &Args) {
     let runs: usize = args.get("runs", def_runs);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
+    let grid: Vec<Params> = [4, 8, 16, 32]
+        .into_iter()
+        .map(|c| args.build_or_exit(&["n"], Params::new(n, 1, 1.1, c)))
+        .collect();
 
     println!(
         "Table 1: borrow statistics vs C, per processor per run (f = 1.1, delta = 1, {n} procs, \
@@ -39,8 +43,9 @@ pub fn run(args: &Args) {
     let mut csv_rows = Vec::new();
     for policy in [ExchangePolicy::Strict, ExchangePolicy::Aggressive] {
         let mut rows = Vec::new();
-        for c in [4usize, 8, 16, 32] {
-            let row = table1_row(n, steps, runs, c, policy, 31, jobs);
+        for params in &grid {
+            let c = params.c_borrow();
+            let row = table1_row(params.with_exchange(policy), steps, runs, 31, jobs);
             rows.push(vec![
                 c.to_string(),
                 f3(row.total_borrow),

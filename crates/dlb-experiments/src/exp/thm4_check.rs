@@ -23,24 +23,26 @@ pub fn run(args: &Args) {
     let out: String = args.get("out", "results/thm4.csv".to_string());
     let checkpoints = [steps / 10, steps / 2, steps - 1];
 
-    let grid: Vec<(usize, f64, usize)> = vec![
+    let grid: Vec<Params> = [
         (1, 1.1, 4),
         (1, 1.1, 32),
         (1, 1.8, 4),
         (4, 1.1, 4),
         (4, 1.8, 4),
         (2, 1.4, 8),
-    ];
+    ]
+    .into_iter()
+    .map(|(delta, f, c)| args.build_or_exit(&["n"], Params::new(n, delta, f, c)))
+    .collect();
 
     let mut rows = Vec::new();
-    for &(delta, f, c) in &grid {
-        let params = Params::new(n, delta, f, c).expect("grid valid");
+    for &params in &grid {
         let bounds = TheoremBounds::for_params(params.algo());
         let (checked, violations) = theorem4_check(params, steps, &checkpoints, runs, 7, jobs);
         rows.push(vec![
-            delta.to_string(),
-            format!("{f:.2}"),
-            c.to_string(),
+            params.delta().to_string(),
+            format!("{:.2}", params.f()),
+            params.c_borrow().to_string(),
             f3(bounds.theorem4_coeff),
             checked.to_string(),
             violations.to_string(),

@@ -3,7 +3,7 @@
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use crate::quality::paper_trace;
-use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, Metrics, Params};
+use dlb_core::{Cluster, LoadBalancer, Metrics, Params};
 
 /// One row of Table 1.
 ///
@@ -26,20 +26,17 @@ pub struct Table1Row {
     pub decrease_sim: f64,
 }
 
-/// Computes one row of Table 1 over `jobs` workers (per-run metrics are
-/// reduced in run-index order, so the row is identical for any `jobs`).
+/// Computes one row of Table 1 — `params` carries `n`, `C` and the
+/// exchange policy — over `jobs` workers (per-run metrics are reduced in
+/// run-index order, so the row is identical for any `jobs`).
 pub fn table1_row(
-    n: usize,
+    params: Params,
     steps: usize,
     runs: usize,
-    c: usize,
-    policy: ExchangePolicy,
     base_seed: u64,
     jobs: usize,
 ) -> Table1Row {
-    let params = Params::new(n, 1, 1.1, c)
-        .expect("paper parameters valid")
-        .with_exchange(policy);
+    let n = params.n();
     let per_run: Vec<Metrics> = par_map(jobs, runs, |r| {
         let trace = paper_trace(
             n,
@@ -52,7 +49,7 @@ pub fn table1_row(
         *cluster.metrics()
     });
     let mut acc = Table1Row {
-        c,
+        c: params.c_borrow(),
         total_borrow: 0.0,
         remote_borrow: 0.0,
         borrow_fail: 0.0,
@@ -76,12 +73,17 @@ pub fn table1_row(
 mod tests {
     use super::*;
 
+    /// The paper's `δ = 1`, `f = 1.1` with borrow limit `c`.
+    fn params(n: usize, c: usize) -> Params {
+        Params::new(n, 1, 1.1, c).expect("valid")
+    }
+
     #[test]
     fn larger_c_reduces_remote_operations() {
         // Table 1's headline: total borrows stay roughly constant while
         // remote borrows / decrease sims collapse as C grows.
-        let small_c = table1_row(16, 200, 4, 2, ExchangePolicy::Strict, 11, 1);
-        let large_c = table1_row(16, 200, 4, 16, ExchangePolicy::Strict, 11, 1);
+        let small_c = table1_row(params(16, 2), 200, 4, 11, 1);
+        let large_c = table1_row(params(16, 16), 200, 4, 11, 1);
         assert!(small_c.total_borrow > 0.0);
         assert!(
             large_c.remote_borrow <= small_c.remote_borrow,
@@ -99,19 +101,16 @@ mod tests {
 
     #[test]
     fn rows_are_deterministic() {
-        let a = table1_row(8, 100, 3, 4, ExchangePolicy::Strict, 5, 1);
-        let b = table1_row(8, 100, 3, 4, ExchangePolicy::Strict, 5, 1);
+        let a = table1_row(params(8, 4), 100, 3, 5, 1);
+        let b = table1_row(params(8, 4), 100, 3, 5, 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_rows_are_bit_identical_to_sequential() {
-        let seq = table1_row(8, 100, 5, 4, ExchangePolicy::Strict, 5, 1);
+        let seq = table1_row(params(8, 4), 100, 5, 5, 1);
         for jobs in [2, 4] {
-            assert_eq!(
-                seq,
-                table1_row(8, 100, 5, 4, ExchangePolicy::Strict, 5, jobs)
-            );
+            assert_eq!(seq, table1_row(params(8, 4), 100, 5, 5, jobs));
         }
     }
 }

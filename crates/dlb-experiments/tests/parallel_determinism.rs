@@ -5,7 +5,7 @@
 //! result (which includes every `f64` digit-exactly) — the same
 //! guarantee the `--jobs` flag makes for the binaries' CSV/JSON output.
 
-use dlb_core::{ExchangePolicy, Params};
+use dlb_core::Params;
 use dlb_experiments::quality::QualityCurves;
 use dlb_experiments::{balancing_quality, distribution_at, table1_row};
 use proptest::{prop_assert_eq, proptest};
@@ -56,9 +56,9 @@ proptest! {
         c_idx in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
-        let c = [2usize, 4, 8][c_idx];
-        let seq = table1_row(8, steps, runs, c, ExchangePolicy::Strict, seed, 1);
-        let par = table1_row(8, steps, runs, c, ExchangePolicy::Strict, seed, jobs);
+        let params = Params::new(8, 1, 1.1, [2usize, 4, 8][c_idx]).expect("valid");
+        let seq = table1_row(params, steps, runs, seed, 1);
+        let par = table1_row(params, steps, runs, seed, jobs);
         prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 }

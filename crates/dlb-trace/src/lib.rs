@@ -4,15 +4,17 @@
 //! needed to track a workload change, and §7's claims are time-series
 //! claims — neither is observable from end-of-run aggregates alone.
 //! This crate defines a typed event vocabulary ([`TraceEvent`]), a
-//! pluggable consumer trait ([`TraceSink`]) and three stock sinks:
+//! pluggable consumer trait ([`TraceSink`]) and the stock sinks:
 //!
 //! * [`NullSink`] — reports itself disabled so emitters skip event
 //!   construction entirely; attaching it costs one branch per site.
 //! * [`BufferSink`] — collects events in memory for the caller to take
-//!   back out (how parallel runs are written in run-index order).
+//!   back out (tests and the benchmark's replay).
 //! * [`FileSink`] — byte-stable JSONL from the one encoder,
 //!   [`TraceEvent::write_line`]: the same run always produces the same
 //!   bytes, which is what lets CI diff traces across `--jobs` values.
+//! * [`RunOrderedWriter`] — one JSONL file that concurrent runs stream
+//!   into through per-run handles, written in run-index order.
 //!
 //! Events carry a logical step/time so multi-threaded producers can
 //! buffer locally and merge deterministically ([`merge_by_clock`]).
@@ -23,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 use dlb_json::{req, FromJson, Json};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -183,6 +186,19 @@ impl TraceEvent {
         String::from_utf8(out).expect("write_line emits UTF-8")
     }
 
+    /// Appends the event's JSONL line (no trailing newline) to `out`,
+    /// which is never cleared.  A one-off line renders its float without
+    /// a [`FloatCache`]: an event carries at most one, so a fresh cache
+    /// could not hit.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        let mut enc = Encoder {
+            out: std::mem::take(out),
+            floats: None,
+        };
+        self.encode(&mut enc);
+        *out = enc.out;
+    }
+
     /// Parses one JSONL line back into an event.
     pub fn from_line(line: &str) -> Result<TraceEvent, String> {
         let v = Json::parse(line)?;
@@ -197,22 +213,22 @@ macro_rules! wire_schema {
     ($($variant:ident $tag:literal { $($field:ident $key:literal),* })*) => {
         impl TraceEvent {
             /// Appends the event's JSONL line (no trailing newline) to
-            /// `out`, which is never cleared — the one encoder: a `match`
-            /// whose arms append literal `{"t":"tag"` / `,"key":` prefixes
-            /// and each field's bytes.  The result is `dlb-json`'s compact
-            /// canonical form, pinned by the literal lines in this crate's
-            /// tests and by `results/trace_checksums.txt`.
-            pub fn write_line(&self, out: &mut Vec<u8>) {
+            /// `enc.out` — the one encoder: a `match` whose arms append
+            /// literal `{"t":"tag"` / `,"key":` prefixes and each field's
+            /// bytes.  The result is `dlb-json`'s compact canonical form,
+            /// pinned by the literal lines in this crate's tests and by
+            /// `results/trace_checksums.txt`.
+            fn encode(&self, enc: &mut Encoder) {
                 match self {
                     $(TraceEvent::$variant { $($field),* } => {
-                        out.extend_from_slice(concat!("{\"t\":\"", $tag, "\"").as_bytes());
+                        enc.out.extend_from_slice(concat!("{\"t\":\"", $tag, "\"").as_bytes());
                         $(
-                            out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
-                            $field.put(out);
+                            enc.out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
+                            $field.put(enc);
                         )*
                     })*
                 }
-                out.push(b'}');
+                enc.out.push(b'}');
             }
         }
 
@@ -252,17 +268,101 @@ wire_schema! {
     RunFinished "run_end" { run "run" }
 }
 
+/// The encoding state a sink keeps from line to line: the bytes it has
+/// encoded and not yet handed on, and the floats it rendered before.
+struct Encoder {
+    out: Vec<u8>,
+    floats: Option<Box<FloatCache>>,
+}
+
+impl Encoder {
+    /// An empty buffer with an empty float cache.
+    fn cached() -> Self {
+        Encoder {
+            out: Vec::new(),
+            floats: Some(Box::new(FloatCache::new())),
+        }
+    }
+
+    /// Appends `event`'s line and its newline to `out`.
+    fn line(&mut self, event: &TraceEvent) {
+        event.encode(self);
+        self.out.push(b'\n');
+    }
+}
+
+/// Slots in a [`FloatCache`], as a power of two.
+const FLOAT_SLOT_BITS: u32 = 8;
+
+/// A float's `{}` bytes, keyed by its bits.  A renderer caches only
+/// finite values, so a slot holding the bits of a NaN is empty.
+#[derive(Clone, Copy)]
+struct FloatSlot {
+    bits: u64,
+    len: u8,
+    bytes: [u8; 31],
+}
+
+/// A direct-mapped table of rendered floats.  A trace repeats a few
+/// dozen distinct `trigger` ratios hundreds of thousands of times, and
+/// `{}`'s shortest-round-trip search is most of a `balance` line's
+/// encoding cost; a hit copies the bytes `{}` produced the first time.
+/// Renderings longer than a slot are not cached.
+struct FloatCache {
+    slots: [FloatSlot; 1 << FLOAT_SLOT_BITS],
+}
+
+impl FloatCache {
+    fn new() -> Self {
+        let empty = FloatSlot {
+            bits: f64::NAN.to_bits(),
+            len: 0,
+            bytes: [0; 31],
+        };
+        FloatCache {
+            slots: [empty; 1 << FLOAT_SLOT_BITS],
+        }
+    }
+
+    /// Appends finite `x` exactly as `{}` renders it.
+    fn put(&mut self, x: f64, out: &mut Vec<u8>) {
+        let bits = x.to_bits();
+        // Fibonacci hashing: the top bits of the product mix every bit
+        // of the key, so ratios that differ only low in the mantissa
+        // still spread over the table.
+        let index = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_SLOT_BITS);
+        let slot = &mut self.slots[index as usize];
+        if slot.bits == bits {
+            out.extend_from_slice(&slot.bytes[..usize::from(slot.len)]);
+            return;
+        }
+        let at = out.len();
+        render_float(x, out);
+        let rendered = &out[at..];
+        if let Some(dst) = slot.bytes.get_mut(..rendered.len()) {
+            dst.copy_from_slice(rendered);
+            slot.len = rendered.len() as u8; // at most 31: `get_mut` checked it
+            slot.bits = bits;
+        }
+    }
+}
+
+/// `{}` is the shortest round-trippable decimal.
+fn render_float(x: f64, out: &mut Vec<u8>) {
+    write!(out, "{x}").expect("writing to a Vec cannot fail");
+}
+
 /// One field's value on the wire.
 trait Wire: Sized {
     /// Appends the value's JSON bytes, exactly as `dlb-json` renders them.
-    fn put(&self, out: &mut Vec<u8>);
+    fn put(&self, enc: &mut Encoder);
 
     /// Reads field `key` of the line's object.
     fn get(obj: &Json, key: &str) -> Result<Self, String>;
 }
 
 impl Wire for u64 {
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, enc: &mut Encoder) {
         let mut v = *self;
         let mut digits = [0u8; 20]; // u64::MAX has 20 digits
         let mut at = digits.len();
@@ -274,7 +374,7 @@ impl Wire for u64 {
                 break;
             }
         }
-        out.extend_from_slice(&digits[at..]);
+        enc.out.extend_from_slice(&digits[at..]);
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -283,13 +383,12 @@ impl Wire for u64 {
 }
 
 impl Wire for f64 {
-    /// `{}` is the shortest round-trippable decimal; JSON has no
-    /// non-finite numbers, so those render as `null`.
-    fn put(&self, out: &mut Vec<u8>) {
-        if self.is_finite() {
-            write!(out, "{self}").expect("writing to a Vec cannot fail");
-        } else {
-            out.extend_from_slice(b"null");
+    /// JSON has no non-finite numbers, so those render as `null`.
+    fn put(&self, enc: &mut Encoder) {
+        match &mut enc.floats {
+            _ if !self.is_finite() => enc.out.extend_from_slice(b"null"),
+            Some(cache) => cache.put(*self, &mut enc.out),
+            None => render_float(*self, &mut enc.out),
         }
     }
 
@@ -301,8 +400,9 @@ impl Wire for f64 {
 impl Wire for String {
     /// Every escaped byte is ASCII, so scanning bytes never splits a
     /// UTF-8 sequence and the runs between escapes are copied whole.
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, enc: &mut Encoder) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
+        let out = &mut enc.out;
         out.push(b'"');
         let bytes = self.as_bytes();
         let mut copied = 0;
@@ -335,15 +435,15 @@ impl Wire for String {
 }
 
 impl Wire for Vec<u64> {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(b'[');
+    fn put(&self, enc: &mut Encoder) {
+        enc.out.push(b'[');
         for (i, v) in self.iter().enumerate() {
             if i > 0 {
-                out.push(b',');
+                enc.out.push(b',');
             }
-            v.put(out);
+            v.put(enc);
         }
-        out.push(b']');
+        enc.out.push(b']');
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -353,17 +453,17 @@ impl Wire for Vec<u64> {
 
 /// `StepDelta`'s counters: an object in insertion order.
 impl Wire for Vec<(String, u64)> {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(b'{');
+    fn put(&self, enc: &mut Encoder) {
+        enc.out.push(b'{');
         for (i, (key, v)) in self.iter().enumerate() {
             if i > 0 {
-                out.push(b',');
+                enc.out.push(b',');
             }
-            key.put(out);
-            out.push(b':');
-            v.put(out);
+            key.put(enc);
+            enc.out.push(b':');
+            v.put(enc);
         }
-        out.push(b'}');
+        enc.out.push(b'}');
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -423,19 +523,27 @@ impl TraceSink for NullSink {
 /// [`FileSink::into_inner`] or [`TraceSink::take_error`].
 pub struct FileSink<W: std::io::Write> {
     out: std::io::BufWriter<W>,
-    line: Vec<u8>,
+    line: Encoder,
     error: Option<std::io::Error>,
+}
+
+/// Bytes a trace writer buffers before it hands them to the file.
+const CHUNK: usize = 64 * 1024;
+
+/// Creates (truncating) `path`, and its directory if missing.
+fn create_file(path: &std::path::Path) -> std::io::Result<std::fs::File> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::File::create(path)
 }
 
 impl FileSink<std::fs::File> {
     /// Creates (truncating) `path` and streams JSONL into it.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        Ok(FileSink::from_writer(std::fs::File::create(path)?))
+        Ok(FileSink::from_writer(create_file(path)?))
     }
 }
 
@@ -443,8 +551,8 @@ impl<W: std::io::Write> FileSink<W> {
     /// Streams JSONL into an arbitrary writer (tests use `Vec<u8>`).
     pub fn from_writer(w: W) -> Self {
         FileSink {
-            out: std::io::BufWriter::with_capacity(64 * 1024, w),
-            line: Vec::new(),
+            out: std::io::BufWriter::with_capacity(CHUNK, w),
+            line: Encoder::cached(),
             error: None,
         }
     }
@@ -463,10 +571,9 @@ impl<W: std::io::Write> TraceSink for FileSink<W> {
         if self.error.is_some() {
             return;
         }
-        self.line.clear();
-        event.write_line(&mut self.line);
-        self.line.push(b'\n');
-        self.error = self.out.write_all(&self.line).err();
+        self.line.out.clear();
+        self.line.line(event);
+        self.error = self.out.write_all(&self.line.out).err();
     }
 
     fn flush(&mut self) {
@@ -552,7 +659,9 @@ impl TraceSink for SharedSink {
 
 /// In-memory collector whose contents can be taken back out — the
 /// bridge between engine-held [`SharedSink`]s and callers that need the
-/// events afterwards (e.g. to write runs to a file in run-index order).
+/// events themselves afterwards (tests, the benchmark's replay).  To
+/// write runs to a file, use [`RunOrderedWriter`]: it never holds a
+/// whole trace.
 #[derive(Clone, Default)]
 pub struct BufferSink {
     events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -578,6 +687,163 @@ impl BufferSink {
 impl TraceSink for BufferSink {
     fn record(&mut self, event: &TraceEvent) {
         self.events.lock().expect("buffer lock").push(event.clone());
+    }
+}
+
+/// One JSONL stream that runs executing at the same time write in
+/// run-index order, so the bytes do not depend on how many run at once.
+///
+/// Each run records through its own [`handle`](Self::handle), which
+/// encodes events as they arrive.  While it is run `r`'s turn — every
+/// run before `r` has ended — its bytes go to the shared 64 KiB writer
+/// each time they pass 64 KiB; a run that ends ahead of its turn parks
+/// its bytes until then.  A run ends when its handle is flushed or
+/// dropped, whichever comes first, so a run that stops early on an
+/// error does not hold back the runs after it.
+///
+/// Like [`FileSink`], the writer keeps the first `io::Error`, drops
+/// every later byte, and returns the error from
+/// [`into_inner`](Self::into_inner).
+pub struct RunOrderedWriter<W: std::io::Write> {
+    turns: Arc<Mutex<Turns<W>>>,
+}
+
+/// The state the runs of a [`RunOrderedWriter`] share.
+struct Turns<W: std::io::Write> {
+    out: std::io::BufWriter<W>,
+    /// The run whose bytes go to `out` now: every run before it has
+    /// ended.
+    turn: usize,
+    /// Runs that ended ahead of their turn, by index.
+    parked: BTreeMap<usize, Vec<u8>>,
+    error: Option<std::io::Error>,
+}
+
+impl<W: std::io::Write> Turns<W> {
+    fn write(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(bytes).err();
+        }
+    }
+
+    /// Run `run` ended with `bytes` still unwritten.
+    fn end(&mut self, run: usize, bytes: Vec<u8>) {
+        if run != self.turn {
+            self.parked.insert(run, bytes);
+            return;
+        }
+        self.write(&bytes);
+        self.turn += 1;
+        while let Some(bytes) = self.parked.remove(&self.turn) {
+            self.write(&bytes);
+            self.turn += 1;
+        }
+    }
+}
+
+impl RunOrderedWriter<std::fs::File> {
+    /// Creates (truncating) `path` — before any run starts, so a path
+    /// that cannot be created costs no simulation.
+    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
+        Ok(RunOrderedWriter::from_writer(create_file(path)?))
+    }
+}
+
+impl<W: std::io::Write + Send + 'static> RunOrderedWriter<W> {
+    /// Streams into an arbitrary writer (tests use `Vec<u8>`).
+    pub fn from_writer(w: W) -> Self {
+        RunOrderedWriter {
+            turns: Arc::new(Mutex::new(Turns {
+                out: std::io::BufWriter::with_capacity(CHUNK, w),
+                turn: 0,
+                parked: BTreeMap::new(),
+                error: None,
+            })),
+        }
+    }
+
+    /// The sink run `run` records into; take one per run index.
+    pub fn handle(&self, run: usize) -> SharedSink {
+        SharedSink::new(RunSink {
+            run,
+            line: Encoder::cached(),
+            next_try: CHUNK,
+            turns: Arc::clone(&self.turns),
+            ended: false,
+        })
+    }
+
+    /// Writes what is still parked, flushes, and returns the inner
+    /// writer or the first write error.  Runs whose predecessor never
+    /// took a handle are written last, still in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a handle is still alive: its run has not ended.
+    pub fn into_inner(self) -> std::io::Result<W> {
+        let mut turns = Arc::into_inner(self.turns)
+            .expect("every run handle is dropped before the trace is finished")
+            .into_inner()
+            .expect("trace writer lock");
+        for bytes in std::mem::take(&mut turns.parked).into_values() {
+            turns.write(&bytes);
+        }
+        match turns.error {
+            Some(e) => Err(e),
+            None => turns.out.into_inner().map_err(|e| e.into_error()),
+        }
+    }
+}
+
+/// A [`RunOrderedWriter`]'s per-run sink.
+struct RunSink<W: std::io::Write> {
+    run: usize,
+    line: Encoder,
+    /// The length of `line.out` at which to try the shared writer next.
+    next_try: usize,
+    turns: Arc<Mutex<Turns<W>>>,
+    ended: bool,
+}
+
+impl<W: std::io::Write> RunSink<W> {
+    fn end(&mut self) {
+        if std::mem::replace(&mut self.ended, true) {
+            return;
+        }
+        // Also reached from `drop`, which must not panic: a poisoned
+        // lock means another run panicked, and that panic is the report.
+        if let Ok(mut turns) = self.turns.lock() {
+            turns.end(self.run, std::mem::take(&mut self.line.out));
+        }
+    }
+}
+
+impl<W: std::io::Write> TraceSink for RunSink<W> {
+    fn record(&mut self, event: &TraceEvent) {
+        debug_assert!(!self.ended, "run {} recorded after it ended", self.run);
+        self.line.line(event);
+        if self.line.out.len() < self.next_try {
+            return;
+        }
+        let mut turns = self.turns.lock().expect("trace writer lock");
+        if turns.turn == self.run {
+            turns.write(&self.line.out);
+            self.line.out.clear();
+            self.next_try = CHUNK;
+        } else {
+            self.next_try = self.line.out.len() + CHUNK;
+        }
+    }
+
+    /// Ends the run: its bytes are written or parked.
+    fn flush(&mut self) {
+        self.end();
+    }
+}
+
+impl<W: std::io::Write> Drop for RunSink<W> {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -779,6 +1045,65 @@ mod tests {
         for (ev, golden) in events.iter().zip(GOLDEN_LINES) {
             assert_eq!(ev.to_line(), golden, "{ev:?}");
         }
+        // A sink's cached floats: the second pass renders from the cache.
+        let mut sink = FileSink::from_writer(Vec::new());
+        for ev in events.iter().chain(&events) {
+            sink.record(ev);
+        }
+        let golden = GOLDEN_LINES.map(|l| format!("{l}\n")).concat();
+        let written = String::from_utf8(sink.into_inner().expect("inner")).expect("utf8");
+        assert_eq!(written, golden.repeat(2));
+    }
+
+    /// What `{}` renders, with JSON's `null` for non-finite values.
+    fn reference(x: f64) -> String {
+        if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".into()
+        }
+    }
+
+    /// `x` as a sink's encoder renders it.
+    fn cached(enc: &mut Encoder, x: f64) -> String {
+        enc.out.clear();
+        x.put(enc);
+        String::from_utf8(enc.out.clone()).expect("utf8")
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn cached_floats_render_exactly_as_format_does(
+            bits in proptest::prelude::any::<u64>(),
+            exponent in 1003u64..1043,
+        ) {
+            // Arbitrary bits mostly render too long to cache; the same
+            // sign and mantissa between 2^-20 and 2^20 fit a slot.
+            let short = bits & !(0x7ff << 52) | exponent << 52;
+            let slot = |b: u64| b.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_SLOT_BITS);
+            let mut enc = Encoder::cached();
+            for base in [bits, short] {
+                let x = f64::from_bits(base);
+                // A value hashed to the same slot: flipping low mantissa
+                // bits keeps the exponent, so finite stays finite.
+                let rival = (1u64..)
+                    .map(|k| base ^ k)
+                    .find(|&b| slot(b) == slot(base))
+                    .map(f64::from_bits)
+                    .expect("a colliding value");
+                for v in [x, x, rival, x, rival, x, rival] {
+                    proptest::prop_assert_eq!(cached(&mut enc, v), reference(v), "{:?}", v);
+                }
+            }
+            let edges = [
+                -0.0, 0.0, 5e-324, f64::MIN_POSITIVE / 3.0, f64::MIN_POSITIVE,
+                1e308, -1e308, f64::MAX, 1e-7, 1e21, f64::NAN, -f64::NAN,
+                f64::INFINITY, f64::NEG_INFINITY,
+            ];
+            for v in edges.into_iter().chain(edges) {
+                proptest::prop_assert_eq!(cached(&mut enc, v), reference(v), "{:?}", v);
+            }
+        }
     }
 
     #[test]
@@ -890,6 +1215,69 @@ mod tests {
         shared.flush();
         assert_eq!(shared.take_error().expect("kept").to_string(), "disk full");
         assert!(SharedSink::new(BufferSink::new()).take_error().is_none());
+    }
+
+    /// Run `r`'s events: uneven lengths, so runs end in every order and
+    /// some pass the 64 KiB write-through more than once.
+    fn run_events(r: usize) -> Vec<TraceEvent> {
+        let reps = [0, 150, 3, 90, 1, 200][r];
+        let mut events: Vec<TraceEvent> = (0..reps).flat_map(|_| sample_events()).collect();
+        events.push(TraceEvent::RunFinished { run: r as u64 });
+        events
+    }
+
+    #[test]
+    fn run_ordered_writer_writes_runs_in_index_order_whatever_order_they_end() {
+        let runs = 6;
+        let mut expected = Vec::new();
+        for ev in (0..runs).flat_map(run_events) {
+            ev.write_line(&mut expected);
+            expected.push(b'\n');
+        }
+        for seed in 0..24u64 {
+            let writer = RunOrderedWriter::from_writer(Vec::new());
+            let mut pending: Vec<_> = (0..runs)
+                .map(|r| (r, writer.handle(r), run_events(r).into_iter()))
+                .collect();
+            let mut state = seed;
+            while !pending.is_empty() {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let i = (state >> 33) as usize % pending.len();
+                match pending[i].2.next() {
+                    Some(ev) => pending[i].1.record(&ev),
+                    None => {
+                        let (r, handle, _) = pending.swap_remove(i);
+                        // One run per schedule stops without a flush,
+                        // as a run that returns an error early does.
+                        if r != seed as usize % runs {
+                            handle.flush();
+                        }
+                    }
+                }
+            }
+            let written = writer.into_inner().expect("inner");
+            assert!(written == expected, "seed {seed}: runs out of order");
+        }
+    }
+
+    #[test]
+    fn run_ordered_writer_keeps_the_first_io_error() {
+        // Past 64 KiB the running turn writes through, and fails there.
+        let writer = RunOrderedWriter::from_writer(FullAfter { room: 100 });
+        let (first, second) = (writer.handle(0), writer.handle(1));
+        for _ in 0..200 {
+            for ev in sample_events() {
+                second.record(&ev);
+                first.record(&ev);
+            }
+        }
+        assert!(first.take_error().is_none(), "the writer reports it");
+        second.flush(); // ahead of its turn: parked
+        drop((first, second));
+        let err = writer.into_inner().err().expect("the write error is kept");
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]
