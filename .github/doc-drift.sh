@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # doc-drift: README.md, docs/GUIDE.md, DESIGN.md and EXPERIMENTS.md may
-# not name a `--flag` that no usage string or declared key list has, nor
-# a `.rs` file that does not exist.
+# not name a `--flag` that no usage string or declared key list has, a
+# `.rs` file that does not exist, a `dlb-exp <row>` that is no row of
+# `exp/mod.rs`'s `table!`, nor a `results/<file>` that neither exists
+# nor is an ignored (generated, untracked) output.
 #
 # Checked text: inline `code spans` and ```bash / ```sh fences.  A
 # paragraph that documents a flag or file as *removed* says so with
@@ -46,7 +48,14 @@ checked_text() {
             }'
 }
 
+# The `dlb-exp` rows: `list` and every name in the `table!` invocation.
+known_rows() {
+    awk '/table! \{/,/^\};/' crates/dlb-experiments/src/exp/mod.rs | grep -oE '^ +[a-z0-9_]+:' | tr -d ' :'
+    echo list
+}
+
 known=$(known_flags | sort -u)
+rows=$(known_rows)
 status=0
 for doc in "${docs[@]}"; do
     text=$(checked_text "$doc")
@@ -74,6 +83,19 @@ for doc in "${docs[@]}"; do
             ;;
         esac
     done < <(grep -oE '[A-Za-z0-9_./{},-]+\.rs' <<<"$text" | grep -v '[{}]' | sort -u)
+
+    # `dlb-exp <row>`, also as `--bin dlb-exp -- <row>`.
+    while read -r row; do
+        grep -qxF -- "$row" <<<"$rows" ||
+            { echo "$doc: \`dlb-exp $row\` is no row of exp/mod.rs"; status=1; }
+    done < <(grep -oE 'dlb-exp( --)? [a-z][a-z0-9_]*' <<<"$text" | grep -oE '[a-z0-9_]+$' | sort -u)
+
+    # `results/<file>` (a glob must match something), or a generated
+    # output .gitignore keeps out of the tree.
+    while read -r path; do
+        compgen -G "$path" > /dev/null || git check-ignore -q "$path" ||
+            { echo "$doc: \`$path\` does not exist"; status=1; }
+    done < <(grep -oE 'results/[A-Za-z0-9_.*-]+' <<<"$text" | sed 's/\.*$//' | sort -u)
 done
-[ "$status" -eq 0 ] && echo "doc-drift: ${docs[*]} name no unknown flag and no missing file"
+[ "$status" -eq 0 ] && echo "doc-drift: ${docs[*]} name no unknown flag, file or dlb-exp row"
 exit "$status"

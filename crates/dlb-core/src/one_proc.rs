@@ -194,7 +194,8 @@ pub fn mean_decrease_ops(params: Params, x: u64, c: u64, runs: usize, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_theory::operators::{fix, fix_limit};
+    use dlb_theory::claims::{self, Observation};
+    use dlb_theory::TheoremBounds;
 
     #[test]
     fn generation_conserves_packets() {
@@ -211,13 +212,18 @@ mod tests {
         // Theorem 1: the mean ratio after many ops approaches FIX(n, δ, f).
         let params = Params::new(16, 2, 1.5, 4).unwrap();
         let ratio = mean_ratio_after_ops(params, 400, 60, 2_000, 42);
-        let expect = fix(16, 2, 1.5);
+        let thm1 = claims::by_id("thm1")
+            .evaluate(params.algo(), &Observation::Ratio(ratio))
+            .expect("inside");
+        // Converged: within 8 % of FIX (the bound) on either side.
         assert!(
-            (ratio - expect).abs() / expect < 0.08,
-            "empirical {ratio} vs FIX {expect}"
+            thm1.slack().abs() < 0.08 * thm1.upper,
+            "empirical {ratio} vs {thm1:?}"
         );
         // And FIX is below the Theorem 2 limit.
-        assert!(expect <= fix_limit(2, 1.5) + 1e-12);
+        let fix = Observation::Ratio(TheoremBounds::for_params(params.algo()).fix);
+        let thm2 = claims::by_id("thm2").evaluate(params.algo(), &fix);
+        assert!(thm2.expect("inside").holds_within(1e-12));
     }
 
     #[test]
@@ -254,16 +260,17 @@ mod tests {
     #[test]
     fn decrease_ops_within_lemma_bounds() {
         let params = Params::new(64, 1, 1.1, 4).unwrap();
-        let cb = dlb_theory::CostBounds::for_params(params.algo());
         let (x, c) = (1_000u64, 500u64);
-        let measured = mean_decrease_ops(params, x, c, 40, 11);
-        let lower = cb.lemma5_lower(x, c).unwrap() as f64;
-        let upper = cb.lemma5_upper(x, c).unwrap() as f64;
+        let ops = mean_decrease_ops(params, x, c, 40, 11);
+        let lemma5 = claims::by_id("lemma5")
+            .evaluate(params.algo(), &Observation::Decrease { x, c, ops })
+            .expect("inside");
+        let (lower, upper) = (lemma5.lower, lemma5.upper);
         // The bounds concern expectations; allow modest slack for the
         // integer simulation.
         assert!(
-            measured >= lower * 0.7 && measured <= upper * 1.4,
-            "measured {measured}, bounds [{lower}, {upper}]"
+            ops >= lower * 0.7 && ops <= upper * 1.4,
+            "measured {ops}, bounds [{lower}, {upper}]"
         );
     }
 

@@ -9,8 +9,8 @@
 //! Derived per-run series:
 //!
 //! * cumulative balancing operations per step (one `BalanceInitiated`
-//!   event = one operation), compared against the Lemma 5 lower/upper
-//!   and Lemma 6 bounds for the observed max-load decrease;
+//!   event = one operation), compared against the bounds claims
+//!   `lemma5` and `lemma6` put on the observed max-load decrease;
 //! * per-step max/mean load ratio from `LoadSample` snapshots;
 //! * cumulative migration volume from `PacketsMigrated`;
 //! * the engine's full `Metrics`, reconstructed by summing `StepDelta`
@@ -20,7 +20,8 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use dlb_core::Metrics;
-use dlb_theory::{AlgoParams, CostBounds};
+use dlb_theory::claims::{self, Margin, Observation};
+use dlb_theory::AlgoParams;
 use dlb_trace::TraceEvent;
 
 /// The configuration a `RunStarted` event announced.
@@ -106,12 +107,10 @@ impl RunAnalysis {
         Some(max as f64 / (total as f64 / n as f64))
     }
 
-    /// The §6 cost bounds for this run's parameters, when they are
-    /// valid for `dlb-theory`.
-    pub fn cost_bounds(&self) -> Option<CostBounds> {
+    /// This run's parameters, when they are valid for `dlb-theory`.
+    pub fn algo_params(&self) -> Option<AlgoParams> {
         let info = self.info.as_ref()?;
-        let params = AlgoParams::new(info.n as usize, info.delta as usize, info.f).ok()?;
-        Some(CostBounds::for_params(&params))
+        AlgoParams::new(info.n as usize, info.delta as usize, info.f).ok()
     }
 }
 
@@ -249,25 +248,24 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<RunAnalysis> {
 }
 
 /// CSV rows for one analysed run: cumulative ops and migration volume,
-/// the max/mean load ratio, and the Lemma 5/6 bounds on the operations
-/// needed for the max-load decrease observed so far (empty cells where
-/// a bound's domain or the required context is missing).
+/// the max/mean load ratio, and the bounds claims `lemma5`/`lemma6` put
+/// on the operations needed for the max-load decrease observed so far
+/// (empty cells where a bound is undefined or the claim is outside its
+/// hypothesis).
 pub fn csv_rows(run_idx: usize, run: &RunAnalysis) -> Vec<Vec<String>> {
-    let bounds = run.cost_bounds();
+    let algo = run.algo_params();
     let x0 = run.steps.iter().find_map(|r| r.load.map(|(_, max, _)| max));
-    let fmt = |v: Option<u64>| v.map_or(String::new(), |t| t.to_string());
     run.steps
         .iter()
         .map(|row| {
-            let decrease = match (x0, row.load) {
-                (Some(x0), Some((_, max, _))) => Some(x0.saturating_sub(max)),
-                _ => None,
+            let (x, ops) = (x0.unwrap_or(0), row.ops_cum as f64);
+            let observed = row.load.filter(|&(_, max, _)| max < x);
+            let observed = observed.map(|(_, max, _)| Observation::Decrease { x, c: x - max, ops });
+            let bound = |id, side: fn(Margin) -> f64| {
+                let margin = observed.and_then(|o| claims::by_id(id).evaluate(algo.as_ref()?, &o));
+                let t = margin.map(side).filter(|t| t.is_finite());
+                t.map_or(String::new(), |t| t.to_string())
             };
-            let bound =
-                |f: &dyn Fn(&CostBounds, u64, u64) -> Option<u64>| match (&bounds, x0, decrease) {
-                    (Some(b), Some(x0), Some(c)) if c > 0 && c < x0 => f(b, x0, c),
-                    _ => None,
-                };
             vec![
                 run_idx.to_string(),
                 row.step.to_string(),
@@ -277,9 +275,9 @@ pub fn csv_rows(run_idx: usize, run: &RunAnalysis) -> Vec<Vec<String>> {
                     .map_or(String::new(), |(_, max, _)| max.to_string()),
                 run.max_over_mean(row)
                     .map_or(String::new(), |r| format!("{r:.4}")),
-                fmt(bound(&|b, x, c| b.lemma5_lower(x, c))),
-                fmt(bound(&|b, x, c| b.lemma6_upper(x, c, 100_000))),
-                fmt(bound(&|b, x, c| b.lemma5_upper(x, c))),
+                bound("lemma5", |m| m.lower),
+                bound("lemma6", |m| m.upper),
+                bound("lemma5", |m| m.upper),
             ]
         })
         .collect()
@@ -432,6 +430,6 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert!(runs[0].info.is_none());
         assert_eq!(runs[0].metrics.generated, 5);
-        assert!(runs[0].cost_bounds().is_none());
+        assert!(runs[0].algo_params().is_none());
     }
 }

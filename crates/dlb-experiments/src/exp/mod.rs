@@ -22,17 +22,14 @@ mod ablation;
 mod arena;
 mod async_latency;
 mod baseline_compare;
+mod claims;
 mod closed_loop;
-mod convergence;
 mod faults_sweep;
 mod fig6_variation;
 mod fig7_quality;
 mod fig9_distribution;
-mod lemma_bounds;
 mod scaling;
 mod table1_borrow;
-mod thm4_check;
-mod thm_bounds;
 
 /// One [`Experiment`] per `module: "about"` row, named after its module.
 macro_rules! table {
@@ -48,18 +45,15 @@ macro_rules! table {
 
 /// Every experiment, in the order of the paper's evaluation.
 pub const EXPERIMENTS: &[Experiment] = table! {
-    thm_bounds: "Theorems 1-3 (FIX tables, convergence)",
-    thm4_check: "Theorem 4 bound vs. the full algorithm",
+    claims: "Theorems 1-4 and Lemmas 5/6 vs their bounds (exit 1 on a violation)",
     fig6_variation: "Figure 6 (variation density curves)",
     fig7_quality: "Figures 7/8 (balancing quality over time; --delta 4 for Figure 8)",
     fig9_distribution: "Figures 9/10 (per-processor distributions; --delta 4 for Figure 10)",
     table1_borrow: "Table 1 (borrow statistics vs C)",
-    lemma_bounds: "section 6 (Lemma 5/6 bounds vs simulation)",
     baseline_compare: "sections 1/5 qualitative claims vs baselines",
     scaling: "the \"up to 1024 processors\" scaling claim",
     ablation: "full vs simple variant, exchange policy, locality",
     closed_loop: "section 1 motivation: task-tree makespan and speedup",
-    convergence: "contraction rate vs measured convergence of G^t(1)",
     async_latency: "the message protocol under latency and control loss",
     faults_sweep: "balance quality vs injected loss / crash rates",
     arena: "league table: trigger rule vs literature rivals",

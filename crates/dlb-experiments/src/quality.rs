@@ -1,6 +1,6 @@
 //! Balancing-quality measurements: Figures 7/8 (load curves over time),
 //! Figures 9/10 (per-processor distributions at fixed times) and the
-//! Theorem 4 bound check.
+//! full model's side of claim `thm4`.
 //!
 //! Methodology mirrors §7: the §7 phase workload on `n` processors, every
 //! experiment repeated over `runs` seeded runs; we record the mean load
@@ -15,7 +15,7 @@
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use dlb_core::{imbalance_stats, Cluster, LoadBalancer, Params};
-use dlb_theory::TheoremBounds;
+use dlb_theory::claims::Observation;
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::{drive, Workload};
@@ -278,35 +278,29 @@ pub fn distribution_at(
     snaps
 }
 
-/// Theorem 4 check: estimates per-processor expected loads at the
-/// checkpoints and verifies `E(l_i) ≤ f²·δ/(δ+1−f)·(E(l_j) + C)` for all
-/// ordered pairs.  Returns `(pairs_checked, violations)`.
-pub fn theorem4_check(
+/// Claim `thm4`'s observations of the §7 workload: every ordered pair
+/// `i ≠ j` of per-processor mean loads, at each checkpoint.
+pub fn theorem4_pairs(
     params: Params,
     steps: usize,
     checkpoints: &[usize],
     runs: usize,
     base_seed: u64,
     jobs: usize,
-) -> (u64, u64) {
-    let bounds = TheoremBounds::for_params(params.algo());
+) -> Vec<Observation> {
     let snaps = distribution_at(params, steps, checkpoints, runs, base_seed, jobs);
-    let mut checked = 0u64;
-    let mut violations = 0u64;
-    for snap in &snaps {
-        for (i, &ei) in snap.mean.iter().enumerate() {
-            for (j, &ej) in snap.mean.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                checked += 1;
-                if !bounds.theorem4_holds(ei, ej, params.c_borrow(), 0.0) {
-                    violations += 1;
-                }
-            }
+    let mut pairs = Vec::new();
+    for mean in snaps.iter().map(|snap| &snap.mean) {
+        for (i, &load_i) in mean.iter().enumerate() {
+            let others = mean.iter().enumerate().filter(|&(j, _)| j != i);
+            pairs.extend(others.map(|(_, &load_j)| Observation::Pair {
+                load_i,
+                load_j,
+                c_borrow: params.c_borrow(),
+            }));
         }
     }
-    (checked, violations)
+    pairs
 }
 
 /// Drives a single balancer over an existing trace and returns final
@@ -325,6 +319,7 @@ pub fn run_on_trace<B: LoadBalancer>(balancer: &mut B, trace: &EventTrace) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlb_theory::claims;
 
     fn small_params() -> Params {
         Params::new(8, 1, 1.1, 4).expect("valid")
@@ -372,9 +367,13 @@ mod tests {
 
     #[test]
     fn theorem4_holds_on_small_instance() {
-        let (checked, violations) = theorem4_check(small_params(), 80, &[40, 79], 5, 3, 1);
-        assert!(checked > 0);
-        assert_eq!(violations, 0, "Theorem 4 must hold empirically");
+        let pairs = theorem4_pairs(small_params(), 80, &[40, 79], 5, 3, 1);
+        assert_eq!(pairs.len(), 2 * 8 * 7);
+        let thm4 = claims::by_id("thm4");
+        for observed in &pairs {
+            let margin = thm4.evaluate(small_params().algo(), observed);
+            assert!(margin.unwrap().holds_within(0.0), "{observed:?}");
+        }
     }
 
     #[test]

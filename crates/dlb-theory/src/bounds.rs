@@ -1,5 +1,6 @@
-//! Quantitative statements of Theorems 1–4 and the cost bounds of §6
-//! (Lemmas 5 and 6).
+//! The arithmetic behind Theorems 1–4 and the cost bounds of §6
+//! (Lemmas 5 and 6); what each claim states, and where, is
+//! [`crate::claims`].
 //!
 //! The paper's bounds fall into two groups:
 //!
@@ -41,23 +42,10 @@ impl TheoremBounds {
         }
     }
 
-    /// Theorem 3: after any number of balancing initiations in the
-    /// one-processor-producer-consumer model the ratio
-    /// `E(l_1,t)/E(l_i,t)` lies in `[FIX(n,δ,1/f), FIX(n,δ,f)]`.
-    pub fn theorem3_interval(&self) -> (f64, f64) {
-        (self.fix_inv, self.fix)
-    }
-
-    /// Theorem 4(2): upper bound on `E(l_i)` given `E(l_j)` and the borrow
-    /// limit `C`: `E(l_i) ≤ f²·δ/(δ+1−f) · (E(l_j) + C)`.
+    /// `f²·δ/(δ+1−f) · (load_j + C)`: Theorem 4(2)'s bound on `E(l_i)`
+    /// given `E(l_j) = load_j` and the borrow limit `C`.
     pub fn theorem4_upper(&self, load_j: f64, c_borrow: usize) -> f64 {
         self.theorem4_coeff * (load_j + c_borrow as f64)
-    }
-
-    /// Checks whether an observed pair of expected loads satisfies
-    /// Theorem 4(2) (with a small relative slack for sampling noise).
-    pub fn theorem4_holds(&self, load_i: f64, load_j: f64, c_borrow: usize, slack: f64) -> bool {
-        load_i <= self.theorem4_upper(load_j, c_borrow) * (1.0 + slack)
     }
 }
 
@@ -77,13 +65,10 @@ impl CostBounds {
     /// Computes `U` and `D` for a validated parameter triple.
     pub fn for_params(params: &AlgoParams) -> Self {
         let (n, delta, f) = (params.n(), params.delta(), params.f());
-        let d_f = delta as f64;
-        let u = 1.0 / (f * (d_f + 1.0)) * (1.0 + f * d_f / fix(n, delta, 1.0 / f));
-        let d = 1.0 / (f * (d_f + 1.0)) * (1.0 + d_f * f / fix(n, delta, f));
         CostBounds {
             params: *params,
-            u,
-            d,
+            u: shrink_factor(params, fix(n, delta, 1.0 / f)),
+            d: shrink_factor(params, fix(n, delta, f)),
         }
     }
 
@@ -92,21 +77,17 @@ impl CostBounds {
     /// operator to the starting ratio `FIX(n, δ, f)`.
     pub fn d_i(&self, i: usize) -> f64 {
         let (n, delta, f) = (self.params.n(), self.params.delta(), self.params.f());
-        let d_f = delta as f64;
         let mut ratio = fix(n, delta, f);
         for _ in 0..i {
             ratio = g_op(n, delta, 1.0 / f, ratio);
         }
-        1.0 / (f * (d_f + 1.0)) * (1.0 + d_f * f / ratio)
+        shrink_factor(&self.params, ratio)
     }
 
-    /// Lemma 5 lower bound on the expected number `t` of balancing
-    /// operations needed to decrease the class-`i` load on processor `i`
-    /// from `x` to `x − c > 0`:
-    ///
-    /// ```text
-    /// t ≥ max{0, ⌊ log( (f²(c−x)+x−1)/((f−1)(x+1)) · (U−1) + 1 ) / log U ⌋}
-    /// ```
+    /// Lemma 5's lower bound (claim `lemma5` in [`crate::claims`]) on the
+    /// expected number of balancing operations needed to decrease the
+    /// class-`i` load on processor `i` from `x` to `x − c > 0`, floored
+    /// at 0.
     ///
     /// Returns `None` when the bound's argument leaves the domain of the
     /// logarithm (possible for extreme `x`, `c`) or when `f = 1` (the
@@ -130,15 +111,8 @@ impl CostBounds {
         Some(t.max(0.0) as u64)
     }
 
-    /// Lemma 5 upper bound:
-    ///
-    /// ```text
-    /// t ≤ ⌈ log( (c+xf−x−f)/((x−1)f(1−1/f)) · (D−1) + 1 ) / log D ⌉
-    /// ```
-    ///
-    /// Only valid when `1/(1−D) ≥ (c+xf−x−f)/((x−1)f(1−1/f))`; returns
-    /// `None` when the validity condition fails or the argument leaves the
-    /// domain of the logarithm.
+    /// Lemma 5's upper bound (claim `lemma5`); `None` where its validity
+    /// condition fails or the argument leaves the domain of the logarithm.
     pub fn lemma5_upper(&self, x: u64, c: u64) -> Option<u64> {
         let f = self.params.f();
         if c == 0 {
@@ -159,8 +133,7 @@ impl CostBounds {
         Some((arg.ln() / self.d.ln()).ceil() as u64)
     }
 
-    /// Lemma 6 improved upper bound: the smallest `t` such that
-    /// `Σ_{i=0}^{t−2} Π_{j=0}^{i} D_j ≥ (c−1)/((x−1)·f·(1−1/f))`.
+    /// Lemma 6's improved upper bound (claim `lemma6`).
     ///
     /// Returns `None` if the sum cannot reach the target within
     /// `max_iter` terms (the `D_i` approach `U` which may be ≥ the decay
@@ -181,13 +154,11 @@ impl CostBounds {
         }
         let target = (c as f64 - 1.0) / ((x as f64 - 1.0) * f * (1.0 - 1.0 / f));
         let (n, delta) = (self.params.n(), self.params.delta());
-        let d_f = delta as f64;
         let mut ratio = fix(n, delta, f);
         let mut product = 1.0;
         let mut sum = 0.0;
         for i in 0..max_iter {
-            let d_i = 1.0 / (f * (d_f + 1.0)) * (1.0 + d_f * f / ratio);
-            product *= d_i;
+            product *= shrink_factor(&self.params, ratio);
             sum += product;
             if sum >= target {
                 // sum over i = 0..=i corresponds to t − 2 = i, i.e. t = i + 2.
@@ -197,6 +168,13 @@ impl CostBounds {
         }
         None
     }
+}
+
+/// `1/(f(δ+1)) · (1 + δ·f / ratio)`: `U` at `ratio = FIX(n, δ, 1/f)`, `D`
+/// at `FIX(n, δ, f)` and `D_i` at `C^i(FIX(n, δ, f))`.
+fn shrink_factor(params: &AlgoParams, ratio: f64) -> f64 {
+    let (d_f, f) = (params.delta() as f64, params.f());
+    1.0 / (f * (d_f + 1.0)) * (1.0 + d_f * f / ratio)
 }
 
 #[cfg(test)]
@@ -221,7 +199,7 @@ mod tests {
     fn theorem3_interval_brackets_one() {
         for &(n, delta, f) in &[(64usize, 1usize, 1.1f64), (64, 4, 1.8), (256, 2, 1.3)] {
             let tb = TheoremBounds::for_params(&params(n, delta, f));
-            let (lo, hi) = tb.theorem3_interval();
+            let (lo, hi) = (tb.fix_inv, tb.fix);
             assert!(lo <= 1.0 + 1e-12 && hi >= 1.0 - 1e-12, "({lo}, {hi})");
             assert!(lo > 0.0);
         }
@@ -231,7 +209,7 @@ mod tests {
     fn theorem4_upper_is_monotone_in_c() {
         let tb = TheoremBounds::for_params(&params(64, 1, 1.1));
         assert!(tb.theorem4_upper(10.0, 4) < tb.theorem4_upper(10.0, 32));
-        assert!(tb.theorem4_holds(10.0, 10.0, 4, 0.0));
+        assert!(10.0 <= tb.theorem4_upper(10.0, 4));
     }
 
     #[test]

@@ -7,8 +7,12 @@
 //! * [`operators`] — the one-step expectation operators `G` and `C` of
 //!   Lemma 1, their common fixed point `FIX(n, δ, f)` (Theorem 1) and the
 //!   network-size-independent limits of Theorem 2.
-//! * [`bounds`] — the quantitative statements of Theorems 1–4 and the
-//!   cost bounds of Lemmas 5 and 6 (constants `U`, `D`, `D_i`).
+//! * [`claims`] — the paper's six guarantees (Theorems 1–4, Lemmas 5
+//!   and 6) as one table: statement, hypothesis and the bounds each puts
+//!   on an observation, with the signed slack between them.
+//! * [`bounds`] — the arithmetic underneath: `FIX` and its limits,
+//!   Theorem 4's coefficient, the cost bounds of Lemmas 5 and 6
+//!   (constants `U`, `D`, `D_i`).
 //! * [`moments`] — an exact recursion for the first and second moments of
 //!   the load in the one-processor-generator model, from which the
 //!   variation density of §5 (Figure 6) is computed exactly.
@@ -39,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
+pub mod claims;
 pub mod compgraph;
 pub mod moments;
 pub mod operators;
@@ -46,6 +51,3 @@ pub mod schedule;
 
 pub use bounds::{CostBounds, TheoremBounds};
 pub use operators::{AlgoParams, ParamError};
-
-/// Relative tolerance used by the crate's internal convergence loops.
-pub(crate) const EPS: f64 = 1e-12;

@@ -695,8 +695,9 @@ mod tests {
             );
         }
         // Theorem 3: the ratio stayed inside [FIX(n,δ,1/f), FIX(n,δ,f)].
-        assert!(st.ratio() >= params.fix_inv() - 1e-9);
-        assert!(st.ratio() <= params.fix() + 1e-9);
+        let bounds = crate::TheoremBounds::for_params(&params);
+        assert!(st.ratio() >= bounds.fix_inv - 1e-9);
+        assert!(st.ratio() <= bounds.fix + 1e-9);
     }
 
     #[test]

@@ -118,26 +118,6 @@ impl AlgoParams {
     pub fn c_iter(&self, k: f64, t: usize) -> f64 {
         (0..t).fold(k, |acc, _| self.c(acc))
     }
-
-    /// `FIX(n, δ, f)`: the fixed point of `G` (Theorem 1).
-    pub fn fix(&self) -> f64 {
-        fix(self.n, self.delta, self.f)
-    }
-
-    /// `FIX(n, δ, 1/f)`: the fixed point of `C` (Lemma 3).
-    pub fn fix_inv(&self) -> f64 {
-        fix(self.n, self.delta, 1.0 / self.f)
-    }
-
-    /// `lim_{n→∞} FIX(n, δ, f) = δ / (δ + 1 − f)` (Theorem 2).
-    pub fn fix_limit(&self) -> f64 {
-        fix_limit(self.delta, self.f)
-    }
-
-    /// `lim_{n→∞} FIX(n, δ, 1/f) = δ / (δ + 1 − 1/f)` (Lemma 3(3)).
-    pub fn fix_inv_limit(&self) -> f64 {
-        fix_limit(self.delta, 1.0 / self.f)
-    }
 }
 
 /// The raw operator `G(k) = (k·f + δ)(n − 1) / (δ·k·f + δ(n − 2) + (n − 1))`.
@@ -170,22 +150,6 @@ pub fn fix(n: usize, delta: usize, f: f64) -> f64 {
 pub fn fix_limit(delta: usize, f: f64) -> f64 {
     let d = delta as f64;
     d / (d + 1.0 - f)
-}
-
-/// Iterates `G` from `k0` until successive values differ by less than
-/// `crate::EPS` (relative), returning `(value, iterations)`.
-///
-/// By Theorem 1 this converges to [`fix`] from any admissible start.
-pub fn iterate_to_fixpoint(n: usize, delta: usize, f: f64, k0: f64) -> (f64, usize) {
-    let mut k = k0;
-    for t in 0..100_000 {
-        let next = g_op(n, delta, f, k);
-        if (next - k).abs() <= crate::EPS * k.abs().max(1.0) {
-            return (next, t + 1);
-        }
-        k = next;
-    }
-    (k, 100_000)
 }
 
 #[cfg(test)]
@@ -243,7 +207,7 @@ mod tests {
     #[test]
     fn fix_inv_is_a_fixed_point_of_c() {
         let prm = p(64, 1, 1.1);
-        let k = prm.fix_inv();
+        let k = fix(64, 1, 1.0 / 1.1);
         assert!((prm.c(k) - k).abs() < 1e-9);
     }
 
@@ -251,7 +215,7 @@ mod tests {
     fn lemma2_threshold_behaviour() {
         // G(k) > k for k < FIX, G(k) < k for k > FIX.
         let prm = p(64, 2, 1.4);
-        let fx = prm.fix();
+        let fx = fix(64, 2, 1.4);
         assert!(prm.g(fx * 0.5) > fx * 0.5);
         assert!(prm.g(fx * 2.0) < fx * 2.0);
     }
@@ -260,7 +224,7 @@ mod tests {
     fn theorem1_monotone_convergence_from_balanced_start() {
         // G^t(1) increases monotonically to FIX and never exceeds it.
         let prm = p(64, 1, 1.1);
-        let fx = prm.fix();
+        let fx = fix(64, 1, 1.1);
         let mut k = 1.0;
         for _ in 0..10_000 {
             let next = prm.g(k);
@@ -275,11 +239,11 @@ mod tests {
     fn theorem1_convergence_from_any_start() {
         // Banach: convergence also from an imbalanced start above FIX.
         let prm = p(64, 4, 1.8);
-        let fx = prm.fix();
-        let (val, _) = iterate_to_fixpoint(64, 4, 1.8, 100.0);
-        assert!((val - fx).abs() < 1e-8, "{val} vs {fx}");
-        let (val, _) = iterate_to_fixpoint(64, 4, 1.8, 0.01);
-        assert!((val - fx).abs() < 1e-8, "{val} vs {fx}");
+        let fx = fix(64, 4, 1.8);
+        for start in [100.0, 0.01] {
+            let val = prm.g_iter(start, 10_000);
+            assert!((val - fx).abs() < 1e-8, "{val} vs {fx}");
+        }
     }
 
     #[test]
@@ -324,9 +288,9 @@ mod tests {
         // states C^t(1) >= FIX(n,δ,1/f) >= δ/(δ+1−1/f)?  Numerically the
         // limit δ/(δ+1−1/f) lies *below* FIX(n,δ,1/f) for finite n.
         let prm = p(64, 1, 1.1);
-        let fx_inv = prm.fix_inv();
+        let fx_inv = fix(64, 1, 1.0 / 1.1);
         assert!(fx_inv < 1.0);
-        assert!(fx_inv >= prm.fix_inv_limit() - 1e-12);
+        assert!(fx_inv >= fix_limit(1, 1.0 / 1.1) - 1e-12);
         // Iterating C from a balanced start stays above the fixed point.
         let mut k = 1.0;
         for _ in 0..10_000 {

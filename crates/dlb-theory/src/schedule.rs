@@ -3,12 +3,11 @@
 //!
 //! A *schedule* is a word over `{G, C}`: at each balancing initiation the
 //! generator's load has either grown by the factor `f` (a `G` step) or
-//! shrunk by `1/f` (a `C` step).  Theorem 3 states that for **any** such
-//! word starting from a balanced state the expected-load ratio stays in
-//! `[FIX(n, δ, 1/f), FIX(n, δ, f)]`; this module applies words to the
-//! ratio and verifies the invariant, and also computes the contraction
-//! rate that governs how fast `G^t` converges (the derivative of `G` at
-//! its fixed point).
+//! shrunk by `1/f` (a `C` step).  Theorem 3 (claim `thm3` of
+//! [`crate::claims`]) bounds the ratio along **any** such word from a
+//! balanced state; this module applies words to the ratio, and computes
+//! the contraction rate that governs how fast `G^t` converges (the
+//! derivative of `G` at its fixed point).
 
 use crate::operators::{fix, g_op, AlgoParams};
 
@@ -35,16 +34,6 @@ pub fn apply_schedule(params: &AlgoParams, k0: f64, word: &[Op]) -> Vec<f64> {
         out.push(k);
     }
     out
-}
-
-/// Theorem 3 check: does every point of the trajectory starting from the
-/// balanced ratio 1 stay inside `[FIX(n,δ,1/f), FIX(n,δ,f)]`?
-pub fn theorem3_invariant_holds(params: &AlgoParams, word: &[Op]) -> bool {
-    let lo = params.fix_inv();
-    let hi = params.fix();
-    apply_schedule(params, 1.0, word)
-        .into_iter()
-        .all(|k| k >= lo - 1e-9 && k <= hi + 1e-9)
 }
 
 /// The derivative of `G` at a point `k`:
@@ -100,6 +89,15 @@ mod tests {
 
     fn params(n: usize, delta: usize, f: f64) -> AlgoParams {
         AlgoParams::new(n, delta, f).unwrap()
+    }
+
+    /// Claim `thm3` along the whole trajectory of `word` from 1.
+    fn theorem3_invariant_holds(params: &AlgoParams, word: &[Op]) -> bool {
+        let thm3 = crate::claims::by_id("thm3");
+        apply_schedule(params, 1.0, word).into_iter().all(|k| {
+            let margin = thm3.evaluate(params, &crate::claims::Observation::Ratio(k));
+            margin.is_some_and(|m| m.holds_within(1e-9))
+        })
     }
 
     #[test]
