@@ -21,6 +21,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 mod config;
 #[cfg(test)]

@@ -309,8 +309,16 @@ struct RunOutcome {
     lost: u64,
 }
 
-/// The per-step `LoadSample` event, from an engine's O(1) incremental
-/// summary or from a scan ([`dlb_core::LoadSummary::from_loads`]).
+/// The steps a run's recorder skips: `warmup_fraction` of them.
+// `warmup_fraction` is validated into [0, 1), so the product is below
+// `steps`, a `usize`.
+#[allow(clippy::cast_possible_truncation)]
+fn warmup_steps(scenario: &Scenario) -> usize {
+    (scenario.steps as f64 * scenario.warmup_fraction) as usize
+}
+
+/// The per-step `LoadSample` event, from an engine's incremental
+/// summary or the one desim's sweep folds.
 fn emit_summary_sample(driver: &SharedSink, step: u64, summary: dlb_core::LoadSummary) {
     driver.record(&TraceEvent::LoadSample {
         step,
@@ -348,8 +356,7 @@ fn run_one_sync(
         Some(_) => None,
         None => Some(build_workload(scenario, wseed)?),
     };
-    let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
-    let mut recorder = LoadRecorder::new(warmup, 3.0);
+    let mut recorder = LoadRecorder::new(warmup_steps(scenario), 3.0);
     if let Some(driver) = &trace {
         let (delta, f, c) = strategy_triple(&scenario.strategy);
         driver.record(&TraceEvent::RunStarted {
@@ -394,7 +401,7 @@ fn run_one_sync(
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,
-                    wall_ns: started.elapsed().as_nanos() as u64,
+                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     ops: balancer.metrics().balance_ops - ops_before,
                 });
             }
@@ -437,8 +444,7 @@ fn run_one_async(
         scenario,
         stream_seed(scenario.seed, r as u64, StreamId::Workload),
     )?;
-    let warmup = (scenario.steps as f64 * scenario.warmup_fraction) as usize;
-    let mut recorder = LoadRecorder::new(warmup, 3.0);
+    let mut recorder = LoadRecorder::new(warmup_steps(scenario), 3.0);
     if let Some(driver) = &trace {
         driver.record(&TraceEvent::RunStarted {
             run: r as u64,
@@ -466,14 +472,14 @@ fn run_one_async(
         let ops_before = net.stats().completed_ops;
         net.tick(t as u64, &actions);
         net.check_conservation()?;
-        let loads = net.loads_slice();
-        recorder.record(loads);
+        let summary = net.load_summary();
+        recorder.record_summary(summary, scenario.n);
         if let Some(driver) = &trace {
-            emit_summary_sample(driver, t as u64, dlb_core::LoadSummary::from_loads(loads));
+            emit_summary_sample(driver, t as u64, summary);
             if profile {
                 driver.record(&TraceEvent::StepProfile {
                     step: t as u64,
-                    wall_ns: started.elapsed().as_nanos() as u64,
+                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     ops: net.stats().completed_ops - ops_before,
                 });
             }

@@ -115,16 +115,80 @@ impl Params {
     /// carries a relative epsilon so that, e.g., `f = 1.1` and `last = 100`
     /// trigger at exactly 110 despite `1.1` not being representable.
     pub fn grow_triggered(&self, current: u64, last: u64) -> bool {
-        let threshold = self.f() * last as f64;
-        current > last && current as f64 >= threshold - 1e-9 * threshold
+        current > last && current as f64 >= self.grow_threshold(last)
     }
 
     /// The decrease-trigger predicate (`d_{i,i} ≤ l_old / f`), with the
     /// same epsilon treatment as [`Params::grow_triggered`].
     pub fn shrink_triggered(&self, current: u64, last: u64) -> bool {
-        let threshold = last as f64 / self.f();
-        current < last && current as f64 <= threshold + 1e-9 * threshold
+        current < last && current as f64 <= self.shrink_threshold(last)
     }
+
+    /// The float `grow_triggered` compares against.
+    fn grow_threshold(&self, last: u64) -> f64 {
+        let threshold = self.f() * last as f64;
+        threshold - 1e-9 * threshold
+    }
+
+    /// The float `shrink_triggered` compares against.
+    fn shrink_threshold(&self, last: u64) -> f64 {
+        let threshold = last as f64 / self.f();
+        threshold + 1e-9 * threshold
+    }
+
+    /// The two predicates as integer bounds, `(grow_at, shrink_below)`:
+    /// `grow_triggered(c, last) ⇔ c ≥ grow_at` and
+    /// `shrink_triggered(c, last) ⇔ c < shrink_below` for every load
+    /// `c`, so a caller that keeps them beside `last` tests a trigger
+    /// with two integer compares.
+    ///
+    /// While the float threshold is at most 2⁵³ (every `last < 2⁵⁰` at
+    /// `f < 8`), each `c` up to the bound converts to `f64` exactly, so
+    /// the bound is the ceiling (floor + 1) of the threshold, clamped to
+    /// `last + 1` (`last`).  Beyond that the monotone predicate is
+    /// binary-searched: stepping by ±1 from the float estimate would not
+    /// terminate once `f·last` saturates past 2⁶⁴.
+    ///
+    /// One value cannot be represented: when no load grow-triggers
+    /// (`last = u64::MAX`, or `f·last` rounds above `2⁶⁴`), `grow_at`
+    /// is `u64::MAX`, which claims the load `u64::MAX` itself triggers.
+    pub fn trigger_bounds(&self, last: u64) -> (u64, u64) {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        let grow = self.grow_threshold(last);
+        let grow_at = if grow <= EXACT {
+            // The threshold is non-negative, so the cast truncates to its
+            // floor (`f64::ceil` is a libm call on x86-64 without SSE4.1).
+            let floor = grow as u64;
+            let ceil = floor + u64::from((floor as f64) < grow);
+            ceil.max(last + 1)
+        } else if !self.grow_triggered(u64::MAX, last) {
+            u64::MAX
+        } else {
+            first_true(last + 1, u64::MAX, |c| self.grow_triggered(c, last))
+        };
+        let shrink = self.shrink_threshold(last);
+        let shrink_below = if shrink < EXACT {
+            (shrink as u64 + 1).min(last)
+        } else {
+            // `last` itself never shrink-triggers.
+            first_true(0, last, |c| !self.shrink_triggered(c, last))
+        };
+        (grow_at, shrink_below)
+    }
+}
+
+/// The smallest `x` in `[lo, hi]` with `pred(x)`, for a `pred` that is
+/// false and then true on the range, and true at `hi`.
+fn first_true(mut lo: u64, mut hi: u64, pred: impl Fn(u64) -> bool) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -179,5 +243,60 @@ mod tests {
     fn builder_exchange_policy() {
         let p = Params::paper_section7(8).with_exchange(ExchangePolicy::Aggressive);
         assert_eq!(p.exchange(), ExchangePolicy::Aggressive);
+    }
+
+    proptest::proptest! {
+        /// `trigger_bounds` is the two predicates, on both sides of every
+        /// bound, across the closed form, its boundary with the search
+        /// (`f·l_old` near 2⁵³) and the saturated search (`f·l_old` near
+        /// 2⁶⁴).
+        #[test]
+        fn trigger_bounds_are_the_predicates(
+            delta in 1usize..=8,
+            f_pick in 0u8..4,
+            f_unit in 0.0f64..1.0,
+            l_pick in 0u8..8,
+            l_raw in proptest::prelude::any::<u64>(),
+            offset in -2_000i64..2_000,
+            c_raw in proptest::prelude::any::<u64>(),
+        ) {
+            let top = (delta + 1) as f64;
+            let f = match f_pick {
+                0 => 1.0,
+                1 => top.next_down(),
+                _ => 1.0 + f_unit * (top - 1.0),
+            };
+            let p = Params::new(64, delta, f, 4).unwrap();
+            let near = |x: f64| (x as u64).saturating_add_signed(offset);
+            let specials = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+            let last = match l_pick {
+                0 | 1 => l_raw >> 14,
+                2 => l_raw >> 54,
+                3 => l_raw,
+                4 => near((1u64 << 53) as f64 / f),
+                5 => near((1u64 << 50) as f64),
+                6 => near(u64::MAX as f64 / f),
+                _ => specials[(l_raw % specials.len() as u64) as usize],
+            };
+            let (grow_at, shrink_below) = p.trigger_bounds(last);
+            let mut loads = vec![last.saturating_sub(1), last, last.saturating_add(1), c_raw];
+            for bound in [grow_at, shrink_below] {
+                loads.extend((0..4).map(|k| bound.saturating_sub(2).saturating_add(k)));
+            }
+            loads.push(near(f * last as f64));
+            for c in loads {
+                // The one unrepresentable case: nothing grow-triggers.
+                if !(grow_at == u64::MAX && c == u64::MAX) {
+                    proptest::prop_assert_eq!(
+                        p.grow_triggered(c, last), c >= grow_at,
+                        "grow: c = {}, l_old = {}, f = {}, grow_at = {}", c, last, f, grow_at
+                    );
+                }
+                proptest::prop_assert_eq!(
+                    p.shrink_triggered(c, last), c < shrink_below,
+                    "shrink: c = {}, l_old = {}, f = {}, shrink_below = {}", c, last, f, shrink_below
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::args::{Args, Key};
 use crate::report::{f3, render_table, write_csv};
-use dlb_core::{imbalance_stats, Params};
+use dlb_core::Params;
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -33,9 +33,10 @@ fn drive(config: AsyncConfig, n: usize, steps: u64) -> (f64, AsyncStats) {
             .collect();
         net.tick(t, &actions);
         if t >= steps / 4 && t % 50 == 0 {
-            let stats = imbalance_stats(net.loads_slice());
-            if stats.mean >= 5.0 {
-                ratio += stats.max_over_mean;
+            let s = net.load_summary();
+            let mean = s.mean(n);
+            if mean >= 5.0 {
+                ratio += s.max as f64 / mean;
                 samples += 1;
             }
         }

@@ -20,7 +20,7 @@
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use crate::svg::{ChartConfig, Series};
-use dlb_core::{imbalance_stats, Params};
+use dlb_core::Params;
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_json::{Json, ToJson};
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
@@ -222,9 +222,10 @@ pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
             net.check_conservation()
                 .expect("extended conservation at every tick");
             if t >= cfg.steps / 5 && t % 20 == 0 {
-                let s = imbalance_stats(net.loads_slice());
-                if s.mean >= 1.0 {
-                    ratio += s.max_over_mean;
+                let s = net.load_summary();
+                let mean = s.mean(cfg.n);
+                if mean >= 1.0 {
+                    ratio += s.max as f64 / mean;
                     samples += 1;
                 }
             }

@@ -61,10 +61,15 @@
 //! Per-processor state is split by how often it is read.  *Hot*, one
 //! parallel array each, touched by the every-tick sweep, the per-tick
 //! conservation recount and [`AsyncNetwork::loads_slice`]: `load`,
-//! `l_old`, `pool` (packets the processor's own operation has
-//! collected), `locked_for` (the operation a *partner* lock is held
-//! for, `NO_OP` when none) and `flags` (`LOCKED | DOWN`, one byte) —
-//! 33 bytes per processor, and the sweep reads 17 of them.  *Cold*, one
+//! `l_old`, the trigger bounds `grow_at` and `shrink_below`
+//! ([`Params::trigger_bounds`] of `l_old`), `pool` (packets the
+//! processor's own operation has collected), `locked_for` (the
+//! operation a *partner* lock is held for, `NO_OP` when none) and
+//! `flags` (`LOCKED | DOWN`, one byte) — 49 bytes per processor, and
+//! the sweep reads 25 of them.  The three `l_old` arrays have one
+//! writer, `set_l_old`: the bounds change about once per 37 trigger
+//! tests on `async_lossy`, so the sweep compares integers and never
+//! evaluates a float predicate.  *Cold*, one
 //! `OpState` per processor for the operation it initiates: an `active`
 //! bit, the counters, and four vectors (`partners`, `replied`,
 //! `granted`, `deficits`) that are cleared and refilled when an
@@ -79,9 +84,16 @@
 //! # Two-phase tick
 //!
 //! [`AsyncNetwork::tick`] first applies every action and tests every
-//! trigger in one pass over `actions`/`load`/`l_old`/`flags`, collecting
-//! the processors whose trigger fired, and only then starts their
-//! operations, in ascending processor order.  This is the same run as
+//! trigger in one pass over `actions`/`load`/`flags` and the two bound
+//! arrays, collecting the processors whose trigger fired, and only then
+//! starts their operations, in ascending processor order.  The pass has
+//! no data-dependent branch: `up`, generate, consume and blocked are
+//! booleans folded into the load and the counters arithmetically, a
+//! fired index is always written to `fired[k]` and `k` advances by the
+//! trigger outcome, and the pass folds min/max/total of every load (down
+//! processors included) into [`AsyncNetwork::load_summary`].  An
+//! operation start moves no packet, so that is the summary after the
+//! tick.  This is the same run as
 //! starting each operation the moment its trigger fires: an operation
 //! start touches only the initiator's own flag and `OpState`, the event
 //! queue, the two RNG streams and the counters — none of which another
@@ -116,7 +128,7 @@
 use crate::equeue::CalendarQueue;
 use crate::rng::stream;
 use dlb_core::balance::{even_shares_into, sample_others_into};
-use dlb_core::{Metrics, Params};
+use dlb_core::{LoadSummary, Metrics, Params};
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan, MessageClass, MessageFate};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -130,6 +142,20 @@ pub const MAX_RETRIES: u32 = 2;
 /// MAX_RETRIES` — 2³⁶ at this bound, with the jitter capped at
 /// [`dlb_faults::MAX_JITTER`] — so no timeout can wrap to "now".
 pub const MAX_LATENCY: u64 = 1 << 32;
+
+/// The calendar queue's window: the farthest the protocol schedules
+/// ahead — the last reply timeout, `(4·latency) << MAX_RETRIES`, plus
+/// one message's latency and jitter — capped at the 1024 ticks of
+/// [`CalendarQueue::new`].  At latency 4 that is 71 ticks, 128 buckets:
+/// a ring the drain finds warm.  Pop order does not depend on the
+/// window; partition holds and the crash schedule wait in its overflow
+/// heap.
+fn queue_window(latency: u64, jitter: u64) -> usize {
+    let farthest = ((4 * latency.max(1)) << MAX_RETRIES)
+        .saturating_add(latency)
+        .saturating_add(jitter);
+    usize::try_from(farthest.min(1024)).expect("at most 1024")
+}
 
 /// Configuration of the asynchronous network.
 #[derive(Debug, Clone, Copy)]
@@ -286,7 +312,12 @@ impl std::ops::AddAssign for AsyncStats {
 pub struct AsyncNetwork {
     config: AsyncConfig,
     load: Vec<u64>,
+    /// Written, with the two bound arrays, only by `set_l_old`.
     l_old: Vec<u64>,
+    /// The grow trigger fires at a load `≥ grow_at[i]`.
+    grow_at: Vec<u64>,
+    /// The shrink trigger fires at a load `< shrink_below[i]`.
+    shrink_below: Vec<u64>,
     /// Packets collected by the processor's own operation (from surplus
     /// members, plus its own surplus) until redistribution.
     pool: Vec<u64>,
@@ -295,12 +326,15 @@ pub struct AsyncNetwork {
     /// `LOCKED | DOWN`.
     flags: Vec<u8>,
     ops: Vec<OpState>,
-    /// Scratch of [`AsyncNetwork::tick`]: processors whose trigger fired.
+    /// Scratch of [`AsyncNetwork::tick`], one slot per processor: the
+    /// processors whose trigger fired, in its first `k` slots.
     fired: Vec<usize>,
     /// Scratch of the reply handler: the even shares of one operation.
     shares: Vec<u64>,
+    /// Min/max/total of `load` after the last tick or quiesce.
+    summary: LoadSummary,
     /// Delivery queue: a calendar queue keyed on the delivery tick, FIFO
-    /// within a tick.
+    /// within a tick, its window sized by [`queue_window`].
     queue: CalendarQueue<Event>,
     now: u64,
     in_flight: u64,
@@ -327,17 +361,24 @@ impl AsyncNetwork {
             config.latency
         );
         let n = config.params.n();
-        AsyncNetwork {
+        let mut net = AsyncNetwork {
             config,
             load: vec![0; n],
             l_old: vec![0; n],
+            grow_at: vec![0; n],
+            shrink_below: vec![0; n],
             pool: vec![0; n],
             locked_for: vec![NO_OP; n],
             flags: vec![0; n],
             ops: (0..n).map(|_| OpState::default()).collect(),
-            fired: Vec::with_capacity(n),
+            fired: vec![0; n],
             shares: Vec::with_capacity(config.params.delta() + 1),
-            queue: CalendarQueue::new(),
+            summary: LoadSummary {
+                min: 0,
+                max: 0,
+                total: 0,
+            },
+            queue: CalendarQueue::with_capacity(queue_window(config.latency, 0)),
             now: 0,
             in_flight: 0,
             lost: 0,
@@ -347,7 +388,11 @@ impl AsyncNetwork {
             metrics: Metrics::new(),
             stats: AsyncStats::default(),
             sink: None,
+        };
+        for i in 0..n {
+            net.set_l_old(i, 0);
         }
+        net
     }
 
     /// Attaches a trace sink; events are stamped with simulated time.
@@ -384,8 +429,11 @@ impl AsyncNetwork {
     /// the simulation's own queue, so they interleave deterministically
     /// with message deliveries.
     pub fn with_faults(config: AsyncConfig, plan: FaultPlan) -> Result<Self, String> {
+        let jitter = plan.jitter;
         let injector = FaultInjector::new(plan, config.params.n())?;
         let mut net = AsyncNetwork::new(config);
+        // The plan's jitter widens the window; the queue is still empty.
+        net.queue = CalendarQueue::with_capacity(queue_window(config.latency, jitter));
         // `now` is 0, so each delay is the absolute time.
         for c in injector.crashes() {
             net.schedule_self(c.proc, c.at, Payload::Crash);
@@ -411,6 +459,13 @@ impl AsyncNetwork {
     /// Current loads (packets in flight excluded), borrowed.
     pub fn loads_slice(&self) -> &[u64] {
         &self.load
+    }
+
+    /// Min/max/total of [`AsyncNetwork::loads_slice`], folded by the
+    /// last tick's sweep (or recounted by [`AsyncNetwork::quiesce`]) —
+    /// what a per-tick observer needs, without another pass.
+    pub fn load_summary(&self) -> LoadSummary {
+        self.summary
     }
 
     /// Packets currently inside `Transfer` messages.
@@ -476,13 +531,26 @@ impl AsyncNetwork {
     /// Checks the relations between the per-processor arrays listed in
     /// the module docs ("Invariants") and returns the first violation.
     /// They hold between any two events; tests call this after every
-    /// tick.
+    /// tick.  Two more hold between any two calls: the trigger bounds
+    /// are [`Params::trigger_bounds`] of `l_old`, and the load summary
+    /// is the summary of the loads.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let recount = LoadSummary::from_loads(&self.load);
+        if self.summary != recount {
+            return Err(format!(
+                "load summary {:?} is not the loads' {recount:?}",
+                self.summary
+            ));
+        }
         for (i, st) in self.ops.iter().enumerate() {
             let locked = self.flags[i] & LOCKED != 0;
             let down = self.flags[i] & DOWN != 0;
             let partner = self.locked_for[i] != NO_OP;
             let fail = |what: &str| Err(format!("processor {i}: {what} ({st:?})"));
+            let bounds = (self.grow_at[i], self.shrink_below[i]);
+            if bounds != self.config.params.trigger_bounds(self.l_old[i]) {
+                return fail("trigger bounds are not those of l_old");
+            }
             if st.active && partner {
                 return fail("both initiator and partner");
             }
@@ -529,50 +597,65 @@ impl AsyncNetwork {
     /// applies one generate (`+1`) / consume (`−1`) / idle (`0`) tick to
     /// every processor.  Crashed processors take no actions.
     ///
-    /// Two phases (module docs, "Two-phase tick"): a sweep that applies
-    /// the actions and collects the fired triggers, then the operation
-    /// starts in ascending processor order.
+    /// Two phases (module docs, "Two-phase tick"): a branch-free sweep
+    /// that applies the actions, collects the fired triggers and folds
+    /// the load summary, then the operation starts in ascending
+    /// processor order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an up processor's action is not -1, 0 or 1.
     pub fn tick(&mut self, t: u64, actions: &[i8]) {
         assert!(t >= self.now, "time must not run backwards");
-        assert_eq!(actions.len(), self.load.len(), "one action per processor");
+        let n = self.load.len();
+        assert_eq!(actions.len(), n, "one action per processor");
         let before = self.trace_on().then_some(self.metrics);
         self.drain_until(t);
         self.now = t;
-        let params = self.config.params;
         let (mut generated, mut consumed, mut consume_blocked) = (0, 0, 0);
+        let (mut min, mut max, mut total) = (u64::MAX, 0, 0);
+        let mut invalid = false;
         let mut fired = std::mem::take(&mut self.fired);
-        fired.clear();
-        let state = self.load.iter_mut().zip(&self.l_old).zip(&self.flags);
-        for (i, (&a, ((load, &l_old), &flags))) in actions.iter().zip(state).enumerate() {
-            if flags & DOWN != 0 {
-                continue;
-            }
-            match a {
-                1 => {
-                    *load += 1;
-                    generated += 1;
-                }
-                -1 if *load > 0 => {
-                    *load -= 1;
-                    consumed += 1;
-                }
-                -1 => {
-                    consume_blocked += 1;
-                    continue;
-                }
-                0 => continue,
-                other => panic!("invalid action {other}; use -1, 0, 1"),
-            }
-            if flags & LOCKED == 0
-                && (params.grow_triggered(*load, l_old) || params.shrink_triggered(*load, l_old))
-            {
-                fired.push(i);
-            }
+        let mut k = 0;
+        let load = &mut self.load[..n];
+        let flags = &self.flags[..n];
+        let grow_at = &self.grow_at[..n];
+        let shrink_below = &self.shrink_below[..n];
+        for i in 0..n {
+            let (a, l) = (actions[i], load[i]);
+            let up = flags[i] & DOWN == 0;
+            let gen = up & (a == 1);
+            let take = up & (a == -1);
+            let con = take & (l > 0);
+            generated += u64::from(gen);
+            consumed += u64::from(con);
+            consume_blocked += u64::from(take & (l == 0));
+            invalid |= up & (a.unsigned_abs() > 1);
+            let l = l + u64::from(gen) - u64::from(con);
+            load[i] = l;
+            // Only a load that moved is tested, and only while unlocked.
+            let fire = (gen | con)
+                & (flags[i] & LOCKED == 0)
+                & ((l >= grow_at[i]) | (l < shrink_below[i]));
+            fired[k] = i;
+            k += usize::from(fire);
+            min = min.min(l);
+            max = max.max(l);
+            total += l;
+        }
+        if invalid {
+            let (other, _) = actions
+                .iter()
+                .zip(flags)
+                .find(|&(a, f)| f & DOWN == 0 && a.unsigned_abs() > 1)
+                .expect("an invalid action was seen");
+            panic!("invalid action {other}; use -1, 0, 1");
         }
         self.metrics.generated += generated;
         self.metrics.consumed += consumed;
         self.metrics.consume_blocked += consume_blocked;
-        for &i in &fired {
+        self.summary = LoadSummary { min, max, total };
+        for &i in &fired[..k] {
             self.start_op(i);
         }
         self.fired = fired;
@@ -583,6 +666,7 @@ impl AsyncNetwork {
     pub fn quiesce(&mut self) {
         let before = self.trace_on().then_some(self.metrics);
         self.drain_until(u64::MAX);
+        self.summary = LoadSummary::from_loads(&self.load);
         // Settle-phase activity after the last tick still counts.
         self.emit_step_delta(before, self.now);
     }
@@ -752,7 +836,7 @@ impl AsyncNetwork {
                 // pool falls back onto it, as in a crash.
                 self.ops[me].active = false;
                 self.load[me] += std::mem::take(&mut self.pool[me]);
-                self.l_old[me] = self.load[me];
+                self.set_l_old(me, self.load[me]);
             }
             Payload::LoadRequest { op } => {
                 if self.flags[me] & DOWN != 0 {
@@ -862,7 +946,7 @@ impl AsyncNetwork {
                     let jitter = self
                         .rng
                         .gen_range(0..=self.config.params.delta() as u64 + 1);
-                    self.l_old[me] += jitter;
+                    self.set_l_old(me, self.l_old[me] + jitter);
                     return;
                 }
                 // Compute ±1 shares over the initiator + granting members
@@ -953,7 +1037,7 @@ impl AsyncNetwork {
                     // for a finished op): the packets just arrive.
                     self.load[me] += amount;
                     if self.flags[me] & LOCKED == 0 {
-                        self.l_old[me] = self.load[me];
+                        self.set_l_old(me, self.load[me]);
                     }
                 }
             }
@@ -1013,14 +1097,23 @@ impl AsyncNetwork {
         self.ops[initiator].active = false;
         self.pool[initiator] = 0;
         self.flags[initiator] &= !LOCKED;
-        self.l_old[initiator] = self.load[initiator];
+        self.set_l_old(initiator, self.load[initiator]);
     }
 
     /// Releases the partner lock of `me` (held: `locked_for[me] ≠ NO_OP`).
     fn unlock_partner(&mut self, me: usize) {
         self.flags[me] &= !LOCKED;
         self.locked_for[me] = NO_OP;
-        self.l_old[me] = self.load[me];
+        self.set_l_old(me, self.load[me]);
+    }
+
+    /// The one writer of `l_old[i]` and the trigger bounds derived from
+    /// it, so the sweep's integer compares are the predicates.
+    fn set_l_old(&mut self, i: usize, l_old: u64) {
+        let (grow_at, shrink_below) = self.config.params.trigger_bounds(l_old);
+        self.l_old[i] = l_old;
+        self.grow_at[i] = grow_at;
+        self.shrink_below[i] = shrink_below;
     }
 }
 

@@ -114,7 +114,8 @@ impl<T> CalendarQueue<T> {
         self.stamp += 1;
         self.len += 1;
         if time - self.cur <= self.mask {
-            self.buckets[(time & self.mask) as usize].push_back(item);
+            let slot = self.slot(time);
+            self.buckets[slot].push_back(item);
             self.in_window += 1;
         } else {
             self.overflow.push(std::cmp::Reverse(Far {
@@ -148,7 +149,7 @@ impl<T> CalendarQueue<T> {
             // `capacity` ticks of it, so the scan is bounded and the
             // cursor advances monotonically (amortised O(1) per tick).
             loop {
-                let idx = (self.cur & self.mask) as usize;
+                let idx = self.slot(self.cur);
                 if !self.buckets[idx].is_empty() {
                     if self.cur > t {
                         return None;
@@ -167,6 +168,13 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// The ring bucket of tick `time`.
+    // Masked below the ring's length, a `usize`: nothing is truncated.
+    #[allow(clippy::cast_possible_truncation)]
+    fn slot(&self, time: u64) -> usize {
+        (time & self.mask) as usize
+    }
+
     /// Moves overflow events whose tick entered the window into their
     /// buckets.  Heap order is `(time, stamp)`, and every overflow event
     /// was pushed before any directly-bucketed event of the same tick
@@ -178,7 +186,8 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let far = self.overflow.pop().expect("peeked").0;
-            self.buckets[(far.time & self.mask) as usize].push_back(far.item);
+            let slot = self.slot(far.time);
+            self.buckets[slot].push_back(far.item);
             self.in_window += 1;
         }
     }

@@ -23,6 +23,7 @@
 //! * [`rng`] — deterministic per-entity ChaCha streams.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod desim;
 pub mod engine;

@@ -49,7 +49,7 @@ use dlb_trace::{SharedSink, TraceEvent};
 use crate::group::{Msg, ShardGroup};
 use crate::router::TriggerRouter;
 use crate::scenario::ServiceScenario;
-use crate::wall::{ticks_to_duration, Feed, Shared};
+use crate::wall::{duration_to_ticks, ticks_to_duration, Feed, Shared};
 
 /// Per-acceptor ChaCha stream seed: chained SplitMix64 finalisers (the
 /// `stream_seed` discipline from `dlb-experiments::parallel`), so
@@ -332,7 +332,7 @@ impl<'a> Acceptor<'a> {
     /// group (for its counters) and the handoff count.
     pub(crate) fn run(mut self, start: Instant, tick_us: u64) -> (ShardGroup, u64) {
         loop {
-            let now = (start.elapsed().as_micros() / tick_us as u128) as u64;
+            let now = duration_to_ticks(start.elapsed(), tick_us);
             match self.pass(now) {
                 Status::Done => break,
                 status => self.idle_wait(start, tick_us, status == Status::Busy),
@@ -549,19 +549,19 @@ mod tests {
             parked |= acceptor.iter().any(|a| !a.pending_out.is_empty());
 
             let placed: usize = acceptor.iter().map(|a| a.next_arrival).sum();
-            let held: usize = completed.iter().sum::<u64>() as usize
-                + acceptor
-                    .iter()
-                    .map(|a| {
-                        a.group.dropped as usize
-                            + a.group.queued()
-                            + a.pending_out.iter().filter(|(_, m)| is_delivery(m)).count()
-                    })
-                    .sum::<usize>()
+            let queued = acceptor
+                .iter()
+                .map(|a| {
+                    a.group.queued() + a.pending_out.iter().filter(|(_, m)| is_delivery(m)).count()
+                })
+                .sum::<usize>()
                 + shared.work.iter().map(|r| r.len()).sum::<usize>()
                 + serving.iter().flatten().count()
                 + shared.inboxes.iter().map(deliveries_in).sum::<usize>();
-            if placed != held {
+            let held = completed.iter().sum::<u64>()
+                + acceptor.iter().map(|a| a.group.dropped).sum::<u64>()
+                + queued as u64;
+            if placed as u64 != held {
                 return Err(format!(
                     "step {step}: {placed} requests placed, {held} accounted for"
                 ));

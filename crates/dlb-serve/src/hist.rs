@@ -24,6 +24,8 @@ const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 /// set bit `e ≥ SUB_BITS` lands in sub-bucket `(v >> (e - SUB_BITS)) -
 /// SUB_BUCKETS` of octave `e`.  The mapping is continuous: bucket
 /// `SUB_BUCKETS` starts exactly at value `SUB_BUCKETS`.
+// Both casts are of an index below `BUCKETS` (1 920).
+#[allow(clippy::cast_possible_truncation)]
 pub fn bucket_of(v: u64) -> usize {
     if v < SUB_BUCKETS {
         v as usize
@@ -36,7 +38,7 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// Total bucket count: `u64::MAX` (octave 59, sub-bucket 31) lands in
 /// the last bucket.
-pub const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS as usize;
+pub const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
 /// Inclusive value range `[lo, hi]` covered by bucket `i`.
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
@@ -126,6 +128,8 @@ impl LatencyHistogram {
         if self.count == 0 {
             return 0;
         }
+        // A float-to-int cast saturates, and the clamp bounds it anyway.
+        #[allow(clippy::cast_possible_truncation)]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

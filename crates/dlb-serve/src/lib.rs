@@ -39,6 +39,8 @@
 //! mode's `handoff`; schema v3) flow through `dlb-trace`'s
 //! cached-enabled-flag [`dlb_trace::SharedSink`].
 
+#![warn(clippy::cast_possible_truncation)]
+
 mod acceptor;
 mod group;
 pub mod hist;
@@ -63,6 +65,8 @@ pub use wall::run_wall;
 /// This is *the* placement hash: `ShardGroup::arrive` places with it
 /// under either clock, and the wall engine partitions the arrival
 /// schedule among its acceptors with it.
+// The remainder is below `shards`, a `usize`.
+#[allow(clippy::cast_possible_truncation)]
 pub fn home_shard(key: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (dlb_net::rng::splitmix64(key) % shards as u64) as usize

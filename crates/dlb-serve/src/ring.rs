@@ -338,9 +338,9 @@ mod tests {
 
     #[test]
     fn mpsc_delivers_every_message_exactly_once() {
-        const PRODUCERS: u64 = 4;
-        const PER_PRODUCER: u64 = 20_000;
-        let ring: Arc<MpscRing<u64>> = Arc::new(MpscRing::with_capacity(32));
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 20_000;
+        let ring: Arc<MpscRing<usize>> = Arc::new(MpscRing::with_capacity(32));
         let handles: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let ring = Arc::clone(&ring);
@@ -361,16 +361,16 @@ mod tests {
             })
             .collect();
         let total = PRODUCERS * PER_PRODUCER;
-        let mut seen = vec![false; total as usize];
-        let mut last_per_producer = vec![None::<u64>; PRODUCERS as usize];
-        let mut received = 0u64;
+        let mut seen = vec![false; total];
+        let mut last_per_producer = [None::<usize>; PRODUCERS];
+        let mut received = 0;
         while received < total {
             if let Some(v) = ring.pop() {
-                assert!(!seen[v as usize], "duplicate delivery of {v}");
-                seen[v as usize] = true;
+                assert!(!seen[v], "duplicate delivery of {v}");
+                seen[v] = true;
                 // Per-producer order is preserved (MPSC interleaves
                 // producers but never reorders one producer's stream).
-                let producer = (v / PER_PRODUCER) as usize;
+                let producer = v / PER_PRODUCER;
                 if let Some(prev) = last_per_producer[producer] {
                     assert!(v > prev, "producer {producer} reordered");
                 }

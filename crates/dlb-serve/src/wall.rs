@@ -155,6 +155,12 @@ pub(crate) fn ticks_to_duration(tick_us: u64, ticks: u64) -> Duration {
     Duration::from_micros(tick_us.saturating_mul(ticks))
 }
 
+/// Whole ticks of `tick_us` microseconds in `elapsed`, saturating at
+/// `u64::MAX` (the inverse of [`ticks_to_duration`]).
+pub(crate) fn duration_to_ticks(elapsed: Duration, tick_us: u64) -> u64 {
+    u64::try_from(elapsed.as_micros() / u128::from(tick_us)).unwrap_or(u64::MAX)
+}
+
 struct WorkerOut {
     hist: LatencyHistogram,
     per_shard_completed: Vec<(usize, u64)>,
@@ -185,7 +191,7 @@ fn worker_run(
             };
             served = true;
             std::thread::sleep(ticks_to_duration(tick_us, r.service));
-            let elapsed_ticks = (start.elapsed().as_micros() / tick_us as u128) as u64;
+            let elapsed_ticks = duration_to_ticks(start.elapsed(), tick_us);
             let latency = elapsed_ticks.saturating_sub(r.arrival);
             hist.record(latency);
             completed[k].1 += 1;
@@ -311,7 +317,7 @@ pub fn run_wall(
         workers,
         acceptors,
         seed: scenario.seed,
-        ticks_run: (elapsed.as_micros() / scenario.tick_us as u128) as u64,
+        ticks_run: duration_to_ticks(elapsed, scenario.tick_us),
         issued,
         completed,
         dropped,
@@ -424,7 +430,7 @@ mod tests {
         assert!(ticks_to_duration(20, big + 1) > ticks_to_duration(20, big));
         // The old expression wrapped to zero here.
         assert_eq!(
-            ticks_to_duration(20, big).as_micros() as u64 / 20,
+            duration_to_ticks(ticks_to_duration(20, big), 20),
             big,
             "no truncation at 2^32 ticks"
         );

@@ -5,7 +5,7 @@
 //!
 //!     cargo run --release --example async_protocol [latency] [loss]
 
-use dlb::core::{imbalance_stats, Params};
+use dlb::core::Params;
 use dlb::net::{AsyncConfig, AsyncNetwork};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -36,12 +36,13 @@ fn main() {
             .collect();
         net.tick(t, &actions);
         if (t + 1) % 1500 == 0 {
-            let stats = imbalance_stats(net.loads_slice());
+            let s = net.load_summary();
+            let mean = s.mean(n);
             println!(
                 "t = {:5}: mean {:8.2}  max/mean {:.3}  in flight {:4}  locked {}",
                 t + 1,
-                stats.mean,
-                stats.max_over_mean,
+                mean,
+                s.max as f64 / mean,
                 net.in_flight(),
                 net.locked_count()
             );
