@@ -17,18 +17,19 @@ use dlb_core::{
     Cluster, Events, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
-    league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
+    league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
 };
 use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
 use dlb_faults::{FaultInjector, MaskCursor};
 use dlb_net::{
     AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
 };
-use dlb_trace::{FileSink, RunOrderedWriter, SharedSink, TraceEvent, TraceSink};
+use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::sparse::{SparseActivity, SparseWorkload};
 use dlb_workload::Workload;
+use std::fs::File;
 
 /// Execution options (CLI flags, not scenario content).
 #[derive(Debug, Clone, Default)]
@@ -502,19 +503,38 @@ fn run_one_async(
     })
 }
 
+/// The trace at `path`, created (truncated) before the first run, so a
+/// path that cannot be created costs no simulation.
+fn create_trace(path: &Option<String>) -> Result<Option<RunOrderedWriter<File>>, String> {
+    path.as_ref()
+        .map(|path| {
+            RunOrderedWriter::create(std::path::Path::new(path))
+                .map_err(|e| format!("cannot create trace {path}: {e}"))
+        })
+        .transpose()
+}
+
+/// Writes what the runs left parked and reports the first write error.
+fn finish_trace(
+    writer: Option<RunOrderedWriter<File>>,
+    path: &Option<String>,
+) -> Result<(), String> {
+    match (writer, path) {
+        (Some(writer), Some(path)) => writer
+            .into_inner()
+            .map(drop)
+            .map_err(|e| format!("cannot write trace {path}: {e}")),
+        _ => Ok(()),
+    }
+}
+
 /// Runs a scenario under explicit [`RunOptions`]: `jobs` worker
 /// threads (identical output for every value) and an optional JSONL
 /// trace, created before the first run and written in run-index order.
 pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
     scenario.validate()?;
     let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
-    let writer = match &trace_path {
-        Some(path) => Some(
-            RunOrderedWriter::create(std::path::Path::new(path))
-                .map_err(|e| format!("cannot create trace {path}: {e}"))?,
-        ),
-        None => None,
-    };
+    let writer = create_trace(&trace_path)?;
     let jobs = opts.jobs.max(1);
     let async_cfg = match scenario.strategy {
         StrategyConfig::Async { delta, f, latency } => Some((delta, f, latency)),
@@ -549,11 +569,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
         }
         lost_load += o.lost;
     }
-    if let (Some(writer), Some(path)) = (writer, &trace_path) {
-        writer
-            .into_inner()
-            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-    }
+    finish_trace(writer, &trace_path)?;
     Ok(Report {
         strategy: strategy_name,
         mean_ratio: recorder.mean_ratio(),
@@ -576,8 +592,9 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
 /// contender — and returns the rendered league table.  The primary
 /// strategy's trigger-rule draws are byte-identical to a plain
 /// [`execute_with`] run of the same scenario.  With tracing enabled the
-/// JSONL carries one `ArenaContender` announcement per (contender, run)
-/// followed by that run's engine events, in contender-major order.
+/// JSONL carries one `ArenaContender` announcement per (contender, run),
+/// that run's engine events and its `RunFinished`, in contender-major
+/// order, streamed as [`execute_with`] streams its runs.
 pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
     scenario.validate()?;
     let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
@@ -603,54 +620,38 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     }
 
     // Created once the scenario is known to run, before it does.
-    let sink = match &trace_path {
-        Some(path) => Some(
-            FileSink::create(std::path::Path::new(path))
-                .map_err(|e| format!("cannot create trace {path}: {e}"))?,
-        ),
-        None => None,
-    };
+    let writer = create_trace(&trace_path)?;
     let cfg = ArenaConfig {
         n,
         steps: scenario.steps,
         runs: scenario.runs,
         seed: scenario.seed,
         warmup_fraction: scenario.warmup_fraction,
-        conv_threshold: DEFAULT_CONV_THRESHOLD,
         faults: scenario.faults.clone(),
         jobs: opts.jobs.max(1),
     };
-    let result = run_league(
+    let rows = run_league(
         &cfg,
         &contenders,
         |seed| {
             let mut workload = build_workload(scenario, seed).expect("workload validated above");
             dlb_workload::trace::EventTrace::record(&mut workload, scenario.steps)
         },
-        sink.is_some(),
+        writer.as_ref(),
     );
-
-    if let (Some(mut sink), Some(path)) = (sink, &trace_path) {
-        for ev in &result.events {
-            sink.record(ev);
-        }
-        sink.into_inner()
-            .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-    }
+    finish_trace(writer, &trace_path)?;
 
     // The Lemma 6 cost yardstick applies only when the primary strategy
     // is the full algorithm (it alone runs decrease simulations).
-    let lemma6_budget = match &scenario.strategy {
+    let budget = match &scenario.strategy {
         StrategyConfig::Full { delta, f, c } => {
-            let params = Params::new(n, *delta, *f, *c).map_err(|e| e.to_string())?;
-            let cb = *c as u64;
-            dlb_theory::CostBounds::for_params(params.algo()).lemma6_upper(2 * cb, cb, 64)
+            lemma6_budget(Params::new(n, *delta, *f, *c).map_err(|e| e.to_string())?)
         }
         _ => None,
     };
     Ok(render_table(
         &LEAGUE_HEADERS,
-        &league_csv_rows(&result.rows, lemma6_budget),
+        &league_csv_rows(&rows, budget),
     ))
 }
 

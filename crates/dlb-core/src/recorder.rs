@@ -5,16 +5,17 @@
 //! (warm-up skipping, mean-floor filtering to avoid meaningless ratios on
 //! a near-empty system) and exposes quantiles.
 
-use crate::strategy::{imbalance_stats, ImbalanceStats, LoadSummary};
+use crate::strategy::{imbalance_stats, LoadSummary};
 
-/// Collects per-step [`ImbalanceStats`] and summarises them.
+/// Collects the per-step `max/mean` load ratio and summarises it.
 #[derive(Debug, Clone)]
 pub struct LoadRecorder {
     /// Ignore snapshots before this step (warm-up).
     warmup: usize,
     /// Ignore snapshots whose mean load is below this floor.
     mean_floor: f64,
-    samples: Vec<ImbalanceStats>,
+    /// One `max/mean` ratio per retained step.
+    ratios: Vec<f64>,
     steps_seen: usize,
 }
 
@@ -25,7 +26,7 @@ impl LoadRecorder {
         LoadRecorder {
             warmup,
             mean_floor,
-            samples: Vec::new(),
+            ratios: Vec::new(),
             steps_seen: 0,
         }
     }
@@ -39,19 +40,17 @@ impl LoadRecorder {
         }
         let stats = imbalance_stats(loads);
         if stats.mean >= self.mean_floor {
-            self.samples.push(stats);
+            self.ratios.push(stats.max_over_mean);
         }
     }
 
     /// Records one snapshot from an exact min/max/total summary over
     /// `n` processors — the O(1) counterpart of
     /// [`LoadRecorder::record`] for engines with an incremental
-    /// [`crate::strategy::LoadBalancer::load_summary`].  Every ratio
-    /// statistic and the mean-floor filter depend only on max and mean,
-    /// both carried exactly (integer sums below 2⁵³ are exact in f64,
-    /// so the mean matches [`imbalance_stats`] bit for bit); only the
-    /// per-step standard deviation is not derivable without the full
-    /// vector and is stored as 0.0.
+    /// [`crate::strategy::LoadBalancer::load_summary`].  The ratio and
+    /// the mean-floor filter depend only on max and mean, both carried
+    /// exactly (integer sums below 2⁵³ are exact in f64, so the mean
+    /// matches [`imbalance_stats`] bit for bit).
     pub fn record_summary(&mut self, summary: LoadSummary, n: usize) {
         let step = self.steps_seen;
         self.steps_seen += 1;
@@ -60,47 +59,40 @@ impl LoadRecorder {
         }
         let mean = summary.mean(n);
         if mean >= self.mean_floor {
-            let max_over_mean = if mean > 0.0 {
+            self.ratios.push(if mean > 0.0 {
                 summary.max as f64 / mean
             } else {
                 1.0
-            };
-            self.samples.push(ImbalanceStats {
-                min: summary.min,
-                max: summary.max,
-                mean,
-                std_dev: 0.0,
-                max_over_mean,
             });
         }
     }
 
     /// Number of retained samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.ratios.len()
     }
 
     /// True when nothing was retained.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.ratios.is_empty()
     }
 
     /// Mean of the per-step `max/mean` ratios (1.0 when empty).
     pub fn mean_ratio(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.ratios.is_empty() {
             return 1.0;
         }
-        self.samples.iter().map(|s| s.max_over_mean).sum::<f64>() / self.samples.len() as f64
+        self.ratios.iter().sum::<f64>() / self.ratios.len() as f64
     }
 
     /// Quantile `q ∈ [0, 1]` of the per-step `max/mean` ratios
     /// (nearest-rank; 1.0 when empty).
     pub fn ratio_quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must lie in [0, 1]");
-        if self.samples.is_empty() {
+        if self.ratios.is_empty() {
             return 1.0;
         }
-        let mut ratios: Vec<f64> = self.samples.iter().map(|s| s.max_over_mean).collect();
+        let mut ratios = self.ratios.clone();
         ratios.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
         let idx = ((ratios.len() - 1) as f64 * q).round() as usize;
         ratios[idx]
@@ -114,15 +106,7 @@ impl LoadRecorder {
     /// Absorbs another recorder's retained samples (for aggregating
     /// across runs).
     pub fn merge(&mut self, other: &LoadRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Mean of the per-step standard deviations (0.0 when empty).
-    pub fn mean_std_dev(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.std_dev).sum::<f64>() / self.samples.len() as f64
+        self.ratios.extend_from_slice(&other.ratios);
     }
 }
 
@@ -159,7 +143,6 @@ mod tests {
         assert!(rec.is_empty());
         assert_eq!(rec.mean_ratio(), 1.0);
         assert_eq!(rec.worst_ratio(), 1.0);
-        assert_eq!(rec.mean_std_dev(), 0.0);
     }
 
     #[test]

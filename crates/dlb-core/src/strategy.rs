@@ -304,8 +304,8 @@ pub struct ImbalanceStats {
 /// total stays below 2⁵³ every partial sum of the sequential `f64`
 /// summation is an exactly representable integer, so `total as f64` *is*
 /// that sum, bit for bit; at or above 2⁵³ the `f64` loop runs as
-/// before.  The variance pass keeps its order: `std_dev` feeds
-/// `mean_std_dev` and the quality reports.
+/// before.  The variance pass keeps its order, so `std_dev` stays
+/// bit-identical to the four-pass body.
 pub fn imbalance_stats(loads: &[u64]) -> ImbalanceStats {
     if loads.is_empty() {
         return ImbalanceStats {

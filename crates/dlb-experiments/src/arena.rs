@@ -9,20 +9,25 @@
 //! the golden results already pin down.  Any difference between two
 //! league rows is therefore the algorithm, not the harness.
 //!
-//! Runs fan out through [`crate::parallel::par_map`] and reduce in
-//! (contender, run-index) order, so the league table is bit-identical
-//! for every `--jobs` value.
+//! Runs fan out through [`crate::parallel::par_map`], one index per
+//! (contender, run), and reduce in that order, so the league table is
+//! bit-identical for every `--jobs` value.  A traced league streams
+//! through one [`RunOrderedWriter`]: run `r` of contender `c` writes its
+//! `ArenaContender` announcement, its engine events and `RunFinished` to
+//! handle `c·runs + r`, so the trace bytes do not depend on `--jobs`
+//! either.
 
 use crate::parallel::{par_map, stream_seed, StreamId};
 use crate::report::f3;
-use dlb_core::{Events, LoadBalancer, LoadRecorder};
+use dlb_core::{Events, LoadBalancer, LoadRecorder, Params};
 use dlb_faults::{FaultInjector, FaultPlan, MaskCursor};
-use dlb_trace::{BufferSink, TraceEvent};
+use dlb_theory::CostBounds;
+use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
 
-/// Default max/mean ratio under which a run counts as converged.
-pub const DEFAULT_CONV_THRESHOLD: f64 = 1.5;
+/// Max/mean ratio under which a step counts as converged.
+const CONV_THRESHOLD: f64 = 1.5;
 
 /// Builds one contender instance from that run's balancer-stream seed.
 pub type ContenderFactory = Box<dyn Fn(u64) -> Box<dyn LoadBalancer> + Sync + Send>;
@@ -62,8 +67,6 @@ pub struct ArenaConfig {
     pub seed: u64,
     /// Fraction of `steps` excluded from the quality statistics.
     pub warmup_fraction: f64,
-    /// Max/mean ratio under which a step counts as converged.
-    pub conv_threshold: f64,
     /// Fault plan applied identically to every contender (the plan seed
     /// is re-derived per run, mirroring `dlb run`).
     pub faults: Option<FaultPlan>,
@@ -105,17 +108,6 @@ pub struct ArenaRow {
     pub conv_steps: f64,
     /// Mean max/mean ratio per step, over runs (the SVG curve).
     pub ratio_curve: Vec<f64>,
-    /// Total packets held at the end of the last run (conservation probe).
-    pub final_total: u64,
-}
-
-/// League result: one row per contender plus the merged trace.
-pub struct LeagueResult {
-    /// Rows in contender order.
-    pub rows: Vec<ArenaRow>,
-    /// Trace events in (contender, run-index) order; empty unless
-    /// tracing was requested.
-    pub events: Vec<TraceEvent>,
 }
 
 struct RunOutcome {
@@ -125,96 +117,87 @@ struct RunOutcome {
     packets_migrated: u64,
     messages: u64,
     decrease_sim: u64,
-    final_total: u64,
     conv_steps: usize,
     strategy: &'static str,
-    events: Vec<TraceEvent>,
 }
 
 /// Races every contender over the same `runs` recorded workloads and
 /// fault masks; `trace_for` records the workload trace for one run's
-/// workload-stream seed.
+/// workload-stream seed.  With `trace`, every run streams its events
+/// into the writer (see the module doc); finishing it is the caller's.
 ///
 /// # Panics
 ///
-/// Panics when a contender reports the wrong `n` or the fault plan does
-/// not validate.
+/// Panics when `runs` is 0, a contender reports the wrong `n` or the
+/// fault plan does not validate.
 pub fn run_league<TF>(
     cfg: &ArenaConfig,
     contenders: &[Contender],
     trace_for: TF,
-    tracing: bool,
-) -> LeagueResult
+    trace: Option<&RunOrderedWriter<std::fs::File>>,
+) -> Vec<ArenaRow>
 where
     TF: Fn(u64) -> EventTrace + Sync,
 {
     let warmup = cfg.warmup();
-    let mut rows = Vec::with_capacity(contenders.len());
-    let mut all_events = Vec::new();
-    for contender in contenders {
-        let outcomes = par_map(cfg.jobs, cfg.runs, |r| {
-            run_one(cfg, contender, &trace_for, tracing, r as u64, warmup)
-        });
-        // Reduce in run-index order: bit-identical for every jobs value.
-        let mut recorder = LoadRecorder::new(warmup, 3.0);
-        let mut curve = vec![0.0f64; cfg.steps];
-        let (mut ops, mut migrated, mut messages, mut dec) = (0u64, 0u64, 0u64, 0u64);
-        let mut conv_sum = 0usize;
-        let mut final_total = 0u64;
-        let mut strategy = "";
-        for (r, out) in outcomes.iter().enumerate() {
-            recorder.merge(&out.recorder);
-            for (acc, &x) in curve.iter_mut().zip(out.ratios.iter()) {
-                *acc += x;
+    let outcomes = par_map(cfg.jobs, contenders.len() * cfg.runs, |i| {
+        let sink = trace.map(|writer| writer.handle(i));
+        let contender = &contenders[i / cfg.runs];
+        run_one(
+            cfg,
+            contender,
+            &trace_for,
+            sink,
+            (i % cfg.runs) as u64,
+            warmup,
+        )
+    });
+    // Reduce in (contender, run) order: bit-identical for every jobs value.
+    let per_run = |total: u64| total as f64 / cfg.runs as f64;
+    contenders
+        .iter()
+        .zip(outcomes.chunks(cfg.runs))
+        .map(|(contender, runs)| {
+            let mut recorder = LoadRecorder::new(warmup, 3.0);
+            let mut curve = vec![0.0f64; cfg.steps];
+            let (mut ops, mut migrated, mut messages, mut dec) = (0u64, 0u64, 0u64, 0u64);
+            let mut conv_sum = 0usize;
+            for out in runs {
+                recorder.merge(&out.recorder);
+                for (acc, &x) in curve.iter_mut().zip(out.ratios.iter()) {
+                    *acc += x;
+                }
+                ops += out.balance_ops;
+                migrated += out.packets_migrated;
+                messages += out.messages;
+                dec += out.decrease_sim;
+                conv_sum += out.conv_steps;
             }
-            ops += out.balance_ops;
-            migrated += out.packets_migrated;
-            messages += out.messages;
-            dec += out.decrease_sim;
-            conv_sum += out.conv_steps;
-            final_total = out.final_total;
-            strategy = out.strategy;
-            if tracing {
-                all_events.push(TraceEvent::ArenaContender {
-                    run: r as u64,
-                    label: contender.label.clone(),
-                    strategy: strategy.to_string(),
-                    seed: stream_seed(cfg.seed, r as u64, StreamId::Balancer),
-                });
-                all_events.extend(out.events.iter().cloned());
-                all_events.push(TraceEvent::RunFinished { run: r as u64 });
+            for x in &mut curve {
+                *x /= cfg.runs as f64;
             }
-        }
-        let per_run = |total: u64| total as f64 / cfg.runs as f64;
-        for x in &mut curve {
-            *x /= cfg.runs as f64;
-        }
-        rows.push(ArenaRow {
-            label: contender.label.clone(),
-            strategy: strategy.to_string(),
-            mean_ratio: recorder.mean_ratio(),
-            p95_ratio: recorder.ratio_quantile(0.95),
-            worst_ratio: recorder.worst_ratio(),
-            ops_per_run: per_run(ops),
-            migrated_per_run: per_run(migrated),
-            messages_per_run: per_run(messages),
-            decrease_per_run: per_run(dec),
-            conv_steps: conv_sum as f64 / cfg.runs as f64,
-            ratio_curve: curve,
-            final_total,
-        });
-    }
-    LeagueResult {
-        rows,
-        events: all_events,
-    }
+            ArenaRow {
+                label: contender.label.clone(),
+                strategy: runs[0].strategy.to_string(),
+                mean_ratio: recorder.mean_ratio(),
+                p95_ratio: recorder.ratio_quantile(0.95),
+                worst_ratio: recorder.worst_ratio(),
+                ops_per_run: per_run(ops),
+                migrated_per_run: per_run(migrated),
+                messages_per_run: per_run(messages),
+                decrease_per_run: per_run(dec),
+                conv_steps: conv_sum as f64 / cfg.runs as f64,
+                ratio_curve: curve,
+            }
+        })
+        .collect()
 }
 
 fn run_one<TF>(
     cfg: &ArenaConfig,
     contender: &Contender,
     trace_for: &TF,
-    tracing: bool,
+    sink: Option<SharedSink>,
     r: u64,
     warmup: usize,
 ) -> RunOutcome
@@ -222,16 +205,22 @@ where
     TF: Fn(u64) -> EventTrace + Sync,
 {
     let trace = trace_for(stream_seed(cfg.seed, r, StreamId::Workload));
-    let mut balancer = (contender.make)(stream_seed(cfg.seed, r, StreamId::Balancer));
+    let seed = stream_seed(cfg.seed, r, StreamId::Balancer);
+    let mut balancer = (contender.make)(seed);
     assert_eq!(
         balancer.n(),
         cfg.n,
         "contender {} has wrong n",
         contender.label
     );
-    let buffer = tracing.then(BufferSink::new);
-    if let Some(buf) = &buffer {
-        balancer.set_trace_sink(buf.handle());
+    if let Some(sink) = &sink {
+        sink.record(&TraceEvent::ArenaContender {
+            run: r,
+            label: contender.label.clone(),
+            strategy: balancer.name().to_string(),
+            seed,
+        });
+        balancer.set_trace_sink(sink.clone());
     }
     let injector = cfg.faults.as_ref().map(|plan| {
         let mut run_plan = plan.clone();
@@ -241,27 +230,31 @@ where
     let mut masks = injector.as_ref().map(MaskCursor::new);
     let mut replay = trace.replay();
     let mut events = Vec::new();
-    let mut loads = Vec::with_capacity(cfg.n);
     let mut recorder = LoadRecorder::new(warmup, 3.0);
     let mut ratios = vec![0.0f64; cfg.steps];
     for (t, ratio) in ratios.iter_mut().enumerate() {
         replay.events_at(t, &mut events);
         let down = masks.as_mut().map(|m| m.at(t as u64));
         balancer.step_events(Events::Dense(&events), down);
-        balancer.loads_into(&mut loads);
-        recorder.record(&loads);
-        let total: u64 = loads.iter().sum();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let mean = total as f64 / cfg.n as f64;
-        *ratio = if mean > 0.0 { max as f64 / mean } else { 1.0 };
+        let summary = balancer.load_summary();
+        recorder.record_summary(summary, cfg.n);
+        let mean = summary.mean(cfg.n);
+        *ratio = if mean > 0.0 {
+            summary.max as f64 / mean
+        } else {
+            1.0
+        };
+    }
+    if let Some(sink) = &sink {
+        sink.record(&TraceEvent::RunFinished { run: r });
+        sink.flush();
     }
     // Convergence: the first post-warmup step after which the ratio never
     // exceeds the threshold again (`steps` when it never settles).
     let last_bad = ratios
         .iter()
-        .rposition(|&x| x > cfg.conv_threshold)
+        .rposition(|&x| x > CONV_THRESHOLD)
         .map_or(0, |t| t + 1);
-    let conv_steps = last_bad.clamp(warmup, cfg.steps);
     let m = balancer.metrics();
     RunOutcome {
         recorder,
@@ -270,11 +263,17 @@ where
         packets_migrated: m.packets_migrated,
         messages: m.messages,
         decrease_sim: m.decrease_sim,
-        final_total: balancer.loads().iter().sum(),
-        conv_steps,
+        conv_steps: last_bad.clamp(warmup, cfg.steps),
         strategy: balancer.name(),
-        events: buffer.map(|b| b.take()).unwrap_or_default(),
     }
+}
+
+/// The Lemma 6 balance-op budget per decrease simulation of the trigger
+/// rule with `params`, at `x = 2C` (`None` out of the lemma's domain):
+/// the yardstick of [`league_csv_rows`]' `cost_vs_l6`.
+pub fn lemma6_budget(params: Params) -> Option<u64> {
+    let c = params.c_borrow() as u64;
+    CostBounds::for_params(params.algo()).lemma6_upper(2 * c, c, 64)
 }
 
 /// League CSV header, matched by [`league_csv_rows`].
@@ -331,7 +330,7 @@ mod tests {
     use super::*;
     use crate::quality::paper_trace;
     use dlb_baselines::{LocallyOptimal, Quasirandom};
-    use dlb_core::{Cluster, Params};
+    use dlb_core::Cluster;
     use dlb_net::Topology;
 
     fn tiny_cfg(jobs: usize) -> ArenaConfig {
@@ -341,7 +340,6 @@ mod tests {
             runs: 3,
             seed: 7,
             warmup_fraction: 0.25,
-            conv_threshold: DEFAULT_CONV_THRESHOLD,
             faults: None,
             jobs,
         }
@@ -362,24 +360,38 @@ mod tests {
         ]
     }
 
-    fn league(jobs: usize, tracing: bool) -> LeagueResult {
+    fn league(jobs: usize, trace: Option<&RunOrderedWriter<std::fs::File>>) -> Vec<ArenaRow> {
         run_league(
             &tiny_cfg(jobs),
             &tiny_contenders(),
             |seed| paper_trace(8, 60, seed),
-            tracing,
+            trace,
         )
     }
 
-    fn csv(result: &LeagueResult) -> Vec<Vec<String>> {
-        league_csv_rows(&result.rows, Some(17))
+    fn csv(rows: &[ArenaRow]) -> Vec<Vec<String>> {
+        league_csv_rows(rows, Some(17))
+    }
+
+    /// The league at `jobs`, traced into a file: its rows and the bytes.
+    fn traced_league(jobs: usize) -> (Vec<ArenaRow>, Vec<u8>) {
+        let path = std::env::temp_dir().join(format!(
+            "dlb_arena_trace_{}_{jobs}.jsonl",
+            std::process::id()
+        ));
+        let writer = RunOrderedWriter::create(&path).expect("temp trace");
+        let rows = league(jobs, Some(&writer));
+        writer.into_inner().expect("trace written");
+        let bytes = std::fs::read(&path).expect("trace read");
+        std::fs::remove_file(&path).ok();
+        (rows, bytes)
     }
 
     #[test]
     fn league_is_identical_across_jobs_and_repeats() {
-        let base = csv(&league(1, false));
-        assert_eq!(base, csv(&league(1, false)), "repeat");
-        assert_eq!(base, csv(&league(4, false)), "jobs=4");
+        let base = csv(&league(1, None));
+        assert_eq!(base, csv(&league(1, None)), "repeat");
+        assert_eq!(base, csv(&league(4, None)), "jobs=4");
         assert_eq!(base.len(), 3);
     }
 
@@ -396,7 +408,7 @@ mod tests {
                 seen.lock().unwrap().push(seed);
                 paper_trace(8, 60, seed)
             },
-            false,
+            None,
         );
         let seen = seen.into_inner().unwrap();
         let per_run: Vec<u64> = (0..3)
@@ -407,9 +419,13 @@ mod tests {
 
     #[test]
     fn trace_announces_contenders_in_order() {
-        let result = league(1, true);
-        let labels: Vec<&str> = result
-            .events
+        let (rows, bytes) = traced_league(1);
+        let events: Vec<TraceEvent> = std::str::from_utf8(&bytes)
+            .expect("UTF-8 trace")
+            .lines()
+            .map(|line| TraceEvent::from_line(line).expect("trace line parses"))
+            .collect();
+        let labels: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::ArenaContender { label, .. } => Some(label.as_str()),
@@ -419,8 +435,22 @@ mod tests {
         assert_eq!(labels.len(), 9, "3 contenders × 3 runs");
         assert_eq!(&labels[..3], &["spaa93-full"; 3]);
         assert_eq!(&labels[3..6], &["quasirandom"; 3]);
-        // Tracing must not change the league numbers.
-        assert_eq!(csv(&result), csv(&league(1, false)));
+        // Every announced run is closed before the next is announced.
+        let brackets: String = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ArenaContender { .. } => Some('['),
+                TraceEvent::RunFinished { .. } => Some(']'),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(brackets, "[]".repeat(9));
+        // Tracing must not change the league numbers, and the bytes do
+        // not depend on how many runs stream at once.
+        assert_eq!(csv(&rows), csv(&league(1, None)));
+        let (rows4, bytes4) = traced_league(4);
+        assert_eq!(csv(&rows4), csv(&rows));
+        assert!(bytes4 == bytes, "--jobs 4 changed the trace bytes");
     }
 
     #[test]
@@ -429,13 +459,13 @@ mod tests {
         // hand-driven Cluster over the same streams exactly.
         let cfg = tiny_cfg(1);
         let params = Params::new(8, 1, 1.1, 4).expect("valid");
-        let result = run_league(
+        let rows = run_league(
             &cfg,
             &[Contender::new("spaa93-full", move |seed| {
                 Box::new(Cluster::new(params, seed))
             })],
             |seed| paper_trace(8, 60, seed),
-            false,
+            None,
         );
         let mut ops = 0u64;
         let mut recorder = LoadRecorder::new(cfg.warmup(), 3.0);
@@ -456,7 +486,7 @@ mod tests {
             recorder.merge(&run_recorder);
             ops += cluster.metrics().balance_ops;
         }
-        let row = &result.rows[0];
+        let row = &rows[0];
         assert_eq!(row.ops_per_run, ops as f64 / cfg.runs as f64);
         assert_eq!(row.mean_ratio, recorder.mean_ratio());
         assert_eq!(row.worst_ratio, recorder.worst_ratio());

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::str::FromStr;
 
 /// One declared `--name` and the type its value must parse as.
@@ -168,6 +169,17 @@ impl Args {
             Some(raw) => raw.parse().unwrap_or_else(|e| {
                 panic!("--{name} {raw:?} read as another type than declared: {e}")
             }),
+        }
+    }
+
+    /// Returns the count `--name` (declared `NonZeroUsize`, so a run or
+    /// step count of 0 is refused at parse time), or `default` when
+    /// absent.
+    pub fn count(&self, name: &str, default: usize) -> usize {
+        if self.has(name) {
+            self.get(name, NonZeroUsize::MIN).get()
+        } else {
+            default
         }
     }
 

@@ -6,76 +6,68 @@
 //! 3. global-random partners vs topology-neighbour partners (locality)
 //!    with hop-weighted communication cost on a 2-D torus.
 //!
+//! The variants race as one arena league (the same workloads and seed
+//! streams for each), so their columns read as the arena's do.
+//!
 //! Usage: `dlb-exp ablation
 //!         [--n 64] [--steps 500] [--runs 20]`
 
+use crate::arena::{
+    league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
+};
 use crate::args::{Args, Key};
-use crate::quality::{paper_trace, sampled_quality};
+use crate::parallel::default_jobs;
+use crate::quality::paper_trace;
 use crate::report::{f3, render_table, write_csv};
-use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, Params, SimpleCluster};
+use dlb_core::{Cluster, ExchangePolicy, Params, SimpleCluster};
 use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_workload::drive;
+use std::num::NonZeroUsize;
 
-/// `(max/mean, migrated per run, ops per run)` of one variant.
-fn quality<B: LoadBalancer>(
-    make: impl Fn(u64) -> B,
-    n: usize,
-    steps: usize,
-    runs: usize,
-) -> (f64, f64, f64) {
-    let q = sampled_quality(make, n, steps, runs, 7000, 100, 25);
-    (q.max_over_mean, q.migrated, q.ops)
-}
-
-pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": usize, "runs": usize, "out": String];
+pub const KEYS: &[Key] = crate::keys![
+    "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "out": String,
+];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
-    let steps: usize = args.get("steps", 500);
-    let runs: usize = args.get("runs", 20);
+    let steps = args.count("steps", 500);
+    let runs = args.count("runs", 20);
     let out: String = args.get("out", "results/ablation.csv".to_string());
 
     let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
     println!("Ablations ({n} procs, section-7 workload, {steps} steps, {runs} runs)\n");
 
-    let mut rows = Vec::new();
-    let mut push = |label: &str, (ratio, migrated, ops): (f64, f64, f64)| {
-        rows.push(vec![label.to_string(), f3(ratio), f3(migrated), f3(ops)]);
-    };
-
-    push(
-        "full / strict",
-        quality(|s| Cluster::new(params, s), n, steps, runs),
-    );
-    push(
-        "full / aggressive",
-        quality(
-            |s| Cluster::new(params.with_exchange(ExchangePolicy::Aggressive), s),
-            n,
-            steps,
-            runs,
-        ),
-    );
-    push(
-        "simple (raw loads)",
-        quality(|s| SimpleCluster::new(params, s), n, steps, runs),
-    );
-
     let w = (n as f64).sqrt() as usize;
-    let torus = Topology::Torus2D { w, h: n / w };
-    let topo =
-        |mode, seed| TopoCluster::with_rule(params, TopoRule::new(torus.clone(), mode), seed);
-    push(
-        "topo: global partners",
-        quality(|s| topo(PartnerMode::GlobalRandom, s), n, steps, runs),
-    );
-    push(
-        "topo: neighbours only",
-        quality(|s| topo(PartnerMode::Neighbors, s), n, steps, runs),
-    );
-
-    let headers = vec!["variant", "max/mean", "migrated/run", "ops/run"];
-    println!("{}", render_table(&headers, &rows));
+    let torus = move || Topology::Torus2D { w, h: n / w };
+    let topo = move |mode, seed| TopoCluster::with_rule(params, TopoRule::new(torus(), mode), seed);
+    let aggressive = params.with_exchange(ExchangePolicy::Aggressive);
+    let variants = [
+        Contender::new("full / strict", move |s| Box::new(Cluster::new(params, s))),
+        Contender::new("full / aggressive", move |s| {
+            Box::new(Cluster::new(aggressive, s))
+        }),
+        Contender::new("simple (raw loads)", move |s| {
+            Box::new(SimpleCluster::new(params, s))
+        }),
+        Contender::new("topo: global partners", move |s| {
+            Box::new(topo(PartnerMode::GlobalRandom, s))
+        }),
+        Contender::new("topo: neighbours only", move |s| {
+            Box::new(topo(PartnerMode::Neighbors, s))
+        }),
+    ];
+    let cfg = ArenaConfig {
+        n,
+        steps,
+        runs,
+        seed: 7000,
+        warmup_fraction: 0.2,
+        faults: None,
+        jobs: default_jobs(),
+    };
+    let league = run_league(&cfg, &variants, |s| paper_trace(n, steps, s), None);
+    let rows = league_csv_rows(&league, lemma6_budget(params));
+    println!("{}", render_table(&LEAGUE_HEADERS, &rows));
 
     // Hop-weighted cost of the locality choice.
     let mut hop_rows = Vec::new();
@@ -106,6 +98,6 @@ pub fn run(args: &Args) {
     println!("Expected shape: full and simple variants balance almost identically (the");
     println!("virtual classes exist for the proof); aggressive exchange ~= strict; the");
     println!("locality variant pays ~1 hop/packet but balances more slowly (diffusive).");
-    write_csv(&out, &headers, &rows).expect("CSV written");
+    write_csv(&out, &LEAGUE_HEADERS, &rows).expect("CSV written");
     println!("\nwrote {out}");
 }

@@ -1,4 +1,5 @@
-//! Balancer arena: the trigger rule vs the literature, one league table.
+//! Balancer arena: the trigger rule vs the literature and the paper's
+//! own strawmen, one league table.
 //!
 //! Every contender replays the same §7 phase workloads on a hypercube-
 //! sized network, survives the same frozen-crash fault plan, and is
@@ -14,11 +15,12 @@
 //!
 //! `--smoke` shrinks the league (n=16, 120 steps, 4 runs) and writes to
 //! `results/arena_smoke.{csv,svg}` so the `arena-golden` CI job can
-//! drift-gate it in seconds.  Output is byte-identical for every
-//! `--jobs` value.
+//! drift-gate it in seconds.  Output — CSV, SVG and trace — is
+//! byte-identical for every `--jobs` value.  The SVG leaves out
+//! `random-scatter`, whose ratio would set the y-axis of every curve.
 
 use crate::arena::{
-    league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD, LEAGUE_HEADERS,
+    league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
 };
 use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
@@ -26,14 +28,14 @@ use crate::quality::paper_trace;
 use crate::report::{render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_baselines::{
-    Diffusion, DimensionExchange, DynamicAveraging, LocallyOptimal, NoBalance, Quasirandom,
-    WorkStealing,
+    Diffusion, DimensionExchange, DynamicAveraging, Gradient, LocallyOptimal, NoBalance,
+    Quasirandom, RandomScatter, Rsu91, WorkStealing,
 };
 use dlb_core::{Cluster, Params, SimpleCluster};
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_net::Topology;
-use dlb_theory::CostBounds;
-use dlb_trace::{FileSink, TraceSink};
+use dlb_trace::RunOrderedWriter;
+use std::num::NonZeroUsize;
 
 /// The dimension of the hypercube the topology-bound rivals run on.
 fn hypercube_dim(n: usize) -> Result<u32, String> {
@@ -70,6 +72,13 @@ fn contenders(n: usize, params: Params, dim: u32) -> Vec<Contender> {
             Box::new(WorkStealing::new(n, seed))
         }),
         Contender::new("no-balance", move |_| Box::new(NoBalance::new(n))),
+        // The paper's own strawmen (§1/§5): random scatter, RSU'91 [20]
+        // and the gradient model [6].
+        Contender::new("random-scatter", move |seed| {
+            Box::new(RandomScatter::new(n, seed))
+        }),
+        Contender::new("rsu91", move |seed| Box::new(Rsu91::new(n, seed))),
+        Contender::new("gradient", move |_| Box::new(Gradient::new(cube(), 2, 8))),
     ]
 }
 
@@ -96,9 +105,13 @@ fn fault_plan(n: usize, steps: usize) -> FaultPlan {
 }
 
 pub const KEYS: &[Key] = crate::keys![
-    "smoke": Flag, "n": usize, "steps": usize, "runs": usize, "seed": u64, "jobs": usize,
-    "out": String, "svg": String, "trace": String,
+    "smoke": Flag, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "seed": u64,
+    "jobs": usize, "out": String, "svg": String, "trace": String,
 ];
+
+/// The contender whose ratio (≈ 47) would set the chart's y-axis for
+/// every other curve; the CSV keeps its row.
+const OFF_CHART: &str = "random-scatter";
 
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
@@ -114,8 +127,8 @@ pub fn run(args: &Args) {
         (64, 500, 20, "results/arena.csv", "results/arena.svg")
     };
     let n: usize = args.get("n", def_n);
-    let steps: usize = args.get("steps", def_steps);
-    let runs: usize = args.get("runs", def_runs);
+    let steps = args.count("steps", def_steps);
+    let runs = args.count("runs", def_runs);
     let seed: u64 = args.get("seed", 61);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
@@ -124,14 +137,23 @@ pub fn run(args: &Args) {
 
     let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
     let dim = args.build_or_exit(&["n"], hypercube_dim(n));
+    let plan = fault_plan(n, steps);
+    args.build_or_exit(&["steps"], plan.validate(n));
+    // Created before the first run, so a path that cannot be created
+    // costs no simulation and writes nothing.
+    let writer = trace.as_ref().map(|path| {
+        RunOrderedWriter::create(std::path::Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("error: cannot create trace {path}: {e}");
+            std::process::exit(1)
+        })
+    });
     let cfg = ArenaConfig {
         n,
         steps,
         runs,
         seed,
         warmup_fraction: 0.2,
-        conv_threshold: DEFAULT_CONV_THRESHOLD,
-        faults: Some(fault_plan(n, steps)),
+        faults: Some(plan),
         jobs,
     };
     let entrants = contenders(n, params, dim);
@@ -141,10 +163,9 @@ pub fn run(args: &Args) {
          2 frozen crashes\n",
         entrants.len()
     );
-    let bounds = CostBounds::for_params(params.algo());
-    let c = params.c_borrow() as u64;
-    let lemma6_budget = bounds.lemma6_upper(2 * c, c, 64);
-    match lemma6_budget {
+    let budget = lemma6_budget(params);
+    let c = params.c_borrow();
+    match budget {
         Some(budget) => println!(
             "Lemma 6 budget: {budget} balance ops per decrease simulation \
              (x = 2C = {}, C = {c})",
@@ -153,13 +174,13 @@ pub fn run(args: &Args) {
         None => println!("Lemma 6 budget: out of domain for these parameters"),
     }
 
-    let result = run_league(
+    let league = run_league(
         &cfg,
         &entrants,
         |s| paper_trace(n, steps, s),
-        trace.is_some(),
+        writer.as_ref(),
     );
-    let rows = league_csv_rows(&result.rows, lemma6_budget);
+    let rows = league_csv_rows(&league, budget);
     println!("\n{}", render_table(&LEAGUE_HEADERS, &rows));
     println!(
         "cost_vs_l6: measured ops / (decrease sims x Lemma 6 budget); 0.000 = no decrease sims."
@@ -168,9 +189,9 @@ pub fn run(args: &Args) {
     write_csv(&out, &LEAGUE_HEADERS, &rows).expect("CSV written");
     println!("wrote {out}");
 
-    let series: Vec<Series> = result
-        .rows
+    let series: Vec<Series> = league
         .iter()
+        .filter(|row| row.label != OFF_CHART)
         .map(|row| Series::from_ys(&row.label, &row.ratio_curve))
         .collect();
     let chart = ChartConfig {
@@ -180,17 +201,13 @@ pub fn run(args: &Args) {
         ..ChartConfig::default()
     };
     write_chart(&svg, &chart, &series).expect("SVG written");
-    println!("wrote {svg}");
+    println!("wrote {svg} (every contender but {OFF_CHART})");
 
-    if let Some(path) = trace {
-        let mut sink = FileSink::create(std::path::Path::new(&path)).expect("trace file");
-        for ev in &result.events {
-            sink.record(ev);
-        }
-        if let Err(e) = sink.into_inner() {
+    if let (Some(writer), Some(path)) = (writer, trace) {
+        if let Err(e) = writer.into_inner() {
             eprintln!("error: cannot write trace {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote {path} ({} events)", result.events.len());
+        println!("wrote {path}");
     }
 }

@@ -14,6 +14,7 @@ use dlb_core::Params;
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::num::NonZeroUsize;
 
 /// Drives one network through the mixed workload (50% generate, 30%
 /// consume, 20% idle per processor and tick) and returns the mean
@@ -46,11 +47,11 @@ fn drive(config: AsyncConfig, n: usize, steps: u64) -> (f64, AsyncStats) {
     (ratio / samples.max(1) as f64, *net.stats())
 }
 
-pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": u64, "out": String];
+pub const KEYS: &[Key] = crate::keys!["n": usize, "steps": NonZeroUsize, "out": String];
 
 pub fn run(args: &Args) {
     let n: usize = args.get("n", 64);
-    let steps: u64 = args.get("steps", 4000);
+    let steps = args.count("steps", 4000) as u64;
     let out: String = args.get("out", "results/async_latency.csv".to_string());
     let params = args.build_or_exit(&["n"], Params::new(n, 2, 1.3, 4));
 

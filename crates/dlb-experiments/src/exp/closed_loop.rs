@@ -13,6 +13,7 @@ use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{NoBalance, Rsu91, WorkStealing};
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_workload::branching::{run_branching, Offspring};
+use std::num::NonZeroUsize;
 
 fn mean_makespan<B: LoadBalancer>(
     make: impl Fn(u64) -> B,
@@ -32,11 +33,11 @@ fn mean_makespan<B: LoadBalancer>(
     (makespan / runs as f64, processed / runs as f64)
 }
 
-pub const KEYS: &[Key] = crate::keys!["roots": u32, "runs": usize, "out": String];
+pub const KEYS: &[Key] = crate::keys!["roots": u32, "runs": NonZeroUsize, "out": String];
 
 pub fn run(args: &Args) {
     let roots: u32 = args.get("roots", 400);
-    let runs: usize = args.get("runs", 10);
+    let runs = args.count("runs", 10);
     let out: String = args.get("out", "results/closed_loop.csv".to_string());
 
     println!(

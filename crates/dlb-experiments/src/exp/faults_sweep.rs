@@ -22,10 +22,11 @@ use crate::report::{f3, render_table};
 use crate::svg::write_chart;
 use dlb_faults::FaultPlan;
 use dlb_json::{FromJson, Json, ToJson};
+use std::num::NonZeroUsize;
 
 pub const KEYS: &[Key] = crate::keys![
-    "scenario": String, "n": usize, "steps": usize, "runs": usize, "jobs": usize,
-    "out": String, "svg": String,
+    "scenario": String, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize,
+    "jobs": usize, "out": String, "svg": String,
 ];
 
 pub fn run(args: &Args) {
@@ -53,8 +54,8 @@ pub fn run(args: &Args) {
         );
     }
     cfg.n = args.get("n", cfg.n);
-    cfg.steps = args.get("steps", cfg.steps);
-    cfg.runs = args.get("runs", cfg.runs);
+    cfg.steps = args.count("steps", cfg.steps as usize) as u64;
+    cfg.runs = args.count("runs", cfg.runs as usize) as u64;
     cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
     args.build_or_exit(&["n"], cfg.params());
     let out: String = args.get("out", "results/faults_sweep.json".to_string());

@@ -11,11 +11,12 @@ use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
+use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys!["steps": usize, "jobs": usize, "out": String];
+pub const KEYS: &[Key] = crate::keys!["steps": NonZeroUsize, "jobs": usize, "out": String];
 
 pub fn run(args: &Args) {
-    let steps: usize = args.get("steps", 150);
+    let steps = args.count("steps", 150);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", "results/fig6.csv".to_string());
 

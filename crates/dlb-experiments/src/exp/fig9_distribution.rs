@@ -11,17 +11,18 @@ use crate::quality::distribution_at;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
+use std::num::NonZeroUsize;
 
 pub const KEYS: &[Key] = crate::keys![
-    "delta": usize, "n": usize, "steps": usize, "runs": usize, "c": usize, "jobs": usize,
-    "out": String,
+    "delta": usize, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "c": usize,
+    "jobs": usize, "out": String,
 ];
 
 pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);
     let n: usize = args.get("n", 64);
-    let steps: usize = args.get("steps", 500);
-    let runs: usize = args.get("runs", 100);
+    let steps = args.count("steps", 500);
+    let runs = args.count("runs", 100);
     let c: usize = args.get("c", 4);
     let jobs: usize = args.get("jobs", default_jobs());
     let params = |f| args.build_or_exit(&["n", "delta"], Params::new(n, delta, f, c));

@@ -21,7 +21,6 @@ pub struct Experiment {
 mod ablation;
 mod arena;
 mod async_latency;
-mod baseline_compare;
 mod claims;
 mod closed_loop;
 mod faults_sweep;
@@ -50,11 +49,10 @@ pub const EXPERIMENTS: &[Experiment] = table! {
     fig7_quality: "Figures 7/8 (balancing quality over time; --delta 4 for Figure 8)",
     fig9_distribution: "Figures 9/10 (per-processor distributions; --delta 4 for Figure 10)",
     table1_borrow: "Table 1 (borrow statistics vs C)",
-    baseline_compare: "sections 1/5 qualitative claims vs baselines",
     scaling: "the \"up to 1024 processors\" scaling claim",
     ablation: "full vs simple variant, exchange policy, locality",
     closed_loop: "section 1 motivation: task-tree makespan and speedup",
     async_latency: "the message protocol under latency and control loss",
     faults_sweep: "balance quality vs injected loss / crash rates",
-    arena: "league table: trigger rule vs literature rivals",
+    arena: "league table: trigger rule vs literature rivals and the section 1/5 strawmen",
 };

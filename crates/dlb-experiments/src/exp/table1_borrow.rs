@@ -14,9 +14,11 @@ use crate::parallel::default_jobs;
 use crate::report::{f3, render_table, write_csv};
 use crate::table1::table1_row;
 use dlb_core::{ExchangePolicy, Params};
+use std::num::NonZeroUsize;
 
 pub const KEYS: &[Key] = crate::keys![
-    "smoke": Flag, "n": usize, "steps": usize, "runs": usize, "jobs": usize, "out": String,
+    "smoke": Flag, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "jobs": usize,
+    "out": String,
 ];
 
 pub fn run(args: &Args) {
@@ -27,8 +29,8 @@ pub fn run(args: &Args) {
         (64, 500, 100, "results/table1.csv")
     };
     let n: usize = args.get("n", def_n);
-    let steps: usize = args.get("steps", def_steps);
-    let runs: usize = args.get("runs", def_runs);
+    let steps = args.count("steps", def_steps);
+    let runs = args.count("runs", def_runs);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
     let grid: Vec<Params> = [4, 8, 16, 32]

@@ -14,7 +14,7 @@
 //! balancer draw from independent [`stream_seed`] streams.
 
 use crate::parallel::{par_map, stream_seed, StreamId};
-use dlb_core::{imbalance_stats, Cluster, LoadBalancer, Params};
+use dlb_core::{Cluster, LoadBalancer, Params};
 use dlb_theory::claims::Observation;
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::trace::EventTrace;
@@ -56,71 +56,6 @@ impl QualityCurves {
 pub fn paper_trace(n: usize, steps: usize, run: u64) -> EventTrace {
     let mut workload = PhaseWorkload::new(n, steps, PhaseConfig::paper_section7(), run);
     EventTrace::record(&mut workload, steps)
-}
-
-/// What [`sampled_quality`] measured: distribution statistics averaged
-/// over the samples taken, cost counters averaged over the runs.
-pub(crate) struct SampledQuality {
-    /// The balancer's own name.
-    pub name: &'static str,
-    /// Mean `max / mean` load over the samples.
-    pub max_over_mean: f64,
-    /// Mean `std dev / mean` load over the samples.
-    pub std_over_mean: f64,
-    /// Packets migrated per run.
-    pub migrated: f64,
-    /// Balancing operations per run.
-    pub ops: f64,
-}
-
-/// The comparison tables' measurement loop: run `r` builds `make(r)`,
-/// replays `paper_trace(n, steps, trace_seed + r)` through it and samples
-/// the load distribution every `every` steps from step `from` on
-/// (samples with a mean load under 5 are skipped — the ratio is noise
-/// there).  Sequential, and sums in sample order, so a table built from
-/// it is byte-stable.
-pub(crate) fn sampled_quality<B: LoadBalancer>(
-    make: impl Fn(u64) -> B,
-    n: usize,
-    steps: usize,
-    runs: usize,
-    trace_seed: u64,
-    from: usize,
-    every: usize,
-) -> SampledQuality {
-    let mut max_over_mean = 0.0;
-    let mut std_over_mean = 0.0;
-    let mut migrated = 0.0;
-    let mut ops = 0.0;
-    let mut name = "";
-    let mut samples = 0usize;
-    let mut loads = Vec::with_capacity(n);
-    for r in 0..runs {
-        let trace = paper_trace(n, steps, trace_seed + r as u64);
-        let mut balancer = make(r as u64);
-        name = balancer.name();
-        let mut replay = trace.replay();
-        drive(&mut balancer, &mut replay, steps, |t, b| {
-            if t >= from && t % every == 0 {
-                b.loads_into(&mut loads);
-                let stats = imbalance_stats(&loads);
-                if stats.mean >= 5.0 {
-                    max_over_mean += stats.max_over_mean;
-                    std_over_mean += stats.std_dev / stats.mean;
-                    samples += 1;
-                }
-            }
-        });
-        migrated += balancer.metrics().packets_migrated as f64;
-        ops += balancer.metrics().balance_ops as f64;
-    }
-    SampledQuality {
-        name,
-        max_over_mean: max_over_mean / samples.max(1) as f64,
-        std_over_mean: std_over_mean / samples.max(1) as f64,
-        migrated: migrated / runs as f64,
-        ops: ops / runs as f64,
-    }
 }
 
 /// Figures 7/8 for an arbitrary balancer factory: `make(seed)` builds
@@ -304,7 +239,7 @@ pub fn theorem4_pairs(
 }
 
 /// Drives a single balancer over an existing trace and returns final
-/// loads (helper shared by the comparison experiments).
+/// loads (Table 1 replays each run this way).
 pub fn run_on_trace<B: LoadBalancer>(balancer: &mut B, trace: &EventTrace) -> Vec<u64> {
     let mut replay = trace.replay();
     let steps = trace.steps();

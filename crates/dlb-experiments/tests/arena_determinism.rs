@@ -6,9 +6,7 @@
 
 use dlb_baselines::{DimensionExchange, DynamicAveraging, LocallyOptimal, Quasirandom};
 use dlb_core::{Cluster, LoadBalancer, LoadEvent, LoadRecorder, Params};
-use dlb_experiments::arena::{
-    league_csv_rows, run_league, ArenaConfig, Contender, DEFAULT_CONV_THRESHOLD,
-};
+use dlb_experiments::arena::{league_csv_rows, run_league, ArenaConfig, Contender};
 use dlb_experiments::quality::paper_trace;
 use dlb_experiments::{stream_seed, StreamId};
 use dlb_faults::{CrashEvent, CrashMode, FaultInjector, FaultPlan};
@@ -47,7 +45,6 @@ fn arena_cfg(steps: usize, runs: usize, seed: u64, jobs: usize) -> ArenaConfig {
         runs,
         seed,
         warmup_fraction: 0.25,
-        conv_threshold: DEFAULT_CONV_THRESHOLD,
         faults: Some(FaultPlan {
             seed: 5,
             crash_mode: CrashMode::Frozen,
@@ -64,8 +61,8 @@ fn arena_cfg(steps: usize, runs: usize, seed: u64, jobs: usize) -> ArenaConfig {
 
 fn league_csv(cfg: &ArenaConfig) -> Vec<Vec<String>> {
     let entrants = contenders();
-    let result = run_league(cfg, &entrants, |s| paper_trace(N, cfg.steps, s), false);
-    league_csv_rows(&result.rows, Some(6))
+    let rows = run_league(cfg, &entrants, |s| paper_trace(N, cfg.steps, s), None);
+    league_csv_rows(&rows, Some(6))
 }
 
 proptest! {
@@ -103,7 +100,7 @@ proptest! {
         let cfg = arena_cfg(steps, runs, seed, 1);
         let rows = {
             let entrants = contenders();
-            run_league(&cfg, &entrants, |s| paper_trace(N, steps, s), false).rows
+            run_league(&cfg, &entrants, |s| paper_trace(N, steps, s), None)
         };
         let full = &rows[0];
         prop_assert_eq!(&full.strategy, "spaa93-full");
