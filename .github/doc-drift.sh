@@ -20,8 +20,8 @@ known_flags() {
         sed -n '/^const USAGE/,/;$/p' crates/dlb-cli/src/main.rs
         sed -n '/^pub const SERVE_USAGE/,/;$/p' crates/dlb-cli/src/serve.rs
     } | grep -o -- '--[a-z][a-z0-9-]*'
-    # Every `keys![…]` list: the `dlb-exp` rows, bench_core,
-    # bench_experiments, trace_analyze.
+    # Every `keys![…]` list: the `dlb-exp` rows, bench_core and
+    # trace_analyze.
     cat crates/dlb-experiments/src/exp/*.rs crates/dlb-experiments/src/bin/*.rs |
         awk '/keys!\[/,/\];/' | grep -o '"[a-z][a-z0-9-]*":' | sed 's/^"\(.*\)":$/--\1/'
     # The benchmark harness's own options.

@@ -110,7 +110,12 @@ impl RunAnalysis {
     /// This run's parameters, when they are valid for `dlb-theory`.
     pub fn algo_params(&self) -> Option<AlgoParams> {
         let info = self.info.as_ref()?;
-        AlgoParams::new(info.n as usize, info.delta as usize, info.f).ok()
+        AlgoParams::new(
+            usize::try_from(info.n).ok()?,
+            usize::try_from(info.delta).ok()?,
+            info.f,
+        )
+        .ok()
     }
 }
 

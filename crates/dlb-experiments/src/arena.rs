@@ -76,6 +76,9 @@ pub struct ArenaConfig {
 
 impl ArenaConfig {
     /// First step included in the quality statistics.
+    // Callers keep the fraction in [0, 1), so the product stays below
+    // `steps`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn warmup(&self) -> usize {
         (self.steps as f64 * self.warmup_fraction) as usize
     }

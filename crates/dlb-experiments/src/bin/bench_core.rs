@@ -1,7 +1,5 @@
 //! Times the core simulation engines on the §7 paper workload across
-//! processor counts and writes `BENCH_core.json` at the repo root — the
-//! single-engine counterpart of `bench_experiments` (which times the
-//! Monte Carlo harness around them).
+//! processor counts and writes `BENCH_core.json` at the repo root.
 //!
 //! For each `n` in the matrix the full virtual-class [`Cluster`] and
 //! the practical [`SimpleCluster`] replay the same recorded 500-step
@@ -10,61 +8,57 @@
 //! FNV-1a and invariant-checked.  Beside each time sits the run's
 //! balance-operation count and the time per operation (`full_ops`,
 //! `full_ns_per_op`, …): the two models' per-operation gap, readable
-//! across n.  `effective_cores` records what this
-//! machine had.  n = 4096 is the PR-4 headline: the flat `d`/`b` arena
-//! plus active-class lists make the full model tractable at that size,
-//! and the binary asserts it completes in under 60 s.
+//! across n.  `effective_cores` records what this machine had, and the
+//! binary asserts the full model finishes n = 4096 in under 60 s.
 //!
-//! Since PR 9 the full engine stores its class state sparsely, so the
-//! matrix gains a `large` section (full engine only, fewer steps) that
-//! climbs to n = 2¹⁸ and records `state_bytes`/`bytes_per_proc` — the
-//! witness that memory scales with active classes, not n².  Two dense
-//! u64 matrices would cost 16·n bytes per processor (4 MiB at n = 2¹⁸);
-//! the binary asserts the sparse engine stays under 4 KiB.
+//! The full engine stores its class state sparsely, so a `large`
+//! section (full engine only, fewer steps) climbs to n = 2¹⁸ and records
+//! `state_bytes`/`bytes_per_proc` — the witness that memory scales with
+//! active classes, not n².  Two dense u64 matrices would cost 16·n
+//! bytes per processor (4 MiB at n = 2¹⁸); the binary asserts the sparse
+//! engine stays under 4 KiB.
 //!
-//! Since PR 10 the binary also times the *event-driven* path: a
-//! `sparse_step` section steps the full engine at n = 2²⁰ through
-//! [`LoadBalancer::step_sparse`] on a structurally sparse phase
-//! workload at 1 % and 0.1 % activity.  Each row's checksum is asserted
-//! equal to a dense `step` run over the identical event stream (the
-//! equivalence witness), and per-step cost must drop with the active
-//! fraction — the proof that stepping costs O(active), not O(n).  The
-//! same section carries the *stall ladder*: the 1 % stream at an equal
-//! event count from n = 2¹⁴ (the state fits in cache) to n = 2²⁰ (every
-//! touched processor is a miss).  The instructions per event are the
-//! same on every rung, so `stall_ratio` — a rung's `ns_per_event` over
-//! the first rung's — is what memory costs (DESIGN.md §11).
+//! A `sparse_step` section times the *event-driven* path: the full
+//! engine at n = 2²⁰ through [`LoadBalancer::step_sparse`] on a
+//! structurally sparse phase workload at 1 % and 0.1 % activity.  Each
+//! row's checksum is asserted equal to a dense `step` run over the
+//! identical event stream (the equivalence witness), an n = 2²⁰ row must
+//! stay within 192 B of state per processor, and per-step cost must drop
+//! with the active fraction — the proof that stepping costs O(active),
+//! not O(n).  The same section carries the *stall ladder*: the 1 %
+//! stream at an equal event count from n = 2¹⁴ (the state fits in cache)
+//! to n = 2²⁰ (every touched processor is a miss).  The instructions per
+//! event are the same on every rung, so `stall_ratio` — a rung's
+//! `ns_per_event` over the first rung's — is what memory costs
+//! (DESIGN.md §11).
 //!
-//! Since PR 24 an `rng` row times the layer under all of them: 2²⁴
-//! `next_u64` draws from the vendored `ChaCha8Rng` (`ns_per_u64`), one
-//! four-block refill (`ns_per_refill`), and the FNV fold of the draws as
-//! the row's checksum.  A toolchain that stops vectorising the refill
-//! shows here as `ns_per_u64` doubling, with the checksum unchanged.
+//! An `rng` row times the layer under all of them: 2²⁴ `next_u64` draws
+//! from the vendored `ChaCha8Rng` (`ns_per_u64`), one four-block refill
+//! (`ns_per_refill`), and the FNV fold of the draws as the row's
+//! checksum.  A toolchain that stops vectorising the refill shows here
+//! as `ns_per_u64` doubling, with the checksum unchanged.
 //!
 //! Usage: `cargo run --release -p dlb-experiments --bin bench_core
-//!         [--smoke] [--large-smoke] [--sparse-smoke]
-//!         [--out BENCH_core.json] [--check BENCH_core.json]`
+//!         [--smoke] [--out BENCH_core.json] [--check BENCH_core.json]`
 //!
-//! `--smoke` shrinks the matrix (and skips the 60 s assertion) so CI can
-//! run the binary in seconds as a compile-and-run gate; `--large-smoke`
-//! runs a single time-bounded large-n cell (n = 65536) and exits without
-//! writing JSON — the CI gate that the sparse engine actually reaches
-//! 10⁵-processor scale.  `--sparse-smoke` runs one time-bounded
-//! event-driven cell (n = 2²⁰, 1 % activity) with its dense equivalence
-//! witness, asserts the state stays within 192 B per processor, and
-//! exits without writing JSON.  `--check <baseline>`
-//! re-runs the baseline's matrix (including its `large`, `sparse_step`
-//! and `rng` rows, if present) and exits non-zero if any checksum
-//! differs from the committed file (timings are machine-dependent;
-//! checksums are not).
+//! `--smoke` shrinks the matrix (no `large` or n = 2²⁰ rows, no 60 s
+//! assertion) so CI can run the binary in seconds as a compile-and-run
+//! gate.  `--check <baseline>` re-runs the baseline's matrix (including
+//! its `large`, `sparse_step` and `rng` rows, if present, with their
+//! invariant, memory and equivalence assertions) and exits 1 if any
+//! checksum differs from the committed file (timings are
+//! machine-dependent; checksums are not).  A baseline that cannot be
+//! read or decoded is refused before any row runs: the reason, naming
+//! the row and key, the usage line, exit 2.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::parallel::default_jobs;
 use dlb_experiments::quality::paper_trace;
-use dlb_json::{Json, ToJson};
+use dlb_json::{req, Json, ToJson};
 use dlb_workload::sparse::{drive_sparse, SparseActivity, SparsePattern};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
@@ -286,8 +280,6 @@ struct SparseCell {
     sparse_ms: f64,
     dense_ms: f64,
     fp: String,
-    /// `Cluster::state_bytes` after the sparse run.
-    state_bytes: usize,
 }
 
 impl SparseCell {
@@ -321,13 +313,18 @@ impl SparseCell {
     }
 }
 
+/// The `sparse_step` workload at gap range `gap`.
+fn phase(gap: (u32, u32)) -> SparsePattern {
+    SparsePattern::Phase { work: 2, gap }
+}
+
 /// Times the full engine through `step_sparse` at `n` with the given
 /// activity gap — the fastest of `reps` runs — then re-runs the
 /// identical event stream through the dense `step` path and asserts the
 /// final states are bit-identical: every sparse timing in the JSON
 /// carries its own equivalence witness.
 fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> SparseCell {
-    let pattern = SparsePattern::Phase { work: 2, gap };
+    let pattern = phase(gap);
     let params = Params::paper_section7(n);
 
     let mut sparse_ms = f64::INFINITY;
@@ -350,6 +347,13 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> Spar
         timed = Some(run);
     }
     let (stepped, fp, state_bytes) = timed.expect("at least one timed run");
+    // One 128-byte record per processor plus the few rows that spilled:
+    // at a million processors the layout has fattened if that passes 192.
+    let per_proc = state_bytes / n;
+    assert!(
+        n < SPARSE_N || per_proc <= 192,
+        "full-model state at n={n} must stay within 192 B/proc, uses {per_proc}"
+    );
 
     let mut workload = SparseActivity::new(n, pattern, 9);
     let mut dense = Cluster::new(params, 1);
@@ -374,7 +378,6 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> Spar
         sparse_ms,
         dense_ms,
         fp,
-        state_bytes,
     }
 }
 
@@ -428,199 +431,141 @@ fn run_rng_cell(reps: usize) -> RngCell {
     }
 }
 
-/// `--sparse-smoke` mode: one time-bounded event-driven cell (with its
-/// dense witness) proving the sparse path holds at n = 2²⁰, for CI.
-/// Writes nothing.
-fn sparse_smoke() -> ! {
-    let (n, (_, gap), steps) = (SPARSE_N, SPARSE_LEVELS[0], 100usize);
-    println!("bench_core --sparse-smoke: full engine, n={n}, {steps} steps, 1% activity\n");
-    let cell = run_sparse_cell(n, gap, steps, 1);
-    let per_proc = cell.state_bytes / cell.n;
-    println!(
-        "  n={:<8} sparse {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step  {per_proc} B/proc",
-        cell.n,
-        cell.sparse_ms,
-        cell.dense_ms,
-        cell.fp,
-        cell.active_per_step()
-    );
-    assert!(
-        cell.sparse_ms < 60_000.0,
-        "sparse smoke must finish {steps} steps at n={n} in < 60 s, took {:.0} ms",
-        cell.sparse_ms
-    );
-    // One 128-byte record per processor plus the few rows that spilled:
-    // at this activity the layout has fattened if that passes 192.
-    assert!(
-        per_proc <= 192,
-        "full-model state at n={n} must stay within 192 B/proc, uses {per_proc}"
-    );
-    std::process::exit(0);
+/// The rows a `--check` baseline pins, decoded before any of them runs.
+struct Baseline {
+    smoke: bool,
+    /// `(n, full_checksum, simple_checksum)`.
+    sizes: Vec<(usize, String, String)>,
+    /// `(n, steps, full_checksum)`.
+    large: Vec<(usize, usize, String)>,
+    /// `(n, steps, gap, checksum)`.
+    sparse: Vec<(usize, usize, (u32, u32), String)>,
+    rng: Option<String>,
 }
 
-/// `--check` mode: re-runs the baseline's matrix (checksums are
-/// machine-independent) and compares every cell against the committed
-/// file.  Exits 1 on any drift.
-fn check_against(baseline_path: &str) -> ! {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("parse {baseline_path}: {e}"));
-    let smoke = doc.get("matrix").and_then(Json::as_str) == Some("smoke");
-    let field = |cell: &Json, key: &str| -> String {
-        cell.get(key)
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("cell is missing {key}"))
-            .to_string()
+/// Reads and decodes the baseline at `path`; an error names the row and
+/// the key (`sparse_step[1]: field 'gap_lo': …`).
+fn read_baseline(path: &str) -> Result<Baseline, String> {
+    let doc = Json::parse(&std::fs::read_to_string(path).map_err(|e| e.to_string())?)?;
+    dlb_json::field(&doc, "sizes")?;
+    // Every row's `n` must admit the paper's parameters (δ = 1 < n).
+    let procs = |row: &Json| -> Result<usize, String> {
+        let n = req(row, "n")?;
+        Params::new(n, 1, 1.1, 4).map_err(|e| format!("field 'n': {e}"))?;
+        Ok(n)
     };
-    let baseline: Vec<(u64, String, String)> = doc
-        .get("sizes")
-        .and_then(Json::as_arr)
-        .expect("baseline has a sizes array")
+    let sparse_row = |row: &Json| {
+        let gap = (req(row, "gap_lo")?, req(row, "gap_hi")?);
+        phase(gap)
+            .validate()
+            .map_err(|e| format!("fields 'gap_lo', 'gap_hi': {e}"))?;
+        Ok((procs(row)?, req(row, "steps")?, gap, req(row, "checksum")?))
+    };
+    Ok(Baseline {
+        smoke: doc.get("matrix").and_then(Json::as_str) == Some("smoke"),
+        sizes: rows(&doc, "sizes", |row| {
+            Ok((
+                procs(row)?,
+                req(row, "full_checksum")?,
+                req(row, "simple_checksum")?,
+            ))
+        })?,
+        large: rows(&doc, "large", |row| {
+            Ok((procs(row)?, req(row, "steps")?, req(row, "full_checksum")?))
+        })?,
+        sparse: rows(&doc, "sparse_step", sparse_row)?,
+        rng: doc
+            .get("rng")
+            .map(|row| req(row, "checksum").map_err(|e| format!("rng: {e}")))
+            .transpose()?,
+    })
+}
+
+/// Decodes each element of the array `section` (none when absent) with
+/// `row`, prefixing an error with `section[k]`.
+fn rows<T>(
+    doc: &Json,
+    section: &str,
+    row: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Some(items) = doc.get(section) else {
+        return Ok(Vec::new());
+    };
+    let items = items
+        .as_arr()
+        .ok_or_else(|| format!("field '{section}': expected an array"))?;
+    items
         .iter()
-        .map(|cell| {
-            (
-                cell.get("n").and_then(Json::as_f64).expect("cell n") as u64,
-                field(cell, "full_checksum"),
-                field(cell, "simple_checksum"),
-            )
-        })
-        .collect();
-    let (_, steps, _) = matrix(smoke);
+        .enumerate()
+        .map(|(k, item)| row(item).map_err(|e| format!("{section}[{k}]: {e}")))
+        .collect()
+}
+
+/// `--check` mode: re-runs the baseline's rows (checksums are
+/// machine-independent; one rep suffices) and compares each against the
+/// committed file.  Exits 1 on any drift.
+fn check_against(path: &str, baseline: &Baseline) -> ! {
+    let (_, steps, _) = matrix(baseline.smoke);
     println!(
-        "bench_core --check: verifying {} cells against {baseline_path} \
-         ({} matrix)\n",
-        baseline.len(),
-        if smoke { "smoke" } else { "paper" }
+        "bench_core --check: verifying {} cells against {path} ({} matrix)\n",
+        baseline.sizes.len(),
+        if baseline.smoke { "smoke" } else { "paper" }
     );
     let mut drifted = 0usize;
-    for (n, want_full, want_simple) in &baseline {
-        // One rep suffices: checksums do not depend on timing.
-        let cell = run_cell(*n as usize, steps, 1, false);
-        for (engine, want, got) in [
-            ("full", want_full, &cell.full_fp),
-            ("simple", want_simple, &cell.simple_fp),
-        ] {
-            if want == got {
-                println!("  n={n:<5} {engine:<7} ok    {got}");
-            } else {
-                println!("  n={n:<5} {engine:<7} DRIFT baseline {want} != {got}");
-                drifted += 1;
-            }
-        }
-    }
-    // The sparse-engine `large` rows, when the baseline has them: same
-    // machine-independence argument, one run per row.
-    if let Some(large) = doc.get("large").and_then(Json::as_arr) {
-        println!();
-        for row in large {
-            let n = row.get("n").and_then(Json::as_f64).expect("large n") as usize;
-            let steps = row
-                .get("steps")
-                .and_then(Json::as_f64)
-                .expect("large steps") as usize;
-            let want = field(row, "full_checksum");
-            let cell = run_large_cell(n, steps);
-            if want == cell.full_fp {
-                println!("  n={n:<6} large  full    ok    {}", cell.full_fp);
-            } else {
-                println!(
-                    "  n={n:<6} large  full    DRIFT baseline {want} != {}",
-                    cell.full_fp
-                );
-                drifted += 1;
-            }
-        }
-    }
-    // The event-driven `sparse_step` rows, when the baseline has them:
-    // each re-run also re-asserts the internal sparse/dense witness.
-    if let Some(sparse) = doc.get("sparse_step").and_then(Json::as_arr) {
-        println!();
-        for row in sparse {
-            let n = row.get("n").and_then(Json::as_f64).expect("sparse n") as usize;
-            let steps = row
-                .get("steps")
-                .and_then(Json::as_f64)
-                .expect("sparse steps") as usize;
-            let gap_lo = row.get("gap_lo").and_then(Json::as_f64).expect("gap_lo") as u32;
-            let gap_hi = row.get("gap_hi").and_then(Json::as_f64).expect("gap_hi") as u32;
-            let want = field(row, "checksum");
-            let cell = run_sparse_cell(n, (gap_lo, gap_hi), steps, 1);
-            if want == cell.fp {
-                println!("  n={n:<8} sparse gap={gap_lo}..{gap_hi} ok    {}", cell.fp);
-            } else {
-                println!(
-                    "  n={n:<8} sparse gap={gap_lo}..{gap_hi} DRIFT baseline {want} != {}",
-                    cell.fp
-                );
-                drifted += 1;
-            }
-        }
-    }
-    // The generator's `rng` row, when the baseline has it.
-    if let Some(row) = doc.get("rng") {
-        let want = field(row, "checksum");
-        let cell = run_rng_cell(1);
-        if want == cell.fp {
-            println!("\n  rng    {RNG_DRAWS} draws     ok    {}", cell.fp);
+    let mut verdict = |label: String, want: &str, got: &str| {
+        if want == got {
+            println!("  {label} ok    {got}");
         } else {
-            println!(
-                "\n  rng    {RNG_DRAWS} draws     DRIFT baseline {want} != {}",
-                cell.fp
-            );
+            println!("  {label} DRIFT baseline {want} != {got}");
             drifted += 1;
         }
+    };
+    for (n, want_full, want_simple) in &baseline.sizes {
+        let cell = run_cell(*n, steps, 1, false);
+        verdict(format!("n={n:<5} full   "), want_full, &cell.full_fp);
+        verdict(format!("n={n:<5} simple "), want_simple, &cell.simple_fp);
+    }
+    // Each re-run also re-asserts its row's invariants and memory bound,
+    // and a sparse row its sparse/dense equivalence witness.
+    println!();
+    for (n, steps, want) in &baseline.large {
+        let cell = run_large_cell(*n, *steps);
+        verdict(format!("n={n:<6} large  full   "), want, &cell.full_fp);
+    }
+    println!();
+    for (n, steps, (lo, hi), want) in &baseline.sparse {
+        let cell = run_sparse_cell(*n, (*lo, *hi), *steps, 1);
+        verdict(format!("n={n:<8} sparse gap={lo}..{hi}"), want, &cell.fp);
+    }
+    if let Some(want) = &baseline.rng {
+        println!();
+        verdict(
+            format!("rng    {RNG_DRAWS} draws    "),
+            want,
+            &run_rng_cell(1).fp,
+        );
     }
     if drifted > 0 {
         println!(
-            "\n{drifted} checksum(s) drifted from {baseline_path}: the simulation \
+            "\n{drifted} checksum(s) drifted from {path}: the simulation \
              results changed.  If intentional, regenerate the baseline."
         );
         std::process::exit(1);
     }
-    println!("\nAll checksums match {baseline_path}.");
+    println!("\nAll checksums match {path}.");
     std::process::exit(0);
 }
 
-/// `--large-smoke` mode: one time-bounded large-n cell proving the
-/// sparse engine holds at 10⁵-processor scale, for CI.  Writes nothing.
-fn large_smoke() -> ! {
-    let (n, steps) = (65_536usize, 40usize);
-    println!("bench_core --large-smoke: full engine, n={n}, {steps} steps\n");
-    let cell = run_large_cell(n, steps);
-    println!(
-        "  n={:<6} full {:>10.2} ms  ({})  {:.0} ns/op  {} B/proc",
-        cell.n,
-        cell.full_ms,
-        cell.full_fp,
-        ns_per_op(cell.full_ms, cell.full_ops),
-        cell.state_bytes / cell.n
-    );
-    assert!(
-        cell.full_ms < 60_000.0,
-        "large smoke must finish {steps} steps at n={n} in < 60 s, took {:.0} ms",
-        cell.full_ms
-    );
-    std::process::exit(0);
-}
-
-const KEYS: &[Key] = dlb_experiments::keys![
-    "smoke": Flag, "large-smoke": Flag, "sparse-smoke": Flag, "out": String,
-    "check": String,
-];
+const KEYS: &[Key] = dlb_experiments::keys!["smoke": Flag, "out": String, "check": String];
 
 fn main() {
     let args = Args::from_env("bench_core", KEYS);
     let smoke = args.flag("smoke");
     let out: String = args.get("out", "BENCH_core.json".to_string());
-    let check: String = args.get("check", String::new());
-    if !check.is_empty() {
-        check_against(&check);
-    }
-    if args.flag("large-smoke") {
-        large_smoke();
-    }
-    if args.flag("sparse-smoke") {
-        sparse_smoke();
+    if args.has("check") {
+        let path: String = args.get("check", String::new());
+        let baseline = args.build_or_exit(&["check"], read_baseline(&path));
+        check_against(&path, &baseline);
     }
     let (sizes, steps, reps) = matrix(smoke);
 

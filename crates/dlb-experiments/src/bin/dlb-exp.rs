@@ -2,6 +2,7 @@
 //! of [`dlb_experiments::exp::EXPERIMENTS`]; `dlb-exp list` prints them.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use dlb_experiments::args::Args;
 use dlb_experiments::exp::EXPERIMENTS;

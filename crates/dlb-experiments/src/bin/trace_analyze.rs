@@ -11,6 +11,7 @@
 //! trace-schema gate runs this).
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use std::fs::File;
 use std::io::BufReader;

@@ -37,6 +37,8 @@ pub fn run(args: &Args) {
     let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
     println!("Ablations ({n} procs, section-7 workload, {steps} steps, {runs} runs)\n");
 
+    // The floor of √n is at most n.
+    #[allow(clippy::cast_possible_truncation)]
     let w = (n as f64).sqrt() as usize;
     let torus = move || Topology::Torus2D { w, h: n / w };
     let topo = move |mode, seed| TopoCluster::with_rule(params, TopoRule::new(torus(), mode), seed);

@@ -14,7 +14,9 @@
 //!
 //! With `--scenario`, the scenario's `n`, `steps`, `seed` and `faults`
 //! section seed the sweep (the swept knob overrides the plan's own value
-//! per point).
+//! per point).  A scenario that cannot be read or decoded, or whose
+//! values the sweep cannot run, is refused like a bad `--key`: the
+//! reason, naming the path and the key, the usage line, exit 2.
 
 use crate::args::{Args, Key};
 use crate::faultsweep::{sweep, SweepConfig};
@@ -29,35 +31,54 @@ pub const KEYS: &[Key] = crate::keys![
     "jobs": usize, "out": String, "svg": String,
 ];
 
+/// Seeds `cfg` from the scenario file at `path`.
+fn from_scenario(cfg: &mut SweepConfig, path: &str) -> Result<(), String> {
+    let json = Json::parse(&std::fs::read_to_string(path).map_err(|e| e.to_string())?)?;
+    cfg.n = dlb_json::field_or(&json, "n", cfg.n)?;
+    cfg.steps = dlb_json::field_or(&json, "steps", cfg.steps)?;
+    cfg.workload_seed = dlb_json::field_or(&json, "seed", cfg.workload_seed)?;
+    if let Some(faults) = json.get("faults").filter(|f| !matches!(f, Json::Null)) {
+        cfg.base = FaultPlan::from_json(faults).map_err(|e| format!("field 'faults': {e}"))?;
+    }
+    Ok(())
+}
+
+/// Whether the sweep can run `cfg`: the trigger parameters admit `n`,
+/// and the base plan and every crash-sweep plan fit `n` and `steps`.
+fn runnable(cfg: &SweepConfig) -> Result<(), String> {
+    cfg.params().map_err(|e| e.to_string())?;
+    cfg.base
+        .validate(cfg.n)
+        .map_err(|e| format!("field 'faults': {e}"))?;
+    for &count in &cfg.crash_counts {
+        cfg.crash_plan(count)
+            .validate(cfg.n)
+            .map_err(|e| format!("steps = {}: crash sweep: {e}", cfg.steps))?;
+    }
+    Ok(())
+}
+
 pub fn run(args: &Args) {
     let mut cfg = SweepConfig::default();
-
-    if args.has("scenario") {
-        let path: String = args.get("scenario", String::new());
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read scenario {path}: {e}"));
-        let json = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON in {path}: {e}"));
-        cfg.n = dlb_json::field_or(&json, "n", cfg.n as u64).expect("n") as usize;
-        cfg.steps = dlb_json::field_or(&json, "steps", cfg.steps).expect("steps");
-        cfg.workload_seed = dlb_json::field_or(&json, "seed", cfg.workload_seed).expect("seed");
-        if let Some(faults) = json.get("faults") {
-            if !matches!(faults, Json::Null) {
-                cfg.base = FaultPlan::from_json(faults).expect("valid faults section");
-                cfg.base
-                    .validate(cfg.n)
-                    .expect("fault plan fits the scenario");
-            }
-        }
+    let scenario: Option<String> = args
+        .has("scenario")
+        .then(|| args.get("scenario", String::new()));
+    if let Some(path) = &scenario {
+        args.build_or_exit(&["scenario"], from_scenario(&mut cfg, path));
+    }
+    if args.has("steps") {
+        cfg.steps = args.count("steps", 0) as u64;
+    }
+    cfg.n = args.get("n", cfg.n);
+    cfg.runs = args.count("runs", cfg.runs);
+    cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
+    args.build_or_exit(&["scenario", "n", "steps"], runnable(&cfg));
+    if let Some(path) = &scenario {
         println!(
             "scenario {path}: n = {}, steps = {}, seed = {}\n",
             cfg.n, cfg.steps, cfg.workload_seed
         );
     }
-    cfg.n = args.get("n", cfg.n);
-    cfg.steps = args.count("steps", cfg.steps as usize) as u64;
-    cfg.runs = args.count("runs", cfg.runs as usize) as u64;
-    cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
-    args.build_or_exit(&["n"], cfg.params());
     let out: String = args.get("out", "results/faults_sweep.json".to_string());
     let svg: String = args.get("svg", "results/faults_sweep.svg".to_string());
 

@@ -38,7 +38,7 @@ pub struct SweepConfig {
     /// Message latency in ticks.
     pub latency: u64,
     /// Independent runs averaged per sweep point.
-    pub runs: u64,
+    pub runs: usize,
     /// Seed for the workload action stream.
     pub workload_seed: u64,
     /// Base fault plan (its seed anchors the injector; the swept knob is
@@ -74,6 +74,21 @@ impl SweepConfig {
     /// C = 4); an error when `n` is too small for them.
     pub fn params(&self) -> Result<Params, ParamError> {
         Params::new(self.n, 2, 1.3, 4)
+    }
+
+    /// The crash sweep's plan at `count` crashed processors: evenly
+    /// spaced, frozen at `steps/4`, recovering at `3·steps/4`.
+    pub fn crash_plan(&self, count: usize) -> FaultPlan {
+        let mut plan = self.base.clone();
+        plan.crash_mode = CrashMode::Frozen;
+        plan.crashes = (0..count)
+            .map(|i| CrashEvent {
+                proc: i * self.n / count.max(1),
+                at: self.steps / 4,
+                recover_at: Some(3 * self.steps / 4),
+            })
+            .collect();
+        plan
     }
 }
 
@@ -196,7 +211,7 @@ impl SweepResult {
 /// the experiment doubles as a soundness harness.
 pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
     let params = cfg.params().expect("n admits the sweep's delta");
-    let per_run = par_map(cfg.jobs, cfg.runs as usize, |run| {
+    let per_run = par_map(cfg.jobs, cfg.runs, |run| {
         let run = run as u64;
         let mut run_plan = plan.clone();
         run_plan.seed = stream_seed(plan.seed, run, StreamId::Faults);
@@ -274,20 +289,9 @@ pub fn sweep(cfg: &SweepConfig) -> SweepResult {
     let crash_sweep = cfg
         .crash_counts
         .iter()
-        .map(|&count| {
-            let mut plan = cfg.base.clone();
-            plan.crash_mode = CrashMode::Frozen;
-            plan.crashes = (0..count)
-                .map(|i| CrashEvent {
-                    proc: i * cfg.n / count.max(1),
-                    at: cfg.steps / 4,
-                    recover_at: Some(3 * cfg.steps / 4),
-                })
-                .collect();
-            SweepPoint {
-                x: count as f64 / cfg.n as f64,
-                ..run_cell(cfg, &plan)
-            }
+        .map(|&count| SweepPoint {
+            x: count as f64 / cfg.n as f64,
+            ..run_cell(cfg, &cfg.crash_plan(count))
         })
         .collect();
     SweepResult {

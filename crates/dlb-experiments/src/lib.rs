@@ -9,14 +9,15 @@
 //! per experiment).  The shared logic lives in the other modules so it
 //! is unit-testable at reduced sizes.
 //!
-//! Three tools stay binaries of their own: `trace_analyze` (replay a
-//! JSONL trace into derived series), `bench_core` and
-//! `bench_experiments` (timings + checksum gates).
+//! Two tools stay binaries of their own: `trace_analyze` (replay a
+//! JSONL trace into derived series) and `bench_core` (engine timings
+//! and the checksums `--check` re-derives).
 //!
 //! Monte Carlo experiments take `--jobs N` (default: available cores);
 //! the [`parallel`] harness guarantees byte-identical output for every `N`.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod analyze;
 pub mod arena;

@@ -65,6 +65,8 @@ pub fn ascii_plot(series: &[(&str, &[f64])], height: usize) -> String {
     for (k, (_, s)) in series.iter().enumerate() {
         let glyph = GLYPHS[k % GLYPHS.len()];
         for (x, &v) in s.iter().enumerate() {
+            // `v` lies in [lo, hi], so `y` is at most `height - 1`.
+            #[allow(clippy::cast_possible_truncation)]
             let y = ((v - lo) / span * (height - 1) as f64).round() as usize;
             grid[height - 1 - y][x] = glyph;
         }

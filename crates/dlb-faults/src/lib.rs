@@ -275,6 +275,11 @@ impl ToJson for FaultPlan {
 
 impl FromJson for FaultPlan {
     fn from_json(value: &Json) -> Result<Self, String> {
+        // `field_or` finds nothing in a non-object, which would decode
+        // as the benign default plan.
+        value
+            .as_obj()
+            .ok_or_else(|| format!("expected an object, got {value:?}"))?;
         dlb_json::reject_unknown(
             value,
             &[
@@ -619,6 +624,8 @@ mod tests {
         let empty = FaultPlan::from_json(&Json::parse("{}").unwrap()).unwrap();
         assert_eq!(empty, FaultPlan::default());
         assert!(empty.is_benign());
+        let err = FaultPlan::from_json(&Json::parse("3").unwrap()).unwrap_err();
+        assert!(err.starts_with("expected an object"), "{err}");
     }
 
     #[test]
