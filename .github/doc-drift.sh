@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# doc-drift: README.md, docs/GUIDE.md, DESIGN.md and EXPERIMENTS.md may
-# not name a `--flag` that no usage string or declared key list has, a
-# `.rs` file that does not exist, a `dlb-exp <row>` that is no row of
-# `exp/mod.rs`'s `table!`, nor a `results/<file>` that neither exists
-# nor is an ignored (generated, untracked) output.
+# doc-drift: README.md, docs/GUIDE.md, DESIGN.md, EXPERIMENTS.md and the
+# verify skill may not name a `--flag` that no usage string or declared
+# key list has, a `.rs` file that does not exist, a `dlb-exp <row>` that
+# is no row of `exp/mod.rs`'s `table!`, nor a `results/<file>` that
+# neither exists nor is an ignored (generated, untracked) output.  And
+# DESIGN.md may only shrink: it fails above `design_ceiling` bytes.
 #
 # Checked text: inline `code spans` and ```bash / ```sh fences.  A
 # paragraph that documents a flag or file as *removed* says so with
@@ -12,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-docs=(README.md docs/GUIDE.md DESIGN.md EXPERIMENTS.md)
+docs=(README.md docs/GUIDE.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 
 known_flags() {
     # `dlb`'s two usage strings.
@@ -97,5 +98,11 @@ for doc in "${docs[@]}"; do
             { echo "$doc: \`$path\` does not exist"; status=1; }
     done < <(grep -oE 'results/[A-Za-z0-9_.*-]+' <<<"$text" | sed 's/\.*$//' | sort -u)
 done
+
+# Lower the ceiling when DESIGN.md shrinks; never raise it.
+design_ceiling=71107
+design_bytes=$(wc -c < DESIGN.md)
+[ "$design_bytes" -le "$design_ceiling" ] ||
+    { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }
 [ "$status" -eq 0 ] && echo "doc-drift: ${docs[*]} name no unknown flag, file or dlb-exp row"
 exit "$status"

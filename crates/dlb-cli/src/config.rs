@@ -31,8 +31,6 @@ pub struct Scenario {
     /// Optional fault injection: message loss, duplication, jitter,
     /// crashes and partitions, applied per run with a per-run seed.
     pub faults: Option<FaultPlan>,
-    /// Optional JSONL trace output path (`dlb run --trace` overrides).
-    pub trace: Option<String>,
 }
 
 fn default_runs() -> usize {
@@ -400,9 +398,6 @@ impl ToJson for Scenario {
         if let Some(faults) = &self.faults {
             obj.push(("faults".to_string(), faults.to_json()));
         }
-        if let Some(trace) = &self.trace {
-            obj.push(("trace".to_string(), Json::Str(trace.clone())));
-        }
         Json::Obj(obj)
     }
 }
@@ -421,16 +416,11 @@ impl FromJson for Scenario {
                 "workload",
                 "balancer",
                 "faults",
-                "trace",
             ],
         )?;
         let faults = match value.get("faults") {
             None | Some(Json::Null) => None,
             Some(v) => Some(FaultPlan::from_json(v).map_err(|e| format!("faults: {e}"))?),
-        };
-        let trace = match value.get("trace") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_str().ok_or("trace must be a string path")?.to_string()),
         };
         Ok(Scenario {
             n: dlb_json::req(value, "n")?,
@@ -442,7 +432,6 @@ impl FromJson for Scenario {
             workload: dlb_json::req(value, "workload")?,
             balancer: dlb_json::field_or(value, "balancer", Vec::new())?,
             faults,
-            trace,
         })
     }
 }
@@ -526,7 +515,6 @@ impl Scenario {
             },
             balancer: Vec::new(),
             faults: None,
-            trace: None,
         }
     }
 }
@@ -611,14 +599,17 @@ mod tests {
         assert_eq!(edge.validate(), Ok(()), "the bounds are accepted");
     }
 
+    /// `dlb run --trace` is the one way to name a trace path.
     #[test]
-    fn trace_field_roundtrips_and_defaults_to_none() {
-        let mut s = Scenario::demo();
-        assert_eq!(s.trace, None);
-        assert!(!s.to_json().contains("trace"), "omitted when None");
-        s.trace = Some("out/trace.jsonl".to_string());
-        let back = Scenario::from_json(&s.to_json()).unwrap();
-        assert_eq!(back.trace.as_deref(), Some("out/trace.jsonl"));
+    fn a_trace_field_is_refused_by_name() {
+        let text = r#"{
+            "n": 8, "steps": 100,
+            "strategy": {"kind": "simple", "delta": 1, "f": 1.2},
+            "workload": {"kind": "one-producer"},
+            "trace": "out/trace.jsonl"
+        }"#;
+        let err = Scenario::from_json(text).unwrap_err();
+        assert!(err.starts_with("unknown key \"trace\""), "{err}");
     }
 
     #[test]

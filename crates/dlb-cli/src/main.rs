@@ -103,7 +103,7 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
         );
         let table = run::execute_league(&scenario, opts)?;
         println!("{table}");
-        if let Some(path) = opts.trace.as_ref().or(scenario.trace.as_ref()) {
+        if let Some(path) = &opts.trace {
             println!("\ntrace written to {path}");
         }
         return Ok(());
@@ -114,7 +114,7 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
     );
     let report = run::execute_with(&scenario, opts)?;
     println!("{}", report.render());
-    if let Some(path) = opts.trace.as_ref().or(scenario.trace.as_ref()) {
+    if let Some(path) = &opts.trace {
         println!("\ntrace written to {path}");
     }
     Ok(())

@@ -533,8 +533,7 @@ fn finish_trace(
 /// trace, created before the first run and written in run-index order.
 pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
     scenario.validate()?;
-    let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
-    let writer = create_trace(&trace_path)?;
+    let writer = create_trace(&opts.trace)?;
     let jobs = opts.jobs.max(1);
     let async_cfg = match scenario.strategy {
         StrategyConfig::Async { delta, f, latency } => Some((delta, f, latency)),
@@ -569,7 +568,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
         }
         lost_load += o.lost;
     }
-    finish_trace(writer, &trace_path)?;
+    finish_trace(writer, &opts.trace)?;
     Ok(Report {
         strategy: strategy_name,
         mean_ratio: recorder.mean_ratio(),
@@ -597,7 +596,6 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
 /// order, streamed as [`execute_with`] streams its runs.
 pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
     scenario.validate()?;
-    let trace_path = opts.trace.clone().or_else(|| scenario.trace.clone());
     let n = scenario.n;
     build_workload(scenario, 0)?; // eager validation, once, off the hot path
 
@@ -620,7 +618,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     }
 
     // Created once the scenario is known to run, before it does.
-    let writer = create_trace(&trace_path)?;
+    let writer = create_trace(&opts.trace)?;
     let cfg = ArenaConfig {
         n,
         steps: scenario.steps,
@@ -639,7 +637,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
         },
         writer.as_ref(),
     );
-    finish_trace(writer, &trace_path)?;
+    finish_trace(writer, &opts.trace)?;
 
     // The Lemma 6 cost yardstick applies only when the primary strategy
     // is the full algorithm (it alone runs decrease simulations).
@@ -677,7 +675,6 @@ mod tests {
             workload,
             balancer: vec![],
             faults: None,
-            trace: None,
         }
     }
 

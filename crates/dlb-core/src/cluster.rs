@@ -599,17 +599,6 @@ impl Cluster {
         self.procs[i].load
     }
 
-    /// Virtual load of processor `i` (real packets plus borrowed markers),
-    /// the quantity `l_i = Σ_j (d_{i,j} + b_{i,j})` of Theorem 4's proof.
-    pub fn virtual_load(&self, i: usize) -> u64 {
-        self.procs[i].load + self.procs[i].sum_b
-    }
-
-    /// Virtual class-`c` load on processor `i`: `d_{i,c} + b_{i,c}`.
-    pub fn class_load(&self, i: usize, c: usize) -> u64 {
-        self.procs[i].d.get(c as u32) + self.procs[i].b.get(c as u32)
-    }
-
     /// `d_{i,c}`: real class-`c` packets on processor `i`.
     pub fn d(&self, i: usize, c: usize) -> u64 {
         self.procs[i].d.get(c as u32)

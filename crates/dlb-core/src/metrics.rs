@@ -54,16 +54,6 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics::default()
     }
-
-    /// Packets migrated per balancing operation (0 if no operations ran).
-    pub fn migration_per_op(&self) -> f64 {
-        let ops = self.balance_ops + self.class_balance_ops;
-        if ops == 0 {
-            0.0
-        } else {
-            self.packets_migrated as f64 / ops as f64
-        }
-    }
 }
 
 macro_rules! metrics_fields {
@@ -239,17 +229,6 @@ mod tests {
         assert_eq!(a.balance_ops, 5);
         assert_eq!(a.packets_migrated, 10);
         assert_eq!(a.total_borrow, 7);
-    }
-
-    #[test]
-    fn migration_per_op_handles_zero() {
-        assert_eq!(Metrics::new().migration_per_op(), 0.0);
-        let m = Metrics {
-            balance_ops: 4,
-            packets_migrated: 10,
-            ..Metrics::new()
-        };
-        assert!((m.migration_per_op() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Display;
-use std::num::NonZeroUsize;
 use std::str::FromStr;
 
 /// One declared `--name` and the type its value must parse as.
@@ -90,34 +89,27 @@ impl Args {
         })
     }
 
-    /// Unwraps what an experiment built from the values of `names`.  A
+    /// Unwraps what an experiment built from the value of `--name`.  A
     /// value that parsed but cannot be built is refused as one that did
     /// not parse is: the reason, the usage line, exit 2.
-    pub fn build_or_exit<T, E: Display>(&self, names: &[&str], built: Result<T, E>) -> T {
+    pub fn build_or_exit<T, E: Display>(&self, name: &str, built: Result<T, E>) -> T {
         built.unwrap_or_else(|why| {
             eprintln!(
                 "error: {}\n{}",
-                self.refusal(names, &why),
+                self.refusal(name, &why),
                 usage(&self.program, self.keys)
             );
             std::process::exit(2)
         })
     }
 
-    /// `--delta 0: <why>` — those of `names` that were supplied, as
-    /// supplied, then the reason.
-    fn refusal(&self, names: &[&str], why: &dyn Display) -> String {
-        let given: Vec<String> = names
-            .iter()
-            .filter_map(|name| {
-                self.assert_declared(name);
-                self.values.get(*name).map(|raw| format!("--{name} {raw}"))
-            })
-            .collect();
-        if given.is_empty() {
-            why.to_string()
-        } else {
-            format!("{}: {why}", given.join(" "))
+    /// `--delta 0: <why>`, or the reason alone when `--name` was not
+    /// supplied.
+    fn refusal(&self, name: &str, why: &dyn Display) -> String {
+        self.assert_declared(name);
+        match self.values.get(name) {
+            Some(raw) => format!("--{name} {raw}: {why}"),
+            None => why.to_string(),
         }
     }
 
@@ -169,17 +161,6 @@ impl Args {
             Some(raw) => raw.parse().unwrap_or_else(|e| {
                 panic!("--{name} {raw:?} read as another type than declared: {e}")
             }),
-        }
-    }
-
-    /// Returns the count `--name` (declared `NonZeroUsize`, so a run or
-    /// step count of 0 is refused at parse time), or `default` when
-    /// absent.
-    pub fn count(&self, name: &str, default: usize) -> usize {
-        if self.has(name) {
-            self.get(name, NonZeroUsize::MIN).get()
-        } else {
-            default
         }
     }
 
@@ -288,18 +269,18 @@ mod tests {
         let params = |a: &Args| dlb_core::Params::new(64, a.get("delta", 1), 1.1, 4);
         let a = args(&["--delta", "0", "--runs", "3"]);
         assert_eq!(
-            a.refusal(&["runs", "delta"], &params(&a).unwrap_err()),
-            "--runs 3 --delta 0: neighbourhood size delta = 0 must satisfy 1 <= delta < n = 64"
+            a.refusal("delta", &params(&a).unwrap_err()),
+            "--delta 0: neighbourhood size delta = 0 must satisfy 1 <= delta < n = 64"
         );
         let a = args(&["--delta", "64"]);
         assert_eq!(
-            a.refusal(&["runs", "delta"], &params(&a).unwrap_err()),
+            a.refusal("delta", &params(&a).unwrap_err()),
             "--delta 64: neighbourhood size delta = 64 must satisfy 1 <= delta < n = 64"
         );
-        // Nothing supplied: the reason stands alone.
-        assert_eq!(args(&[]).refusal(&["delta"], &"why"), "why");
+        // Not supplied: the reason stands alone.
+        assert_eq!(args(&[]).refusal("delta", &"why"), "why");
         let a = args(&["--delta", "63"]);
-        assert_eq!(a.build_or_exit(&["delta"], params(&a)).delta(), 63);
+        assert_eq!(a.build_or_exit("delta", params(&a)).delta(), 63);
     }
 
     #[test]

@@ -564,7 +564,7 @@ fn main() {
     let out: String = args.get("out", "BENCH_core.json".to_string());
     if args.has("check") {
         let path: String = args.get("check", String::new());
-        let baseline = args.build_or_exit(&["check"], read_baseline(&path));
+        let baseline = args.build_or_exit("check", read_baseline(&path));
         check_against(&path, &baseline);
     }
     let (sizes, steps, reps) = matrix(smoke);

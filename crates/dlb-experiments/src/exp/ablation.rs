@@ -9,8 +9,7 @@
 //! The variants race as one arena league (the same workloads and seed
 //! streams for each), so their columns read as the arena's do.
 //!
-//! Usage: `dlb-exp ablation
-//!         [--n 64] [--steps 500] [--runs 20]`
+//! Usage: `dlb-exp ablation [--out results/ablation.csv]`
 
 use crate::arena::{
     league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
@@ -22,26 +21,28 @@ use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, ExchangePolicy, Params, SimpleCluster};
 use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_workload::drive;
-use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys![
-    "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "out": String,
-];
+pub const KEYS: &[Key] = crate::keys!["out": String];
+
+/// Processors (an 8 × 8 torus for the locality variants), steps and
+/// runs of every variant.
+const N: usize = 64;
+const STEPS: usize = 500;
+const RUNS: usize = 20;
 
 pub fn run(args: &Args) {
-    let n: usize = args.get("n", 64);
-    let steps = args.count("steps", 500);
-    let runs = args.count("runs", 20);
     let out: String = args.get("out", "results/ablation.csv".to_string());
 
-    let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
-    println!("Ablations ({n} procs, section-7 workload, {steps} steps, {runs} runs)\n");
+    let params = Params::paper_section7(N);
+    println!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");
 
-    // The floor of √n is at most n.
-    #[allow(clippy::cast_possible_truncation)]
-    let w = (n as f64).sqrt() as usize;
-    let torus = move || Topology::Torus2D { w, h: n / w };
-    let topo = move |mode, seed| TopoCluster::with_rule(params, TopoRule::new(torus(), mode), seed);
+    let topo = move |mode, seed| {
+        TopoCluster::with_rule(
+            params,
+            TopoRule::new(Topology::Torus2D { w: 8, h: 8 }, mode),
+            seed,
+        )
+    };
     let aggressive = params.with_exchange(ExchangePolicy::Aggressive);
     let variants = [
         Contender::new("full / strict", move |s| Box::new(Cluster::new(params, s))),
@@ -59,15 +60,15 @@ pub fn run(args: &Args) {
         }),
     ];
     let cfg = ArenaConfig {
-        n,
-        steps,
-        runs,
+        n: N,
+        steps: STEPS,
+        runs: RUNS,
         seed: 7000,
         warmup_fraction: 0.2,
         faults: None,
         jobs: default_jobs(),
     };
-    let league = run_league(&cfg, &variants, |s| paper_trace(n, steps, s), None);
+    let league = run_league(&cfg, &variants, |s| paper_trace(N, STEPS, s), None);
     let rows = league_csv_rows(&league, lemma6_budget(params));
     println!("{}", render_table(&LEAGUE_HEADERS, &rows));
 
@@ -77,10 +78,10 @@ pub fn run(args: &Args) {
         ("global", PartnerMode::GlobalRandom),
         ("neighbours", PartnerMode::Neighbors),
     ] {
-        let trace = paper_trace(n, steps, 7000);
+        let trace = paper_trace(N, STEPS, 7000);
         let mut c = topo(mode, 1);
         let mut replay = trace.replay();
-        drive(&mut c, &mut replay, steps, |_, _| {});
+        drive(&mut c, &mut replay, STEPS, |_, _| {});
         let comm = c.rule().comm();
         hop_rows.push(vec![
             label.to_string(),

@@ -8,12 +8,12 @@
 //! cost is additionally compared against its Lemma 6 budget
 //! (`cost_vs_l6`; 0.000 for contenders without decrease simulations).
 //!
-//! Usage: `dlb-exp arena
-//!         [--n 64] [--steps 500] [--runs 20] [--seed 61] [--jobs N]
+//! Usage: `dlb-exp arena [--jobs N]
 //!         [--out results/arena.csv] [--svg results/arena.svg]
 //!         [--trace results/arena.jsonl] [--smoke]`
 //!
-//! `--smoke` shrinks the league (n=16, 120 steps, 4 runs) and writes to
+//! The league is 64 processors, 500 steps and 20 runs.  `--smoke`
+//! shrinks it (n=16, 120 steps, 4 runs) and writes to
 //! `results/arena_smoke.{csv,svg}` so the `arena-golden` CI job can
 //! drift-gate it in seconds.  Output — CSV, SVG and trace — is
 //! byte-identical for every `--jobs` value.  The SVG leaves out
@@ -35,20 +35,11 @@ use dlb_core::{Cluster, Params, SimpleCluster};
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_net::Topology;
 use dlb_trace::RunOrderedWriter;
-use std::num::NonZeroUsize;
 
-/// The dimension of the hypercube the topology-bound rivals run on.
-fn hypercube_dim(n: usize) -> Result<u32, String> {
-    if n.is_power_of_two() {
-        Ok(n.trailing_zeros())
-    } else {
-        Err(format!(
-            "the arena's hypercube needs a power of two, not n = {n}"
-        ))
-    }
-}
-
-fn contenders(n: usize, params: Params, dim: u32) -> Vec<Contender> {
+/// The contenders on `n` processors, a power of two: the topology-bound
+/// rivals run on the hypercube.
+fn contenders(n: usize, params: Params) -> Vec<Contender> {
+    let dim = n.trailing_zeros();
     let cube = move || Topology::Hypercube { dim };
     vec![
         Contender::new("spaa93-full", move |seed| {
@@ -105,8 +96,7 @@ fn fault_plan(n: usize, steps: usize) -> FaultPlan {
 }
 
 pub const KEYS: &[Key] = crate::keys![
-    "smoke": Flag, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "seed": u64,
-    "jobs": usize, "out": String, "svg": String, "trace": String,
+    "smoke": Flag, "jobs": usize, "out": String, "svg": String, "trace": String,
 ];
 
 /// The contender whose ratio (≈ 47) would set the chart's y-axis for
@@ -115,7 +105,7 @@ const OFF_CHART: &str = "random-scatter";
 
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
-    let (def_n, def_steps, def_runs, def_out, def_svg) = if smoke {
+    let (n, steps, runs, def_out, def_svg) = if smoke {
         (
             16,
             120,
@@ -126,19 +116,12 @@ pub fn run(args: &Args) {
     } else {
         (64, 500, 20, "results/arena.csv", "results/arena.svg")
     };
-    let n: usize = args.get("n", def_n);
-    let steps = args.count("steps", def_steps);
-    let runs = args.count("runs", def_runs);
-    let seed: u64 = args.get("seed", 61);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
     let svg: String = args.get("svg", def_svg.to_string());
     let trace: Option<String> = args.has("trace").then(|| args.get("trace", String::new()));
 
-    let params = args.build_or_exit(&["n"], Params::new(n, 1, 1.1, 4));
-    let dim = args.build_or_exit(&["n"], hypercube_dim(n));
-    let plan = fault_plan(n, steps);
-    args.build_or_exit(&["steps"], plan.validate(n));
+    let params = Params::paper_section7(n);
     // Created before the first run, so a path that cannot be created
     // costs no simulation and writes nothing.
     let writer = trace.as_ref().map(|path| {
@@ -151,12 +134,12 @@ pub fn run(args: &Args) {
         n,
         steps,
         runs,
-        seed,
+        seed: 61,
         warmup_fraction: 0.2,
-        faults: Some(plan),
+        faults: Some(fault_plan(n, steps)),
         jobs,
     };
-    let entrants = contenders(n, params, dim);
+    let entrants = contenders(n, params);
 
     println!(
         "Balancer arena: {} contenders, {n} procs (hypercube), {steps} steps, {runs} runs, \

@@ -7,14 +7,14 @@
 //! timestamps) plus an SVG chart of both sweeps.
 //!
 //! Usage: `dlb-exp faults_sweep
-//!         [--scenario scenarios/lossy_network.json] [--n 32]
-//!         [--steps 3000] [--runs 3] [--jobs N]
+//!         [--scenario scenarios/lossy_network.json] [--jobs N]
 //!         [--out results/faults_sweep.json]
 //!         [--svg results/faults_sweep.svg]`
 //!
-//! With `--scenario`, the scenario's `n`, `steps`, `seed` and `faults`
-//! section seed the sweep (the swept knob overrides the plan's own value
-//! per point).  A scenario that cannot be read or decoded, or whose
+//! Without `--scenario` the sweep runs 32 processors for 3000 ticks, 3
+//! runs per point.  With it, the scenario's `n`, `steps`, `seed` and
+//! `faults` section seed the sweep (the swept knob overrides the plan's
+//! own value per point).  A scenario that cannot be read or decoded, or whose
 //! values the sweep cannot run, is refused like a bad `--key`: the
 //! reason, naming the path and the key, the usage line, exit 2.
 
@@ -24,11 +24,9 @@ use crate::report::{f3, render_table};
 use crate::svg::write_chart;
 use dlb_faults::FaultPlan;
 use dlb_json::{FromJson, Json, ToJson};
-use std::num::NonZeroUsize;
 
 pub const KEYS: &[Key] = crate::keys![
-    "scenario": String, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize,
-    "jobs": usize, "out": String, "svg": String,
+    "scenario": String, "jobs": usize, "out": String, "svg": String,
 ];
 
 /// Seeds `cfg` from the scenario file at `path`.
@@ -64,21 +62,16 @@ pub fn run(args: &Args) {
         .has("scenario")
         .then(|| args.get("scenario", String::new()));
     if let Some(path) = &scenario {
-        args.build_or_exit(&["scenario"], from_scenario(&mut cfg, path));
-    }
-    if args.has("steps") {
-        cfg.steps = args.count("steps", 0) as u64;
-    }
-    cfg.n = args.get("n", cfg.n);
-    cfg.runs = args.count("runs", cfg.runs);
-    cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
-    args.build_or_exit(&["scenario", "n", "steps"], runnable(&cfg));
-    if let Some(path) = &scenario {
+        args.build_or_exit(
+            "scenario",
+            from_scenario(&mut cfg, path).and_then(|()| runnable(&cfg)),
+        );
         println!(
             "scenario {path}: n = {}, steps = {}, seed = {}\n",
             cfg.n, cfg.steps, cfg.workload_seed
         );
     }
+    cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
     let out: String = args.get("out", "results/faults_sweep.json".to_string());
     let svg: String = args.get("svg", "results/faults_sweep.svg".to_string());
 

@@ -3,27 +3,27 @@
 //! balancing steps, via the exact moment recursion (plus a Monte-Carlo
 //! cross-check column).
 //!
-//! Usage: `dlb-exp fig6_variation
-//!         [--steps 150] [--out results/fig6.csv] [--jobs N]`
+//! Usage: `dlb-exp fig6_variation [--out results/fig6.csv] [--jobs N]`
 
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
-use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys!["steps": NonZeroUsize, "jobs": usize, "out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+
+/// Balancing steps of every curve.
+const STEPS: usize = 150;
 
 pub fn run(args: &Args) {
-    let steps = args.count("steps", 150);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", "results/fig6.csv".to_string());
 
     let deltas = [1usize, 2, 4];
     let fs = [1.1f64, 1.2];
     let counts = paper_processor_counts();
-    let curves = figure6_curves(&deltas, &fs, &counts, steps, jobs);
+    let curves = figure6_curves(&deltas, &fs, &counts, STEPS, jobs);
 
     // Summary table: converged VD per (delta, f) at the largest network.
     let mut rows = Vec::new();
@@ -40,8 +40,8 @@ pub fn run(args: &Args) {
                 c.delta.to_string(),
                 format!("{:.1}", c.f),
                 (c.p + 1).to_string(),
-                f3(c.vd[steps / 10]),
-                f3(c.vd[steps / 2]),
+                f3(c.vd[STEPS / 10]),
+                f3(c.vd[STEPS / 2]),
                 f3(c.final_vd()),
             ]);
         }
@@ -54,9 +54,9 @@ pub fn run(args: &Args) {
                 "delta",
                 "f",
                 "procs",
-                &format!("VD@t={}", steps / 10),
-                &format!("VD@t={}", steps / 2),
-                &format!("VD@t={steps}")
+                &format!("VD@t={}", STEPS / 10),
+                &format!("VD@t={}", STEPS / 2),
+                &format!("VD@t={STEPS}")
             ],
             &rows
         )
@@ -86,8 +86,8 @@ pub fn run(args: &Args) {
     let mut relax_rows = Vec::new();
     for &delta in &deltas[1..] {
         for &f in &fs {
-            let true_vd = dlb_theory::moments::vd_curve(34, delta, f, steps)[steps];
-            let relaxed_vd = dlb_theory::moments::vd_curve_relaxed(34, delta, f, steps)[steps];
+            let true_vd = dlb_theory::moments::vd_curve(34, delta, f, STEPS)[STEPS];
+            let relaxed_vd = dlb_theory::moments::vd_curve_relaxed(34, delta, f, STEPS)[STEPS];
             relax_rows.push(vec![
                 delta.to_string(),
                 format!("{f:.1}"),
@@ -108,7 +108,7 @@ pub fn run(args: &Args) {
     // Monte-Carlo cross-check of a few points.
     println!("Monte-Carlo cross-check (30k runs):");
     for &(d, f, n) in &[(1usize, 1.1f64, 10usize), (2, 1.2, 35), (4, 1.1, 20)] {
-        let (exact, mc) = mc_crosscheck(d, f, n, steps.min(60), 30_000, 9);
+        let (exact, mc) = mc_crosscheck(d, f, n, 60, 30_000, 9);
         println!("  delta={d} f={f} procs={n}: exact {exact:.4} vs MC {mc:.4}");
     }
     println!("\nExpected shape: VD small (< 1), converging in t and in network size;");

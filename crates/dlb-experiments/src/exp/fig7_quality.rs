@@ -2,10 +2,9 @@
 //! mean load plus the min/max ever observed across 100 runs, for
 //! `f ∈ {1.1, 1.8}` at a given `δ` (Figure 7: `δ = 1`; Figure 8: `δ = 4`).
 //!
-//! Usage: `dlb-exp fig7_quality
-//!         [--delta 1] [--n 64] [--steps 500] [--runs 100] [--c 4]
-//!         [--jobs N]`  (jobs defaults to the available cores; any value
-//! produces byte-identical output)
+//! Usage: `dlb-exp fig7_quality [--delta 1] [--jobs N] [--out <csv>]`
+//! (jobs defaults to the available cores; any value produces
+//! byte-identical output)
 
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
@@ -13,37 +12,35 @@ use crate::quality::balancing_quality;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
-use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys![
-    "delta": usize, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "c": usize,
-    "jobs": usize, "out": String,
-];
+pub const KEYS: &[Key] = crate::keys!["delta": usize, "jobs": usize, "out": String];
+
+/// The paper's §7 setting: processors, steps, runs and borrow limit C.
+const N: usize = 64;
+const STEPS: usize = 500;
+const RUNS: usize = 100;
+const C: usize = 4;
 
 pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);
-    let n: usize = args.get("n", 64);
-    let steps = args.count("steps", 500);
-    let runs = args.count("runs", 100);
-    let c: usize = args.get("c", 4);
     let jobs: usize = args.get("jobs", default_jobs());
-    let params = |f| args.build_or_exit(&["n", "delta"], Params::new(n, delta, f, c));
+    let params = |f| args.build_or_exit("delta", Params::new(N, delta, f, C));
     let curves = [1.1f64, 1.8].map(|f| (f, params(f)));
     let figure = if delta == 1 { 7 } else { 8 };
     let out: String = args.get("out", format!("results/fig{figure}_delta{delta}.csv"));
 
     println!(
         "Figure {figure}: balancing quality, delta = {delta}, f in {{1.1, 1.8}} \
-         ({n} procs, {steps} steps, {runs} runs, C = {c}, {jobs} jobs)\n"
+         ({N} procs, {STEPS} steps, {RUNS} runs, C = {C}, {jobs} jobs)\n"
     );
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
     for (f, params) in curves {
-        let q = balancing_quality(params, steps, runs, 2024, jobs);
+        let q = balancing_quality(params, STEPS, RUNS, 2024, jobs);
 
-        for t in 0..steps {
+        for t in 0..STEPS {
             csv_rows.push(vec![
                 format!("{f:.1}"),
                 t.to_string(),
@@ -53,7 +50,7 @@ pub fn run(args: &Args) {
             ]);
         }
         // Plot mean/min/max, downsampled to 100 columns.
-        let ds = |v: &[f64]| -> Vec<f64> { (0..100).map(|k| v[k * steps / 100]).collect() };
+        let ds = |v: &[f64]| -> Vec<f64> { (0..100).map(|k| v[k * STEPS / 100]).collect() };
         let mean_s = ds(&q.mean);
         let min_s = ds(&q.min.iter().map(|&x| x as f64).collect::<Vec<_>>());
         let max_s = ds(&q.max.iter().map(|&x| x as f64).collect::<Vec<_>>());
@@ -69,7 +66,7 @@ pub fn run(args: &Args) {
         ] {
             svg_series.push(Series::from_ys(&format!("f={f} {}", curve.0), curve.1));
         }
-        for &t in &[steps / 10, steps / 2, steps - 1] {
+        for &t in &[STEPS / 10, STEPS / 2, STEPS - 1] {
             summary.push(vec![
                 format!("{f:.1}"),
                 t.to_string(),
@@ -91,7 +88,7 @@ pub fn run(args: &Args) {
     let svg_path = out.replace(".csv", ".svg");
     let chart = ChartConfig {
         title: format!(
-            "Figure {figure}: balancing quality, delta = {delta} ({n} procs, {runs} runs)"
+            "Figure {figure}: balancing quality, delta = {delta} ({N} procs, {RUNS} runs)"
         ),
         x_label: "time step".into(),
         y_label: "load per processor".into(),

@@ -2,8 +2,7 @@
 //! min/max ever observed) at time steps 50, 200 and 400, for
 //! `f ∈ {1.1, 1.8}` at a given `δ` (Figure 9: `δ = 1`; Figure 10: `δ = 4`).
 //!
-//! Usage: `dlb-exp fig9_distribution
-//!         [--delta 1] [--n 64] [--runs 100] [--c 4] [--jobs N]`
+//! Usage: `dlb-exp fig9_distribution [--delta 1] [--jobs N] [--out <csv>]`
 
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
@@ -11,21 +10,19 @@ use crate::quality::distribution_at;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
-use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys![
-    "delta": usize, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "c": usize,
-    "jobs": usize, "out": String,
-];
+pub const KEYS: &[Key] = crate::keys!["delta": usize, "jobs": usize, "out": String];
+
+/// The paper's §7 setting: processors, steps, runs and borrow limit C.
+const N: usize = 64;
+const STEPS: usize = 500;
+const RUNS: usize = 100;
+const C: usize = 4;
 
 pub fn run(args: &Args) {
     let delta: usize = args.get("delta", 1);
-    let n: usize = args.get("n", 64);
-    let steps = args.count("steps", 500);
-    let runs = args.count("runs", 100);
-    let c: usize = args.get("c", 4);
     let jobs: usize = args.get("jobs", default_jobs());
-    let params = |f| args.build_or_exit(&["n", "delta"], Params::new(n, delta, f, c));
+    let params = |f| args.build_or_exit("delta", Params::new(N, delta, f, C));
     let curves = [1.1f64, 1.8].map(|f| (f, params(f)));
     let figure = if delta == 1 { 9 } else { 10 };
     let out: String = args.get("out", format!("results/fig{figure}_delta{delta}.csv"));
@@ -33,16 +30,16 @@ pub fn run(args: &Args) {
 
     println!(
         "Figure {figure}: per-processor distribution, delta = {delta}, f in {{1.1, 1.8}} \
-         ({n} procs, {runs} runs, checkpoints {checkpoints:?})\n"
+         ({N} procs, {RUNS} runs, checkpoints {checkpoints:?})\n"
     );
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
     for (f, params) in curves {
-        let snaps = distribution_at(params, steps, &checkpoints, runs, 4096, jobs);
+        let snaps = distribution_at(params, STEPS, &checkpoints, RUNS, 4096, jobs);
         for snap in &snaps {
-            for i in 0..n {
+            for i in 0..N {
                 csv_rows.push(vec![
                     format!("{f:.1}"),
                     snap.t.to_string(),
@@ -52,7 +49,7 @@ pub fn run(args: &Args) {
                     snap.max[i].to_string(),
                 ]);
             }
-            let grand = snap.mean.iter().sum::<f64>() / n as f64;
+            let grand = snap.mean.iter().sum::<f64>() / N as f64;
             let worst_min = *snap.min.iter().min().expect("n > 0");
             let worst_max = *snap.max.iter().max().expect("n > 0");
             summary.push(vec![

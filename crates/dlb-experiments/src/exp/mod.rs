@@ -52,7 +52,7 @@ pub const EXPERIMENTS: &[Experiment] = table! {
     scaling: "the \"up to 1024 processors\" scaling claim",
     ablation: "full vs simple variant, exchange policy, locality",
     closed_loop: "section 1 motivation: task-tree makespan and speedup",
-    async_latency: "the message protocol under latency and control loss",
+    async_latency: "the message protocol under latency",
     faults_sweep: "balance quality vs injected loss / crash rates",
     arena: "league table: trigger rule vs literature rivals and the section 1/5 strawmen",
 };

@@ -6,22 +6,25 @@
 //! Each (n, variant) cell is a one-contender arena league on one thread,
 //! so µs/step compares across cells.
 //!
-//! Usage: `dlb-exp scaling
-//!         [--steps 500] [--runs 5]`
+//! Usage: `dlb-exp scaling [--out results/scaling.csv]`
 
 use crate::arena::{run_league, ArenaConfig, Contender};
 use crate::args::{Args, Key};
 use crate::quality::paper_trace;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, Params, SimpleCluster};
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
+/// Steps per run, and runs per cell (fewer for the full variant at
+/// n = 1024).
+const STEPS: usize = 500;
+const RUNS: usize = 5;
+
 /// `[max/mean, ops per run, wall µs per step]` of one contender.
-fn measure(contender: Contender, n: usize, steps: usize, runs: usize) -> [String; 3] {
+fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
     let cfg = ArenaConfig {
         n,
-        steps,
+        steps: STEPS,
         runs,
         seed: 100,
         warmup_fraction: 0.5,
@@ -29,23 +32,21 @@ fn measure(contender: Contender, n: usize, steps: usize, runs: usize) -> [String
         jobs: 1,
     };
     let start = Instant::now();
-    let row = run_league(&cfg, &[contender], |s| paper_trace(n, steps, s), None).remove(0);
+    let row = run_league(&cfg, &[contender], |s| paper_trace(n, STEPS, s), None).remove(0);
     let elapsed = start.elapsed().as_secs_f64();
     [
         f3(row.mean_ratio),
         f3(row.ops_per_run),
-        f3(elapsed / (runs * steps) as f64 * 1e6),
+        f3(elapsed / (runs * STEPS) as f64 * 1e6),
     ]
 }
 
-pub const KEYS: &[Key] = crate::keys!["steps": NonZeroUsize, "runs": NonZeroUsize, "out": String];
+pub const KEYS: &[Key] = crate::keys!["out": String];
 
 pub fn run(args: &Args) {
-    let steps = args.count("steps", 500);
-    let runs = args.count("runs", 5);
     let out: String = args.get("out", "results/scaling.csv".to_string());
 
-    println!("Scaling: section-7 workload, delta = 1, f = 1.1 ({steps} steps, {runs} runs)\n");
+    println!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
     let mut rows = Vec::new();
     for n in [16usize, 64, 256, 1024] {
         let params = Params::paper_section7(n);
@@ -53,10 +54,10 @@ pub fn run(args: &Args) {
         let full = Contender::new("full", move |s| Box::new(Cluster::new(params, s)));
         // The full variant keeps O(n) state per processor (the virtual
         // load classes); at n = 1024 we use fewer runs.
-        let full_runs = if n >= 1024 { runs.min(2) } else { runs };
+        let full_runs = if n >= 1024 { 2 } else { RUNS };
         let mut row = vec![n.to_string()];
-        row.extend(measure(simple, n, steps, runs));
-        row.extend(measure(full, n, steps, full_runs));
+        row.extend(measure(simple, n, RUNS));
+        row.extend(measure(full, n, full_runs));
         rows.push(row);
     }
     let headers = vec![

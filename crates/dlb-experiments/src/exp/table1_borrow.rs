@@ -2,10 +2,11 @@
 //! decrease sim) for `C ∈ {4, 8, 16, 32}` on the §7 workload with
 //! `f = 1.1`, `δ = 1`, under both exchange policies.
 //!
-//! Usage: `dlb-exp table1_borrow
-//!         [--n 64] [--steps 500] [--runs 100] [--jobs N] [--smoke]`
+//! Usage: `dlb-exp table1_borrow [--jobs N] [--out results/table1.csv]
+//!         [--smoke]`
 //!
-//! `--smoke` shrinks the matrix (n=16, 80 steps, 8 runs) and writes to
+//! The matrix is 64 processors, 500 steps and 100 runs.  `--smoke`
+//! shrinks it (n=16, 80 steps, 8 runs) and writes to
 //! `results/table1_smoke.csv` so CI can golden-gate it in seconds
 //! without touching the paper-scale `results/table1.csv`.
 
@@ -14,28 +15,21 @@ use crate::parallel::default_jobs;
 use crate::report::{f3, render_table, write_csv};
 use crate::table1::table1_row;
 use dlb_core::{ExchangePolicy, Params};
-use std::num::NonZeroUsize;
 
-pub const KEYS: &[Key] = crate::keys![
-    "smoke": Flag, "n": usize, "steps": NonZeroUsize, "runs": NonZeroUsize, "jobs": usize,
-    "out": String,
-];
+pub const KEYS: &[Key] = crate::keys!["smoke": Flag, "jobs": usize, "out": String];
 
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
-    let (def_n, def_steps, def_runs, def_out) = if smoke {
+    let (n, steps, runs, def_out) = if smoke {
         (16, 80, 8, "results/table1_smoke.csv")
     } else {
         (64, 500, 100, "results/table1.csv")
     };
-    let n: usize = args.get("n", def_n);
-    let steps = args.count("steps", def_steps);
-    let runs = args.count("runs", def_runs);
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
     let grid: Vec<Params> = [4, 8, 16, 32]
         .into_iter()
-        .map(|c| args.build_or_exit(&["n"], Params::new(n, 1, 1.1, c)))
+        .map(|c| Params::new(n, 1, 1.1, c).expect("valid"))
         .collect();
 
     println!(

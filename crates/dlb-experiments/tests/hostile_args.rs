@@ -74,49 +74,52 @@ fn assert_files_refused(
     std::fs::remove_dir_all(dir).ok();
 }
 
-fn declares(row: &Experiment, key: &str) -> bool {
-    row.keys.iter().any(|k| k.name == key)
-}
+/// Each row's settable keys, in declaration order.  The §7 sizes are
+/// constants, so `--n`, `--steps`, `--runs`, `--c`, `--seed` and
+/// `--roots` are unknown options like any misspelling.
+const KEY_SURFACE: [(&str, &[&str]); 11] = [
+    ("claims", &["jobs", "out"]),
+    ("fig6_variation", &["jobs", "out"]),
+    ("fig7_quality", &["delta", "jobs", "out"]),
+    ("fig9_distribution", &["delta", "jobs", "out"]),
+    ("table1_borrow", &["smoke", "jobs", "out"]),
+    ("scaling", &["out"]),
+    ("ablation", &["out"]),
+    ("closed_loop", &["out"]),
+    ("async_latency", &["out"]),
+    ("faults_sweep", &["scenario", "jobs", "out", "svg"]),
+    ("arena", &["smoke", "jobs", "out", "svg", "trace"]),
+];
 
+/// `fig9_distribution --steps 100` used to write `u64::MAX` minima,
+/// `ablation --n 60` to panic and `closed_loop --roots 0` to write NaN
+/// speedups; a `δ` the network cannot hold is still refused as unbuildable.
 #[test]
-fn every_row_refuses_a_one_processor_network_before_any_output() {
-    let dir = std::env::temp_dir().join("dlb_exp_hostile_n");
-    for row in EXPERIMENTS {
-        let out = dlb_exp(&dir, &[row.name, "--n", "1"]);
-        let reason = if declares(row, "n") {
-            "error: --n 1: "
-        } else {
-            "error: unknown option --n\n"
-        };
-        assert_refused(row, &out, reason);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
+fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
+    let declared: Vec<(&str, Vec<&str>)> = EXPERIMENTS
+        .iter()
+        .map(|row| (row.name, row.keys.iter().map(|k| k.name).collect()))
+        .collect();
+    let expected: Vec<(&str, Vec<&str>)> = KEY_SURFACE
+        .iter()
+        .map(|&(name, keys)| (name, keys.to_vec()))
+        .collect();
+    assert_eq!(declared, expected);
+    let total: usize = KEY_SURFACE.iter().map(|(_, keys)| keys.len()).sum();
+    assert_eq!(total, 26);
 
-/// `--runs 0` used to write NaN rows and `--steps 0` to panic.
-#[test]
-fn every_row_refuses_zero_runs_and_zero_steps_before_any_output() {
-    let dir = std::env::temp_dir().join("dlb_exp_hostile_zero");
-    let mut checked = 0;
+    let dir = std::env::temp_dir().join("dlb_exp_hostile_keys");
     for row in EXPERIMENTS {
-        for key in ["runs", "steps"].into_iter().filter(|k| declares(row, k)) {
-            let out = dlb_exp(&dir, &[row.name, &format!("--{key}"), "0"]);
-            assert_refused(
-                row,
-                &out,
-                &format!("error: invalid value \"0\" for --{key}: "),
-            );
-            checked += 1;
+        for (key, value) in [("n", "1"), ("runs", "0"), ("steps", "100"), ("roots", "0")] {
+            let out = dlb_exp(&dir, &[row.name, &format!("--{key}"), value]);
+            assert_refused(row, &out, &format!("error: unknown option --{key}\n"));
         }
     }
-    assert!(
-        checked >= 10,
-        "only {checked} row/key pairs declare a count"
-    );
-    // One step leaves no room for the arena's crash to recover in.
-    let arena = EXPERIMENTS.iter().find(|row| row.name == "arena").unwrap();
-    let out = dlb_exp(&dir, &["arena", "--steps", "1"]);
-    assert_refused(arena, &out, "error: --steps 1: ");
+    for (name, delta) in [("fig7_quality", "0"), ("fig9_distribution", "64")] {
+        let row = EXPERIMENTS.iter().find(|row| row.name == name).unwrap();
+        let out = dlb_exp(&dir, &[name, "--delta", delta]);
+        assert_refused(row, &out, &format!("error: --delta {delta}: "));
+    }
     assert!(!dir.join("results").exists(), "a refused row wrote output");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -233,19 +236,4 @@ fn faults_sweep_refuses_an_undecodable_scenario_before_any_output() {
             (Some(r#"{"steps": 1}"#), "steps = 1: crash sweep: "),
         ],
     );
-}
-
-/// One step leaves the crash sweep no room to recover in: `--steps 1`
-/// used to panic inside the first crashed cell.
-#[test]
-fn faults_sweep_refuses_a_run_too_short_for_its_crash_sweep() {
-    let dir = std::env::temp_dir().join("dlb_exp_hostile_steps");
-    let row = EXPERIMENTS
-        .iter()
-        .find(|row| row.name == "faults_sweep")
-        .unwrap();
-    let out = dlb_exp(&dir, &["faults_sweep", "--steps", "1"]);
-    assert_refused(row, &out, "error: --steps 1: steps = 1: crash sweep: ");
-    assert!(!dir.join("results").exists(), "a refused row wrote output");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,6 +28,7 @@
 //! `lost` ledger so conservation stays checkable).
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use dlb_json::{FromJson, Json, ToJson};
 use rand::prelude::*;
@@ -195,16 +196,6 @@ impl FaultPlan {
     /// A plan that injects no faults at all.
     pub fn reliable() -> Self {
         FaultPlan::default()
-    }
-
-    /// Whether the plan can never inject anything.
-    pub fn is_benign(&self) -> bool {
-        self.loss == 0.0
-            && self.transfer_loss == 0.0
-            && self.duplication == 0.0
-            && self.jitter == 0
-            && self.crashes.is_empty()
-            && self.partitions.is_empty()
     }
 
     /// Validates the plan against a network of `n` processors.
@@ -585,7 +576,6 @@ mod tests {
     #[test]
     fn default_plan_is_benign_and_injects_nothing() {
         let plan = FaultPlan::reliable();
-        assert!(plan.is_benign());
         let mut inj = FaultInjector::new(plan, 8).unwrap();
         for t in 0..500u64 {
             let fate = inj.on_send(t, (t % 8) as usize, ((t + 3) % 8) as usize, {
@@ -623,7 +613,6 @@ mod tests {
 
         let empty = FaultPlan::from_json(&Json::parse("{}").unwrap()).unwrap();
         assert_eq!(empty, FaultPlan::default());
-        assert!(empty.is_benign());
         let err = FaultPlan::from_json(&Json::parse("3").unwrap()).unwrap_err();
         assert!(err.starts_with("expected an object"), "{err}");
     }

@@ -168,21 +168,17 @@ pub struct AsyncConfig {
     pub latency: u64,
     /// Master seed.
     pub seed: u64,
-    /// Probability that a *control* message (request/reply/order) is
-    /// lost.  Transfers are never dropped by this knob (use a
-    /// [`FaultPlan`] with `transfer_loss` for that); lost control
-    /// messages are recovered by the initiator timeout.
-    pub control_loss: f64,
 }
 
 impl AsyncConfig {
-    /// A reliable network (no control-message loss).
+    /// A reliable network: every message arrives after `latency`.  Loss
+    /// and every other fault come from a [`FaultPlan`] given to
+    /// [`AsyncNetwork::with_faults`].
     pub fn reliable(params: Params, latency: u64, seed: u64) -> Self {
         AsyncConfig {
             params,
             latency,
             seed,
-            control_loss: 0.0,
         }
     }
 }
@@ -504,11 +500,6 @@ impl AsyncNetwork {
         self.flags.iter().filter(|&&f| f & LOCKED != 0).count()
     }
 
-    /// Number of processors currently down.
-    pub fn down_count(&self) -> usize {
-        self.flags.iter().filter(|&&f| f & DOWN != 0).count()
-    }
-
     /// Conservation check:
     /// `loads + pooled + in-flight + lost = generated − consumed`.
     /// Holds between any two events, not just at quiescence.  A recount
@@ -673,7 +664,7 @@ impl AsyncNetwork {
 
     /// Whether any recovery machinery (timeouts, leases) is needed.
     fn faulty(&self) -> bool {
-        self.config.control_loss > 0.0 || self.injector.is_some()
+        self.injector.is_some()
     }
 
     fn drain_until(&mut self, t: u64) {
@@ -687,15 +678,6 @@ impl AsyncNetwork {
         self.stats.messages += 1;
         self.metrics.messages += 1;
         let is_transfer = matches!(payload, Payload::Transfer { .. });
-        // Legacy control-plane loss knob (kept for the latency studies):
-        // control messages may be lost; transfers always survive it.
-        if !is_transfer
-            && self.config.control_loss > 0.0
-            && self.rng.gen_bool(self.config.control_loss)
-        {
-            self.stats.lost_messages += 1;
-            return;
-        }
         // Fault plan: loss, duplication, jitter, partitions.
         let mut extra_delay = 0;
         let mut duplicate = false;
@@ -1240,9 +1222,11 @@ mod tests {
     fn lossy_control_plane_recovers_and_conserves() {
         // 20% of control messages vanish: timeouts must keep the protocol
         // live and packet conservation exact.
-        let mut cfg = config(8, 4);
-        cfg.control_loss = 0.2;
-        let mut net = AsyncNetwork::new(cfg);
+        let plan = FaultPlan {
+            loss: 0.2,
+            ..FaultPlan::default()
+        };
+        let mut net = AsyncNetwork::with_faults(config(8, 4), plan).unwrap();
         let mut actions = vec![0i8; 8];
         actions[0] = 1;
         actions[1] = 1;
@@ -1262,9 +1246,11 @@ mod tests {
 
     #[test]
     fn heavy_loss_keeps_liveness() {
-        let mut cfg = config(16, 8);
-        cfg.control_loss = 0.5;
-        let mut net = AsyncNetwork::new(cfg);
+        let plan = FaultPlan {
+            loss: 0.5,
+            ..FaultPlan::default()
+        };
+        let mut net = AsyncNetwork::with_faults(config(16, 8), plan).unwrap();
         let mut actions = vec![1i8; 16];
         for t in 0..2_000 {
             net.tick(t, &actions);
@@ -1396,7 +1382,6 @@ mod tests {
         assert_eq!(net.lost(), 0, "frozen crashes destroy nothing");
         assert_eq!(net.stats().crashes, 1);
         assert_eq!(net.stats().recoveries, 1);
-        assert_eq!(net.down_count(), 0, "processor rejoined");
         // The rejoined processor keeps generating after recovery, so it
         // holds load again.
         assert!(net.loads()[1] > 0);
@@ -1501,13 +1486,14 @@ mod tests {
 
     const PIN_TICKS: u64 = 1_200;
 
-    /// The five fault settings of the pins: none, the legacy
-    /// `control_loss` knob, the `scenarios/lossy_network.json` plan
+    /// The fault settings of the pins, by `kind` (also the seed
+    /// offset): 0 none, 2 and 3 the `scenarios/lossy_network.json` plan
     /// (times scaled to [`PIN_TICKS`], sizes to `n`) in both crash
-    /// modes, and heavy duplication across a partition.
+    /// modes, 4 heavy duplication across a partition.  1 is unused, so
+    /// the others keep the seeds their pins were captured with.
     fn pin_net(kind: usize, n: usize, delta: usize, latency: u64) -> AsyncNetwork {
         let params = Params::new(n, delta, 1.3, 4).unwrap();
-        let mut cfg = AsyncConfig::reliable(params, latency, 0x51ab + kind as u64);
+        let cfg = AsyncConfig::reliable(params, latency, 0x51ab + kind as u64);
         let lossy = |crash_mode| FaultPlan {
             seed: 99,
             loss: 0.1,
@@ -1528,10 +1514,6 @@ mod tests {
         };
         let plan = match kind {
             0 => return AsyncNetwork::new(cfg),
-            1 => {
-                cfg.control_loss = 0.2;
-                return AsyncNetwork::new(cfg);
-            }
             2 => lossy(CrashMode::Lost),
             3 => lossy(CrashMode::Frozen),
             _ => FaultPlan {
@@ -1621,49 +1603,41 @@ mod tests {
     #[test]
     fn parent_captured_pins_hold() {
         #[rustfmt::skip]
-        const PINS: [[u64; 18]; 5] = [
-        [
+        const PINS: [(usize, [u64; 18]); 4] = [
+        (0, [
             0xd10337509ca79e8d, 0xd96cade52ae41351, 0xbe16093ef885ea8a,
             0x35d028f30827650e, 0xa133b46c7774be0b, 0x77a2153184688885,
             0x8d894918b86abf23, 0x1cf3370790df513e, 0x77d378e91195b21c,
             0x91894b6411501929, 0x40408dd9326e0c03, 0xc398a5be9ac0b9a9,
             0x163824f923341ff5, 0x9c68f5f9131e318c, 0x07aafb7bf8a257b7,
             0xbb6042248794aa71, 0x0a5bf0bc155e0ccf, 0x9970ee021f6d5dbd,
-        ],
-        [
-            0x9f2a5e56ae787f5d, 0xba5fe0128207bc6b, 0xed5fa2f11a186a35,
-            0xfba1ab8eccc8904d, 0x595ca78c0f4958a6, 0x7c8e094f376d3e9f,
-            0xab4d35760e676d3e, 0x196931fe7743de45, 0xad4021526748d254,
-            0xed8ee06db57bbe89, 0xe3ab5166fd3f969e, 0x20fac143b98be25c,
-            0x0008e0742bffce55, 0xf45912df1bcec478, 0xee873b50252be5a7,
-            0xc69a2a1e66a774e3, 0xe4f0a7159db419db, 0x53acde81bf565a28,
-        ],
-        [
+        ]),
+        (2, [
             0x73df53c3f3cea38a, 0x787b11fe594d26bb, 0xa0c79db71d12fe1d,
             0xe4dbc81333c3d8f8, 0x48d8a8c9fda0c5db, 0x247d13133b309939,
             0xb2991f4f163c381f, 0x1f1e086d1ef671e2, 0x052e1593bfe28576,
             0xca052390b3705a93, 0x15ff7c11a0da071a, 0x20fcf24d77a3b2b6,
             0xa79372dbb754726b, 0x5277a1bf0e369370, 0x73652a0b6f8a4131,
             0xa623f870df54c958, 0xdd07581fd6e424e4, 0x452bd0a9586f8b97,
-        ],
-        [
+        ]),
+        (3, [
             0x91eb0d3535e702b6, 0x8a790837a0b00e5c, 0xd268e0f57f2447bd,
             0xad7fa63d5e0ccd7b, 0xe11eb38ccdb4ca7f, 0x04c752776b0a83d9,
             0x744868124028fe00, 0xeaab36f604010d94, 0x78305f1f4d553901,
             0x357a250aab84102d, 0x967ba71ff0b0d066, 0x38032d9d70c950ee,
             0x34c2134ab2dad450, 0xc562dbfab42434ee, 0x3217381c239d1f30,
             0x134dfb9bb2b58d73, 0xd5654df5d973d1c6, 0x6b10aed2987c719b,
-        ],
-        [
+        ]),
+        (4, [
             0x1a153c19d9464f0a, 0x38ee0589aa2731ec, 0xcba6a50180fbbe3e,
             0x0b9d4065c52dce74, 0xcddedb9315ddc40f, 0xf5c8521781cdd8c4,
             0xe6b40398fe48455d, 0xe84730fb4def3ea3, 0x2e97b0b85f773d8b,
             0xcbd37cb6ed4af07c, 0xc4395e6e3342fab9, 0x27a934f1e50d4f4d,
             0x75b4a5fa4eef481e, 0xe79cb4e08a6ab43d, 0x2ac6aa8e693e28be,
             0x895f1f27e620ecef, 0x0dc16cba89be6489, 0x90fa150b6c9bd9d4,
-        ],
+        ]),
         ];
-        for (kind, row) in PINS.iter().enumerate() {
+        for &(kind, ref row) in &PINS {
             let mut want = row.iter();
             for n in [8, 64] {
                 for delta in [1, 2, 3] {

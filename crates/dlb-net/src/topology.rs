@@ -7,9 +7,6 @@
 //! cost assumption hides, and support the locality mode of
 //! [`crate::engine::TopoCluster`].
 
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
-
 /// An undirected interconnect on processors `0 .. n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
@@ -29,14 +26,6 @@ pub enum Topology {
     /// A star: processor 0 is the centre (the pathological centralised
     /// case §1 argues against).
     Star { n: usize },
-    /// A circulant graph: `i` adjacent to `i ± o (mod n)` for each offset
-    /// `o` (a deterministic stand-in for random regular graphs).
-    Circulant { n: usize, offsets: Vec<usize> },
-    /// A `w × h` grid *without* wrap-around (boundary effects included).
-    Grid2D { w: usize, h: usize },
-    /// A complete binary tree on `2^(depth+1) − 1` processors, root 0,
-    /// children of `v` at `2v+1` and `2v+2`.
-    BinaryTree { depth: u32 },
 }
 
 impl Topology {
@@ -44,10 +33,8 @@ impl Topology {
     pub fn n(&self) -> usize {
         match *self {
             Topology::Complete { n } | Topology::Ring { n } | Topology::Star { n } => n,
-            Topology::Torus2D { w, h } | Topology::Grid2D { w, h } => w * h,
+            Topology::Torus2D { w, h } => w * h,
             Topology::Hypercube { dim } | Topology::DeBruijn { dim } => 1usize << dim,
-            Topology::Circulant { n, .. } => n,
-            Topology::BinaryTree { depth } => (1usize << (depth + 1)) - 1,
         }
     }
 
@@ -84,39 +71,6 @@ impl Topology {
                 } else {
                     vec![0]
                 }
-            }
-            Topology::Circulant { n, ref offsets } => offsets
-                .iter()
-                .flat_map(|&o| [(v + o) % n, (v + n - o % n) % n])
-                .collect(),
-            Topology::Grid2D { w, h } => {
-                let (x, y) = (v % w, v / w);
-                let mut out = Vec::with_capacity(4);
-                if x + 1 < w {
-                    out.push(v + 1);
-                }
-                if x > 0 {
-                    out.push(v - 1);
-                }
-                if y + 1 < h {
-                    out.push(v + w);
-                }
-                if y > 0 {
-                    out.push(v - w);
-                }
-                out
-            }
-            Topology::BinaryTree { .. } => {
-                let mut out = Vec::with_capacity(3);
-                if v > 0 {
-                    out.push((v - 1) / 2);
-                }
-                for child in [2 * v + 1, 2 * v + 2] {
-                    if child < n {
-                        out.push(child);
-                    }
-                }
-                out
             }
         };
         out.sort_unstable();
@@ -162,47 +116,9 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// Mean hop distance over ordered distinct pairs.
-    pub fn mean_distance(&self) -> f64 {
-        let n = self.n();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for v in 0..n {
-            for (u, &d) in self.distances_from(v).iter().enumerate() {
-                if u != v && d != u32::MAX {
-                    sum += d as u64;
-                    count += 1;
-                }
-            }
-        }
-        sum as f64 / count as f64
-    }
-
     /// True if every vertex can reach every other.
     pub fn is_connected(&self) -> bool {
         self.n() == 0 || self.distances_from(0).iter().all(|&d| d != u32::MAX)
-    }
-
-    /// A uniformly random connected circulant with `k` offsets, as a
-    /// deterministic substitute for random regular graphs.  `k` is capped
-    /// at the number of distinct offsets available (`⌊n/2⌋`).
-    pub fn random_circulant(n: usize, k: usize, seed: u64) -> Topology {
-        assert!(n >= 3, "need at least 3 vertices");
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // Offset 1 guarantees connectivity; the rest are random among the
-        // distinct offsets 2..=n/2.
-        let k = k.clamp(1, n / 2);
-        let mut offsets = vec![1usize];
-        while offsets.len() < k {
-            let o = rng.gen_range(2..=n / 2);
-            if !offsets.contains(&o) {
-                offsets.push(o);
-            }
-        }
-        Topology::Circulant { n, offsets }
     }
 }
 
@@ -264,17 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn circulant_connected_and_symmetric() {
-        let t = Topology::random_circulant(33, 3, 7);
-        assert!(t.is_connected());
-        for v in 0..33 {
-            for u in t.neighbors(v) {
-                assert!(t.neighbors(u).contains(&v), "undirected: {u} <-> {v}");
-            }
-        }
-    }
-
-    #[test]
     fn all_topologies_connected() {
         let topos = [
             Topology::Complete { n: 9 },
@@ -283,7 +188,6 @@ mod tests {
             Topology::Hypercube { dim: 3 },
             Topology::DeBruijn { dim: 3 },
             Topology::Star { n: 9 },
-            Topology::random_circulant(9, 2, 1),
         ];
         for t in topos {
             assert!(t.is_connected(), "{t:?}");
@@ -296,37 +200,6 @@ mod tests {
                 }
             );
         }
-    }
-
-    #[test]
-    fn grid_has_no_wraparound() {
-        let t = Topology::Grid2D { w: 4, h: 3 };
-        assert_eq!(t.n(), 12);
-        assert_eq!(t.neighbors(0), vec![1, 4], "corner has two neighbours");
-        assert_eq!(t.distance(0, 3), 3, "no wrap along the row");
-        let torus = Topology::Torus2D { w: 4, h: 3 };
-        assert!(
-            t.diameter() > torus.diameter(),
-            "grid diameter exceeds torus"
-        );
-    }
-
-    #[test]
-    fn binary_tree_structure() {
-        let t = Topology::BinaryTree { depth: 3 };
-        assert_eq!(t.n(), 15);
-        assert_eq!(t.neighbors(0), vec![1, 2], "root");
-        assert_eq!(t.neighbors(3), vec![1, 7, 8], "internal node");
-        assert_eq!(t.neighbors(14), vec![6], "leaf");
-        assert!(t.is_connected());
-        assert_eq!(t.diameter(), 6, "leaf to leaf through the root");
-    }
-
-    #[test]
-    fn mean_distance_reasonable() {
-        let ring = Topology::Ring { n: 16 };
-        let hyper = Topology::Hypercube { dim: 4 };
-        assert!(ring.mean_distance() > hyper.mean_distance());
     }
 
     #[test]

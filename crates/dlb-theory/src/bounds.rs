@@ -108,6 +108,9 @@ impl CostBounds {
             return None;
         }
         let t = (arg.ln() / self.u.ln()).floor();
+        // A float-to-int cast saturates: a bound past `u64::MAX` reads
+        // as `u64::MAX`.
+        #[allow(clippy::cast_possible_truncation)]
         Some(t.max(0.0) as u64)
     }
 
@@ -130,6 +133,8 @@ impl CostBounds {
         if arg <= 0.0 {
             return None;
         }
+        // A float-to-int cast saturates, as in `lemma5_lower`.
+        #[allow(clippy::cast_possible_truncation)]
         Some((arg.ln() / self.d.ln()).ceil() as u64)
     }
 

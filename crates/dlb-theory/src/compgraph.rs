@@ -158,16 +158,17 @@ pub fn binomial(n: u64, k: u64) -> Option<u128> {
 /// all `u^t` sequences restricted to surjective ones; for tests only.
 pub fn occupancy_count_refined_bruteforce(t: u32, u: u32, i: u32) -> u64 {
     assert!(t <= 12 && u <= 6, "brute force only for small instances");
+    // 6¹² < 2³²: the number of sequences fits a `u32`.
+    let total = u.pow(t) as usize;
     let t = t as usize;
     let u = u as usize;
     let mut count = 0u64;
-    let total = (u as u64).pow(t as u32);
     for code in 0..total {
         let mut seq = Vec::with_capacity(t);
         let mut x = code;
         for _ in 0..t {
-            seq.push((x % u as u64) as usize);
-            x /= u as u64;
+            seq.push(x % u);
+            x /= u;
         }
         let mut distinct: Vec<usize> = seq.clone();
         distinct.sort_unstable();
@@ -304,11 +305,11 @@ mod tests {
     #[test]
     fn occupancy_prob_matches_counts() {
         // P(exactly u distinct | pool p) = n(t,u)·C(p,u) / p^t.
-        for &(t, u, p) in &[(5usize, 3usize, 4usize), (6, 2, 6), (8, 5, 5)] {
-            let count = occupancy_count(t as u32, u as u32).unwrap() as f64;
-            let choose = binomial(p as u64, u as u64).unwrap() as f64;
-            let expected = count * choose / (p as f64).powi(t as i32);
-            let got = occupancy_prob(t, u, p);
+        for &(t, u, p) in &[(5u32, 3u32, 4u32), (6, 2, 6), (8, 5, 5)] {
+            let count = occupancy_count(t, u).unwrap() as f64;
+            let choose = binomial(p.into(), u.into()).unwrap() as f64;
+            let expected = count * choose / f64::from(p).powi(t as i32);
+            let got = occupancy_prob(t as usize, u as usize, p as usize);
             assert!(
                 (got - expected).abs() < 1e-12,
                 "t={t} u={u} p={p}: {got} vs {expected}"

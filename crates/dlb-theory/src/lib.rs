@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod bounds;
 pub mod claims;

@@ -366,7 +366,7 @@ pub fn monte_carlo(
 pub fn enumerate_exact(p: usize, delta: usize, f: f64, steps: usize) -> (f64, f64, f64, f64) {
     let subsets = k_subsets(p, delta);
     let count = subsets.len();
-    let total: f64 = (count as f64).powi(steps as i32);
+    let total = i32::try_from(steps).map_or(f64::INFINITY, |s| (count as f64).powi(s));
     assert!(total <= 1e7, "enumeration too large: {count}^{steps}");
 
     let mut acc = Accum::default();

@@ -56,6 +56,9 @@ pub fn contraction_rate(n: usize, delta: usize, f: f64) -> f64 {
 
 /// Predicted number of iterations for `G^t(1)` to come within relative
 /// `eps` of the fixed point (via the contraction rate).
+// A float-to-int cast saturates: past `usize::MAX` steps reads as
+// `usize::MAX`, the answer for a rate of 1.
+#[allow(clippy::cast_possible_truncation)]
 pub fn predicted_convergence_steps(n: usize, delta: usize, f: f64, eps: f64) -> usize {
     let rate = contraction_rate(n, delta, f);
     if rate <= 0.0 || rate >= 1.0 {

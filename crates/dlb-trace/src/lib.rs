@@ -23,6 +23,7 @@
 //! lines they cannot round-trip, so the schema cannot drift silently.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use dlb_json::{req, FromJson, Json};
 use std::collections::BTreeMap;
@@ -341,7 +342,10 @@ impl FloatCache {
         let rendered = &out[at..];
         if let Some(dst) = slot.bytes.get_mut(..rendered.len()) {
             dst.copy_from_slice(rendered);
-            slot.len = rendered.len() as u8; // at most 31: `get_mut` checked it
+            // At most 31: `get_mut` checked it.
+            #[allow(clippy::cast_possible_truncation)]
+            let len = rendered.len() as u8;
+            slot.len = len;
             slot.bits = bits;
         }
     }
@@ -1251,7 +1255,7 @@ mod tests {
                         let (r, handle, _) = pending.swap_remove(i);
                         // One run per schedule stops without a flush,
                         // as a run that returns an error early does.
-                        if r != seed as usize % runs {
+                        if r != usize::try_from(seed).unwrap() % runs {
                             handle.flush();
                         }
                     }

@@ -39,6 +39,9 @@ impl Offspring {
         if (total - 1.0).abs() > 1e-9 {
             return Err(format!("probabilities sum to {total}, not 1"));
         }
+        if u32::try_from(probs.len() - 1).is_err() {
+            return Err(format!("{} outcomes: a child count is a u32", probs.len()));
+        }
         Ok(Offspring { probs })
     }
 
@@ -61,15 +64,19 @@ impl Offspring {
             .sum()
     }
 
+    /// A child count: the first outcome the draw lands in, the last one
+    /// if rounding leaves it past every other.
     fn sample(&self, rng: &mut impl Rng) -> u32 {
         let mut x: f64 = rng.gen();
-        for (k, &p) in self.probs.iter().enumerate() {
+        let mut k = 0;
+        for &p in &self.probs[..self.probs.len() - 1] {
             if x < p {
-                return k as u32;
+                return k;
             }
             x -= p;
+            k += 1;
         }
-        (self.probs.len() - 1) as u32
+        k
     }
 }
 

@@ -12,6 +12,7 @@
 //! of per-processor [`LoadEvent`]s.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod branching;
 pub mod patterns;

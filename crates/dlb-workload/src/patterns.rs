@@ -229,31 +229,6 @@ impl Workload for ProducerConsumerSplit {
     }
 }
 
-/// No activity at all (for cost baselines: a correct balancer must not
-/// perform any operations on a silent network).
-#[derive(Debug, Clone)]
-pub struct Silent {
-    n: usize,
-}
-
-impl Silent {
-    /// A silent workload for `n` processors.
-    pub fn new(n: usize) -> Self {
-        Silent { n }
-    }
-}
-
-impl Workload for Silent {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn events_at(&mut self, _t: usize, out: &mut Vec<LoadEvent>) {
-        out.clear();
-        out.resize(self.n, LoadEvent::Idle);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,13 +321,5 @@ mod tests {
                 LoadEvent::Generate
             ]
         );
-    }
-
-    #[test]
-    fn silent_is_all_idle() {
-        let mut w = Silent::new(3);
-        for row in collect(&mut w, 5) {
-            assert!(row.iter().all(|&e| e == LoadEvent::Idle));
-        }
     }
 }

@@ -169,6 +169,9 @@ impl RequestSource {
     /// called with strictly increasing `t` starting at 0.
     pub fn arrivals_at(&mut self, t: u64, out: &mut Vec<Request>) {
         self.acc += self.rate_at(t);
+        // The floor of a non-negative `acc` (a float-to-int cast
+        // saturates a huge one).
+        #[allow(clippy::cast_possible_truncation)]
         let count = self.acc as u64;
         self.acc -= count as f64;
         let (lo, hi) = self.config.service_ticks;
@@ -197,6 +200,8 @@ impl RequestSource {
     /// over `guide[b]..guide[b + 1]` returns what a search over the
     /// whole CDF would.
     fn zipf_key(&self, x: f64) -> u64 {
+        // `x < 1`, so the bucket is below `GUIDE_BUCKETS`.
+        #[allow(clippy::cast_possible_truncation)]
         let b = (x * GUIDE_BUCKETS as f64) as usize;
         // Widening: a `u32` index always fits `usize`.
         let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);

@@ -206,10 +206,11 @@ impl SparseActivity {
     ///
     /// # Panics
     ///
-    /// Panics when `n == 0` or the pattern fails
-    /// [`SparsePattern::validate`].
+    /// Panics when `n == 0`, `n ≥ 2³²` (the queue holds `u32` ids) or
+    /// the pattern fails [`SparsePattern::validate`].
     pub fn new(n: usize, pattern: SparsePattern, seed: u64) -> Self {
         assert!(n > 0, "need at least one processor");
+        let ids = u32::try_from(n).expect("fewer than 2³² processors: the queue holds u32 ids");
         if let Err(e) = pattern.validate() {
             panic!("invalid sparse pattern: {e}");
         }
@@ -223,9 +224,9 @@ impl SparseActivity {
             SparsePattern::Bursty { burst, quiet, .. } => u64::from(burst) + u64::from(quiet),
             SparsePattern::Arrivals { arrival_gap, .. } => u64::from(arrival_gap) + 1,
         };
-        for i in 0..n {
-            let t0 = mix(seed, i as u64, 0, SALT_INIT) % spread;
-            queue.push(t0, i as u32);
+        for i in 0..ids {
+            let t0 = mix(seed, u64::from(i), 0, SALT_INIT) % spread;
+            queue.push(t0, i);
         }
         SparseActivity {
             n,
@@ -264,7 +265,9 @@ impl SparseActivity {
         if let SparsePattern::Hotspot { period, .. } = self.pattern {
             // The hot spot is a function of time, not of the queue: it
             // generates every step on top of its consumer schedule.
-            let h = (t / u64::from(period)) as usize % self.n;
+            // The remainder is below `n`, a `usize`.
+            #[allow(clippy::cast_possible_truncation)]
+            let h = (t / u64::from(period) % self.n as u64) as usize;
             match out.binary_search_by_key(&h, |&(i, _)| i) {
                 Ok(pos) => out[pos].1 = LoadEvent::Generate,
                 Err(pos) => out.insert(pos, (h, LoadEvent::Generate)),

@@ -6,6 +6,7 @@
 //!     cargo run --release --example async_protocol [latency] [loss]
 
 use dlb::core::Params;
+use dlb::faults::FaultPlan;
 use dlb::net::{AsyncConfig, AsyncNetwork};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -20,9 +21,12 @@ fn main() {
 
     let n = 32;
     let params = Params::new(n, 2, 1.3, 4).expect("valid");
-    let mut cfg = AsyncConfig::reliable(params, latency, 7);
-    cfg.control_loss = loss;
-    let mut net = AsyncNetwork::new(cfg);
+    let plan = FaultPlan {
+        loss,
+        ..FaultPlan::default()
+    };
+    let mut net =
+        AsyncNetwork::with_faults(AsyncConfig::reliable(params, latency, 7), plan).expect("plan");
 
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let steps = 6_000u64;
