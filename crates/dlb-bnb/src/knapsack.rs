@@ -65,10 +65,11 @@ impl Knapsack {
 
     /// Exact optimum via dynamic programming over capacities (verifier).
     pub fn optimum_by_dp(&self) -> u64 {
-        let cap = self.capacity as usize;
+        let cap = usize::try_from(self.capacity).expect("the DP table fits in memory");
         let mut best = vec![0u64; cap + 1];
         for &(w, v) in &self.items {
-            let w = w as usize;
+            // Heavier than the whole capacity: the item never fits.
+            let w = usize::try_from(w).unwrap_or(usize::MAX);
             for c in (w..=cap).rev() {
                 best[c] = best[c].max(best[c - w] + v);
             }

@@ -28,6 +28,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod knapsack;
 pub mod nqueens;

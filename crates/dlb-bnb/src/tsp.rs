@@ -63,6 +63,9 @@ impl Tsp {
     }
 
     /// A random Euclidean instance with `n` cities.
+    // A distance in the unit square is at most `√2 · SCALE`: the float
+    // casts only drop the fraction.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn random(n: usize, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pts: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
@@ -157,6 +160,8 @@ impl Problem for Tsp {
             .then(|| node.cost + self.dist[node.last as usize][0])
     }
 
+    // `next < n ≤ 31` (`Tsp::new`), so it fits the `u8`.
+    #[allow(clippy::cast_possible_truncation)]
     fn branch(&self, node: &TourNode, out: &mut Vec<TourNode>) {
         for next in 1..self.n() {
             if node.visited & (1 << next) == 0 {
@@ -188,6 +193,7 @@ mod tests {
     #[test]
     fn square_instance_known_optimum() {
         // Four cities on a unit square: optimal tour = perimeter = 4.
+        #[allow(clippy::cast_possible_truncation)] // at most √2 · SCALE
         let d = |x: f64| (x * SCALE) as u64;
         let tsp = Tsp::new(vec![
             vec![0, d(1.0), d(2f64.sqrt()), d(1.0)],

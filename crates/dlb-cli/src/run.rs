@@ -14,7 +14,7 @@ use dlb_baselines::{
     Quasirandom, RandomScatter, Rsu91, WorkStealing,
 };
 use dlb_core::{
-    Cluster, Events, LoadBalancer, LoadEvent, LoadRecorder, Params, SimpleCluster, WeightedCluster,
+    Cluster, Events, LoadBalancer, LoadRecorder, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
     league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
@@ -30,12 +30,13 @@ use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::sparse::{SparseActivity, SparseWorkload};
 use dlb_workload::Workload;
 use std::fs::File;
+use std::time::Instant;
 
 /// Execution options (CLI flags, not scenario content).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Write a JSONL event trace here (overrides the scenario's `trace`
-    /// field).
+    /// Write a JSONL event trace here (`--trace`, the one way to name
+    /// the path).
     pub trace: Option<String>,
     /// Worker threads for the run loop (`0`/`1` = sequential; output is
     /// identical for every value).
@@ -329,6 +330,17 @@ fn emit_summary_sample(driver: &SharedSink, step: u64, summary: dlb_core::LoadSu
     });
 }
 
+/// The `--profile` line of step `t`, begun at `started` with `ops`
+/// balance operations.  The runs read the clock only when one will be
+/// written.
+fn step_profile(t: usize, started: Instant, ops: u64) -> TraceEvent {
+    TraceEvent::StepProfile {
+        step: t as u64,
+        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        ops,
+    }
+}
+
 /// One run of a synchronous (LoadBalancer) strategy.
 ///
 /// Sparse-capable workloads hand [`LoadBalancer::step_events`] their
@@ -378,11 +390,11 @@ fn run_one_sync(
         None => None,
     };
     let mut masks = injector.as_ref().map(MaskCursor::new);
+    let profiled = trace.is_some() && profile;
     let mut events = Vec::new();
     let mut active = Vec::new();
     for t in 0..scenario.steps {
-        let started = std::time::Instant::now();
-        let ops_before = balancer.metrics().balance_ops;
+        let profile_from = profiled.then(|| (Instant::now(), balancer.metrics().balance_ops));
         let step = match (&mut sparse_workload, &mut workload) {
             (Some(w), _) => {
                 w.active_at(t, &mut active);
@@ -399,12 +411,9 @@ fn run_one_sync(
         recorder.record_summary(summary, scenario.n);
         if let Some(driver) = &trace {
             emit_summary_sample(driver, t as u64, summary);
-            if profile {
-                driver.record(&TraceEvent::StepProfile {
-                    step: t as u64,
-                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    ops: balancer.metrics().balance_ops - ops_before,
-                });
+            if let Some((started, ops_before)) = profile_from {
+                let ops = balancer.metrics().balance_ops - ops_before;
+                driver.record(&step_profile(t, started, ops));
             }
         }
     }
@@ -458,31 +467,20 @@ fn run_one_async(
         });
         net.set_trace_sink(driver.clone());
     }
+    let profiled = trace.is_some() && profile;
     let mut events = Vec::new();
-    let mut actions = vec![0i8; scenario.n];
     for t in 0..scenario.steps {
         workload.events_at(t, &mut events);
-        for (a, e) in actions.iter_mut().zip(events.iter()) {
-            *a = match e {
-                LoadEvent::Generate => 1,
-                LoadEvent::Consume => -1,
-                LoadEvent::Idle => 0,
-            };
-        }
-        let started = std::time::Instant::now();
-        let ops_before = net.stats().completed_ops;
-        net.tick(t as u64, &actions);
+        let profile_from = profiled.then(|| (Instant::now(), net.stats().completed_ops));
+        net.tick(t as u64, &events);
         net.check_conservation()?;
         let summary = net.load_summary();
         recorder.record_summary(summary, scenario.n);
         if let Some(driver) = &trace {
             emit_summary_sample(driver, t as u64, summary);
-            if profile {
-                driver.record(&TraceEvent::StepProfile {
-                    step: t as u64,
-                    wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    ops: net.stats().completed_ops - ops_before,
-                });
+            if let Some((started, ops_before)) = profile_from {
+                let ops = net.stats().completed_ops - ops_before;
+                driver.record(&step_profile(t, started, ops));
             }
         }
     }

@@ -7,14 +7,26 @@ use dlb_json::{FromJson, Json, ToJson};
 
 /// What a processor does in one global time step (§2: generate one packet,
 /// consume one locally available packet, or do nothing).
+///
+/// The discriminant is the step's change to the processor's load before
+/// a consume is clamped at zero, the action encoding desim's tick reads,
+/// so a `&[LoadEvent]` is handed to it as it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(i8)]
 pub enum LoadEvent {
     /// Generate one work packet.
-    Generate,
+    Generate = 1,
     /// Consume one locally available packet (skipped when none is held).
-    Consume,
+    Consume = -1,
     /// Do nothing.
-    Idle,
+    Idle = 0,
+}
+
+impl From<LoadEvent> for i8 {
+    /// `1`, `-1` or `0`: the enum's discriminant.
+    fn from(e: LoadEvent) -> i8 {
+        e as i8
+    }
 }
 
 impl ToJson for LoadEvent {
@@ -347,6 +359,13 @@ pub fn imbalance_stats(loads: &[u64]) -> ImbalanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_load_event_is_its_action() {
+        let actions = [LoadEvent::Generate, LoadEvent::Consume, LoadEvent::Idle].map(i8::from);
+        assert_eq!(actions, [1, -1, 0]);
+        assert_eq!(std::mem::size_of::<LoadEvent>(), 1);
+    }
 
     #[test]
     fn stats_on_flat_distribution() {

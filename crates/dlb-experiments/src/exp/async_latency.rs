@@ -10,6 +10,7 @@
 //! Usage: `dlb-exp async_latency [--out results/async_latency.csv]`
 
 use crate::args::{Args, Key};
+use crate::faultsweep::mixed_action;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::Params;
 use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
@@ -28,14 +29,11 @@ fn drive(config: AsyncConfig) -> (f64, AsyncStats) {
     let mut wl_rng = ChaCha8Rng::seed_from_u64(5);
     let mut ratio = 0.0;
     let mut samples = 0usize;
+    let mut actions = [0i8; N];
     for t in 0..STEPS {
-        let actions: Vec<i8> = (0..N)
-            .map(|_| match wl_rng.gen_range(0..10) {
-                0..=4 => 1,
-                5..=7 => -1,
-                _ => 0,
-            })
-            .collect();
+        for a in &mut actions {
+            *a = mixed_action(&mut wl_rng);
+        }
         net.tick(t, &actions);
         if t >= STEPS / 4 && t % 50 == 0 {
             let s = net.load_summary();

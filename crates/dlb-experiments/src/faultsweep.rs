@@ -201,6 +201,16 @@ impl SweepResult {
     }
 }
 
+/// One processor's action in the mixed workload of this sweep and of
+/// `async_latency`: generate 50 %, consume 30 %, idle 20 %, one draw.
+pub(crate) fn mixed_action(rng: &mut ChaCha8Rng) -> i8 {
+    match rng.gen_range(0..10i32) {
+        0..=4 => 1,
+        5..=7 => -1,
+        _ => 0,
+    }
+}
+
 /// Runs one sweep cell: `runs` seeded simulations under `plan`,
 /// asserting extended conservation after every tick and no leaked locks
 /// after quiescence.
@@ -225,14 +235,11 @@ pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
             ChaCha8Rng::seed_from_u64(stream_seed(cfg.workload_seed, run, StreamId::Workload));
         let mut ratio = 0.0;
         let mut samples = 0usize;
+        let mut actions = vec![0i8; cfg.n];
         for t in 0..cfg.steps {
-            let actions: Vec<i8> = (0..cfg.n)
-                .map(|_| match wl_rng.gen_range(0..10) {
-                    0..=4 => 1,
-                    5..=7 => -1,
-                    _ => 0,
-                })
-                .collect();
+            for a in &mut actions {
+                *a = mixed_action(&mut wl_rng);
+            }
             net.tick(t, &actions);
             net.check_conservation()
                 .expect("extended conservation at every tick");

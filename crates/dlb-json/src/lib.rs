@@ -13,6 +13,7 @@
 //!   errors are `String`s with context.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use std::fmt::Write as _;
 

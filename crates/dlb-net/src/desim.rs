@@ -86,7 +86,12 @@
 //! [`AsyncNetwork::tick`] first applies every action and tests every
 //! trigger in one pass over `actions`/`load`/`flags` and the two bound
 //! arrays, collecting the processors whose trigger fired, and only then
-//! starts their operations, in ascending processor order.  The pass has
+//! starts their operations, in ascending processor order.  `actions` is
+//! any slice whose elements convert to the `i8` action: `dlb run` hands
+//! over the workload's `&[LoadEvent]` as it comes — `LoadEvent`'s
+//! discriminants are the encoding, so the conversion is a load and no
+//! per-tick buffer or copy exists, and such a slice cannot hold an
+//! invalid action — while tests and experiments pass `&[i8]`.  The pass has
 //! no data-dependent branch: `up`, generate, consume and blocked are
 //! booleans folded into the load and the counters arithmetically, a
 //! fired index is always written to `fired[k]` and `k` advances by the
@@ -588,6 +593,10 @@ impl AsyncNetwork {
     /// applies one generate (`+1`) / consume (`−1`) / idle (`0`) tick to
     /// every processor.  Crashed processors take no actions.
     ///
+    /// An action is anything that converts to that `i8`: a workload's
+    /// `&[LoadEvent]` as it comes (its discriminants are the encoding),
+    /// or a plain `&[i8]`.
+    ///
     /// Two phases (module docs, "Two-phase tick"): a branch-free sweep
     /// that applies the actions, collects the fired triggers and folds
     /// the load summary, then the operation starts in ascending
@@ -595,8 +604,9 @@ impl AsyncNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if an up processor's action is not -1, 0 or 1.
-    pub fn tick(&mut self, t: u64, actions: &[i8]) {
+    /// Panics if an up processor's action is not -1, 0 or 1, which a
+    /// `LoadEvent` slice cannot hold.
+    pub fn tick<A: Copy + Into<i8>>(&mut self, t: u64, actions: &[A]) {
         assert!(t >= self.now, "time must not run backwards");
         let n = self.load.len();
         assert_eq!(actions.len(), n, "one action per processor");
@@ -613,7 +623,7 @@ impl AsyncNetwork {
         let grow_at = &self.grow_at[..n];
         let shrink_below = &self.shrink_below[..n];
         for i in 0..n {
-            let (a, l) = (actions[i], load[i]);
+            let (a, l): (i8, _) = (actions[i].into(), load[i]);
             let up = flags[i] & DOWN == 0;
             let gen = up & (a == 1);
             let take = up & (a == -1);
@@ -637,8 +647,9 @@ impl AsyncNetwork {
         if invalid {
             let (other, _) = actions
                 .iter()
+                .map(|&a| a.into())
                 .zip(flags)
-                .find(|&(a, f)| f & DOWN == 0 && a.unsigned_abs() > 1)
+                .find(|&(a, f): &(i8, _)| f & DOWN == 0 && a.unsigned_abs() > 1)
                 .expect("an invalid action was seen");
             panic!("invalid action {other}; use -1, 0, 1");
         }
@@ -1650,6 +1661,62 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `dlb run` hands the sweep a workload's `&[LoadEvent]`, the
+    /// experiments and these tests an `&[i8]`.  Under the pins' lossy
+    /// plan (jitter, a crash and its recovery, a partition) with a trace
+    /// sink attached, a run fed the events and one fed their image under
+    /// the conversion `dlb run` used to make are the same run.
+    #[test]
+    fn tick_on_events_is_tick_on_actions() {
+        use dlb_core::LoadEvent;
+        let run = |n: usize, as_actions: bool| {
+            let writer = dlb_trace::RunOrderedWriter::from_writer(Vec::new());
+            let mut net = pin_net(2, n, 2, 4);
+            net.set_trace_sink(writer.handle(0));
+            let mut events = vec![LoadEvent::Idle; n];
+            let mut actions = vec![0i8; n];
+            for t in 0..PIN_TICKS {
+                for (i, e) in events.iter_mut().enumerate() {
+                    let skew = (t + i as u64).is_multiple_of(5);
+                    *e = if t < PIN_TICKS / 2 {
+                        if i % 4 == 0 || skew {
+                            LoadEvent::Generate
+                        } else {
+                            LoadEvent::Idle
+                        }
+                    } else if skew {
+                        LoadEvent::Idle
+                    } else {
+                        LoadEvent::Consume
+                    };
+                }
+                for (a, e) in actions.iter_mut().zip(&events) {
+                    *a = match e {
+                        LoadEvent::Generate => 1,
+                        LoadEvent::Consume => -1,
+                        LoadEvent::Idle => 0,
+                    };
+                }
+                if as_actions {
+                    net.tick(t, &actions);
+                } else {
+                    net.tick(t, &events);
+                }
+            }
+            net.quiesce();
+            let end = (net.loads(), *net.stats(), net.lost(), net.load_summary());
+            drop(net);
+            (end, writer.into_inner().expect("in-memory trace"))
+        };
+        for n in [8, 64] {
+            let (events, actions) = (run(n, false), run(n, true));
+            let stats = events.0 .1;
+            assert!(stats.crashes == 1 && stats.lost_messages > 0, "{stats:?}");
+            assert!(!events.1.is_empty(), "the trace recorded the run");
+            assert!(events == actions, "n = {n}: the two forms diverged");
         }
     }
 

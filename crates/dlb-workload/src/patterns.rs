@@ -215,17 +215,16 @@ impl Workload for ProducerConsumerSplit {
         self.n
     }
 
+    /// Two fills: the first `n / 2` processors' role, then the rest's.
     fn events_at(&mut self, t: usize, out: &mut Vec<LoadEvent>) {
+        let (first, second) = if (t / self.swap_every) % 2 == 1 {
+            (LoadEvent::Consume, LoadEvent::Generate)
+        } else {
+            (LoadEvent::Generate, LoadEvent::Consume)
+        };
         out.clear();
-        let swapped = (t / self.swap_every) % 2 == 1;
-        for i in 0..self.n {
-            let first_half = i < self.n / 2;
-            out.push(if first_half != swapped {
-                LoadEvent::Generate
-            } else {
-                LoadEvent::Consume
-            });
-        }
+        out.resize(self.n / 2, first);
+        out.resize(self.n, second);
     }
 }
 
@@ -321,5 +320,27 @@ mod tests {
                 LoadEvent::Generate
             ]
         );
+    }
+
+    /// The two fills against the per-processor definition they
+    /// replaced, across two swaps.
+    #[test]
+    fn split_fill_is_the_per_processor_rule() {
+        for n in [1, 2, 5, 8] {
+            let mut w = ProducerConsumerSplit::new(n, 3);
+            for (t, row) in collect(&mut w, 9).into_iter().enumerate() {
+                let swapped = (t / 3) % 2 == 1;
+                let want: Vec<LoadEvent> = (0..n)
+                    .map(|i| {
+                        if (i < n / 2) != swapped {
+                            LoadEvent::Generate
+                        } else {
+                            LoadEvent::Consume
+                        }
+                    })
+                    .collect();
+                assert_eq!(row, want, "n = {n}, t = {t}");
+            }
+        }
     }
 }
