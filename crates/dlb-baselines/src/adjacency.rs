@@ -26,11 +26,10 @@ impl Adjacency {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
         offsets.push(0u32);
+        let id = |x: usize| u32::try_from(x).expect("adjacency indexes fit in u32");
         for v in 0..n {
-            for u in topology.neighbors(v) {
-                targets.push(u as u32);
-            }
-            offsets.push(targets.len() as u32);
+            targets.extend(topology.neighbors(v).into_iter().map(id));
+            offsets.push(id(targets.len()));
         }
         Adjacency { offsets, targets }
     }
@@ -67,7 +66,11 @@ mod tests {
             let adj = Adjacency::new(&topo);
             assert_eq!(adj.n(), topo.n());
             for v in 0..topo.n() {
-                let expect: Vec<u32> = topo.neighbors(v).into_iter().map(|u| u as u32).collect();
+                let expect: Vec<u32> = topo
+                    .neighbors(v)
+                    .into_iter()
+                    .map(|u| u32::try_from(u).unwrap())
+                    .collect();
                 assert_eq!(adj.neighbors(v), expect.as_slice(), "{topo:?} v={v}");
                 assert_eq!(adj.degree(v), expect.len());
             }

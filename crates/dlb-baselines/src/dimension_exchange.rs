@@ -27,6 +27,11 @@ pub struct DimensionExchange {
     step: u64,
 }
 
+/// Processor `v` as a partner-table entry.
+fn id(v: usize) -> u32 {
+    u32::try_from(v).expect("partner tables index processors as u32")
+}
+
 /// Pairs consecutive vertices of one cycle, starting at `parity`, and
 /// writes the pairing into `partner`.
 fn cycle_matching(ids: &[usize], parity: usize, partner: &mut [u32]) {
@@ -38,8 +43,8 @@ fn cycle_matching(ids: &[usize], parity: usize, partner: &mut [u32]) {
         let a = ids[k];
         let b = ids[(k + 1) % len];
         if a != b && partner[a] as usize == a && partner[b] as usize == b {
-            partner[a] = b as u32;
-            partner[b] = a as u32;
+            partner[a] = id(b);
+            partner[b] = id(a);
         }
     }
 }
@@ -53,10 +58,10 @@ impl DimensionExchange {
     pub fn new(topology: Topology) -> Self {
         let n = topology.n();
         assert!(n >= 2, "need at least two processors");
-        let identity = |n: usize| (0..n as u32).collect::<Vec<u32>>();
+        let identity = |n: usize| (0..n).map(id).collect::<Vec<u32>>();
         let mut phases: Vec<Vec<u32>> = match topology {
             Topology::Hypercube { dim } => (0..dim)
-                .map(|d| (0..n).map(|v| (v ^ (1 << d)) as u32).collect())
+                .map(|d| (0..n).map(|v| id(v ^ (1 << d))).collect())
                 .collect(),
             Topology::Ring { n } => {
                 let ids: Vec<usize> = (0..n).collect();
@@ -127,6 +132,8 @@ impl LoadBalancer for DimensionExchange {
         } = self;
         let alive = |v: usize| down.is_none_or(|d| !d[v]);
         let trace_on = sink.as_ref().is_some_and(|s| s.enabled());
+        // The phase index is below `phases.len()`, a `usize`.
+        #[allow(clippy::cast_possible_truncation)]
         let partner = &phases[(*step % phases.len() as u64) as usize];
         for v in 0..loads.len() {
             let u = partner[v] as usize;

@@ -38,6 +38,7 @@
 //! with the identical recorded event trace.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod adjacency;
 mod averaging;
@@ -437,6 +438,8 @@ impl Diffusion {
                     continue; // handle each undirected edge once
                 }
                 let diff = snapshot[v] as i64 - snapshot[u] as i64;
+                // `alpha ≤ 0.5`, so the floor is at most `|diff|`, an `i64`.
+                #[allow(clippy::cast_possible_truncation)]
                 let flow = (*alpha * diff.abs() as f64).floor() as i64 * diff.signum();
                 delta[v] -= flow;
                 delta[u] += flow;

@@ -92,6 +92,8 @@ impl LoadBalancer for Quasirandom {
                 continue;
             }
             let base = l / (d_alive as u64 + 1);
+            // Below `d_alive + 1`, a `usize`.
+            #[allow(clippy::cast_possible_truncation)]
             let rem = (l % (d_alive as u64 + 1)) as usize;
             next[v] += base;
             if base > 0 {
@@ -116,7 +118,11 @@ impl LoadBalancer for Quasirandom {
                     idx = (idx + 1) % deg;
                     scanned += 1;
                 }
-                rotor[v] = idx as u32;
+                // `idx` is below the degree, under `n`, whose ids
+                // `Adjacency` holds as `u32`.
+                #[allow(clippy::cast_possible_truncation)]
+                let idx = idx as u32;
+                rotor[v] = idx;
                 // Unplaceable surplus (cannot happen with d_alive ≥ 1,
                 // kept for conservation robustness).
                 next[v] += (rem - placed) as u64;

@@ -220,15 +220,6 @@ pub enum WorkloadConfig {
     },
 }
 
-impl WorkloadConfig {
-    /// Whether this workload supports the event-driven sparse stepping
-    /// path (`dlb run` takes it automatically unless `--dense` forces
-    /// the O(n)-per-step path).
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, WorkloadConfig::Sparse { .. })
-    }
-}
-
 fn default_g() -> (f64, f64) {
     (0.1, 0.9)
 }
@@ -452,32 +443,47 @@ impl Scenario {
     /// Checks cross-field constraints.
     pub fn validate(&self) -> Result<(), String> {
         if self.n < 2 {
-            return Err("need at least 2 processors".into());
+            return Err("n: need at least 2 processors".into());
         }
-        if self.steps == 0 || self.runs == 0 {
-            return Err("steps and runs must be positive".into());
+        if self.steps == 0 {
+            return Err("steps: must be positive".into());
+        }
+        if self.runs == 0 {
+            return Err("runs: must be positive".into());
         }
         if !(0.0..1.0).contains(&self.warmup_fraction) {
             return Err("warmup_fraction must lie in [0, 1)".into());
         }
-        for strategy in std::iter::once(&self.strategy).chain(&self.balancer) {
-            if let StrategyConfig::Weighted { speeds, .. } = strategy {
-                if speeds.len() != self.n {
+        let entries = self.balancer.iter().enumerate();
+        let strategies = std::iter::once(("strategy".to_string(), &self.strategy))
+            .chain(entries.map(|(i, s)| (format!("balancer[{i}]"), s)));
+        for (key, strategy) in strategies {
+            match strategy {
+                StrategyConfig::Weighted { speeds, .. } if speeds.len() != self.n => {
                     return Err(format!(
-                        "weighted strategy needs {} speeds, got {}",
+                        "{key}.speeds: needs {} speeds, got {}",
                         self.n,
                         speeds.len()
                     ));
                 }
-            }
-        }
-        if !self.balancer.is_empty() {
-            for strategy in std::iter::once(&self.strategy).chain(&self.balancer) {
-                if matches!(strategy, StrategyConfig::Async { .. }) {
-                    return Err("the balancer league runs synchronous steps; \
-                         \"async\" cannot be a league contender"
-                        .into());
+                StrategyConfig::Weighted { speeds, .. }
+                    if speeds.contains(&0)
+                        || speeds
+                            .iter()
+                            .try_fold(0u64, |sum, &s| sum.checked_add(s))
+                            .is_none() =>
+                {
+                    return Err(format!(
+                        "{key}.speeds: must be positive with a sum below 2^64"
+                    ));
                 }
+                StrategyConfig::Async { .. } if !self.balancer.is_empty() => {
+                    return Err(format!(
+                        "{key}: the balancer league runs synchronous steps; \
+                         \"async\" cannot be a league contender"
+                    ));
+                }
+                _ => {}
             }
         }
         if let WorkloadConfig::Sparse { pattern } = &self.workload {
@@ -803,6 +809,240 @@ mod tests {
             }
         }
         assert!(seen >= 6, "expected the committed scenario set, saw {seen}");
+    }
+
+    /// The committed `dlb run` scenarios, parsed.
+    fn committed_scenarios() -> Vec<Json> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut docs: Vec<(String, Json)> = std::fs::read_dir(&dir)
+            .expect("scenarios/ exists")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("json"))
+            .map(|path| path.file_name().unwrap().to_string_lossy().into_owned())
+            .filter(|name| !name.starts_with("service_"))
+            .map(|name| {
+                let text = std::fs::read_to_string(dir.join(&name)).expect("readable");
+                (name, Json::parse(&text).expect("committed scenarios parse"))
+            })
+            .collect();
+        docs.sort_by(|a, b| a.0.cmp(&b.0));
+        docs.into_iter().map(|(_, doc)| doc).collect()
+    }
+
+    /// Every node below the root, as the child indices that reach it.
+    fn node_paths(doc: &Json) -> Vec<Vec<usize>> {
+        fn walk(node: &Json, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            let children: Vec<&Json> = match node {
+                Json::Arr(items) => items.iter().collect(),
+                Json::Obj(fields) => fields.iter().map(|(_, v)| v).collect(),
+                _ => Vec::new(),
+            };
+            for (i, child) in children.into_iter().enumerate() {
+                path.push(i);
+                out.push(path.clone());
+                walk(child, path, out);
+                path.pop();
+            }
+        }
+        let mut out = Vec::new();
+        walk(doc, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// A hostile value: another JSON type, or one of the numbers that
+    /// break unchecked arithmetic.
+    fn hostile(which: usize) -> Json {
+        match which % 9 {
+            0 => Json::Null,
+            1 => Json::Bool(true),
+            2 => Json::Str("x".into()),
+            3 => Json::Arr(vec![Json::Int(1)]),
+            4 => Json::Obj(Vec::new()),
+            5 => Json::Int(0),
+            6 => Json::Int(-1),
+            7 => Json::Int(u64::MAX.into()),
+            _ => Json::Float(1e308),
+        }
+    }
+
+    /// `doc` with the node at `path` swapped for `hostile(which)`
+    /// (`op` 0), dropped (1) or duplicated with that value beside it (2).
+    fn mutate(doc: &Json, path: &[usize], op: usize, which: usize) -> Json {
+        let mut doc = doc.clone();
+        let (&last, init) = path.split_last().expect("below the root");
+        let mut parent = &mut doc;
+        for &i in init {
+            parent = match parent {
+                Json::Arr(items) => &mut items[i],
+                Json::Obj(fields) => &mut fields[i].1,
+                _ => unreachable!("paths lead through containers"),
+            };
+        }
+        match (parent, op % 3) {
+            (Json::Arr(items), 0) => items[last] = hostile(which),
+            (Json::Obj(fields), 0) => fields[last].1 = hostile(which),
+            (Json::Arr(items), 1) => drop(items.remove(last)),
+            (Json::Obj(fields), 1) => drop(fields.remove(last)),
+            (Json::Arr(items), _) => items.insert(last + 1, hostile(which)),
+            (Json::Obj(fields), _) => {
+                let key = fields[last].0.clone();
+                fields.insert(last + 1, (key, hostile(which)));
+            }
+            _ => unreachable!("paths lead through containers"),
+        }
+        doc
+    }
+
+    /// Whether `err` names where in the document it went wrong: a
+    /// decoder's `field '…'` / `unknown key "…"`, or a scenario key
+    /// leading the message (`faults: …`, `strategy.latency = …`).
+    fn names_a_key(err: &str) -> bool {
+        const KEYS: [&str; 9] = [
+            "n",
+            "steps",
+            "runs",
+            "seed",
+            "warmup_fraction",
+            "strategy",
+            "workload",
+            "balancer",
+            "faults",
+        ];
+        err.contains("field '")
+            || err.contains("unknown key \"")
+            || KEYS.iter().any(|key| {
+                err.strip_prefix(key)
+                    .is_some_and(|rest| rest.starts_with([':', '.', ' ', '[']))
+            })
+    }
+
+    /// Runs `scenario` as `dlb run` does when it is small enough to run
+    /// in a test.  Either result is fine; a panic fails the test.
+    fn run_if_small(scenario: &Scenario) {
+        if scenario.n <= 64 && scenario.steps <= 8 && scenario.runs <= 2 {
+            let opts = crate::run::RunOptions::default();
+            if scenario.balancer.is_empty() {
+                crate::run::execute_with(scenario, &opts).ok();
+            } else {
+                crate::run::execute_league(scenario, &opts).ok();
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, and committed scenarios with a byte range
+        /// overwritten: `Ok` or `Err`, never a panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_loader(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..512),
+            doc in 0usize..64,
+            at in proptest::any::<usize>(),
+        ) {
+            Scenario::from_json(&String::from_utf8_lossy(&bytes)).ok();
+            let docs = committed_scenarios();
+            let mut text = docs[doc % docs.len()].render().into_bytes();
+            let at = at % text.len();
+            let end = (at + bytes.len()).min(text.len());
+            text.splice(at..end, bytes.iter().copied());
+            if let Ok(scenario) = Scenario::from_json(&String::from_utf8_lossy(&text)) {
+                run_if_small(&scenario);
+            }
+        }
+
+        /// Every committed scenario, structurally mutated at one node:
+        /// `Ok` (and, when small, a run to `Ok` or `Err`) or an `Err`
+        /// that names a key, never a panic.
+        #[test]
+        fn mutated_scenarios_fail_by_key_or_run(
+            node in proptest::any::<usize>(),
+            op in 0usize..4,
+            which in 0usize..9,
+            shrink in proptest::any::<bool>(),
+        ) {
+            for doc in committed_scenarios() {
+                let mut doc = doc;
+                if shrink {
+                    // Short enough to run: the mutation lands on a
+                    // document the test can execute.
+                    for (key, value) in [("steps", 6), ("runs", 2)] {
+                        if let Json::Obj(fields) = &mut doc {
+                            if let Some(field) = fields.iter_mut().find(|(k, _)| k == key) {
+                                field.1 = Json::Int(value);
+                            }
+                        }
+                    }
+                }
+                let paths = node_paths(&doc);
+                let path = &paths[node % paths.len()];
+                // `op` 3 sets a number; the others act on any node.
+                let mutant = if op == 3 {
+                    let numbers: Vec<&Vec<usize>> = paths
+                        .iter()
+                        .filter(|p| matches!(value_at(&doc, p), Json::Int(_) | Json::Float(_)))
+                        .collect();
+                    mutate(&doc, numbers[node % numbers.len()], 0, 5 + which % 4)
+                } else {
+                    mutate(&doc, path, op, which)
+                };
+                let text = mutant.render();
+                match Scenario::from_json(&text) {
+                    Ok(scenario) => run_if_small(&scenario),
+                    Err(err) => proptest::prop_assert!(names_a_key(&err), "{err}\n    in {text}"),
+                }
+            }
+        }
+    }
+
+    fn value_at<'a>(doc: &'a Json, path: &[usize]) -> &'a Json {
+        path.iter().fold(doc, |node, &i| match node {
+            Json::Arr(items) => &items[i],
+            Json::Obj(fields) => &fields[i].1,
+            _ => unreachable!("paths lead through containers"),
+        })
+    }
+
+    /// The inputs the mutation proptest found panicking, kept: each is
+    /// refused by key, or runs to a result.
+    #[test]
+    fn hostile_values_found_by_mutation_stay_fixed() {
+        use crate::run::{execute_with, RunOptions};
+        let doc = |strategy: &str, workload: &str| {
+            format!(r#"{{"n":8,"steps":6,"runs":2,"strategy":{strategy},"workload":{workload}}}"#)
+        };
+        let simple = r#"{"kind":"simple","delta":1,"f":1.1}"#;
+        let run =
+            |text: &str| execute_with(&Scenario::from_json(text).unwrap(), &RunOptions::default());
+        // A zero speed panicked `WeightedCluster::new`; a sum past 2^64
+        // overflowed the proportional split.
+        for speeds in ["[1,1,1,0,1,1,1,1]", "[18446744073709551615,1,1,1,1,1,1,1]"] {
+            let weighted = format!(r#"{{"kind":"weighted","delta":1,"f":1.1,"speeds":{speeds}}}"#);
+            let err = Scenario::from_json(&doc(&weighted, r#"{"kind":"one-producer"}"#));
+            assert_eq!(
+                err.unwrap_err(),
+                "strategy.speeds: must be positive with a sum below 2^64"
+            );
+        }
+        // `p_con = -1` panicked the hotspot's coin flip.
+        let hotspot = r#"{"kind":"moving-hotspot","period":2,"p_con":-1}"#;
+        assert_eq!(
+            run(&doc(simple, hotspot)).unwrap_err(),
+            "hotspot p_con must lie in [0, 1]"
+        );
+        // `C = 2^64 - 1` overflowed the settlement bound `C + 2`.
+        let full = r#"{"kind":"full","delta":1,"f":1.1,"c":18446744073709551615}"#;
+        assert!(run(&doc(full, r#"{"kind":"phase"}"#)).is_ok());
+        // ... and `2C`, the league's Lemma 6 yardstick.
+        let league = doc(full, r#"{"kind":"phase"},"balancer":[{"kind":"none"}]"#);
+        let league = Scenario::from_json(&league).unwrap();
+        assert!(crate::run::execute_league(&league, &RunOptions::default()).is_ok());
+        // `1e308` renders as 309 digits, which came back as "bad number".
+        let huge = format!(r#"{{"kind":"phase","g":[0.1,1{}]}}"#, "0".repeat(308));
+        assert!(run(&doc(simple, &huge)).is_err());
+        // 200 000 `[` overflowed the parser's stack and aborted.
+        let deep = doc(&"[".repeat(200_000), r#"{"kind":"phase"}"#);
+        assert!(Scenario::from_json(&deep)
+            .unwrap_err()
+            .starts_with("nesting deeper than"));
     }
 
     /// The `kind_table!` rows against literal documents: every kind

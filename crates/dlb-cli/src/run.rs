@@ -14,21 +14,22 @@ use dlb_baselines::{
     Quasirandom, RandomScatter, Rsu91, WorkStealing,
 };
 use dlb_core::{
-    Cluster, Events, LoadBalancer, LoadRecorder, Params, SimpleCluster, WeightedCluster,
+    Cluster, LoadBalancer, LoadRecorder, LoadSummary, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
-    league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
+    league_csv_rows, lemma6_budget, plan_for_run, run_league, run_seeded, ArenaConfig, Contender,
+    RunWorkload, LEAGUE_HEADERS,
 };
 use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
-use dlb_faults::{FaultInjector, MaskCursor};
 use dlb_net::{
     AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
 };
 use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
-use dlb_workload::sparse::{SparseActivity, SparseWorkload};
+use dlb_workload::sparse::SparseActivity;
 use dlb_workload::Workload;
+use std::cell::RefCell;
 use std::fs::File;
 use std::time::Instant;
 
@@ -246,6 +247,9 @@ fn build_workload(scenario: &Scenario, seed: u64) -> Result<Box<dyn Workload>, S
             if *period == 0 {
                 return Err("hotspot period must be positive".into());
             }
+            if !(0.0..=1.0).contains(p_con) {
+                return Err("hotspot p_con must lie in [0, 1]".into());
+            }
             Box::new(MovingHotspot::new(n, *period, *p_con, seed))
         }
         WorkloadConfig::Split { swap_every } => {
@@ -261,29 +265,16 @@ fn build_workload(scenario: &Scenario, seed: u64) -> Result<Box<dyn Workload>, S
     })
 }
 
-/// The event-driven counterpart of [`build_workload`]: `Some` for
-/// sparse-capable workloads (same seed ⇒ the identical event stream,
-/// enumerated instead of densified), `None` otherwise.
-fn build_sparse_workload(
-    scenario: &Scenario,
-    seed: u64,
-) -> Result<Option<Box<dyn SparseWorkload>>, String> {
+/// The workload of one sync run in the form it is stepped: a
+/// sparse-capable workload's active list unless `dense`, else the dense
+/// vector (same seed ⇒ the identical event stream either way).
+fn run_workload(scenario: &Scenario, seed: u64, dense: bool) -> Result<RunWorkload, String> {
     Ok(match &scenario.workload {
-        WorkloadConfig::Sparse { pattern } => {
+        WorkloadConfig::Sparse { pattern } if !dense => {
             pattern.validate()?;
-            Some(Box::new(SparseActivity::new(scenario.n, *pattern, seed)))
+            RunWorkload::Active(Box::new(SparseActivity::new(scenario.n, *pattern, seed)))
         }
-        _ => None,
-    })
-}
-
-/// The fault plan for run `r`: the plan's own seed is re-derived per
-/// run so runs see independent fault streams.
-fn plan_for_run(scenario: &Scenario, r: usize) -> Option<dlb_faults::FaultPlan> {
-    scenario.faults.as_ref().map(|plan| {
-        let mut plan = plan.clone();
-        plan.seed = stream_seed(plan.seed, r as u64, StreamId::Faults);
-        plan
+        _ => RunWorkload::Dense(build_workload(scenario, seed)?),
     })
 }
 
@@ -319,110 +310,118 @@ fn warmup_steps(scenario: &Scenario) -> usize {
     (scenario.steps as f64 * scenario.warmup_fraction) as usize
 }
 
-/// The per-step `LoadSample` event, from an engine's incremental
-/// summary or the one desim's sweep folds.
-fn emit_summary_sample(driver: &SharedSink, step: u64, summary: dlb_core::LoadSummary) {
-    driver.record(&TraceEvent::LoadSample {
-        step,
-        min: summary.min,
-        max: summary.max,
-        total: summary.total,
-    });
-}
-
-/// The `--profile` line of step `t`, begun at `started` with `ops`
-/// balance operations.  The runs read the clock only when one will be
-/// written.
-fn step_profile(t: usize, started: Instant, ops: u64) -> TraceEvent {
-    TraceEvent::StepProfile {
-        step: t as u64,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        ops,
+/// The `RunStarted` line of run `r`, whose balancer `strategy` draws
+/// from `seed`.
+fn run_started(scenario: &Scenario, r: usize, seed: u64, strategy: &str) -> TraceEvent {
+    let (delta, f, c) = strategy_triple(&scenario.strategy);
+    TraceEvent::RunStarted {
+        run: r as u64,
+        seed,
+        n: scenario.n as u64,
+        strategy: strategy.to_string(),
+        delta,
+        f,
+        c,
     }
 }
 
-/// One run of a synchronous (LoadBalancer) strategy.
-///
-/// Sparse-capable workloads hand [`LoadBalancer::step_events`] their
-/// active list unless `force_dense` is set; both forms observe the
-/// engine through the incremental [`LoadBalancer::load_summary`] and
-/// produce byte-identical output.  `trace` receives the run's events
-/// and is flushed when the run ends.
-fn run_one_sync(
+/// What a run records after each step: the load summary into its
+/// recorder and, when traced, a `LoadSample` plus (under `--profile`)
+/// a `StepProfile` line.
+struct StepLog {
+    recorder: LoadRecorder,
+    n: usize,
+    trace: Option<SharedSink>,
+    /// Under `--profile` on a traced run: when the timed step began and
+    /// the balance operations counted before it.  The runs read the
+    /// clock only when a profile line will be written.
+    profile: Option<(Instant, u64)>,
+}
+
+impl StepLog {
+    fn new(scenario: &Scenario, trace: Option<SharedSink>, profile: bool) -> Self {
+        StepLog {
+            recorder: LoadRecorder::new(warmup_steps(scenario), 3.0),
+            n: scenario.n,
+            profile: (trace.is_some() && profile).then(|| (Instant::now(), 0)),
+            trace,
+        }
+    }
+
+    /// Starts timing a step here, `ops` operations into the run.
+    fn start_clock(&mut self, ops: u64) {
+        if let Some(clock) = &mut self.profile {
+            *clock = (Instant::now(), ops);
+        }
+    }
+
+    /// Records step `t`, which left `summary` after `ops` operations in
+    /// all; the next step's clock starts when the lines are written.
+    fn record(&mut self, t: usize, summary: LoadSummary, ops: u64) {
+        self.recorder.record_summary(summary, self.n);
+        let Some(sink) = &self.trace else { return };
+        sink.record(&TraceEvent::LoadSample {
+            step: t as u64,
+            min: summary.min,
+            max: summary.max,
+            total: summary.total,
+        });
+        if let Some((started, ops_before)) = self.profile {
+            sink.record(&TraceEvent::StepProfile {
+                step: t as u64,
+                wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                ops: ops - ops_before,
+            });
+            self.start_clock(ops);
+        }
+    }
+
+    /// Closes run `r`'s trace and hands back its recorder.
+    fn finish(self, r: usize) -> LoadRecorder {
+        if let Some(sink) = &self.trace {
+            sink.record(&TraceEvent::RunFinished { run: r as u64 });
+            sink.flush();
+        }
+        self.recorder
+    }
+}
+
+/// One run of a synchronous (LoadBalancer) strategy through
+/// [`run_seeded`]: sparse-capable workloads hand the engine their
+/// active list unless `--dense`, and both forms produce byte-identical
+/// output.
+fn sync_run(
     scenario: &Scenario,
     r: usize,
     trace: Option<SharedSink>,
-    profile: bool,
-    force_dense: bool,
+    opts: &RunOptions,
 ) -> Result<RunOutcome, String> {
-    let seed = stream_seed(scenario.seed, r as u64, StreamId::Balancer);
-    let mut balancer = build_strategy(scenario, seed)?;
-    let wseed = stream_seed(scenario.seed, r as u64, StreamId::Workload);
-    let mut sparse_workload = if force_dense || !scenario.workload.is_sparse() {
-        None
-    } else {
-        build_sparse_workload(scenario, wseed)?
-    };
-    let mut workload = match sparse_workload {
-        // The sparse instance *is* the workload; a dense one is only
-        // built when the sparse path is off.
-        Some(_) => None,
-        None => Some(build_workload(scenario, wseed)?),
-    };
-    let mut recorder = LoadRecorder::new(warmup_steps(scenario), 3.0);
-    if let Some(driver) = &trace {
-        let (delta, f, c) = strategy_triple(&scenario.strategy);
-        driver.record(&TraceEvent::RunStarted {
-            run: r as u64,
-            seed,
-            n: scenario.n as u64,
-            strategy: balancer.name().to_string(),
-            delta,
-            f,
-            c,
-        });
-        balancer.set_trace_sink(driver.clone());
-    }
-    // Synchronous engines take the fault plan as a per-step crash mask
-    // (message faults do not apply to atomic balancing operations).
-    let injector = match plan_for_run(scenario, r) {
-        Some(plan) => Some(FaultInjector::new(plan, scenario.n)?),
-        None => None,
-    };
-    let mut masks = injector.as_ref().map(MaskCursor::new);
-    let profiled = trace.is_some() && profile;
-    let mut events = Vec::new();
-    let mut active = Vec::new();
-    for t in 0..scenario.steps {
-        let profile_from = profiled.then(|| (Instant::now(), balancer.metrics().balance_ops));
-        let step = match (&mut sparse_workload, &mut workload) {
-            (Some(w), _) => {
-                w.active_at(t, &mut active);
-                Events::Active(&active)
+    let log = RefCell::new(StepLog::new(scenario, trace.clone(), opts.profile));
+    let balancer = run_seeded(
+        scenario.seed,
+        r as u64,
+        scenario.steps,
+        scenario.faults.as_ref(),
+        |seed| {
+            let mut balancer = build_strategy(scenario, seed)?;
+            if let Some(sink) = &trace {
+                sink.record(&run_started(scenario, r, seed, balancer.name()));
+                balancer.set_trace_sink(sink.clone());
             }
-            (None, Some(w)) => {
-                w.events_at(t, &mut events);
-                Events::Dense(&events)
-            }
-            (None, None) => unreachable!("one workload form is always built"),
-        };
-        balancer.step_events(step, masks.as_mut().map(|m| m.at(t as u64)));
-        let summary = balancer.load_summary();
-        recorder.record_summary(summary, scenario.n);
-        if let Some(driver) = &trace {
-            emit_summary_sample(driver, t as u64, summary);
-            if let Some((started, ops_before)) = profile_from {
-                let ops = balancer.metrics().balance_ops - ops_before;
-                driver.record(&step_profile(t, started, ops));
-            }
-        }
-    }
-    if let Some(driver) = &trace {
-        driver.record(&TraceEvent::RunFinished { run: r as u64 });
-        driver.flush();
-    }
+            Ok(balancer)
+        },
+        |seed| {
+            let workload = run_workload(scenario, seed, opts.dense);
+            log.borrow_mut().start_clock(0);
+            workload
+        },
+        |t, balancer| {
+            let ops = balancer.metrics().balance_ops;
+            log.borrow_mut().record(t, balancer.load_summary(), ops);
+        },
+    )?;
     Ok(RunOutcome {
-        recorder,
+        recorder: log.into_inner().finish(r),
         strategy: balancer.name().to_string(),
         ops: balancer.metrics().balance_ops,
         migrated: balancer.metrics().packets_migrated,
@@ -432,8 +431,8 @@ fn run_one_sync(
     })
 }
 
-/// One run of the async (message-level) strategy; `trace` as for
-/// [`run_one_sync`].
+/// One run of the async (message-level) strategy, recorded as
+/// [`sync_run`] records its runs.
 fn run_one_async(
     scenario: &Scenario,
     r: usize,
@@ -446,52 +445,31 @@ fn run_one_async(
     let params = Params::new(scenario.n, delta, f, 4).map_err(|e| e.to_string())?;
     let seed = stream_seed(scenario.seed, r as u64, StreamId::Balancer);
     let config = AsyncConfig::reliable(params, latency, seed);
-    let mut net = match plan_for_run(scenario, r) {
-        Some(plan) => AsyncNetwork::with_faults(config, plan)?,
+    let mut net = match &scenario.faults {
+        Some(plan) => AsyncNetwork::with_faults(config, plan_for_run(plan, r as u64))?,
         None => AsyncNetwork::new(config),
     };
     let mut workload = build_workload(
         scenario,
         stream_seed(scenario.seed, r as u64, StreamId::Workload),
     )?;
-    let mut recorder = LoadRecorder::new(warmup_steps(scenario), 3.0);
-    if let Some(driver) = &trace {
-        driver.record(&TraceEvent::RunStarted {
-            run: r as u64,
-            seed,
-            n: scenario.n as u64,
-            strategy: "spaa93-async".to_string(),
-            delta: delta as u64,
-            f,
-            c: 0,
-        });
-        net.set_trace_sink(driver.clone());
+    let mut log = StepLog::new(scenario, trace, profile);
+    if let Some(sink) = &log.trace {
+        sink.record(&run_started(scenario, r, seed, "spaa93-async"));
+        net.set_trace_sink(sink.clone());
     }
-    let profiled = trace.is_some() && profile;
     let mut events = Vec::new();
     for t in 0..scenario.steps {
         workload.events_at(t, &mut events);
-        let profile_from = profiled.then(|| (Instant::now(), net.stats().completed_ops));
+        log.start_clock(net.stats().completed_ops);
         net.tick(t as u64, &events);
         net.check_conservation()?;
-        let summary = net.load_summary();
-        recorder.record_summary(summary, scenario.n);
-        if let Some(driver) = &trace {
-            emit_summary_sample(driver, t as u64, summary);
-            if let Some((started, ops_before)) = profile_from {
-                let ops = net.stats().completed_ops - ops_before;
-                driver.record(&step_profile(t, started, ops));
-            }
-        }
+        log.record(t, net.load_summary(), net.stats().completed_ops);
     }
     net.quiesce();
     net.check_conservation()?;
-    if let Some(driver) = &trace {
-        driver.record(&TraceEvent::RunFinished { run: r as u64 });
-        driver.flush();
-    }
     Ok(RunOutcome {
-        recorder,
+        recorder: log.finish(r),
         strategy: "spaa93-async".to_string(),
         ops: net.stats().completed_ops,
         migrated: net.stats().packets_moved,
@@ -543,7 +521,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
             Some((delta, f, latency)) => {
                 run_one_async(scenario, r, trace, opts.profile, delta, f, latency)
             }
-            None => run_one_sync(scenario, r, trace, opts.profile, opts.dense),
+            None => sync_run(scenario, r, trace, opts),
         }
     });
 
@@ -629,10 +607,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     let rows = run_league(
         &cfg,
         &contenders,
-        |seed| {
-            let mut workload = build_workload(scenario, seed).expect("workload validated above");
-            dlb_workload::trace::EventTrace::record(&mut workload, scenario.steps)
-        },
+        |seed| run_workload(scenario, seed, opts.dense).expect("workload validated above"),
         writer.as_ref(),
     );
     finish_trace(writer, &opts.trace)?;
@@ -1159,6 +1134,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn sparse_league_is_byte_identical_to_dense() {
+        // A league steps a sparse workload's active list unless --dense;
+        // neither the table nor a trace byte may tell the two apart,
+        // with a crash/rejoin in play.
+        let dir = std::env::temp_dir().join("dlb_cli_sparse_league_test");
+        for (w, workload) in sparse_workloads().into_iter().enumerate() {
+            let mut scenario = league_scenario();
+            scenario.workload = workload;
+            let run_with = |dense: bool| {
+                let path = dir.join(format!("w{w}_dense_{dense}.jsonl"));
+                let opts = RunOptions {
+                    trace: Some(path.to_string_lossy().into_owned()),
+                    dense,
+                    ..RunOptions::default()
+                };
+                let table = execute_league(&scenario, &opts).unwrap();
+                (table, std::fs::read(&path).unwrap())
+            };
+            let (table, trace) = run_with(false);
+            assert!(table.contains("quasirandom"), "{table}");
+            assert!(!trace.is_empty());
+            assert!(run_with(true) == (table, trace), "workload {w}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// `Params` accepts any δ < n; δ ≥ 64 used to exit 101 at the first
     /// trigger, on a scratch array sized for groups of at most 64.
     #[test]
@@ -1169,15 +1171,19 @@ mod tests {
                 "workload":{"kind":"phase"}}"#,
         )
         .unwrap();
-        let report = execute(&scenario).unwrap();
+        let dir = std::env::temp_dir().join("dlb_cli_wide_groups_test");
+        let path = dir.join("t.jsonl");
+        let opts = RunOptions {
+            trace: Some(path.to_string_lossy().into_owned()),
+            ..RunOptions::default()
+        };
+        let report = execute_with(&scenario, &opts).unwrap();
         assert!(report.ops_per_run > 0.0, "groups of 71 were balanced");
         // The ledger: what the step deltas say was generated and not
         // consumed is what the processors hold at the end.
-        let buf = dlb_trace::BufferSink::new();
-        let run = run_one_sync(&scenario, 0, Some(buf.handle()), false, false).unwrap();
         let (mut generated, mut consumed) = (0u64, 0u64);
-        for ev in &buf.take() {
-            if let TraceEvent::StepDelta { counters, .. } = ev {
+        for line in std::fs::read_to_string(&path).unwrap().lines() {
+            if let TraceEvent::StepDelta { counters, .. } = TraceEvent::from_line(line).unwrap() {
                 for (name, inc) in counters {
                     match name.as_str() {
                         "generated" => generated += inc,
@@ -1187,8 +1193,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(generated - consumed, run.final_total);
-        assert_eq!(run.final_total, report.final_total);
+        assert_eq!(generated - consumed, report.final_total);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -770,7 +770,7 @@ impl Cluster {
     /// borrowable (or own-class) packet, so C + 2 attempts always
     /// suffice; the bound is a safety net, with failures counted.
     fn consume_slow(&mut self, i: usize) {
-        let max_attempts = self.params.c_borrow() + 2;
+        let max_attempts = self.params.c_borrow().saturating_add(2);
         for _ in 0..max_attempts.max(4) {
             if self.procs[i].load == 0 {
                 // Settlement operations may have drained the processor.

@@ -209,7 +209,7 @@ impl RefCluster {
             self.trigger_check(i);
             return;
         }
-        let max_attempts = self.params.c_borrow() + 2;
+        let max_attempts = self.params.c_borrow().saturating_add(2);
         for _ in 0..max_attempts.max(4) {
             if self.procs[i].load == 0 {
                 self.metrics.consume_blocked += 1;

@@ -1,13 +1,16 @@
 //! Balancer arena: every contender races the *same* workloads, fault
-//! plans and seed streams, producing a league table.
+//! plans and seed streams, producing a league table — and the one
+//! seeded-run driver, [`run_seeded`], that the league, the §7 rows and
+//! `dlb run` all step their runs through.
 //!
 //! The point of the arena is attribution: run `r` of every contender
-//! replays the identical recorded event trace (workload stream), sees
-//! the identical crash mask (fault stream) and draws its own randomness
-//! from the balancer stream — all via [`stream_seed`], so the trigger
-//! rule's RNG consumption is byte-identical to what `fig7_quality` and
-//! the golden results already pin down.  Any difference between two
-//! league rows is therefore the algorithm, not the harness.
+//! generates the identical workload (workload stream), sees the
+//! identical crash mask (fault stream) and draws its own randomness from
+//! the balancer stream — all via [`stream_seed`] inside [`run_seeded`],
+//! so the trigger rule's RNG consumption is byte-identical to what
+//! `fig7_quality` and the golden results already pin down.  Any
+//! difference between two league rows is therefore the algorithm, not
+//! the harness.
 //!
 //! Runs fan out through [`crate::parallel::par_map`], one index per
 //! (contender, run), and reduce in that order, so the league table is
@@ -22,9 +25,81 @@ use crate::report::f3;
 use dlb_core::{Events, LoadBalancer, LoadRecorder, Params};
 use dlb_faults::{FaultInjector, FaultPlan, MaskCursor};
 use dlb_theory::CostBounds;
-use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
-use dlb_workload::trace::EventTrace;
+use dlb_trace::{RunOrderedWriter, TraceEvent};
+use dlb_workload::sparse::SparseWorkload;
 use dlb_workload::Workload;
+
+/// The workload of one seeded run, in the form its balancer steps it.
+/// Both forms mean the same steps ([`Events`]), so the choice changes
+/// the cost of a step, never a byte of its outcome.
+pub enum RunWorkload {
+    /// One event per processor per step.
+    Dense(Box<dyn Workload>),
+    /// The processors that act, per step: O(active), however large `n`.
+    Active(Box<dyn SparseWorkload>),
+}
+
+/// Run `run`'s copy of `plan`: the plan's own seed is re-derived per run,
+/// so runs see independent fault streams.
+pub fn plan_for_run(plan: &FaultPlan, run: u64) -> FaultPlan {
+    let mut plan = plan.clone();
+    plan.seed = stream_seed(plan.seed, run, StreamId::Faults);
+    plan
+}
+
+/// One seeded run: derives run `run`'s balancer and workload seeds from
+/// `seed` (and the fault stream from `faults`' own seed), builds the
+/// balancer, then the workload, then the crash masks, and steps the
+/// balancer `steps` times, handing it to `observe(t, balancer)` after
+/// each step.  What a run announces, records and reduces is the
+/// caller's; the finished balancer is returned for its end-of-run
+/// metrics.  A factory's error, or a fault plan that does not validate,
+/// is returned before the first step.
+///
+/// # Panics
+///
+/// Panics when the balancer and the workload disagree on `n`.
+pub fn run_seeded<B: LoadBalancer + ?Sized>(
+    seed: u64,
+    run: u64,
+    steps: usize,
+    faults: Option<&FaultPlan>,
+    make_balancer: impl FnOnce(u64) -> Result<Box<B>, String>,
+    make_workload: impl FnOnce(u64) -> Result<RunWorkload, String>,
+    mut observe: impl FnMut(usize, &mut B),
+) -> Result<Box<B>, String> {
+    let mut balancer = make_balancer(stream_seed(seed, run, StreamId::Balancer))?;
+    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload))?;
+    let n = balancer.n();
+    let workload_n = match &workload {
+        RunWorkload::Dense(w) => w.n(),
+        RunWorkload::Active(w) => w.n(),
+    };
+    assert_eq!(n, workload_n, "balancer/workload size mismatch");
+    // Synchronous engines take the fault plan as a per-step crash mask
+    // (message faults do not apply to atomic balancing operations).
+    let injector = match faults {
+        Some(plan) => Some(FaultInjector::new(plan_for_run(plan, run), n)?),
+        None => None,
+    };
+    let mut masks = injector.as_ref().map(MaskCursor::new);
+    let (mut events, mut active) = (Vec::new(), Vec::new());
+    for t in 0..steps {
+        let step = match &mut workload {
+            RunWorkload::Dense(w) => {
+                w.events_at(t, &mut events);
+                Events::Dense(&events)
+            }
+            RunWorkload::Active(w) => {
+                w.active_at(t, &mut active);
+                Events::Active(&active)
+            }
+        };
+        balancer.step_events(step, masks.as_mut().map(|m| m.at(t as u64)));
+        observe(t, &mut balancer);
+    }
+    Ok(balancer)
+}
 
 /// Max/mean ratio under which a step counts as converged.
 const CONV_THRESHOLD: f64 = 1.5;
@@ -124,36 +199,81 @@ struct RunOutcome {
     strategy: &'static str,
 }
 
-/// Races every contender over the same `runs` recorded workloads and
-/// fault masks; `trace_for` records the workload trace for one run's
-/// workload-stream seed.  With `trace`, every run streams its events
-/// into the writer (see the module doc); finishing it is the caller's.
+/// Races every contender over the same `runs` workloads and fault
+/// masks through [`run_seeded`]; `workload` builds one run's workload
+/// from its workload-stream seed.  With `trace`, every run streams its
+/// events into the writer (see the module doc); finishing it is the
+/// caller's.
 ///
 /// # Panics
 ///
-/// Panics when `runs` is 0, a contender reports the wrong `n` or the
-/// fault plan does not validate.
-pub fn run_league<TF>(
+/// Panics when `runs` is 0, a contender and the workload disagree on
+/// `n` or the fault plan does not validate.
+pub fn run_league(
     cfg: &ArenaConfig,
     contenders: &[Contender],
-    trace_for: TF,
+    workload: impl Fn(u64) -> RunWorkload + Sync,
     trace: Option<&RunOrderedWriter<std::fs::File>>,
-) -> Vec<ArenaRow>
-where
-    TF: Fn(u64) -> EventTrace + Sync,
-{
+) -> Vec<ArenaRow> {
     let warmup = cfg.warmup();
     let outcomes = par_map(cfg.jobs, contenders.len() * cfg.runs, |i| {
         let sink = trace.map(|writer| writer.handle(i));
         let contender = &contenders[i / cfg.runs];
-        run_one(
-            cfg,
-            contender,
-            &trace_for,
-            sink,
-            (i % cfg.runs) as u64,
-            warmup,
+        let r = (i % cfg.runs) as u64;
+        let mut recorder = LoadRecorder::new(warmup, 3.0);
+        let mut ratios = vec![0.0f64; cfg.steps];
+        let balancer = run_seeded(
+            cfg.seed,
+            r,
+            cfg.steps,
+            cfg.faults.as_ref(),
+            |seed| {
+                let mut balancer = (contender.make)(seed);
+                if let Some(sink) = &sink {
+                    sink.record(&TraceEvent::ArenaContender {
+                        run: r,
+                        label: contender.label.clone(),
+                        strategy: balancer.name().to_string(),
+                        seed,
+                    });
+                    balancer.set_trace_sink(sink.clone());
+                }
+                Ok(balancer)
+            },
+            |seed| Ok(workload(seed)),
+            |t, balancer| {
+                let summary = balancer.load_summary();
+                recorder.record_summary(summary, cfg.n);
+                let mean = summary.mean(cfg.n);
+                ratios[t] = if mean > 0.0 {
+                    summary.max as f64 / mean
+                } else {
+                    1.0
+                };
+            },
         )
+        .expect("valid fault plan");
+        if let Some(sink) = &sink {
+            sink.record(&TraceEvent::RunFinished { run: r });
+            sink.flush();
+        }
+        // Convergence: the first post-warmup step after which the ratio
+        // never exceeds the threshold again (`steps` when it never settles).
+        let last_bad = ratios
+            .iter()
+            .rposition(|&x| x > CONV_THRESHOLD)
+            .map_or(0, |t| t + 1);
+        let m = balancer.metrics();
+        RunOutcome {
+            recorder,
+            balance_ops: m.balance_ops,
+            packets_migrated: m.packets_migrated,
+            messages: m.messages,
+            decrease_sim: m.decrease_sim,
+            conv_steps: last_bad.clamp(warmup, cfg.steps),
+            strategy: balancer.name(),
+            ratios,
+        }
     });
     // Reduce in (contender, run) order: bit-identical for every jobs value.
     let per_run = |total: u64| total as f64 / cfg.runs as f64;
@@ -196,87 +316,13 @@ where
         .collect()
 }
 
-fn run_one<TF>(
-    cfg: &ArenaConfig,
-    contender: &Contender,
-    trace_for: &TF,
-    sink: Option<SharedSink>,
-    r: u64,
-    warmup: usize,
-) -> RunOutcome
-where
-    TF: Fn(u64) -> EventTrace + Sync,
-{
-    let trace = trace_for(stream_seed(cfg.seed, r, StreamId::Workload));
-    let seed = stream_seed(cfg.seed, r, StreamId::Balancer);
-    let mut balancer = (contender.make)(seed);
-    assert_eq!(
-        balancer.n(),
-        cfg.n,
-        "contender {} has wrong n",
-        contender.label
-    );
-    if let Some(sink) = &sink {
-        sink.record(&TraceEvent::ArenaContender {
-            run: r,
-            label: contender.label.clone(),
-            strategy: balancer.name().to_string(),
-            seed,
-        });
-        balancer.set_trace_sink(sink.clone());
-    }
-    let injector = cfg.faults.as_ref().map(|plan| {
-        let mut run_plan = plan.clone();
-        run_plan.seed = stream_seed(plan.seed, r, StreamId::Faults);
-        FaultInjector::new(run_plan, cfg.n).expect("valid fault plan")
-    });
-    let mut masks = injector.as_ref().map(MaskCursor::new);
-    let mut replay = trace.replay();
-    let mut events = Vec::new();
-    let mut recorder = LoadRecorder::new(warmup, 3.0);
-    let mut ratios = vec![0.0f64; cfg.steps];
-    for (t, ratio) in ratios.iter_mut().enumerate() {
-        replay.events_at(t, &mut events);
-        let down = masks.as_mut().map(|m| m.at(t as u64));
-        balancer.step_events(Events::Dense(&events), down);
-        let summary = balancer.load_summary();
-        recorder.record_summary(summary, cfg.n);
-        let mean = summary.mean(cfg.n);
-        *ratio = if mean > 0.0 {
-            summary.max as f64 / mean
-        } else {
-            1.0
-        };
-    }
-    if let Some(sink) = &sink {
-        sink.record(&TraceEvent::RunFinished { run: r });
-        sink.flush();
-    }
-    // Convergence: the first post-warmup step after which the ratio never
-    // exceeds the threshold again (`steps` when it never settles).
-    let last_bad = ratios
-        .iter()
-        .rposition(|&x| x > CONV_THRESHOLD)
-        .map_or(0, |t| t + 1);
-    let m = balancer.metrics();
-    RunOutcome {
-        recorder,
-        ratios,
-        balance_ops: m.balance_ops,
-        packets_migrated: m.packets_migrated,
-        messages: m.messages,
-        decrease_sim: m.decrease_sim,
-        conv_steps: last_bad.clamp(warmup, cfg.steps),
-        strategy: balancer.name(),
-    }
-}
-
 /// The Lemma 6 balance-op budget per decrease simulation of the trigger
-/// rule with `params`, at `x = 2C` (`None` out of the lemma's domain):
+/// rule with `params`, at `x = 2C` (`None` out of the lemma's domain,
+/// or when `2C` overflows):
 /// the yardstick of [`league_csv_rows`]' `cost_vs_l6`.
 pub fn lemma6_budget(params: Params) -> Option<u64> {
     let c = params.c_borrow() as u64;
-    CostBounds::for_params(params.algo()).lemma6_upper(2 * c, c, 64)
+    CostBounds::for_params(params.algo()).lemma6_upper(c.checked_mul(2)?, c, 64)
 }
 
 /// League CSV header, matched by [`league_csv_rows`].
@@ -331,10 +377,11 @@ pub fn league_csv_rows(rows: &[ArenaRow], lemma6_budget: Option<u64>) -> Vec<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quality::paper_trace;
+    use crate::quality::paper_workload;
     use dlb_baselines::{LocallyOptimal, Quasirandom};
     use dlb_core::Cluster;
     use dlb_net::Topology;
+    use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
     fn tiny_cfg(jobs: usize) -> ArenaConfig {
         ArenaConfig {
@@ -367,7 +414,7 @@ mod tests {
         run_league(
             &tiny_cfg(jobs),
             &tiny_contenders(),
-            |seed| paper_trace(8, 60, seed),
+            |seed| paper_workload(8, 60, seed),
             trace,
         )
     }
@@ -391,25 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn league_is_identical_across_jobs_and_repeats() {
-        let base = csv(&league(1, None));
-        assert_eq!(base, csv(&league(1, None)), "repeat");
-        assert_eq!(base, csv(&league(4, None)), "jobs=4");
-        assert_eq!(base.len(), 3);
-    }
-
-    #[test]
     fn every_contender_sees_the_same_workload() {
         // The workload stream depends only on (seed, run), never on the
-        // contender: trace_for must receive the identical seed sequence
-        // for each entrant.
+        // contender: the factory must receive the identical seed
+        // sequence for each entrant.
         let seen = std::sync::Mutex::new(Vec::new());
         run_league(
             &tiny_cfg(1),
             &tiny_contenders(),
             |seed| {
                 seen.lock().unwrap().push(seed);
-                paper_trace(8, 60, seed)
+                paper_workload(8, 60, seed)
             },
             None,
         );
@@ -467,21 +506,21 @@ mod tests {
             &[Contender::new("spaa93-full", move |seed| {
                 Box::new(Cluster::new(params, seed))
             })],
-            |seed| paper_trace(8, 60, seed),
+            |seed| paper_workload(8, 60, seed),
             None,
         );
         let mut ops = 0u64;
         let mut recorder = LoadRecorder::new(cfg.warmup(), 3.0);
         for r in 0..cfg.runs as u64 {
-            let trace = paper_trace(8, 60, stream_seed(cfg.seed, r, StreamId::Workload));
+            let wseed = stream_seed(cfg.seed, r, StreamId::Workload);
+            let mut workload = PhaseWorkload::new(8, 60, PhaseConfig::paper_section7(), wseed);
             let mut cluster = Cluster::new(params, stream_seed(cfg.seed, r, StreamId::Balancer));
-            let mut replay = trace.replay();
             let mut events = Vec::new();
             let mut loads = Vec::new();
             // Warmup applies per run, exactly as the arena does it.
             let mut run_recorder = LoadRecorder::new(cfg.warmup(), 3.0);
             for t in 0..cfg.steps {
-                replay.events_at(t, &mut events);
+                workload.events_at(t, &mut events);
                 cluster.step(&events);
                 cluster.loads_into(&mut loads);
                 run_recorder.record(&loads);

@@ -57,8 +57,8 @@
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::parallel::default_jobs;
-use dlb_experiments::quality::paper_trace;
 use dlb_json::{req, Json, ToJson};
+use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::sparse::{drive_sparse, SparseActivity, SparsePattern};
 use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
@@ -86,6 +86,13 @@ fn fingerprint<B: LoadBalancer>(balancer: &B) -> String {
     push(m.messages);
     push(m.packets_migrated);
     format!("{hash:016x}")
+}
+
+/// The §7 phase workload at `n`, recorded once, so the timed replays
+/// exclude workload generation.
+fn paper_trace(n: usize, steps: usize) -> EventTrace {
+    let mut workload = PhaseWorkload::new(n, steps, PhaseConfig::paper_section7(), 9);
+    EventTrace::record(&mut workload, steps)
 }
 
 /// Replays `trace` on a fresh balancer `reps` times; returns the best
@@ -146,7 +153,7 @@ struct Cell {
 /// Times both engines at `n` and, if `verify`, invariant-checks the
 /// final state with a verification run.
 fn run_cell(n: usize, steps: usize, reps: usize, verify: bool) -> Cell {
-    let trace = paper_trace(n, steps, 9);
+    let trace = paper_trace(n, steps);
     let params = Params::paper_section7(n);
 
     let (full_ms, full_fp, full_ops) = time_engine(
@@ -216,7 +223,7 @@ struct LargeCell {
 /// the final sparse-state footprint.  Invariant-checks the final state
 /// and asserts the memory bound that makes this scale reachable at all.
 fn run_large_cell(n: usize, steps: usize) -> LargeCell {
-    let trace = paper_trace(n, steps, 9);
+    let trace = paper_trace(n, steps);
     let params = Params::paper_section7(n);
     let mut cluster = Cluster::new(params, 1);
     let mut replay = trace.replay();

@@ -16,11 +16,12 @@ use crate::arena::{
 };
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
-use crate::quality::paper_trace;
+use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, ExchangePolicy, Params, SimpleCluster};
 use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_workload::drive;
+use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
 pub const KEYS: &[Key] = crate::keys!["out": String];
 
@@ -68,7 +69,7 @@ pub fn run(args: &Args) {
         faults: None,
         jobs: default_jobs(),
     };
-    let league = run_league(&cfg, &variants, |s| paper_trace(N, STEPS, s), None);
+    let league = run_league(&cfg, &variants, |s| paper_workload(N, STEPS, s), None);
     let rows = league_csv_rows(&league, lemma6_budget(params));
     println!("{}", render_table(&LEAGUE_HEADERS, &rows));
 
@@ -78,10 +79,9 @@ pub fn run(args: &Args) {
         ("global", PartnerMode::GlobalRandom),
         ("neighbours", PartnerMode::Neighbors),
     ] {
-        let trace = paper_trace(N, STEPS, 7000);
+        let mut workload = PhaseWorkload::new(N, STEPS, PhaseConfig::paper_section7(), 7000);
         let mut c = topo(mode, 1);
-        let mut replay = trace.replay();
-        drive(&mut c, &mut replay, STEPS, |_, _| {});
+        drive(&mut c, &mut workload, STEPS, |_, _| {});
         let comm = c.rule().comm();
         hop_rows.push(vec![
             label.to_string(),

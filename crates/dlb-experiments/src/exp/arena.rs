@@ -1,7 +1,7 @@
 //! Balancer arena: the trigger rule vs the literature and the paper's
 //! own strawmen, one league table.
 //!
-//! Every contender replays the same §7 phase workloads on a hypercube-
+//! Every contender runs the same §7 phase workloads on a hypercube-
 //! sized network, survives the same frozen-crash fault plan, and is
 //! scored on balance quality (max/mean ratio), balancing cost (ops,
 //! migrated packets, messages) and convergence time.  The trigger rule's
@@ -24,7 +24,7 @@ use crate::arena::{
 };
 use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
-use crate::quality::paper_trace;
+use crate::quality::paper_workload;
 use crate::report::{render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_baselines::{
@@ -160,7 +160,7 @@ pub fn run(args: &Args) {
     let league = run_league(
         &cfg,
         &entrants,
-        |s| paper_trace(n, steps, s),
+        |s| paper_workload(n, steps, s),
         writer.as_ref(),
     );
     let rows = league_csv_rows(&league, budget);

@@ -10,7 +10,7 @@
 
 use crate::arena::{run_league, ArenaConfig, Contender};
 use crate::args::{Args, Key};
-use crate::quality::paper_trace;
+use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, Params, SimpleCluster};
 use std::time::Instant;
@@ -32,7 +32,7 @@ fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
         jobs: 1,
     };
     let start = Instant::now();
-    let row = run_league(&cfg, &[contender], |s| paper_trace(n, STEPS, s), None).remove(0);
+    let row = run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0);
     let elapsed = start.elapsed().as_secs_f64();
     [
         f3(row.mean_ratio),

@@ -10,7 +10,7 @@
 //!    bit-identical aggregates for every `jobs` value, including 1.
 //! 2. **Hashed seed streams** — [`stream_seed`] derives the seed for
 //!    each `(run, component)` pair through a SplitMix64 finaliser, so a
-//!    run's workload trace and its balancer (and any fault injector or
+//!    run's workload and its balancer (and any fault injector or
 //!    network on top) draw from uncorrelated streams.  The previous
 //!    `base_seed + run` scheme handed adjacent ChaCha seeds to adjacent
 //!    runs *and* the same seed to the trace and the balancer of one run,
@@ -32,7 +32,7 @@ pub use dlb_pool::{default_jobs, par_map};
 /// streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamId {
-    /// The workload trace generator (`paper_trace` and friends).
+    /// The workload generator (`paper_workload` and friends).
     Workload = 1,
     /// The balancer under test (cluster tie-breaking, partner choice).
     Balancer = 2,

@@ -6,19 +6,19 @@
 //! experiment repeated over `runs` seeded runs; we record the mean load
 //! (over processors and runs) plus the minimum and maximum load *ever
 //! observed in any run* at each time step.  For comparability across
-//! parameter sets, run `r` always replays the same recorded event trace.
+//! parameter sets, run `r` always generates the same workload: each run
+//! steps through [`run_seeded`], whose workload and balancer streams
+//! depend only on the base seed and `r`.
 //!
 //! Runs fan out through [`crate::parallel::par_map`] (`jobs` threads)
 //! and are reduced in run-index order, so every aggregate is
-//! bit-identical for any `jobs` value.  Each run's workload trace and
-//! balancer draw from independent [`stream_seed`] streams.
+//! bit-identical for any `jobs` value.
 
-use crate::parallel::{par_map, stream_seed, StreamId};
+use crate::arena::{run_seeded, RunWorkload};
+use crate::parallel::par_map;
 use dlb_core::{Cluster, LoadBalancer, Params};
 use dlb_theory::claims::Observation;
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
-use dlb_workload::trace::EventTrace;
-use dlb_workload::{drive, Workload};
 
 /// Mean/min/max load per time step, aggregated over processors and runs
 /// (the curves of Figures 7 and 8).
@@ -51,42 +51,53 @@ impl QualityCurves {
     }
 }
 
-/// Records the §7 phase workload trace for run `r` (same trace for every
-/// parameter set, so differences are attributable to the balancer).
-pub fn paper_trace(n: usize, steps: usize, run: u64) -> EventTrace {
-    let mut workload = PhaseWorkload::new(n, steps, PhaseConfig::paper_section7(), run);
-    EventTrace::record(&mut workload, steps)
+/// The §7 phase workload on `n` processors for `steps` steps, drawn
+/// from `seed` (a run's workload-stream seed).
+pub fn paper_workload(n: usize, steps: usize, seed: u64) -> RunWorkload {
+    let config = PhaseConfig::paper_section7();
+    RunWorkload::Dense(Box::new(PhaseWorkload::new(n, steps, config, seed)))
 }
 
-/// Figures 7/8 for an arbitrary balancer factory: `make(seed)` builds
-/// the balancer for one run from that run's balancer-stream seed, and is
-/// then driven by the run's recorded paper trace (recorded from the
-/// run's independent workload stream).  Runs execute on `jobs` workers;
-/// the reduction is in run-index order, so the curves are identical for
-/// every `jobs` value.
-pub fn quality_curves_with<B: LoadBalancer>(
-    make: impl Fn(u64) -> B + Sync,
-    n: usize,
+/// Run `r` of the full model on the §7 workload, handed to `observe`
+/// after every step: the one loop of every §7 row.
+pub(crate) fn paper_run(
+    params: Params,
+    steps: usize,
+    base_seed: u64,
+    r: usize,
+    observe: impl FnMut(usize, &mut Cluster),
+) -> Box<Cluster> {
+    run_seeded(
+        base_seed,
+        r as u64,
+        steps,
+        None,
+        |seed| Ok(Box::new(Cluster::new(params, seed))),
+        |seed| Ok(paper_workload(params.n(), steps, seed)),
+        observe,
+    )
+    .expect("no fault plan to refuse")
+}
+
+/// Figures 7/8 with the full virtual-class algorithm.  Runs execute on
+/// `jobs` workers; the reduction is in run-index order, so the curves
+/// are identical for every `jobs` value.
+pub fn balancing_quality(
+    params: Params,
     steps: usize,
     runs: usize,
     base_seed: u64,
     jobs: usize,
 ) -> QualityCurves {
+    let n = params.n();
     let per_run = par_map(jobs, runs, |r| {
-        let trace = paper_trace(
-            n,
-            steps,
-            stream_seed(base_seed, r as u64, StreamId::Workload),
-        );
-        let mut replay = trace.replay();
-        let mut balancer = make(stream_seed(base_seed, r as u64, StreamId::Balancer));
         let mut run = QualityCurves {
             mean: vec![0.0; steps],
             min: vec![u64::MAX; steps],
             max: vec![0; steps],
         };
         let mut loads = Vec::with_capacity(n);
-        drive(&mut balancer, &mut replay, steps, |t, b| {
+        paper_run(params, steps, base_seed, r, |t, b| {
             b.loads_into(&mut loads);
             run.mean[t] = loads.iter().map(|&l| l as f64).sum::<f64>() / n as f64;
             run.min[t] = *loads.iter().min().expect("n > 0");
@@ -108,24 +119,6 @@ pub fn quality_curves_with<B: LoadBalancer>(
         *m /= runs as f64;
     }
     QualityCurves { mean, min, max }
-}
-
-/// Figures 7/8 with the full virtual-class algorithm.
-pub fn balancing_quality(
-    params: Params,
-    steps: usize,
-    runs: usize,
-    base_seed: u64,
-    jobs: usize,
-) -> QualityCurves {
-    quality_curves_with(
-        |seed| Cluster::new(params, seed),
-        params.n(),
-        steps,
-        runs,
-        base_seed,
-        jobs,
-    )
 }
 
 /// Per-processor load distribution at one checkpoint (Figures 9/10):
@@ -173,17 +166,9 @@ pub fn distribution_at(
             .collect()
     };
     let per_run = par_map(jobs, runs, |r| {
-        let trace = paper_trace(
-            n,
-            steps,
-            stream_seed(base_seed, r as u64, StreamId::Workload),
-        );
-        let mut replay = trace.replay();
-        let mut balancer =
-            Cluster::new(params, stream_seed(base_seed, r as u64, StreamId::Balancer));
         let mut snaps = fresh();
         let mut loads = Vec::with_capacity(n);
-        drive(&mut balancer, &mut replay, steps, |t, b| {
+        paper_run(params, steps, base_seed, r, |t, b| {
             for snap in snaps.iter_mut().filter(|s| s.t == t) {
                 b.loads_into(&mut loads);
                 for (i, &l) in loads.iter().enumerate() {
@@ -238,22 +223,10 @@ pub fn theorem4_pairs(
     pairs
 }
 
-/// Drives a single balancer over an existing trace and returns final
-/// loads (Table 1 replays each run this way).
-pub fn run_on_trace<B: LoadBalancer>(balancer: &mut B, trace: &EventTrace) -> Vec<u64> {
-    let mut replay = trace.replay();
-    let steps = trace.steps();
-    let mut events = Vec::new();
-    for t in 0..steps {
-        replay.events_at(t, &mut events);
-        balancer.step(&events);
-    }
-    balancer.loads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{stream_seed, StreamId};
     use dlb_theory::claims;
 
     fn small_params() -> Params {
@@ -308,37 +281,6 @@ mod tests {
         for observed in &pairs {
             let margin = thm4.evaluate(small_params().algo(), observed);
             assert!(margin.unwrap().holds_within(0.0), "{observed:?}");
-        }
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_curves() {
-        let a = balancing_quality(small_params(), 40, 2, 9, 1);
-        let b = balancing_quality(small_params(), 40, 2, 9, 1);
-        assert_eq!(a.mean, b.mean);
-        assert_eq!(a.max, b.max);
-    }
-
-    #[test]
-    fn parallel_curves_are_bit_identical_to_sequential() {
-        for jobs in [2, 4] {
-            let seq = balancing_quality(small_params(), 50, 5, 13, 1);
-            let par = balancing_quality(small_params(), 50, 5, 13, jobs);
-            assert_eq!(seq.mean, par.mean, "jobs={jobs}");
-            assert_eq!(seq.min, par.min, "jobs={jobs}");
-            assert_eq!(seq.max, par.max, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_distribution_is_bit_identical_to_sequential() {
-        let seq = distribution_at(small_params(), 50, &[10, 40], 4, 2, 1);
-        let par = distribution_at(small_params(), 50, &[10, 40], 4, 2, 3);
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.t, b.t);
-            assert_eq!(a.mean, b.mean);
-            assert_eq!(a.min, b.min);
-            assert_eq!(a.max, b.max);
         }
     }
 

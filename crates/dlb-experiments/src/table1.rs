@@ -1,9 +1,9 @@
 //! Table 1: borrow-machinery statistics as a function of the borrow
 //! limit `C` (per-run averages over the §7 workload, `f = 1.1`, `δ = 1`).
 
-use crate::parallel::{par_map, stream_seed, StreamId};
-use crate::quality::paper_trace;
-use dlb_core::{Cluster, LoadBalancer, Metrics, Params};
+use crate::parallel::par_map;
+use crate::quality::paper_run;
+use dlb_core::{LoadBalancer, Metrics, Params};
 
 /// One row of Table 1.
 ///
@@ -38,15 +38,7 @@ pub fn table1_row(
 ) -> Table1Row {
     let n = params.n();
     let per_run: Vec<Metrics> = par_map(jobs, runs, |r| {
-        let trace = paper_trace(
-            n,
-            steps,
-            stream_seed(base_seed, r as u64, StreamId::Workload),
-        );
-        let mut cluster =
-            Cluster::new(params, stream_seed(base_seed, r as u64, StreamId::Balancer));
-        crate::quality::run_on_trace(&mut cluster, &trace);
-        *cluster.metrics()
+        *paper_run(params, steps, base_seed, r, |_, _| {}).metrics()
     });
     let mut acc = Table1Row {
         c: params.c_borrow(),
@@ -97,20 +89,5 @@ mod tests {
             rel_diff < 0.6,
             "total borrow roughly stable: {small_c:?} vs {large_c:?}"
         );
-    }
-
-    #[test]
-    fn rows_are_deterministic() {
-        let a = table1_row(params(8, 4), 100, 3, 5, 1);
-        let b = table1_row(params(8, 4), 100, 3, 5, 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_rows_are_bit_identical_to_sequential() {
-        let seq = table1_row(params(8, 4), 100, 5, 5, 1);
-        for jobs in [2, 4] {
-            assert_eq!(seq, table1_row(params(8, 4), 100, 5, 5, jobs));
-        }
     }
 }

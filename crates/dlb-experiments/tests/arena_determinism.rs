@@ -7,10 +7,11 @@
 use dlb_baselines::{DimensionExchange, DynamicAveraging, LocallyOptimal, Quasirandom};
 use dlb_core::{Cluster, LoadBalancer, LoadEvent, LoadRecorder, Params};
 use dlb_experiments::arena::{league_csv_rows, run_league, ArenaConfig, Contender};
-use dlb_experiments::quality::paper_trace;
+use dlb_experiments::quality::paper_workload;
 use dlb_experiments::{stream_seed, StreamId};
 use dlb_faults::{CrashEvent, CrashMode, FaultInjector, FaultPlan};
 use dlb_net::Topology;
+use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 use dlb_workload::Workload;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 
@@ -61,7 +62,7 @@ fn arena_cfg(steps: usize, runs: usize, seed: u64, jobs: usize) -> ArenaConfig {
 
 fn league_csv(cfg: &ArenaConfig) -> Vec<Vec<String>> {
     let entrants = contenders();
-    let rows = run_league(cfg, &entrants, |s| paper_trace(N, cfg.steps, s), None);
+    let rows = run_league(cfg, &entrants, |s| paper_workload(N, cfg.steps, s), None);
     league_csv_rows(&rows, Some(6))
 }
 
@@ -100,7 +101,7 @@ proptest! {
         let cfg = arena_cfg(steps, runs, seed, 1);
         let rows = {
             let entrants = contenders();
-            run_league(&cfg, &entrants, |s| paper_trace(N, steps, s), None)
+            run_league(&cfg, &entrants, |s| paper_workload(N, steps, s), None)
         };
         let full = &rows[0];
         prop_assert_eq!(&full.strategy, "spaa93-full");
@@ -112,8 +113,8 @@ proptest! {
         let mut ops = 0u64;
         for r in 0..runs {
             let mut balancer = Cluster::new(params, stream_seed(seed, r as u64, StreamId::Balancer));
-            let trace = paper_trace(N, steps, stream_seed(seed, r as u64, StreamId::Workload));
-            let mut replay = trace.replay();
+            let wseed = stream_seed(seed, r as u64, StreamId::Workload);
+            let mut workload = PhaseWorkload::new(N, steps, PhaseConfig::paper_section7(), wseed);
             let mut plan = cfg.faults.clone().expect("faults set");
             plan.seed = stream_seed(plan.seed, r as u64, StreamId::Faults);
             let injector = FaultInjector::new(plan, N).expect("valid plan");
@@ -121,7 +122,7 @@ proptest! {
             let mut events = Vec::new();
             let mut loads = Vec::new();
             for t in 0..steps {
-                replay.events_at(t, &mut events);
+                workload.events_at(t, &mut events);
                 balancer.step_masked(&events, &injector.mask_at(t as u64));
                 balancer.loads_into(&mut loads);
                 run_recorder.record(&loads);

@@ -24,7 +24,8 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// An integer (no fraction or exponent in the source text).
+    /// An integer (no fraction or exponent in the source text, within
+    /// `i128`).
     Int(i128),
     /// A floating-point number.
     Float(f64),
@@ -99,6 +100,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -225,9 +227,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level, so without a bound a few hundred kilobytes
+/// of `[` overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -269,8 +278,20 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected '{}' at byte {}",
@@ -431,14 +452,14 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "bad number".to_string())?;
-        if is_float {
-            text.parse::<f64>()
+        // An integer past `i128` is still a number: it reads as the
+        // float it is (and `write_float` renders `1e308` as such digits).
+        match text.parse::<i128>() {
+            Ok(int) if !is_float => Ok(Json::Int(int)),
+            _ => text
+                .parse::<f64>()
                 .map(Json::Float)
-                .map_err(|e| format!("bad number '{text}': {e}"))
-        } else {
-            text.parse::<i128>()
-                .map(Json::Int)
-                .map_err(|e| format!("bad number '{text}': {e}"))
+                .map_err(|e| format!("bad number '{text}': {e}")),
         }
     }
 }
@@ -671,6 +692,33 @@ mod tests {
         assert_eq!(v.render(), text);
         // Pretty output re-parses to the same value.
         assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
+    }
+
+    /// `1e308` renders as 309 digits, which used to be refused on the
+    /// way back as an integer too large for `i128`.
+    #[test]
+    fn every_finite_float_round_trips() {
+        for f in [1e308, -1e308, f64::MAX, 1e39, 0.5] {
+            assert_eq!(Json::parse(&Json::Float(f).render()), Ok(Json::Float(f)));
+        }
+        assert_eq!(
+            Json::parse("170141183460469231731687303715884105727"),
+            Ok(Json::Int(i128::MAX))
+        );
+    }
+
+    /// 200 000 `[` used to overflow the stack and abort the process.
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_an_abort() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let err = Json::parse(&"[{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]

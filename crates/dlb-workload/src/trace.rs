@@ -1,10 +1,10 @@
 //! Record/replay of event traces.
 //!
 //! Any [`Workload`] can be recorded into an [`EventTrace`]; a trace
-//! replays bit-identically (and serialises to JSON), which makes
-//! experiments repeatable across strategies: drive the full algorithm and
-//! every baseline with the *same* trace, so differences are attributable
-//! to the balancer alone.
+//! replays bit-identically (and serialises to JSON).  Runs do not need
+//! one — a seeded workload regenerates the same stream live — so a trace
+//! serves where generation must stay out of a timing (`bench_core`) or
+//! as an independent oracle (`tests/sparse_step_equivalence.rs`).
 
 use crate::Workload;
 use dlb_core::LoadEvent;
@@ -34,11 +34,6 @@ impl EventTrace {
     /// Number of recorded steps.
     pub fn steps(&self) -> usize {
         self.events.len()
-    }
-
-    /// The events of step `t`.
-    pub fn row(&self, t: usize) -> &[LoadEvent] {
-        &self.events[t]
     }
 
     /// Serialises to JSON.

@@ -6,20 +6,17 @@
 
 use dlb::core::{Cluster, ClusterSnapshot, LoadBalancer, Params};
 use dlb::workload::phase::PhaseWorkload;
-use dlb::workload::trace::EventTrace;
 use dlb::workload::Workload;
 
 fn main() {
     let params = Params::paper_section7(32);
     let mut workload = PhaseWorkload::new(32, 400, Default::default(), 9);
-    let trace = EventTrace::record(&mut workload, 400);
-    let mut replay = trace.replay();
     let mut events = Vec::new();
 
     // Run the first half.
     let mut cluster = Cluster::new(params, 123);
     for t in 0..200 {
-        replay.events_at(t, &mut events);
+        workload.events_at(t, &mut events);
         cluster.step(&events);
     }
 
@@ -32,7 +29,7 @@ fn main() {
     let restored_snap = ClusterSnapshot::from_json(&json).expect("parse");
     let mut restored = Cluster::restore(&restored_snap).expect("restore");
     for t in 200..400 {
-        replay.events_at(t, &mut events);
+        workload.events_at(t, &mut events);
         cluster.step(&events);
         restored.step(&events);
     }
