@@ -17,13 +17,11 @@ use dlb_core::{
     Cluster, LoadBalancer, LoadRecorder, LoadSummary, Params, SimpleCluster, WeightedCluster,
 };
 use dlb_experiments::arena::{
-    league_csv_rows, lemma6_budget, plan_for_run, run_league, run_seeded, ArenaConfig, Contender,
-    RunWorkload, LEAGUE_HEADERS,
+    league_csv_rows, lemma6_budget, run_league, run_seeded, run_seeded_async, ArenaConfig,
+    Contender, RunWorkload, LEAGUE_HEADERS,
 };
-use dlb_experiments::{par_map, render_table, stream_seed, StreamId};
-use dlb_net::{
-    AsyncConfig, AsyncNetwork, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology,
-};
+use dlb_experiments::{par_map, render_table};
+use dlb_net::{AsyncConfig, AsyncStats, PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
 use dlb_workload::patterns::{MovingHotspot, OneProducer, ProducerConsumerSplit, UniformRandom};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
@@ -431,45 +429,40 @@ fn sync_run(
     })
 }
 
-/// One run of the async (message-level) strategy, recorded as
-/// [`sync_run`] records its runs.
-fn run_one_async(
+/// One run of the async (message-level) strategy through
+/// [`run_seeded_async`], recorded as [`sync_run`] records its runs.
+fn async_run(
     scenario: &Scenario,
     r: usize,
     trace: Option<SharedSink>,
-    profile: bool,
-    delta: usize,
-    f: f64,
-    latency: u64,
+    opts: &RunOptions,
+    (delta, f, latency): (usize, f64, u64),
 ) -> Result<RunOutcome, String> {
-    let params = Params::new(scenario.n, delta, f, 4).map_err(|e| e.to_string())?;
-    let seed = stream_seed(scenario.seed, r as u64, StreamId::Balancer);
-    let config = AsyncConfig::reliable(params, latency, seed);
-    let mut net = match &scenario.faults {
-        Some(plan) => AsyncNetwork::with_faults(config, plan_for_run(plan, r as u64))?,
-        None => AsyncNetwork::new(config),
-    };
-    let mut workload = build_workload(
-        scenario,
-        stream_seed(scenario.seed, r as u64, StreamId::Workload),
+    let log = RefCell::new(StepLog::new(scenario, trace.clone(), opts.profile));
+    let net = run_seeded_async(
+        scenario.seed,
+        r as u64,
+        scenario.steps,
+        scenario.faults.as_ref(),
+        |seed| {
+            let params = Params::new(scenario.n, delta, f, 4).map_err(|e| e.to_string())?;
+            if let Some(sink) = &trace {
+                sink.record(&run_started(scenario, r, seed, "spaa93-async"));
+            }
+            Ok((AsyncConfig::reliable(params, latency, seed), trace.clone()))
+        },
+        |seed| {
+            let workload = build_workload(scenario, seed);
+            log.borrow_mut().start_clock(0);
+            workload
+        },
+        |t, net| {
+            let ops = net.stats().completed_ops;
+            log.borrow_mut().record(t, net.load_summary(), ops);
+        },
     )?;
-    let mut log = StepLog::new(scenario, trace, profile);
-    if let Some(sink) = &log.trace {
-        sink.record(&run_started(scenario, r, seed, "spaa93-async"));
-        net.set_trace_sink(sink.clone());
-    }
-    let mut events = Vec::new();
-    for t in 0..scenario.steps {
-        workload.events_at(t, &mut events);
-        log.start_clock(net.stats().completed_ops);
-        net.tick(t as u64, &events);
-        net.check_conservation()?;
-        log.record(t, net.load_summary(), net.stats().completed_ops);
-    }
-    net.quiesce();
-    net.check_conservation()?;
     Ok(RunOutcome {
-        recorder: log.finish(r),
+        recorder: log.into_inner().finish(r),
         strategy: "spaa93-async".to_string(),
         ops: net.stats().completed_ops,
         migrated: net.stats().packets_moved,
@@ -518,9 +511,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
     let outcomes: Vec<Result<RunOutcome, String>> = par_map(jobs, scenario.runs, |r| {
         let trace = writer.as_ref().map(|w| w.handle(r));
         match async_cfg {
-            Some((delta, f, latency)) => {
-                run_one_async(scenario, r, trace, opts.profile, delta, f, latency)
-            }
+            Some(cfg) => async_run(scenario, r, trace, opts, cfg),
             None => sync_run(scenario, r, trace, opts),
         }
     });

@@ -1,7 +1,9 @@
 //! Balancer arena: every contender races the *same* workloads, fault
-//! plans and seed streams, producing a league table — and the one
-//! seeded-run driver, [`run_seeded`], that the league, the §7 rows and
-//! `dlb run` all step their runs through.
+//! plans and seed streams, producing a league table — and the two
+//! seeded-run drivers every run steps through: [`run_seeded`] for a
+//! synchronous [`LoadBalancer`] (the league, the §7 rows and `dlb run`)
+//! and [`run_seeded_async`] for the message-level simulator (`dlb run`'s
+//! async strategy, `faults_sweep` and `async_latency`).
 //!
 //! The point of the arena is attribution: run `r` of every contender
 //! generates the identical workload (workload stream), sees the
@@ -24,8 +26,9 @@ use crate::parallel::{par_map, stream_seed, StreamId};
 use crate::report::f3;
 use dlb_core::{Events, LoadBalancer, LoadRecorder, Params};
 use dlb_faults::{FaultInjector, FaultPlan, MaskCursor};
+use dlb_net::{AsyncConfig, AsyncNetwork};
 use dlb_theory::CostBounds;
-use dlb_trace::{RunOrderedWriter, TraceEvent};
+use dlb_trace::{RunOrderedWriter, SharedSink, TraceEvent};
 use dlb_workload::sparse::SparseWorkload;
 use dlb_workload::Workload;
 
@@ -99,6 +102,58 @@ pub fn run_seeded<B: LoadBalancer + ?Sized>(
         observe(t, &mut balancer);
     }
     Ok(balancer)
+}
+
+/// One seeded run of the message-level simulator, as [`run_seeded`] is
+/// one of a synchronous balancer: `make_config` gets run `run`'s
+/// balancer-stream seed and returns the network's configuration and,
+/// for a traced run, the sink to attach; the network runs `faults`'
+/// [`plan_for_run`] copy when there is a plan; `make_workload` gets the
+/// workload-stream seed.  The network ticks `steps` times on the
+/// workload's events and is handed to `observe(t, net)` after each tick,
+/// then quiesces.  Conservation is checked after every tick and after
+/// quiescence, and no processor may hold a lock then: the first
+/// violation is returned before any further tick.  A factory's error, or
+/// a fault plan that does not validate, is returned before the first
+/// tick.
+///
+/// # Panics
+///
+/// Panics when the network and the workload disagree on `n`, or the
+/// configuration's latency exceeds [`dlb_net::MAX_LATENCY`].
+pub fn run_seeded_async<W: Workload + ?Sized>(
+    seed: u64,
+    run: u64,
+    steps: usize,
+    faults: Option<&FaultPlan>,
+    make_config: impl FnOnce(u64) -> Result<(AsyncConfig, Option<SharedSink>), String>,
+    make_workload: impl FnOnce(u64) -> Result<Box<W>, String>,
+    mut observe: impl FnMut(usize, &AsyncNetwork),
+) -> Result<AsyncNetwork, String> {
+    let (config, sink) = make_config(stream_seed(seed, run, StreamId::Balancer))?;
+    let mut net = match faults {
+        Some(plan) => AsyncNetwork::with_faults(config, plan_for_run(plan, run))?,
+        None => AsyncNetwork::new(config),
+    };
+    if let Some(sink) = sink {
+        net.set_trace_sink(sink);
+    }
+    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload))?;
+    let mut events = Vec::new();
+    for t in 0..steps {
+        workload.events_at(t, &mut events);
+        net.tick(t as u64, &events);
+        net.check_conservation()
+            .map_err(|e| format!("after tick {t}: {e}"))?;
+        observe(t, &net);
+    }
+    net.quiesce();
+    net.check_conservation()
+        .map_err(|e| format!("after quiescence: {e}"))?;
+    match net.locked_count() {
+        0 => Ok(net),
+        locked => Err(format!("{locked} processors still locked after quiescence")),
+    }
 }
 
 /// Max/mean ratio under which a step counts as converged.
@@ -532,5 +587,57 @@ mod tests {
         assert_eq!(row.ops_per_run, ops as f64 / cfg.runs as f64);
         assert_eq!(row.mean_ratio, recorder.mean_ratio());
         assert_eq!(row.worst_ratio, recorder.worst_ratio());
+    }
+
+    #[test]
+    fn async_driver_matches_a_hand_stepped_network() {
+        // No harness drift on the async side either: the driver's network
+        // is the one a hand-stepped loop over the same three streams
+        // builds, tick for tick, under loss, duplication and a crash.
+        use dlb_faults::{CrashEvent, CrashMode};
+        use dlb_workload::patterns::UniformRandom;
+        let params = Params::new(8, 2, 1.3, 4).expect("valid");
+        let plan = FaultPlan {
+            seed: 3,
+            loss: 0.1,
+            duplication: 0.05,
+            crash_mode: CrashMode::Frozen,
+            crashes: vec![CrashEvent {
+                proc: 2,
+                at: 60,
+                recover_at: Some(150),
+            }],
+            ..FaultPlan::default()
+        };
+        for run in 0..2 {
+            let mut summaries = Vec::new();
+            let net = run_seeded_async(
+                7,
+                run,
+                300,
+                Some(&plan),
+                |seed| Ok((AsyncConfig::reliable(params, 2, seed), None)),
+                |seed| Ok(Box::new(UniformRandom::new(8, 0.5, 0.3, seed))),
+                |_, net| summaries.push(net.load_summary()),
+            )
+            .expect("sound run");
+            let config = AsyncConfig::reliable(params, 2, stream_seed(7, run, StreamId::Balancer));
+            let mut hand = AsyncNetwork::with_faults(config, plan_for_run(&plan, run)).unwrap();
+            let wseed = stream_seed(7, run, StreamId::Workload);
+            let mut workload = UniformRandom::new(8, 0.5, 0.3, wseed);
+            let mut events = Vec::new();
+            for (t, summary) in summaries.iter().enumerate() {
+                workload.events_at(t, &mut events);
+                hand.tick(t as u64, &events);
+                assert_eq!(hand.load_summary(), *summary, "run {run}, tick {t}");
+            }
+            assert_eq!(summaries.len(), 300);
+            hand.quiesce();
+            assert_eq!(net.loads_slice(), hand.loads_slice());
+            assert_eq!(net.stats(), hand.stats());
+            assert!(net.stats().lost_messages > 0 && net.stats().crashes == 1);
+            assert_eq!(net.lost(), hand.lost());
+            assert_eq!((net.locked_count(), hand.locked_count()), (0, 0));
+        }
     }
 }

@@ -9,45 +9,18 @@
 //!
 //! Usage: `dlb-exp async_latency [--out results/async_latency.csv]`
 
+use crate::arena::run_seeded_async;
 use crate::args::{Args, Key};
-use crate::faultsweep::mixed_action;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::Params;
-use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use dlb_net::AsyncConfig;
+use dlb_workload::patterns::UniformRandom;
 
 /// Processors and ticks of every latency's run.
 const N: usize = 64;
-const STEPS: u64 = 4000;
-
-/// Drives one network through the mixed workload (50% generate, 30%
-/// consume, 20% idle per processor and tick) and returns the mean
-/// sampled max/mean ratio with the protocol counters.
-fn drive(config: AsyncConfig) -> (f64, AsyncStats) {
-    let mut net = AsyncNetwork::new(config);
-    let mut wl_rng = ChaCha8Rng::seed_from_u64(5);
-    let mut ratio = 0.0;
-    let mut samples = 0usize;
-    let mut actions = [0i8; N];
-    for t in 0..STEPS {
-        for a in &mut actions {
-            *a = mixed_action(&mut wl_rng);
-        }
-        net.tick(t, &actions);
-        if t >= STEPS / 4 && t % 50 == 0 {
-            let s = net.load_summary();
-            let mean = s.mean(N);
-            if mean >= 5.0 {
-                ratio += s.max as f64 / mean;
-                samples += 1;
-            }
-        }
-    }
-    net.quiesce();
-    net.check_conservation().expect("conservation");
-    (ratio / samples.max(1) as f64, *net.stats())
-}
+const STEPS: usize = 4000;
+/// Every latency runs run 0 of this seed, so all see the same workload.
+const SEED: u64 = 11;
 
 pub const KEYS: &[Key] = crate::keys!["out": String];
 
@@ -57,14 +30,36 @@ pub fn run(args: &Args) {
 
     println!(
         "Asynchronous protocol: quality vs message latency \
-         ({N} procs, {STEPS} ticks, delta = 2, f = 1.3, mixed workload)\n"
+         ({N} procs, {STEPS} ticks, delta = 2, f = 1.3, uniform workload \
+         p_gen = 0.5, p_con = 0.3)\n"
     );
     let mut rows = Vec::new();
     for latency in [1u64, 4, 16, 64] {
-        let (ratio, s) = drive(AsyncConfig::reliable(params, latency, 11));
+        // The mean sampled max/mean ratio once the loads have built up.
+        let (mut ratio, mut samples) = (0.0, 0usize);
+        let net = run_seeded_async(
+            SEED,
+            0,
+            STEPS,
+            None,
+            |seed| Ok((AsyncConfig::reliable(params, latency, seed), None)),
+            |seed| Ok(Box::new(UniformRandom::new(N, 0.5, 0.3, seed))),
+            |t, net| {
+                if t >= STEPS / 4 && t % 50 == 0 {
+                    let s = net.load_summary();
+                    let mean = s.mean(N);
+                    if mean >= 5.0 {
+                        ratio += s.max as f64 / mean;
+                        samples += 1;
+                    }
+                }
+            },
+        )
+        .expect("conservation holds and no lock leaks");
+        let s = net.stats();
         rows.push(vec![
             latency.to_string(),
-            f3(ratio),
+            f3(ratio / samples.max(1) as f64),
             s.completed_ops.to_string(),
             s.aborted_ops.to_string(),
             f3(s.aborted_ops as f64 / (s.completed_ops + s.aborted_ops).max(1) as f64),

@@ -34,7 +34,7 @@ fn from_scenario(cfg: &mut SweepConfig, path: &str) -> Result<(), String> {
     let json = Json::parse(&std::fs::read_to_string(path).map_err(|e| e.to_string())?)?;
     cfg.n = dlb_json::field_or(&json, "n", cfg.n)?;
     cfg.steps = dlb_json::field_or(&json, "steps", cfg.steps)?;
-    cfg.workload_seed = dlb_json::field_or(&json, "seed", cfg.workload_seed)?;
+    cfg.seed = dlb_json::field_or(&json, "seed", cfg.seed)?;
     if let Some(faults) = json.get("faults").filter(|f| !matches!(f, Json::Null)) {
         cfg.base = FaultPlan::from_json(faults).map_err(|e| format!("field 'faults': {e}"))?;
     }
@@ -68,7 +68,7 @@ pub fn run(args: &Args) {
         );
         println!(
             "scenario {path}: n = {}, steps = {}, seed = {}\n",
-            cfg.n, cfg.steps, cfg.workload_seed
+            cfg.n, cfg.steps, cfg.seed
         );
     }
     cfg.jobs = args.get("jobs", crate::parallel::default_jobs());

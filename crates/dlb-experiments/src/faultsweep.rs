@@ -12,21 +12,23 @@
 //!   (frozen, later recovering); survivors keep balancing around the
 //!   holes.
 //!
-//! Every cell asserts extended conservation after every tick and zero
-//! leaked locks after quiescence, so the sweep doubles as a protocol
-//! soundness harness.  All randomness is seeded: the same
-//! [`SweepConfig`] renders byte-identical JSON on every run (the
-//! determinism regression test relies on this).
+//! Every run steps through [`run_seeded_async`], which checks extended
+//! conservation after every tick and zero leaked locks after
+//! quiescence, so the sweep doubles as a protocol soundness harness.
+//! The workload is `uniform` (generate 50 %, consume 30 %, idle 20 %).
+//! All randomness is seeded: the same [`SweepConfig`] renders
+//! byte-identical JSON on every run (the determinism regression test
+//! relies on this).
 
-use crate::parallel::{par_map, stream_seed, StreamId};
+use crate::arena::run_seeded_async;
+use crate::parallel::par_map;
 use crate::svg::{ChartConfig, Series};
 use dlb_core::Params;
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_json::{Json, ToJson};
-use dlb_net::{AsyncConfig, AsyncNetwork, AsyncStats};
+use dlb_net::{AsyncConfig, AsyncStats};
 use dlb_theory::ParamError;
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use dlb_workload::patterns::UniformRandom;
 
 /// Sweep dimensions and simulation sizes.
 #[derive(Debug, Clone)]
@@ -34,13 +36,14 @@ pub struct SweepConfig {
     /// Processors.
     pub n: usize,
     /// Workload ticks per run (quiescence excluded).
-    pub steps: u64,
+    pub steps: usize,
     /// Message latency in ticks.
     pub latency: u64,
     /// Independent runs averaged per sweep point.
     pub runs: usize,
-    /// Seed for the workload action stream.
-    pub workload_seed: u64,
+    /// Base seed of every run's network and workload streams (the fault
+    /// stream derives from `base.seed`).
+    pub seed: u64,
     /// Base fault plan (its seed anchors the injector; the swept knob is
     /// overridden per point).
     pub base: FaultPlan,
@@ -60,7 +63,7 @@ impl Default for SweepConfig {
             steps: 3_000,
             latency: 4,
             runs: 3,
-            workload_seed: 5,
+            seed: 5,
             base: FaultPlan::reliable(),
             losses: vec![0.0, 0.05, 0.10, 0.15, 0.20],
             crash_counts: vec![0, 1, 2, 4, 8],
@@ -81,11 +84,12 @@ impl SweepConfig {
     pub fn crash_plan(&self, count: usize) -> FaultPlan {
         let mut plan = self.base.clone();
         plan.crash_mode = CrashMode::Frozen;
+        let steps = self.steps as u64;
         plan.crashes = (0..count)
             .map(|i| CrashEvent {
                 proc: i * self.n / count.max(1),
-                at: self.steps / 4,
-                recover_at: Some(3 * self.steps / 4),
+                at: steps / 4,
+                recover_at: Some(3 * steps / 4),
             })
             .collect();
         plan
@@ -151,7 +155,7 @@ impl ToJson for SweepResult {
                     ("steps".into(), self.config.steps.to_json()),
                     ("latency".into(), self.config.latency.to_json()),
                     ("runs".into(), self.config.runs.to_json()),
-                    ("workload_seed".into(), self.config.workload_seed.to_json()),
+                    ("seed".into(), self.config.seed.to_json()),
                     ("fault_seed".into(), self.config.base.seed.to_json()),
                 ]),
             ),
@@ -201,19 +205,7 @@ impl SweepResult {
     }
 }
 
-/// One processor's action in the mixed workload of this sweep and of
-/// `async_latency`: generate 50 %, consume 30 %, idle 20 %, one draw.
-pub(crate) fn mixed_action(rng: &mut ChaCha8Rng) -> i8 {
-    match rng.gen_range(0..10i32) {
-        0..=4 => 1,
-        5..=7 => -1,
-        _ => 0,
-    }
-}
-
-/// Runs one sweep cell: `runs` seeded simulations under `plan`,
-/// asserting extended conservation after every tick and no leaked locks
-/// after quiescence.
+/// Runs one sweep cell: `runs` seeded simulations under `plan`.
 ///
 /// # Panics
 ///
@@ -222,44 +214,26 @@ pub(crate) fn mixed_action(rng: &mut ChaCha8Rng) -> i8 {
 pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
     let params = cfg.params().expect("n admits the sweep's delta");
     let per_run = par_map(cfg.jobs, cfg.runs, |run| {
-        let run = run as u64;
-        let mut run_plan = plan.clone();
-        run_plan.seed = stream_seed(plan.seed, run, StreamId::Faults);
-        let net_cfg = AsyncConfig::reliable(
-            params,
-            cfg.latency,
-            stream_seed(cfg.workload_seed, run, StreamId::Network),
-        );
-        let mut net = AsyncNetwork::with_faults(net_cfg, run_plan).expect("valid plan");
-        let mut wl_rng =
-            ChaCha8Rng::seed_from_u64(stream_seed(cfg.workload_seed, run, StreamId::Workload));
-        let mut ratio = 0.0;
-        let mut samples = 0usize;
-        let mut actions = vec![0i8; cfg.n];
-        for t in 0..cfg.steps {
-            for a in &mut actions {
-                *a = mixed_action(&mut wl_rng);
-            }
-            net.tick(t, &actions);
-            net.check_conservation()
-                .expect("extended conservation at every tick");
-            if t >= cfg.steps / 5 && t % 20 == 0 {
-                let s = net.load_summary();
-                let mean = s.mean(cfg.n);
-                if mean >= 1.0 {
-                    ratio += s.max as f64 / mean;
-                    samples += 1;
+        let (mut ratio, mut samples) = (0.0, 0usize);
+        let net = run_seeded_async(
+            cfg.seed,
+            run as u64,
+            cfg.steps,
+            Some(plan),
+            |seed| Ok((AsyncConfig::reliable(params, cfg.latency, seed), None)),
+            |seed| Ok(Box::new(UniformRandom::new(cfg.n, 0.5, 0.3, seed))),
+            |t, net| {
+                if t >= cfg.steps / 5 && t % 20 == 0 {
+                    let s = net.load_summary();
+                    let mean = s.mean(cfg.n);
+                    if mean >= 1.0 {
+                        ratio += s.max as f64 / mean;
+                        samples += 1;
+                    }
                 }
-            }
-        }
-        net.quiesce();
-        net.check_conservation()
-            .expect("extended conservation after quiescence");
-        assert_eq!(
-            net.locked_count(),
-            0,
-            "no processor may stay locked after quiescence"
-        );
+            },
+        )
+        .expect("conservation holds and no lock leaks");
         (ratio / samples.max(1) as f64, *net.stats(), net.lost())
     });
     let mut quality_acc = 0.0;

@@ -10,8 +10,8 @@
 //!    bit-identical aggregates for every `jobs` value, including 1.
 //! 2. **Hashed seed streams** — [`stream_seed`] derives the seed for
 //!    each `(run, component)` pair through a SplitMix64 finaliser, so a
-//!    run's workload and its balancer (and any fault injector or
-//!    network on top) draw from uncorrelated streams.  The previous
+//!    run's workload, its balancer (or asynchronous network) and any
+//!    fault injector on top draw from uncorrelated streams.  The previous
 //!    `base_seed + run` scheme handed adjacent ChaCha seeds to adjacent
 //!    runs *and* the same seed to the trace and the balancer of one run,
 //!    which correlated the ensembles the experiments average over.
@@ -34,12 +34,11 @@ pub use dlb_pool::{default_jobs, par_map};
 pub enum StreamId {
     /// The workload generator (`paper_workload` and friends).
     Workload = 1,
-    /// The balancer under test (cluster tie-breaking, partner choice).
+    /// The balancer under test (cluster tie-breaking, partner choice),
+    /// or the asynchronous network that runs the protocol.
     Balancer = 2,
     /// A fault injector layered on the run.
     Faults = 3,
-    /// An asynchronous network simulator layered on the run.
-    Network = 4,
 }
 
 /// Derives an independent seed for `(run, component)` from `base`.
@@ -62,12 +61,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for base in [0u64, 1, 2024, u64::MAX] {
             for run in 0..8 {
-                for comp in [
-                    StreamId::Workload,
-                    StreamId::Balancer,
-                    StreamId::Faults,
-                    StreamId::Network,
-                ] {
+                for comp in [StreamId::Workload, StreamId::Balancer, StreamId::Faults] {
                     assert!(
                         seen.insert(stream_seed(base, run, comp)),
                         "collision at base={base} run={run} {comp:?}"

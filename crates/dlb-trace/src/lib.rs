@@ -238,7 +238,7 @@ macro_rules! wire_schema {
                 let tag: String = req(v, "t")?;
                 match tag.as_str() {
                     $($tag => Ok(TraceEvent::$variant { $($field: Wire::get(v, $key)?),* }),)*
-                    other => Err(format!("unknown event tag '{other}'")),
+                    other => Err(format!("field 't': unknown event tag '{other}'")),
                 }
             }
         }
@@ -474,7 +474,11 @@ impl Wire for Vec<(String, u64)> {
         match dlb_json::field(obj, key)? {
             Json::Obj(fields) => fields
                 .iter()
-                .map(|(k, v)| Ok((k.clone(), u64::from_json(v)?)))
+                .map(|(k, v)| {
+                    let count =
+                        u64::from_json(v).map_err(|e| format!("field '{key}': '{k}': {e}"))?;
+                    Ok((k.clone(), count))
+                })
                 .collect(),
             _ => Err(format!("'{key}' is not an object")),
         }
@@ -1148,8 +1152,15 @@ mod tests {
         assert!(missing.unwrap_err().contains("count"));
         let mistyped = TraceEvent::from_line(r#"{"t":"delta","step":1,"counters":[]}"#);
         assert_eq!(mistyped.unwrap_err(), "'counters' is not an object");
+        // Found by `hostile_lines.rs`: a bad counter value and an unknown
+        // tag used to fail without naming their key.
         let negative = TraceEvent::from_line(r#"{"t":"delta","step":1,"counters":{"a":-1}}"#);
-        assert!(negative.is_err());
+        assert_eq!(
+            negative.unwrap_err(),
+            "field 'counters': 'a': integer -1 out of range for u64"
+        );
+        let unknown = TraceEvent::from_line(r#"{"t":"nope"}"#);
+        assert_eq!(unknown.unwrap_err(), "field 't': unknown event tag 'nope'");
     }
 
     #[test]

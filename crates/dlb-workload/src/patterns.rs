@@ -1,5 +1,5 @@
 //! Elementary load patterns: the §3 one-producer models, random mixes,
-//! bursts, moving hotspots and adversarial producer/consumer splits.
+//! moving hotspots and adversarial producer/consumer splits.
 
 use crate::Workload;
 use dlb_core::LoadEvent;
@@ -72,69 +72,6 @@ impl Workload for UniformRandom {
             out.push(if x < self.p_gen {
                 LoadEvent::Generate
             } else if x < self.p_gen + self.p_con {
-                LoadEvent::Consume
-            } else {
-                LoadEvent::Idle
-            });
-        }
-    }
-}
-
-/// Alternating global phases: `burst_len` steps where every processor
-/// generates with probability `p_gen`, then `quiet_len` steps where every
-/// processor consumes with probability `p_con`.
-#[derive(Debug, Clone)]
-pub struct Bursty {
-    n: usize,
-    burst_len: usize,
-    quiet_len: usize,
-    p_gen: f64,
-    p_con: f64,
-    rng: ChaCha8Rng,
-}
-
-impl Bursty {
-    /// Alternating burst/quiet phases.
-    pub fn new(
-        n: usize,
-        burst_len: usize,
-        quiet_len: usize,
-        p_gen: f64,
-        p_con: f64,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            burst_len > 0 && quiet_len > 0,
-            "phase lengths must be positive"
-        );
-        Bursty {
-            n,
-            burst_len,
-            quiet_len,
-            p_gen,
-            p_con,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-        }
-    }
-
-    fn bursting(&self, t: usize) -> bool {
-        t % (self.burst_len + self.quiet_len) < self.burst_len
-    }
-}
-
-impl Workload for Bursty {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn events_at(&mut self, t: usize, out: &mut Vec<LoadEvent>) {
-        out.clear();
-        let bursting = self.bursting(t);
-        for _ in 0..self.n {
-            let x: f64 = self.rng.gen();
-            out.push(if bursting && x < self.p_gen {
-                LoadEvent::Generate
-            } else if !bursting && x < self.p_con {
                 LoadEvent::Consume
             } else {
                 LoadEvent::Idle
@@ -277,15 +214,6 @@ mod tests {
     #[should_panic(expected = "invalid probabilities")]
     fn uniform_random_validates_probabilities() {
         UniformRandom::new(4, 0.7, 0.7, 0);
-    }
-
-    #[test]
-    fn bursty_alternates() {
-        let mut w = Bursty::new(2, 5, 5, 1.0, 1.0, 1);
-        let rows = collect(&mut w, 20);
-        assert!(rows[0].iter().all(|&e| e == LoadEvent::Generate));
-        assert!(rows[5].iter().all(|&e| e == LoadEvent::Consume));
-        assert!(rows[10].iter().all(|&e| e == LoadEvent::Generate));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use dlb::core::Params;
 use dlb::faults::FaultPlan;
 use dlb::net::{AsyncConfig, AsyncNetwork};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use dlb::workload::patterns::UniformRandom;
+use dlb::workload::Workload;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -28,17 +28,13 @@ fn main() {
     let mut net =
         AsyncNetwork::with_faults(AsyncConfig::reliable(params, latency, 7), plan).expect("plan");
 
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    // Generate 50 %, consume 30 %, idle 20 % per processor and tick.
+    let mut workload = UniformRandom::new(n, 0.5, 0.3, 3);
+    let mut events = Vec::new();
     let steps = 6_000u64;
     for t in 0..steps {
-        let actions: Vec<i8> = (0..n)
-            .map(|_| match rng.gen_range(0..10) {
-                0..=4 => 1,
-                5..=7 => -1,
-                _ => 0,
-            })
-            .collect();
-        net.tick(t, &actions);
+        workload.events_at(t as usize, &mut events);
+        net.tick(t, &events);
         if (t + 1) % 1500 == 0 {
             let s = net.load_summary();
             let mean = s.mean(n);

@@ -297,22 +297,22 @@ fn branch_and_bound_applications_end_to_end() {
 #[test]
 fn async_low_latency_matches_sync_quality() {
     use dlb::net::{AsyncConfig, AsyncNetwork};
-    use rand::prelude::*;
-    use rand_chacha::ChaCha8Rng;
+    use dlb::workload::patterns::UniformRandom;
 
     let n = 16;
     let params = Params::new(n, 2, 1.3, 4).expect("valid");
+    // Generate 60 %, consume 40 %: both halves draw this one stream.
+    let workload = || UniformRandom::new(n, 0.6, 0.4, 8);
+    let mut events = Vec::new();
 
     // Async at latency 1.
     let mut net = AsyncNetwork::new(AsyncConfig::reliable(params, 1, 3));
-    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut async_workload = workload();
     let mut async_ratio = 0.0;
     let mut samples = 0usize;
-    for t in 0..3_000u64 {
-        let actions: Vec<i8> = (0..n)
-            .map(|_| if rng.gen_bool(0.6) { 1 } else { -1 })
-            .collect();
-        net.tick(t, &actions);
+    for t in 0..3_000usize {
+        async_workload.events_at(t, &mut events);
+        net.tick(t as u64, &events);
         if t >= 1_000 && t % 50 == 0 {
             let stats = imbalance_stats(&net.loads());
             if stats.mean >= 5.0 {
@@ -327,19 +327,11 @@ fn async_low_latency_matches_sync_quality() {
 
     // Synchronous simple cluster, same intensity.
     let mut sync = SimpleCluster::new(params, 3);
-    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    let mut sync_workload = workload();
     let mut sync_ratio = 0.0;
     let mut samples = 0usize;
     for t in 0..3_000usize {
-        let events: Vec<dlb::core::LoadEvent> = (0..n)
-            .map(|_| {
-                if rng.gen_bool(0.6) {
-                    LoadEvent::Generate
-                } else {
-                    LoadEvent::Consume
-                }
-            })
-            .collect();
+        sync_workload.events_at(t, &mut events);
         sync.step(&events);
         if t >= 1_000 && t % 50 == 0 {
             let stats = imbalance_stats(&sync.loads());
