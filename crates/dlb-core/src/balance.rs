@@ -79,6 +79,8 @@ pub fn even_shares(total: u64, m: usize) -> Vec<u64> {
 pub fn even_shares_into(total: u64, m: usize, out: &mut Vec<u64>) {
     assert!(m > 0, "cannot split over an empty group");
     let base = total / m as u64;
+    // Below `m`.
+    #[allow(clippy::cast_possible_truncation)]
     let extras = (total % m as u64) as usize;
     out.clear();
     out.extend((0..m).map(|i| if i < extras { base + 1 } else { base }));
@@ -102,7 +104,7 @@ pub fn distribute_classes_flat(
     let mut order: Vec<usize> = (0..m).collect();
     for (c, &total) in class_totals.iter().enumerate() {
         let base = total / m as u64;
-        let extras = (total % m as u64) as usize;
+        let extras = usize::try_from(total % m as u64).expect("below m");
         let row = &mut out[c * m..(c + 1) * m];
         for share in row.iter_mut() {
             *share = base;
@@ -158,7 +160,8 @@ pub fn distribute_capped(total: u64, caps: &[u64]) -> Vec<u64> {
 
 /// [`distribute_capped`] into a caller-owned buffer (cleared first).
 pub fn distribute_capped_into(total: u64, caps: &[u64], out: &mut Vec<u64>) {
-    let capacity: u64 = caps.iter().sum();
+    // Saturating: under a borrow limit near 2⁶⁴ the caps' sum passes it.
+    let capacity = caps.iter().fold(0u64, |sum, &cap| sum.saturating_add(cap));
     assert!(
         total <= capacity,
         "insufficient capacity: {total} > {capacity}"
@@ -313,6 +316,8 @@ mod tests {
         // With caps [4,1,4] the most even split of 7 is [3,1,3].
         assert_eq!(out, vec![3, 1, 3]);
         assert_eq!(distribute_capped(0, &[2, 2]), vec![0, 0]);
+        // Caps summing past 2⁶⁴ wrapped the capacity check.
+        assert_eq!(distribute_capped(3, &[1 << 63; 3]), vec![1, 1, 1]);
     }
 
     #[test]

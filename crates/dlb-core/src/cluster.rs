@@ -96,8 +96,8 @@
 
 use crate::balance::{distribute_capped_into, even_shares_into, moved, sample_others_into};
 use crate::metrics::Metrics;
-use crate::params::{ExchangePolicy, Params};
-use crate::sparse::{count_diff, nth_diff, SparseRow};
+use crate::params::{ExchangePolicy, Params, TriggerTable};
+use crate::sparse::{count_diff, key, nth_diff, SparseRow};
 use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::LoadCounts;
 use dlb_trace::{SharedSink, TraceEvent};
@@ -419,7 +419,11 @@ fn equalise_m(
             // Written whatever the share: a zero is overwritten by the
             // next class or cut off by `len`, and `len` trails the
             // classes walked, of which there are at most `stride`.
-            new_keys[t.len] = c as u32;
+            // A class key widened from `u32`: the closing `u64::MAX`
+            // ended the walk above.
+            #[allow(clippy::cast_possible_truncation)]
+            let class = c as u32;
+            new_keys[t.len] = class;
             new_vals[t.len] = t.share;
             t.len += usize::from(t.share > 0);
             t.run += t.share;
@@ -451,7 +455,7 @@ fn execute_full_balance(
     // this read equals the draw-time value.
     let trigger = if tracing {
         let p = &procs[initiator];
-        p.d.get(initiator as u32) as f64 / p.l_old.max(1) as f64
+        p.d.get(key(initiator)) as f64 / p.l_old.max(1) as f64
     } else {
         0.0
     };
@@ -476,13 +480,13 @@ fn execute_full_balance(
         // Every participant counts this as a balancing of its own class
         // (§4: a group balance acts like δ + 1 self-initiated balances):
         // home markers annihilate and l_old resets.
-        let k = p.b.take(mm as u32);
+        let k = p.b.take(key(mm));
         if k > 0 {
             p.sum_b -= k;
             p.settled += k;
             home_settled += k;
         }
-        p.l_old = p.d.get(mm as u32);
+        p.l_old = p.d.get(key(mm));
     }
     OpOutcome {
         trigger,
@@ -498,6 +502,7 @@ fn execute_full_balance(
 /// a seeded ChaCha stream.
 pub struct Cluster {
     params: Params,
+    triggers: TriggerTable,
     /// Cached `params.n()`.
     n: usize,
     /// One record per processor.
@@ -545,17 +550,23 @@ impl Cluster {
 
     /// A cluster where every processor starts with `initial` self-generated
     /// packets (a *balanced state* in the sense of Theorems 1–4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`: classes are 32-bit row keys.
     pub fn with_initial_load(params: Params, seed: u64, initial: u64) -> Self {
         let n = params.n();
+        assert!(u32::try_from(n).is_ok(), "class keys are 32 bits wide");
         let procs = (0..n)
             .map(|i| Proc {
                 l_old: initial,
                 fresh_generated: initial,
-                ..Proc::new(SparseRow::with_entry(i as u32, initial), SparseRow::new())
+                ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
             })
             .collect();
         Cluster {
             params,
+            triggers: TriggerTable::new(params),
             n,
             procs,
             rng: ChaCha8Rng::seed_from_u64(seed),
@@ -601,12 +612,12 @@ impl Cluster {
 
     /// `d_{i,c}`: real class-`c` packets on processor `i`.
     pub fn d(&self, i: usize, c: usize) -> u64 {
-        self.procs[i].d.get(c as u32)
+        self.procs[i].d.get(key(c))
     }
 
     /// `b_{i,c}`: class-`c` markers on processor `i`.
     pub fn b(&self, i: usize, c: usize) -> u64 {
-        self.procs[i].b.get(c as u32)
+        self.procs[i].b.get(key(c))
     }
 
     /// Number of active (nonzero) classes on processor `i`, `d` then `b`.
@@ -632,25 +643,25 @@ impl Cluster {
     /// Adds `x > 0` class-`c` packets to `i`.
     #[inline]
     fn add_d(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].d.add(c as u32, x);
+        self.procs[i].d.add(key(c), x);
     }
 
     /// Removes `x > 0` class-`c` packets from `i`.
     #[inline]
     fn sub_d(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].d.sub(c as u32, x);
+        self.procs[i].d.sub(key(c), x);
     }
 
     /// Adds `x > 0` class-`c` markers to `i`.
     #[inline]
     fn add_b(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].b.add(c as u32, x);
+        self.procs[i].b.add(key(c), x);
     }
 
     /// Removes `x > 0` class-`c` markers from `i`.
     #[inline]
     fn sub_b(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].b.sub(c as u32, x);
+        self.procs[i].b.sub(key(c), x);
     }
 
     /// Moves processor `i` to its (already updated) load in the
@@ -693,13 +704,17 @@ impl Cluster {
                 ));
             }
             for (c, v) in p.d.iter().chain(p.b.iter()) {
-                virt[c as usize] += v;
+                let slot = &mut virt[c as usize];
+                *slot = slot
+                    .checked_add(v)
+                    .ok_or_else(|| format!("class {c}: virtual load sums past u64::MAX"))?;
             }
         }
         for (c, (&v, p)) in virt.iter().zip(&self.procs).enumerate() {
             let expect = p
-                .fresh_generated
-                .checked_sub(p.direct_consumed + p.settled)
+                .direct_consumed
+                .checked_add(p.settled)
+                .and_then(|gone| p.fresh_generated.checked_sub(gone))
                 .ok_or_else(|| format!("class {c}: ledger went negative"))?;
             if v != expect {
                 return Err(format!(
@@ -708,11 +723,19 @@ impl Cluster {
                 ));
             }
         }
-        let total: u64 = self.procs.iter().map(|p| p.load).sum();
-        let expect = self.initial_total + self.metrics.generated - self.metrics.consumed;
-        if total != expect {
+        let total = self
+            .procs
+            .iter()
+            .try_fold(0u64, |sum, p| sum.checked_add(p.load))
+            .ok_or("global load sums past u64::MAX")?;
+        let expect = self
+            .initial_total
+            .checked_add(self.metrics.generated)
+            .and_then(|made| made.checked_sub(self.metrics.consumed));
+        if expect != Some(total) {
             return Err(format!(
-                "global load {total} != generated - consumed = {expect}"
+                "global load {total} != initial {} + generated {} - consumed {}",
+                self.initial_total, self.metrics.generated, self.metrics.consumed
             ));
         }
         Ok(())
@@ -746,7 +769,7 @@ impl Cluster {
             self.metrics.consume_blocked += 1;
             return;
         }
-        if self.procs[i].d.get(i as u32) > 0 {
+        if self.procs[i].d.get(key(i)) > 0 {
             self.sub_d(i, i, 1);
             self.procs[i].load -= 1;
             self.note_load(i);
@@ -777,7 +800,7 @@ impl Cluster {
                 self.metrics.consume_blocked += 1;
                 return;
             }
-            if self.procs[i].d.get(i as u32) > 0 {
+            if self.procs[i].d.get(key(i)) > 0 {
                 // Settlement balancing brought some of i's own packets home
                 // (§4: "... or has received some of his own load packets").
                 self.sub_d(i, i, 1);
@@ -788,7 +811,7 @@ impl Cluster {
                 self.trigger_check(i);
                 return;
             }
-            if (self.procs[i].sum_b as usize) < self.params.c_borrow() {
+            if self.procs[i].sum_b < self.params.c_borrow() as u64 {
                 if let Some(j) = self.random_borrowable_class(i) {
                     self.add_b(i, j, 1);
                     self.procs[i].sum_b += 1;
@@ -805,7 +828,7 @@ impl Cluster {
             let Some(j) = self.random_marker_class(i) else {
                 break; // only possible when C = 0
             };
-            if self.procs[j].d.get(j as u32) > 0 {
+            if self.procs[j].d.get(key(j)) > 0 {
                 self.exchange(i, j);
             } else {
                 self.reduce_borrow(i, j);
@@ -842,9 +865,9 @@ impl Cluster {
     /// corresponding workload decrease.
     fn exchange(&mut self, i: usize, j: usize) {
         debug_assert_ne!(i, j);
-        let available = self.procs[j].d.get(j as u32);
+        let available = self.procs[j].d.get(key(j));
         let x = match self.params.exchange() {
-            ExchangePolicy::Strict => available.min(self.procs[i].b.get(j as u32)),
+            ExchangePolicy::Strict => available.min(self.procs[i].b.get(key(j))),
             ExchangePolicy::Aggressive => available.min(self.procs[i].sum_b),
         };
         if x == 0 {
@@ -869,7 +892,7 @@ impl Cluster {
         }
         // ... and cancel x markers on i.
         let mut remaining = x;
-        let own = self.procs[i].b.get(j as u32).min(remaining);
+        let own = self.procs[i].b.get(key(j)).min(remaining);
         if own > 0 {
             self.sub_b(i, j, own);
             self.procs[i].sum_b -= own;
@@ -901,7 +924,7 @@ impl Cluster {
     /// annihilate).
     fn reduce_borrow(&mut self, i: usize, j: usize) {
         debug_assert_ne!(i, j);
-        debug_assert_eq!(self.procs[j].d.get(j as u32), 0);
+        debug_assert_eq!(self.procs[j].d.get(key(j)), 0);
         self.metrics.borrow_fail += 1;
         let mut candidates = std::mem::take(&mut self.scratch_partners);
         candidates.clear();
@@ -923,8 +946,8 @@ impl Cluster {
         } else {
             let helpful = candidates
                 .iter()
-                .any(|&k| self.procs[k].d.get(j as u32) > 0 || self.procs[k].b.get(j as u32) == 0)
-                || self.procs[i].d.get(j as u32) > 0;
+                .any(|&k| self.procs[k].d.get(key(j)) > 0 || self.procs[k].b.get(key(j)) == 0)
+                || self.procs[i].d.get(key(j)) > 0;
             if helpful {
                 // Spread i's markers / gather real packets, then pull them
                 // towards j.
@@ -952,9 +975,9 @@ impl Cluster {
         self.scratch_group = group;
         self.scratch_partners = candidates;
         self.settle_home_markers(j);
-        if self.procs[j].d.get(j as u32) > 0 && self.procs[i].b.get(j as u32) > 0 {
+        if self.procs[j].d.get(key(j)) > 0 && self.procs[i].b.get(key(j)) > 0 {
             self.exchange(i, j);
-        } else if self.procs[i].b.get(j as u32) > 0 {
+        } else if self.procs[i].b.get(key(j)) > 0 {
             // Guaranteed progress (§4: "the borrowed packet on processor i
             // has migrated to processor j where it is also consumed"): one
             // marker moves home and annihilates.  Without this the
@@ -991,9 +1014,9 @@ impl Cluster {
         let mut new_d = std::mem::take(&mut self.scratch_new_d);
         let mut new_b = std::mem::take(&mut self.scratch_new_b);
         before_d.clear();
-        before_d.extend(members.iter().map(|&mm| self.procs[mm].d.get(c as u32)));
+        before_d.extend(members.iter().map(|&mm| self.procs[mm].d.get(key(c))));
         before_b.clear();
-        before_b.extend(members.iter().map(|&mm| self.procs[mm].b.get(c as u32)));
+        before_b.extend(members.iter().map(|&mm| self.procs[mm].b.get(key(c))));
         let total_d: u64 = before_d.iter().sum();
         let total_b: u64 = before_b.iter().sum();
         // A single class over zeroed running totals degenerates to the
@@ -1029,9 +1052,9 @@ impl Cluster {
         for (s, &mm) in members.iter().enumerate() {
             self.procs[mm].load = self.procs[mm].load + new_d[s] - before_d[s];
             self.note_load(mm);
-            self.procs[mm].d.set(c as u32, new_d[s]);
+            self.procs[mm].d.set(key(c), new_d[s]);
             self.procs[mm].sum_b = self.procs[mm].sum_b + new_b[s] - before_b[s];
-            self.procs[mm].b.set(c as u32, new_b[s]);
+            self.procs[mm].b.set(key(c), new_b[s]);
         }
         self.scratch_before_d = before_d;
         self.scratch_before_b = before_b;
@@ -1044,7 +1067,7 @@ impl Cluster {
     /// earlier foreign consumption of `m`'s packets is finally accounted
     /// to `m`'s own load class.
     fn settle_home_markers(&mut self, m: usize) {
-        let k = self.procs[m].b.take(m as u32);
+        let k = self.procs[m].b.take(key(m));
         if k > 0 {
             self.procs[m].sum_b -= k;
             self.procs[m].settled += k;
@@ -1093,11 +1116,18 @@ impl Cluster {
         {
             return Err("snapshot vectors have the wrong length".into());
         }
+        // Each record caches its rows' sums.
+        let fits = |row: &Vec<u64>| row.iter().try_fold(0u64, |sum, &v| sum.checked_add(v));
+        for (what, m) in [("d", &snap.d), ("b", &snap.b)] {
+            if let Some(i) = m.iter().position(|row| fits(row).is_none()) {
+                return Err(format!("proc {i}: {what} row sums past u64::MAX"));
+            }
+        }
         let compress = |row: &Vec<u64>| {
             let mut r = SparseRow::new();
             for (c, &v) in row.iter().enumerate() {
                 if v > 0 {
-                    r.push(c as u32, v);
+                    r.push(key(c), v);
                 }
             }
             r
@@ -1116,6 +1146,7 @@ impl Cluster {
         rng.set_word_pos(snap.rng_word_pos);
         let cluster = Cluster {
             params,
+            triggers: TriggerTable::new(params),
             n,
             procs,
             rng,
@@ -1147,9 +1178,8 @@ impl Cluster {
     /// load has grown or shrunk by the factor `f` since its last
     /// participation.
     fn trigger_check(&mut self, i: usize) {
-        let cur = self.procs[i].d.get(i as u32);
-        let last = self.procs[i].l_old;
-        if self.params.grow_triggered(cur, last) || self.params.shrink_triggered(cur, last) {
+        let p = &self.procs[i];
+        if self.triggers.triggered(p.d.get(key(i)), p.l_old) {
             self.full_balance(i);
         }
     }

@@ -57,6 +57,7 @@
 // hint in `cluster` and the two `u64`-block-as-`u32`-keys views in
 // `sparse`.
 #![deny(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod balance;
 pub mod batch;
@@ -77,7 +78,7 @@ pub mod weighted;
 pub use batch::{step_batch, BatchEvent};
 pub use cluster::Cluster;
 pub use metrics::Metrics;
-pub use params::{ExchangePolicy, Params};
+pub use params::{ExchangePolicy, Params, TriggerTable};
 pub use recorder::LoadRecorder;
 pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster};
 pub use snapshot::ClusterSnapshot;

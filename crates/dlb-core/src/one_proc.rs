@@ -80,6 +80,8 @@ impl OneProcModel {
     /// by packet this would take astronomically long).
     pub fn generate_until_ops(&mut self, t: u64) {
         while self.balance_ops < t {
+            // Saturates at `u64::MAX`, where no load grows further.
+            #[allow(clippy::cast_possible_truncation)]
             let threshold =
                 ((self.params.f() * self.l_old as f64).ceil() as u64).max(self.l_old + 1);
             self.loads[0] = threshold;
@@ -148,6 +150,8 @@ pub fn mean_ratio_after_ops(params: Params, t: u64, runs: usize, initial: u64, s
 pub fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
     assert!(c <= x, "cannot decrease below zero");
     let fix = dlb_theory::operators::fix(params.n(), params.delta(), params.f());
+    // At most `x`: the fixed point is at least 1.
+    #[allow(clippy::cast_possible_truncation)]
     let neighbour = ((x as f64) / fix).round().max(0.0) as u64;
     let mut model = OneProcModel::new(params, seed, neighbour);
     model.loads[0] = x;
@@ -164,6 +168,8 @@ pub fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
         }
         // Bulk-consume to the shrink threshold ⌊l_old / f⌋ (capped by the
         // outstanding obligation); between triggers nothing else happens.
+        // At most `l_old`, since `f ≥ 1`.
+        #[allow(clippy::cast_possible_truncation)]
         let threshold =
             ((model.l_old as f64 / params.f()).floor() as u64).min(model.l_old.saturating_sub(1));
         let to_trigger = model.loads[0].saturating_sub(threshold);
@@ -231,9 +237,9 @@ mod tests {
         // After a handful of ops the ratio should track G^t(1), not yet FIX.
         let params = Params::new(16, 2, 1.5, 4).unwrap();
         let algo = *params.algo();
-        for t in [3u64, 8, 20] {
-            let empirical = mean_ratio_after_ops(params, t, 150, 5_000, 7);
-            let expect = algo.g_iter(1.0, t as usize);
+        for t in [3usize, 8, 20] {
+            let empirical = mean_ratio_after_ops(params, t as u64, 150, 5_000, 7);
+            let expect = algo.g_iter(1.0, t);
             assert!(
                 (empirical - expect).abs() / expect < 0.08,
                 "t={t}: empirical {empirical} vs G^t(1) {expect}"

@@ -140,7 +140,8 @@ impl Params {
     /// `grow_triggered(c, last) ⇔ c ≥ grow_at` and
     /// `shrink_triggered(c, last) ⇔ c < shrink_below` for every load
     /// `c`, so a caller that keeps them beside `last` tests a trigger
-    /// with two integer compares.
+    /// with two integer compares.  The engines read them from a
+    /// [`TriggerTable`].
     ///
     /// While the float threshold is at most 2⁵³ (every `last < 2⁵⁰` at
     /// `f < 8`), each `c` up to the bound converts to `f64` exactly, so
@@ -156,8 +157,10 @@ impl Params {
         const EXACT: f64 = (1u64 << 53) as f64;
         let grow = self.grow_threshold(last);
         let grow_at = if grow <= EXACT {
-            // The threshold is non-negative, so the cast truncates to its
-            // floor (`f64::ceil` is a libm call on x86-64 without SSE4.1).
+            // The threshold is non-negative and at most 2⁵³, so the cast
+            // is its floor (`f64::ceil` is a libm call on x86-64 without
+            // SSE4.1).
+            #[allow(clippy::cast_possible_truncation)]
             let floor = grow as u64;
             let ceil = floor + u64::from((floor as f64) < grow);
             ceil.max(last + 1)
@@ -168,12 +171,82 @@ impl Params {
         };
         let shrink = self.shrink_threshold(last);
         let shrink_below = if shrink < EXACT {
-            (shrink as u64 + 1).min(last)
+            // Non-negative and below 2⁵³: the cast is the floor.
+            #[allow(clippy::cast_possible_truncation)]
+            let floor = shrink as u64;
+            (floor + 1).min(last)
         } else {
             // `last` itself never shrink-triggers.
             first_true(0, last, |c| !self.shrink_triggered(c, last))
         };
         (grow_at, shrink_below)
+    }
+}
+
+/// [`Params::trigger_bounds`] for every `l_old` below
+/// [`TriggerTable::LEN`], one table per engine, so the stepping engines
+/// test a trigger with one lookup and two integer compares where the
+/// float predicates take a multiply, a division and two float
+/// compares.  Larger `l_old` values compute their bounds on the spot.
+///
+/// The slots fill on demand, up to the largest `l_old` looked up: at
+/// ≈ 6 ns a slot, filling all of them up front would cost an engine
+/// 6 µs before its first event, several times what constructing the
+/// rest of a small `Cluster` costs.
+///
+/// [`TriggerTable::triggered`] is `grow_triggered || shrink_triggered`
+/// for every load below `u64::MAX` (the one bound `trigger_bounds`
+/// cannot represent); a load of `u64::MAX` overflows the engine's next
+/// generate anyway.
+#[derive(Debug, Clone)]
+pub struct TriggerTable {
+    params: Params,
+    /// `bounds[l] = params.trigger_bounds(l)`; at most `LEN` slots.
+    bounds: Vec<(u64, u64)>,
+}
+
+impl TriggerTable {
+    /// Slots in the table: `l_old` values `0..LEN` are looked up.
+    pub const LEN: usize = 1024;
+
+    /// The (empty) table of `params`' trigger factor.
+    pub fn new(params: Params) -> Self {
+        TriggerTable {
+            params,
+            bounds: Vec::new(),
+        }
+    }
+
+    /// `(grow_at, shrink_below)` of `l_old`, as [`Params::trigger_bounds`].
+    #[inline]
+    pub fn bounds(&mut self, l_old: u64) -> (u64, u64) {
+        match usize::try_from(l_old).ok().and_then(|l| self.bounds.get(l)) {
+            Some(&slot) => slot,
+            None => self.fill_to(l_old),
+        }
+    }
+
+    /// The bounds of an `l_old` past the filled slots, filling the
+    /// slots up to it if it is below `LEN`.
+    #[inline(never)]
+    fn fill_to(&mut self, l_old: u64) -> (u64, u64) {
+        let params = self.params;
+        if l_old >= Self::LEN as u64 {
+            return params.trigger_bounds(l_old);
+        }
+        let filled = self.bounds.len() as u64;
+        self.bounds
+            .extend((filled..=l_old).map(|l| params.trigger_bounds(l)));
+        // The slot of `l_old` is the last one filled.
+        self.bounds[self.bounds.len() - 1]
+    }
+
+    /// Whether a processor at load `cur` that last balanced at `l_old`
+    /// initiates a balancing operation.
+    #[inline]
+    pub fn triggered(&mut self, cur: u64, l_old: u64) -> bool {
+        let (grow_at, shrink_below) = self.bounds(l_old);
+        cur >= grow_at || cur < shrink_below
     }
 }
 
@@ -245,6 +318,58 @@ mod tests {
         assert_eq!(p.exchange(), ExchangePolicy::Aggressive);
     }
 
+    /// Every slot is `trigger_bounds`, each predicate flips exactly at
+    /// its slot's bound, and past the table the lookup falls back to
+    /// `trigger_bounds`.
+    #[test]
+    fn trigger_table_is_the_predicates() {
+        for delta in 1..=8usize {
+            let top = (delta + 1) as f64;
+            for f in [1.0, 1.1, 1.3, 2.0, top.next_down()] {
+                let Ok(p) = Params::new(64, delta, f, 4) else {
+                    continue; // f = 2.0 needs δ ≥ 2
+                };
+                let mut table = TriggerTable::new(p);
+                // A first lookup mid-table fills every slot below it.
+                let mid = TriggerTable::LEN as u64 / 2;
+                let lasts = [mid]
+                    .into_iter()
+                    .chain(0..TriggerTable::LEN as u64 + 8)
+                    .chain([1 << 40]);
+                for last in lasts {
+                    let (grow_at, shrink_below) = table.bounds(last);
+                    assert_eq!((grow_at, shrink_below), p.trigger_bounds(last));
+                    let flips = [
+                        (p.grow_triggered(grow_at - 1, last), false),
+                        (p.grow_triggered(grow_at, last), true),
+                        (p.shrink_triggered(shrink_below, last), false),
+                        (
+                            shrink_below > 0 && p.shrink_triggered(shrink_below - 1, last),
+                            shrink_below > 0,
+                        ),
+                    ];
+                    for (k, (got, want)) in flips.into_iter().enumerate() {
+                        assert_eq!(got, want, "flip {k}: l_old = {last}, f = {f}");
+                    }
+                    for c in [
+                        grow_at - 1,
+                        grow_at,
+                        shrink_below.saturating_sub(1),
+                        shrink_below,
+                        last,
+                    ] {
+                        let either = p.grow_triggered(c, last) || p.shrink_triggered(c, last);
+                        assert_eq!(
+                            table.triggered(c, last),
+                            either,
+                            "c = {c}, l_old = {last}, f = {f}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         /// `trigger_bounds` is the two predicates, on both sides of every
         /// bound, across the closed form, its boundary with the search
@@ -267,6 +392,8 @@ mod tests {
                 _ => 1.0 + f_unit * (top - 1.0),
             };
             let p = Params::new(64, delta, f, 4).unwrap();
+            // The cast saturates, as wanted at the top of the range.
+            #[allow(clippy::cast_possible_truncation)]
             let near = |x: f64| (x as u64).saturating_add_signed(offset);
             let specials = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
             let last = match l_pick {
@@ -276,7 +403,7 @@ mod tests {
                 4 => near((1u64 << 53) as f64 / f),
                 5 => near((1u64 << 50) as f64),
                 6 => near(u64::MAX as f64 / f),
-                _ => specials[(l_raw % specials.len() as u64) as usize],
+                _ => specials[usize::try_from(l_raw % specials.len() as u64).unwrap()],
             };
             let (grow_at, shrink_below) = p.trigger_bounds(last);
             let mut loads = vec![last.saturating_sub(1), last, last.saturating_add(1), c_raw];

@@ -94,6 +94,8 @@ impl LoadRecorder {
         }
         let mut ratios = self.ratios.clone();
         ratios.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+        // At most `len − 1`, for `q ≤ 1`.
+        #[allow(clippy::cast_possible_truncation)]
         let idx = ((ratios.len() - 1) as f64 * q).round() as usize;
         ratios[idx]
     }

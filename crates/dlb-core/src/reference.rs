@@ -224,7 +224,7 @@ impl RefCluster {
                 self.trigger_check(i);
                 return;
             }
-            if (self.procs[i].sum_b as usize) < self.params.c_borrow() {
+            if self.procs[i].sum_b < self.params.c_borrow() as u64 {
                 if let Some(j) = self.random_class(i, |p, j| p.d[j] > 0 && p.b[j] == 0) {
                     let p = &mut self.procs[i];
                     p.b[j] += 1;

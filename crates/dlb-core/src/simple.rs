@@ -29,9 +29,9 @@
 
 use crate::balance::{even_shares_into, sample_into, sample_others_into};
 use crate::metrics::Metrics;
-use crate::params::Params;
+use crate::params::{Params, TriggerTable};
 use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
-use crate::summary::SummaryTracker;
+use crate::summary::LoadCounts;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -140,6 +140,7 @@ impl BalanceRule for EvenRule {
 /// The practical raw-load balancer, generic over its [`BalanceRule`].
 pub struct RawCluster<R: BalanceRule> {
     params: Params,
+    triggers: TriggerTable,
     rule: R,
     loads: Vec<u64>,
     l_old: Vec<u64>,
@@ -160,8 +161,9 @@ pub struct RawCluster<R: BalanceRule> {
     step_no: u64,
     /// Load counts backing [`LoadBalancer::load_summary`]; observer
     /// state, built on the first query (`None` until then, so
-    /// unobserved runs pay one branch per load change).
-    summary: Option<SummaryTracker>,
+    /// unobserved runs pay one branch per load change).  Every load
+    /// write shifts it from the old load to the new.
+    summary: Option<LoadCounts>,
 }
 
 /// The practical balancer exactly as the paper describes it: the
@@ -196,6 +198,7 @@ impl<R: BalanceRule> RawCluster<R> {
         rule.check_size(n);
         RawCluster {
             params,
+            triggers: TriggerTable::new(params),
             rule,
             loads: vec![0; n],
             l_old: vec![0; n],
@@ -219,12 +222,13 @@ impl<R: BalanceRule> RawCluster<R> {
         &self.rule
     }
 
-    /// Feeds processor `i`'s (already updated) load to the summary
-    /// tracker.  Must follow every `self.loads` mutation.
+    /// Sets processor `i`'s load, moving it in the summary's counts.
+    /// The one writer of `self.loads` outside a balance.
     #[inline]
-    fn note_load(&mut self, i: usize) {
-        if let Some(tracker) = self.summary.as_mut() {
-            tracker.note(i, self.loads[i]);
+    fn set_load(&mut self, i: usize, load: u64) {
+        let old = std::mem::replace(&mut self.loads[i], load);
+        if let Some(counts) = self.summary.as_mut() {
+            counts.shift(old, load);
         }
     }
 
@@ -262,13 +266,14 @@ impl<R: BalanceRule> RawCluster<R> {
                 self.alive.len()
             ));
         }
+        if let Some(counts) = &self.summary {
+            counts.check(self.loads.iter().copied())?;
+        }
         Ok(())
     }
 
     fn trigger_check(&mut self, i: usize) {
-        let cur = self.loads[i];
-        let last = self.l_old[i];
-        if self.params.grow_triggered(cur, last) || self.params.shrink_triggered(cur, last) {
+        if self.triggers.triggered(self.loads[i], self.l_old[i]) {
             self.full_balance(i);
         }
     }
@@ -325,8 +330,8 @@ impl<R: BalanceRule> RawCluster<R> {
             op_packets += had.saturating_sub(share);
             self.loads[mm] = share;
             self.l_old[mm] = share;
-            if let Some(tracker) = self.summary.as_mut() {
-                tracker.note(mm, share);
+            if let Some(counts) = self.summary.as_mut() {
+                counts.shift(had, share);
             }
         }
         self.metrics.packets_migrated += op_packets;
@@ -374,15 +379,13 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
         let before = self.trace_on().then_some(self.metrics);
         events.for_each_up(self.params.n(), down, |i, ev| match ev {
             LoadEvent::Generate => {
-                self.loads[i] += 1;
-                self.note_load(i);
+                self.set_load(i, self.loads[i] + 1);
                 self.metrics.generated += 1;
                 self.trigger_check(i);
             }
             LoadEvent::Consume => {
                 if self.loads[i] > 0 {
-                    self.loads[i] -= 1;
-                    self.note_load(i);
+                    self.set_load(i, self.loads[i] - 1);
                     self.metrics.consumed += 1;
                     self.trigger_check(i);
                 } else {
@@ -400,7 +403,7 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
     fn load_summary(&mut self) -> LoadSummary {
         let (min, max) = self
             .summary
-            .get_or_insert_with(|| SummaryTracker::new(&self.loads))
+            .get_or_insert_with(|| LoadCounts::new(self.loads.iter().copied()))
             .min_max();
         // Packet conservation (checked by `check_invariants`): total
         // load is initial + generated − consumed.
@@ -409,7 +412,7 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
             max,
             total: self.initial_total + self.metrics.generated - self.metrics.consumed,
         };
-        // A load write that skipped `note_load` skews every later
+        // A load write that skipped the counts skews every later
         // report; debug builds pay the O(n) scan to fail at once.
         debug_assert_eq!(summary, LoadSummary::from_loads(&self.loads));
         summary

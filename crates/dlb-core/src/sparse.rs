@@ -44,6 +44,16 @@
 /// processor fit its 128-byte record (see `cluster.rs`).
 pub const INLINE: usize = 2;
 
+/// Class `c` as a row key, or a row length (at most one entry per
+/// class) as its 32-bit field.  Classes are processor indices below the
+/// cluster's `n`, which [`crate::Cluster`] checks fits 32 bits.
+#[inline(always)]
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn key(c: usize) -> u32 {
+    debug_assert!(u32::try_from(c).is_ok(), "class {c} has no 32-bit key");
+    c as u32
+}
+
 #[derive(Clone)]
 enum Repr {
     /// The first `len` slots are the row; the rest are stale.
@@ -230,7 +240,7 @@ impl SparseRow {
         keys[..n].copy_from_slice(self.keys());
         vals[..n].copy_from_slice(self.vals());
         self.0 = Repr::Heap {
-            len: n as u32,
+            len: key(n),
             cap: u32::try_from(cap).expect("keys are distinct u32s"),
             block,
         };
@@ -359,13 +369,16 @@ impl SparseRow {
             } => {
                 k[..n].copy_from_slice(keys);
                 v[..n].copy_from_slice(vals);
-                *len = n as u8;
+                // `n ≤ INLINE` in place.
+                #[allow(clippy::cast_possible_truncation)]
+                let short = n as u8;
+                *len = short;
             }
             Repr::Heap { len, cap, block } => {
                 let (v, k) = split_mut(block, *cap as usize);
                 k[..n].copy_from_slice(keys);
                 v[..n].copy_from_slice(vals);
-                *len = n as u32;
+                *len = key(n);
             }
         }
     }
@@ -592,10 +605,10 @@ mod tests {
                 let fresh = row_of(&model);
                 prop_assert_eq!(fresh.heap_bytes() == 0, model.len() <= INLINE);
                 let mut spilled = fresh.clone();
-                for k in 0..=INLINE as u32 {
+                for k in 0..=key(INLINE) {
                     spilled.push(100 + k, 1);
                 }
-                for k in 0..=INLINE as u32 {
+                for k in 0..=key(INLINE) {
                     spilled.take(100 + k);
                 }
                 prop_assert!(spilled.heap_bytes() > 0);

@@ -22,11 +22,11 @@
 //!
 //! The caller supplies `old`.  [`crate::Cluster`] keeps each
 //! processor's last-noted load in the processor's own record, where the
-//! load itself lives; [`crate::RawCluster`] has no such record and uses
-//! [`SummaryTracker`], which pairs the counts with a last-noted vector.
+//! load itself lives; [`crate::RawCluster`] shifts the counts where it
+//! writes a load, with the old value in hand.
 //!
 //! `RawCluster`, whose whole step is tens of nanoseconds per
-//! processor, builds its tracker on the first `load_summary()` call, so
+//! processor, builds its counts on the first `load_summary()` call, so
 //! unobserved runs pay a single `Option` check per load change;
 //! `Cluster` counts from construction, where every load is the same
 //! and the counts cost nothing to set up.
@@ -76,6 +76,8 @@ impl LoadCounts {
     #[inline]
     fn insert(&mut self, l: u64) {
         if l < DENSE {
+            // Below `DENSE`.
+            #[allow(clippy::cast_possible_truncation)]
             let l = l as usize;
             if l >= self.counts.len() {
                 self.counts.resize(l + 1, 0);
@@ -92,7 +94,10 @@ impl LoadCounts {
     #[inline]
     fn remove(&mut self, l: u64) {
         if l < DENSE {
-            self.counts[l as usize] -= 1;
+            // Below `DENSE`.
+            #[allow(clippy::cast_possible_truncation)]
+            let l = l as usize;
+            self.counts[l] -= 1;
             self.in_dense -= 1;
         } else {
             let count = self.overflow.get_mut(&l).expect("removed load was counted");
@@ -106,7 +111,19 @@ impl LoadCounts {
     /// One processor's load changed from `old` to `new`.
     #[inline]
     pub fn shift(&mut self, old: u64, new: u64) {
-        if old != new {
+        // The common case: both loads inside the flat counters (which
+        // never grow past `DENSE` slots), so one count moves and nothing
+        // is resized.
+        let len = self.counts.len() as u64;
+        if old < len && new < len {
+            // Both below `len ≤ DENSE`.
+            #[allow(clippy::cast_possible_truncation)]
+            let (old, new) = (old as usize, new as usize);
+            self.counts[old] -= 1;
+            self.counts[new] += 1;
+            self.lo = self.lo.min(new);
+            self.hi = self.hi.max(new);
+        } else if old != new {
             self.remove(old);
             self.insert(new);
         }
@@ -132,41 +149,37 @@ impl LoadCounts {
         (min.unwrap_or(0), max.unwrap_or(0))
     }
 
+    /// Checks that these are the counts of `loads` and that the cursors
+    /// bracket every non-zero counter; returns the first violation.
+    pub fn check(&self, loads: impl Iterator<Item = u64>) -> Result<(), String> {
+        let recount = LoadCounts::new(loads);
+        let trimmed = |c: &[u32]| c.len() - c.iter().rev().take_while(|&&k| k == 0).count();
+        let (mine, theirs) = (
+            &self.counts[..trimmed(&self.counts)],
+            &recount.counts[..trimmed(&recount.counts)],
+        );
+        if mine != theirs || self.overflow != recount.overflow || self.in_dense != recount.in_dense
+        {
+            return Err("load summary counts are not the loads' counts".into());
+        }
+        let outside = mine
+            .iter()
+            .enumerate()
+            .any(|(l, &k)| k > 0 && !(self.lo..=self.hi).contains(&l));
+        if outside || self.hi >= self.counts.len() {
+            return Err(format!(
+                "load summary cursors [{}, {}] miss a counted load",
+                self.lo, self.hi
+            ));
+        }
+        Ok(())
+    }
+
     /// Heap bytes held: the flat counters at capacity plus the map's
     /// entries (payload only; node headers are not visible from here).
     pub fn heap_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<u32>()
             + self.overflow.len() * std::mem::size_of::<(u64, u32)>()
-    }
-}
-
-/// [`LoadCounts`] over a plain load vector, remembering what it last
-/// counted for each processor.
-pub(crate) struct SummaryTracker {
-    counts: LoadCounts,
-    /// `seen[i]` is the load processor `i` is currently counted under.
-    seen: Vec<u64>,
-}
-
-impl SummaryTracker {
-    /// A tracker counting every processor's current load.
-    pub fn new(loads: &[u64]) -> Self {
-        SummaryTracker {
-            counts: LoadCounts::new(loads.iter().copied()),
-            seen: loads.to_vec(),
-        }
-    }
-
-    /// Records that processor `i`'s load is now `load`.
-    #[inline]
-    pub fn note(&mut self, i: usize, load: u64) {
-        let old = std::mem::replace(&mut self.seen[i], load);
-        self.counts.shift(old, load);
-    }
-
-    /// Exact `(min, max)` of the noted loads.
-    pub fn min_max(&mut self) -> (u64, u64) {
-        self.counts.min_max()
     }
 }
 
@@ -190,14 +203,15 @@ mod tests {
         // vector that at times lives wholly on one side of it.
         for (lo, hi) in [(0, 100), (DENSE - 50, DENSE + 50), (DENSE, DENSE + 9)] {
             let mut loads: Vec<u64> = (0..50).map(|_| rng.gen_range(lo..hi)).collect();
-            let mut tracker = SummaryTracker::new(&loads);
-            assert_eq!(tracker.min_max(), scan(&loads));
+            let mut counts = LoadCounts::new(loads.iter().copied());
+            assert_eq!(counts.min_max(), scan(&loads));
             for round in 0..2000 {
                 let i = rng.gen_range(0..loads.len());
-                loads[i] = rng.gen_range(lo..hi);
-                tracker.note(i, loads[i]);
+                let old = std::mem::replace(&mut loads[i], rng.gen_range(lo..hi));
+                counts.shift(old, loads[i]);
                 if round % 7 == 0 {
-                    assert_eq!(tracker.min_max(), scan(&loads), "round {round}");
+                    assert_eq!(counts.min_max(), scan(&loads), "round {round}");
+                    counts.check(loads.iter().copied()).unwrap();
                 }
             }
         }
@@ -205,36 +219,51 @@ mod tests {
 
     #[test]
     fn repeated_queries_between_mutations_are_stable() {
-        let mut tracker = SummaryTracker::new(&[5, 1, 9, 3]);
-        assert_eq!(tracker.min_max(), (1, 9));
-        assert_eq!(tracker.min_max(), (1, 9));
-        tracker.note(2, 0);
-        assert_eq!(tracker.min_max(), (0, 5));
-        assert_eq!(tracker.min_max(), (0, 5));
+        let mut counts = LoadCounts::new([5, 1, 9, 3].into_iter());
+        assert_eq!(counts.min_max(), (1, 9));
+        assert_eq!(counts.min_max(), (1, 9));
+        counts.shift(9, 0);
+        assert_eq!(counts.min_max(), (0, 5));
+        assert_eq!(counts.min_max(), (0, 5));
+        counts.check([5, 1, 0, 3].into_iter()).unwrap();
     }
 
     #[test]
     fn extrema_cross_the_counting_range_in_both_directions() {
-        let mut tracker = SummaryTracker::new(&[3, 4]);
-        tracker.note(1, 70_000);
-        assert_eq!(tracker.min_max(), (3, 70_000));
-        tracker.note(0, 70_000);
-        assert_eq!(tracker.min_max(), (70_000, 70_000));
-        tracker.note(0, 80_000);
-        assert_eq!(tracker.min_max(), (70_000, 80_000));
-        tracker.note(0, 2);
-        tracker.note(1, DENSE - 1);
-        assert_eq!(tracker.min_max(), (2, DENSE - 1));
-        assert_eq!(tracker.counts.overflow.len(), 0);
-        assert_eq!(SummaryTracker::new(&[]).min_max(), (0, 0));
+        let mut counts = LoadCounts::new([3, 4].into_iter());
+        counts.shift(4, 70_000);
+        assert_eq!(counts.min_max(), (3, 70_000));
+        counts.shift(3, 70_000);
+        assert_eq!(counts.min_max(), (70_000, 70_000));
+        counts.shift(70_000, 80_000);
+        assert_eq!(counts.min_max(), (70_000, 80_000));
+        counts.shift(80_000, 2);
+        counts.shift(70_000, DENSE - 1);
+        assert_eq!(counts.min_max(), (2, DENSE - 1));
+        assert_eq!(counts.overflow.len(), 0);
+        counts.check([2, DENSE - 1].into_iter()).unwrap();
+        assert_eq!(LoadCounts::new(std::iter::empty()).min_max(), (0, 0));
     }
 
     #[test]
     fn memory_follows_the_largest_load_not_the_change_count() {
-        let mut tracker = SummaryTracker::new(&[0; 8]);
+        let mut loads = [0u64; 8];
+        let mut counts = LoadCounts::new(loads.iter().copied());
         for k in 0..100_000u64 {
-            tracker.note((k % 8) as usize, k % 1000);
+            let slot = &mut loads[(k % 8) as usize];
+            counts.shift(std::mem::replace(slot, k % 1000), k % 1000);
         }
-        assert!(tracker.counts.heap_bytes() <= 4 * 2048);
+        assert!(counts.heap_bytes() <= 4 * 2048);
+    }
+
+    #[test]
+    fn check_names_a_stale_count() {
+        let mut counts = LoadCounts::new([1, 2, DENSE + 1].into_iter());
+        counts.check([2, DENSE + 1, 1].into_iter()).unwrap();
+        assert!(counts.check([1, 3, DENSE + 1].into_iter()).is_err());
+        assert!(counts.check([1, 2, DENSE + 2].into_iter()).is_err());
+        counts.shift(2, 3);
+        assert!(counts.check([1, 2, DENSE + 1].into_iter()).is_err());
+        counts.check([1, 3, DENSE + 1].into_iter()).unwrap();
     }
 }

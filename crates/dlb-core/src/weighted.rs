@@ -41,8 +41,13 @@ pub fn proportional_shares_into(
     let mut assigned = 0u64;
     for (i, &w) in weights.iter().enumerate() {
         let exact_num = (total as u128) * (w as u128);
-        let share = (exact_num / weight_sum as u128) as u64;
-        let rem = (exact_num % weight_sum as u128) as u64;
+        // `w ≤ weight_sum`, so the share is at most `total` and the
+        // remainder below `weight_sum`: both fit 64 bits.
+        #[allow(clippy::cast_possible_truncation)]
+        let (share, rem) = (
+            (exact_num / weight_sum as u128) as u64,
+            (exact_num % weight_sum as u128) as u64,
+        );
         shares.push(share);
         remainders.push((rem, i));
         assigned += share;
@@ -51,7 +56,11 @@ pub fn proportional_shares_into(
     // tiebreak makes the comparator a total order, so the unstable sort
     // (no allocation, unlike the stable one) is deterministic.
     remainders.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(_, i) in &remainders[..(total - assigned) as usize] {
+    // Each share lost less than one packet to rounding: fewer than one
+    // leftover per member.
+    #[allow(clippy::cast_possible_truncation)]
+    let leftover = (total - assigned) as usize;
+    for &(_, i) in &remainders[..leftover] {
         shares[i] += 1;
     }
 }

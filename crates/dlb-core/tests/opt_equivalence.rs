@@ -6,7 +6,9 @@
 //! random small instances and compare full state after every step.
 
 use dlb_core::reference::{RefCluster, RefSimpleCluster};
-use dlb_core::{Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params, SimpleCluster};
+use dlb_core::{
+    Cluster, ExchangePolicy, LoadBalancer, LoadEvent, Params, SimpleCluster, TriggerTable,
+};
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -31,6 +33,18 @@ fn events_at(rng: &mut ChaCha8Rng, n: usize, t: usize, steps: usize) -> Vec<Load
         .collect()
 }
 
+/// The initial load and trigger factor of a case: `pick < 3` is a small
+/// load at `f`; otherwise every processor starts within four packets of
+/// the end of the trigger table, at an `f` close enough to 1 that
+/// triggers fire on both sides of it (lookup and fallback).
+fn start(pick: u64, small_step: u64, f: f64, edge: u64) -> (u64, f64) {
+    if pick < 3 {
+        (pick * small_step, f)
+    } else {
+        (TriggerTable::LEN as u64 - 4 + edge, 1.004)
+    }
+}
+
 proptest! {
     #[test]
     fn full_cluster_matches_reference_step_for_step(
@@ -38,17 +52,18 @@ proptest! {
         delta_idx in 0usize..2,
         c_idx in 0usize..3,
         aggressive in 0usize..2,
-        initial in 0u64..3,
+        initial in 0u64..6,
+        edge in 0u64..=8,
         seed in 0u64..1_000_000,
     ) {
         let n = [2usize, 3, 5, 9][n_idx];
         let delta = [1usize, 2][delta_idx].min(n - 1);
         let c_borrow = [0usize, 2, 4][c_idx];
-        let mut params = Params::new(n, delta, 1.2, c_borrow).unwrap();
+        let (initial, f) = start(initial, 5, 1.2, edge);
+        let mut params = Params::new(n, delta, f, c_borrow).unwrap();
         if aggressive == 1 {
             params = params.with_exchange(ExchangePolicy::Aggressive);
         }
-        let initial = initial * 5;
         let mut fast = Cluster::with_initial_load(params, seed, initial);
         let mut slow = RefCluster::with_initial_load(params, seed, initial);
         let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
@@ -74,13 +89,14 @@ proptest! {
     fn simple_cluster_matches_reference_under_changing_masks(
         n_idx in 0usize..3,
         delta_idx in 0usize..2,
-        initial in 0u64..3,
+        initial in 0u64..6,
+        edge in 0u64..=8,
         seed in 0u64..1_000_000,
     ) {
         let n = [3usize, 6, 10][n_idx];
         let delta = [1usize, 3][delta_idx].min(n - 1);
-        let params = Params::new(n, delta, 1.3, 4).unwrap();
-        let initial = initial * 10;
+        let (initial, f) = start(initial, 10, 1.3, edge);
+        let params = Params::new(n, delta, f, 4).unwrap();
         let mut fast = SimpleCluster::with_initial_load(params, seed, initial);
         let mut slow = RefSimpleCluster::with_initial_load(params, seed, initial);
         let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);

@@ -62,7 +62,8 @@
 //! parallel array each, touched by the every-tick sweep, the per-tick
 //! conservation recount and [`AsyncNetwork::loads_slice`]: `load`,
 //! `l_old`, the trigger bounds `grow_at` and `shrink_below`
-//! ([`Params::trigger_bounds`] of `l_old`), `pool` (packets the
+//! ([`Params::trigger_bounds`] of `l_old`, read from a
+//! [`TriggerTable`]), `pool` (packets the
 //! processor's own operation has collected), `locked_for` (the
 //! operation a *partner* lock is held for, `NO_OP` when none) and
 //! `flags` (`LOCKED | DOWN`, one byte) — 49 bytes per processor, and
@@ -133,7 +134,7 @@
 use crate::equeue::CalendarQueue;
 use crate::rng::stream;
 use dlb_core::balance::{even_shares_into, sample_others_into};
-use dlb_core::{LoadSummary, Metrics, Params};
+use dlb_core::{LoadSummary, Metrics, Params, TriggerTable};
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan, MessageClass, MessageFate};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -312,6 +313,8 @@ impl std::ops::AddAssign for AsyncStats {
 /// (module docs, "State layout").
 pub struct AsyncNetwork {
     config: AsyncConfig,
+    /// Where `set_l_old` reads the trigger bounds.
+    triggers: TriggerTable,
     load: Vec<u64>,
     /// Written, with the two bound arrays, only by `set_l_old`.
     l_old: Vec<u64>,
@@ -364,6 +367,7 @@ impl AsyncNetwork {
         let n = config.params.n();
         let mut net = AsyncNetwork {
             config,
+            triggers: TriggerTable::new(config.params),
             load: vec![0; n],
             l_old: vec![0; n],
             grow_at: vec![0; n],
@@ -1103,7 +1107,7 @@ impl AsyncNetwork {
     /// The one writer of `l_old[i]` and the trigger bounds derived from
     /// it, so the sweep's integer compares are the predicates.
     fn set_l_old(&mut self, i: usize, l_old: u64) {
-        let (grow_at, shrink_below) = self.config.params.trigger_bounds(l_old);
+        let (grow_at, shrink_below) = self.triggers.bounds(l_old);
         self.l_old[i] = l_old;
         self.grow_at[i] = grow_at;
         self.shrink_below[i] = shrink_below;
