@@ -145,6 +145,12 @@ proptest! {
                     LoadSummary::from_loads(&loads),
                     "{} summary at step {}", config.kind(), t
                 );
+                // `dlb run` reports this total as the run's final one.
+                prop_assert_eq!(
+                    dense.load_summary().total,
+                    loads.iter().sum::<u64>(),
+                    "{} summary total at step {}", config.kind(), t
+                );
             }
         }
     }

@@ -395,7 +395,7 @@ fn sync_run(
     opts: &RunOptions,
 ) -> Result<RunOutcome, String> {
     let log = RefCell::new(StepLog::new(scenario, trace.clone(), opts.profile));
-    let balancer = run_seeded(
+    let mut balancer = run_seeded(
         scenario.seed,
         r as u64,
         scenario.steps,
@@ -423,7 +423,8 @@ fn sync_run(
         strategy: balancer.name().to_string(),
         ops: balancer.metrics().balance_ops,
         migrated: balancer.metrics().packets_migrated,
-        final_total: balancer.loads().iter().sum(),
+        // The ledger total: no load vector for one sum.
+        final_total: balancer.load_summary().total,
         stats: None,
         lost: 0,
     })

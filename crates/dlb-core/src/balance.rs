@@ -8,15 +8,16 @@
 //!    distribution of packets".
 //!
 //! Both are achieved by a greedy rule: each class hands its `total mod m`
-//! leftover packets to the members with the smallest running grand totals.
-//! An induction shows the grand-total spread never exceeds one: if the
-//! member totals lie in `{v, v+1}` with `k` members at `v` and the class
-//! has `r ≤ m` leftovers, the leftovers go to the `k` members at `v`
-//! first; the result again lies in a window of width one.  Started from
-//! zeros, "smallest running total first, ties by slot" therefore needs no
-//! sort: it is the slots at the minimum in slot order, then the others in
-//! slot order — how the engine's kernel (`cluster::equalise`) hands the
-//! leftovers out.
+//! leftover packets to the members with the smallest running grand totals,
+//! ties by slot.  An induction shows what the greedy rule looks like from
+//! zeros: the running totals are `v + 1` on a prefix `0..h` of the slots
+//! and `v` on the rest.  A class with `e < m` leftovers gives them to
+//! the slots at `v` first, in slot order — `h, h+1, …` — and then to the
+//! prefix from slot 0 on, so with `h' = (h + e) mod m` the totals are
+//! again one higher on the prefix `0..h'` than on the rest.  The greedy
+//! rule therefore needs no sort: it deals the leftovers from a cursor `h`
+//! that goes round the slots — the snake — as the engine's kernel
+//! (`cluster::equalise`) does.
 //!
 //! The partner draw that selects the group ([`sample_into`],
 //! [`sample_others_into`]) lives here too.
@@ -89,8 +90,8 @@ pub fn even_shares_into(total: u64, m: usize, out: &mut Vec<u64>) {
 /// Core of [`distribute_classes`]: writes the shares into a flat
 /// row-major matrix `out[class * m + slot]` (resized as needed).  This is
 /// the rule as stated — sort the members by running total, hand the
-/// extras to the first ones — and the oracle the engine's sort-free
-/// kernel (`cluster::equalise`) is tested against.
+/// extras to the first ones — and the oracle the engine's snake
+/// (`cluster::equalise`) is tested against.
 pub fn distribute_classes_flat(
     class_totals: &[u64],
     m: usize,

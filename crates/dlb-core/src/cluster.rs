@@ -108,11 +108,8 @@ use rand_chacha::ChaCha8Rng;
 /// execution allocates nothing.
 #[derive(Default)]
 struct BalanceScratch {
-    /// The members' old rows, copied out member after member, each
-    /// closed by a `u64::MAX` key holding 0.
-    keys: Vec<u64>,
-    vals: Vec<u64>,
-    /// One merge cursor and one running sum per member.
+    /// One [`Slot`] per member: the merge state of a group of other than
+    /// two or three, and after any group each member's new row sum.
     slots: Vec<Slot>,
     /// The new rows under construction: member `s`'s is the `Slot::len`
     /// entries from `s * stride`, `stride` a bound on the length of the
@@ -122,19 +119,44 @@ struct BalanceScratch {
 }
 
 /// What [`equalise`] keeps per member.
-#[derive(Default)]
+#[derive(Default, Clone, Copy)]
 struct Slot {
-    /// Position in `keys`/`vals` of the member's smallest class not yet
-    /// equalised.
+    /// Where the member's smallest class not yet equalised sits in its
+    /// old row.
     cur: usize,
+    /// That class's key, `u32::MAX` past the row's end.
+    key: u32,
     /// Entries of the member's new row so far.
     len: usize,
     /// Sum of the member's shares so far; its new row's sum at the end.
     run: u64,
     /// What the member held of the class at hand.
     old: u64,
-    /// What it holds of it from now on.
-    share: u64,
+}
+
+/// Which of a processor's two rows [`equalise`] balances.
+#[derive(Clone, Copy)]
+enum Matrix {
+    D,
+    B,
+}
+
+impl Matrix {
+    #[inline(always)]
+    fn of(self, p: &Proc) -> &SparseRow {
+        match self {
+            Matrix::D => &p.d,
+            Matrix::B => &p.b,
+        }
+    }
+
+    #[inline(always)]
+    fn of_mut(self, p: &mut Proc) -> &mut SparseRow {
+        match self {
+            Matrix::D => &mut p.d,
+            Matrix::B => &mut p.b,
+        }
+    }
 }
 
 /// What executing one full balance operation produced, for
@@ -311,131 +333,154 @@ impl Lag {
     }
 }
 
-/// Equalises one matrix — the rows `row` selects — over `members`: every
-/// class any of them holds is split evenly (±1), the leftovers going to
-/// the members with the smallest running sums, lowest slot first, so the
-/// new row sums differ by at most one too.  Leaves each member's new row
-/// sum in `s.slots[..].run` and returns the units that left a member,
-/// `Σ max(old − new, 0)` over classes and members.
-///
-/// One pass: the old rows are copied out and k-way-merged by ascending
-/// class, one cursor per member, and each class's shares are appended
-/// to the new rows as they are computed.  The leftovers are handed out
-/// without the sort [`crate::balance::distribute_classes_flat`] states
-/// the rule with: the sums start at zero, so they never differ by more
-/// than one (the induction in [`crate::balance`]) and ascending
-/// `(sum, slot)` is the slots at the minimum in slot order, then the
-/// rest in slot order.  Classes no member holds get zero shares and
-/// leave the sums alone, so walking the union equals the reference's
-/// dense `0..n` sweep.
-fn equalise(
-    procs: &mut [Proc],
-    members: &[usize],
-    s: &mut BalanceScratch,
-    row: impl Fn(&mut Proc) -> &mut SparseRow,
-) -> u64 {
-    // The same body three times over: a constant group size unrolls the
-    // per-member loops and turns the division into a multiplication.
-    match members.len() {
-        2 => equalise_m(procs, members, s, row, 2),
-        3 => equalise_m(procs, members, s, row, 3),
-        m => equalise_m(procs, members, s, row, m),
-    }
-}
-
-/// [`equalise`] for `m == members.len()`.
-#[inline(always)]
-fn equalise_m(
-    procs: &mut [Proc],
-    members: &[usize],
-    s: &mut BalanceScratch,
-    row: impl Fn(&mut Proc) -> &mut SparseRow,
-    m: usize,
-) -> u64 {
-    let members = &members[..m];
-    s.keys.clear();
-    s.vals.clear();
-    s.slots.clear();
-    let mut classes = 0;
-    for &mm in members {
-        let old = row(&mut procs[mm]);
-        s.slots.push(Slot {
-            cur: s.keys.len(),
-            ..Slot::default()
-        });
-        s.keys.extend(old.keys().iter().map(|&c| u64::from(c)));
-        s.keys.push(u64::MAX);
-        s.vals.extend_from_slice(old.vals());
-        s.vals.push(0);
-        classes = classes.max(old.keys().last().map_or(0, |&c| c as usize + 1));
-    }
-    // The union is no longer than the rows together, and its classes
-    // are below `classes`.
-    let stride = classes.min(s.keys.len() - m);
+/// Equalises one matrix of `members`' rows: every class any of them
+/// holds is split evenly (±1), and the leftovers are dealt as the
+/// paper's snake, so the new row sums differ by at most one too.  Leaves
+/// each member's new row sum in `s.slots[..].run` and returns the units
+/// that left a member, `Σ max(old − new, 0)` over classes and members.
+fn equalise(procs: &mut [Proc], members: &[usize], s: &mut BalanceScratch, matrix: Matrix) -> u64 {
+    // A group size known at compile time unrolls the per-member loops,
+    // keeps the slots in registers, looks each row up once and turns the
+    // division into a multiplication.  Any other size — δ runs up to
+    // n − 1 — keeps the slots in scratch and looks a row up at each read.
+    let m = members.len();
+    let old = |i: usize| {
+        let row = matrix.of(&procs[members[i]]);
+        (row.keys(), row.vals())
+    };
+    let (outflow, stride) = match m {
+        2 => on_stack::<2>(old, &mut s.slots, &mut s.new_keys, &mut s.new_vals),
+        3 => on_stack::<3>(old, &mut s.slots, &mut s.new_keys, &mut s.new_vals),
+        _ => {
+            s.slots.clear();
+            s.slots.resize(m, Slot::default());
+            deal(old, &mut s.slots, &mut s.new_keys, &mut s.new_vals)
+        }
+    };
     if stride == 0 {
         // Nobody holds anything of this matrix — most marker passes.
         return 0;
     }
-    if s.new_keys.len() < m * stride {
-        s.new_keys.resize(m * stride, 0);
-        s.new_vals.resize(m * stride, 0);
+    for (i, (&mm, t)) in members.iter().zip(&s.slots).enumerate() {
+        let at = i * stride;
+        matrix
+            .of_mut(&mut procs[mm])
+            .assign(&s.new_keys[at..at + t.len], &s.new_vals[at..at + t.len]);
     }
-    let (keys, vals, slots) = (&s.keys[..], &s.vals[..], &mut s.slots[..m]);
-    let (new_keys, new_vals) = (&mut s.new_keys[..m * stride], &mut s.new_vals[..m * stride]);
+    outflow
+}
+
+/// [`deal`] for `M` members, their slots on the stack and their rows
+/// looked up once; leaves the slots in `slots`.
+#[inline(always)]
+fn on_stack<'r, const M: usize>(
+    old: impl Fn(usize) -> (&'r [u32], &'r [u64]),
+    slots: &mut Vec<Slot>,
+    new_keys: &mut Vec<u32>,
+    new_vals: &mut Vec<u64>,
+) -> (u64, usize) {
+    let rows: [_; M] = std::array::from_fn(old);
+    let mut on_stack = [Slot::default(); M];
+    let dealt = deal(|i| rows[i], &mut on_stack, new_keys, new_vals);
+    slots.clear();
+    slots.extend_from_slice(&on_stack);
+    dealt
+}
+
+/// The body of [`equalise`] over the members' old rows, member `i`'s
+/// keys and values `old(i)`, one slot per member.  One pass: the rows
+/// are k-way-merged in place by ascending class, and each class's shares
+/// are appended to the new rows as they are computed — member `i`'s
+/// `slots[i].len` entries from `i * stride` of `new_keys`/`new_vals`,
+/// `stride` a bound on the length of the rows' union.  Returns the
+/// outflow and `stride`.  Classes no member holds get zero shares and
+/// leave the sums alone, so walking the union equals the reference's
+/// dense `0..n` sweep.
+///
+/// A class's `total mod m` leftovers go to the members with the smallest
+/// running sums, lowest slot first ([`crate::balance`]).  From zeros the
+/// members one above the rest are always the slots `0..h`, so the
+/// leftovers are dealt from slot `h` on, cyclically, and `h` moves on by
+/// as many: the paper's snake.
+#[inline(always)]
+fn deal<'r>(
+    old: impl Fn(usize) -> (&'r [u32], &'r [u64]),
+    slots: &mut [Slot],
+    new_keys: &mut Vec<u32>,
+    new_vals: &mut Vec<u64>,
+) -> (u64, usize) {
+    let m = slots.len();
+    // The key of entry `at` of member `i`'s old row, `u32::MAX` past the
+    // row's end: no class reaches it, as [`Cluster`] asserts that `n`
+    // fits 32 bits.
+    let key_at = |i: usize, at: usize| old(i).0.get(at).copied().unwrap_or(u32::MAX);
+    // The union is no longer than the rows together, and its classes
+    // are below the largest last key.
+    let (entries, classes) = (0..m).fold((0, 0), |(entries, classes), i| {
+        let keys = old(i).0;
+        let end = keys.last().map_or(0, |&c| c as usize + 1);
+        (entries + keys.len(), end.max(classes))
+    });
+    let stride = entries.min(classes);
+    if stride == 0 {
+        return (0, 0);
+    }
+    if new_keys.len() < m * stride {
+        new_keys.resize(m * stride, 0);
+        new_vals.resize(m * stride, 0);
+    }
+    let (new_keys, new_vals) = (&mut new_keys[..m * stride], &mut new_vals[..m * stride]);
     let mut outflow = 0;
-    // The smaller of the two values the running sums take.
-    let mut lo = 0;
+    // The slots `0..h` hold one more than the others.
+    let mut h = 0;
+    for (i, t) in slots.iter_mut().enumerate() {
+        t.key = key_at(i, 0);
+    }
     loop {
-        let c = slots.iter().map(|t| keys[t.cur]).fold(u64::MAX, u64::min);
-        if c == u64::MAX {
+        let c = slots.iter().map(|t| t.key).fold(u32::MAX, u32::min);
+        if c == u32::MAX {
             break;
         }
         let mut total = 0;
-        for t in slots.iter_mut() {
-            let holds = keys[t.cur] == c;
-            t.old = if holds { vals[t.cur] } else { 0 };
+        for (i, t) in slots.iter_mut().enumerate() {
+            let holds = t.key == c;
+            t.old = if holds { old(i).1[t.cur] } else { 0 };
             t.cur += usize::from(holds);
+            t.key = key_at(i, t.cur);
             total += t.old;
         }
-        let (base, mut extras) = if total < m as u64 {
+        let (base, extras) = if total < m as u64 {
             (0, total)
         } else {
             (total / m as u64, total % m as u64)
         };
-        debug_assert!(slots.iter().all(|t| t.run == lo || t.run == lo + 1));
-        for t in slots.iter_mut() {
-            let extra = u64::from(t.run == lo && extras > 0);
-            t.share = base + extra;
-            extras -= extra;
-        }
-        for t in slots.iter_mut() {
-            let extra = u64::from(t.run != lo && extras > 0);
-            t.share += extra;
-            extras -= extra;
-        }
-        lo = u64::MAX;
-        let new_rows = new_keys.chunks_mut(stride).zip(new_vals.chunks_mut(stride));
-        for (t, (new_keys, new_vals)) in slots.iter_mut().zip(new_rows) {
+        // Below `m`.
+        #[allow(clippy::cast_possible_truncation)]
+        let extras = extras as usize;
+        debug_assert!({
+            let lo = slots[m - 1].run;
+            (0..m).all(|i| slots[i].run == lo + u64::from(i < h))
+        });
+        for (i, t) in slots.iter_mut().enumerate() {
+            // Slot `i` is `(i − h) mod m`-th in line for a leftover.
+            let line = if i < h { i + m - h } else { i - h };
+            let share = base + u64::from(line < extras);
             // Written whatever the share: a zero is overwritten by the
             // next class or cut off by `len`, and `len` trails the
             // classes walked, of which there are at most `stride`.
-            // A class key widened from `u32`: the closing `u64::MAX`
-            // ended the walk above.
-            #[allow(clippy::cast_possible_truncation)]
-            let class = c as u32;
-            new_keys[t.len] = class;
-            new_vals[t.len] = t.share;
-            t.len += usize::from(t.share > 0);
-            t.run += t.share;
-            lo = lo.min(t.run);
-            outflow += t.old.saturating_sub(t.share);
+            let at = i * stride + t.len;
+            new_keys[at] = c;
+            new_vals[at] = share;
+            t.len += usize::from(share > 0);
+            t.run += share;
+            outflow += t.old.saturating_sub(share);
+        }
+        h += extras;
+        if h >= m {
+            h -= m;
         }
     }
-    let new_rows = new_keys.chunks(stride).zip(new_vals.chunks(stride));
-    for ((&mm, t), (new_keys, new_vals)) in members.iter().zip(slots.iter()).zip(new_rows) {
-        row(&mut procs[mm]).assign(&new_keys[..t.len], &new_vals[..t.len]);
-    }
-    outflow
+    (outflow, stride)
 }
 
 /// Executes one full balancing operation over `members` (initiator
@@ -465,14 +510,14 @@ fn execute_full_balance(
     // load difference moves physically; the per-class matrices are
     // bookkeeping carried by the control messages.  Markers are
     // bookkeeping only, and each one that changes holder counts.
-    equalise(procs, members, s, |p| &mut p.d);
+    equalise(procs, members, s, Matrix::D);
     let mut op_packets = 0u64;
     for (&mm, t) in members.iter().zip(&s.slots) {
         let p = &mut procs[mm];
         op_packets += p.load.saturating_sub(t.run);
         p.load = t.run;
     }
-    let op_markers = equalise(procs, members, s, |p| &mut p.b);
+    let op_markers = equalise(procs, members, s, Matrix::B);
     let mut home_settled = 0u64;
     for (&mm, t) in members.iter().zip(&s.slots) {
         let p = &mut procs[mm];
@@ -1918,6 +1963,8 @@ mod tests {
         /// to, class by class over the rows' union, with the same
         /// running sums and the outflow counted from them.  Up to nine
         /// members, so the general instantiation runs beside m = 2, 3.
+        /// The sixteen classes are 0..15 and `u32::MAX − 1`, the largest
+        /// a cluster has, next to the `u32::MAX` that ends a row.
         #[test]
         fn equalise_matches_the_sorting_distributor(
             rows in proptest::collection::vec(
@@ -1933,12 +1980,13 @@ mod tests {
             use proptest::prop_assert_eq;
             use std::collections::BTreeMap;
             let m = rows.len();
+            let class = |i: u32| if i == 15 { u32::MAX - 1 } else { i };
             // Values 1..=5, one in ten around 2⁴⁰.
             let rows: Vec<(BTreeMap<u32, u64>, bool)> = rows
                 .into_iter()
                 .map(|(entries, spill_first)| {
                     let value = |v: u64| if v < 45 { 1 + v % 5 } else { (1 << 40) + v };
-                    (entries.into_iter().map(|(c, v)| (c, value(v))).collect(), spill_first)
+                    (entries.into_iter().map(|(i, v)| (class(i), value(v))).collect(), spill_first)
                 })
                 .collect();
             let mut procs: Vec<Proc> = rows
@@ -1957,20 +2005,22 @@ mod tests {
             // Slot s is processor (s + rotate) mod m: slot order, not
             // processor order, breaks the ties.
             let members: Vec<usize> = (0..m).map(|s| (s + rotate) % m).collect();
-            let held = |s: usize, c: u32| rows[members[s]].0.get(&c).copied().unwrap_or(0);
+            let held = |s: usize, i: u32| rows[members[s]].0.get(&class(i)).copied().unwrap_or(0);
             let totals: Vec<u64> = (0..16).map(|c| (0..m).map(|s| held(s, c)).sum()).collect();
             let mut run = vec![0u64; m];
             let mut shares = Vec::new();
             distribute_classes_flat(&totals, m, &mut run, &mut shares);
 
             let mut scratch = BalanceScratch::default();
-            let outflow = equalise(&mut procs, &members, &mut scratch, |p| &mut p.d);
+            let outflow = equalise(&mut procs, &members, &mut scratch, Matrix::D);
             let mut expect_outflow = 0;
             for (s, &mm) in members.iter().enumerate() {
                 let row = &procs[mm].d;
                 prop_assert_eq!(row.check(), Ok(()));
-                let column: Vec<u64> = (0..16).map(|c| shares[c * m + s]).collect();
-                prop_assert_eq!(row.to_dense(16), column, "slot {}", s);
+                let column: Vec<u64> = (0..16).map(|i| shares[i * m + s]).collect();
+                let got: Vec<u64> = (0..16).map(|i| row.get(class(i))).collect();
+                prop_assert_eq!(got, column.clone(), "slot {}", s);
+                prop_assert_eq!(row.len(), column.iter().filter(|&&v| v > 0).count());
                 prop_assert_eq!(scratch.slots[s].run, run[s], "slot {}", s);
                 let (old, spill_first) = &rows[mm];
                 prop_assert_eq!(
@@ -1978,7 +2028,7 @@ mod tests {
                     *spill_first || old.len().max(row.len()) > crate::sparse::INLINE
                 );
                 expect_outflow += (0..16)
-                    .map(|c| held(s, c).saturating_sub(shares[c as usize * m + s]))
+                    .map(|i| held(s, i).saturating_sub(shares[i as usize * m + s]))
                     .sum::<u64>();
             }
             prop_assert_eq!(outflow, expect_outflow);

@@ -18,7 +18,7 @@
 //! * `dlb-net::runtime` uses crash windows to kill and rejoin worker
 //!   threads;
 //! * the synchronous engines take a per-step crash mask from
-//!   [`FaultInjector::mask_at`].
+//!   [`MaskCursor`], which [`FaultInjector::mask_at`] specifies.
 //!
 //! Transfers (messages that carry load) are never duplicated — that
 //! would mint packets out of thin air — and a partition *delays* them
@@ -516,14 +516,16 @@ impl FaultInjector {
     }
 }
 
-/// Per-step crash masks for a synchronous run, recomputed only when a
-/// crash or rejoin actually fires: [`FaultInjector::mask_at`] scans
-/// every crash for every processor and allocates, which would swamp an
-/// O(active) sparse step if called every step.
+/// Per-step crash masks for a synchronous run, patched only where a
+/// crash or rejoin fires: [`FaultInjector::mask_at`] scans every crash
+/// for every processor and allocates, which would swamp an O(active)
+/// sparse step if called every step, or even at every crash at n = 2²⁰.
 pub struct MaskCursor<'a> {
     injector: &'a FaultInjector,
-    /// Sorted, deduplicated times at which the mask changes.
-    boundaries: Vec<u64>,
+    /// Every time a processor goes down or comes back up, with the
+    /// processor, sorted by time.
+    changes: Vec<(u64, usize)>,
+    /// Changes already applied to `mask`.
     next: usize,
     mask: Vec<bool>,
 }
@@ -531,31 +533,31 @@ pub struct MaskCursor<'a> {
 impl<'a> MaskCursor<'a> {
     /// A cursor over `injector`'s crash schedule, positioned before time 0.
     pub fn new(injector: &'a FaultInjector) -> Self {
-        let mut boundaries: Vec<u64> = injector
+        let mut changes: Vec<(u64, usize)> = injector
             .crashes()
             .iter()
-            .flat_map(|c| [Some(c.at), c.recover_at])
+            .flat_map(|c| [Some(c.at), c.recover_at].map(|t| t.map(|t| (t, c.proc))))
             .flatten()
             .collect();
-        boundaries.sort_unstable();
-        boundaries.dedup();
+        changes.sort_unstable();
         MaskCursor {
             injector,
-            boundaries,
+            changes,
             next: 0,
-            mask: Vec::new(),
+            mask: vec![false; injector.n()],
         }
     }
 
     /// The mask at time `t`; must be queried with non-decreasing `t`.
+    /// Only a processor a change names can differ from the mask before
+    /// it, so each crossed change re-evaluates just its processor.
     pub fn at(&mut self, t: u64) -> &[bool] {
-        let mut crossed = false;
-        while self.next < self.boundaries.len() && self.boundaries[self.next] <= t {
+        while let Some(&(at, p)) = self.changes.get(self.next) {
+            if at > t {
+                break;
+            }
+            self.mask[p] = self.injector.is_down(t, p);
             self.next += 1;
-            crossed = true;
-        }
-        if crossed || self.mask.is_empty() {
-            self.mask = self.injector.mask_at(t);
         }
         &self.mask
     }
@@ -746,6 +748,38 @@ mod tests {
         assert!(inj.is_down(1_000_000, 3), "never recovers");
         assert_eq!(inj.mask_at(16), vec![false, true, false, true]);
         assert_eq!(inj.mask_at(25), vec![false, false, false, true]);
+    }
+
+    proptest::proptest! {
+        /// The patched cursor is the full rebuild at every tick it is
+        /// asked about, ticks skipped or not, on plans where processors
+        /// crash repeatedly and one crash ends on the tick another
+        /// begins.
+        #[test]
+        fn mask_cursor_is_mask_at(
+            n in 1usize..6,
+            crashes in proptest::collection::vec(
+                // A window of 0 ticks: the processor never recovers.
+                (0usize..6, 0u64..12, 0u64..6),
+                0..8,
+            ),
+            strides in proptest::collection::vec(1u64..4, 1..20),
+        ) {
+            let plan = FaultPlan {
+                crashes: crashes
+                    .into_iter()
+                    .map(|(p, at, len)| crash(p % n, at, (len > 0).then_some(at + len)))
+                    .collect(),
+                ..FaultPlan::default()
+            };
+            let inj = FaultInjector::new(plan, n).unwrap();
+            let mut cursor = MaskCursor::new(&inj);
+            let mut t = 0;
+            for stride in strides {
+                proptest::prop_assert_eq!(cursor.at(t), &inj.mask_at(t)[..], "t = {}", t);
+                t += stride;
+            }
+        }
     }
 
     #[test]
