@@ -134,7 +134,7 @@ fn ms3(x: f64) -> Json {
 }
 
 /// Wall-clock per balance operation, the per-operation cost the
-/// O(1)-per-operation rivals are compared on (ROADMAP, open item 1).
+/// O(1)-per-operation rivals are compared on (ROADMAP, open item 8(b)).
 fn ns_per_op(ms: f64, ops: u64) -> f64 {
     ms * 1e6 / ops.max(1) as f64
 }
