@@ -7,7 +7,7 @@
 //!                                     the strategy against each entry and
 //!                                     prints a league table instead)
 //! dlb template                        print a scenario template to stdout
-//! dlb serve <scenario.json> [--mode sim|wall] [--workers N] [--acceptors A]
+//! dlb serve <scenario.json> [--mode sim|wall] [--workers N]
 //!                                     run the request-routing service
 //!                                     (see src/serve.rs for options)
 //!

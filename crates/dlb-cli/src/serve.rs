@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! dlb serve <scenario.json> [--mode sim|wall] [--workers N]
-//!           [--acceptors A] [--out <path>] [--trace <path>]
+//!           [--out <path>] [--trace <path>]
 //! ```
 //!
 //! `sim` (the default) runs the single-threaded simulated-clock engine:
 //! the stats JSON is byte-identical across repeated runs *and* across
-//! `--workers`/`--acceptors` values for a fixed seed, which is what CI
-//! golden-gates.  `wall` runs `A` sharded acceptors + `N` workers
-//! against the real clock and adds the throughput block
-//! (`BENCH_service.json` numbers); `--acceptors` overrides the
-//! scenario's `acceptors` key (default 1).
+//! `--workers` values for a fixed seed, which is what CI golden-gates.
+//! `wall` runs one acceptor thread + `N` workers against the real clock
+//! and adds the throughput block (`BENCH_service.json` numbers).
 //!
 //! The process exits non-zero if the conservation ledger breaks.
 
@@ -26,13 +24,11 @@ enum Mode {
 }
 
 pub const SERVE_USAGE: &str = "usage: dlb serve <scenario.json> [--mode sim|wall] \
-                               [--workers N] [--acceptors A] [--out <path>] [--trace <path>]";
+                               [--workers N] [--out <path>] [--trace <path>]";
 
 struct ServeOptions {
     mode: Mode,
     workers: usize,
-    /// `None` defers to the scenario's `acceptors` key.
-    acceptors: Option<usize>,
     out: Option<String>,
     trace: Option<String>,
 }
@@ -40,9 +36,8 @@ struct ServeOptions {
 fn parse_serve_options(rest: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions {
         mode: Mode::Sim,
-        // Leave a core for the acceptor(s); the sim engine ignores this.
+        // Leave a core for the acceptor; the sim engine ignores this.
         workers: dlb_pool::default_jobs().saturating_sub(1).max(1),
-        acceptors: None,
         out: None,
         trace: None,
     };
@@ -66,16 +61,6 @@ fn parse_serve_options(rest: &[String]) -> Result<ServeOptions, String> {
                     return Err("--workers must be at least 1".into());
                 }
                 opts.workers = parsed;
-            }
-            "--acceptors" => {
-                let raw = iter.next().ok_or("--acceptors needs a thread count")?;
-                let parsed: usize = raw
-                    .parse()
-                    .map_err(|e| format!("invalid --acceptors {raw:?}: {e}"))?;
-                if parsed == 0 {
-                    return Err("--acceptors must be at least 1".into());
-                }
-                opts.acceptors = Some(parsed);
             }
             "--out" => {
                 opts.out = Some(iter.next().ok_or("--out needs a path")?.clone());
@@ -108,10 +93,7 @@ pub fn serve_main(rest: &[String]) -> Result<(), String> {
     };
     let stats = match opts.mode {
         Mode::Sim => dlb_serve::run_sim(&scenario, sink.clone())?,
-        Mode::Wall => {
-            let acceptors = opts.acceptors.unwrap_or(scenario.acceptors);
-            dlb_serve::run_wall(&scenario, opts.workers, acceptors, sink.clone())?
-        }
+        Mode::Wall => dlb_serve::run_wall(&scenario, opts.workers, sink.clone())?,
     };
     // Both engines flush the sink before they return.
     if let (Some(e), Some(trace_path)) = (sink.and_then(|s| s.take_error()), &opts.trace) {
@@ -144,24 +126,16 @@ mod tests {
             "wall",
             "--workers",
             "3",
-            "--acceptors",
-            "2",
             "--out",
             "x.json",
         ]))
         .unwrap();
         assert_eq!(opts.mode, Mode::Wall);
         assert_eq!(opts.workers, 3);
-        assert_eq!(opts.acceptors, Some(2));
         assert_eq!(opts.out.as_deref(), Some("x.json"));
-        let defaulted = parse_serve_options(&[]).unwrap();
-        assert_eq!(
-            defaulted.acceptors, None,
-            "absent --acceptors defers to the scenario key"
-        );
+        assert_eq!(parse_serve_options(&[]).unwrap().mode, Mode::Sim);
         assert!(parse_serve_options(&strings(&["--mode", "turbo"])).is_err());
         assert!(parse_serve_options(&strings(&["--workers", "0"])).is_err());
-        assert!(parse_serve_options(&strings(&["--acceptors", "0"])).is_err());
         assert!(parse_serve_options(&strings(&["--bogus"])).is_err());
     }
 

@@ -45,7 +45,7 @@
 //! be dropped; the asynchronous simulator (`desim`) covers those faults.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -143,6 +143,9 @@ struct Counters {
     clock: AtomicU64,
     /// Packets queued or in a worker's hands; the run ends at 0.
     outstanding: AtomicI64,
+    /// Set when a handler panicked: the packet in its hands is never
+    /// counted off, so the run ends here instead.
+    aborted: AtomicBool,
     balance_ops: AtomicU64,
     packets_moved: AtomicU64,
     redistributed: AtomicU64,
@@ -268,7 +271,8 @@ impl<T> Shared<T> {
     /// wakeup delays a worker by at most `PARK` instead of losing it.
     fn park(&self) {
         let guard = lock(&self.parking.0);
-        if self.counters.outstanding.load(Ordering::SeqCst) == 0 {
+        let c = &self.counters;
+        if c.outstanding.load(Ordering::SeqCst) == 0 || c.aborted.load(Ordering::SeqCst) {
             return;
         }
         drop(self.parking.1.wait_timeout(guard, PARK));
@@ -420,6 +424,9 @@ where
     F: Fn(usize, T, &mut Vec<T>),
 {
     let c = &shared.counters;
+    if c.aborted.load(Ordering::SeqCst) {
+        return Status::Done;
+    }
     let done = c.outstanding.load(Ordering::SeqCst) == 0;
     let now = c.clock.load(Ordering::SeqCst);
     // A worker the scheduler starts late may find the run already
@@ -514,6 +521,21 @@ where
     Status::Worked
 }
 
+/// Held by each worker thread: if its handler panics, the unwind marks
+/// the run aborted and wakes everyone, so the other workers leave at
+/// their next pass instead of waiting forever for the packet that died
+/// with it, and the scope can re-raise the panic.
+struct AbortOnUnwind<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for AbortOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.counters.aborted.store(true, Ordering::SeqCst);
+            self.0.wake_all();
+        }
+    }
+}
+
 /// The threaded runtime.
 pub struct ThreadedRuntime;
 
@@ -553,7 +575,9 @@ impl ThreadedRuntime {
     ///
     /// Panics if the configuration or the fault plan is invalid, or if
     /// the plan is [`CrashMode::Frozen`] and has every worker down at
-    /// some crash's `at` (such a run could never end).
+    /// some crash's `at` (such a run could never end).  A panic in
+    /// `handler` ends the run: every worker leaves at its next pass and
+    /// the panic is re-raised here.
     pub fn run_with<T, F>(
         config: RuntimeConfig,
         initial: Vec<T>,
@@ -571,6 +595,7 @@ impl ThreadedRuntime {
             for id in 0..config.workers {
                 let (shared, handler) = (&shared, &handler);
                 scope.spawn(move || {
+                    let _abort = AbortOnUnwind(shared);
                     let mut local = Local::new(shared.seed, id);
                     loop {
                         match pass(id, shared, &mut local, handler) {
@@ -906,6 +931,28 @@ mod tests {
                 .unwrap_or_else(|_| panic!("run {round} did not terminate"));
             assert_eq!(total, 1 + 2 * u64::from(DEPTH), "run {round}");
         }
+    }
+
+    /// A handler that panics takes its packet's count with it.  Before
+    /// the abort flag the other workers waited for that packet forever,
+    /// so the scope never got to re-raise the panic and the run hung.
+    #[test]
+    fn a_panicking_handler_is_re_raised_not_waited_for() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // The run happens on a helper thread so a hang fails the test
+        // instead of hanging it.
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                ThreadedRuntime::run(config(4), (0..400u32).collect(), |_, packet, _| {
+                    assert_ne!(packet, 200, "packet 200 is poison");
+                })
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        let raised = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a panicking handler hung the run");
+        assert!(raised, "the handler's panic must reach the caller");
     }
 
     #[test]

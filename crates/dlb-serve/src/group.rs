@@ -1,21 +1,16 @@
 //! The shard state machine, written once and driven by either clock.
 //!
-//! A [`ShardGroup`] owns the contiguous shards `[lo, hi)` of an
-//! `n`-shard service: their FIFO queues, a [`TriggerRouter`] as trigger
-//! bookkeeping (exact for the owned shards, a depth/alive mirror for
-//! the rest), the fault and redirect counters and the trace sink.  The
-//! whole machine is five entry points — [`arrive`](ShardGroup::arrive),
+//! A [`ShardGroup`] owns every shard of an `n`-shard service: their
+//! FIFO queues, a [`TriggerRouter`] as trigger bookkeeping, the fault
+//! and redirect counters and the trace sink.  The whole machine is four
+//! entry points — [`arrive`](ShardGroup::arrive),
 //! [`dequeue`](ShardGroup::dequeue), [`crash`](ShardGroup::crash),
-//! [`recover`](ShardGroup::recover), [`receive`](ShardGroup::receive) —
-//! and it knows nothing about time or threads: the clock is the `now`
-//! argument, and the transport is [`ShardGroup::outbox`], which
-//! collects whatever is addressed to a shard outside `[lo, hi)` for the
-//! driver to carry.
+//! [`recover`](ShardGroup::recover) — and it knows nothing about time
+//! or threads: the clock is the `now` argument.
 //!
-//! [`crate::sim::run_sim`] drives one group over `0..n` from a
-//! `CalendarQueue` (its outbox is therefore always empty);
-//! [`crate::wall::run_wall`] drives one group per acceptor thread and
-//! ships the outbox through the MPSC inboxes.
+//! [`crate::sim::run_sim`] drives the group from a `CalendarQueue`;
+//! [`crate::wall::run_wall`] drives the same group, seeded the same,
+//! from its one acceptor thread against the wall clock.
 //!
 //! Semantics:
 //! - A shard's *depth* is what sits in its queue: requests placed and
@@ -37,32 +32,8 @@ use dlb_workload::service::Request;
 use crate::home_shard;
 use crate::router::{RebalancePlan, TriggerRouter};
 
-/// What crosses a group boundary.
-pub(crate) enum Msg {
-    /// A request bound for `shard`.  `routed` distinguishes a first
-    /// placement (traced as `req`, runs the trigger at landing) from a
-    /// rebalance/crash move (already accounted by the mover).
-    Deliver {
-        shard: usize,
-        req: Request,
-        routed: bool,
-    },
-    /// One remote member's part of a fired plan: hand `transfers`'
-    /// `(destination shard, count)` out of `shard`'s tail block and
-    /// take `target` as the new `l_old` baseline.  Receivers and
-    /// neutral members get one too, with no transfers, for the
-    /// baseline reset the paper's trigger demands of every participant.
-    Donate {
-        shard: usize,
-        target: u64,
-        transfers: Vec<(usize, u64)>,
-    },
-}
-
 pub(crate) struct ShardGroup {
-    /// First owned shard (inclusive).
-    lo: usize,
-    /// Owned queues, indexed `shard - lo`.
+    /// One queue per shard.
     queues: Vec<VecDeque<Request>>,
     router: TriggerRouter,
     crash_mode: CrashMode,
@@ -71,26 +42,19 @@ pub(crate) struct ShardGroup {
     pub(crate) redirected: u64,
     pub(crate) crashes: u64,
     pub(crate) recoveries: u64,
-    /// `(destination shard, message)` for shards outside `[lo, hi)`,
-    /// in send order; the driver drains it.
-    pub(crate) outbox: Vec<(usize, Msg)>,
     /// Scratch for the tail block a donor is giving up.
     block: Vec<Request>,
 }
 
 impl ShardGroup {
-    /// A group owning shards `lo..hi` of the `router.n()` in the
-    /// service.
+    /// A group over the `router.n()` shards of the service.
     pub(crate) fn new(
-        (lo, hi): (usize, usize),
         router: TriggerRouter,
         crash_mode: CrashMode,
         sink: Option<SharedSink>,
     ) -> Self {
-        debug_assert!(lo < hi && hi <= router.n());
         ShardGroup {
-            lo,
-            queues: vec![VecDeque::new(); hi - lo],
+            queues: vec![VecDeque::new(); router.n()],
             router,
             crash_mode,
             sink,
@@ -98,36 +62,19 @@ impl ShardGroup {
             redirected: 0,
             crashes: 0,
             recoveries: 0,
-            outbox: Vec::new(),
             block: Vec::new(),
         }
     }
 
-    /// Owned shards `lo..hi`.
-    pub(crate) fn shards(&self) -> std::ops::Range<usize> {
-        self.lo..self.lo + self.queues.len()
-    }
-
-    fn owns(&self, s: usize) -> bool {
-        self.shards().contains(&s)
-    }
-
-    /// The trigger bookkeeping: depths and liveness (exact for owned
-    /// shards, mirrored otherwise) and the rebalances this group fired.
+    /// The trigger bookkeeping: depths, liveness and the rebalances
+    /// fired.
     pub(crate) fn router(&self) -> &TriggerRouter {
         &self.router
     }
 
-    /// Requests queued on the owned shards.
+    /// Requests queued over all shards.
     pub(crate) fn queued(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Refreshes the mirror of a shard another group owns.
-    pub(crate) fn mirror(&mut self, s: usize, depth: u64, alive: bool) {
-        debug_assert!(!self.owns(s));
-        self.router.set_alive(s, alive);
-        self.router.rebase(s, depth, 0);
     }
 
     pub(crate) fn trace(&self, build: impl FnOnce() -> TraceEvent) {
@@ -146,25 +93,15 @@ impl ShardGroup {
             .find(|&c| self.router.is_alive(c))
     }
 
-    /// Lands `r` on the first alive shard from `s`: an owned one
-    /// queues it — a first placement is traced and runs the grow
-    /// trigger, a move only bumps the depth — a remote one gets a
-    /// [`Msg::Deliver`].
+    /// Queues `r` on the first alive shard from `s`: a first placement
+    /// (`routed`) is traced and runs the grow trigger, a move only
+    /// bumps the depth.
     fn deliver(&mut self, s: usize, r: Request, routed: bool, now: u64) {
         let Some(s) = self.next_alive(s) else {
             self.dropped += 1;
             return;
         };
-        if !self.owns(s) {
-            let msg = Msg::Deliver {
-                shard: s,
-                req: r,
-                routed,
-            };
-            self.outbox.push((s, msg));
-            return;
-        }
-        self.queues[s - self.lo].push_back(r);
+        self.queues[s].push_back(r);
         if !routed {
             // No trigger check: a mass move would fire a cascade of
             // overlapping rebalances; the next organic enqueue/dequeue
@@ -189,13 +126,13 @@ impl ShardGroup {
         self.deliver(home_shard(r.key, self.router.n()), r, true, now);
     }
 
-    /// Hands the head of owned shard `s`'s queue to service and runs
+    /// Hands the head of shard `s`'s queue to service and runs
     /// the shrink trigger (the paper's work-stealing direction).
     /// Inlined: the simulated driver asks every idle shard every tick,
     /// and most of those calls find an empty queue.
     #[inline]
     pub(crate) fn dequeue(&mut self, s: usize, now: u64) -> Option<Request> {
-        let r = self.queues[s - self.lo].pop_front()?;
+        let r = self.queues[s].pop_front()?;
         debug_assert!(self.router.is_alive(s), "a crashed shard's queue is empty");
         if self.router.note_dequeue(s).is_some() {
             self.apply_fired(now);
@@ -214,9 +151,7 @@ impl ShardGroup {
 
     /// Moves queued requests to match a fired trigger: a receiver's
     /// queue grows by the last donor's tail block first — each block
-    /// oldest first, the FIFO order of what stays put untouched.  Owned
-    /// donors give at once; every remote member is sent its part of
-    /// the plan.
+    /// oldest first, the FIFO order of what stays put untouched.
     fn apply_plan(&mut self, plan: &RebalancePlan, now: u64) {
         let RebalancePlan {
             members,
@@ -230,27 +165,17 @@ impl ShardGroup {
             let mine = rest.iter().take_while(|&&(from, _, _)| from == i).count();
             let (mine, later) = rest.split_at(mine);
             rest = later;
-            let transfers = mine.iter().map(|&(_, to, count)| (members[to], count));
-            if self.owns(m) {
-                if !mine.is_empty() {
-                    self.give(m, transfers, now);
-                }
-                self.settle(m, targets[i]);
-            } else {
-                let msg = Msg::Donate {
-                    shard: m,
-                    target: targets[i],
-                    transfers: transfers.collect(),
-                };
-                self.outbox.push((m, msg));
+            if !mine.is_empty() {
+                let transfers = mine.iter().map(|&(_, to, count)| (members[to], count));
+                self.give(m, transfers, now);
             }
+            self.settle(m, targets[i]);
         }
     }
 
-    /// Deals owned shard `from`'s tail block — its newest requests —
-    /// out to `transfers`' `(shard, count)`, oldest first.  A remote
-    /// plan was cut from a mirrored depth, so the queue may hold less
-    /// than it promised; whatever is there goes.
+    /// Deals shard `from`'s tail block — its newest requests — out to
+    /// `transfers`' `(shard, count)`, oldest first.  The plan was cut
+    /// from the router's depths, which are what the queues hold.
     fn give(
         &mut self,
         from: usize,
@@ -261,16 +186,14 @@ impl ShardGroup {
         // first, so it comes out oldest first.
         let mut block = std::mem::take(&mut self.block);
         let planned: u64 = transfers.clone().map(|(_, count)| count).sum();
-        let q = &mut self.queues[from - self.lo];
-        block.extend((0..planned).map_while(|_| q.pop_back()));
+        let q = &mut self.queues[from];
+        block.extend((0..planned).map(|_| q.pop_back().expect("a donor holds its surplus")));
         for (to, count) in transfers {
-            let mut moved = 0;
-            while moved < count {
-                let Some(r) = block.pop() else { break };
+            for _ in 0..count {
+                let r = block.pop().expect("the block holds what was planned");
                 self.deliver(to, r, false, now);
-                moved += 1;
             }
-            self.note_redirected(from, to, moved, now);
+            self.note_redirected(from, to, count, now);
         }
         self.block = block;
     }
@@ -291,11 +214,11 @@ impl ShardGroup {
     /// After a plan: the depth is what the queue holds, the baseline
     /// the plan's target.
     fn settle(&mut self, s: usize, target: u64) {
-        let depth = self.queues[s - self.lo].len() as u64;
+        let depth = self.queues[s].len() as u64;
         self.router.rebase(s, depth, target);
     }
 
-    /// Owned shard `s` goes down at `now`.  Its queue — led, under
+    /// Shard `s` goes down at `now`.  Its queue — led, under
     /// [`CrashMode::Frozen`], by the request it was serving — is dealt
     /// round-robin over the alive shards; under [`CrashMode::Lost`]
     /// the request in service dies with it.  A driver that cannot take
@@ -308,7 +231,7 @@ impl ShardGroup {
             proc: s as u64,
             kind: "crash".into(),
         });
-        let mut orphans = std::mem::take(&mut self.queues[s - self.lo]);
+        let mut orphans = std::mem::take(&mut self.queues[s]);
         match (self.crash_mode, in_service) {
             (CrashMode::Lost, Some(_)) => self.dropped += 1,
             (CrashMode::Frozen, Some(r)) => orphans.push_front(r),
@@ -337,7 +260,7 @@ impl ShardGroup {
         }
     }
 
-    /// Owned shard `s` rejoins at `now`, its trigger baseline at zero.
+    /// Shard `s` rejoins at `now`, its trigger baseline at zero.
     pub(crate) fn recover(&mut self, s: usize, now: u64) {
         self.recoveries += 1;
         self.router.set_alive(s, true);
@@ -345,25 +268,6 @@ impl ShardGroup {
             step: now,
             proc: s as u64,
         });
-    }
-
-    /// Takes in what another group's outbox addressed to an owned
-    /// shard.  A shard that crashed since a plan was cut has nothing
-    /// to donate, and its baseline resets at recovery anyway.
-    pub(crate) fn receive(&mut self, msg: Msg, now: u64) {
-        match msg {
-            Msg::Deliver { shard, req, routed } => self.deliver(shard, req, routed, now),
-            Msg::Donate {
-                shard,
-                target,
-                transfers,
-            } => {
-                if self.router.is_alive(shard) {
-                    self.give(shard, transfers.into_iter(), now);
-                    self.settle(shard, target);
-                }
-            }
-        }
     }
 }
 
@@ -374,9 +278,9 @@ mod tests {
     use dlb_trace::BufferSink;
     use proptest::prelude::*;
 
-    fn group(n: usize, (lo, hi): (usize, usize), sink: Option<SharedSink>) -> ShardGroup {
+    fn group(n: usize, sink: Option<SharedSink>) -> ShardGroup {
         let router = TriggerRouter::new(n, 2, 2.0, 7).expect("valid params");
-        ShardGroup::new((lo, hi), router, CrashMode::Lost, sink)
+        ShardGroup::new(router, CrashMode::Lost, sink)
     }
 
     fn req(id: u64, key: u64) -> Request {
@@ -388,14 +292,14 @@ mod tests {
         }
     }
 
-    /// Queued request ids of owned shard `s`, head first.
+    /// Queued request ids of shard `s`, head first.
     fn ids(g: &ShardGroup, s: usize) -> Vec<u64> {
-        g.queues[s - g.lo].iter().map(|r| r.id).collect()
+        g.queues[s].iter().map(|r| r.id).collect()
     }
 
     #[test]
     fn placement_is_sticky_and_skips_dead_shards() {
-        let mut g = group(8, (0, 8), None);
+        let mut g = group(8, None);
         let home = home_shard(42, 8);
         g.arrive(req(0, 42), 0);
         assert_eq!(ids(&g, home), [0]);
@@ -415,7 +319,7 @@ mod tests {
 
     #[test]
     fn a_shard_that_runs_dry_pulls_work() {
-        let mut g = group(4, (0, 4), None);
+        let mut g = group(4, None);
         for id in 0..12 {
             g.deliver(1, req(id, 0), false, 0);
         }
@@ -438,49 +342,6 @@ mod tests {
                 "depth is what is queued"
             );
         }
-    }
-
-    #[test]
-    fn a_plan_across_groups_is_carried_by_the_outbox() {
-        let sink = BufferSink::new();
-        let mut a = group(4, (0, 2), Some(sink.handle()));
-        let mut b = group(4, (2, 4), Some(sink.handle()));
-        for id in 0..6 {
-            b.deliver(3, req(id, 0), false, 0);
-        }
-        // Group `a` cuts a plan from a mirror that promises 8 on shard 3.
-        a.mirror(3, 8, true);
-        let plan = RebalancePlan::new(vec![0, 3], |s| a.router.depth(s));
-        a.apply_plan(&plan, 5);
-        assert_eq!(a.router.depth(0), 0, "nothing has arrived yet");
-        let (to, msg) = a.outbox.pop().expect("the remote member's part");
-        assert!(a.outbox.is_empty() && to == 3);
-        b.receive(msg, 6);
-        // It holds 6, not 8: the planned 4 go, newest block, oldest first.
-        assert_eq!(ids(&b, 3), [0, 1]);
-        assert_eq!((b.router.depth(3), b.redirected), (2, 4));
-        let delivered: Vec<u64> = b
-            .outbox
-            .drain(..)
-            .map(|(to, msg)| match msg {
-                Msg::Deliver {
-                    shard: 0,
-                    req,
-                    routed: false,
-                } if to == 0 => req.id,
-                _ => panic!("expected a move to shard 0"),
-            })
-            .collect();
-        assert_eq!(delivered, [2, 3, 4, 5]);
-        assert_eq!(
-            sink.take(),
-            [TraceEvent::RequestsRedirected {
-                step: 6,
-                from: 3,
-                to: 0,
-                count: 4
-            }]
-        );
     }
 
     /// `sim.rs`'s `Engine::apply_plan` as it stood before this module
@@ -531,7 +392,7 @@ mod tests {
             members.sort_by_key(|m| picks.iter().position(|p| p == m));
 
             let sink = BufferSink::new();
-            let mut g = group(6, (0, 6), Some(sink.handle()));
+            let mut g = group(6, Some(sink.handle()));
             let mut next_id = 0;
             for (s, &len) in lens.iter().enumerate() {
                 for _ in 0..len {
@@ -562,7 +423,6 @@ mod tests {
                 .collect();
             prop_assert_eq!(sink.take(), events);
             prop_assert_eq!(g.redirected, redirects.iter().map(|r| r.2).sum::<u64>());
-            prop_assert!(g.outbox.is_empty());
         }
     }
 }

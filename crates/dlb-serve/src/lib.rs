@@ -12,8 +12,7 @@
 //! - `group::ShardGroup` (crate-private) — the shard state machine,
 //!   written once: sticky key placement, the queues, both triggers,
 //!   plan application, crash redistribution.  Its clock is a `now`
-//!   argument and its transport an outbox, so both engines below run
-//!   the same code.
+//!   argument, so both engines below run the same code.
 //! - [`dlb_workload::service::RequestSource`] — the open-loop load
 //!   generator (diurnal rate phases, Zipf hot-key skew, seeded service
 //!   demands).
@@ -24,24 +23,19 @@
 //!   bit-reproducible for a fixed seed (and trivially independent of
 //!   `--workers`), with the conservation ledger `issued == completed +
 //!   dropped + in_flight` checked every tick.
-//! - [`wall::run_wall`] — the wall-clock driver (`A` sharded acceptors
-//!   plus `W` shard workers, a thread each, wired with the lock-free
-//!   [`ring`] primitives) producing the throughput and latency figures
-//!   committed as `BENCH_service.json`; each acceptor drives the group
-//!   of a contiguous shard range with its own trigger state, the
-//!   paper's distributed triggers partitioned (see the `acceptor`
-//!   module).
+//! - [`wall::run_wall`] — the wall-clock driver (one acceptor thread
+//!   driving the same group over every shard, plus `W` shard workers
+//!   fed through per-shard lock-free [`ring::SpscRing`]s) producing the
+//!   throughput and latency figures committed as `BENCH_service.json`.
 //! - [`stats::ServiceStats`] — the byte-stable report both engines
 //!   emit, rendered through `dlb-json`.
 //!
 //! Crash/rejoin plans from `dlb-faults` compose with both engines, and
-//! per-request trace events (`req`, `req_done`, `redirect`, plus wall
-//! mode's `handoff`; schema v3) flow through `dlb-trace`'s
-//! cached-enabled-flag [`dlb_trace::SharedSink`].
+//! per-request trace events (`req`, `req_done`, `redirect`) flow
+//! through `dlb-trace`'s cached-enabled-flag [`dlb_trace::SharedSink`].
 
 #![warn(clippy::cast_possible_truncation)]
 
-mod acceptor;
 mod group;
 pub mod hist;
 pub mod ring;
@@ -52,7 +46,7 @@ pub mod stats;
 pub mod wall;
 
 pub use hist::LatencyHistogram;
-pub use ring::{MpscRing, SpscRing};
+pub use ring::SpscRing;
 pub use router::{RebalancePlan, TriggerRouter};
 pub use scenario::ServiceScenario;
 pub use sim::run_sim;
@@ -63,8 +57,7 @@ pub use wall::run_wall;
 /// round ([`dlb_net::rng::splitmix64`]), reduced mod `shards`.
 ///
 /// This is *the* placement hash: `ShardGroup::arrive` places with it
-/// under either clock, and the wall engine partitions the arrival
-/// schedule among its acceptors with it.
+/// under either clock.
 // The remainder is below `shards`, a `usize`.
 #[allow(clippy::cast_possible_truncation)]
 pub fn home_shard(key: u64, shards: usize) -> usize {

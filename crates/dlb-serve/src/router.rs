@@ -190,8 +190,7 @@ impl TriggerRouter {
 
     /// Overwrites shard `s`'s depth and trigger baseline without
     /// running the trigger: how a `ShardGroup` settles a member after
-    /// a plan moved its requests, and how it refreshes its mirror of a
-    /// shard another group owns.
+    /// a plan moved its requests.
     pub(crate) fn rebase(&mut self, s: usize, depth: u64, l_old: u64) {
         self.depths[s] = depth;
         self.l_old[s] = l_old;

@@ -25,11 +25,6 @@ pub struct ServiceScenario {
     pub load: ServiceLoad,
     /// Wall-clock mode: microseconds per tick.
     pub tick_us: u64,
-    /// Wall-clock mode: sharded acceptor threads, each owning a
-    /// contiguous shard group with its own trigger state (1 = the PR 6
-    /// single-acceptor layout; ignored by the simulated engine, whose
-    /// output must not depend on thread counts).
-    pub acceptors: usize,
     /// Crash/rejoin plan (reliable by default).
     pub faults: FaultPlan,
 }
@@ -45,7 +40,6 @@ const ALLOWED: &[&str] = &[
     "service_ticks",
     "phases",
     "tick_us",
-    "acceptors",
     "faults",
 ];
 
@@ -87,7 +81,6 @@ impl FromJson for ServiceScenario {
                 service_ticks: (service[0], service[1]),
             },
             tick_us: dlb_json::field_or(value, "tick_us", 50)?,
-            acceptors: dlb_json::field_or(value, "acceptors", 1)?,
             faults: dlb_json::field_or(value, "faults", FaultPlan::reliable())?,
         })
     }
@@ -145,9 +138,6 @@ impl ServiceScenario {
         if self.tick_us == 0 {
             return Err("tick_us must be positive".into());
         }
-        if self.acceptors == 0 {
-            return Err("acceptors must be positive".into());
-        }
         self.faults.validate(self.shards)?;
         // The service composes with crash/rejoin plans; the message-level
         // fault knobs belong to the simulator's transport and have no
@@ -187,7 +177,6 @@ mod tests {
             {"ticks": 2000, "rate": 0.5}
         ],
         "tick_us": 50,
-        "acceptors": 2,
         "faults": {
             "crash_mode": "lost",
             "crashes": [{"proc": 3, "at": 2500, "recover_at": 4000}]
@@ -201,14 +190,6 @@ mod tests {
         assert_eq!(s.load.phases.len(), 3);
         assert_eq!(s.load.service_ticks, (2, 6));
         assert_eq!(s.faults.crashes.len(), 1);
-        assert_eq!(s.acceptors, 2);
-    }
-
-    #[test]
-    fn acceptors_defaults_to_one_when_absent() {
-        let text = GOOD.replace("\"acceptors\": 2,", "");
-        let s = ServiceScenario::parse(&text).expect("valid scenario");
-        assert_eq!(s.acceptors, 1);
     }
 
     #[test]
@@ -217,6 +198,10 @@ mod tests {
         assert!(err.contains("unknown key \"zipf\""), "{err}");
         let err = ServiceScenario::parse(&GOOD.replace("\"rate\"", "\"rps\"")).unwrap_err();
         assert!(err.contains("phases") && err.contains("\"rps\""), "{err}");
+        // The wall engine has one acceptor; the key that sized it is gone.
+        let old = GOOD.replace("\"tick_us\": 50,", "\"tick_us\": 50, \"acceptors\": 2,");
+        let err = ServiceScenario::parse(&old).unwrap_err();
+        assert!(err.contains("unknown key \"acceptors\""), "{err}");
     }
 
     #[test]
@@ -226,7 +211,6 @@ mod tests {
             ("[2, 6]", "[0, 6]", "service_ticks"),
             ("\"delta\": 2", "\"delta\": 8", "delta"),
             ("\"tick_us\": 50", "\"tick_us\": 0", "tick_us"),
-            ("\"acceptors\": 2", "\"acceptors\": 0", "acceptors"),
         ] {
             let err = ServiceScenario::parse(&GOOD.replace(from, to)).unwrap_err();
             assert!(err.contains(needle), "{from} -> {to}: {err}");

@@ -6,8 +6,8 @@
 //! front, and each tick's arrivals go from the open-loop source
 //! straight to the group once the tick's due events have popped.  The
 //! shard state machine — placement, both triggers, plans, crash
-//! redistribution — is `crate::group`, the same code the wall acceptors
-//! run; what lives here is only what is about simulated time: who is
+//! redistribution — is `crate::group`, the same code the wall acceptor
+//! runs; what lives here is only what is about simulated time: who is
 //! in service until when, the latency histograms, the ledger.
 //! Being single-threaded is the point — the report is a pure function
 //! of `(scenario, seed)`, bit-identical across repeated runs *and*
@@ -68,11 +68,10 @@ pub fn run_sim(
             eq.push(r, Ev::Up(c.proc));
         }
     }
-    // The whole service is one group, so nothing ever crosses a group
-    // boundary and the outbox stays empty; what is left here is what is
-    // about simulated time.
+    // The group is the whole shard machine; what is left here is what
+    // is about simulated time.
     let router = TriggerRouter::new(n, scenario.delta, scenario.f, scenario.seed)?;
-    let mut group = ShardGroup::new((0, n), router, injector.crash_mode(), sink.clone());
+    let mut group = ShardGroup::new(router, injector.crash_mode(), sink.clone());
     let mut in_service: Vec<Option<Request>> = vec![None; n];
     let mut epoch = vec![0u64; n];
     let mut hists = vec![LatencyHistogram::new(); n];
@@ -144,7 +143,6 @@ pub fn run_sim(
                 );
             }
         }
-        debug_assert!(group.outbox.is_empty(), "one group owns every shard");
         let serving = in_service.iter().filter(|s| s.is_some()).count();
         let in_flight = (group.queued() + serving) as u64;
         if source.issued() != completed + group.dropped + in_flight {
@@ -183,7 +181,6 @@ pub fn run_sim(
         mode: "sim",
         shards: n,
         workers: 1,
-        acceptors: 1,
         seed: scenario.seed,
         ticks_run: now,
         issued: source.issued(),
@@ -194,8 +191,6 @@ pub fn run_sim(
         rebalances: group.router().rebalances(),
         crashes: group.crashes,
         recoveries: group.recoveries,
-        handoffs: 0,
-        per_acceptor_rebalances: vec![],
         latency,
         per_shard_completed,
         wall: None,
@@ -233,7 +228,6 @@ mod tests {
                 service_ticks: (1, 3),
             },
             tick_us: 50,
-            acceptors: 1,
             faults: FaultPlan::reliable(),
         }
     }

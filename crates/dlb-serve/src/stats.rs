@@ -32,10 +32,6 @@ pub struct ServiceStats {
     /// the sim is single-threaded precisely so its output cannot depend
     /// on the worker count).
     pub workers: usize,
-    /// Sharded acceptor threads (wall mode; 1 in simulated mode).
-    /// Rendered only in wall reports so sim JSON stays golden-gateable
-    /// against the PR 6 bytes.
-    pub acceptors: usize,
     /// Scenario seed.
     pub seed: u64,
     /// Last tick processed (generation horizon plus drain).
@@ -59,13 +55,6 @@ pub struct ServiceStats {
     pub crashes: u64,
     /// Recoveries applied.
     pub recoveries: u64,
-    /// Cross-acceptor ring messages sent (wall mode; deliveries,
-    /// forwards and donate plans — 0 with a single acceptor or in sim
-    /// mode, where nothing crosses a thread boundary).
-    pub handoffs: u64,
-    /// Trigger rebalances fired per acceptor, index order (wall mode;
-    /// empty in sim mode).
-    pub per_acceptor_rebalances: Vec<u64>,
     /// Merged latency histogram (per-worker/per-shard histograms folded
     /// in index order; merging is order-independent).
     pub latency: LatencyHistogram,
@@ -118,14 +107,8 @@ impl ToJson for ServiceStats {
             ),
         ];
         if let Some(w) = &self.wall {
-            // Wall-only fields live behind this gate so a sim report's
-            // bytes are exactly what PR 6's golden gate compares.
-            fields.push(("acceptors".into(), (self.acceptors as u64).to_json()));
-            fields.push(("handoffs".into(), self.handoffs.to_json()));
-            fields.push((
-                "per_acceptor_rebalances".into(),
-                self.per_acceptor_rebalances.to_json(),
-            ));
+            // The timing block is machine-dependent, so only wall reports
+            // carry it and a sim report stays golden-gateable.
             fields.push((
                 "wall".into(),
                 Json::Obj(vec![
@@ -153,7 +136,6 @@ mod tests {
             mode: "sim",
             shards: 2,
             workers: 1,
-            acceptors: 1,
             seed: 7,
             ticks_run: 100,
             issued: 5,
@@ -164,8 +146,6 @@ mod tests {
             rebalances: 1,
             crashes: 1,
             recoveries: 1,
-            handoffs: 0,
-            per_acceptor_rebalances: vec![],
             latency,
             per_shard_completed: vec![3, 1],
             wall: None,
@@ -176,22 +156,17 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"latency_ticks\""));
         assert!(!a.contains("\"wall\""), "sim report has no wall block");
-        assert!(
-            !a.contains("\"acceptors\"") && !a.contains("\"handoffs\""),
-            "wall-only fields must not leak into sim bytes"
-        );
         let mut broken = stats;
         broken.completed = 3;
         assert!(!broken.conservation_holds());
     }
 
     #[test]
-    fn wall_reports_carry_the_sharded_acceptor_fields() {
+    fn wall_reports_carry_the_timing_block_last() {
         let stats = ServiceStats {
             mode: "wall",
             shards: 2,
             workers: 2,
-            acceptors: 2,
             seed: 7,
             ticks_run: 100,
             issued: 5,
@@ -202,8 +177,6 @@ mod tests {
             rebalances: 3,
             crashes: 0,
             recoveries: 0,
-            handoffs: 4,
-            per_acceptor_rebalances: vec![2, 1],
             latency: LatencyHistogram::new(),
             per_shard_completed: vec![3, 2],
             wall: Some(WallTiming {
@@ -213,8 +186,12 @@ mod tests {
             }),
         };
         let text = stats.to_json().render();
-        assert!(text.contains("\"acceptors\":2"), "{text}");
-        assert!(text.contains("\"handoffs\":4"), "{text}");
-        assert!(text.contains("\"per_acceptor_rebalances\":[2,1]"), "{text}");
+        assert!(
+            text.ends_with(
+                "\"per_shard_completed\":[3,2],\
+                 \"wall\":{\"elapsed_ms\":1,\"req_per_s\":5000,\"tick_us\":50}}"
+            ),
+            "{text}"
+        );
     }
 }

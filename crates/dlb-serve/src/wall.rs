@@ -1,4 +1,4 @@
-//! The wall-clock serving engine: `A` sharded acceptors plus `W` shard
+//! The wall-clock serving engine: one acceptor thread plus `W` shard
 //! workers, one scoped thread each (`dlb_pool::par_map` with
 //! `jobs == count`).
 //!
@@ -10,20 +10,20 @@
 //! still holds exactly: every generated request is completed or
 //! (all-shards-down only) dropped.
 //!
-//! Division of labour is lock-free end to end (see [`crate::ring`]):
+//! Division of labour:
 //!
-//! - each **acceptor** (`par_map` indices `0..A`) drives the
-//!   `ShardGroup` (`crate::group`) of a contiguous shard range — private
-//!   queues, private `l_old` trigger baselines, a private ChaCha
-//!   partner stream; the same state machine the simulated engine runs —
-//!   and replays its slice of the precomputed arrival schedule and
-//!   fault timeline against the wall clock; cross-group moves ride MPSC
-//!   inbox messages (see `crate::acceptor`);
-//! - each **worker** (indices `A..A+W`) drains the SPSC work
-//!   rings of its shards (`shard % W == worker`), sleeps out the
-//!   service demand, and records latency into its own histogram; the
-//!   per-worker histograms are merged in index order at the end
-//!   (merging is order-independent, see `hist`).
+//! - the **acceptor** (`par_map` index 0) drives the one `ShardGroup`
+//!   (`crate::group`) over every shard — the group the simulated engine
+//!   builds, seeded the same — replaying the precomputed arrival
+//!   schedule and fault timeline against the wall clock and dequeuing
+//!   queue heads into the shards' SPSC work rings ([`crate::ring`]).
+//!   Its turn, `Feeder::pass`, takes `now` as an argument, so the tests
+//!   step the real code under a seeded scheduler;
+//! - each **worker** (indices `1..=W`) drains the work rings of its
+//!   shards (`shard % W == worker`), sleeps out the service demand, and
+//!   records latency into its own histogram; the per-worker histograms
+//!   are merged in index order at the end (merging is
+//!   order-independent, see `hist`).
 //!
 //! Crash composition differs from the simulated engine in one honest
 //! way: a request already handed to a worker (in its shard's work ring
@@ -32,18 +32,16 @@
 //! `Lost`/`Frozen` act on the queued backlog only, which is
 //! redistributed by the very code sim mode runs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dlb_faults::CrashEvent;
 use dlb_trace::{SharedSink, TraceEvent};
 use dlb_workload::service::{Request, RequestSource};
 
-use crate::acceptor::Acceptor;
-use crate::group::{Msg, ShardGroup};
+use crate::group::ShardGroup;
 use crate::hist::LatencyHistogram;
-use crate::home_shard;
-use crate::ring::{MpscRing, SpscRing};
+use crate::ring::SpscRing;
+use crate::router::TriggerRouter;
 use crate::scenario::ServiceScenario;
 use crate::stats::{ServiceStats, WallTiming};
 
@@ -54,93 +52,15 @@ use crate::stats::{ServiceStats, WallTiming};
 /// microseconds; a service demand is at least one tick).
 const WORK_RING_CAP: usize = 4;
 
-/// Per-acceptor MPSC inbox capacity.  Senders never block on a full
-/// inbox — they park the message locally and retry — so this only
-/// sizes the fast path.
-const INBOX_CAP: usize = 1024;
-
-/// Everything the acceptors and workers share.  No locks: SPSC rings
-/// carry owned-shard work, MPSC rings carry cross-group messages, and
-/// the scalars are atomics.
-pub(crate) struct Shared {
-    /// One SPSC work ring per shard: producer = owning acceptor,
-    /// consumer = the worker with `shard % workers == worker`.
-    pub(crate) work: Vec<SpscRing<Request>>,
-    /// One MPSC inbox per acceptor for cross-group handoffs.
-    pub(crate) inboxes: Vec<MpscRing<Msg>>,
-    /// `owner[s]` = the acceptor owning shard `s` (shard groups are
-    /// contiguous, see [`Shared::group`]).
-    pub(crate) owner: Vec<usize>,
-    /// Queue depths and liveness, published by the owning acceptor
-    /// once per pass so any acceptor can cut a plan over any shard.
-    pub(crate) depths: Vec<AtomicU64>,
-    pub(crate) down: Vec<AtomicBool>,
-    /// Acceptors still replaying arrivals/faults (termination protocol).
-    pub(crate) producing: AtomicUsize,
-    /// Acceptors still running at all (workers drain until this is 0).
-    pub(crate) accepting: AtomicUsize,
-    /// Messages sent but not yet fully processed, counted up *before*
-    /// each send and down only *after* processing (cascades included).
-    pub(crate) msgs_in_flight: AtomicU64,
-    pub(crate) completed: AtomicU64,
-}
-
-impl Shared {
-    /// The shared state of `n` shards under `acceptors` acceptors, with
-    /// the given per-shard work-ring and per-acceptor inbox capacities.
-    pub(crate) fn new(n: usize, acceptors: usize, work_cap: usize, inbox_cap: usize) -> Self {
-        let mut owner = vec![0; n];
-        for a in 0..acceptors {
-            owner[a * n / acceptors..(a + 1) * n / acceptors].fill(a);
-        }
-        Shared {
-            work: (0..n).map(|_| SpscRing::with_capacity(work_cap)).collect(),
-            inboxes: (0..acceptors)
-                .map(|_| MpscRing::with_capacity(inbox_cap))
-                .collect(),
-            owner,
-            depths: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            down: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            producing: AtomicUsize::new(acceptors),
-            accepting: AtomicUsize::new(acceptors),
-            msgs_in_flight: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-        }
-    }
-
-    /// Acceptor `a`'s contiguous shard group `[a·n/A, (a+1)·n/A)`.
-    pub(crate) fn group(&self, a: usize) -> (usize, usize) {
-        let (n, acceptors) = (self.owner.len(), self.inboxes.len());
-        (a * n / acceptors, (a + 1) * n / acceptors)
-    }
-
-    /// Splits the schedule by owner: each acceptor replays the requests
-    /// whose *home* shard it owns and its owned shards' transitions.
-    pub(crate) fn feeds(&self, requests: &[Request], crashes: &[CrashEvent]) -> Vec<Feed> {
-        let n = self.owner.len();
-        let mut feeds = vec![Feed::default(); self.inboxes.len()];
-        for &r in requests {
-            feeds[self.owner[home_shard(r.key, n)]].arrivals.push(r);
-        }
-        for c in crashes {
-            let timeline = &mut feeds[self.owner[c.proc]].timeline;
-            timeline.push((c.at, c.proc, false));
-            timeline.extend(c.recover_at.map(|at| (at, c.proc, true)));
-        }
-        // Downs before Ups on ties, like the sim engine.
-        for feed in &mut feeds {
-            feed.timeline.sort_by_key(|&(at, _, up)| (at, up));
-        }
-        feeds
-    }
-}
-
-/// One acceptor's share of the schedule, both in tick order.
-#[derive(Clone, Default)]
-pub(crate) struct Feed {
-    pub(crate) arrivals: Vec<Request>,
-    /// `(tick, shard, up)` crash/recovery transitions.
-    pub(crate) timeline: Vec<(u64, usize, bool)>,
+/// What the acceptor and the workers share: no locks, the work rings
+/// and two atomics.
+struct Shared {
+    /// One SPSC work ring per shard: producer = the acceptor, consumer
+    /// = the worker with `shard % workers == worker`.
+    work: Vec<SpscRing<Request>>,
+    /// Cleared when the acceptor exits; workers drain until then.
+    accepting: AtomicBool,
+    completed: AtomicU64,
 }
 
 /// Wall-clock duration of `ticks` ticks of `tick_us` microseconds
@@ -151,14 +71,137 @@ pub(crate) struct Feed {
 /// a potential `Duration * u32` overflow panic before that).
 /// Multiplying in µs-space with saturation is exact for every
 /// representable schedule (saturation kicks in past ~584k years).
-pub(crate) fn ticks_to_duration(tick_us: u64, ticks: u64) -> Duration {
+fn ticks_to_duration(tick_us: u64, ticks: u64) -> Duration {
     Duration::from_micros(tick_us.saturating_mul(ticks))
 }
 
 /// Whole ticks of `tick_us` microseconds in `elapsed`, saturating at
 /// `u64::MAX` (the inverse of [`ticks_to_duration`]).
-pub(crate) fn duration_to_ticks(elapsed: Duration, tick_us: u64) -> u64 {
+fn duration_to_ticks(elapsed: Duration, tick_us: u64) -> u64 {
     u64::try_from(elapsed.as_micros() / u128::from(tick_us)).unwrap_or(u64::MAX)
+}
+
+/// What one [`Feeder::pass`] left behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Requests are queued behind full work rings: pass again shortly.
+    Busy,
+    /// Nothing is queued: wait for the next scheduled arrival or fault.
+    Idle,
+    /// The schedule is replayed and every queue handed to the rings.
+    Done,
+}
+
+/// The acceptor: the group over every shard and its cursors into the
+/// precomputed schedule.
+struct Feeder<'a> {
+    group: ShardGroup,
+    work: &'a [SpscRing<Request>],
+    /// Every arrival, in tick order.
+    arrivals: &'a [Request],
+    /// `(tick, shard, up)` crash/recovery transitions, downs before
+    /// ups on ties like the simulated engine.
+    timeline: Vec<(u64, usize, bool)>,
+    next_arrival: usize,
+    next_fault: usize,
+}
+
+impl<'a> Feeder<'a> {
+    /// The acceptor of a validated `scenario`, feeding `work`.
+    fn new(
+        scenario: &ServiceScenario,
+        sink: Option<SharedSink>,
+        work: &'a [SpscRing<Request>],
+        arrivals: &'a [Request],
+    ) -> Self {
+        let router = TriggerRouter::new(scenario.shards, scenario.delta, scenario.f, scenario.seed)
+            .expect("validate() checked the trigger parameters");
+        let mut timeline = Vec::new();
+        for c in &scenario.faults.crashes {
+            timeline.push((c.at, c.proc, false));
+            timeline.extend(c.recover_at.map(|at| (at, c.proc, true)));
+        }
+        timeline.sort_by_key(|&(at, _, up)| (at, up));
+        Feeder {
+            group: ShardGroup::new(router, scenario.faults.crash_mode, sink),
+            work,
+            arrivals,
+            timeline,
+            next_arrival: 0,
+            next_fault: 0,
+        }
+    }
+
+    /// One turn at tick `now`: replay the faults and arrivals due, then
+    /// dequeue queue heads into the work rings (FIFO) as far as they
+    /// take them.  Room is checked first: a dequeue runs the shrink
+    /// trigger and cannot be undone.
+    fn pass(&mut self, now: u64) -> Status {
+        while let Some(&(at, s, up)) = self.timeline.get(self.next_fault) {
+            if at > now {
+                break;
+            }
+            if up {
+                self.group.recover(s, at);
+            } else {
+                // A request already in a work ring or in service cannot
+                // be yanked out of an OS thread: it completes whatever
+                // the crash mode says.
+                self.group.crash(s, at, None);
+            }
+            self.next_fault += 1;
+        }
+        while let Some(&r) = self.arrivals.get(self.next_arrival) {
+            if r.arrival > now {
+                break;
+            }
+            self.group.arrive(r, now);
+            self.next_arrival += 1;
+        }
+        for (s, ring) in self.work.iter().enumerate() {
+            while ring.len() < ring.capacity() {
+                let Some(r) = self.group.dequeue(s, now) else {
+                    break;
+                };
+                ring.try_push(r).expect("the ring's only producer saw room");
+            }
+        }
+        if self.group.queued() > 0 {
+            Status::Busy
+        } else if self.next_due().is_some() {
+            Status::Idle
+        } else {
+            Status::Done
+        }
+    }
+
+    /// The tick of the next scheduled arrival or fault.
+    fn next_due(&self) -> Option<u64> {
+        let arrival = self.arrivals.get(self.next_arrival).map(|r| r.arrival);
+        let fault = self.timeline.get(self.next_fault).map(|&(at, _, _)| at);
+        arrival.into_iter().chain(fault).min()
+    }
+
+    /// The acceptor thread: [`pass`](Feeder::pass) against the wall
+    /// clock until it reports [`Status::Done`], polling shortly while
+    /// busy and sleeping toward the next scheduled tick while idle.
+    /// Returns the group, for its counters.
+    fn run(mut self, start: Instant, tick_us: u64, accepting: &AtomicBool) -> ShardGroup {
+        loop {
+            let now = duration_to_ticks(start.elapsed(), tick_us);
+            let wait = match self.pass(now) {
+                Status::Done => break,
+                Status::Busy => Duration::from_micros(20),
+                Status::Idle => {
+                    let due = self.next_due().expect("an idle pass has a schedule left");
+                    ticks_to_duration(tick_us, due).saturating_sub(start.elapsed())
+                }
+            };
+            std::thread::sleep(wait);
+        }
+        accepting.store(false, Ordering::Release);
+        self.group
+    }
 }
 
 struct WorkerOut {
@@ -167,7 +210,7 @@ struct WorkerOut {
 }
 
 enum Out {
-    Acceptor(Box<ShardGroup>, u64),
+    Group(Box<ShardGroup>),
     Worker(WorkerOut),
 }
 
@@ -208,10 +251,10 @@ fn worker_run(
             }
         }
         if !served {
-            // Acceptors keep feeding the rings from their backlogs
-            // until everything drained, so "all acceptors exited and my
+            // The acceptor keeps feeding the rings from its queues
+            // until everything drained, so "the acceptor exited and my
             // rings are empty" is a sound exit condition.
-            if shared.accepting.load(Ordering::Acquire) == 0
+            if !shared.accepting.load(Ordering::Acquire)
                 && my_shards.iter().all(|&s| shared.work[s].is_empty())
             {
                 break;
@@ -225,44 +268,47 @@ fn worker_run(
     }
 }
 
-/// Runs the scenario against the wall clock with `acceptors` sharded
-/// acceptor threads and `workers` shard workers, and returns the report
-/// with the throughput/latency figures filled in.
+/// Runs the scenario against the wall clock with one acceptor thread
+/// and `workers` shard workers, and returns the report with the
+/// throughput/latency figures filled in.
 pub fn run_wall(
     scenario: &ServiceScenario,
     workers: usize,
-    acceptors: usize,
     sink: Option<SharedSink>,
 ) -> Result<ServiceStats, String> {
     scenario.validate()?;
     let n = scenario.shards;
     let workers = workers.clamp(1, n);
-    let acceptors = acceptors.clamp(1, n);
-    let shared = Shared::new(n, acceptors, WORK_RING_CAP, INBOX_CAP);
+    let shared = Shared {
+        work: (0..n)
+            .map(|_| SpscRing::with_capacity(WORK_RING_CAP))
+            .collect(),
+        accepting: AtomicBool::new(true),
+        completed: AtomicU64::new(0),
+    };
 
     // The whole request stream is precomputed so both engines replay
-    // the same arrivals and the acceptors' hot loops do no generation.
+    // the same arrivals and the acceptor's hot loop does no generation.
     let mut source = RequestSource::new(scenario.load.clone(), scenario.seed);
-    let mut all = Vec::new();
+    let mut arrivals = Vec::new();
     for t in 0..scenario.ticks {
-        source.arrivals_at(t, &mut all);
+        source.arrivals_at(t, &mut arrivals);
     }
     let issued = source.issued();
-    let feeds = shared.feeds(&all, &scenario.faults.crashes);
 
     let start = Instant::now();
-    let jobs = acceptors + workers;
+    let jobs = 1 + workers;
     // Every loop below waits for all the others, so each index needs a
     // thread of its own: `par_map` guarantees that for `jobs == count`
     // (and pins it with a barrier test), not for a nested call.
     let results: Vec<Out> = dlb_pool::par_map(jobs, jobs, |i| {
-        if i < acceptors {
-            let acceptor = Acceptor::new(i, &shared, scenario, sink.clone(), &feeds[i]);
-            let (group, handoffs) = acceptor.run(start, scenario.tick_us);
-            Out::Acceptor(Box::new(group), handoffs)
+        if i == 0 {
+            let feeder = Feeder::new(scenario, sink.clone(), &shared.work, &arrivals);
+            let group = feeder.run(start, scenario.tick_us, &shared.accepting);
+            Out::Group(Box::new(group))
         } else {
             Out::Worker(worker_run(
-                i - acceptors,
+                i - 1,
                 workers,
                 &shared,
                 start,
@@ -273,39 +319,29 @@ pub fn run_wall(
     });
     let elapsed = start.elapsed();
 
+    let mut results = results.into_iter();
+    let Some(Out::Group(group)) = results.next() else {
+        unreachable!("index 0 is the acceptor");
+    };
     let mut latency = LatencyHistogram::new();
     let mut per_shard_completed = vec![0u64; n];
-    let mut per_acceptor_rebalances = vec![0u64; acceptors];
-    let (mut dropped, mut redirected, mut crashes, mut recoveries, mut handoffs) = (0, 0, 0, 0, 0);
-    for (i, out) in results.into_iter().enumerate() {
-        match out {
-            Out::Acceptor(group, sent) => {
-                per_acceptor_rebalances[i] = group.router().rebalances();
-                dropped += group.dropped;
-                redirected += group.redirected;
-                crashes += group.crashes;
-                recoveries += group.recoveries;
-                handoffs += sent;
-            }
-            Out::Worker(w) => {
-                latency.merge(&w.hist);
-                for (s, c) in w.per_shard_completed {
-                    per_shard_completed[s] = c;
-                }
+    for out in results {
+        if let Out::Worker(w) = out {
+            latency.merge(&w.hist);
+            for (s, c) in w.per_shard_completed {
+                per_shard_completed[s] = c;
             }
         }
     }
     let completed = shared.completed.load(Ordering::Acquire);
-    if completed + dropped != issued {
+    if completed + group.dropped != issued {
         return Err(format!(
-            "conservation broken: issued {issued} != completed {completed} + dropped {dropped}"
+            "conservation broken: issued {issued} != completed {completed} + dropped {}",
+            group.dropped
         ));
     }
-    if shared.work.iter().any(|r| !r.is_empty())
-        || shared.inboxes.iter().any(|r| !r.is_empty())
-        || shared.msgs_in_flight.load(Ordering::Acquire) != 0
-    {
-        return Err("sharded engine exited with undrained rings or messages in flight".into());
+    if shared.work.iter().any(|r| !r.is_empty()) {
+        return Err("the wall engine exited with undrained work rings".into());
     }
     if let Some(sink) = &sink {
         sink.flush();
@@ -315,19 +351,16 @@ pub fn run_wall(
         mode: "wall",
         shards: n,
         workers,
-        acceptors,
         seed: scenario.seed,
         ticks_run: duration_to_ticks(elapsed, scenario.tick_us),
         issued,
         completed,
-        dropped,
+        dropped: group.dropped,
         in_flight: 0,
-        redirected,
-        rebalances: per_acceptor_rebalances.iter().sum(),
-        crashes,
-        recoveries,
-        handoffs,
-        per_acceptor_rebalances,
+        redirected: group.redirected,
+        rebalances: group.router().rebalances(),
+        crashes: group.crashes,
+        recoveries: group.recoveries,
         latency,
         per_shard_completed,
         wall: Some(WallTiming {
@@ -345,8 +378,12 @@ pub fn run_wall(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::home_shard;
     use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
     use dlb_workload::service::{RatePhase, ServiceLoad};
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn quick_scenario() -> ServiceScenario {
         ServiceScenario {
@@ -355,7 +392,6 @@ mod tests {
             seed: 9,
             delta: 2,
             f: 2.0,
-            acceptors: 1,
             load: ServiceLoad {
                 phases: vec![RatePhase {
                     ticks: 50,
@@ -380,10 +416,9 @@ mod tests {
 
     #[test]
     fn wall_run_conserves_requests_under_crash() {
-        let stats = run_wall(&quick_scenario(), 3, 1, None).expect("run");
+        let stats = run_wall(&quick_scenario(), 3, None).expect("run");
         assert_eq!(stats.mode, "wall");
         assert_eq!(stats.workers, 3);
-        assert_eq!(stats.acceptors, 1);
         assert!(stats.issued > 0);
         // Wall-mode crashes only redistribute queued requests; nothing
         // is dropped while at least one shard stays up.
@@ -398,22 +433,6 @@ mod tests {
             stats.per_shard_completed.iter().sum::<u64>(),
             stats.completed
         );
-    }
-
-    #[test]
-    fn wall_run_conserves_with_sharded_acceptors() {
-        let stats = run_wall(&quick_scenario(), 2, 2, None).expect("run");
-        assert_eq!(stats.acceptors, 2);
-        assert_eq!(stats.per_acceptor_rebalances.len(), 2);
-        assert_eq!(
-            stats.per_acceptor_rebalances.iter().sum::<u64>(),
-            stats.rebalances
-        );
-        assert_eq!(stats.completed, stats.issued);
-        assert_eq!(stats.dropped, 0);
-        assert!(stats.conservation_holds());
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(stats.recoveries, 1);
     }
 
     #[test]
@@ -454,7 +473,7 @@ mod tests {
             at: 100,
             recover_at: Some(180),
         }];
-        let stats = run_wall(&scenario, 2, 2, None).expect("run");
+        let stats = run_wall(&scenario, 2, None).expect("run");
         assert_eq!(stats.crashes, 1);
         assert_eq!(
             stats.recoveries, 1,
@@ -462,5 +481,246 @@ mod tests {
         );
         assert!(stats.conservation_holds());
         assert_eq!(stats.completed, stats.issued);
+    }
+
+    // The acceptor under a deterministic scheduler: the real
+    // `Feeder::pass` over real work rings, but no threads and no clock
+    // — one seeded scheduler decides when the acceptor passes, which
+    // simulated worker moves and when `now` advances, and the
+    // conservation ledger is checked after every single move.
+
+    const N: usize = 8;
+    const STEP_BOUND: usize = 200_000;
+
+    /// One deterministic run.  Of the scenario only the trigger
+    /// parameters, the seed and the fault plan matter: the arrivals are
+    /// explicit.
+    struct Case {
+        scenario: ServiceScenario,
+        requests: Vec<Request>,
+        work_cap: usize,
+        /// Relative odds of the scheduler's three moves: advance `now`,
+        /// run an acceptor pass, step a worker.
+        odds: [u32; 3],
+    }
+
+    fn scenario(delta: usize, f: f64, seed: u64) -> ServiceScenario {
+        ServiceScenario {
+            shards: N,
+            ticks: 1,
+            seed,
+            delta,
+            f,
+            load: ServiceLoad {
+                phases: vec![RatePhase {
+                    ticks: 1,
+                    rate: 0.0,
+                }],
+                keys: 1,
+                zipf_s: 0.0,
+                service_ticks: (1, 1),
+            },
+            tick_us: 1,
+            faults: FaultPlan::reliable(),
+        }
+    }
+
+    impl Case {
+        /// Ring capacity, trigger parameters, the arrivals, the crash
+        /// plan and the scheduler's odds, all drawn from the one seed —
+        /// which therefore replays a failure.
+        fn from_seed(seed: u64) -> Case {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut scenario = scenario(
+                rng.gen_range(1..=3usize),
+                [1.2, 1.5, 1.9][rng.gen_range(0..3usize)],
+                seed,
+            );
+            let mut requests = Vec::new();
+            for arrival in 0..30 {
+                for _ in 0..rng.gen_range(0..=4u32) {
+                    // Half the traffic hits two hot keys.
+                    let hot = rng.gen_bool(0.5);
+                    requests.push(Request {
+                        id: requests.len() as u64,
+                        key: rng.gen_range(0..if hot { 2u64 } else { 64 }),
+                        arrival,
+                        service: rng.gen_range(1..=3u64),
+                    });
+                }
+            }
+            scenario.faults.crash_mode =
+                [CrashMode::Lost, CrashMode::Frozen][rng.gen_range(0..2usize)];
+            scenario.faults.crashes = match rng.gen_range(0..4u32) {
+                0 => vec![],
+                // A few shards crash; most of them rejoin.
+                1 => (0..N)
+                    .filter(|_| rng.gen_bool(0.25))
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .map(|proc| {
+                        let at = rng.gen_range(0..30u64);
+                        CrashEvent {
+                            proc,
+                            at,
+                            recover_at: rng.gen_bool(0.75).then(|| at + rng.gen_range(1..=15u64)),
+                        }
+                    })
+                    .collect(),
+                // Every shard is down for a window…
+                2 => (0..N)
+                    .map(|proc| CrashEvent {
+                        proc,
+                        at: rng.gen_range(8..14u64),
+                        recover_at: Some(rng.gen_range(16..26u64)),
+                    })
+                    .collect(),
+                // …or for good.
+                _ => (0..N)
+                    .map(|proc| CrashEvent {
+                        proc,
+                        at: rng.gen_range(10..20u64),
+                        recover_at: None,
+                    })
+                    .collect(),
+            };
+            Case {
+                scenario,
+                requests,
+                work_cap: rng.gen_range(2..=3usize),
+                odds: [
+                    rng.gen_range(1..=3u32),
+                    rng.gen_range(1..=4u32),
+                    rng.gen_range(1..=4u32),
+                ],
+            }
+        }
+    }
+
+    struct Outcome {
+        per_shard_completed: Vec<u64>,
+        rebalances: u64,
+    }
+
+    fn run(case: &Case) -> Result<Outcome, String> {
+        let work: Vec<SpscRing<Request>> = (0..N)
+            .map(|_| SpscRing::with_capacity(case.work_cap))
+            .collect();
+        let mut feeder = Feeder::new(&case.scenario, None, &work, &case.requests);
+        let mut done = false;
+        // One simulated worker per shard: what it serves, and until when.
+        let mut serving: Vec<Option<u64>> = vec![None; N];
+        let mut completed = vec![0u64; N];
+        let mut rng = ChaCha8Rng::seed_from_u64(case.scenario.seed ^ 0x5c4e_d01e);
+        let mut now = 0u64;
+        for step in 0..STEP_BOUND {
+            let pick = rng.gen_range(0..case.odds.iter().sum::<u32>());
+            if pick < case.odds[0] {
+                now += 1;
+            } else if pick < case.odds[0] + case.odds[1] {
+                // Like the thread it stands for, an acceptor that
+                // reported `Done` never runs again.
+                if !done {
+                    done = feeder.pass(now) == Status::Done;
+                }
+            } else {
+                let s = rng.gen_range(0..N);
+                match serving[s] {
+                    Some(due) if due <= now => {
+                        serving[s] = None;
+                        completed[s] += 1;
+                    }
+                    Some(_) => {}
+                    None => serving[s] = work[s].pop().map(|r| now + r.service),
+                }
+            }
+
+            let issued = feeder.next_arrival as u64;
+            let in_rings: usize = work.iter().map(|r| r.len()).sum();
+            let in_service = serving.iter().flatten().count();
+            let held = completed.iter().sum::<u64>()
+                + feeder.group.dropped
+                + (feeder.group.queued() + in_rings + in_service) as u64;
+            if issued != held {
+                return Err(format!(
+                    "step {step}: {issued} requests issued, {held} accounted for"
+                ));
+            }
+
+            if done && in_rings == 0 && in_service == 0 {
+                if feeder.group.queued() > 0 {
+                    return Err(format!(
+                        "the acceptor left {} requests queued",
+                        feeder.group.queued()
+                    ));
+                }
+                if feeder.next_arrival != case.requests.len() {
+                    return Err(format!("only {issued} requests were ever issued"));
+                }
+                if feeder.next_fault != feeder.timeline.len() {
+                    return Err(format!("only {} transitions fired", feeder.next_fault));
+                }
+                return Ok(Outcome {
+                    per_shard_completed: completed,
+                    rebalances: feeder.group.router().rebalances(),
+                });
+            }
+        }
+        Err(format!(
+            "not finished after {STEP_BOUND} steps (done: {done})"
+        ))
+    }
+
+    proptest! {
+        /// To replay a failure, `run(&Case::from_seed(seed))` with the
+        /// seed the failure message prints.
+        #[test]
+        fn every_schedule_conserves_and_terminates(seed in any::<u64>()) {
+            if let Err(e) = run(&Case::from_seed(seed)) {
+                return Err(TestCaseError::fail(e));
+            }
+        }
+    }
+
+    /// The half of the trigger rule wall mode once lacked: a shard
+    /// whose queue *shrinks* rebalances too.  A burst lands on shard 0
+    /// while every other shard is down and known to be (so its grow
+    /// trigger finds no partner and only resets its baseline), the
+    /// others rejoin long before shard 0 could serve the burst alone,
+    /// and no further request ever arrives — the only event left that
+    /// can fire a trigger is a dequeue.
+    #[test]
+    fn a_draining_shard_rebalances_after_arrivals_stop() {
+        let key = (0..).find(|&k| home_shard(k, N) == 0).expect("some key");
+        let mut scenario = scenario(2, 2.0, 7);
+        scenario.faults.crashes = (1..N)
+            .map(|proc| CrashEvent {
+                proc,
+                at: 0,
+                recover_at: Some(40),
+            })
+            .collect();
+        let case = Case {
+            scenario,
+            requests: (0..64)
+                .map(|id| Request {
+                    id,
+                    key,
+                    arrival: 10,
+                    service: 4,
+                })
+                .collect(),
+            work_cap: 2,
+            odds: [1, 2, 2],
+        };
+        let outcome = run(&case).expect("run");
+        assert!(
+            outcome.per_shard_completed[0] < 64,
+            "the burst completed on one shard only: {:?}",
+            outcome.per_shard_completed
+        );
+        // No arrival found a partner alive: whatever fired, a dequeue
+        // fired.
+        assert!(outcome.rebalances > 0, "no shard that drained rebalanced");
     }
 }

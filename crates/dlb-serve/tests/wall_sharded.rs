@@ -1,7 +1,7 @@
-//! End-to-end tests of the sharded wall engine: the conservation
-//! ledger must close exactly for every acceptor count, the fault plan
-//! must be honoured wherever its ticks fall, and every key's home must
-//! be a valid shard.
+//! End-to-end tests of the wall engine over sharded queues: the
+//! conservation ledger must close exactly for every worker count, the
+//! fault plan must be honoured wherever its ticks fall, the trace must
+//! agree with the stats, and every key's home must be a valid shard.
 
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_serve::{home_shard, run_wall, ServiceScenario};
@@ -17,7 +17,6 @@ fn scenario() -> ServiceScenario {
         seed: 42,
         delta: 2,
         f: 2.0,
-        acceptors: 1,
         load: ServiceLoad {
             phases: vec![RatePhase {
                 ticks: 120,
@@ -48,47 +47,35 @@ fn scenario() -> ServiceScenario {
 }
 
 #[test]
-fn ledger_closes_for_every_acceptor_count() {
-    for acceptors in [1usize, 2, 4] {
-        let stats = run_wall(&scenario(), 2, acceptors, None)
-            .unwrap_or_else(|e| panic!("acceptors={acceptors}: {e}"));
-        assert_eq!(stats.acceptors, acceptors);
+fn ledger_closes_for_every_worker_count() {
+    for workers in [1usize, 2, 4] {
+        let stats = run_wall(&scenario(), workers, None)
+            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
+        assert_eq!(stats.workers, workers);
         assert!(stats.issued > 0);
         assert!(
             stats.conservation_holds(),
-            "acceptors={acceptors}: ledger must close at exit"
+            "workers={workers}: ledger must close at exit"
         );
         // Wall-mode crashes only redistribute queued work, so with at
         // least one shard alive everything completes.
-        assert_eq!(stats.completed, stats.issued, "acceptors={acceptors}");
-        assert_eq!(stats.dropped, 0, "acceptors={acceptors}");
-        assert_eq!(stats.in_flight, 0, "acceptors={acceptors}");
-        assert_eq!(stats.crashes, 2, "acceptors={acceptors}");
-        assert_eq!(stats.recoveries, 2, "acceptors={acceptors}");
+        assert_eq!(stats.completed, stats.issued, "workers={workers}");
+        assert_eq!(stats.dropped, 0, "workers={workers}");
+        assert_eq!(stats.in_flight, 0, "workers={workers}");
+        assert_eq!(stats.crashes, 2, "workers={workers}");
+        assert_eq!(stats.recoveries, 2, "workers={workers}");
         assert_eq!(stats.latency.count(), stats.completed);
         assert_eq!(
             stats.per_shard_completed.iter().sum::<u64>(),
             stats.completed
         );
-        assert_eq!(stats.per_acceptor_rebalances.len(), acceptors);
-        assert_eq!(
-            stats.per_acceptor_rebalances.iter().sum::<u64>(),
-            stats.rebalances,
-            "per-acceptor rebalances must sum to the total"
-        );
-        if acceptors == 1 {
-            assert_eq!(
-                stats.handoffs, 0,
-                "a single acceptor owns every shard; nothing crosses a group"
-            );
-        }
     }
 }
 
 #[test]
 fn wall_trace_is_consistent_with_the_stats_under_sharding() {
     let buffer = BufferSink::new();
-    let stats = run_wall(&scenario(), 2, 4, Some(buffer.handle())).expect("run");
+    let stats = run_wall(&scenario(), 2, Some(buffer.handle())).expect("run");
     let events = buffer.take();
     let routed = events
         .iter()
@@ -105,10 +92,6 @@ fn wall_trace_is_consistent_with_the_stats_under_sharding() {
             _ => None,
         })
         .sum();
-    let handoff_events = events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::AcceptorHandoff { .. }))
-        .count() as u64;
     assert_eq!(
         routed,
         stats.issued - stats.dropped,
@@ -119,19 +102,15 @@ fn wall_trace_is_consistent_with_the_stats_under_sharding() {
         redirected, stats.redirected,
         "redirect trace counts sum to the stats counter"
     );
-    assert!(
-        handoff_events <= stats.handoffs,
-        "handoff events cover donations only; the counter covers every message"
-    );
-    if stats.rebalances > 0 {
-        // With 8 shards in 4 groups of 2, any δ=2 trigger has at most
-        // one own-group partner, so every fired rebalance donates (or
-        // baseline-resets) across a group boundary.
-        assert!(
-            stats.handoffs > 0,
-            "cross-group rebalance must ride the inboxes"
-        );
-    }
+    let faults = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::FaultInjected { .. }))
+        .count() as u64;
+    let rejoins = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::CrashRecovered { .. }))
+        .count() as u64;
+    assert_eq!((faults, rejoins), (stats.crashes, stats.recoveries));
 }
 
 #[test]

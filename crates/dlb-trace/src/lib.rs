@@ -131,11 +131,12 @@ pub enum TraceEvent {
         to: u64,
         count: u64,
     },
-    /// `dlb-serve` wall mode: acceptor `from` handed acceptor `to` a
-    /// rebalance donation plan covering `count` queued requests (0 for
-    /// a pure trigger-baseline reset).  Deliveries are traced at their
-    /// landing as `req`/`redirect`; this event makes the cross-group
-    /// control flow itself observable.
+    /// `dlb-serve` wall mode before it had one acceptor: acceptor
+    /// `from` handed acceptor `to` a rebalance donation plan covering
+    /// `count` queued requests (0 for a pure trigger-baseline reset).
+    /// Nothing emits it any more; the row stays so that v3/v4 traces
+    /// written then still parse, until the next schema version drops
+    /// it.
     AcceptorHandoff {
         step: u64,
         from: u64,
