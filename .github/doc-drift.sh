@@ -138,7 +138,7 @@ for doc in "${docs[@]}"; do
 done
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=69099
+design_ceiling=68951
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

@@ -30,7 +30,7 @@ use dlb_trace::{SharedSink, TraceEvent};
 use dlb_workload::service::Request;
 
 use crate::home_shard;
-use crate::router::{RebalancePlan, TriggerRouter};
+use crate::router::TriggerRouter;
 
 pub(crate) struct ShardGroup {
     /// One queue per shard.
@@ -42,8 +42,6 @@ pub(crate) struct ShardGroup {
     pub(crate) redirected: u64,
     pub(crate) crashes: u64,
     pub(crate) recoveries: u64,
-    /// Scratch for the tail block a donor is giving up.
-    block: Vec<Request>,
 }
 
 impl ShardGroup {
@@ -62,7 +60,6 @@ impl ShardGroup {
             redirected: 0,
             crashes: 0,
             recoveries: 0,
-            block: Vec::new(),
         }
     }
 
@@ -115,7 +112,7 @@ impl ShardGroup {
             shard: s as u64,
         });
         if self.router.note_enqueue(s).is_some() {
-            self.apply_fired(now);
+            self.apply_plan(now);
         }
     }
 
@@ -135,67 +132,53 @@ impl ShardGroup {
         let r = self.queues[s].pop_front()?;
         debug_assert!(self.router.is_alive(s), "a crashed shard's queue is empty");
         if self.router.note_dequeue(s).is_some() {
-            self.apply_fired(now);
+            self.apply_plan(now);
         }
         Some(r)
     }
 
-    /// Carries out the plan the router just fired.  Moving requests
-    /// updates the router's depths, so the plan is lifted out of it for
-    /// the duration and handed back, buffers intact, for the next fire.
-    fn apply_fired(&mut self, now: u64) {
+    /// Moves queued requests to match the plan the router just fired,
+    /// which already committed every member's depth and baseline.
+    /// Donors in *reverse* member order meet receivers in member order
+    /// (a monotone staircase); each donor deals its tail block — its
+    /// newest requests — oldest first, so the FIFO order of what stays
+    /// put is untouched.  The plan is lifted out of the router for the
+    /// duration and handed back, buffers intact, for the next fire.
+    fn apply_plan(&mut self, now: u64) {
         let plan = std::mem::take(&mut self.router.plan);
-        self.apply_plan(&plan, now);
+        let (members, targets) = (&plan.members, &plan.targets);
+        let keep = |i: usize| usize::try_from(targets[i]).expect("a target is a queue length");
+        let mut to = 0;
+        for (from, &m) in members.iter().enumerate().rev() {
+            if self.queues[m].len() <= keep(from) {
+                continue;
+            }
+            // On loan while its tail is dealt: it is no receiver, and
+            // its live length would read as a deficit.
+            let mut donor = std::mem::take(&mut self.queues[m]);
+            let mut dealt = keep(from);
+            while dealt < donor.len() {
+                // Even shares conserve the total: a surplus always
+                // finds a deficit further on.
+                let need = loop {
+                    let len = self.queues[members[to]].len();
+                    if to != from && len < keep(to) {
+                        break keep(to) - len;
+                    }
+                    to += 1;
+                };
+                let take = need.min(donor.len() - dealt);
+                self.queues[members[to]].extend(donor.range(dealt..dealt + take));
+                dealt += take;
+                self.note_redirected(m, members[to], take as u64, now);
+            }
+            donor.truncate(keep(from));
+            self.queues[m] = donor;
+        }
+        debug_assert!(members
+            .iter()
+            .all(|&m| self.queues[m].len() as u64 == self.router.depth(m)));
         self.router.plan = plan;
-    }
-
-    /// Moves queued requests to match a fired trigger: a receiver's
-    /// queue grows by the last donor's tail block first — each block
-    /// oldest first, the FIFO order of what stays put untouched.
-    fn apply_plan(&mut self, plan: &RebalancePlan, now: u64) {
-        let RebalancePlan {
-            members,
-            targets,
-            moves,
-        } = plan;
-        // Donors come up in reverse member order, each one's moves in
-        // a row: peel them off the front as the members go by.
-        let mut rest = &moves[..];
-        for (i, &m) in members.iter().enumerate().rev() {
-            let mine = rest.iter().take_while(|&&(from, _, _)| from == i).count();
-            let (mine, later) = rest.split_at(mine);
-            rest = later;
-            if !mine.is_empty() {
-                let transfers = mine.iter().map(|&(_, to, count)| (members[to], count));
-                self.give(m, transfers, now);
-            }
-            self.settle(m, targets[i]);
-        }
-    }
-
-    /// Deals shard `from`'s tail block — its newest requests — out to
-    /// `transfers`' `(shard, count)`, oldest first.  The plan was cut
-    /// from the router's depths, which are what the queues hold.
-    fn give(
-        &mut self,
-        from: usize,
-        transfers: impl Iterator<Item = (usize, u64)> + Clone,
-        now: u64,
-    ) {
-        // A stack kept for its allocation: the block goes in newest
-        // first, so it comes out oldest first.
-        let mut block = std::mem::take(&mut self.block);
-        let planned: u64 = transfers.clone().map(|(_, count)| count).sum();
-        let q = &mut self.queues[from];
-        block.extend((0..planned).map(|_| q.pop_back().expect("a donor holds its surplus")));
-        for (to, count) in transfers {
-            for _ in 0..count {
-                let r = block.pop().expect("the block holds what was planned");
-                self.deliver(to, r, false, now);
-            }
-            self.note_redirected(from, to, count, now);
-        }
-        self.block = block;
     }
 
     /// Counts and traces `count` requests moved from `from` to `to`.
@@ -209,13 +192,6 @@ impl ShardGroup {
                 count,
             });
         }
-    }
-
-    /// After a plan: the depth is what the queue holds, the baseline
-    /// the plan's target.
-    fn settle(&mut self, s: usize, target: u64) {
-        let depth = self.queues[s].len() as u64;
-        self.router.rebase(s, depth, target);
     }
 
     /// Shard `s` goes down at `now`.  Its queue — led, under
@@ -292,6 +268,25 @@ mod tests {
         }
     }
 
+    /// Test-only access for the engine's oracles.
+    impl ShardGroup {
+        /// Queues `count` requests numbered from `*next_id` on alive
+        /// shard `s` and sets its trigger baseline to `l_old`, without
+        /// running the trigger.
+        pub(crate) fn stock(&mut self, s: usize, count: u64, l_old: u64, next_id: &mut u64) {
+            for _ in 0..count {
+                self.queues[s].push_back(req(*next_id, 0));
+                *next_id += 1;
+            }
+            self.router.rebase(s, self.queues[s].len() as u64, l_old);
+        }
+
+        /// Every shard's queued request ids, head first.
+        pub(crate) fn queue_ids(&self) -> Vec<Vec<u64>> {
+            (0..self.queues.len()).map(|s| ids(self, s)).collect()
+        }
+    }
+
     /// Queued request ids of shard `s`, head first.
     fn ids(g: &ShardGroup, s: usize) -> Vec<u64> {
         g.queues[s].iter().map(|r| r.id).collect()
@@ -324,7 +319,7 @@ mod tests {
             g.deliver(1, req(id, 0), false, 0);
         }
         g.deliver(0, req(99, 0), false, 0);
-        g.settle(0, 1);
+        g.router.rebase(0, 1, 1);
         let before = g.router.rebalances();
         assert_eq!(g.dequeue(0, 1).map(|r| r.id), Some(99));
         assert_eq!(
@@ -401,12 +396,14 @@ mod tests {
                 }
             }
             let mut expected = g.queues.clone();
-            let plan = RebalancePlan::new(members.clone(), |s| lens[s] as u64);
+            // Committed through the router as `fire` commits a draw.
+            g.router.plan.members.clone_from(&members);
+            g.router.commit();
             let targets = even_shares(members.iter().map(|&m| lens[m] as u64).sum(), members.len());
-            prop_assert_eq!(&plan.targets, &targets);
+            prop_assert_eq!(&g.router.plan.targets, &targets);
             let redirects = pool_reference(&mut expected, &members, &targets);
 
-            g.apply_plan(&plan, 9);
+            g.apply_plan(9);
             for (s, queue) in expected.iter().enumerate() {
                 let want: Vec<u64> = queue.iter().map(|r| r.id).collect();
                 prop_assert_eq!(ids(&g, s), want, "queue of shard {}", s);

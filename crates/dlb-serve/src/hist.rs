@@ -1,12 +1,12 @@
 //! Log-bucketed latency histograms with a deterministic merge.
 //!
-//! Each worker (wall mode) or shard (simulated mode) records into its
-//! own [`LatencyHistogram`]; at the end of a run the per-worker
-//! histograms are merged in index order.  Because a merge is an
-//! element-wise add of bucket counts it is commutative and associative,
-//! so the merged histogram is *identical* to a single global recorder
-//! fed the same samples in any order — the property the proptests in
-//! `tests/hist_props.rs` pin down.
+//! Each wall-mode worker records into its own [`LatencyHistogram`]; at
+//! the end of a run the per-worker histograms are merged in index order
+//! (the single-threaded simulated engine records into one).  Because a
+//! merge is an element-wise add of bucket counts it is commutative and
+//! associative, so the merged histogram is *identical* to a single
+//! global recorder fed the same samples in any order — the property the
+//! proptests in `tests/hist_props.rs` pin down.
 //!
 //! Buckets are HDR-style: exact below [`SUB_BUCKETS`], then
 //! `SUB_BUCKETS` equal-width sub-buckets per power of two.  Reported

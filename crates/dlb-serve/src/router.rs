@@ -6,9 +6,9 @@
 //! that rule onto a request-routing front-end: the "load" of a shard is
 //! its queue depth — requests queued and not yet handed to service —
 //! and every enqueue/dequeue runs the grow/shrink trigger check.  A
-//! fired trigger produces a [`RebalancePlan`]: the member set, the
+//! fired trigger produces a [`RebalancePlan`]: the member set and the
 //! equal-share target depths from the paper's balancing primitive
-//! ([`dlb_core::balance`]), and the moves that reach them.
+//! ([`dlb_core::balance`]).
 //!
 //! A fire costs what its `δ + 1` members cost, whatever `n` is, and
 //! allocates nothing: the partners are drawn from a cached list of the
@@ -32,55 +32,6 @@ pub struct RebalancePlan {
     pub members: Vec<usize>,
     /// Target queue depth per member (paper's even split, ±1).
     pub targets: Vec<u64>,
-    /// Who gives how many to whom to get there: `(donor, receiver,
-    /// count)` by member index.  Surpluses meet deficits with donors
-    /// taken in *reverse* member order against receivers in member
-    /// order, so one donor's moves are consecutive.
-    pub(crate) moves: Vec<(usize, usize, u64)>,
-}
-
-impl RebalancePlan {
-    /// Recuts `targets` and `moves` in place so that the `members`
-    /// already set come out equal, shard `s` holding `depth(s)`.
-    fn cut(&mut self, depth: impl Fn(usize) -> u64) {
-        let RebalancePlan {
-            members,
-            targets,
-            moves,
-        } = self;
-        let total = members.iter().map(|&m| depth(m)).sum();
-        even_shares_into(total, members.len(), targets);
-        let deficit = |i: usize| targets[i].saturating_sub(depth(members[i]));
-        moves.clear();
-        let (mut to, mut need) = (0, deficit(0));
-        for (from, &m) in members.iter().enumerate().rev() {
-            let mut surplus = depth(m).saturating_sub(targets[from]);
-            while surplus > 0 {
-                // Even shares conserve the total: a surplus always
-                // finds a deficit further on.
-                while need == 0 {
-                    to += 1;
-                    need = deficit(to);
-                }
-                let take = surplus.min(need);
-                moves.push((from, to, take));
-                surplus -= take;
-                need -= take;
-            }
-        }
-    }
-
-    /// A fresh plan that equalises `members`; the router itself only
-    /// ever recuts the one it owns.
-    #[cfg(test)]
-    pub(crate) fn new(members: Vec<usize>, depth: impl Fn(usize) -> u64) -> Self {
-        let mut plan = RebalancePlan {
-            members,
-            ..RebalancePlan::default()
-        };
-        plan.cut(depth);
-        plan
-    }
 }
 
 /// Deterministic trigger-rule bookkeeping over `n` shard depths.
@@ -97,8 +48,8 @@ pub struct TriggerRouter {
     rng: ChaCha8Rng,
     rebalances: u64,
     /// The last fired plan, recut in place by the next fire.  A
-    /// `ShardGroup` lifts it out while it moves the requests (which
-    /// updates the depths here) and puts it back for its buffers.
+    /// `ShardGroup` lifts it out while it moves the requests and puts
+    /// it back for its buffers.
     pub(crate) plan: RebalancePlan,
     /// The partner draw's `(slot, shard)` log of swapped-away slots.
     displaced: Vec<(usize, usize)>,
@@ -182,18 +133,11 @@ impl TriggerRouter {
         }
     }
 
-    /// Zeroes the depth of a crashed shard whose queue the engine just
-    /// confiscated for redistribution.
+    /// Zeroes the depth and baseline of a crashed shard whose queue the
+    /// engine just confiscated for redistribution.
     pub fn clear(&mut self, s: usize) {
-        self.rebase(s, 0, 0);
-    }
-
-    /// Overwrites shard `s`'s depth and trigger baseline without
-    /// running the trigger: how a `ShardGroup` settles a member after
-    /// a plan moved its requests.
-    pub(crate) fn rebase(&mut self, s: usize, depth: u64, l_old: u64) {
-        self.depths[s] = depth;
-        self.l_old[s] = l_old;
+        self.depths[s] = 0;
+        self.l_old[s] = 0;
     }
 
     /// Reflects a crash-redistributed request landing on `s` *without*
@@ -205,21 +149,29 @@ impl TriggerRouter {
     }
 
     /// Fires a balance at initiator `s`: draws up to `δ` distinct alive
-    /// partners, computes the even-share targets, commits the new
-    /// depths and `l_old`, and returns the plan for the engine to act
+    /// partners, commits the plan, and returns it for the engine to act
     /// on.  With no alive partner the trigger only resets its baseline.
     fn fire(&mut self, s: usize) -> Option<&RebalancePlan> {
         if !self.draw_members(s) {
             self.l_old[s] = self.depths[s];
             return None;
         }
-        self.plan.cut(|m| self.depths[m]);
-        for (&m, &t) in self.plan.members.iter().zip(&self.plan.targets) {
+        self.commit();
+        Some(&self.plan)
+    }
+
+    /// Splits the plan's members' depths evenly and commits each share
+    /// as that member's depth and `l_old`: the queues the engine then
+    /// moves requests between end up holding exactly these depths.
+    pub(crate) fn commit(&mut self) {
+        let RebalancePlan { members, targets } = &mut self.plan;
+        let total = members.iter().map(|&m| self.depths[m]).sum();
+        even_shares_into(total, members.len(), targets);
+        for (&m, &t) in members.iter().zip(targets.iter()) {
             self.depths[m] = t;
             self.l_old[m] = t;
         }
         self.rebalances += 1;
-        Some(&self.plan)
     }
 
     /// The partner draw: sets the plan's members to `[s, partners…]`
@@ -270,6 +222,21 @@ impl TriggerRouter {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Test-only access for the engine's oracles.
+    impl TriggerRouter {
+        /// Overwrites shard `s`'s depth and trigger baseline without
+        /// running the trigger.
+        pub(crate) fn rebase(&mut self, s: usize, depth: u64, l_old: u64) {
+            self.depths[s] = depth;
+            self.l_old[s] = l_old;
+        }
+
+        /// How far the partner draw's RNG has run.
+        pub(crate) fn word_pos(&self) -> u128 {
+            self.rng.get_word_pos()
+        }
+    }
 
     fn router(n: usize) -> TriggerRouter {
         TriggerRouter::new(n, 2, 2.0, 7).expect("valid params")
@@ -371,7 +338,7 @@ mod tests {
                 let want = materialised_draw(&mut old, s);
                 let got = new.draw_members(s).then(|| new.plan.members.clone());
                 prop_assert_eq!(got, want);
-                prop_assert_eq!(new.rng.get_word_pos(), old.rng.get_word_pos());
+                prop_assert_eq!(new.word_pos(), old.word_pos());
             }
         }
     }

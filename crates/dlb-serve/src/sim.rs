@@ -8,7 +8,7 @@
 //! shard state machine — placement, both triggers, plans, crash
 //! redistribution — is `crate::group`, the same code the wall acceptor
 //! runs; what lives here is only what is about simulated time: who is
-//! in service until when, the latency histograms, the ledger.
+//! in service until when, the latency histogram, the ledger.
 //! Being single-threaded is the point — the report is a pure function
 //! of `(scenario, seed)`, bit-identical across repeated runs *and*
 //! across `--workers` values (the worker count is deliberately ignored
@@ -73,8 +73,11 @@ pub fn run_sim(
     let router = TriggerRouter::new(n, scenario.delta, scenario.f, scenario.seed)?;
     let mut group = ShardGroup::new(router, injector.crash_mode(), sink.clone());
     let mut in_service: Vec<Option<Request>> = vec![None; n];
+    // One bit per shard with nothing in service.
+    let mut idle = vec![0u64; n.div_ceil(64)];
+    (0..n).for_each(|s| set_idle(&mut idle, s));
     let mut epoch = vec![0u64; n];
-    let mut hists = vec![LatencyHistogram::new(); n];
+    let mut latency = LatencyHistogram::new();
     let mut per_shard_completed = vec![0u64; n];
     let mut completed = 0u64;
 
@@ -101,20 +104,22 @@ pub fn run_sim(
                         continue; // the shard crashed since; already handled
                     }
                     in_service[shard] = None;
+                    set_idle(&mut idle, shard);
                     completed += 1;
                     per_shard_completed[shard] += 1;
-                    let latency = now - req.arrival;
-                    hists[shard].record(latency);
+                    let ticks = now - req.arrival;
+                    latency.record(ticks);
                     group.trace(|| TraceEvent::RequestCompleted {
                         step: now,
                         req: req.id,
                         shard: shard as u64,
-                        latency_ticks: latency,
+                        latency_ticks: ticks,
                     });
                 }
                 Ev::Down(s) => {
                     epoch[s] += 1;
                     group.crash(s, now, in_service[s].take());
+                    set_idle(&mut idle, s);
                 }
                 Ev::Up(s) => group.recover(s, now),
             }
@@ -127,22 +132,21 @@ pub fn run_sim(
             }
         }
         // Dispatch idle shards (a crashed shard's queue is empty).
-        for s in 0..n {
-            if in_service[s].is_some() {
-                continue;
-            }
-            if let Some(req) = group.dequeue(s, now) {
-                in_service[s] = Some(req);
-                eq.push(
-                    now + req.service,
-                    Ev::Complete {
-                        shard: s,
-                        epoch: epoch[s],
-                        req,
-                    },
-                );
-            }
-        }
+        dispatch(&mut idle, |s| {
+            let Some(req) = group.dequeue(s, now) else {
+                return false;
+            };
+            in_service[s] = Some(req);
+            eq.push(
+                now + req.service,
+                Ev::Complete {
+                    shard: s,
+                    epoch: epoch[s],
+                    req,
+                },
+            );
+            true
+        });
         let serving = in_service.iter().filter(|s| s.is_some()).count();
         let in_flight = (group.queued() + serving) as u64;
         if source.issued() != completed + group.dropped + in_flight {
@@ -172,11 +176,6 @@ pub fn run_sim(
     if let Some(sink) = &sink {
         sink.flush();
     }
-
-    let mut latency = LatencyHistogram::new();
-    for h in &hists {
-        latency.merge(h);
-    }
     Ok(ServiceStats {
         mode: "sim",
         shards: n,
@@ -197,6 +196,28 @@ pub fn run_sim(
     })
 }
 
+fn set_idle(idle: &mut [u64], s: usize) {
+    idle[s / 64] |= 1 << (s % 64);
+}
+
+/// Offers every idle shard, ascending, to `serve`, which reports whether
+/// it took a request into service; a shard that did leaves the set.  A
+/// plan fired by a dequeue moves queued requests but makes no shard idle
+/// or busy, so this offers exactly the shards a scan of all `n` skipping
+/// the busy ones would, in the same order.
+fn dispatch(idle: &mut [u64], mut serve: impl FnMut(usize) -> bool) {
+    for (w, word) in idle.iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let bit = bits & bits.wrapping_neg();
+            bits ^= bit;
+            if serve(w * 64 + bit.trailing_zeros() as usize) {
+                *word ^= bit;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +225,7 @@ mod tests {
     use dlb_json::ToJson;
     use dlb_trace::BufferSink;
     use dlb_workload::service::{RatePhase, ServiceLoad};
+    use proptest::prelude::*;
 
     fn scenario() -> ServiceScenario {
         ServiceScenario {
@@ -479,6 +501,31 @@ mod tests {
         s
     }
 
+    /// 130 shards, δ = 3: three words of one bit per shard, a crash in
+    /// each (shard 5 recovers, 70 recovers, 129 stays down), and a
+    /// middle phase above what the shards can serve.
+    fn wide_shards(mode: CrashMode) -> ServiceScenario {
+        let mut s = scenario();
+        s.shards = 130;
+        s.ticks = 600;
+        s.delta = 3;
+        s.f = 1.5;
+        s.load.phases = [10.0, 36.0, 4.0]
+            .map(|rate| RatePhase { ticks: 200, rate })
+            .to_vec();
+        s.load.keys = 2000;
+        s.load.service_ticks = (2, 6);
+        s.faults.crash_mode = mode;
+        s.faults.crashes = [(5, 150, Some(400)), (70, 250, Some(450)), (129, 300, None)]
+            .map(|(proc, at, recover_at)| CrashEvent {
+                proc,
+                at,
+                recover_at,
+            })
+            .to_vec();
+        s
+    }
+
     #[test]
     fn tick_order_crash_lands_among_completions_and_arrivals() {
         let buffer = BufferSink::new();
@@ -530,9 +577,94 @@ mod tests {
                 "b021504d00f656ec",
                 "ac9c0467a211138b55a06d01348059bd1461730fc5140f33b62f4bf2169cd1ae",
             ),
+            // Captured at commit 1d62f5d, before dispatch walked a
+            // bitset of idle shards: the walk crosses two words.
+            (
+                wide_shards(CrashMode::Frozen),
+                "6ceff7f0dff36b8a",
+                "42babe447cfbd9b7c7c54f9f7b08af0c7e1bc500e528edb588fdbbb81f7481b9",
+            ),
+            // Drops 2: two of the three crashes catch a request in service.
+            (
+                wide_shards(CrashMode::Lost),
+                "132b9680eda90038",
+                "0e11911bcf8bcbff33c6385d0ac8a71681bd2164aabda1429096fada48d23998",
+            ),
         ];
         for (scenario, stats, trace) in pins {
             assert_eq!(pin(&scenario), (stats.to_string(), trace.to_string()));
+        }
+    }
+
+    /// The dispatch loop as it stood before the idle bitset: every
+    /// shard, ascending, skipping the busy ones.  Returns the `(shard,
+    /// request id)` pairs it put into service, in order.
+    fn scan_reference(group: &mut ShardGroup, busy: &mut [bool], now: u64) -> Vec<(usize, u64)> {
+        let mut served = Vec::new();
+        for (s, busy) in busy.iter_mut().enumerate() {
+            if *busy {
+                continue;
+            }
+            if let Some(req) = group.dequeue(s, now) {
+                *busy = true;
+                served.push((s, req.id));
+            }
+        }
+        served
+    }
+
+    proptest! {
+        /// The identity argument for the idle walk, checked: on any busy
+        /// set and queue state — dead shards, and dequeues whose shrink
+        /// trigger fires a plan mid-walk, included — the walk puts the
+        /// shards the scan puts into service, in its order, leaves every
+        /// queue and the RNG where the scan leaves them, and ends with
+        /// the bitset equal to the scan's idle set.  (One shard is no
+        /// service: δ ≥ 1 partner needs n ≥ 2.)
+        #[test]
+        fn the_idle_walk_is_the_scan(
+            n in 2usize..=200,
+            delta in 1usize..=3,
+            shards in prop::collection::vec((any::<bool>(), 0u64..6, 0u64..10), 200),
+            down in prop::collection::vec(0usize..200, 0..4),
+            seed in any::<u64>(),
+        ) {
+            let is_down = |s: usize| down.iter().any(|&d| d % n == s);
+            let build = || {
+                let router = TriggerRouter::new(n, delta.min(n - 1), 1.5, seed).expect("valid params");
+                let mut g = ShardGroup::new(router, CrashMode::Lost, None);
+                let mut next_id = 0;
+                for (s, &(_, queued, l_old)) in shards[..n].iter().enumerate() {
+                    if is_down(s) {
+                        g.crash(s, 0, None);
+                    } else {
+                        g.stock(s, queued, l_old, &mut next_id);
+                    }
+                }
+                g
+            };
+            // A dead shard is idle: `Down` took what it was serving.
+            let mut busy: Vec<bool> = (0..n).map(|s| shards[s].0 && !is_down(s)).collect();
+            let bits_of = |busy: &[bool]| {
+                let mut idle = vec![0u64; n.div_ceil(64)];
+                (0..n).filter(|&s| !busy[s]).for_each(|s| set_idle(&mut idle, s));
+                idle
+            };
+            let mut idle = bits_of(&busy);
+            let (mut walked, mut scanned) = (build(), build());
+            let mut order = Vec::new();
+            dispatch(&mut idle, |s| {
+                let Some(req) = walked.dequeue(s, 1) else {
+                    return false;
+                };
+                order.push((s, req.id));
+                true
+            });
+            prop_assert_eq!(order, scan_reference(&mut scanned, &mut busy, 1));
+            prop_assert_eq!(walked.queue_ids(), scanned.queue_ids());
+            prop_assert_eq!(walked.router().word_pos(), scanned.router().word_pos());
+            prop_assert_eq!(walked.router().rebalances(), scanned.router().rebalances());
+            prop_assert_eq!(idle, bits_of(&busy));
         }
     }
 }

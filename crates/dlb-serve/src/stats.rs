@@ -55,8 +55,8 @@ pub struct ServiceStats {
     pub crashes: u64,
     /// Recoveries applied.
     pub recoveries: u64,
-    /// Merged latency histogram (per-worker/per-shard histograms folded
-    /// in index order; merging is order-independent).
+    /// Latency histogram (wall mode's per-worker histograms folded in
+    /// index order; merging is order-independent).
     pub latency: LatencyHistogram,
     /// Completions per shard.
     pub per_shard_completed: Vec<u64>,
