@@ -5,7 +5,10 @@
 # `dlb_crate::…::item` that file or crate does not define, a
 # `dlb-exp <row>` that is no row of `exp/mod.rs`'s `table!`, nor a
 # `results/<file>` that neither exists nor is an ignored (generated,
-# untracked) output.  And DESIGN.md may only shrink: it fails above
+# untracked) output.  A marked block must be the committed artefact it
+# embeds: EXPERIMENTS.md's claims block results/claims.csv, and
+# docs/GUIDE.md's scaling table BENCH_core.json as bench-table.sh
+# renders it.  And DESIGN.md may only shrink: it fails above
 # `design_ceiling` bytes.
 #
 # Checked text: inline `code spans` and ```bash / ```sh fences.  A
@@ -137,8 +140,19 @@ for doc in "${docs[@]}"; do
     done < <(grep -oE 'results/[A-Za-z0-9_.*-]+' <<<"$text" | sed 's/\.*$//' | sort -u)
 done
 
+# A block a document embeds from a committed artefact is that artefact
+# verbatim: the lines of `$1` strictly between the marker lines `$2` and
+# `$3`, fence lines dropped, must be the standard input (`$4` names it).
+embeds() {
+    cmp -s - <(awk -v begin="$2" -v end="$3" '$0 == end { on = 0 } on && !/^```/; $0 == begin { on = 1 }' "$1") ||
+        { echo "$1: the block between \`$2\` and \`$3\` is not $4"; status=1; }
+}
+embeds EXPERIMENTS.md '<!-- claims:begin -->' '<!-- claims:end -->' results/claims.csv < results/claims.csv
+embeds docs/GUIDE.md '<!-- bench:begin large -->' '<!-- bench:end -->' \
+    "BENCH_core.json as .github/bench-table.sh renders it" < <(bash .github/bench-table.sh)
+
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=68951
+design_ceiling=68364
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

@@ -1083,17 +1083,37 @@ mod tests {
     fn sparse_trace_is_byte_identical_to_dense() {
         // The event-driven path must not change a single byte of the
         // trace or report relative to --dense, with a crash/rejoin in
-        // play.
+        // play.  The raw-load engines answer a summary query from their
+        // load counts after an active-list step and from a scan after a
+        // dense one, so the per-step `LoadSample` rows hold the two to
+        // the same bytes.
         let dir = std::env::temp_dir().join("dlb_cli_sparse_identity_test");
-        for (w, workload) in sparse_workloads().into_iter().enumerate() {
-            let mut scenario = small_scenario(
-                StrategyConfig::Full {
-                    delta: 1,
-                    f: 1.1,
-                    c: 4,
-                },
-                workload,
-            );
+        let strategies = [
+            StrategyConfig::Full {
+                delta: 1,
+                f: 1.1,
+                c: 4,
+            },
+            StrategyConfig::Simple { delta: 2, f: 1.1 },
+            StrategyConfig::Weighted {
+                delta: 2,
+                f: 1.1,
+                speeds: (0..16).map(|i| 1 + i % 3).collect(),
+            },
+            StrategyConfig::Topo {
+                delta: 1,
+                f: 1.1,
+                topology: TopologyConfig::Hypercube { dim: 4 },
+                neighbors_only: true,
+            },
+        ];
+        let cases = strategies.iter().flat_map(|strategy| {
+            sparse_workloads()
+                .into_iter()
+                .map(move |workload| (strategy.clone(), workload))
+        });
+        for (w, (strategy, workload)) in cases.enumerate() {
+            let mut scenario = small_scenario(strategy, workload);
             scenario.n = 16;
             scenario.steps = 200;
             scenario.runs = 2;

@@ -599,9 +599,11 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `n` exceeds `u32::MAX`: classes are 32-bit row keys.
+    /// Panics if the total, `initial · n`, does not fit in a `u64`.
     pub fn with_initial_load(params: Params, seed: u64, initial: u64) -> Self {
         let n = params.n();
         assert!(u32::try_from(n).is_ok(), "class keys are 32 bits wide");
+        let initial_total = params.initial_total(initial);
         let procs = (0..n)
             .map(|i| Proc {
                 l_old: initial,
@@ -616,7 +618,7 @@ impl Cluster {
             procs,
             rng: ChaCha8Rng::seed_from_u64(seed),
             metrics: Metrics::new(),
-            initial_total: initial * n as u64,
+            initial_total,
             scratch_members: Vec::new(),
             scratch_partners: Vec::new(),
             scratch_group: Vec::new(),
@@ -1401,6 +1403,12 @@ impl LoadBalancer for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "initial load 9223372036854775808 × n = 2 overflows u64")]
+    fn initial_total_past_u64_is_refused() {
+        Cluster::with_initial_load(Params::paper_section7(2), 0, 1 << 63);
+    }
 
     fn run_random(params: Params, seed: u64, steps: usize, p_gen: f64, p_con: f64) -> Cluster {
         let mut cluster = Cluster::new(params, seed);

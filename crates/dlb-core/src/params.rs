@@ -88,6 +88,18 @@ impl Params {
         self.algo.n()
     }
 
+    /// Packets on a network where every processor holds `initial`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial · n` does not fit in a `u64`.
+    pub(crate) fn initial_total(&self, initial: u64) -> u64 {
+        let n = self.n() as u64;
+        initial
+            .checked_mul(n)
+            .unwrap_or_else(|| panic!("initial load {initial} × n = {n} overflows u64"))
+    }
+
     /// Neighbourhood size `δ`.
     pub fn delta(&self) -> usize {
         self.algo.delta()

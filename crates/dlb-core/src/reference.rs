@@ -63,8 +63,13 @@ impl RefCluster {
 
     /// A cluster where every processor starts with `initial` self-generated
     /// packets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total, `initial · n`, does not fit in a `u64`.
     pub fn with_initial_load(params: Params, seed: u64, initial: u64) -> Self {
         let n = params.n();
+        let initial_total = params.initial_total(initial);
         let procs = (0..n)
             .map(|i| {
                 let mut d = vec![0u64; n];
@@ -86,7 +91,7 @@ impl RefCluster {
             fresh_generated: vec![initial; n],
             direct_consumed: vec![0; n],
             settled: vec![0; n],
-            initial_total: initial * n as u64,
+            initial_total,
             scratch_totals_d: vec![0; n],
             scratch_totals_b: vec![0; n],
             scratch_shares_d: Vec::new(),
@@ -470,15 +475,20 @@ impl RefSimpleCluster {
     }
 
     /// A cluster where every processor starts with `initial` packets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total, `initial · n`, does not fit in a `u64`.
     pub fn with_initial_load(params: Params, seed: u64, initial: u64) -> Self {
         let n = params.n();
+        let initial_total = params.initial_total(initial);
         RefSimpleCluster {
             params,
             loads: vec![initial; n],
             l_old: vec![initial; n],
             rng: ChaCha8Rng::seed_from_u64(seed),
             metrics: Metrics::new(),
-            initial_total: initial * n as u64,
+            initial_total,
         }
     }
 
@@ -582,5 +592,22 @@ impl RefSimpleCluster {
             self.l_old[m] = share;
         }
         self.metrics.packets_migrated += op_packets;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "initial load 9223372036854775808 × n = 2 overflows u64")]
+    fn ref_cluster_refuses_an_initial_total_past_u64() {
+        RefCluster::with_initial_load(Params::paper_section7(2), 0, 1 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "initial load 9223372036854775808 × n = 2 overflows u64")]
+    fn ref_simple_refuses_an_initial_total_past_u64() {
+        RefSimpleCluster::with_initial_load(Params::paper_section7(2), 0, 1 << 63);
     }
 }

@@ -25,11 +25,25 @@
 //! load itself lives; [`crate::RawCluster`] shifts the counts where it
 //! writes a load, with the old value in hand.
 //!
-//! `RawCluster`, whose whole step is tens of nanoseconds per
-//! processor, builds its counts on the first `load_summary()` call, so
-//! unobserved runs pay a single `Option` check per load change;
-//! `Cluster` counts from construction, where every load is the same
-//! and the counts cost nothing to set up.
+//! The counts follow the form of the step.  `RawCluster`, whose whole
+//! step is tens of nanoseconds per processor, keeps them only across
+//! active-list steps.  A dense step walks all n processors anyway, so
+//! it drops them, and `load_summary()` after it is one scan of the
+//! contiguous `loads` (≈ 2.5 % of a `simple_sweep` run, where the
+//! shifts took 15.4 %).  The first active-list step after a dense one
+//! rebuilds them, once, in O(n); from then on a step costs O(active)
+//! and a query a few cursor moves.  Any workload in the dense form pays
+//! the scan per queried step, whatever its activity: a plain
+//! `Workload` (a `UniformRandom` with small `p_gen + p_con`, a phase
+//! workload in an idle phase) hands over `Events::Dense` every step.
+//! The step already walks all n events, so the scan stays in
+//! proportion; the worst case is `--dense` on a workload that could
+//! have listed its few active processors (n = 2²⁰ under `simple`,
+//! +9 %).  `Cluster` counts from
+//! construction, where every load is the same and the counts cost
+//! nothing to set up, under both forms: its scan would read a 128-byte
+//! record per processor, and at n = 2²⁰ the dense run took 2.3× as
+//! long with it.
 
 use std::collections::BTreeMap;
 

@@ -67,16 +67,19 @@ impl Workload for UniformRandom {
 
     fn events_at(&mut self, _t: usize, out: &mut Vec<LoadEvent>) {
         out.clear();
-        for _ in 0..self.n {
-            let x: f64 = self.rng.gen();
-            out.push(if x < self.p_gen {
+        let (gen_below, con_below) = (self.p_gen, self.p_gen + self.p_con);
+        let rng = &mut self.rng;
+        // One draw per processor, in processor order.
+        out.extend((0..self.n).map(|_| {
+            let x: f64 = rng.gen();
+            if x < gen_below {
                 LoadEvent::Generate
-            } else if x < self.p_gen + self.p_con {
+            } else if x < con_below {
                 LoadEvent::Consume
             } else {
                 LoadEvent::Idle
-            });
-        }
+            }
+        }));
     }
 }
 
