@@ -96,6 +96,7 @@
 
 use crate::balance::{distribute_capped_into, even_shares_into, moved, sample_others_into};
 use crate::metrics::Metrics;
+use crate::pages::vec_on_huge_pages;
 use crate::params::{ExchangePolicy, Params, TriggerTable};
 use crate::sparse::{count_diff, key, nth_diff, SparseRow};
 use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
@@ -604,13 +605,11 @@ impl Cluster {
         let n = params.n();
         assert!(u32::try_from(n).is_ok(), "class keys are 32 bits wide");
         let initial_total = params.initial_total(initial);
-        let procs = (0..n)
-            .map(|i| Proc {
-                l_old: initial,
-                fresh_generated: initial,
-                ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
-            })
-            .collect();
+        let procs = vec_on_huge_pages(n, |i| Proc {
+            l_old: initial,
+            fresh_generated: initial,
+            ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
+        });
         Cluster {
             params,
             triggers: TriggerTable::new(params),

@@ -53,9 +53,9 @@
 //! # Ok::<(), dlb_theory::ParamError>(())
 //! ```
 
-// Three audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
-// hint in `cluster` and the two `u64`-block-as-`u32`-keys views in
-// `sparse`.
+// Four audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
+// hint in `cluster`, the two `u64`-block-as-`u32`-keys views in
+// `sparse` and the huge-page advice in `pages`.
 #![deny(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
@@ -64,6 +64,7 @@ pub mod batch;
 pub mod cluster;
 pub mod metrics;
 pub mod one_proc;
+mod pages;
 pub mod params;
 pub mod recorder;
 #[doc(hidden)]
@@ -78,6 +79,7 @@ pub mod weighted;
 pub use batch::{step_batch, BatchEvent};
 pub use cluster::Cluster;
 pub use metrics::Metrics;
+pub use pages::vec_on_huge_pages;
 pub use params::{ExchangePolicy, Params, TriggerTable};
 pub use recorder::LoadRecorder;
 pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster};

@@ -27,7 +27,7 @@
 //! to the active fraction.
 
 use crate::Workload;
-use dlb_core::{LoadBalancer, LoadEvent};
+use dlb_core::{vec_on_huge_pages, LoadBalancer, LoadEvent};
 use dlb_net::CalendarQueue;
 
 /// A workload that can enumerate just its non-idle processors.
@@ -199,6 +199,8 @@ pub struct SparseActivity {
     next_t: u64,
     /// Reused by `events_at` to densify the active list.
     scratch: Vec<(usize, LoadEvent)>,
+    /// Reused by `collect_active` for the ids due at a step.
+    due: Vec<u32>,
 }
 
 impl SparseActivity {
@@ -233,9 +235,10 @@ impl SparseActivity {
             seed,
             pattern,
             queue,
-            state: vec![0; n],
+            state: vec_on_huge_pages(n, |_| 0),
             next_t: 0,
             scratch: Vec::new(),
+            due: Vec::new(),
         }
     }
 
@@ -246,22 +249,46 @@ impl SparseActivity {
 
     /// Pops every processor due at `t`, computes its event, reschedules
     /// it and leaves `out` sorted by ascending processor id.
+    ///
+    /// The due ids are sorted *before* they fire, so a step's pushes go
+    /// in ascending id order and every bucket is a concatenation of
+    /// ascending runs: the stable sort is a run merge, and `fire` walks
+    /// `state` (and the caller the records behind `out`) in address
+    /// order.  `fire` depends only on `(seed, i, t, state[i])` and each
+    /// processor is due at most once, so `out` is the list that firing
+    /// in pop order and sorting afterwards gives (the test oracle).
     fn collect_active(&mut self, t: usize, out: &mut Vec<(usize, LoadEvent)>) {
+        let t = self.advance_to(t);
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        while let Some((_, proc)) = self.queue.pop_due(t) {
+            due.push(proc);
+        }
+        due.sort();
+        out.clear();
+        for &proc in &due {
+            let i = proc as usize;
+            let (event, gap) = self.fire(i, t);
+            out.push((i, event));
+            self.queue.push(t + gap, proc);
+        }
+        self.due = due;
+        self.overlay_hotspot(t, out);
+    }
+
+    /// Checks the strictly-increasing contract and moves past `t`.
+    fn advance_to(&mut self, t: usize) -> u64 {
         let t = t as u64;
         assert!(
             t >= self.next_t,
             "sparse workload must be driven with strictly increasing t"
         );
         self.next_t = t + 1;
-        out.clear();
-        while let Some((_, proc)) = self.queue.pop_due(t) {
-            let i = proc as usize;
-            let (event, gap) = self.fire(i, t);
-            out.push((i, event));
-            self.queue.push(t + gap, proc);
-        }
-        // The queue pops ties in push order, not processor order.
-        out.sort_unstable_by_key(|&(i, _)| i);
+        t
+    }
+
+    /// Sets the hot spot of step `t` generating in the sorted `out`.
+    fn overlay_hotspot(&self, t: u64, out: &mut Vec<(usize, LoadEvent)>) {
         if let SparsePattern::Hotspot { period, .. } = self.pattern {
             // The hot spot is a function of time, not of the queue: it
             // generates every step on top of its consumer schedule.
@@ -367,6 +394,92 @@ impl SparseWorkload for SparseActivity {
 mod tests {
     use super::*;
     use dlb_core::{Params, SimpleCluster};
+    use proptest::prelude::*;
+
+    impl SparseActivity {
+        /// `collect_active` as it was before the due ids were sorted
+        /// ahead of firing: fire and reschedule in pop order, then sort.
+        fn collect_active_oracle(&mut self, t: usize, out: &mut Vec<(usize, LoadEvent)>) {
+            let t = self.advance_to(t);
+            out.clear();
+            while let Some((_, proc)) = self.queue.pop_due(t) {
+                let i = proc as usize;
+                let (event, gap) = self.fire(i, t);
+                out.push((i, event));
+                self.queue.push(t + gap, proc);
+            }
+            // The queue pops ties in push order, not processor order.
+            out.sort_unstable_by_key(|&(i, _)| i);
+            self.overlay_hotspot(t, out);
+        }
+
+        /// Empties the queue: every pending `(step, id)`, sorted.
+        fn drain_pending(&mut self) -> Vec<(u64, u32)> {
+            let mut pending = Vec::with_capacity(self.queue.len());
+            while let Some(entry) = self.queue.pop_due(u64::MAX) {
+                pending.push(entry);
+            }
+            pending.sort_unstable();
+            pending
+        }
+    }
+
+    /// Pattern kind `kind % 4` from three drawn parameters, with gaps
+    /// up to 3000 steps: past the queue's 1024-bucket window, so
+    /// reschedules wrap the ring and wait in its overflow heap.
+    fn pattern_of(kind: u8, a: u32, b: u32, c: u32) -> SparsePattern {
+        match kind % 4 {
+            0 => SparsePattern::Phase {
+                work: a % 6 + 1,
+                gap: (b.min(c), b.max(c)),
+            },
+            1 => SparsePattern::Hotspot {
+                period: a % 50 + 1,
+                consumer_gap: b / 2 + 1,
+            },
+            2 => SparsePattern::Bursty {
+                burst: a % 20 + 1,
+                quiet: b,
+                quiet_gap: c,
+            },
+            _ => SparsePattern::Arrivals {
+                arrival_gap: b,
+                service_gap: c,
+            },
+        }
+    }
+
+    proptest! {
+        /// Sorting the due ids before they fire changes no active list,
+        /// and the queue keeps exactly one pending activation per
+        /// processor, at the same step as the oracle's.
+        #[test]
+        fn sorted_firing_is_the_pop_order_oracle(
+            n in 1..=3000usize,
+            kind in any::<u8>(),
+            a in any::<u32>(),
+            b in 1..=3000u32,
+            c in 1..=3000u32,
+            seed in any::<u64>(),
+            steps in 1200..=1500usize,
+        ) {
+            let pattern = pattern_of(kind, a, b, c);
+            let mut fast = SparseActivity::new(n, pattern, seed);
+            let mut oracle = SparseActivity::new(n, pattern, seed);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for t in 0..steps {
+                fast.collect_active(t, &mut got);
+                oracle.collect_active_oracle(t, &mut want);
+                prop_assert_eq!(&got, &want, "t = {}", t);
+                prop_assert_eq!(fast.queue.len(), n);
+            }
+            let pending = fast.drain_pending();
+            let mut ids: Vec<u32> = pending.iter().map(|&(_, id)| id).collect();
+            ids.sort_unstable();
+            prop_assert!(ids.iter().copied().eq(0..u32::try_from(n).unwrap()));
+            prop_assert_eq!(pending, oracle.drain_pending());
+        }
+    }
 
     fn all_patterns() -> Vec<(&'static str, SparsePattern)> {
         vec![
