@@ -64,6 +64,7 @@ pub fn sample_others_into<R: Rng + ?Sized>(
     sample_into(rng, n - 1, amount, out);
     for x in &mut out[start..] {
         *x += usize::from(*x >= who);
+        debug_assert_ne!(*x, who, "a processor drew itself as a partner");
     }
 }
 

@@ -411,10 +411,6 @@ fn deal<'r>(
     new_vals: &mut Vec<u64>,
 ) -> (u64, usize) {
     let m = slots.len();
-    // The key of entry `at` of member `i`'s old row, `u32::MAX` past the
-    // row's end: no class reaches it, as [`Cluster`] asserts that `n`
-    // fits 32 bits.
-    let key_at = |i: usize, at: usize| old(i).0.get(at).copied().unwrap_or(u32::MAX);
     // The union is no longer than the rows together, and its classes
     // are below the largest last key.
     let (entries, classes) = (0..m).fold((0, 0), |(entries, classes), i| {
@@ -434,8 +430,10 @@ fn deal<'r>(
     let mut outflow = 0;
     // The slots `0..h` hold one more than the others.
     let mut h = 0;
+    // A row ends at `u32::MAX`, which no class reaches: [`Cluster`]
+    // asserts that `n` fits 32 bits.
     for (i, t) in slots.iter_mut().enumerate() {
-        t.key = key_at(i, 0);
+        t.key = old(i).0.first().copied().unwrap_or(u32::MAX);
     }
     loop {
         let c = slots.iter().map(|t| t.key).fold(u32::MAX, u32::min);
@@ -444,10 +442,14 @@ fn deal<'r>(
         }
         let mut total = 0;
         for (i, t) in slots.iter_mut().enumerate() {
+            // Read whether or not the member holds `c` — most do, so a
+            // branch on it would often be mispredicted — and masked
+            // after; the bounds checks fail once per row.
+            let (keys, vals) = old(i);
             let holds = t.key == c;
-            t.old = if holds { old(i).1[t.cur] } else { 0 };
+            t.old = vals.get(t.cur).copied().unwrap_or(0) & 0u64.wrapping_sub(u64::from(holds));
             t.cur += usize::from(holds);
-            t.key = key_at(i, t.cur);
+            t.key = keys.get(t.cur).copied().unwrap_or(u32::MAX);
             total += t.old;
         }
         let (base, extras) = if total < m as u64 {
@@ -884,10 +886,10 @@ impl Cluster {
     }
 
     /// Picks a uniformly random class `j` of `i` with `d_{i,j} > 0` and
-    /// `b_{i,j} = 0` (a fresh borrow candidate).  The merge-walk over the
-    /// two sorted key lists visits candidates in ascending class order,
-    /// exactly like the reference's dense filter-then-nth scan, so RNG
-    /// consumption is identical.
+    /// `b_{i,j} = 0` (a fresh borrow candidate).  Candidates are counted
+    /// and indexed in ascending class order over the two sorted key
+    /// lists, exactly like the reference's dense filter-then-nth scan, so
+    /// RNG consumption is identical.
     fn random_borrowable_class(&mut self, i: usize) -> Option<usize> {
         let count = count_diff(self.procs[i].d.keys(), self.procs[i].b.keys());
         if count == 0 {

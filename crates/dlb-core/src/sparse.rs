@@ -436,37 +436,26 @@ impl SparseRow {
 }
 
 /// Number of keys present in `a` but absent from `b` (both sorted) — the
-/// merge-walk core of the fresh-borrow candidate count, O(|a| + |b|).
+/// fresh-borrow candidate count, `|a|` less the keys of `b` found in `a`
+/// by one binary search each: O(|b| log |a|), and `b` holds at most `C`
+/// marker classes.
 pub fn count_diff(a: &[u32], b: &[u32]) -> usize {
-    let mut count = 0;
-    let mut bi = 0;
-    for &k in a {
-        while bi < b.len() && b[bi] < k {
-            bi += 1;
-        }
-        if bi >= b.len() || b[bi] != k {
-            count += 1;
-        }
-    }
-    count
+    a.len() - b.iter().filter(|k| a.binary_search(k).is_ok()).count()
 }
 
-/// The `pick`-th key (ascending) present in `a` but absent from `b`.
+/// The `pick`-th key (ascending) present in `a` but absent from `b`:
+/// `a[pick + s]`, `s` the keys of `b` found in `a` at or before that
+/// entry, which their ascending positions count one by one.
 pub fn nth_diff(a: &[u32], b: &[u32], pick: usize) -> Option<u32> {
-    let mut seen = 0;
-    let mut bi = 0;
-    for &k in a {
-        while bi < b.len() && b[bi] < k {
-            bi += 1;
-        }
-        if bi >= b.len() || b[bi] != k {
-            if seen == pick {
-                return Some(k);
-            }
-            seen += 1;
+    let mut at = pick;
+    for p in b.iter().filter_map(|k| a.binary_search(k).ok()) {
+        if p <= at {
+            at += 1;
+        } else {
+            break;
         }
     }
-    None
+    a.get(at).copied()
 }
 
 #[cfg(test)]
@@ -508,20 +497,6 @@ mod tests {
         assert!(row.is_empty());
     }
 
-    #[test]
-    fn diff_walks_match_naive_filter() {
-        let a = [1u32, 3, 4, 8, 9];
-        let b = [3u32, 5, 9];
-        let naive: Vec<u32> = a.iter().copied().filter(|k| !b.contains(k)).collect();
-        assert_eq!(count_diff(&a, &b), naive.len());
-        for (i, &k) in naive.iter().enumerate() {
-            assert_eq!(nth_diff(&a, &b, i), Some(k));
-        }
-        assert_eq!(nth_diff(&a, &b, naive.len()), None);
-        assert_eq!(count_diff(&[], &b), 0);
-        assert_eq!(count_diff(&a, &[]), a.len());
-    }
-
     /// The row `model` describes, built by appending — in place when it
     /// fits.
     fn row_of(model: &BTreeMap<u32, u64>) -> SparseRow {
@@ -533,6 +508,32 @@ mod tests {
     }
 
     proptest! {
+        /// The borrow lookups are the dense filter-then-nth: `a` a
+        /// strictly ascending row of up to 40 keys below 64, `b` up to 8
+        /// keys, each drawn from `a` or from anywhere below 64 (so some
+        /// are absent from `a`), every `pick` up to one past the last
+        /// candidate.
+        #[test]
+        fn diff_lookups_match_the_filter(
+            a in prop::collection::vec(0u32..64, 0..=40),
+            b in prop::collection::vec((any::<bool>(), 0u32..64, any::<usize>()), 0..=8),
+        ) {
+            let mut a = a;
+            a.sort_unstable();
+            a.dedup();
+            let mut b: Vec<u32> = b
+                .into_iter()
+                .map(|(held, k, at)| if held && !a.is_empty() { a[at % a.len()] } else { k })
+                .collect();
+            b.sort_unstable();
+            b.dedup();
+            let kept: Vec<u32> = a.iter().copied().filter(|k| !b.contains(k)).collect();
+            prop_assert_eq!(count_diff(&a, &b), kept.len());
+            for pick in 0..=kept.len() {
+                prop_assert_eq!(nth_diff(&a, &b, pick), kept.get(pick).copied());
+            }
+        }
+
         /// Model-based: any sequence of the public operations leaves the
         /// row holding exactly what a `BTreeMap` holds.  Eight keys keep
         /// the length wandering through `INLINE − 1 ..= INLINE + 2` in
