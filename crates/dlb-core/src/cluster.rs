@@ -239,6 +239,8 @@ fn prefetch(p: &Proc) {
         // address nor faults — and SSE is part of the x86-64 baseline.
         // Both addresses are those of live fields of `*p` at that: the
         // record's first line starts at `load`, its second at `b`.
+        // Driven by every stepping test, `mixed_workload_keeps_all_invariants`
+        // among them.
         unsafe {
             _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(&p.load).cast());
             _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(&p.b).cast());

@@ -62,7 +62,9 @@ fn advise_huge_pages<T>(v: &mut Vec<T>) {
         // SAFETY: `[at, at + len)` lies inside the live allocation `v`
         // owns (`huge_interior` only rounds inwards), and MADV_HUGEPAGE
         // changes neither its contents nor its protection.  The advice
-        // is advisory, so its result is ignored.
+        // is advisory, so its result is ignored.  Driven just under and
+        // just over one huge page by
+        // `the_vector_is_the_plain_collect_either_side_of_a_huge_page`.
         let _ = unsafe { madvise(at.cast(), len, MADV_HUGEPAGE) };
     }
 }

@@ -82,7 +82,8 @@ fn split(block: &[u64], cap: usize) -> (&[u64], &[u32]) {
     // SAFETY: `packed` is `packed.len()` initialised, 8-aligned words
     // borrowed for the returned lifetime, so the same bytes are
     // `2 · packed.len()` u32s: u32 needs only 4-byte alignment and
-    // every bit pattern is a valid u32.
+    // every bit pattern is a valid u32.  Edges driven by
+    // `views_at_the_smallest_capacity_and_a_full_row`.
     let keys = unsafe { std::slice::from_raw_parts(packed.as_ptr().cast(), 2 * packed.len()) };
     (vals, keys)
 }
@@ -95,7 +96,8 @@ fn split_mut(block: &mut [u64], cap: usize) -> (&mut [u64], &mut [u32]) {
     let (vals, packed) = block.split_at_mut(cap);
     // SAFETY: as in `split`; `packed` is borrowed mutably and not used
     // again, so the returned slice is the only path to these bytes, and
-    // any u32 written leaves the words initialised.
+    // any u32 written leaves the words initialised.  Edges driven by
+    // `views_at_the_smallest_capacity_and_a_full_row`.
     let keys =
         unsafe { std::slice::from_raw_parts_mut(packed.as_mut_ptr().cast(), 2 * packed.len()) };
     (vals, keys)
@@ -618,6 +620,40 @@ mod tests {
                 prop_assert_eq!(&fresh, &spilled);
             }
         }
+    }
+
+    /// `split`/`split_mut` at the smallest spilled capacity, every slot
+    /// written through one view and read back through the other, and a
+    /// row at exactly its capacity, whose last key is the block's last
+    /// half-word, before and after it grows.
+    #[test]
+    fn views_at_the_smallest_capacity_and_a_full_row() {
+        let cap = 2 * INLINE;
+        let mut block = vec![0u64; cap + cap / 2];
+        let (vals, keys) = split_mut(&mut block, cap);
+        assert_eq!((vals.len(), keys.len()), (cap, cap));
+        for (i, (v, k)) in vals.iter_mut().zip(keys.iter_mut()).enumerate() {
+            *v = 10 + i as u64;
+            *k = u32::MAX - key(i);
+        }
+        let (vals, keys) = split(&block, cap);
+        assert!(vals.iter().copied().eq((0..cap).map(|i| 10 + i as u64)));
+        assert!(keys.iter().copied().eq((0..cap).map(|i| u32::MAX - key(i))));
+
+        let mut row = SparseRow::new();
+        for c in 0..key(cap) {
+            row.push(c, u64::from(c) + 1);
+        }
+        assert_eq!((row.len(), row.capacity()), (cap, cap));
+        assert!(row.keys().iter().copied().eq(0..key(cap)));
+        assert_eq!(row.get(key(cap) - 1), u64::from(key(cap)));
+        assert_eq!(row.take(key(cap) - 1), u64::from(key(cap)));
+        row.push(key(cap) - 1, 7);
+        row.push(key(cap), 9);
+        assert_eq!((row.len(), row.capacity()), (cap + 1, 2 * cap));
+        assert!(row.keys().iter().copied().eq(0..=key(cap)));
+        assert_eq!(&row.vals()[cap - 1..], [7, 9]);
+        row.check().unwrap();
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //! (DESIGN.md §11).
 //!
 //! An `rng` row times the layer under all of them: 2²⁴ `next_u64` draws
-//! from the vendored `ChaCha8Rng` (`ns_per_u64`), one four-block refill
-//! (`ns_per_refill`), and the FNV fold of the draws as the row's
-//! checksum.  A toolchain that stops vectorising the refill shows here
-//! as `ns_per_u64` doubling, with the checksum unchanged.
+//! from the vendored `ChaCha8Rng` (`ns_per_u64`), one sixteen-block
+//! refill on the path the CPU dispatches to (`ns_per_refill`), and the
+//! FNV fold of the draws as the row's checksum.  A toolchain that stops
+//! vectorising the refill shows here as `ns_per_u64` doubling, with the
+//! checksum unchanged.
 //!
 //! Usage: `cargo run --release -p dlb-experiments --bin bench_core
 //!         [--smoke] [--out BENCH_core.json] [--check BENCH_core.json]`
@@ -389,7 +390,8 @@ fn run_sparse_cell(n: usize, gap: (u32, u32), steps: usize, reps: usize) -> Spar
 }
 
 /// The `rng` row: `RNG_DRAWS` `next_u64` from seed `RNG_SEED`, and
-/// `RNG_REFILLS` seeks, each of which computes one buffer of four blocks.
+/// `RNG_REFILLS` seeks, each of which computes one buffer of sixteen
+/// blocks on the path the CPU dispatches to.
 const RNG_SEED: u64 = 4711;
 const RNG_DRAWS: u64 = 1 << 24;
 const RNG_REFILLS: u64 = 1 << 18;

@@ -39,6 +39,7 @@ pub struct SpscRing<T> {
 // reserving and publishing `tail`) and the unique consumer (between
 // observing `tail` and publishing `head`); the release/acquire pair on
 // `tail` (push → pop) and `head` (pop → push) orders the data accesses.
+// Driven across threads by `spsc_transfers_everything_in_order_across_threads`.
 unsafe impl<T: Send> Send for SpscRing<T> {}
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
@@ -87,7 +88,8 @@ impl<T> SpscRing<T> {
         }
         // SAFETY: the slot at `tail` is outside the live [head, tail)
         // window, so the consumer cannot be reading it; we are the only
-        // producer, so nobody else is writing it.
+        // producer, so nobody else is writing it.  Wrapping driven by
+        // `a_capacity_two_ring_wraps_full_for_several_laps`.
         unsafe { (*self.buf[tail & self.mask].get()).write(v) };
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
@@ -105,6 +107,7 @@ impl<T> SpscRing<T> {
         // SAFETY: `head < tail` means the slot was fully written before
         // the producer's release-store of `tail`, which our acquire-load
         // observed; publishing `head` afterwards hands the slot back.
+        // Wrapping driven by `a_capacity_two_ring_wraps_full_for_several_laps`.
         let v = unsafe { (*self.buf[head & self.mask].get()).assume_init_read() };
         self.head.store(head.wrapping_add(1), Ordering::Release);
         Some(v)
@@ -143,6 +146,31 @@ mod tests {
             assert!(r.try_push(lap).is_ok());
             assert_eq!(r.pop(), Some(lap));
         }
+    }
+
+    /// The smallest ring filled on every lap and drained either to empty
+    /// or to one item, so that it is full with `head` on either slot, and
+    /// dropped holding an item that wrapped.
+    #[test]
+    fn a_capacity_two_ring_wraps_full_for_several_laps() {
+        let payload = Arc::new(0u64);
+        let r: SpscRing<(u64, Arc<u64>)> = SpscRing::with_capacity(1);
+        assert_eq!(r.capacity(), 2);
+        let (mut pushed, mut popped) = (0u64, 0u64);
+        for lap in 0..10 {
+            while r.try_push((pushed, Arc::clone(&payload))).is_ok() {
+                pushed += 1;
+            }
+            assert_eq!(r.len(), 2, "lap {lap}");
+            while r.len() > lap % 2 {
+                assert_eq!(r.pop().map(|(v, _)| v), Some(popped), "lap {lap}");
+                popped += 1;
+            }
+        }
+        assert_eq!((pushed, popped), (16, 15));
+        assert_eq!(Arc::strong_count(&payload), 2);
+        drop(r);
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
