@@ -1627,17 +1627,17 @@ mod tests {
         }
         cluster.check_invariants().unwrap();
         let loads = cluster.loads();
-        // Max against min is the binding pair.
+        // Max against min is the binding pair; one run, judged as exact.
+        let load = |l: &u64| dlb_theory::claims::Estimate::exact(*l as f64);
         let observed = dlb_theory::claims::Observation::Pair {
-            load_i: *loads.iter().max().unwrap() as f64,
-            load_j: *loads.iter().min().unwrap() as f64,
+            load_i: load(loads.iter().max().unwrap()),
+            load_j: load(loads.iter().min().unwrap()),
             c_borrow: params.c_borrow(),
         };
         let margin = dlb_theory::claims::by_id("thm4")
             .evaluate(params.algo(), &observed)
             .expect("inside");
-        // One run, not an expectation: up to 3x the bound.
-        assert!(margin.holds_within(2.0), "{margin:?}");
+        assert!(margin.holds(), "{margin:?}");
     }
 
     #[test]

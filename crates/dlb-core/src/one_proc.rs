@@ -10,6 +10,7 @@
 
 use crate::balance::{even_shares, sample_others_into};
 use crate::params::Params;
+use dlb_theory::claims::Estimate;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -118,19 +119,30 @@ impl OneProcModel {
 }
 
 /// Empirical mean ratio `E(l_1,t)/E(l_i,t)` of the generator model after
-/// exactly `t` balancing operations, averaged over `runs` seeded runs
-/// starting from a balanced state with `initial` packets each (Theorem 1's
-/// `G^t(1)` with integer granularity `1/initial`).
-pub fn mean_ratio_after_ops(params: Params, t: u64, runs: usize, initial: u64, seed: u64) -> f64 {
-    let mut sum_gen = 0.0;
-    let mut sum_other = 0.0;
-    for r in 0..runs {
-        let mut model = OneProcModel::new(params, seed.wrapping_add(r as u64), initial);
-        model.generate_until_ops(t);
-        sum_gen += model.loads()[0] as f64;
-        sum_other += model.loads()[1..].iter().sum::<u64>() as f64 / (params.n() - 1) as f64;
-    }
-    sum_gen / sum_other
+/// exactly `t` balancing operations over `runs` seeded runs (seeds
+/// `seed`, `seed + 1`, …) starting from a balanced state with `initial`
+/// packets each (Theorem 1's `G^t(1)` with integer granularity
+/// `1/initial`): the generator's summed load over the others' summed mean
+/// load, with the standard error of that ratio over batches of the runs.
+pub fn mean_ratio_after_ops(
+    params: Params,
+    t: u64,
+    runs: usize,
+    initial: u64,
+    seed: u64,
+) -> Estimate {
+    let per_run: Vec<(f64, f64)> = (0..runs)
+        .map(|r| {
+            let mut model = OneProcModel::new(params, seed.wrapping_add(r as u64), initial);
+            model.generate_until_ops(t);
+            let others = model.loads()[1..].iter().sum::<u64>() as f64;
+            (model.loads()[0] as f64, others / (params.n() - 1) as f64)
+        })
+        .collect();
+    Estimate::of_batches(&per_run, |batch| {
+        let generator: f64 = batch.iter().map(|run| run.0).sum();
+        generator / batch.iter().map(|run| run.1).sum::<f64>()
+    })
 }
 
 /// Counts the balancing operations the §4 decrease simulation needs to
@@ -189,12 +201,12 @@ pub fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
     model.balance_ops
 }
 
-/// Mean of [`decrease_ops`] over `runs` seeds.
-pub fn mean_decrease_ops(params: Params, x: u64, c: u64, runs: usize, seed: u64) -> f64 {
-    (0..runs)
+/// Mean of [`decrease_ops`] over `runs` seeds, with its standard error.
+pub fn mean_decrease_ops(params: Params, x: u64, c: u64, runs: usize, seed: u64) -> Estimate {
+    let ops: Vec<f64> = (0..runs)
         .map(|r| decrease_ops(params, x, c, seed.wrapping_add(r as u64)) as f64)
-        .sum::<f64>()
-        / runs as f64
+        .collect();
+    Estimate::of_runs(&ops)
 }
 
 #[cfg(test)]
@@ -217,9 +229,9 @@ mod tests {
     fn ratio_converges_to_fix() {
         // Theorem 1: the mean ratio after many ops approaches FIX(n, δ, f).
         let params = Params::new(16, 2, 1.5, 4).unwrap();
-        let ratio = mean_ratio_after_ops(params, 400, 60, 2_000, 42);
+        let ratio = mean_ratio_after_ops(params, 400, 60, 2_000, 42).mean;
         let thm1 = claims::by_id("thm1")
-            .evaluate(params.algo(), &Observation::Ratio(ratio))
+            .evaluate(params.algo(), &Observation::Ratio(Estimate::exact(ratio)))
             .expect("inside");
         // Converged: within 8 % of FIX (the bound) on either side.
         assert!(
@@ -227,9 +239,10 @@ mod tests {
             "empirical {ratio} vs {thm1:?}"
         );
         // And FIX is below the Theorem 2 limit.
-        let fix = Observation::Ratio(TheoremBounds::for_params(params.algo()).fix);
+        let fix = TheoremBounds::for_params(params.algo()).fix;
+        let fix = Observation::Ratio(Estimate::exact(fix));
         let thm2 = claims::by_id("thm2").evaluate(params.algo(), &fix);
-        assert!(thm2.expect("inside").holds_within(1e-12));
+        assert!(thm2.expect("inside").holds());
     }
 
     #[test]
@@ -238,7 +251,7 @@ mod tests {
         let params = Params::new(16, 2, 1.5, 4).unwrap();
         let algo = *params.algo();
         for t in [3usize, 8, 20] {
-            let empirical = mean_ratio_after_ops(params, t as u64, 150, 5_000, 7);
+            let empirical = mean_ratio_after_ops(params, t as u64, 150, 5_000, 7).mean;
             let expect = algo.g_iter(1.0, t);
             assert!(
                 (empirical - expect).abs() / expect < 0.08,
@@ -271,28 +284,25 @@ mod tests {
         let lemma5 = claims::by_id("lemma5")
             .evaluate(params.algo(), &Observation::Decrease { x, c, ops })
             .expect("inside");
-        let (lower, upper) = (lemma5.lower, lemma5.upper);
-        // The bounds concern expectations; allow modest slack for the
-        // integer simulation.
-        assert!(
-            ops >= lower * 0.7 && ops <= upper * 1.4,
-            "measured {ops}, bounds [{lower}, {upper}]"
-        );
+        assert!(lemma5.holds(), "{lemma5:?}");
     }
 
     #[test]
     fn decrease_ops_sensitive_to_f() {
         // §6: cost falls sharply as f grows.
-        let slow = mean_decrease_ops(Params::new(64, 1, 1.05, 4).unwrap(), 1_000, 500, 20, 3);
-        let fast = mean_decrease_ops(Params::new(64, 2, 1.8, 4).unwrap(), 1_000, 500, 20, 3);
+        let mean = |delta, f| {
+            let params = Params::new(64, delta, f, 4).unwrap();
+            mean_decrease_ops(params, 1_000, 500, 20, 3).mean
+        };
+        let (slow, fast) = (mean(1, 1.05), mean(2, 1.8));
         assert!(slow > 2.0 * fast, "f=1.05: {slow} ops, f=1.8: {fast} ops");
     }
 
     #[test]
     fn decrease_ops_scale_invariant_in_ratio() {
         let params = Params::new(64, 1, 1.1, 4).unwrap();
-        let small = mean_decrease_ops(params, 1_000, 500, 30, 5);
-        let large = mean_decrease_ops(params, 10_000, 5_000, 30, 5);
+        let small = mean_decrease_ops(params, 1_000, 500, 30, 5).mean;
+        let large = mean_decrease_ops(params, 10_000, 5_000, 30, 5).mean;
         assert!((small - large).abs() / small < 0.25, "{small} vs {large}");
     }
 

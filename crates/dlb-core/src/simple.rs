@@ -483,27 +483,37 @@ mod tests {
         // Large initial load to make the f-trigger granularity negligible;
         // generator-only workload approximates the §3 model.
         let params = Params::new(32, 2, 1.5, 4).unwrap();
-        let mut total_ratio = 0.0;
-        let runs = 20;
-        for seed in 0..runs {
-            let mut cluster = SimpleCluster::with_initial_load(params, seed, 1_000);
-            let mut events = vec![LoadEvent::Idle; 32];
-            events[0] = LoadEvent::Generate;
-            for _ in 0..60_000 {
-                cluster.step(&events);
-            }
-            let loads = cluster.loads();
-            let others = loads[1..].iter().sum::<u64>() as f64 / 31.0;
-            total_ratio += loads[0] as f64 / others;
-        }
-        let mean_ratio = total_ratio / runs as f64;
-        // Claim `thm2`'s limit (≈ 1.33 here): the empirical mean ratio
-        // should be near, and statistically not far above, it.
-        let observed = dlb_theory::claims::Observation::Ratio(mean_ratio);
-        let thm2 = dlb_theory::claims::by_id("thm2").evaluate(params.algo(), &observed);
+        let ratios: Vec<f64> = (0..20)
+            .map(|seed| {
+                let mut cluster = SimpleCluster::with_initial_load(params, seed, 1_000);
+                let mut events = vec![LoadEvent::Idle; 32];
+                events[0] = LoadEvent::Generate;
+                // Only processor 0 triggers: read the ratio right after its
+                // last operation, where thm2 bounds it (as the
+                // one-processor model does), not mid-way through a cycle.
+                let mut after_op = 0.0;
+                for _ in 0..60_000 {
+                    let ops = cluster.metrics().balance_ops;
+                    cluster.step(&events);
+                    if cluster.metrics().balance_ops > ops {
+                        let loads = cluster.loads();
+                        let others = loads[1..].iter().sum::<u64>() as f64 / 31.0;
+                        after_op = loads[0] as f64 / others;
+                    }
+                }
+                after_op
+            })
+            .collect();
+        let observed = dlb_theory::claims::Estimate::of_runs(&ratios);
+        // Claim `thm2`'s limit (≈ 1.33 here), within the runs' error bar.
+        let ratio = dlb_theory::claims::Observation::Ratio(observed);
+        let thm2 = dlb_theory::claims::by_id("thm2").evaluate(params.algo(), &ratio);
         let thm2 = thm2.expect("inside");
-        assert!(thm2.holds_within(0.25), "mean ratio {mean_ratio}: {thm2:?}");
-        assert!(mean_ratio > 1.0, "producer should carry more: {mean_ratio}");
+        assert!(thm2.holds(), "mean ratio {observed:?}: {thm2:?}");
+        assert!(
+            observed.mean > 1.0,
+            "producer should carry more: {observed:?}"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 
 use dlb_core::Metrics;
-use dlb_theory::claims::{self, Margin, Observation};
+use dlb_theory::claims::{self, Estimate, Margin, Observation};
 use dlb_theory::AlgoParams;
 use dlb_trace::TraceEvent;
 
@@ -265,7 +265,11 @@ pub fn csv_rows(run_idx: usize, run: &RunAnalysis) -> Vec<Vec<String>> {
         .map(|row| {
             let (x, ops) = (x0.unwrap_or(0), row.ops_cum as f64);
             let observed = row.load.filter(|&(_, max, _)| max < x);
-            let observed = observed.map(|(_, max, _)| Observation::Decrease { x, c: x - max, ops });
+            let observed = observed.map(|(_, max, _)| Observation::Decrease {
+                x,
+                c: x - max,
+                ops: Estimate::exact(ops),
+            });
             let bound = |id, side: fn(Margin) -> f64| {
                 let margin = observed.and_then(|o| claims::by_id(id).evaluate(algo.as_ref()?, &o));
                 let t = margin.map(side).filter(|t| t.is_finite());

@@ -241,6 +241,19 @@ pub struct ArenaRow {
     pub conv_steps: f64,
     /// Mean max/mean ratio per step, over runs (the SVG curve).
     pub ratio_curve: Vec<f64>,
+    /// Each run's own figures, in run order: the spread behind the means.
+    pub per_run: Vec<RunStats>,
+}
+
+/// One run of one contender.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunStats {
+    /// Mean max/mean ratio over the run's recorded steps.
+    pub mean_ratio: f64,
+    /// Balancing operations.
+    pub balance_ops: u64,
+    /// First step after which the ratio stayed below the threshold.
+    pub conv_steps: usize,
 }
 
 struct RunOutcome {
@@ -366,6 +379,14 @@ pub fn run_league(
                 decrease_per_run: per_run(dec),
                 conv_steps: conv_sum as f64 / cfg.runs as f64,
                 ratio_curve: curve,
+                per_run: runs
+                    .iter()
+                    .map(|out| RunStats {
+                        mean_ratio: out.recorder.mean_ratio(),
+                        balance_ops: out.balance_ops,
+                        conv_steps: out.conv_steps,
+                    })
+                    .collect(),
             }
         })
         .collect()

@@ -7,8 +7,9 @@
 //! with [`keys!`](crate::keys); [`Args::parse`] refuses an undeclared
 //! key, a value that does not parse as the declared type and a bare
 //! word — before the experiment starts, as `dlb` does.  A value that
-//! parses but cannot be built into what the experiment needs
-//! (`--delta 0`) goes through [`Args::build_or_exit`] to the same end.
+//! parses but cannot be built into what the experiment needs (a
+//! `--scenario` file that does not decode) goes through
+//! [`Args::build_or_exit`] to the same end.
 
 use std::collections::HashMap;
 use std::fmt::Display;

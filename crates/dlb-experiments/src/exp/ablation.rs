@@ -7,12 +7,13 @@
 //!    with hop-weighted communication cost on a 2-D torus.
 //!
 //! The variants race as one arena league (the same workloads and seed
-//! streams for each), so their columns read as the arena's do.
+//! streams for each), so their columns read as the arena's do.  The
+//! shapes it shows are `ablation.*` rows of `dlb-exp claims`.
 //!
 //! Usage: `dlb-exp ablation [--out results/ablation.csv]`
 
 use crate::arena::{
-    league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
+    league_csv_rows, lemma6_budget, run_league, ArenaConfig, ArenaRow, Contender, LEAGUE_HEADERS,
 };
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
@@ -31,19 +32,16 @@ const N: usize = 64;
 const STEPS: usize = 500;
 const RUNS: usize = 20;
 
-pub fn run(args: &Args) {
-    let out: String = args.get("out", "results/ablation.csv".to_string());
+/// The torus of the locality variants, with partners drawn by `mode`.
+fn topo(params: Params, mode: PartnerMode, seed: u64) -> TopoCluster {
+    let rule = TopoRule::new(Topology::Torus2D { w: 8, h: 8 }, mode);
+    TopoCluster::with_rule(params, rule, seed)
+}
 
+/// The five variants' league: full/strict, full/aggressive, simple, and
+/// the torus with global, then neighbour partners.
+pub(super) fn league() -> Vec<ArenaRow> {
     let params = Params::paper_section7(N);
-    println!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");
-
-    let topo = move |mode, seed| {
-        TopoCluster::with_rule(
-            params,
-            TopoRule::new(Topology::Torus2D { w: 8, h: 8 }, mode),
-            seed,
-        )
-    };
     let aggressive = params.with_exchange(ExchangePolicy::Aggressive);
     let variants = [
         Contender::new("full / strict", move |s| Box::new(Cluster::new(params, s))),
@@ -54,10 +52,10 @@ pub fn run(args: &Args) {
             Box::new(SimpleCluster::new(params, s))
         }),
         Contender::new("topo: global partners", move |s| {
-            Box::new(topo(PartnerMode::GlobalRandom, s))
+            Box::new(topo(params, PartnerMode::GlobalRandom, s))
         }),
         Contender::new("topo: neighbours only", move |s| {
-            Box::new(topo(PartnerMode::Neighbors, s))
+            Box::new(topo(params, PartnerMode::Neighbors, s))
         }),
     ];
     let cfg = ArenaConfig {
@@ -69,7 +67,24 @@ pub fn run(args: &Args) {
         faults: None,
         jobs: default_jobs(),
     };
-    let league = run_league(&cfg, &variants, |s| paper_workload(N, STEPS, s), None);
+    run_league(&cfg, &variants, |s| paper_workload(N, STEPS, s), None)
+}
+
+/// `(packets, packet-hops)` of one single run on the torus with `mode`.
+pub(super) fn hops(mode: PartnerMode) -> (u64, u64) {
+    let mut workload = PhaseWorkload::new(N, STEPS, PhaseConfig::paper_section7(), 7000);
+    let mut c = topo(Params::paper_section7(N), mode, 1);
+    drive(&mut c, &mut workload, STEPS, |_, _| {});
+    let comm = c.rule().comm();
+    (comm.packets, comm.packet_hops)
+}
+
+pub fn run(args: &Args) {
+    let out: String = args.get("out", "results/ablation.csv".to_string());
+
+    let params = Params::paper_section7(N);
+    println!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");
+    let league = league();
     let rows = league_csv_rows(&league, lemma6_budget(params));
     println!("{}", render_table(&LEAGUE_HEADERS, &rows));
 
@@ -79,15 +94,12 @@ pub fn run(args: &Args) {
         ("global", PartnerMode::GlobalRandom),
         ("neighbours", PartnerMode::Neighbors),
     ] {
-        let mut workload = PhaseWorkload::new(N, STEPS, PhaseConfig::paper_section7(), 7000);
-        let mut c = topo(mode, 1);
-        drive(&mut c, &mut workload, STEPS, |_, _| {});
-        let comm = c.rule().comm();
+        let (packets, packet_hops) = hops(mode);
         hop_rows.push(vec![
             label.to_string(),
-            comm.packets.to_string(),
-            comm.packet_hops.to_string(),
-            f3(comm.packet_hops as f64 / comm.packets.max(1) as f64),
+            packets.to_string(),
+            packet_hops.to_string(),
+            f3(packet_hops as f64 / packets.max(1) as f64),
         ]);
     }
     println!("Hop-weighted communication on the torus (single run):");
@@ -98,9 +110,6 @@ pub fn run(args: &Args) {
             &hop_rows
         )
     );
-    println!("Expected shape: full and simple variants balance almost identically (the");
-    println!("virtual classes exist for the proof); aggressive exchange ~= strict; the");
-    println!("locality variant pays ~1 hop/packet but balances more slowly (diffusive).");
     write_csv(&out, &LEAGUE_HEADERS, &rows).expect("CSV written");
     println!("\nwrote {out}");
 }

@@ -3,7 +3,8 @@
 //! search / branch & bound) is rooted on one processor; every processor
 //! consumes one packet per step *if it has one*.  The makespan with the
 //! SPAA'93 balancer versus without balancing shows how much wall time the
-//! algorithm buys.
+//! algorithm buys.  The shape it shows is the `closed_loop.speedup` row
+//! of `dlb-exp claims`.
 //!
 //! Usage: `dlb-exp closed_loop [--out results/closed_loop.csv]`
 
@@ -16,16 +17,40 @@ use dlb_workload::branching::{run_branching, Offspring};
 /// Tasks rooted on processor 0, and seeded runs per balancer.
 const ROOTS: u32 = 400;
 const RUNS: usize = 10;
+pub(super) const NS: [usize; 3] = [4, 8, 16];
+
+/// The offspring law of every task: mean 0.99 children.
+pub(super) fn offspring() -> Offspring {
+    Offspring::bernoulli(2, 0.495)
+}
+
+/// The parameters of every trigger-rule balancer at `n`.
+pub(super) fn params(n: usize) -> Params {
+    Params::new(n, 2, 1.3, 4).expect("valid")
+}
+
+/// `(makespan, tasks processed)` of runs `0..runs`, each a fresh
+/// balancer from `make(r)` on the task tree of seed `100 + r`.
+pub(super) fn makespans<B: LoadBalancer>(
+    make: impl Fn(u64) -> B,
+    offspring: &Offspring,
+    runs: usize,
+) -> Vec<(usize, u64)> {
+    (0..runs)
+        .map(|r| {
+            let mut balancer = make(r as u64);
+            let out = run_branching(&mut balancer, offspring, ROOTS, 5_000_000, 100 + r as u64);
+            assert!(out.drained, "run {r} did not drain");
+            (out.makespan, out.processed)
+        })
+        .collect()
+}
 
 fn mean_makespan<B: LoadBalancer>(make: impl Fn(u64) -> B, offspring: &Offspring) -> (f64, f64) {
-    let mut makespan = 0.0;
-    let mut processed = 0.0;
-    for r in 0..RUNS {
-        let mut balancer = make(r as u64);
-        let out = run_branching(&mut balancer, offspring, ROOTS, 5_000_000, 100 + r as u64);
-        assert!(out.drained, "run {r} did not drain");
-        makespan += out.makespan as f64;
-        processed += out.processed as f64;
+    let (mut makespan, mut processed) = (0.0, 0.0);
+    for (m, p) in makespans(make, offspring, RUNS) {
+        makespan += m as f64;
+        processed += p as f64;
     }
     (makespan / RUNS as f64, processed / RUNS as f64)
 }
@@ -39,11 +64,11 @@ pub fn run(args: &Args) {
         "Closed-loop branching computation ({ROOTS} roots on processor 0, \
          mean offspring 0.99, {RUNS} runs)\n"
     );
-    let offspring = Offspring::bernoulli(2, 0.495);
+    let offspring = offspring();
 
     let mut rows = Vec::new();
-    for n in [4usize, 8, 16] {
-        let params = Params::new(n, 2, 1.3, 4).expect("valid");
+    for n in NS {
+        let params = params(n);
         let (none_ms, none_proc) = mean_makespan(|_| NoBalance::new(n), &offspring);
         let base = none_ms;
         let (simple_ms, _) = mean_makespan(|s| SimpleCluster::new(params, s), &offspring);
@@ -74,8 +99,6 @@ pub fn run(args: &Args) {
         "speedup full",
     ];
     println!("{}", render_table(&headers, &rows));
-    println!("Expected shape: speedup grows with n towards the ideal n× (the tree is");
-    println!("serial without balancing since all packets sit on processor 0).");
     write_csv(&out, &headers, &rows).expect("CSV written");
     println!("\nwrote {out}");
 }

@@ -1,7 +1,8 @@
 //! Figure 6: variation density of a non-generating processor for
 //! `δ ∈ {1, 2, 4}`, `f ∈ {1.1, 1.2}`, processor counts 2–35 and up to 150
 //! balancing steps, via the exact moment recursion (plus a Monte-Carlo
-//! cross-check column).
+//! cross-check column).  The shapes it shows are `fig6.*` rows of
+//! `dlb-exp claims`.
 //!
 //! Usage: `dlb-exp fig6_variation [--out results/fig6.csv] [--jobs N]`
 
@@ -9,21 +10,25 @@ use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
-use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts};
+use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts, VdCurve};
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-/// Balancing steps of every curve.
-const STEPS: usize = 150;
+/// Balancing steps of every curve, and the grid of `δ` and `f`.
+pub(super) const STEPS: usize = 150;
+pub(super) const DELTAS: [usize; 3] = [1, 2, 4];
+pub(super) const FS: [f64; 2] = [1.1, 1.2];
+
+/// Every curve of the figure, in grid order.
+pub(super) fn curves(jobs: usize) -> Vec<VdCurve> {
+    figure6_curves(&DELTAS, &FS, &paper_processor_counts(), STEPS, jobs)
+}
 
 pub fn run(args: &Args) {
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", "results/fig6.csv".to_string());
 
-    let deltas = [1usize, 2, 4];
-    let fs = [1.1f64, 1.2];
-    let counts = paper_processor_counts();
-    let curves = figure6_curves(&deltas, &fs, &counts, STEPS, jobs);
+    let curves = curves(jobs);
 
     // Summary table: converged VD per (delta, f) at the largest network.
     let mut rows = Vec::new();
@@ -63,7 +68,7 @@ pub fn run(args: &Args) {
     );
 
     // One representative plot: delta sweep at f = 1.2, 35 processors.
-    let plot_series: Vec<(String, Vec<f64>)> = deltas
+    let plot_series: Vec<(String, Vec<f64>)> = DELTAS
         .iter()
         .filter_map(|&d| {
             curves
@@ -84,8 +89,8 @@ pub fn run(args: &Args) {
     println!("Relaxed engine (the paper's Figure 6 method) vs the true algorithm");
     println!("(35 processors, converged VD):\n");
     let mut relax_rows = Vec::new();
-    for &delta in &deltas[1..] {
-        for &f in &fs {
+    for &delta in &DELTAS[1..] {
+        for f in FS {
             let true_vd = dlb_theory::moments::vd_curve(34, delta, f, STEPS)[STEPS];
             let relaxed_vd = dlb_theory::moments::vd_curve_relaxed(34, delta, f, STEPS)[STEPS];
             relax_rows.push(vec![
@@ -111,8 +116,6 @@ pub fn run(args: &Args) {
         let (exact, mc) = mc_crosscheck(d, f, n, 60, 30_000, 9);
         println!("  delta={d} f={f} procs={n}: exact {exact:.4} vs MC {mc:.4}");
     }
-    println!("\nExpected shape: VD small (< 1), converging in t and in network size;");
-    println!("larger delta and smaller f give lower VD (tradeoff with balancing cost).");
 
     write_csv(&out, &["delta", "f", "procs", "vd_final"], &csv_rows).expect("CSV written");
     let svg_series: Vec<Series> = curves

@@ -1,34 +1,49 @@
 //! Figures 7 and 8: balancing quality over 500 steps on the §7 workload —
 //! mean load plus the min/max ever observed across 100 runs, for
-//! `f ∈ {1.1, 1.8}` at a given `δ` (Figure 7: `δ = 1`; Figure 8: `δ = 4`).
+//! `f ∈ {1.1, 1.8}` at `δ = 1` (Figure 7) and `δ = 4` (Figure 8).  The
+//! shapes they show are `fig7.*` rows of `dlb-exp claims`.
 //!
-//! Usage: `dlb-exp fig7_quality [--delta 1] [--jobs N] [--out <csv>]`
-//! (jobs defaults to the available cores; any value produces
+//! Usage: `dlb-exp fig7_quality [--jobs N] [--out results]`
+//! (`--out` is the directory of both figures' CSV/SVG pairs; jobs
+//! defaults to the available cores, and any value produces
 //! byte-identical output)
 
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
-use crate::quality::balancing_quality;
+use crate::quality::{balancing_quality, QualityCurves};
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
 
-pub const KEYS: &[Key] = crate::keys!["delta": usize, "jobs": usize, "out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// The paper's §7 setting: processors, steps, runs and borrow limit C.
 const N: usize = 64;
-const STEPS: usize = 500;
-const RUNS: usize = 100;
+pub(super) const STEPS: usize = 500;
+pub(super) const RUNS: usize = 100;
 const C: usize = 4;
+pub(super) const SEED: u64 = 2024;
+/// `(figure, δ)` of each panel pair, and the `f` of each panel.
+pub(super) const FIGURES: [(u32, usize); 2] = [(7, 1), (8, 4)];
+pub(super) const FS: [f64; 2] = [1.1, 1.8];
+
+/// The curves of one panel: `RUNS` runs of the §7 workload at `δ`, `f`.
+pub(super) fn curves(delta: usize, f: f64, jobs: usize) -> QualityCurves {
+    let params = Params::new(N, delta, f, C).expect("a §7 setting");
+    balancing_quality(params, STEPS, RUNS, SEED, jobs)
+}
 
 pub fn run(args: &Args) {
-    let delta: usize = args.get("delta", 1);
     let jobs: usize = args.get("jobs", default_jobs());
-    let params = |f| args.build_or_exit("delta", Params::new(N, delta, f, C));
-    let curves = [1.1f64, 1.8].map(|f| (f, params(f)));
-    let figure = if delta == 1 { 7 } else { 8 };
-    let out: String = args.get("out", format!("results/fig{figure}_delta{delta}.csv"));
+    let out: String = args.get("out", "results".to_string());
+    for (figure, delta) in FIGURES {
+        figure_pair(figure, delta, jobs, &out);
+    }
+}
 
+/// One figure: both `f` at `δ`, as `<out>/fig<figure>_delta<δ>.csv`
+/// and `.svg`.
+fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) {
     println!(
         "Figure {figure}: balancing quality, delta = {delta}, f in {{1.1, 1.8}} \
          ({N} procs, {STEPS} steps, {RUNS} runs, C = {C}, {jobs} jobs)\n"
@@ -37,8 +52,8 @@ pub fn run(args: &Args) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
-    for (f, params) in curves {
-        let q = balancing_quality(params, STEPS, RUNS, 2024, jobs);
+    for f in FS {
+        let q = curves(delta, f, jobs);
 
         for t in 0..STEPS {
             csv_rows.push(vec![
@@ -82,10 +97,8 @@ pub fn run(args: &Args) {
         "{}",
         render_table(&["f", "t", "mean", "min", "max", "band"], &summary)
     );
-    println!("Expected shape: a narrow band around the mean; f = 1.1 narrower than f = 1.8;");
-    println!("delta = 4 (Figure 8) narrower than delta = 1 (Figure 7).");
-    write_csv(&out, &["f", "t", "mean", "min", "max"], &csv_rows).expect("CSV written");
-    let svg_path = out.replace(".csv", ".svg");
+    let [csv, svg] = ["csv", "svg"].map(|ext| format!("{out}/fig{figure}_delta{delta}.{ext}"));
+    write_csv(&csv, &["f", "t", "mean", "min", "max"], &csv_rows).expect("CSV written");
     let chart = ChartConfig {
         title: format!(
             "Figure {figure}: balancing quality, delta = {delta} ({N} procs, {RUNS} runs)"
@@ -94,6 +107,6 @@ pub fn run(args: &Args) {
         y_label: "load per processor".into(),
         ..Default::default()
     };
-    write_chart(&svg_path, &chart, &svg_series).expect("SVG written");
-    println!("\nwrote {out} and {svg_path}");
+    write_chart(&svg, &chart, &svg_series).expect("SVG written");
+    println!("\nwrote {csv} and {svg}\n");
 }

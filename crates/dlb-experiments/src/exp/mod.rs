@@ -44,10 +44,10 @@ macro_rules! table {
 
 /// Every experiment, in the order of the paper's evaluation.
 pub const EXPERIMENTS: &[Experiment] = table! {
-    claims: "Theorems 1-4 and Lemmas 5/6 vs their bounds (exit 1 on a violation)",
+    claims: "Theorems 1-4, Lemmas 5/6 and the section 7 shapes vs their bounds (exit 1 on a violation)",
     fig6_variation: "Figure 6 (variation density curves)",
-    fig7_quality: "Figures 7/8 (balancing quality over time; --delta 4 for Figure 8)",
-    fig9_distribution: "Figures 9/10 (per-processor distributions; --delta 4 for Figure 10)",
+    fig7_quality: "Figures 7/8 (balancing quality over time, delta = 1 and 4)",
+    fig9_distribution: "Figures 9/10 (per-processor distributions, delta = 1 and 4)",
     table1_borrow: "Table 1 (borrow statistics vs C)",
     scaling: "the \"up to 1024 processors\" scaling claim",
     ablation: "full vs simple variant, exchange policy, locality",

@@ -4,11 +4,12 @@
 //! moderate sizes.
 //!
 //! Each (n, variant) cell is a one-contender arena league on one thread,
-//! so µs/step compares across cells.
+//! so µs/step compares across cells.  The shapes it shows are
+//! `scaling.*` rows of `dlb-exp claims`.
 //!
 //! Usage: `dlb-exp scaling [--out results/scaling.csv]`
 
-use crate::arena::{run_league, ArenaConfig, Contender};
+use crate::arena::{run_league, ArenaConfig, ArenaRow, Contender};
 use crate::args::{Args, Key};
 use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
@@ -19,9 +20,20 @@ use std::time::Instant;
 /// n = 1024).
 const STEPS: usize = 500;
 const RUNS: usize = 5;
+pub(super) const NS: [usize; 4] = [16, 64, 256, 1024];
 
-/// `[max/mean, ops per run, wall µs per step]` of one contender.
-fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
+/// The practical and the full variant at the §7 parameters for `n`.
+pub(super) fn variants(n: usize) -> [Contender; 2] {
+    let params = Params::paper_section7(n);
+    [
+        Contender::new("simple", move |s| Box::new(SimpleCluster::new(params, s))),
+        Contender::new("full", move |s| Box::new(Cluster::new(params, s))),
+    ]
+}
+
+/// One contender's league over `runs` runs of the §7 workload at `n`, on
+/// one thread.
+pub(super) fn league(contender: Contender, n: usize, runs: usize) -> ArenaRow {
     let cfg = ArenaConfig {
         n,
         steps: STEPS,
@@ -31,8 +43,13 @@ fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
         faults: None,
         jobs: 1,
     };
+    run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0)
+}
+
+/// `[max/mean, ops per run, wall µs per step]` of one contender.
+fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
     let start = Instant::now();
-    let row = run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0);
+    let row = league(contender, n, runs);
     let elapsed = start.elapsed().as_secs_f64();
     [
         f3(row.mean_ratio),
@@ -48,10 +65,8 @@ pub fn run(args: &Args) {
 
     println!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
     let mut rows = Vec::new();
-    for n in [16usize, 64, 256, 1024] {
-        let params = Params::paper_section7(n);
-        let simple = Contender::new("simple", move |s| Box::new(SimpleCluster::new(params, s)));
-        let full = Contender::new("full", move |s| Box::new(Cluster::new(params, s)));
+    for n in NS {
+        let [simple, full] = variants(n);
         // The full variant keeps O(n) state per processor (the virtual
         // load classes); at n = 1024 we use fewer runs.
         let full_runs = if n >= 1024 { 2 } else { RUNS };
@@ -70,8 +85,6 @@ pub fn run(args: &Args) {
         "full us/step",
     ];
     println!("{}", render_table(&headers, &rows));
-    println!("Expected shape: max/mean stays bounded (network-size independent, Theorem 2);");
-    println!("operations grow ~linearly with n (each processor balances for itself).");
     write_csv(&out, &headers, &rows).expect("CSV written");
     println!("\nwrote {out}");
 }

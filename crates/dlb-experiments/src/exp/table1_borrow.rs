@@ -8,7 +8,9 @@
 //! The matrix is 64 processors, 500 steps and 100 runs.  `--smoke`
 //! shrinks it (n=16, 80 steps, 8 runs) and writes to
 //! `results/table1_smoke.csv` so CI can golden-gate it in seconds
-//! without touching the paper-scale `results/table1.csv`.
+//! without touching the paper-scale `results/table1.csv`.  The shapes
+//! the table shows, and its printed values, are `table1.*` rows of
+//! `dlb-exp claims`.
 
 use crate::args::{Args, Flag, Key};
 use crate::parallel::default_jobs;
@@ -18,16 +20,22 @@ use dlb_core::{ExchangePolicy, Params};
 
 pub const KEYS: &[Key] = crate::keys!["smoke": Flag, "jobs": usize, "out": String];
 
+/// The paper-scale matrix: processors, steps and runs, and every run's
+/// base seed.
+pub(super) const SCALE: (usize, usize, usize) = (64, 500, 100);
+pub(super) const SEED: u64 = 31;
+pub(super) const CS: [usize; 4] = [4, 8, 16, 32];
+
 pub fn run(args: &Args) {
     let smoke = args.flag("smoke");
-    let (n, steps, runs, def_out) = if smoke {
-        (16, 80, 8, "results/table1_smoke.csv")
+    let ((n, steps, runs), def_out) = if smoke {
+        ((16, 80, 8), "results/table1_smoke.csv")
     } else {
-        (64, 500, 100, "results/table1.csv")
+        (SCALE, "results/table1.csv")
     };
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", def_out.to_string());
-    let grid: Vec<Params> = [4, 8, 16, 32]
+    let grid: Vec<Params> = CS
         .into_iter()
         .map(|c| Params::new(n, 1, 1.1, c).expect("valid"))
         .collect();
@@ -41,7 +49,7 @@ pub fn run(args: &Args) {
         let mut rows = Vec::new();
         for params in &grid {
             let c = params.c_borrow();
-            let row = table1_row(params.with_exchange(policy), steps, runs, 31, jobs);
+            let row = table1_row(params.with_exchange(policy), steps, runs, SEED, jobs);
             rows.push(vec![
                 c.to_string(),
                 f3(row.total_borrow),
@@ -73,8 +81,6 @@ pub fn run(args: &Args) {
             )
         );
     }
-    println!("Expected shape (paper, C=4..32): total borrow ~constant (~108);");
-    println!("remote borrow, borrow fail and decrease sim collapse as C grows.");
     write_csv(
         &out,
         &[

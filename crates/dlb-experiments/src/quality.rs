@@ -17,7 +17,7 @@
 use crate::arena::{run_seeded, RunWorkload};
 use crate::parallel::par_map;
 use dlb_core::{Cluster, LoadBalancer, Params};
-use dlb_theory::claims::Observation;
+use dlb_theory::claims::{Estimate, Observation};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
 /// Mean/min/max load per time step, aggregated over processors and runs
@@ -30,10 +30,13 @@ pub struct QualityCurves {
     pub min: Vec<u64>,
     /// Maximum load of any processor in any run, per step.
     pub max: Vec<u64>,
+    /// Each run's max − min load at the last step, in run order.
+    pub final_spreads: Vec<u64>,
 }
 
 impl QualityCurves {
-    /// `max[t] − min[t]` at the final step: the paper's visual gap.
+    /// `max[t] − min[t]` at the final step: the paper's visual gap, the
+    /// envelope over all runs.
     pub fn final_spread(&self) -> u64 {
         let last = self.mean.len() - 1;
         self.max[last] - self.min[last]
@@ -95,6 +98,7 @@ pub fn balancing_quality(
             mean: vec![0.0; steps],
             min: vec![u64::MAX; steps],
             max: vec![0; steps],
+            final_spreads: Vec::new(),
         };
         let mut loads = Vec::with_capacity(n);
         paper_run(params, steps, base_seed, r, |t, b| {
@@ -118,7 +122,14 @@ pub fn balancing_quality(
     for m in &mut mean {
         *m /= runs as f64;
     }
-    QualityCurves { mean, min, max }
+    let last = steps - 1;
+    let final_spreads = per_run.iter().map(|run| run.max[last] - run.min[last]);
+    QualityCurves {
+        mean,
+        min,
+        max,
+        final_spreads: final_spreads.collect(),
+    }
 }
 
 /// Per-processor load distribution at one checkpoint (Figures 9/10):
@@ -133,6 +144,8 @@ pub struct SnapshotDistribution {
     pub min: Vec<u64>,
     /// Maximum load per processor over runs.
     pub max: Vec<u64>,
+    /// Every run's loads at `t`, in run order.
+    pub runs: Vec<Vec<u64>>,
 }
 
 impl SnapshotDistribution {
@@ -141,6 +154,21 @@ impl SnapshotDistribution {
         let lo = self.mean.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = self.mean.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         hi - lo
+    }
+
+    /// Processor `i`'s expected load at `t`, estimated over the runs.
+    pub fn load(&self, i: usize) -> Estimate {
+        let loads: Vec<f64> = self.runs.iter().map(|run| run[i] as f64).collect();
+        Estimate::of_runs(&loads)
+    }
+
+    /// Each run's max − min load at `t`, in run order.
+    pub fn spreads(&self) -> Vec<f64> {
+        let spread = |run: &Vec<u64>| {
+            let (lo, hi) = (run.iter().min(), run.iter().max());
+            (hi.expect("n > 0") - lo.expect("n > 0")) as f64
+        };
+        self.runs.iter().map(spread).collect()
     }
 }
 
@@ -154,48 +182,40 @@ pub fn distribution_at(
     jobs: usize,
 ) -> Vec<SnapshotDistribution> {
     let n = params.n();
-    let fresh = || -> Vec<SnapshotDistribution> {
-        checkpoints
-            .iter()
-            .map(|&t| SnapshotDistribution {
-                t,
-                mean: vec![0.0; n],
-                min: vec![u64::MAX; n],
-                max: vec![0; n],
-            })
-            .collect()
-    };
     let per_run = par_map(jobs, runs, |r| {
-        let mut snaps = fresh();
-        let mut loads = Vec::with_capacity(n);
+        let mut snaps = vec![Vec::new(); checkpoints.len()];
         paper_run(params, steps, base_seed, r, |t, b| {
-            for snap in snaps.iter_mut().filter(|s| s.t == t) {
-                b.loads_into(&mut loads);
-                for (i, &l) in loads.iter().enumerate() {
-                    snap.mean[i] = l as f64;
-                    snap.min[i] = l;
-                    snap.max[i] = l;
-                }
+            for (snap, _) in snaps.iter_mut().zip(checkpoints).filter(|(_, &at)| at == t) {
+                b.loads_into(snap);
             }
         });
         snaps
     });
-    let mut snaps = fresh();
-    for run in &per_run {
-        for (snap, run_snap) in snaps.iter_mut().zip(run.iter()) {
-            for i in 0..n {
-                snap.mean[i] += run_snap.mean[i];
-                snap.min[i] = snap.min[i].min(run_snap.min[i]);
-                snap.max[i] = snap.max[i].max(run_snap.max[i]);
+    let snapshot = |k: usize, t: usize| {
+        let mut snap = SnapshotDistribution {
+            t,
+            mean: vec![0.0; n],
+            min: vec![u64::MAX; n],
+            max: vec![0; n],
+            runs: per_run.iter().map(|run| run[k].clone()).collect(),
+        };
+        for run in &snap.runs {
+            for (i, &l) in run.iter().enumerate() {
+                snap.mean[i] += l as f64;
+                snap.min[i] = snap.min[i].min(l);
+                snap.max[i] = snap.max[i].max(l);
             }
         }
-    }
-    for snap in &mut snaps {
         for m in &mut snap.mean {
             *m /= runs as f64;
         }
-    }
-    snaps
+        snap
+    };
+    checkpoints
+        .iter()
+        .enumerate()
+        .map(|(k, &t)| snapshot(k, t))
+        .collect()
 }
 
 /// Claim `thm4`'s observations of the §7 workload: every ordered pair
@@ -210,9 +230,10 @@ pub fn theorem4_pairs(
 ) -> Vec<Observation> {
     let snaps = distribution_at(params, steps, checkpoints, runs, base_seed, jobs);
     let mut pairs = Vec::new();
-    for mean in snaps.iter().map(|snap| &snap.mean) {
-        for (i, &load_i) in mean.iter().enumerate() {
-            let others = mean.iter().enumerate().filter(|&(j, _)| j != i);
+    for snap in &snaps {
+        let loads: Vec<Estimate> = (0..params.n()).map(|i| snap.load(i)).collect();
+        for (i, &load_i) in loads.iter().enumerate() {
+            let others = loads.iter().enumerate().filter(|&(j, _)| j != i);
             pairs.extend(others.map(|(_, &load_j)| Observation::Pair {
                 load_i,
                 load_j,
@@ -278,9 +299,25 @@ mod tests {
         let pairs = theorem4_pairs(small_params(), 80, &[40, 79], 5, 3, 1);
         assert_eq!(pairs.len(), 2 * 8 * 7);
         let thm4 = claims::by_id("thm4");
+        // Judged as exact means: no allowance for their standard errors.
+        let exact = |e: Estimate| Estimate::exact(e.mean);
         for observed in &pairs {
-            let margin = thm4.evaluate(small_params().algo(), observed);
-            assert!(margin.unwrap().holds_within(0.0), "{observed:?}");
+            let Observation::Pair {
+                load_i,
+                load_j,
+                c_borrow,
+            } = *observed
+            else {
+                panic!("{observed:?} is not a pair");
+            };
+            let (load_i, load_j) = (exact(load_i), exact(load_j));
+            let observed = Observation::Pair {
+                load_i,
+                load_j,
+                c_borrow,
+            };
+            let margin = thm4.evaluate(small_params().algo(), &observed);
+            assert!(margin.unwrap().holds(), "{observed:?}");
         }
     }
 

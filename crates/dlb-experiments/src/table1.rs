@@ -37,9 +37,7 @@ pub fn table1_row(
     jobs: usize,
 ) -> Table1Row {
     let n = params.n();
-    let per_run: Vec<Metrics> = par_map(jobs, runs, |r| {
-        *paper_run(params, steps, base_seed, r, |_, _| {}).metrics()
-    });
+    let per_run = table1_runs(params, steps, runs, base_seed, jobs);
     let mut acc = Table1Row {
         c: params.c_borrow(),
         total_borrow: 0.0,
@@ -59,6 +57,19 @@ pub fn table1_row(
     acc.borrow_fail /= scale;
     acc.decrease_sim /= scale;
     acc
+}
+
+/// The metrics of each run behind [`table1_row`], in run order.
+pub fn table1_runs(
+    params: Params,
+    steps: usize,
+    runs: usize,
+    base_seed: u64,
+    jobs: usize,
+) -> Vec<Metrics> {
+    par_map(jobs, runs, |r| {
+        *paper_run(params, steps, base_seed, r, |_, _| {}).metrics()
+    })
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //!   Lemma 1, their common fixed point `FIX(n, δ, f)` (Theorem 1) and the
 //!   network-size-independent limits of Theorem 2.
 //! * [`claims`] — the paper's six guarantees (Theorems 1–4, Lemmas 5
-//!   and 6) as one table: statement, hypothesis and the bounds each puts
-//!   on an observation, with the signed slack between them.
+//!   and 6) and the shapes of its §7 figures and Table 1 as one table:
+//!   statement, hypothesis and the bounds each puts on an observation,
+//!   with the signed slack between them and one rule that judges it
+//!   against the observation's standard error.
 //! * [`bounds`] — the arithmetic underneath: `FIX` and its limits,
 //!   Theorem 4's coefficient, the cost bounds of Lemmas 5 and 6
 //!   (constants `U`, `D`, `D_i`).

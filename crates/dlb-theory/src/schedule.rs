@@ -98,8 +98,9 @@ mod tests {
     fn theorem3_invariant_holds(params: &AlgoParams, word: &[Op]) -> bool {
         let thm3 = crate::claims::by_id("thm3");
         apply_schedule(params, 1.0, word).into_iter().all(|k| {
+            let k = crate::claims::Estimate::exact(k);
             let margin = thm3.evaluate(params, &crate::claims::Observation::Ratio(k));
-            margin.is_some_and(|m| m.holds_within(1e-9))
+            margin.is_some_and(|m| m.holds())
         })
     }
 

@@ -7,7 +7,7 @@ use dlb::core::{
     WeightedCluster,
 };
 use dlb::net::{PartnerMode, TopoCluster, TopoRule, Topology};
-use dlb::theory::claims::{self, Observation};
+use dlb::theory::claims::{self, Estimate, Observation};
 use dlb::workload::patterns::{MovingHotspot, ProducerConsumerSplit};
 use dlb::workload::phase::PhaseWorkload;
 use dlb::workload::trace::EventTrace;
@@ -112,20 +112,20 @@ fn theorem4_on_adversarial_split() {
     let n = 16;
     let params = Params::new(n, 2, 1.3, 4).expect("valid");
     let thm4 = claims::by_id("thm4");
-    let runs = 12;
-    let mut means = vec![0.0f64; n];
-    for seed in 0..runs {
-        let mut cluster = Cluster::new(params, seed);
-        let mut workload = ProducerConsumerSplit::new(n, 60);
-        drive(&mut cluster, &mut workload, 400, |_, _| {});
-        cluster.check_invariants().expect("invariants");
-        for (m, &l) in means.iter_mut().zip(cluster.loads().iter()) {
-            *m += l as f64;
-        }
-    }
-    for m in &mut means {
-        *m /= runs as f64;
-    }
+    // Each processor's load in each of 12 runs: the expectations are
+    // estimated with their standard errors.
+    let loads: Vec<Vec<u64>> = (0..12)
+        .map(|seed| {
+            let mut cluster = Cluster::new(params, seed);
+            let mut workload = ProducerConsumerSplit::new(n, 60);
+            drive(&mut cluster, &mut workload, 400, |_, _| {});
+            cluster.check_invariants().expect("invariants");
+            cluster.loads()
+        })
+        .collect();
+    let means: Vec<Estimate> = (0..n)
+        .map(|i| Estimate::of_runs(&loads.iter().map(|run| run[i] as f64).collect::<Vec<_>>()))
+        .collect();
     for (i, &load_i) in means.iter().enumerate() {
         for (j, &load_j) in means.iter().enumerate() {
             if i != j {
@@ -135,8 +135,7 @@ fn theorem4_on_adversarial_split() {
                     c_borrow: params.c_borrow(),
                 };
                 let margin = thm4.evaluate(params.algo(), &observed).expect("inside");
-                // 12 runs estimate the expectations: 15 % sampling slack.
-                assert!(margin.holds_within(0.15), "pair ({i},{j}): {margin:?}");
+                assert!(margin.holds(), "pair ({i},{j}): {margin:?}");
             }
         }
     }
