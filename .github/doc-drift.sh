@@ -6,7 +6,8 @@
 # `dlb-exp <row>` that is no row of `exp/mod.rs`'s `table!`, nor a
 # `results/<file>` that neither exists nor is an ignored (generated,
 # untracked) output.  A marked block must be the committed artefact it
-# embeds: EXPERIMENTS.md's claims block results/claims.csv, and
+# embeds: EXPERIMENTS.md's claims, scaling, closed_loop and
+# async_latency blocks results/<name>.csv, and
 # docs/GUIDE.md's scaling table and the `sparse_step` tables of
 # docs/GUIDE.md and DESIGN.md BENCH_core.json as bench-table.sh
 # renders them.  And DESIGN.md may only shrink: it fails above
@@ -148,7 +149,9 @@ embeds() {
     cmp -s - <(awk -v begin="$2" -v end="$3" '$0 == end { on = 0 } on && !/^```/; $0 == begin { on = 1 }' "$1") ||
         { echo "$1: the block between \`$2\` and \`$3\` is not $4"; status=1; }
 }
-embeds EXPERIMENTS.md '<!-- claims:begin -->' '<!-- claims:end -->' results/claims.csv < results/claims.csv
+for name in claims scaling closed_loop async_latency; do
+    embeds EXPERIMENTS.md "<!-- $name:begin -->" "<!-- $name:end -->" "results/$name.csv" < "results/$name.csv"
+done
 embeds docs/GUIDE.md '<!-- bench:begin large -->' '<!-- bench:end -->' \
     "BENCH_core.json as .github/bench-table.sh renders it" < <(bash .github/bench-table.sh large)
 for doc in docs/GUIDE.md DESIGN.md; do
@@ -157,7 +160,7 @@ for doc in docs/GUIDE.md DESIGN.md; do
 done
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=67068
+design_ceiling=67025
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

@@ -199,4 +199,24 @@ mod tests {
         assert_eq!(b.loads()[2], frozen, "crashed load must not change");
         assert_eq!(b.loads().iter().sum::<u64>(), 150, "conservation");
     }
+
+    #[test]
+    fn the_odd_token_goes_to_either_endpoint() {
+        // One token on two processors: every activation pairs them with
+        // an odd total, and processor 1 activates last in each step, so
+        // the token ends a step on either side with probability 1/2.
+        // Handing it to the initiator leaves it on processor 1 always.
+        let mut b = DynamicAveraging::new(Topology::Complete { n: 2 }, 3);
+        b.step(&spike_events(2));
+        let idle = vec![LoadEvent::Idle; 2];
+        let steps = 400;
+        let mut on_first = 0;
+        for _ in 0..steps {
+            b.step(&idle);
+            on_first += b.loads()[0];
+        }
+        assert_eq!(b.loads().iter().sum::<u64>(), 1, "conservation");
+        // Binomial(400, 1/2): 200 ± 10; the bound is 5 sd wide.
+        assert!(on_first.abs_diff(steps / 2) <= 50, "{on_first} of {steps}");
+    }
 }

@@ -256,4 +256,20 @@ mod tests {
         assert_eq!(b.loads()[3], frozen, "crashed load must not change");
         assert_eq!(b.loads().iter().sum::<u64>(), 120, "conservation");
     }
+
+    #[test]
+    fn a_matched_pair_levels_exactly() {
+        // The one matching of a 2-processor hypercube, fed a token a
+        // step at processor 0: the pair is level to within the one odd
+        // token after every phase.  Moving a third of the gap leaves a
+        // gap of 2 standing.
+        let mut b = DimensionExchange::new(Topology::Hypercube { dim: 1 });
+        let ev = spike_events(2);
+        for t in 1..=40 {
+            b.step(&ev);
+            let loads = b.loads();
+            assert_eq!(loads.iter().sum::<u64>(), t, "conservation");
+            assert!(loads[0].abs_diff(loads[1]) <= 1, "step {t}: {loads:?}");
+        }
+    }
 }

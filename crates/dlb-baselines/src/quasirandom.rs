@@ -225,4 +225,23 @@ mod tests {
         assert_eq!(b.loads()[1], frozen, "crashed load must not change");
         assert_eq!(b.loads().iter().sum::<u64>(), 40, "conservation");
     }
+
+    #[test]
+    fn a_lone_token_visits_every_processor() {
+        // One token on K4: each holder sends it to the port its rotor
+        // names and advances the rotor, so processor 0 sends it to 1,
+        // then 2, then 3.  A rotor that never advances bounces it
+        // between 0 and 1.
+        let mut b = Quasirandom::new(Topology::Complete { n: 4 });
+        b.step(&spike_events(4));
+        let idle = vec![LoadEvent::Idle; 4];
+        let mut visited = [false; 4];
+        for _ in 0..12 {
+            b.step(&idle);
+            let loads = b.loads();
+            assert_eq!(loads.iter().sum::<u64>(), 1, "conservation");
+            visited[loads.iter().position(|&l| l == 1).expect("one holder")] = true;
+        }
+        assert_eq!(visited, [true; 4]);
+    }
 }

@@ -70,6 +70,8 @@ pub struct Args {
     program: String,
     values: HashMap<String, String>,
     keys: &'static [Key],
+    /// Where an output lands when its key is not supplied.
+    results: String,
 }
 
 impl Args {
@@ -143,7 +145,28 @@ impl Args {
             program: program.to_string(),
             values,
             keys,
+            results: "results".to_string(),
         })
+    }
+
+    /// The same arguments with every default output under `dir`
+    /// instead of `results/`.
+    pub fn under(self, dir: &str) -> Self {
+        Args {
+            results: dir.to_string(),
+            ..self
+        }
+    }
+
+    /// The directory default outputs land in: `results` unless
+    /// [`Args::under`] moved it.
+    pub fn results(&self) -> &str {
+        &self.results
+    }
+
+    /// `--name`, or `file` in [`Args::results`] when it is absent.
+    pub fn output(&self, name: &str, file: &str) -> String {
+        self.get(name, format!("{}/{file}", self.results))
     }
 
     /// Returns `--name` parsed as `T`, or `default` when absent.
@@ -282,6 +305,23 @@ mod tests {
         assert_eq!(args(&[]).refusal("delta", &"why"), "why");
         let a = args(&["--delta", "63"]);
         assert_eq!(a.build_or_exit("delta", params(&a)).delta(), 63);
+    }
+
+    #[test]
+    fn default_outputs_follow_the_results_directory() {
+        assert_eq!(args(&[]).output("out", "x.csv"), "results/x.csv");
+        let moved = args(&[]).under("/tmp/r");
+        assert_eq!(
+            (moved.results(), moved.output("out", "x.csv").as_str()),
+            ("/tmp/r", "/tmp/r/x.csv")
+        );
+        // A supplied path wins wherever the defaults are.
+        assert_eq!(
+            args(&["--out", "y.csv"])
+                .under("/tmp/r")
+                .output("out", "x.csv"),
+            "y.csv"
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The experiment driver: `dlb-exp <name> [--key value …]` runs one row
-//! of [`dlb_experiments::exp::EXPERIMENTS`]; `dlb-exp list` prints them.
+//! of [`dlb_experiments::exp::EXPERIMENTS`], prints the claims it judged
+//! and exits 1 if one is violated; `dlb-exp list` prints the rows.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
 use dlb_experiments::args::Args;
-use dlb_experiments::exp::EXPERIMENTS;
+use dlb_experiments::exp::{report, EXPERIMENTS};
 
 fn main() {
     let mut argv = std::env::args().skip(1);
@@ -25,5 +26,6 @@ fn main() {
         std::process::exit(2);
     };
     let program = format!("dlb-exp {name}");
-    (experiment.run)(&Args::parse_or_exit(&program, argv, experiment.keys));
+    let args = Args::parse_or_exit(&program, argv, experiment.keys);
+    report(&(experiment.run)(&args));
 }

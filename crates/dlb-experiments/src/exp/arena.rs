@@ -103,22 +103,16 @@ pub const KEYS: &[Key] = crate::keys![
 /// every other curve; the CSV keeps its row.
 const OFF_CHART: &str = "random-scatter";
 
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<super::Row> {
     let smoke = args.flag("smoke");
-    let (n, steps, runs, def_out, def_svg) = if smoke {
-        (
-            16,
-            120,
-            4,
-            "results/arena_smoke.csv",
-            "results/arena_smoke.svg",
-        )
+    let (n, steps, runs, name) = if smoke {
+        (16, 120, 4, "arena_smoke")
     } else {
-        (64, 500, 20, "results/arena.csv", "results/arena.svg")
+        (64, 500, 20, "arena")
     };
     let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", def_out.to_string());
-    let svg: String = args.get("svg", def_svg.to_string());
+    let out = args.output("out", &format!("{name}.csv"));
+    let svg = args.output("svg", &format!("{name}.svg"));
     let trace: Option<String> = args.has("trace").then(|| args.get("trace", String::new()));
 
     let params = Params::paper_section7(n);
@@ -193,4 +187,5 @@ pub fn run(args: &Args) {
         }
         println!("wrote {path}");
     }
+    Vec::new()
 }

@@ -56,7 +56,7 @@ fn runnable(cfg: &SweepConfig) -> Result<(), String> {
     Ok(())
 }
 
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<super::Row> {
     let mut cfg = SweepConfig::default();
     let scenario: Option<String> = args
         .has("scenario")
@@ -72,8 +72,8 @@ pub fn run(args: &Args) {
         );
     }
     cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
-    let out: String = args.get("out", "results/faults_sweep.json".to_string());
-    let svg: String = args.get("svg", "results/faults_sweep.svg".to_string());
+    let out = args.output("out", "faults_sweep.json");
+    let svg = args.output("svg", "faults_sweep.svg");
 
     println!(
         "Fault sweep: balance quality vs loss and crash rates \
@@ -120,4 +120,5 @@ pub fn run(args: &Args) {
     let (chart_cfg, series) = result.chart();
     write_chart(&svg, &chart_cfg, &series).expect("SVG written");
     println!("\nwrote {out} and {svg}");
+    Vec::new()
 }

@@ -1,34 +1,31 @@
 //! Figure 6: variation density of a non-generating processor for
 //! `δ ∈ {1, 2, 4}`, `f ∈ {1.1, 1.2}`, processor counts 2–35 and up to 150
 //! balancing steps, via the exact moment recursion (plus a Monte-Carlo
-//! cross-check column).  The shapes it shows are `fig6.*` rows of
-//! `dlb-exp claims`.
+//! cross-check column).  It judges the `fig6.*` claims on the exact
+//! curves at 35 processors.
 //!
 //! Usage: `dlb-exp fig6_variation [--out results/fig6.csv] [--jobs N]`
 
+use super::{shape, Row};
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts, VdCurve};
+use dlb_theory::claims::Estimate;
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Balancing steps of every curve, and the grid of `δ` and `f`.
-pub(super) const STEPS: usize = 150;
-pub(super) const DELTAS: [usize; 3] = [1, 2, 4];
-pub(super) const FS: [f64; 2] = [1.1, 1.2];
+const STEPS: usize = 150;
+const DELTAS: [usize; 3] = [1, 2, 4];
+const FS: [f64; 2] = [1.1, 1.2];
 
-/// Every curve of the figure, in grid order.
-pub(super) fn curves(jobs: usize) -> Vec<VdCurve> {
-    figure6_curves(&DELTAS, &FS, &paper_processor_counts(), STEPS, jobs)
-}
-
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", "results/fig6.csv".to_string());
+    let out = args.output("out", "fig6.csv");
 
-    let curves = curves(jobs);
+    let curves = figure6_curves(&DELTAS, &FS, &paper_processor_counts(), STEPS, jobs);
 
     // Summary table: converged VD per (delta, f) at the largest network.
     let mut rows = Vec::new();
@@ -132,4 +129,58 @@ pub fn run(args: &Args) {
     };
     write_chart(&svg_path, &chart, &svg_series).expect("SVG written");
     println!("\nwrote {out} and {svg_path}");
+    judge(&curves)
+}
+
+/// The `fig6.*` claims on the exact curves at 35 processors.
+fn judge(curves: &[VdCurve]) -> Vec<Row> {
+    let curve = |delta, f, procs| {
+        let on = |c: &&VdCurve| c.delta == delta && c.f == f && c.p + 1 == procs;
+        curves.iter().find(on).expect("on the grid")
+    };
+    let vd = |delta, f| curve(delta, f, 35).final_vd();
+    let what = format!("exact moment recursion t={STEPS}");
+    let mut rows = Vec::new();
+    for delta in DELTAS {
+        for f in FS {
+            let regime = format!("procs=35 delta={delta} f={f:.1}");
+            let small = Estimate::exact(vd(delta, f));
+            rows.push(shape("fig6.small", &regime, &what, small));
+        }
+    }
+    // The largest relative change of VD over the grid of δ and f.
+    let grid = || DELTAS.into_iter().flat_map(|delta| FS.map(|f| (delta, f)));
+    let largest = |change: &dyn Fn(usize, f64) -> (f64, f64)| {
+        let relative = grid()
+            .map(|(delta, f)| change(delta, f))
+            .map(|(now, then)| (now - then).abs() / now);
+        Estimate::exact(relative.fold(0.0, f64::max))
+    };
+    let then = STEPS - 10;
+    let in_t = largest(&|delta, f| {
+        let c = &curve(delta, f, 35).vd;
+        (c[STEPS], c[then])
+    });
+    let regime = format!("procs=35 t={then}..{STEPS}");
+    let what = format!("largest |VD(t={STEPS}) - VD(t={then})| / VD over delta and f");
+    rows.push(shape("fig6.converged", &regime, &what, in_t));
+    let in_n = largest(&|delta, f| (vd(delta, f), curve(delta, f, 30).final_vd()));
+    let regime = format!("procs=30..35 t={STEPS}");
+    let what = "largest |VD(35 procs) - VD(30 procs)| / VD over delta and f";
+    rows.push(shape("fig6.converged", &regime, what, in_n));
+    for f in FS {
+        for pair in DELTAS.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let regime = format!("procs=35 f={f:.1} delta={a}..{b}");
+            let what = format!("VD(delta={b}) - VD(delta={a})");
+            let fall = Estimate::exact(vd(b, f) - vd(a, f));
+            rows.push(shape("fig6.delta", &regime, &what, fall));
+        }
+    }
+    for delta in DELTAS {
+        let regime = format!("procs=35 delta={delta}");
+        let rise = Estimate::exact(vd(delta, FS[1]) - vd(delta, FS[0]));
+        rows.push(shape("fig6.f", &regime, "VD(f=1.2) - VD(f=1.1)", rise));
+    }
+    rows
 }

@@ -1,49 +1,45 @@
 //! Figures 7 and 8: balancing quality over 500 steps on the §7 workload —
 //! mean load plus the min/max ever observed across 100 runs, for
-//! `f ∈ {1.1, 1.8}` at `δ = 1` (Figure 7) and `δ = 4` (Figure 8).  The
-//! shapes they show are `fig7.*` rows of `dlb-exp claims`.
+//! `f ∈ {1.1, 1.8}` at `δ = 1` (Figure 7) and `δ = 4` (Figure 8).  It
+//! judges the `fig7.*` claims on each run's spread at the last step.
 //!
 //! Usage: `dlb-exp fig7_quality [--jobs N] [--out results]`
 //! (`--out` is the directory of both figures' CSV/SVG pairs; jobs
 //! defaults to the available cores, and any value produces
 //! byte-identical output)
 
+use super::{magnitude, minus, shape, Row};
 use crate::args::{Args, Key};
 use crate::parallel::default_jobs;
-use crate::quality::{balancing_quality, QualityCurves};
+use crate::quality::balancing_quality;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_core::Params;
+use dlb_theory::claims::Estimate;
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// The paper's §7 setting: processors, steps, runs and borrow limit C.
 const N: usize = 64;
-pub(super) const STEPS: usize = 500;
-pub(super) const RUNS: usize = 100;
+const STEPS: usize = 500;
+const RUNS: usize = 100;
 const C: usize = 4;
-pub(super) const SEED: u64 = 2024;
+const SEED: u64 = 2024;
 /// `(figure, δ)` of each panel pair, and the `f` of each panel.
-pub(super) const FIGURES: [(u32, usize); 2] = [(7, 1), (8, 4)];
-pub(super) const FS: [f64; 2] = [1.1, 1.8];
+const FIGURES: [(u32, usize); 2] = [(7, 1), (8, 4)];
+const FS: [f64; 2] = [1.1, 1.8];
 
-/// The curves of one panel: `RUNS` runs of the §7 workload at `δ`, `f`.
-pub(super) fn curves(delta: usize, f: f64, jobs: usize) -> QualityCurves {
-    let params = Params::new(N, delta, f, C).expect("a §7 setting");
-    balancing_quality(params, STEPS, RUNS, SEED, jobs)
-}
-
-pub fn run(args: &Args) {
+pub fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", "results".to_string());
-    for (figure, delta) in FIGURES {
-        figure_pair(figure, delta, jobs, &out);
-    }
+    let out: String = args.get("out", args.results().to_string());
+    let spread = FIGURES.map(|(figure, delta)| figure_pair(figure, delta, jobs, &out));
+    judge(&spread)
 }
 
 /// One figure: both `f` at `δ`, as `<out>/fig<figure>_delta<δ>.csv`
-/// and `.svg`.
-fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) {
+/// and `.svg`.  Returns each panel's spreads at the last step, run by
+/// run.
+fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 2] {
     println!(
         "Figure {figure}: balancing quality, delta = {delta}, f in {{1.1, 1.8}} \
          ({N} procs, {STEPS} steps, {RUNS} runs, C = {C}, {jobs} jobs)\n"
@@ -52,8 +48,11 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
+    let mut spreads = Vec::new();
     for f in FS {
-        let q = curves(delta, f, jobs);
+        let params = Params::new(N, delta, f, C).expect("a §7 setting");
+        let q = balancing_quality(params, STEPS, RUNS, SEED, jobs);
+        spreads.push(q.final_spreads.iter().map(|&s| s as f64).collect());
 
         for t in 0..STEPS {
             csv_rows.push(vec![
@@ -109,4 +108,30 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) {
     };
     write_chart(&svg, &chart, &svg_series).expect("SVG written");
     println!("\nwrote {csv} and {svg}\n");
+    spreads.try_into().expect("one per f")
+}
+
+/// The `fig7.*` claims on `spread[panel][k]`: the figure's δ, its k-th
+/// f.
+fn judge(spread: &[[Vec<f64>; 2]; 2]) -> Vec<Row> {
+    let [(_, d1), (_, d4)] = FIGURES;
+    let t = STEPS - 1;
+    let runs = format!("{RUNS} runs of seed {SEED}");
+    let mut rows = Vec::new();
+    let what = format!("spread(delta={d4}) - spread(delta={d1}) per run: {runs}");
+    for (k, f) in FS.iter().enumerate() {
+        let fall = Estimate::of_runs(&minus(&spread[1][k], &spread[0][k]));
+        let regime = format!("n=64 C=4 t={t} f={f:.1}");
+        rows.push(shape("fig7.delta", &regime, &what, fall));
+    }
+    let regime = format!("n=64 C=4 t={t} delta={d1}");
+    let what = format!("spread(f=1.1) - spread(f=1.8) per run: {runs}");
+    let fall = Estimate::of_runs(&minus(&spread[0][0], &spread[0][1]));
+    rows.push(shape("fig7.f", &regime, &what, fall));
+    let effect = |panel: &[Vec<f64>; 2]| magnitude(minus(&panel[1], &panel[0]));
+    let what = format!("|spread(f=1.8) - spread(f=1.1)| at delta={d4} minus at delta={d1}: {runs}");
+    let growth = Estimate::of_runs(&minus(&effect(&spread[1]), &effect(&spread[0])));
+    let regime = format!("n=64 C=4 t={t}");
+    rows.push(shape("fig7.f_secondary", &regime, &what, growth));
+    rows
 }

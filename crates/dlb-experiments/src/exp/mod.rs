@@ -2,8 +2,17 @@
 //! per table or figure of the evaluation, each a `run(&Args)` in the
 //! module of the same name that prints its tables and writes its
 //! CSV/SVG/JSON (defaults under `results/`, `--out`/`--svg` override).
+//!
+//! A row that draws runs a claim of `dlb_theory::claims` bounds judges
+//! that claim on those runs and returns the judged rows of
+//! `claims.csv`; [`report`] prints them and exits 1 on a violation.
+//! `claims` judges the theorems and runs every other row once.
 
+use crate::arena::ArenaRow;
 use crate::args::{Args, Key};
+use crate::report::{f3, render_table};
+use dlb_core::Params;
+use dlb_theory::claims::{by_id, Estimate, Observation};
 
 /// One runnable experiment.
 pub struct Experiment {
@@ -14,8 +23,9 @@ pub struct Experiment {
     /// The `--key`s it reads (its module's `KEYS`); `dlb-exp` refuses
     /// any other before calling `run`.
     pub keys: &'static [Key],
-    /// Runs it with the parsed `--key value` arguments.
-    pub run: fn(&Args),
+    /// Runs it with the parsed `--key value` arguments and returns the
+    /// claim rows it judged (none for a row no claim bounds).
+    pub run: fn(&Args) -> Vec<Row>,
 }
 
 mod ablation;
@@ -56,3 +66,125 @@ pub const EXPERIMENTS: &[Experiment] = table! {
     faults_sweep: "balance quality vs injected loss / crash rates",
     arena: "league table: trigger rule vs literature rivals and the section 1/5 strawmen",
 };
+
+/// One judged row of `claims.csv`, one field per [`HEADERS`] column.
+pub type Row = Vec<String>;
+
+/// The columns of `claims.csv`.
+const HEADERS: [&str; 9] = [
+    "claim",
+    "regime",
+    "observation",
+    "bound",
+    "observed",
+    "slack",
+    "se",
+    "samples",
+    "verdict",
+];
+
+/// The column of the verdict.
+const VERDICT: usize = HEADERS.len() - 1;
+
+/// The row of claim `id` on `observed` at `params`, measured as
+/// `observation`.  Operation bounds print as integers, everything else
+/// with three decimals.
+fn row(id: &str, regime: &str, observation: &str, params: &Params, observed: Observation) -> Row {
+    let counts = matches!(observed, Observation::Decrease { .. });
+    let value = |v: f64| if counts { v.to_string() } else { f3(v) };
+    let margin = by_id(id).evaluate(params.algo(), &observed);
+    let (bound, slack, verdict) = match margin {
+        None => ("-".to_string(), "-".to_string(), "outside"),
+        Some(m) => {
+            let bound = match (m.lower.is_finite(), m.upper.is_finite()) {
+                (true, true) => format!("{}..{}", value(m.lower), value(m.upper)),
+                (true, false) => format!(">= {}", value(m.lower)),
+                _ => format!("<= {}", value(m.upper)),
+            };
+            let verdict = if m.holds() { "holds" } else { "violated" };
+            (bound, f3(m.slack()), verdict)
+        }
+    };
+    let value = observed.value();
+    let se = if value.se == 0.0 {
+        "0".to_string()
+    } else {
+        format!("{:.1e}", value.se)
+    };
+    let mut fields: Row = [
+        id,
+        regime,
+        observation,
+        &bound,
+        &f3(value.mean),
+        &slack,
+        &se,
+    ]
+    .map(str::to_string)
+    .into();
+    debug_assert!(!fields.iter().any(|f| f.contains(',')), "{fields:?}");
+    fields.extend([value.samples.to_string(), verdict.to_string()]);
+    fields
+}
+
+/// The row of a shape claim: it bounds a statistic, at any parameters.
+fn shape(id: &str, regime: &str, observation: &str, value: Estimate) -> Row {
+    let params = Params::paper_section7(64);
+    row(
+        id,
+        regime,
+        observation,
+        &params,
+        Observation::Statistic(value),
+    )
+}
+
+/// `a − b`, run by run.
+fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a - b).collect()
+}
+
+/// `x` or `−x`, whichever has a non-negative mean: a magnitude whose
+/// runs stay paired.
+fn magnitude(x: Vec<f64>) -> Vec<f64> {
+    let sign = x.iter().sum::<f64>().signum();
+    x.into_iter().map(|v| sign * v).collect()
+}
+
+/// The ratio of two paired per-run series' sums, minus 1.
+fn excess(a: &[f64], b: &[f64]) -> Estimate {
+    let pairs: Vec<(f64, f64)> = a.iter().copied().zip(b.iter().copied()).collect();
+    Estimate::of_batches(&pairs, |batch| {
+        let (a, b) = batch
+            .iter()
+            .fold((0.0, 0.0), |(a, b), p| (a + p.0, b + p.1));
+        a / b - 1.0
+    })
+}
+
+/// Each run's mean max/mean ratio in a league row.
+fn ratios(row: &ArenaRow) -> Vec<f64> {
+    row.per_run.iter().map(|run| run.mean_ratio).collect()
+}
+
+/// Prints the claim rows a run judged, each that `deviates` with its
+/// reason, and exits 1 naming each violated one.
+pub fn report(rows: &[Row]) {
+    if rows.is_empty() {
+        return;
+    }
+    println!("\n{}", render_table(&HEADERS, rows));
+    for row in rows.iter().filter(|row| row[VERDICT] == "deviates") {
+        println!("deviates: {} at {}: {}", row[0], row[1], row[2]);
+    }
+    let violated: Vec<&Row> = rows
+        .iter()
+        .filter(|row| row[VERDICT] == "violated")
+        .collect();
+    for row in &violated {
+        eprintln!("error: {} violated at {}: {}", row[0], row[1], row[2]);
+    }
+    if !violated.is_empty() {
+        std::process::exit(1);
+    }
+}

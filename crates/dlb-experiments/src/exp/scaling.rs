@@ -1,90 +1,167 @@
 //! The paper's "very good performance even on networks containing up to
 //! 1024 processors" claim: balancing quality and per-step cost of the
-//! practical variant as the network grows, plus the full variant at
-//! moderate sizes.
+//! practical variant as the network grows, plus the full variant up to
+//! n = 256.
 //!
 //! Each (n, variant) cell is a one-contender arena league on one thread,
-//! so µs/step compares across cells.  The shapes it shows are
-//! `scaling.*` rows of `dlb-exp claims`.
+//! so µs/step compares across cells; it is printed, not written, since
+//! wall time does not repeat.  The CSV's max/mean and ops-per-processor
+//! cells carry their standard error, and the same runs judge the
+//! `scaling.*` claims.
 //!
 //! Usage: `dlb-exp scaling [--out results/scaling.csv]`
 
+use super::{ratios, shape, Row};
 use crate::arena::{run_league, ArenaConfig, ArenaRow, Contender};
 use crate::args::{Args, Key};
+use crate::parallel::{default_jobs, par_map};
 use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, Params, SimpleCluster};
+use dlb_theory::claims::{Estimate, BATCHES};
 use std::time::Instant;
 
-/// Steps per run, and runs per cell (fewer for the full variant at
-/// n = 1024).
+/// Steps and runs of every cell, and the runs' base seed.
 const STEPS: usize = 500;
-const RUNS: usize = 5;
-pub(super) const NS: [usize; 4] = [16, 64, 256, 1024];
+const RUNS: usize = BATCHES;
+const SEED: u64 = 100;
+const NS: [usize; 4] = [16, 64, 256, 1024];
+/// The largest n the full variant runs at: it keeps O(n) state per
+/// processor (the virtual load classes), and its 20 runs at n = 1024
+/// take 4.4 s of one core, twice the rest of the row together.
+const FULL_UP_TO: usize = 256;
+const VARIANTS: [&str; 2] = ["simple", "full"];
 
-/// The practical and the full variant at the §7 parameters for `n`.
-pub(super) fn variants(n: usize) -> [Contender; 2] {
+pub const KEYS: &[Key] = crate::keys!["out": String];
+
+/// One contender's league over [`RUNS`] runs of the §7 workload at `n`,
+/// on one thread, and its wall time.
+fn league(variant: usize, n: usize) -> (ArenaRow, f64) {
     let params = Params::paper_section7(n);
-    [
-        Contender::new("simple", move |s| Box::new(SimpleCluster::new(params, s))),
-        Contender::new("full", move |s| Box::new(Cluster::new(params, s))),
-    ]
-}
-
-/// One contender's league over `runs` runs of the §7 workload at `n`, on
-/// one thread.
-pub(super) fn league(contender: Contender, n: usize, runs: usize) -> ArenaRow {
+    let contender = match variant {
+        0 => Contender::new("simple", move |s| Box::new(SimpleCluster::new(params, s))),
+        _ => Contender::new("full", move |s| Box::new(Cluster::new(params, s))),
+    };
     let cfg = ArenaConfig {
         n,
         steps: STEPS,
-        runs,
-        seed: 100,
+        runs: RUNS,
+        seed: SEED,
         warmup_fraction: 0.5,
         faults: None,
         jobs: 1,
     };
-    run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0)
-}
-
-/// `[max/mean, ops per run, wall µs per step]` of one contender.
-fn measure(contender: Contender, n: usize, runs: usize) -> [String; 3] {
     let start = Instant::now();
-    let row = league(contender, n, runs);
-    let elapsed = start.elapsed().as_secs_f64();
-    [
-        f3(row.mean_ratio),
-        f3(row.ops_per_run),
-        f3(elapsed / (runs * STEPS) as f64 * 1e6),
-    ]
+    let row = run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0);
+    (row, start.elapsed().as_secs_f64())
 }
 
-pub const KEYS: &[Key] = crate::keys!["out": String];
+/// The league's mean max/mean ratio over its runs.
+fn ratio(row: &ArenaRow) -> Estimate {
+    Estimate::of_runs(&ratios(row))
+}
 
-pub fn run(args: &Args) {
-    let out: String = args.get("out", "results/scaling.csv".to_string());
+/// Each run's balancing operations per processor.
+fn ops_per_proc(row: &ArenaRow, n: usize) -> Estimate {
+    let per_proc: Vec<f64> = row
+        .per_run
+        .iter()
+        .map(|r| r.balance_ops as f64 / n as f64)
+        .collect();
+    Estimate::of_runs(&per_proc)
+}
+
+/// `mean ± se`.
+fn cell(e: Estimate) -> String {
+    format!("{} ± {}", f3(e.mean), f3(e.se))
+}
+
+pub fn run(args: &Args) -> Vec<Row> {
+    let out = args.output("out", "scaling.csv");
 
     println!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
+    // (variant, n): the practical variant at every n, then the full one.
+    let cells: Vec<(usize, usize)> = (0..VARIANTS.len())
+        .flat_map(|v| {
+            NS.iter()
+                .filter(move |&&n| v == 0 || n <= FULL_UP_TO)
+                .map(move |&n| (v, n))
+        })
+        .collect();
+    let leagues = par_map(default_jobs(), cells.len(), |i| {
+        league(cells[i].0, cells[i].1)
+    });
+    let at = |v, n| {
+        cells
+            .iter()
+            .position(|&cell| cell == (v, n))
+            .map(|k| &leagues[k])
+    };
+
+    // Each row: n, the written cells, then each variant's µs/step.
     let mut rows = Vec::new();
     for n in NS {
-        let [simple, full] = variants(n);
-        // The full variant keeps O(n) state per processor (the virtual
-        // load classes); at n = 1024 we use fewer runs.
-        let full_runs = if n >= 1024 { 2 } else { RUNS };
         let mut row = vec![n.to_string()];
-        row.extend(measure(simple, n, RUNS));
-        row.extend(measure(full, n, full_runs));
+        for v in 0..VARIANTS.len() {
+            row.extend(match at(v, n) {
+                Some((league, _)) => [ratio(league), ops_per_proc(league, n)].map(cell),
+                None => ["-", "-"].map(String::from),
+            });
+        }
+        for v in 0..VARIANTS.len() {
+            let per_step = |(_, wall): &(ArenaRow, f64)| f3(wall / (RUNS * STEPS) as f64 * 1e6);
+            row.push(at(v, n).map_or("-".to_string(), per_step));
+        }
         rows.push(row);
     }
-    let headers = vec![
+    let headers = [
         "n",
         "simple max/mean",
-        "simple ops/run",
-        "simple us/step",
+        "simple ops/proc",
         "full max/mean",
-        "full ops/run",
+        "full ops/proc",
+        "simple us/step",
         "full us/step",
     ];
     println!("{}", render_table(&headers, &rows));
-    write_csv(&out, &headers, &rows).expect("CSV written");
-    println!("\nwrote {out}");
+    println!("us/step: wall time, one thread per cell (not written)\n");
+    let written = 1 + 2 * VARIANTS.len();
+    let rows: Vec<Row> = rows
+        .into_iter()
+        .map(|row| row[..written].to_vec())
+        .collect();
+    write_csv(&out, &headers[..written], &rows).expect("CSV written");
+    println!("wrote {out}");
+    judge(|v, n| at(v, n).map(|(league, _)| league))
+}
+
+/// The `scaling.*` claims on the league of each `(variant, n)` cell
+/// that ran.
+fn judge<'a>(at: impl Fn(usize, usize) -> Option<&'a ArenaRow>) -> Vec<Row> {
+    let runs = format!("{RUNS} runs of seed {SEED}");
+    let mut rows = Vec::new();
+    for (v, name) in VARIANTS.into_iter().enumerate() {
+        let ran: Vec<(usize, &ArenaRow)> = NS
+            .iter()
+            .filter_map(|&n| at(v, n).map(|league| (n, league)))
+            .collect();
+        for pair in ran.windows(2) {
+            let ((a, small), (b, large)) = (pair[0], pair[1]);
+            let growth = ratio(large).minus(ratio(small));
+            let regime = format!("{name} n={a}..{b} delta=1 f=1.1");
+            let what = format!("ratio(n={b}) - ratio(n={a}) over steps 250-499: {runs}");
+            rows.push(shape("scaling.ratio", &regime, &what, growth));
+        }
+    }
+    let (first, last) = (NS[0], NS[NS.len() - 1]);
+    let simple = |n| at(0, n).expect("the practical variant runs at every n");
+    let per_proc = ops_per_proc(simple(last), last).over(ops_per_proc(simple(first), first));
+    let excess = Estimate {
+        mean: per_proc.mean - 1.0,
+        ..per_proc
+    };
+    let regime = format!("simple n={first}..{last} delta=1 f=1.1");
+    let what = format!("ops per processor at n={last} over at n={first} - 1: {runs}");
+    rows.push(shape("scaling.ops", &regime, &what, excess));
+    rows
 }

@@ -34,4 +34,4 @@ pub mod variation;
 pub use parallel::{default_jobs, par_map, stream_seed, StreamId};
 pub use quality::{balancing_quality, distribution_at, QualityCurves, SnapshotDistribution};
 pub use report::{ascii_plot, render_table, write_csv};
-pub use table1::{table1_row, Table1Row};
+pub use table1::table1_runs;

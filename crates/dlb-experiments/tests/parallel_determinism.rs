@@ -7,7 +7,7 @@
 
 use dlb_core::Params;
 use dlb_experiments::quality::QualityCurves;
-use dlb_experiments::{balancing_quality, distribution_at, table1_row};
+use dlb_experiments::{balancing_quality, distribution_at, table1_runs};
 use proptest::{prop_assert_eq, proptest};
 
 fn render(q: &QualityCurves) -> String {
@@ -57,8 +57,8 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let params = Params::new(8, 1, 1.1, [2usize, 4, 8][c_idx]).expect("valid");
-        let seq = table1_row(params, steps, runs, seed, 1);
-        let par = table1_row(params, steps, runs, seed, jobs);
+        let seq = table1_runs(params, steps, runs, seed, 1);
+        let par = table1_runs(params, steps, runs, seed, jobs);
         prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 }
