@@ -160,7 +160,7 @@ for doc in docs/GUIDE.md DESIGN.md; do
 done
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=67025
+design_ceiling=67016
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

@@ -7,13 +7,14 @@
 
 use dlb_experiments::args::Args;
 use dlb_experiments::exp::{report, EXPERIMENTS};
+use dlb_experiments::outln;
 
 fn main() {
     let mut argv = std::env::args().skip(1);
     let name = argv.next().unwrap_or_default();
     if name == "list" {
         for e in EXPERIMENTS {
-            println!("{:<18} {}", e.name, e.about);
+            outln!("{:<18} {}", e.name, e.about);
         }
         return;
     }

@@ -11,13 +11,15 @@
 //! same league and the neighbour partners' hop count judge the
 //! `ablation.*` claims.
 //!
-//! Usage: `dlb-exp ablation [--out results/ablation.csv]`
+//! Usage: `dlb-exp ablation [--jobs N] [--out results/ablation.csv]`
+//! (jobs default to the available cores)
 
 use super::{excess, minus, ratios, shape, Row};
 use crate::arena::{
     league_csv_rows, lemma6_budget, run_league, ArenaConfig, ArenaRow, Contender, LEAGUE_HEADERS,
 };
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
@@ -27,7 +29,7 @@ use dlb_theory::claims::Estimate;
 use dlb_workload::drive;
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
-pub const KEYS: &[Key] = crate::keys!["out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Processors (an 8 × 8 torus for the locality variants), steps and
 /// runs of every variant, and the seed of their workloads.
@@ -44,7 +46,7 @@ fn topo(params: Params, mode: PartnerMode, seed: u64) -> TopoCluster {
 
 /// The five variants' league: full/strict, full/aggressive, simple, and
 /// the torus with global, then neighbour partners.
-fn league() -> Vec<ArenaRow> {
+fn league(jobs: usize) -> Vec<ArenaRow> {
     let params = Params::paper_section7(N);
     let aggressive = params.with_exchange(ExchangePolicy::Aggressive);
     let variants = [
@@ -69,7 +71,7 @@ fn league() -> Vec<ArenaRow> {
         seed: SEED,
         warmup_fraction: 0.2,
         faults: None,
-        jobs: default_jobs(),
+        jobs,
     };
     run_league(&cfg, &variants, |s| paper_workload(N, STEPS, s), None)
 }
@@ -84,13 +86,14 @@ fn hops(mode: PartnerMode) -> (u64, u64) {
 }
 
 pub fn run(args: &Args) -> Vec<Row> {
+    let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", "ablation.csv");
 
     let params = Params::paper_section7(N);
-    println!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");
-    let league = league();
+    outln!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");
+    let league = league(jobs);
     let rows = league_csv_rows(&league, lemma6_budget(params));
-    println!("{}", render_table(&LEAGUE_HEADERS, &rows));
+    outln!("{}", render_table(&LEAGUE_HEADERS, &rows));
 
     // Hop-weighted cost of the locality choice.
     let hop_counts = [PartnerMode::GlobalRandom, PartnerMode::Neighbors].map(hops);
@@ -106,8 +109,8 @@ pub fn run(args: &Args) -> Vec<Row> {
             ]
         })
         .collect();
-    println!("Hop-weighted communication on the torus (single run):");
-    println!(
+    outln!("Hop-weighted communication on the torus (single run):");
+    outln!(
         "{}",
         render_table(
             &["partners", "packets", "packet-hops", "hops/packet"],
@@ -115,7 +118,7 @@ pub fn run(args: &Args) -> Vec<Row> {
         )
     );
     write_csv(&out, &LEAGUE_HEADERS, &rows).expect("CSV written");
-    println!("\nwrote {out}");
+    outln!("\nwrote {out}");
     judge(&league, hop_counts[1])
 }
 

@@ -23,6 +23,7 @@ use crate::arena::{
     league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
 };
 use crate::args::{Args, Flag, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::quality::paper_workload;
 use crate::report::{render_table, write_csv};
@@ -135,7 +136,7 @@ pub fn run(args: &Args) -> Vec<super::Row> {
     };
     let entrants = contenders(n, params);
 
-    println!(
+    outln!(
         "Balancer arena: {} contenders, {n} procs (hypercube), {steps} steps, {runs} runs, \
          2 frozen crashes\n",
         entrants.len()
@@ -143,12 +144,12 @@ pub fn run(args: &Args) -> Vec<super::Row> {
     let budget = lemma6_budget(params);
     let c = params.c_borrow();
     match budget {
-        Some(budget) => println!(
+        Some(budget) => outln!(
             "Lemma 6 budget: {budget} balance ops per decrease simulation \
              (x = 2C = {}, C = {c})",
             2 * c
         ),
-        None => println!("Lemma 6 budget: out of domain for these parameters"),
+        None => outln!("Lemma 6 budget: out of domain for these parameters"),
     }
 
     let league = run_league(
@@ -158,13 +159,13 @@ pub fn run(args: &Args) -> Vec<super::Row> {
         writer.as_ref(),
     );
     let rows = league_csv_rows(&league, budget);
-    println!("\n{}", render_table(&LEAGUE_HEADERS, &rows));
-    println!(
+    outln!("\n{}", render_table(&LEAGUE_HEADERS, &rows));
+    outln!(
         "cost_vs_l6: measured ops / (decrease sims x Lemma 6 budget); 0.000 = no decrease sims."
     );
 
     write_csv(&out, &LEAGUE_HEADERS, &rows).expect("CSV written");
-    println!("wrote {out}");
+    outln!("wrote {out}");
 
     let series: Vec<Series> = league
         .iter()
@@ -178,14 +179,14 @@ pub fn run(args: &Args) -> Vec<super::Row> {
         ..ChartConfig::default()
     };
     write_chart(&svg, &chart, &series).expect("SVG written");
-    println!("wrote {svg} (every contender but {OFF_CHART})");
+    outln!("wrote {svg} (every contender but {OFF_CHART})");
 
     if let (Some(writer), Some(path)) = (writer, trace) {
         if let Err(e) = writer.into_inner() {
             eprintln!("error: cannot write trace {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Vec::new()
 }

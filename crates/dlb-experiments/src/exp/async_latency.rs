@@ -8,11 +8,13 @@
 //! Message loss is `faults_sweep`'s row.  Each latency's runs are
 //! averaged into the table and judge the `async_latency.*` claims.
 //!
-//! Usage: `dlb-exp async_latency [--out results/async_latency.csv]`
+//! Usage: `dlb-exp async_latency [--jobs N] [--out results/async_latency.csv]`
+//! (jobs default to the available cores)
 
 use super::{minus, shape, Row};
 use crate::arena::run_seeded_async;
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::{default_jobs, par_map};
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::Params;
@@ -29,7 +31,7 @@ const SEED: u64 = 11;
 const RUNS: usize = BATCHES;
 const LATENCIES: [u64; 4] = [1, 4, 16, 64];
 
-pub const KEYS: &[Key] = crate::keys!["out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Run `r` of the protocol at `latency`: the mean sampled max/mean load
 /// ratio once the loads have built up, and the network's counters.
@@ -64,14 +66,15 @@ fn abort_rate(s: &AsyncStats) -> f64 {
 }
 
 pub fn run(args: &Args) -> Vec<Row> {
+    let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", "async_latency.csv");
 
-    println!(
+    outln!(
         "Asynchronous protocol: quality vs message latency \
          ({N} procs, {STEPS} ticks, delta = 2, f = 1.3, uniform workload \
          p_gen = 0.5, p_con = 0.3, {RUNS} runs)\n"
     );
-    let per_run = par_map(default_jobs(), LATENCIES.len() * RUNS, |i| {
+    let per_run = par_map(jobs, LATENCIES.len() * RUNS, |i| {
         run_at(LATENCIES[i / RUNS], (i % RUNS) as u64)
     });
     let per_latency: Vec<&[(f64, AsyncStats)]> = per_run.chunks(RUNS).collect();
@@ -84,9 +87,9 @@ pub fn run(args: &Args) -> Vec<Row> {
     }
     let mut headers = vec!["latency"];
     headers.extend(COLUMNS.map(|(name, _)| name));
-    println!("{}", render_table(&headers, &rows));
+    outln!("{}", render_table(&headers, &rows));
     write_csv(&out, &headers, &rows).expect("CSV written");
-    println!("\nwrote {out}");
+    outln!("\nwrote {out}");
     judge(&per_latency)
 }
 

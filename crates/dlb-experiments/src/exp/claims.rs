@@ -15,6 +15,7 @@
 
 use super::{row, shape, Row, EXPERIMENTS};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::{default_jobs, par_map};
 use crate::quality::theorem4_pairs;
 use crate::report::{f3, write_csv};
@@ -227,9 +228,9 @@ pub fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", args.results().to_string());
 
-    println!("The paper's claims (dlb_theory::claims):\n");
+    outln!("The paper's claims (dlb_theory::claims):\n");
     for claim in &CLAIMS {
-        println!("  {:<20} {} [{}]", claim.id, claim.statement, claim.source);
+        outln!("  {:<20} {} [{}]", claim.id, claim.statement, claim.source);
     }
     let ratios = par_map(jobs, RATIO_GRID.len(), |i| {
         let (n, delta, f) = RATIO_GRID[i];
@@ -242,23 +243,19 @@ pub fn run(args: &Args) -> Vec<Row> {
         sparse_rows(),
     ]
     .concat();
+    // Every row declares `--jobs`, so the one given here bounds them all.
     for experiment in EXPERIMENTS.iter().filter(|e| e.name != "claims") {
-        let jobs = ["--jobs".to_string(), jobs.to_string()];
-        let argv = if experiment.keys.iter().any(|key| key.name == "jobs") {
-            jobs.to_vec()
-        } else {
-            Vec::new()
-        };
+        let argv = vec!["--jobs".to_string(), jobs.to_string()];
         let program = format!("dlb-exp {}", experiment.name);
         let args = Args::parse(&program, argv, experiment.keys).expect("--jobs is declared");
-        println!("\n{program}\n");
+        outln!("\n{program}\n");
         rows.extend((experiment.run)(&args.under(&out)));
     }
     // Claim by claim, each in its grid's order.
     rows.sort_by_key(|row| CLAIMS.iter().position(|claim| claim.id == row[0]));
     let csv = format!("{out}/claims.csv");
     write_csv(&csv, &super::HEADERS, &rows).expect("CSV written");
-    println!("\nwrote {csv}");
+    outln!("\nwrote {csv}");
     rows
 }
 

@@ -6,10 +6,12 @@
 //! algorithm buys.  The same task trees judge the `closed_loop.speedup`
 //! claim.
 //!
-//! Usage: `dlb-exp closed_loop [--out results/closed_loop.csv]`
+//! Usage: `dlb-exp closed_loop [--jobs N] [--out results/closed_loop.csv]`
+//! (jobs default to the available cores)
 
 use super::{minus, shape, Row};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::{default_jobs, par_map};
 use crate::report::{f3, render_table, write_csv};
 use dlb_baselines::{NoBalance, Rsu91, WorkStealing};
@@ -39,17 +41,18 @@ fn makespans<B: LoadBalancer>(make: impl Fn(u64) -> B) -> Vec<(usize, u64)> {
         .collect()
 }
 
-pub const KEYS: &[Key] = crate::keys!["out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 pub fn run(args: &Args) -> Vec<Row> {
+    let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", "closed_loop.csv");
 
-    println!(
+    outln!(
         "Closed-loop branching computation ({ROOTS} roots on processor 0, \
          mean offspring 0.99, {RUNS} runs)\n"
     );
     // spans[k * BALANCERS.len() + b]: balancer b at NS[k].
-    let spans = par_map(default_jobs(), NS.len() * BALANCERS.len(), |i| {
+    let spans = par_map(jobs, NS.len() * BALANCERS.len(), |i| {
         let n = NS[i / BALANCERS.len()];
         let params = Params::new(n, 2, 1.3, 4).expect("valid");
         match BALANCERS[i % BALANCERS.len()] {
@@ -87,9 +90,9 @@ pub fn run(args: &Args) -> Vec<Row> {
         "speedup simple",
         "speedup full",
     ];
-    println!("{}", render_table(&headers, &rows));
+    outln!("{}", render_table(&headers, &rows));
     write_csv(&out, &headers, &rows).expect("CSV written");
-    println!("\nwrote {out}");
+    outln!("\nwrote {out}");
     judge(&spans)
 }
 

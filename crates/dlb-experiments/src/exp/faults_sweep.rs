@@ -20,6 +20,7 @@
 
 use crate::args::{Args, Key};
 use crate::faultsweep::{sweep, SweepConfig};
+use crate::outln;
 use crate::report::{f3, render_table};
 use crate::svg::write_chart;
 use dlb_faults::FaultPlan;
@@ -66,19 +67,24 @@ pub fn run(args: &Args) -> Vec<super::Row> {
             "scenario",
             from_scenario(&mut cfg, path).and_then(|()| runnable(&cfg)),
         );
-        println!(
+        outln!(
             "scenario {path}: n = {}, steps = {}, seed = {}\n",
-            cfg.n, cfg.steps, cfg.seed
+            cfg.n,
+            cfg.steps,
+            cfg.seed
         );
     }
     cfg.jobs = args.get("jobs", crate::parallel::default_jobs());
     let out = args.output("out", "faults_sweep.json");
     let svg = args.output("svg", "faults_sweep.svg");
 
-    println!(
+    outln!(
         "Fault sweep: balance quality vs loss and crash rates \
          ({} procs, {} ticks, latency {}, {} runs per point)\n",
-        cfg.n, cfg.steps, cfg.latency, cfg.runs
+        cfg.n,
+        cfg.steps,
+        cfg.latency,
+        cfg.runs
     );
     let result = sweep(&cfg);
 
@@ -107,11 +113,11 @@ pub fn run(args: &Args) -> Vec<super::Row> {
             })
             .collect::<Vec<_>>()
     };
-    println!("Message loss (control + transfer plane):");
-    println!("{}", render_table(&headers, &rows(&result.loss_sweep)));
-    println!("Crashed processors (frozen at t = steps/4, recovering at 3·steps/4):");
-    println!("{}", render_table(&headers, &rows(&result.crash_sweep)));
-    println!("Conservation held at every tick; no locks leaked after quiescence.");
+    outln!("Message loss (control + transfer plane):");
+    outln!("{}", render_table(&headers, &rows(&result.loss_sweep)));
+    outln!("Crashed processors (frozen at t = steps/4, recovering at 3·steps/4):");
+    outln!("{}", render_table(&headers, &rows(&result.crash_sweep)));
+    outln!("Conservation held at every tick; no locks leaked after quiescence.");
 
     if let Some(parent) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(parent).expect("output directory");
@@ -119,6 +125,6 @@ pub fn run(args: &Args) -> Vec<super::Row> {
     std::fs::write(&out, result.to_json().render_pretty()).expect("JSON written");
     let (chart_cfg, series) = result.chart();
     write_chart(&svg, &chart_cfg, &series).expect("SVG written");
-    println!("\nwrote {out} and {svg}");
+    outln!("\nwrote {out} and {svg}");
     Vec::new()
 }

@@ -8,6 +8,7 @@
 
 use super::{shape, Row};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
@@ -48,8 +49,8 @@ pub fn run(args: &Args) -> Vec<Row> {
             ]);
         }
     }
-    println!("Figure 6: variation density VD(l_i,t) (exact moment recursion)\n");
-    println!(
+    outln!("Figure 6: variation density VD(l_i,t) (exact moment recursion)\n");
+    outln!(
         "{}",
         render_table(
             &[
@@ -78,13 +79,13 @@ pub fn run(args: &Args) -> Vec<Row> {
         .iter()
         .map(|(n, v)| (n.as_str(), v.as_slice()))
         .collect();
-    println!("VD over balancing steps (f = 1.2, 35 processors):\n");
-    println!("{}", ascii_plot(&series_refs, 12));
+    outln!("VD over balancing steps (f = 1.2, 35 processors):\n");
+    outln!("{}", ascii_plot(&series_refs, 12));
 
     // The paper's own Figure 6 used a *relaxed* engine for delta > 1
     // (delta successive pairwise balances); quantify the relaxation error.
-    println!("Relaxed engine (the paper's Figure 6 method) vs the true algorithm");
-    println!("(35 processors, converged VD):\n");
+    outln!("Relaxed engine (the paper's Figure 6 method) vs the true algorithm");
+    outln!("(35 processors, converged VD):\n");
     let mut relax_rows = Vec::new();
     for &delta in &DELTAS[1..] {
         for f in FS {
@@ -99,7 +100,7 @@ pub fn run(args: &Args) -> Vec<Row> {
             ]);
         }
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &["delta", "f", "true VD", "relaxed VD", "error"],
@@ -108,10 +109,10 @@ pub fn run(args: &Args) -> Vec<Row> {
     );
 
     // Monte-Carlo cross-check of a few points.
-    println!("Monte-Carlo cross-check (30k runs):");
+    outln!("Monte-Carlo cross-check (30k runs):");
     for &(d, f, n) in &[(1usize, 1.1f64, 10usize), (2, 1.2, 35), (4, 1.1, 20)] {
         let (exact, mc) = mc_crosscheck(d, f, n, 60, 30_000, 9);
-        println!("  delta={d} f={f} procs={n}: exact {exact:.4} vs MC {mc:.4}");
+        outln!("  delta={d} f={f} procs={n}: exact {exact:.4} vs MC {mc:.4}");
     }
 
     write_csv(&out, &["delta", "f", "procs", "vd_final"], &csv_rows).expect("CSV written");
@@ -128,7 +129,7 @@ pub fn run(args: &Args) -> Vec<Row> {
         ..Default::default()
     };
     write_chart(&svg_path, &chart, &svg_series).expect("SVG written");
-    println!("\nwrote {out} and {svg_path}");
+    outln!("\nwrote {out} and {svg_path}");
     judge(&curves)
 }
 

@@ -10,6 +10,7 @@
 
 use super::{magnitude, minus, shape, Row};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::quality::balancing_quality;
 use crate::report::{ascii_plot, f3, render_table, write_csv};
@@ -40,7 +41,7 @@ pub fn run(args: &Args) -> Vec<Row> {
 /// and `.svg`.  Returns each panel's spreads at the last step, run by
 /// run.
 fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 2] {
-    println!(
+    outln!(
         "Figure {figure}: balancing quality, delta = {delta}, f in {{1.1, 1.8}} \
          ({N} procs, {STEPS} steps, {RUNS} runs, C = {C}, {jobs} jobs)\n"
     );
@@ -68,8 +69,8 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
         let mean_s = ds(&q.mean);
         let min_s = ds(&q.min.iter().map(|&x| x as f64).collect::<Vec<_>>());
         let max_s = ds(&q.max.iter().map(|&x| x as f64).collect::<Vec<_>>());
-        println!("f = {f}: load per processor over time (min / mean / max over runs)");
-        println!(
+        outln!("f = {f}: load per processor over time (min / mean / max over runs)");
+        outln!(
             "{}",
             ascii_plot(&[("max", &max_s), ("mean", &mean_s), ("min", &min_s)], 12)
         );
@@ -92,7 +93,7 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
         }
     }
 
-    println!(
+    outln!(
         "{}",
         render_table(&["f", "t", "mean", "min", "max", "band"], &summary)
     );
@@ -107,7 +108,7 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
         ..Default::default()
     };
     write_chart(&svg, &chart, &svg_series).expect("SVG written");
-    println!("\nwrote {csv} and {svg}\n");
+    outln!("\nwrote {csv} and {svg}\n");
     spreads.try_into().expect("one per f")
 }
 

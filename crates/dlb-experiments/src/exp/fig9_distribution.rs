@@ -8,6 +8,7 @@
 
 use super::{magnitude, minus, shape, Row};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::quality::{distribution_at, SnapshotDistribution};
 use crate::report::{ascii_plot, f3, render_table, write_csv};
@@ -40,7 +41,7 @@ pub fn run(args: &Args) -> Vec<Row> {
 /// One figure: both `f` at `δ`, as `<out>/fig<figure>_delta<δ>.csv`
 /// and `.svg`.  Returns each panel's snapshot at [`JUDGED`].
 fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDistribution; 2] {
-    println!(
+    outln!(
         "Figure {figure}: per-processor distribution, delta = {delta}, f in {{1.1, 1.8}} \
          ({N} procs, {RUNS} runs, checkpoints {CHECKPOINTS:?})\n"
     );
@@ -75,15 +76,15 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDi
                 worst_max.to_string(),
             ]);
             if snap.t == JUDGED {
-                println!("f = {f}, t = {JUDGED}: mean load by processor");
-                println!("{}", ascii_plot(&[("mean", &snap.mean)], 8));
+                outln!("f = {f}, t = {JUDGED}: mean load by processor");
+                outln!("{}", ascii_plot(&[("mean", &snap.mean)], 8));
             }
             svg_series.push(Series::from_ys(&format!("f={f} t={}", snap.t), &snap.mean));
         }
         judged.push(snaps.pop().expect("a snapshot per checkpoint"));
     }
 
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -107,7 +108,7 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDi
         ..Default::default()
     };
     write_chart(&svg, &chart, &svg_series).expect("SVG written");
-    println!("\nwrote {csv} and {svg}\n");
+    outln!("\nwrote {csv} and {svg}\n");
     judged.try_into().expect("one per f")
 }
 

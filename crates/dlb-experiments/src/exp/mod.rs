@@ -10,6 +10,7 @@
 
 use crate::arena::ArenaRow;
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::report::{f3, render_table};
 use dlb_core::Params;
 use dlb_theory::claims::{by_id, Estimate, Observation};
@@ -173,9 +174,9 @@ pub fn report(rows: &[Row]) {
     if rows.is_empty() {
         return;
     }
-    println!("\n{}", render_table(&HEADERS, rows));
+    outln!("\n{}", render_table(&HEADERS, rows));
     for row in rows.iter().filter(|row| row[VERDICT] == "deviates") {
-        println!("deviates: {} at {}: {}", row[0], row[1], row[2]);
+        outln!("deviates: {} at {}: {}", row[0], row[1], row[2]);
     }
     let violated: Vec<&Row> = rows
         .iter()

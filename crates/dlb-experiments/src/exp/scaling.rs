@@ -9,11 +9,13 @@
 //! cells carry their standard error, and the same runs judge the
 //! `scaling.*` claims.
 //!
-//! Usage: `dlb-exp scaling [--out results/scaling.csv]`
+//! Usage: `dlb-exp scaling [--jobs N] [--out results/scaling.csv]`
+//! (jobs default to the available cores; the cells run one per job)
 
 use super::{ratios, shape, Row};
 use crate::arena::{run_league, ArenaConfig, ArenaRow, Contender};
 use crate::args::{Args, Key};
+use crate::outln;
 use crate::parallel::{default_jobs, par_map};
 use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
@@ -32,7 +34,7 @@ const NS: [usize; 4] = [16, 64, 256, 1024];
 const FULL_UP_TO: usize = 256;
 const VARIANTS: [&str; 2] = ["simple", "full"];
 
-pub const KEYS: &[Key] = crate::keys!["out": String];
+pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// One contender's league over [`RUNS`] runs of the §7 workload at `n`,
 /// on one thread, and its wall time.
@@ -77,9 +79,10 @@ fn cell(e: Estimate) -> String {
 }
 
 pub fn run(args: &Args) -> Vec<Row> {
+    let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", "scaling.csv");
 
-    println!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
+    outln!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
     // (variant, n): the practical variant at every n, then the full one.
     let cells: Vec<(usize, usize)> = (0..VARIANTS.len())
         .flat_map(|v| {
@@ -88,9 +91,7 @@ pub fn run(args: &Args) -> Vec<Row> {
                 .map(move |&n| (v, n))
         })
         .collect();
-    let leagues = par_map(default_jobs(), cells.len(), |i| {
-        league(cells[i].0, cells[i].1)
-    });
+    let leagues = par_map(jobs, cells.len(), |i| league(cells[i].0, cells[i].1));
     let at = |v, n| {
         cells
             .iter()
@@ -123,15 +124,15 @@ pub fn run(args: &Args) -> Vec<Row> {
         "simple us/step",
         "full us/step",
     ];
-    println!("{}", render_table(&headers, &rows));
-    println!("us/step: wall time, one thread per cell (not written)\n");
+    outln!("{}", render_table(&headers, &rows));
+    outln!("us/step: wall time, one thread per cell (not written)\n");
     let written = 1 + 2 * VARIANTS.len();
     let rows: Vec<Row> = rows
         .into_iter()
         .map(|row| row[..written].to_vec())
         .collect();
     write_csv(&out, &headers[..written], &rows).expect("CSV written");
-    println!("wrote {out}");
+    outln!("wrote {out}");
     judge(|v, n| at(v, n).map(|(league, _)| league))
 }
 

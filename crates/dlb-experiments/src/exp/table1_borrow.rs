@@ -15,6 +15,7 @@
 
 use super::{excess, minus, shape, Row, VERDICT};
 use crate::args::{Args, Flag, Key};
+use crate::outln;
 use crate::parallel::default_jobs;
 use crate::report::{f3, render_table, write_csv};
 use crate::table1::table1_runs;
@@ -75,7 +76,7 @@ pub fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", file);
 
-    println!(
+    outln!(
         "Table 1: borrow statistics vs C, per processor per run (f = 1.1, delta = 1, {n} procs, \
          {steps} steps, {runs} runs)\n"
     );
@@ -95,15 +96,15 @@ pub fn run(args: &Args) -> Vec<Row> {
                 strict.push(per_run);
             }
         }
-        println!("exchange policy: {policy:?}");
+        outln!("exchange policy: {policy:?}");
         let headers = [&["C"], &COUNTERS[..]].concat();
-        println!("{}", render_table(&headers, &rows));
+        outln!("{}", render_table(&headers, &rows));
     }
     let underscored = COUNTERS.map(|name| name.replace(' ', "_"));
     let mut headers = vec!["policy", "C"];
     headers.extend(underscored.iter().map(String::as_str));
     write_csv(&out, &headers, &csv_rows).expect("CSV written");
-    println!("\nwrote {out}");
+    outln!("\nwrote {out}");
     if smoke {
         return Vec::new();
     }

@@ -4,6 +4,31 @@
 use std::io::Write;
 use std::path::Path;
 
+/// `println!` for what a row prints: a stdout closed early (`dlb-exp
+/// scaling | head -12`) ends the process quietly with status 141, what
+/// a shell reports for a writer killed by `SIGPIPE`, where `println!`
+/// would panic.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::report::print_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout for [`outln!`].
+///
+/// # Panics
+///
+/// Panics, as `println!` does, on a write error other than a closed pipe.
+pub fn print_line(line: std::fmt::Arguments) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// Renders an aligned ASCII table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();

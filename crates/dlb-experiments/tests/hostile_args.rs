@@ -85,10 +85,10 @@ const KEY_SURFACE: [(&str, &[&str]); 11] = [
     ("fig7_quality", &["jobs", "out"]),
     ("fig9_distribution", &["jobs", "out"]),
     ("table1_borrow", &["smoke", "jobs", "out"]),
-    ("scaling", &["out"]),
-    ("ablation", &["out"]),
-    ("closed_loop", &["out"]),
-    ("async_latency", &["out"]),
+    ("scaling", &["jobs", "out"]),
+    ("ablation", &["jobs", "out"]),
+    ("closed_loop", &["jobs", "out"]),
+    ("async_latency", &["jobs", "out"]),
     ("faults_sweep", &["scenario", "jobs", "out", "svg"]),
     ("arena", &["smoke", "jobs", "out", "svg", "trace"]),
 ];
@@ -108,7 +108,7 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
         .collect();
     assert_eq!(declared, expected);
     let total: usize = KEY_SURFACE.iter().map(|(_, keys)| keys.len()).sum();
-    assert_eq!(total, 24);
+    assert_eq!(total, 28);
 
     let dir = std::env::temp_dir().join("dlb_exp_hostile_keys");
     for row in EXPERIMENTS {
@@ -240,4 +240,29 @@ fn faults_sweep_refuses_an_undecodable_scenario_before_any_output() {
             (Some(r#"{"steps": 1}"#), "steps = 1: crash sweep: "),
         ],
     );
+}
+
+/// A reader that goes away (`dlb-exp scaling | head -12`) ends a row
+/// quietly: status 141, what a shell reports for a writer killed by
+/// `SIGPIPE`, and no panic on stderr.  Every row prints before its
+/// first run, so each stops there.
+#[test]
+fn a_closed_stdout_ends_every_row_quietly() {
+    let dir = std::env::temp_dir().join("dlb_exp_closed_stdout");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let names = EXPERIMENTS.iter().map(|row| row.name).chain(["list"]);
+    for name in names {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_dlb-exp"))
+            .arg(name)
+            .current_dir(&dir)
+            .stdout(writer)
+            .output()
+            .expect("dlb-exp runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "dlb-exp {name}: {stderr}");
+        assert_eq!(out.status.code(), Some(141), "dlb-exp {name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,6 +10,14 @@
 //! plan's crash schedule, pushed at construction time) wait in a small
 //! overflow heap and migrate into the ring when the cursor reaches them.
 //!
+//! A bucket is a flat `Vec<T>` and a read cursor: a push appends, a pop
+//! copies out the slot under the cursor, and the pop that drains the
+//! bucket `clear`s it, keeping its capacity.  A bucket holds one tick's
+//! events at a time and the cursor only leaves a tick once its bucket
+//! is drained, so after a lap of the ring every bucket is as large as
+//! its busiest tick needed and a warm queue allocates nothing.  Items
+//! are `Copy`, so a pop leaves nothing behind to drop.
+//!
 //! # Ordering contract
 //!
 //! [`CalendarQueue::pop_due`] yields events in `(time, push order)`
@@ -20,7 +28,7 @@
 //! order.  The property test below checks this against a plain
 //! `BinaryHeap` model for arbitrary push/pop interleavings.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An overflow event waiting outside the bucket window; ordered by
 /// `(time, stamp)` so the earliest-pushed event of the earliest tick
@@ -51,11 +59,19 @@ impl<T> Ord for Far<T> {
     }
 }
 
+/// One tick's events in push order: `items[read..]` are still queued.
+/// Never holds a drained prefix alone: the pop that reaches the end
+/// clears it, so `items` is empty exactly when the bucket is.
+struct Bucket<T> {
+    items: Vec<T>,
+    read: usize,
+}
+
 /// A calendar queue over items of type `T`; see the module docs.
 pub struct CalendarQueue<T> {
     /// Ring of per-tick FIFO buckets; `buckets[time & mask]` holds the
     /// events of tick `time` while `time` is inside the window.
-    buckets: Vec<VecDeque<T>>,
+    buckets: Vec<Bucket<T>>,
     mask: u64,
     /// Lowest tick that may still hold an event.  Only ever advances.
     cur: u64,
@@ -69,7 +85,7 @@ pub struct CalendarQueue<T> {
     stamp: u64,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// A queue whose bucket ring covers `capacity` ticks (rounded up to
     /// a power of two).  Events further out than that still work — they
     /// wait in the overflow heap — so the capacity is a performance
@@ -77,7 +93,12 @@ impl<T> CalendarQueue<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         CalendarQueue {
-            buckets: (0..cap).map(|_| VecDeque::new()).collect(),
+            buckets: (0..cap)
+                .map(|_| Bucket {
+                    items: Vec::new(),
+                    read: 0,
+                })
+                .collect(),
             mask: cap as u64 - 1,
             cur: 0,
             in_window: 0,
@@ -115,7 +136,7 @@ impl<T> CalendarQueue<T> {
         self.len += 1;
         if time - self.cur <= self.mask {
             let slot = self.slot(time);
-            self.buckets[slot].push_back(item);
+            self.buckets[slot].items.push(item);
             self.in_window += 1;
         } else {
             self.overflow.push(std::cmp::Reverse(Far {
@@ -150,11 +171,17 @@ impl<T> CalendarQueue<T> {
             // cursor advances monotonically (amortised O(1) per tick).
             loop {
                 let idx = self.slot(self.cur);
-                if !self.buckets[idx].is_empty() {
+                let bucket = &mut self.buckets[idx];
+                if !bucket.items.is_empty() {
                     if self.cur > t {
                         return None;
                     }
-                    let item = self.buckets[idx].pop_front().expect("checked");
+                    let item = bucket.items[bucket.read];
+                    bucket.read += 1;
+                    if bucket.read == bucket.items.len() {
+                        bucket.items.clear();
+                        bucket.read = 0;
+                    }
                     self.in_window -= 1;
                     self.len -= 1;
                     return Some((self.cur, item));
@@ -187,13 +214,13 @@ impl<T> CalendarQueue<T> {
             }
             let far = self.overflow.pop().expect("peeked").0;
             let slot = self.slot(far.time);
-            self.buckets[slot].push_back(far.item);
+            self.buckets[slot].items.push(far.item);
             self.in_window += 1;
         }
     }
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -260,20 +287,33 @@ mod tests {
     proptest! {
         /// Interleaved pushes (relative to the advancing clock) and
         /// horizon-bounded pops match the binary-heap model event for
-        /// event.
+        /// event.  The clock stands still for half the ops and a
+        /// quarter of the pushes land on the current tick, so a bucket
+        /// is pushed to while its tick drains (latency 0) and refilled
+        /// after the pop that cleared it.
         #[test]
         fn matches_heap_under_interleaving(
             ops in prop::collection::vec(
-                // (advance the clock by, delay of a pushed event, pop?)
-                (0u64..20, 0u64..300, any::<bool>()), 1..200)
+                // (the clock's advance plus 20, so that about half the
+                // ops keep the clock; a pushed event's delay; the op:
+                // 0–1 pop, 2 push now, 3 push within 3 ticks, 4–5 push
+                // within 299)
+                (0u64..40, 0u64..300, 0u8..6),
+                1..200,
+            )
         ) {
             let mut cal = CalendarQueue::with_capacity(32);
             let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
             let mut now = 0u64;
             let mut stamp = 0u64;
-            for (id, &(advance, delay, pop)) in ops.iter().enumerate() {
-                now += advance;
-                if pop {
+            for (id, &(advance, delay, op)) in ops.iter().enumerate() {
+                now += advance.saturating_sub(20);
+                let delay = match op {
+                    2 => 0,
+                    3 => delay % 4,
+                    _ => delay,
+                };
+                if op < 2 {
                     let got = cal.pop_due(now);
                     let due = heap.peek().is_some_and(|Reverse((t, _, _))| *t <= now);
                     let want = if due {
@@ -293,6 +333,46 @@ mod tests {
                 prop_assert_eq!(cal.pop_due(u64::MAX), Some((t, id)));
             }
             prop_assert!(cal.is_empty());
+        }
+
+        /// Traffic that repeats with the ring's period — each tick
+        /// pushes its pattern's delays, near and past the window, and a
+        /// popped event may echo once onto the tick it pops at — grows
+        /// no bucket and not the overflow heap once the queue has run
+        /// long enough to be warm: from then on no capacity changes at
+        /// all, since a bucket keeps its capacity across the `clear`
+        /// that drains it.
+        #[test]
+        fn a_warm_lap_grows_no_capacity(
+            pattern in prop::collection::vec(
+                prop::collection::vec((0u64..100, any::<bool>()), 0..4), 32)
+        ) {
+            const CAP: u64 = 32;
+            let mut q = CalendarQueue::with_capacity(pattern.len());
+            let capacities = |q: &CalendarQueue<(u64, bool)>| {
+                let buckets: Vec<usize> = q.buckets.iter().map(|b| b.items.capacity()).collect();
+                (buckets, q.overflow.capacity())
+            };
+            // Past the farthest delay, every tick holds what it holds on
+            // the same tick of every later lap; one more lap is warm.
+            let warm = (100 / CAP + 2) * CAP;
+            let mut before = None;
+            for (t, pushes) in (0..warm + 3 * CAP).zip(pattern.iter().cycle()) {
+                if t == warm {
+                    before = Some(capacities(&q));
+                }
+                if t > warm {
+                    prop_assert_eq!(Some(capacities(&q)), before.clone(), "tick {}", t);
+                }
+                for &(delay, echo) in pushes {
+                    q.push(t + delay, (t, echo));
+                }
+                while let Some((at, (from, echo))) = q.pop_due(t) {
+                    if echo {
+                        q.push(at, (from, false));
+                    }
+                }
+            }
         }
     }
 }

@@ -34,15 +34,28 @@ use crate::router::TriggerRouter;
 use crate::scenario::ServiceScenario;
 use crate::stats::ServiceStats;
 
+/// 24 bytes: a completion names its shard, not its request — while
+/// `epoch` matches, the request is the one in `in_service[shard]`.
+#[derive(Clone, Copy)]
 enum Ev {
     /// `epoch` guards against completions of a since-crashed shard.
     Complete {
         shard: usize,
         epoch: u64,
-        req: Request,
     },
     Down(usize),
     Up(usize),
+}
+
+/// The calendar window that holds every completion: one is pushed at
+/// most `service_ticks.1` ahead of the tick whose due events have just
+/// popped, so `service_ticks.1 + 1` buckets (8 at `[2, 6]`) cover it,
+/// capped at the 1024 of [`CalendarQueue::new`].  The crash schedule
+/// waits in the queue's overflow heap; pop order does not depend on
+/// the window.
+fn queue_window(scenario: &ServiceScenario) -> usize {
+    let farthest = scenario.load.service_ticks.1.saturating_add(1);
+    usize::try_from(farthest.min(1024)).expect("at most 1024")
 }
 
 /// Runs the scenario on the simulated clock and returns the report.
@@ -53,11 +66,20 @@ pub fn run_sim(
     scenario: &ServiceScenario,
     sink: Option<SharedSink>,
 ) -> Result<ServiceStats, String> {
+    run_windowed(scenario, sink, queue_window(scenario))
+}
+
+/// [`run_sim`] on a calendar ring of `window` buckets.
+fn run_windowed(
+    scenario: &ServiceScenario,
+    sink: Option<SharedSink>,
+    window: usize,
+) -> Result<ServiceStats, String> {
     scenario.validate()?;
     let n = scenario.shards;
     let injector = FaultInjector::new(scenario.faults.clone(), n)?;
     let mut source = RequestSource::new(scenario.load.clone(), scenario.seed);
-    let mut eq: CalendarQueue<Ev> = CalendarQueue::new();
+    let mut eq: CalendarQueue<Ev> = CalendarQueue::with_capacity(window);
     // Crash/recovery events first: construction-time pushes carry the
     // earliest stamps, so within a tick they pop before completions,
     // and arrivals come after both (down-then-reroute, never
@@ -98,12 +120,13 @@ pub fn run_sim(
                 Ev::Complete {
                     shard,
                     epoch: at_dispatch,
-                    req,
                 } => {
                     if epoch[shard] != at_dispatch {
                         continue; // the shard crashed since; already handled
                     }
-                    in_service[shard] = None;
+                    let req = in_service[shard]
+                        .take()
+                        .expect("a shard whose epoch matches is serving");
                     set_idle(&mut idle, shard);
                     completed += 1;
                     per_shard_completed[shard] += 1;
@@ -142,7 +165,6 @@ pub fn run_sim(
                 Ev::Complete {
                     shard: s,
                     epoch: epoch[s],
-                    req,
                 },
             );
             true
@@ -596,6 +618,38 @@ mod tests {
         }
     }
 
+    /// The rendered stats of `s` on the 1024-bucket ring the queue had
+    /// before it was sized to the service times: the window oracle.
+    fn on_the_wide_ring(s: &ServiceScenario) -> Result<String, String> {
+        run_windowed(s, None, 1024).map(|stats| stats.to_json().render())
+    }
+
+    fn rendered(s: &ServiceScenario) -> Result<String, String> {
+        run_sim(s, None).map(|stats| stats.to_json().render())
+    }
+
+    /// `service_ticks.1 + 1` buckets (4 here, 8 on the benchmark's
+    /// `[2, 6]`) pop what 1024 did: both crash modes, and a crash due
+    /// far past either window, which waits in the overflow heap through
+    /// the whole run and still fires on its tick.
+    #[test]
+    fn the_service_window_is_the_wide_ring() {
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
+        assert_eq!(queue_window(&scenario()), 4);
+        let mut far = with_crash(CrashMode::Lost);
+        far.faults.crashes[0].at = 3000;
+        far.faults.crashes[0].recover_at = Some(3500);
+        for s in [
+            with_crash(CrashMode::Lost),
+            with_crash(CrashMode::Frozen),
+            far,
+        ] {
+            let stats = run_sim(&s, None).expect("run");
+            assert_eq!((stats.crashes, stats.recoveries), (1, 1));
+            assert_eq!(rendered(&s), on_the_wide_ring(&s));
+        }
+    }
+
     /// The dispatch loop as it stood before the idle bitset: every
     /// shard, ascending, skipping the busy ones.  Returns the `(shard,
     /// request id)` pairs it put into service, in order.
@@ -665,6 +719,44 @@ mod tests {
             prop_assert_eq!(walked.router().word_pos(), scanned.router().word_pos());
             prop_assert_eq!(walked.router().rebalances(), scanned.router().rebalances());
             prop_assert_eq!(idle, bits_of(&busy));
+        }
+
+        /// Small random scenarios — windows of 2 to 64 buckets, up to
+        /// three crashes anywhere from tick 0 to well past the last
+        /// arrival, either mode — render the same stats (or the same
+        /// error) on the service-sized ring as on the 1024-bucket one.
+        #[test]
+        fn any_service_window_is_the_wide_ring(
+            shards in 2usize..12,
+            ticks in 20u64..200,
+            delta in 1usize..=3,
+            rates in prop::collection::vec(0.0f64..4.0, 1..4),
+            service in (1u64..6, 0u64..40),
+            crashes in prop::collection::vec((0usize..12, 0u64..400, 0u64..200, any::<bool>()), 0..4),
+            lost in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut s = scenario();
+            s.shards = shards;
+            s.ticks = ticks;
+            s.seed = seed;
+            s.delta = delta.min(shards - 1);
+            s.f = 1.5;
+            s.load.phases = rates
+                .iter()
+                .map(|&rate| RatePhase { ticks: 30, rate })
+                .collect();
+            s.load.service_ticks = (service.0, service.0 + service.1);
+            s.faults.crash_mode = if lost { CrashMode::Lost } else { CrashMode::Frozen };
+            s.faults.crashes = crashes
+                .iter()
+                .map(|&(proc, at, down_for, recovers)| CrashEvent {
+                    proc: proc % shards,
+                    at,
+                    recover_at: recovers.then_some(at + 1 + down_for),
+                })
+                .collect();
+            prop_assert_eq!(rendered(&s), on_the_wide_ring(&s));
         }
     }
 }
