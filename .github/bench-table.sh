@@ -7,14 +7,25 @@
 #   bash .github/bench-table.sh sparse_step # docs/GUIDE.md and DESIGN.md
 #       # s11: the n = 2^20 `sparse_step` rows, sparse against `--dense`
 #       # (the ladder rows, which carry `stall_ratio`, are left out)
+#   bash .github/bench-table.sh faults_sweep # EXPERIMENTS.md: the loss
+#       # sweep of results/faults_sweep.json, balance quality (max/mean
+#       # load) to three places, as `dlb-exp faults_sweep` prints it
 #
 # A document holds the output verbatim between `<!-- bench:begin NAME -->`
-# and `<!-- bench:end -->`, and doc-drift.sh fails when the two differ, so
-# a BENCH refresh updates the documents by pasting what this prints there.
+# and `<!-- bench:end -->` (`<!-- faults_sweep:begin -->` and
+# `<!-- faults_sweep:end -->` for the last), and doc-drift.sh fails when
+# the two differ, so a refresh of BENCH_core.json or of the golden
+# updates the documents by pasting what this prints there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 table=${1:-large}
+if [ "$table" = faults_sweep ]; then
+    echo "loss,quality"
+    jq -r '.loss_sweep[] | [.x, .quality] | @tsv' results/faults_sweep.json |
+        awk -F'\t' '{ printf "%s,%.3f\n", $1, $2 }'
+    exit 0
+fi
 case "$table" in
 large)
     query='(.steps as $steps | .sizes[] | [.n, $steps, .full_ms, "", ""]),
@@ -23,7 +34,7 @@ sparse_step)
     query='.sparse_step[] | select(.stall_ratio == null)
            | [.activity, .active_per_step, .sparse_ms, .dense_ms]' ;;
 *)
-    echo "usage: bash .github/bench-table.sh [large|sparse_step]" >&2
+    echo "usage: bash .github/bench-table.sh [large|sparse_step|faults_sweep]" >&2
     exit 2 ;;
 esac
 

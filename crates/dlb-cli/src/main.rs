@@ -30,6 +30,7 @@ mod run;
 mod serve;
 
 use config::Scenario;
+use dlb_experiments::outln;
 use run::RunOptions;
 
 const USAGE: &str = "usage: dlb <demo | run <scenario.json> | template | \
@@ -63,7 +64,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         },
         Some("serve") => serve::serve_main(&args[1..]),
         Some("template") => {
-            println!("{}", Scenario::demo().to_json());
+            outln!("{}", Scenario::demo().to_json());
             Ok(())
         }
         _ => Err(USAGE.to_string()),
@@ -94,7 +95,7 @@ fn parse_options(rest: &[String]) -> Result<RunOptions, String> {
 
 fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
     if !scenario.balancer.is_empty() {
-        println!(
+        outln!(
             "league: {} processors, {} steps x {} runs, {} contenders\n",
             scenario.n,
             scenario.steps,
@@ -102,20 +103,23 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
             scenario.balancer.len() + 1
         );
         let table = run::execute_league(&scenario, opts)?;
-        println!("{table}");
+        outln!("{table}");
         if let Some(path) = &opts.trace {
-            println!("\ntrace written to {path}");
+            outln!("\ntrace written to {path}");
         }
         return Ok(());
     }
-    println!(
+    outln!(
         "running: {} processors, {} steps x {} runs, strategy {:?}\n",
-        scenario.n, scenario.steps, scenario.runs, scenario.strategy
+        scenario.n,
+        scenario.steps,
+        scenario.runs,
+        scenario.strategy
     );
     let report = run::execute_with(&scenario, opts)?;
-    println!("{}", report.render());
+    outln!("{}", report.render());
     if let Some(path) = &opts.trace {
-        println!("\ntrace written to {path}");
+        outln!("\ntrace written to {path}");
     }
     Ok(())
 }

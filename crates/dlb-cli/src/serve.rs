@@ -13,6 +13,7 @@
 //!
 //! The process exits non-zero if the conservation ledger breaks.
 
+use dlb_experiments::outln;
 use dlb_json::ToJson;
 use dlb_serve::ServiceScenario;
 use dlb_trace::{FileSink, SharedSink};
@@ -106,7 +107,7 @@ pub fn serve_main(rest: &[String]) -> Result<(), String> {
     match &opts.out {
         Some(out) => std::fs::write(out, rendered.as_bytes())
             .map_err(|e| format!("cannot write {out}: {e}"))?,
-        None => println!("{rendered}"),
+        None => outln!("{rendered}"),
     }
     Ok(())
 }

@@ -57,6 +57,7 @@
 
 use dlb_core::{Cluster, LoadBalancer, Params, SimpleCluster};
 use dlb_experiments::args::{Args, Flag, Key};
+use dlb_experiments::outln;
 use dlb_experiments::parallel::default_jobs;
 use dlb_json::{req, Json, ToJson};
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
@@ -515,7 +516,7 @@ fn rows<T>(
 /// committed file.  Exits 1 on any drift.
 fn check_against(path: &str, baseline: &Baseline) -> ! {
     let (_, steps, _) = matrix(baseline.smoke);
-    println!(
+    outln!(
         "bench_core --check: verifying {} cells against {path} ({} matrix)\n",
         baseline.sizes.len(),
         if baseline.smoke { "smoke" } else { "paper" }
@@ -523,9 +524,9 @@ fn check_against(path: &str, baseline: &Baseline) -> ! {
     let mut drifted = 0usize;
     let mut verdict = |label: String, want: &str, got: &str| {
         if want == got {
-            println!("  {label} ok    {got}");
+            outln!("  {label} ok    {got}");
         } else {
-            println!("  {label} DRIFT baseline {want} != {got}");
+            outln!("  {label} DRIFT baseline {want} != {got}");
             drifted += 1;
         }
     };
@@ -536,18 +537,18 @@ fn check_against(path: &str, baseline: &Baseline) -> ! {
     }
     // Each re-run also re-asserts its row's invariants and memory bound,
     // and a sparse row its sparse/dense equivalence witness.
-    println!();
+    outln!();
     for (n, steps, want) in &baseline.large {
         let cell = run_large_cell(*n, *steps);
         verdict(format!("n={n:<6} large  full   "), want, &cell.full_fp);
     }
-    println!();
+    outln!();
     for (n, steps, (lo, hi), want) in &baseline.sparse {
         let cell = run_sparse_cell(*n, (*lo, *hi), *steps, 1);
         verdict(format!("n={n:<8} sparse gap={lo}..{hi}"), want, &cell.fp);
     }
     if let Some(want) = &baseline.rng {
-        println!();
+        outln!();
         verdict(
             format!("rng    {RNG_DRAWS} draws    "),
             want,
@@ -555,13 +556,13 @@ fn check_against(path: &str, baseline: &Baseline) -> ! {
         );
     }
     if drifted > 0 {
-        println!(
+        outln!(
             "\n{drifted} checksum(s) drifted from {path}: the simulation \
              results changed.  If intentional, regenerate the baseline."
         );
         std::process::exit(1);
     }
-    println!("\nAll checksums match {path}.");
+    outln!("\nAll checksums match {path}.");
     std::process::exit(0);
 }
 
@@ -578,7 +579,7 @@ fn main() {
     }
     let (sizes, steps, reps) = matrix(smoke);
 
-    println!(
+    outln!(
         "bench_core: engine scaling on the paper workload \
          ({} matrix, {steps} steps, min of {reps}, {} effective cores)\n",
         if smoke { "smoke" } else { "paper" },
@@ -588,7 +589,7 @@ fn main() {
     let mut cells = Vec::new();
     for &n in sizes {
         let cell = run_cell(n, steps, reps, true);
-        println!(
+        outln!(
             "  n={:<5} full {:>10.2} ms  ({})  {:>5.0} ns/op   simple {:>9.2} ms  ({})  {:>4.0} ns/op",
             cell.n,
             cell.full_ms,
@@ -631,10 +632,10 @@ fn main() {
     // dense engine stored 2·8·n² bytes and could not climb past 4096.
     let mut large_rows = Vec::new();
     if !smoke {
-        println!();
+        outln!();
         for n in LARGE_SIZES {
             let cell = run_large_cell(n, LARGE_STEPS);
-            println!(
+            outln!(
                 "  n={:<6} large full {:>10.2} ms  ({})  {:.0} ns/op  {} B/proc",
                 cell.n,
                 cell.full_ms,
@@ -667,11 +668,11 @@ fn main() {
     // dense path, by contrast, is flat in activity and ~constant here).
     let mut sparse_rows = Vec::new();
     if !smoke {
-        println!();
+        outln!();
         let mut sparse_cells = Vec::new();
         for (label, gap) in SPARSE_LEVELS {
             let cell = run_sparse_cell(SPARSE_N, gap, SPARSE_STEPS, 1);
-            println!(
+            outln!(
                 "  n={:<8} sparse {label:<5} {:>9.2} ms  dense {:>9.2} ms  ({})  {:.0} active/step",
                 cell.n,
                 cell.sparse_ms,
@@ -695,7 +696,7 @@ fn main() {
 
     // The stall ladder: the 1 % stream at an equal event count, from a
     // cluster that fits in cache to one where every record is a miss.
-    println!();
+    outln!();
     let (label, gap) = SPARSE_LEVELS[0];
     let ladder: &[(usize, usize)] = if smoke {
         &STALL_LADDER_SMOKE
@@ -706,7 +707,7 @@ fn main() {
     for &(n, steps) in ladder {
         let cell = run_sparse_cell(n, gap, steps, STALL_REPS);
         let ratio = cell.ns_per_event() / *in_cache_ns.get_or_insert(cell.ns_per_event());
-        println!(
+        outln!(
             "  n={:<8} ladder {:>9.2} ms  ({})  {} events  {:>6.1} ns/event  x{ratio:.2}",
             cell.n,
             cell.sparse_ms,
@@ -717,11 +718,13 @@ fn main() {
         sparse_rows.push(cell.to_row(label, Some(ratio)));
     }
 
-    println!();
+    outln!();
     let rng = run_rng_cell(reps);
-    println!(
+    outln!(
         "  rng    {RNG_DRAWS} draws  {:>6.2} ns/u64  {:>6.1} ns/refill  ({})",
-        rng.ns_per_u64, rng.ns_per_refill, rng.fp
+        rng.ns_per_u64,
+        rng.ns_per_refill,
+        rng.fp
     );
     let rng_row = Json::Obj(vec![
         ("seed".into(), RNG_SEED.to_json()),
@@ -751,5 +754,5 @@ fn main() {
     fields.push(("rng".into(), rng_row));
     let doc = Json::Obj(fields);
     std::fs::write(&out, doc.render_pretty()).expect("JSON written");
-    println!("\nwrote {out}");
+    outln!("\nwrote {out}");
 }

@@ -18,6 +18,7 @@ use std::io::BufReader;
 
 use dlb_experiments::analyze::{analyze, check_lines, csv_rows, parse_lines, CSV_HEADERS};
 use dlb_experiments::args::{Args, Flag, Key};
+use dlb_experiments::outln;
 use dlb_experiments::report::{render_table, write_csv};
 use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 
@@ -33,7 +34,7 @@ fn main() {
     if args.flag("check") {
         match check_lines(reader()) {
             Ok(n) => {
-                println!("{input}: {n} lines, schema OK (parse + byte-stable re-render)");
+                outln!("{input}: {n} lines, schema OK (parse + byte-stable re-render)");
                 return;
             }
             Err(e) => {
@@ -45,7 +46,7 @@ fn main() {
 
     let events = parse_lines(reader()).unwrap_or_else(|e| panic!("{input}: {e}"));
     let runs = analyze(&events);
-    println!("{input}: {} events, {} run(s)\n", events.len(), runs.len());
+    outln!("{input}: {} events, {} run(s)\n", events.len(), runs.len());
 
     let mut summary = Vec::new();
     let mut all_rows = Vec::new();
@@ -70,7 +71,7 @@ fn main() {
         ]);
         all_rows.extend(csv_rows(idx, run));
     }
-    println!(
+    outln!(
         "{}",
         render_table(
             &[
@@ -89,7 +90,7 @@ fn main() {
     if args.has("out-csv") {
         let out: String = args.get("out-csv", String::new());
         write_csv(&out, &CSV_HEADERS, &all_rows).expect("CSV written");
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
 
     if args.has("svg") {
@@ -129,6 +130,6 @@ fn main() {
             &series,
         )
         .expect("SVG written");
-        println!("wrote {out}");
+        outln!("wrote {out}");
     }
 }

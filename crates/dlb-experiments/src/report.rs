@@ -4,12 +4,15 @@
 use std::io::Write;
 use std::path::Path;
 
-/// `println!` for what a row prints: a stdout closed early (`dlb-exp
-/// scaling | head -12`) ends the process quietly with status 141, what
-/// a shell reports for a writer killed by `SIGPIPE`, where `println!`
-/// would panic.
+/// `println!` for what `dlb`, `dlb-exp`, `trace_analyze` and
+/// `bench_core` print: a stdout closed early (`dlb-exp scaling | head
+/// -12`) ends the process quietly with status 141, what a shell reports
+/// for a writer killed by `SIGPIPE`, where `println!` would panic.
 #[macro_export]
 macro_rules! outln {
+    () => {
+        $crate::report::print_line(format_args!(""))
+    };
     ($($arg:tt)*) => {
         $crate::report::print_line(format_args!($($arg)*))
     };

@@ -266,3 +266,40 @@ fn a_closed_stdout_ends_every_row_quietly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `trace_analyze` and `bench_core` end the same way: each prints a
+/// header before it analyses or runs anything.
+#[test]
+fn a_closed_stdout_ends_the_other_tools_quietly() {
+    let dir = std::env::temp_dir().join("dlb_tools_closed_stdout");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let trace = dir.join("empty.jsonl");
+    std::fs::write(&trace, "").expect("an empty trace");
+    let trace = trace.to_str().expect("a UTF-8 path");
+    let out_json = dir.join("bench.json");
+    let out_json = out_json.to_str().expect("a UTF-8 path");
+    let tools: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_trace_analyze"), &["--in", trace]),
+        (
+            env!("CARGO_BIN_EXE_trace_analyze"),
+            &["--in", trace, "--check"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_bench_core"),
+            &["--smoke", "--out", out_json],
+        ),
+    ];
+    for (bin, args) in tools {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("the tool runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(141), "{bin} {args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -99,7 +99,26 @@
 //! trigger outcome, and the pass folds min/max/total of every load (down
 //! processors included) into [`AsyncNetwork::load_summary`].  An
 //! operation start moves no packet, so that is the summary after the
-//! tick.  This is the same run as
+//! tick.
+//!
+//! Where the CPU has AVX-512F, else AVX2, the sweep runs whole chunks of
+//! 16 processors on those vectors — the path is picked per tick by
+//! `is_x86_feature_detected!`, as `rand_chacha` picks its refill — and
+//! the last `n % 16` through the one-pass loop.  A chunk applies the same
+//! per-processor arithmetic into local counters and min/max/total, and
+//! sets bit `j` of a `u32` mask where processor `base + j` fired; the
+//! compaction `fired[k] = i; k += fire` is what kept the one pass scalar.
+//! Draining the mask lowest bit first (`trailing_zeros`, then `mask &=
+//! mask - 1`) appends the chunk's fired processors in ascending order
+//! after those of the chunks before it, which is what the one pass
+//! writes, so the second phase below is unchanged.  The one pass is the
+//! oracle: `tests::every_sweep_path_matches_the_one_pass_sweep` runs every
+//! path the CPU has for n = 1..80.  The baseline x86-64 target has no
+//! 64-bit vector compare, and the chunked body compiled for it ran no
+//! faster than the one pass, so CPUs with neither feature, and other
+//! targets, keep the one pass.
+//!
+//! Starting the fired operations after the sweep is the same run as
 //! starting each operation the moment its trigger fires: an operation
 //! start touches only the initiator's own flag and `OpState`, the event
 //! queue, the two RNG streams and the counters — none of which another
@@ -617,50 +636,20 @@ impl AsyncNetwork {
         let before = self.trace_on().then_some(self.metrics);
         self.drain_until(t);
         self.now = t;
-        let (mut generated, mut consumed, mut consume_blocked) = (0, 0, 0);
-        let (mut min, mut max, mut total) = (u64::MAX, 0, 0);
-        let mut invalid = false;
-        let mut fired = std::mem::take(&mut self.fired);
-        let mut k = 0;
-        let load = &mut self.load[..n];
-        let flags = &self.flags[..n];
-        let grow_at = &self.grow_at[..n];
-        let shrink_below = &self.shrink_below[..n];
-        for i in 0..n {
-            let (a, l): (i8, _) = (actions[i].into(), load[i]);
-            let up = flags[i] & DOWN == 0;
-            let gen = up & (a == 1);
-            let take = up & (a == -1);
-            let con = take & (l > 0);
-            generated += u64::from(gen);
-            consumed += u64::from(con);
-            consume_blocked += u64::from(take & (l == 0));
-            invalid |= up & (a.unsigned_abs() > 1);
-            let l = l + u64::from(gen) - u64::from(con);
-            load[i] = l;
-            // Only a load that moved is tested, and only while unlocked.
-            let fire = (gen | con)
-                & (flags[i] & LOCKED == 0)
-                & ((l >= grow_at[i]) | (l < shrink_below[i]));
-            fired[k] = i;
-            k += usize::from(fire);
-            min = min.min(l);
-            max = max.max(l);
-            total += l;
+        let (tally, k) = Sweep {
+            actions,
+            load: &mut self.load,
+            flags: &self.flags,
+            grow_at: &self.grow_at,
+            shrink_below: &self.shrink_below,
+            fired: &mut self.fired,
         }
-        if invalid {
-            let (other, _) = actions
-                .iter()
-                .map(|&a| a.into())
-                .zip(flags)
-                .find(|&(a, f): &(i8, _)| f & DOWN == 0 && a.unsigned_abs() > 1)
-                .expect("an invalid action was seen");
-            panic!("invalid action {other}; use -1, 0, 1");
-        }
-        self.metrics.generated += generated;
-        self.metrics.consumed += consumed;
-        self.metrics.consume_blocked += consume_blocked;
-        self.summary = LoadSummary { min, max, total };
+        .run(SweepPath::Avx512);
+        self.metrics.generated += tally.generated;
+        self.metrics.consumed += tally.consumed;
+        self.metrics.consume_blocked += tally.consume_blocked;
+        self.summary = tally.summary;
+        let fired = std::mem::take(&mut self.fired);
         for &i in &fired[..k] {
             self.start_op(i);
         }
@@ -1111,6 +1100,278 @@ impl AsyncNetwork {
         self.l_old[i] = l_old;
         self.grow_at[i] = grow_at;
         self.shrink_below[i] = shrink_below;
+    }
+}
+
+/// Processors per chunk of the vectorised sweep, one bit each of its
+/// fired mask.
+const CHUNK: usize = 16;
+
+/// The bodies a tick's sweep may run on, narrowest first (module docs,
+/// "Two-phase tick").
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum SweepPath {
+    /// The one-pass loop, on every target.  `tick` asks for the
+    /// widest path; only the tests name this one.
+    #[cfg_attr(not(test), allow(dead_code))]
+    OnePass,
+    /// Chunks of [`CHUNK`] on AVX2 `ymm` vectors.
+    Avx2,
+    /// Chunks of [`CHUNK`] on AVX-512F `zmm` vectors.
+    Avx512,
+}
+
+/// What a sweep adds up over the processors it covered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Tally {
+    generated: u64,
+    consumed: u64,
+    consume_blocked: u64,
+    /// An up processor's action was not -1, 0 or 1.
+    invalid: bool,
+    summary: LoadSummary,
+}
+
+impl Tally {
+    const EMPTY: Tally = Tally {
+        generated: 0,
+        consumed: 0,
+        consume_blocked: 0,
+        invalid: false,
+        summary: LoadSummary {
+            min: u64::MAX,
+            max: 0,
+            total: 0,
+        },
+    };
+
+    /// Counts one processor's tick.
+    #[inline(always)]
+    fn count(&mut self, x: &Lane) {
+        self.generated += u64::from(x.generated);
+        self.consumed += u64::from(x.consumed);
+        self.consume_blocked += u64::from(x.blocked);
+        self.invalid |= x.invalid;
+        self.summary.min = self.summary.min.min(x.load);
+        self.summary.max = self.summary.max.max(x.load);
+        self.summary.total += x.load;
+    }
+
+    /// Folds in the tally of further processors.
+    #[inline(always)]
+    fn add(&mut self, other: Tally) {
+        self.generated += other.generated;
+        self.consumed += other.consumed;
+        self.consume_blocked += other.consume_blocked;
+        self.invalid |= other.invalid;
+        self.summary.min = self.summary.min.min(other.summary.min);
+        self.summary.max = self.summary.max.max(other.summary.max);
+        self.summary.total += other.summary.total;
+    }
+}
+
+/// One processor's tick: the load after its action, and what the
+/// action counts towards.
+struct Lane {
+    load: u64,
+    generated: bool,
+    consumed: bool,
+    blocked: bool,
+    invalid: bool,
+    fire: bool,
+}
+
+/// Applies action `a` to a processor holding `l` packets, with `flags`
+/// and trigger bounds `grow_at` / `shrink_below`: the arithmetic every
+/// sweep path shares, with no data-dependent branch.
+#[inline(always)]
+fn lane(a: i8, l: u64, flags: u8, grow_at: u64, shrink_below: u64) -> Lane {
+    let up = flags & DOWN == 0;
+    let generated = up & (a == 1);
+    let take = up & (a == -1);
+    let consumed = take & (l > 0);
+    let load = l + u64::from(generated) - u64::from(consumed);
+    Lane {
+        load,
+        generated,
+        consumed,
+        blocked: take & (l == 0),
+        invalid: up & (a.unsigned_abs() > 1),
+        // Only a load that moved is tested, and only while unlocked.
+        fire: (generated | consumed)
+            & (flags & LOCKED == 0)
+            & ((load >= grow_at) | (load < shrink_below)),
+    }
+}
+
+/// [`CHUNK`] processors into a tally and a mask with bit `j` set where
+/// processor `j`'s trigger fired.  Separate arrays as arguments, so the
+/// compiler knows the loads alias nothing the chunk reads.
+#[inline(always)]
+fn chunk<A: Copy + Into<i8>>(
+    actions: &[A; CHUNK],
+    load: &mut [u64; CHUNK],
+    flags: &[u8; CHUNK],
+    grow_at: &[u64; CHUNK],
+    shrink_below: &[u64; CHUNK],
+) -> (Tally, u32) {
+    let (mut tally, mut mask) = (Tally::EMPTY, 0u32);
+    for j in 0..CHUNK {
+        let x = lane(
+            actions[j].into(),
+            load[j],
+            flags[j],
+            grow_at[j],
+            shrink_below[j],
+        );
+        tally.count(&x);
+        load[j] = x.load;
+        mask |= u32::from(x.fire) << j;
+    }
+    (tally, mask)
+}
+
+/// The arrays a tick's sweep reads and writes, one slot per processor.
+struct Sweep<'a, A> {
+    actions: &'a [A],
+    load: &'a mut [u64],
+    flags: &'a [u8],
+    grow_at: &'a [u64],
+    shrink_below: &'a [u64],
+    /// Receives the processors whose trigger fired, ascending.
+    fired: &'a mut [usize],
+}
+
+impl<A: Copy + Into<i8>> Sweep<'_, A> {
+    /// Applies every action and tests every trigger on the widest path
+    /// up to `widest` that this CPU runs: whole chunks there, the rest
+    /// in one pass.  Returns the tally and how many leading slots of
+    /// `fired` hold a processor; every path writes the same loads and
+    /// `fired` and returns the same pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an up processor's action is not -1, 0 or 1.
+    fn run(mut self, widest: SweepPath) -> (Tally, usize) {
+        let (mut tally, mut k) = (Tally::EMPTY, 0);
+        let done = self.chunked(widest, &mut tally, &mut k);
+        self.one_pass(done, &mut tally, &mut k);
+        if tally.invalid {
+            let (other, _) = self
+                .actions
+                .iter()
+                .map(|&a| a.into())
+                .zip(self.flags)
+                .find(|&(a, f): &(i8, _)| f & DOWN == 0 && a.unsigned_abs() > 1)
+                .expect("an invalid action was seen");
+            panic!("invalid action {other}; use -1, 0, 1");
+        }
+        (tally, k)
+    }
+
+    /// Runs the chunk loop on the widest path up to `widest` that this
+    /// CPU has, and returns how many processors it covered: a multiple
+    /// of [`CHUNK`], or 0 on the one-pass path.
+    #[cfg(target_arch = "x86_64")]
+    fn chunked(&mut self, widest: SweepPath, tally: &mut Tally, k: &mut usize) -> usize {
+        if widest >= SweepPath::Avx512 && std::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU has AVX-512F, checked on the line above.
+            // Driven by `every_sweep_path_matches_the_one_pass_sweep`.
+            #[allow(unsafe_code)]
+            return unsafe { x86::chunks_avx512(self, tally, k) };
+        }
+        if widest >= SweepPath::Avx2 && std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU has AVX2, checked on the line above.
+            // Driven by `every_sweep_path_matches_the_one_pass_sweep`.
+            #[allow(unsafe_code)]
+            return unsafe { x86::chunks_avx2(self, tally, k) };
+        }
+        0
+    }
+
+    /// Only the one-pass loop exists off x86-64.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn chunked(&mut self, _widest: SweepPath, _tally: &mut Tally, _k: &mut usize) -> usize {
+        0
+    }
+
+    /// Processors `from..` in one pass: each index is written to slot
+    /// `k` of `fired`, and `k` advances by the trigger outcome.  The
+    /// whole sweep on the one-pass path, and the oracle of the chunked
+    /// ones.
+    fn one_pass(&mut self, from: usize, tally: &mut Tally, k: &mut usize) {
+        let n = self.load.len();
+        let (actions, load, flags) = (&self.actions[..n], &mut *self.load, &self.flags[..n]);
+        let (grow_at, shrink_below) = (&self.grow_at[..n], &self.shrink_below[..n]);
+        let fired = &mut self.fired[..n];
+        let (mut t, mut j) = (*tally, *k);
+        for i in from..n {
+            let x = lane(
+                actions[i].into(),
+                load[i],
+                flags[i],
+                grow_at[i],
+                shrink_below[i],
+            );
+            t.count(&x);
+            load[i] = x.load;
+            fired[j] = i;
+            j += usize::from(x.fire);
+        }
+        (*tally, *k) = (t, j);
+    }
+
+    /// The whole chunks of [`CHUNK`] processors, each [`chunk`]'s fired
+    /// mask drained lowest bit first into `fired`, which so receives
+    /// what the one-pass loop writes.  Inlined into each `x86` caller,
+    /// so that its copy is compiled for that caller's vectors.
+    #[inline(always)]
+    fn chunks(&mut self, tally: &mut Tally, k: &mut usize) -> usize {
+        let (load, _) = self.load.as_chunks_mut::<CHUNK>();
+        let (actions, _) = self.actions.as_chunks::<CHUNK>();
+        let (flags, _) = self.flags.as_chunks::<CHUNK>();
+        let (grow_at, _) = self.grow_at.as_chunks::<CHUNK>();
+        let (shrink_below, _) = self.shrink_below.as_chunks::<CHUNK>();
+        let (mut t, mut j) = (*tally, *k);
+        for (c, load) in load.iter_mut().enumerate() {
+            let (chunk_tally, mut mask) =
+                chunk(&actions[c], load, &flags[c], &grow_at[c], &shrink_below[c]);
+            t.add(chunk_tally);
+            while mask != 0 {
+                self.fired[j] = c * CHUNK + mask.trailing_zeros() as usize;
+                j += 1;
+                mask &= mask - 1;
+            }
+        }
+        (*tally, *k) = (t, j);
+        load.len() * CHUNK
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Sweep, Tally};
+
+    /// [`Sweep::chunks`] on AVX2; sound to call only on a CPU that has
+    /// it, which `Sweep::chunked` checks.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn chunks_avx2<A: Copy + Into<i8>>(
+        s: &mut Sweep<A>,
+        tally: &mut Tally,
+        k: &mut usize,
+    ) -> usize {
+        s.chunks(tally, k)
+    }
+
+    /// [`Sweep::chunks`] on AVX-512F; sound to call only on a CPU that
+    /// has it, which `Sweep::chunked` checks.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn chunks_avx512<A: Copy + Into<i8>>(
+        s: &mut Sweep<A>,
+        tally: &mut Tally,
+        k: &mut usize,
+    ) -> usize {
+        s.chunks(tally, k)
     }
 }
 
@@ -1872,5 +2133,102 @@ mod tests {
         .err()
         .expect("jitter above the bound");
         assert!(err.contains("jitter"), "{err}");
+    }
+
+    /// Each sweep path this CPU can run, by name; the others are
+    /// printed, so that a test log shows what went unchecked.
+    fn sweep_paths() -> Vec<(&'static str, SweepPath)> {
+        let mut paths = vec![("one-pass", SweepPath::OnePass)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                paths.push(("avx2", SweepPath::Avx2));
+            } else {
+                println!("skipped sweep path avx2: the CPU lacks it");
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                paths.push(("avx512", SweepPath::Avx512));
+            } else {
+                println!("skipped sweep path avx512: the CPU lacks avx512f");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("skipped sweep paths avx2, avx512: not an x86-64 target");
+        paths
+    }
+
+    proptest::proptest! {
+        /// Every sweep path writes the loads and fired slots and returns
+        /// the tally of the one-pass loop, for n up to five chunks (every
+        /// tail length), over actions of -1, 0, 1 and now and then any
+        /// `i8` (then every path panics with the same message), each
+        /// `DOWN`/`LOCKED` combination, loads at 0, small and near
+        /// `u64::MAX`, and trigger bounds at, around and far from them.
+        #[test]
+        fn every_sweep_path_matches_the_one_pass_sweep(
+            procs in proptest::collection::vec(
+                (
+                    // The action: `pick` < 15 (or a valid-only case) is
+                    // -1, 0 or 1, else `raw` as it is.
+                    (0u8..16, proptest::any::<i8>()),
+                    0u8..4,
+                    // The load: 0, `off`, or `u64::MAX - 2 - off`.
+                    (0u8..3, 0u64..8),
+                    // Each bound: the load minus or plus `off`, 0 or
+                    // `u64::MAX`.
+                    (0u8..4, 0u64..4),
+                    (0u8..4, 0u64..4),
+                ),
+                1..=80,
+            ),
+            valid_only in 0u8..4,
+        ) {
+            let n = procs.len();
+            let mut actions = Vec::with_capacity(n);
+            let (mut flags, mut loads) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            let (mut grow_at, mut shrink_below) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for &((pick, raw), f, (kind, off), grow, shrink) in &procs {
+                actions.push(if pick < 15 || valid_only != 0 {
+                    (pick % 3) as i8 - 1
+                } else {
+                    raw
+                });
+                flags.push(f);
+                let l = [0, off, u64::MAX - 2 - off][usize::from(kind)];
+                loads.push(l);
+                let bound = |(how, off): (u8, u64)| match how {
+                    0 => l.saturating_sub(off),
+                    1 => l.saturating_add(off),
+                    2 => 0,
+                    _ => u64::MAX,
+                };
+                grow_at.push(bound(grow));
+                shrink_below.push(bound(shrink));
+            }
+            let sweep = |path: SweepPath| {
+                let mut load = loads.clone();
+                let mut fired = vec![usize::MAX; n];
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Sweep {
+                        actions: &actions,
+                        load: &mut load,
+                        flags: &flags,
+                        grow_at: &grow_at,
+                        shrink_below: &shrink_below,
+                        fired: &mut fired,
+                    }
+                    .run(path)
+                }))
+                .map_err(|e| e.downcast_ref::<String>().cloned());
+                // A panic leaves the slot count unknown; slots past it
+                // are scratch, which the paths fill differently.
+                fired.truncate(out.as_ref().map_or(0, |&(_, k)| k));
+                (out, load, fired)
+            };
+            let oracle = sweep(SweepPath::OnePass);
+            for (name, path) in sweep_paths() {
+                proptest::prop_assert_eq!(&sweep(path), &oracle, "path {}", name);
+            }
+        }
     }
 }
