@@ -10,12 +10,15 @@
 #   bash .github/bench-table.sh faults_sweep # EXPERIMENTS.md: the loss
 #       # sweep of results/faults_sweep.json, balance quality (max/mean
 #       # load) to three places, as `dlb-exp faults_sweep` prints it
+#   bash .github/bench-table.sh service     # EXPERIMENTS.md "Serving
+#       # latency": the trigger counters and latency quantiles (ticks,
+#       # mean to one place) of results/service_diurnal_sim.json
 #
 # A document holds the output verbatim between `<!-- bench:begin NAME -->`
-# and `<!-- bench:end -->` (`<!-- faults_sweep:begin -->` and
-# `<!-- faults_sweep:end -->` for the last), and doc-drift.sh fails when
-# the two differ, so a refresh of BENCH_core.json or of the golden
-# updates the documents by pasting what this prints there.
+# and `<!-- bench:end -->` (`<!-- NAME:begin -->` and `<!-- NAME:end -->`
+# for the last two), and doc-drift.sh fails when the two differ, so a
+# refresh of BENCH_core.json or of a golden updates the documents by
+# pasting what this prints there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +29,25 @@ if [ "$table" = faults_sweep ]; then
         awk -F'\t' '{ printf "%s,%.3f\n", $1, $2 }'
     exit 0
 fi
+if [ "$table" = service ]; then
+    echo "| rebalances | redirected | mean | p50 | p99 | p999 |"
+    echo "|---|---|---|---|---|---|"
+    jq -r '[.rebalances, .redirected, .latency_ticks.mean, .latency_ticks.p50,
+            .latency_ticks.p99, .latency_ticks.p999] | @tsv' results/service_diurnal_sim.json |
+        awk -F'\t' '
+            # `7539` → `7 539`.
+            function group(x,   s) {
+                s = ""
+                while (length(x) > 3) {
+                    s = " " substr(x, length(x) - 2) s
+                    x = substr(x, 1, length(x) - 3)
+                }
+                return x s
+            }
+            { printf "| %s | %s | %.1f | %s | %s | %s |\n",
+                group($1), group($2), $3, group($4), group($5), group($6) }'
+    exit 0
+fi
 case "$table" in
 large)
     query='(.steps as $steps | .sizes[] | [.n, $steps, .full_ms, "", ""]),
@@ -34,7 +56,7 @@ sparse_step)
     query='.sparse_step[] | select(.stall_ratio == null)
            | [.activity, .active_per_step, .sparse_ms, .dense_ms]' ;;
 *)
-    echo "usage: bash .github/bench-table.sh [large|sparse_step|faults_sweep]" >&2
+    echo "usage: bash .github/bench-table.sh [large|sparse_step|faults_sweep|service]" >&2
     exit 2 ;;
 esac
 

@@ -8,7 +8,8 @@
 # untracked) output.  A marked block must be the committed artefact it
 # embeds: EXPERIMENTS.md's claims, scaling, closed_loop and
 # async_latency blocks results/<name>.csv, its faults_sweep block
-# results/faults_sweep.json, and docs/GUIDE.md's scaling table and the
+# results/faults_sweep.json, its service block
+# results/service_diurnal_sim.json, and docs/GUIDE.md's scaling table and the
 # `sparse_step` tables of docs/GUIDE.md and DESIGN.md BENCH_core.json,
 # each as bench-table.sh renders it.  And DESIGN.md may only shrink: it fails above
 # `design_ceiling` bytes.
@@ -160,9 +161,11 @@ for doc in docs/GUIDE.md DESIGN.md; do
 done
 embeds EXPERIMENTS.md '<!-- faults_sweep:begin -->' '<!-- faults_sweep:end -->' \
     "results/faults_sweep.json as .github/bench-table.sh faults_sweep renders it" < <(bash .github/bench-table.sh faults_sweep)
+embeds EXPERIMENTS.md '<!-- service:begin -->' '<!-- service:end -->' \
+    "results/service_diurnal_sim.json as .github/bench-table.sh service renders it" < <(bash .github/bench-table.sh service)
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=66984
+design_ceiling=65967
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

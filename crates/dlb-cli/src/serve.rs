@@ -1,15 +1,12 @@
-//! `dlb serve` — run a service scenario on either serving engine.
+//! `dlb serve` — run a service scenario on the simulated clock.
 //!
 //! ```text
-//! dlb serve <scenario.json> [--mode sim|wall] [--workers N]
-//!           [--out <path>] [--trace <path>]
+//! dlb serve <scenario.json> [--mode sim] [--out <path>] [--trace <path>]
 //! ```
 //!
-//! `sim` (the default) runs the single-threaded simulated-clock engine:
-//! the stats JSON is byte-identical across repeated runs *and* across
-//! `--workers` values for a fixed seed, which is what CI golden-gates.
-//! `wall` runs one acceptor thread + `N` workers against the real clock
-//! and adds the throughput block (`BENCH_service.json` numbers).
+//! The stats JSON is byte-identical across repeated runs for a fixed
+//! seed, which is what CI golden-gates.  `--mode sim` names the only
+//! mode there is; any other mode is refused.
 //!
 //! The process exits non-zero if the conservation ledger breaks.
 
@@ -18,51 +15,32 @@ use dlb_json::ToJson;
 use dlb_serve::ServiceScenario;
 use dlb_trace::{FileSink, SharedSink};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Sim,
-    Wall,
-}
+pub const SERVE_USAGE: &str =
+    "usage: dlb serve <scenario.json> [--mode sim] [--out <path>] [--trace <path>]";
 
-pub const SERVE_USAGE: &str = "usage: dlb serve <scenario.json> [--mode sim|wall] \
-                               [--workers N] [--out <path>] [--trace <path>]";
-
+#[derive(Debug)]
 struct ServeOptions {
-    mode: Mode,
-    workers: usize,
     out: Option<String>,
     trace: Option<String>,
 }
 
 fn parse_serve_options(rest: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions {
-        mode: Mode::Sim,
-        // Leave a core for the acceptor; the sim engine ignores this.
-        workers: dlb_pool::default_jobs().saturating_sub(1).max(1),
         out: None,
         trace: None,
     };
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--mode" => {
-                let raw = iter.next().ok_or("--mode needs sim|wall")?;
-                opts.mode = match raw.as_str() {
-                    "sim" => Mode::Sim,
-                    "wall" => Mode::Wall,
-                    other => return Err(format!("unknown mode {other:?} (expected sim|wall)")),
-                };
-            }
-            "--workers" => {
-                let raw = iter.next().ok_or("--workers needs a thread count")?;
-                let parsed: usize = raw
-                    .parse()
-                    .map_err(|e| format!("invalid --workers {raw:?}: {e}"))?;
-                if parsed == 0 {
-                    return Err("--workers must be at least 1".into());
+            "--mode" => match iter.next().ok_or("--mode needs sim")?.as_str() {
+                "sim" => {}
+                other => {
+                    return Err(format!(
+                        "unknown mode {other:?}: wall-clock serving was removed; \
+                         `dlb serve` runs on the simulated clock only (--mode sim)"
+                    ))
                 }
-                opts.workers = parsed;
-            }
+            },
             "--out" => {
                 opts.out = Some(iter.next().ok_or("--out needs a path")?.clone());
             }
@@ -92,17 +70,14 @@ pub fn serve_main(rest: &[String]) -> Result<(), String> {
         )),
         None => None,
     };
-    let stats = match opts.mode {
-        Mode::Sim => dlb_serve::run_sim(&scenario, sink.clone())?,
-        Mode::Wall => dlb_serve::run_wall(&scenario, opts.workers, sink.clone())?,
-    };
-    // Both engines flush the sink before they return.
+    let stats = dlb_serve::run_sim(&scenario, sink.clone())?;
+    // The driver flushes the sink before it returns.
     if let (Some(e), Some(trace_path)) = (sink.and_then(|s| s.take_error()), &opts.trace) {
         return Err(format!("cannot write trace {trace_path}: {e}"));
     }
-    // Both engines verify the ledger internally (and error out on a
+    // The driver verifies the ledger every tick (and errors out on a
     // violation), so reaching this point means conservation held.
-    assert!(stats.conservation_holds(), "engines enforce the ledger");
+    assert!(stats.conservation_holds(), "the driver enforces the ledger");
     let rendered = stats.to_json().render_pretty();
     match &opts.out {
         Some(out) => std::fs::write(out, rendered.as_bytes())
@@ -123,20 +98,21 @@ mod tests {
     #[test]
     fn options_parse_and_reject() {
         let opts = parse_serve_options(&strings(&[
-            "--mode",
-            "wall",
-            "--workers",
-            "3",
-            "--out",
-            "x.json",
+            "--mode", "sim", "--out", "x.json", "--trace", "t",
         ]))
         .unwrap();
-        assert_eq!(opts.mode, Mode::Wall);
-        assert_eq!(opts.workers, 3);
         assert_eq!(opts.out.as_deref(), Some("x.json"));
-        assert_eq!(parse_serve_options(&[]).unwrap().mode, Mode::Sim);
-        assert!(parse_serve_options(&strings(&["--mode", "turbo"])).is_err());
-        assert!(parse_serve_options(&strings(&["--workers", "0"])).is_err());
+        assert_eq!(opts.trace.as_deref(), Some("t"));
+        let opts = parse_serve_options(&[]).unwrap();
+        assert!(opts.out.is_none() && opts.trace.is_none());
+        for mode in ["wall", "turbo"] {
+            let err = parse_serve_options(&strings(&["--mode", mode])).unwrap_err();
+            assert!(err.contains("wall-clock serving was removed"), "{err}");
+        }
+        assert!(parse_serve_options(&strings(&["--mode"])).is_err());
+        // The worker count went with the wall-clock driver.
+        let err = parse_serve_options(&strings(&["--workers", "4"])).unwrap_err();
+        assert!(err.starts_with("unknown option \"--workers\""), "{err}");
         assert!(parse_serve_options(&strings(&["--bogus"])).is_err());
     }
 
@@ -157,25 +133,17 @@ mod tests {
         .unwrap();
         let out_a = dir.join("a.json");
         let out_b = dir.join("b.json");
-        for (out, workers) in [(&out_a, "1"), (&out_b, "7")] {
-            serve_main(&strings(&[
-                scen_path.to_str().unwrap(),
-                "--mode",
-                "sim",
-                "--workers",
-                workers,
-                "--out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
+        for (out, mode) in [(&out_a, None), (&out_b, Some("sim"))] {
+            let mut args = vec![scen_path.to_str().unwrap(), "--out", out.to_str().unwrap()];
+            if let Some(mode) = mode {
+                args.extend(["--mode", mode]);
+            }
+            serve_main(&strings(&args)).unwrap();
         }
         let a = std::fs::read(&out_a).unwrap();
         let b = std::fs::read(&out_b).unwrap();
         assert!(!a.is_empty());
-        assert_eq!(
-            a, b,
-            "sim stats must be byte-identical across --workers values"
-        );
+        assert_eq!(a, b, "stats must be byte-identical across runs");
 
         // The trace sink sits behind a `SharedSink` here; a write
         // failure must come back as an error, not unwind.

@@ -1,11 +1,10 @@
 //! Deterministic, index-ordered [`par_map`] over `std::thread::scope`.
 //!
-//! A leaf crate so that the experiment harness, the CLI and
-//! `dlb-serve`'s wall engine fan out through one function without a
-//! dependency cycle.  Every caller hands it a whole simulated run (or a
-//! whole acceptor/worker thread body) per index and calls it once to a
-//! few dozen times per process, so a call simply spawns `jobs − 1`
-//! scoped threads and joins them: about 20 µs, no state between calls.
+//! A leaf crate so that the experiment harness and the CLI fan out
+//! through one function without a dependency cycle.  Every caller hands
+//! it a whole simulated run per index and calls it once to a few dozen
+//! times per process, so a call simply spawns `jobs − 1` scoped threads
+//! and joins them: about 20 µs, no state between calls.
 //!
 //! Two invariants make the parallelism invisible to the results:
 //!
@@ -55,8 +54,7 @@ const UNPOISONED: &str = "no panic can happen under a slot lock";
 /// and parallel paths share one code path and cannot drift apart.
 ///
 /// With `jobs == count` every index runs on a thread of its own, all of
-/// them alive at once: `f` may block on the other indices (`dlb-serve`'s
-/// `run_wall` runs its acceptor and worker loops this way).  With fewer
+/// them alive at once: `f` may block on the other indices.  With fewer
 /// threads than indices, or from inside another `par_map`, it may not.
 ///
 /// A panic in `f` reaches the caller once every thread has been joined.
@@ -201,10 +199,10 @@ mod tests {
 
     #[test]
     fn jobs_equal_to_count_runs_every_index_on_its_own_thread_at_once() {
-        // The contract `dlb-serve`'s `run_wall` leans on: its acceptor
-        // and worker loops each wait for all the others.  A barrier
-        // across every index only opens if all of them run concurrently;
-        // the timeout turns a regression into a failure, not a hang.
+        // The documented `jobs == count` contract: `f` may wait for every
+        // other index.  A barrier across every index only opens if all
+        // of them run concurrently; the timeout turns a regression into
+        // a failure, not a hang.
         const COUNT: usize = 6;
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {

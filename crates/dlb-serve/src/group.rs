@@ -1,16 +1,13 @@
-//! The shard state machine, written once and driven by either clock.
+//! The shard state machine.
 //!
 //! A [`ShardGroup`] owns every shard of an `n`-shard service: their
 //! FIFO queues, a [`TriggerRouter`] as trigger bookkeeping, the fault
 //! and redirect counters and the trace sink.  The whole machine is four
 //! entry points — [`arrive`](ShardGroup::arrive),
 //! [`dequeue`](ShardGroup::dequeue), [`crash`](ShardGroup::crash),
-//! [`recover`](ShardGroup::recover) — and it knows nothing about time
-//! or threads: the clock is the `now` argument.
-//!
-//! [`crate::sim::run_sim`] drives the group from a `CalendarQueue`;
-//! [`crate::wall::run_wall`] drives the same group, seeded the same,
-//! from its one acceptor thread against the wall clock.
+//! [`recover`](ShardGroup::recover) — and it knows nothing about time:
+//! the clock is the `now` argument, which [`crate::sim::run_sim`]
+//! advances one tick at a time from its `CalendarQueue`.
 //!
 //! Semantics:
 //! - A shard's *depth* is what sits in its queue: requests placed and
@@ -20,8 +17,8 @@
 //!   tail block (the newest requests) in FIFO order.
 //! - A crashed shard's queue is dealt round-robin over the alive shards
 //!   from the crash site, without running the trigger; the request in
-//!   service, if the driver can hand it over, follows the plan's
-//!   [`CrashMode`].  With every shard down a request is dropped.
+//!   service, if any, follows the plan's [`CrashMode`].  With every
+//!   shard down a request is dropped.
 
 use std::collections::VecDeque;
 
@@ -197,8 +194,8 @@ impl ShardGroup {
     /// Shard `s` goes down at `now`.  Its queue — led, under
     /// [`CrashMode::Frozen`], by the request it was serving — is dealt
     /// round-robin over the alive shards; under [`CrashMode::Lost`]
-    /// the request in service dies with it.  A driver that cannot take
-    /// a request back from service passes `None`.
+    /// the request in service dies with it.  An idle shard passes
+    /// `None`.
     pub(crate) fn crash(&mut self, s: usize, now: u64, in_service: Option<Request>) {
         self.crashes += 1;
         self.router.set_alive(s, false);

@@ -1,10 +1,9 @@
 //! Log-bucketed latency histograms with a deterministic merge.
 //!
-//! Each wall-mode worker records into its own [`LatencyHistogram`]; at
-//! the end of a run the per-worker histograms are merged in index order
-//! (the single-threaded simulated engine records into one).  Because a
-//! merge is an element-wise add of bucket counts it is commutative and
-//! associative, so the merged histogram is *identical* to a single
+//! The serving driver records every completion into one
+//! [`LatencyHistogram`].  Histograms also merge: a merge is an
+//! element-wise add of bucket counts, so it is commutative and
+//! associative, and merged histograms are *identical* to a single
 //! global recorder fed the same samples in any order — the property the
 //! proptests in `tests/hist_props.rs` pin down.
 //!
@@ -89,8 +88,8 @@ impl LatencyHistogram {
     }
 
     /// Folds `other` into `self` (element-wise bucket add).  Merging is
-    /// commutative and associative, so per-worker histograms merged in
-    /// any order equal one global recorder.
+    /// commutative and associative, so histograms of disjoint samples
+    /// merged in any order equal one global recorder.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

@@ -9,28 +9,25 @@
 //!   over live queue depths; a fired trigger equalises the initiator
 //!   with `δ` random alive partners using the even-share primitive from
 //!   [`dlb_core::balance`].
-//! - `group::ShardGroup` (crate-private) — the shard state machine,
-//!   written once: sticky key placement, the queues, both triggers,
-//!   plan application, crash redistribution.  Its clock is a `now`
-//!   argument, so both engines below run the same code.
+//! - `group::ShardGroup` (crate-private) — the shard state machine:
+//!   sticky key placement, the queues, both triggers, plan application,
+//!   crash redistribution.  Its clock is a `now` argument.
 //! - [`dlb_workload::service::RequestSource`] — the open-loop load
 //!   generator (diurnal rate phases, Zipf hot-key skew, seeded service
 //!   demands).
 //! - [`hist::LatencyHistogram`] — log-bucketed latency recording with
 //!   an order-independent merge and a ≤ 1/32 relative quantile error.
-//! - [`sim::run_sim`] — the simulated-clock driver: one group over
-//!   every shard on [`dlb_net::CalendarQueue`], single-threaded,
-//!   bit-reproducible for a fixed seed (and trivially independent of
-//!   `--workers`), with the conservation ledger `issued == completed +
-//!   dropped + in_flight` checked every tick.
-//! - [`wall::run_wall`] — the wall-clock driver (one acceptor thread
-//!   driving the same group over every shard, plus `W` shard workers
-//!   fed through per-shard lock-free [`ring::SpscRing`]s) producing the
-//!   throughput and latency figures committed as `BENCH_service.json`.
-//! - [`stats::ServiceStats`] — the byte-stable report both engines
-//!   emit, rendered through `dlb-json`.
+//! - [`sim::run_sim`] — the driver: one group over every shard on
+//!   [`dlb_net::CalendarQueue`]'s simulated clock, single-threaded and
+//!   bit-reproducible for a fixed seed, with the conservation ledger
+//!   `issued == completed + dropped + in_flight` checked every tick.
+//! - [`stats::ServiceStats`] — the byte-stable report it emits,
+//!   rendered through `dlb-json`.
+//! - [`ring::SpscRing`] — a bounded lock-free single-producer
+//!   single-consumer ring no driver uses; kept for the benchmark's
+//!   `serve.ring_ns_per_op` micro-loop.
 //!
-//! Crash/rejoin plans from `dlb-faults` compose with both engines, and
+//! Crash/rejoin plans from `dlb-faults` compose with the driver, and
 //! per-request trace events (`req`, `req_done`, `redirect`) flow
 //! through `dlb-trace`'s cached-enabled-flag [`dlb_trace::SharedSink`].
 
@@ -43,21 +40,18 @@ pub mod router;
 pub mod scenario;
 pub mod sim;
 pub mod stats;
-pub mod wall;
 
 pub use hist::LatencyHistogram;
 pub use ring::SpscRing;
 pub use router::{RebalancePlan, TriggerRouter};
 pub use scenario::ServiceScenario;
 pub use sim::run_sim;
-pub use stats::{ServiceStats, WallTiming};
-pub use wall::run_wall;
+pub use stats::ServiceStats;
 
 /// Sticky key → home shard placement: one SplitMix64 finalisation
 /// round ([`dlb_net::rng::splitmix64`]), reduced mod `shards`.
 ///
-/// This is *the* placement hash: `ShardGroup::arrive` places with it
-/// under either clock.
+/// This is *the* placement hash: `ShardGroup::arrive` places with it.
 // The remainder is below `shards`, a `usize`.
 #[allow(clippy::cast_possible_truncation)]
 pub fn home_shard(key: u64, shards: usize) -> usize {
@@ -102,6 +96,17 @@ mod tests {
                 shard,
                 "home_shard({key}, {shards})"
             );
+        }
+    }
+
+    #[test]
+    fn every_keys_home_is_a_valid_shard() {
+        // Placement is one call site (`ShardGroup::arrive`), so there is no
+        // second copy to agree with; what is left to check is the range.
+        for n in [1usize, 2, 3, 8, 64] {
+            for key in (0..2_000u64).chain([u64::MAX, u64::MAX - 1, 1 << 60]) {
+                assert!(home_shard(key, n) < n, "home must be a valid shard");
+            }
         }
     }
 }

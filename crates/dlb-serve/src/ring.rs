@@ -1,21 +1,20 @@
-//! The bounded lock-free work ring between the wall engine's acceptor
-//! and its workers.
+//! A bounded lock-free single-producer single-consumer ring.
 //!
-//! [`SpscRing`] — single producer, single consumer: a fixed-capacity
-//! array of slots with monotonically increasing positions (wrap = `pos
-//! & mask`).  One per shard: the acceptor produces ready-to-serve
-//! requests, the shard's worker consumes them.  Push and pop are one
+//! No serving driver uses it.  It is kept only because the benchmark's
+//! `serve.ring_ns_per_op` micro-loop measures it, and goes with that
+//! metric.
+//!
+//! [`SpscRing`] — a fixed-capacity array of slots with monotonically
+//! increasing positions (wrap = `pos & mask`).  Push and pop are one
 //! load + one store of the opposite index each; no CAS, no lock.
-//! `try_push` fails fast when full instead of blocking — the acceptor
-//! leaves the request queued and retries on its next pass.
+//! `try_push` fails fast when full instead of blocking.
 //!
 //! # Safety contract
 //!
-//! The type is `Sync` so the rings can sit in a shared arena indexed by
-//! shard, but its safety relies on the caller upholding the
-//! single-producer/single-consumer discipline (the wall engine
-//! guarantees it: only the acceptor pushes to `work[s]`, only the
-//! worker with `s % W == worker` pops).
+//! The type is `Sync` so rings can sit in a shared arena, but its
+//! safety relies on the caller upholding the
+//! single-producer/single-consumer discipline: one thread pushes, one
+//! thread pops.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

@@ -23,8 +23,6 @@ pub struct ServiceScenario {
     pub f: f64,
     /// The open-loop request stream (rate curve, keys, service range).
     pub load: ServiceLoad,
-    /// Wall-clock mode: microseconds per tick.
-    pub tick_us: u64,
     /// Crash/rejoin plan (reliable by default).
     pub faults: FaultPlan,
 }
@@ -39,7 +37,6 @@ const ALLOWED: &[&str] = &[
     "zipf_s",
     "service_ticks",
     "phases",
-    "tick_us",
     "faults",
 ];
 
@@ -80,7 +77,6 @@ impl FromJson for ServiceScenario {
                 zipf_s: dlb_json::field_or(value, "zipf_s", 0.0)?,
                 service_ticks: (service[0], service[1]),
             },
-            tick_us: dlb_json::field_or(value, "tick_us", 50)?,
             faults: dlb_json::field_or(value, "faults", FaultPlan::reliable())?,
         })
     }
@@ -135,9 +131,6 @@ impl ServiceScenario {
                 "service_ticks [{lo}, {hi}] must satisfy 1 ≤ min ≤ max"
             ));
         }
-        if self.tick_us == 0 {
-            return Err("tick_us must be positive".into());
-        }
         self.faults.validate(self.shards)?;
         // The service composes with crash/rejoin plans; the message-level
         // fault knobs belong to the simulator's transport and have no
@@ -176,7 +169,6 @@ mod tests {
             {"ticks": 2000, "rate": 4.0},
             {"ticks": 2000, "rate": 0.5}
         ],
-        "tick_us": 50,
         "faults": {
             "crash_mode": "lost",
             "crashes": [{"proc": 3, "at": 2500, "recover_at": 4000}]
@@ -198,8 +190,8 @@ mod tests {
         assert!(err.contains("unknown key \"zipf\""), "{err}");
         let err = ServiceScenario::parse(&GOOD.replace("\"rate\"", "\"rps\"")).unwrap_err();
         assert!(err.contains("phases") && err.contains("\"rps\""), "{err}");
-        // The wall engine has one acceptor; the key that sized it is gone.
-        let old = GOOD.replace("\"tick_us\": 50,", "\"tick_us\": 50, \"acceptors\": 2,");
+        // A key of a removed engine is refused like a misspelling.
+        let old = GOOD.replace("\"faults\"", "\"acceptors\": 2, \"faults\"");
         let err = ServiceScenario::parse(&old).unwrap_err();
         assert!(err.contains("unknown key \"acceptors\""), "{err}");
     }
@@ -210,7 +202,6 @@ mod tests {
             ("\"ticks\": 6000", "\"ticks\": 0", "ticks"),
             ("[2, 6]", "[0, 6]", "service_ticks"),
             ("\"delta\": 2", "\"delta\": 8", "delta"),
-            ("\"tick_us\": 50", "\"tick_us\": 0", "tick_us"),
         ] {
             let err = ServiceScenario::parse(&GOOD.replace(from, to)).unwrap_err();
             assert!(err.contains(needle), "{from} -> {to}: {err}");
@@ -233,7 +224,7 @@ mod tests {
         let start = GOOD
             .find("{\"ticks\": 2000, \"rate\": 1.5}")
             .expect("first phase");
-        let end = GOOD.find("\"tick_us\"").expect("key after phases");
+        let end = GOOD.find("\"faults\"").expect("key after phases");
         let wrapped = format!("{}{half}, {half}], {}", &GOOD[..start], &GOOD[end..]);
         let err = ServiceScenario::parse(&wrapped).unwrap_err();
         assert!(

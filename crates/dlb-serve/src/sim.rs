@@ -1,4 +1,4 @@
-//! The simulated-clock serving engine.
+//! The serving driver, on a simulated clock.
 //!
 //! A single-threaded event loop over [`dlb_net::CalendarQueue`] around
 //! one `ShardGroup` that owns every shard: completions are scheduled
@@ -6,13 +6,13 @@
 //! front, and each tick's arrivals go from the open-loop source
 //! straight to the group once the tick's due events have popped.  The
 //! shard state machine — placement, both triggers, plans, crash
-//! redistribution — is `crate::group`, the same code the wall acceptor
-//! runs; what lives here is only what is about simulated time: who is
-//! in service until when, the latency histogram, the ledger.
-//! Being single-threaded is the point — the report is a pure function
-//! of `(scenario, seed)`, bit-identical across repeated runs *and*
-//! across `--workers` values (the worker count is deliberately ignored
-//! here), which is what lets CI golden-gate the stats JSON.
+//! redistribution — is `crate::group`; what lives here is only what is
+//! about simulated time: who is in service until when, the latency
+//! histogram, the ledger.  Time is the paper's: discrete steps, one
+//! tick per loop iteration.  Being single-threaded is the point — the
+//! report is a pure function of `(scenario, seed)`, bit-identical
+//! across repeated runs, which is what lets CI golden-gate the stats
+//! JSON.
 //!
 //! Crash composition with `dlb-faults`: the request a crashing shard
 //! was *serving* is handed to `ShardGroup::crash`, which lets it follow
@@ -199,9 +199,7 @@ fn run_windowed(
         sink.flush();
     }
     Ok(ServiceStats {
-        mode: "sim",
         shards: n,
-        workers: 1,
         seed: scenario.seed,
         ticks_run: now,
         issued: source.issued(),
@@ -214,7 +212,6 @@ fn run_windowed(
         recoveries: group.recoveries,
         latency,
         per_shard_completed,
-        wall: None,
     })
 }
 
@@ -271,7 +268,6 @@ mod tests {
                 zipf_s: 1.1,
                 service_ticks: (1, 3),
             },
-            tick_us: 50,
             faults: FaultPlan::reliable(),
         }
     }
@@ -352,6 +348,80 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::CrashRecovered { .. })));
+    }
+
+    /// A recovery due after the last arrival still fires: the drain
+    /// runs until the fault schedule is spent, not only until the
+    /// queues are empty.
+    #[test]
+    fn late_fault_transitions_still_fire() {
+        let mut s = scenario();
+        s.faults.crash_mode = CrashMode::Frozen;
+        // Arrivals stop at tick 400; both transitions come after.
+        s.faults.crashes = vec![CrashEvent {
+            proc: 2,
+            at: 450,
+            recover_at: Some(520),
+        }];
+        let stats = run_sim(&s, None).expect("run");
+        assert_eq!((stats.crashes, stats.recoveries), (1, 1));
+        assert!(stats.ticks_run >= 520, "ran to tick {}", stats.ticks_run);
+        assert!(stats.conservation_holds());
+        assert_eq!(stats.completed, stats.issued);
+    }
+
+    /// The shrink half of the trigger rule, end to end: a shard whose
+    /// queue drains rebalances too.  A burst lands on one shard while
+    /// every other shard is down (so its grow trigger finds no partner
+    /// and only resets its baseline), the others rejoin long before it
+    /// could serve the burst alone, and no request arrives after the
+    /// burst — the only event left that can fire a trigger is a
+    /// dequeue.
+    #[test]
+    fn a_draining_shard_rebalances_after_arrivals_stop() {
+        const N: usize = 8;
+        let mut s = scenario();
+        s.shards = N;
+        s.ticks = 11;
+        // One key, so one home shard; 64 requests at tick 10.
+        s.load.keys = 1;
+        s.load.zipf_s = 0.0;
+        s.load.phases = vec![
+            RatePhase {
+                ticks: 10,
+                rate: 0.0,
+            },
+            RatePhase {
+                ticks: 1,
+                rate: 64.0,
+            },
+        ];
+        s.load.service_ticks = (4, 4);
+        let home = crate::home_shard(0, N);
+        s.faults.crashes = (0..N)
+            .filter(|&proc| proc != home)
+            .map(|proc| CrashEvent {
+                proc,
+                at: 0,
+                recover_at: Some(40),
+            })
+            .collect();
+        let buffer = BufferSink::new();
+        let stats = run_sim(&s, Some(buffer.handle())).expect("run");
+        assert_eq!((stats.issued, stats.completed), (64, 64));
+        assert!(
+            stats.per_shard_completed[home] < 64,
+            "the burst completed on one shard only: {:?}",
+            stats.per_shard_completed
+        );
+        // No request arrives after tick 10, and the crashes at tick 0
+        // found every queue empty: a redirect after tick 10 was fired
+        // by a dequeue.
+        let moved_late = buffer
+            .take()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::RequestsRedirected { step, .. } if *step > 10));
+        assert!(moved_late, "no shard that drained rebalanced");
     }
 
     /// 64-bit FNV-1a, as `benchmark/src/check.rs` computes it.

@@ -1,37 +1,19 @@
-//! The service's stats report — the payload of `BENCH_service.json`
-//! and of the CI golden gate.
+//! The service's stats report — the payload of
+//! `results/service_diurnal_sim.json` and of the CI golden gate.
 //!
 //! Rendering goes through `dlb-json`'s insertion-ordered objects, so a
 //! report is a byte-stable function of its fields; the simulated-clock
-//! engine produces identical fields for a fixed seed, which is what
+//! driver produces identical fields for a fixed seed, which is what
 //! lets CI `cmp` two runs.
 
 use crate::hist::LatencyHistogram;
 use dlb_json::{Json, ToJson};
 
-/// Wall-clock-only timing figures (machine-dependent; absent in
-/// simulated mode so the sim report stays golden-gateable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WallTiming {
-    /// End-to-end run time in milliseconds.
-    pub elapsed_ms: f64,
-    /// Sustained completion throughput over the whole run.
-    pub req_per_s: f64,
-    /// Microseconds per tick used to schedule the run.
-    pub tick_us: u64,
-}
-
-/// Final report of one `dlb serve` run (either engine).
+/// Final report of one `dlb serve` run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// `"sim"` or `"wall"`.
-    pub mode: &'static str,
     /// Shard count.
     pub shards: usize,
-    /// OS worker threads that served requests (1 in simulated mode —
-    /// the sim is single-threaded precisely so its output cannot depend
-    /// on the worker count).
-    pub workers: usize,
     /// Scenario seed.
     pub seed: u64,
     /// Last tick processed (generation horizon plus drain).
@@ -55,13 +37,10 @@ pub struct ServiceStats {
     pub crashes: u64,
     /// Recoveries applied.
     pub recoveries: u64,
-    /// Latency histogram (wall mode's per-worker histograms folded in
-    /// index order; merging is order-independent).
+    /// Latency histogram, in ticks from arrival to completion.
     pub latency: LatencyHistogram,
     /// Completions per shard.
     pub per_shard_completed: Vec<u64>,
-    /// Present in wall mode only.
-    pub wall: Option<WallTiming>,
 }
 
 impl ServiceStats {
@@ -75,10 +54,12 @@ impl ServiceStats {
 impl ToJson for ServiceStats {
     fn to_json(&self) -> Json {
         let lat = &self.latency;
-        let mut fields = vec![
-            ("mode".into(), self.mode.to_json()),
+        Json::Obj(vec![
+            // Constants since the simulated clock became the only
+            // driver; kept so committed reports keep their bytes.
+            ("mode".into(), "sim".to_json()),
             ("shards".into(), (self.shards as u64).to_json()),
-            ("workers".into(), (self.workers as u64).to_json()),
+            ("workers".into(), 1u64.to_json()),
             ("seed".into(), self.seed.to_json()),
             ("ticks_run".into(), self.ticks_run.to_json()),
             ("issued".into(), self.issued.to_json()),
@@ -105,20 +86,7 @@ impl ToJson for ServiceStats {
                 "per_shard_completed".into(),
                 self.per_shard_completed.to_json(),
             ),
-        ];
-        if let Some(w) = &self.wall {
-            // The timing block is machine-dependent, so only wall reports
-            // carry it and a sim report stays golden-gateable.
-            fields.push((
-                "wall".into(),
-                Json::Obj(vec![
-                    ("elapsed_ms".into(), w.elapsed_ms.to_json()),
-                    ("req_per_s".into(), w.req_per_s.to_json()),
-                    ("tick_us".into(), w.tick_us.to_json()),
-                ]),
-            ));
-        }
-        Json::Obj(fields)
+        ])
     }
 }
 
@@ -133,9 +101,7 @@ mod tests {
             latency.record(v);
         }
         let stats = ServiceStats {
-            mode: "sim",
             shards: 2,
-            workers: 1,
             seed: 7,
             ticks_run: 100,
             issued: 5,
@@ -148,50 +114,18 @@ mod tests {
             recoveries: 1,
             latency,
             per_shard_completed: vec![3, 1],
-            wall: None,
         };
         assert!(stats.conservation_holds());
         let a = stats.to_json().render();
         let b = stats.clone().to_json().render();
         assert_eq!(a, b);
         assert!(a.contains("\"latency_ticks\""));
-        assert!(!a.contains("\"wall\""), "sim report has no wall block");
+        assert!(
+            a.starts_with("{\"mode\":\"sim\",\"shards\":2,\"workers\":1,"),
+            "{a}"
+        );
         let mut broken = stats;
         broken.completed = 3;
         assert!(!broken.conservation_holds());
-    }
-
-    #[test]
-    fn wall_reports_carry_the_timing_block_last() {
-        let stats = ServiceStats {
-            mode: "wall",
-            shards: 2,
-            workers: 2,
-            seed: 7,
-            ticks_run: 100,
-            issued: 5,
-            completed: 5,
-            dropped: 0,
-            in_flight: 0,
-            redirected: 2,
-            rebalances: 3,
-            crashes: 0,
-            recoveries: 0,
-            latency: LatencyHistogram::new(),
-            per_shard_completed: vec![3, 2],
-            wall: Some(WallTiming {
-                elapsed_ms: 1.0,
-                req_per_s: 5000.0,
-                tick_us: 50,
-            }),
-        };
-        let text = stats.to_json().render();
-        assert!(
-            text.ends_with(
-                "\"per_shard_completed\":[3,2],\
-                 \"wall\":{\"elapsed_ms\":1,\"req_per_s\":5000,\"tick_us\":50}}"
-            ),
-            "{text}"
-        );
     }
 }

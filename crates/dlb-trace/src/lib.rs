@@ -38,9 +38,10 @@ use std::sync::{Arc, Mutex};
 /// v2 added the per-request serving events (`req`, `req_done`,
 /// `redirect`); every v1 event renders byte-identically to v1.
 ///
-/// v3 added `handoff` (`AcceptorHandoff`): a sharded wall-mode acceptor
-/// sent a rebalance donation plan to a peer acceptor's inbox; every v2
-/// event renders byte-identically to v2.
+/// v3 added `handoff` (`AcceptorHandoff`): an acceptor thread of a
+/// since-removed threaded serving driver sent a rebalance donation plan
+/// to a peer acceptor's inbox; every v2 event renders byte-identically
+/// to v2.
 ///
 /// v4 added `arena` (`ArenaContender`): the balancer arena announces
 /// which contender the following run belongs to, making a multi-strategy
@@ -110,8 +111,8 @@ pub enum TraceEvent {
         max: u64,
         total: u64,
     },
-    /// `dlb-serve`: a request was placed on a shard (`step` is the
-    /// arrival tick in simulated mode, elapsed ticks in wall mode).
+    /// `dlb-serve`: a request was placed on a shard (`step` is its
+    /// arrival tick).
     RequestRouted { step: u64, req: u64, shard: u64 },
     /// `dlb-serve`: a request finished service; `latency_ticks` is
     /// measured from its *scheduled* arrival (open-loop, so queue delay
@@ -131,9 +132,10 @@ pub enum TraceEvent {
         to: u64,
         count: u64,
     },
-    /// `dlb-serve` wall mode before it had one acceptor: acceptor
-    /// `from` handed acceptor `to` a rebalance donation plan covering
-    /// `count` queued requests (0 for a pure trigger-baseline reset).
+    /// `dlb-serve`'s since-removed threaded driver, when it had several
+    /// acceptors: acceptor `from` handed acceptor `to` a rebalance
+    /// donation plan covering `count` queued requests (0 for a pure
+    /// trigger-baseline reset).
     /// Nothing emits it any more; the row stays so that v3/v4 traces
     /// written then still parse, until the next schema version drops
     /// it.

@@ -6,8 +6,7 @@
 //! generator open-loop and immune to coordinated omission), a key drawn
 //! from a Zipf distribution (hot-key skew), and a service demand in
 //! ticks.  The whole stream is a pure function of the seed and the
-//! config, so the simulated-clock and wall-clock engines replay the
-//! exact same requests.
+//! config, so every run of a scenario replays the exact same requests.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
