@@ -9,10 +9,10 @@
 //!   the paper's argument for why expectation alone is a meaningless
 //!   quality measure.
 //! * [`Rsu91`] — the scheme of Rudolph, Slivkin-Allalouf and Upfal
-//!   (SPAA'91, the paper's [20]): each step a processor flips a coin with
+//!   (SPAA'91, the paper's \[20\]): each step a processor flips a coin with
 //!   probability inversely proportional to its load and, on success,
 //!   balances pairwise with a uniformly random partner.
-//! * [`Gradient`] — the gradient model of Lin & Keller (the paper's [6]):
+//! * [`Gradient`] — the gradient model of Lin & Keller (the paper's \[6\]):
 //!   underloaded processors (below a low watermark) emit a demand
 //!   gradient over the topology; overloaded processors (above a high
 //!   watermark) forward one packet per step downhill.

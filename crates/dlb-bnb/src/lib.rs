@@ -2,8 +2,8 @@
 //! runtime.
 //!
 //! Branch & bound is the application family the paper's algorithm was
-//! built for — the authors' own systems ([7] "Load Balancing for
-//! Distributed Branch & Bound Algorithms", [8] the parallel TSP solver)
+//! built for — the authors' own systems (\[7\] "Load Balancing for
+//! Distributed Branch & Bound Algorithms", \[8\] the parallel TSP solver)
 //! keep every processor's subproblem pool balanced with exactly the
 //! trigger rule this workspace implements.  This crate packages that
 //! pattern behind a small trait:

@@ -1,5 +1,5 @@
 //! The symmetric travelling salesman problem — the application of the
-//! paper's companion work [8] ("Efficient Parallelization of a Branch &
+//! paper's companion work \[8\] ("Efficient Parallelization of a Branch &
 //! Bound Algorithm for the Symmetric TSP").
 //!
 //! Nodes are partial tours starting at city 0; the admissible bound adds

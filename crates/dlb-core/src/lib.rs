@@ -9,7 +9,7 @@
 //!   triggers a balancing operation with `δ` random partners whenever its
 //!   self-generated load has changed by the factor `f`.  This is the
 //!   variant Theorems 3 and 4 are proved for.
-//! * [`simple::SimpleCluster`] — the *practical* algorithm of [7] that the
+//! * [`simple::SimpleCluster`] — the *practical* algorithm of \[7\] that the
 //!   paper's introduction describes: identical trigger, but balancing raw
 //!   load counts without the virtual-class bookkeeping.  This is what the
 //!   branch-and-bound / Prolog / graphics applications cited by the paper

@@ -1,4 +1,4 @@
-//! The *practical* variant of the algorithm (the method of [7] the paper's
+//! The *practical* variant of the algorithm (the method of \[7\] the paper's
 //! §1 describes): no virtual load classes — each processor watches its raw
 //! packet count and, when it has grown or shrunk by the factor `f` since
 //! the last balancing it took part in, equalises the load of itself and

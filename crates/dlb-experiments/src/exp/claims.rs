@@ -4,7 +4,8 @@
 //! the §7 workload and the decrease simulation's operation counts, plus
 //! the sparse engine against dense stepping.  It then runs every other
 //! row of the table once, each of which writes its artefacts under
-//! `--out` and judges its own shapes on the runs it drew.  One CSV row
+//! `--out` and judges its own shapes on the runs it drew; the §7 rows
+//! share one draw of the union of their configurations.  One CSV row
 //! per claim × regime × observation, with the observation's standard
 //! error, in `<out>/claims.csv`; `dlb-exp` exits 1 naming each claim
 //! that is violated inside its hypothesis.  A Table 1 value the paper
@@ -13,11 +14,11 @@
 //!
 //! Usage: `dlb-exp claims [--jobs N] [--out results]`
 
-use super::{row, shape, Row, EXPERIMENTS};
+use super::{fig7_quality, fig9_distribution, row, shape, table1_borrow, Row, EXPERIMENTS};
 use crate::args::{Args, Key};
 use crate::outln;
 use crate::parallel::{default_jobs, par_map};
-use crate::quality::theorem4_pairs;
+use crate::quality::{theorem4_pairs, Config, Setting, PANELS, PAPER};
 use crate::report::{f3, write_csv};
 use dlb_core::one_proc::{mean_decrease_ops, mean_ratio_after_ops};
 use dlb_core::{Cluster, LoadBalancer, Params};
@@ -52,8 +53,8 @@ const INITIAL: u64 = 10_000;
 /// Relative distance from `FIX` at which `G^t(1)` counts as converged.
 const CONVERGED: f64 = 1e-4;
 
-/// `(δ, f, C)` of the full model: `PAIR_RUNS` runs of `STEPS` steps of
-/// the §7 workload at `N` processors.
+/// `(δ, f, C)` of the full model: `PAIR_RUNS` runs of the §7 setting
+/// ([`PAPER`]'s processors and steps), each regime from its own seed.
 const PAIR_GRID: [(usize, f64, usize); 6] = [
     (1, 1.1, 4),
     (1, 1.1, 32),
@@ -62,9 +63,9 @@ const PAIR_GRID: [(usize, f64, usize); 6] = [
     (4, 1.8, 4),
     (2, 1.4, 8),
 ];
-const N: usize = 64;
-const STEPS: usize = 500;
+const N: usize = PAPER.n;
 const PAIR_RUNS: usize = 20;
+const CHECKPOINTS: [usize; 3] = [PAPER.steps / 10, PAPER.steps / 2, PAPER.steps - 1];
 
 /// `(δ, f, c)` of the decrease simulation from load `X`, `DECREASE_RUNS`
 /// runs at `N` processors.
@@ -148,13 +149,19 @@ fn ratio_rows(n: usize, delta: usize, f: f64) -> Vec<Row> {
 /// Theorem 4 on the full model: every ordered processor pair at three
 /// checkpoints, reported by its tightest pair.
 fn pair_rows(jobs: usize) -> Vec<Row> {
-    let checkpoints = [STEPS / 10, STEPS / 2, STEPS - 1];
     let thm4 = claims::by_id("thm4");
     let mut rows = Vec::new();
     for (delta, f, c_borrow) in PAIR_GRID {
-        let params = Params::new(N, delta, f, c_borrow).expect("grid is valid");
+        let config = Config::strict(delta, f, c_borrow);
+        let params = config.params(N);
         let seed = regime_seed(&[delta as u64, f.to_bits(), c_borrow as u64]);
-        let pairs = theorem4_pairs(params, STEPS, &checkpoints, PAIR_RUNS, seed, jobs);
+        let setting = Setting {
+            runs: PAIR_RUNS,
+            seed,
+            checkpoints: &CHECKPOINTS,
+            ..PAPER
+        };
+        let pairs = theorem4_pairs(setting, config, jobs);
         let margin = |o| thm4.evaluate(params.algo(), o).expect("inside");
         let margins: Vec<_> = pairs.iter().map(margin).collect();
         let violated = margins.iter().filter(|m| !m.holds()).count();
@@ -165,7 +172,7 @@ fn pair_rows(jobs: usize) -> Vec<Row> {
         let observation = format!(
             "means of {PAIR_RUNS} runs at t={}: {} pairs {violated} violated \
              (coefficient {}): tightest pair",
-            checkpoints.map(|t| t.to_string()).join("/"),
+            CHECKPOINTS.map(|t| t.to_string()).join("/"),
             pairs.len(),
             f3(coefficient)
         );
@@ -224,6 +231,12 @@ fn sparse_rows() -> Vec<Row> {
     )]
 }
 
+/// Every configuration the §7 rows read: Figures 7–10's panels and
+/// Table 1's cells.
+fn section7() -> Vec<Config> {
+    [PANELS.concat(), table1_borrow::configs()].concat()
+}
+
 pub fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
     let out: String = args.get("out", args.results().to_string());
@@ -243,13 +256,21 @@ pub fn run(args: &Args) -> Vec<Row> {
         sparse_rows(),
     ]
     .concat();
+    let draw = PAPER.draw(&section7(), jobs);
     // Every row declares `--jobs`, so the one given here bounds them all.
     for experiment in EXPERIMENTS.iter().filter(|e| e.name != "claims") {
         let argv = vec!["--jobs".to_string(), jobs.to_string()];
         let program = format!("dlb-exp {}", experiment.name);
         let args = Args::parse(&program, argv, experiment.keys).expect("--jobs is declared");
+        let args = args.under(&out);
         outln!("\n{program}\n");
-        rows.extend((experiment.run)(&args.under(&out)));
+        // The §7 rows are views over the one draw.
+        rows.extend(match experiment.name {
+            "fig7_quality" => fig7_quality::view(&args, &draw),
+            "fig9_distribution" => fig9_distribution::view(&args, &draw),
+            "table1_borrow" => table1_borrow::view(&args, &draw),
+            _ => (experiment.run)(&args),
+        });
     }
     // Claim by claim, each in its grid's order.
     rows.sort_by_key(|row| CLAIMS.iter().position(|claim| claim.id == row[0]));
@@ -280,5 +301,26 @@ mod tests {
         let sim = &rows[1];
         let (se, samples): (f64, usize) = (sim[6].parse().unwrap(), sim[7].parse().unwrap());
         assert!(samples >= RATIO_RUNS && se <= RATIO_SE * fix, "{sim:?}");
+    }
+
+    /// What `claims` relies on when it hands one draw to every §7 row: a
+    /// configuration's runs are the same drawn alone or inside the
+    /// union, e.g. table1's strict C = 4 cell, which is also fig7's
+    /// δ = 1, f = 1.1 panel.
+    #[test]
+    fn a_configuration_draws_the_same_runs_alone_and_in_the_union() {
+        let setting = Setting {
+            n: 8,
+            steps: 60,
+            runs: 3,
+            checkpoints: &[20, 59],
+            ..PAPER
+        };
+        let shared = PANELS[0][0];
+        assert!(table1_borrow::configs().contains(&shared));
+        let alone = setting.draw(&[shared], 1);
+        let union = setting.draw(&section7(), 2);
+        let (alone, union) = (alone.runs(shared), union.runs(shared));
+        assert_eq!(format!("{alone:?}"), format!("{union:?}"));
     }
 }

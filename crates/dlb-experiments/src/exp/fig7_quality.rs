@@ -11,51 +11,46 @@
 use super::{magnitude, minus, shape, Row};
 use crate::args::{Args, Key};
 use crate::outln;
-use crate::parallel::default_jobs;
-use crate::quality::balancing_quality;
+use crate::quality::{Band, Config, Draw, Setting, PANELS, PAPER};
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
-use dlb_core::Params;
 use dlb_theory::claims::Estimate;
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-/// The paper's §7 setting: processors, steps, runs and borrow limit C.
-const N: usize = 64;
-const STEPS: usize = 500;
-const RUNS: usize = 100;
-const C: usize = 4;
-const SEED: u64 = 2024;
-/// `(figure, δ)` of each panel pair, and the `f` of each panel.
-const FIGURES: [(u32, usize); 2] = [(7, 1), (8, 4)];
-const FS: [f64; 2] = [1.1, 1.8];
+/// The figure of each row of [`PANELS`].
+const FIGURES: [u32; 2] = [7, 8];
 
 pub fn run(args: &Args) -> Vec<Row> {
-    let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", args.results().to_string());
-    let spread = FIGURES.map(|(figure, delta)| figure_pair(figure, delta, jobs, &out));
-    judge(&spread)
+    view(args, &super::draw(args, PAPER, &PANELS.concat()))
 }
 
-/// One figure: both `f` at `δ`, as `<out>/fig<figure>_delta<δ>.csv`
-/// and `.svg`.  Returns each panel's spreads at the last step, run by
-/// run.
-fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 2] {
+/// Both figures and the `fig7.*` claims, from `draw`.
+pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
+    let out: String = args.get("out", args.results().to_string());
+    for (figure, panels) in FIGURES.into_iter().zip(PANELS) {
+        figure_pair(figure, panels, draw, &out);
+    }
+    judge(draw)
+}
+
+/// One figure: both `f` at its `δ`, as `<out>/fig<figure>_delta<δ>.csv`
+/// and `.svg`.
+fn figure_pair(figure: u32, panels: [Config; 2], draw: &Draw, out: &str) {
+    let (delta, c) = (panels[0].delta, panels[0].c);
+    let Setting { n, steps, runs, .. } = draw.setting;
     outln!(
         "Figure {figure}: balancing quality, delta = {delta}, f in {{1.1, 1.8}} \
-         ({N} procs, {STEPS} steps, {RUNS} runs, C = {C}, {jobs} jobs)\n"
+         ({n} procs, {steps} steps, {runs} runs, C = {c})\n"
     );
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
-    let mut spreads = Vec::new();
-    for f in FS {
-        let params = Params::new(N, delta, f, C).expect("a §7 setting");
-        let q = balancing_quality(params, STEPS, RUNS, SEED, jobs);
-        spreads.push(q.final_spreads.iter().map(|&s| s as f64).collect());
-
-        for t in 0..STEPS {
+    for config in panels {
+        let f = config.f;
+        let q = Band::per_step(draw.runs(config), n);
+        for t in 0..steps {
             csv_rows.push(vec![
                 format!("{f:.1}"),
                 t.to_string(),
@@ -65,23 +60,17 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
             ]);
         }
         // Plot mean/min/max, downsampled to 100 columns.
-        let ds = |v: &[f64]| -> Vec<f64> { (0..100).map(|k| v[k * STEPS / 100]).collect() };
-        let mean_s = ds(&q.mean);
-        let min_s = ds(&q.min.iter().map(|&x| x as f64).collect::<Vec<_>>());
-        let max_s = ds(&q.max.iter().map(|&x| x as f64).collect::<Vec<_>>());
+        let ds = |v: &[f64]| -> Vec<f64> { (0..100).map(|k| v[k * steps / 100]).collect() };
+        let (mean_s, min_s, max_s) = (ds(&q.mean), ds(&q.min), ds(&q.max));
         outln!("f = {f}: load per processor over time (min / mean / max over runs)");
         outln!(
             "{}",
             ascii_plot(&[("max", &max_s), ("mean", &mean_s), ("min", &min_s)], 12)
         );
-        for curve in [
-            ("mean", &q.mean),
-            ("min", &q.min.iter().map(|&x| x as f64).collect::<Vec<_>>()),
-            ("max", &q.max.iter().map(|&x| x as f64).collect::<Vec<_>>()),
-        ] {
-            svg_series.push(Series::from_ys(&format!("f={f} {}", curve.0), curve.1));
+        for (curve, ys) in [("mean", &q.mean), ("min", &q.min), ("max", &q.max)] {
+            svg_series.push(Series::from_ys(&format!("f={f} {curve}"), ys));
         }
-        for &t in &[STEPS / 10, STEPS / 2, STEPS - 1] {
+        for &t in &[steps / 10, steps / 2, steps - 1] {
             summary.push(vec![
                 format!("{f:.1}"),
                 t.to_string(),
@@ -101,7 +90,7 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
     write_csv(&csv, &["f", "t", "mean", "min", "max"], &csv_rows).expect("CSV written");
     let chart = ChartConfig {
         title: format!(
-            "Figure {figure}: balancing quality, delta = {delta} ({N} procs, {RUNS} runs)"
+            "Figure {figure}: balancing quality, delta = {delta} ({n} procs, {runs} runs)"
         ),
         x_label: "time step".into(),
         y_label: "load per processor".into(),
@@ -109,18 +98,18 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [Vec<f64>; 
     };
     write_chart(&svg, &chart, &svg_series).expect("SVG written");
     outln!("\nwrote {csv} and {svg}\n");
-    spreads.try_into().expect("one per f")
 }
 
-/// The `fig7.*` claims on `spread[panel][k]`: the figure's δ, its k-th
-/// f.
-fn judge(spread: &[[Vec<f64>; 2]; 2]) -> Vec<Row> {
-    let [(_, d1), (_, d4)] = FIGURES;
-    let t = STEPS - 1;
-    let runs = format!("{RUNS} runs of seed {SEED}");
+/// The `fig7.*` claims on each run's spread at the last step.
+fn judge(draw: &Draw) -> Vec<Row> {
+    let [d1, d4] = PANELS.map(|row| row[0].delta);
+    let t = draw.setting.steps - 1;
+    // `spread[panel][k]`: the figure's δ, its k-th f.
+    let spread = draw.panel_spreads(t);
+    let runs = draw.provenance();
     let mut rows = Vec::new();
     let what = format!("spread(delta={d4}) - spread(delta={d1}) per run: {runs}");
-    for (k, f) in FS.iter().enumerate() {
+    for (k, f) in PANELS[0].iter().map(|config| config.f).enumerate() {
         let fall = Estimate::of_runs(&minus(&spread[1][k], &spread[0][k]));
         let regime = format!("n=64 C=4 t={t} f={f:.1}");
         rows.push(shape("fig7.delta", &regime, &what, fall));

@@ -9,38 +9,38 @@
 use super::{magnitude, minus, shape, Row};
 use crate::args::{Args, Key};
 use crate::outln;
-use crate::parallel::default_jobs;
-use crate::quality::{distribution_at, SnapshotDistribution};
+use crate::quality::{Band, Config, Draw, Run, PANELS, PAPER};
 use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
-use dlb_core::Params;
 use dlb_theory::claims::Estimate;
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-/// The paper's §7 setting: processors, steps, runs and borrow limit C.
-const N: usize = 64;
-const STEPS: usize = 500;
-const RUNS: usize = 100;
-const C: usize = 4;
-const SEED: u64 = 4096;
-/// The claims judge the last checkpoint.
-const CHECKPOINTS: [usize; 3] = [50, 200, 400];
-const JUDGED: usize = CHECKPOINTS[2];
-/// `(figure, δ)` of each panel pair, and the `f` of each panel.
-const FIGURES: [(u32, usize); 2] = [(9, 1), (10, 4)];
-const FS: [f64; 2] = [1.1, 1.8];
+/// The paper's §7 setting and its checkpoints (the claims judge the
+/// last), and the figure of each row of [`PANELS`].
+const N: usize = PAPER.n;
+const RUNS: usize = PAPER.runs;
+const CHECKPOINTS: &[usize] = PAPER.checkpoints;
+const JUDGED: usize = CHECKPOINTS.len() - 1;
+const FIGURES: [u32; 2] = [9, 10];
 
 pub fn run(args: &Args) -> Vec<Row> {
-    let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", args.results().to_string());
-    let snap = FIGURES.map(|(figure, delta)| figure_pair(figure, delta, jobs, &out));
-    judge(&snap)
+    view(args, &super::draw(args, PAPER, &PANELS.concat()))
 }
 
-/// One figure: both `f` at `δ`, as `<out>/fig<figure>_delta<δ>.csv`
-/// and `.svg`.  Returns each panel's snapshot at [`JUDGED`].
-fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDistribution; 2] {
+/// Both figures and the `fig9.*` claims, from `draw`.
+pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
+    let out: String = args.get("out", args.results().to_string());
+    for (figure, panels) in FIGURES.into_iter().zip(PANELS) {
+        figure_pair(figure, panels, draw, &out);
+    }
+    judge(draw)
+}
+
+/// One figure: both `f` at its `δ`, as `<out>/fig<figure>_delta<δ>.csv`
+/// and `.svg`.
+fn figure_pair(figure: u32, panels: [Config; 2], draw: &Draw, out: &str) {
+    let delta = panels[0].delta;
     outln!(
         "Figure {figure}: per-processor distribution, delta = {delta}, f in {{1.1, 1.8}} \
          ({N} procs, {RUNS} runs, checkpoints {CHECKPOINTS:?})\n"
@@ -49,15 +49,14 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDi
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut summary = Vec::new();
     let mut svg_series: Vec<Series> = Vec::new();
-    let mut judged = Vec::new();
-    for f in FS {
-        let params = Params::new(N, delta, f, C).expect("a §7 setting");
-        let mut snaps = distribution_at(params, STEPS, &CHECKPOINTS, RUNS, SEED, jobs);
-        for snap in &snaps {
+    for config in panels {
+        let (f, runs) = (config.f, draw.runs(config));
+        for (k, &t) in CHECKPOINTS.iter().enumerate() {
+            let snap = Band::per_processor(runs, k);
             for i in 0..N {
                 csv_rows.push(vec![
                     format!("{f:.1}"),
-                    snap.t.to_string(),
+                    t.to_string(),
                     i.to_string(),
                     f3(snap.mean[i]),
                     snap.min[i].to_string(),
@@ -65,23 +64,24 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDi
                 ]);
             }
             let grand = snap.mean.iter().sum::<f64>() / N as f64;
-            let worst_min = *snap.min.iter().min().expect("n > 0");
-            let worst_max = *snap.max.iter().max().expect("n > 0");
+            let lo = snap.mean.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = snap.mean.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let worst_min = snap.min.iter().copied().fold(f64::INFINITY, f64::min);
+            let worst_max = snap.max.iter().copied().fold(0.0, f64::max);
             summary.push(vec![
                 format!("{f:.1}"),
-                snap.t.to_string(),
+                t.to_string(),
                 f3(grand),
-                f3(snap.mean_spread()),
+                f3(hi - lo),
                 worst_min.to_string(),
                 worst_max.to_string(),
             ]);
-            if snap.t == JUDGED {
-                outln!("f = {f}, t = {JUDGED}: mean load by processor");
+            if k == JUDGED {
+                outln!("f = {f}, t = {t}: mean load by processor");
                 outln!("{}", ascii_plot(&[("mean", &snap.mean)], 8));
             }
-            svg_series.push(Series::from_ys(&format!("f={f} t={}", snap.t), &snap.mean));
+            svg_series.push(Series::from_ys(&format!("f={f} t={t}"), &snap.mean));
         }
-        judged.push(snaps.pop().expect("a snapshot per checkpoint"));
     }
 
     outln!(
@@ -109,46 +109,41 @@ fn figure_pair(figure: u32, delta: usize, jobs: usize, out: &str) -> [SnapshotDi
     };
     write_chart(&svg, &chart, &svg_series).expect("SVG written");
     outln!("\nwrote {csv} and {svg}\n");
-    judged.try_into().expect("one per f")
 }
 
-/// The `fig9.*` claims on `snap[panel][k]`: the figure's δ, its k-th f.
-fn judge(snap: &[[SnapshotDistribution; 2]; 2]) -> Vec<Row> {
-    let t = JUDGED;
-    let runs = format!("{RUNS} runs of seed {SEED}");
+/// The `fig9.*` claims on the runs at the judged checkpoint.
+fn judge(draw: &Draw) -> Vec<Row> {
+    let t = CHECKPOINTS[JUDGED];
+    let runs = draw.provenance();
     let mut rows = Vec::new();
-    for (panel, (_, delta)) in snap.iter().zip(FIGURES) {
-        for (s, f) in panel.iter().zip(FS) {
-            // The processor farthest from the grand mean, and each run's
-            // distance of it from that run's mean load.
-            let grand = s.mean.iter().sum::<f64>() / s.mean.len() as f64;
-            let far = |i: &usize| (s.mean[*i] - grand).abs();
-            let worst = (0..s.mean.len()).max_by(|a, b| far(a).total_cmp(&far(b)));
-            let worst = worst.expect("n > 0");
-            let deviation: Vec<f64> = s
-                .runs
-                .iter()
-                .map(|run| {
-                    let mean = run.iter().sum::<u64>() as f64 / run.len() as f64;
-                    (run[worst] as f64 - mean) / grand
-                })
-                .collect();
-            let d = Estimate::of_runs(&deviation);
-            let far = Estimate {
-                mean: d.mean.abs(),
-                ..d
-            };
-            let regime = format!("n=64 C=4 t={t} delta={delta} f={f:.1}");
-            let what = format!("|E(l_{worst}) - mean| / mean (the farthest processor): {runs}");
-            rows.push(shape("fig9.flat", &regime, &what, far));
-        }
+    for config in PANELS.concat() {
+        let (delta, f, panel) = (config.delta, config.f, draw.runs(config));
+        // The processor farthest from the grand mean, and each run's
+        // distance of it from that run's mean load.
+        let mean = Band::per_processor(panel, JUDGED).mean;
+        let grand = mean.iter().sum::<f64>() / N as f64;
+        let far = |i: &usize| (mean[*i] - grand).abs();
+        let worst = (0..N).max_by(|a, b| far(a).total_cmp(&far(b)));
+        let worst = worst.expect("n > 0");
+        let run_mean = |run: &Run| run.total[t] as f64 / N as f64;
+        let deviation: Vec<f64> = panel
+            .iter()
+            .map(|run| (run.loads[JUDGED][worst] as f64 - run_mean(run)) / grand)
+            .collect();
+        let d = Estimate::of_runs(&deviation);
+        let far = Estimate {
+            mean: d.mean.abs(),
+            ..d
+        };
+        let regime = format!("n=64 C=4 t={t} delta={delta} f={f:.1}");
+        let what = format!("|E(l_{worst}) - mean| / mean (the farthest processor): {runs}");
+        rows.push(shape("fig9.flat", &regime, &what, far));
     }
-    let [(_, d1), (_, d4)] = FIGURES;
-    let spreads = snap
-        .each_ref()
-        .map(|panel| panel.each_ref().map(|s| s.spreads()));
+    let [d1, d4] = PANELS.map(|row| row[0].delta);
+    // `spreads[panel][k]`: the figure's δ, its k-th f.
+    let spreads = draw.panel_spreads(t);
     let what = format!("spread(delta={d4}) - spread(delta={d1}) per run: {runs}");
-    for (k, f) in FS.iter().enumerate() {
+    for (k, f) in PANELS[0].iter().map(|config| config.f).enumerate() {
         let fall = Estimate::of_runs(&minus(&spreads[1][k], &spreads[0][k]));
         let regime = format!("n=64 C=4 t={t} f={f:.1}");
         rows.push(shape("fig9.delta", &regime, &what, fall));

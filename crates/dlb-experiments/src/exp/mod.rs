@@ -11,6 +11,8 @@
 use crate::arena::ArenaRow;
 use crate::args::{Args, Key};
 use crate::outln;
+use crate::parallel::default_jobs;
+use crate::quality::{Config, Draw, Setting};
 use crate::report::{f3, render_table};
 use dlb_core::Params;
 use dlb_theory::claims::{by_id, Estimate, Observation};
@@ -68,7 +70,7 @@ pub const EXPERIMENTS: &[Experiment] = table! {
     arena: "league table: trigger rule vs literature rivals and the section 1/5 strawmen",
 };
 
-/// One judged row of `claims.csv`, one field per [`HEADERS`] column.
+/// One judged row of `claims.csv`, one field per `HEADERS` column.
 pub type Row = Vec<String>;
 
 /// The columns of `claims.csv`.
@@ -138,6 +140,15 @@ fn shape(id: &str, regime: &str, observation: &str, value: Estimate) -> Row {
         &params,
         Observation::Statistic(value),
     )
+}
+
+/// A §7 row's own draw of `configs` under `setting`, announced before
+/// the first run.
+fn draw(args: &Args, setting: Setting, configs: &[Config]) -> Draw {
+    let jobs = args.get("jobs", default_jobs());
+    let (k, runs, seed) = (configs.len(), setting.runs, setting.seed);
+    outln!("Section 7 draw: {k} configurations x {runs} runs of seed {seed} ({jobs} jobs)\n");
+    setting.draw(configs, jobs)
 }
 
 /// `a − b`, run by run.

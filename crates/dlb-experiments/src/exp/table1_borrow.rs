@@ -16,17 +16,24 @@
 use super::{excess, minus, shape, Row, VERDICT};
 use crate::args::{Args, Flag, Key};
 use crate::outln;
-use crate::parallel::default_jobs;
+use crate::quality::{Config, Draw, Setting, PAPER};
 use crate::report::{f3, render_table, write_csv};
-use crate::table1::table1_runs;
-use dlb_core::{ExchangePolicy, Metrics, Params};
+use dlb_core::{ExchangePolicy, Metrics};
 use dlb_theory::claims::Estimate;
 
 pub const KEYS: &[Key] = crate::keys!["smoke": Flag, "jobs": usize, "out": String];
 
-/// Every run's base seed, and the columns of the table.
-const SEED: u64 = 31;
+/// The columns of the table, and its two halves.
 const CS: [usize; 4] = [4, 8, 16, 32];
+const POLICIES: [ExchangePolicy; 2] = [ExchangePolicy::Strict, ExchangePolicy::Aggressive];
+/// `--smoke`'s matrix: the paper's seed at a fraction of its size.
+const SMOKE: Setting = Setting {
+    n: 16,
+    steps: 80,
+    runs: 8,
+    checkpoints: &[],
+    ..PAPER
+};
 
 /// The table's counters, per processor per run, as the paper names them.
 const COUNTERS: [&str; 4] = [
@@ -67,34 +74,47 @@ const DECREASE_LEVELS: &str = "the paper's count levels off near 1.6 at large C 
                                (the engine's markers_settled)";
 
 pub fn run(args: &Args) -> Vec<Row> {
+    let setting = if args.flag("smoke") { SMOKE } else { PAPER };
+    view(args, &super::draw(args, setting, &configs()))
+}
+
+/// Every cell's configuration.
+pub fn configs() -> Vec<Config> {
+    POLICIES.map(|policy| CS.map(|c| cell(c, policy))).concat()
+}
+
+/// The configuration of the cell at `c` under `policy`: δ = 1, f = 1.1.
+fn cell(c: usize, policy: ExchangePolicy) -> Config {
+    let strict = Config::strict(1, 1.1, c);
+    Config { policy, ..strict }
+}
+
+/// The table and, at paper scale, the `table1.*` claims, from `draw`.
+pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
     let smoke = args.flag("smoke");
-    let ((n, steps, runs), file) = if smoke {
-        ((16, 80, 8), "table1_smoke.csv")
+    let file = if smoke {
+        "table1_smoke.csv"
     } else {
-        ((64, 500, 100), "table1.csv")
+        "table1.csv"
     };
-    let jobs: usize = args.get("jobs", default_jobs());
     let out = args.output("out", file);
+    let Setting { n, steps, runs, .. } = draw.setting;
 
     outln!(
         "Table 1: borrow statistics vs C, per processor per run (f = 1.1, delta = 1, {n} procs, \
          {steps} steps, {runs} runs)\n"
     );
-    let (mut csv_rows, mut strict) = (Vec::new(), Vec::new());
-    for policy in [ExchangePolicy::Strict, ExchangePolicy::Aggressive] {
+    let mut csv_rows = Vec::new();
+    for policy in POLICIES {
         let mut rows = Vec::new();
         for c in CS {
-            let params = Params::new(n, 1, 1.1, c).expect("valid");
-            let per_run = table1_runs(params.with_exchange(policy), steps, runs, SEED, jobs);
+            let per_run = draw.runs(cell(c, policy));
             let cells = [0, 1, 2, 3].map(|column| {
-                let sum: f64 = per_run.iter().map(|m| counters(m)[column] as f64).sum();
-                f3(sum / (runs * n) as f64)
+                let column = per_run.iter().map(|r| counters(&r.metrics)[column]);
+                f3(column.sum::<u64>() as f64 / (runs * n) as f64)
             });
             rows.push([vec![c.to_string()], cells.to_vec()].concat());
             csv_rows.push([vec![format!("{policy:?}"), c.to_string()], cells.to_vec()].concat());
-            if policy == ExchangePolicy::Strict {
-                strict.push(per_run);
-            }
         }
         outln!("exchange policy: {policy:?}");
         let headers = [&["C"], &COUNTERS[..]].concat();
@@ -108,20 +128,20 @@ pub fn run(args: &Args) -> Vec<Row> {
     if smoke {
         return Vec::new();
     }
-    judge(n, &strict)
+    judge(draw)
 }
 
-/// The `table1.*` claims on the strict policy's paper-scale runs at
-/// `n` processors, one series of runs per C.
-fn judge(n: usize, strict: &[Vec<Metrics>]) -> Vec<Row> {
+/// The `table1.*` claims on the strict policy's paper-scale runs, one
+/// series of runs per C.
+fn judge(draw: &Draw) -> Vec<Row> {
     let counter = |k: usize, name: &str| -> Vec<f64> {
         let column = COUNTERS.iter().position(|&c| c == name).expect("a counter");
-        let per_proc = |m: &Metrics| counters(m)[column] as f64 / n as f64;
-        strict[k].iter().map(per_proc).collect()
+        let per_proc = |m: &Metrics| counters(m)[column] as f64 / draw.setting.n as f64;
+        let runs = draw.runs(cell(CS[k], ExchangePolicy::Strict));
+        runs.iter().map(|run| per_proc(&run.metrics)).collect()
     };
     let last = CS.len() - 1;
-    let runs = strict[0].len();
-    let what = format!("per processor per run: {runs} runs of seed {SEED}");
+    let what = format!("per processor per run: {}", draw.provenance());
     let mut rows = Vec::new();
     let remote = |k| counter(k, "remote borrow");
     for k in 0..last {

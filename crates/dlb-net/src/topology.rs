@@ -21,7 +21,7 @@ pub enum Topology {
     Hypercube { dim: u32 },
     /// The binary de Bruijn graph on `2^dim` processors: `v` is adjacent
     /// to `2v mod n`, `2v+1 mod n` and their inverses (the network of the
-    /// paper's own parallel machine [13] uses de Bruijn-like shuffles).
+    /// paper's own parallel machine \[13\] uses de Bruijn-like shuffles).
     DeBruijn { dim: u32 },
     /// A star: processor 0 is the centre (the pathological centralised
     /// case §1 argues against).

@@ -1,11 +1,8 @@
-//! Log-bucketed latency histograms with a deterministic merge.
+//! Log-bucketed latency histograms.
 //!
 //! The serving driver records every completion into one
-//! [`LatencyHistogram`].  Histograms also merge: a merge is an
-//! element-wise add of bucket counts, so it is commutative and
-//! associative, and merged histograms are *identical* to a single
-//! global recorder fed the same samples in any order — the property the
-//! proptests in `tests/hist_props.rs` pin down.
+//! [`LatencyHistogram`]; the proptests in `tests/hist_props.rs` pin
+//! down its quantiles.
 //!
 //! Buckets are HDR-style: exact below [`SUB_BUCKETS`], then
 //! `SUB_BUCKETS` equal-width sub-buckets per power of two.  Reported
@@ -85,18 +82,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.sum += v as u128;
         self.max = self.max.max(v);
-    }
-
-    /// Folds `other` into `self` (element-wise bucket add).  Merging is
-    /// commutative and associative, so histograms of disjoint samples
-    /// merged in any order equal one global recorder.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
@@ -190,23 +175,5 @@ mod tests {
         assert_eq!(h.count(), 1000);
         assert_eq!(h.max(), 1000);
         assert!((h.mean() - 500.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_global() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut global = LatencyHistogram::new();
-        for v in 0..500u64 {
-            let sample = v * v % 7919;
-            if v % 2 == 0 { &mut a } else { &mut b }.record(sample);
-            global.record(sample);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, global);
-        assert_eq!(ba, global);
     }
 }

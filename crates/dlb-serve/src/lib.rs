@@ -16,7 +16,7 @@
 //!   generator (diurnal rate phases, Zipf hot-key skew, seeded service
 //!   demands).
 //! - [`hist::LatencyHistogram`] — log-bucketed latency recording with
-//!   an order-independent merge and a ≤ 1/32 relative quantile error.
+//!   a ≤ 1/32 relative quantile error.
 //! - [`sim::run_sim`] — the driver: one group over every shard on
 //!   [`dlb_net::CalendarQueue`]'s simulated clock, single-threaded and
 //!   bit-reproducible for a fixed seed, with the conservation ledger

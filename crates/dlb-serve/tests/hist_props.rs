@@ -1,14 +1,10 @@
 //! Properties of the latency recorder that the serving report relies
 //! on:
 //!
-//! 1. **Merge is order-independent and lossless** — per-worker
-//!    histograms folded together in *any* order equal one global
-//!    recorder fed all samples, so the report cannot depend on which
-//!    worker finished first or on how requests were sharded.
-//! 2. **Quantiles respect the bucket error bound** — any reported
+//! 1. **Quantiles respect the bucket error bound** — any reported
 //!    quantile is within a `1/SUB_BUCKETS` relative error of the true
 //!    order statistic (exact below `SUB_BUCKETS`).
-//! 3. **`quantile` is a sane quantile function** — monotone in `q`,
+//! 2. **`quantile` is a sane quantile function** — monotone in `q`,
 //!    `quantile(1.0)` lands in the max sample's bucket, and the
 //!    `ceil(q · count) as u64` rank cast behaves exactly at integer
 //!    boundaries of `q · count` (where an off-by-one would silently
@@ -31,44 +27,6 @@ fn samples(seed: u64, len: usize) -> Vec<u64> {
 }
 
 proptest! {
-    #[test]
-    fn merge_is_order_independent_and_equals_a_global_recorder(
-        seed in 0u64..1_000_000,
-        len in 1usize..400,
-        parts in 1usize..8,
-    ) {
-        let values = samples(seed, len);
-        let mut global = LatencyHistogram::new();
-        for &v in &values {
-            global.record(v);
-        }
-
-        // Shard round-robin over `parts` workers.
-        let mut workers = vec![LatencyHistogram::new(); parts];
-        for (i, &v) in values.iter().enumerate() {
-            workers[i % parts].record(v);
-        }
-
-        // Fold in index order…
-        let mut forward = LatencyHistogram::new();
-        for w in &workers {
-            forward.merge(w);
-        }
-        // …and in reverse order.
-        let mut backward = LatencyHistogram::new();
-        for w in workers.iter().rev() {
-            backward.merge(w);
-        }
-
-        prop_assert_eq!(&forward, &global);
-        prop_assert_eq!(&backward, &global);
-        prop_assert_eq!(forward.count(), len as u64);
-        // Derived figures agree too (they only read merged state).
-        for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
-            prop_assert_eq!(forward.quantile(q), global.quantile(q));
-        }
-    }
-
     #[test]
     fn quantiles_respect_the_bucket_error_bound(
         seed in 0u64..1_000_000,

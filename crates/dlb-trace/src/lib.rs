@@ -192,7 +192,7 @@ impl TraceEvent {
 
     /// Appends the event's JSONL line (no trailing newline) to `out`,
     /// which is never cleared.  A one-off line renders its float without
-    /// a [`FloatCache`]: an event carries at most one, so a fresh cache
+    /// a `FloatCache`: an event carries at most one, so a fresh cache
     /// could not hit.
     pub fn write_line(&self, out: &mut Vec<u8>) {
         let mut enc = Encoder {

@@ -17,7 +17,7 @@
 //!    `active_at` returns, so a dense and a sparse run over same-seed
 //!    instances see the same events by construction.
 //! 2. **Counter-based randomness.**  Every random decision is a
-//!    [`splitmix64`]-style hash of `(seed, processor, t, salt)` — there
+//!    [`splitmix64`](dlb_net::rng::splitmix64)-style hash of `(seed, processor, t, salt)` — there
 //!    is no sequential RNG stream, so skipping an idle processor
 //!    consumes no randomness and cannot shift later draws.
 //!
