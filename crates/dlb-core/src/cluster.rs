@@ -96,7 +96,7 @@
 
 use crate::balance::{distribute_capped_into, even_shares_into, moved, sample_others_into};
 use crate::metrics::Metrics;
-use crate::pages::vec_on_huge_pages;
+use crate::pages::{zeroed_on_huge_pages, Zeroable};
 use crate::params::{ExchangePolicy, Params, TriggerTable};
 use crate::sparse::{count_diff, key, nth_diff, SparseRow};
 use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
@@ -104,6 +104,7 @@ use crate::summary::LoadCounts;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::mem::ManuallyDrop;
 
 /// Scratch of [`equalise`], owned by the cluster so steady-state
 /// execution allocates nothing.
@@ -177,6 +178,12 @@ struct OpOutcome {
 /// docs).  `repr(C)` fixes the offsets: the first cache line holds what
 /// every event reads — the sums, `l_old` and the `d` row with the
 /// processor's own class — the second the marker row and the ledger.
+///
+/// All-zero bytes are an empty processor ([`Zeroable`]), so the cluster
+/// builds its records with one fill.  A record never frees its rows
+/// (`ManuallyDrop`, so dropping the records reads none of them): the
+/// cluster lists each processor whose row goes to the heap and frees
+/// exactly those rows ([`Cluster::free_spilled`]).
 #[repr(C, align(128))]
 struct Proc {
     /// Cached real load `Σ_j d_{i,j}`.
@@ -190,9 +197,9 @@ struct Proc {
     /// `note_load`.
     seen: u64,
     /// Sparse `d_{i,·}` row.
-    d: SparseRow,
+    d: ManuallyDrop<SparseRow>,
     /// Sparse `b_{i,·}` row.
-    b: SparseRow,
+    b: ManuallyDrop<SparseRow>,
     /// Ledger: fresh class-`i` packets generated (excluding marker
     /// repayments).
     fresh_generated: u64,
@@ -206,6 +213,19 @@ const _: () = assert!(
     std::mem::size_of::<Proc>() <= 128 && std::mem::size_of::<SparseRow>() <= 32,
     "a processor is one 128-byte record"
 );
+const _: () = assert!(
+    !std::mem::needs_drop::<Proc>(),
+    "dropping the records reads none of them"
+);
+
+// SAFETY: the fields are `u64`s and two `SparseRow`s, whose `Repr` is
+// `repr(u8)` with `Inline = 0`: zero bytes select the in-place variant
+// with `len`, `keys` and `vals` zero, an empty row, and the `Box` of
+// `Heap` is out of reach.  Padding may hold anything.  So zero bytes
+// are `Proc::new(SparseRow::new(), SparseRow::new())`, which
+// `a_zeroed_record_is_an_empty_processor` checks field by field.
+#[allow(unsafe_code)]
+unsafe impl Zeroable for Proc {}
 
 impl Proc {
     /// A record holding rows `d` and `b` with their sums cached and
@@ -217,12 +237,44 @@ impl Proc {
             sum_b: b.sum(),
             l_old: 0,
             seen: load,
-            d,
-            b,
+            d: ManuallyDrop::new(d),
+            b: ManuallyDrop::new(b),
             fresh_generated: 0,
             direct_consumed: 0,
             settled: 0,
         }
+    }
+
+    /// Whether both rows live in the record, owning no heap block.
+    #[inline(always)]
+    fn inline(&self) -> bool {
+        self.d.is_inline() && self.b.is_inline()
+    }
+
+    /// Frees both rows, leaving them empty in place; returns how many
+    /// of them owned a heap block.
+    fn free_rows(&mut self) -> usize {
+        [&mut self.d, &mut self.b]
+            .into_iter()
+            .map(|row| {
+                let row = ManuallyDrop::into_inner(std::mem::take(row));
+                usize::from(!row.is_inline())
+            })
+            .sum()
+    }
+}
+
+/// Lists processor `i` in `spilled` when a write moved the first row of
+/// its record `p` to the heap: `was_inline` is [`Proc::inline`] before
+/// the write.  A row leaves its record only by growing, and stays out
+/// once out, so every write that can grow a row — `equalise`'s
+/// write-back, `add_d`/`add_b`, `balance_class`'s `set`s — is followed
+/// by this, and `spilled` names each processor that owns a heap block
+/// exactly once.
+#[inline(always)]
+fn note_spill(spilled: &mut Vec<u32>, i: usize, was_inline: bool, p: &Proc) {
+    if was_inline && !p.inline() {
+        spilled.push(key(i));
     }
 }
 
@@ -341,7 +393,14 @@ impl Lag {
 /// paper's snake, so the new row sums differ by at most one too.  Leaves
 /// each member's new row sum in `s.slots[..].run` and returns the units
 /// that left a member, `Σ max(old − new, 0)` over classes and members.
-fn equalise(procs: &mut [Proc], members: &[usize], s: &mut BalanceScratch, matrix: Matrix) -> u64 {
+/// A member whose first row goes to the heap is listed in `spilled`.
+fn equalise(
+    procs: &mut [Proc],
+    spilled: &mut Vec<u32>,
+    members: &[usize],
+    s: &mut BalanceScratch,
+    matrix: Matrix,
+) -> u64 {
     // A group size known at compile time unrolls the per-member loops,
     // keeps the slots in registers, looks each row up once and turns the
     // division into a multiplication.  Any other size — δ runs up to
@@ -366,9 +425,12 @@ fn equalise(procs: &mut [Proc], members: &[usize], s: &mut BalanceScratch, matri
     }
     for (i, (&mm, t)) in members.iter().zip(&s.slots).enumerate() {
         let at = i * stride;
+        let p = &mut procs[mm];
+        let was_inline = p.inline();
         matrix
-            .of_mut(&mut procs[mm])
+            .of_mut(p)
             .assign(&s.new_keys[at..at + t.len], &s.new_vals[at..at + t.len]);
+        note_spill(spilled, mm, was_inline, p);
     }
     outflow
 }
@@ -494,6 +556,7 @@ fn deal<'r>(
 /// returns an [`OpOutcome`] the caller folds in trigger order.
 fn execute_full_balance(
     procs: &mut [Proc],
+    spilled: &mut Vec<u32>,
     members: &[usize],
     tracing: bool,
     s: &mut BalanceScratch,
@@ -515,14 +578,14 @@ fn execute_full_balance(
     // load difference moves physically; the per-class matrices are
     // bookkeeping carried by the control messages.  Markers are
     // bookkeeping only, and each one that changes holder counts.
-    equalise(procs, members, s, Matrix::D);
+    equalise(procs, spilled, members, s, Matrix::D);
     let mut op_packets = 0u64;
     for (&mm, t) in members.iter().zip(&s.slots) {
         let p = &mut procs[mm];
         op_packets += p.load.saturating_sub(t.run);
         p.load = t.run;
     }
-    let op_markers = equalise(procs, members, s, Matrix::B);
+    let op_markers = equalise(procs, spilled, members, s, Matrix::B);
     let mut home_settled = 0u64;
     for (&mm, t) in members.iter().zip(&s.slots) {
         let p = &mut procs[mm];
@@ -557,6 +620,9 @@ pub struct Cluster {
     n: usize,
     /// One record per processor.
     procs: Vec<Proc>,
+    /// The processors whose records own a heap block, each once, in the
+    /// order their first row spilled: what teardown frees.
+    spilled: Vec<u32>,
     rng: ChaCha8Rng,
     metrics: Metrics,
     /// Sum of loads the cluster was constructed with.
@@ -609,18 +675,71 @@ impl Cluster {
         let n = params.n();
         assert!(u32::try_from(n).is_ok(), "class keys are 32 bits wide");
         let initial_total = params.initial_total(initial);
-        let procs = vec_on_huge_pages(n, |i| Proc {
+        // Zero bytes are an empty processor: one fill builds every
+        // record, and a loaded start writes what differs in one pass.
+        let mut procs = zeroed_on_huge_pages::<Proc>(n);
+        if initial > 0 {
+            for (i, p) in procs.iter_mut().enumerate() {
+                p.d.push(key(i), initial);
+                p.load = initial;
+                p.seen = initial;
+                p.l_old = initial;
+                p.fresh_generated = initial;
+            }
+        }
+        Self::from_parts(
+            params,
+            procs,
+            Vec::new(),
+            ChaCha8Rng::seed_from_u64(seed),
+            Metrics::new(),
+            initial_total,
+            LoadCounts::uniform(n, initial),
+        )
+    }
+
+    /// [`Cluster::with_initial_load`] built record by record from
+    /// [`Proc::new`], the form the zero fill replaced: the oracle the
+    /// zero-filled cluster is stepped beside.
+    #[cfg(test)]
+    fn with_initial_load_elementwise(params: Params, seed: u64, initial: u64) -> Self {
+        let n = params.n();
+        let procs = crate::pages::vec_on_huge_pages(n, |i| Proc {
             l_old: initial,
             fresh_generated: initial,
             ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
         });
+        Self::from_parts(
+            params,
+            procs,
+            Vec::new(),
+            ChaCha8Rng::seed_from_u64(seed),
+            Metrics::new(),
+            params.initial_total(initial),
+            LoadCounts::new((0..n).map(|_| initial)),
+        )
+    }
+
+    /// A cluster over `procs`, whose heap rows are the records `spilled`
+    /// lists, at the start of a run: untraced, step 0, nothing waiting.
+    fn from_parts(
+        params: Params,
+        procs: Vec<Proc>,
+        spilled: Vec<u32>,
+        rng: ChaCha8Rng,
+        metrics: Metrics,
+        initial_total: u64,
+        summary: LoadCounts,
+    ) -> Self {
+        let n = params.n();
         Cluster {
             params,
             triggers: TriggerTable::new(params),
             n,
             procs,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            metrics: Metrics::new(),
+            spilled,
+            rng,
+            metrics,
             initial_total,
             scratch_members: Vec::new(),
             scratch_partners: Vec::new(),
@@ -635,7 +754,7 @@ impl Cluster {
             lag: Lag::new(n, params.delta()),
             eager: false,
             scratch_balance: BalanceScratch::default(),
-            summary: LoadCounts::new((0..n).map(|_| initial)),
+            summary,
         }
     }
 
@@ -683,9 +802,12 @@ impl Cluster {
     pub fn state_bytes(&self) -> usize {
         let records = std::mem::size_of::<Proc>() * self.procs.capacity();
         let spilled: usize = self
-            .procs
+            .spilled
             .iter()
-            .map(|p| p.d.heap_bytes() + p.b.heap_bytes())
+            .map(|&i| {
+                let p = &self.procs[i as usize];
+                p.d.heap_bytes() + p.b.heap_bytes()
+            })
             .sum();
         records + spilled + self.summary.heap_bytes()
     }
@@ -693,7 +815,10 @@ impl Cluster {
     /// Adds `x > 0` class-`c` packets to `i`.
     #[inline]
     fn add_d(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].d.add(key(c), x);
+        let p = &mut self.procs[i];
+        let was_inline = p.inline();
+        p.d.add(key(c), x);
+        note_spill(&mut self.spilled, i, was_inline, p);
     }
 
     /// Removes `x > 0` class-`c` packets from `i`.
@@ -705,7 +830,10 @@ impl Cluster {
     /// Adds `x > 0` class-`c` markers to `i`.
     #[inline]
     fn add_b(&mut self, i: usize, c: usize, x: u64) {
-        self.procs[i].b.add(key(c), x);
+        let p = &mut self.procs[i];
+        let was_inline = p.inline();
+        p.b.add(key(c), x);
+        note_spill(&mut self.spilled, i, was_inline, p);
     }
 
     /// Removes `x > 0` class-`c` markers from `i`.
@@ -732,10 +860,26 @@ impl Cluster {
     pub fn check_invariants(&self) -> Result<(), String> {
         debug_assert!(self.lag.is_empty(), "observed between steps");
         let c_borrow = self.params.c_borrow() as u64;
+        let mut listed = vec![false; self.n];
+        for &i in &self.spilled {
+            let slot = listed
+                .get_mut(i as usize)
+                .ok_or_else(|| format!("spill list names {i}, past n"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("proc {i}: listed as spilled twice"));
+            }
+        }
         let mut virt = vec![0u64; self.n];
         for (i, p) in self.procs.iter().enumerate() {
             p.d.check().map_err(|e| format!("proc {i}: d row: {e}"))?;
             p.b.check().map_err(|e| format!("proc {i}: b row: {e}"))?;
+            if p.inline() == listed[i] {
+                return Err(format!(
+                    "proc {i}: owns a heap row: {}, listed as spilled: {}",
+                    !p.inline(),
+                    listed[i]
+                ));
+            }
             let sum_d = p.d.sum();
             if sum_d != p.load {
                 return Err(format!("proc {i}: load cache {} != sum(d) {sum_d}", p.load));
@@ -1102,9 +1246,12 @@ impl Cluster {
         for (s, &mm) in members.iter().enumerate() {
             self.procs[mm].load = self.procs[mm].load + new_d[s] - before_d[s];
             self.note_load(mm);
-            self.procs[mm].d.set(key(c), new_d[s]);
-            self.procs[mm].sum_b = self.procs[mm].sum_b + new_b[s] - before_b[s];
-            self.procs[mm].b.set(key(c), new_b[s]);
+            let p = &mut self.procs[mm];
+            p.sum_b = p.sum_b + new_b[s] - before_b[s];
+            let was_inline = p.inline();
+            p.d.set(key(c), new_d[s]);
+            p.b.set(key(c), new_b[s]);
+            note_spill(&mut self.spilled, mm, was_inline, p);
         }
         self.scratch_before_d = before_d;
         self.scratch_before_b = before_b;
@@ -1192,34 +1339,21 @@ impl Cluster {
             })
             .collect::<Vec<Proc>>();
         let summary = LoadCounts::new(procs.iter().map(|p| p.load));
+        // `push` spilled the rows longer than `INLINE`.
+        let spilled = (0..n).filter(|&i| !procs[i].inline()).map(key).collect();
         let mut rng = ChaCha8Rng::from_seed(snap.rng_seed);
         rng.set_word_pos(snap.rng_word_pos);
-        let cluster = Cluster {
+        // Sinks and the step clock are run-local observer/driver state,
+        // not algorithm state — a restored cluster starts untraced.
+        let cluster = Self::from_parts(
             params,
-            triggers: TriggerTable::new(params),
-            n,
             procs,
+            spilled,
             rng,
-            metrics: snap.metrics,
-            initial_total: snap.initial_total,
-            scratch_members: Vec::new(),
-            scratch_partners: Vec::new(),
-            scratch_group: Vec::new(),
-            scratch_before_d: Vec::new(),
-            scratch_before_b: Vec::new(),
-            scratch_caps: Vec::new(),
-            scratch_new_d: Vec::new(),
-            scratch_new_b: Vec::new(),
-            // Sinks and the step clock are run-local observer/driver
-            // state, not algorithm state — a restored cluster starts
-            // untraced.
-            sink: None,
-            step_no: 0,
-            lag: Lag::new(n, params.delta()),
-            eager: false,
-            scratch_balance: BalanceScratch::default(),
+            snap.metrics,
+            snap.initial_total,
             summary,
-        };
+        );
         cluster.check_invariants()?;
         Ok(cluster)
     }
@@ -1269,6 +1403,7 @@ impl Cluster {
         let tracing = self.trace_on();
         let out = execute_full_balance(
             &mut self.procs,
+            &mut self.spilled,
             &members,
             tracing,
             &mut self.scratch_balance,
@@ -1323,6 +1458,34 @@ impl Cluster {
     fn flush_pending(&mut self) {
         while !self.lag.is_empty() {
             self.execute_oldest();
+        }
+    }
+
+    /// Frees the rows of every listed processor, leaving them empty in
+    /// place, and empties the list; returns how many rows owned a heap
+    /// block.  O(listed): no other record is read.
+    fn free_spilled(&mut self) -> usize {
+        let procs = &mut self.procs;
+        self.spilled
+            .drain(..)
+            .map(|i| procs[i as usize].free_rows())
+            .sum()
+    }
+}
+
+/// Teardown frees the listed rows and releases the records without
+/// reading the rest: at n = 2²⁰ with no row spilled, that is the
+/// deallocation of 128 MiB and nothing else.
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.free_spilled();
+        // A heap row that no listing site recorded would leak here.
+        // Debug builds read every record to say so (not while a panic
+        // is already unwinding: a second one would abort).
+        if cfg!(debug_assertions) && !std::thread::panicking() {
+            if let Some(i) = self.procs.iter().position(|p| !p.inline()) {
+                panic!("proc {i}: a heap row that no listing site recorded");
+            }
         }
     }
 }
@@ -1839,6 +2002,46 @@ mod tests {
     }
 
     #[test]
+    fn a_zeroed_record_is_an_empty_processor() {
+        // One record, and either side of a huge page of them (the
+        // allocation is advised onto 2 MiB pages then).
+        let per_page = (2 << 20) / std::mem::size_of::<Proc>();
+        for n in [1, per_page - 1, per_page + 1] {
+            let mut procs = zeroed_on_huge_pages::<Proc>(n);
+            assert_eq!(procs.len(), n);
+            for p in &procs {
+                // Every field by name: a new one fails to compile here.
+                let Proc {
+                    load,
+                    sum_b,
+                    l_old,
+                    seen,
+                    d,
+                    b,
+                    fresh_generated,
+                    direct_consumed,
+                    settled,
+                } = p;
+                let empty = Proc::new(SparseRow::new(), SparseRow::new());
+                assert_eq!(
+                    (*load, *sum_b, *l_old, *seen),
+                    (empty.load, empty.sum_b, empty.l_old, empty.seen)
+                );
+                assert_eq!(
+                    (*fresh_generated, *direct_consumed, *settled),
+                    (empty.fresh_generated, empty.direct_consumed, empty.settled)
+                );
+                assert_eq!((&**d, &**b), (&*empty.d, &*empty.b));
+                assert!(d.is_inline() && b.is_inline() && empty.inline());
+                assert_eq!((d.heap_bytes(), b.heap_bytes()), (0, 0));
+            }
+            // The first write to a zeroed row is an ordinary one.
+            procs[n - 1].d.add(7, 3);
+            assert_eq!((procs[n - 1].d.get(7), procs[n - 1].d.len()), (3, 1));
+        }
+    }
+
+    #[test]
     fn lag_depth_follows_the_scenario() {
         let depth = |n, delta| Lag::new(n, delta).depth;
         assert_eq!(depth(64, 1), 0, "paper_dense: today's path");
@@ -2023,7 +2226,8 @@ mod tests {
             distribute_classes_flat(&totals, m, &mut run, &mut shares);
 
             let mut scratch = BalanceScratch::default();
-            let outflow = equalise(&mut procs, &members, &mut scratch, Matrix::D);
+            let mut spilled = Vec::new();
+            let outflow = equalise(&mut procs, &mut spilled, &members, &mut scratch, Matrix::D);
             let mut expect_outflow = 0;
             for (s, &mm) in members.iter().enumerate() {
                 let row = &procs[mm].d;
@@ -2043,6 +2247,83 @@ mod tests {
                     .sum::<u64>();
             }
             prop_assert_eq!(outflow, expect_outflow);
+            // The write-back listed the members it spilled; the rows
+            // built spilled were never listed.
+            let built_inline = |i: usize| !rows[i].1 && rows[i].0.len() <= crate::sparse::INLINE;
+            let mut fresh: Vec<usize> = (0..m).filter(|&i| !procs[i].inline() && built_inline(i)).collect();
+            let mut listed: Vec<usize> = spilled.iter().map(|&i| i as usize).collect();
+            fresh.sort_unstable();
+            listed.sort_unstable();
+            prop_assert_eq!(listed, fresh);
+            procs.iter_mut().for_each(|p| { p.free_rows(); });
+        }
+
+        /// The zero fill against the element-wise build it replaced, on
+        /// 2–300 processors (one cannot be built), empty or loaded,
+        /// under random events and crash masks, the zero-filled one
+        /// through a snapshot round trip half-way.  After every step
+        /// the two agree on loads, metrics and every record, rows
+        /// included, and both pass `check_invariants`, whose spill-list
+        /// check names a heap row no listing site recorded.  At
+        /// teardown `free_spilled` frees exactly the heap rows there
+        /// are, and leaves every record in place.
+        #[test]
+        fn the_zero_fill_steps_like_the_elementwise_build(
+            n in 2usize..=300,
+            delta_pick in 0usize..64,
+            c_idx in 0usize..3,
+            initial in 0u64..3,
+            p_gen in 0.3f64..0.6,
+            seed in 0u64..1_000_000,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let delta = 1 + delta_pick % (n - 1).min(4);
+            // C = 3, 6 let a processor hold markers of three classes,
+            // so marker rows spill too.
+            let params = Params::new(n, delta, 1.2, [1usize, 3, 6][c_idx]).unwrap();
+            let initial = initial * 4;
+            let mut zero = Cluster::with_initial_load(params, seed, initial);
+            let mut elem = Cluster::with_initial_load_elementwise(params, seed, initial);
+            let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let mut down = vec![false; n];
+            for t in 0..40 {
+                if t % 9 == 0 {
+                    down.iter_mut().for_each(|f| *f = ev_rng.gen_bool(0.1));
+                }
+                if t == 20 {
+                    zero = Cluster::restore(&zero.snapshot()).map_err(proptest::TestCaseError::fail)?;
+                }
+                let events = random_events(&mut ev_rng, n, p_gen, 0.9 - p_gen);
+                zero.step_masked(&events, &down);
+                elem.step_masked(&events, &down);
+                prop_assert_eq!(zero.loads(), elem.loads(), "loads at step {}", t);
+                prop_assert_eq!(zero.metrics(), elem.metrics(), "metrics at step {}", t);
+                prop_assert_eq!(zero.load_summary(), elem.load_summary());
+                for (i, (z, e)) in zero.procs.iter().zip(&elem.procs).enumerate() {
+                    prop_assert_eq!(
+                        (z.load, z.sum_b, z.l_old, z.seen, &*z.d, &*z.b),
+                        (e.load, e.sum_b, e.l_old, e.seen, &*e.d, &*e.b),
+                        "proc {} at step {}", i, t
+                    );
+                    prop_assert_eq!(
+                        (z.fresh_generated, z.direct_consumed, z.settled),
+                        (e.fresh_generated, e.direct_consumed, e.settled),
+                        "ledger of proc {} at step {}", i, t
+                    );
+                }
+                zero.check_invariants().map_err(proptest::TestCaseError::fail)?;
+                elem.check_invariants().map_err(proptest::TestCaseError::fail)?;
+            }
+            for cluster in [&mut zero, &mut elem] {
+                let heap: usize = cluster
+                    .procs
+                    .iter()
+                    .map(|p| usize::from(!p.d.is_inline()) + usize::from(!p.b.is_inline()))
+                    .sum();
+                prop_assert_eq!(cluster.free_spilled(), heap);
+                prop_assert!(cluster.procs.iter().all(Proc::inline));
+                prop_assert_eq!(cluster.procs.len(), n);
+            }
         }
 
         /// The lag under maximal conflict: depth 8 on 3–12 processors,

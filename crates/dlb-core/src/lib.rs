@@ -53,9 +53,11 @@
 //! # Ok::<(), dlb_theory::ParamError>(())
 //! ```
 
-// Four audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
-// hint in `cluster`, the two `u64`-block-as-`u32`-keys views in
-// `sparse` and the huge-page advice in `pages`.
+// Six audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
+// hint and the `Zeroable` impl of the processor record in `cluster`,
+// the two `u64`-block-as-`u32`-keys views in `sparse`, and the
+// huge-page advice and the zero fill in `pages` (whose `Zeroable`
+// declaration carries one too: it states the contract the impl keeps).
 #![deny(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 

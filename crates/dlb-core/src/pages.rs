@@ -1,5 +1,5 @@
-//! One audited allocation helper: a vector the kernel may back with
-//! 2 MiB pages.
+//! Two audited allocation helpers: a vector the kernel may back with
+//! 2 MiB pages, and the same vector filled with zero bytes.
 //!
 //! At n = 2²⁰ the full model's `Vec<Proc>` is 128 MiB.  On 4 KiB pages
 //! its first touch is ~32 k minor faults, and each record a balancing
@@ -9,6 +9,11 @@
 //! pages.  Under THP `madvise` or `always` mode one fault then maps
 //! 2 MiB; under `never`, or on another target, nothing changes.  The
 //! advice moves no byte of the vector's contents.
+//!
+//! [`zeroed_on_huge_pages`] is the same allocation for a type whose
+//! all-zero bytes are a value ([`Zeroable`]): one `memset` instead of
+//! building n values one by one.  At n = 2²⁰ that builds `Cluster`'s
+//! 128 MiB of records at memory speed, each one an empty processor.
 
 /// A transparent huge page on x86-64 and on 4 KiB-granule aarch64.
 const HUGE_PAGE: usize = 2 << 20;
@@ -40,6 +45,39 @@ pub fn vec_on_huge_pages<T>(n: usize, f: impl FnMut(usize) -> T) -> Vec<T> {
     let mut v = Vec::with_capacity(n);
     advise_huge_pages(&mut v);
     v.extend((0..n).map(f));
+    v
+}
+
+/// A type whose all-zero bytes are a valid value of it.  Only
+/// `cluster.rs`'s processor record implements it.
+///
+/// # Safety
+///
+/// Every field, at every depth, must accept all-zero bytes: integers,
+/// arrays of them, and enums whose tag 0 names such a variant.  No
+/// reference, `Box`, `NonZero*` or other non-null field may be reachable
+/// from tag 0.
+#[allow(unsafe_code)]
+pub(crate) unsafe trait Zeroable {}
+
+/// `n` all-zero values in one allocation advised like
+/// [`vec_on_huge_pages`]'s: one fill, however large `n`.  The fill
+/// writes every byte, so the pages are faulted in here, as an
+/// element-wise build would.
+#[allow(unsafe_code)]
+pub(crate) fn zeroed_on_huge_pages<T: Zeroable>(n: usize) -> Vec<T> {
+    let mut v = Vec::<T>::with_capacity(n);
+    advise_huge_pages(&mut v);
+    // SAFETY: `with_capacity(n)` reserved room for `n` values, so the
+    // fill stays inside the allocation (a zero-sized `T` writes no
+    // byte).  After it every value's bytes are zero, which `T:
+    // Zeroable` promises is a valid `T`, so `set_len(n)` exposes only
+    // initialised values.  Driven either side of a huge page by
+    // `a_zeroed_record_is_an_empty_processor`.
+    unsafe {
+        v.as_mut_ptr().write_bytes(0, n);
+        v.set_len(n);
+    }
     v
 }
 

@@ -54,14 +54,19 @@ pub(crate) fn key(c: usize) -> u32 {
     c as u32
 }
 
+/// `repr(u8)` with `Inline = 0` makes all-zero bytes an empty row in
+/// place: the tag selects `Inline`, and `len`, `keys` and `vals` are
+/// zero.  That is what lets [`crate::Cluster`] build its records with
+/// one zero fill (`pages.rs`, `Zeroable`).
 #[derive(Clone)]
+#[repr(u8)]
 enum Repr {
     /// The first `len` slots are the row; the rest are stale.
     Inline {
         len: u8,
         keys: [u32; INLINE],
         vals: [u64; INLINE],
-    },
+    } = 0,
     /// A spilled row: `block` is `cap` value slots followed by `cap`
     /// key slots packed two to a word (see [`split`]), of which the
     /// first `len` of each are the row.  `cap` is even.
@@ -171,6 +176,12 @@ impl SparseRow {
             row.push(c, v);
         }
         row
+    }
+
+    /// Whether the row lives in place, owning no heap block.
+    #[inline]
+    pub(crate) fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
     }
 
     /// Number of active (nonzero) classes.

@@ -77,7 +77,7 @@ impl LoadCounts {
         };
         let mut n = 0usize;
         for l in loads {
-            this.insert(l);
+            this.insert(l, 1);
             n += 1;
         }
         assert!(
@@ -87,8 +87,20 @@ impl LoadCounts {
         this
     }
 
+    /// The multiset of `n` loads that all equal `load`, in O(1) of `n`:
+    /// what `new` counts one by one.
+    pub fn uniform(n: usize, load: u64) -> Self {
+        let n = u32::try_from(n).expect("per-load counters are 32 bits wide");
+        let mut this = LoadCounts::new(std::iter::empty());
+        if n > 0 {
+            this.insert(load, n);
+        }
+        this
+    }
+
+    /// Counts `k > 0` more processors at load `l`.
     #[inline]
-    fn insert(&mut self, l: u64) {
+    fn insert(&mut self, l: u64, k: u32) {
         if l < DENSE {
             // Below `DENSE`.
             #[allow(clippy::cast_possible_truncation)]
@@ -96,12 +108,12 @@ impl LoadCounts {
             if l >= self.counts.len() {
                 self.counts.resize(l + 1, 0);
             }
-            self.counts[l] += 1;
-            self.in_dense += 1;
+            self.counts[l] += k;
+            self.in_dense += k as usize;
             self.lo = self.lo.min(l);
             self.hi = self.hi.max(l);
         } else {
-            *self.overflow.entry(l).or_insert(0) += 1;
+            *self.overflow.entry(l).or_insert(0) += k;
         }
     }
 
@@ -139,7 +151,7 @@ impl LoadCounts {
             self.hi = self.hi.max(new);
         } else if old != new {
             self.remove(old);
-            self.insert(new);
+            self.insert(new, 1);
         }
     }
 
@@ -268,6 +280,30 @@ mod tests {
             counts.shift(std::mem::replace(slot, k % 1000), k % 1000);
         }
         assert!(counts.heap_bytes() <= 4 * 2048);
+    }
+
+    #[test]
+    fn a_uniform_start_is_the_counts_of_its_loads() {
+        for (n, load) in [
+            (0, 0),
+            (1, 0),
+            (5, 0),
+            (5, 3),
+            (7, DENSE - 1),
+            (7, DENSE),
+            (3, u64::MAX),
+        ] {
+            let mut quick = LoadCounts::uniform(n, load);
+            let mut slow = LoadCounts::new(std::iter::repeat_n(load, n));
+            quick.check(std::iter::repeat_n(load, n)).unwrap();
+            assert_eq!(quick.heap_bytes(), slow.heap_bytes());
+            assert_eq!(quick.min_max(), slow.min_max(), "n = {n}, load = {load}");
+            if n > 0 {
+                quick.shift(load, 2);
+                slow.shift(load, 2);
+                assert_eq!(quick.min_max(), slow.min_max(), "n = {n}, one {load} → 2");
+            }
+        }
     }
 
     #[test]

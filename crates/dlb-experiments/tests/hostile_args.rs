@@ -7,6 +7,7 @@
 use dlb_experiments::exp::{Experiment, EXPERIMENTS};
 use std::path::Path;
 use std::process::{Command, Output};
+use std::time::{Duration, Instant};
 
 /// Runs `dlb-exp` with `args` in `dir`, where a row that ran anyway
 /// would write its CSV (not under the repository's results/).
@@ -245,7 +246,8 @@ fn faults_sweep_refuses_an_undecodable_scenario_before_any_output() {
 /// A reader that goes away (`dlb-exp scaling | head -12`) ends a row
 /// quietly: status 141, what a shell reports for a writer killed by
 /// `SIGPIPE`, and no panic on stderr.  Every row prints before its
-/// first run, so each stops there.
+/// first run, so each stops there — within [`CLOSED_STDOUT_DEADLINE`]:
+/// a row that runs on instead is killed and named, not waited for.
 #[test]
 fn a_closed_stdout_ends_every_row_quietly() {
     let dir = std::env::temp_dir().join("dlb_exp_closed_stdout");
@@ -254,18 +256,42 @@ fn a_closed_stdout_ends_every_row_quietly() {
     for name in names {
         let (reader, writer) = std::io::pipe().expect("a pipe");
         drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_dlb-exp"))
+        // Stderr goes to a file, so the child never waits on a full pipe
+        // while this test polls it.
+        let stderr_path = dir.join(format!("{name}.stderr"));
+        let stderr_file = std::fs::File::create(&stderr_path).expect("a stderr file");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dlb-exp"))
             .arg(name)
             .current_dir(&dir)
             .stdout(writer)
-            .output()
+            .stderr(stderr_file)
+            .spawn()
             .expect("dlb-exp runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let started = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("dlb-exp can be waited on") {
+                break status;
+            }
+            if started.elapsed() > CLOSED_STDOUT_DEADLINE {
+                child.kill().ok();
+                child.wait().ok();
+                panic!(
+                    "dlb-exp {name}: still running {CLOSED_STDOUT_DEADLINE:?} after its stdout closed"
+                );
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let stderr = std::fs::read_to_string(&stderr_path).unwrap_or_default();
         assert!(!stderr.contains("panicked"), "dlb-exp {name}: {stderr}");
-        assert_eq!(out.status.code(), Some(141), "dlb-exp {name}: {stderr}");
+        assert_eq!(status.code(), Some(141), "dlb-exp {name}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// How long a row may run with its stdout closed.  Each prints before
+/// its first run and ends there, in milliseconds even in a debug build;
+/// the bound only turns a hang into a failure that names the row.
+const CLOSED_STDOUT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// `trace_analyze` and `bench_core` end the same way: each prints a
 /// header before it analyses or runs anything.

@@ -240,11 +240,26 @@ enum Payload {
 
 /// A queued message or timer.  The calendar queue keeps the delivery
 /// time and stamps FIFO order itself, so the event carries neither.
+/// Processor ids are 32 bits wide ([`AsyncNetwork::new`] refuses
+/// n ≥ 2³²), so an event is 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Event {
-    to: usize,
-    from: usize,
+    to: u32,
+    from: u32,
     payload: Payload,
+}
+
+impl Event {
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)]
+    fn new(to: usize, from: usize, payload: Payload) -> Self {
+        debug_assert!(u32::try_from(to.max(from)).is_ok(), "ids below 2³²");
+        Event {
+            to: to as u32,
+            from: from as u32,
+            payload,
+        }
+    }
 }
 
 /// `flags` bit: participating in some operation (as initiator or as a
@@ -376,7 +391,8 @@ impl AsyncNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `config.latency` exceeds [`MAX_LATENCY`].
+    /// Panics if `config.latency` exceeds [`MAX_LATENCY`], or if `n ≥ 2³²`
+    /// (an event carries its processors as `u32` ids).
     pub fn new(config: AsyncConfig) -> Self {
         assert!(
             config.latency <= MAX_LATENCY,
@@ -384,6 +400,10 @@ impl AsyncNetwork {
             config.latency
         );
         let n = config.params.n();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "fewer than 2³² processors: events carry u32 ids"
+        );
         let mut net = AsyncNetwork {
             config,
             triggers: TriggerTable::new(config.params),
@@ -718,7 +738,7 @@ impl AsyncNetwork {
             .now
             .saturating_add(self.config.latency)
             .saturating_add(extra_delay);
-        let ev = Event { to, from, payload };
+        let ev = Event::new(to, from, payload);
         self.queue.push(time, ev);
         if duplicate {
             self.stats.duplicated_messages += 1;
@@ -727,9 +747,8 @@ impl AsyncNetwork {
     }
 
     fn schedule_self(&mut self, to: usize, delay: u64, payload: Payload) {
-        let from = to;
         self.queue
-            .push(self.now.saturating_add(delay), Event { to, from, payload });
+            .push(self.now.saturating_add(delay), Event::new(to, to, payload));
     }
 
     fn reply_timeout_delay(&self, attempt: u32) -> u64 {
@@ -783,7 +802,7 @@ impl AsyncNetwork {
     }
 
     fn handle(&mut self, ev: Event) {
-        let me = ev.to;
+        let (me, from) = (ev.to as usize, ev.from as usize);
         match ev.payload {
             Payload::Crash => {
                 self.stats.crashes += 1;
@@ -838,7 +857,7 @@ impl AsyncNetwork {
                     self.locked_for[me] = op;
                 }
                 let load = self.load[me];
-                self.send(me, ev.from, Payload::LoadReply { op, granted, load });
+                self.send(me, from, Payload::LoadReply { op, granted, load });
                 if granted && !already && self.faulty() {
                     // Lease: self-unlock if the operation dies upstream.
                     self.schedule_self(
@@ -896,8 +915,7 @@ impl AsyncNetwork {
                     granted: false,
                     load: 0,
                 };
-                let (to, from) = (me, me);
-                self.handle(Event { to, from, payload });
+                self.handle(Event::new(me, me, payload));
             }
             Payload::LoadReply { op, granted, load } => {
                 if self.flags[me] & DOWN != 0 {
@@ -909,15 +927,15 @@ impl AsyncNetwork {
                 }
                 // Duplicate suppression: count one reply per partner
                 // (injected duplicates and retry-induced re-replies).
-                if ev.from != me {
-                    if st.replied.contains(&ev.from) {
+                if from != me {
+                    if st.replied.contains(&from) {
                         return;
                     }
-                    st.replied.push(ev.from);
+                    st.replied.push(from);
                 }
                 st.awaiting_replies -= 1;
                 if granted {
-                    st.granted.push((ev.from, load));
+                    st.granted.push((from, load));
                 }
                 if st.awaiting_replies > 0 {
                     return;
@@ -989,7 +1007,7 @@ impl AsyncNetwork {
                 }
                 self.send(
                     me,
-                    ev.from,
+                    from,
                     Payload::Transfer {
                         op,
                         amount: excess,
@@ -2033,8 +2051,18 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn an_event_is_forty_bytes() {
-        assert_eq!(std::mem::size_of::<Event>(), 40);
+    fn an_event_is_thirty_two_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 32);
+    }
+
+    /// The id check runs before any per-processor vector is sized, so
+    /// n = 2³² is refused without allocating.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fewer than 2³² processors")]
+    fn a_network_of_two_to_the_thirty_two_is_refused() {
+        let params = Params::new(1 << 32, 1, 1.1, 4).unwrap();
+        let _ = AsyncNetwork::new(AsyncConfig::reliable(params, 1, 0));
     }
 
     /// Nested crash windows on one processor: the inner recovery brings
