@@ -226,6 +226,42 @@ mod tests {
     }
 
     #[test]
+    fn the_generator_takes_a_larger_share_by_chance_alone() {
+        // n = 4, δ = 3: every operation splits the whole network's total T,
+        // and the generator holds one of the e = T mod 4 larger shares with
+        // chance e/4 when the shares are rotated — every time when they are
+        // not (the larger shares come first and slot 0 is the generator).
+        // The total grows by about 1/8 per operation, so each seed stops
+        // after 40 operations and the next one takes over.
+        let params = Params::new(4, 3, 1.5, 4).unwrap();
+        let (mut ops, mut seed, mut larger) = (0u64, 0u64, 0u64);
+        let (mut expected, mut variance) = (0.0f64, 0.0f64);
+        while ops < 1_000 {
+            let mut model = OneProcModel::new(params, seed, 2);
+            seed += 1;
+            while model.balance_ops() < 40 {
+                if !model.generate() {
+                    continue;
+                }
+                ops += 1;
+                let total: u64 = model.loads().iter().sum();
+                let e = total % 4;
+                if e > 0 {
+                    let p = e as f64 / 4.0;
+                    expected += p;
+                    variance += p * (1.0 - p);
+                    larger += u64::from(model.loads()[0] > total / 4);
+                }
+            }
+        }
+        let slack = 5.0 * variance.sqrt();
+        assert!(
+            (larger as f64 - expected).abs() <= slack,
+            "generator took {larger} larger shares, {expected:.1} ± {slack:.1} expected"
+        );
+    }
+
+    #[test]
     fn ratio_converges_to_fix() {
         // Theorem 1: the mean ratio after many ops approaches FIX(n, δ, f).
         let params = Params::new(16, 2, 1.5, 4).unwrap();

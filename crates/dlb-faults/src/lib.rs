@@ -10,13 +10,11 @@
 //! same faults, so every failure an experiment observes is reproducible
 //! from `(seed, plan)` alone.
 //!
-//! Three substrates consume this crate:
+//! Two substrates consume this crate:
 //!
 //! * `dlb-net::desim` routes every message through
 //!   [`FaultInjector::on_send`] and applies crash windows during its
 //!   event loop;
-//! * `dlb-net::runtime` uses crash windows to kill and rejoin worker
-//!   threads;
 //! * the synchronous engines take a per-step crash mask from
 //!   [`MaskCursor`], which [`FaultInjector::mask_at`] specifies.
 //!

@@ -3,8 +3,9 @@
 //!
 //! The paper assumes a distributed-memory processor network in which a
 //! balancing operation costs constant time (arguing that wormhole routing
-//! makes transfer distance negligible).  This crate supplies that machine
-//! in three forms:
+//! makes transfer distance negligible).  This crate supplies that machine,
+//! stepped synchronously ([`engine`]) or by messages on a simulated clock
+//! ([`desim`]):
 //!
 //! * [`topology`] — interconnect graphs (complete, ring, 2-D torus,
 //!   hypercube, de Bruijn, star, circulant) with hop-distance queries, so
@@ -16,10 +17,6 @@
 //! * [`desim`] — an asynchronous discrete-event simulator of the §5
 //!   message protocol with latency, fault injection (`dlb-faults`) and a
 //!   hardened timeout/retry state machine;
-//! * [`runtime`] — a real threaded message-passing runtime: one OS thread
-//!   per processor, work packets in per-worker queues, balancing by the
-//!   paper's trigger rule, with injected crash/rejoin and queue
-//!   redistribution, used by the branch-and-bound example;
 //! * [`rng`] — deterministic per-entity ChaCha streams.
 
 // Two audited exceptions carry `#[allow(unsafe_code)]`: the calls in
@@ -32,11 +29,9 @@ pub mod desim;
 pub mod engine;
 pub mod equeue;
 pub mod rng;
-pub mod runtime;
 pub mod topology;
 
 pub use desim::{AsyncConfig, AsyncNetwork, AsyncStats, MAX_LATENCY};
 pub use engine::{CommStats, PartnerMode, TopoCluster, TopoRule};
 pub use equeue::CalendarQueue;
-pub use runtime::{RuntimeConfig, RuntimeStats, ThreadedRuntime};
 pub use topology::Topology;

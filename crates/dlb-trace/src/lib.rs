@@ -16,9 +16,6 @@
 //! * [`RunOrderedWriter`] — one JSONL file that concurrent runs stream
 //!   into through per-run handles, written in run-index order.
 //!
-//! Events carry a logical step/time so multi-threaded producers can
-//! buffer locally and merge deterministically ([`merge_by_clock`]).
-//!
 //! The line format is versioned ([`SCHEMA_VERSION`]); parsers reject
 //! lines they cannot round-trip, so the schema cannot drift silently.
 
@@ -52,8 +49,7 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// One observable event in a simulation run.
 ///
 /// `step` is the substrate's logical clock: the driver step for the
-/// synchronous clusters, simulated time for the desim event loop, and
-/// packets-processed for the threaded runtime.
+/// synchronous clusters and simulated time for the desim event loop.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A run began; carries enough of the configuration to make the
@@ -858,24 +854,6 @@ impl<W: std::io::Write> Drop for RunSink<W> {
     }
 }
 
-/// Deterministically merges per-producer event streams by logical
-/// clock.
-///
-/// Each stream is a producer's locally-ordered `(clock, event)` buffer.
-/// Events are ordered by `(clock, producer index, position)` — a total
-/// order independent of thread scheduling, so the merged trace of a
-/// threaded run is reproducible.
-pub fn merge_by_clock(streams: Vec<Vec<(u64, TraceEvent)>>) -> Vec<TraceEvent> {
-    let mut keyed: Vec<(u64, usize, usize, TraceEvent)> = Vec::new();
-    for (producer, stream) in streams.into_iter().enumerate() {
-        for (pos, (clock, event)) in stream.into_iter().enumerate() {
-            keyed.push((clock, producer, pos, event));
-        }
-    }
-    keyed.sort_by_key(|&(clock, producer, pos, _)| (clock, producer, pos));
-    keyed.into_iter().map(|(_, _, _, e)| e).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1307,29 +1285,5 @@ mod tests {
         }
         assert_eq!(buf.take(), sample_events());
         assert!(buf.take().is_empty());
-    }
-
-    #[test]
-    fn merge_by_clock_is_deterministic_and_clock_ordered() {
-        let a = vec![
-            (1, TraceEvent::RunFinished { run: 0 }),
-            (5, TraceEvent::RunFinished { run: 1 }),
-        ];
-        let b = vec![
-            (1, TraceEvent::RunFinished { run: 2 }),
-            (3, TraceEvent::RunFinished { run: 3 }),
-        ];
-        let merged = merge_by_clock(vec![a.clone(), b.clone()]);
-        // Clock 1: producer 0 before producer 1; then clocks 3, 5.
-        let runs: Vec<u64> = merged
-            .iter()
-            .map(|e| match e {
-                TraceEvent::RunFinished { run } => *run,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(runs, vec![0, 2, 3, 1]);
-        // Stream order in, same answer out — keyed by producer index.
-        assert_eq!(merged, merge_by_clock(vec![a, b]));
     }
 }

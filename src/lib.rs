@@ -9,14 +9,12 @@
 //! * [`theory`] — operators, fixed points, theorem and cost bounds,
 //!   variation-density engines.
 //! * [`net`] — topologies, synchronous and asynchronous network
-//!   simulators, threaded runtime.
+//!   simulators.
 //! * [`faults`] — seeded deterministic fault plans and injection
 //!   (message loss, duplication, jitter, crashes, partitions).
 //! * [`json`] — the dependency-free JSON layer the tools serialise with.
 //! * [`workload`] — load-pattern generators including the paper's §7 model.
 //! * [`baselines`] — comparison balancers.
-//! * [`bnb`] — parallel best-first branch & bound on the balancing
-//!   runtime (the paper's motivating application).
 //!
 //! See the `examples/` directory for runnable entry points and
 //! `EXPERIMENTS.md` for the paper-versus-measured record.
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub use dlb_baselines as baselines;
-pub use dlb_bnb as bnb;
 pub use dlb_core as core;
 pub use dlb_faults as faults;
 pub use dlb_json as json;

@@ -270,27 +270,6 @@ fn practical_rules_pinned() {
     assert_eq!(weighted.loads(), vec![1, 1, 1, 2, 2, 3, 5, 3]);
 }
 
-/// The branch & bound application layer finds verified optima while the
-/// runtime balances the subproblem pools (the paper's [7, 8] workloads).
-#[test]
-fn branch_and_bound_applications_end_to_end() {
-    use dlb::bnb::{knapsack::Knapsack, nqueens::NQueens, tsp::Tsp, Solver};
-    let solver = Solver::with_workers(4);
-
-    let tsp = Tsp::random(11, 2);
-    assert_eq!(
-        solver.solve(&tsp).best_value,
-        Some(tsp.optimum_by_held_karp())
-    );
-
-    let ks = Knapsack::random(17, 35, 3);
-    assert_eq!(solver.solve(&ks).best_value, Some(ks.optimum_by_dp()));
-
-    let (count, stats) = solver.count_solutions(&NQueens::new(8));
-    assert_eq!(count, 92);
-    assert!(stats.total_processed() > 92);
-}
-
 /// The asynchronous protocol at latency 1 approaches the synchronous
 /// simulator's balance quality on the same workload intensity.
 #[test]
