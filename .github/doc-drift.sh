@@ -165,7 +165,7 @@ embeds EXPERIMENTS.md '<!-- service:begin -->' '<!-- service:end -->' \
     "results/service_diurnal_sim.json as .github/bench-table.sh service renders it" < <(bash .github/bench-table.sh service)
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=64936
+design_ceiling=64807
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

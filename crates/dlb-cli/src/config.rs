@@ -2,8 +2,10 @@
 //! size, balancing strategy, workload, horizon, optional fault plan — so
 //! experiments can be driven without writing Rust.
 
+use dlb_core::Params;
 use dlb_faults::FaultPlan;
 use dlb_json::{FromJson, Json, ToJson};
+use dlb_workload::phase::PhaseConfig;
 use dlb_workload::sparse::SparsePattern;
 
 /// A complete runnable scenario.
@@ -369,6 +371,126 @@ kind_table! { WorkloadConfig, "workload":
     },
 }
 
+impl TopologyConfig {
+    /// Vertices of this topology on a network of `n` (`None` when the
+    /// count does not fit a `usize`).
+    fn vertices(&self, n: usize) -> Option<usize> {
+        match *self {
+            Self::Complete | Self::Ring | Self::Star => Some(n),
+            Self::Torus { w, h } => w.checked_mul(h),
+            Self::Hypercube { dim } | Self::DeBruijn { dim } => 1usize.checked_shl(dim),
+        }
+    }
+}
+
+impl StrategyConfig {
+    /// The interconnect this strategy runs on, if it names one.
+    fn topology(&self) -> Option<&TopologyConfig> {
+        match self {
+            Self::Topo { topology, .. }
+            | Self::Diffusion { topology, .. }
+            | Self::Gradient { topology, .. }
+            | Self::Quasirandom { topology }
+            | Self::DynamicAveraging { topology }
+            | Self::LocallyOptimal { topology }
+            | Self::DimensionExchange { topology } => Some(topology),
+            _ => None,
+        }
+    }
+
+    /// Checks this strategy on `n` processors, as a league contender
+    /// when `league`; `key` leads the error.
+    fn validate(&self, key: &str, n: usize, league: bool) -> Result<(), String> {
+        match self {
+            Self::Full { delta, f, .. }
+            | Self::Simple { delta, f }
+            | Self::Async { delta, f, .. }
+            | Self::Weighted { delta, f, .. }
+            | Self::Topo { delta, f, .. } => {
+                Params::new(n, *delta, *f, 4).map_err(|e| format!("{key}: {e}"))?;
+            }
+            _ => {}
+        }
+        if let Some(topology) = self.topology() {
+            let vertices = topology.vertices(n);
+            if vertices != Some(n) {
+                let count = vertices.map_or("more than usize::MAX".to_string(), |v| v.to_string());
+                return Err(format!(
+                    "{key}.topology: {} has {count} vertices but n = {n}",
+                    topology.kind()
+                ));
+            }
+        }
+        match self {
+            Self::Weighted { speeds, .. } if speeds.len() != n => Err(format!(
+                "{key}.speeds: needs {n} speeds, got {}",
+                speeds.len()
+            )),
+            Self::Weighted { speeds, .. }
+                if speeds.contains(&0)
+                    || speeds
+                        .iter()
+                        .try_fold(0u64, |sum, &s| sum.checked_add(s))
+                        .is_none() =>
+            {
+                Err(format!(
+                    "{key}.speeds: must be positive with a sum below 2^64"
+                ))
+            }
+            Self::Async { .. } if league => Err(format!(
+                "{key}: the balancer league runs synchronous steps; \
+                 \"async\" cannot be a league contender"
+            )),
+            Self::Async { latency, .. } if *latency > dlb_net::MAX_LATENCY => Err(format!(
+                "{key}.latency = {latency} must be at most {}",
+                dlb_net::MAX_LATENCY
+            )),
+            Self::Diffusion { alpha, .. } if !(*alpha > 0.0 && *alpha <= 0.5) => {
+                Err(format!("{key}.alpha = {alpha} must lie in (0, 0.5]"))
+            }
+            Self::Gradient { low, high, .. } if low >= high => {
+                Err(format!("{key}.low = {low} must be below high = {high}"))
+            }
+            Self::DimensionExchange {
+                topology:
+                    TopologyConfig::Complete | TopologyConfig::DeBruijn { .. } | TopologyConfig::Star,
+            } => Err(format!(
+                "{key}.topology: dimension-exchange needs a hypercube, torus or ring"
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl WorkloadConfig {
+    /// Checks this workload on `n` processors; `workload` leads the
+    /// error.
+    fn validate(&self, n: usize) -> Result<(), String> {
+        match *self {
+            Self::Phase { g, c, len } => PhaseConfig { g, c, len }
+                .validate()
+                .map_err(|e| format!("workload: {e}")),
+            Self::OneProducer { producer } if producer >= n => Err(format!(
+                "workload.producer = {producer} out of range (n = {n})"
+            )),
+            Self::Uniform { p_gen, p_con }
+                if !(p_gen >= 0.0 && p_con >= 0.0 && p_gen + p_con <= 1.0) =>
+            {
+                Err("workload: uniform needs p_gen, p_con >= 0 and p_gen + p_con <= 1".into())
+            }
+            Self::MovingHotspot { period: 0, .. } => {
+                Err("workload.period: must be positive".into())
+            }
+            Self::MovingHotspot { p_con, .. } if !(0.0..=1.0).contains(&p_con) => {
+                Err(format!("workload.p_con = {p_con} must lie in [0, 1]"))
+            }
+            Self::Split { swap_every: 0 } => Err("workload.swap_every: must be positive".into()),
+            Self::Sparse { pattern } => pattern.validate().map_err(|e| format!("workload: {e}")),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl ToJson for Scenario {
     fn to_json(&self) -> Json {
         let mut obj = vec![
@@ -440,7 +562,9 @@ impl Scenario {
         ToJson::to_json(self).render_pretty()
     }
 
-    /// Checks cross-field constraints.
+    /// Checks every constraint a run relies on, naming the key that
+    /// breaks it.  Field checks only: refusing a scenario builds nothing,
+    /// so the builders in `run.rs` never fail.
     pub fn validate(&self) -> Result<(), String> {
         if self.n < 2 {
             return Err("n: need at least 2 processors".into());
@@ -454,49 +578,14 @@ impl Scenario {
         if !(0.0..1.0).contains(&self.warmup_fraction) {
             return Err("warmup_fraction must lie in [0, 1)".into());
         }
+        let league = !self.balancer.is_empty();
         let entries = self.balancer.iter().enumerate();
         let strategies = std::iter::once(("strategy".to_string(), &self.strategy))
             .chain(entries.map(|(i, s)| (format!("balancer[{i}]"), s)));
         for (key, strategy) in strategies {
-            match strategy {
-                StrategyConfig::Weighted { speeds, .. } if speeds.len() != self.n => {
-                    return Err(format!(
-                        "{key}.speeds: needs {} speeds, got {}",
-                        self.n,
-                        speeds.len()
-                    ));
-                }
-                StrategyConfig::Weighted { speeds, .. }
-                    if speeds.contains(&0)
-                        || speeds
-                            .iter()
-                            .try_fold(0u64, |sum, &s| sum.checked_add(s))
-                            .is_none() =>
-                {
-                    return Err(format!(
-                        "{key}.speeds: must be positive with a sum below 2^64"
-                    ));
-                }
-                StrategyConfig::Async { .. } if !self.balancer.is_empty() => {
-                    return Err(format!(
-                        "{key}: the balancer league runs synchronous steps; \
-                         \"async\" cannot be a league contender"
-                    ));
-                }
-                _ => {}
-            }
+            strategy.validate(&key, self.n, league)?;
         }
-        if let WorkloadConfig::Sparse { pattern } = &self.workload {
-            pattern.validate().map_err(|e| format!("workload: {e}"))?;
-        }
-        if let StrategyConfig::Async { latency, .. } = self.strategy {
-            if latency > dlb_net::MAX_LATENCY {
-                return Err(format!(
-                    "strategy.latency = {latency} must be at most {}",
-                    dlb_net::MAX_LATENCY
-                ));
-            }
-        }
+        self.workload.validate(self.n)?;
         if let Some(faults) = &self.faults {
             faults
                 .validate(self.n)
@@ -917,21 +1006,23 @@ mod tests {
     }
 
     /// Runs `scenario` as `dlb run` does when it is small enough to run
-    /// in a test.  Either result is fine; a panic fails the test.
-    fn run_if_small(scenario: &Scenario) {
-        if scenario.n <= 64 && scenario.steps <= 8 && scenario.runs <= 2 {
-            let opts = crate::run::RunOptions::default();
-            if scenario.balancer.is_empty() {
-                crate::run::execute_with(scenario, &opts).ok();
-            } else {
-                crate::run::execute_league(scenario, &opts).ok();
-            }
+    /// in a test.  A scenario that validated must run to `Ok`.
+    fn run_if_small(scenario: &Scenario) -> Result<(), String> {
+        if scenario.n > 64 || scenario.steps > 8 || scenario.runs > 2 {
+            return Ok(());
+        }
+        let opts = crate::run::RunOptions::default();
+        if scenario.balancer.is_empty() {
+            crate::run::execute_with(scenario, &opts).map(drop)
+        } else {
+            crate::run::execute_league(scenario, &opts).map(drop)
         }
     }
 
     proptest::proptest! {
         /// Arbitrary bytes, and committed scenarios with a byte range
-        /// overwritten: `Ok` or `Err`, never a panic.
+        /// overwritten: refused, or (when small) run to `Ok`; never a
+        /// panic.
         #[test]
         fn arbitrary_bytes_never_panic_the_loader(
             bytes in proptest::collection::vec(proptest::any::<u8>(), 0..512),
@@ -945,13 +1036,14 @@ mod tests {
             let end = (at + bytes.len()).min(text.len());
             text.splice(at..end, bytes.iter().copied());
             if let Ok(scenario) = Scenario::from_json(&String::from_utf8_lossy(&text)) {
-                run_if_small(&scenario);
+                let ran = run_if_small(&scenario);
+                proptest::prop_assert!(ran.is_ok(), "{ran:?}\n    in {scenario:?}");
             }
         }
 
         /// Every committed scenario, structurally mutated at one node:
-        /// `Ok` (and, when small, a run to `Ok` or `Err`) or an `Err`
-        /// that names a key, never a panic.
+        /// `Ok` (and, when small, a run to `Ok`) or an `Err` that names a
+        /// key, never a panic.
         #[test]
         fn mutated_scenarios_fail_by_key_or_run(
             node in proptest::any::<usize>(),
@@ -986,7 +1078,10 @@ mod tests {
                 };
                 let text = mutant.render();
                 match Scenario::from_json(&text) {
-                    Ok(scenario) => run_if_small(&scenario),
+                    Ok(scenario) => {
+                        let ran = run_if_small(&scenario);
+                        proptest::prop_assert!(ran.is_ok(), "{ran:?}\n    in {text}");
+                    }
                     Err(err) => proptest::prop_assert!(names_a_key(&err), "{err}\n    in {text}"),
                 }
             }
@@ -1025,8 +1120,8 @@ mod tests {
         // `p_con = -1` panicked the hotspot's coin flip.
         let hotspot = r#"{"kind":"moving-hotspot","period":2,"p_con":-1}"#;
         assert_eq!(
-            run(&doc(simple, hotspot)).unwrap_err(),
-            "hotspot p_con must lie in [0, 1]"
+            Scenario::from_json(&doc(simple, hotspot)).unwrap_err(),
+            "workload.p_con = -1 must lie in [0, 1]"
         );
         // `C = 2^64 - 1` overflowed the settlement bound `C + 2`.
         let full = r#"{"kind":"full","delta":1,"f":1.1,"c":18446744073709551615}"#;
@@ -1035,14 +1130,59 @@ mod tests {
         let league = doc(full, r#"{"kind":"phase"},"balancer":[{"kind":"none"}]"#);
         let league = Scenario::from_json(&league).unwrap();
         assert!(crate::run::execute_league(&league, &RunOptions::default()).is_ok());
-        // `1e308` renders as 309 digits, which came back as "bad number".
+        // `1e308` renders as 309 digits, which came back as "bad number":
+        // it parses, and the range check refuses it.
         let huge = format!(r#"{{"kind":"phase","g":[0.1,1{}]}}"#, "0".repeat(308));
-        assert!(run(&doc(simple, &huge)).is_err());
+        let err = Scenario::from_json(&doc(simple, &huge)).unwrap_err();
+        assert!(err.starts_with("workload: generation range"), "{err}");
         // 200 000 `[` overflowed the parser's stack and aborted.
         let deep = doc(&"[".repeat(200_000), r#"{"kind":"phase"}"#);
         assert!(Scenario::from_json(&deep)
             .unwrap_err()
             .starts_with("nesting deeper than"));
+    }
+
+    /// What the builders used to refuse mid-run — after `dlb run` had
+    /// printed `running:` and truncated the trace, naming no key — or
+    /// never refused: a wrapped vertex count panicked (hypercube, torus)
+    /// or ran a graph that was never built (de Bruijn).  Each is refused
+    /// by the parser, its key leading the message.
+    #[test]
+    fn every_build_time_refusal_is_refused_by_key() {
+        const SIMPLE: &str = r#"{"kind":"simple","delta":1,"f":1.1}"#;
+        const UNIFORM: &str = r#"{"kind":"uniform","p_gen":0.5,"p_con":0.3}"#;
+        // (key, n, strategy, workload); a league rides in the workload slot.
+        #[rustfmt::skip]
+        const CASES: [(&str, usize, &str, &str); 19] = [
+            ("strategy.alpha", 8, r#"{"kind":"diffusion","topology":{"kind":"ring"},"alpha":0}"#, UNIFORM),
+            ("strategy.alpha", 8, r#"{"kind":"diffusion","topology":{"kind":"ring"},"alpha":0.9}"#, UNIFORM),
+            ("strategy.low", 8, r#"{"kind":"gradient","topology":{"kind":"ring"},"low":8,"high":8}"#, UNIFORM),
+            ("strategy.topology", 8, r#"{"kind":"dimension-exchange","topology":{"kind":"star"}}"#, UNIFORM),
+            ("strategy.topology", 8, r#"{"kind":"quasirandom","topology":{"kind":"hypercube","dim":4}}"#, UNIFORM),
+            ("strategy.topology", 2, r#"{"kind":"quasirandom","topology":{"kind":"hypercube","dim":64}}"#, UNIFORM),
+            ("strategy.topology", 2, r#"{"kind":"quasirandom","topology":{"kind":"hypercube","dim":65}}"#, UNIFORM),
+            ("strategy.topology", 2, r#"{"kind":"topo","delta":1,"f":1.1,"topology":{"kind":"de-bruijn","dim":64}}"#, UNIFORM),
+            ("strategy.topology", 2, r#"{"kind":"topo","delta":1,"f":1.1,"topology":{"kind":"de-bruijn","dim":65}}"#, UNIFORM),
+            ("strategy.topology", 4, r#"{"kind":"quasirandom","topology":{"kind":"torus","w":9223372036854775810,"h":2}}"#, UNIFORM),
+            ("balancer[0].topology", 8, SIMPLE, r#"{"kind":"phase"},"balancer":[{"kind":"locally-optimal","topology":{"kind":"de-bruijn","dim":2}}]"#),
+            ("strategy:", 8, r#"{"kind":"simple","delta":8,"f":1.1}"#, UNIFORM),
+            ("strategy:", 8, r#"{"kind":"full","delta":1,"f":0.5}"#, UNIFORM),
+            ("workload.producer", 8, SIMPLE, r#"{"kind":"one-producer","producer":8}"#),
+            ("workload:", 8, SIMPLE, r#"{"kind":"uniform","p_gen":0.7,"p_con":0.5}"#),
+            ("workload.period", 8, SIMPLE, r#"{"kind":"moving-hotspot","period":0,"p_con":0.2}"#),
+            ("workload.p_con", 8, SIMPLE, r#"{"kind":"moving-hotspot","period":3,"p_con":1.5}"#),
+            ("workload.swap_every", 8, SIMPLE, r#"{"kind":"split","swap_every":0}"#),
+            ("workload:", 8, SIMPLE, r#"{"kind":"phase","len":[0,10]}"#),
+        ];
+        for (key, n, strategy, workload) in CASES {
+            let text =
+                format!(r#"{{"n":{n},"steps":6,"strategy":{strategy},"workload":{workload}}}"#);
+            let err = Scenario::from_json(&text).expect_err(&text);
+            assert!(
+                err.starts_with(key) && names_a_key(&err),
+                "{err}\n    in {text}"
+            );
+        }
     }
 
     /// The `kind_table!` rows against literal documents: every kind

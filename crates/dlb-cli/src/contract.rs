@@ -86,7 +86,7 @@ fn every_kind() -> Vec<StrategyConfig> {
 }
 
 fn build(config: &StrategyConfig) -> Box<dyn LoadBalancer> {
-    build_strategy_config(config, N, 7).expect("every_kind fits N")
+    build_strategy_config(config, N, 7)
 }
 
 fn decode(row: &[u8]) -> Vec<LoadEvent> {

@@ -119,44 +119,45 @@ impl Report {
     }
 }
 
-fn build_topology(config: &TopologyConfig, n: usize) -> Result<Topology, String> {
-    let topo = match *config {
+// The builders below construct what `Scenario::validate` has already
+// admitted, so none of them can fail.
+
+fn build_topology(config: &TopologyConfig, n: usize) -> Topology {
+    match *config {
         TopologyConfig::Complete => Topology::Complete { n },
         TopologyConfig::Ring => Topology::Ring { n },
         TopologyConfig::Torus { w, h } => Topology::Torus2D { w, h },
         TopologyConfig::Hypercube { dim } => Topology::Hypercube { dim },
         TopologyConfig::DeBruijn { dim } => Topology::DeBruijn { dim },
         TopologyConfig::Star => Topology::Star { n },
-    };
-    if topo.n() != n {
-        return Err(format!("topology has {} vertices but n = {n}", topo.n()));
     }
-    Ok(topo)
 }
 
-fn build_strategy(scenario: &Scenario, seed: u64) -> Result<Box<dyn LoadBalancer>, String> {
-    build_strategy_config(&scenario.strategy, scenario.n, seed)
-}
-
+/// The balancer `config` names on `n` processors, drawing from `seed`.
+///
+/// # Panics
+///
+/// Panics on an `async` config, which runs on the event simulator.
 pub(crate) fn build_strategy_config(
     config: &StrategyConfig,
     n: usize,
     seed: u64,
-) -> Result<Box<dyn LoadBalancer>, String> {
-    let params =
-        |delta: usize, f: f64, c: usize| Params::new(n, delta, f, c).map_err(|e| e.to_string());
-    Ok(match config {
+) -> Box<dyn LoadBalancer> {
+    let params = |delta: usize, f: f64, c: usize| {
+        Params::new(n, delta, f, c).expect("Scenario::validate admitted (n, delta, f)")
+    };
+    match config {
         StrategyConfig::Full { delta, f, c } => {
-            Box::new(Cluster::new(params(*delta, *f, *c)?, seed))
+            Box::new(Cluster::new(params(*delta, *f, *c), seed))
         }
         StrategyConfig::Simple { delta, f } => {
-            Box::new(SimpleCluster::new(params(*delta, *f, 4)?, seed))
+            Box::new(SimpleCluster::new(params(*delta, *f, 4), seed))
         }
         StrategyConfig::Async { .. } => {
-            return Err("async strategy runs on the event simulator, not a LoadBalancer".into())
+            unreachable!("async strategy runs on the event simulator, not a LoadBalancer")
         }
         StrategyConfig::Weighted { delta, f, speeds } => Box::new(WeightedCluster::new(
-            params(*delta, *f, 4)?,
+            params(*delta, *f, 4),
             speeds.clone(),
             seed,
         )),
@@ -166,114 +167,72 @@ pub(crate) fn build_strategy_config(
             topology,
             neighbors_only,
         } => {
-            let topo = build_topology(topology, n)?;
             let mode = if *neighbors_only {
                 PartnerMode::Neighbors
             } else {
                 PartnerMode::GlobalRandom
             };
-            let rule = TopoRule::new(topo, mode);
-            Box::new(TopoCluster::with_rule(params(*delta, *f, 4)?, rule, seed))
+            let rule = TopoRule::new(build_topology(topology, n), mode);
+            Box::new(TopoCluster::with_rule(params(*delta, *f, 4), rule, seed))
         }
         StrategyConfig::Rsu91 => Box::new(Rsu91::new(n, seed)),
         StrategyConfig::WorkStealing => Box::new(WorkStealing::new(n, seed)),
         StrategyConfig::RandomScatter => Box::new(RandomScatter::new(n, seed)),
         StrategyConfig::Diffusion { topology, alpha } => {
-            if !(*alpha > 0.0 && *alpha <= 0.5) {
-                return Err("diffusion alpha must lie in (0, 0.5]".into());
-            }
-            Box::new(Diffusion::new(build_topology(topology, n)?, *alpha))
+            Box::new(Diffusion::new(build_topology(topology, n), *alpha))
         }
         StrategyConfig::Gradient {
             topology,
             low,
             high,
-        } => {
-            if low >= high {
-                return Err("gradient watermarks must satisfy low < high".into());
-            }
-            Box::new(Gradient::new(build_topology(topology, n)?, *low, *high))
-        }
+        } => Box::new(Gradient::new(build_topology(topology, n), *low, *high)),
         StrategyConfig::Quasirandom { topology } => {
-            Box::new(Quasirandom::new(build_topology(topology, n)?))
+            Box::new(Quasirandom::new(build_topology(topology, n)))
         }
         StrategyConfig::DynamicAveraging { topology } => {
-            Box::new(DynamicAveraging::new(build_topology(topology, n)?, seed))
+            Box::new(DynamicAveraging::new(build_topology(topology, n), seed))
         }
         StrategyConfig::LocallyOptimal { topology } => {
-            Box::new(LocallyOptimal::new(build_topology(topology, n)?))
+            Box::new(LocallyOptimal::new(build_topology(topology, n)))
         }
         StrategyConfig::DimensionExchange { topology } => {
-            let topo = build_topology(topology, n)?;
-            if !matches!(
-                topo,
-                Topology::Hypercube { .. } | Topology::Torus2D { .. } | Topology::Ring { .. }
-            ) {
-                return Err("dimension-exchange needs a hypercube, torus or ring topology".into());
-            }
-            Box::new(DimensionExchange::new(topo))
+            Box::new(DimensionExchange::new(build_topology(topology, n)))
         }
         StrategyConfig::None => Box::new(NoBalance::new(n)),
-    })
+    }
 }
 
-fn build_workload(scenario: &Scenario, seed: u64) -> Result<Box<dyn Workload>, String> {
+fn build_workload(scenario: &Scenario, seed: u64) -> Box<dyn Workload> {
     let n = scenario.n;
-    Ok(match &scenario.workload {
-        WorkloadConfig::Phase { g, c, len } => {
-            let config = PhaseConfig {
-                g: *g,
-                c: *c,
-                len: *len,
-            };
-            config.validate()?;
-            Box::new(PhaseWorkload::new(n, scenario.steps, config, seed))
-        }
-        WorkloadConfig::OneProducer { producer } => {
-            if *producer >= n {
-                return Err(format!("producer {producer} out of range (n = {n})"));
-            }
-            Box::new(OneProducer::new(n, *producer))
-        }
+    match scenario.workload {
+        WorkloadConfig::Phase { g, c, len } => Box::new(PhaseWorkload::new(
+            n,
+            scenario.steps,
+            PhaseConfig { g, c, len },
+            seed,
+        )),
+        WorkloadConfig::OneProducer { producer } => Box::new(OneProducer::new(n, producer)),
         WorkloadConfig::Uniform { p_gen, p_con } => {
-            if *p_gen < 0.0 || *p_con < 0.0 || p_gen + p_con > 1.0 {
-                return Err("uniform workload needs p_gen + p_con <= 1".into());
-            }
-            Box::new(UniformRandom::new(n, *p_gen, *p_con, seed))
+            Box::new(UniformRandom::new(n, p_gen, p_con, seed))
         }
         WorkloadConfig::MovingHotspot { period, p_con } => {
-            if *period == 0 {
-                return Err("hotspot period must be positive".into());
-            }
-            if !(0.0..=1.0).contains(p_con) {
-                return Err("hotspot p_con must lie in [0, 1]".into());
-            }
-            Box::new(MovingHotspot::new(n, *period, *p_con, seed))
+            Box::new(MovingHotspot::new(n, period, p_con, seed))
         }
-        WorkloadConfig::Split { swap_every } => {
-            if *swap_every == 0 {
-                return Err("swap period must be positive".into());
-            }
-            Box::new(ProducerConsumerSplit::new(n, *swap_every))
-        }
-        WorkloadConfig::Sparse { pattern } => {
-            pattern.validate()?;
-            Box::new(SparseActivity::new(n, *pattern, seed))
-        }
-    })
+        WorkloadConfig::Split { swap_every } => Box::new(ProducerConsumerSplit::new(n, swap_every)),
+        WorkloadConfig::Sparse { pattern } => Box::new(SparseActivity::new(n, pattern, seed)),
+    }
 }
 
 /// The workload of one sync run in the form it is stepped: a
 /// sparse-capable workload's active list unless `dense`, else the dense
 /// vector (same seed ⇒ the identical event stream either way).
-fn run_workload(scenario: &Scenario, seed: u64, dense: bool) -> Result<RunWorkload, String> {
-    Ok(match &scenario.workload {
+fn run_workload(scenario: &Scenario, seed: u64, dense: bool) -> RunWorkload {
+    match scenario.workload {
         WorkloadConfig::Sparse { pattern } if !dense => {
-            pattern.validate()?;
-            RunWorkload::Active(Box::new(SparseActivity::new(scenario.n, *pattern, seed)))
+            RunWorkload::Active(Box::new(SparseActivity::new(scenario.n, pattern, seed)))
         }
-        _ => RunWorkload::Dense(build_workload(scenario, seed)?),
-    })
+        _ => RunWorkload::Dense(build_workload(scenario, seed)),
+    }
 }
 
 /// `(δ, f, C)` as announced in `RunStarted` (zeroes for baselines that
@@ -393,7 +352,7 @@ fn sync_run(
     r: usize,
     trace: Option<SharedSink>,
     opts: &RunOptions,
-) -> Result<RunOutcome, String> {
+) -> RunOutcome {
     let log = RefCell::new(StepLog::new(scenario, trace.clone(), opts.profile));
     let mut balancer = run_seeded(
         scenario.seed,
@@ -401,12 +360,12 @@ fn sync_run(
         scenario.steps,
         scenario.faults.as_ref(),
         |seed| {
-            let mut balancer = build_strategy(scenario, seed)?;
+            let mut balancer = build_strategy_config(&scenario.strategy, scenario.n, seed);
             if let Some(sink) = &trace {
                 sink.record(&run_started(scenario, r, seed, balancer.name()));
                 balancer.set_trace_sink(sink.clone());
             }
-            Ok(balancer)
+            balancer
         },
         |seed| {
             let workload = run_workload(scenario, seed, opts.dense);
@@ -417,8 +376,8 @@ fn sync_run(
             let ops = balancer.metrics().balance_ops;
             log.borrow_mut().record(t, balancer.load_summary(), ops);
         },
-    )?;
-    Ok(RunOutcome {
+    );
+    RunOutcome {
         recorder: log.into_inner().finish(r),
         strategy: balancer.name().to_string(),
         ops: balancer.metrics().balance_ops,
@@ -427,7 +386,7 @@ fn sync_run(
         final_total: balancer.load_summary().total,
         stats: None,
         lost: 0,
-    })
+    }
 }
 
 /// One run of the async (message-level) strategy through
@@ -446,11 +405,12 @@ fn async_run(
         scenario.steps,
         scenario.faults.as_ref(),
         |seed| {
-            let params = Params::new(scenario.n, delta, f, 4).map_err(|e| e.to_string())?;
+            let params = Params::new(scenario.n, delta, f, 4)
+                .expect("Scenario::validate admitted (n, delta, f)");
             if let Some(sink) = &trace {
                 sink.record(&run_started(scenario, r, seed, "spaa93-async"));
             }
-            Ok((AsyncConfig::reliable(params, latency, seed), trace.clone()))
+            (AsyncConfig::reliable(params, latency, seed), trace.clone())
         },
         |seed| {
             let workload = build_workload(scenario, seed);
@@ -500,7 +460,8 @@ fn finish_trace(
 
 /// Runs a scenario under explicit [`RunOptions`]: `jobs` worker
 /// threads (identical output for every value) and an optional JSONL
-/// trace, created before the first run and written in run-index order.
+/// trace, created once the scenario validates, before the first run,
+/// and written in run-index order.
 pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
     scenario.validate()?;
     let writer = create_trace(&opts.trace)?;
@@ -513,7 +474,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
         let trace = writer.as_ref().map(|w| w.handle(r));
         match async_cfg {
             Some(cfg) => async_run(scenario, r, trace, opts, cfg),
-            None => sync_run(scenario, r, trace, opts),
+            None => Ok(sync_run(scenario, r, trace, opts)),
         }
     });
 
@@ -565,12 +526,9 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
 pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
     scenario.validate()?;
     let n = scenario.n;
-    build_workload(scenario, 0)?; // eager validation, once, off the hot path
-
     let mut contenders: Vec<Contender> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for config in std::iter::once(&scenario.strategy).chain(&scenario.balancer) {
-        build_strategy_config(config, n, 0)?; // eager validation
         let base = config.kind();
         let dups = labels.iter().filter(|l| l.as_str() == base).count();
         let label = if dups == 0 {
@@ -581,7 +539,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
         labels.push(base.to_string());
         let config = config.clone();
         contenders.push(Contender::new(&label, move |seed| {
-            build_strategy_config(&config, n, seed).expect("contender validated above")
+            build_strategy_config(&config, n, seed)
         }));
     }
 
@@ -599,7 +557,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     let rows = run_league(
         &cfg,
         &contenders,
-        |seed| run_workload(scenario, seed, opts.dense).expect("workload validated above"),
+        |seed| run_workload(scenario, seed, opts.dense),
         writer.as_ref(),
     );
     finish_trace(writer, &opts.trace)?;
@@ -608,7 +566,7 @@ pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, 
     // is the full algorithm (it alone runs decrease simulations).
     let budget = match &scenario.strategy {
         StrategyConfig::Full { delta, f, c } => {
-            lemma6_budget(Params::new(n, *delta, *f, *c).map_err(|e| e.to_string())?)
+            lemma6_budget(Params::new(n, *delta, *f, *c).expect("validated above"))
         }
         _ => None,
     };
@@ -918,6 +876,40 @@ mod tests {
         }
         let took = started.elapsed();
         assert!(took.as_secs() < 5, "refused only after {took:?}");
+    }
+
+    /// A scenario `Scenario::validate` refuses is refused before the
+    /// trace is opened, so an existing file keeps its bytes.  A plain run
+    /// used to truncate it and only then fail in a builder.
+    #[test]
+    fn a_refused_scenario_leaves_an_existing_trace_untouched() {
+        let dir = std::env::temp_dir().join("dlb_cli_refused_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.jsonl");
+        let before = b"an earlier run's trace\n";
+        std::fs::write(&path, before).unwrap();
+        let opts = RunOptions {
+            trace: Some(path.to_string_lossy().into_owned()),
+            ..RunOptions::default()
+        };
+        let diffusion = StrategyConfig::Diffusion {
+            topology: TopologyConfig::Ring,
+            alpha: 0.9,
+        };
+        let mut league = league_scenario();
+        league.balancer.push(diffusion.clone());
+        let plain = small_scenario(diffusion, league.workload.clone());
+        for (err, key) in [
+            (execute_with(&plain, &opts).unwrap_err(), "strategy.alpha"),
+            (
+                execute_league(&league, &opts).unwrap_err(),
+                "balancer[2].alpha",
+            ),
+        ] {
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{key}");
+            assert!(err.starts_with(key), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A scenario with a three-way league: the full algorithm vs two

@@ -56,23 +56,23 @@ pub fn plan_for_run(plan: &FaultPlan, run: u64) -> FaultPlan {
 /// balancer `steps` times, handing it to `observe(t, balancer)` after
 /// each step.  What a run announces, records and reduces is the
 /// caller's; the finished balancer is returned for its end-of-run
-/// metrics.  A factory's error, or a fault plan that does not validate,
-/// is returned before the first step.
+/// metrics.
 ///
 /// # Panics
 ///
-/// Panics when the balancer and the workload disagree on `n`.
+/// Panics when the balancer and the workload disagree on `n`, or the
+/// fault plan does not validate for it.
 pub fn run_seeded<B: LoadBalancer + ?Sized>(
     seed: u64,
     run: u64,
     steps: usize,
     faults: Option<&FaultPlan>,
-    make_balancer: impl FnOnce(u64) -> Result<Box<B>, String>,
-    make_workload: impl FnOnce(u64) -> Result<RunWorkload, String>,
+    make_balancer: impl FnOnce(u64) -> Box<B>,
+    make_workload: impl FnOnce(u64) -> RunWorkload,
     mut observe: impl FnMut(usize, &mut B),
-) -> Result<Box<B>, String> {
-    let mut balancer = make_balancer(stream_seed(seed, run, StreamId::Balancer))?;
-    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload))?;
+) -> Box<B> {
+    let mut balancer = make_balancer(stream_seed(seed, run, StreamId::Balancer));
+    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload));
     let n = balancer.n();
     let workload_n = match &workload {
         RunWorkload::Dense(w) => w.n(),
@@ -81,10 +81,9 @@ pub fn run_seeded<B: LoadBalancer + ?Sized>(
     assert_eq!(n, workload_n, "balancer/workload size mismatch");
     // Synchronous engines take the fault plan as a per-step crash mask
     // (message faults do not apply to atomic balancing operations).
-    let injector = match faults {
-        Some(plan) => Some(FaultInjector::new(plan_for_run(plan, run), n)?),
-        None => None,
-    };
+    let injector = faults.map(|plan| {
+        FaultInjector::new(plan_for_run(plan, run), n).expect("a fault plan valid for n")
+    });
     let mut masks = injector.as_ref().map(MaskCursor::new);
     let (mut events, mut active) = (Vec::new(), Vec::new());
     for t in 0..steps {
@@ -101,7 +100,7 @@ pub fn run_seeded<B: LoadBalancer + ?Sized>(
         balancer.step_events(step, masks.as_mut().map(|m| m.at(t as u64)));
         observe(t, &mut balancer);
     }
-    Ok(balancer)
+    balancer
 }
 
 /// One seeded run of the message-level simulator, as [`run_seeded`] is
@@ -113,32 +112,32 @@ pub fn run_seeded<B: LoadBalancer + ?Sized>(
 /// workload's events and is handed to `observe(t, net)` after each tick,
 /// then quiesces.  Conservation is checked after every tick and after
 /// quiescence, and no processor may hold a lock then: the first
-/// violation is returned before any further tick.  A factory's error, or
-/// a fault plan that does not validate, is returned before the first
-/// tick.
+/// violation is returned before any further tick.
 ///
 /// # Panics
 ///
-/// Panics when the network and the workload disagree on `n`, or the
-/// configuration's latency exceeds [`dlb_net::MAX_LATENCY`].
+/// Panics when the network and the workload disagree on `n`, the fault
+/// plan does not validate for it, or the configuration's latency exceeds
+/// [`dlb_net::MAX_LATENCY`].
 pub fn run_seeded_async<W: Workload + ?Sized>(
     seed: u64,
     run: u64,
     steps: usize,
     faults: Option<&FaultPlan>,
-    make_config: impl FnOnce(u64) -> Result<(AsyncConfig, Option<SharedSink>), String>,
-    make_workload: impl FnOnce(u64) -> Result<Box<W>, String>,
+    make_config: impl FnOnce(u64) -> (AsyncConfig, Option<SharedSink>),
+    make_workload: impl FnOnce(u64) -> Box<W>,
     mut observe: impl FnMut(usize, &AsyncNetwork),
 ) -> Result<AsyncNetwork, String> {
-    let (config, sink) = make_config(stream_seed(seed, run, StreamId::Balancer))?;
+    let (config, sink) = make_config(stream_seed(seed, run, StreamId::Balancer));
     let mut net = match faults {
-        Some(plan) => AsyncNetwork::with_faults(config, plan_for_run(plan, run))?,
+        Some(plan) => AsyncNetwork::with_faults(config, plan_for_run(plan, run))
+            .expect("a fault plan valid for n"),
         None => AsyncNetwork::new(config),
     };
     if let Some(sink) = sink {
         net.set_trace_sink(sink);
     }
-    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload))?;
+    let mut workload = make_workload(stream_seed(seed, run, StreamId::Workload));
     let mut events = Vec::new();
     for t in 0..steps {
         workload.events_at(t, &mut events);
@@ -306,9 +305,9 @@ pub fn run_league(
                     });
                     balancer.set_trace_sink(sink.clone());
                 }
-                Ok(balancer)
+                balancer
             },
-            |seed| Ok(workload(seed)),
+            &workload,
             |t, balancer| {
                 let summary = balancer.load_summary();
                 recorder.record_summary(summary, cfg.n);
@@ -319,8 +318,7 @@ pub fn run_league(
                     1.0
                 };
             },
-        )
-        .expect("valid fault plan");
+        );
         if let Some(sink) = &sink {
             sink.record(&TraceEvent::RunFinished { run: r });
             sink.flush();
@@ -637,8 +635,8 @@ mod tests {
                 run,
                 300,
                 Some(&plan),
-                |seed| Ok((AsyncConfig::reliable(params, 2, seed), None)),
-                |seed| Ok(Box::new(UniformRandom::new(8, 0.5, 0.3, seed))),
+                |seed| (AsyncConfig::reliable(params, 2, seed), None),
+                |seed| Box::new(UniformRandom::new(8, 0.5, 0.3, seed)),
                 |_, net| summaries.push(net.load_summary()),
             )
             .expect("sound run");

@@ -43,8 +43,8 @@ fn run_at(latency: u64, r: u64) -> (f64, AsyncStats) {
         r,
         STEPS,
         None,
-        |seed| Ok((AsyncConfig::reliable(params, latency, seed), None)),
-        |seed| Ok(Box::new(UniformRandom::new(N, 0.5, 0.3, seed))),
+        |seed| (AsyncConfig::reliable(params, latency, seed), None),
+        |seed| Box::new(UniformRandom::new(N, 0.5, 0.3, seed)),
         |t, net| {
             if t >= STEPS / 4 && t % 50 == 0 {
                 let s = net.load_summary();

@@ -16,9 +16,9 @@
 //! conservation after every tick and zero leaked locks after
 //! quiescence, so the sweep doubles as a protocol soundness harness.
 //! The workload is `uniform` (generate 50 %, consume 30 %, idle 20 %).
-//! All randomness is seeded: the same [`SweepConfig`] renders
-//! byte-identical JSON on every run (the determinism regression test
-//! relies on this).
+//! The sizes are constants and all randomness is seeded: every sweep
+//! renders byte-identical JSON, whatever its worker count (the
+//! determinism regression tests rely on this).
 
 use crate::arena::run_seeded_async;
 use crate::parallel::par_map;
@@ -27,72 +27,38 @@ use dlb_core::Params;
 use dlb_faults::{CrashEvent, CrashMode, FaultPlan};
 use dlb_json::{Json, ToJson};
 use dlb_net::{AsyncConfig, AsyncStats};
-use dlb_theory::ParamError;
 use dlb_workload::patterns::UniformRandom;
 
-/// Sweep dimensions and simulation sizes.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Processors.
-    pub n: usize,
-    /// Workload ticks per run (quiescence excluded).
-    pub steps: usize,
-    /// Message latency in ticks.
-    pub latency: u64,
-    /// Independent runs averaged per sweep point.
-    pub runs: usize,
-    /// Base seed of every run's network and workload streams (the fault
-    /// stream derives from `base.seed`).
-    pub seed: u64,
-    /// Base fault plan (its seed anchors the injector; the swept knob is
-    /// overridden per point).
-    pub base: FaultPlan,
-    /// Loss rates to sweep (applied to both message classes).
-    pub losses: Vec<f64>,
-    /// Crashed-processor counts to sweep.
-    pub crash_counts: Vec<usize>,
-    /// Worker threads for the per-cell Monte Carlo runs (the output is
-    /// bit-identical for every value; 1 = inline).
-    pub jobs: usize,
-}
+/// Processors.
+pub const N: usize = 32;
+/// Workload ticks per run (quiescence excluded).
+pub const STEPS: usize = 3_000;
+/// Message latency in ticks.
+pub const LATENCY: u64 = 4;
+/// Independent runs averaged per sweep point.
+pub const RUNS: usize = 3;
+/// Base seed of every run's network and workload streams (the fault
+/// stream derives from the plans' own seed, `FaultPlan::reliable()`'s).
+const SEED: u64 = 5;
+/// Loss rates to sweep (applied to both message classes).
+const LOSSES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
+/// Crashed-processor counts to sweep.
+const CRASH_COUNTS: [usize; 5] = [0, 1, 2, 4, 8];
 
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            n: 32,
-            steps: 3_000,
-            latency: 4,
-            runs: 3,
-            seed: 5,
-            base: FaultPlan::reliable(),
-            losses: vec![0.0, 0.05, 0.10, 0.15, 0.20],
-            crash_counts: vec![0, 1, 2, 4, 8],
-            jobs: 1,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The trigger parameters every cell runs with (δ = 2, f = 1.3,
-    /// C = 4); an error when `n` is too small for them.
-    pub fn params(&self) -> Result<Params, ParamError> {
-        Params::new(self.n, 2, 1.3, 4)
-    }
-
-    /// The crash sweep's plan at `count` crashed processors: evenly
-    /// spaced, frozen at `steps/4`, recovering at `3·steps/4`.
-    pub fn crash_plan(&self, count: usize) -> FaultPlan {
-        let mut plan = self.base.clone();
-        plan.crash_mode = CrashMode::Frozen;
-        let steps = self.steps as u64;
-        plan.crashes = (0..count)
+/// The crash sweep's plan at `count` crashed processors: evenly spaced,
+/// frozen at `STEPS/4`, recovering at `3·STEPS/4`.
+fn crash_plan(count: usize) -> FaultPlan {
+    let steps = STEPS as u64;
+    FaultPlan {
+        crash_mode: CrashMode::Frozen,
+        crashes: (0..count)
             .map(|i| CrashEvent {
-                proc: i * self.n / count.max(1),
+                proc: i * N / count.max(1),
                 at: steps / 4,
                 recover_at: Some(3 * steps / 4),
             })
-            .collect();
-        plan
+            .collect(),
+        ..FaultPlan::reliable()
     }
 }
 
@@ -136,8 +102,6 @@ impl ToJson for SweepPoint {
 /// Full sweep result.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
-    /// The configuration the sweep ran with.
-    pub config: SweepConfig,
     /// Quality vs message-loss probability.
     pub loss_sweep: Vec<SweepPoint>,
     /// Quality vs crashed-processor fraction.
@@ -151,12 +115,12 @@ impl ToJson for SweepResult {
             (
                 "config".into(),
                 Json::Obj(vec![
-                    ("n".into(), (self.config.n as u64).to_json()),
-                    ("steps".into(), self.config.steps.to_json()),
-                    ("latency".into(), self.config.latency.to_json()),
-                    ("runs".into(), self.config.runs.to_json()),
-                    ("seed".into(), self.config.seed.to_json()),
-                    ("fault_seed".into(), self.config.base.seed.to_json()),
+                    ("n".into(), (N as u64).to_json()),
+                    ("steps".into(), STEPS.to_json()),
+                    ("latency".into(), LATENCY.to_json()),
+                    ("runs".into(), RUNS.to_json()),
+                    ("seed".into(), SEED.to_json()),
+                    ("fault_seed".into(), FaultPlan::reliable().seed.to_json()),
                 ]),
             ),
             (
@@ -175,10 +139,7 @@ impl SweepResult {
     /// The two sweeps as chart series (x in percent).
     pub fn chart(&self) -> (ChartConfig, Vec<Series>) {
         let config = ChartConfig {
-            title: format!(
-                "Balance quality under faults ({} procs, latency {})",
-                self.config.n, self.config.latency
-            ),
+            title: format!("Balance quality under faults ({N} procs, latency {LATENCY})"),
             x_label: "fault rate (%)".into(),
             y_label: "avg max/mean load".into(),
             ..ChartConfig::default()
@@ -205,27 +166,28 @@ impl SweepResult {
     }
 }
 
-/// Runs one sweep cell: `runs` seeded simulations under `plan`.
+/// Runs one sweep cell: [`RUNS`] seeded simulations under `plan`, over
+/// `jobs` workers.
 ///
 /// # Panics
 ///
 /// Panics when conservation breaks or a lock leaks — that is the point:
 /// the experiment doubles as a soundness harness.
-pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
-    let params = cfg.params().expect("n admits the sweep's delta");
-    let per_run = par_map(cfg.jobs, cfg.runs, |run| {
+fn run_cell(plan: &FaultPlan, jobs: usize) -> SweepPoint {
+    let params = Params::new(N, 2, 1.3, 4).expect("N admits delta = 2");
+    let per_run = par_map(jobs, RUNS, |run| {
         let (mut ratio, mut samples) = (0.0, 0usize);
         let net = run_seeded_async(
-            cfg.seed,
+            SEED,
             run as u64,
-            cfg.steps,
+            STEPS,
             Some(plan),
-            |seed| Ok((AsyncConfig::reliable(params, cfg.latency, seed), None)),
-            |seed| Ok(Box::new(UniformRandom::new(cfg.n, 0.5, 0.3, seed))),
+            |seed| (AsyncConfig::reliable(params, LATENCY, seed), None),
+            |seed| Box::new(UniformRandom::new(N, 0.5, 0.3, seed)),
             |t, net| {
-                if t >= cfg.steps / 5 && t % 20 == 0 {
+                if t >= STEPS / 5 && t % 20 == 0 {
                     let s = net.load_summary();
-                    let mean = s.mean(cfg.n);
+                    let mean = s.mean(N);
                     if mean >= 1.0 {
                         ratio += s.max as f64 / mean;
                         samples += 1;
@@ -246,37 +208,37 @@ pub fn run_cell(cfg: &SweepConfig, plan: &FaultPlan) -> SweepPoint {
     }
     SweepPoint {
         x: 0.0,
-        quality: quality_acc / cfg.runs as f64,
+        quality: quality_acc / RUNS as f64,
         stats,
         lost_load,
     }
 }
 
-/// Runs the full sweep.
-pub fn sweep(cfg: &SweepConfig) -> SweepResult {
-    let loss_sweep = cfg
-        .losses
+/// Runs the full sweep over `jobs` workers (the output is bit-identical
+/// for every value; 1 = inline).
+pub fn sweep(jobs: usize) -> SweepResult {
+    let loss_sweep = LOSSES
         .iter()
         .map(|&loss| {
-            let mut plan = cfg.base.clone();
-            plan.loss = loss;
-            plan.transfer_loss = loss;
+            let plan = FaultPlan {
+                loss,
+                transfer_loss: loss,
+                ..FaultPlan::reliable()
+            };
             SweepPoint {
                 x: loss,
-                ..run_cell(cfg, &plan)
+                ..run_cell(&plan, jobs)
             }
         })
         .collect();
-    let crash_sweep = cfg
-        .crash_counts
+    let crash_sweep = CRASH_COUNTS
         .iter()
         .map(|&count| SweepPoint {
-            x: count as f64 / cfg.n as f64,
-            ..run_cell(cfg, &cfg.crash_plan(count))
+            x: count as f64 / N as f64,
+            ..run_cell(&crash_plan(count), jobs)
         })
         .collect();
     SweepResult {
-        config: cfg.clone(),
         loss_sweep,
         crash_sweep,
     }
@@ -286,63 +248,42 @@ pub fn sweep(cfg: &SweepConfig) -> SweepResult {
 mod tests {
     use super::*;
 
-    fn tiny() -> SweepConfig {
-        SweepConfig {
-            n: 8,
-            steps: 400,
-            runs: 1,
-            losses: vec![0.0, 0.2],
-            crash_counts: vec![0, 2],
-            ..SweepConfig::default()
-        }
-    }
-
     #[test]
     fn sweep_exercises_the_fault_machinery() {
-        let result = sweep(&tiny());
-        assert_eq!(result.loss_sweep.len(), 2);
-        assert_eq!(result.crash_sweep.len(), 2);
-        let lossy = &result.loss_sweep[1];
+        let result = sweep(1);
+        assert_eq!(result.loss_sweep.len(), LOSSES.len());
+        assert_eq!(result.crash_sweep.len(), CRASH_COUNTS.len());
+        let lossy = &result.loss_sweep[LOSSES.len() - 1];
         assert!(lossy.stats.lost_messages > 0, "20% loss must drop messages");
         assert!(
             lossy.stats.retries + lossy.stats.timeout_recoveries > 0,
             "recovery machinery must fire: {:?}",
             lossy.stats
         );
-        let crashed = &result.crash_sweep[1];
-        assert!(crashed.stats.crashes >= 2, "both scheduled crashes happen");
-        assert!(crashed.stats.recoveries >= 2, "both recoveries happen");
+        let crashed = &result.crash_sweep[CRASH_COUNTS.len() - 1];
+        assert!(crashed.stats.crashes >= 8, "every scheduled crash happens");
+        assert!(crashed.stats.recoveries >= 8, "every recovery happens");
     }
 
     #[test]
     fn json_output_is_deterministic_across_runs() {
-        // Satellite requirement: same seed + plan => byte-identical JSON.
-        let a = sweep(&tiny()).to_json().render_pretty();
-        let b = sweep(&tiny()).to_json().render_pretty();
+        // Same seed + plan => byte-identical JSON.
+        let a = sweep(1).to_json().render_pretty();
+        let b = sweep(1).to_json().render_pretty();
         assert_eq!(a, b, "faults_sweep output must be byte-stable");
         assert!(a.contains("\"experiment\": \"faults_sweep\""), "{a}");
     }
 
     #[test]
     fn parallel_sweep_renders_byte_identical_json() {
-        let seq = sweep(&tiny()).to_json().render_pretty();
-        let par = sweep(&SweepConfig {
-            jobs: 3,
-            runs: 3,
-            ..tiny()
-        })
-        .to_json()
-        .render_pretty();
-        let seq3 = sweep(&SweepConfig { runs: 3, ..tiny() })
-            .to_json()
-            .render_pretty();
-        assert_eq!(seq3, par, "jobs must not change the rendered sweep");
-        assert_ne!(seq, seq3, "sanity: more runs change the sweep");
+        let seq = sweep(1).to_json().render_pretty();
+        let par = sweep(3).to_json().render_pretty();
+        assert_eq!(seq, par, "jobs must not change the rendered sweep");
     }
 
     #[test]
     fn chart_renders_both_series() {
-        let result = sweep(&tiny());
+        let result = sweep(1);
         let (config, series) = result.chart();
         let svg = crate::svg::line_chart(&config, &series);
         assert_eq!(svg.matches("<polyline").count(), 2);

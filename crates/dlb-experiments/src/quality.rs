@@ -148,11 +148,11 @@ impl Setting {
             r as u64,
             steps,
             None,
-            |seed| Ok(Box::new(Cluster::new(params, seed))),
-            |seed| Ok(paper_workload(self.n, steps, seed)),
+            |seed| Box::new(Cluster::new(params, seed)),
+            |seed| paper_workload(self.n, steps, seed),
             observe,
         );
-        run.metrics = *cluster.expect("no fault plan to refuse").metrics();
+        run.metrics = *cluster.metrics();
         run
     }
 }

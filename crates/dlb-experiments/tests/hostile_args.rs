@@ -1,8 +1,7 @@
 //! Every `dlb-exp` row refuses a value it cannot run the way it refuses
 //! an unknown key: the reason, the usage line, exit 2, and nothing on
-//! stdout — no panic, no partial table, no file written.  So do the
-//! files the tools read: `bench_core --check` and `faults_sweep
-//! --scenario`.
+//! stdout — no panic, no partial table, no file written.  So does the
+//! file `bench_core --check` reads.
 
 use dlb_experiments::exp::{Experiment, EXPERIMENTS};
 use std::path::Path;
@@ -79,7 +78,8 @@ fn assert_files_refused(
 /// constants, so `--n`, `--steps`, `--runs`, `--c`, `--seed` and
 /// `--roots` are unknown options like any misspelling; so is `--delta`,
 /// since `fig7_quality` and `fig9_distribution` draw both of the
-/// paper's δ in one run.
+/// paper's δ in one run.  `faults_sweep`'s sizes are constants too, so
+/// `--scenario` is refused as well.
 const KEY_SURFACE: [(&str, &[&str]); 11] = [
     ("claims", &["jobs", "out"]),
     ("fig6_variation", &["jobs", "out"]),
@@ -90,7 +90,7 @@ const KEY_SURFACE: [(&str, &[&str]); 11] = [
     ("ablation", &["jobs", "out"]),
     ("closed_loop", &["jobs", "out"]),
     ("async_latency", &["jobs", "out"]),
-    ("faults_sweep", &["scenario", "jobs", "out", "svg"]),
+    ("faults_sweep", &["jobs", "out", "svg"]),
     ("arena", &["smoke", "jobs", "out", "svg", "trace"]),
 ];
 
@@ -109,7 +109,7 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
         .collect();
     assert_eq!(declared, expected);
     let total: usize = KEY_SURFACE.iter().map(|(_, keys)| keys.len()).sum();
-    assert_eq!(total, 28);
+    assert_eq!(total, 27);
 
     let dir = std::env::temp_dir().join("dlb_exp_hostile_keys");
     for row in EXPERIMENTS {
@@ -119,6 +119,7 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
             ("steps", "100"),
             ("roots", "0"),
             ("delta", "4"),
+            ("scenario", "x"),
         ];
         for (key, value) in unknown {
             let out = dlb_exp(&dir, &[row.name, &format!("--{key}"), value]);
@@ -205,41 +206,6 @@ fn bench_core_refuses_an_undecodable_baseline_before_any_row() {
         (env!("CARGO_BIN_EXE_bench_core"), &[], "bench_core"),
         "--check",
         &cases,
-    );
-}
-
-/// A scenario `faults_sweep` cannot read or run used to panic.
-#[test]
-fn faults_sweep_refuses_an_undecodable_scenario_before_any_output() {
-    assert_files_refused(
-        &std::env::temp_dir().join("dlb_exp_hostile_scenario"),
-        (
-            env!("CARGO_BIN_EXE_dlb-exp"),
-            &["faults_sweep"],
-            "dlb-exp faults_sweep",
-        ),
-        "--scenario",
-        &[
-            (None, "No such file"),
-            (Some("[1,"), ""),
-            (Some(r#"{"n": -4}"#), "field 'n': integer -4 out of range"),
-            (Some(r#"{"n": 8.5}"#), "field 'n': expected integer"),
-            (
-                Some(r#"{"n": 18446744073709551616}"#),
-                "field 'n': integer 18446744073709551616 out of range",
-            ),
-            (Some(r#"{"n": 2}"#), "n = 2"),
-            (Some(r#"{"faults": 3}"#), "field 'faults': "),
-            (
-                Some(r#"{"faults": {"loss": 2.0}}"#),
-                "field 'faults': loss = 2",
-            ),
-            (
-                Some(r#"{"n": 8, "faults": {"crashes": [{"proc": 40, "at": 5}]}}"#),
-                "field 'faults': crash #0: proc 40 out of range (n = 8)",
-            ),
-            (Some(r#"{"steps": 1}"#), "steps = 1: crash sweep: "),
-        ],
     );
 }
 

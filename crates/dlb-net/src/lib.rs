@@ -8,7 +8,7 @@
 //! ([`desim`]):
 //!
 //! * [`topology`] — interconnect graphs (complete, ring, 2-D torus,
-//!   hypercube, de Bruijn, star, circulant) with hop-distance queries, so
+//!   hypercube, de Bruijn, star) with hop-distance queries, so
 //!   the communication the paper argues away can actually be *measured*;
 //! * [`engine`] — the topology rule for `dlb-core`'s raw-load engine:
 //!   hop-weighted communication accounting and the "balance with

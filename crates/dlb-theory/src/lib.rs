@@ -20,9 +20,6 @@
 //!   variation density of §5 (Figure 6) is computed exactly.
 //! * [`schedule`] — mixed grow/shrink words (the producer-consumer model in
 //!   full generality), contraction rates and convergence-step predictions.
-//! * [`compgraph`] — the computation-graph model of §5: occupancy counts
-//!   `n(t, u)`, graph sampling, weighted-path-sum evaluation and exhaustive
-//!   enumeration for cross-validation.
 //!
 //! All quantities are parameterised by the triple the paper uses
 //! throughout: the network size `n`, the neighbourhood size `δ` and the
@@ -47,7 +44,6 @@
 
 pub mod bounds;
 pub mod claims;
-pub mod compgraph;
 pub mod moments;
 pub mod operators;
 pub mod schedule;
