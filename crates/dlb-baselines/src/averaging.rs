@@ -11,10 +11,9 @@
 //! synchronous-scan rendering of the paper's asynchronous clocks, which
 //! keeps runs deterministic for a fixed seed.
 
-use crate::adjacency::Adjacency;
 use crate::apply_events;
 use dlb_core::{Events, LoadBalancer, Metrics};
-use dlb_net::Topology;
+use dlb_net::{Adjacency, Topology};
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

@@ -1,7 +1,7 @@
-//! Dimension-exchange load balancing (the alternating-direction
-//! first-order scheme analysed alongside diffusion in Berenbrink,
-//! Friedetzky, Kling, Mallmann-Trenn, *Randomized Diffusion for
-//! Indivisible Loads*, arXiv:1308.0148).
+//! Dimension-exchange load balancing (the matching-based scheme for
+//! indivisible loads studied in Demirel and Sbalzarini, *Balancing
+//! indivisible real-valued loads in arbitrary networks*,
+//! arXiv:1308.0148).
 //!
 //! The network is decomposed into perfect (or near-perfect) matchings —
 //! the *dimensions* — and the balancer cycles through them, one matching
@@ -182,6 +182,9 @@ impl LoadBalancer for DimensionExchange {
 mod tests {
     use super::*;
     use dlb_core::{imbalance_stats, LoadEvent};
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn spike_events(n: usize) -> Vec<LoadEvent> {
         let mut ev = vec![LoadEvent::Idle; n];
@@ -270,6 +273,47 @@ mod tests {
             let loads = b.loads();
             assert_eq!(loads.iter().sum::<u64>(), t, "conservation");
             assert!(loads[0].abs_diff(loads[1]) <= 1, "step {t}: {loads:?}");
+        }
+    }
+
+    proptest! {
+        /// One sweep of the hypercube's `dim` matchings, under all-idle
+        /// steps, leaves every load within `dim` of every other.  A
+        /// levelled pair ends within ½ of its mean, so each exchange
+        /// moves a load at most ½ further from the continuous
+        /// (real-valued) process; averaging never widens that deviation,
+        /// and one sweep makes the continuous process exactly level.
+        /// (A rule that moves a third of the gap breaks the bound.)
+        #[test]
+        fn one_idle_sweep_levels_a_hypercube_to_within_dim(
+            dim in 1u32..=8,
+            prefix in 0usize..60,
+            seed in any::<u64>(),
+        ) {
+            let n = 1usize << dim;
+            let mut b = DimensionExchange::new(Topology::Hypercube { dim });
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut ev = Vec::with_capacity(n);
+            for _ in 0..prefix {
+                ev.clear();
+                ev.extend((0..n).map(|_| match rng.gen_range(0..4) {
+                    0 | 1 => LoadEvent::Generate,
+                    2 => LoadEvent::Consume,
+                    _ => LoadEvent::Idle,
+                }));
+                b.step(&ev);
+            }
+            let total: u64 = b.loads().iter().sum();
+            let idle = vec![LoadEvent::Idle; n];
+            for _ in 0..dim {
+                b.step(&idle);
+            }
+            let loads = b.loads();
+            let m = b.metrics();
+            prop_assert_eq!(loads.iter().sum::<u64>(), total, "conservation");
+            prop_assert_eq!(total, m.generated - m.consumed, "ledger");
+            let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
+            prop_assert!(spread <= u64::from(dim), "dim {}: spread {} in {:?}", dim, spread, loads);
         }
     }
 }

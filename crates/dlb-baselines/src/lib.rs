@@ -35,25 +35,23 @@
 //!   hypercubes, rings and tori (arXiv:1308.0148).
 //!
 //! All implement [`LoadBalancer`], so every experiment can drive them
-//! with the identical recorded event trace.
+//! with the identical seeded event stream.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
-pub mod adjacency;
 mod averaging;
 mod dimension_exchange;
 mod local_opt;
 mod quasirandom;
 
-pub use adjacency::Adjacency;
 pub use averaging::DynamicAveraging;
 pub use dimension_exchange::DimensionExchange;
 pub use local_opt::LocallyOptimal;
 pub use quasirandom::Quasirandom;
 
 use dlb_core::{Events, LoadBalancer, LoadEvent, Metrics};
-use dlb_net::Topology;
+use dlb_net::{Adjacency, Topology};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 

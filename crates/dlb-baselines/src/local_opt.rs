@@ -11,10 +11,9 @@
 //! ties), and the accumulated ±1 deltas are applied at the end of the
 //! step, so a run is reproducible bit-for-bit with no RNG at all.
 
-use crate::adjacency::Adjacency;
 use crate::apply_events;
 use dlb_core::{Events, LoadBalancer, Metrics};
-use dlb_net::Topology;
+use dlb_net::{Adjacency, Topology};
 use dlb_trace::{SharedSink, TraceEvent};
 
 /// Deterministic local-improvement balancer.

@@ -10,10 +10,9 @@
 //! time every neighbour receives the same share, which is what bounds
 //! the discrepancy against the idealised continuous diffusion.
 
-use crate::adjacency::Adjacency;
 use crate::apply_events;
 use dlb_core::{Events, LoadBalancer, Metrics};
-use dlb_net::Topology;
+use dlb_net::{Adjacency, Topology};
 use dlb_trace::{SharedSink, TraceEvent};
 
 /// Deterministic rotor-router token balancer.

@@ -3,7 +3,6 @@
 //! `dlb-baselines`), plus load-distribution statistics.
 
 use crate::metrics::Metrics;
-use dlb_json::{FromJson, Json, ToJson};
 
 /// What a processor does in one global time step (§2: generate one packet,
 /// consume one locally available packet, or do nothing).
@@ -26,31 +25,6 @@ impl From<LoadEvent> for i8 {
     /// `1`, `-1` or `0`: the enum's discriminant.
     fn from(e: LoadEvent) -> i8 {
         e as i8
-    }
-}
-
-impl ToJson for LoadEvent {
-    /// Single-letter encoding keeps serialised traces compact.
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                LoadEvent::Generate => "g",
-                LoadEvent::Consume => "c",
-                LoadEvent::Idle => "i",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for LoadEvent {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        match value.as_str() {
-            Some("g") => Ok(LoadEvent::Generate),
-            Some("c") => Ok(LoadEvent::Consume),
-            Some("i") => Ok(LoadEvent::Idle),
-            other => Err(format!("unknown load event {other:?}")),
-        }
     }
 }
 

@@ -7,8 +7,7 @@
 //! with [`keys!`](crate::keys); [`Args::parse`] refuses an undeclared
 //! key, a value that does not parse as the declared type and a bare
 //! word — before the experiment starts, as `dlb` does.  A value that
-//! parses but cannot be built into what the tool needs (a `--check`
-//! file that does not decode) goes through
+//! parses but cannot be built into what the tool needs goes through
 //! [`Args::build_or_exit`] to the same end.
 
 use std::collections::HashMap;

@@ -1,13 +1,11 @@
 //! The paper's "very good performance even on networks containing up to
-//! 1024 processors" claim: balancing quality and per-step cost of the
-//! practical variant as the network grows, plus the full variant up to
-//! n = 256.
+//! 1024 processors" claim: balancing quality and operations per
+//! processor of the practical variant as the network grows, plus the
+//! full variant up to n = 256.
 //!
-//! Each (n, variant) cell is a one-contender arena league on one thread,
-//! so µs/step compares across cells; it is printed, not written, since
-//! wall time does not repeat.  The CSV's max/mean and ops-per-processor
-//! cells carry their standard error, and the same runs judge the
-//! `scaling.*` claims.
+//! Each (n, variant) cell is a one-contender arena league.  The CSV's
+//! max/mean and ops-per-processor cells carry their standard error, and
+//! the same runs judge the `scaling.*` claims.
 //!
 //! Usage: `dlb-exp scaling [--jobs N] [--out results/scaling.csv]`
 //! (jobs default to the available cores; the cells run one per job)
@@ -21,7 +19,6 @@ use crate::quality::paper_workload;
 use crate::report::{f3, render_table, write_csv};
 use dlb_core::{Cluster, Params, SimpleCluster};
 use dlb_theory::claims::{Estimate, BATCHES};
-use std::time::Instant;
 
 /// Steps and runs of every cell, and the runs' base seed.
 const STEPS: usize = 500;
@@ -36,9 +33,8 @@ const VARIANTS: [&str; 2] = ["simple", "full"];
 
 pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-/// One contender's league over [`RUNS`] runs of the §7 workload at `n`,
-/// on one thread, and its wall time.
-fn league(variant: usize, n: usize) -> (ArenaRow, f64) {
+/// One contender's league over [`RUNS`] runs of the §7 workload at `n`.
+fn league(variant: usize, n: usize) -> ArenaRow {
     let params = Params::paper_section7(n);
     let contender = match variant {
         0 => Contender::new("simple", move |s| Box::new(SimpleCluster::new(params, s))),
@@ -53,9 +49,7 @@ fn league(variant: usize, n: usize) -> (ArenaRow, f64) {
         faults: None,
         jobs: 1,
     };
-    let start = Instant::now();
-    let row = run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0);
-    (row, start.elapsed().as_secs_f64())
+    run_league(&cfg, &[contender], |s| paper_workload(n, STEPS, s), None).remove(0)
 }
 
 /// The league's mean max/mean ratio over its runs.
@@ -99,19 +93,14 @@ pub fn run(args: &Args) -> Vec<Row> {
             .map(|k| &leagues[k])
     };
 
-    // Each row: n, the written cells, then each variant's µs/step.
     let mut rows = Vec::new();
     for n in NS {
         let mut row = vec![n.to_string()];
         for v in 0..VARIANTS.len() {
             row.extend(match at(v, n) {
-                Some((league, _)) => [ratio(league), ops_per_proc(league, n)].map(cell),
+                Some(league) => [ratio(league), ops_per_proc(league, n)].map(cell),
                 None => ["-", "-"].map(String::from),
             });
-        }
-        for v in 0..VARIANTS.len() {
-            let per_step = |(_, wall): &(ArenaRow, f64)| f3(wall / (RUNS * STEPS) as f64 * 1e6);
-            row.push(at(v, n).map_or("-".to_string(), per_step));
         }
         rows.push(row);
     }
@@ -121,19 +110,11 @@ pub fn run(args: &Args) -> Vec<Row> {
         "simple ops/proc",
         "full max/mean",
         "full ops/proc",
-        "simple us/step",
-        "full us/step",
     ];
     outln!("{}", render_table(&headers, &rows));
-    outln!("us/step: wall time, one thread per cell (not written)\n");
-    let written = 1 + 2 * VARIANTS.len();
-    let rows: Vec<Row> = rows
-        .into_iter()
-        .map(|row| row[..written].to_vec())
-        .collect();
-    write_csv(&out, &headers[..written], &rows).expect("CSV written");
+    write_csv(&out, &headers, &rows).expect("CSV written");
     outln!("wrote {out}");
-    judge(|v, n| at(v, n).map(|(league, _)| league))
+    judge(at)
 }
 
 /// The `scaling.*` claims on the league of each `(variant, n)` cell

@@ -1,14 +1,15 @@
-//! Precomputed CSR adjacency shared by the topology-driven baselines.
+//! Precomputed CSR adjacency shared by [`TopoRule`](crate::TopoRule)
+//! and the topology-driven baselines.
 //!
-//! [`dlb_net::Topology::neighbors`] allocates a fresh `Vec` per call,
-//! which is fine for one-shot queries but not for balancers that walk
-//! every vertex's neighbourhood every step.  `Adjacency` materialises
+//! [`Topology::neighbors`] allocates a fresh `Vec` per call, which is
+//! fine for one-shot queries but not for balancers that walk every
+//! vertex's neighbourhood every step.  `Adjacency` materialises
 //! the neighbour lists once at construction (in `neighbors()` order, so
 //! iteration order — and therefore every tie-break — is identical to
 //! querying the topology directly) and hands out slices afterwards:
 //! zero allocations on the hot path.
 
-use dlb_net::Topology;
+use crate::topology::Topology;
 
 /// Compressed sparse row adjacency of a [`Topology`].
 #[derive(Debug, Clone)]

@@ -16,6 +16,7 @@
 //! members of each balance group and weighting every moved packet by the
 //! hop distance it travels.
 
+use crate::adjacency::Adjacency;
 use crate::topology::Topology;
 use dlb_core::balance::sample_into;
 use dlb_core::{Alive, BalanceRule, EvenRule, RawCluster};
@@ -54,11 +55,12 @@ pub struct TopoRule {
     mode: PartnerMode,
     /// All-pairs hop distances, precomputed once.
     dist: Vec<Vec<u32>>,
-    /// Adjacency lists, precomputed for [`PartnerMode::Neighbors`]
-    /// (empty otherwise).
-    neighbors: Vec<Vec<usize>>,
+    /// The neighbour lists partners are drawn from under
+    /// [`PartnerMode::Neighbors`]; `None` under
+    /// [`PartnerMode::GlobalRandom`].
+    neighbors: Option<Adjacency>,
     /// The initiator's neighbours that are up, under a crash mask.
-    up_neighbors: Vec<usize>,
+    up_neighbors: Vec<u32>,
     /// Scratch of one split: members over and under their share.
     surplus: Imbalances,
     deficit: Imbalances,
@@ -74,10 +76,7 @@ impl TopoRule {
     pub fn new(topology: Topology, mode: PartnerMode) -> Self {
         assert!(topology.is_connected(), "topology must be connected");
         let n = topology.n();
-        let neighbors = match mode {
-            PartnerMode::GlobalRandom => Vec::new(),
-            PartnerMode::Neighbors => (0..n).map(|v| topology.neighbors(v)).collect(),
-        };
+        let neighbors = (mode == PartnerMode::Neighbors).then(|| Adjacency::new(&topology));
         TopoRule {
             dist: (0..n).map(|v| topology.distances_from(v)).collect(),
             topology,
@@ -126,26 +125,27 @@ impl BalanceRule for TopoRule {
         alive: &Alive<'_>,
         out: &mut Vec<usize>,
     ) {
-        if self.mode == PartnerMode::GlobalRandom {
+        let Some(neighbors) = &self.neighbors else {
             return alive.draw_others(rng, initiator, delta, out);
-        }
+        };
         let candidates = if alive.all_up() {
-            &self.neighbors[initiator]
+            neighbors.neighbors(initiator)
         } else {
             self.up_neighbors.clear();
-            let up = self.neighbors[initiator]
+            let up = neighbors
+                .neighbors(initiator)
                 .iter()
-                .filter(|&&p| !alive.is_down(p));
+                .filter(|&&p| !alive.is_down(p as usize));
             self.up_neighbors.extend(up);
             &self.up_neighbors
         };
         if candidates.len() <= delta {
-            out.extend_from_slice(candidates);
+            out.extend(candidates.iter().map(|&p| p as usize));
         } else {
             let start = out.len();
             sample_into(rng, candidates.len(), delta, out);
             for x in &mut out[start..] {
-                *x = candidates[*x];
+                *x = candidates[*x] as usize;
             }
         }
     }

@@ -10,6 +10,8 @@
 //! * [`topology`] — interconnect graphs (complete, ring, 2-D torus,
 //!   hypercube, de Bruijn, star) with hop-distance queries, so
 //!   the communication the paper argues away can actually be *measured*;
+//! * [`adjacency`] — a topology's neighbour lists materialised once, for
+//!   the rules and baselines that walk them every step;
 //! * [`engine`] — the topology rule for `dlb-core`'s raw-load engine:
 //!   hop-weighted communication accounting and the "balance with
 //!   topology neighbours only" partner draw the paper lists as future
@@ -25,12 +27,14 @@
 #![deny(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
+pub mod adjacency;
 pub mod desim;
 pub mod engine;
 pub mod equeue;
 pub mod rng;
 pub mod topology;
 
+pub use adjacency::Adjacency;
 pub use desim::{AsyncConfig, AsyncNetwork, AsyncStats, MAX_LATENCY};
 pub use engine::{CommStats, PartnerMode, TopoCluster, TopoRule};
 pub use equeue::CalendarQueue;

@@ -6,7 +6,7 @@
 //! of §7 use a specific synthetic *phase model* ([`phase::PhaseWorkload`]);
 //! this crate implements that model plus a family of other patterns
 //! ([`patterns`]) used by the analysis sections, the baseline comparisons
-//! and the stress tests, and a record/replay facility ([`trace`]).
+//! and the stress tests.
 //!
 //! Every pattern implements [`Workload`]: a deterministic, seeded stream
 //! of per-processor [`LoadEvent`]s.
@@ -19,7 +19,6 @@ pub mod patterns;
 pub mod phase;
 pub mod service;
 pub mod sparse;
-pub mod trace;
 
 use dlb_core::{LoadBalancer, LoadEvent};
 
@@ -35,7 +34,7 @@ pub trait Workload {
 
 /// Boxed workloads forward, so a `Box<dyn Workload>` built from runtime
 /// configuration can drive the same generic entry points (for example
-/// [`trace::EventTrace::record`]) as a concrete pattern.
+/// [`drive`]) as a concrete pattern.
 impl<W: Workload + ?Sized> Workload for Box<W> {
     fn n(&self) -> usize {
         (**self).n()

@@ -7,17 +7,13 @@
 //! with crashes/rejoins, a run through `step_sparse`/`step_sparse_masked`
 //! must reproduce the dense `step`/`step_masked` run exactly: final
 //! loads, metrics, serialized trace bytes — and for the full engine the
-//! complete snapshot (the d/b class matrices included).  A third leg
-//! records the workload into an [`EventTrace`] and replays it densely,
-//! so the sparse stream is also checked against an independently
-//! serialized record.
+//! complete snapshot (the d/b class matrices included).
 
 use dlb_core::{Cluster, LoadBalancer, Metrics, Params, SimpleCluster, WeightedCluster};
 use dlb_faults::{CrashEvent, FaultInjector, FaultPlan};
 use dlb_net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb_trace::{BufferSink, TraceEvent};
 use dlb_workload::sparse::{SparseActivity, SparsePattern, SparseWorkload};
-use dlb_workload::trace::EventTrace;
 use dlb_workload::Workload;
 use proptest::prelude::*;
 
@@ -131,32 +127,6 @@ fn run_sparse(
     finish(balancer, buf)
 }
 
-/// Replays an independently recorded [`EventTrace`] of the same
-/// workload through the dense path — the serialization oracle.
-fn run_replayed(
-    mut balancer: Box<dyn LoadBalancer>,
-    pattern: SparsePattern,
-    wseed: u64,
-    steps: usize,
-    injector: Option<&FaultInjector>,
-) -> Outcome {
-    let buf = BufferSink::new();
-    balancer.set_trace_sink(buf.handle());
-    let n = balancer.n();
-    let mut source = SparseActivity::new(n, pattern, wseed);
-    let trace = EventTrace::record(&mut source, steps);
-    let mut replay = trace.replay();
-    let mut events = Vec::new();
-    for t in 0..steps {
-        replay.events_at(t, &mut events);
-        match injector {
-            Some(inj) => balancer.step_masked(&events, &inj.mask_at(t as u64)),
-            None => balancer.step(&events),
-        }
-    }
-    finish(balancer, buf)
-}
-
 fn finish(balancer: Box<dyn LoadBalancer>, buf: BufferSink) -> Outcome {
     let loads = balancer.loads();
     let metrics = *balancer.metrics();
@@ -194,11 +164,6 @@ proptest! {
         prop_assert_eq!(&dense.0, &sparse.0, "loads diverge");
         prop_assert_eq!(&dense.1, &sparse.1, "metrics diverge");
         prop_assert_eq!(&dense.2, &sparse.2, "trace bytes diverge");
-        // Serialization oracle: an EventTrace recorded from a same-seed
-        // workload, replayed densely, lands in the same state.
-        let replayed = run_replayed(make_engine(engine, n, eseed), pattern, wseed, steps, inj);
-        prop_assert_eq!(&dense.0, &replayed.0, "replay loads diverge");
-        prop_assert_eq!(&dense.1, &replayed.1, "replay metrics diverge");
     }
 
     /// For the full engine the *entire* snapshot — including the d/b

@@ -10,7 +10,6 @@ use dlb::net::{PartnerMode, TopoCluster, TopoRule, Topology};
 use dlb::theory::claims::{self, Estimate, Observation};
 use dlb::workload::patterns::{MovingHotspot, ProducerConsumerSplit};
 use dlb::workload::phase::PhaseWorkload;
-use dlb::workload::trace::EventTrace;
 use dlb::workload::{drive, Workload};
 
 /// The paper's §7 experiment end to end: 64 processors, 500 steps, full
@@ -42,24 +41,21 @@ fn paper_section7_end_to_end() {
     assert_eq!(cluster.metrics().consume_failed, 0);
 }
 
-/// The same recorded trace drives every strategy; totals must agree
+/// The same seeded event stream drives every strategy; totals must agree
 /// because generation/consumption opportunities are identical only in
 /// events, not outcomes — so instead we assert each strategy conserves
 /// its own ledger and the full algorithm balances best.
 #[test]
 fn strategies_on_identical_trace() {
     let n = 32;
-    let mut wl = PhaseWorkload::new(n, 300, Default::default(), 5);
-    assert_eq!(wl.n(), 32);
-    let trace = EventTrace::record(&mut wl, 300);
-
     let run = |balancer: &mut dyn LoadBalancer| -> (f64, u64) {
-        let mut replay = trace.replay();
+        let mut workload = PhaseWorkload::new(n, 300, Default::default(), 5);
+        assert_eq!(workload.n(), n);
         let mut events = Vec::new();
         let mut ratio = 0.0;
         let mut samples = 0usize;
         for t in 0..300 {
-            replay.events_at(t, &mut events);
+            workload.events_at(t, &mut events);
             balancer.step(&events);
             if t >= 100 && t % 20 == 0 {
                 let stats = imbalance_stats(&balancer.loads());
