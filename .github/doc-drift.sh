@@ -26,7 +26,7 @@ known_flags() {
     # `dlb`'s two usage strings.
     {
         sed -n '/^const USAGE/,/;$/p' crates/dlb-cli/src/main.rs
-        sed -n '/^pub const SERVE_USAGE/,/;$/p' crates/dlb-cli/src/serve.rs
+        sed -n '/^pub(crate) const SERVE_USAGE/,/;$/p' crates/dlb-cli/src/serve.rs
     } | grep -o -- '--[a-z][a-z0-9-]*'
     # Every `keys![…]` list: the `dlb-exp` rows, bench_core and
     # trace_analyze.
@@ -160,7 +160,7 @@ embeds EXPERIMENTS.md '<!-- service:begin -->' '<!-- service:end -->' \
     "results/service_diurnal_sim.json as .github/bench-table.sh service renders it" < <(bash .github/bench-table.sh service)
 
 # Lower the ceiling when DESIGN.md shrinks; never raise it.
-design_ceiling=64429
+design_ceiling=64420
 design_bytes=$(wc -c < DESIGN.md)
 [ "$design_bytes" -le "$design_ceiling" ] ||
     { echo "DESIGN.md: $design_bytes bytes, above its ceiling of $design_ceiling"; status=1; }

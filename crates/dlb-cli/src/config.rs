@@ -10,7 +10,7 @@ use dlb_workload::sparse::SparsePattern;
 
 /// A complete runnable scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// Number of processors.
     pub n: usize,
     /// Global time steps per run.
@@ -45,7 +45,7 @@ fn default_warmup() -> f64 {
 
 /// Which balancer to run.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StrategyConfig {
+pub(crate) enum StrategyConfig {
     /// The full §4 virtual-load-class algorithm.
     Full {
         /// Partners per balancing operation.
@@ -149,7 +149,7 @@ fn default_latency() -> u64 {
 
 /// Interconnect topologies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TopologyConfig {
+pub(crate) enum TopologyConfig {
     /// Fully connected.
     Complete,
     /// A cycle.
@@ -177,7 +177,7 @@ pub enum TopologyConfig {
 
 /// Which workload drives the run.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadConfig {
+pub(crate) enum WorkloadConfig {
     /// The paper's §7 phase model.
     Phase {
         /// Generation probability range.
@@ -276,7 +276,7 @@ macro_rules! kind_table {
     ) => {
         impl $ty {
             /// The JSON `kind` tag of this value.
-            pub fn kind(&self) -> &'static str {
+            pub(crate) fn kind(&self) -> &'static str {
                 match self {
                     $( kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ { .. }) => $tag, )*
                 }
@@ -551,21 +551,21 @@ impl FromJson for Scenario {
 
 impl Scenario {
     /// Parses a scenario from JSON.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(text: &str) -> Result<Self, String> {
         let scenario: Scenario = FromJson::from_json(&Json::parse(text)?)?;
         scenario.validate()?;
         Ok(scenario)
     }
 
     /// Serialises to pretty JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         ToJson::to_json(self).render_pretty()
     }
 
     /// Checks every constraint a run relies on, naming the key that
     /// breaks it.  Field checks only: refusing a scenario builds nothing,
     /// so the builders in `run.rs` never fail.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n < 2 {
             return Err("n: need at least 2 processors".into());
         }
@@ -595,7 +595,7 @@ impl Scenario {
     }
 
     /// The built-in demo scenario (paper §7 on 64 processors).
-    pub fn demo() -> Self {
+    pub(crate) fn demo() -> Self {
         Scenario {
             n: 64,
             steps: 500,

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Execution options (CLI flags, not scenario content).
 #[derive(Debug, Clone, Default)]
-pub struct RunOptions {
+pub(crate) struct RunOptions {
     /// Write a JSONL event trace here (`--trace`, the one way to name
     /// the path).
     pub trace: Option<String>,
@@ -52,7 +52,7 @@ pub struct RunOptions {
 
 /// Aggregated outcome of all runs of a scenario.
 #[derive(Debug, Clone)]
-pub struct Report {
+pub(crate) struct Report {
     /// Strategy name (from the balancer).
     pub strategy: String,
     /// Mean of per-step max/mean ratios (quality; 1.0 is perfect).
@@ -76,7 +76,7 @@ pub struct Report {
 
 impl Report {
     /// Renders the report as aligned text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!(
             "strategy        {}\n\
              mean max/mean   {:.3}\n\
@@ -462,7 +462,7 @@ fn finish_trace(
 /// threads (identical output for every value) and an optional JSONL
 /// trace, created once the scenario validates, before the first run,
 /// and written in run-index order.
-pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
+pub(crate) fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
     scenario.validate()?;
     let writer = create_trace(&opts.trace)?;
     let jobs = opts.jobs.max(1);
@@ -523,7 +523,7 @@ pub fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, St
 /// JSONL carries one `ArenaContender` announcement per (contender, run),
 /// that run's engine events and its `RunFinished`, in contender-major
 /// order, streamed as [`execute_with`] streams its runs.
-pub fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
+pub(crate) fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
     scenario.validate()?;
     let n = scenario.n;
     let mut contenders: Vec<Contender> = Vec::new();
@@ -599,6 +599,26 @@ mod tests {
             balancer: vec![],
             faults: None,
         }
+    }
+
+    /// Latency 1 with jitter 13 lets a reply outlive its last timeout:
+    /// `dlb run` on this scenario used to exit 1 with "21 processors
+    /// still locked after quiescence" (a debug build panicked on the
+    /// reply count's underflow instead).
+    #[test]
+    fn a_reply_after_its_timeouts_leaks_no_lock() {
+        let scenario = Scenario::from_json(
+            r#"{
+                "n": 34, "steps": 2000, "runs": 5, "seed": 7,
+                "strategy": { "kind": "async", "delta": 4, "f": 1.3, "latency": 1 },
+                "workload": { "kind": "uniform", "p_gen": 0.5, "p_con": 0.3 },
+                "faults": { "seed": 99, "loss": 0.37, "duplication": 0.02,
+                            "jitter": 13, "crash_mode": "frozen" }
+            }"#,
+        )
+        .unwrap();
+        let stats = execute(&scenario).unwrap().async_stats.unwrap();
+        assert!(stats.timeout_recoveries > 0, "no retries ran out");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dlb_json::ToJson;
 use dlb_serve::ServiceScenario;
 use dlb_trace::{FileSink, SharedSink};
 
-pub const SERVE_USAGE: &str =
+pub(crate) const SERVE_USAGE: &str =
     "usage: dlb serve <scenario.json> [--mode sim] [--out <path>] [--trace <path>]";
 
 #[derive(Debug)]
@@ -54,7 +54,7 @@ fn parse_serve_options(rest: &[String]) -> Result<ServeOptions, String> {
 }
 
 /// Entry point for the `serve` subcommand (`rest` excludes `serve`).
-pub fn serve_main(rest: &[String]) -> Result<(), String> {
+pub(crate) fn serve_main(rest: &[String]) -> Result<(), String> {
     let path = rest
         .first()
         .filter(|a| !a.starts_with("--"))

@@ -93,7 +93,7 @@ pub fn even_shares_into(total: u64, m: usize, out: &mut Vec<u64>) {
 /// the rule as stated — sort the members by running total, hand the
 /// extras to the first ones — and the oracle the engine's snake
 /// (`cluster::equalise`) is tested against.
-pub fn distribute_classes_flat(
+pub(crate) fn distribute_classes_flat(
     class_totals: &[u64],
     m: usize,
     running: &mut [u64],
@@ -161,7 +161,7 @@ pub fn distribute_capped(total: u64, caps: &[u64]) -> Vec<u64> {
 }
 
 /// [`distribute_capped`] into a caller-owned buffer (cleared first).
-pub fn distribute_capped_into(total: u64, caps: &[u64], out: &mut Vec<u64>) {
+pub(crate) fn distribute_capped_into(total: u64, caps: &[u64], out: &mut Vec<u64>) {
     // Saturating: under a borrow limit near 2⁶⁴ the caps' sum passes it.
     let capacity = caps.iter().fold(0u64, |sum, &cap| sum.saturating_add(cap));
     assert!(
@@ -199,7 +199,7 @@ pub fn spread(values: &[u64]) -> u64 {
 /// Number of packets that change owners when the group moves from
 /// `before[s]` to `after[s]` per member: `Σ max(before − after, 0)`
 /// (equal to `Σ max(after − before, 0)` when totals are conserved).
-pub fn moved(before: &[u64], after: &[u64]) -> u64 {
+pub(crate) fn moved(before: &[u64], after: &[u64]) -> u64 {
     before
         .iter()
         .zip(after.iter())

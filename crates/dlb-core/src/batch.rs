@@ -30,7 +30,8 @@ impl BatchEvent {
     }
 
     /// Consume `k` packets.
-    pub fn con(k: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn con(k: u32) -> Self {
         BatchEvent {
             consume: k,
             ..Default::default()

@@ -44,7 +44,7 @@
 //! The `d`/`b` matrices are stored *sparsely*: one [`SparseRow`] per
 //! processor and matrix — sorted active class ids with parallel values,
 //! held inside the record while the row has at most
-//! [`crate::sparse::INLINE`] entries and spilled to the heap beyond.  In
+//! `crate::sparse::INLINE` entries and spilled to the heap beyond.  In
 //! any reachable state a processor holds
 //! packets of few classes (its own plus what balancing brought in), so
 //! a row operation costs O(active) or O(log active) and the whole
@@ -769,13 +769,9 @@ impl Cluster {
         }
     }
 
-    /// The parameter set this cluster runs with.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
     /// Real load of processor `i`.
-    pub fn load(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn load(&self, i: usize) -> u64 {
         self.procs[i].load
     }
 
@@ -790,6 +786,8 @@ impl Cluster {
     }
 
     /// Number of active (nonzero) classes on processor `i`, `d` then `b`.
+    /// Public only for `crates/dlb-core/tests/sparse_equivalence.rs`,
+    /// which checks the sparse rows stay sparse.
     pub fn active_classes(&self, i: usize) -> (usize, usize) {
         (self.procs[i].d.len(), self.procs[i].b.len())
     }

@@ -93,7 +93,7 @@ impl Metrics {
     /// Per-counter increments since `before` (callers snapshot a `Copy`
     /// of the metrics at step start and diff at step end). Counters are
     /// monotone, so saturating subtraction is exact.
-    pub fn delta_from(&self, before: &Metrics) -> Metrics {
+    pub(crate) fn delta_from(&self, before: &Metrics) -> Metrics {
         macro_rules! diff {
             ($($field:ident),*) => {
                 Metrics { $($field: self.$field.saturating_sub(before.$field)),* }
@@ -104,7 +104,7 @@ impl Metrics {
 
     /// `(name, value)` pairs of the non-zero counters, in declaration
     /// order — the payload of a trace `StepDelta` event.
-    pub fn nonzero_fields(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn nonzero_fields(&self) -> Vec<(&'static str, u64)> {
         macro_rules! rows {
             ($($field:ident),*) => {
                 [$((stringify!($field), self.$field)),*]
@@ -117,7 +117,7 @@ impl Metrics {
     }
 
     /// Sets the counter named `name` (the trace decoder's inverse of
-    /// [`Metrics::nonzero_fields`]); `false` if no such counter exists.
+    /// `Metrics::nonzero_fields`); `false` if no such counter exists.
     pub fn set_field(&mut self, name: &str, value: u64) -> bool {
         macro_rules! assign {
             ($($field:ident),*) => {

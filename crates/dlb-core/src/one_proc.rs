@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Integer-packet simulator of the Figure 1 algorithm.
 #[derive(Debug, Clone)]
-pub struct OneProcModel {
+pub(crate) struct OneProcModel {
     params: Params,
     loads: Vec<u64>,
     l_old: u64,
@@ -26,7 +26,7 @@ pub struct OneProcModel {
 
 impl OneProcModel {
     /// Starts in a balanced state: every processor holds `initial` packets.
-    pub fn new(params: Params, seed: u64, initial: u64) -> Self {
+    pub(crate) fn new(params: Params, seed: u64, initial: u64) -> Self {
         OneProcModel {
             params,
             loads: vec![initial; params.n()],
@@ -37,18 +37,20 @@ impl OneProcModel {
     }
 
     /// Current load vector (index 0 is the generator/consumer).
-    pub fn loads(&self) -> &[u64] {
+    pub(crate) fn loads(&self) -> &[u64] {
         &self.loads
     }
 
     /// Number of balancing operations performed so far (the paper's `t`).
-    pub fn balance_ops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn balance_ops(&self) -> u64 {
         self.balance_ops
     }
 
     /// Processor 0 generates one packet; balances if the grow trigger
     /// fires.  Returns `true` if a balancing operation ran.
-    pub fn generate(&mut self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn generate(&mut self) -> bool {
         self.loads[0] += 1;
         if self.params.grow_triggered(self.loads[0], self.l_old) {
             self.balance();
@@ -60,7 +62,8 @@ impl OneProcModel {
 
     /// Processor 0 consumes one packet (no-op on empty); balances if the
     /// shrink trigger fires.  Returns `true` if a balancing operation ran.
-    pub fn consume(&mut self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn consume(&mut self) -> bool {
         if self.loads[0] == 0 {
             return false;
         }
@@ -79,7 +82,7 @@ impl OneProcModel {
     /// the load can be advanced straight to the trigger threshold
     /// `max(l_old + 1, ⌈f·l_old⌉)` (the loads grow geometrically — packet
     /// by packet this would take astronomically long).
-    pub fn generate_until_ops(&mut self, t: u64) {
+    pub(crate) fn generate_until_ops(&mut self, t: u64) {
         while self.balance_ops < t {
             // Saturates at `u64::MAX`, where no load grows further.
             #[allow(clippy::cast_possible_truncation)]
@@ -88,13 +91,6 @@ impl OneProcModel {
             self.loads[0] = threshold;
             self.balance();
         }
-    }
-
-    /// Ratio of the generator's load to the mean load of the others.
-    pub fn ratio(&self) -> f64 {
-        let others: u64 = self.loads[1..].iter().sum();
-        let mean = others as f64 / (self.loads.len() - 1) as f64;
-        self.loads[0] as f64 / mean
     }
 
     fn balance(&mut self) {
@@ -159,7 +155,7 @@ pub fn mean_ratio_after_ops(
 ///
 /// The network starts at the generator model's steady state: processor 0
 /// holds `x`, every other processor `x / FIX(n, δ, f)` (rounded).
-pub fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
+pub(crate) fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
     assert!(c <= x, "cannot decrease below zero");
     let fix = dlb_theory::operators::fix(params.n(), params.delta(), params.f());
     // At most `x`: the fixed point is at least 1.
@@ -201,7 +197,7 @@ pub fn decrease_ops(params: Params, x: u64, c: u64, seed: u64) -> u64 {
     model.balance_ops
 }
 
-/// Mean of [`decrease_ops`] over `runs` seeds, with its standard error.
+/// Mean of `decrease_ops` over `runs` seeds, with its standard error.
 pub fn mean_decrease_ops(params: Params, x: u64, c: u64, runs: usize, seed: u64) -> Estimate {
     let ops: Vec<f64> = (0..runs)
         .map(|r| decrease_ops(params, x, c, seed.wrapping_add(r as u64)) as f64)

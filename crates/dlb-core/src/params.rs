@@ -116,7 +116,7 @@ impl Params {
     }
 
     /// Exchange policy for marker repayment.
-    pub fn exchange(&self) -> ExchangePolicy {
+    pub(crate) fn exchange(&self) -> ExchangePolicy {
         self.exchange
     }
 
@@ -206,7 +206,7 @@ impl Params {
 /// 6 µs before its first event, several times what constructing the
 /// rest of a small `Cluster` costs.
 ///
-/// [`TriggerTable::triggered`] is `grow_triggered || shrink_triggered`
+/// `TriggerTable::triggered` is `grow_triggered || shrink_triggered`
 /// for every load below `u64::MAX` (the one bound `trigger_bounds`
 /// cannot represent); a load of `u64::MAX` overflows the engine's next
 /// generate anyway.
@@ -256,7 +256,7 @@ impl TriggerTable {
     /// Whether a processor at load `cur` that last balanced at `l_old`
     /// initiates a balancing operation.
     #[inline]
-    pub fn triggered(&mut self, cur: u64, l_old: u64) -> bool {
+    pub(crate) fn triggered(&mut self, cur: u64, l_old: u64) -> bool {
         let (grow_at, shrink_below) = self.bounds(l_old);
         cur >= grow_at || cur < shrink_below
     }

@@ -68,12 +68,14 @@ impl LoadRecorder {
     }
 
     /// Number of retained samples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ratios.len()
     }
 
     /// True when nothing was retained.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.ratios.is_empty()
     }
 

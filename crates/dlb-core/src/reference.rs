@@ -38,7 +38,9 @@ struct Proc {
 }
 
 /// The dense reference implementation of the full virtual-load-class
-/// algorithm (the pre-optimization [`crate::Cluster`]).
+/// algorithm (the pre-optimization [`crate::Cluster`]).  Public only for
+/// the equivalence tests in `crates/dlb-core/tests/`; no other crate
+/// uses it.
 #[doc(hidden)]
 pub struct RefCluster {
     params: Params,
@@ -97,11 +99,6 @@ impl RefCluster {
             scratch_shares_d: Vec::new(),
             scratch_shares_b: Vec::new(),
         }
-    }
-
-    /// Real load of processor `i`.
-    pub fn load(&self, i: usize) -> u64 {
-        self.procs[i].load
     }
 
     /// `d_{i,c}`.

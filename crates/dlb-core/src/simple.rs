@@ -261,11 +261,6 @@ impl<R: BalanceRule> RawCluster<R> {
         }
     }
 
-    /// The parameter set this cluster runs with.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
     /// Load of processor `i`.
     pub fn load(&self, i: usize) -> u64 {
         self.loads[i]

@@ -7,7 +7,7 @@
 
 use crate::cluster::Cluster;
 use crate::metrics::Metrics;
-use crate::params::{ExchangePolicy, Params};
+use crate::params::ExchangePolicy;
 use dlb_json::{FromJson, Json, ToJson};
 
 /// Complete serialisable state of a [`Cluster`].
@@ -103,11 +103,6 @@ impl ClusterSnapshot {
     pub fn from_json(text: &str) -> Result<Self, String> {
         FromJson::from_json(&Json::parse(text)?)
     }
-
-    /// Reconstructs the parameter set.
-    pub fn params(&self) -> Result<Params, dlb_theory::ParamError> {
-        Ok(Params::new(self.n, self.delta, self.f, self.c_borrow)?.with_exchange(self.exchange))
-    }
 }
 
 impl Cluster {
@@ -126,6 +121,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
     use crate::strategy::{LoadBalancer, LoadEvent};
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;

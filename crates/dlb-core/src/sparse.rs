@@ -13,7 +13,7 @@
 //!
 //! # Representation
 //!
-//! A row of at most [`INLINE`] entries lives *in place*: the 32-byte
+//! A row of at most `INLINE` entries lives *in place*: the 32-byte
 //! `SparseRow` itself holds the keys and values, so a processor whose
 //! rows are that short — the common case at large n, where a processor
 //! holds its own class plus at most one visitor — owns no heap block
@@ -26,9 +26,9 @@
 //! a §7-workload step over a boxed pair of vectors.  A spilled row
 //! stays spilled when it shrinks, keeping its capacity the way
 //! `Vec::clear` does — a balance operation rewrites every member row
-//! ([`SparseRow::assign`]), and a wide row that bounced between the two
+//! (`SparseRow::assign`), and a wide row that bounced between the two
 //! forms would allocate on every rewrite.  Which form a row is in is
-//! invisible from outside: [`SparseRow::keys`]/[`SparseRow::vals`] hand
+//! invisible from outside: `SparseRow::keys`/`SparseRow::vals` hand
 //! out slices either way and `==` compares entries.
 //!
 //! Invariants (checked by [`crate::Cluster::check_invariants`] and the
@@ -42,7 +42,7 @@
 /// Entries a row keeps in place before it spills to the heap.  Two is
 /// what fits beside the tag in 32 bytes, and with it both rows of a
 /// processor fit its 128-byte record (see `cluster.rs`).
-pub const INLINE: usize = 2;
+pub(crate) const INLINE: usize = 2;
 
 /// Class `c` as a row key, or a row length (at most one entry per
 /// class) as its 32-bit field.  Classes are processor indices below the
@@ -130,7 +130,7 @@ fn shift_out(keys: &mut [u32], vals: &mut [u64], n: usize, pos: usize) -> u64 {
 }
 
 /// One processor's sparse class row: sorted active class ids with
-/// parallel values, in place up to [`INLINE`] entries and on the heap
+/// parallel values, in place up to `INLINE` entries and on the heap
 /// beyond (see the module docs).  Absent keys read as zero.
 #[derive(Clone)]
 pub struct SparseRow(Repr);
@@ -165,12 +165,13 @@ impl std::fmt::Debug for SparseRow {
 
 impl SparseRow {
     /// An empty row (all classes zero).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SparseRow::default()
     }
 
+    #[cfg(test)]
     /// A row holding `v` units of class `c` (empty when `v == 0`).
-    pub fn with_entry(c: u32, v: u64) -> Self {
+    pub(crate) fn with_entry(c: u32, v: u64) -> Self {
         let mut row = SparseRow::default();
         if v > 0 {
             row.push(c, v);
@@ -186,7 +187,7 @@ impl SparseRow {
 
     /// Number of active (nonzero) classes.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.0 {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Heap { len, .. } => *len as usize,
@@ -195,13 +196,13 @@ impl SparseRow {
 
     /// Whether every class is zero.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The sorted active class ids.
     #[inline]
-    pub fn keys(&self) -> &[u32] {
+    pub(crate) fn keys(&self) -> &[u32] {
         match &self.0 {
             Repr::Inline { len, keys, .. } => &keys[..*len as usize],
             Repr::Heap { len, cap, block } => &split(block, *cap as usize).1[..*len as usize],
@@ -210,7 +211,7 @@ impl SparseRow {
 
     /// The values parallel to [`SparseRow::keys`].
     #[inline]
-    pub fn vals(&self) -> &[u64] {
+    pub(crate) fn vals(&self) -> &[u64] {
         match &self.0 {
             Repr::Inline { len, vals, .. } => &vals[..*len as usize],
             Repr::Heap { len, block, .. } => &block[..*len as usize],
@@ -227,7 +228,7 @@ impl SparseRow {
 
     /// Entries in ascending class order.
     #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.keys().iter().copied().zip(self.vals().iter().copied())
     }
 
@@ -296,7 +297,7 @@ impl SparseRow {
 
     /// The value of class `c` (zero when inactive).  O(log active).
     #[inline]
-    pub fn get(&self, c: u32) -> u64 {
+    pub(crate) fn get(&self, c: u32) -> u64 {
         match self.keys().binary_search(&c) {
             Ok(pos) => self.vals()[pos],
             Err(_) => 0,
@@ -305,7 +306,7 @@ impl SparseRow {
 
     /// Adds `x > 0` units to class `c`, activating it if needed.
     #[inline]
-    pub fn add(&mut self, c: u32, x: u64) {
+    pub(crate) fn add(&mut self, c: u32, x: u64) {
         debug_assert!(x > 0);
         match self.keys().binary_search(&c) {
             Ok(pos) => self.vals_mut()[pos] += x,
@@ -319,7 +320,7 @@ impl SparseRow {
     ///
     /// Panics (in debug builds) if the class holds fewer than `x` units.
     #[inline]
-    pub fn sub(&mut self, c: u32, x: u64) {
+    pub(crate) fn sub(&mut self, c: u32, x: u64) {
         debug_assert!(x > 0);
         let pos = self
             .keys()
@@ -335,7 +336,7 @@ impl SparseRow {
 
     /// Sets class `c` to `v`, activating or deactivating as needed.
     #[inline]
-    pub fn set(&mut self, c: u32, v: u64) {
+    pub(crate) fn set(&mut self, c: u32, v: u64) {
         match self.keys().binary_search(&c) {
             Ok(pos) => {
                 if v == 0 {
@@ -354,7 +355,7 @@ impl SparseRow {
 
     /// Removes class `c` entirely, returning the units it held.
     #[inline]
-    pub fn take(&mut self, c: u32) -> u64 {
+    pub(crate) fn take(&mut self, c: u32) -> u64 {
         match self.keys().binary_search(&c) {
             Ok(pos) => self.remove_at(pos),
             Err(_) => 0,
@@ -367,7 +368,7 @@ impl SparseRow {
     /// pushing the entries one by one would have given it (the smallest
     /// power of two ≥ the length); a spilled row stays spilled.
     #[inline]
-    pub fn assign(&mut self, keys: &[u32], vals: &[u64]) {
+    pub(crate) fn assign(&mut self, keys: &[u32], vals: &[u64]) {
         let n = keys.len();
         debug_assert_eq!(n, vals.len());
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]) && !vals.contains(&0));
@@ -399,20 +400,20 @@ impl SparseRow {
     /// Appends an entry with `v > 0`; `c` must exceed every present key:
     /// builds a row from an ascending sweep in O(1) per entry.
     #[inline]
-    pub fn push(&mut self, c: u32, v: u64) {
+    pub(crate) fn push(&mut self, c: u32, v: u64) {
         debug_assert!(v > 0);
         debug_assert!(self.keys().last().is_none_or(|&last| last < c));
         self.insert_at(self.len(), c, v);
     }
 
     /// Sum of all values.  O(active).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.vals().iter().sum()
     }
 
     /// Heap bytes currently reserved by this row (capacity, not length —
     /// what the process actually pays); zero while the row is in place.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         match &self.0 {
             Repr::Inline { .. } => 0,
             Repr::Heap { block, .. } => std::mem::size_of_val(&**block),
@@ -420,7 +421,7 @@ impl SparseRow {
     }
 
     /// Verifies the structural invariants, returning the first violation.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         let (keys, vals) = (self.keys(), self.vals());
         if keys.len() != vals.len() {
             return Err(format!(
@@ -439,7 +440,7 @@ impl SparseRow {
     }
 
     /// Densifies into a length-`n` vector (test/snapshot helper; O(n)).
-    pub fn to_dense(&self, n: usize) -> Vec<u64> {
+    pub(crate) fn to_dense(&self, n: usize) -> Vec<u64> {
         let mut row = vec![0u64; n];
         for (c, v) in self.iter() {
             row[c as usize] = v;
@@ -452,14 +453,14 @@ impl SparseRow {
 /// fresh-borrow candidate count, `|a|` less the keys of `b` found in `a`
 /// by one binary search each: O(|b| log |a|), and `b` holds at most `C`
 /// marker classes.
-pub fn count_diff(a: &[u32], b: &[u32]) -> usize {
+pub(crate) fn count_diff(a: &[u32], b: &[u32]) -> usize {
     a.len() - b.iter().filter(|k| a.binary_search(k).is_ok()).count()
 }
 
 /// The `pick`-th key (ascending) present in `a` but absent from `b`:
 /// `a[pick + s]`, `s` the keys of `b` found in `a` at or before that
 /// entry, which their ascending positions count one by one.
-pub fn nth_diff(a: &[u32], b: &[u32], pick: usize) -> Option<u32> {
+pub(crate) fn nth_diff(a: &[u32], b: &[u32], pick: usize) -> Option<u32> {
     let mut at = pick;
     for p in b.iter().filter_map(|k| a.binary_search(k).ok()) {
         if p <= at {

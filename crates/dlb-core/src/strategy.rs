@@ -269,7 +269,8 @@ impl LoadSummary {
     }
 }
 
-/// Summary statistics of a load distribution snapshot.
+/// Summary statistics of a load distribution snapshot.  Public because
+/// [`imbalance_stats`] returns it; callers read its fields, not its name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImbalanceStats {
     /// Smallest per-processor load.

@@ -67,7 +67,7 @@ pub(crate) struct LoadCounts {
 
 impl LoadCounts {
     /// The multiset of `loads`.
-    pub fn new(loads: impl Iterator<Item = u64>) -> Self {
+    pub(crate) fn new(loads: impl Iterator<Item = u64>) -> Self {
         let mut this = LoadCounts {
             counts: vec![0],
             in_dense: 0,
@@ -89,7 +89,7 @@ impl LoadCounts {
 
     /// The multiset of `n` loads that all equal `load`, in O(1) of `n`:
     /// what `new` counts one by one.
-    pub fn uniform(n: usize, load: u64) -> Self {
+    pub(crate) fn uniform(n: usize, load: u64) -> Self {
         let n = u32::try_from(n).expect("per-load counters are 32 bits wide");
         let mut this = LoadCounts::new(std::iter::empty());
         if n > 0 {
@@ -136,7 +136,7 @@ impl LoadCounts {
 
     /// One processor's load changed from `old` to `new`.
     #[inline]
-    pub fn shift(&mut self, old: u64, new: u64) {
+    pub(crate) fn shift(&mut self, old: u64, new: u64) {
         // The common case: both loads inside the flat counters (which
         // never grow past `DENSE` slots), so one count moves and nothing
         // is resized.
@@ -157,7 +157,7 @@ impl LoadCounts {
 
     /// Exact `(min, max)` of the counted loads; `(0, 0)` when nothing
     /// is counted.
-    pub fn min_max(&mut self) -> (u64, u64) {
+    pub(crate) fn min_max(&mut self) -> (u64, u64) {
         let dense = (self.in_dense > 0).then(|| {
             while self.counts[self.lo] == 0 {
                 self.lo += 1;
@@ -177,7 +177,7 @@ impl LoadCounts {
 
     /// Checks that these are the counts of `loads` and that the cursors
     /// bracket every non-zero counter; returns the first violation.
-    pub fn check(&self, loads: impl Iterator<Item = u64>) -> Result<(), String> {
+    pub(crate) fn check(&self, loads: impl Iterator<Item = u64>) -> Result<(), String> {
         let recount = LoadCounts::new(loads);
         let trimmed = |c: &[u32]| c.len() - c.iter().rev().take_while(|&&k| k == 0).count();
         let (mine, theirs) = (
@@ -203,7 +203,7 @@ impl LoadCounts {
 
     /// Heap bytes held: the flat counters at capacity plus the map's
     /// entries (payload only; node headers are not visible from here).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<u32>()
             + self.overflow.len() * std::mem::size_of::<(u64, u32)>()
     }

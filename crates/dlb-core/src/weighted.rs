@@ -9,25 +9,18 @@
 //! gives member `i` the share `⌊total · s_i / Σs⌋` plus largest-remainder
 //! corrections, so the *normalised* loads `l_i / s_i` are equalised as
 //! tightly as indivisibility allows.  That redistribution is the whole
-//! module: [`proportional_shares`] and a [`BalanceRule`] calling it;
+//! module: `proportional_shares_into` and a [`BalanceRule`] calling it;
 //! everything else is the one raw-load engine of [`crate::simple`].
 
 use crate::params::Params;
 use crate::simple::{BalanceRule, RawCluster};
 use crate::strategy::LoadBalancer;
 
-/// Splits `total` proportionally to `weights` (largest-remainder method;
-/// exact conservation, shares within one packet of the real proportion).
-pub fn proportional_shares(total: u64, weights: &[u64]) -> Vec<u64> {
-    let mut shares = Vec::with_capacity(weights.len());
-    let mut remainders = Vec::with_capacity(weights.len());
-    proportional_shares_into(total, weights, &mut shares, &mut remainders);
-    shares
-}
-
-/// [`proportional_shares`] into caller-owned buffers (both cleared
-/// first); `remainders` is pure scratch for the largest-remainder sort.
-pub fn proportional_shares_into(
+/// Splits `total` proportionally to `weights` into `shares`
+/// (largest-remainder method; exact conservation, shares within one
+/// packet of the real proportion).  Both buffers are cleared first;
+/// `remainders` is pure scratch for the largest-remainder sort.
+pub(crate) fn proportional_shares_into(
     total: u64,
     weights: &[u64],
     shares: &mut Vec<u64>,
@@ -69,7 +62,8 @@ pub fn proportional_shares_into(
 type Remainders = Vec<(u64, usize)>;
 
 /// Shares proportional to processor speed; partners as in the paper
-/// (uniform over everyone alive).
+/// (uniform over everyone alive).  Public because [`WeightedCluster`]
+/// names it.
 #[derive(Debug, Clone)]
 pub struct ProportionalRule {
     /// Relative speed of each processor (packets retired per step).
@@ -86,7 +80,7 @@ impl ProportionalRule {
     /// # Panics
     ///
     /// Panics if any speed is zero.
-    pub fn new(speeds: Vec<u64>) -> Self {
+    pub(crate) fn new(speeds: Vec<u64>) -> Self {
         assert!(speeds.iter().all(|&s| s > 0), "speeds must be positive");
         ProportionalRule {
             speeds,
@@ -132,7 +126,7 @@ impl WeightedCluster {
     }
 
     /// The processor speeds.
-    pub fn speeds(&self) -> &[u64] {
+    pub(crate) fn speeds(&self) -> &[u64] {
         &self.rule().speeds
     }
 
@@ -162,6 +156,15 @@ mod tests {
     use crate::strategy::LoadEvent;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    /// Splits `total` proportionally to `weights` (largest-remainder method;
+    /// exact conservation, shares within one packet of the real proportion).
+    fn proportional_shares(total: u64, weights: &[u64]) -> Vec<u64> {
+        let mut shares = Vec::with_capacity(weights.len());
+        let mut remainders = Vec::with_capacity(weights.len());
+        proportional_shares_into(total, weights, &mut shares, &mut remainders);
+        shares
+    }
 
     #[test]
     fn proportional_shares_conserve_and_track_weights() {

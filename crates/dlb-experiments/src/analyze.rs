@@ -24,7 +24,8 @@ use dlb_theory::claims::{self, Estimate, Margin, Observation};
 use dlb_theory::AlgoParams;
 use dlb_trace::TraceEvent;
 
-/// The configuration a `RunStarted` event announced.
+/// The configuration a `RunStarted` event announced.  Public, like
+/// [`StepRow`], because `trace_analyze` reads it from [`RunAnalysis`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunInfo {
     /// Run index within the scenario.
@@ -52,6 +53,7 @@ struct StepAccum {
 }
 
 /// One per-step row of the derived series (cumulative counters).
+/// Public because `trace_analyze` reads [`RunAnalysis::steps`].
 #[derive(Debug, Clone, Copy)]
 pub struct StepRow {
     /// Logical step.
@@ -64,7 +66,8 @@ pub struct StepRow {
     pub load: Option<(u64, u64, u64)>,
 }
 
-/// Everything derived from one run's events.
+/// Everything derived from one run's events.  Public because
+/// [`analyze`] returns it to `trace_analyze`.
 #[derive(Debug, Clone)]
 pub struct RunAnalysis {
     /// The announcing `RunStarted`, when the trace had one.
@@ -108,7 +111,7 @@ impl RunAnalysis {
     }
 
     /// This run's parameters, when they are valid for `dlb-theory`.
-    pub fn algo_params(&self) -> Option<AlgoParams> {
+    pub(crate) fn algo_params(&self) -> Option<AlgoParams> {
         let info = self.info.as_ref()?;
         AlgoParams::new(
             usize::try_from(info.n).ok()?,

@@ -44,7 +44,7 @@ pub enum RunWorkload {
 
 /// Run `run`'s copy of `plan`: the plan's own seed is re-derived per run,
 /// so runs see independent fault streams.
-pub fn plan_for_run(plan: &FaultPlan, run: u64) -> FaultPlan {
+pub(crate) fn plan_for_run(plan: &FaultPlan, run: u64) -> FaultPlan {
     let mut plan = plan.clone();
     plan.seed = stream_seed(plan.seed, run, StreamId::Faults);
     plan
@@ -107,7 +107,7 @@ pub fn run_seeded<B: LoadBalancer + ?Sized>(
 /// one of a synchronous balancer: `make_config` gets run `run`'s
 /// balancer-stream seed and returns the network's configuration and,
 /// for a traced run, the sink to attach; the network runs `faults`'
-/// [`plan_for_run`] copy when there is a plan; `make_workload` gets the
+/// `plan_for_run` copy when there is a plan; `make_workload` gets the
 /// workload-stream seed.  The network ticks `steps` times on the
 /// workload's events and is handed to `observe(t, net)` after each tick,
 /// then quiesces.  Conservation is checked after every tick and after
@@ -159,7 +159,7 @@ pub fn run_seeded_async<W: Workload + ?Sized>(
 const CONV_THRESHOLD: f64 = 1.5;
 
 /// Builds one contender instance from that run's balancer-stream seed.
-pub type ContenderFactory = Box<dyn Fn(u64) -> Box<dyn LoadBalancer> + Sync + Send>;
+pub(crate) type ContenderFactory = Box<dyn Fn(u64) -> Box<dyn LoadBalancer> + Sync + Send>;
 
 /// One arena entrant: a display label plus a per-run factory.
 pub struct Contender {
@@ -208,12 +208,13 @@ impl ArenaConfig {
     // Callers keep the fraction in [0, 1), so the product stays below
     // `steps`.
     #[allow(clippy::cast_possible_truncation)]
-    pub fn warmup(&self) -> usize {
+    pub(crate) fn warmup(&self) -> usize {
         (self.steps as f64 * self.warmup_fraction) as usize
     }
 }
 
-/// One league-table row: a contender's aggregate over all runs.
+/// One league-table row: a contender's aggregate over all runs.  Public
+/// because [`run_league`] returns it to `dlb run`'s league.
 #[derive(Debug, Clone)]
 pub struct ArenaRow {
     /// Contender label.
@@ -241,12 +242,12 @@ pub struct ArenaRow {
     /// Mean max/mean ratio per step, over runs (the SVG curve).
     pub ratio_curve: Vec<f64>,
     /// Each run's own figures, in run order: the spread behind the means.
-    pub per_run: Vec<RunStats>,
+    pub(crate) per_run: Vec<RunStats>,
 }
 
 /// One run of one contender.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunStats {
+pub(crate) struct RunStats {
     /// Mean max/mean ratio over the run's recorded steps.
     pub mean_ratio: f64,
     /// Balancing operations.

@@ -6,12 +6,9 @@
 //! Every binary (and every `dlb-exp` row) declares the keys it reads
 //! with [`keys!`](crate::keys); [`Args::parse`] refuses an undeclared
 //! key, a value that does not parse as the declared type and a bare
-//! word — before the experiment starts, as `dlb` does.  A value that
-//! parses but cannot be built into what the tool needs goes through
-//! [`Args::build_or_exit`] to the same end.
+//! word — before the experiment starts, as `dlb` does.
 
 use std::collections::HashMap;
-use std::fmt::Display;
 use std::str::FromStr;
 
 /// One declared `--name` and the type its value must parse as.
@@ -69,8 +66,6 @@ pub struct Args {
     program: String,
     values: HashMap<String, String>,
     keys: &'static [Key],
-    /// Where an output lands when its key is not supplied.
-    results: String,
 }
 
 impl Args {
@@ -89,30 +84,6 @@ impl Args {
             eprintln!("error: {reason}\n{}", usage(program, keys));
             std::process::exit(2)
         })
-    }
-
-    /// Unwraps what an experiment built from the value of `--name`.  A
-    /// value that parsed but cannot be built is refused as one that did
-    /// not parse is: the reason, the usage line, exit 2.
-    pub fn build_or_exit<T, E: Display>(&self, name: &str, built: Result<T, E>) -> T {
-        built.unwrap_or_else(|why| {
-            eprintln!(
-                "error: {}\n{}",
-                self.refusal(name, &why),
-                usage(&self.program, self.keys)
-            );
-            std::process::exit(2)
-        })
-    }
-
-    /// `--delta 0: <why>`, or the reason alone when `--name` was not
-    /// supplied.
-    fn refusal(&self, name: &str, why: &dyn Display) -> String {
-        self.assert_declared(name);
-        match self.values.get(name) {
-            Some(raw) => format!("--{name} {raw}: {why}"),
-            None => why.to_string(),
-        }
     }
 
     /// Parses `--key value` pairs, accepting only declared keys whose
@@ -144,28 +115,32 @@ impl Args {
             program: program.to_string(),
             values,
             keys,
-            results: "results".to_string(),
         })
     }
 
-    /// The same arguments with every default output under `dir`
-    /// instead of `results/`.
-    pub fn under(self, dir: &str) -> Self {
-        Args {
-            results: dir.to_string(),
-            ..self
+    /// The directory `--out` names: `results` when it is absent.
+    pub(crate) fn out_dir(&self) -> String {
+        self.get("out", "results".to_string())
+    }
+
+    /// `file` in [`Args::out_dir`].
+    pub(crate) fn output(&self, file: &str) -> String {
+        format!("{}/{file}", self.out_dir())
+    }
+
+    /// Creates `Args::out_dir` if it is missing.  A path that is not
+    /// a directory and cannot be made one is refused as a value that
+    /// does not parse is: the reason, the usage line, exit 2 — before
+    /// the tool prints or writes anything.
+    pub fn create_out_dir_or_exit(&self) {
+        let dir = self.out_dir();
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!(
+                "error: --out {dir}: cannot create the output directory: {e}\n{}",
+                usage(&self.program, self.keys)
+            );
+            std::process::exit(2)
         }
-    }
-
-    /// The directory default outputs land in: `results` unless
-    /// [`Args::under`] moved it.
-    pub fn results(&self) -> &str {
-        &self.results
-    }
-
-    /// `--name`, or `file` in [`Args::results`] when it is absent.
-    pub fn output(&self, name: &str, file: &str) -> String {
-        self.get(name, format!("{}/{file}", self.results))
     }
 
     /// Returns `--name` parsed as `T`, or `default` when absent.
@@ -208,7 +183,7 @@ impl Args {
 }
 
 /// `usage: <program> [--key <type>] …`, the line printed with a refusal.
-pub fn usage(program: &str, keys: &[Key]) -> String {
+pub(crate) fn usage(program: &str, keys: &[Key]) -> String {
     let mut line = format!("usage: {program}");
     for key in keys {
         match key.ty {
@@ -288,39 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn unbuildable_value_is_refused_by_name() {
-        let params = |a: &Args| dlb_core::Params::new(64, a.get("delta", 1), 1.1, 4);
-        let a = args(&["--delta", "0", "--runs", "3"]);
-        assert_eq!(
-            a.refusal("delta", &params(&a).unwrap_err()),
-            "--delta 0: neighbourhood size delta = 0 must satisfy 1 <= delta < n = 64"
-        );
-        let a = args(&["--delta", "64"]);
-        assert_eq!(
-            a.refusal("delta", &params(&a).unwrap_err()),
-            "--delta 64: neighbourhood size delta = 64 must satisfy 1 <= delta < n = 64"
-        );
-        // Not supplied: the reason stands alone.
-        assert_eq!(args(&[]).refusal("delta", &"why"), "why");
-        let a = args(&["--delta", "63"]);
-        assert_eq!(a.build_or_exit("delta", params(&a)).delta(), 63);
-    }
-
-    #[test]
     fn default_outputs_follow_the_results_directory() {
-        assert_eq!(args(&[]).output("out", "x.csv"), "results/x.csv");
-        let moved = args(&[]).under("/tmp/r");
-        assert_eq!(
-            (moved.results(), moved.output("out", "x.csv").as_str()),
-            ("/tmp/r", "/tmp/r/x.csv")
-        );
-        // A supplied path wins wherever the defaults are.
-        assert_eq!(
-            args(&["--out", "y.csv"])
-                .under("/tmp/r")
-                .output("out", "x.csv"),
-            "y.csv"
-        );
+        assert_eq!(args(&[]).output("x.csv"), "results/x.csv");
+        assert_eq!(args(&["--out", "/tmp/r"]).output("x.csv"), "/tmp/r/x.csv");
     }
 
     #[test]

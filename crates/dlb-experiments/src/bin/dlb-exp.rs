@@ -1,6 +1,8 @@
 //! The experiment driver: `dlb-exp <name> [--key value …]` runs one row
-//! of [`dlb_experiments::exp::EXPERIMENTS`], prints the claims it judged
-//! and exits 1 if one is violated; `dlb-exp list` prints the rows.
+//! of [`dlb_experiments::exp::EXPERIMENTS`] with its outputs in the
+//! directory `--out` (created first, or refused with exit 2), prints the
+//! claims it judged and exits 1 if one is violated; `dlb-exp list`
+//! prints the rows.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
@@ -28,5 +30,6 @@ fn main() {
     };
     let program = format!("dlb-exp {name}");
     let args = Args::parse_or_exit(&program, argv, experiment.keys);
+    args.create_out_dir_or_exit();
     report(&(experiment.run)(&args));
 }

@@ -11,7 +11,7 @@
 //! same league and the neighbour partners' hop count judge the
 //! `ablation.*` claims.
 //!
-//! Usage: `dlb-exp ablation [--jobs N] [--out results/ablation.csv]`
+//! Usage: `dlb-exp ablation [--jobs N] [--out results]`
 //! (jobs default to the available cores)
 
 use super::{excess, minus, ratios, shape, Row};
@@ -29,7 +29,7 @@ use dlb_theory::claims::Estimate;
 use dlb_workload::drive;
 use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Processors (an 8 × 8 torus for the locality variants), steps and
 /// runs of every variant, and the seed of their workloads.
@@ -85,9 +85,9 @@ fn hops(mode: PartnerMode) -> (u64, u64) {
     (comm.packets, comm.packet_hops)
 }
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", "ablation.csv");
+    let out = args.output("ablation.csv");
 
     let params = Params::paper_section7(N);
     outln!("Ablations ({N} procs, section-7 workload, {STEPS} steps, {RUNS} runs)\n");

@@ -8,16 +8,16 @@
 //! cost is additionally compared against its Lemma 6 budget
 //! (`cost_vs_l6`; 0.000 for contenders without decrease simulations).
 //!
-//! Usage: `dlb-exp arena [--jobs N]
-//!         [--out results/arena.csv] [--svg results/arena.svg]
+//! Usage: `dlb-exp arena [--jobs N] [--out results]
 //!         [--trace results/arena.jsonl] [--smoke]`
 //!
-//! The league is 64 processors, 500 steps and 20 runs.  `--smoke`
-//! shrinks it (n=16, 120 steps, 4 runs) and writes to
-//! `results/arena_smoke.{csv,svg}` so the `arena-golden` CI job can
-//! drift-gate it in seconds.  Output — CSV, SVG and trace — is
-//! byte-identical for every `--jobs` value.  The SVG leaves out
-//! `random-scatter`, whose ratio would set the y-axis of every curve.
+//! The league is 64 processors, 500 steps and 20 runs, written as
+//! `arena.{csv,svg}` in `--out`.  `--smoke` shrinks it (n=16, 120
+//! steps, 4 runs) and writes `arena_smoke.{csv,svg}` instead, so the
+//! `arena-golden` CI job can drift-gate it in seconds.  Output — CSV,
+//! SVG and trace — is byte-identical for every `--jobs` value.  The SVG
+//! leaves out `random-scatter`, whose ratio would set the y-axis of
+//! every curve.
 
 use crate::arena::{
     league_csv_rows, lemma6_budget, run_league, ArenaConfig, Contender, LEAGUE_HEADERS,
@@ -96,15 +96,15 @@ fn fault_plan(n: usize, steps: usize) -> FaultPlan {
     }
 }
 
-pub const KEYS: &[Key] = crate::keys![
-    "smoke": Flag, "jobs": usize, "out": String, "svg": String, "trace": String,
+pub(super) const KEYS: &[Key] = crate::keys![
+    "smoke": Flag, "jobs": usize, "out": String, "trace": String,
 ];
 
 /// The contender whose ratio (≈ 47) would set the chart's y-axis for
 /// every other curve; the CSV keeps its row.
 const OFF_CHART: &str = "random-scatter";
 
-pub fn run(args: &Args) -> Vec<super::Row> {
+pub(super) fn run(args: &Args) -> Vec<super::Row> {
     let smoke = args.flag("smoke");
     let (n, steps, runs, name) = if smoke {
         (16, 120, 4, "arena_smoke")
@@ -112,8 +112,8 @@ pub fn run(args: &Args) -> Vec<super::Row> {
         (64, 500, 20, "arena")
     };
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", &format!("{name}.csv"));
-    let svg = args.output("svg", &format!("{name}.svg"));
+    let out = args.output(&format!("{name}.csv"));
+    let svg = args.output(&format!("{name}.svg"));
     let trace: Option<String> = args.has("trace").then(|| args.get("trace", String::new()));
 
     let params = Params::paper_section7(n);

@@ -8,7 +8,7 @@
 //! Message loss is `faults_sweep`'s row.  Each latency's runs are
 //! averaged into the table and judge the `async_latency.*` claims.
 //!
-//! Usage: `dlb-exp async_latency [--jobs N] [--out results/async_latency.csv]`
+//! Usage: `dlb-exp async_latency [--jobs N] [--out results]`
 //! (jobs default to the available cores)
 
 use super::{minus, shape, Row};
@@ -31,7 +31,7 @@ const SEED: u64 = 11;
 const RUNS: usize = BATCHES;
 const LATENCIES: [u64; 4] = [1, 4, 16, 64];
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Run `r` of the protocol at `latency`: the mean sampled max/mean load
 /// ratio once the loads have built up, and the network's counters.
@@ -65,9 +65,9 @@ fn abort_rate(s: &AsyncStats) -> f64 {
     s.aborted_ops as f64 / (s.completed_ops + s.aborted_ops).max(1) as f64
 }
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", "async_latency.csv");
+    let out = args.output("async_latency.csv");
 
     outln!(
         "Asynchronous protocol: quality vs message latency \

@@ -31,7 +31,7 @@ use dlb_theory::TheoremBounds;
 use dlb_workload::sparse::{drive_sparse, SparseActivity, SparsePattern};
 use dlb_workload::Workload;
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// `(n, δ, f)` of the one-processor model.
 const RATIO_GRID: [(usize, usize, f64); 7] = [
@@ -237,9 +237,9 @@ fn section7() -> Vec<Config> {
     [PANELS.concat(), table1_borrow::configs()].concat()
 }
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out: String = args.get("out", args.results().to_string());
+    let out = args.out_dir();
 
     outln!("The paper's claims (dlb_theory::claims):\n");
     for claim in &CLAIMS {
@@ -257,12 +257,13 @@ pub fn run(args: &Args) -> Vec<Row> {
     ]
     .concat();
     let draw = PAPER.draw(&section7(), jobs);
-    // Every row declares `--jobs`, so the one given here bounds them all.
+    // Every row declares `--jobs` and `--out`, so the ones given here
+    // hold for them all.
     for experiment in EXPERIMENTS.iter().filter(|e| e.name != "claims") {
-        let argv = vec!["--jobs".to_string(), jobs.to_string()];
+        let argv = ["--jobs", &jobs.to_string(), "--out", &out].map(str::to_string);
         let program = format!("dlb-exp {}", experiment.name);
-        let args = Args::parse(&program, argv, experiment.keys).expect("--jobs is declared");
-        let args = args.under(&out);
+        let args =
+            Args::parse(&program, argv, experiment.keys).expect("--jobs and --out are declared");
         outln!("\n{program}\n");
         // The §7 rows are views over the one draw.
         rows.extend(match experiment.name {

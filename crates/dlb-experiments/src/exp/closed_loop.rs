@@ -6,7 +6,7 @@
 //! algorithm buys.  The same task trees judge the `closed_loop.speedup`
 //! claim.
 //!
-//! Usage: `dlb-exp closed_loop [--jobs N] [--out results/closed_loop.csv]`
+//! Usage: `dlb-exp closed_loop [--jobs N] [--out results]`
 //! (jobs default to the available cores)
 
 use super::{minus, shape, Row};
@@ -41,11 +41,11 @@ fn makespans<B: LoadBalancer>(make: impl Fn(u64) -> B) -> Vec<(usize, u64)> {
         .collect()
 }
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", "closed_loop.csv");
+    let out = args.output("closed_loop.csv");
 
     outln!(
         "Closed-loop branching computation ({ROOTS} roots on processor 0, \

@@ -6,9 +6,8 @@
 //! Output is a byte-stable JSON report (all randomness is seeded, no
 //! timestamps) plus an SVG chart of both sweeps.
 //!
-//! Usage: `dlb-exp faults_sweep [--jobs N]
-//!         [--out results/faults_sweep.json]
-//!         [--svg results/faults_sweep.svg]`
+//! Usage: `dlb-exp faults_sweep [--jobs N] [--out results]`
+//! (`--out` is the directory of `faults_sweep.json` and `.svg`)
 //!
 //! The sweep runs 32 processors for 3000 ticks, 3 runs per point.
 
@@ -19,12 +18,12 @@ use crate::report::{f3, render_table};
 use crate::svg::write_chart;
 use dlb_json::ToJson;
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String, "svg": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
-pub fn run(args: &Args) -> Vec<super::Row> {
+pub(super) fn run(args: &Args) -> Vec<super::Row> {
     let jobs = args.get("jobs", crate::parallel::default_jobs());
-    let out = args.output("out", "faults_sweep.json");
-    let svg = args.output("svg", "faults_sweep.svg");
+    let out = args.output("faults_sweep.json");
+    let svg = args.output("faults_sweep.svg");
 
     outln!(
         "Fault sweep: balance quality vs loss and crash rates \

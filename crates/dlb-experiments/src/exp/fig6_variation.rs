@@ -4,7 +4,7 @@
 //! cross-check column).  It judges the `fig6.*` claims on the exact
 //! curves at 35 processors.
 //!
-//! Usage: `dlb-exp fig6_variation [--out results/fig6.csv] [--jobs N]`
+//! Usage: `dlb-exp fig6_variation [--out results] [--jobs N]`
 
 use super::{shape, Row};
 use crate::args::{Args, Key};
@@ -15,16 +15,16 @@ use crate::svg::{write_chart, ChartConfig, Series};
 use crate::variation::{figure6_curves, mc_crosscheck, paper_processor_counts, VdCurve};
 use dlb_theory::claims::Estimate;
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// Balancing steps of every curve, and the grid of `δ` and `f`.
 const STEPS: usize = 150;
 const DELTAS: [usize; 3] = [1, 2, 4];
 const FS: [f64; 2] = [1.1, 1.2];
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", "fig6.csv");
+    let out = args.output("fig6.csv");
 
     let curves = figure6_curves(&DELTAS, &FS, &paper_processor_counts(), STEPS, jobs);
 

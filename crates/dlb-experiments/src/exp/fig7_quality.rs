@@ -16,18 +16,18 @@ use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_theory::claims::Estimate;
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// The figure of each row of [`PANELS`].
 const FIGURES: [u32; 2] = [7, 8];
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     view(args, &super::draw(args, PAPER, &PANELS.concat()))
 }
 
 /// Both figures and the `fig7.*` claims, from `draw`.
-pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
-    let out: String = args.get("out", args.results().to_string());
+pub(super) fn view(args: &Args, draw: &Draw) -> Vec<Row> {
+    let out = args.out_dir();
     for (figure, panels) in FIGURES.into_iter().zip(PANELS) {
         figure_pair(figure, panels, draw, &out);
     }

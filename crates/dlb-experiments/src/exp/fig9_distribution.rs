@@ -14,7 +14,7 @@ use crate::report::{ascii_plot, f3, render_table, write_csv};
 use crate::svg::{write_chart, ChartConfig, Series};
 use dlb_theory::claims::Estimate;
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// The paper's §7 setting and its checkpoints (the claims judge the
 /// last), and the figure of each row of [`PANELS`].
@@ -24,13 +24,13 @@ const CHECKPOINTS: &[usize] = PAPER.checkpoints;
 const JUDGED: usize = CHECKPOINTS.len() - 1;
 const FIGURES: [u32; 2] = [9, 10];
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     view(args, &super::draw(args, PAPER, &PANELS.concat()))
 }
 
 /// Both figures and the `fig9.*` claims, from `draw`.
-pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
-    let out: String = args.get("out", args.results().to_string());
+pub(super) fn view(args: &Args, draw: &Draw) -> Vec<Row> {
+    let out = args.out_dir();
     for (figure, panels) in FIGURES.into_iter().zip(PANELS) {
         figure_pair(figure, panels, draw, &out);
     }

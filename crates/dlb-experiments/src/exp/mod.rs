@@ -1,7 +1,8 @@
 //! The experiment table behind `dlb-exp <name> [--key value …]`: one row
 //! per table or figure of the evaluation, each a `run(&Args)` in the
 //! module of the same name that prints its tables and writes its
-//! CSV/SVG/JSON (defaults under `results/`, `--out`/`--svg` override).
+//! CSV/SVG/JSON under fixed names in the directory `--out` (default
+//! `results`), which `dlb-exp` creates or refuses before the row runs.
 //!
 //! A row that draws runs a claim of `dlb_theory::claims` bounds judges
 //! that claim on those runs and returns the judged rows of
@@ -71,7 +72,7 @@ pub const EXPERIMENTS: &[Experiment] = table! {
 };
 
 /// One judged row of `claims.csv`, one field per `HEADERS` column.
-pub type Row = Vec<String>;
+pub(crate) type Row = Vec<String>;
 
 /// The columns of `claims.csv`.
 const HEADERS: [&str; 9] = [

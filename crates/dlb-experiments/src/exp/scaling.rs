@@ -7,7 +7,7 @@
 //! max/mean and ops-per-processor cells carry their standard error, and
 //! the same runs judge the `scaling.*` claims.
 //!
-//! Usage: `dlb-exp scaling [--jobs N] [--out results/scaling.csv]`
+//! Usage: `dlb-exp scaling [--jobs N] [--out results]`
 //! (jobs default to the available cores; the cells run one per job)
 
 use super::{ratios, shape, Row};
@@ -31,7 +31,7 @@ const NS: [usize; 4] = [16, 64, 256, 1024];
 const FULL_UP_TO: usize = 256;
 const VARIANTS: [&str; 2] = ["simple", "full"];
 
-pub const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["jobs": usize, "out": String];
 
 /// One contender's league over [`RUNS`] runs of the §7 workload at `n`.
 fn league(variant: usize, n: usize) -> ArenaRow {
@@ -72,9 +72,9 @@ fn cell(e: Estimate) -> String {
     format!("{} ± {}", f3(e.mean), f3(e.se))
 }
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let jobs: usize = args.get("jobs", default_jobs());
-    let out = args.output("out", "scaling.csv");
+    let out = args.output("scaling.csv");
 
     outln!("Scaling: section-7 workload, delta = 1, f = 1.1 ({STEPS} steps, {RUNS} runs)\n");
     // (variant, n): the practical variant at every n, then the full one.

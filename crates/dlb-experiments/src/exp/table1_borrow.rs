@@ -2,12 +2,12 @@
 //! decrease sim) for `C ∈ {4, 8, 16, 32}` on the §7 workload with
 //! `f = 1.1`, `δ = 1`, under both exchange policies.
 //!
-//! Usage: `dlb-exp table1_borrow [--jobs N] [--out results/table1.csv]
+//! Usage: `dlb-exp table1_borrow [--jobs N] [--out results]
 //!         [--smoke]`
 //!
 //! The matrix is 64 processors, 500 steps and 100 runs.  `--smoke`
-//! shrinks it (n=16, 80 steps, 8 runs) and writes to
-//! `results/table1_smoke.csv` so CI can golden-gate it in seconds
+//! shrinks it (n=16, 80 steps, 8 runs) and writes
+//! `table1_smoke.csv` instead, so CI can golden-gate it in seconds
 //! without touching the paper-scale `results/table1.csv`.  At paper
 //! scale the strict policy's runs judge the `table1.*` claims: the
 //! shapes the table shows, and the values the paper prints.  Each cell
@@ -21,7 +21,7 @@ use crate::report::{f3, render_table, write_csv};
 use dlb_core::{ExchangePolicy, Metrics};
 use dlb_theory::claims::Estimate;
 
-pub const KEYS: &[Key] = crate::keys!["smoke": Flag, "jobs": usize, "out": String];
+pub(super) const KEYS: &[Key] = crate::keys!["smoke": Flag, "jobs": usize, "out": String];
 
 /// The columns of the table, and its two halves.
 const CS: [usize; 4] = [4, 8, 16, 32];
@@ -73,13 +73,13 @@ const DECREASE_LEVELS: &str = "the paper's count levels off near 1.6 at large C 
                                tracks remote borrow 1:1; it may also count b_ii settlements \
                                (the engine's markers_settled)";
 
-pub fn run(args: &Args) -> Vec<Row> {
+pub(super) fn run(args: &Args) -> Vec<Row> {
     let setting = if args.flag("smoke") { SMOKE } else { PAPER };
     view(args, &super::draw(args, setting, &configs()))
 }
 
 /// Every cell's configuration.
-pub fn configs() -> Vec<Config> {
+pub(super) fn configs() -> Vec<Config> {
     POLICIES.map(|policy| CS.map(|c| cell(c, policy))).concat()
 }
 
@@ -90,14 +90,14 @@ fn cell(c: usize, policy: ExchangePolicy) -> Config {
 }
 
 /// The table and, at paper scale, the `table1.*` claims, from `draw`.
-pub fn view(args: &Args, draw: &Draw) -> Vec<Row> {
+pub(super) fn view(args: &Args, draw: &Draw) -> Vec<Row> {
     let smoke = args.flag("smoke");
     let file = if smoke {
         "table1_smoke.csv"
     } else {
         "table1.csv"
     };
-    let out = args.output("out", file);
+    let out = args.output(file);
     let Setting { n, steps, runs, .. } = draw.setting;
 
     outln!(

@@ -30,13 +30,13 @@ use dlb_net::{AsyncConfig, AsyncStats};
 use dlb_workload::patterns::UniformRandom;
 
 /// Processors.
-pub const N: usize = 32;
+pub(crate) const N: usize = 32;
 /// Workload ticks per run (quiescence excluded).
-pub const STEPS: usize = 3_000;
+pub(crate) const STEPS: usize = 3_000;
 /// Message latency in ticks.
-pub const LATENCY: u64 = 4;
+pub(crate) const LATENCY: u64 = 4;
 /// Independent runs averaged per sweep point.
-pub const RUNS: usize = 3;
+pub(crate) const RUNS: usize = 3;
 /// Base seed of every run's network and workload streams (the fault
 /// stream derives from the plans' own seed, `FaultPlan::reliable()`'s).
 const SEED: u64 = 5;
@@ -64,7 +64,7 @@ fn crash_plan(count: usize) -> FaultPlan {
 
 /// One measured sweep point.
 #[derive(Debug, Clone)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Swept coordinate: loss probability, or crashed fraction of `n`.
     pub x: f64,
     /// Time-averaged max/mean load ratio (lower is better, 1.0 ideal).
@@ -101,7 +101,7 @@ impl ToJson for SweepPoint {
 
 /// Full sweep result.
 #[derive(Debug, Clone)]
-pub struct SweepResult {
+pub(crate) struct SweepResult {
     /// Quality vs message-loss probability.
     pub loss_sweep: Vec<SweepPoint>,
     /// Quality vs crashed-processor fraction.
@@ -137,7 +137,7 @@ impl ToJson for SweepResult {
 
 impl SweepResult {
     /// The two sweeps as chart series (x in percent).
-    pub fn chart(&self) -> (ChartConfig, Vec<Series>) {
+    pub(crate) fn chart(&self) -> (ChartConfig, Vec<Series>) {
         let config = ChartConfig {
             title: format!("Balance quality under faults ({N} procs, latency {LATENCY})"),
             x_label: "fault rate (%)".into(),
@@ -216,7 +216,7 @@ fn run_cell(plan: &FaultPlan, jobs: usize) -> SweepPoint {
 
 /// Runs the full sweep over `jobs` workers (the output is bit-identical
 /// for every value; 1 = inline).
-pub fn sweep(jobs: usize) -> SweepResult {
+pub(crate) fn sweep(jobs: usize) -> SweepResult {
     let loss_sweep = LOSSES
         .iter()
         .map(|&loss| {

@@ -23,7 +23,7 @@ pub mod analyze;
 pub mod arena;
 pub mod args;
 pub mod exp;
-pub mod faultsweep;
+pub(crate) mod faultsweep;
 pub mod parallel;
 pub mod quality;
 pub mod report;
@@ -31,4 +31,4 @@ pub mod svg;
 pub mod variation;
 
 pub use parallel::{default_jobs, par_map, stream_seed, StreamId};
-pub use report::{ascii_plot, render_table, write_csv};
+pub use report::{render_table, write_csv};

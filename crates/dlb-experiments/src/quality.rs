@@ -26,7 +26,7 @@ use dlb_workload::phase::{PhaseConfig, PhaseWorkload};
 
 /// The paper's §7 setting: 64 processors, 500 steps and 100 runs, kept
 /// at Figures 9/10's checkpoints.
-pub const PAPER: Setting = Setting {
+pub(crate) const PAPER: Setting = Setting {
     n: 64,
     steps: 500,
     runs: 100,
@@ -74,7 +74,7 @@ impl Config {
     }
 
     /// Its parameters at `n` processors.
-    pub fn params(&self, n: usize) -> Params {
+    pub(crate) fn params(&self, n: usize) -> Params {
         let params = Params::new(n, self.delta, self.f, self.c).expect("a valid configuration");
         params.with_exchange(self.policy)
     }
@@ -189,12 +189,12 @@ pub(crate) struct Band {
 impl Band {
     /// Per step (Figures 7/8): the mean load per processor, and the
     /// least and greatest load of any processor in any run.
-    pub fn per_step(runs: &[Run], n: usize) -> Band {
+    pub(crate) fn per_step(runs: &[Run], n: usize) -> Band {
         Band::over(runs, n as f64, |run| [&run.total, &run.min, &run.max])
     }
 
     /// Per processor at checkpoint `k` (Figures 9/10).
-    pub fn per_processor(runs: &[Run], k: usize) -> Band {
+    pub(crate) fn per_processor(runs: &[Run], k: usize) -> Band {
         Band::over(runs, 1.0, |run| [&run.loads[k]; 3])
     }
 
@@ -230,7 +230,7 @@ pub fn paper_workload(n: usize, steps: usize, seed: u64) -> RunWorkload {
 
 /// Claim `thm4`'s observations of `config` drawn under `setting`: every
 /// ordered pair `i ≠ j` of per-processor mean loads, at each checkpoint.
-pub fn theorem4_pairs(setting: Setting, config: Config, jobs: usize) -> Vec<Observation> {
+pub(crate) fn theorem4_pairs(setting: Setting, config: Config, jobs: usize) -> Vec<Observation> {
     let draw = setting.draw(&[config], jobs);
     let runs = draw.runs(config);
     let mut pairs = Vec::new();

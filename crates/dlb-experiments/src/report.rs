@@ -18,7 +18,8 @@ macro_rules! outln {
     };
 }
 
-/// Writes one line to stdout for [`outln!`].
+/// Writes one line to stdout for [`outln!`].  Public because the macro
+/// expands to a call of it in every crate that prints with it.
 ///
 /// # Panics
 ///
@@ -65,7 +66,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Renders one or more named series as a crude ASCII line plot
 /// (`height` rows, one column per sample; series are marked with
 /// distinct glyphs, collisions show the later series).
-pub fn ascii_plot(series: &[(&str, &[f64])], height: usize) -> String {
+pub(crate) fn ascii_plot(series: &[(&str, &[f64])], height: usize) -> String {
     const GLYPHS: [char; 6] = ['*', '+', 'o', 'x', '#', '@'];
     assert!(
         !series.is_empty() && height >= 2,
@@ -132,7 +133,7 @@ pub fn write_csv<P: AsRef<Path>>(
 }
 
 /// Convenience: formats a float with 3 decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 

@@ -1,8 +1,8 @@
-//! Dependency-free SVG line charts for the figure binaries.
+//! Dependency-free SVG line charts for the figure rows.
 //!
-//! Each experiment binary can emit the paper's figures as standalone SVG
-//! files (`--svg results/figX.svg`) in addition to CSV: multi-series line
-//! charts with axes, ticks, and a legend.  The writer is deliberately
+//! An experiment row writes the paper's figures as standalone SVG files
+//! beside its CSV (`results/figX.svg`): multi-series line charts with
+//! axes, ticks, and a legend.  The writer is deliberately
 //! small — axis scaling, polyline generation and text escaping — but
 //! fully tested, since broken SVG fails silently in viewers.
 
@@ -21,7 +21,7 @@ pub struct Series {
 
 impl Series {
     /// Builds a series from y-values at x = 0, 1, 2, …
-    pub fn from_ys(name: &str, ys: &[f64]) -> Self {
+    pub(crate) fn from_ys(name: &str, ys: &[f64]) -> Self {
         Series {
             name: name.to_string(),
             points: ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect(),
@@ -65,7 +65,7 @@ const MARGIN_T: f64 = 40.0;
 const MARGIN_B: f64 = 48.0;
 
 /// Escapes text for SVG/XML content.
-pub fn escape(text: &str) -> String {
+pub(crate) fn escape(text: &str) -> String {
     text.chars()
         .flat_map(|c| match c {
             '&' => "&amp;".chars().collect::<Vec<_>>(),
@@ -83,7 +83,7 @@ pub fn escape(text: &str) -> String {
 /// # Panics
 ///
 /// Panics if no series contains any point.
-pub fn line_chart(config: &ChartConfig, series: &[Series]) -> String {
+pub(crate) fn line_chart(config: &ChartConfig, series: &[Series]) -> String {
     let all: Vec<(f64, f64)> = series
         .iter()
         .flat_map(|s| s.points.iter().copied())

@@ -13,7 +13,7 @@ use dlb_theory::moments::{monte_carlo, vd_curve, Selection};
 
 /// One Figure 6 curve.
 #[derive(Debug, Clone)]
-pub struct VdCurve {
+pub(crate) struct VdCurve {
     /// Neighbourhood size `δ`.
     pub delta: usize,
     /// Trigger factor `f`.
@@ -27,13 +27,13 @@ pub struct VdCurve {
 
 impl VdCurve {
     /// Converged (final) variation density.
-    pub fn final_vd(&self) -> f64 {
+    pub(crate) fn final_vd(&self) -> f64 {
         *self.vd.last().expect("non-empty curve")
     }
 }
 
 /// The processor counts of Figure 6.
-pub fn paper_processor_counts() -> Vec<usize> {
+pub(crate) fn paper_processor_counts() -> Vec<usize> {
     let mut counts: Vec<usize> = (2..=10).collect();
     counts.extend([15, 20, 25, 30, 35]);
     counts
@@ -42,7 +42,7 @@ pub fn paper_processor_counts() -> Vec<usize> {
 /// Computes the full Figure 6 grid exactly, fanning the (feasible) grid
 /// points out over `jobs` workers; the output order is the grid order
 /// regardless of `jobs` (the recursion is exact, so the values are too).
-pub fn figure6_curves(
+pub(crate) fn figure6_curves(
     deltas: &[usize],
     fs: &[f64],
     procs: &[usize],
@@ -74,7 +74,7 @@ pub fn figure6_curves(
 
 /// Monte-Carlo check of one grid point: returns `(exact_vd, mc_vd)` after
 /// `steps` balancing operations.
-pub fn mc_crosscheck(
+pub(crate) fn mc_crosscheck(
     delta: usize,
     f: f64,
     n: usize,

@@ -41,7 +41,8 @@ fn assert_refused_by(program: &str, out: &Output, reason: &str) {
 /// `--roots` are unknown options like any misspelling; so is `--delta`,
 /// since `fig7_quality` and `fig9_distribution` draw both of the
 /// paper's δ in one run.  `faults_sweep`'s sizes are constants too, so
-/// `--scenario` is refused as well.
+/// `--scenario` is refused as well.  `--out` names the directory every
+/// output lands in, so no row takes `--svg`.
 const KEY_SURFACE: [(&str, &[&str]); 11] = [
     ("claims", &["jobs", "out"]),
     ("fig6_variation", &["jobs", "out"]),
@@ -52,8 +53,8 @@ const KEY_SURFACE: [(&str, &[&str]); 11] = [
     ("ablation", &["jobs", "out"]),
     ("closed_loop", &["jobs", "out"]),
     ("async_latency", &["jobs", "out"]),
-    ("faults_sweep", &["jobs", "out", "svg"]),
-    ("arena", &["smoke", "jobs", "out", "svg", "trace"]),
+    ("faults_sweep", &["jobs", "out"]),
+    ("arena", &["smoke", "jobs", "out", "trace"]),
 ];
 
 /// `fig9_distribution --steps 100` used to write `u64::MAX` minima,
@@ -71,7 +72,7 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
         .collect();
     assert_eq!(declared, expected);
     let total: usize = KEY_SURFACE.iter().map(|(_, keys)| keys.len()).sum();
-    assert_eq!(total, 27);
+    assert_eq!(total, 25);
 
     let dir = std::env::temp_dir().join("dlb_exp_hostile_keys");
     for row in EXPERIMENTS {
@@ -82,6 +83,7 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
             ("roots", "0"),
             ("delta", "4"),
             ("scenario", "x"),
+            ("svg", "x.svg"),
         ];
         for (key, value) in unknown {
             let out = dlb_exp(&dir, &[row.name, &format!("--{key}"), value]);
@@ -107,6 +109,35 @@ fn every_row_declares_exactly_its_keys_and_refuses_the_rest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--out` is the directory of every row's outputs.  Eight rows used to
+/// read it as a file and panic at the write ("Is a directory") after
+/// computing the whole row; now a path that is a file, or that cannot
+/// be created, is refused before the row prints or runs anything.
+#[test]
+fn unusable_out_directory_is_refused_before_any_run() {
+    let dir = std::env::temp_dir().join("dlb_exp_hostile_out");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let file = dir.join("a_file");
+    std::fs::write(&file, "kept").expect("a plain file");
+    let file = file.to_str().expect("a UTF-8 path");
+    let under_file = format!("{file}/results");
+    for row in EXPERIMENTS {
+        for out_dir in [file, &under_file] {
+            let out = dlb_exp(&dir, &[row.name, "--out", out_dir]);
+            let reason = format!("error: --out {out_dir}: cannot create the output directory: ");
+            assert_refused(row, &out, &reason);
+        }
+    }
+    assert_eq!(std::fs::read_to_string(file).expect("still a file"), "kept");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch directory")
+        .map(|entry| entry.expect("an entry").file_name())
+        .collect();
+    assert_eq!(left, ["a_file"], "a refused row wrote output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The league's trace used to be created after every run, CSV and SVG:
 /// a path that cannot exist cost the whole league, then panicked.
 #[cfg(unix)]
@@ -121,7 +152,9 @@ fn uncreatable_arena_trace_is_refused_before_any_run() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty(), "the arena printed before refusing");
-    assert!(!dir.join("results").exists(), "the arena wrote its CSV/SVG");
+    // `dlb-exp` creates the `--out` directory before the row starts.
+    let written = std::fs::read_dir(dir.join("results")).map_or(0, Iterator::count);
+    assert_eq!(written, 0, "the arena wrote its CSV/SVG");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -22,8 +22,9 @@ fn cheap_shape_rows_return_their_claims_csv_lines() {
     for (name, golden) in ROWS {
         let row = EXPERIMENTS.iter().find(|e| e.name == name).expect(name);
         let program = format!("dlb-exp {name}");
-        let args = Args::parse(&program, Vec::new(), row.keys).expect("no arguments");
-        let judged: Vec<String> = (row.run)(&args.under(dir.to_str().expect("UTF-8")))
+        let argv = ["--out", dir.to_str().expect("UTF-8")].map(str::to_string);
+        let args = Args::parse(&program, argv, row.keys).expect("--out is declared");
+        let judged: Vec<String> = (row.run)(&args)
             .iter()
             .map(|fields| fields.join(","))
             .collect();

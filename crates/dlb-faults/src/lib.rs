@@ -114,12 +114,12 @@ pub struct PartitionEvent {
 
 impl PartitionEvent {
     /// Whether the cut is active at `now`.
-    pub fn active(&self, now: u64) -> bool {
+    pub(crate) fn active(&self, now: u64) -> bool {
         self.from <= now && now < self.until
     }
 
     /// Whether the link `a — b` crosses the cut.
-    pub fn cuts(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn cuts(&self, a: usize, b: usize) -> bool {
         self.group.contains(&a) != self.group.contains(&b)
     }
 }
@@ -322,8 +322,9 @@ pub enum MessageFate {
 }
 
 impl MessageFate {
+    #[cfg(test)]
     /// The fate of a message on a fault-free network.
-    pub const CLEAN: MessageFate = MessageFate::Deliver {
+    pub(crate) const CLEAN: MessageFate = MessageFate::Deliver {
         extra_delay: 0,
         duplicate: false,
     };
@@ -390,13 +391,8 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Network size the injector was built for.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
@@ -417,7 +413,7 @@ impl FaultInjector {
     }
 
     /// Whether processor `p` is down at time `now`.
-    pub fn is_down(&self, now: u64, p: usize) -> bool {
+    pub(crate) fn is_down(&self, now: u64, p: usize) -> bool {
         self.plan
             .crashes
             .iter()
@@ -432,7 +428,7 @@ impl FaultInjector {
 
     /// If the link `from — to` crosses an active partition at `now`,
     /// returns the latest heal time among the cutting partitions.
-    pub fn cut_until(&self, now: u64, from: usize, to: usize) -> Option<u64> {
+    pub(crate) fn cut_until(&self, now: u64, from: usize, to: usize) -> Option<u64> {
         self.plan
             .partitions
             .iter()

@@ -47,7 +47,7 @@ impl Json {
     }
 
     /// The integer value, if this is an [`Json::Int`].
-    pub fn as_i128(&self) -> Option<i128> {
+    pub(crate) fn as_i128(&self) -> Option<i128> {
         match self {
             Json::Int(i) => Some(*i),
             _ => None,
@@ -64,7 +64,7 @@ impl Json {
     }
 
     /// The boolean value, if this is a [`Json::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -230,7 +230,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// The deepest array/object nesting [`Json::parse`] accepts.  The parser
 /// recurses once per level, so without a bound a few hundred kilobytes
 /// of `[` overflow the stack and abort the process.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

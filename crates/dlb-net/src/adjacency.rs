@@ -41,7 +41,8 @@ impl Adjacency {
     }
 
     /// Degree of vertex `v`.
-    pub fn degree(&self, v: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn degree(&self, v: usize) -> usize {
         (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 

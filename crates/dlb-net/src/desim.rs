@@ -35,7 +35,7 @@
 //!
 //! * **Reply timeout + bounded retries** — an initiator that has not
 //!   heard all replies after `4·latency` re-requests the silent
-//!   partners, with exponential backoff, up to [`MAX_RETRIES`] times;
+//!   partners, with exponential backoff, up to `MAX_RETRIES` times;
 //!   after that the missing replies are written off as refusals, so a
 //!   lost reply never leaks the initiator's lock (abort-and-unlock).
 //! * **Settle timeout** — missing surplus shipments (their
@@ -160,7 +160,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// How often an initiator re-requests silent partners before writing
 /// them off as refusals.
-pub const MAX_RETRIES: u32 = 2;
+pub(crate) const MAX_RETRIES: u32 = 2;
 
 /// Largest accepted [`AsyncConfig::latency`].  The longest delay the
 /// protocol forms is the last reply timeout, `(4·latency) <<
@@ -490,7 +490,8 @@ impl AsyncNetwork {
     }
 
     /// Current time.
-    pub fn now(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
@@ -518,7 +519,7 @@ impl AsyncNetwork {
     }
 
     /// Packets currently pooled by initiators mid-operation.
-    pub fn pooled(&self) -> u64 {
+    pub(crate) fn pooled(&self) -> u64 {
         self.pool.iter().sum()
     }
 
@@ -526,11 +527,6 @@ impl AsyncNetwork {
     /// load in [`CrashMode::Lost`]).
     pub fn lost(&self) -> u64 {
         self.lost
-    }
-
-    /// Activity counters (generate/consume/migration bookkeeping).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Protocol statistics.
@@ -922,8 +918,11 @@ impl AsyncNetwork {
                     return;
                 }
                 let st = &mut self.ops[me];
-                if !(st.active && st.id == op) {
-                    return; // reply for a finished (timed-out) operation
+                if !(st.active && st.id == op && st.awaiting_replies > 0) {
+                    // A reply for a finished operation, or one that comes
+                    // after its retries were written off: the operation
+                    // has left its reply phase.
+                    return;
                 }
                 // Duplicate suppression: count one reply per partner
                 // (injected duplicates and retry-induced re-replies).
@@ -2161,6 +2160,41 @@ mod tests {
         .err()
         .expect("jitter above the bound");
         assert!(err.contains("jitter"), "{err}");
+    }
+
+    /// A genuine reply that arrives after its retries were written off
+    /// used to be counted as well: `awaiting_replies` underflowed (a
+    /// debug build panicked, a release build wrapped it), the operation
+    /// never finished and its locks outlived quiescence.  A round trip
+    /// longer than the last reply timeout (latency 1, jitter 13) is the
+    /// trigger; this is `dlb run`'s scenario of it, n = 34, δ = 4,
+    /// uniform 0.5/0.3.
+    #[test]
+    fn a_reply_after_the_write_off_leaks_no_lock() {
+        let plan = FaultPlan {
+            seed: 99,
+            loss: 0.37,
+            duplication: 0.02,
+            jitter: 13,
+            crash_mode: CrashMode::Frozen,
+            ..FaultPlan::default()
+        };
+        let params = Params::new(34, 4, 1.3, 4).unwrap();
+        let mut net = AsyncNetwork::with_faults(AsyncConfig::reliable(params, 1, 7), plan).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut actions = vec![0i8; 34];
+        for t in 0..2_000 {
+            for a in actions.iter_mut() {
+                let u: f64 = rng.gen();
+                *a = if u < 0.5 { 1 } else { -i8::from(u < 0.8) };
+            }
+            net.tick(t, &actions);
+        }
+        net.quiesce();
+        net.check_conservation().unwrap();
+        net.check_invariants().unwrap();
+        assert!(net.stats().timeout_recoveries > 0, "no retries ran out");
+        assert_eq!((net.locked_count(), net.in_flight()), (0, 0));
     }
 
     /// Each sweep path this CPU can run, by name; the others are

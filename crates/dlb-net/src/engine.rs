@@ -34,7 +34,8 @@ pub enum PartnerMode {
     Neighbors,
 }
 
-/// Hop-weighted communication counters.
+/// Hop-weighted communication counters.  Public because
+/// [`TopoRule::comm`] returns it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Balancing operations performed.
@@ -92,16 +93,6 @@ impl TopoRule {
     /// Communication counters.
     pub fn comm(&self) -> &CommStats {
         &self.comm
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Hop distance between two processors (precomputed).
-    pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.dist[a][b]
     }
 }
 

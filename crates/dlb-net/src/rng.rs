@@ -9,7 +9,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Derives an independent stream for entity `id` from a master `seed`
 /// (SplitMix64 finalisation keeps nearby ids uncorrelated).
-pub fn stream(seed: u64, id: u64) -> ChaCha8Rng {
+pub(crate) fn stream(seed: u64, id: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(mix(seed, id))
 }
 
@@ -19,7 +19,7 @@ fn mix(seed: u64, id: u64) -> u64 {
 
 /// SplitMix64 finalisation step (Steele, Lea & Flood; the γ-increment is
 /// folded in so `splitmix64(0) != 0`).  The one seed-mixing primitive
-/// every derived stream in the workspace goes through: [`stream`] here,
+/// every derived stream in the workspace goes through: `stream` here,
 /// `dlb-experiments`' `stream_seed` and `dlb-serve`'s key placement
 /// (`home_shard`).
 pub fn splitmix64(state: u64) -> u64 {

@@ -81,7 +81,7 @@ impl Topology {
 
     /// BFS hop distances from `src` to every vertex (`u32::MAX` if
     /// unreachable).
-    pub fn distances_from(&self, src: usize) -> Vec<u32> {
+    pub(crate) fn distances_from(&self, src: usize) -> Vec<u32> {
         let n = self.n();
         let mut dist = vec![u32::MAX; n];
         dist[src] = 0;
@@ -98,7 +98,8 @@ impl Topology {
     }
 
     /// Hop distance between two vertices.
-    pub fn distance(&self, a: usize, b: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn distance(&self, a: usize, b: usize) -> u32 {
         self.distances_from(a)[b]
     }
 
@@ -117,7 +118,7 @@ impl Topology {
     }
 
     /// True if every vertex can reach every other.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.n() == 0 || self.distances_from(0).iter().all(|&d| d != u32::MAX)
     }
 }

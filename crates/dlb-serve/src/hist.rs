@@ -34,10 +34,10 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// Total bucket count: `u64::MAX` (octave 59, sub-bucket 31) lands in
 /// the last bucket.
-pub const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+pub(crate) const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
 
 /// Inclusive value range `[lo, hi]` covered by bucket `i`.
-pub fn bucket_bounds(i: usize) -> (u64, u64) {
+pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
     let i = i as u64;
     if i < SUB_BUCKETS {
         (i, i)
@@ -90,7 +90,7 @@ impl LatencyHistogram {
     }
 
     /// Exact mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

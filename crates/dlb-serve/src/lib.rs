@@ -54,7 +54,7 @@ pub use stats::ServiceStats;
 /// This is *the* placement hash: `ShardGroup::arrive` places with it.
 // The remainder is below `shards`, a `usize`.
 #[allow(clippy::cast_possible_truncation)]
-pub fn home_shard(key: u64, shards: usize) -> usize {
+pub(crate) fn home_shard(key: u64, shards: usize) -> usize {
     debug_assert!(shards > 0);
     (dlb_net::rng::splitmix64(key) % shards as u64) as usize
 }

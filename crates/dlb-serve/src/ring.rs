@@ -58,21 +58,24 @@ impl<T> SpscRing<T> {
     }
 
     /// Slot count.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.mask + 1
     }
 
     /// Current occupancy: a snapshot, which the other side may change
     /// at once (the producer can only see it shrink, the consumer only
     /// grow).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.tail
             .load(Ordering::Acquire)
             .wrapping_sub(self.head.load(Ordering::Acquire))
     }
 
     /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

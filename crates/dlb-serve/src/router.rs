@@ -25,7 +25,9 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 /// One fired trigger: equalise `members` (initiator first) so member
-/// `k` holds exactly `targets[k]` queued requests.
+/// `k` holds exactly `targets[k]` queued requests.  Public because
+/// [`TriggerRouter::note_enqueue`] and [`TriggerRouter::note_dequeue`]
+/// return it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalancePlan {
     /// Participating shards, initiator first, partners in draw order.
@@ -74,7 +76,7 @@ impl TriggerRouter {
     }
 
     /// Number of shards.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.depths.len()
     }
 
@@ -84,12 +86,12 @@ impl TriggerRouter {
     }
 
     /// Whether shard `s` is up.
-    pub fn is_alive(&self, s: usize) -> bool {
+    pub(crate) fn is_alive(&self, s: usize) -> bool {
         self.alive[s]
     }
 
     /// Trigger-rule rebalances fired so far.
-    pub fn rebalances(&self) -> u64 {
+    pub(crate) fn rebalances(&self) -> u64 {
         self.rebalances
     }
 
@@ -118,7 +120,7 @@ impl TriggerRouter {
 
     /// Marks shard `s` up or down.  A revived shard restarts its
     /// trigger baseline at zero.
-    pub fn set_alive(&mut self, s: usize, alive: bool) {
+    pub(crate) fn set_alive(&mut self, s: usize, alive: bool) {
         if self.alive[s] != alive {
             self.alive[s] = alive;
             let at = self.alive_list.partition_point(|&p| p < s);
@@ -135,7 +137,7 @@ impl TriggerRouter {
 
     /// Zeroes the depth and baseline of a crashed shard whose queue the
     /// engine just confiscated for redistribution.
-    pub fn clear(&mut self, s: usize) {
+    pub(crate) fn clear(&mut self, s: usize) {
         self.depths[s] = 0;
         self.l_old[s] = 0;
     }
@@ -144,7 +146,7 @@ impl TriggerRouter {
     /// running the trigger check (mass moves would otherwise fire a
     /// cascade of overlapping rebalances mid-redistribution; the next
     /// organic enqueue/dequeue re-arms the rule against the new depth).
-    pub fn note_redistributed(&mut self, s: usize) {
+    pub(crate) fn note_redistributed(&mut self, s: usize) {
         self.depths[s] += 1;
     }
 

@@ -91,7 +91,7 @@ impl ServiceScenario {
     }
 
     /// Cross-field validation beyond what decoding enforces.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         // Params::new checks n/delta/f coherence (delta < n, f > 1, …).
         dlb_core::Params::new(self.shards, self.delta, self.f, 1).map_err(|e| e.to_string())?;
         if self.ticks == 0 {

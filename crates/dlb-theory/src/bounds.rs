@@ -44,7 +44,7 @@ impl TheoremBounds {
 
     /// `f²·δ/(δ+1−f) · (load_j + C)`: Theorem 4(2)'s bound on `E(l_i)`
     /// given `E(l_j) = load_j` and the borrow limit `C`.
-    pub fn theorem4_upper(&self, load_j: f64, c_borrow: usize) -> f64 {
+    pub(crate) fn theorem4_upper(&self, load_j: f64, c_borrow: usize) -> f64 {
         self.theorem4_coeff * (load_j + c_borrow as f64)
     }
 }
@@ -72,10 +72,11 @@ impl CostBounds {
         }
     }
 
+    #[cfg(test)]
     /// `D_i = 1/(f(δ+1)) · (1 + δ·f / C^i(FIX(n, δ, f)))` (Lemma 6): the
     /// per-step shrink factor after `i` applications of the decrease
     /// operator to the starting ratio `FIX(n, δ, f)`.
-    pub fn d_i(&self, i: usize) -> f64 {
+    pub(crate) fn d_i(&self, i: usize) -> f64 {
         let (n, delta, f) = (self.params.n(), self.params.delta(), self.params.f());
         let mut ratio = fix(n, delta, f);
         for _ in 0..i {
@@ -92,7 +93,7 @@ impl CostBounds {
     /// Returns `None` when the bound's argument leaves the domain of the
     /// logarithm (possible for extreme `x`, `c`) or when `f = 1` (the
     /// formula has `f − 1` in a denominator).
-    pub fn lemma5_lower(&self, x: u64, c: u64) -> Option<u64> {
+    pub(crate) fn lemma5_lower(&self, x: u64, c: u64) -> Option<u64> {
         let f = self.params.f();
         if c == 0 {
             return Some(0);
@@ -116,7 +117,7 @@ impl CostBounds {
 
     /// Lemma 5's upper bound (claim `lemma5`); `None` where its validity
     /// condition fails or the argument leaves the domain of the logarithm.
-    pub fn lemma5_upper(&self, x: u64, c: u64) -> Option<u64> {
+    pub(crate) fn lemma5_upper(&self, x: u64, c: u64) -> Option<u64> {
         let f = self.params.f();
         if c == 0 {
             return Some(0);

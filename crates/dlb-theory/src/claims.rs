@@ -10,7 +10,7 @@
 //! says which of them bounds what.
 //!
 //! Every observation is an [`Estimate`], and one rule judges every margin
-//! ([`Margin::holds`]): inside the bound, or outside by at most [`K`]
+//! ([`Margin::holds`]): inside the bound, or outside by at most `K`
 //! standard errors (plus rounding).  An exact value has a standard error
 //! of 0.
 //!
@@ -32,7 +32,7 @@ use crate::{AlgoParams, CostBounds, TheoremBounds};
 /// Standard errors a sampled estimate may lie past its bound and still
 /// hold: a false alarm on 0.13 % of the rows whose true value sits on
 /// the bound.
-pub const K: f64 = 3.0;
+pub(crate) const K: f64 = 3.0;
 /// The allowance of every value, relative to the bound: rounding.
 const ROUNDING: f64 = 1e-12;
 /// Batch values behind a sampled [`Estimate`], at most.
@@ -169,7 +169,7 @@ impl Margin {
     }
 
     /// The one verdict rule: the observation is inside, or outside by at
-    /// most [`K`] standard errors plus 1e-12 of the nearer bound.
+    /// most `K` standard errors plus 1e-12 of the nearer bound.
     pub fn holds(&self) -> bool {
         let (bound, slack) = self.nearer();
         slack >= -(K * self.se + ROUNDING * bound.abs())

@@ -29,8 +29,9 @@
 //!
 //! The *variation density* of the paper is
 //! `VD(l_{i,t}) = sqrt(E(l²) − E(l)²)/E(l)` for a candidate processor
-//! `i > 1`; [`MomentState::vd_candidate`] computes it (and
-//! [`MomentState::vd_generator`] the analogous quantity for processor 1).
+//! `i > 1`; `MomentState::vd_candidate` computes it (and, for the
+//! tests, `MomentState::vd_generator` the analogous quantity for
+//! processor 1).
 
 use rand::prelude::*;
 use rand::seq::index::sample;
@@ -90,13 +91,14 @@ impl MomentState {
 
     /// Advances the exact moment recursion by one balancing operation
     /// (the generator's load grew by the factor `f` since the last one).
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         self.step_with_factor(self.f);
     }
 
+    #[cfg(test)]
     /// One balancing operation after the generator's load *shrank* by the
     /// factor `f` (the producer-consumer model's `C` direction).
-    pub fn step_shrink(&mut self) {
+    pub(crate) fn step_shrink(&mut self) {
         self.step_with_factor(1.0 / self.f);
     }
 
@@ -110,7 +112,7 @@ impl MomentState {
     /// This is the algorithm the paper's Figure 6 actually evaluated for
     /// `δ > 1`; comparing it with [`MomentState::step`] quantifies the
     /// relaxation error.
-    pub fn step_relaxed(&mut self) {
+    pub(crate) fn step_relaxed(&mut self) {
         let delta = self.delta;
         let t_before = self.t;
         self.op_with(1, self.f);
@@ -172,19 +174,20 @@ impl MomentState {
 
     /// Variation density of a candidate processor (`i > 1`), the quantity
     /// plotted in Figure 6: `sqrt(E(l²) − E(l)²)/E(l)`.
-    pub fn vd_candidate(&self) -> f64 {
+    pub(crate) fn vd_candidate(&self) -> f64 {
         variation_density(self.q11, self.m1)
     }
 
+    #[cfg(test)]
     /// Variation density of the generating processor.
-    pub fn vd_generator(&self) -> f64 {
+    pub(crate) fn vd_generator(&self) -> f64 {
         variation_density(self.q00, self.m0)
     }
 }
 
 /// `sqrt(max(E[X²] − E[X]², 0)) / E[X]`, clamping tiny negative variance
 /// from floating-point cancellation.
-pub fn variation_density(second_moment: f64, mean: f64) -> f64 {
+pub(crate) fn variation_density(second_moment: f64, mean: f64) -> f64 {
     (second_moment - mean * mean).max(0.0).sqrt() / mean
 }
 
@@ -212,72 +215,6 @@ pub fn vd_curve(p: usize, delta: usize, f: f64, steps: usize) -> Vec<f64> {
         out.push(st.vd_candidate());
     }
     out
-}
-
-/// Variation-density curve for an arbitrary grow/shrink schedule — the
-/// §5 analysis extended to the one-processor-producer-consumer model.
-/// Entry `k` of the result is the candidate VD after the first `k` steps
-/// of `word`.
-pub fn vd_curve_schedule(p: usize, delta: usize, f: f64, word: &[crate::schedule::Op]) -> Vec<f64> {
-    let mut st = MomentState::balanced(p, delta, f, 1.0);
-    let mut out = Vec::with_capacity(word.len() + 1);
-    out.push(st.vd_candidate());
-    for &op in word {
-        match op {
-            crate::schedule::Op::Grow => st.step(),
-            crate::schedule::Op::Shrink => st.step_shrink(),
-        }
-        out.push(st.vd_candidate());
-    }
-    out
-}
-
-/// Monte-Carlo counterpart of [`vd_curve_schedule`]'s endpoint: runs the
-/// real-valued model through `word` and returns
-/// `(mean_gen, vd_gen, mean_cand, vd_cand)`.
-pub fn monte_carlo_schedule(
-    p: usize,
-    delta: usize,
-    f: f64,
-    word: &[crate::schedule::Op],
-    runs: usize,
-    seed: u64,
-) -> (f64, f64, f64, f64) {
-    assert!(delta >= 1 && delta <= p);
-    assert!(runs > 0);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut sum0 = 0.0;
-    let mut sumsq0 = 0.0;
-    let mut sum1 = 0.0;
-    let mut sumsq1 = 0.0;
-    for _ in 0..runs {
-        let mut w0 = 1.0f64;
-        let mut w = vec![1.0f64; p];
-        for &op in word {
-            let factor = match op {
-                crate::schedule::Op::Grow => f,
-                crate::schedule::Op::Shrink => 1.0 / f,
-            };
-            let picked: Vec<usize> = sample(&mut rng, p, delta).iter().collect();
-            let total: f64 = factor * w0 + picked.iter().map(|&j| w[j]).sum::<f64>();
-            let nu = total / (delta as f64 + 1.0);
-            w0 = nu;
-            for &j in &picked {
-                w[j] = nu;
-            }
-        }
-        sum0 += w0;
-        sumsq0 += w0 * w0;
-        for &wj in &w {
-            sum1 += wj;
-            sumsq1 += wj * wj;
-        }
-    }
-    let n0 = runs as f64;
-    let n1 = (runs * p) as f64;
-    let (m0, q0) = (sum0 / n0, sumsq0 / n0);
-    let (m1, q1) = (sum1 / n1, sumsq1 / n1);
-    (m0, variation_density(q0, m0), m1, variation_density(q1, m1))
 }
 
 /// How candidates are selected at a balancing operation.
@@ -355,97 +292,163 @@ pub fn monte_carlo(
     (m0, variation_density(q0, m0), m1, variation_density(q1, m1))
 }
 
-/// Exhaustive enumeration over *all* candidate-subset sequences of length
-/// `steps` (for cross-validation; cost `C(p,δ)^steps`).
-///
-/// Returns the same tuple as [`monte_carlo`], but exactly.
-///
-/// # Panics
-///
-/// Panics if the enumeration would exceed ~10⁷ states.
-pub fn enumerate_exact(p: usize, delta: usize, f: f64, steps: usize) -> (f64, f64, f64, f64) {
-    let subsets = k_subsets(p, delta);
-    let count = subsets.len();
-    let total = i32::try_from(steps).map_or(f64::INFINITY, |s| (count as f64).powi(s));
-    assert!(total <= 1e7, "enumeration too large: {count}^{steps}");
-
-    let mut acc = Accum::default();
-    let mut w = vec![1.0f64; p];
-    enumerate_rec(&subsets, f, steps, 1.0, &mut w, &mut acc);
-    let n0 = acc.count;
-    let n1 = acc.count * p as f64;
-    let (m0, q0) = (acc.sum0 / n0, acc.sumsq0 / n0);
-    let (m1, q1) = (acc.sum1 / n1, acc.sumsq1 / n1);
-    (m0, variation_density(q0, m0), m1, variation_density(q1, m1))
-}
-
-#[derive(Default)]
-struct Accum {
-    count: f64,
-    sum0: f64,
-    sumsq0: f64,
-    sum1: f64,
-    sumsq1: f64,
-}
-
-fn enumerate_rec(
-    subsets: &[Vec<usize>],
-    f: f64,
-    remaining: usize,
-    w0: f64,
-    w: &mut [f64],
-    acc: &mut Accum,
-) {
-    if remaining == 0 {
-        acc.count += 1.0;
-        acc.sum0 += w0;
-        acc.sumsq0 += w0 * w0;
-        for &wj in w.iter() {
-            acc.sum1 += wj;
-            acc.sumsq1 += wj * wj;
-        }
-        return;
-    }
-    for s in subsets {
-        let grown = f * w0;
-        let total: f64 = grown + s.iter().map(|&j| w[j]).sum::<f64>();
-        let nu = total / (s.len() as f64 + 1.0);
-        let saved: Vec<f64> = s.iter().map(|&j| w[j]).collect();
-        for &j in s {
-            w[j] = nu;
-        }
-        enumerate_rec(subsets, f, remaining - 1, nu, w, acc);
-        for (&j, &old) in s.iter().zip(saved.iter()) {
-            w[j] = old;
-        }
-    }
-}
-
-/// All `δ`-subsets of `{0, .., p−1}` in lexicographic order.
-pub fn k_subsets(p: usize, delta: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::with_capacity(delta);
-    fn rec(start: usize, p: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if k == 0 {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..=(p - k) {
-            cur.push(i);
-            rec(i + 1, p, k - 1, cur, out);
-            cur.pop();
-        }
-    }
-    if delta <= p {
-        rec(0, p, delta, &mut cur, &mut out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operators::AlgoParams;
+
+    /// Variation-density curve for an arbitrary grow/shrink schedule — the
+    /// §5 analysis extended to the one-processor-producer-consumer model.
+    /// Entry `k` of the result is the candidate VD after the first `k` steps
+    /// of `word`.
+    fn vd_curve_schedule(p: usize, delta: usize, f: f64, word: &[crate::schedule::Op]) -> Vec<f64> {
+        let mut st = MomentState::balanced(p, delta, f, 1.0);
+        let mut out = Vec::with_capacity(word.len() + 1);
+        out.push(st.vd_candidate());
+        for &op in word {
+            match op {
+                crate::schedule::Op::Grow => st.step(),
+                crate::schedule::Op::Shrink => st.step_shrink(),
+            }
+            out.push(st.vd_candidate());
+        }
+        out
+    }
+
+    /// Monte-Carlo counterpart of [`vd_curve_schedule`]'s endpoint: runs the
+    /// real-valued model through `word` and returns
+    /// `(mean_gen, vd_gen, mean_cand, vd_cand)`.
+    fn monte_carlo_schedule(
+        p: usize,
+        delta: usize,
+        f: f64,
+        word: &[crate::schedule::Op],
+        runs: usize,
+        seed: u64,
+    ) -> (f64, f64, f64, f64) {
+        assert!(delta >= 1 && delta <= p);
+        assert!(runs > 0);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut sum0 = 0.0;
+        let mut sumsq0 = 0.0;
+        let mut sum1 = 0.0;
+        let mut sumsq1 = 0.0;
+        for _ in 0..runs {
+            let mut w0 = 1.0f64;
+            let mut w = vec![1.0f64; p];
+            for &op in word {
+                let factor = match op {
+                    crate::schedule::Op::Grow => f,
+                    crate::schedule::Op::Shrink => 1.0 / f,
+                };
+                let picked: Vec<usize> = sample(&mut rng, p, delta).iter().collect();
+                let total: f64 = factor * w0 + picked.iter().map(|&j| w[j]).sum::<f64>();
+                let nu = total / (delta as f64 + 1.0);
+                w0 = nu;
+                for &j in &picked {
+                    w[j] = nu;
+                }
+            }
+            sum0 += w0;
+            sumsq0 += w0 * w0;
+            for &wj in &w {
+                sum1 += wj;
+                sumsq1 += wj * wj;
+            }
+        }
+        let n0 = runs as f64;
+        let n1 = (runs * p) as f64;
+        let (m0, q0) = (sum0 / n0, sumsq0 / n0);
+        let (m1, q1) = (sum1 / n1, sumsq1 / n1);
+        (m0, variation_density(q0, m0), m1, variation_density(q1, m1))
+    }
+
+    /// Exhaustive enumeration over *all* candidate-subset sequences of length
+    /// `steps` (for cross-validation; cost `C(p,δ)^steps`).
+    ///
+    /// Returns the same tuple as [`monte_carlo`], but exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the enumeration would exceed ~10⁷ states.
+    fn enumerate_exact(p: usize, delta: usize, f: f64, steps: usize) -> (f64, f64, f64, f64) {
+        let subsets = k_subsets(p, delta);
+        let count = subsets.len();
+        let total = i32::try_from(steps).map_or(f64::INFINITY, |s| (count as f64).powi(s));
+        assert!(total <= 1e7, "enumeration too large: {count}^{steps}");
+
+        let mut acc = Accum::default();
+        let mut w = vec![1.0f64; p];
+        enumerate_rec(&subsets, f, steps, 1.0, &mut w, &mut acc);
+        let n0 = acc.count;
+        let n1 = acc.count * p as f64;
+        let (m0, q0) = (acc.sum0 / n0, acc.sumsq0 / n0);
+        let (m1, q1) = (acc.sum1 / n1, acc.sumsq1 / n1);
+        (m0, variation_density(q0, m0), m1, variation_density(q1, m1))
+    }
+
+    #[derive(Default)]
+    struct Accum {
+        count: f64,
+        sum0: f64,
+        sumsq0: f64,
+        sum1: f64,
+        sumsq1: f64,
+    }
+
+    fn enumerate_rec(
+        subsets: &[Vec<usize>],
+        f: f64,
+        remaining: usize,
+        w0: f64,
+        w: &mut [f64],
+        acc: &mut Accum,
+    ) {
+        if remaining == 0 {
+            acc.count += 1.0;
+            acc.sum0 += w0;
+            acc.sumsq0 += w0 * w0;
+            for &wj in w.iter() {
+                acc.sum1 += wj;
+                acc.sumsq1 += wj * wj;
+            }
+            return;
+        }
+        for s in subsets {
+            let grown = f * w0;
+            let total: f64 = grown + s.iter().map(|&j| w[j]).sum::<f64>();
+            let nu = total / (s.len() as f64 + 1.0);
+            let saved: Vec<f64> = s.iter().map(|&j| w[j]).collect();
+            for &j in s {
+                w[j] = nu;
+            }
+            enumerate_rec(subsets, f, remaining - 1, nu, w, acc);
+            for (&j, &old) in s.iter().zip(saved.iter()) {
+                w[j] = old;
+            }
+        }
+    }
+
+    /// All `δ`-subsets of `{0, .., p−1}` in lexicographic order.
+    fn k_subsets(p: usize, delta: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        let mut cur = Vec::with_capacity(delta);
+        fn rec(start: usize, p: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if k == 0 {
+                out.push(cur.clone());
+                return;
+            }
+            for i in start..=(p - k) {
+                cur.push(i);
+                rec(i + 1, p, k - 1, cur, out);
+                cur.pop();
+            }
+        }
+        if delta <= p {
+            rec(0, p, delta, &mut cur, &mut out);
+        }
+        out
+    }
 
     #[test]
     fn balanced_start_has_zero_variation() {

@@ -99,13 +99,13 @@ impl AlgoParams {
     }
 
     /// The increase operator `G` of Lemma 1 applied to a ratio `k`.
-    pub fn g(&self, k: f64) -> f64 {
+    pub(crate) fn g(&self, k: f64) -> f64 {
         g_op(self.n, self.delta, self.f, k)
     }
 
     /// The decrease operator `C` of Lemma 3 applied to a ratio `k`
     /// (this is `G` with `f` replaced by `1/f`).
-    pub fn c(&self, k: f64) -> f64 {
+    pub(crate) fn c(&self, k: f64) -> f64 {
         g_op(self.n, self.delta, 1.0 / self.f, k)
     }
 
@@ -124,7 +124,7 @@ impl AlgoParams {
 ///
 /// Exposed unvalidated so the decrease operator (`f → 1/f`, which leaves the
 /// admissible range) and out-of-range explorations can use it; prefer
-/// [`AlgoParams::g`] in application code.
+/// `AlgoParams::g` in application code.
 pub fn g_op(n: usize, delta: usize, f: f64, k: f64) -> f64 {
     let nf = n as f64;
     let d = delta as f64;
@@ -132,7 +132,7 @@ pub fn g_op(n: usize, delta: usize, f: f64, k: f64) -> f64 {
 }
 
 /// The constant `A = (f − f·n + δ(n − 2) + (n − 1)) / (2·δ·f)` of Lemma 2.
-pub fn a_const(n: usize, delta: usize, f: f64) -> f64 {
+pub(crate) fn a_const(n: usize, delta: usize, f: f64) -> f64 {
     let nf = n as f64;
     let d = delta as f64;
     (f - f * nf + d * (nf - 2.0) + (nf - 1.0)) / (2.0 * d * f)

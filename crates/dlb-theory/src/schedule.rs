@@ -9,20 +9,26 @@
 //! the contraction rate that governs how fast `G^t` converges (the
 //! derivative of `G` at its fixed point).
 
-use crate::operators::{fix, g_op, AlgoParams};
+use crate::operators::{fix, g_op};
 
+#[cfg(test)]
 /// One step of a §3 schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Workload grew by factor `f` before the balancing.
     Grow,
     /// Workload shrank by factor `1/f` before the balancing.
     Shrink,
 }
 
+#[cfg(test)]
 /// Applies a schedule word to a starting ratio, returning the trajectory
 /// (length `word.len() + 1`, starting with `k0`).
-pub fn apply_schedule(params: &AlgoParams, k0: f64, word: &[Op]) -> Vec<f64> {
+pub(crate) fn apply_schedule(
+    params: &crate::operators::AlgoParams,
+    k0: f64,
+    word: &[Op],
+) -> Vec<f64> {
     let mut out = Vec::with_capacity(word.len() + 1);
     out.push(k0);
     let mut k = k0;
@@ -40,7 +46,7 @@ pub fn apply_schedule(params: &AlgoParams, k0: f64, word: &[Op]) -> Vec<f64> {
 ///
 /// `G(k) = (k·f + δ)(n−1) / (δ·k·f + δ(n−2) + (n−1))`, so
 /// `G'(k) = f·(n−1)·(δ(n−2) + (n−1) − δ²) / (δ·k·f + δ(n−2) + (n−1))²`.
-pub fn g_derivative(n: usize, delta: usize, f: f64, k: f64) -> f64 {
+pub(crate) fn g_derivative(n: usize, delta: usize, f: f64, k: f64) -> f64 {
     let nf = n as f64;
     let d = delta as f64;
     let den = d * k * f + d * (nf - 2.0) + (nf - 1.0);
@@ -89,6 +95,7 @@ pub fn measured_convergence_steps(n: usize, delta: usize, f: f64, eps: f64) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators::AlgoParams;
 
     fn params(n: usize, delta: usize, f: f64) -> AlgoParams {
         AlgoParams::new(n, delta, f).unwrap()

@@ -30,7 +30,9 @@ use std::sync::{Arc, Mutex};
 /// Version of the JSONL event schema emitted by [`TraceEvent::to_line`].
 ///
 /// Bump on any change to tags, field names or field meaning, and record
-/// the change in DESIGN.md.
+/// the change in DESIGN.md.  It is public as the format's version of
+/// record, which docs/GUIDE.md §9 and DESIGN.md cite; no line carries it
+/// and no code reads it.
 ///
 /// v2 added the per-request serving events (`req`, `req_done`,
 /// `redirect`); every v1 event renders byte-identically to v1.
@@ -527,7 +529,7 @@ impl TraceSink for NullSink {
 ///
 /// `record` cannot return an error, so the sink keeps the first
 /// `io::Error`, drops every later event, and hands the error back from
-/// [`FileSink::into_inner`] or [`TraceSink::take_error`].
+/// [`TraceSink::take_error`].
 pub struct FileSink<W: std::io::Write> {
     out: std::io::BufWriter<W>,
     line: Encoder,
@@ -556,7 +558,7 @@ impl FileSink<std::fs::File> {
 
 impl<W: std::io::Write> FileSink<W> {
     /// Streams JSONL into an arbitrary writer (tests use `Vec<u8>`).
-    pub fn from_writer(w: W) -> Self {
+    pub(crate) fn from_writer(w: W) -> Self {
         FileSink {
             out: std::io::BufWriter::with_capacity(CHUNK, w),
             line: Encoder::cached(),
@@ -565,7 +567,8 @@ impl<W: std::io::Write> FileSink<W> {
     }
 
     /// Flushes and returns the inner writer, or the first write error.
-    pub fn into_inner(mut self) -> std::io::Result<W> {
+    #[cfg(test)]
+    pub(crate) fn into_inner(mut self) -> std::io::Result<W> {
         match self.error.take() {
             Some(e) => Err(e),
             None => self.out.into_inner().map_err(|e| e.into_error()),

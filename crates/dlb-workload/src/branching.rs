@@ -28,7 +28,7 @@ pub struct Offspring {
 impl Offspring {
     /// Builds a distribution; probabilities must be non-negative and sum
     /// to 1 (±1e-9).
-    pub fn new(probs: Vec<f64>) -> Result<Self, String> {
+    pub(crate) fn new(probs: Vec<f64>) -> Result<Self, String> {
         if probs.is_empty() {
             return Err("need at least one outcome".into());
         }
@@ -56,7 +56,8 @@ impl Offspring {
     }
 
     /// Expected number of children.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         self.probs
             .iter()
             .enumerate()
@@ -80,7 +81,8 @@ impl Offspring {
     }
 }
 
-/// Result of a closed-loop branching run.
+/// Result of a closed-loop branching run.  Public because
+/// [`run_branching`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchingOutcome {
     /// Global steps until the system drained (or `max_steps`).
@@ -217,13 +219,13 @@ mod tests {
     mod dlb_baselines_stub {
         use dlb_core::{Events, LoadBalancer, LoadEvent, Metrics};
 
-        pub struct NoBalanceLocal {
+        pub(super) struct NoBalanceLocal {
             loads: Vec<u64>,
             metrics: Metrics,
         }
 
         impl NoBalanceLocal {
-            pub fn new(n: usize) -> Self {
+            pub(super) fn new(n: usize) -> Self {
                 NoBalanceLocal {
                     loads: vec![0; n],
                     metrics: Metrics::new(),

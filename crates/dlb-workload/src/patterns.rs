@@ -107,7 +107,7 @@ impl MovingHotspot {
     }
 
     /// Which processor is hot at step `t`.
-    pub fn hotspot_at(&self, t: usize) -> usize {
+    pub(crate) fn hotspot_at(&self, t: usize) -> usize {
         (t / self.period) % self.n
     }
 }

@@ -65,7 +65,7 @@ impl PhaseConfig {
 
 /// One phase of one processor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Generation probability while the phase is active.
     pub g: f64,
     /// Consumption probability while the phase is active.
@@ -120,7 +120,8 @@ impl PhaseWorkload {
     }
 
     /// The phase schedule of processor `i`.
-    pub fn schedule(&self, i: usize) -> &[Phase] {
+    #[cfg(test)]
+    pub(crate) fn schedule(&self, i: usize) -> &[Phase] {
         &self.schedules[i]
     }
 

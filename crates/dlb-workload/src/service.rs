@@ -153,7 +153,7 @@ impl RequestSource {
     }
 
     /// The arrival rate active at tick `t` (phases cycle).
-    pub fn rate_at(&self, t: u64) -> f64 {
+    pub(crate) fn rate_at(&self, t: u64) -> f64 {
         let mut into = t % self.cycle;
         for phase in &self.config.phases {
             if into < phase.ticks {

@@ -242,11 +242,6 @@ impl SparseActivity {
         }
     }
 
-    /// The pattern this engine runs.
-    pub fn pattern(&self) -> SparsePattern {
-        self.pattern
-    }
-
     /// Pops every processor due at `t`, computes its event, reschedules
     /// it and leaves `out` sorted by ascending processor id.
     ///
