@@ -640,6 +640,8 @@ pub struct Cluster {
     /// Optional structured event sink (absent or disabled: emission
     /// sites reduce to one branch).
     sink: Option<SharedSink>,
+    /// The partner list lent to each `BalanceInitiated` event.
+    trace_partners: Vec<u64>,
     /// Driver steps completed — the logical clock stamped onto events.
     step_no: u64,
     /// Operations drawn and waiting to execute up to `lag.depth` draws
@@ -750,6 +752,7 @@ impl Cluster {
             scratch_new_d: Vec::new(),
             scratch_new_b: Vec::new(),
             sink: None,
+            trace_partners: Vec::new(),
             step_no: 0,
             lag: Lag::new(n, params.delta()),
             eager: false,
@@ -1426,14 +1429,17 @@ impl Cluster {
         self.metrics.packets_migrated += out.op_packets;
         self.metrics.markers_migrated += out.op_markers;
         self.metrics.markers_settled += out.home_settled;
-        if tracing {
+        if let Some(sink) = self.sink.as_ref().filter(|_| tracing) {
             let initiator = members[0] as u64;
-            self.emit(TraceEvent::BalanceInitiated {
-                step: self.step_no,
+            self.trace_partners.clear();
+            self.trace_partners
+                .extend(members[1..].iter().map(|&p| p as u64));
+            sink.record_balance(
+                self.step_no,
                 initiator,
-                partners: members[1..].iter().map(|&p| p as u64).collect(),
-                trigger: out.trigger,
-            });
+                &mut self.trace_partners,
+                out.trigger,
+            );
             if out.op_packets > 0 {
                 self.emit(TraceEvent::PacketsMigrated {
                     step: self.step_no,

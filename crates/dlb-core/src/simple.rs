@@ -162,6 +162,8 @@ pub struct RawCluster<R: BalanceRule> {
     scratch_held: Vec<u64>,
     scratch_shares: Vec<u64>,
     sink: Option<SharedSink>,
+    /// The partner list lent to each `BalanceInitiated` event.
+    trace_partners: Vec<u64>,
     step_no: u64,
     /// Load counts backing [`LoadBalancer::load_summary`], kept only
     /// across active-list steps: a dense step drops them (it walks all
@@ -222,6 +224,7 @@ impl<R: BalanceRule> RawCluster<R> {
             scratch_held: Vec::new(),
             scratch_shares: Vec::new(),
             sink: None,
+            trace_partners: Vec::new(),
             step_no: 0,
             summary: None,
         }
@@ -319,14 +322,18 @@ impl<R: BalanceRule> RawCluster<R> {
         self.metrics.balance_ops += 1;
         self.metrics.messages += members.len() as u64;
         let tracing = self.trace_on();
-        if tracing {
-            self.emit(TraceEvent::BalanceInitiated {
-                step: self.step_no,
-                initiator: initiator as u64,
-                partners: members[1..].iter().map(|&p| p as u64).collect(),
-                // The f-factor ratio that fired the trigger.
-                trigger: self.loads[initiator] as f64 / self.l_old[initiator].max(1) as f64,
-            });
+        if let Some(sink) = self.sink.as_ref().filter(|_| tracing) {
+            self.trace_partners.clear();
+            self.trace_partners
+                .extend(members[1..].iter().map(|&p| p as u64));
+            // The f-factor ratio that fired the trigger.
+            let trigger = self.loads[initiator] as f64 / self.l_old[initiator].max(1) as f64;
+            sink.record_balance(
+                self.step_no,
+                initiator as u64,
+                &mut self.trace_partners,
+                trigger,
+            );
         }
         self.scratch_held.clear();
         self.scratch_held

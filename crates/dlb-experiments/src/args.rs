@@ -130,17 +130,22 @@ impl Args {
 
     /// Creates `Args::out_dir` if it is missing.  A path that is not
     /// a directory and cannot be made one is refused as a value that
-    /// does not parse is: the reason, the usage line, exit 2 — before
-    /// the tool prints or writes anything.
+    /// does not parse is — before the tool prints or writes anything.
     pub fn create_out_dir_or_exit(&self) {
         let dir = self.out_dir();
         if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "error: --out {dir}: cannot create the output directory: {e}\n{}",
-                usage(&self.program, self.keys)
-            );
-            std::process::exit(2)
+            self.refuse(&format!(
+                "--out {dir}: cannot create the output directory: {e}"
+            ));
         }
+    }
+
+    /// Refuses a value that parsed but cannot be used, as [`Args::parse`]
+    /// refuses one that does not parse: the reason, the usage line,
+    /// exit 2.
+    pub(crate) fn refuse(&self, reason: &str) -> ! {
+        eprintln!("error: {reason}\n{}", usage(&self.program, self.keys));
+        std::process::exit(2)
     }
 
     /// Returns `--name` parsed as `T`, or `default` when absent.

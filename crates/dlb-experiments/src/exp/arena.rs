@@ -118,12 +118,10 @@ pub(super) fn run(args: &Args) -> Vec<super::Row> {
 
     let params = Params::paper_section7(n);
     // Created before the first run, so a path that cannot be created
-    // costs no simulation and writes nothing.
+    // is refused like any other unusable value, with no simulation run.
     let writer = trace.as_ref().map(|path| {
-        RunOrderedWriter::create(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("error: cannot create trace {path}: {e}");
-            std::process::exit(1)
-        })
+        RunOrderedWriter::create(std::path::Path::new(path))
+            .unwrap_or_else(|e| args.refuse(&format!("cannot create trace {path}: {e}")))
     });
     let cfg = ArenaConfig {
         n,

@@ -139,19 +139,18 @@ fn unusable_out_directory_is_refused_before_any_run() {
 }
 
 /// The league's trace used to be created after every run, CSV and SVG:
-/// a path that cannot exist cost the whole league, then panicked.
+/// a path that cannot exist cost the whole league, then panicked.  Now
+/// it is refused like an `--out` that cannot be created.
 #[cfg(unix)]
 #[test]
 fn uncreatable_arena_trace_is_refused_before_any_run() {
     let dir = std::env::temp_dir().join("dlb_exp_hostile_trace");
     let out = dlb_exp(&dir, &["arena", "--smoke", "--trace", "/dev/null/x.jsonl"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.starts_with("error: cannot create trace /dev/null/x.jsonl: "),
-        "{stderr}"
+    assert_refused_by(
+        "dlb-exp arena",
+        &out,
+        "error: cannot create trace /dev/null/x.jsonl: ",
     );
-    assert!(out.stdout.is_empty(), "the arena printed before refusing");
     // `dlb-exp` creates the `--out` directory before the row starts.
     let written = std::fs::read_dir(dir.join("results")).map_or(0, Iterator::count);
     assert_eq!(written, 0, "the arena wrote its CSV/SVG");

@@ -379,13 +379,13 @@ impl FaultInjector {
         self.sink = Some(sink);
     }
 
-    fn emit_fault(&self, now: u64, proc: usize, kind: &str) {
+    fn emit_fault(&self, now: u64, proc: usize, kind: &'static str) {
         if let Some(sink) = &self.sink {
             if sink.enabled() {
                 sink.record(&dlb_trace::TraceEvent::FaultInjected {
                     step: now,
                     proc: proc as u64,
-                    kind: kind.to_string(),
+                    kind: kind.into(),
                 });
             }
         }

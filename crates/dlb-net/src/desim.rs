@@ -384,6 +384,8 @@ pub struct AsyncNetwork {
     metrics: Metrics,
     stats: AsyncStats,
     sink: Option<dlb_trace::SharedSink>,
+    /// The partner list lent to each `BalanceInitiated` event.
+    trace_partners: Vec<u64>,
 }
 
 impl AsyncNetwork {
@@ -432,6 +434,7 @@ impl AsyncNetwork {
             metrics: Metrics::new(),
             stats: AsyncStats::default(),
             sink: None,
+            trace_partners: Vec::new(),
         };
         for i in 0..n {
             net.set_l_old(i, 0);
@@ -760,13 +763,12 @@ impl AsyncNetwork {
         let mut partners = std::mem::take(&mut self.ops[i].partners);
         partners.clear();
         sample_others_into(&mut self.rng, n, i, delta, &mut partners);
-        if self.trace_on() {
-            self.emit(dlb_trace::TraceEvent::BalanceInitiated {
-                step: self.now,
-                initiator: i as u64,
-                partners: partners.iter().map(|&x| x as u64).collect(),
-                trigger: self.load[i] as f64 / self.l_old[i].max(1) as f64,
-            });
+        if let Some(sink) = self.sink.as_ref().filter(|s| s.enabled()) {
+            self.trace_partners.clear();
+            self.trace_partners
+                .extend(partners.iter().map(|&x| x as u64));
+            let trigger = self.load[i] as f64 / self.l_old[i].max(1) as f64;
+            sink.record_balance(self.now, i as u64, &mut self.trace_partners, trigger);
         }
         let op = self.next_op;
         self.next_op += 1;
@@ -806,7 +808,7 @@ impl AsyncNetwork {
                     self.emit(dlb_trace::TraceEvent::FaultInjected {
                         step: self.now,
                         proc: me as u64,
-                        kind: "crash".to_string(),
+                        kind: "crash".into(),
                     });
                 }
                 self.flags[me] = DOWN;
@@ -2014,15 +2016,19 @@ mod tests {
             self.ops.iter().map(per_op).sum::<usize>()
                 + self.fired.capacity()
                 + self.shares.capacity()
+                + self.trace_partners.capacity()
         }
     }
 
     /// The layout's claim as a gate: once every processor has been
     /// through an operation, operations (completed, aborted and
-    /// retried alike) reuse the buffers they find.
+    /// retried alike) reuse the buffers they find — traced, too: every
+    /// `BalanceInitiated` borrows the network's one partner list.
     #[test]
     fn a_warm_operation_allocates_nothing() {
         let mut net = pin_net(3, 64, 3, 4);
+        let writer = dlb_trace::RunOrderedWriter::from_writer(std::io::sink());
+        net.set_trace_sink(writer.handle(0));
         let mut actions = vec![0i8; 64];
         let mut run = |net: &mut AsyncNetwork, ticks: std::ops::Range<u64>| {
             for t in ticks {
@@ -2035,6 +2041,7 @@ mod tests {
             }
         };
         run(&mut net, 0..2_000);
+        assert!(net.trace_partners.capacity() >= 3, "operations were traced");
         let (warm, before) = (net.scratch_capacity(), *net.stats());
         run(&mut net, 2_000..4_000);
         let after = net.stats();

@@ -10,9 +10,10 @@
 //!   construction entirely; attaching it costs one branch per site.
 //! * [`BufferSink`] — collects events in memory for the caller to take
 //!   back out (tests and the benchmark's replay).
-//! * [`FileSink`] — byte-stable JSONL from the one encoder,
-//!   [`TraceEvent::write_line`]: the same run always produces the same
-//!   bytes, which is what lets CI diff traces across `--jobs` values.
+//! * [`FileSink`] — byte-stable JSONL from the one encoder, the cursor
+//!   writer behind [`TraceEvent::write_line`]: the same run always
+//!   produces the same bytes, which is what lets CI diff traces across
+//!   `--jobs` values.
 //! * [`RunOrderedWriter`] — one JSONL file that concurrent runs stream
 //!   into through per-run handles, written in run-index order.
 //!
@@ -23,8 +24,11 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use dlb_json::{req, FromJson, Json};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 /// Version of the JSONL event schema emitted by [`TraceEvent::to_line`].
@@ -88,8 +92,13 @@ pub enum TraceEvent {
         count: u64,
     },
     /// The fault injector fired: `kind` is one of `loss`,
-    /// `transfer_loss`, `duplicate` or `crash`.
-    FaultInjected { step: u64, proc: u64, kind: String },
+    /// `transfer_loss`, `duplicate`, `partition` or `crash`, a literal
+    /// when emitted.
+    FaultInjected {
+        step: u64,
+        proc: u64,
+        kind: Cow<'static, str>,
+    },
     /// A crashed processor rejoined.
     CrashRecovered { step: u64, proc: u64 },
     /// Wall-clock profile of one driver step (only emitted under
@@ -181,24 +190,20 @@ impl TraceEvent {
 
     /// Renders the event as one compact JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        // Lines run 40–90 bytes; growing from empty would reallocate
-        // four times on the way there.
-        let mut out = Vec::with_capacity(128);
+        let mut out = Vec::new();
         self.write_line(&mut out);
         String::from_utf8(out).expect("write_line emits UTF-8")
     }
 
     /// Appends the event's JSONL line (no trailing newline) to `out`,
-    /// which is never cleared.  A one-off line renders its float without
-    /// a `FloatCache`: an event carries at most one, so a fresh cache
-    /// could not hit.
+    /// which is never cleared.
     pub fn write_line(&self, out: &mut Vec<u8>) {
-        let mut enc = Encoder {
-            out: std::mem::take(out),
-            floats: None,
-        };
-        self.encode(&mut enc);
-        *out = enc.out;
+        FLOATS.with_borrow_mut(|floats| {
+            let mut c = Cursor::new(out, out.len(), floats);
+            self.encode(&mut c);
+            let end = c.done(self);
+            out.truncate(end);
+        });
     }
 
     /// Parses one JSONL line back into an event.
@@ -214,23 +219,27 @@ impl TraceEvent {
 macro_rules! wire_schema {
     ($($variant:ident $tag:literal { $($field:ident $key:literal),* })*) => {
         impl TraceEvent {
-            /// Appends the event's JSONL line (no trailing newline) to
-            /// `enc.out` — the one encoder: a `match` whose arms append
-            /// literal `{"t":"tag"` / `,"key":` prefixes and each field's
-            /// bytes.  The result is `dlb-json`'s compact canonical form,
-            /// pinned by the literal lines in this crate's tests and by
+            /// Writes the event's JSONL line (no newline) at the cursor —
+            /// the one encoder.  Each arm checks for room once, for the
+            /// most bytes its fields can take (with a newline after the
+            /// brace), then writes by index: the literal `{"t":"tag"` and
+            /// `,"key":` prefixes and each field's bytes.  The result is
+            /// `dlb-json`'s compact canonical form, pinned by the literal
+            /// lines in this crate's tests and by
             /// `results/trace_checksums.txt`.
-            fn encode(&self, enc: &mut Encoder) {
+            fn encode(&self, c: &mut Cursor<'_>) {
                 match self {
                     $(TraceEvent::$variant { $($field),* } => {
-                        enc.out.extend_from_slice(concat!("{\"t\":\"", $tag, "\"").as_bytes());
+                        const TAG: &[u8] = concat!("{\"t\":\"", $tag, "\"").as_bytes();
+                        c.reserve(TAG.len() $(+ concat!(",\"", $key, "\":").len() + $field.room())* + 2);
+                        c.put(TAG);
                         $(
-                            enc.out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
-                            $field.put(enc);
+                            c.put(concat!(",\"", $key, "\":").as_bytes());
+                            $field.put(c);
                         )*
                     })*
                 }
-                enc.out.push(b'}');
+                c.put(b"}");
             }
         }
 
@@ -270,146 +279,104 @@ wire_schema! {
     RunFinished "run_end" { run "run" }
 }
 
-/// The encoding state a sink keeps from line to line: the bytes it has
-/// encoded and not yet handed on, and the floats it rendered before.
-struct Encoder {
-    out: Vec<u8>,
-    floats: Option<Box<FloatCache>>,
+thread_local! {
+    /// The floats this thread's one-off lines rendered: callers of
+    /// `write_line` (the replay, `trace_analyze --check`) see the same
+    /// few dozen `trigger` ratios line after line, as a sink does.
+    static FLOATS: RefCell<FloatCache> = RefCell::new(FloatCache::new());
 }
 
-impl Encoder {
-    /// An empty buffer with an empty float cache.
-    fn cached() -> Self {
-        Encoder {
-            out: Vec::new(),
-            floats: Some(Box::new(FloatCache::new())),
+/// One line being written: `buf[at..end]` is the room reserved for it,
+/// written by index, and `floats` the writer's cache.
+struct Cursor<'a> {
+    buf: &'a mut Vec<u8>,
+    at: usize,
+    end: usize,
+    floats: &'a mut FloatCache,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a mut Vec<u8>, at: usize, floats: &'a mut FloatCache) -> Self {
+        Cursor {
+            buf,
+            at,
+            end: at,
+            floats,
         }
     }
 
-    /// Appends `event`'s line and its newline to `out`.
-    fn line(&mut self, event: &TraceEvent) {
-        event.encode(self);
-        self.out.push(b'\n');
-    }
-}
-
-/// Slots in a [`FloatCache`], as a power of two.
-const FLOAT_SLOT_BITS: u32 = 8;
-
-/// A float's `{}` bytes, keyed by its bits.  A renderer caches only
-/// finite values, so a slot holding the bits of a NaN is empty.
-#[derive(Clone, Copy)]
-struct FloatSlot {
-    bits: u64,
-    len: u8,
-    bytes: [u8; 31],
-}
-
-/// A direct-mapped table of rendered floats.  A trace repeats a few
-/// dozen distinct `trigger` ratios hundreds of thousands of times, and
-/// `{}`'s shortest-round-trip search is most of a `balance` line's
-/// encoding cost; a hit copies the bytes `{}` produced the first time.
-/// Renderings longer than a slot are not cached.
-struct FloatCache {
-    slots: [FloatSlot; 1 << FLOAT_SLOT_BITS],
-}
-
-impl FloatCache {
-    fn new() -> Self {
-        let empty = FloatSlot {
-            bits: f64::NAN.to_bits(),
-            len: 0,
-            bytes: [0; 31],
-        };
-        FloatCache {
-            slots: [empty; 1 << FLOAT_SLOT_BITS],
+    /// Makes `buf[at..at + room]` writable: a line's one room check.
+    /// A buffer that must grow grows by the line's room alone, so a run
+    /// that parks its trace touches no more memory than it writes.
+    fn reserve(&mut self, room: usize) {
+        self.end = self.at + room;
+        if self.buf.len() < self.end {
+            self.buf.resize(self.end, 0);
         }
     }
 
-    /// Appends finite `x` exactly as `{}` renders it.
-    fn put(&mut self, x: f64, out: &mut Vec<u8>) {
-        let bits = x.to_bits();
-        // Fibonacci hashing: the top bits of the product mix every bit
-        // of the key, so ratios that differ only low in the mantissa
-        // still spread over the table.
-        let index = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_SLOT_BITS);
-        let slot = &mut self.slots[index as usize];
-        if slot.bits == bits {
-            out.extend_from_slice(&slot.bytes[..usize::from(slot.len)]);
-            return;
-        }
-        let at = out.len();
-        render_float(x, out);
-        let rendered = &out[at..];
-        if let Some(dst) = slot.bytes.get_mut(..rendered.len()) {
-            dst.copy_from_slice(rendered);
-            // At most 31: `get_mut` checked it.
-            #[allow(clippy::cast_possible_truncation)]
-            let len = rendered.len() as u8;
-            slot.len = len;
-            slot.bits = bits;
-        }
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
     }
-}
 
-/// `{}` is the shortest round-trippable decimal.
-fn render_float(x: f64, out: &mut Vec<u8>) {
-    write!(out, "{x}").expect("writing to a Vec cannot fail");
-}
-
-/// One field's value on the wire.
-trait Wire: Sized {
-    /// Appends the value's JSON bytes, exactly as `dlb-json` renders them.
-    fn put(&self, enc: &mut Encoder);
-
-    /// Reads field `key` of the line's object.
-    fn get(obj: &Json, key: &str) -> Result<Self, String>;
-}
-
-impl Wire for u64 {
-    fn put(&self, enc: &mut Encoder) {
-        let mut v = *self;
-        let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (v % 10) as u8;
+    /// `v`'s decimal digits, written in place, last digit first.
+    fn put_u64(&mut self, mut v: u64) {
+        let len = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        for digit in self.buf[self.at..self.at + len].iter_mut().rev() {
+            *digit = b'0' + (v % 10) as u8;
             v /= 10;
-            if v == 0 {
-                break;
+        }
+        self.at += len;
+    }
+
+    /// Finite `x` exactly as `{}` renders it; JSON has no non-finite
+    /// numbers, so those render as `null`.
+    fn put_f64(&mut self, x: f64) {
+        if !x.is_finite() {
+            return self.put(b"null");
+        }
+        let bits = x.to_bits();
+        let slot = self.floats.slot(bits);
+        if slot.bits != bits {
+            let mut bytes = [0; SHORT];
+            let mut rest = &mut bytes[..];
+            if write!(rest, "{x}").is_err() {
+                return self.put_long(&x.to_string());
             }
+            let len = SHORT - rest.len();
+            *slot = FloatSlot { bits, len, bytes };
         }
-        enc.out.extend_from_slice(&digits[at..]);
+        // The line reserved `SHORT` bytes for the float: one fixed-size
+        // copy, advanced by the rendering's length.
+        self.buf[self.at..self.at + SHORT].copy_from_slice(&slot.bytes);
+        self.at += slot.len;
     }
 
-    fn get(obj: &Json, key: &str) -> Result<Self, String> {
-        req(obj, key)
-    }
-}
-
-impl Wire for f64 {
-    /// JSON has no non-finite numbers, so those render as `null`.
-    fn put(&self, enc: &mut Encoder) {
-        match &mut enc.floats {
-            _ if !self.is_finite() => enc.out.extend_from_slice(b"null"),
-            Some(cache) => cache.put(*self, &mut enc.out),
-            None => render_float(*self, &mut enc.out),
-        }
+    /// A rendering longer than the `SHORT` bytes the line reserved for
+    /// it: the room grows by the excess, so the rest of the line keeps
+    /// its room.
+    #[cold]
+    fn put_long(&mut self, text: &str) {
+        let excess = text.len() - SHORT;
+        self.buf.resize(self.buf.len() + excess, 0);
+        self.end += excess;
+        self.put(text.as_bytes());
     }
 
-    fn get(obj: &Json, key: &str) -> Result<Self, String> {
-        req(obj, key)
+    /// Checks that the line kept to the room it reserved.
+    fn done(self, event: &TraceEvent) -> usize {
+        debug_assert!(self.at <= self.end, "{event:?} overran its room");
+        self.at
     }
-}
 
-impl Wire for String {
-    /// Every escaped byte is ASCII, so scanning bytes never splits a
-    /// UTF-8 sequence and the runs between escapes are copied whole.
-    fn put(&self, enc: &mut Encoder) {
+    /// `s` as a JSON string.  Every escaped byte is ASCII, so scanning
+    /// bytes never splits a UTF-8 sequence and the runs between escapes
+    /// are copied whole.
+    fn put_str(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        let out = &mut enc.out;
-        out.push(b'"');
-        let bytes = self.as_bytes();
+        self.put(b"\"");
+        let bytes = s.as_bytes();
         let mut copied = 0;
         for (i, &b) in bytes.iter().enumerate() {
             let mut unicode = *b"\\u0000";
@@ -426,12 +393,91 @@ impl Wire for String {
                 }
                 _ => continue,
             };
-            out.extend_from_slice(&bytes[copied..i]);
-            out.extend_from_slice(escape);
+            self.put(&bytes[copied..i]);
+            self.put(escape);
             copied = i + 1;
         }
-        out.extend_from_slice(&bytes[copied..]);
-        out.push(b'"');
+        self.put(&bytes[copied..]);
+        self.put(b"\"");
+    }
+}
+
+/// The bytes a line reserves for a float, and the longest rendering a
+/// [`FloatCache`] slot holds.
+const SHORT: usize = 32;
+
+/// Slots in a [`FloatCache`], as a power of two.
+const FLOAT_SLOT_BITS: u32 = 8;
+
+/// A float's `{}` bytes, `bytes[..len]`, keyed by its bits.  A writer
+/// caches only finite values, so a slot holding the bits of a NaN is
+/// empty.
+#[derive(Clone, Copy)]
+struct FloatSlot {
+    bits: u64,
+    len: usize,
+    bytes: [u8; SHORT],
+}
+
+/// A direct-mapped table of rendered floats.  A trace repeats a few
+/// dozen distinct `trigger` ratios hundreds of thousands of times, and
+/// `{}`'s shortest-round-trip search is most of a `balance` line's
+/// encoding cost; a hit copies the bytes `{}` produced the first time.
+/// Renderings longer than [`SHORT`] are not cached.
+struct FloatCache {
+    slots: [FloatSlot; 1 << FLOAT_SLOT_BITS],
+}
+
+impl FloatCache {
+    fn new() -> Self {
+        let empty = FloatSlot {
+            bits: f64::NAN.to_bits(),
+            len: 0,
+            bytes: [0; SHORT],
+        };
+        FloatCache {
+            slots: [empty; 1 << FLOAT_SLOT_BITS],
+        }
+    }
+
+    /// The slot the float with these bits maps to.
+    fn slot(&mut self, bits: u64) -> &mut FloatSlot {
+        // Fibonacci hashing: the top bits of the product mix every bit
+        // of the key, so ratios that differ only low in the mantissa
+        // still spread over the table.
+        let index = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_SLOT_BITS);
+        &mut self.slots[index as usize]
+    }
+}
+
+/// One field's value on the wire.
+trait Wire: Sized {
+    /// The most bytes [`Wire::put`] writes for this value.
+    fn room(&self) -> usize;
+
+    /// Writes the value's JSON bytes, exactly as `dlb-json` renders
+    /// them, into the room its line reserved.
+    fn put(&self, c: &mut Cursor<'_>);
+
+    /// Reads field `key` of the line's object.
+    fn get(obj: &Json, key: &str) -> Result<Self, String>;
+}
+
+/// The digits of `u64::MAX`.
+const U64_ROOM: usize = 20;
+
+/// The quotes, and six bytes (`\u00XX`) per byte escaped.
+fn str_room(s: &str) -> usize {
+    2 + 6 * s.len()
+}
+
+impl Wire for u64 {
+    fn room(&self) -> usize {
+        U64_ROOM
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put_u64(*self);
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -439,16 +485,64 @@ impl Wire for String {
     }
 }
 
+impl Wire for f64 {
+    fn room(&self) -> usize {
+        SHORT
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put_f64(*self);
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
+    }
+}
+
+impl Wire for String {
+    fn room(&self) -> usize {
+        str_room(self)
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put_str(self);
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        req(obj, key)
+    }
+}
+
+/// `FaultInjected`'s kind: a literal when emitted, owned when parsed.
+impl Wire for Cow<'static, str> {
+    fn room(&self) -> usize {
+        str_room(self)
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put_str(self);
+    }
+
+    fn get(obj: &Json, key: &str) -> Result<Self, String> {
+        String::get(obj, key).map(Cow::Owned)
+    }
+}
+
 impl Wire for Vec<u64> {
-    fn put(&self, enc: &mut Encoder) {
-        enc.out.push(b'[');
-        for (i, v) in self.iter().enumerate() {
+    /// The brackets, and a comma per value.
+    fn room(&self) -> usize {
+        2 + (U64_ROOM + 1) * self.len()
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put(b"[");
+        for (i, &v) in self.iter().enumerate() {
             if i > 0 {
-                enc.out.push(b',');
+                c.put(b",");
             }
-            v.put(enc);
+            c.put_u64(v);
         }
-        enc.out.push(b']');
+        c.put(b"]");
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -458,17 +552,25 @@ impl Wire for Vec<u64> {
 
 /// `StepDelta`'s counters: an object in insertion order.
 impl Wire for Vec<(String, u64)> {
-    fn put(&self, enc: &mut Encoder) {
-        enc.out.push(b'{');
+    /// The braces, and a colon and a comma per entry.
+    fn room(&self) -> usize {
+        2 + self
+            .iter()
+            .map(|(key, _)| str_room(key) + U64_ROOM + 2)
+            .sum::<usize>()
+    }
+
+    fn put(&self, c: &mut Cursor<'_>) {
+        c.put(b"{");
         for (i, (key, v)) in self.iter().enumerate() {
             if i > 0 {
-                enc.out.push(b',');
+                c.put(b",");
             }
-            key.put(enc);
-            enc.out.push(b':');
-            v.put(enc);
+            c.put_str(key);
+            c.put(b":");
+            c.put_u64(*v);
         }
-        enc.out.push(b'}');
+        c.put(b"}");
     }
 
     fn get(obj: &Json, key: &str) -> Result<Self, String> {
@@ -483,6 +585,47 @@ impl Wire for Vec<(String, u64)> {
                 .collect(),
             _ => Err(format!("'{key}' is not an object")),
         }
+    }
+}
+
+/// A writer's encoding state from line to line: the bytes it encoded and
+/// has not handed on, `buf[..at]`, in a buffer kept at its full length
+/// so that lines are written into it by index, and the floats it
+/// rendered before.
+struct Encoder {
+    buf: Vec<u8>,
+    at: usize,
+    floats: Box<FloatCache>,
+}
+
+impl Encoder {
+    fn new() -> Self {
+        Encoder {
+            // A writer hands its bytes on once they pass `CHUNK`; the
+            // rest is room for the line that passes it.
+            buf: vec![0; 2 * CHUNK],
+            at: 0,
+            floats: Box::new(FloatCache::new()),
+        }
+    }
+
+    /// Appends `event`'s line and its newline.
+    fn line(&mut self, event: &TraceEvent) {
+        let mut c = Cursor::new(&mut self.buf, self.at, &mut self.floats);
+        event.encode(&mut c);
+        c.put(b"\n");
+        self.at = c.done(event);
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.at]
+    }
+
+    /// Takes the encoded bytes, leaving the encoder empty.
+    fn take(&mut self) -> Vec<u8> {
+        let mut bytes = std::mem::take(&mut self.buf);
+        bytes.truncate(std::mem::take(&mut self.at));
+        bytes
     }
 }
 
@@ -524,14 +667,16 @@ impl TraceSink for NullSink {
     }
 }
 
-/// Streams events as JSONL to a buffered writer; one event per line,
-/// byte-stable for identical event sequences.
+/// Streams events as JSONL to a writer, one event per line, handed on
+/// every 64 KiB; byte-stable for identical event sequences.  Like a
+/// `BufWriter`, a sink dropped unflushed writes what it holds and drops
+/// the error.
 ///
 /// `record` cannot return an error, so the sink keeps the first
 /// `io::Error`, drops every later event, and hands the error back from
 /// [`TraceSink::take_error`].
 pub struct FileSink<W: std::io::Write> {
-    out: std::io::BufWriter<W>,
+    out: W,
     line: Encoder,
     error: Option<std::io::Error>,
 }
@@ -560,18 +705,30 @@ impl<W: std::io::Write> FileSink<W> {
     /// Streams JSONL into an arbitrary writer (tests use `Vec<u8>`).
     pub(crate) fn from_writer(w: W) -> Self {
         FileSink {
-            out: std::io::BufWriter::with_capacity(CHUNK, w),
-            line: Encoder::cached(),
+            out: w,
+            line: Encoder::new(),
             error: None,
         }
     }
 
+    /// Hands the encoded bytes to the writer, unless it failed before.
+    fn write_out(&mut self) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(self.line.bytes()).err();
+        }
+        self.line.at = 0;
+    }
+
     /// Flushes and returns the inner writer, or the first write error.
     #[cfg(test)]
-    pub(crate) fn into_inner(mut self) -> std::io::Result<W> {
+    pub(crate) fn into_inner(mut self) -> std::io::Result<W>
+    where
+        W: Default,
+    {
+        self.flush();
         match self.error.take() {
             Some(e) => Err(e),
-            None => self.out.into_inner().map_err(|e| e.into_error()),
+            None => Ok(std::mem::take(&mut self.out)),
         }
     }
 }
@@ -581,12 +738,14 @@ impl<W: std::io::Write> TraceSink for FileSink<W> {
         if self.error.is_some() {
             return;
         }
-        self.line.out.clear();
         self.line.line(event);
-        self.error = self.out.write_all(&self.line.out).err();
+        if self.line.at >= CHUNK {
+            self.write_out();
+        }
     }
 
     fn flush(&mut self) {
+        self.write_out();
         if self.error.is_none() {
             self.error = self.out.flush().err();
         }
@@ -597,23 +756,34 @@ impl<W: std::io::Write> TraceSink for FileSink<W> {
     }
 }
 
-/// Cheaply cloneable, thread-safe handle to a sink.
+impl<W: std::io::Write> Drop for FileSink<W> {
+    fn drop(&mut self) {
+        self.write_out();
+    }
+}
+
+/// Cheaply cloneable handle to a sink, for the one thread that runs a
+/// simulation: its engine, fault injector and run loop record through
+/// clones of one handle, built on that thread.  Recording takes no
+/// lock; where runs on several threads meet, the sink behind the handle
+/// locks — [`RunOrderedWriter`] once per 64 KiB, [`BufferSink`] once
+/// per event.
 ///
 /// Engines store an `Option<SharedSink>`; `enabled` is sampled once at
 /// construction so the per-event hot path with a [`NullSink`] attached
-/// is a branch, not a mutex acquisition.
+/// is a branch, not a call.
 #[derive(Clone)]
 pub struct SharedSink {
-    inner: Arc<Mutex<dyn TraceSink + Send>>,
+    inner: Rc<RefCell<dyn TraceSink>>,
     enabled: bool,
 }
 
 impl SharedSink {
     /// Wraps any sink in a shared handle.
-    pub fn new<S: TraceSink + Send + 'static>(sink: S) -> Self {
+    pub fn new<S: TraceSink + 'static>(sink: S) -> Self {
         let enabled = sink.enabled();
         SharedSink {
-            inner: Arc::new(Mutex::new(sink)),
+            inner: Rc::new(RefCell::new(sink)),
             enabled,
         }
     }
@@ -626,18 +796,35 @@ impl SharedSink {
     /// Records one event.
     pub fn record(&self, event: &TraceEvent) {
         if self.enabled {
-            self.inner.lock().expect("sink lock").record(event);
+            self.inner.borrow_mut().record(event);
+        }
+    }
+
+    /// Records a `BalanceInitiated` whose partner list the caller lends:
+    /// the list moves into the event and back into `partners` after the
+    /// record, so an emitter that keeps one list allocates nothing per
+    /// operation.
+    pub fn record_balance(&self, step: u64, initiator: u64, partners: &mut Vec<u64>, trigger: f64) {
+        let event = TraceEvent::BalanceInitiated {
+            step,
+            initiator,
+            partners: std::mem::take(partners),
+            trigger,
+        };
+        self.record(&event);
+        if let TraceEvent::BalanceInitiated { partners: lent, .. } = event {
+            *partners = lent;
         }
     }
 
     /// Flushes the underlying sink.
     pub fn flush(&self) {
-        self.inner.lock().expect("sink lock").flush();
+        self.inner.borrow_mut().flush();
     }
 
     /// Takes the underlying sink's first I/O error, if any.
     pub fn take_error(&self) -> Option<std::io::Error> {
-        self.inner.lock().expect("sink lock").take_error()
+        self.inner.borrow_mut().take_error()
     }
 }
 
@@ -667,11 +854,11 @@ impl TraceSink for SharedSink {
     }
 }
 
-/// In-memory collector whose contents can be taken back out — the
-/// bridge between engine-held [`SharedSink`]s and callers that need the
-/// events themselves afterwards (tests, the benchmark's replay).  To
-/// write runs to a file, use [`RunOrderedWriter`]: it never holds a
-/// whole trace.
+/// In-memory collector whose contents can be taken back out, on any
+/// thread — the bridge between engine-held [`SharedSink`]s and callers
+/// that need the events themselves afterwards (tests, the benchmark's
+/// replay).  To write runs to a file, use [`RunOrderedWriter`]: it never
+/// holds a whole trace.
 #[derive(Clone, Default)]
 pub struct BufferSink {
     events: Arc<Mutex<Vec<TraceEvent>>>,
@@ -772,11 +959,12 @@ impl<W: std::io::Write + Send + 'static> RunOrderedWriter<W> {
         }
     }
 
-    /// The sink run `run` records into; take one per run index.
+    /// The sink run `run` records into; take one per run index, on the
+    /// thread that runs it.
     pub fn handle(&self, run: usize) -> SharedSink {
         SharedSink::new(RunSink {
             run,
-            line: Encoder::cached(),
+            line: Encoder::new(),
             next_try: CHUNK,
             turns: Arc::clone(&self.turns),
             ended: false,
@@ -809,7 +997,8 @@ impl<W: std::io::Write + Send + 'static> RunOrderedWriter<W> {
 struct RunSink<W: std::io::Write> {
     run: usize,
     line: Encoder,
-    /// The length of `line.out` at which to try the shared writer next.
+    /// The length of the encoded bytes at which to try the shared
+    /// writer next.
     next_try: usize,
     turns: Arc<Mutex<Turns<W>>>,
     ended: bool,
@@ -823,7 +1012,7 @@ impl<W: std::io::Write> RunSink<W> {
         // Also reached from `drop`, which must not panic: a poisoned
         // lock means another run panicked, and that panic is the report.
         if let Ok(mut turns) = self.turns.lock() {
-            turns.end(self.run, std::mem::take(&mut self.line.out));
+            turns.end(self.run, self.line.take());
         }
     }
 }
@@ -832,16 +1021,16 @@ impl<W: std::io::Write> TraceSink for RunSink<W> {
     fn record(&mut self, event: &TraceEvent) {
         debug_assert!(!self.ended, "run {} recorded after it ended", self.run);
         self.line.line(event);
-        if self.line.out.len() < self.next_try {
+        if self.line.at < self.next_try {
             return;
         }
         let mut turns = self.turns.lock().expect("trace writer lock");
         if turns.turn == self.run {
-            turns.write(&self.line.out);
-            self.line.out.clear();
+            turns.write(self.line.bytes());
+            self.line.at = 0;
             self.next_try = CHUNK;
         } else {
-            self.next_try = self.line.out.len() + CHUNK;
+            self.next_try = self.line.at + CHUNK;
         }
     }
 
@@ -1057,10 +1246,14 @@ mod tests {
     }
 
     /// `x` as a sink's encoder renders it.
-    fn cached(enc: &mut Encoder, x: f64) -> String {
-        enc.out.clear();
-        x.put(enc);
-        String::from_utf8(enc.out.clone()).expect("utf8")
+    fn cached(cache: &mut FloatCache, x: f64) -> String {
+        let mut buf = Vec::new();
+        let mut c = Cursor::new(&mut buf, 0, cache);
+        c.reserve(x.room());
+        x.put(&mut c);
+        let end = c.at;
+        buf.truncate(end);
+        String::from_utf8(buf).expect("utf8")
     }
 
     proptest::proptest! {
@@ -1073,7 +1266,7 @@ mod tests {
             // sign and mantissa between 2^-20 and 2^20 fit a slot.
             let short = bits & !(0x7ff << 52) | exponent << 52;
             let slot = |b: u64| b.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FLOAT_SLOT_BITS);
-            let mut enc = Encoder::cached();
+            let mut cache = FloatCache::new();
             for base in [bits, short] {
                 let x = f64::from_bits(base);
                 // A value hashed to the same slot: flipping low mantissa
@@ -1084,7 +1277,7 @@ mod tests {
                     .map(f64::from_bits)
                     .expect("a colliding value");
                 for v in [x, x, rival, x, rival, x, rival] {
-                    proptest::prop_assert_eq!(cached(&mut enc, v), reference(v), "{:?}", v);
+                    proptest::prop_assert_eq!(cached(&mut cache, v), reference(v), "{:?}", v);
                 }
             }
             let edges = [
@@ -1093,7 +1286,7 @@ mod tests {
                 f64::INFINITY, f64::NEG_INFINITY,
             ];
             for v in edges.into_iter().chain(edges) {
-                proptest::prop_assert_eq!(cached(&mut enc, v), reference(v), "{:?}", v);
+                proptest::prop_assert_eq!(cached(&mut cache, v), reference(v), "{:?}", v);
             }
         }
     }
@@ -1170,6 +1363,7 @@ mod tests {
     }
 
     /// Accepts `room` bytes, then fails every write like a full disk.
+    #[derive(Default)]
     struct FullAfter {
         room: usize,
     }
@@ -1288,5 +1482,199 @@ mod tests {
         }
         assert_eq!(buf.take(), sample_events());
         assert!(buf.take().is_empty());
+    }
+
+    /// A `u64` of every digit count: arbitrary, small, `10^k − 1` (0, 9,
+    /// 99, …), `10^k` (1, 10, …, 10¹⁹) or `u64::MAX` and its neighbour.
+    fn number(pick: u64) -> u64 {
+        let k = ((pick >> 8) % 20) as u32;
+        match pick % 5 {
+            0 => pick,
+            1 => 10u64.pow(k) - 1,
+            2 => 10u64.pow(k),
+            3 => u64::MAX - (pick >> 8) % 2,
+            _ => pick % 1000,
+        }
+    }
+
+    /// Floats that hit and miss a sink's cache: a few repeated ratios,
+    /// arbitrary bits (mostly rendering longer than a slot, some
+    /// non-finite), and edges.
+    fn float(pick: u64) -> f64 {
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -f64::MAX,
+            1e21,
+            1e-7,
+            0.1 + 0.2,
+        ];
+        let i = (pick >> 8) as usize;
+        match pick % 4 {
+            0 | 1 => [1.25, 1.5, 2.0, 1.1, 4.0 / 3.0, 0.0][i % 6],
+            2 => f64::from_bits(pick),
+            _ => edges[i % edges.len()],
+        }
+    }
+
+    /// Up to eight characters, every other one from the first 128 code
+    /// points (controls, quotes, backslash), the rest from all of Unicode.
+    fn text(pick: u64) -> String {
+        let mut state = pick;
+        (0..pick % 9)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let code = (state >> 33) as u32 % if state & 1 == 0 { 0x80 } else { 0x11_0000 };
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            })
+            .collect()
+    }
+
+    /// Every variant, from one draw.
+    fn event(kind: u32, a: u64, b: u64, c: u64) -> TraceEvent {
+        let (x, y, z) = (number(a), number(b), number(c));
+        match kind {
+            0 => TraceEvent::RunStarted {
+                run: x,
+                seed: y,
+                n: z,
+                strategy: text(a),
+                delta: y,
+                f: float(c),
+                c: x,
+            },
+            1 => TraceEvent::BalanceInitiated {
+                step: x,
+                initiator: y,
+                partners: (0..c % 201)
+                    .map(|i| number(a ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                    .collect(),
+                trigger: float(b),
+            },
+            2 => TraceEvent::PacketsMigrated {
+                step: x,
+                initiator: y,
+                count: z,
+            },
+            3 => TraceEvent::MarkerMoved {
+                step: x,
+                initiator: y,
+                count: z,
+            },
+            4 => TraceEvent::FaultInjected {
+                step: x,
+                proc: y,
+                kind: text(c).into(),
+            },
+            5 => TraceEvent::CrashRecovered { step: x, proc: y },
+            6 => TraceEvent::StepProfile {
+                step: x,
+                wall_ns: y,
+                ops: z,
+            },
+            7 => TraceEvent::StepDelta {
+                step: x,
+                counters: (0..c % 6)
+                    .map(|i| {
+                        (
+                            text(b ^ i),
+                            number(a ^ i.wrapping_mul(0x2545_F491_4F6C_DD1D)),
+                        )
+                    })
+                    .collect(),
+            },
+            8 => TraceEvent::LoadSample {
+                step: x,
+                min: y,
+                max: z,
+                total: x,
+            },
+            9 => TraceEvent::RequestRouted {
+                step: x,
+                req: y,
+                shard: z,
+            },
+            10 => TraceEvent::RequestCompleted {
+                step: x,
+                req: y,
+                shard: z,
+                latency_ticks: x,
+            },
+            11 => TraceEvent::RequestsRedirected {
+                step: x,
+                from: y,
+                to: z,
+                count: x,
+            },
+            12 => TraceEvent::AcceptorHandoff {
+                step: x,
+                from: y,
+                to: z,
+                count: x,
+            },
+            13 => TraceEvent::ArenaContender {
+                run: x,
+                label: text(b),
+                strategy: text(c),
+                seed: y,
+            },
+            _ => TraceEvent::RunFinished { run: x },
+        }
+    }
+
+    /// `to_line` of each event, a newline after each.
+    fn lines<'a>(events: impl Iterator<Item = &'a TraceEvent>) -> Vec<u8> {
+        events
+            .map(|e| e.to_line() + "\n")
+            .collect::<String>()
+            .into_bytes()
+    }
+
+    /// Where two byte strings first differ, if they do.
+    fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+        (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))
+    }
+
+    proptest::proptest! {
+        /// The streaming writers — cached floats, lines written into
+        /// reserved room, a buffer handed on every 64 KiB or parked —
+        /// write exactly what the one-off `to_line` renders.
+        #[test]
+        fn streamed_bytes_are_the_lines_of_to_line(
+            draws in proptest::collection::vec(
+                (0u32..15, proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                0..60,
+            ),
+            reps in 1usize..12,
+        ) {
+            let once: Vec<TraceEvent> = draws.iter().map(|&(k, a, b, c)| event(k, a, b, c)).collect();
+            let events: Vec<&TraceEvent> = (0..reps).flat_map(|_| &once).collect();
+            let expected = lines(events.iter().copied());
+            let mut file = FileSink::from_writer(Vec::new());
+            for ev in &events {
+                file.record(ev);
+            }
+            let written = file.into_inner().expect("a Vec cannot fail");
+            proptest::prop_assert_eq!(first_difference(&written, &expected), None, "FileSink");
+            // Three runs recorded interleaved: runs 1 and 2 park until
+            // their turn.
+            let writer = RunOrderedWriter::from_writer(Vec::new());
+            let handles: Vec<SharedSink> = (0..3).map(|r| writer.handle(r)).collect();
+            for (i, ev) in events.iter().enumerate() {
+                handles[i % 3].record(ev);
+            }
+            drop(handles);
+            let in_run_order = (0..3).flat_map(|r| events.iter().skip(r).step_by(3).copied());
+            let written = writer.into_inner().expect("a Vec cannot fail");
+            proptest::prop_assert_eq!(
+                first_difference(&written, &lines(in_run_order)),
+                None,
+                "RunOrderedWriter"
+            );
+        }
     }
 }

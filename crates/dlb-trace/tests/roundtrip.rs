@@ -94,7 +94,7 @@ proptest! {
         proc in any::<u64>(),
         kind in prop::collection::vec(any::<u32>(), 0..12),
     ) {
-        check(TraceEvent::FaultInjected { step, proc, kind: text(&kind) })?;
+        check(TraceEvent::FaultInjected { step, proc, kind: text(&kind).into() })?;
     }
 
     #[test]
