@@ -94,6 +94,8 @@ fn parse_options(rest: &[String]) -> Result<RunOptions, String> {
 }
 
 fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
+    // Before the header: a trace that cannot be created prints nothing.
+    let trace = run::open_trace(&scenario, opts)?;
     if !scenario.balancer.is_empty() {
         outln!(
             "league: {} processors, {} steps x {} runs, {} contenders\n",
@@ -102,7 +104,7 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
             scenario.runs,
             scenario.balancer.len() + 1
         );
-        let table = run::execute_league(&scenario, opts)?;
+        let table = run::league_traced(&scenario, opts, trace)?;
         outln!("{table}");
         if let Some(path) = &opts.trace {
             outln!("\ntrace written to {path}");
@@ -116,7 +118,7 @@ fn run_scenario(scenario: Scenario, opts: &RunOptions) -> Result<(), String> {
         scenario.runs,
         scenario.strategy
     );
-    let report = run::execute_with(&scenario, opts)?;
+    let report = run::run_traced(&scenario, opts, trace)?;
     outln!("{}", report.render());
     if let Some(path) = &opts.trace {
         outln!("\ntrace written to {path}");

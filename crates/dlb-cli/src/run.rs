@@ -433,10 +433,17 @@ fn async_run(
     })
 }
 
-/// The trace at `path`, created (truncated) before the first run, so a
-/// path that cannot be created costs no simulation.
-fn create_trace(path: &Option<String>) -> Result<Option<RunOrderedWriter<File>>, String> {
-    path.as_ref()
+/// The trace a run writes, if `--trace` named one.
+pub(crate) type Trace = Option<RunOrderedWriter<File>>;
+
+/// Validates `scenario` and creates (truncates) the trace `opts` names,
+/// in that order, before the first run: a refused scenario leaves an
+/// existing trace untouched, and neither refusal costs a simulation or,
+/// since `dlb run` prints its header after this, a line on stdout.
+pub(crate) fn open_trace(scenario: &Scenario, opts: &RunOptions) -> Result<Trace, String> {
+    scenario.validate()?;
+    opts.trace
+        .as_ref()
         .map(|path| {
             RunOrderedWriter::create(std::path::Path::new(path))
                 .map_err(|e| format!("cannot create trace {path}: {e}"))
@@ -444,11 +451,20 @@ fn create_trace(path: &Option<String>) -> Result<Option<RunOrderedWriter<File>>,
         .transpose()
 }
 
+/// [`run_traced`] on the trace [`open_trace`] opens.
+#[cfg(test)]
+pub(crate) fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
+    run_traced(scenario, opts, open_trace(scenario, opts)?)
+}
+
+/// [`league_traced`] on the trace [`open_trace`] opens.
+#[cfg(test)]
+pub(crate) fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
+    league_traced(scenario, opts, open_trace(scenario, opts)?)
+}
+
 /// Writes what the runs left parked and reports the first write error.
-fn finish_trace(
-    writer: Option<RunOrderedWriter<File>>,
-    path: &Option<String>,
-) -> Result<(), String> {
+fn finish_trace(writer: Trace, path: &Option<String>) -> Result<(), String> {
     match (writer, path) {
         (Some(writer), Some(path)) => writer
             .into_inner()
@@ -459,12 +475,13 @@ fn finish_trace(
 }
 
 /// Runs a scenario under explicit [`RunOptions`]: `jobs` worker
-/// threads (identical output for every value) and an optional JSONL
-/// trace, created once the scenario validates, before the first run,
-/// and written in run-index order.
-pub(crate) fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Report, String> {
-    scenario.validate()?;
-    let writer = create_trace(&opts.trace)?;
+/// threads (identical output for every value) and the JSONL trace
+/// [`open_trace`] opened, written in run-index order.
+pub(crate) fn run_traced(
+    scenario: &Scenario,
+    opts: &RunOptions,
+    writer: Trace,
+) -> Result<Report, String> {
     let jobs = opts.jobs.max(1);
     let async_cfg = match scenario.strategy {
         StrategyConfig::Async { delta, f, latency } => Some((delta, f, latency)),
@@ -519,12 +536,15 @@ pub(crate) fn execute_with(scenario: &Scenario, opts: &RunOptions) -> Result<Rep
 /// identical workloads, fault plans and per-run RNG streams for every
 /// contender — and returns the rendered league table.  The primary
 /// strategy's trigger-rule draws are byte-identical to a plain
-/// [`execute_with`] run of the same scenario.  With tracing enabled the
+/// [`run_traced`] run of the same scenario.  With tracing enabled the
 /// JSONL carries one `ArenaContender` announcement per (contender, run),
 /// that run's engine events and its `RunFinished`, in contender-major
-/// order, streamed as [`execute_with`] streams its runs.
-pub(crate) fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<String, String> {
-    scenario.validate()?;
+/// order, streamed as [`run_traced`] streams its runs.
+pub(crate) fn league_traced(
+    scenario: &Scenario,
+    opts: &RunOptions,
+    writer: Trace,
+) -> Result<String, String> {
     let n = scenario.n;
     let mut contenders: Vec<Contender> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -543,8 +563,6 @@ pub(crate) fn execute_league(scenario: &Scenario, opts: &RunOptions) -> Result<S
         }));
     }
 
-    // Created once the scenario is known to run, before it does.
-    let writer = create_trace(&opts.trace)?;
     let cfg = ArenaConfig {
         n,
         steps: scenario.steps,
@@ -773,6 +791,7 @@ mod tests {
     #[test]
     fn trace_is_byte_identical_across_jobs() {
         let dir = std::env::temp_dir().join("dlb_cli_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
         let mut scenario = small_scenario(
             StrategyConfig::Full {
                 delta: 1,
@@ -826,6 +845,7 @@ mod tests {
     #[test]
     fn untraced_report_matches_traced_report() {
         let dir = std::env::temp_dir().join("dlb_cli_trace_inert_test");
+        std::fs::create_dir_all(&dir).unwrap();
         let scenario = small_scenario(
             StrategyConfig::Simple { delta: 1, f: 1.2 },
             WorkloadConfig::Uniform {
@@ -892,7 +912,11 @@ mod tests {
             execute_with(&scenario, &opts).unwrap_err(),
             execute_league(&league_scenario(), &opts).unwrap_err(),
         ] {
-            assert!(err.starts_with("cannot create trace /dev/null/x"), "{err}");
+            // The OS's own reason: no directory is made on the way.
+            assert!(
+                err.starts_with("cannot create trace /dev/null/x.jsonl: Not a directory"),
+                "{err}"
+            );
         }
         let took = started.elapsed();
         assert!(took.as_secs() < 5, "refused only after {took:?}");
@@ -1100,6 +1124,7 @@ mod tests {
         // dense one, so the per-step `LoadSample` rows hold the two to
         // the same bytes.
         let dir = std::env::temp_dir().join("dlb_cli_sparse_identity_test");
+        std::fs::create_dir_all(&dir).unwrap();
         let strategies = [
             StrategyConfig::Full {
                 delta: 1,
@@ -1164,6 +1189,7 @@ mod tests {
         // neither the table nor a trace byte may tell the two apart,
         // with a crash/rejoin in play.
         let dir = std::env::temp_dir().join("dlb_cli_sparse_league_test");
+        std::fs::create_dir_all(&dir).unwrap();
         for (w, workload) in sparse_workloads().into_iter().enumerate() {
             let mut scenario = league_scenario();
             scenario.workload = workload;
@@ -1196,6 +1222,7 @@ mod tests {
         )
         .unwrap();
         let dir = std::env::temp_dir().join("dlb_cli_wide_groups_test");
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let opts = RunOptions {
             trace: Some(path.to_string_lossy().into_owned()),
@@ -1209,7 +1236,7 @@ mod tests {
         for line in std::fs::read_to_string(&path).unwrap().lines() {
             if let TraceEvent::StepDelta { counters, .. } = TraceEvent::from_line(line).unwrap() {
                 for (name, inc) in counters {
-                    match name.as_str() {
+                    match &*name {
                         "generated" => generated += inc,
                         "consumed" => consumed += inc,
                         _ => {}

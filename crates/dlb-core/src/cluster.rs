@@ -99,11 +99,12 @@ use crate::metrics::Metrics;
 use crate::pages::{zeroed_on_huge_pages, Zeroable};
 use crate::params::{ExchangePolicy, Params, TriggerTable};
 use crate::sparse::{count_diff, key, nth_diff, SparseRow};
-use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
+use crate::strategy::{Events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::LoadCounts;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::mem::ManuallyDrop;
 
 /// Scratch of [`equalise`], owned by the cluster so steady-state
@@ -642,6 +643,8 @@ pub struct Cluster {
     sink: Option<SharedSink>,
     /// The partner list lent to each `BalanceInitiated` event.
     trace_partners: Vec<u64>,
+    /// The counter list lent to each `StepDelta` event.
+    trace_counters: Vec<(Cow<'static, str>, u64)>,
     /// Driver steps completed — the logical clock stamped onto events.
     step_no: u64,
     /// Operations drawn and waiting to execute up to `lag.depth` draws
@@ -753,6 +756,7 @@ impl Cluster {
             scratch_new_b: Vec::new(),
             sink: None,
             trace_partners: Vec::new(),
+            trace_counters: Vec::new(),
             step_no: 0,
             lag: Lag::new(n, params.delta()),
             eager: false,
@@ -1536,7 +1540,8 @@ impl LoadBalancer for Cluster {
             "operations must not outlive their step"
         );
         if let (Some(before), Some(sink)) = (&before, &self.sink) {
-            emit_step_delta(sink, self.step_no, before, &self.metrics);
+            self.metrics.delta_into(before, &mut self.trace_counters);
+            sink.record_delta(self.step_no, &mut self.trace_counters);
         }
         self.step_no += 1;
     }
@@ -1845,8 +1850,7 @@ mod tests {
         for ev in &events {
             if let dlb_trace::TraceEvent::StepDelta { counters, .. } = ev {
                 for (name, inc) in counters {
-                    let cur = replayed.get_field(name).expect("known counter");
-                    replayed.set_field(name, cur + inc);
+                    replayed.add_named(name, *inc).unwrap();
                 }
             }
         }

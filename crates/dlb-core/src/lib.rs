@@ -87,7 +87,5 @@ pub use recorder::LoadRecorder;
 pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster};
 pub use snapshot::ClusterSnapshot;
 pub use sparse::SparseRow;
-pub use strategy::{
-    emit_step_delta, imbalance_stats, Events, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary,
-};
+pub use strategy::{imbalance_stats, Events, ImbalanceStats, LoadBalancer, LoadEvent, LoadSummary};
 pub use weighted::{ProportionalRule, WeightedCluster};

@@ -5,6 +5,7 @@
 //! the migration/communication tradeoffs discussed in §1 and §6.
 
 use dlb_json::{FromJson, Json, ToJson};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -90,58 +91,51 @@ impl Metrics {
         metrics_fields!(names)
     };
 
-    /// Per-counter increments since `before` (callers snapshot a `Copy`
-    /// of the metrics at step start and diff at step end). Counters are
-    /// monotone, so saturating subtraction is exact.
-    pub(crate) fn delta_from(&self, before: &Metrics) -> Metrics {
-        macro_rules! diff {
-            ($($field:ident),*) => {
-                Metrics { $($field: self.$field.saturating_sub(before.$field)),* }
-            };
-        }
-        metrics_fields!(diff)
-    }
-
-    /// `(name, value)` pairs of the non-zero counters, in declaration
-    /// order — the payload of a trace `StepDelta` event.
-    pub(crate) fn nonzero_fields(&self) -> Vec<(&'static str, u64)> {
+    /// Every counter as `(name, value)`, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); Self::FIELD_NAMES.len()] {
         macro_rules! rows {
             ($($field:ident),*) => {
                 [$((stringify!($field), self.$field)),*]
             };
         }
         metrics_fields!(rows)
-            .into_iter()
-            .filter(|&(_, v)| v != 0)
-            .collect()
     }
 
-    /// Sets the counter named `name` (the trace decoder's inverse of
-    /// `Metrics::nonzero_fields`); `false` if no such counter exists.
-    pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-        macro_rules! assign {
+    /// Fills `out` with the counters that grew since `before`, as
+    /// `(name, increment)` in declaration order: the payload of a step's
+    /// trace `StepDelta`, in the list its engine lends to every one, so
+    /// a trace replays to the exact final `Metrics` whichever engine
+    /// wrote it.  Counters are monotone, so saturating subtraction is
+    /// exact.
+    pub fn delta_into(&self, before: &Metrics, out: &mut Vec<(Cow<'static, str>, u64)>) {
+        out.clear();
+        // Room for every counter once, so a reused list never grows.
+        out.reserve(Self::FIELD_NAMES.len());
+        for ((name, now), (_, was)) in self.fields().into_iter().zip(before.fields()) {
+            let inc = now.saturating_sub(was);
+            if inc != 0 {
+                out.push((Cow::Borrowed(name), inc));
+            }
+        }
+    }
+
+    /// Adds `inc` to the counter named `name`: a trace `StepDelta` entry
+    /// replayed.  Refuses a name that is no counter and a sum past
+    /// `u64::MAX`.
+    pub fn add_named(&mut self, name: &str, inc: u64) -> Result<(), String> {
+        macro_rules! slot {
             ($($field:ident),*) => {
                 match name {
-                    $(stringify!($field) => self.$field = value,)*
-                    _ => return false,
+                    $(stringify!($field) => &mut self.$field,)*
+                    _ => return Err(format!("unknown counter '{name}'")),
                 }
             };
         }
-        metrics_fields!(assign);
-        true
-    }
-
-    /// Reads the counter named `name`, if it exists.
-    pub fn get_field(&self, name: &str) -> Option<u64> {
-        macro_rules! fetch {
-            ($($field:ident),*) => {
-                match name {
-                    $(stringify!($field) => Some(self.$field),)*
-                    _ => None,
-                }
-            };
-        }
-        metrics_fields!(fetch)
+        let slot = metrics_fields!(slot);
+        *slot = slot
+            .checked_add(inc)
+            .ok_or_else(|| format!("counter '{name}' passes u64::MAX"))?;
+        Ok(())
     }
 }
 
@@ -169,20 +163,12 @@ impl FromJson for Metrics {
 
 impl AddAssign for Metrics {
     fn add_assign(&mut self, other: Metrics) {
-        self.balance_ops += other.balance_ops;
-        self.class_balance_ops += other.class_balance_ops;
-        self.packets_migrated += other.packets_migrated;
-        self.markers_migrated += other.markers_migrated;
-        self.total_borrow += other.total_borrow;
-        self.remote_borrow += other.remote_borrow;
-        self.borrow_fail += other.borrow_fail;
-        self.decrease_sim += other.decrease_sim;
-        self.markers_settled += other.markers_settled;
-        self.generated += other.generated;
-        self.consumed += other.consumed;
-        self.consume_blocked += other.consume_blocked;
-        self.consume_failed += other.consume_failed;
-        self.messages += other.messages;
+        macro_rules! add {
+            ($($field:ident),*) => {
+                $(self.$field += other.$field;)*
+            };
+        }
+        metrics_fields!(add);
     }
 }
 
@@ -192,13 +178,7 @@ impl fmt::Display for Metrics {
     /// (`markers_migrated`, `markers_settled`, `consume_blocked` and
     /// `consume_failed` used to be).
     fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        macro_rules! rows {
-            ($($field:ident),*) => {
-                [$((stringify!($field), self.$field)),*]
-            };
-        }
-        let rows = metrics_fields!(rows);
-        for (i, (name, value)) in rows.iter().enumerate() {
+        for (i, (name, value)) in self.fields().iter().enumerate() {
             let label = name.replace('_', " ");
             if i > 0 {
                 writeln!(out)?;
@@ -261,20 +241,52 @@ mod tests {
             generated: 4,
             ..Metrics::new()
         };
-        let delta = after.delta_from(&before);
+        let mut delta = vec![(Cow::Borrowed("stale"), 1)];
+        after.delta_into(&before, &mut delta);
         assert_eq!(
-            delta.nonzero_fields(),
-            vec![("balance_ops", 3), ("generated", 4)]
+            delta,
+            vec![(Cow::Borrowed("balance_ops"), 3), ("generated".into(), 4)]
         );
         // Replaying the named deltas onto `before` reproduces `after`.
         let mut replay = before;
-        for (name, inc) in delta.nonzero_fields() {
-            let cur = replay.get_field(name).expect("known field");
-            assert!(replay.set_field(name, cur + inc));
+        for (name, inc) in &delta {
+            replay.add_named(name, *inc).unwrap();
         }
         assert_eq!(replay, after);
-        assert!(!replay.set_field("no_such_counter", 1));
-        assert_eq!(replay.get_field("no_such_counter"), None);
+        let err = replay.add_named("no_such_counter", 1).unwrap_err();
+        assert_eq!(err, "unknown counter 'no_such_counter'");
+        assert_eq!(replay, after, "a refused add changes nothing");
+    }
+
+    #[test]
+    fn an_add_past_u64_max_is_refused() {
+        let mut m = Metrics {
+            balance_ops: u64::MAX,
+            ..Metrics::new()
+        };
+        let err = m.add_named("balance_ops", 1).unwrap_err();
+        assert_eq!(err, "counter 'balance_ops' passes u64::MAX");
+        assert_eq!(m.balance_ops, u64::MAX);
+        m.add_named("messages", u64::MAX).unwrap();
+        assert_eq!(m.messages, u64::MAX);
+    }
+
+    #[test]
+    fn add_assign_and_delta_cover_every_counter() {
+        // `+=` and `delta_into` are generated from `metrics_fields!`, as
+        // the names are: a counter added there is summed and traced.
+        let mut ones = Metrics::new();
+        for name in Metrics::FIELD_NAMES {
+            ones.add_named(name, 1).unwrap();
+        }
+        let mut twos = ones;
+        twos += ones;
+        assert!(twos.fields().iter().all(|&(_, v)| v == 2), "{twos:?}");
+        let mut delta = Vec::new();
+        twos.delta_into(&ones, &mut delta);
+        let names: Vec<&str> = delta.iter().map(|(name, _)| &**name).collect();
+        assert_eq!(names, Metrics::FIELD_NAMES);
+        assert!(delta.capacity() >= Metrics::FIELD_NAMES.len());
     }
 
     #[test]

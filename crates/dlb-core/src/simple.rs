@@ -34,11 +34,12 @@
 use crate::balance::{even_shares_into, sample_into, sample_others_into};
 use crate::metrics::Metrics;
 use crate::params::{Params, TriggerTable};
-use crate::strategy::{emit_step_delta, Events, LoadBalancer, LoadEvent, LoadSummary};
+use crate::strategy::{Events, LoadBalancer, LoadEvent, LoadSummary};
 use crate::summary::LoadCounts;
 use dlb_trace::{SharedSink, TraceEvent};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// Who is up during the current step, as [`BalanceRule::draw_partners`]
 /// sees it.
@@ -164,6 +165,8 @@ pub struct RawCluster<R: BalanceRule> {
     sink: Option<SharedSink>,
     /// The partner list lent to each `BalanceInitiated` event.
     trace_partners: Vec<u64>,
+    /// The counter list lent to each `StepDelta` event.
+    trace_counters: Vec<(Cow<'static, str>, u64)>,
     step_no: u64,
     /// Load counts backing [`LoadBalancer::load_summary`], kept only
     /// across active-list steps: a dense step drops them (it walks all
@@ -225,6 +228,7 @@ impl<R: BalanceRule> RawCluster<R> {
             scratch_shares: Vec::new(),
             sink: None,
             trace_partners: Vec::new(),
+            trace_counters: Vec::new(),
             step_no: 0,
             summary: None,
         }
@@ -422,7 +426,8 @@ impl<R: BalanceRule> LoadBalancer for RawCluster<R> {
             LoadEvent::Idle => {}
         });
         if let (Some(before), Some(sink)) = (&before, &self.sink) {
-            emit_step_delta(sink, self.step_no, before, &self.metrics);
+            self.metrics.delta_into(before, &mut self.trace_counters);
+            sink.record_delta(self.step_no, &mut self.trace_counters);
         }
         self.step_no += 1;
     }

@@ -212,22 +212,6 @@ pub trait LoadBalancer {
     fn set_step_jobs(&mut self, _jobs: usize) {}
 }
 
-/// Emits the counters `after` accrued since `before` as the step's
-/// `StepDelta` trace event (nothing when no counter moved).  Shared by
-/// both engines and the event simulator, so a trace replays to the exact
-/// final [`Metrics`] whichever substrate wrote it.
-pub fn emit_step_delta(sink: &dlb_trace::SharedSink, step: u64, before: &Metrics, after: &Metrics) {
-    let counters: Vec<(String, u64)> = after
-        .delta_from(before)
-        .nonzero_fields()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    if !counters.is_empty() {
-        sink.record(&dlb_trace::TraceEvent::StepDelta { step, counters });
-    }
-}
-
 /// Exact min/max/total of a load distribution, maintained incrementally
 /// by the engines (see [`LoadBalancer::load_summary`]).  Mean is
 /// `total / n`, so these three values carry everything the per-step

@@ -276,8 +276,8 @@ mod tests {
         cluster.loads().into_iter().for_each(&mut push);
         let metrics = cluster.metrics();
         assert!(metrics.balance_ops > 100, "{metrics:?}");
-        for name in crate::Metrics::FIELD_NAMES {
-            push(metrics.get_field(name).expect("listed counter"));
+        for (_, value) in metrics.fields() {
+            push(value);
         }
         for ev in buffer.take() {
             ev.write_line(&mut bytes);

@@ -194,8 +194,7 @@ proptest! {
             match ev {
                 TraceEvent::StepDelta { counters, .. } => {
                     for (name, inc) in counters {
-                        let cur = replayed.get_field(name).expect("known counter");
-                        replayed.set_field(name, cur + inc);
+                        replayed.add_named(name, *inc).unwrap();
                     }
                 }
                 TraceEvent::BalanceInitiated { .. } => balances += 1,

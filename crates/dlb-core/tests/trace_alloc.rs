@@ -1,12 +1,12 @@
-//! A traced step allocates nothing per event.  This binary counts every
+//! A traced step allocates nothing.  This binary counts every
 //! allocation its threads make (a counting global allocator, so it holds
 //! this one test): each engine streams its trace into a
 //! `RunOrderedWriter`, warms up, and then runs thousands of balancing
-//! operations whose allocations must stay within a per-step constant —
-//! the `StepDelta` counter names — however many events the steps emit.
+//! operations without one allocation: every `BalanceInitiated` and every
+//! `StepDelta` is written from a list the engine lends it.
 
 use dlb_core::{Cluster, LoadBalancer, LoadEvent, Params, SimpleCluster};
-use dlb_trace::RunOrderedWriter;
+use dlb_trace::{RunOrderedWriter, SharedSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -48,18 +48,15 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.get() - before
 }
 
-/// The most a step may allocate: the `StepDelta` event's counter list,
-/// one name per nonzero counter (`Metrics` has 14), and the filtered
-/// list it is built from, which grows on the way.
-const PER_STEP: u64 = 20;
-
-/// Steps `engine` traced for `steps` after as many warm-up steps, and
-/// returns the allocations and balancing operations of the timed half.
-/// Each processor alternates a 40-step generate burst with a 40-step
-/// drain, phase-shifted, so both triggers keep firing.
-fn traced(engine: &mut dyn LoadBalancer, steps: u64) -> (u64, u64) {
-    let writer = RunOrderedWriter::from_writer(std::io::sink());
-    engine.set_trace_sink(writer.handle(0));
+/// Steps `engine` for `steps` after as many warm-up steps, traced when
+/// `sink` is given, and returns the allocations and balancing operations
+/// of the timed half.  Each processor alternates a 40-step generate
+/// burst with a 40-step drain, phase-shifted, so both triggers keep
+/// firing.
+fn run(engine: &mut dyn LoadBalancer, steps: u64, sink: Option<SharedSink>) -> (u64, u64) {
+    if let Some(sink) = sink {
+        engine.set_trace_sink(sink);
+    }
     let n = engine.loads().len();
     let mut events = vec![LoadEvent::Idle; n];
     let mut step = |engine: &mut dyn LoadBalancer, t: u64| {
@@ -88,18 +85,25 @@ fn traced(engine: &mut dyn LoadBalancer, steps: u64) -> (u64, u64) {
 fn a_traced_step_allocates_nothing_per_event() {
     let steps = 400;
     let params = Params::new(256, 1, 1.02, 4).unwrap();
-    let mut simple = SimpleCluster::new(params, 7);
-    let mut full = Cluster::new(params, 7);
-    for (name, engine) in [
-        ("RawCluster", &mut simple as &mut dyn LoadBalancer),
-        ("Cluster", &mut full),
-    ] {
-        let (allocated, ops) = traced(engine, steps);
-        // Each operation writes a `balance` line at least: one
-        // allocation per operation would pass the bound twice over.
-        assert!(ops >= 2 * PER_STEP * steps, "{name}: only {ops} operations");
-        assert!(
-            allocated <= PER_STEP * steps,
+    let engines = |seed| -> [(&str, Box<dyn LoadBalancer>); 2] {
+        [
+            ("RawCluster", Box::new(SimpleCluster::new(params, seed))),
+            ("Cluster", Box::new(Cluster::new(params, seed))),
+        ]
+    };
+    for ((name, mut traced), (_, mut untraced)) in engines(7).into_iter().zip(engines(7)) {
+        let writer = RunOrderedWriter::from_writer(std::io::sink());
+        let (allocated, ops) = run(&mut *traced, steps, Some(writer.handle(0)));
+        let (engine_own, untraced_ops) = run(&mut *untraced, steps, None);
+        assert_eq!(ops, untraced_ops, "{name}: the trace changed the run");
+        // Dozens of operations a step, each a `balance` line at least.
+        assert!(ops >= 40 * steps, "{name}: only {ops} operations");
+        // The trace adds none: what is left is the engine's own (the
+        // full model's load histogram grows once, to a new maximum
+        // load, traced or not).
+        assert!(engine_own <= 1, "{name}: {engine_own} untraced allocations");
+        assert_eq!(
+            allocated, engine_own,
             "{name}: {allocated} allocations over {steps} steps and {ops} operations"
         );
     }

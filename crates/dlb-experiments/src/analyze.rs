@@ -67,8 +67,8 @@ pub struct StepRow {
 }
 
 /// Everything derived from one run's events.  Public because
-/// [`analyze`] returns it to `trace_analyze`.
-#[derive(Debug, Clone)]
+/// [`Analysis::finish`] returns it to `trace_analyze`.
+#[derive(Debug, Clone, Default)]
 pub struct RunAnalysis {
     /// The announcing `RunStarted`, when the trace had one.
     pub info: Option<RunInfo>,
@@ -88,18 +88,6 @@ pub struct RunAnalysis {
 }
 
 impl RunAnalysis {
-    fn new(info: Option<RunInfo>) -> Self {
-        RunAnalysis {
-            info,
-            metrics: Metrics::new(),
-            balance_initiated: 0,
-            packets_migrated: 0,
-            faults: 0,
-            recoveries: 0,
-            steps: Vec::new(),
-        }
-    }
-
     /// max/mean ratio of the last load sample at `row` (needs `n`).
     pub fn max_over_mean(&self, row: &StepRow) -> Option<f64> {
         let (_, max, total) = row.load?;
@@ -122,51 +110,51 @@ impl RunAnalysis {
     }
 }
 
-/// Parses every non-empty line of a JSONL trace.
-pub fn parse_lines<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    for (no, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: read error: {e}", no + 1))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = TraceEvent::from_line(&line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        events.push(ev);
-    }
-    Ok(events)
-}
-
-/// Validates that every line parses *and* re-renders byte-identically
-/// (the CI trace-schema gate).  Returns the number of validated lines.
-pub fn check_lines<R: BufRead>(reader: R) -> Result<usize, String> {
+/// Reads a JSONL trace one line at a time — the one reader, with or
+/// without a fold.  Every non-empty line must parse as a known event and
+/// re-render byte for byte (the CI trace-schema gate); `fold` then takes
+/// the event, so no trace is held in memory.  The first refusal, the
+/// reader's or the fold's, comes back as `line N: …`.  Returns the
+/// number of events read.
+pub fn read_lines<R: BufRead>(
+    reader: R,
+    mut fold: impl FnMut(TraceEvent) -> Result<(), String>,
+) -> Result<usize, String> {
     let mut count = 0usize;
     let mut back = Vec::new();
     for (no, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: read error: {e}", no + 1))?;
+        let at = |e: String| format!("line {}: {e}", no + 1);
+        let line = line.map_err(|e| at(format!("read error: {e}")))?;
         if line.trim().is_empty() {
             continue;
         }
-        let ev = TraceEvent::from_line(&line).map_err(|e| format!("line {}: {e}", no + 1))?;
+        let ev = TraceEvent::from_line(&line).map_err(at)?;
         back.clear();
         ev.write_line(&mut back);
         if back != line.as_bytes() {
-            return Err(format!(
-                "line {}: not byte-stable\n  input:  {line}\n  output: {}",
-                no + 1,
+            return Err(at(format!(
+                "not byte-stable\n  input:  {line}\n  output: {}",
                 String::from_utf8_lossy(&back)
-            ));
+            )));
         }
+        fold(ev).map_err(at)?;
         count += 1;
     }
     Ok(count)
 }
 
-/// Splits an event stream into runs (on `RunStarted`) and derives the
-/// per-run series.  Events before the first `RunStarted` form an
+/// The per-run series of a trace, folded one event at a time: a
+/// `RunStarted` opens a run, and events before the first one form an
 /// anonymous run with `info: None`.
-pub fn analyze(events: &[TraceEvent]) -> Vec<RunAnalysis> {
-    let mut runs: Vec<(RunAnalysis, BTreeMap<u64, StepAccum>)> = Vec::new();
-    for ev in events {
+#[derive(Default)]
+pub struct Analysis {
+    runs: Vec<(RunAnalysis, BTreeMap<u64, StepAccum>)>,
+}
+
+impl Analysis {
+    /// Takes one event.  Refuses a `StepDelta` that names an unknown
+    /// counter, and any sum past `u64::MAX`.
+    pub fn fold(&mut self, ev: TraceEvent) -> Result<(), String> {
         if let TraceEvent::RunStarted {
             run,
             seed,
@@ -177,39 +165,44 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<RunAnalysis> {
             c,
         } = ev
         {
-            runs.push((
-                RunAnalysis::new(Some(RunInfo {
-                    run: *run,
-                    seed: *seed,
-                    n: *n,
-                    strategy: strategy.clone(),
-                    delta: *delta,
-                    f: *f,
-                    c: *c,
-                })),
-                BTreeMap::new(),
-            ));
-            continue;
+            let info = RunInfo {
+                run,
+                seed,
+                n,
+                strategy,
+                delta,
+                f,
+                c,
+            };
+            let run = RunAnalysis {
+                info: Some(info),
+                ..RunAnalysis::default()
+            };
+            self.runs.push((run, BTreeMap::new()));
+            return Ok(());
         }
-        if runs.is_empty() {
-            runs.push((RunAnalysis::new(None), BTreeMap::new()));
+        if self.runs.is_empty() {
+            self.runs.push(Default::default());
         }
-        let (current, accum) = runs.last_mut().expect("pushed above");
+        let (current, accum) = self.runs.last_mut().expect("pushed above");
         match ev {
             TraceEvent::BalanceInitiated { step, .. } => {
                 current.balance_initiated += 1;
-                accum.entry(*step).or_default().ops += 1;
+                accum.entry(step).or_default().ops += 1;
             }
             TraceEvent::PacketsMigrated { step, count, .. } => {
-                current.packets_migrated += count;
-                accum.entry(*step).or_default().migrated += count;
+                current.packets_migrated = current
+                    .packets_migrated
+                    .checked_add(count)
+                    .ok_or("packets migrated pass u64::MAX")?;
+                // No step's volume passes the run's.
+                accum.entry(step).or_default().migrated += count;
             }
             TraceEvent::FaultInjected { .. } => current.faults += 1,
             TraceEvent::CrashRecovered { .. } => current.recoveries += 1,
             TraceEvent::StepDelta { counters, .. } => {
-                for (name, v) in counters {
-                    let base = current.metrics.get_field(name).unwrap_or(0);
-                    current.metrics.set_field(name, base + v);
+                for (name, inc) in counters {
+                    current.metrics.add_named(&name, inc)?;
                 }
             }
             TraceEvent::LoadSample {
@@ -218,7 +211,7 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<RunAnalysis> {
                 max,
                 total,
             } => {
-                accum.entry(*step).or_default().load = Some((*min, *max, *total));
+                accum.entry(step).or_default().load = Some((min, max, total));
             }
             // The schema-v2 serving events (`req`/`req_done`/`redirect`)
             // describe requests, not the balancing algorithm this
@@ -233,26 +226,33 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<RunAnalysis> {
             | TraceEvent::RunFinished { .. } => {}
             TraceEvent::RunStarted { .. } => unreachable!("handled above"),
         }
+        Ok(())
     }
-    runs.into_iter()
-        .map(|(mut run, accum)| {
-            let (mut ops, mut migrated) = (0u64, 0u64);
-            run.steps = accum
-                .into_iter()
-                .map(|(step, a)| {
-                    ops += a.ops;
-                    migrated += a.migrated;
-                    StepRow {
-                        step,
-                        ops_cum: ops,
-                        migrated_cum: migrated,
-                        load: a.load,
-                    }
-                })
-                .collect();
-            run
-        })
-        .collect()
+
+    /// The runs, each with its cumulative per-step series.
+    pub fn finish(self) -> Vec<RunAnalysis> {
+        self.runs
+            .into_iter()
+            .map(|(mut run, accum)| {
+                // Neither running sum passes its run's total.
+                let (mut ops, mut migrated) = (0u64, 0u64);
+                run.steps = accum
+                    .into_iter()
+                    .map(|(step, a)| {
+                        ops += a.ops;
+                        migrated += a.migrated;
+                        StepRow {
+                            step,
+                            ops_cum: ops,
+                            migrated_cum: migrated,
+                            load: a.load,
+                        }
+                    })
+                    .collect();
+                run
+            })
+            .collect()
+    }
 }
 
 /// CSV rows for one analysed run: cumulative ops and migration volume,
@@ -315,6 +315,27 @@ mod tests {
     use dlb_trace::BufferSink;
     use std::io::Cursor;
 
+    /// The runs of `trace`, folded event by event.
+    fn analyze(trace: &[TraceEvent]) -> Vec<RunAnalysis> {
+        let mut analysis = Analysis::default();
+        for ev in trace {
+            analysis.fold(ev.clone()).unwrap();
+        }
+        analysis.finish()
+    }
+
+    /// `trace_analyze --check`: the reader with no fold.
+    fn check_lines(text: &str) -> Result<usize, String> {
+        read_lines(Cursor::new(text), |_| Ok(()))
+    }
+
+    /// `trace_analyze`: the reader with the analysis fold.
+    fn analyze_lines(text: &str) -> Result<Vec<RunAnalysis>, String> {
+        let mut analysis = Analysis::default();
+        read_lines(Cursor::new(text), |ev| analysis.fold(ev))?;
+        Ok(analysis.finish())
+    }
+
     fn traced_cluster_events(seed: u64, steps: usize) -> (Vec<TraceEvent>, Metrics, Vec<u64>) {
         let params = Params::paper_section7(8);
         let mut cluster = Cluster::with_initial_load(params, seed, 0);
@@ -362,23 +383,38 @@ mod tests {
     fn jsonl_round_trip_preserves_analysis() {
         let (trace, metrics, _) = traced_cluster_events(7, 100);
         let text: String = trace.iter().map(|e| e.to_line() + "\n").collect();
-        assert_eq!(check_lines(Cursor::new(text.clone())).unwrap(), trace.len());
-        let parsed = parse_lines(Cursor::new(text)).unwrap();
+        assert_eq!(check_lines(&text).unwrap(), trace.len());
+        let mut parsed = Vec::new();
+        let read = read_lines(Cursor::new(&text), |ev| {
+            parsed.push(ev);
+            Ok(())
+        });
+        assert_eq!(read.unwrap(), trace.len());
         assert_eq!(parsed, trace);
-        let runs = analyze(&parsed);
+        let runs = analyze_lines(&text).unwrap();
         assert_eq!(runs[0].metrics, metrics);
+        assert_eq!(runs[0].balance_initiated, metrics.balance_ops);
     }
 
     #[test]
     fn check_lines_rejects_garbage_and_unstable_lines() {
-        assert!(check_lines(Cursor::new("not json\n")).is_err());
+        let garbage = "{\"t\":\"run_end\",\"run\":1}\n\nnot json\n";
+        let err = check_lines(garbage).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
+        // The analysis reads through the same reader.
+        assert_eq!(analyze_lines(garbage).unwrap_err(), err);
         // Valid JSON, but key order differs from the canonical rendering.
         let ev = TraceEvent::RunFinished { run: 3 };
         let line = ev.to_line();
         let spaced = line.replace(':', ": ");
         assert_ne!(line, spaced);
-        assert!(check_lines(Cursor::new(spaced)).is_err());
-        assert_eq!(check_lines(Cursor::new(line + "\n")).unwrap(), 1);
+        let err = check_lines(&spaced).unwrap_err();
+        assert!(err.starts_with("line 1: not byte-stable"), "{err}");
+        assert_eq!(analyze_lines(&spaced).unwrap_err(), err);
+        assert_eq!(check_lines(&(line + "\n")).unwrap(), 1);
+        // Bytes that are not UTF-8 are a read error, not a panic.
+        let err = read_lines(Cursor::new(b"\xff\n"), |_| Ok(())).unwrap_err();
+        assert!(err.starts_with("line 1: read error: "), "{err}");
     }
 
     #[test]
@@ -443,5 +479,55 @@ mod tests {
         assert!(runs[0].info.is_none());
         assert_eq!(runs[0].metrics.generated, 5);
         assert!(runs[0].algo_params().is_none());
+    }
+
+    #[test]
+    fn a_delta_past_u64_max_is_refused_by_line() {
+        // Every line is a valid event on its own; the second delta's
+        // `balance_ops` carries the run's sum past `u64::MAX`.
+        let delta = |ops: u64| {
+            TraceEvent::StepDelta {
+                step: 0,
+                counters: vec![("balance_ops".into(), ops)],
+            }
+            .to_line()
+        };
+        let text = [delta(u64::MAX), delta(2)].join("\n");
+        assert_eq!(check_lines(&text).unwrap(), 2, "the schema holds");
+        assert_eq!(
+            analyze_lines(&text).unwrap_err(),
+            "line 2: counter 'balance_ops' passes u64::MAX"
+        );
+        let migrated = |count: u64| {
+            TraceEvent::PacketsMigrated {
+                step: count,
+                initiator: 0,
+                count,
+            }
+            .to_line()
+        };
+        let text = [migrated(u64::MAX), migrated(1)].join("\n");
+        assert_eq!(
+            analyze_lines(&text).unwrap_err(),
+            "line 2: packets migrated pass u64::MAX"
+        );
+    }
+
+    #[test]
+    fn a_delta_naming_an_unknown_counter_is_refused_by_line() {
+        let text = [
+            TraceEvent::RunFinished { run: 0 }.to_line(),
+            TraceEvent::StepDelta {
+                step: 0,
+                counters: vec![("generated".into(), 1), ("teleported".into(), 1)],
+            }
+            .to_line(),
+        ]
+        .join("\n");
+        assert_eq!(check_lines(&text).unwrap(), 2, "the schema holds");
+        assert_eq!(
+            analyze_lines(&text).unwrap_err(),
+            "line 2: unknown counter 'teleported'"
+        );
     }
 }

@@ -143,7 +143,7 @@ impl Args {
     /// Refuses a value that parsed but cannot be used, as [`Args::parse`]
     /// refuses one that does not parse: the reason, the usage line,
     /// exit 2.
-    pub(crate) fn refuse(&self, reason: &str) -> ! {
+    pub fn refuse(&self, reason: &str) -> ! {
         eprintln!("error: {reason}\n{}", usage(&self.program, self.keys));
         std::process::exit(2)
     }

@@ -6,9 +6,13 @@
 //!         --in trace.jsonl [--out-csv results/trace.csv]
 //!         [--svg results/trace.svg] [--check]`
 //!
-//! `--check` validates the schema instead of analysing: every line must
-//! parse as a known event *and* re-render byte-identically (the CI
-//! trace-schema gate runs this).
+//! Every line goes through one reader: it must parse as a known event
+//! and re-render byte-identically.  `--check` stops there (the CI
+//! trace-schema gate runs it); the analysis folds each event as it is
+//! read, so no trace is held in memory.  A line the reader or the fold
+//! refuses — bad JSON, an unknown counter, a sum past `u64::MAX` — exits
+//! 1 naming the line, in both modes; a missing `--in` or a file that
+//! cannot be opened is refused with the usage line, exit 2.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
@@ -16,7 +20,7 @@
 use std::fs::File;
 use std::io::BufReader;
 
-use dlb_experiments::analyze::{analyze, check_lines, csv_rows, parse_lines, CSV_HEADERS};
+use dlb_experiments::analyze::{csv_rows, read_lines, Analysis, CSV_HEADERS};
 use dlb_experiments::args::{Args, Flag, Key};
 use dlb_experiments::outln;
 use dlb_experiments::report::{render_table, write_csv};
@@ -25,28 +29,32 @@ use dlb_experiments::svg::{write_chart, ChartConfig, Series};
 const KEYS: &[Key] =
     dlb_experiments::keys!["in": String, "out-csv": String, "svg": String, "check": Flag];
 
+/// Reports a trace or an output the tool could not use, exit 1.
+fn fail(what: &str, reason: &str) -> ! {
+    eprintln!("error: {what}: {reason}");
+    std::process::exit(1)
+}
+
 fn main() {
     let args = Args::from_env("trace_analyze", KEYS);
+    if !args.has("in") {
+        args.refuse("--in <trace.jsonl> is required");
+    }
     let input: String = args.get("in", String::new());
-    assert!(!input.is_empty(), "required: --in <trace.jsonl>");
-    let reader = || BufReader::new(File::open(&input).unwrap_or_else(|e| panic!("{input}: {e}")));
+    let reader = File::open(&input)
+        .map(BufReader::new)
+        .unwrap_or_else(|e| args.refuse(&format!("--in {input}: {e}")));
 
     if args.flag("check") {
-        match check_lines(reader()) {
-            Ok(n) => {
-                outln!("{input}: {n} lines, schema OK (parse + byte-stable re-render)");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{input}: schema check FAILED\n{e}");
-                std::process::exit(1);
-            }
-        }
+        let n = read_lines(reader, |_| Ok(())).unwrap_or_else(|e| fail(&input, &e));
+        outln!("{input}: {n} lines, schema OK (parse + byte-stable re-render)");
+        return;
     }
 
-    let events = parse_lines(reader()).unwrap_or_else(|e| panic!("{input}: {e}"));
-    let runs = analyze(&events);
-    outln!("{input}: {} events, {} run(s)\n", events.len(), runs.len());
+    let mut analysis = Analysis::default();
+    let events = read_lines(reader, |ev| analysis.fold(ev)).unwrap_or_else(|e| fail(&input, &e));
+    let runs = analysis.finish();
+    outln!("{input}: {events} events, {} run(s)\n", runs.len());
 
     let mut summary = Vec::new();
     let mut all_rows = Vec::new();
@@ -89,17 +97,16 @@ fn main() {
 
     if args.has("out-csv") {
         let out: String = args.get("out-csv", String::new());
-        write_csv(&out, &CSV_HEADERS, &all_rows).expect("CSV written");
+        write_csv(&out, &CSV_HEADERS, &all_rows).unwrap_or_else(|e| fail(&out, &e.to_string()));
         outln!("wrote {out}");
     }
 
     if args.has("svg") {
         let out: String = args.get("svg", String::new());
         // Chart the first run that has per-step data.
-        let run = runs
-            .iter()
-            .find(|r| !r.steps.is_empty())
-            .expect("no per-step events to chart");
+        let Some(run) = runs.iter().find(|r| !r.steps.is_empty()) else {
+            fail(&out, "the trace has no per-step events to chart");
+        };
         let mut series = vec![Series {
             name: "ops (cumulative)".into(),
             points: run
@@ -129,7 +136,7 @@ fn main() {
             },
             &series,
         )
-        .expect("SVG written");
+        .unwrap_or_else(|e| fail(&out, &e.to_string()));
         outln!("wrote {out}");
     }
 }

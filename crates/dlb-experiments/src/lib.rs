@@ -23,12 +23,10 @@ pub mod analyze;
 pub mod arena;
 pub mod args;
 pub mod exp;
-pub(crate) mod faultsweep;
 pub mod parallel;
 pub mod quality;
 pub mod report;
 pub mod svg;
-pub mod variation;
 
 pub use parallel::{default_jobs, par_map, stream_seed, StreamId};
 pub use report::{render_table, write_csv};

@@ -149,7 +149,7 @@ fn uncreatable_arena_trace_is_refused_before_any_run() {
     assert_refused_by(
         "dlb-exp arena",
         &out,
-        "error: cannot create trace /dev/null/x.jsonl: ",
+        "error: cannot create trace /dev/null/x.jsonl: Not a directory",
     );
     // `dlb-exp` creates the `--out` directory before the row starts.
     let written = std::fs::read_dir(dir.join("results")).map_or(0, Iterator::count);

@@ -157,6 +157,7 @@ use dlb_core::{LoadSummary, Metrics, Params, TriggerTable};
 use dlb_faults::{CrashMode, FaultInjector, FaultPlan, MessageClass, MessageFate};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// How often an initiator re-requests silent partners before writing
 /// them off as refusals.
@@ -386,6 +387,8 @@ pub struct AsyncNetwork {
     sink: Option<dlb_trace::SharedSink>,
     /// The partner list lent to each `BalanceInitiated` event.
     trace_partners: Vec<u64>,
+    /// The counter list lent to each `StepDelta` event.
+    trace_counters: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl AsyncNetwork {
@@ -435,6 +438,7 @@ impl AsyncNetwork {
             stats: AsyncStats::default(),
             sink: None,
             trace_partners: Vec::new(),
+            trace_counters: Vec::new(),
         };
         for i in 0..n {
             net.set_l_old(i, 0);
@@ -464,9 +468,10 @@ impl AsyncNetwork {
 
     /// Emits the metrics counters accrued since `before` (`None` when
     /// tracing was off) as a `StepDelta` stamped `step`.
-    fn emit_step_delta(&self, before: Option<Metrics>, step: u64) {
+    fn emit_step_delta(&mut self, before: Option<Metrics>, step: u64) {
         if let (Some(before), Some(sink)) = (&before, &self.sink) {
-            dlb_core::emit_step_delta(sink, step, before, &self.metrics);
+            self.metrics.delta_into(before, &mut self.trace_counters);
+            sink.record_delta(step, &mut self.trace_counters);
         }
     }
 
@@ -2017,6 +2022,7 @@ mod tests {
                 + self.fired.capacity()
                 + self.shares.capacity()
                 + self.trace_partners.capacity()
+                + self.trace_counters.capacity()
         }
     }
 

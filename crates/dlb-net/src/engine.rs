@@ -322,8 +322,8 @@ mod tests {
         let mut push = |v: u64| bytes.extend_from_slice(&v.to_le_bytes());
         cluster.loads().into_iter().for_each(&mut push);
         let metrics = cluster.metrics();
-        for name in dlb_core::Metrics::FIELD_NAMES {
-            push(metrics.get_field(name).expect("listed counter"));
+        for (_, value) in metrics.fields() {
+            push(value);
         }
         let comm = cluster.rule().comm();
         assert!(comm.ops > 0 && comm.packet_hops > 0, "{comm:?}");

@@ -106,10 +106,12 @@ pub enum TraceEvent {
     StepProfile { step: u64, wall_ns: u64, ops: u64 },
     /// Per-step increments of the engine's `Metrics` counters (zero
     /// entries omitted). Summing the deltas over a run reproduces the
-    /// run's final `Metrics` exactly.
+    /// run's final `Metrics` exactly.  Names are literals when emitted
+    /// (an engine lends one list to every step's event, through
+    /// [`SharedSink::record_delta`]), owned when parsed.
     StepDelta {
         step: u64,
-        counters: Vec<(String, u64)>,
+        counters: Vec<(Cow<'static, str>, u64)>,
     },
     /// Load distribution snapshot after one driver step.
     LoadSample {
@@ -551,7 +553,7 @@ impl Wire for Vec<u64> {
 }
 
 /// `StepDelta`'s counters: an object in insertion order.
-impl Wire for Vec<(String, u64)> {
+impl Wire for Vec<(Cow<'static, str>, u64)> {
     /// The braces, and a colon and a comma per entry.
     fn room(&self) -> usize {
         2 + self
@@ -580,7 +582,7 @@ impl Wire for Vec<(String, u64)> {
                 .map(|(k, v)| {
                     let count =
                         u64::from_json(v).map_err(|e| format!("field '{key}': '{k}': {e}"))?;
-                    Ok((k.clone(), count))
+                    Ok((Cow::Owned(k.clone()), count))
                 })
                 .collect(),
             _ => Err(format!("'{key}' is not an object")),
@@ -684,20 +686,11 @@ pub struct FileSink<W: std::io::Write> {
 /// Bytes a trace writer buffers before it hands them to the file.
 const CHUNK: usize = 64 * 1024;
 
-/// Creates (truncating) `path`, and its directory if missing.
-fn create_file(path: &std::path::Path) -> std::io::Result<std::fs::File> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::File::create(path)
-}
-
 impl FileSink<std::fs::File> {
-    /// Creates (truncating) `path` and streams JSONL into it.
+    /// Creates (truncating) `path`, a file in a directory that exists,
+    /// and streams JSONL into it.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(FileSink::from_writer(create_file(path)?))
+        Ok(FileSink::from_writer(std::fs::File::create(path)?))
     }
 }
 
@@ -800,21 +793,53 @@ impl SharedSink {
         }
     }
 
-    /// Records a `BalanceInitiated` whose partner list the caller lends:
-    /// the list moves into the event and back into `partners` after the
-    /// record, so an emitter that keeps one list allocates nothing per
-    /// operation.
-    pub fn record_balance(&self, step: u64, initiator: u64, partners: &mut Vec<u64>, trigger: f64) {
-        let event = TraceEvent::BalanceInitiated {
-            step,
-            initiator,
-            partners: std::mem::take(partners),
-            trigger,
-        };
+    /// Records the event `wrap` builds around the buffer the caller
+    /// lends, then `unwrap` hands the buffer back into `lent`, so an
+    /// emitter that keeps one buffer allocates nothing per event.
+    fn record_lent<B: Default>(
+        &self,
+        lent: &mut B,
+        wrap: impl FnOnce(B) -> TraceEvent,
+        unwrap: impl FnOnce(TraceEvent) -> Option<B>,
+    ) {
+        let event = wrap(std::mem::take(lent));
         self.record(&event);
-        if let TraceEvent::BalanceInitiated { partners: lent, .. } = event {
-            *partners = lent;
+        if let Some(back) = unwrap(event) {
+            *lent = back;
         }
+    }
+
+    /// Records a `BalanceInitiated` on the partner list the caller lends.
+    pub fn record_balance(&self, step: u64, initiator: u64, partners: &mut Vec<u64>, trigger: f64) {
+        self.record_lent(
+            partners,
+            |partners| TraceEvent::BalanceInitiated {
+                step,
+                initiator,
+                partners,
+                trigger,
+            },
+            |event| match event {
+                TraceEvent::BalanceInitiated { partners, .. } => Some(partners),
+                _ => None,
+            },
+        );
+    }
+
+    /// Records a `StepDelta` on the counter list the caller lends;
+    /// nothing when the list is empty (no counter moved).
+    pub fn record_delta(&self, step: u64, counters: &mut Vec<(Cow<'static, str>, u64)>) {
+        if counters.is_empty() {
+            return;
+        }
+        self.record_lent(
+            counters,
+            |counters| TraceEvent::StepDelta { step, counters },
+            |event| match event {
+                TraceEvent::StepDelta { counters, .. } => Some(counters),
+                _ => None,
+            },
+        );
     }
 
     /// Flushes the underlying sink.
@@ -939,10 +964,11 @@ impl<W: std::io::Write> Turns<W> {
 }
 
 impl RunOrderedWriter<std::fs::File> {
-    /// Creates (truncating) `path` — before any run starts, so a path
-    /// that cannot be created costs no simulation.
+    /// Creates (truncating) `path`, a file in a directory that exists —
+    /// before any run starts, so a path that cannot be created costs no
+    /// simulation.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(RunOrderedWriter::from_writer(create_file(path)?))
+        Ok(RunOrderedWriter::from_writer(std::fs::File::create(path)?))
     }
 }
 
@@ -1170,7 +1196,7 @@ mod tests {
             },
             TraceEvent::StepDelta {
                 step: u64::MAX,
-                counters: vec![(nasty.into(), u64::MAX), (String::new(), 0)],
+                counters: vec![(nasty.into(), u64::MAX), ("".into(), 0)],
             },
             TraceEvent::StepDelta {
                 step: 0,
@@ -1581,7 +1607,7 @@ mod tests {
                 counters: (0..c % 6)
                     .map(|i| {
                         (
-                            text(b ^ i),
+                            text(b ^ i).into(),
                             number(a ^ i.wrapping_mul(0x2545_F491_4F6C_DD1D)),
                         )
                     })

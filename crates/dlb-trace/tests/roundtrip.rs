@@ -6,6 +6,7 @@
 use dlb_json::Json;
 use dlb_trace::TraceEvent;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 /// Arbitrary text from raw draws (the vendored proptest has no `char`
 /// strategy): every other character comes from the first 128 code
@@ -122,9 +123,9 @@ proptest! {
         // One entry per distinct counter, like the emitter produces
         // (duplicate object keys would not survive a round-trip).
         let mut seen = std::collections::HashSet::new();
-        let counters: Vec<(String, u64)> = picks
+        let counters: Vec<(Cow<'static, str>, u64)> = picks
             .into_iter()
-            .map(|(name, v)| (text(&name), v))
+            .map(|(name, v)| (Cow::<str>::Owned(text(&name)), v))
             .filter(|(name, _)| seen.insert(name.clone()))
             .collect();
         check(TraceEvent::StepDelta { step, counters })?;
