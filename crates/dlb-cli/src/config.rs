@@ -234,108 +234,16 @@ fn default_len() -> (usize, usize) {
     (150, 400)
 }
 
-fn kind_of<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
-    value
-        .get("kind")
-        .and_then(|k| k.as_str())
-        .ok_or_else(|| format!("{what} needs a string \"kind\" field"))
-}
-
-fn pair<T: FromJson + Copy>(value: &Json, key: &str, default: (T, T)) -> Result<(T, T), String> {
-    match value.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let items: Vec<T> = FromJson::from_json(v).map_err(|e| format!("{key}: {e}"))?;
-            match items[..] {
-                [lo, hi] => Ok((lo, hi)),
-                _ => Err(format!(
-                    "{key} must hold exactly [lo, hi], got {} items",
-                    items.len()
-                )),
-            }
-        }
-    }
-}
-
-fn pair_json<T: ToJson>(pair: &(T, T)) -> Json {
-    Json::Arr(vec![pair.0.to_json(), pair.1.to_json()])
-}
-
-/// Generates the whole JSON surface of a `kind`-tagged config enum from
-/// one row per kind — `"tag" => Variant { field: codec, … }`, fields in
-/// document order, the JSON key being the field's name: `ToJson`,
-/// `FromJson` (strict: the row's fields are the only keys accepted beside
-/// `kind`) and `kind()`.  Codecs: `req` (required), `or(default)`
-/// (optional), `pair(default)` (optional `[lo, hi]`).  A row may wrap its
-/// variant in a slot of an outer one: `[Outer.slot] Inner::Variant { … }`.
-macro_rules! kind_table {
-    ($ty:ident, $what:literal:
-        $( $tag:literal => $([$outer:ident . $slot:ident])? $($variant:ident)::+ {
-            $( $field:ident : $codec:ident $(($default:expr))? ),*
-        } ),* $(,)?
-    ) => {
-        impl $ty {
-            /// The JSON `kind` tag of this value.
-            pub(crate) fn kind(&self) -> &'static str {
-                match self {
-                    $( kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ { .. }) => $tag, )*
-                }
-            }
-        }
-
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                let mut obj = vec![("kind".to_string(), Json::Str(self.kind().to_string()))];
-                match self {
-                    $( kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ { $($field),* }) => {
-                        $( obj.push((
-                            stringify!($field).to_string(),
-                            kind_table!(@encode $codec $field),
-                        )); )*
-                    } )*
-                }
-                Json::Obj(obj)
-            }
-        }
-
-        impl FromJson for $ty {
-            fn from_json(value: &Json) -> Result<Self, String> {
-                match kind_of(value, $what)? {
-                    $( $tag => {
-                        dlb_json::reject_unknown(value, &["kind", $(stringify!($field)),*])?;
-                        Ok(kind_table!(@wrap [$($outer.$slot)?] $($variant)::+ {
-                            $( $field: kind_table!(
-                                @decode $codec $(($default))? value stringify!($field)
-                            ) ),*
-                        }))
-                    } )*
-                    other => {
-                        dlb_json::reject_unknown(value, &["kind"])?;
-                        Err(format!("unknown {} kind {other:?}", $what))
-                    }
-                }
-            }
-        }
-    };
-    (@wrap [] $($inner:tt)*) => { $($inner)* };
-    (@wrap [$outer:ident . $slot:ident] $($inner:tt)*) => { Self::$outer { $slot: $($inner)* } };
-    (@encode pair $x:ident) => { pair_json($x) };
-    (@encode $codec:ident $x:ident) => { $x.to_json() };
-    (@decode req $v:ident $key:expr) => { dlb_json::req($v, $key)? };
-    (@decode or($d:expr) $v:ident $key:expr) => { dlb_json::field_or($v, $key, $d)? };
-    (@decode pair($d:expr) $v:ident $key:expr) => { pair($v, $key, $d)? };
-}
-
-kind_table! { TopologyConfig, "topology":
+dlb_json::codec! { kind TopologyConfig as "topology" {
     "complete" => Self::Complete {},
     "ring" => Self::Ring {},
     "torus" => Self::Torus { w: req, h: req },
     "hypercube" => Self::Hypercube { dim: req },
     "de-bruijn" => Self::DeBruijn { dim: req },
     "star" => Self::Star {},
-}
+} }
 
-kind_table! { StrategyConfig, "strategy":
+dlb_json::codec! { kind StrategyConfig as "strategy" {
     "full" => Self::Full { delta: req, f: req, c: or(default_c()) },
     "simple" => Self::Simple { delta: req, f: req },
     "async" => Self::Async { delta: req, f: req, latency: or(default_latency()) },
@@ -351,9 +259,9 @@ kind_table! { StrategyConfig, "strategy":
     "locally-optimal" => Self::LocallyOptimal { topology: req },
     "dimension-exchange" => Self::DimensionExchange { topology: req },
     "none" => Self::None {},
-}
+} }
 
-kind_table! { WorkloadConfig, "workload":
+dlb_json::codec! { kind WorkloadConfig as "workload" {
     "phase" => Self::Phase {
         g: pair(default_g()), c: pair(default_cc()), len: pair(default_len())
     },
@@ -369,7 +277,7 @@ kind_table! { WorkloadConfig, "workload":
     "sparse-arrivals" => [Sparse.pattern] SparsePattern::Arrivals {
         arrival_gap: req, service_gap: req
     },
-}
+} }
 
 impl TopologyConfig {
     /// Vertices of this topology on a network of `n` (`None` when the
@@ -491,63 +399,17 @@ impl WorkloadConfig {
     }
 }
 
-impl ToJson for Scenario {
-    fn to_json(&self) -> Json {
-        let mut obj = vec![
-            ("n".to_string(), self.n.to_json()),
-            ("steps".to_string(), self.steps.to_json()),
-            ("runs".to_string(), self.runs.to_json()),
-            ("seed".to_string(), self.seed.to_json()),
-            (
-                "warmup_fraction".to_string(),
-                self.warmup_fraction.to_json(),
-            ),
-            ("strategy".to_string(), self.strategy.to_json()),
-            ("workload".to_string(), self.workload.to_json()),
-        ];
-        if !self.balancer.is_empty() {
-            obj.push(("balancer".to_string(), self.balancer.to_json()));
-        }
-        if let Some(faults) = &self.faults {
-            obj.push(("faults".to_string(), faults.to_json()));
-        }
-        Json::Obj(obj)
-    }
-}
-
-impl FromJson for Scenario {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        dlb_json::reject_unknown(
-            value,
-            &[
-                "n",
-                "steps",
-                "runs",
-                "seed",
-                "warmup_fraction",
-                "strategy",
-                "workload",
-                "balancer",
-                "faults",
-            ],
-        )?;
-        let faults = match value.get("faults") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(FaultPlan::from_json(v).map_err(|e| format!("faults: {e}"))?),
-        };
-        Ok(Scenario {
-            n: dlb_json::req(value, "n")?,
-            steps: dlb_json::req(value, "steps")?,
-            runs: dlb_json::field_or(value, "runs", default_runs())?,
-            seed: dlb_json::field_or(value, "seed", 0)?,
-            warmup_fraction: dlb_json::field_or(value, "warmup_fraction", default_warmup())?,
-            strategy: dlb_json::req(value, "strategy")?,
-            workload: dlb_json::req(value, "workload")?,
-            balancer: dlb_json::field_or(value, "balancer", Vec::new())?,
-            faults,
-        })
-    }
-}
+dlb_json::codec! { struct Scenario {
+    n: req,
+    steps: req,
+    runs: or(default_runs()),
+    seed: or(0),
+    warmup_fraction: or(default_warmup()),
+    strategy: req,
+    workload: req,
+    balancer: omit(Vec::new()),
+    faults: omit(None),
+} }
 
 impl Scenario {
     /// Parses a scenario from JSON.
@@ -955,7 +817,8 @@ mod tests {
     }
 
     /// `doc` with the node at `path` swapped for `hostile(which)`
-    /// (`op` 0), dropped (1) or duplicated with that value beside it (2).
+    /// (`op` 0), dropped (1), duplicated with that value beside it (2)
+    /// or repeated as it is (3).
     fn mutate(doc: &Json, path: &[usize], op: usize, which: usize) -> Json {
         let mut doc = doc.clone();
         let (&last, init) = path.split_last().expect("below the root");
@@ -967,24 +830,27 @@ mod tests {
                 _ => unreachable!("paths lead through containers"),
             };
         }
-        match (parent, op % 3) {
+        match (parent, op % 4) {
             (Json::Arr(items), 0) => items[last] = hostile(which),
             (Json::Obj(fields), 0) => fields[last].1 = hostile(which),
             (Json::Arr(items), 1) => drop(items.remove(last)),
             (Json::Obj(fields), 1) => drop(fields.remove(last)),
-            (Json::Arr(items), _) => items.insert(last + 1, hostile(which)),
-            (Json::Obj(fields), _) => {
+            (Json::Arr(items), 2) => items.insert(last + 1, hostile(which)),
+            (Json::Obj(fields), 2) => {
                 let key = fields[last].0.clone();
                 fields.insert(last + 1, (key, hostile(which)));
             }
+            (Json::Arr(items), _) => items.insert(last + 1, items[last].clone()),
+            (Json::Obj(fields), _) => fields.insert(last + 1, fields[last].clone()),
             _ => unreachable!("paths lead through containers"),
         }
         doc
     }
 
     /// Whether `err` names where in the document it went wrong: a
-    /// decoder's `field '…'` / `unknown key "…"`, or a scenario key
-    /// leading the message (`faults: …`, `strategy.latency = …`).
+    /// decoder's `field '…'` / `unknown key "…"`, the parser's `repeated
+    /// key "…"`, or a scenario key leading the message (`faults: …`,
+    /// `strategy.latency = …`).
     fn names_a_key(err: &str) -> bool {
         const KEYS: [&str; 9] = [
             "n",
@@ -999,6 +865,7 @@ mod tests {
         ];
         err.contains("field '")
             || err.contains("unknown key \"")
+            || err.contains("repeated key \"")
             || KEYS.iter().any(|key| {
                 err.strip_prefix(key)
                     .is_some_and(|rest| rest.starts_with([':', '.', ' ', '[']))
@@ -1047,7 +914,7 @@ mod tests {
         #[test]
         fn mutated_scenarios_fail_by_key_or_run(
             node in proptest::any::<usize>(),
-            op in 0usize..4,
+            op in 0usize..6,
             which in 0usize..9,
             shrink in proptest::any::<bool>(),
         ) {
@@ -1066,15 +933,21 @@ mod tests {
                 }
                 let paths = node_paths(&doc);
                 let path = &paths[node % paths.len()];
-                // `op` 3 sets a number; the others act on any node.
-                let mutant = if op == 3 {
-                    let numbers: Vec<&Vec<usize>> = paths
-                        .iter()
-                        .filter(|p| matches!(value_at(&doc, p), Json::Int(_) | Json::Float(_)))
-                        .collect();
-                    mutate(&doc, numbers[node % numbers.len()], 0, 5 + which % 4)
-                } else {
-                    mutate(&doc, path, op, which)
+                // `op` 3 sets a number, 4 repeats a key with its value and
+                // 5 replaces an object by a number; the others act on any
+                // node.
+                let pick = |keep: &dyn Fn(&[usize]) -> bool| {
+                    let picked: Vec<&Vec<usize>> = paths.iter().filter(|p| keep(p)).collect();
+                    picked[node % picked.len()].clone()
+                };
+                let number = |p: &[usize]| matches!(value_at(&doc, p), Json::Int(_) | Json::Float(_));
+                let member = |p: &[usize]| matches!(value_at(&doc, &p[..p.len() - 1]), Json::Obj(_));
+                let object = |p: &[usize]| matches!(value_at(&doc, p), Json::Obj(_));
+                let mutant = match op {
+                    3 => mutate(&doc, &pick(&number), 0, 5 + which % 4),
+                    4 => mutate(&doc, &pick(&member), 3, which),
+                    5 => mutate(&doc, &pick(&object), 0, 5 + which % 4),
+                    _ => mutate(&doc, path, op, which),
                 };
                 let text = mutant.render();
                 match Scenario::from_json(&text) {

@@ -4,7 +4,6 @@
 //! `remote_borrow`, `borrow_fail` and `decrease_sim`; the rest quantify
 //! the migration/communication tradeoffs discussed in §1 and §6.
 
-use dlb_json::{FromJson, Json, ToJson};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::AddAssign;
@@ -59,7 +58,7 @@ impl Metrics {
 
 macro_rules! metrics_fields {
     ($macro:ident) => {
-        $macro!(
+        $macro! {
             balance_ops,
             class_balance_ops,
             packets_migrated,
@@ -74,7 +73,7 @@ macro_rules! metrics_fields {
             consume_blocked,
             consume_failed,
             messages
-        )
+        }
     };
 }
 
@@ -139,27 +138,14 @@ impl Metrics {
     }
 }
 
-impl ToJson for Metrics {
-    fn to_json(&self) -> Json {
-        macro_rules! emit {
-            ($($field:ident),*) => {
-                Json::Obj(vec![$((stringify!($field).to_string(), self.$field.to_json())),*])
-            };
-        }
-        metrics_fields!(emit)
-    }
+// Every counter is optional: a snapshot written before a counter
+// existed restores it as zero.
+macro_rules! codec {
+    ($($field:ident),*) => {
+        dlb_json::codec! { struct Metrics { $($field: or(0)),* } }
+    };
 }
-
-impl FromJson for Metrics {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        macro_rules! read {
-            ($($field:ident),*) => {
-                Ok(Metrics { $($field: dlb_json::field_or(value, stringify!($field), 0)?),* })
-            };
-        }
-        metrics_fields!(read)
-    }
-}
+metrics_fields!(codec);
 
 impl AddAssign for Metrics {
     fn add_assign(&mut self, other: Metrics) {
@@ -192,6 +178,7 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlb_json::{FromJson, ToJson};
 
     #[test]
     fn add_assign_accumulates() {

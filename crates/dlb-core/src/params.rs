@@ -1,6 +1,5 @@
 //! Parameters of the full load balancing algorithm.
 
-use dlb_json::{FromJson, Json, ToJson};
 use dlb_theory::{AlgoParams, ParamError};
 
 /// How borrowed-packet markers are repaid when the remote generator still
@@ -21,27 +20,10 @@ pub enum ExchangePolicy {
     Aggressive,
 }
 
-impl ToJson for ExchangePolicy {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                ExchangePolicy::Strict => "strict",
-                ExchangePolicy::Aggressive => "aggressive",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for ExchangePolicy {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        match value.as_str() {
-            Some("strict") => Ok(ExchangePolicy::Strict),
-            Some("aggressive") => Ok(ExchangePolicy::Aggressive),
-            other => Err(format!("unknown exchange policy {other:?}")),
-        }
-    }
-}
+dlb_json::codec! { enum ExchangePolicy as "exchange policy" {
+    "strict" => Strict,
+    "aggressive" => Aggressive,
+} }
 
 /// Validated parameter set of the full algorithm: the analysis triple
 /// `(n, δ, f)` plus the borrow limit `C` and the exchange policy.

@@ -45,53 +45,23 @@ pub struct ClusterSnapshot {
     pub rng_word_pos: u128,
 }
 
-impl ToJson for ClusterSnapshot {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("n".into(), self.n.to_json()),
-            ("delta".into(), self.delta.to_json()),
-            ("f".into(), self.f.to_json()),
-            ("c_borrow".into(), self.c_borrow.to_json()),
-            ("exchange".into(), self.exchange.to_json()),
-            ("d".into(), self.d.to_json()),
-            ("b".into(), self.b.to_json()),
-            ("l_old".into(), self.l_old.to_json()),
-            ("fresh_generated".into(), self.fresh_generated.to_json()),
-            ("direct_consumed".into(), self.direct_consumed.to_json()),
-            ("settled".into(), self.settled.to_json()),
-            ("initial_total".into(), self.initial_total.to_json()),
-            ("metrics".into(), self.metrics.to_json()),
-            ("rng_seed".into(), self.rng_seed.to_vec().to_json()),
-            ("rng_word_pos".into(), self.rng_word_pos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClusterSnapshot {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let seed_bytes: Vec<u8> = dlb_json::req(value, "rng_seed")?;
-        let rng_seed: [u8; 32] = seed_bytes
-            .try_into()
-            .map_err(|v: Vec<u8>| format!("rng_seed must hold 32 bytes, got {}", v.len()))?;
-        Ok(ClusterSnapshot {
-            n: dlb_json::req(value, "n")?,
-            delta: dlb_json::req(value, "delta")?,
-            f: dlb_json::req(value, "f")?,
-            c_borrow: dlb_json::req(value, "c_borrow")?,
-            exchange: dlb_json::req(value, "exchange")?,
-            d: dlb_json::req(value, "d")?,
-            b: dlb_json::req(value, "b")?,
-            l_old: dlb_json::req(value, "l_old")?,
-            fresh_generated: dlb_json::req(value, "fresh_generated")?,
-            direct_consumed: dlb_json::req(value, "direct_consumed")?,
-            settled: dlb_json::req(value, "settled")?,
-            initial_total: dlb_json::req(value, "initial_total")?,
-            metrics: dlb_json::req(value, "metrics")?,
-            rng_seed,
-            rng_word_pos: dlb_json::req(value, "rng_word_pos")?,
-        })
-    }
-}
+dlb_json::codec! { struct ClusterSnapshot {
+    n: req,
+    delta: req,
+    f: req,
+    c_borrow: req,
+    exchange: req,
+    d: req,
+    b: req,
+    l_old: req,
+    fresh_generated: req,
+    direct_consumed: req,
+    settled: req,
+    initial_total: req,
+    metrics: req,
+    rng_seed: req,
+    rng_word_pos: req,
+} }
 
 impl ClusterSnapshot {
     /// Serialises to JSON.

@@ -106,6 +106,56 @@ fn restore_refuses_a_row_whose_sum_overflows() {
     assert!(Cluster::restore(&snap).is_err());
 }
 
+/// A snapshot holding what its type does not is refused, each naming
+/// the key: an unknown top-level key, a `metrics` that is no object and
+/// a misspelt counter.  All three used to restore, the last two with
+/// every counter (or the misspelt one) zero.
+#[test]
+fn a_snapshot_with_keys_it_does_not_hold_is_refused() {
+    let mut snap = sample(3, 5);
+    snap.metrics.balance_ops = 25;
+    let text = snap.to_json();
+    assert_eq!(
+        ClusterSnapshot::from_json(&text)
+            .unwrap()
+            .metrics
+            .balance_ops,
+        25
+    );
+    let Json::Obj(fields) = Json::parse(&text).unwrap() else {
+        unreachable!("a snapshot is an object")
+    };
+    let refused = |fields: Vec<(String, Json)>| {
+        ClusterSnapshot::from_json(&Json::Obj(fields).render()).unwrap_err()
+    };
+    fn metrics(fields: &mut [(String, Json)]) -> &mut Json {
+        &mut fields.iter_mut().find(|(k, _)| k == "metrics").unwrap().1
+    }
+
+    let mut stray = fields.clone();
+    stray.push(("rng_sede".into(), Json::Int(1)));
+    let err = refused(stray);
+    assert!(err.starts_with("unknown key \"rng_sede\""), "{err}");
+
+    let mut five = fields.clone();
+    *metrics(&mut five) = Json::Int(5);
+    assert_eq!(
+        refused(five),
+        "field 'metrics': expected an object, got Int(5)"
+    );
+
+    let mut misspelt = fields;
+    let Json::Obj(counters) = metrics(&mut misspelt) else {
+        unreachable!("metrics is an object")
+    };
+    counters[0].0 = "balance_opz".into();
+    let err = refused(misspelt);
+    assert!(
+        err.starts_with("field 'metrics': unknown key \"balance_opz\""),
+        "{err}"
+    );
+}
+
 proptest! {
     /// Arbitrary bytes, and valid documents with a byte range
     /// overwritten.

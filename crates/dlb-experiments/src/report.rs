@@ -115,15 +115,12 @@ pub(crate) fn ascii_plot(series: &[(&str, &[f64])], height: usize) -> String {
     out
 }
 
-/// Writes rows as CSV (creating parent directories as needed).
+/// Writes rows as CSV to a file in a directory that exists.
 pub fn write_csv<P: AsRef<Path>>(
     path: P,
     headers: &[&str],
     rows: &[Vec<String>],
 ) -> std::io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(file, "{}", headers.join(","))?;
     for row in rows {
@@ -183,7 +180,8 @@ mod tests {
     #[test]
     fn csv_roundtrip() {
         let dir = std::env::temp_dir().join("dlb_report_test");
-        let path = dir.join("nested").join("out.csv");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.csv");
         write_csv(&path, &["t", "mean"], &[vec!["0".into(), "1.5".into()]]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "t,mean\n0,1.5\n");

@@ -225,15 +225,12 @@ fn format_tick(v: f64) -> String {
     }
 }
 
-/// Writes a chart to a file, creating parent directories.
+/// Writes a chart to a file in a directory that exists.
 pub fn write_chart<P: AsRef<Path>>(
     path: P,
     config: &ChartConfig,
     series: &[Series],
 ) -> std::io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     std::fs::write(path, line_chart(config, series))
 }
 
@@ -303,10 +300,15 @@ mod tests {
     }
 
     #[test]
-    fn write_chart_creates_directories() {
+    fn write_chart_makes_no_directory() {
         let dir = std::env::temp_dir().join("dlb_svg_test");
-        let path = dir.join("sub").join("chart.svg");
-        write_chart(&path, &basic_config(), &[Series::from_ys("s", &[1.0, 2.0])]).unwrap();
+        let series = [Series::from_ys("s", &[1.0, 2.0])];
+        let missing = dir.join("sub").join("chart.svg");
+        assert!(write_chart(&missing, &basic_config(), &series).is_err());
+        assert!(!dir.join("sub").exists());
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("chart.svg");
+        write_chart(&path, &basic_config(), &series).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("</svg>"));
         std::fs::remove_dir_all(&dir).ok();

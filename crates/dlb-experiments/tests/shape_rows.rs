@@ -24,6 +24,8 @@ fn cheap_shape_rows_return_their_claims_csv_lines() {
         let program = format!("dlb-exp {name}");
         let argv = ["--out", dir.to_str().expect("UTF-8")].map(str::to_string);
         let args = Args::parse(&program, argv, row.keys).expect("--out is declared");
+        // As `dlb-exp` does before it runs a row.
+        args.create_out_dir_or_exit();
         let judged: Vec<String> = (row.run)(&args)
             .iter()
             .map(|fields| fields.join(","))

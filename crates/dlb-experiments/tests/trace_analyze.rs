@@ -172,3 +172,54 @@ fn a_valid_trace_is_checked_and_analysed() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An output names a file in a directory that exists, as `--trace` does
+/// for the tools that write traces: a missing directory is refused with
+/// the OS's reason, exit 1, and nothing is created.  The parent
+/// directories used to be made.
+#[test]
+fn an_output_in_a_missing_directory_is_refused() {
+    let dir = scratch("outputs");
+    let path = trace(
+        &dir,
+        "t.jsonl",
+        &[
+            RUN_START,
+            r#"{"t":"delta","step":0,"counters":{"balance_ops":1}}"#,
+            r#"{"t":"load","step":0,"min":0,"max":4,"total":8}"#,
+            r#"{"t":"run_end","run":0}"#,
+        ],
+    );
+    let missing = dir.join("new");
+    for key in ["--out-csv", "--svg"] {
+        let out_path = missing.join("a").join("b.out");
+        let out_path = out_path.to_str().expect("a UTF-8 path");
+        let out = trace_analyze(&["--in", &path, key, out_path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{key}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {out_path}: No such file or directory")),
+            "{key}: {stderr}"
+        );
+        assert!(!missing.exists(), "{key} created {}", missing.display());
+    }
+    // Into a directory that exists, both are written.
+    let csv = dir.join("a.csv");
+    let svg = dir.join("a.svg");
+    let out = trace_analyze(&[
+        "--in",
+        &path,
+        "--out-csv",
+        csv.to_str().expect("a UTF-8 path"),
+        "--svg",
+        svg.to_str().expect("a UTF-8 path"),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(csv.is_file() && svg.is_file());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
-use dlb_json::{FromJson, Json, ToJson};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -44,29 +43,7 @@ pub enum CrashMode {
     Frozen,
 }
 
-impl ToJson for CrashMode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                CrashMode::Lost => "lost",
-                CrashMode::Frozen => "frozen",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for CrashMode {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        match value.as_str() {
-            Some("lost") => Ok(CrashMode::Lost),
-            Some("frozen") => Ok(CrashMode::Frozen),
-            other => Err(format!(
-                "unknown crash mode {other:?} (expected \"lost\"/\"frozen\")"
-            )),
-        }
-    }
-}
+dlb_json::codec! { enum CrashMode as "crash mode" { "lost" => Lost, "frozen" => Frozen } }
 
 /// One scheduled processor crash (and optional recovery).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,26 +56,7 @@ pub struct CrashEvent {
     pub recover_at: Option<u64>,
 }
 
-impl ToJson for CrashEvent {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("proc".into(), self.proc.to_json()),
-            ("at".into(), self.at.to_json()),
-            ("recover_at".into(), self.recover_at.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CrashEvent {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        dlb_json::reject_unknown(value, &["proc", "at", "recover_at"])?;
-        Ok(CrashEvent {
-            proc: dlb_json::req(value, "proc")?,
-            at: dlb_json::req(value, "at")?,
-            recover_at: dlb_json::field_or(value, "recover_at", None)?,
-        })
-    }
-}
+dlb_json::codec! { struct CrashEvent { proc: req, at: req, recover_at: or(None) } }
 
 /// One scheduled network partition: while `from <= now < until` every
 /// message between `group` and its complement is cut.
@@ -124,26 +82,7 @@ impl PartitionEvent {
     }
 }
 
-impl ToJson for PartitionEvent {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("from".into(), self.from.to_json()),
-            ("until".into(), self.until.to_json()),
-            ("group".into(), self.group.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PartitionEvent {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        dlb_json::reject_unknown(value, &["from", "until", "group"])?;
-        Ok(PartitionEvent {
-            from: dlb_json::req(value, "from")?,
-            until: dlb_json::req(value, "until")?,
-            group: dlb_json::req(value, "group")?,
-        })
-    }
-}
+dlb_json::codec! { struct PartitionEvent { from: req, until: req, group: req } }
 
 /// Largest accepted [`FaultPlan::jitter`].  A substrate adds the drawn
 /// jitter to its own clock and latency; under this bound (and the
@@ -247,53 +186,16 @@ impl FaultPlan {
     }
 }
 
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), self.seed.to_json()),
-            ("loss".into(), self.loss.to_json()),
-            ("transfer_loss".into(), self.transfer_loss.to_json()),
-            ("duplication".into(), self.duplication.to_json()),
-            ("jitter".into(), self.jitter.to_json()),
-            ("crash_mode".into(), self.crash_mode.to_json()),
-            ("crashes".into(), self.crashes.to_json()),
-            ("partitions".into(), self.partitions.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(value: &Json) -> Result<Self, String> {
-        // `field_or` finds nothing in a non-object, which would decode
-        // as the benign default plan.
-        value
-            .as_obj()
-            .ok_or_else(|| format!("expected an object, got {value:?}"))?;
-        dlb_json::reject_unknown(
-            value,
-            &[
-                "seed",
-                "loss",
-                "transfer_loss",
-                "duplication",
-                "jitter",
-                "crash_mode",
-                "crashes",
-                "partitions",
-            ],
-        )?;
-        Ok(FaultPlan {
-            seed: dlb_json::field_or(value, "seed", 0)?,
-            loss: dlb_json::field_or(value, "loss", 0.0)?,
-            transfer_loss: dlb_json::field_or(value, "transfer_loss", 0.0)?,
-            duplication: dlb_json::field_or(value, "duplication", 0.0)?,
-            jitter: dlb_json::field_or(value, "jitter", 0)?,
-            crash_mode: dlb_json::field_or(value, "crash_mode", CrashMode::Lost)?,
-            crashes: dlb_json::field_or(value, "crashes", Vec::new())?,
-            partitions: dlb_json::field_or(value, "partitions", Vec::new())?,
-        })
-    }
-}
+dlb_json::codec! { struct FaultPlan {
+    seed: or(0),
+    loss: or(0.0),
+    transfer_loss: or(0.0),
+    duplication: or(0.0),
+    jitter: or(0),
+    crash_mode: or(CrashMode::Lost),
+    crashes: or(Vec::new()),
+    partitions: or(Vec::new()),
+} }
 
 /// The kind of message being sent, as far as faults care.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,6 +462,7 @@ impl<'a> MaskCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dlb_json::{FromJson, Json, ToJson};
 
     fn crash(proc: usize, at: u64, recover_at: Option<u64>) -> CrashEvent {
         CrashEvent {

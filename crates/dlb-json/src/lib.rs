@@ -9,12 +9,17 @@
 //! - Objects are ordered `Vec<(String, Json)>`, so rendering is a pure
 //!   function of construction order — byte-stable output for determinism
 //!   regression tests.
-//! - [`ToJson`] / [`FromJson`] are implemented by hand per type; parse
-//!   errors are `String`s with context.
+//! - A record's format is declared once, with [`codec!`]: one row per
+//!   field gives its `ToJson` and a strict `FromJson`.  Strict means a
+//!   document that does not say exactly what the type holds is refused,
+//!   with the key path in the error: a non-object, a missing required
+//!   key, a key the type does not declare and (in [`Json::parse`]) a key
+//!   repeated within one object.  Errors are `String`s with context.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -33,7 +38,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; insertion-ordered, first match wins on lookup.
+    /// An object, insertion-ordered; [`Json::parse`] refuses a repeated
+    /// key.
     Obj(Vec<(String, Json)>),
 }
 
@@ -326,7 +332,9 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let mut fields: Vec<(String, Json)> = Vec::new();
+        // The keys so far, once there are too many for a linear scan.
+        let mut seen: Option<HashSet<String>> = None;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -334,7 +342,18 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            let repeated = if fields.len() < 16 {
+                fields.iter().any(|(k, _)| *k == key)
+            } else {
+                let seen =
+                    seen.get_or_insert_with(|| fields.iter().map(|(k, _)| k.clone()).collect());
+                !seen.insert(key.clone())
+            };
+            if repeated {
+                return Err(format!("repeated key {key:?} at byte {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -588,8 +607,25 @@ impl<T: FromJson> FromJson for Vec<T> {
             .as_arr()
             .ok_or_else(|| format!("expected array, got {value:?}"))?
             .iter()
-            .map(T::from_json)
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| format!("#{i}: {e}")))
             .collect()
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        self[..].to_json()
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let items = Vec::<T>::from_json(value)?;
+        let len = items.len();
+        items
+            .try_into()
+            .map_err(|_| format!("expected {N} items, got {len}"))
     }
 }
 
@@ -616,38 +652,219 @@ pub fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
     obj.get(key).ok_or_else(|| format!("missing field '{key}'"))
 }
 
-/// Optional-field decode falling back to `default` when absent.
-pub fn field_or<T: FromJson>(obj: &Json, key: &str, default: T) -> Result<T, String> {
-    match obj.get(key) {
-        Some(v) => T::from_json(v).map_err(|e| format!("field '{key}': {e}")),
-        None => Ok(default),
-    }
-}
-
 /// Required-field decode with the key folded into the error.
 pub fn req<T: FromJson>(obj: &Json, key: &str) -> Result<T, String> {
-    T::from_json(field(obj, key)?).map_err(|e| format!("field '{key}': {e}"))
+    decode(key, field(obj, key)?)
 }
 
-/// Rejects keys outside `allowed` with a key-path error, so a typo in a
-/// config file fails loudly instead of silently falling back to a
-/// default.  Callers that decode nested objects via [`req`]/[`field_or`]
-/// get the full path for free: the nested error is wrapped as
-/// `field 'outer': unknown key "inner_typo" ...`.
-///
-/// Non-object values pass (the decoder reports its own type error).
-pub fn reject_unknown(value: &Json, allowed: &[&str]) -> Result<(), String> {
-    if let Json::Obj(entries) = value {
-        for (key, _) in entries {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!(
-                    "unknown key {key:?} (allowed: {})",
-                    allowed.join(", ")
-                ));
-            }
+fn decode<T: FromJson>(key: &str, value: &Json) -> Result<T, String> {
+    T::from_json(value).map_err(|e| format!("field '{key}': {e}"))
+}
+
+/// The `kind` tag of a [`codec!`] `kind` object; `what` names the object
+/// in the error.
+pub fn kind_of<'a>(value: &'a Json, what: &str) -> Result<&'a str, String> {
+    value
+        .get("kind")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{what} needs a string \"kind\" field"))
+}
+
+/// An object being decoded strictly: `keys` are every key its codec
+/// declares.  Each field is read, then [`Record::finish`] refuses any
+/// other key.  Errors carry the key (`field 'outer': …`), so a nested
+/// refusal reads as a key path.
+pub struct Record<'a> {
+    fields: &'a [(String, Json)],
+    keys: &'a [&'a str],
+}
+
+impl<'a> Record<'a> {
+    /// Refuses a non-object.
+    pub fn new(value: &'a Json, keys: &'a [&'a str]) -> Result<Self, String> {
+        match value {
+            Json::Obj(fields) => Ok(Record { fields, keys }),
+            other => Err(format!("expected an object, got {other:?}")),
         }
     }
-    Ok(())
+
+    fn get(&self, key: &str) -> Option<&'a Json> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The first key the codec does not declare, as the error.
+    fn unknown(&self) -> Result<(), String> {
+        match self
+            .fields
+            .iter()
+            .find(|(k, _)| !self.keys.contains(&k.as_str()))
+        {
+            Some((key, _)) => Err(format!(
+                "unknown key {key:?} (allowed: {})",
+                self.keys.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The required field `key`.  A missing key's error also names an
+    /// undeclared key: the two together are usually one misspelling.
+    pub fn req<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        let Some(value) = self.get(key) else {
+            return Err(match self.unknown() {
+                Ok(()) => format!("missing field '{key}'"),
+                Err(unknown) => format!("missing field '{key}'; {unknown}"),
+            });
+        };
+        decode(key, value)
+    }
+
+    /// The field `key`, or `default` when it is absent.
+    pub fn or<T: FromJson>(&self, key: &str, default: T) -> Result<T, String> {
+        self.get(key)
+            .map_or(Ok(default), |value| decode(key, value))
+    }
+
+    /// The field `key` as `[lo, hi]`, or `default` when it is absent
+    /// (`None`: required).
+    pub fn pair<T: FromJson>(&self, key: &str, default: Option<(T, T)>) -> Result<(T, T), String> {
+        let items: Vec<T> = match (self.get(key), default) {
+            (None, Some(default)) => return Ok(default),
+            _ => self.req(key)?,
+        };
+        let len = items.len();
+        match <[T; 2]>::try_from(items) {
+            Ok([lo, hi]) => Ok((lo, hi)),
+            Err(_) => Err(format!("{key} must hold exactly [lo, hi], got {len} items")),
+        }
+    }
+
+    /// `decoded`, unless the object holds a key the codec does not
+    /// declare.
+    pub fn finish<T>(&self, decoded: T) -> Result<T, String> {
+        self.unknown().map(|()| decoded)
+    }
+}
+
+/// Declares the JSON format of a type once, generating its `ToJson` and
+/// strict `FromJson` (see [`Record`]) from one row per field, in
+/// document order, each key being the field's name.  Three forms:
+///
+/// - `struct Type { field: codec, … }`: an object;
+/// - `enum Type as "what" { "tag" => Variant, … }`: a string;
+/// - `kind Type as "what" { "tag" => Self::Variant { field: codec, … }, … }`:
+///   an object whose `"kind"` (emitted first) names the variant; also
+///   generates `kind()`.  A row may wrap its variant in a slot of an
+///   outer one: `"tag" => [Outer.slot] Inner::Variant { … }`.
+///
+/// Codecs: `req` (required), `or(default)` (optional), `omit(default)`
+/// (optional, and emitted only when it differs from `default`) and
+/// `pair(default)` (an optional `[lo, hi]`, held as a tuple).  The
+/// encoder destructures every value without `..`, so a field without a
+/// row, or a variant without one, does not compile.
+#[macro_export]
+macro_rules! codec {
+    (struct $ty:ident { $($field:ident : $codec:ident $(($default:expr))?),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let $ty { $($field),* } = self;
+                let mut obj = Vec::new();
+                $( $crate::codec!(@put obj $field $codec $(($default))?); )*
+                $crate::Json::Obj(obj)
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Json) -> Result<Self, String> {
+                let r = $crate::Record::new(value, &[$(stringify!($field)),*])?;
+                r.finish($ty { $($field: $crate::codec!(@get r $field $codec $(($default))?)),* })
+            }
+        }
+    };
+    (enum $ty:ident as $what:literal { $($tag:literal => $variant:ident),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Str(match self { $($ty::$variant => $tag,)* }.to_string())
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Json) -> Result<Self, String> {
+                match value.as_str() {
+                    $(Some($tag) => Ok($ty::$variant),)*
+                    _ => Err(format!(
+                        "unknown {} {} (expected {})",
+                        $what,
+                        value.render(),
+                        [$(concat!("\"", $tag, "\"")),*].join(" or ")
+                    )),
+                }
+            }
+        }
+    };
+    (kind $ty:ident as $what:literal {
+        $( $tag:literal => $([$outer:ident . $slot:ident])? $($variant:ident)::+ {
+            $( $field:ident : $codec:ident $(($default:expr))? ),*
+        } ),* $(,)?
+    }) => {
+        impl $ty {
+            /// The JSON `kind` tag of this value.
+            pub(crate) fn kind(&self) -> &'static str {
+                match self {
+                    $( $crate::codec!(@wrap [$($outer.$slot)?] $($variant)::+ { .. }) => $tag, )*
+                }
+            }
+        }
+
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let mut obj = vec![("kind".to_string(), $crate::Json::Str(self.kind().to_string()))];
+                match self {
+                    $( $crate::codec!(@wrap [$($outer.$slot)?] $($variant)::+ { $($field),* }) => {
+                        $( $crate::codec!(@put obj $field $codec $(($default))?); )*
+                    } )*
+                }
+                $crate::Json::Obj(obj)
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Json) -> Result<Self, String> {
+                match $crate::kind_of(value, $what)? {
+                    $( $tag => {
+                        let r = $crate::Record::new(value, &["kind", $(stringify!($field)),*])?;
+                        r.finish($crate::codec!(@wrap [$($outer.$slot)?] $($variant)::+ {
+                            $( $field: $crate::codec!(@get r $field $codec $(($default))?) ),*
+                        }))
+                    } )*
+                    other => {
+                        $crate::Record::new(value, &["kind"])?.finish(())?;
+                        Err(format!("unknown {} kind {other:?}", $what))
+                    }
+                }
+            }
+        }
+    };
+    (@wrap [] $($inner:tt)*) => { $($inner)* };
+    (@wrap [$outer:ident . $slot:ident] $($inner:tt)*) => { Self::$outer { $slot: $($inner)* } };
+    (@put $obj:ident $x:ident omit($d:expr)) => {
+        if *$x != $d {
+            $crate::codec!(@put $obj $x req);
+        }
+    };
+    (@put $obj:ident $x:ident pair $(($d:expr))?) => {
+        $obj.push((
+            stringify!($x).to_string(),
+            $crate::Json::Arr(vec![$crate::ToJson::to_json(&$x.0), $crate::ToJson::to_json(&$x.1)]),
+        ))
+    };
+    (@put $obj:ident $x:ident $codec:ident $(($d:expr))?) => {
+        $obj.push((stringify!($x).to_string(), $crate::ToJson::to_json($x)))
+    };
+    (@get $r:ident $x:ident req) => { $r.req(stringify!($x))? };
+    (@get $r:ident $x:ident or($d:expr)) => { $r.or(stringify!($x), $d)? };
+    (@get $r:ident $x:ident omit($d:expr)) => { $r.or(stringify!($x), $d)? };
+    (@get $r:ident $x:ident pair($d:expr)) => { $r.pair(stringify!($x), Some($d))? };
 }
 
 #[cfg(test)]
@@ -657,12 +874,193 @@ mod tests {
     #[test]
     fn reject_unknown_names_the_stray_key() {
         let value = Json::parse(r#"{"n": 4, "stepz": 9}"#).unwrap();
-        assert!(reject_unknown(&value, &["n", "stepz"]).is_ok());
-        let err = reject_unknown(&value, &["n", "steps"]).unwrap_err();
+        assert!(Record::new(&value, &["n", "stepz"])
+            .unwrap()
+            .finish(())
+            .is_ok());
+        let err = Record::new(&value, &["n", "steps"])
+            .unwrap()
+            .finish(())
+            .unwrap_err();
         assert!(err.contains("\"stepz\""), "{err}");
         assert!(err.contains("steps"), "{err}");
-        // Non-objects pass; the decoder reports its own type error.
-        assert!(reject_unknown(&Json::Int(3), &[]).is_ok());
+        // A non-object is refused before any key is read.
+        let err = Record::new(&Json::Int(3), &[]).err().unwrap();
+        assert_eq!(err, "expected an object, got Int(3)");
+    }
+
+    /// One type per codec form, with every field codec.
+    #[derive(Debug, PartialEq)]
+    struct Rec {
+        n: u64,
+        seed: [u8; 2],
+        range: (u32, u32),
+        tags: Vec<Mode>,
+        spare: Option<u64>,
+    }
+
+    codec! { struct Rec {
+        n: req,
+        seed: or([0, 0]),
+        range: pair((1, 9)),
+        tags: omit(Vec::new()),
+        spare: omit(None),
+    } }
+
+    #[derive(Debug, PartialEq)]
+    enum Mode {
+        Lost,
+        Frozen,
+    }
+
+    codec! { enum Mode as "mode" { "lost" => Lost, "frozen" => Frozen } }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Box { w: u64, h: u64 },
+        Wrapped { inner: Inner },
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Inner {
+        Line { len: (u8, u8) },
+    }
+
+    codec! { kind Shape as "shape" {
+        "dot" => Self::Dot {},
+        "box" => Self::Box { w: req, h: or(1) },
+        "line" => [Wrapped.inner] Inner::Line { len: pair((0, 1)) },
+    } }
+
+    fn rec(text: &str) -> Result<Rec, String> {
+        Rec::from_json(&Json::parse(text)?)
+    }
+
+    fn shape(text: &str) -> Result<Shape, String> {
+        Shape::from_json(&Json::parse(text)?)
+    }
+
+    #[test]
+    fn record_codec_round_trips_fills_defaults_and_omits_them() {
+        let full = r#"{"n":3,"seed":[7,8],"range":[2,5],"tags":["frozen","lost"],"spare":4}"#;
+        let value = rec(full).unwrap();
+        assert_eq!(value.tags, vec![Mode::Frozen, Mode::Lost]);
+        assert_eq!(value.to_json().render(), full);
+        let bare = rec(r#"{"n":3}"#).unwrap();
+        assert_eq!(
+            bare,
+            Rec {
+                n: 3,
+                seed: [0, 0],
+                range: (1, 9),
+                tags: Vec::new(),
+                spare: None,
+            }
+        );
+        // `or` and `pair` emit their defaults; `omit` skips them.
+        assert_eq!(
+            bare.to_json().render(),
+            r#"{"n":3,"seed":[0,0],"range":[1,9]}"#
+        );
+    }
+
+    #[test]
+    fn record_codec_refuses_what_it_cannot_read() {
+        let err = |text: &str| rec(text).unwrap_err();
+        assert_eq!(err(r#"{"seed":[1,2]}"#), "missing field 'n'");
+        assert_eq!(
+            err(r#"{"n":1,"sede":[1,2]}"#),
+            r#"unknown key "sede" (allowed: n, seed, range, tags, spare)"#
+        );
+        // A misspelt required key is missing and unknown at once.
+        assert_eq!(
+            err(r#"{"m":1}"#),
+            r#"missing field 'n'; unknown key "m" (allowed: n, seed, range, tags, spare)"#
+        );
+        assert_eq!(err("5"), "expected an object, got Int(5)");
+        assert_eq!(
+            err(r#"{"n":1,"range":[1]}"#),
+            "range must hold exactly [lo, hi], got 1 items"
+        );
+        assert_eq!(
+            err(r#"{"n":1,"range":[1,2,3]}"#),
+            "range must hold exactly [lo, hi], got 3 items"
+        );
+        assert_eq!(
+            err(r#"{"n":1,"range":[1,-2]}"#),
+            "field 'range': #1: integer -2 out of range for u32"
+        );
+        assert_eq!(
+            err(r#"{"n":1,"seed":[1]}"#),
+            "field 'seed': expected 2 items, got 1"
+        );
+        assert_eq!(
+            err(r#"{"n":1,"tags":["lost","gone"]}"#),
+            r#"field 'tags': #1: unknown mode "gone" (expected "lost" or "frozen")"#
+        );
+        assert_eq!(err(r#"{"n":1,"n":2}"#), r#"repeated key "n" at byte 7"#);
+    }
+
+    #[test]
+    fn string_enum_codec_round_trips_and_refuses() {
+        for mode in [Mode::Lost, Mode::Frozen] {
+            assert_eq!(Mode::from_json(&mode.to_json()), Ok(mode));
+        }
+        assert_eq!(Mode::Frozen.to_json().render(), r#""frozen""#);
+        let err = Mode::from_json(&Json::Int(1)).unwrap_err();
+        assert_eq!(err, r#"unknown mode 1 (expected "lost" or "frozen")"#);
+    }
+
+    #[test]
+    fn kind_codec_round_trips_and_refuses() {
+        for text in [
+            r#"{"kind":"dot"}"#,
+            r#"{"kind":"box","w":2,"h":3}"#,
+            r#"{"kind":"line","len":[4,5]}"#,
+        ] {
+            let value = shape(text).unwrap();
+            assert_eq!(value.to_json().render(), text);
+        }
+        assert_eq!(
+            shape(r#"{"kind":"box","w":2}"#).unwrap(),
+            Shape::Box { w: 2, h: 1 }
+        );
+        assert_eq!(shape(r#"{"kind":"line"}"#).unwrap().kind(), "line");
+        let err = |text: &str| shape(text).unwrap_err();
+        assert_eq!(err(r#"{"kind":"box","h":2}"#), "missing field 'w'");
+        assert_eq!(
+            err(r#"{"kind":"box","w":2,"d":1}"#),
+            r#"unknown key "d" (allowed: kind, w, h)"#
+        );
+        assert_eq!(
+            err(r#"{"kind":"dot","w":1}"#),
+            r#"unknown key "w" (allowed: kind)"#
+        );
+        assert_eq!(err(r#"{"kind":"cone"}"#), r#"unknown shape kind "cone""#);
+        assert_eq!(err("[]"), r#"shape needs a string "kind" field"#);
+        assert_eq!(
+            err(r#"{"kind":"line","len":[]}"#),
+            "len must hold exactly [lo, hi], got 0 items"
+        );
+    }
+
+    /// A repeated key used to be read as its first occurrence.
+    #[test]
+    fn a_repeated_key_is_refused_by_name() {
+        let err = Json::parse(r#"{"steps": 20, "f": 1.1, "steps": 0}"#).unwrap_err();
+        assert_eq!(err, r#"repeated key "steps" at byte 24"#);
+        // Nested, and past the linear scan's reach.
+        assert!(Json::parse(r#"{"a": {"b": 1, "b": 1}}"#).is_err());
+        let many: Vec<String> = (0..40).map(|i| format!("\"k{i}\": {i}")).collect();
+        let text = format!("{{{}}}", many.join(","));
+        assert!(Json::parse(&text).is_ok());
+        let text = format!("{{{}, \"k33\": 0}}", many.join(","));
+        assert!(Json::parse(&text)
+            .unwrap_err()
+            .starts_with(r#"repeated key "k33""#));
+        // The same key in sibling objects is no repeat.
+        assert!(Json::parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
     }
 
     #[test]
@@ -762,7 +1160,6 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(u8::from_json(&Json::Int(300)).is_err());
         assert!(req::<u64>(&Json::Obj(vec![]), "n").is_err());
-        assert_eq!(field_or(&Json::Obj(vec![]), "n", 7u64).unwrap(), 7);
     }
 
     #[test]

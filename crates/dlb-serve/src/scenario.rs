@@ -1,12 +1,11 @@
 //! Service scenario files: the JSON configuration of a `dlb serve` run.
 //!
-//! Like the simulation scenarios in `dlb-cli`, the loader is *strict*:
-//! unknown keys are rejected with the offending key named, and nested
-//! decode errors carry the key path (`field 'faults': crash #0: …`).
+//! The loader is strict, as `dlb-json` defines it: unknown and repeated
+//! keys are refused with their key path (`field 'phases': #0: …`).
 
 use dlb_faults::FaultPlan;
-use dlb_json::{FromJson, Json};
-use dlb_workload::service::{RatePhase, ServiceLoad};
+use dlb_json::{FromJson, Json, Record};
+use dlb_workload::service::ServiceLoad;
 
 /// Everything a `dlb serve` run needs, decoded from one JSON file.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,57 +26,38 @@ pub struct ServiceScenario {
     pub faults: FaultPlan,
 }
 
-const ALLOWED: &[&str] = &[
-    "shards",
-    "ticks",
-    "seed",
-    "delta",
-    "f",
-    "keys",
-    "zipf_s",
-    "service_ticks",
-    "phases",
-    "faults",
-];
-
-fn phase_from_json(value: &Json) -> Result<RatePhase, String> {
-    dlb_json::reject_unknown(value, &["ticks", "rate"])?;
-    Ok(RatePhase {
-        ticks: dlb_json::req(value, "ticks")?,
-        rate: dlb_json::req(value, "rate")?,
-    })
-}
-
+/// The `load` keys sit beside the others, so this one decoder is written
+/// out over [`dlb_json::Record`] rather than declared with `codec!`.
 impl FromJson for ServiceScenario {
     fn from_json(value: &Json) -> Result<Self, String> {
-        dlb_json::reject_unknown(value, ALLOWED)?;
-        let phases = dlb_json::field(value, "phases")?
-            .as_arr()
-            .ok_or("field 'phases': expected an array")?
-            .iter()
-            .enumerate()
-            .map(|(i, p)| phase_from_json(p).map_err(|e| format!("field 'phases' #{i}: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let service: Vec<u64> = dlb_json::req(value, "service_ticks")?;
-        if service.len() != 2 {
-            return Err(format!(
-                "field 'service_ticks': expected [min, max], got {} entries",
-                service.len()
-            ));
-        }
-        Ok(ServiceScenario {
-            shards: dlb_json::req(value, "shards")?,
-            ticks: dlb_json::req(value, "ticks")?,
-            seed: dlb_json::field_or(value, "seed", 0)?,
-            delta: dlb_json::field_or(value, "delta", 1)?,
-            f: dlb_json::field_or(value, "f", 2.0)?,
+        let r = Record::new(
+            value,
+            &[
+                "shards",
+                "ticks",
+                "seed",
+                "delta",
+                "f",
+                "keys",
+                "zipf_s",
+                "service_ticks",
+                "phases",
+                "faults",
+            ],
+        )?;
+        r.finish(ServiceScenario {
+            shards: r.req("shards")?,
+            ticks: r.req("ticks")?,
+            seed: r.or("seed", 0)?,
+            delta: r.or("delta", 1)?,
+            f: r.or("f", 2.0)?,
             load: ServiceLoad {
-                phases,
-                keys: dlb_json::req(value, "keys")?,
-                zipf_s: dlb_json::field_or(value, "zipf_s", 0.0)?,
-                service_ticks: (service[0], service[1]),
+                keys: r.req("keys")?,
+                zipf_s: r.or("zipf_s", 0.0)?,
+                service_ticks: r.pair("service_ticks", None)?,
+                phases: r.req("phases")?,
             },
-            faults: dlb_json::field_or(value, "faults", FaultPlan::reliable())?,
+            faults: r.or("faults", FaultPlan::reliable())?,
         })
     }
 }

@@ -20,6 +20,8 @@ pub struct RatePhase {
     pub rate: f64,
 }
 
+dlb_json::codec! { struct RatePhase { ticks: req, rate: req } }
+
 /// Configuration of the request stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceLoad {
