@@ -106,7 +106,10 @@ EOF
 cc -O2 -shared -fPIC -o "$work/sampler.so" "$work/sampler.c"
 
 for _ in $(seq "$runs"); do
-    PROF_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" taskset -c 0 "$dlb" "$@" > /dev/null
+    # The sampler is preloaded into `dlb` alone: preloaded into
+    # `taskset`, it arms the timer there, the timer outlives the `exec`
+    # and its handler does not, and the first SIGPROF kills `dlb`.
+    taskset -c 0 env PROF_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" "$dlb" "$@" > /dev/null
 done
 [ -s "$work/samples" ] || { echo "no samples: did dlb run long enough?" >&2; exit 1; }
 

@@ -1058,7 +1058,7 @@ mod tests {
         }
     }
 
-    /// The `kind_table!` rows against literal documents: every kind
+    /// The `dlb_json::codec!` rows against literal documents: every kind
     /// emits `kind` first and then its fields in row order, parses back
     /// to the same value, and the strict decoder keeps the error strings
     /// users (and the CLI tests) see.

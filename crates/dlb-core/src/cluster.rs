@@ -96,7 +96,7 @@
 
 use crate::balance::{distribute_capped_into, even_shares_into, moved, sample_others_into};
 use crate::metrics::Metrics;
-use crate::pages::{zeroed_on_huge_pages, Zeroable};
+use crate::pages::{Zeroable, Zeroed};
 use crate::params::{ExchangePolicy, Params, TriggerTable};
 use crate::sparse::{count_diff, key, nth_diff, SparseRow};
 use crate::strategy::{Events, LoadBalancer, LoadEvent, LoadSummary};
@@ -181,10 +181,10 @@ struct OpOutcome {
 /// processor's own class — the second the marker row and the ledger.
 ///
 /// All-zero bytes are an empty processor ([`Zeroable`]), so the cluster
-/// builds its records with one fill.  A record never frees its rows
-/// (`ManuallyDrop`, so dropping the records reads none of them): the
-/// cluster lists each processor whose row goes to the heap and frees
-/// exactly those rows ([`Cluster::free_spilled`]).
+/// builds its records by writing nothing ([`Zeroed`]).  A record never
+/// frees its rows (`ManuallyDrop`, so dropping the records reads none
+/// of them): the cluster lists each processor whose row goes to the
+/// heap and frees exactly those rows ([`Cluster::free_spilled`]).
 #[repr(C, align(128))]
 struct Proc {
     /// Cached real load `Σ_j d_{i,j}`.
@@ -620,7 +620,7 @@ pub struct Cluster {
     /// Cached `params.n()`.
     n: usize,
     /// One record per processor.
-    procs: Vec<Proc>,
+    procs: Zeroed<Proc>,
     /// The processors whose records own a heap block, each once, in the
     /// order their first row spilled: what teardown frees.
     spilled: Vec<u32>,
@@ -680,9 +680,10 @@ impl Cluster {
         let n = params.n();
         assert!(u32::try_from(n).is_ok(), "class keys are 32 bits wide");
         let initial_total = params.initial_total(initial);
-        // Zero bytes are an empty processor: one fill builds every
-        // record, and a loaded start writes what differs in one pass.
-        let mut procs = zeroed_on_huge_pages::<Proc>(n);
+        // Zero bytes are an empty processor: the kernel's zero pages are
+        // every record, and a loaded start writes what differs in one
+        // pass.
+        let mut procs = Zeroed::<Proc>::new(n);
         if initial > 0 {
             for (i, p) in procs.iter_mut().enumerate() {
                 p.d.push(key(i), initial);
@@ -704,16 +705,19 @@ impl Cluster {
     }
 
     /// [`Cluster::with_initial_load`] built record by record from
-    /// [`Proc::new`], the form the zero fill replaced: the oracle the
-    /// zero-filled cluster is stepped beside.
+    /// [`Proc::new`], every one written: the oracle the zero-built
+    /// cluster is stepped beside.
     #[cfg(test)]
     fn with_initial_load_elementwise(params: Params, seed: u64, initial: u64) -> Self {
         let n = params.n();
-        let procs = crate::pages::vec_on_huge_pages(n, |i| Proc {
-            l_old: initial,
-            fresh_generated: initial,
-            ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
-        });
+        let mut procs = Zeroed::<Proc>::new(n);
+        for (i, p) in procs.iter_mut().enumerate() {
+            *p = Proc {
+                l_old: initial,
+                fresh_generated: initial,
+                ..Proc::new(SparseRow::with_entry(key(i), initial), SparseRow::new())
+            };
+        }
         Self::from_parts(
             params,
             procs,
@@ -729,7 +733,7 @@ impl Cluster {
     /// lists, at the start of a run: untraced, step 0, nothing waiting.
     fn from_parts(
         params: Params,
-        procs: Vec<Proc>,
+        procs: Zeroed<Proc>,
         spilled: Vec<u32>,
         rng: ChaCha8Rng,
         metrics: Metrics,
@@ -805,7 +809,7 @@ impl Cluster {
     /// the `bytes_per_proc` column of BENCH_core.json reports — it
     /// scales with n + Σ active classes, not n².
     pub fn state_bytes(&self) -> usize {
-        let records = std::mem::size_of::<Proc>() * self.procs.capacity();
+        let records = std::mem::size_of_val(&*self.procs);
         let spilled: usize = self
             .spilled
             .iter()
@@ -909,7 +913,7 @@ impl Cluster {
                     .ok_or_else(|| format!("class {c}: virtual load sums past u64::MAX"))?;
             }
         }
-        for (c, (&v, p)) in virt.iter().zip(&self.procs).enumerate() {
+        for (c, (&v, p)) in virt.iter().zip(self.procs.iter()).enumerate() {
             let expect = p
                 .direct_consumed
                 .checked_add(p.settled)
@@ -1334,15 +1338,16 @@ impl Cluster {
             }
             r
         };
-        let procs = (0..n)
-            .map(|i| Proc {
+        let mut procs = Zeroed::<Proc>::new(n);
+        for (i, p) in procs.iter_mut().enumerate() {
+            *p = Proc {
                 l_old: snap.l_old[i],
                 fresh_generated: snap.fresh_generated[i],
                 direct_consumed: snap.direct_consumed[i],
                 settled: snap.settled[i],
                 ..Proc::new(compress(&snap.d[i]), compress(&snap.b[i]))
-            })
-            .collect::<Vec<Proc>>();
+            };
+        }
         let summary = LoadCounts::new(procs.iter().map(|p| p.load));
         // `push` spilled the rows longer than `INLINE`.
         let spilled = (0..n).filter(|&i| !procs[i].inline()).map(key).collect();
@@ -2009,15 +2014,18 @@ mod tests {
         cluster
     }
 
+    /// Records in one 2 MiB huge page: one more is mapped, not on the
+    /// heap (`pages.rs`).
+    const PER_PAGE: usize = (2 << 20) / std::mem::size_of::<Proc>();
+
     #[test]
     fn a_zeroed_record_is_an_empty_processor() {
-        // One record, and either side of a huge page of them (the
-        // allocation is advised onto 2 MiB pages then).
-        let per_page = (2 << 20) / std::mem::size_of::<Proc>();
-        for n in [1, per_page - 1, per_page + 1] {
-            let mut procs = zeroed_on_huge_pages::<Proc>(n);
+        // One record, and either side of a huge page of them: on the
+        // heap, then mapped and advised onto 2 MiB pages.
+        for n in [1, PER_PAGE - 1, PER_PAGE + 1] {
+            let mut procs = Zeroed::<Proc>::new(n);
             assert_eq!(procs.len(), n);
-            for p in &procs {
+            for p in procs.iter() {
                 // Every field by name: a new one fails to compile here.
                 let Proc {
                     load,
@@ -2046,6 +2054,36 @@ mod tests {
             // The first write to a zeroed row is an ordinary one.
             procs[n - 1].d.add(7, 3);
             assert_eq!((procs[n - 1].d.get(7), procs[n - 1].d.len()), (3, 1));
+        }
+    }
+
+    /// Clusters one record past a huge page — mapped records — each
+    /// built, stepped and dropped on a `par_map` thread of its own, both
+    /// alive at once (a `Cluster` is not `Send`: its sink handle is an
+    /// `Rc`), equal step for step to the same clusters here.
+    #[test]
+    fn a_mapped_cluster_crosses_par_map_threads() {
+        let n = PER_PAGE + 1;
+        let params = Params::new(n, 1, 1.1, 4).unwrap();
+        let run = |seed: u64, both: Option<&std::sync::Barrier>| {
+            let mut cluster = Cluster::with_initial_load(params, seed, 2);
+            if let Some(both) = both {
+                both.wait();
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..4 {
+                cluster.step(&random_events(&mut rng, n, 0.5, 0.3));
+            }
+            cluster.check_invariants().unwrap();
+            (cluster.loads().to_vec(), *cluster.metrics())
+        };
+        let both = std::sync::Barrier::new(2);
+        let threaded = dlb_pool::par_map(2, 2, |i| {
+            (std::thread::current().id(), run(i as u64, Some(&both)))
+        });
+        assert_ne!(threaded[0].0, threaded[1].0, "two threads");
+        for (i, (_, got)) in threaded.into_iter().enumerate() {
+            assert_eq!(got, run(i as u64, None), "cluster {i}");
         }
     }
 
@@ -2178,6 +2216,107 @@ mod tests {
         String::from_utf8(out).expect("trace lines are UTF-8")
     }
 
+    /// One case of `the_zero_fill_steps_like_the_elementwise_build`.
+    fn zero_fill_case(
+        n: usize,
+        delta_pick: usize,
+        c_idx: usize,
+        initial: u64,
+        p_gen: f64,
+        seed: u64,
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let delta = 1 + delta_pick % (n - 1).min(4);
+        // C = 3, 6 let a processor hold markers of three classes,
+        // so marker rows spill too.
+        let params = Params::new(n, delta, 1.2, [1usize, 3, 6][c_idx]).unwrap();
+        let initial = initial * 4;
+        let mut zero = Cluster::with_initial_load(params, seed, initial);
+        let mut elem = Cluster::with_initial_load_elementwise(params, seed, initial);
+        let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+        let mut down = vec![false; n];
+        // Large clusters differ from small ones only in where their
+        // records live: a few steps show that.
+        let steps = if n <= 300 { 40 } else { 4 };
+        for t in 0..steps {
+            if t % 9 == 0 {
+                down.iter_mut().for_each(|f| *f = ev_rng.gen_bool(0.1));
+            }
+            // A snapshot is dense, n² words per matrix: small n only.
+            if t == 20 && n <= 300 {
+                zero = Cluster::restore(&zero.snapshot()).map_err(proptest::TestCaseError::fail)?;
+            }
+            let events = random_events(&mut ev_rng, n, p_gen, 0.9 - p_gen);
+            zero.step_masked(&events, &down);
+            elem.step_masked(&events, &down);
+            prop_assert_eq!(zero.loads(), elem.loads(), "loads at step {}", t);
+            prop_assert_eq!(zero.metrics(), elem.metrics(), "metrics at step {}", t);
+            prop_assert_eq!(zero.load_summary(), elem.load_summary());
+            for (i, (z, e)) in zero.procs.iter().zip(elem.procs.iter()).enumerate() {
+                prop_assert_eq!(
+                    (z.load, z.sum_b, z.l_old, z.seen, &*z.d, &*z.b),
+                    (e.load, e.sum_b, e.l_old, e.seen, &*e.d, &*e.b),
+                    "proc {} at step {}",
+                    i,
+                    t
+                );
+                prop_assert_eq!(
+                    (z.fresh_generated, z.direct_consumed, z.settled),
+                    (e.fresh_generated, e.direct_consumed, e.settled),
+                    "ledger of proc {} at step {}",
+                    i,
+                    t
+                );
+            }
+            zero.check_invariants()
+                .map_err(proptest::TestCaseError::fail)?;
+            elem.check_invariants()
+                .map_err(proptest::TestCaseError::fail)?;
+        }
+        for cluster in [&mut zero, &mut elem] {
+            let heap: usize = cluster
+                .procs
+                .iter()
+                .map(|p| usize::from(!p.d.is_inline()) + usize::from(!p.b.is_inline()))
+                .sum();
+            prop_assert_eq!(cluster.free_spilled(), heap);
+            prop_assert!(cluster.procs.iter().all(Proc::inline));
+            prop_assert_eq!(cluster.procs.len(), n);
+        }
+        Ok(())
+    }
+
+    /// The zero-built records against the element-wise build: either
+    /// side of a huge page of records (on the heap, then mapped), and on
+    /// 2–300 processors drawn like a proptest's (one cannot be built),
+    /// empty or loaded, under random events and crash masks, the
+    /// zero-built one through a snapshot round trip half-way when small.
+    /// After every step the two agree on loads, metrics and every
+    /// record, rows included, and both pass `check_invariants`, whose
+    /// spill-list check names a heap row no listing site recorded.  At
+    /// teardown `free_spilled` frees exactly the heap rows there are,
+    /// and leaves every record in place.
+    #[test]
+    fn the_zero_fill_steps_like_the_elementwise_build() {
+        for n in [PER_PAGE - 1, PER_PAGE + 1] {
+            if let Err(e) = zero_fill_case(n, 1, 2, 1, 0.45, n as u64) {
+                panic!("n = {n}: {e:?}");
+            }
+        }
+        proptest::test_runner::run("the_zero_fill_steps_like_the_elementwise_build", |rng| {
+            use proptest::Strategy;
+            let n = (2usize..=300).generate(rng);
+            let delta_pick = (0usize..64).generate(rng);
+            let c_idx = (0usize..3).generate(rng);
+            let initial = (0u64..3).generate(rng);
+            let p_gen = (0.3f64..0.6).generate(rng);
+            let seed = (0u64..1_000_000).generate(rng);
+            let case = (n, delta_pick, c_idx, initial, p_gen, seed);
+            zero_fill_case(n, delta_pick, c_idx, initial, p_gen, seed)
+                .map_err(|e| proptest::TestCaseError::fail(format!("{e:?}\n    case: {case:?}")))
+        });
+    }
+
     proptest::proptest! {
         /// The kernel against the rule as stated: on any member rows —
         /// in place, spilled, or spilled and shrunk back — `equalise`
@@ -2264,74 +2403,6 @@ mod tests {
             listed.sort_unstable();
             prop_assert_eq!(listed, fresh);
             procs.iter_mut().for_each(|p| { p.free_rows(); });
-        }
-
-        /// The zero fill against the element-wise build it replaced, on
-        /// 2–300 processors (one cannot be built), empty or loaded,
-        /// under random events and crash masks, the zero-filled one
-        /// through a snapshot round trip half-way.  After every step
-        /// the two agree on loads, metrics and every record, rows
-        /// included, and both pass `check_invariants`, whose spill-list
-        /// check names a heap row no listing site recorded.  At
-        /// teardown `free_spilled` frees exactly the heap rows there
-        /// are, and leaves every record in place.
-        #[test]
-        fn the_zero_fill_steps_like_the_elementwise_build(
-            n in 2usize..=300,
-            delta_pick in 0usize..64,
-            c_idx in 0usize..3,
-            initial in 0u64..3,
-            p_gen in 0.3f64..0.6,
-            seed in 0u64..1_000_000,
-        ) {
-            use proptest::{prop_assert, prop_assert_eq};
-            let delta = 1 + delta_pick % (n - 1).min(4);
-            // C = 3, 6 let a processor hold markers of three classes,
-            // so marker rows spill too.
-            let params = Params::new(n, delta, 1.2, [1usize, 3, 6][c_idx]).unwrap();
-            let initial = initial * 4;
-            let mut zero = Cluster::with_initial_load(params, seed, initial);
-            let mut elem = Cluster::with_initial_load_elementwise(params, seed, initial);
-            let mut ev_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
-            let mut down = vec![false; n];
-            for t in 0..40 {
-                if t % 9 == 0 {
-                    down.iter_mut().for_each(|f| *f = ev_rng.gen_bool(0.1));
-                }
-                if t == 20 {
-                    zero = Cluster::restore(&zero.snapshot()).map_err(proptest::TestCaseError::fail)?;
-                }
-                let events = random_events(&mut ev_rng, n, p_gen, 0.9 - p_gen);
-                zero.step_masked(&events, &down);
-                elem.step_masked(&events, &down);
-                prop_assert_eq!(zero.loads(), elem.loads(), "loads at step {}", t);
-                prop_assert_eq!(zero.metrics(), elem.metrics(), "metrics at step {}", t);
-                prop_assert_eq!(zero.load_summary(), elem.load_summary());
-                for (i, (z, e)) in zero.procs.iter().zip(&elem.procs).enumerate() {
-                    prop_assert_eq!(
-                        (z.load, z.sum_b, z.l_old, z.seen, &*z.d, &*z.b),
-                        (e.load, e.sum_b, e.l_old, e.seen, &*e.d, &*e.b),
-                        "proc {} at step {}", i, t
-                    );
-                    prop_assert_eq!(
-                        (z.fresh_generated, z.direct_consumed, z.settled),
-                        (e.fresh_generated, e.direct_consumed, e.settled),
-                        "ledger of proc {} at step {}", i, t
-                    );
-                }
-                zero.check_invariants().map_err(proptest::TestCaseError::fail)?;
-                elem.check_invariants().map_err(proptest::TestCaseError::fail)?;
-            }
-            for cluster in [&mut zero, &mut elem] {
-                let heap: usize = cluster
-                    .procs
-                    .iter()
-                    .map(|p| usize::from(!p.d.is_inline()) + usize::from(!p.b.is_inline()))
-                    .sum();
-                prop_assert_eq!(cluster.free_spilled(), heap);
-                prop_assert!(cluster.procs.iter().all(Proc::inline));
-                prop_assert_eq!(cluster.procs.len(), n);
-            }
         }
 
         /// The lag under maximal conflict: depth 8 on 3–12 processors,

@@ -53,11 +53,13 @@
 //! # Ok::<(), dlb_theory::ParamError>(())
 //! ```
 
-// Six audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
+// Ten audited exceptions carry `#[allow(unsafe_code)]`: the prefetch
 // hint and the `Zeroable` impl of the processor record in `cluster`,
-// the two `u64`-block-as-`u32`-keys views in `sparse`, and the
-// huge-page advice and the zero fill in `pages` (whose `Zeroable`
-// declaration carries one too: it states the contract the impl keeps).
+// the two `u64`-block-as-`u32`-keys views in `sparse`, and in `pages`
+// the owner of zeroed values — its mapping, its heap allocation, its
+// free and its two slice views — and the `Zeroable` impl of `u32` (the
+// `Zeroable` declaration carries one too: it states the contract the
+// impls keep).
 #![deny(unsafe_code)]
 #![warn(clippy::cast_possible_truncation)]
 
@@ -81,7 +83,7 @@ pub mod weighted;
 pub use batch::{step_batch, BatchEvent};
 pub use cluster::Cluster;
 pub use metrics::Metrics;
-pub use pages::vec_on_huge_pages;
+pub use pages::{Zeroable, Zeroed};
 pub use params::{ExchangePolicy, Params, TriggerTable};
 pub use recorder::LoadRecorder;
 pub use simple::{Alive, BalanceRule, EvenRule, RawCluster, SimpleCluster};

@@ -56,8 +56,8 @@ pub(crate) fn key(c: usize) -> u32 {
 
 /// `repr(u8)` with `Inline = 0` makes all-zero bytes an empty row in
 /// place: the tag selects `Inline`, and `len`, `keys` and `vals` are
-/// zero.  That is what lets [`crate::Cluster`] build its records with
-/// one zero fill (`pages.rs`, `Zeroable`).
+/// zero.  That is what lets [`crate::Cluster`] take its records from
+/// memory the kernel zeroed (`pages.rs`, `Zeroable`).
 #[derive(Clone)]
 #[repr(u8)]
 enum Repr {

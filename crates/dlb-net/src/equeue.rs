@@ -124,6 +124,18 @@ impl<T: Copy> CalendarQueue<T> {
         self.len == 0
     }
 
+    /// Makes room for `per_tick` more events on each tick of `times`
+    /// inside the bucket window, so that many pushes to each tick
+    /// allocate nothing.  A tick beyond the window gets none: its events
+    /// wait in the overflow heap.
+    pub fn reserve_ticks(&mut self, times: std::ops::Range<u64>, per_tick: usize) {
+        let end = times.end.min(self.cur.saturating_add(self.mask + 1));
+        for time in times.start.max(self.cur)..end {
+            let slot = self.slot(time);
+            self.buckets[slot].items.reserve(per_tick);
+        }
+    }
+
     /// Enqueues `item` for delivery at `time`.
     ///
     /// # Panics
@@ -249,6 +261,35 @@ mod tests {
             want.push((time, id));
         }
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn reserved_ticks_take_their_pushes_in_place() {
+        let mut cal = CalendarQueue::with_capacity(64);
+        cal.push(5, (0, 0));
+        assert_eq!(cal.pop_due(5), Some((5, (0, 0))));
+        // Ticks 5..69 are the window; 69..100 lie beyond it.
+        cal.reserve_ticks(0..100, 10);
+        let bases: Vec<_> = cal.buckets.iter().map(|b| b.items.as_ptr()).collect();
+        assert!(cal.buckets.iter().all(|b| b.items.capacity() >= 10));
+        for time in 5..100 {
+            for id in 0..10 {
+                cal.push(time, (time, id));
+            }
+        }
+        let moved = cal
+            .buckets
+            .iter()
+            .zip(&bases)
+            .filter(|(b, &p)| b.items.as_ptr() != p);
+        assert_eq!(moved.count(), 0, "no bucket grew");
+        let popped: Vec<_> = std::iter::from_fn(|| cal.pop_due(u64::MAX))
+            .map(|(_, x)| x)
+            .collect();
+        let pushed: Vec<_> = (5..100)
+            .flat_map(|t| (0..10).map(move |id| (t, id)))
+            .collect();
+        assert_eq!(popped, pushed);
     }
 
     #[test]

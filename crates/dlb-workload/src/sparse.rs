@@ -27,7 +27,7 @@
 //! to the active fraction.
 
 use crate::Workload;
-use dlb_core::{vec_on_huge_pages, LoadBalancer, LoadEvent};
+use dlb_core::{LoadBalancer, LoadEvent, Zeroed};
 use dlb_net::CalendarQueue;
 
 /// A workload that can enumerate just its non-idle processors.
@@ -194,7 +194,7 @@ pub struct SparseActivity {
     queue: CalendarQueue<u32>,
     /// Per-processor pattern state: remaining phase steps (`Phase`) or
     /// arrival/service parity (`Arrivals`); unused by the other kinds.
-    state: Vec<u32>,
+    state: Zeroed<u32>,
     /// Next step the driver must ask for (strictly-increasing contract).
     next_t: u64,
     /// Reused by `events_at` to densify the active list.
@@ -226,6 +226,10 @@ impl SparseActivity {
             SparsePattern::Bursty { burst, quiet, .. } => u64::from(burst) + u64::from(quiet),
             SparsePattern::Arrivals { arrival_gap, .. } => u64::from(arrival_gap) + 1,
         };
+        // About n / spread first activations land on each tick; four
+        // standard deviations over that holds the fullest of them.
+        let per_tick = n / usize::try_from(spread).unwrap_or(usize::MAX);
+        queue.reserve_ticks(0..spread, per_tick + 4 * per_tick.isqrt() + 8);
         for i in 0..ids {
             let t0 = mix(seed, u64::from(i), 0, SALT_INIT) % spread;
             queue.push(t0, i);
@@ -235,7 +239,7 @@ impl SparseActivity {
             seed,
             pattern,
             queue,
-            state: vec_on_huge_pages(n, |_| 0),
+            state: Zeroed::new(n),
             next_t: 0,
             scratch: Vec::new(),
             due: Vec::new(),
